@@ -25,7 +25,8 @@
 //! into an immutable segment — snapshots the sealed storage, and for
 //! each lane: range-scans the trailing training window through
 //! [`HistoryReader`], builds a fresh scorer for the lane's kind through
-//! the `AlgoSpec` registry ([`StreamDetector::build_lane_scorer`]), warms
+//! the `AlgoSpec` registry
+//! ([`build_lane_scorer`](hierod_stream::StreamDetector::build_lane_scorer)), warms
 //! it by replaying the training samples, and swaps it into the lane's
 //! [`DriftingScorer`] wrapper.
 
@@ -34,13 +35,11 @@ use std::sync::Arc;
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::online::OnlineScorer;
 use hierod_detect::{DetectError, Result};
-use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor};
 use hierod_history::reader::{snapshot, HistoryReader, RangeQuery};
 use hierod_store::storage::Storage;
 use hierod_store::store::StoreOptions;
 use hierod_stream::{
-    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig,
-    StreamDetector, StreamReport, StreamStats,
+    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
 
 use crate::drift::MonitorSpec;
@@ -189,14 +188,10 @@ impl<S: Storage> AdaptiveStream<S> {
         &self.refit_log
     }
 
-    /// The wrapped durable stream (read-only).
+    /// The wrapped durable stream (read-only) — counters and the
+    /// detector are reached through it (`.durable().stats()`, …).
     pub fn durable(&self) -> &DurableStream<S> {
         &self.inner
-    }
-
-    /// The in-memory detector (read-only).
-    pub fn detector(&self) -> &StreamDetector {
-        self.inner.detector()
     }
 
     /// Unwraps back into the durable stream.
@@ -210,56 +205,6 @@ impl<S: Storage> AdaptiveStream<S> {
     /// As the delegate.
     pub fn control(&mut self, event: &ControlEvent) -> Result<()> {
         self.inner.control(event)
-    }
-
-    /// Delegates to [`DurableStream::machine_up`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn machine_up(
-        &mut self,
-        machine: &str,
-        sensors: Vec<Sensor>,
-        redundancy: Vec<RedundancyGroup>,
-        env_sensors: &[String],
-    ) -> Result<()> {
-        self.inner
-            .machine_up(machine, sensors, redundancy, env_sensors)
-    }
-
-    /// Delegates to [`DurableStream::job_start`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn job_start(
-        &mut self,
-        machine: &str,
-        job: &str,
-        start: u64,
-        config: JobConfig,
-    ) -> Result<()> {
-        self.inner.job_start(machine, job, start, config)
-    }
-
-    /// Delegates to [`DurableStream::phase_start`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn phase_start(
-        &mut self,
-        machine: &str,
-        kind: PhaseKind,
-        sensors: &[String],
-    ) -> Result<()> {
-        self.inner.phase_start(machine, kind, sensors)
-    }
-
-    /// Delegates to [`DurableStream::job_complete`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn job_complete(&mut self, machine: &str, caq: CaqResult) -> Result<()> {
-        self.inner.job_complete(machine, caq)
     }
 
     /// Delegates to [`DurableStream::ingest`].
@@ -276,16 +221,6 @@ impl<S: Storage> AdaptiveStream<S> {
     /// As the delegate.
     pub fn rotate(&mut self) -> Result<()> {
         self.inner.rotate()
-    }
-
-    /// Current ingestion counters (drift/refit counters included).
-    pub fn stats(&self) -> StreamStats {
-        self.inner.stats()
-    }
-
-    /// Per-lane counters (drift/refit counters included).
-    pub fn lane_stats(&self) -> std::collections::BTreeMap<LaneId, hierod_stream::LaneStats> {
-        self.inner.lane_stats()
     }
 
     /// Ticks the inner stream, then — with adaptation enabled — runs the

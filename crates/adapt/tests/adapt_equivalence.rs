@@ -9,7 +9,7 @@
 //!   identical reports, drift counters, and refit logs.
 //! * **Drift scenario** — a regime shift raises `drift_events` and
 //!   triggers store-trained refits, with counters flowing through
-//!   `stats()` and `lane_stats()`.
+//!   `durable().stats()` and `durable().lane_stats()`.
 
 use hierod_adapt::{AdaptiveStream, MonitorSpec, RefitPolicy};
 use hierod_core::AlgorithmPolicy;
@@ -17,7 +17,7 @@ use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor,
 use hierod_store::store::StoreOptions;
 use hierod_store::MemStorage;
 use hierod_stream::{
-    DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
+    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
 use hierod_wire::encode_report;
 
@@ -76,7 +76,7 @@ fn regime_value(i: u64, t: u64, shift: f64) -> f64 {
 /// more than it saves; the duplication is the test.
 fn drive_plain(d: &mut DurableStream<MemStorage>, n: u64, shift: f64) -> Vec<StreamReport> {
     let bed = "m0.bed.0".to_string();
-    d.machine_up(
+    d.control(&ControlEvent::machine_up(
         "m0",
         vec![Sensor::new(&bed, SensorKind::BedTemperature)],
         vec![RedundancyGroup::new(
@@ -84,17 +84,21 @@ fn drive_plain(d: &mut DurableStream<MemStorage>, n: u64, shift: f64) -> Vec<Str
             vec![bed.clone()],
         )],
         &[],
-    )
+    ))
     .expect("machine up");
-    d.job_start(
+    d.control(&ControlEvent::job_start(
         "m0",
         "j0",
         0,
         JobConfig::new(vec!["speed".into()], vec![1.0]),
-    )
+    ))
     .expect("job start");
-    d.phase_start("m0", PhaseKind::WarmUp, std::slice::from_ref(&bed))
-        .expect("phase start");
+    d.control(&ControlEvent::phase_start(
+        "m0",
+        PhaseKind::WarmUp,
+        std::slice::from_ref(&bed),
+    ))
+    .expect("phase start");
     let mut reports = Vec::new();
     for i in 0..n {
         let t = i ^ 1; // mild out-of-order jitter
@@ -110,14 +114,17 @@ fn drive_plain(d: &mut DurableStream<MemStorage>, n: u64, shift: f64) -> Vec<Str
             reports.push(d.tick().expect("tick"));
         }
     }
-    d.job_complete("m0", CaqResult::new(vec!["q".into()], vec![0.9], true))
-        .expect("job complete");
+    d.control(&ControlEvent::job_complete(
+        "m0",
+        CaqResult::new(vec!["q".into()], vec![0.9], true),
+    ))
+    .expect("job complete");
     reports
 }
 
 fn drive_adaptive(d: &mut AdaptiveStream<MemStorage>, n: u64, shift: f64) -> Vec<StreamReport> {
     let bed = "m0.bed.0".to_string();
-    d.machine_up(
+    d.control(&ControlEvent::machine_up(
         "m0",
         vec![Sensor::new(&bed, SensorKind::BedTemperature)],
         vec![RedundancyGroup::new(
@@ -125,17 +132,21 @@ fn drive_adaptive(d: &mut AdaptiveStream<MemStorage>, n: u64, shift: f64) -> Vec
             vec![bed.clone()],
         )],
         &[],
-    )
+    ))
     .expect("machine up");
-    d.job_start(
+    d.control(&ControlEvent::job_start(
         "m0",
         "j0",
         0,
         JobConfig::new(vec!["speed".into()], vec![1.0]),
-    )
+    ))
     .expect("job start");
-    d.phase_start("m0", PhaseKind::WarmUp, std::slice::from_ref(&bed))
-        .expect("phase start");
+    d.control(&ControlEvent::phase_start(
+        "m0",
+        PhaseKind::WarmUp,
+        std::slice::from_ref(&bed),
+    ))
+    .expect("phase start");
     let mut reports = Vec::new();
     for i in 0..n {
         let t = i ^ 1;
@@ -151,8 +162,11 @@ fn drive_adaptive(d: &mut AdaptiveStream<MemStorage>, n: u64, shift: f64) -> Vec
             reports.push(d.tick().expect("tick"));
         }
     }
-    d.job_complete("m0", CaqResult::new(vec!["q".into()], vec![0.9], true))
-        .expect("job complete");
+    d.control(&ControlEvent::job_complete(
+        "m0",
+        CaqResult::new(vec!["q".into()], vec![0.9], true),
+    ))
+    .expect("job complete");
     reports
 }
 
@@ -213,7 +227,7 @@ fn adaptive_runs_are_deterministic() {
         .expect("open");
         drive_adaptive(&mut d, 900, 8.0);
         let log = d.refit_log().to_vec();
-        let stats = d.stats();
+        let stats = d.durable().stats();
         let report = d.finish().expect("finish");
         (
             encode_report(&report),
@@ -245,7 +259,7 @@ fn drift_scenario_raises_counters_and_refits() {
     assert!(d.is_adaptive());
     drive_adaptive(&mut d, 900, 8.0);
 
-    let stats = d.stats();
+    let stats = d.durable().stats();
     assert!(stats.drift_events > 0, "no drift events: {stats:?}");
     assert!(stats.refits > 0, "no refits: {stats:?}");
     assert!(!d.refit_log().is_empty());
@@ -255,7 +269,7 @@ fn drift_scenario_raises_counters_and_refits() {
     assert!(rec.trained_samples >= 16);
 
     // Counters flow per-lane too.
-    let lanes = d.lane_stats();
+    let lanes = d.durable().lane_stats();
     let bed = lanes
         .get(&lane("m0", "m0.bed.0", LaneKind::Phase))
         .expect("bed lane");
@@ -287,7 +301,7 @@ fn quiet_scenario_never_refits() {
     .expect("open");
     drive_adaptive(&mut d, 600, 0.0); // no regime shift
     assert!(d.refit_log().is_empty(), "refit without drift");
-    assert_eq!(d.stats().refits, 0);
+    assert_eq!(d.durable().stats().refits, 0);
 }
 
 #[test]

@@ -1,18 +1,14 @@
-//! B8 — engine scheduling: the work-stealing task pool against the legacy
-//! one-thread-per-level scheduling on wide synthetic plants.
+//! B8 — engine scheduling: the work-stealing task pool at several widths
+//! on wide synthetic plants.
 //!
-//! The per-level-thread baseline caps parallelism at five threads and
-//! serializes all of a level's series behind one of them, so a wide plant
-//! (many machines × redundant sensors) leaves cores idle while the phase
-//! level grinds. The task pool decomposes the same run into per-series /
-//! per-group tasks and steals across level boundaries. Results are
-//! asserted identical before timing. Summary figures are committed under
-//! `results/bench_engine.md`.
+//! The task pool decomposes a run into per-series / per-group tasks and
+//! steals across level boundaries, so a wide plant (many machines ×
+//! redundant sensors) is not serialized behind its phase level. Results
+//! are asserted identical to the single-worker (serial) pool before
+//! timing. Summary figures are committed under `results/bench_engine.md`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hierod_core::{
-    detect_all_levels_per_level_threads, detect_all_levels_with_pool, AlgorithmPolicy,
-};
+use hierod_core::{detect_all_levels_with_pool, AlgorithmPolicy};
 use hierod_detect::engine::TaskPool;
 use hierod_synth::ScenarioBuilder;
 use std::hint::black_box;
@@ -32,18 +28,13 @@ fn bench_scheduling(c: &mut Criterion) {
     for (machines, jobs) in [(2_usize, 6_usize), (6, 12)] {
         let s = wide_plant(machines, jobs);
         // Scheduling must be invisible in the results.
-        let baseline = detect_all_levels_per_level_threads(&s.plant, &policy).unwrap();
-        let pooled =
-            detect_all_levels_with_pool(&s.plant, &policy, &TaskPool::with_default_parallelism())
-                .unwrap();
-        assert_eq!(baseline, pooled, "pool must reproduce the baseline exactly");
+        let serial = detect_all_levels_with_pool(&s.plant, &policy, &TaskPool::new(1)).unwrap();
+        let pooled = detect_all_levels_with_pool(&s.plant, &policy, &TaskPool::new(8)).unwrap();
+        assert_eq!(serial, pooled, "pool width must not change results");
 
         let name = format!("detect_all_levels_{machines}x{jobs}");
         let mut group = c.benchmark_group(&name);
         group.sample_size(10);
-        group.bench_function("per_level_threads", |b| {
-            b.iter(|| detect_all_levels_per_level_threads(black_box(&s.plant), &policy).unwrap())
-        });
         let default_pool = TaskPool::with_default_parallelism();
         group.bench_function("task_pool_default", |b| {
             b.iter(|| {

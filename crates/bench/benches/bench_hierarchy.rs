@@ -56,26 +56,6 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_monitor(c: &mut Criterion) {
-    use hierod_core::{FusionRule, PlantMonitor};
-    let s = scenario(1, 20);
-    let line = &s.plant.lines[0];
-    let mut group = c.benchmark_group("plant_monitor");
-    group.sample_size(20);
-    group.bench_function("ingest_20_jobs", |b| {
-        b.iter(|| {
-            let mut monitor = PlantMonitor::new(FusionRule::default_weighted());
-            monitor.register_machine(line.machine_id.clone(), line.redundancy.clone());
-            for job in &line.jobs {
-                monitor
-                    .ingest_job(black_box(&line.machine_id), job.clone())
-                    .unwrap();
-            }
-        })
-    });
-    group.finish();
-}
-
 /// Ablation: cost of the phase-level `ChooseAlgorithm` variants on the same
 /// plant (quality ablation lives in `repro_ablation`; this is the runtime
 /// side of the same design choice).
@@ -115,7 +95,6 @@ criterion_group!(
     benches,
     bench_levels,
     bench_end_to_end,
-    bench_monitor,
     bench_policy_ablation
 );
 criterion_main!(benches);

@@ -30,7 +30,9 @@ use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
 use hierod_store::store::StoreOptions;
 use hierod_store::MemStorage;
-use hierod_stream::{DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig};
+use hierod_stream::{
+    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig,
+};
 
 const SENSORS: usize = 4;
 const SAMPLES_PER_LANE: u64 = 24_000;
@@ -119,20 +121,20 @@ macro_rules! drive {
             SensorKind::BedTemperature,
             lanes.iter().map(|l| l.sensor.clone()).collect(),
         )];
-        $d.machine_up("m0", sensors, redundancy, &[])
+        $d.control(&ControlEvent::machine_up("m0", sensors, redundancy, &[]))
             .expect("machine_up");
-        $d.job_start(
+        $d.control(&ControlEvent::job_start(
             "m0",
             "j0",
             0,
             JobConfig::new(vec!["speed".into()], vec![1.0]),
-        )
+        ))
         .expect("job_start");
-        $d.phase_start(
+        $d.control(&ControlEvent::phase_start(
             "m0",
             PhaseKind::Printing,
             &lanes.iter().map(|l| l.sensor.clone()).collect::<Vec<_>>(),
-        )
+        ))
         .expect("phase_start");
         let start = Instant::now();
         for t in 0..SAMPLES_PER_LANE {
@@ -150,8 +152,11 @@ macro_rules! drive {
                 $d.tick().expect("tick");
             }
         }
-        $d.job_complete("m0", CaqResult::new(vec!["q".into()], vec![0.9], true))
-            .expect("job_complete");
+        $d.control(&ControlEvent::job_complete(
+            "m0",
+            CaqResult::new(vec!["q".into()], vec![0.9], true),
+        ))
+        .expect("job_complete");
         start.elapsed().as_secs_f64()
     }};
 }
@@ -184,7 +189,7 @@ fn main() {
     // ── 1. wrapper overhead (monitors on, nothing fires).
     let mut passthrough = AdaptiveStream::passthrough(open_plain());
     let base_secs = drive!(passthrough);
-    assert_eq!(passthrough.stats().refits, 0);
+    assert_eq!(passthrough.durable().stats().refits, 0);
     let quiet_policy = RefitPolicy {
         on_drift: true,
         every_ticks: None,
@@ -206,7 +211,11 @@ fn main() {
         total as f64 / wrapped_secs,
         100.0 * wrap_overhead
     );
-    assert_eq!(adaptive.stats().refits, 0, "quiet run must not refit");
+    assert_eq!(
+        adaptive.durable().stats().refits,
+        0,
+        "quiet run must not refit"
+    );
 
     // ── 2. refit cost under an aggressive schedule.
     let schedule_policy = RefitPolicy {

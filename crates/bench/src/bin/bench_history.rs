@@ -28,7 +28,9 @@ use hierod_hierarchy::{JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind
 use hierod_history::{backfill, compact, snapshot, CompactionOptions, HistoryReader, RangeQuery};
 use hierod_store::store::StoreOptions;
 use hierod_store::MemStorage;
-use hierod_stream::{DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig};
+use hierod_stream::{
+    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig,
+};
 
 const SENSORS: usize = 4;
 const JOBS: u64 = 16;
@@ -86,23 +88,23 @@ fn run_ingest() -> (f64, MemStorage, u64) {
         SensorKind::BedTemperature,
         lanes.iter().map(|l| l.sensor.clone()).collect(),
     )];
-    det.machine_up("m0", sensors, redundancy, &[])
+    det.control(&ControlEvent::machine_up("m0", sensors, redundancy, &[]))
         .expect("machine_up");
     let start = Instant::now();
     for job in 0..JOBS {
         let base = job * JOB_STRIDE;
-        det.job_start(
+        det.control(&ControlEvent::job_start(
             "m0",
             &format!("j{job}"),
             base,
             JobConfig::new(vec!["speed".into()], vec![1.0]),
-        )
+        ))
         .expect("job_start");
-        det.phase_start(
+        det.control(&ControlEvent::phase_start(
             "m0",
             PhaseKind::Printing,
             &lanes.iter().map(|l| l.sensor.clone()).collect::<Vec<_>>(),
-        )
+        ))
         .expect("phase_start");
         for t in 0..SAMPLES_PER_JOB {
             for (k, lane) in lanes.iter().enumerate() {
@@ -116,10 +118,10 @@ fn run_ingest() -> (f64, MemStorage, u64) {
                 .expect("ingest");
             }
         }
-        det.job_complete(
+        det.control(&ControlEvent::job_complete(
             "m0",
             hierod_hierarchy::CaqResult::new(vec!["q".into()], vec![0.9], true),
-        )
+        ))
         .expect("job_complete");
         det.rotate().expect("rotate");
     }
@@ -150,21 +152,21 @@ fn wal_bytes_per_sample() -> f64 {
         SensorKind::BedTemperature,
         lanes.iter().map(|l| l.sensor.clone()).collect(),
     )];
-    det.machine_up("m0", sensors, redundancy, &[])
+    det.control(&ControlEvent::machine_up("m0", sensors, redundancy, &[]))
         .expect("machine_up");
     let base = 0;
-    det.job_start(
+    det.control(&ControlEvent::job_start(
         "m0",
         "j0",
         base,
         JobConfig::new(vec!["speed".into()], vec![1.0]),
-    )
+    ))
     .expect("job_start");
-    det.phase_start(
+    det.control(&ControlEvent::phase_start(
         "m0",
         PhaseKind::Printing,
         &lanes.iter().map(|l| l.sensor.clone()).collect::<Vec<_>>(),
-    )
+    ))
     .expect("phase_start");
     let n = SAMPLES_PER_JOB;
     for t in 0..n {

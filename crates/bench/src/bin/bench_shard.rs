@@ -6,10 +6,11 @@
 //! 1. **Single-consumer baseline** — one unsharded `StreamDetector`
 //!    scoring every lane on the calling thread (the pre-refactor
 //!    topology: one consumer, one plant, one store-less detector).
-//! 2. **Inline sharding** — the same scenario through a 4-way
-//!    [`ShardSet`] driven by one thread: isolates the cost of the
-//!    hash-routing + broadcast + fixed-order merge machinery with no
-//!    parallelism in play.
+//! 2. **Inline sharding** — the same scenario through the production
+//!    inline driver, a durable `Tenant` over `MemStorage`, at 1 and 4
+//!    shards on one thread: the 1-shard row prices the journal, the
+//!    4-vs-1 gap isolates the hash-routing + broadcast + fixed-order
+//!    merge machinery with no parallelism in play.
 //! 3. **Shard worker threads** — [`ShardedStream`] with 1/2/4 shard
 //!    threads fed over per-shard SPSC rings; aggregate samples/s plus
 //!    per-shard-thread normalized throughput (comparable to the 1-core
@@ -27,9 +28,10 @@ use std::time::Instant;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
+use hierod_store::tenants::MemFactory;
 use hierod_stream::{
-    ControlEvent, IngestRouter, LaneId, LaneKind, Sample, ScorerMode, ShardSet, ShardedStream,
-    StreamConfig, StreamDetector, Watermark,
+    ControlEvent, IngestRouter, LaneId, LaneKind, PlantRegistry, Sample, ScorerMode, ShardedStream,
+    StreamConfig, StreamDetector, TenantConfig, Watermark,
 };
 
 /// Deterministic noisy signal: cheap to generate, non-trivial to score.
@@ -69,33 +71,33 @@ impl Workload {
             let names: Vec<String> = (0..sensors_per_machine)
                 .map(|s| format!("{machine}.bed.{s}"))
                 .collect();
-            controls_up.push(ControlEvent::MachineUp {
-                machine: machine.clone(),
-                sensors: names
+            controls_up.push(ControlEvent::machine_up(
+                &machine,
+                names
                     .iter()
                     .map(|n| Sensor::new(n, SensorKind::BedTemperature))
                     .collect(),
-                redundancy: vec![RedundancyGroup::new(
+                vec![RedundancyGroup::new(
                     SensorKind::BedTemperature,
                     names.clone(),
                 )],
-                env_sensors: Vec::new(),
-            });
-            controls_up.push(ControlEvent::JobStart {
-                machine: machine.clone(),
-                job: "j0".into(),
-                start: 0,
-                config: JobConfig::new(vec!["p".into()], vec![1.0]),
-            });
-            controls_up.push(ControlEvent::PhaseStart {
-                machine: machine.clone(),
-                kind: PhaseKind::Printing,
-                sensors: names.clone(),
-            });
-            controls_down.push(ControlEvent::JobComplete {
-                machine: machine.clone(),
-                caq: CaqResult::new(vec!["q".into()], vec![0.95], true),
-            });
+                &[],
+            ));
+            controls_up.push(ControlEvent::job_start(
+                &machine,
+                "j0",
+                0,
+                JobConfig::new(vec!["p".into()], vec![1.0]),
+            ));
+            controls_up.push(ControlEvent::phase_start(
+                &machine,
+                PhaseKind::Printing,
+                &names,
+            ));
+            controls_down.push(ControlEvent::job_complete(
+                &machine,
+                CaqResult::new(vec!["q".into()], vec![0.95], true),
+            ));
             for name in names {
                 lanes.push(LaneId {
                     machine: machine.clone(),
@@ -273,19 +275,26 @@ fn run_single_consumer(w: &Workload) -> f64 {
     w.total_samples() as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Experiment 2: hash routing + merge machinery, still one thread.
-fn run_inline_shards(w: &Workload, shards: usize) -> f64 {
-    let mut set =
-        ShardSet::new(&AlgorithmPolicy::default(), stream_config(), shards).expect("shard set");
+/// Experiment 2: the inline durable driver, still one thread.
+fn run_tenant(w: &Workload, shards: usize) -> f64 {
+    let config = TenantConfig {
+        shards,
+        stream: stream_config(),
+        ..TenantConfig::default()
+    };
+    let (mut registry, _) =
+        PlantRegistry::open(MemFactory::new(), AlgorithmPolicy::default(), config)
+            .expect("registry");
+    let tenant = registry.create_tenant("plant").expect("tenant");
     let start = Instant::now();
     for ev in &w.controls_up {
-        set.apply(ev).expect("control");
+        tenant.control(ev).expect("control");
     }
-    w.for_each_sample(|i, sample| set.ingest(&w.lanes[i], sample).expect("ingest"));
+    w.for_each_sample(|i, sample| tenant.ingest(&w.lanes[i], sample).expect("ingest"));
     for ev in &w.controls_down {
-        set.apply(ev).expect("control");
+        tenant.control(ev).expect("control");
     }
-    let report = set.finish().expect("finish");
+    let report = registry.finish_tenant("plant").expect("finish");
     assert_eq!(report.stats.samples_ingested, w.total_samples());
     w.total_samples() as f64 / start.elapsed().as_secs_f64()
 }
@@ -381,15 +390,17 @@ fn main() {
         fmt(baseline),
         baseline / seed
     );
-    run_inline_shards(&small, 4); // warm-up
-    let inline4 = run_inline_shards(&w, 4);
-    println!(
-        "{:<40} {:>14} {:>12} {:>8.2}x",
-        "ShardSet(4), inline (routing overhead)",
-        fmt(inline4),
-        fmt(inline4),
-        inline4 / seed
-    );
+    run_tenant(&small, 4); // warm-up
+    for shards in [1_usize, 4] {
+        let rate = run_tenant(&w, shards);
+        println!(
+            "{:<40} {:>14} {:>12} {:>8.2}x",
+            format!("Tenant({shards}), inline durable (MemStorage)"),
+            fmt(rate),
+            fmt(rate),
+            rate / seed
+        );
+    }
     let mut four_thread = 0.0;
     for shards in [1_usize, 2, 4] {
         run_sharded(&small, 1, shards); // warm-up

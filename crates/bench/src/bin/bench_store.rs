@@ -28,7 +28,7 @@ use hierod_hierarchy::{JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind
 use hierod_store::store::StoreOptions;
 use hierod_store::{MemStorage, Store, WalRecord};
 use hierod_stream::{
-    DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamDetector,
+    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamDetector,
 };
 
 /// Deterministic noisy signal (same generator as `bench_stream`).
@@ -86,20 +86,20 @@ fn run_memory_lane(n: u64) -> f64 {
     let (lane, sensors, redundancy, env) = bed_lane();
     let mut det =
         StreamDetector::new(AlgorithmPolicy::default(), stream_config()).expect("detector");
-    det.machine_up("m0", sensors, redundancy, &env)
+    det.apply(&ControlEvent::machine_up("m0", sensors, redundancy, &env))
         .expect("machine_up");
-    det.job_start(
+    det.apply(&ControlEvent::job_start(
         "m0",
         "j0",
         0,
         JobConfig::new(vec!["speed".into()], vec![1.0]),
-    )
+    ))
     .expect("job_start");
-    det.phase_start(
+    det.apply(&ControlEvent::phase_start(
         "m0",
         PhaseKind::Printing,
         std::slice::from_ref(&lane.sensor),
-    )
+    ))
     .expect("phase_start");
     let start = Instant::now();
     for t in 0..n {
@@ -127,20 +127,20 @@ fn run_durable_lane(group_commit: usize, n: u64) -> (f64, MemStorage) {
         StoreOptions { group_commit },
     )
     .expect("open durable");
-    det.machine_up("m0", sensors, redundancy, &env)
+    det.control(&ControlEvent::machine_up("m0", sensors, redundancy, &env))
         .expect("machine_up");
-    det.job_start(
+    det.control(&ControlEvent::job_start(
         "m0",
         "j0",
         0,
         JobConfig::new(vec!["speed".into()], vec![1.0]),
-    )
+    ))
     .expect("job_start");
-    det.phase_start(
+    det.control(&ControlEvent::phase_start(
         "m0",
         PhaseKind::Printing,
         std::slice::from_ref(&lane.sensor),
-    )
+    ))
     .expect("phase_start");
     let start = Instant::now();
     for t in 0..n {

@@ -15,9 +15,8 @@
 //! levels into a work-stealing [`TaskPool`], so a wide plant saturates
 //! every core instead of being capped at one thread per level; fragments
 //! are merged back **in task order**, which keeps results identical to the
-//! serial path. The legacy one-thread-per-level scheduling is kept as
-//! [`detect_all_levels_per_level_threads`] for comparison (see
-//! `bench_engine`).
+//! serial path (a plain [`detect_level`] loop over the five levels, which
+//! `pooled_run_matches_serial_run_exactly` keeps as the reference).
 
 use std::collections::BTreeMap;
 
@@ -25,7 +24,7 @@ use hierod_detect::engine::{Standardizer, Task, TaskPool};
 use hierod_detect::related::ProfileSimilarity;
 use hierod_hierarchy::{Level, LevelView, PhaseKind, Plant, SeriesAt};
 
-use hierod_detect::{DetectError, Result};
+use hierod_detect::Result;
 
 use crate::policy::{AlgorithmPolicy, PhaseChoice};
 
@@ -438,37 +437,6 @@ pub fn detect_all_levels_with_pool(
     Ok(out)
 }
 
-/// The pre-engine scheduling: one OS thread per level, serial scoring
-/// inside each. Kept as the baseline for `bench_engine`; prefer
-/// [`detect_all_levels`].
-///
-/// # Errors
-/// Propagates the first per-level failure.
-pub fn detect_all_levels_per_level_threads(
-    plant: &Plant,
-    policy: &AlgorithmPolicy,
-) -> Result<BTreeMap<Level, LevelDetections>> {
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = Level::ALL
-            .into_iter()
-            .map(|level| s.spawn(move || (level, detect_level(plant, level, policy))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| DetectError::invalid("detect", "detection thread panicked"))
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut out = BTreeMap::new();
-    for joined in results {
-        let (level, det) = joined?;
-        out.insert(level, det?);
-    }
-    Ok(out)
-}
-
 /// Resolves the job an outlier belongs to. Phase-level series carry their
 /// job directly; line-level feature series are indexed by job position.
 fn job_for(plant: &Plant, level: Level, at: &SeriesAt, idx: usize) -> Option<String> {
@@ -612,8 +580,7 @@ mod tests {
     #[test]
     fn pooled_run_matches_serial_run_exactly() {
         // The same task list merged in task order must make scheduling
-        // invisible: serial, single-worker, wide pool, and the legacy
-        // per-level-thread path all agree.
+        // invisible: serial, single-worker, and wide pool all agree.
         let s = scenario();
         let policy = AlgorithmPolicy::default();
         let serial: BTreeMap<Level, LevelDetections> = Level::ALL
@@ -622,10 +589,8 @@ mod tests {
             .collect();
         let pooled = detect_all_levels_with_pool(&s.plant, &policy, &TaskPool::new(8)).unwrap();
         let single = detect_all_levels_with_pool(&s.plant, &policy, &TaskPool::new(1)).unwrap();
-        let legacy = detect_all_levels_per_level_threads(&s.plant, &policy).unwrap();
         assert_eq!(serial, pooled);
         assert_eq!(serial, single);
-        assert_eq!(serial, legacy);
     }
 
     #[test]

@@ -28,18 +28,15 @@ pub mod detect_level;
 pub mod experiment;
 pub mod fusion;
 pub mod global_score;
-pub mod monitor;
 pub mod outlier;
 pub mod pipeline;
 pub mod policy;
 pub mod support;
 
 pub use detect_level::{
-    detect_all_levels, detect_all_levels_per_level_threads, detect_all_levels_with_pool,
-    detect_level, LevelDetections, LevelOutlier,
+    detect_all_levels, detect_all_levels_with_pool, detect_level, LevelDetections, LevelOutlier,
 };
 pub use fusion::FusionRule;
-pub use monitor::{JobAssessment, PlantMonitor, Urgency};
 pub use outlier::{HierOutlier, HierReport, Warning};
 pub use pipeline::{find_hierarchical_outliers, FindOptions};
 pub use policy::{AlgorithmPolicy, PhaseChoice, PointAlgo, SeriesAlgo, VectorAlgo};

@@ -150,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn job_start_level_warns_without_phase_evidence() {
+    fn starting_at_job_level_warns_without_phase_evidence() {
         // High measurement-error rate: job level stays clean while the
         // phase level fires -> starting at the job level, outliers (if any)
         // on clean jobs warn.

@@ -294,7 +294,14 @@ impl Default for AlgorithmPolicy {
 impl AlgorithmPolicy {
     /// The threshold for a level.
     pub fn threshold(&self, level: Level) -> f64 {
-        self.thresholds[(level.number() - 1) as usize]
+        let [phase, job, environment, line, production] = self.thresholds;
+        match level {
+            Level::Phase => phase,
+            Level::Job => job,
+            Level::Environment => environment,
+            Level::ProductionLine => line,
+            Level::Production => production,
+        }
     }
 
     /// The label of the algorithm chosen for a level (`ChooseAlgorithm`).

@@ -23,7 +23,7 @@ use hierod_store::store::{parse_hist_name, read_floor, StoreOptions};
 use hierod_store::{segment, MemStorage, Storage};
 use hierod_stream::codec::decode_lane;
 use hierod_stream::{
-    DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
+    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
 
 fn lane(machine: &str, sensor: &str, kind: LaneKind) -> LaneId {
@@ -59,7 +59,7 @@ fn run_scenario(d: &mut DurableStream<MemStorage>) {
     for m in ["m0", "m1"] {
         let bed = format!("{m}.bed.0");
         let room = format!("{m}.room");
-        d.machine_up(
+        d.control(&ControlEvent::machine_up(
             m,
             vec![Sensor::new(&bed, SensorKind::BedTemperature)],
             vec![RedundancyGroup::new(
@@ -67,22 +67,26 @@ fn run_scenario(d: &mut DurableStream<MemStorage>) {
                 vec![bed.clone()],
             )],
             &[room],
-        )
+        ))
         .expect("machine up");
     }
     let jobs: [(&str, &str, u64); 3] = [("m0", "j0", 0), ("m1", "j0", 5), ("m0", "j1", 500)];
     for (slot, (m, j, start)) in jobs.iter().enumerate() {
         let bed = format!("{m}.bed.0");
         let room = format!("{m}.room");
-        d.job_start(
+        d.control(&ControlEvent::job_start(
             m,
             j,
             *start,
             JobConfig::new(vec!["speed".into()], vec![1.0 + slot as f64]),
-        )
+        ))
         .expect("job start");
-        d.phase_start(m, PhaseKind::WarmUp, std::slice::from_ref(&bed))
-            .expect("phase start");
+        d.control(&ControlEvent::phase_start(
+            m,
+            PhaseKind::WarmUp,
+            std::slice::from_ref(&bed),
+        ))
+        .expect("phase start");
         let base = *start;
         for i in 0..40_u64 {
             let t = base + (i ^ 1); // mild out-of-order jitter
@@ -125,8 +129,12 @@ fn run_scenario(d: &mut DurableStream<MemStorage>) {
                 value: -1.0,
             },
         );
-        d.phase_start(m, PhaseKind::Printing, std::slice::from_ref(&bed))
-            .expect("phase start");
+        d.control(&ControlEvent::phase_start(
+            m,
+            PhaseKind::Printing,
+            std::slice::from_ref(&bed),
+        ))
+        .expect("phase start");
         for i in 0..24_u64 {
             let t = base + 100 + i;
             d.ingest(
@@ -138,10 +146,10 @@ fn run_scenario(d: &mut DurableStream<MemStorage>) {
             )
             .expect("ingest");
         }
-        d.job_complete(
+        d.control(&ControlEvent::job_complete(
             m,
             CaqResult::new(vec!["q".into()], vec![0.9 + slot as f64 * 0.01], true),
-        )
+        ))
         .expect("job complete");
         d.rotate().expect("rotate");
     }

@@ -11,10 +11,10 @@
 //! drift apart (the wire-equivalence test pins byte-identical reports
 //! across them).
 //!
-//! The typed plant-driving calls ([`PlantService::machine_up`],
-//! [`PlantService::job_start`], [`PhaseStart`](ControlEvent::PhaseStart)
-//! …) that used to live on `Tenant` are default trait methods lowering
-//! onto [`PlantService::control`] — one implementation, every backend.
+//! Lifecycle events have one vocabulary at every layer: callers build a
+//! [`ControlEvent`] (its `machine_up` / `job_start` / `phase_start` /
+//! `job_complete` constructors are the typed form) and hand it to
+//! [`PlantService::control`].
 //!
 //! [`RegistryService`] is the production implementation over a
 //! [`PlantRegistry`](hierod_stream::PlantRegistry); its
@@ -31,7 +31,6 @@ use std::io;
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::engine::AlgoSpec;
 use hierod_detect::{DetectError, Result};
-use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor};
 use hierod_history::{
     snapshot, BackfillOutcome, CompactionOptions, CompactionStats, HistoryReader, LaneSeries,
     RangeQuery, ScanStats,
@@ -217,90 +216,6 @@ pub trait PlantService {
         end: u64,
         spec: Option<&AlgoSpec>,
     ) -> Result<BackfillOutcome>;
-
-    /// A machine comes online with its sensor inventory (typed form of
-    /// [`ControlEvent::MachineUp`]).
-    ///
-    /// # Errors
-    /// As [`PlantService::control`].
-    fn machine_up(
-        &mut self,
-        plant: &str,
-        machine: &str,
-        sensors: Vec<Sensor>,
-        redundancy: Vec<RedundancyGroup>,
-        env_sensors: &[String],
-    ) -> Result<()> {
-        self.control(
-            plant,
-            &ControlEvent::MachineUp {
-                machine: machine.to_string(),
-                sensors,
-                redundancy,
-                env_sensors: env_sensors.to_vec(),
-            },
-        )
-    }
-
-    /// A job starts with its configuration vector (typed form of
-    /// [`ControlEvent::JobStart`]).
-    ///
-    /// # Errors
-    /// As [`PlantService::control`].
-    fn job_start(
-        &mut self,
-        plant: &str,
-        machine: &str,
-        job: &str,
-        start: u64,
-        config: JobConfig,
-    ) -> Result<()> {
-        self.control(
-            plant,
-            &ControlEvent::JobStart {
-                machine: machine.to_string(),
-                job: job.to_string(),
-                start,
-                config,
-            },
-        )
-    }
-
-    /// A phase begins (typed form of [`ControlEvent::PhaseStart`]).
-    ///
-    /// # Errors
-    /// As [`PlantService::control`].
-    fn phase_start(
-        &mut self,
-        plant: &str,
-        machine: &str,
-        kind: PhaseKind,
-        sensors: &[String],
-    ) -> Result<()> {
-        self.control(
-            plant,
-            &ControlEvent::PhaseStart {
-                machine: machine.to_string(),
-                kind,
-                sensors: sensors.to_vec(),
-            },
-        )
-    }
-
-    /// The machine's open job closes with its CAQ result (typed form of
-    /// [`ControlEvent::JobComplete`]).
-    ///
-    /// # Errors
-    /// As [`PlantService::control`].
-    fn job_complete(&mut self, plant: &str, machine: &str, caq: CaqResult) -> Result<()> {
-        self.control(
-            plant,
-            &ControlEvent::JobComplete {
-                machine: machine.to_string(),
-                caq,
-            },
-        )
-    }
 }
 
 /// The production [`PlantService`]: a
@@ -500,10 +415,10 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierod_hierarchy::SensorKind;
+    use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
     use hierod_store::tenants::MemFactory;
     use hierod_stream::tenant::TenantConfig;
-    use hierod_stream::LaneKind;
+    use hierod_stream::{LaneKind, StreamEvent};
 
     fn service() -> RegistryService<MemFactory> {
         RegistryService::open(
@@ -514,55 +429,64 @@ mod tests {
         .unwrap()
     }
 
-    fn drive(svc: &mut RegistryService<MemFactory>, plant: &str) {
+    /// One machine, one job, one warm-up phase with a spike at t=20.
+    fn script() -> Vec<StreamEvent> {
         let (machine, bed, room) = ("m0", "m0.bed.0", "m0.room");
-        svc.machine_up(
-            plant,
-            machine,
-            vec![Sensor::new(bed, SensorKind::BedTemperature)],
-            vec![RedundancyGroup::new(
-                SensorKind::BedTemperature,
-                vec![bed.into()],
-            )],
-            &[room.to_string()],
-        )
-        .unwrap();
-        svc.job_start(
-            plant,
-            machine,
-            "j0",
-            0,
-            JobConfig::new(vec!["p".into()], vec![1.0]),
-        )
-        .unwrap();
-        svc.phase_start(plant, machine, PhaseKind::WarmUp, &[bed.to_string()])
-            .unwrap();
+        let mut script = vec![
+            StreamEvent::Control(ControlEvent::machine_up(
+                machine,
+                vec![Sensor::new(bed, SensorKind::BedTemperature)],
+                vec![RedundancyGroup::new(
+                    SensorKind::BedTemperature,
+                    vec![bed.into()],
+                )],
+                &[room.to_string()],
+            )),
+            StreamEvent::Control(ControlEvent::job_start(
+                machine,
+                "j0",
+                0,
+                JobConfig::new(vec!["p".into()], vec![1.0]),
+            )),
+            StreamEvent::Control(ControlEvent::phase_start(
+                machine,
+                PhaseKind::WarmUp,
+                &[bed.to_string()],
+            )),
+        ];
         let bed_lane = LaneId {
             machine: machine.into(),
             sensor: bed.into(),
             kind: LaneKind::Phase,
         };
-        for t in 0..32_u64 {
-            svc.ingest(
-                plant,
-                &bed_lane,
+        script.extend((0..32_u64).map(|t| {
+            let value = if t == 20 {
+                60.0
+            } else {
+                (t as f64 * 0.4).sin()
+            };
+            StreamEvent::Sample(
+                bed_lane.clone(),
                 Sample {
                     timestamp: t,
-                    value: if t == 20 {
-                        60.0
-                    } else {
-                        (t as f64 * 0.4).sin()
-                    },
+                    value,
                 },
             )
-            .unwrap();
-        }
-        svc.job_complete(
-            plant,
+        }));
+        script.push(StreamEvent::Control(ControlEvent::job_complete(
             machine,
             CaqResult::new(vec!["q".into()], vec![0.9], true),
-        )
-        .unwrap();
+        )));
+        script
+    }
+
+    fn drive(svc: &mut RegistryService<MemFactory>, plant: &str) {
+        for event in script() {
+            match event {
+                StreamEvent::Control(control) => svc.control(plant, &control).unwrap(),
+                StreamEvent::Sample(lane, sample) => svc.ingest(plant, &lane, sample).unwrap(),
+            }
+        }
     }
 
     #[test]
@@ -574,23 +498,6 @@ mod tests {
         assert!(svc.admit("plant-b", false).is_err());
         assert!(svc.admit("../evil", true).is_err());
         assert_eq!(svc.plants(), vec!["plant-a".to_string()]);
-    }
-
-    #[test]
-    fn typed_drivers_lower_onto_control_and_reports_flow() {
-        let mut svc = service();
-        svc.admit("plant-a", true).unwrap();
-        drive(&mut svc, "plant-a");
-        let stats = svc.stats("plant-a").unwrap();
-        assert_eq!(stats.samples_ingested, 32);
-        let lanes = svc.lane_stats("plant-a").unwrap();
-        assert_eq!(lanes.len(), 2, "phase lane + environment lane");
-        let report = svc.tick("plant-a").unwrap();
-        assert_eq!(report.stats.samples_ingested, 32);
-        let last = svc.finish("plant-a").unwrap();
-        assert_eq!(last.stats.samples_released, 32);
-        assert!(svc.plants().is_empty());
-        assert!(svc.finish("plant-a").is_err());
     }
 
     #[test]
@@ -612,7 +519,12 @@ mod tests {
         let mut svc = service();
         svc.admit("p", true).unwrap();
         drive(&mut svc, "p");
+        assert_eq!(svc.stats("p").unwrap().samples_ingested, 32);
+        let lanes = svc.lane_stats("p").unwrap();
+        assert_eq!(lanes.len(), 2, "phase lane + environment lane");
         let via_service = svc.finish("p").unwrap();
+        assert!(svc.plants().is_empty());
+        assert!(svc.finish("p").is_err());
 
         let (mut registry, _) = PlantRegistry::open(
             MemFactory::new(),
@@ -620,10 +532,12 @@ mod tests {
             TenantConfig::default(),
         )
         .unwrap();
-        registry.create_tenant("p").unwrap();
-        {
-            let mut svc2 = RegistryServiceFacade(&mut registry);
-            drive_facade(&mut svc2, "p");
+        let tenant = registry.create_tenant("p").unwrap();
+        for event in script() {
+            match event {
+                StreamEvent::Control(control) => tenant.control(&control).unwrap(),
+                StreamEvent::Sample(lane, sample) => tenant.ingest(&lane, sample).unwrap(),
+            }
         }
         let via_engine = registry.finish_tenant("p").unwrap();
         assert_eq!(format!("{via_service:?}"), format!("{via_engine:?}"));
@@ -683,61 +597,5 @@ mod tests {
         );
         // Scans address live plants only.
         assert!(svc.range_scan("plant-a", &everything).is_err());
-    }
-
-    /// Minimal shim driving the raw engine with the same scenario the
-    /// service test drives, without going through PlantService.
-    struct RegistryServiceFacade<'a>(&'a mut PlantRegistry<MemFactory>);
-
-    fn drive_facade(f: &mut RegistryServiceFacade<'_>, plant: &str) {
-        let (machine, bed, room) = ("m0", "m0.bed.0", "m0.room");
-        let t = f.0.tenant_mut(plant).unwrap();
-        t.control(&ControlEvent::MachineUp {
-            machine: machine.into(),
-            sensors: vec![Sensor::new(bed, SensorKind::BedTemperature)],
-            redundancy: vec![RedundancyGroup::new(
-                SensorKind::BedTemperature,
-                vec![bed.into()],
-            )],
-            env_sensors: vec![room.to_string()],
-        })
-        .unwrap();
-        t.control(&ControlEvent::JobStart {
-            machine: machine.into(),
-            job: "j0".into(),
-            start: 0,
-            config: JobConfig::new(vec!["p".into()], vec![1.0]),
-        })
-        .unwrap();
-        t.control(&ControlEvent::PhaseStart {
-            machine: machine.into(),
-            kind: PhaseKind::WarmUp,
-            sensors: vec![bed.to_string()],
-        })
-        .unwrap();
-        let bed_lane = LaneId {
-            machine: machine.into(),
-            sensor: bed.into(),
-            kind: LaneKind::Phase,
-        };
-        for ts in 0..32_u64 {
-            t.ingest(
-                &bed_lane,
-                Sample {
-                    timestamp: ts,
-                    value: if ts == 20 {
-                        60.0
-                    } else {
-                        (ts as f64 * 0.4).sin()
-                    },
-                },
-            )
-            .unwrap();
-        }
-        t.control(&ControlEvent::JobComplete {
-            machine: machine.into(),
-            caq: CaqResult::new(vec!["q".into()], vec![0.9], true),
-        })
-        .unwrap();
     }
 }

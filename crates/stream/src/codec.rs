@@ -290,3 +290,85 @@ pub fn decode_control(bytes: &[u8]) -> Option<ControlEvent> {
     };
     buf.is_empty().then_some(event)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lane_codec_round_trips() {
+        for kind in [LaneKind::Phase, LaneKind::Environment] {
+            let id = LaneId {
+                machine: "m0".into(),
+                sensor: "m0.bed.0".into(),
+                kind,
+            };
+            assert_eq!(decode_lane(&encode_lane(&id)), Some(id));
+        }
+        assert_eq!(decode_lane(&[9]), None);
+        assert_eq!(decode_lane(&[]), None);
+    }
+
+    #[test]
+    fn control_codec_round_trips() {
+        let sensors = vec![Sensor::new("m0.bed.0", SensorKind::BedTemperature)];
+        let redundancy = vec![RedundancyGroup::new(
+            SensorKind::BedTemperature,
+            vec!["m0.bed.0".into()],
+        )];
+        let config = JobConfig::new(vec!["speed".into()], vec![1.25]);
+        let phase_sensors = ["m0.bed.0".to_string(), "m0.laser".to_string()];
+        let caq = CaqResult::new(vec!["q".into()], vec![0.5], false);
+        // Each constructor next to the literal variant it must build.
+        let events = [
+            (
+                ControlEvent::machine_up(
+                    "m0",
+                    sensors.clone(),
+                    redundancy.clone(),
+                    &["m0.room".into()],
+                ),
+                ControlEvent::MachineUp {
+                    machine: "m0".into(),
+                    sensors,
+                    redundancy,
+                    env_sensors: vec!["m0.room".into()],
+                },
+            ),
+            (
+                ControlEvent::job_start("m0", "j0", 17, config.clone()),
+                ControlEvent::JobStart {
+                    machine: "m0".into(),
+                    job: "j0".into(),
+                    start: 17,
+                    config,
+                },
+            ),
+            (
+                ControlEvent::phase_start("m0", PhaseKind::Printing, &phase_sensors),
+                ControlEvent::PhaseStart {
+                    machine: "m0".into(),
+                    kind: PhaseKind::Printing,
+                    sensors: phase_sensors.to_vec(),
+                },
+            ),
+            (
+                ControlEvent::job_complete("m0", caq.clone()),
+                ControlEvent::JobComplete {
+                    machine: "m0".into(),
+                    caq,
+                },
+            ),
+        ];
+        for (built, literal) in &events {
+            assert_eq!(built, literal, "constructor builds the literal variant");
+            let bytes = encode_control(built);
+            assert_eq!(decode_control(&bytes).as_ref(), Some(literal));
+        }
+        // Every truncation of a valid payload is rejected, never panics.
+        let bytes = encode_control(&events[0].0);
+        for cut in 0..bytes.len() {
+            assert!(decode_control(&bytes[..cut]).is_none(), "cut {cut}");
+        }
+    }
+}

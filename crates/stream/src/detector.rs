@@ -2,10 +2,9 @@
 //!
 //! The driver consumes two interleaved inputs:
 //!
-//! * **Control events** — machine/job/phase lifecycle calls
-//!   ([`StreamDetector::machine_up`], [`StreamDetector::job_start`],
-//!   [`StreamDetector::phase_start`], [`StreamDetector::job_complete`])
-//!   that mirror the production process structure of the paper's Fig. 2.
+//! * **Control events** — machine/job/phase lifecycle events
+//!   ([`ControlEvent`], applied through [`StreamDetector::apply`]) that
+//!   mirror the production process structure of the paper's Fig. 2.
 //! * **Samples** — per-sensor readings arriving through [`IngestRouter`]
 //!   lanes ([`StreamDetector::drain`]) or directly
 //!   ([`StreamDetector::ingest`]).
@@ -49,6 +48,7 @@ use hierod_hierarchy::{
     CaqResult, Environment, Job, JobConfig, Level, LevelView, Phase, PhaseKind, Plant,
     ProductionLine, RedundancyGroup, Sensor, SeriesAt,
 };
+use hierod_synth::ReplayEvent;
 use hierod_timeseries::TimeSeries;
 use std::sync::Arc;
 
@@ -200,6 +200,129 @@ pub enum ControlEvent {
         /// Computer-aided quality result for the finished part.
         caq: CaqResult,
     },
+}
+
+impl ControlEvent {
+    /// A machine comes online: its sensor inventory, redundancy groups
+    /// (the support computation needs them), and environment sensors,
+    /// whose pipelines open immediately and stay open until finish.
+    pub fn machine_up(
+        machine: &str,
+        sensors: Vec<Sensor>,
+        redundancy: Vec<RedundancyGroup>,
+        env_sensors: &[String],
+    ) -> Self {
+        ControlEvent::MachineUp {
+            machine: machine.to_string(),
+            sensors,
+            redundancy,
+            env_sensors: env_sensors.to_vec(),
+        }
+    }
+
+    /// A job opens on a machine whose previous job has completed.
+    pub fn job_start(machine: &str, job: &str, start: u64, config: JobConfig) -> Self {
+        ControlEvent::JobStart {
+            machine: machine.to_string(),
+            job: job.to_string(),
+            start,
+            config,
+        }
+    }
+
+    /// A phase opens within the machine's open job, finalizing the
+    /// previous phase's pipelines.
+    pub fn phase_start(machine: &str, kind: PhaseKind, sensors: &[String]) -> Self {
+        ControlEvent::PhaseStart {
+            machine: machine.to_string(),
+            kind,
+            sensors: sensors.to_vec(),
+        }
+    }
+
+    /// The machine's open job completes with its CAQ result.
+    pub fn job_complete(machine: &str, caq: CaqResult) -> Self {
+        ControlEvent::JobComplete {
+            machine: machine.to_string(),
+            caq,
+        }
+    }
+}
+
+/// One step of a plant's event stream as a driver sees it: a lifecycle
+/// control or one routed sample. `From<ReplayEvent>` is the one lowering
+/// of the synth replay onto the streaming vocabulary.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamEvent {
+    /// A lifecycle event.
+    Control(ControlEvent),
+    /// One sensor reading on its lane.
+    Sample(LaneId, Sample),
+}
+
+impl From<ReplayEvent> for StreamEvent {
+    fn from(event: ReplayEvent) -> Self {
+        let sample = |machine, sensor, kind, timestamp, value| {
+            StreamEvent::Sample(
+                LaneId {
+                    machine,
+                    sensor,
+                    kind,
+                },
+                Sample { timestamp, value },
+            )
+        };
+        match event {
+            ReplayEvent::MachineUp {
+                machine,
+                sensors,
+                redundancy,
+                env_sensors,
+            } => StreamEvent::Control(ControlEvent::MachineUp {
+                machine,
+                sensors,
+                redundancy,
+                env_sensors,
+            }),
+            ReplayEvent::JobStart {
+                machine,
+                job,
+                start,
+                config,
+            } => StreamEvent::Control(ControlEvent::JobStart {
+                machine,
+                job,
+                start,
+                config,
+            }),
+            ReplayEvent::PhaseStart {
+                machine,
+                kind,
+                sensors,
+            } => StreamEvent::Control(ControlEvent::PhaseStart {
+                machine,
+                kind,
+                sensors,
+            }),
+            ReplayEvent::PhaseSample {
+                machine,
+                sensor,
+                timestamp,
+                value,
+            } => sample(machine, sensor, LaneKind::Phase, timestamp, value),
+            ReplayEvent::EnvSample {
+                machine,
+                sensor,
+                timestamp,
+                value,
+            } => sample(machine, sensor, LaneKind::Environment, timestamp, value),
+            // The control vocabulary addresses the machine's one open job,
+            // so the replay's job id is redundant here.
+            ReplayEvent::JobComplete { machine, caq, .. } => {
+                StreamEvent::Control(ControlEvent::JobComplete { machine, caq })
+            }
+        }
+    }
 }
 
 /// A mutable view of one open pipeline with its lane coordinates —
@@ -497,12 +620,18 @@ impl StreamDetector {
         }
     }
 
-    /// Applies one lifecycle event in value form — the dispatch used by
-    /// the durability WAL replay, the shard broadcast path, and the
-    /// tenant registry.
+    /// Applies one lifecycle event — the one control entry point, shared
+    /// by direct drivers, the durability WAL replay, the shard broadcast
+    /// path, and the tenant registry.
     ///
     /// # Errors
-    /// As the corresponding lifecycle method.
+    /// * [`ControlEvent::MachineUp`]: a machine id registered twice;
+    ///   scorer construction failures for the environment pipelines.
+    /// * [`ControlEvent::JobStart`]: [`DetectError::Missing`] for an
+    ///   unregistered machine; invalid while the machine has an open job.
+    /// * [`ControlEvent::PhaseStart`] / [`ControlEvent::JobComplete`]:
+    ///   [`DetectError::Missing`] without a registered machine or open
+    ///   job; scorer construction failures.
     pub fn apply(&mut self, event: &ControlEvent) -> Result<()> {
         match event {
             ControlEvent::MachineUp {
@@ -510,34 +639,29 @@ impl StreamDetector {
                 sensors,
                 redundancy,
                 env_sensors,
-            } => self.machine_up(machine, sensors.clone(), redundancy.clone(), env_sensors),
+            } => self.machine_up(machine, sensors, redundancy, env_sensors),
             ControlEvent::JobStart {
                 machine,
                 job,
                 start,
                 config,
-            } => self.job_start(machine, job, *start, config.clone()),
+            } => self.job_start(machine, job, *start, config),
             ControlEvent::PhaseStart {
                 machine,
                 kind,
                 sensors,
             } => self.phase_start(machine, *kind, sensors),
-            ControlEvent::JobComplete { machine, caq } => self.job_complete(machine, caq.clone()),
+            ControlEvent::JobComplete { machine, caq } => self.job_complete(machine, caq),
         }
     }
 
-    /// Registers a machine: its sensor inventory, redundancy groups (the
-    /// support computation needs them), and environment sensors, whose
-    /// pipelines open immediately and stay open until finish.
-    ///
-    /// # Errors
-    /// Rejects a machine id registered twice, and propagates scorer
-    /// construction failures for the environment pipelines.
-    pub fn machine_up(
+    /// Registers a machine; its environment pipelines open immediately
+    /// and stay open until finish.
+    fn machine_up(
         &mut self,
         machine: &str,
-        sensors: Vec<Sensor>,
-        redundancy: Vec<RedundancyGroup>,
+        sensors: &[Sensor],
+        redundancy: &[RedundancyGroup],
         env_sensors: &[String],
     ) -> Result<()> {
         if self.machines.iter().any(|(id, _)| id == machine) {
@@ -546,21 +670,17 @@ impl StreamDetector {
                 format!("machine {machine} already registered"),
             ));
         }
-        let mut env = Vec::with_capacity(env_sensors.len());
-        for name in env_sensors {
-            let pipe = if self.owns(machine, name) {
-                let scorer = self.build_scorer(self.policy.environment, LaneKind::Environment)?;
-                Some(Pipeline::new(self.config.lateness, scorer))
-            } else {
-                None
-            };
-            env.push((name.clone(), pipe));
-        }
+        let env = self.open_pipelines(
+            machine,
+            env_sensors,
+            self.policy.environment,
+            LaneKind::Environment,
+        )?;
         self.machines.push((
             machine.to_string(),
             MachineState {
-                sensors,
-                redundancy,
+                sensors: sensors.to_vec(),
+                redundancy: redundancy.to_vec(),
                 jobs: Vec::new(),
                 env,
             },
@@ -568,19 +688,15 @@ impl StreamDetector {
         Ok(())
     }
 
-    /// Opens a job on a machine. The previous job must have been completed.
-    ///
-    /// # Errors
-    /// [`DetectError::Missing`] for an unregistered machine; invalid when
-    /// the machine still has an open job.
-    pub fn job_start(
+    /// Opens a job on a machine whose previous job has completed.
+    fn job_start(
         &mut self,
         machine: &str,
         job: &str,
         start: u64,
-        config: JobConfig,
+        config: &JobConfig,
     ) -> Result<()> {
-        let m = self.machine_mut(machine)?;
+        let m = find_machine(&mut self.machines, machine)?;
         if m.open_job_mut().is_some() {
             return Err(DetectError::invalid(
                 "job",
@@ -590,7 +706,7 @@ impl StreamDetector {
         m.jobs.push(JobState {
             id: job.to_string(),
             start,
-            config,
+            config: config.clone(),
             phases: Vec::new(),
             caq: None,
         });
@@ -601,70 +717,61 @@ impl StreamDetector {
     /// previous phase's pipelines (their watermarks flush and their
     /// scorers finish — drain the router first so no sample of the old
     /// phase is still in flight).
-    ///
-    /// # Errors
-    /// [`DetectError::Missing`] without a registered machine or open job;
-    /// propagates scorer construction failures.
-    pub fn phase_start(
-        &mut self,
-        machine: &str,
-        kind: PhaseKind,
-        sensors: &[String],
-    ) -> Result<()> {
-        let mut pipes = Vec::with_capacity(sensors.len());
-        for name in sensors {
-            let pipe = if self.owns(machine, name) {
-                let scorer = self.build_scorer(self.phase_algo, LaneKind::Phase)?;
-                Some(Pipeline::new(self.config.lateness, scorer))
-            } else {
-                None
-            };
-            pipes.push((name.clone(), pipe));
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = (|| {
-            let m = self.machine_mut(machine)?;
-            let Some(job) = m.open_job_mut() else {
-                return Err(DetectError::Missing {
-                    what: format!("open job on machine {machine}"),
-                });
-            };
-            if let Some(prev) = job.phases.last_mut() {
-                for pipe in prev.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
-                    pipe.finish(&mut scratch);
-                }
-            }
-            job.phases.push(PhaseState { kind, pipes });
-            Ok(())
-        })();
-        self.scratch = scratch;
-        result
+    fn phase_start(&mut self, machine: &str, kind: PhaseKind, sensors: &[String]) -> Result<()> {
+        let pipes = self.open_pipelines(machine, sensors, self.phase_algo, LaneKind::Phase)?;
+        self.close_open_phase(machine)?
+            .phases
+            .push(PhaseState { kind, pipes });
+        Ok(())
     }
 
     /// Completes the machine's open job with its CAQ result, finalizing
     /// the last phase's pipelines.
-    ///
-    /// # Errors
-    /// [`DetectError::Missing`] without a registered machine or open job.
-    pub fn job_complete(&mut self, machine: &str, caq: CaqResult) -> Result<()> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = (|| {
-            let m = self.machine_mut(machine)?;
-            let Some(job) = m.open_job_mut() else {
-                return Err(DetectError::Missing {
-                    what: format!("open job on machine {machine}"),
-                });
-            };
-            if let Some(last) = job.phases.last_mut() {
-                for pipe in last.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
-                    pipe.finish(&mut scratch);
-                }
+    fn job_complete(&mut self, machine: &str, caq: &CaqResult) -> Result<()> {
+        self.close_open_phase(machine)?.caq = Some(caq.clone());
+        Ok(())
+    }
+
+    /// One pipeline slot per sensor, in declaration order; `None` for
+    /// lanes another shard owns.
+    fn open_pipelines(
+        &self,
+        machine: &str,
+        sensors: &[String],
+        algo: PointAlgo,
+        kind: LaneKind,
+    ) -> Result<Vec<(String, Option<Pipeline>)>> {
+        sensors
+            .iter()
+            .map(|name| {
+                let pipe = if self.owns(machine, name) {
+                    let scorer = self.build_scorer(algo, kind)?;
+                    Some(Pipeline::new(self.config.lateness, scorer))
+                } else {
+                    None
+                };
+                Ok((name.clone(), pipe))
+            })
+            .collect()
+    }
+
+    /// Finishes the pipelines of the current phase of the machine's open
+    /// job and returns that job.
+    fn close_open_phase(&mut self, machine: &str) -> Result<&mut JobState> {
+        let Self {
+            machines, scratch, ..
+        } = self;
+        let job = find_machine(machines, machine)?
+            .open_job_mut()
+            .ok_or_else(|| DetectError::Missing {
+                what: format!("open job on machine {machine}"),
+            })?;
+        if let Some(phase) = job.phases.last_mut() {
+            for pipe in phase.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
+                pipe.finish(scratch);
             }
-            job.caq = Some(caq);
-            Ok(())
-        })();
-        self.scratch = scratch;
-        result
+        }
+        Ok(job)
     }
 
     /// Routes one sample into its pipeline: phase lanes go to the current
@@ -929,16 +1036,6 @@ impl StreamDetector {
         }
     }
 
-    fn machine_mut(&mut self, machine: &str) -> Result<&mut MachineState> {
-        self.machines
-            .iter_mut()
-            .find(|(id, _)| id == machine)
-            .map(|(_, m)| m)
-            .ok_or_else(|| DetectError::Missing {
-                what: format!("machine {machine}"),
-            })
-    }
-
     /// Builds the online scorer for a point algorithm under the configured
     /// mode, applying the adaptive wrapper when one is installed.
     fn build_scorer(&self, algo: PointAlgo, kind: LaneKind) -> Result<Box<dyn OnlineScorer>> {
@@ -967,6 +1064,19 @@ impl StreamDetector {
             },
         }
     }
+}
+
+fn find_machine<'a>(
+    machines: &'a mut [(String, MachineState)],
+    machine: &str,
+) -> Result<&'a mut MachineState> {
+    machines
+        .iter_mut()
+        .find(|(id, _)| id == machine)
+        .map(|(_, m)| m)
+        .ok_or_else(|| DetectError::Missing {
+            what: format!("machine {machine}"),
+        })
 }
 
 /// Assembles one merged [`StreamReport`] from a fixed-order slice of
@@ -1200,8 +1310,33 @@ mod tests {
             SensorKind::BedTemperature,
             vec!["m0.bed.0".into()],
         )];
-        det.machine_up("m0", sensors, groups, &["m0.room_temp".into()])
-            .expect("machine_up");
+        det.apply(&ControlEvent::machine_up(
+            "m0",
+            sensors,
+            groups,
+            &["m0.room_temp".into()],
+        ))
+        .expect("machine_up");
+    }
+
+    /// Opens job `j0` and its warm-up phase on the bed sensor.
+    fn open_warm_up(det: &mut StreamDetector) {
+        let config = JobConfig::new(vec!["p".into()], vec![1.0]);
+        det.apply(&ControlEvent::job_start("m0", "j0", 0, config))
+            .expect("job_start");
+        let sensors = ["m0.bed.0".to_string()];
+        det.apply(&ControlEvent::phase_start(
+            "m0",
+            PhaseKind::WarmUp,
+            &sensors,
+        ))
+        .expect("phase_start");
+    }
+
+    fn complete_job(det: &mut StreamDetector) {
+        let caq = CaqResult::new(vec!["q".into()], vec![0.98], true);
+        det.apply(&ControlEvent::job_complete("m0", caq))
+            .expect("job_complete");
     }
 
     #[test]
@@ -1216,23 +1351,20 @@ mod tests {
     #[test]
     fn lifecycle_is_enforced() {
         let mut det = detector(ScorerMode::BatchEquivalent);
+        let job =
+            |id, start| ControlEvent::job_start("m0", id, start, JobConfig::new(vec![], vec![]));
+        let phase = ControlEvent::phase_start("m0", PhaseKind::WarmUp, &["m0.bed.0".into()]);
         // No machine yet.
-        assert!(det
-            .job_start("m0", "j0", 0, JobConfig::new(vec![], vec![]))
-            .is_err());
+        assert!(det.apply(&job("j0", 0)).is_err());
         bring_up(&mut det);
         // Phase before job.
-        assert!(det
-            .phase_start("m0", PhaseKind::WarmUp, &["m0.bed.0".into()])
-            .is_err());
-        det.job_start("m0", "j0", 0, JobConfig::new(vec![], vec![]))
-            .expect("job_start");
+        assert!(det.apply(&phase).is_err());
+        det.apply(&job("j0", 0)).expect("job_start");
         // Double job open.
-        assert!(det
-            .job_start("m0", "j1", 1, JobConfig::new(vec![], vec![]))
-            .is_err());
+        assert!(det.apply(&job("j1", 1)).is_err());
         // Duplicate machine.
-        assert!(det.machine_up("m0", vec![], vec![], &[]).is_err());
+        let again = ControlEvent::machine_up("m0", vec![], vec![], &[]);
+        assert!(det.apply(&again).is_err());
     }
 
     #[test]
@@ -1264,10 +1396,7 @@ mod tests {
     fn end_to_end_single_job_produces_a_report() {
         let mut det = detector(ScorerMode::BatchEquivalent);
         bring_up(&mut det);
-        det.job_start("m0", "j0", 0, JobConfig::new(vec!["p".into()], vec![1.0]))
-            .expect("job_start");
-        det.phase_start("m0", PhaseKind::WarmUp, &["m0.bed.0".into()])
-            .expect("phase_start");
+        open_warm_up(&mut det);
         let lane = LaneId {
             machine: "m0".into(),
             sensor: "m0.bed.0".into(),
@@ -1288,8 +1417,7 @@ mod tests {
             )
             .expect("ingest");
         }
-        det.job_complete("m0", CaqResult::new(vec!["q".into()], vec![0.98], true))
-            .expect("job_complete");
+        complete_job(&mut det);
         let report = det.finish().expect("finish");
         assert_eq!(report.stats.samples_ingested, 64);
         assert_eq!(report.stats.samples_released, 64);
@@ -1311,10 +1439,7 @@ mod tests {
     fn incremental_mode_scores_before_finish() {
         let mut det = detector(ScorerMode::Incremental);
         bring_up(&mut det);
-        det.job_start("m0", "j0", 0, JobConfig::new(vec!["p".into()], vec![1.0]))
-            .expect("job_start");
-        det.phase_start("m0", PhaseKind::WarmUp, &["m0.bed.0".into()])
-            .expect("phase_start");
+        open_warm_up(&mut det);
         let lane = LaneId {
             machine: "m0".into(),
             sensor: "m0.bed.0".into(),
@@ -1344,8 +1469,7 @@ mod tests {
             )
             .expect("ingest");
         }
-        det.job_complete("m0", CaqResult::new(vec!["q".into()], vec![0.98], true))
-            .expect("job_complete");
+        complete_job(&mut det);
         // tick() after job completion sees per-sample scores without any
         // finish() — incremental scorers emit as samples arrive.
         let report = det.tick().expect("tick");
@@ -1371,10 +1495,7 @@ mod tests {
         )
         .expect("streamable policy");
         bring_up(&mut det);
-        det.job_start("m0", "j0", 0, JobConfig::new(vec!["p".into()], vec![1.0]))
-            .expect("job_start");
-        det.phase_start("m0", PhaseKind::WarmUp, &["m0.bed.0".into()])
-            .expect("phase_start");
+        open_warm_up(&mut det);
         let bed = LaneId {
             machine: "m0".into(),
             sensor: "m0.bed.0".into(),
@@ -1402,8 +1523,7 @@ mod tests {
         for ts in 0..4_u64 {
             push(&mut det, &room, ts);
         }
-        det.job_complete("m0", CaqResult::new(vec!["q".into()], vec![0.98], true))
-            .expect("job_complete");
+        complete_job(&mut det);
         let report = det.finish().expect("finish");
         let bed_stats = report.lane_stats.get(&bed).expect("bed lane tracked");
         assert_eq!(bed_stats.duplicates_dropped, 1);

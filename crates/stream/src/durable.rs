@@ -50,7 +50,6 @@ use std::io;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::{DetectError, Result};
-use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor};
 use hierod_store::segment::{ControlRecord, LaneDef, SegmentChunk, SegmentDraft};
 use hierod_store::storage::Storage;
 use hierod_store::store::{RecoveryStats, Store, StoreOptions};
@@ -398,8 +397,7 @@ impl<S: Storage> DurableStream<S> {
         Ok(seq)
     }
 
-    /// Journals (fsynced) and applies one control event — the value-form
-    /// entry point the tenant registry and shard broadcast use.
+    /// Journals (fsynced) and applies one control event.
     ///
     /// # Errors
     /// Storage failures as [`DetectError::Substrate`], then the inner
@@ -411,76 +409,6 @@ impl<S: Storage> DurableStream<S> {
             tag_new_pipelines(&mut self.inner, seq);
         }
         result
-    }
-
-    /// Durable [`StreamDetector::machine_up`].
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn machine_up(
-        &mut self,
-        machine: &str,
-        sensors: Vec<Sensor>,
-        redundancy: Vec<RedundancyGroup>,
-        env_sensors: &[String],
-    ) -> Result<()> {
-        self.control(&ControlEvent::MachineUp {
-            machine: machine.to_string(),
-            sensors,
-            redundancy,
-            env_sensors: env_sensors.to_vec(),
-        })
-    }
-
-    /// Durable [`StreamDetector::job_start`].
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn job_start(
-        &mut self,
-        machine: &str,
-        job: &str,
-        start: u64,
-        config: JobConfig,
-    ) -> Result<()> {
-        self.control(&ControlEvent::JobStart {
-            machine: machine.to_string(),
-            job: job.to_string(),
-            start,
-            config,
-        })
-    }
-
-    /// Durable [`StreamDetector::phase_start`].
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn phase_start(
-        &mut self,
-        machine: &str,
-        kind: PhaseKind,
-        sensors: &[String],
-    ) -> Result<()> {
-        self.control(&ControlEvent::PhaseStart {
-            machine: machine.to_string(),
-            kind,
-            sensors: sensors.to_vec(),
-        })
-    }
-
-    /// Durable [`StreamDetector::job_complete`].
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn job_complete(&mut self, machine: &str, caq: CaqResult) -> Result<()> {
-        self.control(&ControlEvent::JobComplete {
-            machine: machine.to_string(),
-            caq,
-        })
     }
 
     /// Durable [`StreamDetector::ingest`]: the sample is journalled
@@ -742,7 +670,7 @@ mod tests {
     use super::*;
     use crate::detector::ScorerMode;
     use crate::router::LaneKind;
-    use hierod_hierarchy::SensorKind;
+    use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
     use hierod_store::MemStorage;
 
     fn lane(machine: &str, sensor: &str, kind: LaneKind) -> LaneId {
@@ -750,56 +678,6 @@ mod tests {
             machine: machine.into(),
             sensor: sensor.into(),
             kind,
-        }
-    }
-
-    #[test]
-    fn lane_codec_round_trips() {
-        for kind in [LaneKind::Phase, LaneKind::Environment] {
-            let id = lane("m0", "m0.bed.0", kind);
-            assert_eq!(decode_lane(&encode_lane(&id)), Some(id));
-        }
-        assert_eq!(decode_lane(&[9]), None);
-        assert_eq!(decode_lane(&[]), None);
-    }
-
-    #[test]
-    fn control_codec_round_trips() {
-        let events = vec![
-            ControlEvent::MachineUp {
-                machine: "m0".into(),
-                sensors: vec![Sensor::new("m0.bed.0", SensorKind::BedTemperature)],
-                redundancy: vec![RedundancyGroup::new(
-                    SensorKind::BedTemperature,
-                    vec!["m0.bed.0".into()],
-                )],
-                env_sensors: vec!["m0.room".into()],
-            },
-            ControlEvent::JobStart {
-                machine: "m0".into(),
-                job: "j0".into(),
-                start: 17,
-                config: JobConfig::new(vec!["speed".into()], vec![1.25]),
-            },
-            ControlEvent::PhaseStart {
-                machine: "m0".into(),
-                kind: PhaseKind::Printing,
-                sensors: vec!["m0.bed.0".into(), "m0.laser".into()],
-            },
-            ControlEvent::JobComplete {
-                machine: "m0".into(),
-                caq: CaqResult::new(vec!["q".into()], vec![0.5], false),
-            },
-        ];
-        for ev in &events {
-            let bytes = encode_control(ev);
-            let back = decode_control(&bytes).expect("decode");
-            assert_eq!(encode_control(&back), bytes, "re-encode is identity");
-        }
-        // Every truncation of a valid payload is rejected, never panics.
-        let bytes = encode_control(events.first().unwrap());
-        for cut in 0..bytes.len() {
-            assert!(decode_control(&bytes[..cut]).is_none(), "cut {cut}");
         }
     }
 
@@ -815,7 +693,7 @@ mod tests {
 
     fn run_scenario(d: &mut DurableStream<MemStorage>, rotate_mid: bool) {
         let (machine, bed, room) = ("m0", "m0.bed.0", "m0.room");
-        d.machine_up(
+        d.control(&ControlEvent::machine_up(
             machine,
             vec![Sensor::new(bed, SensorKind::BedTemperature)],
             vec![RedundancyGroup::new(
@@ -823,17 +701,21 @@ mod tests {
                 vec![bed.into()],
             )],
             &[room.to_string()],
-        )
+        ))
         .unwrap();
-        d.job_start(
+        d.control(&ControlEvent::job_start(
             machine,
             "j0",
             0,
             JobConfig::new(vec!["p".into()], vec![1.0]),
-        )
+        ))
         .unwrap();
-        d.phase_start(machine, PhaseKind::WarmUp, &[bed.to_string()])
-            .unwrap();
+        d.control(&ControlEvent::phase_start(
+            machine,
+            PhaseKind::WarmUp,
+            &[bed.to_string()],
+        ))
+        .unwrap();
         let bed_lane = lane(machine, bed, LaneKind::Phase);
         let room_lane = lane(machine, room, LaneKind::Environment);
         for t in 0..48_u64 {
@@ -864,8 +746,11 @@ mod tests {
         if rotate_mid {
             d.rotate().unwrap();
         }
-        d.job_complete(machine, CaqResult::new(vec!["q".into()], vec![0.97], true))
-            .unwrap();
+        d.control(&ControlEvent::job_complete(
+            machine,
+            CaqResult::new(vec!["q".into()], vec![0.97], true),
+        ))
+        .unwrap();
     }
 
     #[test]
@@ -949,8 +834,13 @@ mod tests {
         let (policy, config) = policy_and_config();
         let (mut d, _) =
             DurableStream::open(policy, config, storage.clone(), StoreOptions::default()).unwrap();
-        d.machine_up("m0", vec![], vec![], &["m0.room".to_string()])
-            .unwrap();
+        d.control(&ControlEvent::machine_up(
+            "m0",
+            vec![],
+            vec![],
+            &["m0.room".to_string()],
+        ))
+        .unwrap();
         // Phase lane with no open phase: journalled, then rejected.
         let bad = lane("m0", "m0.bed.0", LaneKind::Phase);
         assert!(d

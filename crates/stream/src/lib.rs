@@ -49,12 +49,12 @@ pub mod tenant;
 pub mod watermark;
 
 pub use detector::{
-    ControlEvent, LaneStats, ScorerMode, ScorerVisitor, StreamConfig, StreamDetector, StreamReport,
-    StreamStats,
+    ControlEvent, LaneStats, ScorerMode, ScorerVisitor, StreamConfig, StreamDetector, StreamEvent,
+    StreamReport, StreamStats,
 };
 pub use durable::{DurableRecovery, DurableStream};
 pub use ring::{ring, ClosedError, Consumer, Producer, TryPushError};
 pub use router::{IngestRouter, LaneId, LaneKind, Sample};
-pub use shard::{shard_of, ShardEvent, ShardSet, ShardedStream, DEFAULT_SHARD_CAPACITY};
+pub use shard::{shard_of, ShardEvent, ShardedStream, DEFAULT_SHARD_CAPACITY};
 pub use tenant::{PlantRegistry, Tenant, TenantConfig, TenantRecovery};
 pub use watermark::{LatenessStats, Watermark};

@@ -9,11 +9,13 @@
 //! ordering decisions, and the merged [`StreamReport`] is byte-identical
 //! to the single-shard run (the `shard_equivalence` test pins this).
 //!
-//! Two drivers are provided:
+//! Two drivers share this contract and the fixed-order merge
+//! (`assemble_multi`):
 //!
-//! * [`ShardSet`] — serial: the caller routes events inline; useful for
-//!   deterministic tests, interim [`ShardSet::tick`] reports, and as the
-//!   building block of the durable tenant registry.
+//! * [`Tenant`](crate::tenant::Tenant) — inline and durable: the caller's
+//!   thread broadcasts controls and routes each sample to its owning
+//!   [`DurableStream`](crate::DurableStream) shard. This is the driver the
+//!   server runs, and the one with interim `tick` reports.
 //! * [`ShardedStream`] — threaded: one consumer thread per shard behind a
 //!   per-shard SPSC ring carrying [`ShardEvent`]s. The single driver
 //!   thread broadcasts controls in-band, which preserves the
@@ -94,86 +96,6 @@ pub enum ShardEvent {
         /// The reading.
         sample: Sample,
     },
-}
-
-/// A serial shard set: `count` scoped detectors driven inline by the
-/// caller. Routing and broadcast follow the same rules as the threaded
-/// [`ShardedStream`], minus the rings — useful where determinism matters
-/// more than parallelism, and for interim [`ShardSet::tick`] reports.
-pub struct ShardSet {
-    shards: Vec<StreamDetector>,
-}
-
-impl ShardSet {
-    /// Creates `count` shard-scoped detectors for the policy.
-    ///
-    /// # Errors
-    /// Rejects `count == 0`; otherwise as [`StreamDetector::new`].
-    pub fn new(policy: &AlgorithmPolicy, config: StreamConfig, count: usize) -> Result<Self> {
-        if count == 0 {
-            return Err(DetectError::invalid("shards", "shard count must be >= 1"));
-        }
-        let shards = (0..count)
-            .map(|i| StreamDetector::new_shard(policy.clone(), config, i, count))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self { shards })
-    }
-
-    /// Number of shards.
-    pub fn count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Broadcasts one control event to every shard (fixed shard order).
-    ///
-    /// # Errors
-    /// The first shard's error; remaining shards still receive the event
-    /// so the skeletons cannot silently diverge.
-    pub fn apply(&mut self, event: &ControlEvent) -> Result<()> {
-        let mut first_err = None;
-        for shard in &mut self.shards {
-            if let Err(e) = shard.apply(event) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Routes one sample to the lane's hash owner.
-    ///
-    /// # Errors
-    /// As [`StreamDetector::ingest`] on the owning shard.
-    pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
-        let owner = shard_of(&lane.machine, &lane.sensor, self.shards.len());
-        match self.shards.get_mut(owner) {
-            Some(shard) => shard.ingest(lane, sample),
-            None => Err(DetectError::Missing {
-                what: format!("shard {owner} of {}", self.shards.len()),
-            }),
-        }
-    }
-
-    /// Assembles an interim merged report across all shards, in fixed
-    /// shard order (see [`StreamDetector::tick`] for scoring semantics).
-    ///
-    /// # Errors
-    /// Propagates upper-level detector failures.
-    pub fn tick(&self) -> Result<StreamReport> {
-        let refs: Vec<&StreamDetector> = self.shards.iter().collect();
-        assemble_multi(&refs)
-    }
-
-    /// Finalizes every shard's pipelines and assembles the final merged
-    /// report, byte-identical to the unsharded run.
-    ///
-    /// # Errors
-    /// Propagates upper-level detector failures.
-    pub fn finish(self) -> Result<StreamReport> {
-        finish_shards(self.shards)
-    }
 }
 
 /// Finalizes shard pipelines in parallel through the detect [`TaskPool`]

@@ -30,12 +30,11 @@
 //!
 //! ## Layering
 //!
-//! [`Tenant`] and [`PlantRegistry`] are the **engine**: raw
-//! [`ControlEvent`] broadcast, routed ingest, merged tick/finish, and
-//! isolated recovery. The typed plant-driving surface (machine-up /
-//! job-start / phase-start / job-complete convenience calls) lives one
-//! layer up, in `hierod-service`'s `PlantService` trait — the shared
-//! entry point of the embedded-library path and the network path.
+//! [`Tenant`] and [`PlantRegistry`] are the **engine**: [`ControlEvent`]
+//! broadcast, routed ingest, merged tick/finish, and isolated recovery.
+//! `hierod-service`'s `PlantService` trait, one layer up, addresses the
+//! same operations by plant id — the shared entry point of the
+//! embedded-library path and the network path.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -139,25 +138,31 @@ impl<S: hierod_store::Storage> Tenant<S> {
         &self.shards
     }
 
-    /// Journals and applies a control event on **every** shard, in
-    /// shard order. Later shards are still driven after an earlier
-    /// failure so the set never diverges structurally; the first error
-    /// is returned.
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then lifecycle
-    /// errors from the detectors.
-    pub fn control(&mut self, event: &ControlEvent) -> Result<()> {
+    /// Runs `op` on every shard in shard order and returns the first
+    /// error. Later shards are still driven after an earlier failure, so
+    /// the set never diverges structurally and a dead shard never costs
+    /// a healthy sibling its group-commit tail.
+    fn on_every_shard(
+        &mut self,
+        mut op: impl FnMut(&mut DurableStream<S>) -> Result<()>,
+    ) -> Result<()> {
         let mut first_err = None;
         for shard in &mut self.shards {
-            if let Err(e) = shard.control(event) {
+            if let Err(e) = op(shard) {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Journals and applies a control event on **every** shard, in
+    /// shard order.
+    ///
+    /// # Errors
+    /// The first storage failure ([`DetectError::Substrate`]) or
+    /// lifecycle error; remaining shards are still driven.
+    pub fn control(&mut self, event: &ControlEvent) -> Result<()> {
+        self.on_every_shard(|shard| shard.control(event))
     }
 
     /// Journals and ingests a sample on the shard owning its lane.
@@ -184,16 +189,7 @@ impl<S: hierod_store::Storage> Tenant<S> {
     /// # Errors
     /// The first storage failure; remaining shards are still rotated.
     pub fn rotate(&mut self) -> Result<()> {
-        let mut first_err = None;
-        for shard in &mut self.shards {
-            if let Err(e) = shard.rotate() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.on_every_shard(DurableStream::rotate)
     }
 
     /// Current ingestion counters merged across all shards — the same
@@ -239,27 +235,26 @@ impl<S: hierod_store::Storage> Tenant<S> {
     /// Storage failures as [`DetectError::Substrate`]; upper-level
     /// detector failures as in [`crate::StreamDetector::tick`].
     pub fn tick(&mut self) -> Result<StreamReport> {
-        for shard in &mut self.shards {
-            shard.commit_wal()?;
-        }
-        let refs: Vec<&StreamDetector> = self.shards.iter().map(|s| s.detector()).collect();
-        let mut report = assemble_multi(&refs)?;
-        for shard in &self.shards {
-            shard.patch_report(&mut report);
-        }
-        Ok(report)
+        self.on_every_shard(DurableStream::commit_wal)?;
+        self.assemble()
     }
 
     /// Hard-commits and finalizes every shard, then assembles the final
     /// merged report — byte-identical to the unsharded run.
     ///
     /// # Errors
-    /// Storage failures as [`DetectError::Substrate`]; upper-level
+    /// The first storage failure as [`DetectError::Substrate`] —
+    /// remaining shards are still committed and finalized, so a healthy
+    /// shard's group-commit tail is durable either way; upper-level
     /// detector failures as in [`crate::StreamDetector::finish`].
     pub fn finish(mut self) -> Result<StreamReport> {
-        for shard in &mut self.shards {
-            shard.finalize_pipelines()?;
-        }
+        self.on_every_shard(DurableStream::finalize_pipelines)?;
+        self.assemble()
+    }
+
+    /// The merged report across shards in fixed shard order, with every
+    /// shard's recovery corruption counters folded in.
+    fn assemble(&self) -> Result<StreamReport> {
         let refs: Vec<&StreamDetector> = self.shards.iter().map(|s| s.detector()).collect();
         let mut report = assemble_multi(&refs)?;
         for shard in &self.shards {
@@ -466,32 +461,23 @@ mod tests {
 
     fn drive(tenant: &mut Tenant<hierod_store::MemStorage>, bias: f64) {
         let (machine, bed, room) = ("m0", "m0.bed.0", "m0.room");
-        tenant
-            .control(&ControlEvent::MachineUp {
-                machine: machine.into(),
-                sensors: vec![Sensor::new(bed, SensorKind::BedTemperature)],
-                redundancy: vec![RedundancyGroup::new(
-                    SensorKind::BedTemperature,
-                    vec![bed.into()],
-                )],
-                env_sensors: vec![room.to_string()],
-            })
-            .unwrap();
-        tenant
-            .control(&ControlEvent::JobStart {
-                machine: machine.into(),
-                job: "j0".into(),
-                start: 0,
-                config: JobConfig::new(vec!["p".into()], vec![1.0]),
-            })
-            .unwrap();
-        tenant
-            .control(&ControlEvent::PhaseStart {
-                machine: machine.into(),
-                kind: PhaseKind::WarmUp,
-                sensors: vec![bed.to_string()],
-            })
-            .unwrap();
+        let up = ControlEvent::machine_up(
+            machine,
+            vec![Sensor::new(bed, SensorKind::BedTemperature)],
+            vec![RedundancyGroup::new(
+                SensorKind::BedTemperature,
+                vec![bed.into()],
+            )],
+            &[room.to_string()],
+        );
+        let config = JobConfig::new(vec!["p".into()], vec![1.0]);
+        for event in [
+            up,
+            ControlEvent::job_start(machine, "j0", 0, config),
+            ControlEvent::phase_start(machine, PhaseKind::WarmUp, &[bed.to_string()]),
+        ] {
+            tenant.control(&event).unwrap();
+        }
         let bed_lane = LaneId {
             machine: machine.into(),
             sensor: bed.into(),
@@ -526,11 +512,9 @@ mod tests {
                 )
                 .unwrap();
         }
+        let caq = CaqResult::new(vec!["q".into()], vec![0.9], true);
         tenant
-            .control(&ControlEvent::JobComplete {
-                machine: machine.into(),
-                caq: CaqResult::new(vec!["q".into()], vec![0.9], true),
-            })
+            .control(&ControlEvent::job_complete(machine, caq))
             .unwrap();
     }
 

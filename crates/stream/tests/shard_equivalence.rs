@@ -1,9 +1,9 @@
 //! Pins the sharding tentpole guarantee: a single plant streamed
-//! through N shards — whether driven inline ([`ShardSet`]) or across
-//! real worker threads ([`ShardedStream`]) — produces a
+//! through N shards — whether driven inline by the production [`Tenant`]
+//! or across real worker threads ([`ShardedStream`]) — produces a
 //! [`StreamReport`] **byte-identical** (same `Debug` rendering, which
 //! covers every score bit) to the unsharded [`StreamDetector`] run in
-//! `BatchEquivalent` mode.
+//! `BatchEquivalent` mode, at an interim `tick` as well as at `finish`.
 //!
 //! The argument, verified here end-to-end: controls are broadcast, so
 //! every shard holds a congruent skeleton; each machine×sensor lane is
@@ -14,11 +14,12 @@
 use std::collections::HashMap;
 
 use hierod_core::AlgorithmPolicy;
+use hierod_store::tenants::MemFactory;
 use hierod_stream::{
-    ControlEvent, LaneId, LaneKind, Sample, ScorerMode, ShardSet, ShardedStream, StreamConfig,
-    StreamDetector, StreamReport,
+    LaneId, PlantRegistry, ScorerMode, ShardedStream, StreamConfig, StreamDetector, StreamEvent,
+    StreamReport, TenantConfig,
 };
-use hierod_synth::{ReplayEvent, Scenario, ScenarioBuilder};
+use hierod_synth::{Scenario, ScenarioBuilder};
 
 fn scenario() -> Scenario {
     ScenarioBuilder::new(42)
@@ -38,101 +39,57 @@ fn config() -> StreamConfig {
     }
 }
 
-/// The replay, lowered to (control | sample) steps in stream order.
-enum Step {
-    Control(ControlEvent),
-    Sample(LaneId, Sample),
-}
-
-fn steps(scenario: &Scenario) -> Vec<Step> {
+/// The replay in stream order.
+fn steps(scenario: &Scenario) -> Vec<StreamEvent> {
     scenario
         .replay()
         .into_iter()
-        .map(|event| match event {
-            ReplayEvent::MachineUp {
-                machine,
-                sensors,
-                redundancy,
-                env_sensors,
-            } => Step::Control(ControlEvent::MachineUp {
-                machine,
-                sensors,
-                redundancy,
-                env_sensors,
-            }),
-            ReplayEvent::JobStart {
-                machine,
-                job,
-                start,
-                config,
-            } => Step::Control(ControlEvent::JobStart {
-                machine,
-                job,
-                start,
-                config,
-            }),
-            ReplayEvent::PhaseStart {
-                machine,
-                kind,
-                sensors,
-            } => Step::Control(ControlEvent::PhaseStart {
-                machine,
-                kind,
-                sensors,
-            }),
-            ReplayEvent::PhaseSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => Step::Sample(
-                LaneId {
-                    machine,
-                    sensor,
-                    kind: LaneKind::Phase,
-                },
-                Sample { timestamp, value },
-            ),
-            ReplayEvent::EnvSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => Step::Sample(
-                LaneId {
-                    machine,
-                    sensor,
-                    kind: LaneKind::Environment,
-                },
-                Sample { timestamp, value },
-            ),
-            ReplayEvent::JobComplete { machine, caq, .. } => {
-                Step::Control(ControlEvent::JobComplete { machine, caq })
-            }
-        })
+        .map(StreamEvent::from)
         .collect()
 }
 
-fn run_unsharded(scenario: &Scenario) -> StreamReport {
+/// Returns the rendering of an interim `tick` taken halfway through the
+/// stream, and the final report.
+fn run_unsharded(scenario: &Scenario) -> (String, StreamReport) {
     let mut det = StreamDetector::new(AlgorithmPolicy::default(), config()).expect("detector");
-    for step in steps(scenario) {
+    let steps = steps(scenario);
+    let mut interim = String::new();
+    for (i, step) in steps.iter().enumerate() {
+        if i == steps.len() / 2 {
+            interim = format!("{:?}", det.tick().expect("tick"));
+        }
         match step {
-            Step::Control(event) => det.apply(&event).expect("control"),
-            Step::Sample(lane, sample) => det.ingest(&lane, sample).expect("ingest"),
+            StreamEvent::Control(event) => det.apply(event).expect("control"),
+            StreamEvent::Sample(lane, sample) => det.ingest(lane, *sample).expect("ingest"),
         }
     }
-    det.finish().expect("finish")
+    (interim, det.finish().expect("finish"))
 }
 
-fn run_shard_set(scenario: &Scenario, shards: usize) -> StreamReport {
-    let mut set = ShardSet::new(&AlgorithmPolicy::default(), config(), shards).expect("shard set");
-    for step in steps(scenario) {
+/// The inline driver: the production [`Tenant`] over in-memory storage.
+/// Same return shape as [`run_unsharded`].
+fn run_tenant(scenario: &Scenario, shards: usize) -> (String, StreamReport) {
+    let tenant_config = TenantConfig {
+        shards,
+        stream: config(),
+        ..TenantConfig::default()
+    };
+    let (mut registry, _) =
+        PlantRegistry::open(MemFactory::new(), AlgorithmPolicy::default(), tenant_config)
+            .expect("registry");
+    let tenant = registry.create_tenant("plant").expect("tenant");
+    let steps = steps(scenario);
+    let mut interim = String::new();
+    for (i, step) in steps.iter().enumerate() {
+        if i == steps.len() / 2 {
+            interim = format!("{:?}", tenant.tick().expect("tick"));
+        }
         match step {
-            Step::Control(event) => set.apply(&event).expect("control"),
-            Step::Sample(lane, sample) => set.ingest(&lane, sample).expect("ingest"),
+            StreamEvent::Control(event) => tenant.control(event).expect("control"),
+            StreamEvent::Sample(lane, sample) => tenant.ingest(lane, *sample).expect("ingest"),
         }
     }
-    set.finish().expect("finish")
+    (interim, registry.finish_tenant("plant").expect("finish"))
 }
 
 fn run_sharded_stream(scenario: &Scenario, shards: usize) -> StreamReport {
@@ -141,8 +98,8 @@ fn run_sharded_stream(scenario: &Scenario, shards: usize) -> StreamReport {
     let mut lanes: HashMap<LaneId, u32> = HashMap::new();
     for step in steps(scenario) {
         match step {
-            Step::Control(event) => stream.control(&event).expect("control"),
-            Step::Sample(lane, sample) => {
+            StreamEvent::Control(event) => stream.control(&event).expect("control"),
+            StreamEvent::Sample(lane, sample) => {
                 let n = match lanes.get(&lane) {
                     Some(&n) => n,
                     None => {
@@ -161,7 +118,7 @@ fn run_sharded_stream(scenario: &Scenario, shards: usize) -> StreamReport {
 #[test]
 fn sharded_report_is_byte_identical_to_unsharded() {
     let scenario = scenario();
-    let baseline = run_unsharded(&scenario);
+    let (want_tick, baseline) = run_unsharded(&scenario);
     assert!(
         baseline.stats.samples_ingested > 0,
         "scenario produced no samples"
@@ -171,16 +128,22 @@ fn sharded_report_is_byte_identical_to_unsharded() {
         "scenario produced no outliers — the comparison would be weak"
     );
     let want = format!("{baseline:?}");
+    assert_ne!(want_tick, want, "the interim tick must see a partial plant");
     for shards in [1, 2, 4] {
-        let got = format!("{:?}", run_shard_set(&scenario, shards));
-        assert_eq!(got, want, "ShardSet({shards}) diverged from unsharded");
+        let (tick, report) = run_tenant(&scenario, shards);
+        assert_eq!(tick, want_tick, "Tenant({shards}) tick diverged");
+        assert_eq!(
+            format!("{report:?}"),
+            want,
+            "Tenant({shards}) diverged from unsharded"
+        );
     }
 }
 
 #[test]
 fn worker_thread_sharding_is_byte_identical_to_unsharded() {
     let scenario = scenario();
-    let want = format!("{:?}", run_unsharded(&scenario));
+    let want = format!("{:?}", run_unsharded(&scenario).1);
     let got = format!("{:?}", run_sharded_stream(&scenario, 4));
     assert_eq!(got, want, "ShardedStream(4) diverged from unsharded");
 }
@@ -188,7 +151,7 @@ fn worker_thread_sharding_is_byte_identical_to_unsharded() {
 #[test]
 fn shard_counts_agree_with_each_other_across_modes() {
     let scenario = scenario();
-    let a = format!("{:?}", run_shard_set(&scenario, 3));
+    let a = format!("{:?}", run_tenant(&scenario, 3).1);
     let b = format!("{:?}", run_sharded_stream(&scenario, 3));
     assert_eq!(a, b, "inline and threaded sharding diverged");
 }

@@ -23,7 +23,7 @@ use hierod_store::storage::Storage;
 use hierod_store::store::StoreOptions;
 use hierod_store::MemStorage;
 use hierod_stream::{
-    DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
+    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
 use proptest::prelude::*;
 
@@ -76,12 +76,19 @@ fn run_ops(
             }
         }
         let result = match op {
-            Op::MachineUp(m, sensors, groups, env) => {
-                d.machine_up(m, sensors.clone(), groups.clone(), env)
+            Op::MachineUp(m, sensors, groups, env) => d.control(&ControlEvent::machine_up(
+                m,
+                sensors.clone(),
+                groups.clone(),
+                env,
+            )),
+            Op::JobStart(m, j, start, config) => {
+                d.control(&ControlEvent::job_start(m, j, *start, config.clone()))
             }
-            Op::JobStart(m, j, start, config) => d.job_start(m, j, *start, config.clone()),
-            Op::PhaseStart(m, kind, sensors) => d.phase_start(m, *kind, sensors),
-            Op::JobComplete(m, caq) => d.job_complete(m, caq.clone()),
+            Op::PhaseStart(m, kind, sensors) => {
+                d.control(&ControlEvent::phase_start(m, *kind, sensors))
+            }
+            Op::JobComplete(m, caq) => d.control(&ControlEvent::job_complete(m, caq.clone())),
             Op::Sample(id, ts, v) => d.ingest(
                 id,
                 Sample {

@@ -10,10 +10,10 @@ use hierod_core::pipeline::build_report;
 use hierod_core::{detect_all_levels, AlgorithmPolicy, LevelOutlier};
 use hierod_hierarchy::Level;
 use hierod_stream::{
-    IngestRouter, LaneId, LaneKind, Producer, Sample, ScorerMode, StreamConfig, StreamDetector,
+    IngestRouter, LaneId, Producer, Sample, ScorerMode, StreamConfig, StreamDetector, StreamEvent,
     StreamReport,
 };
-use hierod_synth::{ReplayEvent, Scenario, ScenarioBuilder};
+use hierod_synth::{Scenario, ScenarioBuilder};
 
 const LANE_CAPACITY: usize = 1024;
 
@@ -29,100 +29,25 @@ fn scenario() -> Scenario {
 
 /// Replays the scenario through ring lanes into a streaming detector.
 /// The router is drained before every control event so lane contents
-/// always belong to the still-open phase.
+/// always belong to the still-open phase. Driving through
+/// [`StreamEvent::from`] makes this pin cover the replay lowering too:
+/// event order, lane kinds, and `JobComplete` addressing the open job.
 fn run_stream(scenario: &Scenario, policy: AlgorithmPolicy, mode: ScorerMode) -> StreamReport {
     let config = StreamConfig { lateness: 0, mode };
     let mut det = StreamDetector::new(policy, config).expect("stream detector");
     let mut router = IngestRouter::new();
     let mut lanes: HashMap<LaneId, Producer<Sample>> = HashMap::new();
-    for event in scenario.replay() {
+    for event in scenario.replay().into_iter().map(StreamEvent::from) {
         match event {
-            ReplayEvent::MachineUp {
-                machine,
-                sensors,
-                redundancy,
-                env_sensors,
-            } => {
-                det.machine_up(&machine, sensors, redundancy, &env_sensors)
-                    .expect("machine_up");
-                for sensor in env_sensors {
-                    let id = LaneId {
-                        machine: machine.clone(),
-                        sensor,
-                        kind: LaneKind::Environment,
-                    };
-                    let producer = router.add_lane(id.clone(), LANE_CAPACITY);
-                    lanes.insert(id, producer);
-                }
-            }
-            ReplayEvent::JobStart {
-                machine,
-                job,
-                start,
-                config,
-            } => {
+            StreamEvent::Control(control) => {
                 det.drain(&mut router).expect("drain");
-                det.job_start(&machine, &job, start, config)
-                    .expect("job_start");
+                det.apply(&control).expect("control");
             }
-            ReplayEvent::PhaseStart {
-                machine,
-                kind,
-                sensors,
-            } => {
-                det.drain(&mut router).expect("drain");
-                for sensor in &sensors {
-                    let id = LaneId {
-                        machine: machine.clone(),
-                        sensor: sensor.clone(),
-                        kind: LaneKind::Phase,
-                    };
-                    if let std::collections::hash_map::Entry::Vacant(entry) = lanes.entry(id) {
-                        let producer = router.add_lane(entry.key().clone(), LANE_CAPACITY);
-                        entry.insert(producer);
-                    }
-                }
-                det.phase_start(&machine, kind, &sensors)
-                    .expect("phase_start");
-            }
-            ReplayEvent::PhaseSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => {
-                let id = LaneId {
-                    machine,
-                    sensor,
-                    kind: LaneKind::Phase,
-                };
-                lanes
-                    .get_mut(&id)
-                    .expect("phase lane")
-                    .push(Sample { timestamp, value })
-                    .expect("lane open");
-            }
-            ReplayEvent::EnvSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => {
-                let id = LaneId {
-                    machine,
-                    sensor,
-                    kind: LaneKind::Environment,
-                };
-                lanes
-                    .get_mut(&id)
-                    .expect("env lane")
-                    .push(Sample { timestamp, value })
-                    .expect("lane open");
-            }
-            ReplayEvent::JobComplete { machine, caq, .. } => {
-                det.drain(&mut router).expect("drain");
-                det.job_complete(&machine, caq).expect("job_complete");
-            }
+            StreamEvent::Sample(lane, sample) => lanes
+                .entry(lane)
+                .or_insert_with_key(|id| router.add_lane(id.clone(), LANE_CAPACITY))
+                .push(sample)
+                .expect("lane open"),
         }
     }
     det.drain(&mut router).expect("final drain");

@@ -10,15 +10,18 @@
 //! * Hard damage (a corrupt sealed segment) parks only the damaged
 //!   tenant in [`PlantRegistry::failed`]; soft damage (a flipped WAL
 //!   bit) is truncated and counted only on the damaged tenant.
+//! * A shard whose storage dies cannot cost its sibling shards their
+//!   group-commit tail: `finish` drives every shard and returns the
+//!   first error.
 
 use hierod_core::AlgorithmPolicy;
 use hierod_store::tenants::MemFactory;
 use hierod_store::Storage;
 use hierod_stream::{
-    ControlEvent, LaneId, LaneKind, PlantRegistry, Sample, ScorerMode, StreamConfig, StreamReport,
+    shard_of, ControlEvent, PlantRegistry, ScorerMode, StreamConfig, StreamEvent, StreamReport,
     Tenant, TenantConfig,
 };
-use hierod_synth::{ReplayEvent, ScenarioBuilder};
+use hierod_synth::ScenarioBuilder;
 
 const SHARDS: usize = 2;
 
@@ -39,15 +42,9 @@ fn registry(factory: MemFactory) -> PlantRegistry<MemFactory> {
         .0
 }
 
-/// The replay, lowered to (control | sample) steps in stream order.
-enum Step {
-    Control(ControlEvent),
-    Sample(LaneId, Sample),
-}
-
 /// One machine, two jobs — returns the step stream and the index of
 /// the clean crash boundary (just after the first `JobComplete`).
-fn steps() -> (Vec<Step>, usize) {
+fn steps() -> (Vec<StreamEvent>, usize) {
     let scenario = ScenarioBuilder::new(11)
         .machines(1)
         .jobs_per_machine(2)
@@ -55,96 +52,30 @@ fn steps() -> (Vec<Step>, usize) {
         .phase_samples(40)
         .anomaly_rate(1.0)
         .build();
-    let mut steps = Vec::new();
-    let mut boundary = None;
-    for event in scenario.replay() {
-        let step = match event {
-            ReplayEvent::MachineUp {
-                machine,
-                sensors,
-                redundancy,
-                env_sensors,
-            } => Step::Control(ControlEvent::MachineUp {
-                machine,
-                sensors,
-                redundancy,
-                env_sensors,
-            }),
-            ReplayEvent::JobStart {
-                machine,
-                job,
-                start,
-                config,
-            } => Step::Control(ControlEvent::JobStart {
-                machine,
-                job,
-                start,
-                config,
-            }),
-            ReplayEvent::PhaseStart {
-                machine,
-                kind,
-                sensors,
-            } => Step::Control(ControlEvent::PhaseStart {
-                machine,
-                kind,
-                sensors,
-            }),
-            ReplayEvent::PhaseSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => Step::Sample(
-                LaneId {
-                    machine,
-                    sensor,
-                    kind: LaneKind::Phase,
-                },
-                Sample { timestamp, value },
-            ),
-            ReplayEvent::EnvSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => Step::Sample(
-                LaneId {
-                    machine,
-                    sensor,
-                    kind: LaneKind::Environment,
-                },
-                Sample { timestamp, value },
-            ),
-            ReplayEvent::JobComplete { machine, caq, .. } => {
-                Step::Control(ControlEvent::JobComplete { machine, caq })
-            }
-        };
-        steps.push(step);
-        if boundary.is_none()
-            && matches!(
-                steps.last(),
-                Some(Step::Control(ControlEvent::JobComplete { .. }))
-            )
-        {
-            boundary = Some(steps.len());
-        }
-    }
-    (steps, boundary.expect("at least one completed job"))
+    let steps: Vec<StreamEvent> = scenario
+        .replay()
+        .into_iter()
+        .map(StreamEvent::from)
+        .collect();
+    let first_complete = steps
+        .iter()
+        .position(|s| matches!(s, StreamEvent::Control(ControlEvent::JobComplete { .. })))
+        .expect("at least one completed job");
+    (steps, first_complete + 1)
 }
 
-fn drive(tenant: &mut Tenant<hierod_store::MemStorage>, steps: &[Step]) {
+fn drive(tenant: &mut Tenant<hierod_store::MemStorage>, steps: &[StreamEvent]) {
     for step in steps {
         match step {
-            Step::Control(event) => tenant.control(event).expect("control"),
-            Step::Sample(lane, sample) => tenant.ingest(lane, *sample).expect("ingest"),
+            StreamEvent::Control(event) => tenant.control(event).expect("control"),
+            StreamEvent::Sample(lane, sample) => tenant.ingest(lane, *sample).expect("ingest"),
         }
     }
 }
 
 /// Uninterrupted single-tenant run over `steps`, as a Debug rendering
 /// (covers every score bit of the report).
-fn baseline(steps: &[Step]) -> String {
+fn baseline(steps: &[StreamEvent]) -> String {
     let mut reg = registry(MemFactory::new());
     drive(reg.create_tenant("base").expect("create"), steps);
     let report: StreamReport = reg.finish_tenant("base").expect("finish");
@@ -277,5 +208,56 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
         format!("{b:?}"),
         want,
         "plant-b affected by sibling hard failure"
+    );
+}
+
+#[test]
+fn finish_commits_healthy_shards_past_a_failed_one() {
+    let (steps, _) = steps();
+    // Stop inside the last phase, so both shards hold a group-commit
+    // tail of samples no control event has hard-committed yet.
+    let cut = steps
+        .iter()
+        .rposition(|s| matches!(s, StreamEvent::Control(_)))
+        .expect("a final JobComplete");
+    let on_shard = |k: usize| {
+        move |s: &&StreamEvent| {
+            matches!(s, StreamEvent::Sample(lane, _)
+                if shard_of(&lane.machine, &lane.sensor, SHARDS) == k)
+        }
+    };
+
+    let mut reg = registry(MemFactory::new());
+    drop(reg.create_tenant("plant"));
+    drive(reg.tenant_mut("plant").expect("plant"), &steps[..cut]);
+
+    // Kill shard 0's storage: its next append tears and every later
+    // operation — including the commit inside finish — fails.
+    reg.factory()
+        .storage("plant", 0)
+        .expect("shard 0 storage")
+        .set_write_budget(Some(0));
+    let Some(StreamEvent::Sample(lane, sample)) = steps[..cut].iter().rfind(on_shard(0)) else {
+        panic!("shard 0 owns no lane");
+    };
+    let tenant = reg.tenant_mut("plant").expect("plant");
+    assert!(tenant.ingest(lane, *sample).is_err(), "budget exhausted");
+
+    let err = reg.finish_tenant("plant").expect_err("shard 0 is dead");
+    assert!(err.to_string().contains("write budget"), "{err}");
+
+    // Shard 1 was still hard-committed: every sample it journalled
+    // survives a crash that keeps only fsynced bytes.
+    let (_, recoveries) = PlantRegistry::open(
+        reg.factory().crash_image(false),
+        AlgorithmPolicy::default(),
+        config(),
+    )
+    .expect("reopen");
+    let shard1 = &recoveries["plant"].shards[1];
+    assert_eq!(
+        shard1.restored_samples + shard1.replayed_samples,
+        steps[..cut].iter().filter(on_shard(1)).count() as u64,
+        "shard 1 lost its group-commit tail"
     );
 }

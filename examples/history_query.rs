@@ -20,7 +20,7 @@ use hierod::history::{diff_reports, CompactionOptions, RangeQuery};
 use hierod::service::{PlantService, RegistryService};
 use hierod::store::tenants::MemFactory;
 use hierod::stream::tenant::TenantConfig;
-use hierod::stream::{LaneId, LaneKind, Sample};
+use hierod::stream::{ControlEvent, LaneId, LaneKind, Sample};
 
 const PLANT: &str = "plant-a";
 const MACHINE: &str = "m0";
@@ -39,16 +39,21 @@ fn sample_at(job: u64, t: u64) -> f64 {
 /// Drives one complete job: start, warm-up phase, samples, completion.
 fn run_job(svc: &mut RegistryService<MemFactory>, job: u64, start: u64) {
     let name = format!("j{job}");
-    svc.job_start(
+    svc.control(
         PLANT,
-        MACHINE,
-        &name,
-        start,
-        JobConfig::new(vec!["p".into()], vec![1.0]),
+        &ControlEvent::job_start(
+            MACHINE,
+            &name,
+            start,
+            JobConfig::new(vec!["p".into()], vec![1.0]),
+        ),
     )
     .expect("job start");
-    svc.phase_start(PLANT, MACHINE, PhaseKind::WarmUp, &[BED.to_string()])
-        .expect("phase start");
+    svc.control(
+        PLANT,
+        &ControlEvent::phase_start(MACHINE, PhaseKind::WarmUp, &[BED.to_string()]),
+    )
+    .expect("phase start");
     let lane = LaneId {
         machine: MACHINE.into(),
         sensor: BED.into(),
@@ -65,10 +70,9 @@ fn run_job(svc: &mut RegistryService<MemFactory>, job: u64, start: u64) {
         )
         .expect("ingest");
     }
-    svc.job_complete(
+    svc.control(
         PLANT,
-        MACHINE,
-        CaqResult::new(vec!["q".into()], vec![0.9], true),
+        &ControlEvent::job_complete(MACHINE, CaqResult::new(vec!["q".into()], vec![0.9], true)),
     )
     .expect("job complete");
 }
@@ -81,15 +85,17 @@ fn main() {
     )
     .expect("open service");
     svc.admit(PLANT, true).expect("admit");
-    svc.machine_up(
+    svc.control(
         PLANT,
-        MACHINE,
-        vec![Sensor::new(BED, SensorKind::BedTemperature)],
-        vec![RedundancyGroup::new(
-            SensorKind::BedTemperature,
-            vec![BED.into()],
-        )],
-        &[],
+        &ControlEvent::machine_up(
+            MACHINE,
+            vec![Sensor::new(BED, SensorKind::BedTemperature)],
+            vec![RedundancyGroup::new(
+                SensorKind::BedTemperature,
+                vec![BED.into()],
+            )],
+            &[],
+        ),
     )
     .expect("machine up");
 

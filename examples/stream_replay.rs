@@ -18,10 +18,10 @@ use std::collections::{BTreeMap, HashMap};
 use hierod::core::{AlgorithmPolicy, FusionRule};
 use hierod::store::{MemStorage, StoreOptions};
 use hierod::stream::{
-    DurableStream, IngestRouter, LaneId, LaneKind, Producer, Sample, ScorerMode, StreamConfig,
-    StreamDetector, StreamReport,
+    ControlEvent, DurableStream, IngestRouter, LaneId, Producer, Sample, ScorerMode, StreamConfig,
+    StreamDetector, StreamEvent, StreamReport,
 };
-use hierod::synth::{ReplayEvent, Scenario, ScenarioBuilder};
+use hierod::synth::ScenarioBuilder;
 
 const LANE_CAPACITY: usize = 1024;
 
@@ -35,7 +35,11 @@ fn main() {
         .phase_samples(40)
         .anomaly_rate(0.8)
         .build();
-    let events = scenario.replay();
+    let events: Vec<StreamEvent> = scenario
+        .replay()
+        .into_iter()
+        .map(StreamEvent::from)
+        .collect();
     println!(
         "replaying plant `{}` as {} stream events\n",
         scenario.plant.name,
@@ -50,105 +54,22 @@ fn main() {
         StreamDetector::new(AlgorithmPolicy::default(), config).expect("stream detector");
     let mut router = IngestRouter::new();
     let mut lanes: HashMap<LaneId, Producer<Sample>> = HashMap::new();
-    let lane =
-        |router: &mut IngestRouter, lanes: &mut HashMap<LaneId, Producer<Sample>>, id: LaneId| {
-            if !lanes.contains_key(&id) {
-                let producer = router.add_lane(id.clone(), LANE_CAPACITY);
-                lanes.insert(id.clone(), producer);
-            }
-        };
 
     // Drive the detector exactly as a live collector would: control
     // events open machines/jobs/phases, samples flow through ring lanes,
     // and the router is drained before each control event so lane
     // contents always belong to the still-open phase.
-    for event in events {
+    for event in &events {
         match event {
-            ReplayEvent::MachineUp {
-                machine,
-                sensors,
-                redundancy,
-                env_sensors,
-            } => {
-                detector
-                    .machine_up(&machine, sensors, redundancy, &env_sensors)
-                    .expect("machine_up");
-                for sensor in env_sensors {
-                    let id = LaneId {
-                        machine: machine.clone(),
-                        sensor,
-                        kind: LaneKind::Environment,
-                    };
-                    lane(&mut router, &mut lanes, id);
-                }
-            }
-            ReplayEvent::JobStart {
-                machine,
-                job,
-                start,
-                config,
-            } => {
+            StreamEvent::Control(control) => {
                 detector.drain(&mut router).expect("drain");
-                detector
-                    .job_start(&machine, &job, start, config)
-                    .expect("job_start");
+                detector.apply(control).expect("control");
             }
-            ReplayEvent::PhaseStart {
-                machine,
-                kind,
-                sensors,
-            } => {
-                detector.drain(&mut router).expect("drain");
-                for sensor in &sensors {
-                    let id = LaneId {
-                        machine: machine.clone(),
-                        sensor: sensor.clone(),
-                        kind: LaneKind::Phase,
-                    };
-                    lane(&mut router, &mut lanes, id);
-                }
-                detector
-                    .phase_start(&machine, kind, &sensors)
-                    .expect("phase_start");
-            }
-            ReplayEvent::PhaseSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => {
-                let id = LaneId {
-                    machine,
-                    sensor,
-                    kind: LaneKind::Phase,
-                };
-                lanes
-                    .get_mut(&id)
-                    .expect("phase lane")
-                    .push(Sample { timestamp, value })
-                    .expect("lane open");
-            }
-            ReplayEvent::EnvSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => {
-                let id = LaneId {
-                    machine,
-                    sensor,
-                    kind: LaneKind::Environment,
-                };
-                lanes
-                    .get_mut(&id)
-                    .expect("env lane")
-                    .push(Sample { timestamp, value })
-                    .expect("lane open");
-            }
-            ReplayEvent::JobComplete { machine, caq, .. } => {
-                detector.drain(&mut router).expect("drain");
-                detector.job_complete(&machine, caq).expect("job_complete");
-            }
+            StreamEvent::Sample(lane, sample) => lanes
+                .entry(lane.clone())
+                .or_insert_with_key(|id| router.add_lane(id.clone(), LANE_CAPACITY))
+                .push(*sample)
+                .expect("lane open"),
         }
     }
     detector.drain(&mut router).expect("final drain");
@@ -179,7 +100,7 @@ fn main() {
         out.report.warnings.len()
     );
 
-    durable_leg(&scenario, &out);
+    durable_leg(&events, &out);
 }
 
 /// Replays `events` into a durable detector, skipping the prefix the
@@ -187,91 +108,34 @@ fn main() {
 /// `false` if the injected crash fired mid-replay.
 fn run_durable(
     d: &mut DurableStream<MemStorage>,
-    events: &[ReplayEvent],
+    events: &[StreamEvent],
     skip_controls: u64,
     delivered: &BTreeMap<LaneId, u64>,
 ) -> bool {
     let mut control_no = 0_u64;
-    let mut lane_counts: BTreeMap<LaneId, u64> = BTreeMap::new();
+    let mut lane_counts: BTreeMap<&LaneId, u64> = BTreeMap::new();
     for event in events {
         let result = match event {
-            ReplayEvent::MachineUp {
-                machine,
-                sensors,
-                redundancy,
-                env_sensors,
-            } => {
+            StreamEvent::Control(control) => {
                 control_no += 1;
                 if control_no <= skip_controls {
                     continue;
                 }
-                d.machine_up(machine, sensors.clone(), redundancy.clone(), env_sensors)
-            }
-            ReplayEvent::JobStart {
-                machine,
-                job,
-                start,
-                config,
-            } => {
-                control_no += 1;
-                if control_no <= skip_controls {
-                    continue;
+                let applied = d.control(control);
+                if matches!(control, ControlEvent::JobComplete { .. }) {
+                    // Seal released history into a columnar segment per job.
+                    applied.and_then(|()| d.rotate())
+                } else {
+                    applied
                 }
-                d.job_start(machine, job, *start, config.clone())
             }
-            ReplayEvent::PhaseStart {
-                machine,
-                kind,
-                sensors,
-            } => {
-                control_no += 1;
-                if control_no <= skip_controls {
-                    continue;
-                }
-                d.phase_start(machine, *kind, sensors)
-            }
-            ReplayEvent::JobComplete { machine, caq, .. } => {
-                control_no += 1;
-                if control_no <= skip_controls {
-                    continue;
-                }
-                // Seal released history into a columnar segment per job.
-                d.job_complete(machine, caq.clone())
-                    .and_then(|()| d.rotate())
-            }
-            ReplayEvent::PhaseSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            }
-            | ReplayEvent::EnvSample {
-                machine,
-                sensor,
-                timestamp,
-                value,
-            } => {
-                let kind = match event {
-                    ReplayEvent::PhaseSample { .. } => LaneKind::Phase,
-                    _ => LaneKind::Environment,
-                };
-                let id = LaneId {
-                    machine: machine.clone(),
-                    sensor: sensor.clone(),
-                    kind,
-                };
-                let count = lane_counts.entry(id.clone()).or_insert(0);
+            StreamEvent::Sample(lane, sample) => {
+                let count = lane_counts.entry(lane).or_insert(0);
                 *count += 1;
-                if *count <= delivered.get(&id).copied().unwrap_or(0) {
+                if *count <= delivered.get(lane).copied().unwrap_or(0) {
                     continue;
                 }
-                d.ingest(
-                    &id,
-                    Sample {
-                        timestamp: *timestamp,
-                        value: *value,
-                    },
-                )
+                d.ingest(lane, *sample)
             }
         };
         if result.is_err() {
@@ -287,9 +151,8 @@ fn run_durable(
 
 /// Persist → kill → recover → resume, then check the recovered report
 /// against the in-memory run.
-fn durable_leg(scenario: &Scenario, baseline: &StreamReport) {
+fn durable_leg(events: &[StreamEvent], baseline: &StreamReport) {
     println!("\n--- durable leg: persist, kill mid-stream, recover, resume ---\n");
-    let events = scenario.replay();
     let config = StreamConfig {
         lateness: 0,
         mode: ScorerMode::BatchEquivalent,
@@ -302,7 +165,7 @@ fn durable_leg(scenario: &Scenario, baseline: &StreamReport) {
     let (mut d, _) =
         DurableStream::open(AlgorithmPolicy::default(), config, probe.clone(), options)
             .expect("open probe");
-    assert!(run_durable(&mut d, &events, 0, &BTreeMap::new()));
+    assert!(run_durable(&mut d, events, 0, &BTreeMap::new()));
     drop(d);
     let budget = probe.bytes_written() * 55 / 100;
 
@@ -311,7 +174,7 @@ fn durable_leg(scenario: &Scenario, baseline: &StreamReport) {
     let (mut d, _) =
         DurableStream::open(AlgorithmPolicy::default(), config, storage.clone(), options)
             .expect("open durable");
-    let crashed = !run_durable(&mut d, &events, 0, &BTreeMap::new());
+    let crashed = !run_durable(&mut d, events, 0, &BTreeMap::new());
     drop(d);
     println!(
         "killed the writer after {budget} bytes (crashed mid-stream: {crashed}); \
@@ -334,7 +197,7 @@ fn durable_leg(scenario: &Scenario, baseline: &StreamReport) {
     let skip = d.controls_applied();
     let delivered = d.delivered().clone();
     assert!(
-        run_durable(&mut d, &events, skip, &delivered),
+        run_durable(&mut d, events, skip, &delivered),
         "resume runs on healthy storage"
     );
     let recovered = d.finish().expect("finish after recovery");

@@ -1,12 +1,19 @@
-//! Streaming monitoring with [`PlantMonitor`]: jobs arrive one at a time
-//! and each is assessed online against the machine's rolling history —
-//! the deployment shape of the paper's condition-monitoring use case.
+//! Streaming monitoring with [`StreamDetector`]: the plant arrives as a
+//! live event stream, and after every completed job the detector ticks
+//! and reports the outliers that are new (or whose ⟨global score,
+//! outlierness, support⟩ triple moved) since the previous tick — the
+//! deployment shape of the paper's condition-monitoring use case.
 //!
 //! ```sh
 //! cargo run --release --example streaming_monitor
 //! ```
+//!
+//! [`StreamDetector`]: hierod::stream::StreamDetector
 
-use hierod::core::{FusionRule, PlantMonitor, Urgency};
+use std::collections::BTreeSet;
+
+use hierod::core::{AlgorithmPolicy, FusionRule};
+use hierod::stream::{ControlEvent, StreamConfig, StreamDetector, StreamEvent};
 use hierod::synth::ScenarioBuilder;
 
 fn main() {
@@ -20,60 +27,40 @@ fn main() {
         .magnitude_sigmas(14.0)
         .build();
     let truth = scenario.truth.anomalous_jobs();
+    let fusion = FusionRule::default_weighted();
 
-    let mut monitor = PlantMonitor::new(FusionRule::default_weighted());
-    for line in &scenario.plant.lines {
-        monitor.register_machine(line.machine_id.clone(), line.redundancy.clone());
-    }
+    let mut detector = StreamDetector::new(AlgorithmPolicy::default(), StreamConfig::default())
+        .expect("stream detector");
+    let mut seen = BTreeSet::new();
+    let mut open_job = String::new();
 
-    println!("streaming assessment (jobs arrive in production order):\n");
-    println!(
-        "{:<10} {:>9} {:>7} {:>9} {:<11} ground truth",
-        "job", "severity", "alerts", "job-conf", "urgency"
-    );
-    println!("{}", "-".repeat(70));
-    // Interleave machines as a real plant would.
-    let max_jobs = scenario
-        .plant
-        .lines
-        .iter()
-        .map(|l| l.jobs.len())
-        .max()
-        .unwrap_or(0);
-    for j in 0..max_jobs {
-        for line in &scenario.plant.lines {
-            let Some(job) = line.jobs.get(j) else {
+    println!("streaming assessment (one tick per completed job, top 3 new outliers):\n");
+    for event in scenario.replay().into_iter().map(StreamEvent::from) {
+        let control = match event {
+            StreamEvent::Sample(lane, sample) => {
+                detector.ingest(&lane, sample).expect("ingest");
                 continue;
-            };
-            let assessment = monitor
-                .ingest_job(&line.machine_id, job.clone())
-                .expect("assessment");
-            let urgency = match assessment.urgency {
-                Urgency::WarmingUp => "warming-up",
-                Urgency::None => "-",
-                Urgency::Watch => "watch",
-                Urgency::Scheduled => "scheduled",
-                Urgency::Immediate => "IMMEDIATE",
-            };
-            let is_anomalous = truth.contains(&(line.machine_id.clone(), job.id.clone()));
-            println!(
-                "{:<10} {:>9.1} {:>7} {:>9} {:<11} {}",
-                assessment.job_id,
-                assessment.severity,
-                assessment.alerts.len(),
-                if assessment.job_level_confirmed {
-                    "yes"
-                } else {
-                    "no"
-                },
-                urgency,
-                if is_anomalous { "process anomaly" } else { "" }
-            );
+            }
+            StreamEvent::Control(control) => control,
+        };
+        detector.apply(&control).expect("control");
+        match control {
+            ControlEvent::JobStart { job, .. } => open_job = job,
+            ControlEvent::JobComplete { machine, .. } => {
+                let report = detector.tick().expect("tick").report;
+                let fresh: Vec<_> = (report.ranked_by(|o| fusion.score(o)).into_iter())
+                    .filter(|o| seen.insert(o.summary()))
+                    .collect();
+                let anomalous = truth.contains(&(machine, open_job.clone()));
+                let note = if anomalous { "process anomaly" } else { "" };
+                println!("{open_job:<8} {:>3} new  {note}", fresh.len());
+                for outlier in fresh.iter().take(3) {
+                    println!("    {}", outlier.summary());
+                }
+            }
+            _ => {}
         }
     }
-    println!(
-        "\nhistory windows: m0 = {}, m1 = {}",
-        monitor.history_len("m0"),
-        monitor.history_len("m1")
-    );
+    let ingested = detector.stats().samples_ingested;
+    println!("\n{ingested} samples ingested, {} reported", seen.len());
 }

@@ -1,0 +1,197 @@
+//! Tier-1 smoke of the byte-identical equivalence pins: one small case
+//! of each, through the public facade, so the root package's bare
+//! `cargo test` fails when a driver call site bends a pin. The full
+//! suites (crash sweeps, proptests, fuzzing) live in the member crates:
+//! `shard_equivalence`, `store_recovery`, `tenant_recovery`,
+//! `wire_equivalence`, `history_equivalence`, `adapt_equivalence`.
+
+use std::collections::BTreeMap;
+use std::thread;
+
+use hierod::adapt::AdaptiveStream;
+use hierod::core::AlgorithmPolicy;
+use hierod::server::{Client, Server, ServerConfig};
+use hierod::service::{PlantService, RegistryService};
+use hierod::store::tenants::MemFactory;
+use hierod::store::{MemStorage, StoreOptions};
+use hierod::stream::{
+    DurableStream, PlantRegistry, StreamConfig, StreamDetector, StreamEvent, TenantConfig,
+};
+use hierod::synth::ScenarioBuilder;
+use hierod::wire::encode_report;
+
+/// One machine, two jobs, redundant sensors, an anomaly in every job.
+fn script(seed: u64) -> Vec<StreamEvent> {
+    let scenario = ScenarioBuilder::new(seed)
+        .machines(1)
+        .jobs_per_machine(2)
+        .redundancy(2)
+        .phase_samples(24)
+        .anomaly_rate(1.0)
+        .build();
+    scenario
+        .replay()
+        .into_iter()
+        .map(StreamEvent::from)
+        .collect()
+}
+
+/// `$d.control([$plant,] event)` / `$d.ingest([$plant,] lane, sample)`
+/// for every event — the two-arm driver every layer shares.
+macro_rules! drive {
+    ($d:expr, $events:expr $(, $plant:expr)?) => {{
+        let driven = &mut $d;
+        for event in $events {
+            match event {
+                StreamEvent::Control(c) => driven.control($($plant,)? c).expect("control"),
+                StreamEvent::Sample(lane, s) => {
+                    driven.ingest($($plant,)? lane, *s).expect("ingest")
+                }
+            }
+        }
+    }};
+}
+
+/// The reference every pin compares against: the unsharded, in-memory
+/// detector's finish report, as wire bytes (covers every score bit).
+fn reference(events: &[StreamEvent]) -> Vec<u8> {
+    let mut det =
+        StreamDetector::new(AlgorithmPolicy::default(), StreamConfig::default()).expect("detector");
+    for event in events {
+        match event {
+            StreamEvent::Control(c) => det.apply(c).expect("control"),
+            StreamEvent::Sample(lane, s) => det.ingest(lane, *s).expect("ingest"),
+        }
+    }
+    let report = det.finish().expect("finish");
+    assert!(!report.report.is_empty(), "a pin over no outliers is weak");
+    encode_report(&report)
+}
+
+fn registry(factory: MemFactory, shards: usize) -> PlantRegistry<MemFactory> {
+    let config = TenantConfig {
+        shards,
+        ..TenantConfig::default()
+    };
+    PlantRegistry::open(factory, AlgorithmPolicy::default(), config)
+        .expect("registry")
+        .0
+}
+
+fn service() -> RegistryService<MemFactory> {
+    RegistryService::open(
+        MemFactory::new(),
+        AlgorithmPolicy::default(),
+        TenantConfig::default(),
+    )
+    .expect("service")
+}
+
+#[test]
+fn shard_equals_unsharded() {
+    let events = script(42);
+    let mut reg = registry(MemFactory::new(), 2);
+    drive!(reg.create_tenant("p").expect("tenant"), &events);
+    let report = reg.finish_tenant("p").expect("finish");
+    assert_eq!(encode_report(&report), reference(&events));
+}
+
+#[test]
+fn crash_recover_equals_uninterrupted() {
+    let events = script(42);
+    let (before, after) = events.split_at(events.len() / 2);
+    let mut reg = registry(MemFactory::new(), 2);
+    drive!(reg.create_tenant("p").expect("tenant"), before);
+    // The tick is the durability point; the crash keeps fsynced bytes only.
+    reg.tenant_mut("p").expect("tenant").tick().expect("tick");
+    let mut reg = registry(reg.factory().crash_image(false), 2);
+    drive!(reg.tenant_mut("p").expect("recovered tenant"), after);
+    let report = reg.finish_tenant("p").expect("finish");
+    assert_eq!(encode_report(&report), reference(&events));
+}
+
+#[test]
+fn tenants_are_isolated() {
+    let (a, b) = (script(42), script(7));
+    let mut reg = registry(MemFactory::new(), 1);
+    drop(reg.create_tenant("a"));
+    drop(reg.create_tenant("b"));
+    // Interleave the two plants' streams event by event.
+    for (ea, eb) in a.iter().zip(&b) {
+        drive!(reg.tenant_mut("a").expect("a"), [ea]);
+        drive!(reg.tenant_mut("b").expect("b"), [eb]);
+    }
+    drive!(reg.tenant_mut("a").expect("a"), a.iter().skip(b.len()));
+    drive!(reg.tenant_mut("b").expect("b"), b.iter().skip(a.len()));
+    let report_a = reg.finish_tenant("a").expect("finish a");
+    let report_b = reg.finish_tenant("b").expect("finish b");
+    assert_eq!(encode_report(&report_a), reference(&a));
+    assert_eq!(encode_report(&report_b), reference(&b));
+}
+
+#[test]
+fn wire_equals_embedded() {
+    let events = script(42);
+    let server = Server::bind(service(), ServerConfig::default()).expect("bind");
+    let handle = server.handle();
+    let join = thread::spawn(move || server.serve().expect("serve"));
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.admit("p", true).expect("admit");
+    let mut lanes = BTreeMap::new();
+    for event in &events {
+        match event {
+            StreamEvent::Control(c) => client.control(c).expect("control"),
+            StreamEvent::Sample(lane, s) => {
+                let next = lanes.len() as u32;
+                let no = *lanes.entry(lane).or_insert_with(|| {
+                    client.lane_def(next, lane).expect("lane def");
+                    next
+                });
+                client.sample(no, s.timestamp, s.value).expect("sample");
+            }
+        }
+    }
+    let (_, wire_bytes) = client.finish().expect("finish");
+    handle.shutdown();
+    join.join().expect("server thread");
+
+    let mut svc = service();
+    svc.admit("p", true).expect("admit");
+    drive!(svc, &events, "p");
+    let embedded = svc.finish("p").expect("finish");
+    assert_eq!(wire_bytes, encode_report(&embedded));
+    assert_eq!(wire_bytes, reference(&events));
+}
+
+#[test]
+fn backfill_equals_finish() {
+    let events = script(42);
+    let mut svc = service();
+    svc.admit("p", true).expect("admit");
+    drive!(svc, &events, "p");
+    svc.rotate("p").expect("rotate");
+    let replayed = svc.backfill("p", 0, u64::MAX, None).expect("backfill");
+    let original = svc.finish("p").expect("finish");
+    assert_eq!(
+        format!("{:?}", replayed.report.report),
+        format!("{:?}", original.report)
+    );
+    assert_eq!(encode_report(&original), reference(&events));
+}
+
+#[test]
+fn adaptive_passthrough_equals_plain() {
+    let events = script(42);
+    let (durable, _) = DurableStream::open(
+        AlgorithmPolicy::default(),
+        StreamConfig::default(),
+        MemStorage::new(),
+        StoreOptions::default(),
+    )
+    .expect("open");
+    let mut stream = AdaptiveStream::passthrough(durable);
+    drive!(stream, &events);
+    assert!(stream.refit_log().is_empty());
+    let report = stream.finish().expect("finish");
+    assert_eq!(encode_report(&report), reference(&events));
+}
