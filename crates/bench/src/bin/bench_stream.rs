@@ -1,19 +1,14 @@
 //! B10 — streaming ingest: sustained lane throughput and emit latency of
-//! the `hierod-stream` data path (SPSC ring → watermark → online scorer).
+//! the `hierod-stream` data path (sensor → watermark → online scorer).
 //!
-//! Three experiments, summary committed under `results/bench_stream.md`:
-//!
-//! 1. **Single-lane throughput** — a real producer thread feeds one ring;
-//!    the consumer drains through a lateness-0 watermark into each online
-//!    scorer. Reports sustained samples/sec (the ISSUE floor is ≥ 1M/s for
-//!    the `WindowedBatch` robust-z lane) and the pop→emit latency
-//!    distribution (p50/p99): how long a sample sits in watermark + hop
-//!    buffering after the consumer received it.
-//! 2. **Scorer comparison** — the same lane across `WindowedBatch`
-//!    (hopping robust-z) and the native incrementals (rolling robust-z,
-//!    incremental AR, sliding kNN/LOF).
-//! 3. **Sensor scaling** — 1/8/64 lanes multiplexed through one
-//!    `IngestRouter`, single-threaded, measuring aggregate samples/sec.
+//! One experiment, summary committed under `results/bench_stream.md`:
+//! a single lane driven on the calling thread as `Watermark::offer` →
+//! `OnlineScorer::push` at lateness 0, across `WindowedBatch` (hopping
+//! robust-z) and the native incrementals (rolling robust-z, incremental
+//! AR, sliding kNN/LOF). Reports sustained samples/sec (the floor is
+//! ≥ 1M/s per scorer row) and the offer→emit latency distribution
+//! (p50/p99): how long a sample sits in watermark + hop buffering after
+//! it was offered.
 
 use std::time::{Duration, Instant};
 
@@ -21,7 +16,7 @@ use hierod_detect::engine::{build, AlgoSpec};
 use hierod_detect::online::{
     IncrementalAr, OnlineScorer, RollingRobustZ, ScoredPoint, SlidingKnn, SlidingLof, WindowedBatch,
 };
-use hierod_stream::{ring, IngestRouter, LaneId, LaneKind, Sample, Watermark};
+use hierod_stream::Watermark;
 
 /// Deterministic noisy signal: cheap to generate, non-trivial to score.
 fn signal(t: u64) -> f64 {
@@ -54,39 +49,26 @@ struct LaneRun {
     p99: Duration,
 }
 
-/// One producer thread pushes `n` samples through a ring; the consumer
-/// pops, stamps arrival, offers to a lateness-0 watermark, feeds the
-/// scorer, and records pop→emit latency per sample.
+/// Offers `n` samples to a lateness-0 watermark, feeds what it releases
+/// to the scorer, and records offer→emit latency per sample.
 fn run_lane(scorer_name: &str, n: u64) -> LaneRun {
     let mut scorer = make_scorer(scorer_name);
-    let (mut tx, mut rx) = ring::<Sample>(4096);
     let mut watermark = Watermark::new(0);
-    let mut popped_at: Vec<Instant> = Vec::with_capacity(n as usize);
+    let mut offered_at: Vec<Instant> = Vec::with_capacity(n as usize);
     let mut latencies: Vec<Duration> = Vec::with_capacity(n as usize);
     let mut released = Vec::new();
     let mut scored: Vec<ScoredPoint> = Vec::new();
     let start = Instant::now();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            for t in 0..n {
-                let sample = Sample {
-                    timestamp: t,
-                    value: signal(t),
-                };
-                tx.push(sample).expect("consumer alive");
-            }
-        });
-        while let Some(sample) = rx.pop() {
-            popped_at.push(Instant::now());
-            watermark.offer(sample.timestamp, sample.value, &mut released);
-            for (ts, v) in released.drain(..) {
-                scorer.push(ts, v, &mut scored).expect("scorer push");
-            }
-            for p in scored.drain(..) {
-                latencies.push(popped_at[p.timestamp as usize].elapsed());
-            }
+    for t in 0..n {
+        offered_at.push(Instant::now());
+        watermark.offer(t, signal(t), &mut released);
+        for (ts, v) in released.drain(..) {
+            scorer.push(ts, v, &mut scored).expect("scorer push");
         }
-    });
+        for p in scored.drain(..) {
+            latencies.push(offered_at[p.timestamp as usize].elapsed());
+        }
+    }
     let elapsed = start.elapsed();
     latencies.sort_unstable();
     let pick = |q: f64| {
@@ -102,62 +84,6 @@ fn run_lane(scorer_name: &str, n: u64) -> LaneRun {
     }
 }
 
-/// `sensors` lanes through one router, single-threaded: push a burst per
-/// lane, then drain into per-lane watermark + windowed-batch robust-z
-/// pipelines (the ISSUE's reference lane).
-fn run_router(sensors: usize, per_sensor: u64) -> f64 {
-    const BURST: u64 = 256;
-    let mut router = IngestRouter::new();
-    let mut producers = Vec::with_capacity(sensors);
-    let mut pipes: Vec<(Watermark, Box<dyn OnlineScorer>)> = Vec::with_capacity(sensors);
-    for i in 0..sensors {
-        let id = LaneId {
-            machine: "m0".into(),
-            sensor: format!("m0.sensor.{i}"),
-            kind: LaneKind::Phase,
-        };
-        producers.push((id.clone(), router.add_lane(id, (BURST as usize) * 2)));
-        pipes.push((
-            Watermark::new(0),
-            make_scorer("windowed-batch robust-z (hop 64)"),
-        ));
-    }
-    let mut released = Vec::new();
-    let mut scored = Vec::new();
-    let start = Instant::now();
-    let mut sent = 0_u64;
-    while sent < per_sensor {
-        let burst = BURST.min(per_sensor - sent);
-        for (_, producer) in producers.iter_mut() {
-            for t in sent..sent + burst {
-                producer
-                    .push(Sample {
-                        timestamp: t,
-                        value: signal(t),
-                    })
-                    .expect("router alive");
-            }
-        }
-        sent += burst;
-        router.drain(|lane, sample| {
-            let idx: usize = lane
-                .sensor
-                .rsplit('.')
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("lane index");
-            let (watermark, scorer) = &mut pipes[idx];
-            watermark.offer(sample.timestamp, sample.value, &mut released);
-            for (ts, v) in released.drain(..) {
-                scorer.push(ts, v, &mut scored).expect("scorer push");
-            }
-            scored.clear();
-        });
-    }
-    let elapsed = start.elapsed();
-    (sensors as u64 * per_sensor) as f64 / elapsed.as_secs_f64()
-}
-
 fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -171,43 +97,18 @@ fn main() {
         "sliding kNN (w=64, k=5)",
         "sliding LOF (w=64, k=5)",
     ];
-    // The lane experiment runs two threads (producer + consumer); the
-    // per-core column normalizes by how many cores those can occupy.
-    let lane_cores = cores.min(2) as f64;
-    println!("# single-lane throughput + pop->emit latency (2,000,000 samples)");
+    println!("# single-lane throughput + offer->emit latency (2,000,000 samples)");
     println!(
-        "{:<36} {:>14} {:>14} {:>10} {:>10}",
-        "scorer", "samples/s", "/core", "p50", "p99"
+        "{:<36} {:>14} {:>10} {:>10}",
+        "scorer", "samples/s", "p50", "p99"
     );
     for name in scorers {
         // Warm-up run keeps first-touch page faults out of the measurement.
         run_lane(name, 100_000);
         let r = run_lane(name, 2_000_000);
         println!(
-            "{:<36} {:>14.0} {:>14.0} {:>10.1?} {:>10.1?}",
-            name,
-            r.samples_per_sec,
-            r.samples_per_sec / lane_cores,
-            r.p50,
-            r.p99
-        );
-    }
-    println!();
-    println!("# sensor scaling: router lanes, windowed-batch robust-z per lane");
-    println!("# (single-threaded drain: /core normalizes by 1 core occupied)");
-    println!(
-        "{:<10} {:>16} {:>16} {:>16}",
-        "sensors", "total samples/s", "per-lane/s", "/core"
-    );
-    for sensors in [1_usize, 8, 64] {
-        let per_sensor = (2_000_000 / sensors as u64).max(10_000);
-        let total = run_router(sensors, per_sensor);
-        println!(
-            "{:<10} {:>16.0} {:>16.0} {:>16.0}",
-            sensors,
-            total,
-            total / sensors as f64,
-            total
+            "{:<36} {:>14.0} {:>10.1?} {:>10.1?}",
+            name, r.samples_per_sec, r.p50, r.p99
         );
     }
 }

@@ -3,6 +3,7 @@
 //! Shared plumbing for the `repro_*` binaries (one per table/figure of the
 //! paper, see EXPERIMENTS.md) and the criterion benches.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

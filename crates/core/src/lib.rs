@@ -21,6 +21,7 @@
 //! from the different levels in a valuable manner"); [`experiment`] hosts
 //! the evaluation harness behind the E4/E5/E7 experiments.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

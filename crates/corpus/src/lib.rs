@@ -14,6 +14,7 @@
 //! category restriction) against it. See DESIGN.md §2 for the substitution
 //! rationale.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

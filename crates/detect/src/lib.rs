@@ -35,6 +35,7 @@
 //! not a binary decision). Scales differ per detector; fuse across
 //! detectors only after `hierod_eval::rank_normalize`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -8,6 +8,7 @@
 //! threshold-based (confusion-matrix) metrics and ranking metrics
 //! (ROC-AUC, PR-AUC, precision@k) over continuous outlierness scores.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -19,6 +19,7 @@
 //! operating at that level sees; `hierod-core`'s Algorithm 1 walks these
 //! views up and down.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

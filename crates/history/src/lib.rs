@@ -32,6 +32,7 @@
 //! The crate is std-only and panic-free in library code (the `xtask`
 //! panic lint holds it at a zero budget, like the store beneath it).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

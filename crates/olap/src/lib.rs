@@ -16,6 +16,7 @@
 //!   cell's mean against its peer group (all cells sharing coordinates on
 //!   every other dimension).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -256,7 +256,7 @@ fn handle_request<S: PlantService>(
                 Frame::NoChange {
                     version: cache.version,
                 }
-            } else if since + 1 == cache.version {
+            } else if since.checked_add(1) == Some(cache.version) {
                 Frame::Deltas {
                     from: since,
                     to: cache.version,

@@ -39,6 +39,7 @@
 //! error is parked and surfaces at the connection's next synchronous
 //! request, so a firehose of samples costs no response traffic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

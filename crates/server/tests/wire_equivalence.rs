@@ -212,6 +212,23 @@ fn scores_and_deltas_follow_report_versions() {
         }
         other => panic!("expected Resync, got {other:?}"),
     }
+    // A hostile version must not overflow `since + 1` inside the service
+    // lock: it is just "too far ahead", and the server keeps serving this
+    // connection and new ones.
+    assert!(matches!(
+        client.query_deltas(u64::MAX).unwrap(),
+        DeltaReply::Resync { version: 2, .. }
+    ));
+    assert_eq!(
+        client.query_deltas(v2).unwrap(),
+        DeltaReply::NoChange { version: 2 }
+    );
+    let mut second = Client::connect(handle.local_addr()).unwrap();
+    second.admit("plant-a", false).unwrap();
+    assert_eq!(
+        second.query_deltas(v2).unwrap(),
+        DeltaReply::NoChange { version: 2 }
+    );
     handle.shutdown();
     join.join().unwrap();
 }

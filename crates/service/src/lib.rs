@@ -22,6 +22,7 @@
 //! [`failed`](hierod_stream::PlantRegistry::failed) set and per-tenant
 //! recovery summaries directly onto a readiness answer.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

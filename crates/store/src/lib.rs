@@ -32,6 +32,7 @@
 //! **zero** budget: a corrupt byte on disk must surface as a counted,
 //! recoverable condition, never a crash loop.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

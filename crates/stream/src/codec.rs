@@ -19,7 +19,7 @@ use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor,
 use hierod_store::codec;
 
 use crate::detector::ControlEvent;
-use crate::router::{LaneId, LaneKind};
+use crate::lane::{LaneId, LaneKind};
 
 const LANE_KIND_PHASE: u8 = 0;
 const LANE_KIND_ENV: u8 = 1;

@@ -5,15 +5,13 @@
 //! * **Control events** — machine/job/phase lifecycle events
 //!   ([`ControlEvent`], applied through [`StreamDetector::apply`]) that
 //!   mirror the production process structure of the paper's Fig. 2.
-//! * **Samples** — per-sensor readings arriving through [`IngestRouter`]
-//!   lanes ([`StreamDetector::drain`]) or directly
-//!   ([`StreamDetector::ingest`]).
+//! * **Samples** — per-sensor readings, one [`StreamDetector::ingest`]
+//!   call each.
 //!
 //! Each open (machine, job, phase, sensor) series and each environment
 //! sensor gets its own **pipeline**: a [`Watermark`] reorder stage feeding
 //! an [`OnlineScorer`]. Control events apply to samples ingested *after*
-//! the call, so callers must drain the router at phase boundaries (the
-//! synth replay and the equivalence test follow this contract).
+//! the call.
 //!
 //! On a [`StreamDetector::tick`] or at [`StreamDetector::finish`], the
 //! detector materializes a [`Plant`] from everything released so far,
@@ -52,7 +50,7 @@ use hierod_synth::ReplayEvent;
 use hierod_timeseries::TimeSeries;
 use std::sync::Arc;
 
-use crate::router::{IngestRouter, LaneId, LaneKind, Sample};
+use crate::lane::{LaneId, LaneKind, Sample};
 use crate::watermark::{LatenessStats, Watermark};
 
 /// How phase/environment series are scored online.
@@ -715,8 +713,7 @@ impl StreamDetector {
 
     /// Opens a phase within the machine's open job, finalizing the
     /// previous phase's pipelines (their watermarks flush and their
-    /// scorers finish — drain the router first so no sample of the old
-    /// phase is still in flight).
+    /// scorers finish).
     fn phase_start(&mut self, machine: &str, kind: PhaseKind, sensors: &[String]) -> Result<()> {
         let pipes = self.open_pipelines(machine, sensors, self.phase_algo, LaneKind::Phase)?;
         self.close_open_phase(machine)?
@@ -827,27 +824,6 @@ impl StreamDetector {
         pipe.offer(sample.timestamp, sample.value, scratch);
         self.samples_ingested += 1;
         Ok(())
-    }
-
-    /// Drains every lane of the router into the detector, returning how
-    /// many samples were routed.
-    ///
-    /// # Errors
-    /// The first routing error (remaining samples of that drain pass are
-    /// still consumed from the rings, so producers are never wedged).
-    pub fn drain(&mut self, router: &mut IngestRouter) -> Result<usize> {
-        let mut first_err = None;
-        let n = router.drain(|lane, sample| {
-            if let Err(e) = self.ingest(lane, sample) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(n),
-        }
     }
 
     /// Current ingestion counters.
@@ -987,8 +963,8 @@ impl StreamDetector {
     }
 
     /// Flushes every watermark and finishes every scorer without
-    /// assembling. The shard runtime runs this per shard (through the
-    /// detect `TaskPool`) before the merged assembly.
+    /// assembling. A multi-shard `Tenant` runs this per shard before the
+    /// merged assembly.
     pub(crate) fn finalize_pipelines(&mut self) {
         let mut scratch = std::mem::take(&mut self.scratch);
         for (_, m) in self.machines.iter_mut() {

@@ -59,7 +59,7 @@ use crate::codec::{decode_control, decode_lane, encode_control, encode_lane};
 use crate::detector::{
     ControlEvent, LaneStats, StreamConfig, StreamDetector, StreamReport, StreamStats,
 };
-use crate::router::{IngestRouter, LaneId, Sample};
+use crate::lane::{LaneId, Sample};
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
@@ -432,26 +432,6 @@ impl<S: Storage> DurableStream<S> {
         self.inner.ingest(lane, sample)
     }
 
-    /// Durable [`StreamDetector::drain`].
-    ///
-    /// # Errors
-    /// The first journaling or routing error; remaining samples of the
-    /// pass are still consumed so producers are never wedged.
-    pub fn drain(&mut self, router: &mut IngestRouter) -> Result<usize> {
-        let mut first_err = None;
-        let n = router.drain(|lane, sample| {
-            if let Err(e) = self.ingest(lane, sample) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(n),
-        }
-    }
-
     /// Hard-commits the WAL, then assembles an interim report — every
     /// score it exposes is backed by durable input.
     ///
@@ -669,7 +649,7 @@ impl<S: Storage> DurableStream<S> {
 mod tests {
     use super::*;
     use crate::detector::ScorerMode;
-    use crate::router::LaneKind;
+    use crate::lane::LaneKind;
     use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
     use hierod_store::MemStorage;
 

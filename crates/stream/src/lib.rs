@@ -5,14 +5,12 @@
 //! live plant, and this crate turns the batch engine into that always-on
 //! pipeline.
 //!
-//! * [`ring`] — dependency-free bounded SPSC ring buffers: the per-sensor
-//!   transport, lock-free on the fast path with parking backpressure, and
-//!   model-checked under `--features loom`.
+//! * [`lane`] — the ingest value types: [`Sample`] and the [`LaneId`]
+//!   naming its sensor lane. `ingest(&LaneId, Sample)` is the one way a
+//!   sample reaches a detector.
 //! * [`watermark`] — per-sensor watermarks with bounded allowed lateness:
 //!   out-of-order, late, and duplicate samples are reordered (or counted
 //!   and dropped) before any scorer sees them.
-//! * [`router`] — the multi-sensor ingest router: one ring per lane,
-//!   drained into the detector.
 //! * [`detector`] — [`StreamDetector`]: feeds per-sample phase/environment
 //!   scores from [`hierod_detect::online`] scorers upward through the
 //!   existing Algorithm-1 `CalcGlobalScore` propagation on watermark
@@ -24,10 +22,9 @@
 //!   every accepted sample and control event crash-durable; on restart it
 //!   rebuilds the exact pre-crash detector state from segments plus the
 //!   WAL tail (the fault-injection suite pins crash-equivalence).
-//! * [`shard`] — multi-core scale-out: N shard-scoped detectors behind
-//!   per-shard SPSC rings, keyed by a stable machine×sensor hash, merged
-//!   in fixed order into one report byte-identical to the single-shard
-//!   run.
+//! * [`shard`] — the shard partition contract: N shard-scoped detectors
+//!   keyed by a stable machine×sensor hash, merged in fixed order into
+//!   one report byte-identical to the single-shard run.
 //! * [`tenant`] — multi-plant tenancy: a [`PlantRegistry`] hosting N
 //!   independent plants in one process, each with its own shard set and
 //!   per-tenant durable directory, recovered in isolation.
@@ -36,14 +33,14 @@
 //!   (`hierod-wire`): both serialise the same opaque bodies, so a
 //!   captured ingest stream is replayable through the store.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod codec;
 pub mod detector;
 pub mod durable;
-pub mod ring;
-pub mod router;
+pub mod lane;
 pub mod shard;
 pub mod tenant;
 pub mod watermark;
@@ -53,8 +50,7 @@ pub use detector::{
     StreamReport, StreamStats,
 };
 pub use durable::{DurableRecovery, DurableStream};
-pub use ring::{ring, ClosedError, Consumer, Producer, TryPushError};
-pub use router::{IngestRouter, LaneId, LaneKind, Sample};
-pub use shard::{shard_of, ShardEvent, ShardedStream, DEFAULT_SHARD_CAPACITY};
+pub use lane::{LaneId, LaneKind, Sample};
+pub use shard::shard_of;
 pub use tenant::{PlantRegistry, Tenant, TenantConfig, TenantRecovery};
 pub use watermark::{LatenessStats, Watermark};

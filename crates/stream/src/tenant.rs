@@ -46,7 +46,7 @@ use hierod_store::tenants::{valid_tenant_id, StorageFactory};
 
 use crate::detector::{assemble_multi, ControlEvent, StreamConfig, StreamDetector, StreamReport};
 use crate::durable::{DurableRecovery, DurableStream};
-use crate::router::{LaneId, Sample};
+use crate::lane::{LaneId, Sample};
 use crate::shard::shard_of;
 
 /// Maps a storage failure into the detection error domain.
@@ -444,7 +444,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
 mod tests {
     use super::*;
     use crate::detector::ScorerMode;
-    use crate::router::LaneKind;
+    use crate::lane::LaneKind;
     use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
     use hierod_store::tenants::MemFactory;
 

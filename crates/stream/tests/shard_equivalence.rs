@@ -1,6 +1,5 @@
 //! Pins the sharding tentpole guarantee: a single plant streamed
-//! through N shards — whether driven inline by the production [`Tenant`]
-//! or across real worker threads ([`ShardedStream`]) — produces a
+//! through N shards by the production [`Tenant`] produces a
 //! [`StreamReport`] **byte-identical** (same `Debug` rendering, which
 //! covers every score bit) to the unsharded [`StreamDetector`] run in
 //! `BatchEquivalent` mode, at an interim `tick` as well as at `finish`.
@@ -11,13 +10,11 @@
 //! are exactly those of the unsharded run; the merge walks the
 //! skeleton in fixed order filling each slot from its owner.
 
-use std::collections::HashMap;
-
 use hierod_core::AlgorithmPolicy;
 use hierod_store::tenants::MemFactory;
 use hierod_stream::{
-    LaneId, PlantRegistry, ScorerMode, ShardedStream, StreamConfig, StreamDetector, StreamEvent,
-    StreamReport, TenantConfig,
+    PlantRegistry, ScorerMode, StreamConfig, StreamDetector, StreamEvent, StreamReport,
+    TenantConfig,
 };
 use hierod_synth::{Scenario, ScenarioBuilder};
 
@@ -92,29 +89,6 @@ fn run_tenant(scenario: &Scenario, shards: usize) -> (String, StreamReport) {
     (interim, registry.finish_tenant("plant").expect("finish"))
 }
 
-fn run_sharded_stream(scenario: &Scenario, shards: usize) -> StreamReport {
-    let mut stream = ShardedStream::spawn(&AlgorithmPolicy::default(), config(), shards, 64)
-        .expect("sharded stream");
-    let mut lanes: HashMap<LaneId, u32> = HashMap::new();
-    for step in steps(scenario) {
-        match step {
-            StreamEvent::Control(event) => stream.control(&event).expect("control"),
-            StreamEvent::Sample(lane, sample) => {
-                let n = match lanes.get(&lane) {
-                    Some(&n) => n,
-                    None => {
-                        let n = stream.lane(lane.clone()).expect("lane");
-                        lanes.insert(lane, n);
-                        n
-                    }
-                };
-                stream.send(n, sample).expect("send");
-            }
-        }
-    }
-    stream.finish().expect("finish")
-}
-
 #[test]
 fn sharded_report_is_byte_identical_to_unsharded() {
     let scenario = scenario();
@@ -129,7 +103,7 @@ fn sharded_report_is_byte_identical_to_unsharded() {
     );
     let want = format!("{baseline:?}");
     assert_ne!(want_tick, want, "the interim tick must see a partial plant");
-    for shards in [1, 2, 4] {
+    for shards in [1, 2, 3, 4] {
         let (tick, report) = run_tenant(&scenario, shards);
         assert_eq!(tick, want_tick, "Tenant({shards}) tick diverged");
         assert_eq!(
@@ -138,20 +112,4 @@ fn sharded_report_is_byte_identical_to_unsharded() {
             "Tenant({shards}) diverged from unsharded"
         );
     }
-}
-
-#[test]
-fn worker_thread_sharding_is_byte_identical_to_unsharded() {
-    let scenario = scenario();
-    let want = format!("{:?}", run_unsharded(&scenario).1);
-    let got = format!("{:?}", run_sharded_stream(&scenario, 4));
-    assert_eq!(got, want, "ShardedStream(4) diverged from unsharded");
-}
-
-#[test]
-fn shard_counts_agree_with_each_other_across_modes() {
-    let scenario = scenario();
-    let a = format!("{:?}", run_tenant(&scenario, 3).1);
-    let b = format!("{:?}", run_sharded_stream(&scenario, 3));
-    assert_eq!(a, b, "inline and threaded sharding diverged");
 }

@@ -1,21 +1,14 @@
 //! Pins the streaming detector's central guarantee: replaying a plant
-//! through the router + `StreamDetector` in `BatchEquivalent` mode yields
+//! through `StreamDetector` in `BatchEquivalent` mode yields
 //! the same outliers as batch detection on the finished plant — identical
 //! outlier sets, scores within 1e-9, and the same Algorithm-1 global
 //! scores and support fractions.
 
-use std::collections::HashMap;
-
 use hierod_core::pipeline::build_report;
 use hierod_core::{detect_all_levels, AlgorithmPolicy, LevelOutlier};
 use hierod_hierarchy::Level;
-use hierod_stream::{
-    IngestRouter, LaneId, Producer, Sample, ScorerMode, StreamConfig, StreamDetector, StreamEvent,
-    StreamReport,
-};
+use hierod_stream::{ScorerMode, StreamConfig, StreamDetector, StreamEvent, StreamReport};
 use hierod_synth::{Scenario, ScenarioBuilder};
-
-const LANE_CAPACITY: usize = 1024;
 
 fn scenario() -> Scenario {
     ScenarioBuilder::new(42)
@@ -27,30 +20,18 @@ fn scenario() -> Scenario {
         .build()
 }
 
-/// Replays the scenario through ring lanes into a streaming detector.
-/// The router is drained before every control event so lane contents
-/// always belong to the still-open phase. Driving through
+/// Replays the scenario into a streaming detector. Driving through
 /// [`StreamEvent::from`] makes this pin cover the replay lowering too:
 /// event order, lane kinds, and `JobComplete` addressing the open job.
 fn run_stream(scenario: &Scenario, policy: AlgorithmPolicy, mode: ScorerMode) -> StreamReport {
     let config = StreamConfig { lateness: 0, mode };
     let mut det = StreamDetector::new(policy, config).expect("stream detector");
-    let mut router = IngestRouter::new();
-    let mut lanes: HashMap<LaneId, Producer<Sample>> = HashMap::new();
     for event in scenario.replay().into_iter().map(StreamEvent::from) {
         match event {
-            StreamEvent::Control(control) => {
-                det.drain(&mut router).expect("drain");
-                det.apply(&control).expect("control");
-            }
-            StreamEvent::Sample(lane, sample) => lanes
-                .entry(lane)
-                .or_insert_with_key(|id| router.add_lane(id.clone(), LANE_CAPACITY))
-                .push(sample)
-                .expect("lane open"),
+            StreamEvent::Control(control) => det.apply(&control).expect("control"),
+            StreamEvent::Sample(lane, sample) => det.ingest(&lane, sample).expect("ingest"),
         }
     }
-    det.drain(&mut router).expect("final drain");
     det.finish().expect("finish")
 }
 

@@ -20,6 +20,7 @@
 //! * [`scenario`] — the scenario builder combining both.
 //! * [`labels`] — ground truth at point, job, and series granularity.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

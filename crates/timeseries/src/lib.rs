@@ -28,6 +28,7 @@
 //! Everything is implemented from scratch; the crate has no runtime
 //! dependencies.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -41,6 +41,7 @@
 //! makes "a report obtained over the wire is byte-identical to the
 //! embedded path" a testable statement.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -16,8 +16,7 @@ use hierod_hierarchy::{Level, PhaseKind};
 use hierod_history::ScanStats;
 use hierod_service::{Health, PlantHealth, RecoverySummary};
 use hierod_store::wal::{self, WalRecord, WAL_MAGIC};
-use hierod_stream::router::{LaneId, LaneKind};
-use hierod_stream::{LaneStats, StreamReport, StreamStats};
+use hierod_stream::{LaneId, LaneKind, LaneStats, StreamReport, StreamStats};
 use hierod_wire::{decode_report, encode_report, write_frame, ErrorCode, Frame, FrameReader, Poll};
 
 // -----------------------------------------------------------------

@@ -1,10 +1,10 @@
 //! Streaming ingestion end to end: replay a synthetic plant as a live
-//! event stream through per-sensor ring lanes into a [`StreamDetector`],
-//! and print the same ⟨global score, outlierness, support⟩ triples the
-//! batch pipeline would produce. A second leg replays the same scenario
-//! through a [`DurableStream`], kills the process mid-stream with an
-//! injected write budget, recovers from the crash image, resumes from
-//! the store's cursors, and shows the recovered report is identical.
+//! event stream into a [`StreamDetector`], and print the same ⟨global
+//! score, outlierness, support⟩ triples the batch pipeline would
+//! produce. A second leg replays the same scenario through a
+//! [`DurableStream`], kills the process mid-stream with an injected
+//! write budget, recovers from the crash image, resumes from the store's
+//! cursors, and shows the recovered report is identical.
 //!
 //! ```sh
 //! cargo run --release --example stream_replay
@@ -13,17 +13,15 @@
 //! [`StreamDetector`]: hierod::stream::StreamDetector
 //! [`DurableStream`]: hierod::stream::DurableStream
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use hierod::core::{AlgorithmPolicy, FusionRule};
 use hierod::store::{MemStorage, StoreOptions};
 use hierod::stream::{
-    ControlEvent, DurableStream, IngestRouter, LaneId, Producer, Sample, ScorerMode, StreamConfig,
-    StreamDetector, StreamEvent, StreamReport,
+    ControlEvent, DurableStream, LaneId, ScorerMode, StreamConfig, StreamDetector, StreamEvent,
+    StreamReport,
 };
 use hierod::synth::ScenarioBuilder;
-
-const LANE_CAPACITY: usize = 1024;
 
 fn main() {
     // A small plant whose jobs carry injected anomalies, then flattened
@@ -52,27 +50,16 @@ fn main() {
     };
     let mut detector =
         StreamDetector::new(AlgorithmPolicy::default(), config).expect("stream detector");
-    let mut router = IngestRouter::new();
-    let mut lanes: HashMap<LaneId, Producer<Sample>> = HashMap::new();
 
     // Drive the detector exactly as a live collector would: control
-    // events open machines/jobs/phases, samples flow through ring lanes,
-    // and the router is drained before each control event so lane
-    // contents always belong to the still-open phase.
+    // events open machines/jobs/phases, and every sample lands in the
+    // phase that is open when it arrives.
     for event in &events {
         match event {
-            StreamEvent::Control(control) => {
-                detector.drain(&mut router).expect("drain");
-                detector.apply(control).expect("control");
-            }
-            StreamEvent::Sample(lane, sample) => lanes
-                .entry(lane.clone())
-                .or_insert_with_key(|id| router.add_lane(id.clone(), LANE_CAPACITY))
-                .push(*sample)
-                .expect("lane open"),
+            StreamEvent::Control(control) => detector.apply(control).expect("control"),
+            StreamEvent::Sample(lane, sample) => detector.ingest(lane, *sample).expect("ingest"),
         }
     }
-    detector.drain(&mut router).expect("final drain");
     let out = detector.finish().expect("finish");
 
     println!(

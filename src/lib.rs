@@ -17,8 +17,8 @@
 //! * [`core`] — Algorithm 1: `FindHierarchicalOutlier` with the
 //!   ⟨global score, outlierness, support⟩ triple.
 //! * [`stream`] — streaming ingestion and online hierarchical detection:
-//!   SPSC ring lanes, per-sensor watermarks, incremental scorers, and a
-//!   batch-equivalent streaming driver for Algorithm 1.
+//!   per-sensor watermarks, incremental scorers, and a batch-equivalent
+//!   streaming driver for Algorithm 1.
 //! * [`store`] — durable substrate for the stream: CRC-checksummed
 //!   write-ahead log, immutable columnar segments, crash recovery, and a
 //!   deterministic fault-injection harness.
@@ -35,6 +35,8 @@
 //! * [`adapt`] — adaptive detection: residual drift monitors
 //!   (Page–Hinkley, ADWIN-style), store-driven scorer refits at tick
 //!   boundaries, and cross-sensor fusion for Algorithm 1's support term.
+
+#![forbid(unsafe_code)]
 
 pub use hierod_adapt as adapt;
 pub use hierod_core as core;

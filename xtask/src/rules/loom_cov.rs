@@ -19,16 +19,6 @@ use crate::scan::Source;
 /// models.
 pub const MODEL_MAP: &[(&str, &str, &str)] = &[
     (
-        "crates/stream/src/ring.rs",
-        "crates/stream/tests/loom_ring.rs",
-        "spsc_fifo_no_loss_under_all_interleavings",
-    ),
-    (
-        "crates/stream/src/shard.rs",
-        "crates/stream/tests/loom_shard.rs",
-        "shard_hand_off_preserves_every_lane_under_all_interleavings",
-    ),
-    (
         "crates/detect/src/engine/scheduler.rs",
         "crates/detect/tests/loom_pool.rs",
         "every_task_runs_exactly_once_under_all_interleavings",
@@ -179,19 +169,19 @@ mod tests {
 
     #[test]
     fn mapped_file_requires_the_named_test_fn() {
-        let triggers = vec![("crates/stream/src/ring.rs".to_string(), 1)];
+        let triggers = vec![("crates/server/src/queue.rs".to_string(), 1)];
         // The model file exists and has the named fn: clean.
-        let ok = check(&triggers, &|p| p == "crates/stream/src/ring.rs", &|p| {
-            if p == "crates/stream/tests/loom_ring.rs" {
-                "fn spsc_fifo_no_loss_under_all_interleavings() {}".to_string()
+        let ok = check(&triggers, &|p| p == "crates/server/src/queue.rs", &|p| {
+            if p == "crates/server/tests/loom_queue.rs" {
+                "fn handoff_queue_delivers_every_item_under_all_interleavings() {}".to_string()
             } else {
                 String::new()
             }
         });
         assert!(ok.is_empty());
         // The model file lost the fn: finding.
-        let bad = check(&triggers, &|p| p == "crates/stream/src/ring.rs", &|p| {
-            if p == "crates/stream/tests/loom_ring.rs" {
+        let bad = check(&triggers, &|p| p == "crates/server/src/queue.rs", &|p| {
+            if p == "crates/server/tests/loom_queue.rs" {
                 "fn renamed() {}".to_string()
             } else {
                 String::new()

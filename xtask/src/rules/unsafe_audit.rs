@@ -1,12 +1,13 @@
 //! Rule `unsafe-audit`: every `unsafe` site must state its invariant.
 //!
-//! The ring buffer, the bench allocator shims, and any future lock-free
-//! code concentrate the repo's soundness obligations into a handful of
-//! `unsafe` blocks. Each one is only correct *relative to an invariant*
-//! (single consumer, index in bounds, slot initialized); this rule makes
-//! that invariant part of the source: every `unsafe` keyword in non-test
-//! library code must carry a `// SAFETY:` comment — on its own line or in
-//! the contiguous comment block immediately above — or it is a finding.
+//! Library crates `#![forbid(unsafe_code)]`; what `unsafe` remains (the
+//! bench allocator shims, test fixtures) concentrates the repo's
+//! soundness obligations into a handful of blocks. Each one is only
+//! correct *relative to an invariant* (layout forwarded unchanged, index
+//! in bounds, slot initialized); this rule makes that invariant part of
+//! the source: every `unsafe` keyword in non-test library code must carry
+//! a `// SAFETY:` comment — on its own line or in the contiguous comment
+//! block immediately above — or it is a finding.
 //! Findings are count-ratcheted via `lint.allow` like `panic-site`, with a
 //! target budget of zero: new unsafe code cannot land unannotated.
 
