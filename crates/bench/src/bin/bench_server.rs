@@ -27,7 +27,7 @@ use hierod_store::tenants::MemFactory;
 use hierod_stream::tenant::TenantConfig;
 use hierod_stream::{ControlEvent, LaneId, LaneKind};
 
-/// Deterministic noisy signal (same generator as bench_shard).
+/// Deterministic noisy signal, decorrelated per lane.
 fn signal(t: u64, lane: u64) -> f64 {
     let mut s = t
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)

@@ -4,21 +4,19 @@
 //!
 //! The store keeps everything the detector ever saw — control events
 //! and released samples in sealed files, the still-hot tail in the
-//! WAL. [`backfill`] reassembles that record across a plant's shards
-//! into one globally ordered stream and drives an unsharded
-//! [`StreamDetector`] over it:
+//! WAL. [`backfill`] reassembles that record into one globally ordered
+//! stream and drives a fresh [`StreamDetector`] over it:
 //!
-//! * control events replay in sequence order (they are broadcast to
-//!   every shard, so duplicates across shards collapse by sequence
-//!   number);
+//! * control events replay in sequence order (a sequence number seen
+//!   twice across the given storage roots replays once);
 //! * sealed chunk samples replay right after the control that opened
 //!   their pipeline (the chunk's `after_control_seq` tag), exactly as
 //!   store recovery does;
 //! * WAL-tail samples replay after the last control journalled before
 //!   them.
 //!
-//! Shard-merged live reports are pinned byte-identical to an unsharded
-//! run, so replaying the full range with the original policy
+//! A tenant's live report is pinned byte-identical to a bare
+//! detector's, so replaying the full range with the original policy
 //! reproduces the original report — and replaying with a different
 //! [`AlgoSpec`] answers "what would that month have looked like under
 //! sliding-z?" without touching the live plant. [`diff_reports`]
@@ -185,9 +183,9 @@ fn collect_shard(
     Ok(())
 }
 
-/// Replays the stored record of a plant (all `shards` of one tenant)
-/// through a fresh unsharded detector, ingesting only samples with
-/// timestamps in `[start, end]`.
+/// Replays the stored record of a plant (its storage roots — one, for
+/// every tenant the registry opens) through a fresh detector, ingesting
+/// only samples with timestamps in `[start, end]`.
 ///
 /// With the plant's original `policy`/`config` and the full range, the
 /// replay reproduces the plant's own finished report. Pass a `spec` to

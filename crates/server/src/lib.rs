@@ -12,11 +12,11 @@
 //! are refused, not buffered without limit); each worker pops one socket
 //! and serves it to completion before taking the next.
 //!
-//! The service itself sits behind one mutex — the engine already
-//! parallelises detection across its shard pool internally, so the
-//! serving layer stays an ordinary monitor and correctness never
-//! depends on lock juggling. Concurrency at this layer is about keeping
-//! many sockets serviced, not about parallel scoring.
+//! The service itself sits behind one mutex, and detection runs inline
+//! on whichever worker holds it: the serving layer is an ordinary
+//! monitor and correctness never depends on lock juggling. Concurrency
+//! at this layer is about keeping many sockets serviced, not about
+//! parallel scoring (per-tenant locking is ROADMAP item 4).
 //!
 //! ## Graceful drain
 //!

@@ -5,8 +5,8 @@
 //! embedded-library path (call it directly) and the network path
 //! (`hierod-server` maps wire frames onto it). The engine behind it —
 //! [`Tenant`]/[`PlantRegistry`](hierod_stream::PlantRegistry) with
-//! their broadcast controls, routed ingest, merged tick/finish, and
-//! isolated recovery — is no longer the public surface: anything a
+//! their durable control/ingest/tick/finish and isolated recovery —
+//! is no longer the public surface: anything a
 //! consumer can do, it does through this trait, so the two paths cannot
 //! drift apart (the wire-equivalence test pins byte-identical reports
 //! across them).
@@ -37,8 +37,10 @@ use hierod_history::{
     RangeQuery, ScanStats,
 };
 use hierod_store::tenants::StorageFactory;
-use hierod_stream::tenant::{PlantRegistry, Tenant, TenantConfig, TenantRecovery};
-use hierod_stream::{ControlEvent, LaneId, LaneStats, Sample, StreamReport, StreamStats};
+use hierod_stream::tenant::{PlantRegistry, Tenant, TenantConfig};
+use hierod_stream::{
+    ControlEvent, DurableRecovery, LaneId, LaneStats, Sample, StreamReport, StreamStats,
+};
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
@@ -54,28 +56,28 @@ pub enum Admission {
     Created,
 }
 
-/// Aggregated recovery accounting of one plant, suitable for a health
-/// endpoint (the full per-shard detail stays on [`TenantRecovery`]).
+/// Recovery accounting of one plant, suitable for a health endpoint (the
+/// store-level repair detail stays on [`DurableRecovery`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoverySummary {
-    /// Highest control sequence found durable on any shard.
+    /// Highest control sequence found durable.
     pub controls_applied: u64,
-    /// Samples restored from sealed segments, across all shards.
+    /// Samples restored from sealed segments.
     pub restored_samples: u64,
-    /// WAL samples replayed through live ingest, across all shards.
+    /// WAL samples replayed through live ingest.
     pub replayed_samples: u64,
-    /// Corruption events survived, across all shards.
+    /// Corruption events survived.
     pub corrupt_records: u64,
 }
 
 impl RecoverySummary {
-    /// Collapses a per-shard [`TenantRecovery`] into endpoint form.
-    pub fn from_recovery(rec: &TenantRecovery) -> Self {
+    /// Projects a [`DurableRecovery`] into endpoint form.
+    pub fn from_recovery(rec: &DurableRecovery) -> Self {
         RecoverySummary {
-            controls_applied: rec.controls_applied(),
-            restored_samples: rec.restored_samples(),
-            replayed_samples: rec.replayed_samples(),
-            corrupt_records: rec.corrupt_records(),
+            controls_applied: rec.controls_applied,
+            restored_samples: rec.restored_samples,
+            replayed_samples: rec.replayed_samples,
+            corrupt_records: rec.corrupt_records,
         }
     }
 }
@@ -85,8 +87,6 @@ impl RecoverySummary {
 pub struct PlantHealth {
     /// Plant id.
     pub id: String,
-    /// Shard count the plant is laid out with.
-    pub shards: u32,
     /// What recovery rebuilt when this plant was opened (all zeros for
     /// plants created fresh in this process).
     pub recovery: RecoverySummary,
@@ -131,44 +131,42 @@ pub trait PlantService {
     /// Ids of all live plants, sorted.
     fn plants(&self) -> Vec<String>;
 
-    /// Applies one lifecycle control event to `plant` (broadcast to all
-    /// its shards by the engine).
+    /// Applies one lifecycle control event to `plant`.
     ///
     /// # Errors
     /// Unknown plant, storage failures, or lifecycle violations.
     fn control(&mut self, plant: &str, event: &ControlEvent) -> Result<()>;
 
-    /// Ingests one sample into `plant` on `lane` (routed to the shard
-    /// owning the lane).
+    /// Ingests one sample into `plant` on `lane`.
     ///
     /// # Errors
     /// Unknown plant or storage failures; samples with no open pipeline
     /// are counted, not errors.
     fn ingest(&mut self, plant: &str, lane: &LaneId, sample: Sample) -> Result<()>;
 
-    /// Assembles an interim merged report for `plant`, hard-committing
-    /// its WALs first (every exposed score is backed by durable input).
+    /// Assembles an interim report for `plant`, hard-committing its WAL
+    /// first (every exposed score is backed by durable input).
     ///
     /// # Errors
     /// Unknown plant, storage failures, or upper-level detector errors.
     fn tick(&mut self, plant: &str) -> Result<StreamReport>;
 
     /// Finalizes `plant` — flushes watermarks, finishes scorers — and
-    /// removes it from the live set, returning the final merged report.
+    /// removes it from the live set, returning the final report.
     ///
     /// # Errors
     /// Unknown plant, storage failures, or upper-level detector errors.
     fn finish(&mut self, plant: &str) -> Result<StreamReport>;
 
-    /// Current ingestion counters of `plant`, merged across shards,
-    /// without assembling a report.
+    /// Current ingestion counters of `plant`, without assembling a
+    /// report.
     ///
     /// # Errors
     /// Unknown plant.
     fn stats(&self, plant: &str) -> Result<StreamStats>;
 
-    /// Per-lane release/drop/corruption counters of `plant`, merged
-    /// across shards, without assembling a report.
+    /// Per-lane release/drop/corruption counters of `plant`, without
+    /// assembling a report.
     ///
     /// # Errors
     /// Unknown plant.
@@ -178,7 +176,7 @@ pub trait PlantService {
     /// summaries, plus the failed set that gates readiness.
     fn health(&self) -> Health;
 
-    /// Seals every shard's WAL of `plant` into a rotation segment,
+    /// Seals the WAL of `plant` into a rotation segment,
     /// making the data visible to [`PlantService::range_scan`] and
     /// eligible for [`PlantService::compact`].
     ///
@@ -187,17 +185,15 @@ pub trait PlantService {
     fn rotate(&mut self, plant: &str) -> Result<()>;
 
     /// Merges `plant`'s sealed rotation segments into the tiered,
-    /// Gorilla-compressed history files, shard by shard. Returns one
-    /// [`CompactionStats`] per shard, in shard order.
+    /// Gorilla-compressed history files.
     ///
     /// # Errors
     /// Unknown plant, invalid options, or storage failures.
-    fn compact(&mut self, plant: &str, options: &CompactionOptions)
-        -> Result<Vec<CompactionStats>>;
+    fn compact(&mut self, plant: &str, options: &CompactionOptions) -> Result<CompactionStats>;
 
     /// Scans `plant`'s sealed history (compacted files and rotation
     /// segments; never the live WAL tail) for samples in the query's
-    /// time range, merged across shards and sorted by lane.
+    /// time range, sorted by lane.
     ///
     /// # Errors
     /// Unknown plant or storage failures.
@@ -330,37 +326,18 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
         self.tenant_mut(plant)?.rotate()
     }
 
-    fn compact(
-        &mut self,
-        plant: &str,
-        options: &CompactionOptions,
-    ) -> Result<Vec<CompactionStats>> {
-        let tenant = self.tenant(plant)?;
-        let mut out = Vec::with_capacity(tenant.shard_count());
-        for shard in tenant.shards() {
-            let (storage, sealed_end) = shard.sealed_storage();
-            out.push(hierod_history::compact(storage, sealed_end, options).map_err(substrate)?);
-        }
-        Ok(out)
+    fn compact(&mut self, plant: &str, options: &CompactionOptions) -> Result<CompactionStats> {
+        let (storage, sealed_end) = self.tenant(plant)?.stream().sealed_storage();
+        hierod_history::compact(storage, sealed_end, options).map_err(substrate)
     }
 
     fn range_scan(&self, plant: &str, query: &RangeQuery) -> Result<(Vec<LaneSeries>, ScanStats)> {
-        let tenant = self.tenant(plant)?;
-        let mut series: Vec<LaneSeries> = Vec::new();
-        let mut stats = ScanStats::default();
-        for shard in tenant.shards() {
-            let (storage, _) = shard.sealed_storage();
-            let reader =
-                HistoryReader::new(snapshot(storage).map_err(substrate)?).map_err(substrate)?;
-            let (mut found, shard_stats) = reader.scan(query).map_err(substrate)?;
-            series.append(&mut found);
-            stats.chunks_total += shard_stats.chunks_total;
-            stats.chunks_pruned += shard_stats.chunks_pruned;
-            stats.chunks_decoded += shard_stats.chunks_decoded;
-            stats.samples += shard_stats.samples;
-        }
-        // Lanes are disjoint across shards; a fixed order makes the
-        // merged scan deterministic regardless of shard layout.
+        let (storage, _) = self.tenant(plant)?.stream().sealed_storage();
+        let reader =
+            HistoryReader::new(snapshot(storage).map_err(substrate)?).map_err(substrate)?;
+        let (mut series, stats) = reader.scan(query).map_err(substrate)?;
+        // The reader yields store-local lane-number order (first-use
+        // order); the reply's order is by lane id.
         series.sort_by(|a, b| a.id.cmp(&b.id));
         Ok((series, stats))
     }
@@ -372,14 +349,9 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
         end: u64,
         spec: Option<&AlgoSpec>,
     ) -> Result<BackfillOutcome> {
-        let tenant = self.tenant(plant)?;
-        let storages: Vec<&F::Storage> = tenant
-            .shards()
-            .iter()
-            .map(|s| s.sealed_storage().0)
-            .collect();
+        let (storage, _) = self.tenant(plant)?.stream().sealed_storage();
         hierod_history::backfill(
-            &storages,
+            &[storage],
             self.registry.policy(),
             self.registry.config().stream,
             start,
@@ -395,11 +367,6 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
             .into_iter()
             .map(|id| PlantHealth {
                 id: id.to_string(),
-                shards: self
-                    .registry
-                    .tenant(id)
-                    .map(|t| t.shard_count() as u32)
-                    .unwrap_or(0),
                 recovery: self.recoveries.get(id).copied().unwrap_or_default(),
             })
             .collect();
@@ -509,8 +476,16 @@ mod tests {
         assert!(health.ready());
         assert_eq!(health.live.len(), 1);
         assert_eq!(health.live[0].id, "plant-a");
-        assert_eq!(health.live[0].shards, 1);
         assert_eq!(health.failed.len(), 0);
+
+        // A plant laid out with two shard directories is parked, not
+        // opened on half its lanes: the deployment is not ready.
+        let factory = MemFactory::new();
+        factory.open_shard("old", 1).unwrap();
+        let svc =
+            RegistryService::open(factory, AlgorithmPolicy::default(), TenantConfig::default())
+                .unwrap();
+        assert!(!svc.health().ready());
     }
 
     #[test]
@@ -523,6 +498,8 @@ mod tests {
         assert_eq!(svc.stats("p").unwrap().samples_ingested, 32);
         let lanes = svc.lane_stats("p").unwrap();
         assert_eq!(lanes.len(), 2, "phase lane + environment lane");
+        assert_eq!(svc.stats("p").unwrap(), svc.tick("p").unwrap().stats);
+        assert_eq!(lanes, svc.tick("p").unwrap().lane_stats);
         let via_service = svc.finish("p").unwrap();
         assert!(svc.plants().is_empty());
         assert!(svc.finish("p").is_err());
@@ -568,8 +545,7 @@ mod tests {
         let compaction = svc
             .compact("plant-a", &CompactionOptions::default())
             .unwrap();
-        assert_eq!(compaction.len(), 1, "one shard, one stats row");
-        assert!(compaction.first().is_some_and(|s| s.segments_absorbed > 0));
+        assert!(compaction.segments_absorbed > 0);
         let (lanes, _) = svc.range_scan("plant-a", &everything).unwrap();
         assert_eq!(format!("{lanes:?}"), sealed);
 

@@ -155,9 +155,7 @@ pub struct StreamReport {
 }
 
 /// One machine/job/phase lifecycle event in value form — the common
-/// currency of the durability WAL, the shard runtime (controls are
-/// broadcast to every shard so all shard detectors hold congruent
-/// skeletons), and the tenant registry.
+/// currency of the durability WAL, the tenant registry, and the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlEvent {
     /// A machine comes online with its sensor inventory.
@@ -387,13 +385,7 @@ impl Pipeline {
         late: u64,
         dups: u64,
     ) {
-        for (&t, &v) in timestamps.iter().zip(values.iter()) {
-            self.timestamps.push(t);
-            self.values.push(v);
-            if !self.failed && self.scorer.push(t, v, &mut self.scored).is_err() {
-                self.failed = true;
-            }
-        }
+        self.absorb_released(timestamps.iter().copied().zip(values.iter().copied()));
         let stats = LatenessStats {
             late_dropped: late as usize,
             duplicates_dropped: dups as usize,
@@ -411,7 +403,7 @@ impl Pipeline {
     fn offer(&mut self, ts: u64, value: f64, scratch: &mut Vec<(u64, f64)>) {
         scratch.clear();
         self.watermark.offer(ts, value, scratch);
-        self.absorb_released(scratch);
+        self.absorb_released(scratch.iter().copied());
     }
 
     /// Flushes the watermark and finishes the scorer (phase boundary or
@@ -422,15 +414,15 @@ impl Pipeline {
         }
         scratch.clear();
         self.watermark.flush(scratch);
-        self.absorb_released(scratch);
+        self.absorb_released(scratch.iter().copied());
         if !self.failed && self.scorer.finish(&mut self.scored).is_err() {
             self.failed = true;
         }
         self.finished = true;
     }
 
-    fn absorb_released(&mut self, released: &[(u64, f64)]) {
-        for &(t, v) in released {
+    fn absorb_released(&mut self, released: impl Iterator<Item = (u64, f64)>) {
+        for (t, v) in released {
             self.timestamps.push(t);
             self.values.push(v);
             if !self.failed && self.scorer.push(t, v, &mut self.scored).is_err() {
@@ -445,16 +437,12 @@ impl Pipeline {
     }
 }
 
-/// One executed (or executing) phase: its kind and per-sensor pipeline
-/// slots in declaration order (which is the plant's series order, so the
-/// materialized view ordering matches batch). A slot is `None` when the
-/// sensor's lane hashes to a different shard: every shard keeps the full
-/// declaration skeleton — same machines, jobs, phases, and slot order —
-/// and owns only the pipelines of its own lanes, which is what makes the
-/// fixed-order shard merge structurally trivial and deterministic.
+/// One executed (or executing) phase: its kind and per-sensor pipelines
+/// in declaration order (which is the plant's series order, so the
+/// materialized view ordering matches batch).
 struct PhaseState {
     kind: PhaseKind,
-    pipes: Vec<(String, Option<Pipeline>)>,
+    pipes: Vec<(String, Pipeline)>,
 }
 
 /// One job's event-sourced state; `caq: None` marks it still open.
@@ -471,9 +459,9 @@ struct MachineState {
     sensors: Vec<Sensor>,
     redundancy: Vec<RedundancyGroup>,
     jobs: Vec<JobState>,
-    /// Environment pipeline slots, continuous across jobs, in declaration
-    /// order; `None` for lanes owned by a different shard.
-    env: Vec<(String, Option<Pipeline>)>,
+    /// Environment pipelines, continuous across jobs, in declaration
+    /// order.
+    env: Vec<(String, Pipeline)>,
 }
 
 impl MachineState {
@@ -490,11 +478,6 @@ pub struct StreamDetector {
     policy: AlgorithmPolicy,
     config: StreamConfig,
     phase_algo: PointAlgo,
-    /// `Some((index, count))` when this detector is one shard of a set:
-    /// it applies every control event (keeping the skeleton congruent
-    /// with its siblings) but opens pipelines only for lanes whose
-    /// machine×sensor hash lands on `index`.
-    shard: Option<(usize, usize)>,
     /// Machines in arrival order (plant line order).
     machines: Vec<(String, MachineState)>,
     scratch: Vec<(u64, f64)>,
@@ -523,37 +506,6 @@ impl StreamDetector {
     /// across completed jobs and have no per-sample online form; use the
     /// batch pipeline for profile mode.
     pub fn new(policy: AlgorithmPolicy, config: StreamConfig) -> Result<Self> {
-        Self::with_shard(policy, config, None)
-    }
-
-    /// Creates shard `index` of a set of `count` detectors: structurally
-    /// identical to [`StreamDetector::new`] but only lanes with
-    /// [`shard_of(machine, sensor, count)`](crate::shard::shard_of)` ==
-    /// index` get pipelines. Control events must be broadcast to every
-    /// shard of the set, in the same order.
-    ///
-    /// # Errors
-    /// As [`StreamDetector::new`], plus `index >= count`.
-    pub fn new_shard(
-        policy: AlgorithmPolicy,
-        config: StreamConfig,
-        index: usize,
-        count: usize,
-    ) -> Result<Self> {
-        if index >= count {
-            return Err(DetectError::invalid(
-                "shard",
-                format!("shard index {index} out of range for {count} shards"),
-            ));
-        }
-        Self::with_shard(policy, config, Some((index, count)))
-    }
-
-    fn with_shard(
-        policy: AlgorithmPolicy,
-        config: StreamConfig,
-        shard: Option<(usize, usize)>,
-    ) -> Result<Self> {
         let PhaseChoice::PerSeries(phase_algo) = policy.phase else {
             return Err(DetectError::invalid(
                 "policy.phase",
@@ -564,7 +516,6 @@ impl StreamDetector {
             policy,
             config,
             phase_algo,
-            shard,
             machines: Vec::new(),
             scratch: Vec::new(),
             samples_ingested: 0,
@@ -609,18 +560,9 @@ impl StreamDetector {
         self.build_bare_scorer(algo)
     }
 
-    /// Whether this detector owns the pipeline of `machine`×`sensor`
-    /// (always true for an unsharded detector).
-    fn owns(&self, machine: &str, sensor: &str) -> bool {
-        match self.shard {
-            None => true,
-            Some((index, count)) => crate::shard::shard_of(machine, sensor, count) == index,
-        }
-    }
-
     /// Applies one lifecycle event — the one control entry point, shared
-    /// by direct drivers, the durability WAL replay, the shard broadcast
-    /// path, and the tenant registry.
+    /// by direct drivers, the durability WAL replay, and the tenant
+    /// registry.
     ///
     /// # Errors
     /// * [`ControlEvent::MachineUp`]: a machine id registered twice;
@@ -668,12 +610,8 @@ impl StreamDetector {
                 format!("machine {machine} already registered"),
             ));
         }
-        let env = self.open_pipelines(
-            machine,
-            env_sensors,
-            self.policy.environment,
-            LaneKind::Environment,
-        )?;
+        let env =
+            self.open_pipelines(env_sensors, self.policy.environment, LaneKind::Environment)?;
         self.machines.push((
             machine.to_string(),
             MachineState {
@@ -715,7 +653,7 @@ impl StreamDetector {
     /// previous phase's pipelines (their watermarks flush and their
     /// scorers finish).
     fn phase_start(&mut self, machine: &str, kind: PhaseKind, sensors: &[String]) -> Result<()> {
-        let pipes = self.open_pipelines(machine, sensors, self.phase_algo, LaneKind::Phase)?;
+        let pipes = self.open_pipelines(sensors, self.phase_algo, LaneKind::Phase)?;
         self.close_open_phase(machine)?
             .phases
             .push(PhaseState { kind, pipes });
@@ -729,25 +667,18 @@ impl StreamDetector {
         Ok(())
     }
 
-    /// One pipeline slot per sensor, in declaration order; `None` for
-    /// lanes another shard owns.
+    /// One pipeline per sensor, in declaration order.
     fn open_pipelines(
         &self,
-        machine: &str,
         sensors: &[String],
         algo: PointAlgo,
         kind: LaneKind,
-    ) -> Result<Vec<(String, Option<Pipeline>)>> {
+    ) -> Result<Vec<(String, Pipeline)>> {
         sensors
             .iter()
             .map(|name| {
-                let pipe = if self.owns(machine, name) {
-                    let scorer = self.build_scorer(algo, kind)?;
-                    Some(Pipeline::new(self.config.lateness, scorer))
-                } else {
-                    None
-                };
-                Ok((name.clone(), pipe))
+                let scorer = self.build_scorer(algo, kind)?;
+                Ok((name.clone(), Pipeline::new(self.config.lateness, scorer)))
             })
             .collect()
     }
@@ -764,7 +695,7 @@ impl StreamDetector {
                 what: format!("open job on machine {machine}"),
             })?;
         if let Some(phase) = job.phases.last_mut() {
-            for pipe in phase.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
+            for (_, pipe) in &mut phase.pipes {
                 pipe.finish(scratch);
             }
         }
@@ -801,22 +732,13 @@ impl StreamDetector {
             });
         };
         let pipe = match lane.kind {
-            LaneKind::Environment => m
-                .env
-                .iter_mut()
-                .find(|(n, _)| *n == lane.sensor)
-                .and_then(|(_, p)| p.as_mut()),
+            LaneKind::Environment => m.env.iter_mut().find(|(n, _)| *n == lane.sensor),
             LaneKind::Phase => m
                 .open_job_mut()
                 .and_then(|j| j.phases.last_mut())
-                .and_then(|p| {
-                    p.pipes
-                        .iter_mut()
-                        .find(|(n, _)| *n == lane.sensor)
-                        .and_then(|(_, p)| p.as_mut())
-                }),
+                .and_then(|p| p.pipes.iter_mut().find(|(n, _)| *n == lane.sensor)),
         };
-        let Some(pipe) = pipe else {
+        let Some((_, pipe)) = pipe else {
             return Err(DetectError::Missing {
                 what: format!("open pipeline for lane {}", lane.sensor),
             });
@@ -826,13 +748,52 @@ impl StreamDetector {
         Ok(())
     }
 
+    /// Every open-or-closed pipeline with its lane coordinates (machine,
+    /// sensor, kind), in plant order: each machine's environment
+    /// pipelines first, then its jobs' phases in execution order.
+    fn pipelines(&self) -> impl Iterator<Item = (&str, &str, LaneKind, &Pipeline)> {
+        self.machines.iter().flat_map(|(machine, m)| {
+            let env = m.env.iter().map(|(n, p)| (LaneKind::Environment, n, p));
+            let phases = m
+                .jobs
+                .iter()
+                .flat_map(|job| &job.phases)
+                .flat_map(|phase| &phase.pipes)
+                .map(|(n, p)| (LaneKind::Phase, n, p));
+            env.chain(phases)
+                .map(move |(kind, n, p)| (machine.as_str(), n.as_str(), kind, p))
+        })
+    }
+
+    /// The mutable walk, same order as [`pipelines`](Self::pipelines).
+    /// The durability layer iterates this to seal rotation chunks and to
+    /// tag/restore pipelines.
+    pub(crate) fn pipelines_mut(&mut self) -> impl Iterator<Item = PipeSlot<'_>> {
+        self.machines.iter_mut().flat_map(|(machine, m)| {
+            let env = m.env.iter_mut().map(|(n, p)| (LaneKind::Environment, n, p));
+            let phases = m
+                .jobs
+                .iter_mut()
+                .flat_map(|job| &mut job.phases)
+                .flat_map(|phase| &mut phase.pipes)
+                .map(|(n, p)| (LaneKind::Phase, n, p));
+            let machine = machine.as_str();
+            env.chain(phases).map(move |(kind, n, pipe)| PipeSlot {
+                machine,
+                sensor: n,
+                kind,
+                pipe,
+            })
+        })
+    }
+
     /// Current ingestion counters.
     pub fn stats(&self) -> StreamStats {
         let mut stats = StreamStats {
             samples_ingested: self.samples_ingested,
             ..StreamStats::default()
         };
-        let mut tally = |pipe: &Pipeline| {
+        for (_, _, _, pipe) in self.pipelines() {
             stats.samples_released += pipe.timestamps.len() as u64;
             let w = pipe.watermark.stats();
             stats.late_dropped += w.late_dropped as u64;
@@ -842,18 +803,6 @@ impl StreamDetector {
             }
             stats.drift_events += pipe.scorer.drift_events();
             stats.refits += pipe.scorer.refits();
-        };
-        for (_, m) in &self.machines {
-            for pipe in m.env.iter().filter_map(|(_, p)| p.as_ref()) {
-                tally(pipe);
-            }
-            for job in &m.jobs {
-                for phase in &job.phases {
-                    for pipe in phase.pipes.iter().filter_map(|(_, p)| p.as_ref()) {
-                        tally(pipe);
-                    }
-                }
-            }
         }
         stats
     }
@@ -862,7 +811,7 @@ impl StreamDetector {
     /// (open or closed) the lane ever fed.
     pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
         let mut out: BTreeMap<LaneId, LaneStats> = BTreeMap::new();
-        let mut tally = |machine: &str, sensor: &str, kind: LaneKind, pipe: &Pipeline| {
+        for (machine, sensor, kind, pipe) in self.pipelines() {
             let entry = out
                 .entry(LaneId {
                     machine: machine.to_string(),
@@ -876,59 +825,8 @@ impl StreamDetector {
             entry.duplicates_dropped += w.duplicates_dropped as u64;
             entry.drift_events += pipe.scorer.drift_events();
             entry.refits += pipe.scorer.refits();
-        };
-        for (machine, m) in &self.machines {
-            for (name, pipe) in m.env.iter().filter_map(|(n, p)| Some((n, p.as_ref()?))) {
-                tally(machine, name, LaneKind::Environment, pipe);
-            }
-            for job in &m.jobs {
-                for phase in &job.phases {
-                    for (name, pipe) in phase
-                        .pipes
-                        .iter()
-                        .filter_map(|(n, p)| Some((n, p.as_ref()?)))
-                    {
-                        tally(machine, name, LaneKind::Phase, pipe);
-                    }
-                }
-            }
         }
         out
-    }
-
-    /// Every open-or-closed pipeline with its lane coordinates, in plant
-    /// order: each machine's environment pipelines first, then its jobs'
-    /// phases in execution order. The durability layer iterates this to
-    /// seal rotation chunks and to tag/restore pipelines.
-    pub(crate) fn pipelines_mut(&mut self) -> Vec<PipeSlot<'_>> {
-        let mut slots = Vec::new();
-        for (machine, m) in self.machines.iter_mut() {
-            for (name, pipe) in m.env.iter_mut().filter_map(|(n, p)| Some((n, p.as_mut()?))) {
-                slots.push(PipeSlot {
-                    machine,
-                    sensor: name,
-                    kind: LaneKind::Environment,
-                    pipe,
-                });
-            }
-            for job in m.jobs.iter_mut() {
-                for phase in job.phases.iter_mut() {
-                    for (name, pipe) in phase
-                        .pipes
-                        .iter_mut()
-                        .filter_map(|(n, p)| Some((n, p.as_mut()?)))
-                    {
-                        slots.push(PipeSlot {
-                            machine,
-                            sensor: name,
-                            kind: LaneKind::Phase,
-                            pipe,
-                        });
-                    }
-                }
-            }
-        }
-        slots
     }
 
     /// Credits samples that were ingested before a crash and restored from
@@ -948,7 +846,21 @@ impl StreamDetector {
     /// # Errors
     /// Propagates upper-level detector failures.
     pub fn tick(&self) -> Result<StreamReport> {
-        self.assemble()
+        let plant = self.materialize();
+        let mut detections = BTreeMap::new();
+        for level in [Level::Phase, Level::Environment] {
+            detections.insert(level, self.emit_level(&plant, level));
+        }
+        for level in [Level::Job, Level::ProductionLine, Level::Production] {
+            detections.insert(level, detect_level(&plant, level, &self.policy)?);
+        }
+        let report = build_report(&plant, Level::Phase, &detections, &self.policy)?;
+        Ok(StreamReport {
+            detections,
+            report,
+            stats: self.stats(),
+            lane_stats: self.lane_stats(),
+        })
     }
 
     /// Flushes every watermark, finishes every scorer, and assembles the
@@ -959,31 +871,82 @@ impl StreamDetector {
     /// Propagates upper-level detector failures.
     pub fn finish(mut self) -> Result<StreamReport> {
         self.finalize_pipelines();
-        self.assemble()
+        self.tick()
     }
 
     /// Flushes every watermark and finishes every scorer without
-    /// assembling. A multi-shard `Tenant` runs this per shard before the
-    /// merged assembly.
+    /// assembling.
     pub(crate) fn finalize_pipelines(&mut self) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        for (_, m) in self.machines.iter_mut() {
-            for pipe in m.env.iter_mut().filter_map(|(_, p)| p.as_mut()) {
-                pipe.finish(&mut scratch);
-            }
-            for job in m.jobs.iter_mut() {
-                for phase in job.phases.iter_mut() {
-                    for pipe in phase.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
-                        pipe.finish(&mut scratch);
-                    }
-                }
-            }
+        for slot in self.pipelines_mut() {
+            slot.pipe.finish(&mut scratch);
         }
         self.scratch = scratch;
     }
 
-    fn assemble(&self) -> Result<StreamReport> {
-        assemble_multi(&[self])
+    /// Materializes the released state as a [`Plant`]. Only completed
+    /// jobs (CAQ present) are included — their feature vectors would
+    /// otherwise change dimension mid-job and poison the line-level
+    /// series.
+    fn materialize(&self) -> Plant {
+        let series_of = |pipes: &[(String, Pipeline)]| {
+            pipes
+                .iter()
+                .filter_map(|(name, pipe)| pipe.series(name))
+                .collect()
+        };
+        let lines = self
+            .machines
+            .iter()
+            .map(|(machine_id, m)| ProductionLine {
+                machine_id: machine_id.clone(),
+                sensors: m.sensors.clone(),
+                redundancy: m.redundancy.clone(),
+                jobs: m
+                    .jobs
+                    .iter()
+                    .filter_map(|j| {
+                        let caq = j.caq.clone()?;
+                        let phases = j
+                            .phases
+                            .iter()
+                            .map(|p| Phase::new(p.kind, series_of(&p.pipes), Vec::new()))
+                            .collect();
+                        Some(Job {
+                            id: j.id.clone(),
+                            start: j.start,
+                            config: j.config.clone(),
+                            phases,
+                            caq,
+                        })
+                    })
+                    .collect(),
+                environment: Environment::new(series_of(&m.env)),
+            })
+            .collect();
+        Plant::new("streamed-plant", lines)
+    }
+
+    /// Builds the phase or environment detections from pipeline scores,
+    /// iterating the materialized plant's level view so the result order
+    /// is exactly the batch order. Series whose scorer failed or whose
+    /// scores are not yet complete (open phase in batch-equivalent mode)
+    /// are skipped — the batch path skips unscorable series the same way.
+    fn emit_level(&self, plant: &Plant, level: Level) -> LevelDetections {
+        let view = LevelView::extract(plant, level);
+        let mut det = LevelDetections::empty(level);
+        let threshold = self.policy.threshold(level);
+        for at in &view.series {
+            let Some(pipe) = self.pipeline_for(at) else {
+                continue;
+            };
+            if pipe.failed || pipe.scored.len() != at.series.len() {
+                continue;
+            }
+            let raw: Vec<f64> = pipe.scored.iter().map(|p| p.score).collect();
+            emit_series(plant, level, threshold, at, &raw, false, &mut det);
+        }
+        det
     }
 
     fn pipeline_for(&self, at: &SeriesAt) -> Option<&Pipeline> {
@@ -1002,14 +965,10 @@ impl StreamDetector {
                 .find(|p| p.kind == kind)?
                 .pipes
                 .iter()
-                .find(|(n, _)| n == at.series.name())
-                .and_then(|(_, p)| p.as_ref()),
-            _ => m
-                .env
-                .iter()
-                .find(|(n, _)| n == at.series.name())
-                .and_then(|(_, p)| p.as_ref()),
+                .find(|(n, _)| n == at.series.name()),
+            _ => m.env.iter().find(|(n, _)| n == at.series.name()),
         }
+        .map(|(_, pipe)| pipe)
     }
 
     /// Builds the online scorer for a point algorithm under the configured
@@ -1053,218 +1012,6 @@ fn find_machine<'a>(
         .ok_or_else(|| DetectError::Missing {
             what: format!("machine {machine}"),
         })
-}
-
-/// Assembles one merged [`StreamReport`] from a fixed-order slice of
-/// shard detectors (a single unsharded detector is the 1-shard case).
-///
-/// Determinism and equivalence argument: every shard received the same
-/// control sequence, so all skeletons are congruent — same machines,
-/// jobs, phases, and pipeline slots in the same order — and each slot is
-/// `Some` in exactly one shard (the lane's hash owner). The merge
-/// therefore walks the first shard's skeleton and fills each slot from
-/// its unique owner: no ordering decision depends on thread timing, and
-/// the materialized plant, detections, and Algorithm-1 report are
-/// byte-identical to the unsharded run, whose pipelines saw the exact
-/// same per-lane sample sequences.
-///
-/// # Errors
-/// Invalid when the shard skeletons diverge (control events were not
-/// broadcast identically); propagates upper-level detector failures.
-pub(crate) fn assemble_multi(shards: &[&StreamDetector]) -> Result<StreamReport> {
-    let Some(first) = shards.first() else {
-        return Err(DetectError::invalid("shards", "empty shard set"));
-    };
-    for (i, other) in shards.iter().enumerate().skip(1) {
-        if !skeletons_congruent(first, other) {
-            return Err(DetectError::invalid(
-                "shards",
-                format!("shard {i} skeleton diverges from shard 0"),
-            ));
-        }
-    }
-    let plant = materialize_multi(shards);
-    let policy = &first.policy;
-    let mut detections = BTreeMap::new();
-    detections.insert(Level::Phase, emit_level_multi(shards, &plant, Level::Phase));
-    detections.insert(
-        Level::Environment,
-        emit_level_multi(shards, &plant, Level::Environment),
-    );
-    for level in [Level::Job, Level::ProductionLine, Level::Production] {
-        detections.insert(level, detect_level(&plant, level, policy)?);
-    }
-    let report = build_report(&plant, Level::Phase, &detections, policy)?;
-    let mut stats = StreamStats::default();
-    let mut lane_stats: BTreeMap<LaneId, LaneStats> = BTreeMap::new();
-    for shard in shards {
-        let s = shard.stats();
-        stats.samples_ingested += s.samples_ingested;
-        stats.samples_released += s.samples_released;
-        stats.late_dropped += s.late_dropped;
-        stats.duplicates_dropped += s.duplicates_dropped;
-        stats.series_failed += s.series_failed;
-        stats.corrupt_records += s.corrupt_records;
-        stats.drift_events += s.drift_events;
-        stats.refits += s.refits;
-        for (lane, l) in shard.lane_stats() {
-            let entry = lane_stats.entry(lane).or_default();
-            entry.released += l.released;
-            entry.late_dropped += l.late_dropped;
-            entry.duplicates_dropped += l.duplicates_dropped;
-            entry.corrupt_records += l.corrupt_records;
-            entry.drift_events += l.drift_events;
-            entry.refits += l.refits;
-        }
-    }
-    Ok(StreamReport {
-        detections,
-        report,
-        stats,
-        lane_stats,
-    })
-}
-
-/// Structural congruence of two shard skeletons: same machines, jobs,
-/// phases, and pipeline slot names in the same order. Pipeline contents
-/// are deliberately not compared — slots differ by ownership.
-fn skeletons_congruent(a: &StreamDetector, b: &StreamDetector) -> bool {
-    a.machines.len() == b.machines.len()
-        && a.machines
-            .iter()
-            .zip(&b.machines)
-            .all(|((ida, ma), (idb, mb))| {
-                ida == idb
-                    && ma.env.len() == mb.env.len()
-                    && ma
-                        .env
-                        .iter()
-                        .zip(&mb.env)
-                        .all(|((na, _), (nb, _))| na == nb)
-                    && ma.jobs.len() == mb.jobs.len()
-                    && ma.jobs.iter().zip(&mb.jobs).all(|(ja, jb)| {
-                        ja.id == jb.id
-                            && ja.caq.is_some() == jb.caq.is_some()
-                            && ja.phases.len() == jb.phases.len()
-                            && ja.phases.iter().zip(&jb.phases).all(|(pa, pb)| {
-                                pa.kind == pb.kind
-                                    && pa.pipes.len() == pb.pipes.len()
-                                    && pa
-                                        .pipes
-                                        .iter()
-                                        .zip(&pb.pipes)
-                                        .all(|((na, _), (nb, _))| na == nb)
-                            })
-                    })
-            })
-}
-
-/// The pipeline owning phase slot `(machine, job, phase, pipe)` across the
-/// shard set — `None` when no shard released anything into it yet.
-fn phase_pipe_at<'a>(
-    shards: &[&'a StreamDetector],
-    mi: usize,
-    ji: usize,
-    pi: usize,
-    ki: usize,
-) -> Option<&'a Pipeline> {
-    shards.iter().find_map(|d| {
-        d.machines
-            .get(mi)?
-            .1
-            .jobs
-            .get(ji)?
-            .phases
-            .get(pi)?
-            .pipes
-            .get(ki)?
-            .1
-            .as_ref()
-    })
-}
-
-/// The pipeline owning environment slot `(machine, pipe)` across the set.
-fn env_pipe_at<'a>(shards: &[&'a StreamDetector], mi: usize, ki: usize) -> Option<&'a Pipeline> {
-    shards
-        .iter()
-        .find_map(|d| d.machines.get(mi)?.1.env.get(ki)?.1.as_ref())
-}
-
-/// Materializes the released state of a shard set as a [`Plant`], walking
-/// the first shard's skeleton and filling every slot from its owner. Only
-/// completed jobs (CAQ present) are included — their feature vectors would
-/// otherwise change dimension mid-job and poison the line-level series.
-fn materialize_multi(shards: &[&StreamDetector]) -> Plant {
-    let Some(first) = shards.first() else {
-        return Plant::new("streamed-plant", Vec::new());
-    };
-    let mut lines = Vec::with_capacity(first.machines.len());
-    for (mi, (machine_id, m)) in first.machines.iter().enumerate() {
-        let mut jobs = Vec::new();
-        for (ji, j) in m.jobs.iter().enumerate() {
-            let Some(caq) = &j.caq else { continue };
-            let mut phases = Vec::with_capacity(j.phases.len());
-            for (pi, p) in j.phases.iter().enumerate() {
-                let series = p
-                    .pipes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(ki, (name, _))| {
-                        phase_pipe_at(shards, mi, ji, pi, ki).and_then(|pipe| pipe.series(name))
-                    })
-                    .collect();
-                phases.push(Phase::new(p.kind, series, Vec::new()));
-            }
-            jobs.push(Job {
-                id: j.id.clone(),
-                start: j.start,
-                config: j.config.clone(),
-                phases,
-                caq: caq.clone(),
-            });
-        }
-        let env_series = m
-            .env
-            .iter()
-            .enumerate()
-            .filter_map(|(ki, (name, _))| {
-                env_pipe_at(shards, mi, ki).and_then(|pipe| pipe.series(name))
-            })
-            .collect();
-        lines.push(ProductionLine {
-            machine_id: machine_id.clone(),
-            sensors: m.sensors.clone(),
-            redundancy: m.redundancy.clone(),
-            jobs,
-            environment: Environment::new(env_series),
-        });
-    }
-    Plant::new("streamed-plant", lines)
-}
-
-/// Builds the phase or environment detections from pipeline scores,
-/// iterating the materialized plant's level view so the result order is
-/// exactly the batch order. Each series' pipeline lives in exactly one
-/// shard; series whose scorer failed or whose scores are not yet complete
-/// (open phase in batch-equivalent mode) are skipped — the batch path
-/// skips unscorable series the same way.
-fn emit_level_multi(shards: &[&StreamDetector], plant: &Plant, level: Level) -> LevelDetections {
-    let view = LevelView::extract(plant, level);
-    let mut det = LevelDetections::empty(level);
-    let Some(threshold) = shards.first().map(|d| d.policy.threshold(level)) else {
-        return det;
-    };
-    for at in &view.series {
-        let Some(pipe) = shards.iter().find_map(|d| d.pipeline_for(at)) else {
-            continue;
-        };
-        if pipe.failed || pipe.scored.len() != at.series.len() {
-            continue;
-        }
-        let raw: Vec<f64> = pipe.scored.iter().map(|p| p.score).collect();
-        emit_series(plant, level, threshold, at, &raw, false, &mut det);
-    }
-    det
 }
 
 #[cfg(test)]

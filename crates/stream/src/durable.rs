@@ -145,46 +145,8 @@ impl<S: Storage> DurableStream<S> {
         storage: S,
         options: StoreOptions,
     ) -> Result<(Self, DurableRecovery)> {
-        Self::open_with(policy, config, storage, options, None)
-    }
-
-    /// Opens (or recovers) shard `index` of a set of `count` durable
-    /// detectors — see [`StreamDetector::new_shard`]. Each shard journals
-    /// to its **own** storage: its WAL carries the broadcast control
-    /// events plus only the samples of lanes it owns, so shard recoveries
-    /// are fully independent of each other.
-    ///
-    /// # Errors
-    /// As [`DurableStream::open`], plus `index >= count`.
-    pub fn open_shard(
-        policy: AlgorithmPolicy,
-        config: StreamConfig,
-        storage: S,
-        options: StoreOptions,
-        index: usize,
-        count: usize,
-    ) -> Result<(Self, DurableRecovery)> {
-        if index >= count {
-            return Err(DetectError::invalid(
-                "shard",
-                format!("shard index {index} out of range for {count} shards"),
-            ));
-        }
-        Self::open_with(policy, config, storage, options, Some((index, count)))
-    }
-
-    fn open_with(
-        policy: AlgorithmPolicy,
-        config: StreamConfig,
-        storage: S,
-        options: StoreOptions,
-        shard: Option<(usize, usize)>,
-    ) -> Result<(Self, DurableRecovery)> {
         let (store, recovered) = Store::open(storage, options).map_err(substrate)?;
-        let mut inner = match shard {
-            None => StreamDetector::new(policy, config)?,
-            Some((index, count)) => StreamDetector::new_shard(policy, config, index, count)?,
-        };
+        let mut inner = StreamDetector::new(policy, config)?;
         let mut lanes: Vec<Option<LaneId>> = Vec::new();
         let mut next_seq = 1_u64;
         let mut delivered: BTreeMap<LaneId, u64> = BTreeMap::new();
@@ -441,26 +403,20 @@ impl<S: Storage> DurableStream<S> {
     pub fn tick(&mut self) -> Result<StreamReport> {
         self.store.commit().map_err(substrate)?;
         let mut report = self.inner.tick()?;
-        self.patch_report(&mut report);
+        report.stats.corrupt_records = self.corrupt_records;
+        self.add_corrupt_lanes(&mut report.lane_stats);
         Ok(report)
     }
 
-    /// Hard-commits the WAL, then finalizes every pipeline and
-    /// assembles the final report.
+    /// Finalizes every pipeline (watermarks flush, scorers finish), then
+    /// hard-commits the WAL and assembles the final report.
     ///
     /// # Errors
     /// Storage failures as [`DetectError::Substrate`]; upper-level
     /// detector failures as in [`StreamDetector::finish`].
     pub fn finish(mut self) -> Result<StreamReport> {
-        self.store.commit().map_err(substrate)?;
-        let corrupt = self.corrupt_records;
-        let by_lane = std::mem::take(&mut self.corrupt_by_lane);
-        let mut report = self.inner.finish()?;
-        report.stats.corrupt_records = corrupt;
-        for (lane, n) in by_lane {
-            report.lane_stats.entry(lane).or_default().corrupt_records = n;
-        }
-        Ok(report)
+        self.inner.finalize_pipelines();
+        self.tick()
     }
 
     /// Seals everything released so far into an immutable columnar
@@ -551,34 +507,6 @@ impl<S: Storage> DurableStream<S> {
         self.store.rotate(&draft, &carry).map_err(substrate)
     }
 
-    /// Folds this stream's recovery corruption counters into `report`.
-    /// Accumulating (`+=`) so a merged multi-shard report can be patched
-    /// by every shard in turn — shard lane sets are disjoint.
-    pub(crate) fn patch_report(&self, report: &mut StreamReport) {
-        report.stats.corrupt_records += self.corrupt_records;
-        for (lane, &n) in &self.corrupt_by_lane {
-            report
-                .lane_stats
-                .entry(lane.clone())
-                .or_default()
-                .corrupt_records += n;
-        }
-    }
-
-    /// Hard-commits the WAL so everything journalled is durable.
-    pub(crate) fn commit_wal(&mut self) -> Result<()> {
-        self.store.commit().map_err(substrate)
-    }
-
-    /// Hard-commits the WAL, then flushes every watermark and finishes
-    /// every scorer — the per-shard half of a merged multi-shard finish
-    /// (the tenant layer assembles across shards afterwards).
-    pub(crate) fn finalize_pipelines(&mut self) -> Result<()> {
-        self.commit_wal()?;
-        self.inner.finalize_pipelines();
-        Ok(())
-    }
-
     /// Current counters, with recovery corruption folded in.
     pub fn stats(&self) -> StreamStats {
         let mut stats = self.inner.stats();
@@ -591,10 +519,14 @@ impl<S: Storage> DurableStream<S> {
     /// this never runs detection, so operators can poll it cheaply.
     pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
         let mut out = self.inner.lane_stats();
-        for (lane, &n) in &self.corrupt_by_lane {
-            out.entry(lane.clone()).or_default().corrupt_records += n;
-        }
+        self.add_corrupt_lanes(&mut out);
         out
+    }
+
+    fn add_corrupt_lanes(&self, lane_stats: &mut BTreeMap<LaneId, LaneStats>) {
+        for (lane, &n) in &self.corrupt_by_lane {
+            lane_stats.entry(lane.clone()).or_default().corrupt_records += n;
+        }
     }
 
     /// Per-lane count of samples made durable (journalled, whether or

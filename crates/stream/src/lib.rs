@@ -22,12 +22,10 @@
 //!   every accepted sample and control event crash-durable; on restart it
 //!   rebuilds the exact pre-crash detector state from segments plus the
 //!   WAL tail (the fault-injection suite pins crash-equivalence).
-//! * [`shard`] — the shard partition contract: N shard-scoped detectors
-//!   keyed by a stable machine×sensor hash, merged in fixed order into
-//!   one report byte-identical to the single-shard run.
 //! * [`tenant`] — multi-plant tenancy: a [`PlantRegistry`] hosting N
-//!   independent plants in one process, each with its own shard set and
-//!   per-tenant durable directory, recovered in isolation.
+//!   independent plants in one process, each a [`Tenant`] holding one
+//!   [`DurableStream`] under its own durable directory, recovered in
+//!   isolation.
 //! * [`codec`] — the public value ↔ byte codecs for lanes and control
 //!   events shared by the durability WAL and the network wire protocol
 //!   (`hierod-wire`): both serialise the same opaque bodies, so a
@@ -41,7 +39,6 @@ pub mod codec;
 pub mod detector;
 pub mod durable;
 pub mod lane;
-pub mod shard;
 pub mod tenant;
 pub mod watermark;
 
@@ -51,6 +48,5 @@ pub use detector::{
 };
 pub use durable::{DurableRecovery, DurableStream};
 pub use lane::{LaneId, LaneKind, Sample};
-pub use shard::shard_of;
-pub use tenant::{PlantRegistry, Tenant, TenantConfig, TenantRecovery};
+pub use tenant::{PlantRegistry, Tenant, TenantConfig};
 pub use watermark::{LatenessStats, Watermark};

@@ -1,14 +1,9 @@
-//! Pins the sharding tentpole guarantee: a single plant streamed
-//! through N shards by the production [`Tenant`] produces a
-//! [`StreamReport`] **byte-identical** (same `Debug` rendering, which
-//! covers every score bit) to the unsharded [`StreamDetector`] run in
-//! `BatchEquivalent` mode, at an interim `tick` as well as at `finish`.
-//!
-//! The argument, verified here end-to-end: controls are broadcast, so
-//! every shard holds a congruent skeleton; each machine×sensor lane is
-//! owned by exactly one shard, so its sample sequence and scorer state
-//! are exactly those of the unsharded run; the merge walks the
-//! skeleton in fixed order filling each slot from its owner.
+//! Pins durable `Tenant` ≡ bare [`StreamDetector`]: a plant streamed
+//! through the production [`Tenant`](hierod_stream::Tenant) — journalled
+//! to its WAL before every mutation — produces a [`StreamReport`]
+//! **byte-identical** (same `Debug` rendering, which covers every score
+//! bit) to the in-memory detector run in `BatchEquivalent` mode, at an
+//! interim `tick` as well as at `finish`.
 
 use hierod_core::AlgorithmPolicy;
 use hierod_store::tenants::MemFactory;
@@ -65,9 +60,8 @@ fn run_unsharded(scenario: &Scenario) -> (String, StreamReport) {
 
 /// The inline driver: the production [`Tenant`] over in-memory storage.
 /// Same return shape as [`run_unsharded`].
-fn run_tenant(scenario: &Scenario, shards: usize) -> (String, StreamReport) {
+fn run_tenant(scenario: &Scenario) -> (String, StreamReport) {
     let tenant_config = TenantConfig {
-        shards,
         stream: config(),
         ..TenantConfig::default()
     };
@@ -90,7 +84,7 @@ fn run_tenant(scenario: &Scenario, shards: usize) -> (String, StreamReport) {
 }
 
 #[test]
-fn sharded_report_is_byte_identical_to_unsharded() {
+fn tenant_report_is_byte_identical_to_bare_detector() {
     let scenario = scenario();
     let (want_tick, baseline) = run_unsharded(&scenario);
     assert!(
@@ -103,13 +97,11 @@ fn sharded_report_is_byte_identical_to_unsharded() {
     );
     let want = format!("{baseline:?}");
     assert_ne!(want_tick, want, "the interim tick must see a partial plant");
-    for shards in [1, 2, 3, 4] {
-        let (tick, report) = run_tenant(&scenario, shards);
-        assert_eq!(tick, want_tick, "Tenant({shards}) tick diverged");
-        assert_eq!(
-            format!("{report:?}"),
-            want,
-            "Tenant({shards}) diverged from unsharded"
-        );
-    }
+    let (tick, report) = run_tenant(&scenario);
+    assert_eq!(tick, want_tick, "Tenant tick diverged");
+    assert_eq!(
+        format!("{report:?}"),
+        want,
+        "Tenant diverged from unsharded"
+    );
 }

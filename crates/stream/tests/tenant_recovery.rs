@@ -7,27 +7,25 @@
 //! * The sibling tenant is entirely unaffected: same recovery counters
 //!   and byte-identical report whether or not its neighbour crashed,
 //!   was corrupted, or failed recovery outright.
-//! * Hard damage (a corrupt sealed segment) parks only the damaged
+//! * Hard damage (a corrupt sealed segment, or a directory an older
+//!   build laid out over several shard journals) parks only the damaged
 //!   tenant in [`PlantRegistry::failed`]; soft damage (a flipped WAL
 //!   bit) is truncated and counted only on the damaged tenant.
-//! * A shard whose storage dies cannot cost its sibling shards their
-//!   group-commit tail: `finish` drives every shard and returns the
-//!   first error.
+//! * A tenant whose storage dies mid-phase fails its own `finish` with
+//!   a typed error; the sibling tenant still finishes byte-identical.
 
 use hierod_core::AlgorithmPolicy;
-use hierod_store::tenants::MemFactory;
+use hierod_detect::DetectError;
+use hierod_store::tenants::{MemFactory, StorageFactory};
 use hierod_store::Storage;
 use hierod_stream::{
-    shard_of, ControlEvent, PlantRegistry, ScorerMode, StreamConfig, StreamEvent, StreamReport,
-    Tenant, TenantConfig,
+    ControlEvent, PlantRegistry, ScorerMode, StreamConfig, StreamEvent, StreamReport, Tenant,
+    TenantConfig,
 };
 use hierod_synth::ScenarioBuilder;
 
-const SHARDS: usize = 2;
-
 fn config() -> TenantConfig {
     TenantConfig {
-        shards: SHARDS,
         stream: StreamConfig {
             lateness: 0,
             mode: ScorerMode::BatchEquivalent,
@@ -82,10 +80,10 @@ fn baseline(steps: &[StreamEvent]) -> String {
     format!("{report:?}")
 }
 
-/// Flips one bit near the durable tail of the first matching file on
-/// one shard of a tenant. Returns the damaged file's name.
+/// Flips one bit near the durable tail of the first matching file of a
+/// tenant. Returns the damaged file's name.
 fn damage(factory: &MemFactory, tenant: &str, prefix: &str) -> String {
-    let storage = factory.storage(tenant, 0).expect("shard 0 storage");
+    let storage = factory.storage(tenant, 0).expect("tenant storage");
     let name = storage
         .list()
         .expect("list")
@@ -130,9 +128,8 @@ fn crashed_tenant_recovers_equivalent_and_sibling_is_untouched() {
     assert_eq!(recovered.tenant_ids(), ["plant-a", "plant-b"]);
     for id in ["plant-a", "plant-b"] {
         let rec = &recoveries[id];
-        assert_eq!(rec.shards.len(), SHARDS, "{id} shard layout");
-        assert_eq!(rec.corrupt_records(), 0, "{id} clean crash");
-        assert!(rec.replayed_samples() + rec.restored_samples() > 0, "{id}");
+        assert_eq!(rec.corrupt_records, 0, "{id} clean crash");
+        assert!(rec.replayed_samples + rec.restored_samples > 0, "{id}");
     }
 
     // The crashed tenant resumes with the undelivered suffix and ends
@@ -181,11 +178,8 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
     let (mut recovered, recoveries) =
         PlantRegistry::open(soft, AlgorithmPolicy::default(), config()).expect("reopen soft");
     assert!(recovered.failed().is_empty());
-    assert!(
-        recoveries["plant-a"].corrupt_records() > 0,
-        "damage detected"
-    );
-    assert_eq!(recoveries["plant-b"].corrupt_records(), 0, "sibling clean");
+    assert!(recoveries["plant-a"].corrupt_records > 0, "damage detected");
+    assert_eq!(recoveries["plant-b"].corrupt_records, 0, "sibling clean");
     let b = recovered.finish_tenant("plant-b").expect("finish b");
     assert_eq!(
         format!("{b:?}"),
@@ -209,55 +203,67 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
         want,
         "plant-b affected by sibling hard failure"
     );
+
+    // Foreign layout: an older build hash-partitioned plant-a over two
+    // journals. Opening `shard-0` alone would drop the other journal's
+    // lanes, so plant-a is parked with its storage untouched.
+    let old = reg.factory().crash_image(false);
+    old.open_shard("plant-a", 1).expect("second shard root");
+    let files = |f: &MemFactory| {
+        f.storage("plant-a", 0)
+            .expect("shard 0")
+            .list()
+            .expect("list")
+    };
+    let before = files(&old);
+    let (mut recovered, recoveries) =
+        PlantRegistry::open(old, AlgorithmPolicy::default(), config()).expect("reopen old");
+    let parked = recovered.failed().get("plant-a").expect("plant-a parked");
+    assert!(
+        parked.contains("plant \"plant-a\" has 2 shard directories; this build reads exactly one"),
+        "{parked}"
+    );
+    assert!(!recoveries.contains_key("plant-a"));
+    assert_eq!(recovered.tenant_ids(), ["plant-b"]);
+    assert_eq!(files(recovered.factory()), before, "storage untouched");
+    let b = recovered.finish_tenant("plant-b").expect("finish b");
+    assert_eq!(format!("{b:?}"), want, "plant-b affected by parked sibling");
 }
 
 #[test]
-fn finish_commits_healthy_shards_past_a_failed_one() {
+fn dead_storage_fails_only_its_own_tenant() {
     let (steps, _) = steps();
-    // Stop inside the last phase, so both shards hold a group-commit
-    // tail of samples no control event has hard-committed yet.
-    let cut = steps
-        .iter()
-        .rposition(|s| matches!(s, StreamEvent::Control(_)))
-        .expect("a final JobComplete");
-    let on_shard = |k: usize| {
-        move |s: &&StreamEvent| {
-            matches!(s, StreamEvent::Sample(lane, _)
-                if shard_of(&lane.machine, &lane.sensor, SHARDS) == k)
-        }
-    };
+    let want = baseline(&steps);
+    // Stop short of the final JobComplete: inside the last phase, with
+    // a group-commit tail no control event has hard-committed yet.
+    let cut = steps.len() - 1;
 
     let mut reg = registry(MemFactory::new());
     drop(reg.create_tenant("plant"));
+    drop(reg.create_tenant("sibling"));
     drive(reg.tenant_mut("plant").expect("plant"), &steps[..cut]);
+    drive(reg.tenant_mut("sibling").expect("sibling"), &steps);
 
-    // Kill shard 0's storage: its next append tears and every later
+    // Kill the tenant's storage: its next append tears and every later
     // operation — including the commit inside finish — fails.
     reg.factory()
         .storage("plant", 0)
-        .expect("shard 0 storage")
+        .expect("tenant storage")
         .set_write_budget(Some(0));
-    let Some(StreamEvent::Sample(lane, sample)) = steps[..cut].iter().rfind(on_shard(0)) else {
-        panic!("shard 0 owns no lane");
+    let Some(StreamEvent::Sample(lane, sample)) = steps[..cut].last() else {
+        panic!("the cut sits mid-phase, behind a sample");
     };
     let tenant = reg.tenant_mut("plant").expect("plant");
     assert!(tenant.ingest(lane, *sample).is_err(), "budget exhausted");
 
-    let err = reg.finish_tenant("plant").expect_err("shard 0 is dead");
+    let err = reg.finish_tenant("plant").expect_err("storage is dead");
+    assert!(matches!(err, DetectError::Substrate(_)), "{err}");
     assert!(err.to_string().contains("write budget"), "{err}");
 
-    // Shard 1 was still hard-committed: every sample it journalled
-    // survives a crash that keeps only fsynced bytes.
-    let (_, recoveries) = PlantRegistry::open(
-        reg.factory().crash_image(false),
-        AlgorithmPolicy::default(),
-        config(),
-    )
-    .expect("reopen");
-    let shard1 = &recoveries["plant"].shards[1];
+    let sibling = reg.finish_tenant("sibling").expect("finish sibling");
     assert_eq!(
-        shard1.restored_samples + shard1.replayed_samples,
-        steps[..cut].iter().filter(on_shard(1)).count() as u64,
-        "shard 1 lost its group-commit tail"
+        format!("{sibling:?}"),
+        want,
+        "sibling affected by a dead neighbour"
     );
 }

@@ -415,7 +415,6 @@ fn put_health(out: &mut Vec<u8>, h: &Health) {
     codec::put_varint(out, h.live.len() as u64);
     for p in &h.live {
         codec::put_str(out, &p.id);
-        codec::put_varint(out, u64::from(p.shards));
         codec::put_varint(out, p.recovery.controls_applied);
         codec::put_varint(out, p.recovery.restored_samples);
         codec::put_varint(out, p.recovery.replayed_samples);
@@ -433,18 +432,13 @@ fn take_health(buf: &mut &[u8]) -> Option<Health> {
     let mut live = Vec::new();
     for _ in 0..n {
         let id = codec::take_str(buf)?;
-        let shards = u32::try_from(codec::take_varint(buf)?).ok()?;
         let recovery = RecoverySummary {
             controls_applied: codec::take_varint(buf)?,
             restored_samples: codec::take_varint(buf)?,
             replayed_samples: codec::take_varint(buf)?,
             corrupt_records: codec::take_varint(buf)?,
         };
-        live.push(PlantHealth {
-            id,
-            shards,
-            recovery,
-        });
+        live.push(PlantHealth { id, recovery });
     }
     let m = codec::take_varint(buf)?;
     let mut failed = Vec::new();

@@ -204,7 +204,6 @@ fn arb_health() -> impl Strategy<Value = Health> {
         prop::collection::vec(
             (
                 arb_str(),
-                any::<u32>(),
                 (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
             ),
             0..3,
@@ -214,9 +213,8 @@ fn arb_health() -> impl Strategy<Value = Health> {
         .prop_map(|(live, failed)| Health {
             live: live
                 .into_iter()
-                .map(|(id, shards, (a, b, c, d))| PlantHealth {
+                .map(|(id, (a, b, c, d))| PlantHealth {
                     id,
-                    shards,
                     recovery: RecoverySummary {
                         controls_applied: a,
                         restored_samples: b,

@@ -107,16 +107,13 @@ fn main() {
 
     // ── compact: absorb the per-rotation segments into per-lane,
     // time-partitioned history files with Gorilla-compressed columns.
-    let stats = svc
+    let s = svc
         .compact(PLANT, &CompactionOptions::default())
         .expect("compact");
-    for (shard, s) in stats.iter().enumerate() {
-        println!(
-            "shard {shard}: absorbed {} segments into {} history file(s), \
-             {} bytes written, floor now {}",
-            s.segments_absorbed, s.l0_files, s.bytes_written, s.floor
-        );
-    }
+    println!(
+        "absorbed {} segments into {} history file(s), {} bytes written, floor now {}",
+        s.segments_absorbed, s.l0_files, s.bytes_written, s.floor
+    );
 
     // ── range scans: chunk min/max pruning keeps cold chunks sealed.
     let (lanes, scan) = svc

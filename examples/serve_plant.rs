@@ -42,7 +42,7 @@ fn sample_at(t: u64) -> f64 {
 }
 
 fn main() {
-    // ── engine + service: the sharded multi-plant registry behind the
+    // ── engine + service: the multi-plant registry behind the
     // PlantService seam, on in-memory storage for a self-contained demo.
     let svc = RegistryService::open(
         MemFactory::new(),
@@ -121,7 +121,7 @@ fn main() {
         .expect("job complete");
 
     // A synchronous detection round: drains the ingest stream, runs
-    // the sharded detector, and versions the plant's report cache.
+    // the detector, and versions the plant's report cache.
     let (version, outliers) = client.tick().expect("tick");
     println!("tick -> report v{version}, {outliers} outlier(s)");
 

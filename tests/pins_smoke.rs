@@ -2,7 +2,7 @@
 //! of each, through the public facade, so the root package's bare
 //! `cargo test` fails when a driver call site bends a pin. The full
 //! suites (crash sweeps, proptests, fuzzing) live in the member crates:
-//! `shard_equivalence`, `store_recovery`, `tenant_recovery`,
+//! `tenant_equivalence`, `store_recovery`, `tenant_recovery`,
 //! `wire_equivalence`, `history_equivalence`, `adapt_equivalence`.
 
 use std::collections::BTreeMap;
@@ -52,7 +52,7 @@ macro_rules! drive {
     }};
 }
 
-/// The reference every pin compares against: the unsharded, in-memory
+/// The reference every pin compares against: the bare, in-memory
 /// detector's finish report, as wire bytes (covers every score bit).
 fn reference(events: &[StreamEvent]) -> Vec<u8> {
     let mut det =
@@ -68,12 +68,8 @@ fn reference(events: &[StreamEvent]) -> Vec<u8> {
     encode_report(&report)
 }
 
-fn registry(factory: MemFactory, shards: usize) -> PlantRegistry<MemFactory> {
-    let config = TenantConfig {
-        shards,
-        ..TenantConfig::default()
-    };
-    PlantRegistry::open(factory, AlgorithmPolicy::default(), config)
+fn registry(factory: MemFactory) -> PlantRegistry<MemFactory> {
+    PlantRegistry::open(factory, AlgorithmPolicy::default(), TenantConfig::default())
         .expect("registry")
         .0
 }
@@ -88,9 +84,9 @@ fn service() -> RegistryService<MemFactory> {
 }
 
 #[test]
-fn shard_equals_unsharded() {
+fn tenant_equals_bare_detector() {
     let events = script(42);
-    let mut reg = registry(MemFactory::new(), 2);
+    let mut reg = registry(MemFactory::new());
     drive!(reg.create_tenant("p").expect("tenant"), &events);
     let report = reg.finish_tenant("p").expect("finish");
     assert_eq!(encode_report(&report), reference(&events));
@@ -100,11 +96,11 @@ fn shard_equals_unsharded() {
 fn crash_recover_equals_uninterrupted() {
     let events = script(42);
     let (before, after) = events.split_at(events.len() / 2);
-    let mut reg = registry(MemFactory::new(), 2);
+    let mut reg = registry(MemFactory::new());
     drive!(reg.create_tenant("p").expect("tenant"), before);
     // The tick is the durability point; the crash keeps fsynced bytes only.
     reg.tenant_mut("p").expect("tenant").tick().expect("tick");
-    let mut reg = registry(reg.factory().crash_image(false), 2);
+    let mut reg = registry(reg.factory().crash_image(false));
     drive!(reg.tenant_mut("p").expect("recovered tenant"), after);
     let report = reg.finish_tenant("p").expect("finish");
     assert_eq!(encode_report(&report), reference(&events));
@@ -113,7 +109,7 @@ fn crash_recover_equals_uninterrupted() {
 #[test]
 fn tenants_are_isolated() {
     let (a, b) = (script(42), script(7));
-    let mut reg = registry(MemFactory::new(), 1);
+    let mut reg = registry(MemFactory::new());
     drop(reg.create_tenant("a"));
     drop(reg.create_tenant("b"));
     // Interleave the two plants' streams event by event.
