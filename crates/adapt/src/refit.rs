@@ -120,8 +120,9 @@ pub struct AdaptiveStream<S: Storage> {
 impl<S: Storage> AdaptiveStream<S> {
     /// Opens (or recovers) a durable stream on `storage` with adaptation
     /// enabled: the stream config is forced to
-    /// [`ScorerMode::Adaptive`] and every pipeline scorer is wrapped in
-    /// a [`DriftingScorer`] built from `monitor`.
+    /// [`ScorerMode::Incremental`] (a refit re-warms a bounded-memory
+    /// scorer from the training window) and every pipeline scorer is
+    /// wrapped in a [`DriftingScorer`] built from `monitor`.
     ///
     /// # Errors
     /// As [`DurableStream::open`].
@@ -133,15 +134,16 @@ impl<S: Storage> AdaptiveStream<S> {
         monitor: MonitorSpec,
         refit: RefitPolicy,
     ) -> Result<Self> {
-        config.mode = ScorerMode::Adaptive;
+        config.mode = ScorerMode::Incremental;
         let (stream, _recovery) = DurableStream::open(policy, config, storage, options)?;
         Ok(Self::attach(stream, monitor, refit))
     }
 
-    /// Enables adaptation on an already-open durable stream: installs
-    /// the wrapper for future pipelines and re-wraps every currently
-    /// open pipeline (scorers recovered before the attach get a fresh
-    /// monitor; their warm scoring state is preserved).
+    /// Enables adaptation on an already-open durable stream, whatever
+    /// its scorer mode: installs the wrapper for every pipeline opened
+    /// afterwards and re-wraps every currently open pipeline (scorers
+    /// recovered before the attach get a fresh monitor; their warm
+    /// scoring state is preserved).
     pub fn attach(mut inner: DurableStream<S>, monitor: MonitorSpec, refit: RefitPolicy) -> Self {
         let det = inner.detector_mut();
         let spec = monitor.clone();

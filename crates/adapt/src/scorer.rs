@@ -1,8 +1,7 @@
 //! [`DriftingScorer`]: the adaptive wrapper around any online scorer.
 //!
 //! Installed on a [`StreamDetector`](hierod_stream::StreamDetector) via
-//! [`set_scorer_wrapper`](hierod_stream::StreamDetector::set_scorer_wrapper)
-//! under [`ScorerMode::Adaptive`](hierod_stream::ScorerMode::Adaptive),
+//! [`set_scorer_wrapper`](hierod_stream::StreamDetector::set_scorer_wrapper),
 //! it forwards every push to the wrapped scorer unchanged — emitted
 //! scores are bit-identical to the unwrapped pipeline — while feeding
 //! each emitted score to a [`DriftMonitor`]. Detected drifts raise the

@@ -10,8 +10,10 @@
 //! * **Drift scenario** — a regime shift raises `drift_events` and
 //!   triggers store-trained refits, with counters flowing through
 //!   `durable().stats()` and `durable().lane_stats()`.
+//! * **Attach ≡ open** — attaching to an already-open plain stream
+//!   monitors every pipeline opened afterwards, exactly as `open` does.
 
-use hierod_adapt::{AdaptiveStream, MonitorSpec, RefitPolicy};
+use hierod_adapt::{AdaptiveStream, DriftingScorer, MonitorSpec, RefitPolicy};
 use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
 use hierod_store::store::StoreOptions;
@@ -280,6 +282,63 @@ fn drift_scenario_raises_counters_and_refits() {
     let report = d.finish().expect("finish");
     assert!(report.stats.drift_events > 0);
     assert!(report.stats.refits > 0);
+}
+
+#[test]
+fn attach_to_an_open_stream_monitors_pipelines_opened_afterwards() {
+    // The drift scenario, then one more job whose phase pipeline is
+    // inspected while still open: every pipeline here opens after the
+    // stream became adaptive, whichever way it became so.
+    let observe = |mut d: AdaptiveStream<MemStorage>| {
+        drive_adaptive(&mut d, 900, 8.0);
+        let stats = d.durable().stats();
+        let lanes = d.durable().lane_stats();
+        let log = d.refit_log().to_vec();
+        d.control(&ControlEvent::job_start(
+            "m0",
+            "j1",
+            1000,
+            JobConfig::new(vec!["speed".into()], vec![1.0]),
+        ))
+        .expect("job start");
+        d.control(&ControlEvent::phase_start(
+            "m0",
+            PhaseKind::WarmUp,
+            &["m0.bed.0".to_string()],
+        ))
+        .expect("phase start");
+        let mut wrapped = Vec::new();
+        d.into_inner()
+            .detector_mut()
+            .visit_scorers(&mut |_m, _s, _k, slot| {
+                let is_drifting = slot.as_any_mut().is_some_and(|a| a.is::<DriftingScorer>());
+                wrapped.push(is_drifting);
+            });
+        (stats.drift_events, stats.refits, lanes, log, wrapped)
+    };
+
+    let (monitor, refit) = eager();
+    let (policy, config) = policy_and_config(ScorerMode::Incremental);
+    let opened = observe(
+        AdaptiveStream::open(
+            policy,
+            config,
+            MemStorage::new(),
+            StoreOptions { group_commit: 1 },
+            monitor.clone(),
+            refit.clone(),
+        )
+        .expect("open"),
+    );
+    let attached = observe(AdaptiveStream::attach(
+        open_plain(ScorerMode::Incremental),
+        monitor,
+        refit,
+    ));
+
+    assert!(opened.0 > 0 && opened.1 > 0, "reference run saw no drift");
+    assert_eq!(attached, opened, "attach diverged from open");
+    assert_eq!(attached.4, vec![true], "an open pipeline is unmonitored");
 }
 
 #[test]

@@ -60,26 +60,22 @@ fn bench_end_to_end(c: &mut Criterion) {
 /// plant (quality ablation lives in `repro_ablation`; this is the runtime
 /// side of the same design choice).
 fn bench_policy_ablation(c: &mut Criterion) {
-    use hierod_core::{PhaseChoice, PointAlgo};
+    use hierod_core::PhaseChoice;
     let s = scenario(3, 10);
     let mut group = c.benchmark_group("phase_policy_ablation_3x10");
     group.sample_size(20);
+    // (bench name, per-series phase spec; `None` = profile mode)
     let policies = [
-        (
-            "ar3",
-            PhaseChoice::PerSeries(PointAlgo::Autoregressive { order: 3 }),
-        ),
-        ("profile_similarity", PhaseChoice::ProfileAcrossJobs),
-        (
-            "sliding_z",
-            PhaseChoice::PerSeries(PointAlgo::SlidingZ { window: 48 }),
-        ),
-        (
-            "deviants",
-            PhaseChoice::PerSeries(PointAlgo::Deviants { buckets: 8 }),
-        ),
+        ("ar3", Some("ar(order=3)")),
+        ("profile_similarity", None),
+        ("sliding_z", Some("sliding-z(window=48)")),
+        ("deviants", Some("deviants(buckets=8)")),
     ];
-    for (name, phase) in policies {
+    for (name, spec) in policies {
+        let phase = match spec {
+            Some(spec) => PhaseChoice::PerSeries(spec.parse().unwrap()),
+            None => PhaseChoice::ProfileAcrossJobs,
+        };
         let policy = AlgorithmPolicy {
             phase,
             ..AlgorithmPolicy::default()

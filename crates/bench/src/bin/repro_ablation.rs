@@ -7,7 +7,7 @@
 
 use hierod_bench::{fmt_opt, standard_scenario};
 use hierod_core::experiment::point_level_eval;
-use hierod_core::{AlgorithmPolicy, FusionRule, PhaseChoice, PointAlgo, VectorAlgo};
+use hierod_core::{AlgorithmPolicy, FusionRule, PhaseChoice};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 
@@ -80,48 +80,38 @@ fn main() {
     // (d): ChooseAlgorithm swaps.
     println!("\n== per-level algorithm policy (d) ==");
     let fusion = FusionRule::default_weighted();
+    // Per-series rows carry their spec; `None` is profile mode, which is a
+    // task decomposition rather than a registry entry.
     let phase_algos = [
-        (
-            "phase: AR prediction error (default)",
-            PhaseChoice::PerSeries(PointAlgo::Autoregressive { order: 3 }),
-        ),
-        (
-            "phase: profile similarity (PS, cross-job)",
-            PhaseChoice::ProfileAcrossJobs,
-        ),
-        (
-            "phase: sliding z-score",
-            PhaseChoice::PerSeries(PointAlgo::SlidingZ { window: 48 }),
-        ),
-        (
-            "phase: robust z-score",
-            PhaseChoice::PerSeries(PointAlgo::RobustZ),
-        ),
-        (
-            "phase: histogram deviants",
-            PhaseChoice::PerSeries(PointAlgo::Deviants { buckets: 8 }),
-        ),
+        ("phase: AR prediction error (default)", Some("ar(order=3)")),
+        ("phase: profile similarity (PS, cross-job)", None),
+        ("phase: sliding z-score", Some("sliding-z(window=48)")),
+        ("phase: robust z-score", Some("robust-z")),
+        ("phase: histogram deviants", Some("deviants(buckets=8)")),
     ];
-    for (name, algo) in phase_algos {
+    for (name, spec) in phase_algos {
         let p = AlgorithmPolicy {
-            phase: algo,
+            phase: match spec {
+                Some(spec) => PhaseChoice::PerSeries(spec.parse().expect("valid spec")),
+                None => PhaseChoice::ProfileAcrossJobs,
+            },
             ..AlgorithmPolicy::default()
         };
         println!("  {:<40} PR-AUC {}", name, fmt_opt(mean_pr(&p, fusion)));
     }
     let job_algos = [
-        ("job: PCA (default)", VectorAlgo::Pca { components: 2 }),
-        ("job: Gaussian mixture", VectorAlgo::Gmm { components: 2 }),
-        ("job: one-class SVM", VectorAlgo::Ocsvm { nu: 0.15 }),
-        ("job: OLAP cube", VectorAlgo::OlapCube { buckets: 4 }),
-        ("job: single linkage", VectorAlgo::SingleLinkage),
-        ("job: local outlier factor (§5)", VectorAlgo::Lof { k: 5 }),
-        ("job: reverse k-NN (§5)", VectorAlgo::ReverseKnn { k: 5 }),
-        ("job: k-NN distance (§5)", VectorAlgo::KnnDistance { k: 5 }),
+        ("job: PCA (default)", "pca(components=2)"),
+        ("job: Gaussian mixture", "gmm(components=2)"),
+        ("job: one-class SVM", "ocsvm(nu=0.15)"),
+        ("job: OLAP cube", "olap-cube(buckets=4)"),
+        ("job: single linkage", "single-linkage"),
+        ("job: local outlier factor (§5)", "lof(k=5)"),
+        ("job: reverse k-NN (§5)", "rknn(k=5)"),
+        ("job: k-NN distance (§5)", "knn(k=5)"),
     ];
-    for (name, algo) in job_algos {
+    for (name, spec) in job_algos {
         let p = AlgorithmPolicy {
-            job: algo,
+            job: spec.parse().expect("valid spec"),
             ..AlgorithmPolicy::default()
         };
         println!("  {:<40} PR-AUC {}", name, fmt_opt(mean_pr(&p, fusion)));

@@ -20,11 +20,10 @@
 
 use std::collections::BTreeMap;
 
-use hierod_detect::engine::{Standardizer, Task, TaskPool};
+use hierod_detect::engine::{self, AlgoSpec, BoxedScorer, RobustZ, Standardizer, Task, TaskPool};
 use hierod_detect::related::ProfileSimilarity;
+use hierod_detect::{PointScorer, Result, VectorScorer};
 use hierod_hierarchy::{Level, LevelView, PhaseKind, Plant, SeriesAt};
-
-use hierod_detect::Result;
 
 use crate::policy::{AlgorithmPolicy, PhaseChoice};
 
@@ -135,14 +134,6 @@ impl LevelDetections {
     }
 }
 
-/// Standardizes raw scores into robust z-units (0 when the spread is zero).
-///
-/// Thin wrapper over the engine's [`RobustZ`](hierod_detect::engine::RobustZ)
-/// standardizer, kept for callers of the original free function.
-pub fn standardize_scores(scores: &[f64]) -> Vec<f64> {
-    hierod_detect::engine::RobustZ.standardize(scores)
-}
-
 /// Scores one series' raw output into a detections fragment: thresholded
 /// outliers plus the full standardized score vector.
 ///
@@ -167,7 +158,7 @@ pub fn emit_series(
     let z = if already_standardized {
         raw.to_vec()
     } else {
-        standardize_scores(raw)
+        RobustZ.standardize(raw)
     };
     for (idx, (&zs, &rs)) in z.iter().zip(raw).enumerate() {
         if zs >= threshold {
@@ -194,29 +185,49 @@ pub fn emit_series(
     });
 }
 
-/// A point scorer shared by all of one level's per-series tasks (the
-/// scorers are stateless after construction, so one instance serves every
-/// worker).
-type SharedPointScorer = Box<dyn hierod_detect::PointScorer + Send + Sync>;
+/// One level's scorer, built from the policy's spec before any of the
+/// level's tasks run, so an unknown key, an undeclared or malformed
+/// parameter, or an entry of the wrong granularity fails the whole run up
+/// front. The scorers are stateless after construction, so one instance
+/// serves every task of the level on every worker.
+enum LevelScorer {
+    /// Per-series point scorer (phase-per-series, environment, line).
+    Point(Box<dyn PointScorer + Send + Sync>),
+    /// Profile mode learns one model per group inside its task.
+    Profile,
+    /// Job-vector scorer.
+    Job(Box<dyn VectorScorer + Send + Sync>),
+    /// Whole-series collection scorer and its PAA segment count.
+    Production(BoxedScorer, usize),
+}
 
-/// The point algorithm a level scores its series with, if it is
-/// point-scored (phase-per-series, environment, production line).
-fn point_algo_for(level: Level, policy: &AlgorithmPolicy) -> Option<crate::policy::PointAlgo> {
-    match level {
-        Level::Phase => match policy.phase {
-            PhaseChoice::PerSeries(a) => Some(a),
-            PhaseChoice::ProfileAcrossJobs => None,
-        },
-        Level::Environment => Some(policy.environment),
-        Level::ProductionLine => Some(policy.line),
-        Level::Job | Level::Production => None,
+impl LevelScorer {
+    fn build(level: Level, policy: &AlgorithmPolicy) -> Result<Self> {
+        let point = |spec: &AlgoSpec| Ok(Self::Point(engine::build(spec)?.into_point()?));
+        match level {
+            Level::Phase => match &policy.phase {
+                PhaseChoice::PerSeries(spec) => point(spec),
+                PhaseChoice::ProfileAcrossJobs => Ok(Self::Profile),
+            },
+            Level::Environment => point(&policy.environment),
+            Level::ProductionLine => point(&policy.line),
+            Level::Job => Ok(Self::Job(engine::build(&policy.job)?.into_vector()?)),
+            Level::Production => {
+                let (scorer, segments) = build_production_scorer(&policy.production)?;
+                Ok(Self::Production(scorer, segments))
+            }
+        }
     }
 }
 
-/// Builds the shared per-series scorer for a level, failing fast on an
-/// invalid policy (before any task runs).
-fn build_point_scorer(level: Level, policy: &AlgorithmPolicy) -> Result<Option<SharedPointScorer>> {
-    point_algo_for(level, policy).map(|a| a.build()).transpose()
+/// Builds the production-level scorer together with the PAA segment count
+/// [`BoxedScorer::score_collection`] embeds vector-kind entries with: 8
+/// unless the spec carries `segments` (which only `phased-kmeans` declares).
+///
+/// # Errors
+/// Propagates spec resolution failures.
+pub(crate) fn build_production_scorer(spec: &AlgoSpec) -> Result<(BoxedScorer, usize)> {
+    Ok((engine::build(spec)?, spec.get_usize("segments", 8)?))
 }
 
 /// Decomposes one level into independent scoring tasks over `view`.
@@ -230,13 +241,13 @@ fn level_tasks<'env>(
     plant: &'env Plant,
     level: Level,
     view: &'env LevelView,
-    policy: &'env AlgorithmPolicy,
-    point_scorer: Option<&'env SharedPointScorer>,
+    policy: &AlgorithmPolicy,
+    scorer: &'env LevelScorer,
 ) -> Vec<Task<'env, Result<LevelDetections>>> {
     let threshold = policy.threshold(level);
     let mut tasks: Vec<Task<'env, Result<LevelDetections>>> = Vec::new();
-    match level {
-        Level::Phase if matches!(policy.phase, PhaseChoice::ProfileAcrossJobs) => {
+    match scorer {
+        LevelScorer::Profile => {
             // Profile similarity: group executions of the same
             // (machine, phase, sensor, length) across jobs; each group is
             // one task that learns the profile and scores every execution
@@ -278,12 +289,7 @@ fn level_tasks<'env>(
                 }));
             }
         }
-        Level::Phase | Level::Environment | Level::ProductionLine => {
-            // Point-scored levels always get a prebuilt scorer from
-            // `build_point_scorer`; without one there is nothing to run.
-            let Some(scorer) = point_scorer else {
-                return tasks;
-            };
+        LevelScorer::Point(scorer) => {
             for at in &view.series {
                 tasks.push(Box::new(move || {
                     let mut frag = LevelDetections::empty(level);
@@ -296,17 +302,16 @@ fn level_tasks<'env>(
                 }));
             }
         }
-        Level::Job => {
+        LevelScorer::Job(scorer) => {
             if !view.vectors.is_empty() {
                 tasks.push(Box::new(move || {
                     let mut frag = LevelDetections::empty(level);
-                    let scorer = policy.job.build()?;
                     // Borrow each job's shared feature row — the scorer sees
                     // the view's Arc-backed buffers directly, no copy.
                     let rows: Vec<&[f64]> =
                         view.vectors.iter().map(|v| v.features.as_ref()).collect();
                     let raw = scorer.score_rows(&rows)?;
-                    let z = standardize_scores(&raw);
+                    let z = RobustZ.standardize(&raw);
                     for (v, &zs) in view.vectors.iter().zip(&z) {
                         frag.vector_scores.push(VectorScore {
                             machine: v.machine.clone(),
@@ -333,14 +338,14 @@ fn level_tasks<'env>(
                 }));
             }
         }
-        Level::Production => {
+        LevelScorer::Production(scorer, segments) => {
             if view.series.len() >= 2 {
                 tasks.push(Box::new(move || {
                     let mut frag = LevelDetections::empty(level);
                     let collection: Vec<&[f64]> =
                         view.series.iter().map(|s| s.series.values()).collect();
-                    if let Ok(raw) = policy.production.score(&collection) {
-                        let z = standardize_scores(&raw);
+                    if let Ok(raw) = scorer.score_collection(&collection, *segments) {
+                        let z = RobustZ.standardize(&raw);
                         for ((at, &zs), &rs) in view.series.iter().zip(&z).zip(&raw) {
                             if zs >= threshold {
                                 frag.outliers.push(LevelOutlier {
@@ -377,9 +382,9 @@ pub fn detect_level(
     policy: &AlgorithmPolicy,
 ) -> Result<LevelDetections> {
     let view = LevelView::extract(plant, level);
-    let scorer = build_point_scorer(level, policy)?;
+    let scorer = LevelScorer::build(level, policy)?;
     let mut det = LevelDetections::empty(level);
-    for task in level_tasks(plant, level, &view, policy, scorer.as_ref()) {
+    for task in level_tasks(plant, level, &view, policy, &scorer) {
         det.absorb(task()?);
     }
     Ok(det)
@@ -412,14 +417,14 @@ pub fn detect_all_levels_with_pool(
     // are derived once and shared (Arc) across the Job, ProductionLine and
     // Production views instead of being recomputed per level.
     let views: Vec<(Level, LevelView)> = LevelView::extract_all(plant);
-    let scorers: Vec<Option<SharedPointScorer>> = Level::ALL
-        .into_iter()
-        .map(|level| build_point_scorer(level, policy))
+    let scorers: Vec<LevelScorer> = views
+        .iter()
+        .map(|(level, _)| LevelScorer::build(*level, policy))
         .collect::<Result<_>>()?;
     let mut tasks = Vec::new();
     let mut task_level = Vec::new();
     for ((level, view), scorer) in views.iter().zip(&scorers) {
-        for task in level_tasks(plant, *level, view, policy, scorer.as_ref()) {
+        for task in level_tasks(plant, *level, view, policy, scorer) {
             tasks.push(task);
             task_level.push(*level);
         }
@@ -465,38 +470,6 @@ mod tests {
             .measurement_error_fraction(0.0)
             .magnitude_sigmas(15.0)
             .build()
-    }
-
-    #[test]
-    fn standardize_scores_robust_units() {
-        let scores = vec![1.0, 1.1, 0.9, 1.0, 9.0];
-        let z = standardize_scores(&scores);
-        assert!(z[4] > 5.0);
-        assert!(z[0].abs() < 2.0);
-        assert_eq!(standardize_scores(&[]), Vec::<f64>::new());
-        assert_eq!(standardize_scores(&[2.0, 2.0]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn standardize_scores_is_the_engine_robust_z() {
-        // Pinned equivalence: the free function must stay a pure
-        // re-export of the engine standardizer, bit-for-bit, so the two
-        // call paths can never drift apart again.
-        let cases: [&[f64]; 5] = [
-            &[],
-            &[2.0, 2.0],
-            &[1.0, 1.1, 0.9, 1.0, 9.0],
-            &[-3.5, 0.0, 7.25, 1e-9, 42.0, -1e6],
-            &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 100.0],
-        ];
-        for scores in cases {
-            let ours = standardize_scores(scores);
-            let engine = hierod_detect::engine::RobustZ.standardize(scores);
-            assert_eq!(ours.len(), engine.len());
-            for (a, b) in ours.iter().zip(&engine) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b} on {scores:?}");
-            }
-        }
     }
 
     #[test]
@@ -605,7 +578,7 @@ mod tests {
             .magnitude_sigmas(15.0)
             .build();
         let policy = AlgorithmPolicy {
-            phase: crate::policy::PhaseChoice::ProfileAcrossJobs,
+            phase: PhaseChoice::ProfileAcrossJobs,
             ..AlgorithmPolicy::default()
         };
         let det = detect_level(&s.plant, Level::Phase, &policy).unwrap();
@@ -667,14 +640,31 @@ mod tests {
     #[test]
     fn invalid_policy_surfaces_as_an_error_not_a_panic() {
         let s = scenario();
-        let policy = AlgorithmPolicy {
-            phase: crate::policy::PhaseChoice::PerSeries(
-                crate::policy::PointAlgo::Autoregressive { order: 0 },
-            ),
+        let spec = |text: &str| text.parse::<AlgoSpec>().unwrap();
+        let bad_parameter = AlgorithmPolicy {
+            phase: PhaseChoice::PerSeries(spec("ar(order=0)")),
             ..AlgorithmPolicy::default()
         };
-        assert!(detect_level(&s.plant, Level::Phase, &policy).is_err());
-        assert!(detect_all_levels(&s.plant, &policy).is_err());
+        assert!(detect_level(&s.plant, Level::Phase, &bad_parameter).is_err());
+        assert!(detect_all_levels(&s.plant, &bad_parameter).is_err());
+        // Wrong granularity is caught when the level's scorer is built,
+        // before any task runs: a point entry cannot score job vectors, a
+        // vector entry cannot score the line's feature series.
+        let wrong_granularity = AlgorithmPolicy {
+            job: spec("ar"),
+            line: spec("pca"),
+            ..AlgorithmPolicy::default()
+        };
+        for level in [Level::Job, Level::ProductionLine] {
+            assert!(matches!(
+                detect_level(&s.plant, level, &wrong_granularity),
+                Err(hierod_detect::DetectError::InvalidParameter { .. })
+            ));
+        }
+        assert!(matches!(
+            detect_all_levels(&s.plant, &wrong_granularity),
+            Err(hierod_detect::DetectError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

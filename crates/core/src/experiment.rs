@@ -14,13 +14,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use hierod_detect::engine::{RobustZ, Standardizer};
 use hierod_detect::Result;
 use hierod_eval::range::point_adjusted_confusion;
 use hierod_eval::{pr_auc, roc_auc};
 use hierod_hierarchy::{Level, PhaseKind};
 use hierod_synth::{Scenario, ScenarioBuilder, Scope};
 
-use crate::detect_level::LevelDetections;
+use crate::detect_level::{build_production_scorer, LevelDetections};
 use crate::fusion::FusionRule;
 use crate::outlier::HierOutlier;
 use crate::pipeline::build_report;
@@ -370,8 +371,10 @@ pub fn drift_eval(scenario: &Scenario, policy: &AlgorithmPolicy) -> Result<Drift
     let mut production_ranking: Vec<(String, f64)> = Vec::new();
     if view.series.len() >= 2 {
         let collection: Vec<&[f64]> = view.series.iter().map(|s| s.series.values()).collect();
-        if let Ok(raw) = policy.production.score(&collection) {
-            let z = crate::detect_level::standardize_scores(&raw);
+        let raw = build_production_scorer(&policy.production)
+            .and_then(|(scorer, segments)| scorer.score_collection(&collection, segments));
+        if let Ok(raw) = raw {
+            let z = RobustZ.standardize(&raw);
             production_ranking = view
                 .series
                 .iter()

@@ -40,4 +40,4 @@ pub use detect_level::{
 pub use fusion::FusionRule;
 pub use outlier::{HierOutlier, HierReport, Warning};
 pub use pipeline::{find_hierarchical_outliers, FindOptions};
-pub use policy::{AlgorithmPolicy, PhaseChoice, PointAlgo, SeriesAlgo, VectorAlgo};
+pub use policy::{AlgorithmPolicy, PhaseChoice};

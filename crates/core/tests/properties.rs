@@ -3,8 +3,8 @@
 //! respect monotonicity, and the pipeline is total over its configuration
 //! space.
 
-use hierod_core::detect_level::standardize_scores;
 use hierod_core::{find_hierarchical_outliers, FindOptions, FusionRule, HierOutlier};
+use hierod_detect::engine::{RobustZ, Standardizer};
 use hierod_hierarchy::Level;
 use hierod_synth::ScenarioBuilder;
 use proptest::prelude::*;
@@ -116,8 +116,8 @@ proptest! {
     }
 
     #[test]
-    fn standardize_scores_centers_the_median(scores in prop::collection::vec(-100.0_f64..100.0, 3..64)) {
-        let z = standardize_scores(&scores);
+    fn robust_z_centers_the_median(scores in prop::collection::vec(-100.0_f64..100.0, 3..64)) {
+        let z = RobustZ.standardize(&scores);
         prop_assert_eq!(z.len(), scores.len());
         // The median element maps to (approximately) zero.
         let mut sorted = z.clone();

@@ -19,8 +19,8 @@
 //!    machine × sensor/job-group) scoring tasks that the hierarchy layer
 //!    (`hierod-core`) decomposes a plant into.
 //!
-//! The `hierod-core` policy types are thin facades that construct specs;
-//! nothing above this module matches on algorithm enums to build scorers.
+//! The `hierod-core` policy holds bare specs, one per level; nothing above
+//! this module keeps its own list of algorithms to build scorers from.
 
 pub(crate) mod boxed;
 mod catalog;

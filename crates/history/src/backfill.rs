@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 
-use hierod_core::{AlgorithmPolicy, HierOutlier, HierReport, PhaseChoice, PointAlgo};
+use hierod_core::{AlgorithmPolicy, HierOutlier, HierReport, PhaseChoice};
 use hierod_detect::engine::AlgoSpec;
 use hierod_detect::{DetectError, Result};
 use hierod_store::{segment, Storage, WalRecord};
@@ -47,32 +47,6 @@ const ORDER_SAMPLE: u8 = 1;
 enum Payload {
     Control(ControlEvent),
     Sample(LaneId, Sample),
-}
-
-/// Translates a phase-level [`AlgoSpec`] back into the [`PointAlgo`]
-/// it names — the inverse of [`PointAlgo::spec`].
-///
-/// # Errors
-/// An unknown algorithm name, or parameter values of the wrong shape.
-pub fn point_algo_from_spec(spec: &AlgoSpec) -> Result<PointAlgo> {
-    match spec.name.as_str() {
-        "ar" => Ok(PointAlgo::Autoregressive {
-            order: spec.get_usize("order", 3)?,
-        }),
-        "sliding-z" => Ok(PointAlgo::SlidingZ {
-            window: spec.get_usize("window", 48)?,
-        }),
-        "global-z" => Ok(PointAlgo::GlobalZ),
-        "robust-z" => Ok(PointAlgo::RobustZ),
-        "iqr" => Ok(PointAlgo::Iqr),
-        "deviants" => Ok(PointAlgo::Deviants {
-            buckets: spec.get_usize("buckets", 4)?,
-        }),
-        other => Err(DetectError::invalid(
-            "spec",
-            format!("unknown phase-level algorithm `{other}`"),
-        )),
-    }
 }
 
 /// The result of one backfill run.
@@ -189,11 +163,14 @@ fn collect_shard(
 ///
 /// With the plant's original `policy`/`config` and the full range, the
 /// replay reproduces the plant's own finished report. Pass a `spec` to
-/// re-detect under a different phase-level algorithm instead.
+/// re-detect under a different phase-level algorithm instead — any
+/// point-kind registry entry.
 ///
 /// # Errors
-/// Snapshot failures (corrupt files, inconsistent directory), records
-/// that do not decode, or a control replay the detector rejects.
+/// A `spec` the registry does not resolve to a point scorer (rejected
+/// before storage is read); snapshot failures (corrupt files,
+/// inconsistent directory), records that do not decode, or a control
+/// replay the detector rejects.
 /// Sample-level ingest rejections (duplicates journalled in the WAL
 /// tail, late arrivals) are skipped, exactly as store recovery skips
 /// them.
@@ -207,8 +184,9 @@ pub fn backfill<S: Storage>(
 ) -> Result<BackfillOutcome> {
     let mut policy = policy.clone();
     if let Some(spec) = spec {
-        policy.phase = PhaseChoice::PerSeries(point_algo_from_spec(spec)?);
+        policy.phase = PhaseChoice::PerSeries(spec.clone());
     }
+    let mut detector = StreamDetector::new(policy, config)?;
 
     let mut items: Vec<(u64, u8, Payload)> = Vec::new();
     let mut seen_controls = BTreeSet::new();
@@ -223,7 +201,6 @@ pub fn backfill<S: Storage>(
     let mut controls_replayed = 0;
     let mut samples_replayed = 0;
     let mut samples_skipped = 0;
-    let mut detector = StreamDetector::new(policy, config)?;
     for (_, _, payload) in items {
         match payload {
             Payload::Control(event) => {
@@ -316,21 +293,6 @@ mod tests {
             support: 0.5,
             global_score: 2,
         }
-    }
-
-    #[test]
-    fn spec_round_trips_point_algos() {
-        for algo in [
-            PointAlgo::Autoregressive { order: 5 },
-            PointAlgo::SlidingZ { window: 16 },
-            PointAlgo::GlobalZ,
-            PointAlgo::RobustZ,
-            PointAlgo::Iqr,
-            PointAlgo::Deviants { buckets: 8 },
-        ] {
-            assert_eq!(point_algo_from_spec(&algo.spec()).expect("inverse"), algo);
-        }
-        assert!(point_algo_from_spec(&AlgoSpec::new("pca")).is_err());
     }
 
     #[test]

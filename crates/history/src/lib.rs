@@ -40,6 +40,6 @@ pub mod backfill;
 pub mod compact;
 pub mod reader;
 
-pub use backfill::{backfill, diff_reports, point_algo_from_spec, BackfillDiff, BackfillOutcome};
+pub use backfill::{backfill, diff_reports, BackfillDiff, BackfillOutcome};
 pub use compact::{compact, CompactionOptions, CompactionStats};
 pub use reader::{snapshot, HistoryReader, LaneSeries, RangeQuery, ScanStats, StoreSnapshot};

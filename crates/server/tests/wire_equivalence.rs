@@ -12,13 +12,13 @@ use hierod_hierarchy::{
     CaqResult, JobConfig, Level, PhaseKind, RedundancyGroup, Sensor, SensorKind,
 };
 use hierod_history::{CompactionOptions, RangeQuery};
-use hierod_server::client::DeltaReply;
+use hierod_server::client::{ClientError, DeltaReply};
 use hierod_server::{Client, Server, ServerConfig, ServerHandle, ServerStats};
 use hierod_service::{PlantService, RegistryService};
 use hierod_store::tenants::MemFactory;
 use hierod_stream::tenant::TenantConfig;
 use hierod_stream::{ControlEvent, LaneId, LaneKind, Sample};
-use hierod_wire::{decode_report, encode_report};
+use hierod_wire::{decode_report, encode_report, ErrorCode};
 
 fn spawn_server() -> (ServerHandle, thread::JoinHandle<ServerStats>) {
     let svc = RegistryService::open(
@@ -392,6 +392,28 @@ fn backfill_over_wire_reproduces_the_finish_report() {
         .unwrap();
     assert!(decode_report(&rescored).is_some());
     assert!(client.backfill(0, u64::MAX, Some("ar(order=3")).is_err());
+
+    // The swap accepts any point-kind registry entry (`sax` is the
+    // Table-1 OS row) and resolves it as the registry does everywhere
+    // else: a bare `deviants` is the registry's 8 buckets.
+    let rescore = |client: &mut Client, spec| {
+        let reply = client.backfill(0, u64::MAX, Some(spec));
+        reply.map(|(bytes, _)| bytes)
+    };
+    assert!(decode_report(&rescore(&mut client, "sax(window_len=16)").unwrap()).is_some());
+    assert_eq!(
+        rescore(&mut client, "deviants").unwrap(),
+        rescore(&mut client, "deviants(buckets=8)").unwrap()
+    );
+    // Anything else — a vector-kind entry, an unknown key — is a typed
+    // rejection that leaves the connection serving.
+    for spec in ["pca", "frobnicator"] {
+        match rescore(&mut client, spec) {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Invalid, "{spec}"),
+            other => panic!("{spec}: expected an Invalid error, got {other:?}"),
+        }
+        client.query_lane_stats().unwrap();
+    }
 
     let (_, finish_bytes) = client.finish().unwrap();
     assert_eq!(

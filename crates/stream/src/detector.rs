@@ -31,13 +31,20 @@
 //! * [`ScorerMode::Incremental`] uses true per-sample scorers
 //!   ([`IncrementalAr`], [`RollingRobustZ`], hopping [`WindowedBatch`]
 //!   fallback): bounded memory and immediate scores, approximating batch.
+//!
+//! Both modes build from the policy's phase and environment [`AlgoSpec`]s
+//! — any point-kind registry entry — which [`StreamDetector::new`]
+//! resolves once, so an invalid policy fails before any event. In either
+//! mode, a wrapper installed through
+//! [`StreamDetector::set_scorer_wrapper`] (the `hierod-adapt` drift
+//! monitors) interposes on every pipeline opened afterwards.
 
 use std::collections::BTreeMap;
 
 use hierod_core::detect_level::{detect_level, emit_series, LevelDetections};
 use hierod_core::pipeline::build_report;
-use hierod_core::{AlgorithmPolicy, HierReport, PhaseChoice, PointAlgo};
-use hierod_detect::engine;
+use hierod_core::{AlgorithmPolicy, HierReport, PhaseChoice};
+use hierod_detect::engine::{self, AlgoSpec};
 use hierod_detect::online::{
     IncrementalAr, OnlineScorer, RollingRobustZ, ScoredPoint, WindowedBatch,
 };
@@ -64,13 +71,6 @@ pub enum ScorerMode {
     /// [`IncrementalAr`], sliding/robust z-choices run [`RollingRobustZ`],
     /// everything else falls back to a hopping [`WindowedBatch`].
     Incremental,
-    /// [`Incremental`](ScorerMode::Incremental) scorers, each passed
-    /// through the detector's scorer wrapper (see
-    /// [`StreamDetector::set_scorer_wrapper`]) so an adaptive layer — the
-    /// `hierod-adapt` drift monitors — can interpose on every pipeline.
-    /// With no wrapper installed this mode scores identically to
-    /// `Incremental`.
-    Adaptive,
 }
 
 /// Configuration of a [`StreamDetector`].
@@ -109,11 +109,11 @@ pub struct StreamStats {
     /// WAL records rejected as corrupt during recovery (always 0 for a
     /// purely in-memory detector; the durable wrapper fills it in).
     pub corrupt_records: u64,
-    /// Drift events emitted by adaptive scorer wrappers (always 0 outside
-    /// [`ScorerMode::Adaptive`]).
+    /// Drift events emitted by adaptive scorer wrappers (always 0 with no
+    /// wrapper installed).
     pub drift_events: u64,
-    /// Scorer refits performed by adaptive scorer wrappers (always 0
-    /// outside [`ScorerMode::Adaptive`]).
+    /// Scorer refits performed by adaptive scorer wrappers (always 0 with
+    /// no wrapper installed).
     pub refits: u64,
 }
 
@@ -477,13 +477,15 @@ impl MachineState {
 pub struct StreamDetector {
     policy: AlgorithmPolicy,
     config: StreamConfig,
-    phase_algo: PointAlgo,
+    /// The spec of [`PhaseChoice::PerSeries`] (profile mode is rejected
+    /// at construction).
+    phase_spec: AlgoSpec,
     /// Machines in arrival order (plant line order).
     machines: Vec<(String, MachineState)>,
     scratch: Vec<(u64, f64)>,
     samples_ingested: u64,
-    /// Wrapper applied to every scorer built under
-    /// [`ScorerMode::Adaptive`] (e.g. the `hierod-adapt` drift monitor).
+    /// Wrapper applied to every scorer built for a pipeline once installed
+    /// (e.g. the `hierod-adapt` drift monitor).
     /// Lives outside [`StreamConfig`] so the config stays `Copy`.
     scorer_wrapper: Option<Arc<ScorerWrapper>>,
 }
@@ -504,18 +506,25 @@ impl StreamDetector {
     /// # Errors
     /// Rejects [`PhaseChoice::ProfileAcrossJobs`] — profiles are learned
     /// across completed jobs and have no per-sample online form; use the
-    /// batch pipeline for profile mode.
+    /// batch pipeline for profile mode. Resolves the phase and environment
+    /// specs once, so an unknown key, an undeclared or malformed parameter
+    /// or a non-point entry is an [`DetectError::InvalidParameter`] here,
+    /// before any control event is applied.
     pub fn new(policy: AlgorithmPolicy, config: StreamConfig) -> Result<Self> {
-        let PhaseChoice::PerSeries(phase_algo) = policy.phase else {
+        let PhaseChoice::PerSeries(phase_spec) = &policy.phase else {
             return Err(DetectError::invalid(
                 "policy.phase",
                 "ProfileAcrossJobs is not streamable per-series; use batch detection",
             ));
         };
+        for spec in [phase_spec, &policy.environment] {
+            engine::build(spec)?.into_point()?;
+        }
+        let phase_spec = phase_spec.clone();
         Ok(Self {
             policy,
             config,
-            phase_algo,
+            phase_spec,
             machines: Vec::new(),
             scratch: Vec::new(),
             samples_ingested: 0,
@@ -523,10 +532,10 @@ impl StreamDetector {
         })
     }
 
-    /// Installs the wrapper applied to every scorer built under
-    /// [`ScorerMode::Adaptive`]. Only pipelines opened *after* the call
-    /// are wrapped — install before driving control events (the adapt
-    /// layer re-wraps existing pipelines through
+    /// Installs the wrapper applied to every pipeline scorer built from
+    /// now on, in either mode. Only pipelines opened *after* the call are
+    /// wrapped — install before driving control events (the adapt layer
+    /// re-wraps existing pipelines through
     /// [`visit_scorers`](Self::visit_scorers) when attaching late).
     pub fn set_scorer_wrapper(&mut self, wrapper: Arc<ScorerWrapper>) {
         self.scorer_wrapper = Some(wrapper);
@@ -553,11 +562,15 @@ impl StreamDetector {
     /// # Errors
     /// Propagates registry construction failures.
     pub fn build_lane_scorer(&self, kind: LaneKind) -> Result<Box<dyn OnlineScorer>> {
-        let algo = match kind {
-            LaneKind::Environment => self.policy.environment,
-            LaneKind::Phase => self.phase_algo,
-        };
-        self.build_bare_scorer(algo)
+        self.build_bare_scorer(self.lane_spec(kind))
+    }
+
+    /// The policy's spec for lanes of the given kind.
+    fn lane_spec(&self, kind: LaneKind) -> &AlgoSpec {
+        match kind {
+            LaneKind::Environment => &self.policy.environment,
+            LaneKind::Phase => &self.phase_spec,
+        }
     }
 
     /// Applies one lifecycle event — the one control entry point, shared
@@ -610,8 +623,7 @@ impl StreamDetector {
                 format!("machine {machine} already registered"),
             ));
         }
-        let env =
-            self.open_pipelines(env_sensors, self.policy.environment, LaneKind::Environment)?;
+        let env = self.open_pipelines(env_sensors, LaneKind::Environment)?;
         self.machines.push((
             machine.to_string(),
             MachineState {
@@ -653,7 +665,7 @@ impl StreamDetector {
     /// previous phase's pipelines (their watermarks flush and their
     /// scorers finish).
     fn phase_start(&mut self, machine: &str, kind: PhaseKind, sensors: &[String]) -> Result<()> {
-        let pipes = self.open_pipelines(sensors, self.phase_algo, LaneKind::Phase)?;
+        let pipes = self.open_pipelines(sensors, LaneKind::Phase)?;
         self.close_open_phase(machine)?
             .phases
             .push(PhaseState { kind, pipes });
@@ -671,13 +683,12 @@ impl StreamDetector {
     fn open_pipelines(
         &self,
         sensors: &[String],
-        algo: PointAlgo,
         kind: LaneKind,
     ) -> Result<Vec<(String, Pipeline)>> {
         sensors
             .iter()
             .map(|name| {
-                let scorer = self.build_scorer(algo, kind)?;
+                let scorer = self.build_scorer(kind)?;
                 Ok((name.clone(), Pipeline::new(self.config.lateness, scorer)))
             })
             .collect()
@@ -971,32 +982,31 @@ impl StreamDetector {
         .map(|(_, pipe)| pipe)
     }
 
-    /// Builds the online scorer for a point algorithm under the configured
-    /// mode, applying the adaptive wrapper when one is installed.
-    fn build_scorer(&self, algo: PointAlgo, kind: LaneKind) -> Result<Box<dyn OnlineScorer>> {
-        let scorer = self.build_bare_scorer(algo)?;
-        match (&self.config.mode, &self.scorer_wrapper) {
-            (ScorerMode::Adaptive, Some(wrap)) => Ok(wrap(kind, scorer)),
-            _ => Ok(scorer),
-        }
+    /// Builds the online scorer for a lane of the given kind under the
+    /// configured mode, wrapped when a scorer wrapper is installed.
+    fn build_scorer(&self, kind: LaneKind) -> Result<Box<dyn OnlineScorer>> {
+        let scorer = self.build_bare_scorer(self.lane_spec(kind))?;
+        Ok(match &self.scorer_wrapper {
+            Some(wrap) => wrap(kind, scorer),
+            None => scorer,
+        })
     }
 
-    /// Builds the online scorer without the adaptive wrapper.
-    /// [`ScorerMode::Adaptive`] builds the same incremental scorers as
-    /// [`ScorerMode::Incremental`] — the modes differ only in wrapping.
-    fn build_bare_scorer(&self, algo: PointAlgo) -> Result<Box<dyn OnlineScorer>> {
+    /// Builds the online scorer without the adaptive wrapper. The
+    /// incremental table is keyed by the resolved registry key, since a
+    /// spec may also name its entry by Table-1 row name; `order` and
+    /// `window` default as the registry's own builders do.
+    fn build_bare_scorer(&self, spec: &AlgoSpec) -> Result<Box<dyn OnlineScorer>> {
         match self.config.mode {
-            ScorerMode::BatchEquivalent => Ok(Box::new(WindowedBatch::full_history(
-                engine::build(&algo.spec())?,
-            ))),
-            ScorerMode::Incremental | ScorerMode::Adaptive => match algo {
-                PointAlgo::Autoregressive { order } => Ok(Box::new(IncrementalAr::new(order, 32)?)),
-                PointAlgo::SlidingZ { window } => Ok(Box::new(RollingRobustZ::new(window.max(3))?)),
-                PointAlgo::RobustZ | PointAlgo::GlobalZ => Ok(Box::new(RollingRobustZ::new(256)?)),
-                PointAlgo::Iqr | PointAlgo::Deviants { .. } => Ok(Box::new(
-                    WindowedBatch::hopping(engine::build(&algo.spec())?, 256, 64)?,
-                )),
-            },
+            ScorerMode::BatchEquivalent => {
+                Ok(Box::new(WindowedBatch::full_history(engine::build(spec)?)))
+            }
+            ScorerMode::Incremental => Ok(match engine::find(&spec.name)?.key {
+                "ar" => Box::new(IncrementalAr::new(spec.get_usize("order", 3)?, 32)?),
+                "sliding-z" => Box::new(RollingRobustZ::new(spec.get_usize("window", 48)?.max(3))?),
+                "robust-z" | "global-z" => Box::new(RollingRobustZ::new(256)?),
+                _ => Box::new(WindowedBatch::hopping(engine::build(spec)?, 256, 64)?),
+            }),
         }
     }
 }
@@ -1069,6 +1079,29 @@ mod tests {
             ..AlgorithmPolicy::default()
         };
         assert!(StreamDetector::new(policy, StreamConfig::default()).is_err());
+    }
+
+    #[test]
+    fn rejects_specs_that_do_not_resolve_to_point_scorers() {
+        let spec = |text: &str| text.parse::<AlgoSpec>().expect("well-formed");
+        for text in ["frobnicator", "pca", "ar(order=0)", "ar(window=3)"] {
+            let policy = AlgorithmPolicy {
+                phase: PhaseChoice::PerSeries(spec(text)),
+                ..AlgorithmPolicy::default()
+            };
+            assert!(
+                matches!(
+                    StreamDetector::new(policy, StreamConfig::default()),
+                    Err(DetectError::InvalidParameter { .. })
+                ),
+                "{text}"
+            );
+        }
+        let bad_environment = AlgorithmPolicy {
+            environment: spec("cross-machine-profile"),
+            ..AlgorithmPolicy::default()
+        };
+        assert!(StreamDetector::new(bad_environment, StreamConfig::default()).is_err());
     }
 
     #[test]
@@ -1205,6 +1238,28 @@ mod tests {
             "incremental scorers must flag the spike: {:?}",
             phase.outliers
         );
+    }
+
+    #[test]
+    fn incremental_table_is_keyed_by_the_resolved_registry_key() {
+        let online_name = |phase: &str| {
+            let policy = AlgorithmPolicy {
+                phase: PhaseChoice::PerSeries(phase.parse().expect("well-formed")),
+                ..AlgorithmPolicy::default()
+            };
+            let config = StreamConfig {
+                lateness: 0,
+                mode: ScorerMode::Incremental,
+            };
+            let det = StreamDetector::new(policy, config).expect("streamable");
+            det.build_lane_scorer(LaneKind::Phase)
+                .expect("scorer")
+                .name()
+        };
+        assert_eq!(online_name("ar"), "incremental-ar");
+        assert_eq!(online_name("Autoregressive Model"), "incremental-ar");
+        assert_eq!(online_name("global-z"), "rolling-robust-z");
+        assert_eq!(online_name("sax"), "windowed-batch(hopping)");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! scores and support fractions.
 
 use hierod_core::pipeline::build_report;
-use hierod_core::{detect_all_levels, AlgorithmPolicy, LevelOutlier};
+use hierod_core::{detect_all_levels, AlgorithmPolicy, LevelOutlier, PhaseChoice};
 use hierod_hierarchy::Level;
 use hierod_stream::{ScorerMode, StreamConfig, StreamDetector, StreamEvent, StreamReport};
 use hierod_synth::{Scenario, ScenarioBuilder};
@@ -49,8 +49,19 @@ fn assert_close(a: f64, b: f64, what: &str) {
 
 #[test]
 fn batch_equivalent_mode_reproduces_batch_verdicts() {
+    // The default AR phase scorer, then `sax` — the Table-1 OS row, a
+    // windowed point scorer (window sized to the 40-sample phases).
+    let sax = AlgorithmPolicy {
+        phase: PhaseChoice::PerSeries("sax(window_len=10)".parse().expect("valid spec")),
+        ..AlgorithmPolicy::default()
+    };
+    for policy in [AlgorithmPolicy::default(), sax] {
+        assert_stream_matches_batch(policy);
+    }
+}
+
+fn assert_stream_matches_batch(policy: AlgorithmPolicy) {
     let scenario = scenario();
-    let policy = AlgorithmPolicy::default();
 
     let batch = detect_all_levels(&scenario.plant, &policy).expect("batch detections");
     let batch_report =
