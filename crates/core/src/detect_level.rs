@@ -19,6 +19,7 @@
 //! `pooled_run_matches_serial_run_exactly` keeps as the reference).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hierod_detect::engine::{self, AlgoSpec, BoxedScorer, RobustZ, Standardizer, Task, TaskPool};
 use hierod_detect::related::ProfileSimilarity;
@@ -52,6 +53,10 @@ pub struct LevelOutlier {
 
 /// Full per-point standardized scores of one series (kept so support and
 /// evaluation can look beyond the thresholded outliers).
+///
+/// Both columns are shared storage, so cloning a `SeriesScores` — into a
+/// report, a cache, a second report of the same closed series — bumps two
+/// reference counts and copies no samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesScores {
     /// Machine id.
@@ -62,10 +67,11 @@ pub struct SeriesScores {
     pub phase: Option<PhaseKind>,
     /// Sensor / feature name.
     pub sensor: String,
-    /// Timestamps, parallel to `z`.
-    pub timestamps: Vec<u64>,
+    /// Timestamps, parallel to `z` — the scored series' own buffer when it
+    /// covers its whole storage.
+    pub timestamps: Arc<[u64]>,
     /// Standardized scores (robust z-units), parallel to `timestamps`.
-    pub z: Vec<f64>,
+    pub z: Arc<[f64]>,
 }
 
 /// Full standardized score of one job vector (job level only).
@@ -155,10 +161,10 @@ pub fn emit_series(
     // against the learned template; re-standardizing them per series
     // would amplify the near-zero spread of clean executions into
     // false positives.
-    let z = if already_standardized {
-        raw.to_vec()
+    let z: Arc<[f64]> = if already_standardized {
+        raw.into()
     } else {
-        RobustZ.standardize(raw)
+        RobustZ.standardize(raw).into()
     };
     for (idx, (&zs, &rs)) in z.iter().zip(raw).enumerate() {
         if zs >= threshold {
@@ -180,7 +186,7 @@ pub fn emit_series(
         job: at.job.clone(),
         phase: at.phase,
         sensor: at.series.name().to_string(),
-        timestamps: at.series.timestamps().to_vec(),
+        timestamps: at.series.timestamps_shared(),
         z,
     });
 }

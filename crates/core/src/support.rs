@@ -81,7 +81,7 @@ pub fn support_for(
                     let tol = (window as u64).saturating_mul(16).max(64);
                     env.series_scores.iter().any(|ss| {
                         ss.sensor == *corr
-                            && ss.timestamps.iter().zip(&ss.z).any(|(&t, &z)| {
+                            && ss.timestamps.iter().zip(ss.z.iter()).any(|(&t, &z)| {
                                 t.abs_diff(ts) <= tol && z >= policy.threshold(env.level)
                             })
                     })

@@ -18,7 +18,7 @@ use hierod_service::Health;
 use hierod_store::wal::WalRecord;
 use hierod_stream::codec::{encode_control, encode_lane};
 use hierod_stream::{ControlEvent, LaneId, LaneStats, StreamStats};
-use hierod_wire::{write_frame, ErrorCode, Frame, FrameReader, Poll};
+use hierod_wire::{write_frame, ErrorCode, Frame, FrameReader, LaneColumns, Poll};
 
 /// A server-reported failure, preserved with its wire error class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,14 +298,13 @@ impl Client {
     ///
     /// # Errors
     /// Transport failures or a server-side rejection.
-    #[allow(clippy::type_complexity)]
     pub fn range_scan(
         &mut self,
         start: u64,
         end: u64,
         machine: Option<&str>,
         sensor: Option<&str>,
-    ) -> Result<(Vec<(LaneId, Vec<u64>, Vec<f64>)>, ScanStats)> {
+    ) -> Result<(Vec<LaneColumns>, ScanStats)> {
         match self.request(&Frame::RangeScan {
             start,
             end,

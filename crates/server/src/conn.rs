@@ -1,7 +1,8 @@
 //! Per-connection protocol handling: wire frames in, [`PlantService`]
 //! calls down, wire frames out.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -13,24 +14,146 @@ use hierod_history::RangeQuery;
 use hierod_service::PlantService;
 use hierod_store::wal::WalRecord;
 use hierod_stream::codec::{decode_control, decode_lane};
-use hierod_stream::{LaneId, Sample};
+use hierod_stream::{LaneId, Sample, StreamReport};
 use hierod_wire::{encode_report, write_frame, ErrorCode, Frame, FrameReader, Poll};
 
 use crate::{lock, ServerConfig, Shared};
 
 /// Versioned report snapshot for one plant, kept so score and delta
 /// queries answer from the last assembled report instead of forcing a
-/// fresh (and side-effecting) tick.
-#[derive(Debug, Default)]
+/// fresh (and side-effecting) tick. A tick only moves reports in; the
+/// delta and the resync payload are built when a query asks for them.
+#[derive(Debug)]
 pub(crate) struct ReportCache {
-    /// Monotone report version; 0 means no report assembled yet.
+    /// Monotone report version, from 1.
     version: u64,
-    /// Outlier triples of the current version.
-    current: Vec<HierOutlier>,
-    /// Outlier triples of the previous version (delta base).
+    /// The report of the current version, as the service returned it (it
+    /// shares closed history with the detector, so holding it is cheap).
+    current: StreamReport,
+    /// Outlier triples of the previous version (delta base), moved out of
+    /// the previous report.
     prev: Vec<HierOutlier>,
-    /// `encode_report` bytes of the current version (resync payload).
-    encoded: Vec<u8>,
+    /// `(added, removed)` between `prev` and `current`, built by the first
+    /// query of this version that is exactly one version behind.
+    delta: Option<(Vec<HierOutlier>, Vec<HierOutlier>)>,
+}
+
+impl ReportCache {
+    fn new(first: StreamReport) -> Self {
+        ReportCache {
+            version: 1,
+            current: first,
+            prev: Vec::new(),
+            delta: None,
+        }
+    }
+
+    /// Moves the next report in; the report it displaces keeps only its
+    /// outlier list, as the delta base.
+    fn advance(&mut self, next: StreamReport) {
+        self.prev = std::mem::replace(&mut self.current, next).report.outliers;
+        self.version += 1;
+        self.delta = None;
+    }
+
+    fn outliers(&self) -> &[HierOutlier] {
+        &self.current.report.outliers
+    }
+
+    /// Answers `QueryDeltas { since }`.
+    fn deltas_since(&mut self, since: u64) -> Frame {
+        let version = self.version;
+        if since == version {
+            Frame::NoChange { version }
+        } else if since.checked_add(1) == Some(version) {
+            let current = &self.current.report.outliers;
+            let (added, removed) = self
+                .delta
+                .get_or_insert_with(|| outlier_delta(&self.prev, current));
+            Frame::Deltas {
+                from: since,
+                to: version,
+                added: added.clone(),
+                removed: removed.clone(),
+            }
+        } else {
+            // Too far behind (or ahead): full resync.
+            Frame::Report {
+                version,
+                report: encode_report(&self.current),
+            }
+        }
+    }
+}
+
+/// Where an outlier sits; two equal outliers share it, so equality only
+/// has to be checked among the outliers of one location.
+type Location<'a> = (
+    u8,
+    &'a str,
+    Option<&'a str>,
+    Option<u8>,
+    Option<&'a str>,
+    Option<usize>,
+);
+
+fn location(o: &HierOutlier) -> Location<'_> {
+    (
+        o.level.number(),
+        &o.machine,
+        o.job.as_deref(),
+        o.phase.map(|kind| kind as u8),
+        o.sensor.as_deref(),
+        o.index,
+    )
+}
+
+/// The outliers of `current` that no outlier of `prev` equals, in
+/// `current`'s order, and the outliers of `prev` that no outlier of
+/// `current` equals, in `prev`'s order. Equality is the whole
+/// [`HierOutlier`], so a changed score is one removal plus one addition.
+/// Linear in both lists: `prev` is indexed by location once.
+fn outlier_delta(
+    prev: &[HierOutlier],
+    current: &[HierOutlier],
+) -> (Vec<HierOutlier>, Vec<HierOutlier>) {
+    // Most ticks change nothing (jobs complete far less often than a
+    // dashboard refreshes): one pass of comparisons, no index.
+    if prev == current {
+        return (Vec::new(), Vec::new());
+    }
+    // Outliers sharing a location (duplicates, in practice none) chain
+    // through `next`, so the index allocates nothing per entry.
+    let mut head: HashMap<Location<'_>, usize> = HashMap::with_capacity(prev.len());
+    let mut next = vec![None; prev.len()];
+    for (i, (o, next)) in prev.iter().zip(&mut next).enumerate() {
+        *next = head.insert(location(o), i);
+    }
+    let mut kept = vec![false; prev.len()];
+    let mut added = Vec::new();
+    for o in current {
+        let mut found = false;
+        let mut at = head.get(&location(o)).copied();
+        while let Some(i) = at {
+            if let (Some(p), Some(kept)) = (prev.get(i), kept.get_mut(i)) {
+                if p == o {
+                    found = true;
+                    *kept = true;
+                }
+            }
+            at = next.get(i).copied().flatten();
+        }
+        if !found {
+            added.push(o.clone());
+        }
+    }
+    let removed = prev
+        .iter()
+        .zip(kept)
+        .filter(|(_, kept)| !kept)
+        .map(|(o, _)| o.clone())
+        .collect();
+    (added, removed)
 }
 
 /// The service plus the per-plant report caches, guarded by one mutex in
@@ -175,14 +298,17 @@ fn handle_request<S: PlantService>(
             };
             match state.service.tick(&plant) {
                 Ok(report) => {
-                    let cache = state.caches.entry(plant).or_default();
-                    cache.prev = std::mem::take(&mut cache.current);
-                    cache.current = report.report.outliers.clone();
-                    cache.encoded = encode_report(&report);
-                    cache.version += 1;
+                    let cache = match state.caches.entry(plant) {
+                        Entry::Occupied(slot) => {
+                            let cache = slot.into_mut();
+                            cache.advance(report);
+                            cache
+                        }
+                        Entry::Vacant(slot) => slot.insert(ReportCache::new(report)),
+                    };
                     Frame::TickDone {
                         version: cache.version,
-                        outliers: cache.current.len() as u64,
+                        outliers: cache.outliers().len() as u64,
                     }
                 }
                 Err(e) => error_frame(classify(&e), e.to_string()),
@@ -218,7 +344,7 @@ fn handle_request<S: PlantService>(
                 Some(cache) => Frame::Scores {
                     version: cache.version,
                     outliers: cache
-                        .current
+                        .outliers()
                         .iter()
                         .filter(|o| level.map_or(true, |l| o.level == l))
                         .cloned()
@@ -249,36 +375,9 @@ fn handle_request<S: PlantService>(
                 Ok(p) => p,
                 Err(f) => return f,
             };
-            let Some(cache) = state.caches.get(&plant) else {
-                return error_frame(ErrorCode::Missing, "no report assembled yet (tick first)");
-            };
-            if since == cache.version {
-                Frame::NoChange {
-                    version: cache.version,
-                }
-            } else if since.checked_add(1) == Some(cache.version) {
-                Frame::Deltas {
-                    from: since,
-                    to: cache.version,
-                    added: cache
-                        .current
-                        .iter()
-                        .filter(|o| !cache.prev.contains(o))
-                        .cloned()
-                        .collect(),
-                    removed: cache
-                        .prev
-                        .iter()
-                        .filter(|o| !cache.current.contains(o))
-                        .cloned()
-                        .collect(),
-                }
-            } else {
-                // Too far behind (or ahead): full resync.
-                Frame::Report {
-                    version: cache.version,
-                    report: cache.encoded.clone(),
-                }
+            match state.caches.get_mut(&plant) {
+                Some(cache) => cache.deltas_since(since),
+                None => error_frame(ErrorCode::Missing, "no report assembled yet (tick first)"),
             }
         }
         Frame::RangeScan {
@@ -301,13 +400,7 @@ fn handle_request<S: PlantService>(
                 Ok((lanes, stats)) => Frame::Series {
                     lanes: lanes
                         .into_iter()
-                        .map(|l| {
-                            (
-                                l.id,
-                                l.series.timestamps().to_vec(),
-                                l.series.values().to_vec(),
-                            )
-                        })
+                        .map(|l| (l.id, l.series.timestamps_shared(), l.series.values_shared()))
                         .collect(),
                     stats,
                 },
@@ -405,6 +498,218 @@ pub(crate) fn serve_connection<S: PlantService>(
                 }
                 return Err(e);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hierod_core::HierReport;
+    use hierod_detect::Result;
+    use hierod_hierarchy::{Level, PhaseKind};
+    use hierod_history::{BackfillOutcome, CompactionOptions, CompactionStats, LaneSeries};
+    use hierod_service::{Admission, Health};
+    use hierod_stream::{ControlEvent, LaneStats, StreamStats};
+
+    /// The quadratic delta the keyed one replaced, kept as the oracle.
+    fn quadratic_delta(
+        prev: &[HierOutlier],
+        current: &[HierOutlier],
+    ) -> (Vec<HierOutlier>, Vec<HierOutlier>) {
+        let added = current.iter().filter(|o| !prev.contains(o)).cloned();
+        let removed = prev.iter().filter(|o| !current.contains(o)).cloned();
+        (added.collect(), removed.collect())
+    }
+
+    fn outlier(job: &str, sensor: &str, index: usize, global_score: u8) -> HierOutlier {
+        HierOutlier {
+            level: Level::Phase,
+            machine: "m0".into(),
+            job: Some(job.into()),
+            phase: Some(PhaseKind::WarmUp),
+            sensor: Some(sensor.into()),
+            index: Some(index),
+            timestamp: Some(index as u64),
+            outlierness: 7.5,
+            support: 0.5,
+            global_score,
+        }
+    }
+
+    fn report_of(outliers: Vec<HierOutlier>) -> StreamReport {
+        StreamReport {
+            detections: BTreeMap::new(),
+            report: HierReport {
+                outliers,
+                warnings: Vec::new(),
+            },
+            stats: StreamStats::default(),
+            lane_stats: BTreeMap::new(),
+        }
+    }
+
+    /// A service whose every `tick` returns the next scripted report.
+    struct Scripted(std::collections::VecDeque<StreamReport>);
+
+    fn unscripted<T>() -> Result<T> {
+        Err(DetectError::Missing {
+            what: "not scripted".into(),
+        })
+    }
+
+    impl PlantService for Scripted {
+        fn admit(&mut self, _: &str, _: bool) -> Result<Admission> {
+            Ok(Admission::Created)
+        }
+        fn plants(&self) -> Vec<String> {
+            Vec::new()
+        }
+        fn control(&mut self, _: &str, _: &ControlEvent) -> Result<()> {
+            unscripted()
+        }
+        fn ingest(&mut self, _: &str, _: &LaneId, _: Sample) -> Result<()> {
+            unscripted()
+        }
+        fn tick(&mut self, _: &str) -> Result<StreamReport> {
+            self.0.pop_front().map_or_else(unscripted, Ok)
+        }
+        fn finish(&mut self, _: &str) -> Result<StreamReport> {
+            unscripted()
+        }
+        fn stats(&self, _: &str) -> Result<StreamStats> {
+            unscripted()
+        }
+        fn lane_stats(&self, _: &str) -> Result<BTreeMap<LaneId, LaneStats>> {
+            unscripted()
+        }
+        fn health(&self) -> Health {
+            Health::default()
+        }
+        fn rotate(&mut self, _: &str) -> Result<()> {
+            unscripted()
+        }
+        fn compact(&mut self, _: &str, _: &CompactionOptions) -> Result<CompactionStats> {
+            unscripted()
+        }
+        fn range_scan(
+            &self,
+            _: &str,
+            _: &RangeQuery,
+        ) -> Result<(Vec<LaneSeries>, hierod_history::ScanStats)> {
+            unscripted()
+        }
+        fn backfill(
+            &self,
+            _: &str,
+            _: u64,
+            _: u64,
+            _: Option<&AlgoSpec>,
+        ) -> Result<BackfillOutcome> {
+            unscripted()
+        }
+    }
+
+    #[test]
+    fn scripted_ticks_answer_deltas_like_the_quadratic_oracle() {
+        // v1 → v2: a later job raised the old outlier's global score, its
+        // neighbour at another index of the same series stayed, a new
+        // outlier arrived. v2 → v3: nothing changed.
+        let v1 = vec![
+            outlier("j0", "m0.bed.0", 3, 2),
+            outlier("j0", "m0.bed.0", 7, 2),
+        ];
+        let v2 = vec![
+            outlier("j0", "m0.bed.0", 3, 3),
+            outlier("j0", "m0.bed.0", 7, 2),
+            outlier("j1", "m0.bed.1", 3, 1),
+        ];
+        let reports = [v1.clone(), v2.clone(), v2.clone()].map(report_of);
+        let mut state = ServiceState::new(Scripted(reports.iter().cloned().collect()));
+        let mut conn = ConnState::default();
+        let mut ask = |frame| handle_request(&mut state, &mut conn, frame);
+        ask(Frame::Admit {
+            plant: "p".into(),
+            create: true,
+        });
+        let tick = |ask: &mut dyn FnMut(Frame) -> Frame, version, outliers| {
+            assert_eq!(ask(Frame::Tick), Frame::TickDone { version, outliers });
+        };
+        let deltas = |from: u64, prev: &[HierOutlier], current: &[HierOutlier]| {
+            let (added, removed) = quadratic_delta(prev, current);
+            Frame::Deltas {
+                from,
+                to: from + 1,
+                added,
+                removed,
+            }
+        };
+
+        tick(&mut ask, 1, 2);
+        assert_eq!(ask(Frame::QueryDeltas { since: 0 }), deltas(0, &[], &v1));
+        tick(&mut ask, 2, 3);
+        let changed = ask(Frame::QueryDeltas { since: 1 });
+        assert_eq!(changed, deltas(1, &v1, &v2));
+        let Frame::Deltas { added, removed, .. } = &changed else {
+            unreachable!("just compared equal to a Deltas frame");
+        };
+        assert_eq!(added.as_slice(), [v2[0].clone(), v2[2].clone()]);
+        assert_eq!(
+            removed.as_slice(),
+            [v1[0].clone()],
+            "a changed score is remove + add"
+        );
+        // A second asker of the same version gets the same answer.
+        assert_eq!(ask(Frame::QueryDeltas { since: 1 }), changed);
+
+        tick(&mut ask, 3, 3);
+        assert_eq!(ask(Frame::QueryDeltas { since: 2 }), deltas(2, &v2, &v2));
+        assert_eq!(
+            ask(Frame::QueryDeltas { since: 3 }),
+            Frame::NoChange { version: 3 }
+        );
+        // Two versions behind, ahead, and the overflow edge all resync to
+        // this tick's report, encoded when asked for.
+        for since in [1, 0, 5, u64::MAX] {
+            let resync = Frame::Report {
+                version: 3,
+                report: encode_report(&reports[2]),
+            };
+            assert_eq!(ask(Frame::QueryDeltas { since }), resync, "since {since}");
+        }
+    }
+
+    #[test]
+    fn keyed_delta_equals_the_quadratic_oracle_on_arbitrary_lists() {
+        // Small alphabets force shared locations, exact duplicates and NaN
+        // scores (which equal nothing, themselves included).
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..300 {
+            let mut list = |max: u64| -> Vec<HierOutlier> {
+                (0..next(max))
+                    .map(|_| {
+                        let job = ["j0", "j1"][next(2) as usize];
+                        let sensor = ["m0.bed.0", "m0.bed.1"][next(2) as usize];
+                        let mut o = outlier(job, sensor, next(3) as usize, 1 + next(2) as u8);
+                        if next(9) == 0 {
+                            o.outlierness = f64::NAN;
+                        }
+                        o
+                    })
+                    .collect()
+            };
+            let (prev, current) = (list(11), list(7));
+            assert_eq!(
+                format!("{:?}", outlier_delta(&prev, &current)),
+                format!("{:?}", quadratic_delta(&prev, &current)),
+                "prev {prev:?} current {current:?}"
+            );
         }
     }
 }

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::thread;
 
-use hierod_core::AlgorithmPolicy;
+use hierod_core::{AlgorithmPolicy, HierOutlier};
 use hierod_hierarchy::{
     CaqResult, JobConfig, Level, PhaseKind, RedundancyGroup, Sensor, SensorKind,
 };
@@ -231,6 +231,93 @@ fn scores_and_deltas_follow_report_versions() {
     );
     handle.shutdown();
     join.join().unwrap();
+}
+
+#[test]
+fn tick_delta_sequence_over_wire_equals_the_embedded_diff() {
+    // A second job on the same machine, with its own spike.
+    let second_job = [
+        ControlEvent::JobStart {
+            machine: MACHINE.into(),
+            job: "j1".into(),
+            start: 100,
+            config: JobConfig::new(vec!["p".into()], vec![2.0]),
+        },
+        ControlEvent::PhaseStart {
+            machine: MACHINE.into(),
+            kind: PhaseKind::WarmUp,
+            sensors: vec![BED.to_string()],
+        },
+    ];
+    let second_sample = |t: u64| if t == 111 { -45.0 } else { sample_at(t) };
+
+    let (handle, join) = spawn_server();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.admit("plant-a", true).unwrap();
+    drive_wire(&mut client, 32);
+    let (v1, _) = client.tick().unwrap();
+    let first = client.query_deltas(v1 - 1).unwrap();
+    for event in &second_job {
+        client.control(event).unwrap();
+    }
+    for t in 100..132 {
+        client.sample(BED_LANE, t, second_sample(t)).unwrap();
+    }
+    client.control(&job_complete()).unwrap();
+    let (v2, _) = client.tick().unwrap();
+    let second = client.query_deltas(v1).unwrap();
+    let resync = client.query_deltas(v1 - 1).unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+
+    let mut svc = RegistryService::open(
+        MemFactory::new(),
+        AlgorithmPolicy::default(),
+        TenantConfig::default(),
+    )
+    .unwrap();
+    svc.admit("plant-a", true).unwrap();
+    drive_embedded(&mut svc, "plant-a", 32);
+    let r1 = svc.tick("plant-a").unwrap();
+    for event in &second_job {
+        svc.control("plant-a", event).unwrap();
+    }
+    for t in 100..132 {
+        let sample = Sample {
+            timestamp: t,
+            value: second_sample(t),
+        };
+        svc.ingest("plant-a", &bed_lane_id(), sample).unwrap();
+    }
+    svc.control("plant-a", &job_complete()).unwrap();
+    let r2 = svc.tick("plant-a").unwrap();
+    let (o1, o2) = (&r1.report.outliers, &r2.report.outliers);
+    assert!(o2.len() > o1.len(), "the second job must add outliers");
+
+    let diff = |from: u64, prev: &[HierOutlier], current: &[HierOutlier]| DeltaReply::Deltas {
+        from,
+        to: from + 1,
+        added: current
+            .iter()
+            .filter(|o| !prev.contains(o))
+            .cloned()
+            .collect(),
+        removed: prev
+            .iter()
+            .filter(|o| !current.contains(o))
+            .cloned()
+            .collect(),
+    };
+    assert_eq!((v1, v2), (1, 2));
+    assert_eq!(first, diff(0, &[], o1));
+    assert_eq!(second, diff(1, o1, o2));
+    assert_eq!(
+        resync,
+        DeltaReply::Resync {
+            version: 2,
+            report: encode_report(&r2),
+        }
+    );
 }
 
 #[test]

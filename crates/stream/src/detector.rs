@@ -14,13 +14,25 @@
 //! the call.
 //!
 //! On a [`StreamDetector::tick`] or at [`StreamDetector::finish`], the
-//! detector materializes a [`Plant`] from everything released so far,
-//! turns the pipelines' per-sample scores into phase/environment
+//! detector turns the pipelines' per-sample scores into phase/environment
 //! [`LevelDetections`] through the *same* `emit_series` thresholding path
 //! the batch engine uses, runs the upper levels (job, production line,
-//! production) on the materialized plant, and propagates everything
+//! production) on its materialized [`Plant`], and propagates everything
 //! through Algorithm 1's `CalcGlobalScore` — yielding the same
 //! ⟨global score, outlierness, support⟩ triples as a batch run.
+//!
+//! ## Freeze once
+//!
+//! A completed job never changes, so the first assembly that sees it
+//! **freezes** it: its released samples move onto the shared storage of
+//! one [`Job`] appended to the materialized plant, and its phase-level
+//! detections fragment (one `emit_series` per series) is built, exactly
+//! once. Every later assembly shares both — an assembly costs the
+//! environment series (open until finish), the three upper levels (one row
+//! per completed job) and Algorithm 1's pass over the outliers, not closed
+//! history. Freezing happens at the assembly, never at the job-complete
+//! event, so a stream that is only ingested and finished standardises each
+//! series once, at `finish` (DESIGN.md §4.13 has the invariants).
 //!
 //! ## Scorer modes
 //!
@@ -50,8 +62,8 @@ use hierod_detect::online::{
 };
 use hierod_detect::{DetectError, Result};
 use hierod_hierarchy::{
-    CaqResult, Environment, Job, JobConfig, Level, LevelView, Phase, PhaseKind, Plant,
-    ProductionLine, RedundancyGroup, Sensor, SeriesAt,
+    CaqResult, Environment, Job, JobConfig, Level, Phase, PhaseKind, Plant, ProductionLine,
+    RedundancyGroup, Sensor, SeriesAt,
 };
 use hierod_synth::ReplayEvent;
 use hierod_timeseries::TimeSeries;
@@ -135,6 +147,17 @@ pub struct LaneStats {
     pub drift_events: u64,
     /// Scorer refits performed on this lane by adaptive scorer wrappers.
     pub refits: u64,
+}
+
+impl LaneStats {
+    fn add(&mut self, other: &LaneStats) {
+        self.released += other.released;
+        self.late_dropped += other.late_dropped;
+        self.duplicates_dropped += other.duplicates_dropped;
+        self.corrupt_records += other.corrupt_records;
+        self.drift_events += other.drift_events;
+        self.refits += other.refits;
+    }
 }
 
 /// The output of a tick or finish: per-level detections plus the
@@ -331,13 +354,28 @@ pub(crate) struct PipeSlot<'a> {
     pub(crate) pipe: &'a mut Pipeline,
 }
 
+/// A pipeline's released samples.
+enum History {
+    /// Growing: the pipeline can still release samples.
+    Open {
+        timestamps: Vec<u64>,
+        values: Vec<f64>,
+    },
+    /// Frozen with the pipeline's job, onto the buffers the materialized
+    /// series and every report's phase-level `SeriesScores` share.
+    Frozen {
+        timestamps: Arc<[u64]>,
+        values: Arc<[f64]>,
+    },
+}
+
 /// One sensor stream's online scoring state: watermark reorder buffer,
 /// the scorer, and the released/scored history.
 pub(crate) struct Pipeline {
     pub(crate) watermark: Watermark,
-    scorer: Box<dyn OnlineScorer>,
-    pub(crate) timestamps: Vec<u64>,
-    pub(crate) values: Vec<f64>,
+    /// `None` once the pipeline is frozen with its job.
+    scorer: Option<Box<dyn OnlineScorer>>,
+    history: History,
     scored: Vec<ScoredPoint>,
     failed: bool,
     finished: bool,
@@ -358,9 +396,11 @@ impl Pipeline {
     fn new(lateness: u64, scorer: Box<dyn OnlineScorer>) -> Self {
         Self {
             watermark: Watermark::new(lateness),
-            scorer,
-            timestamps: Vec::new(),
-            values: Vec::new(),
+            scorer: Some(scorer),
+            history: History::Open {
+                timestamps: Vec::new(),
+                values: Vec::new(),
+            },
             scored: Vec::new(),
             failed: false,
             finished: false,
@@ -390,9 +430,10 @@ impl Pipeline {
             late_dropped: late as usize,
             duplicates_dropped: dups as usize,
         };
-        self.watermark
-            .restore_state(self.timestamps.last().copied(), stats);
-        self.sealed = self.timestamps.len();
+        let (timestamps, _) = self.released();
+        let (floor, sealed) = (timestamps.last().copied(), timestamps.len());
+        self.watermark.restore_state(floor, stats);
+        self.sealed = sealed;
         self.sealed_stats = stats;
     }
 
@@ -415,25 +456,94 @@ impl Pipeline {
         scratch.clear();
         self.watermark.flush(scratch);
         self.absorb_released(scratch.iter().copied());
-        if !self.failed && self.scorer.finish(&mut self.scored).is_err() {
-            self.failed = true;
+        if let Some(scorer) = &mut self.scorer {
+            if !self.failed && scorer.finish(&mut self.scored).is_err() {
+                self.failed = true;
+            }
         }
         self.finished = true;
     }
 
+    /// Nothing releases into a frozen pipeline: its job is complete, so
+    /// `ingest` routes past it, it is finished, and recovery restores
+    /// chunks before the first assembly can freeze anything.
     fn absorb_released(&mut self, released: impl Iterator<Item = (u64, f64)>) {
+        let (History::Open { timestamps, values }, Some(scorer)) =
+            (&mut self.history, &mut self.scorer)
+        else {
+            return;
+        };
         for (t, v) in released {
-            self.timestamps.push(t);
-            self.values.push(v);
-            if !self.failed && self.scorer.push(t, v, &mut self.scored).is_err() {
+            timestamps.push(t);
+            values.push(v);
+            if !self.failed && scorer.push(t, v, &mut self.scored).is_err() {
                 self.failed = true;
             }
         }
     }
 
-    /// The released history as a series, when non-degenerate.
+    /// The released timestamps and values, parallel. The durability layer
+    /// seals their unsealed suffix at a rotation, frozen or not.
+    pub(crate) fn released(&self) -> (&[u64], &[f64]) {
+        match &self.history {
+            History::Open { timestamps, values } => (timestamps, values),
+            History::Frozen { timestamps, values } => (timestamps, values),
+        }
+    }
+
+    /// The released history as a series, when non-degenerate: one copy of
+    /// an open pipeline's samples, a share of a frozen one's.
     fn series(&self, name: &str) -> Option<TimeSeries> {
-        TimeSeries::new(name, self.timestamps.clone(), self.values.clone()).ok()
+        let (timestamps, values) = match &self.history {
+            History::Open { timestamps, values } => {
+                (timestamps.as_slice().into(), values.as_slice().into())
+            }
+            History::Frozen { timestamps, values } => (Arc::clone(timestamps), Arc::clone(values)),
+        };
+        TimeSeries::from_shared(name, timestamps, values).ok()
+    }
+
+    /// One raw score per released sample, or `None` for a series assembly
+    /// skips: its scorer failed, or its scores are not complete yet (open
+    /// phase in batch-equivalent mode) — the batch path skips unscorable
+    /// series the same way.
+    fn raw_scores(&self) -> Option<Vec<f64>> {
+        (!self.failed && self.scored.len() == self.released().0.len())
+            .then(|| self.scored.iter().map(|p| p.score).collect())
+    }
+
+    /// This pipeline's share of its lane's counters.
+    fn counters(&self) -> LaneStats {
+        let w = self.watermark.stats();
+        let (drift_events, refits) = self
+            .scorer
+            .as_ref()
+            .map_or((0, 0), |s| (s.drift_events(), s.refits()));
+        LaneStats {
+            released: self.released().0.len() as u64,
+            late_dropped: w.late_dropped as u64,
+            duplicates_dropped: w.duplicates_dropped as u64,
+            corrupt_records: 0,
+            drift_events,
+            refits,
+        }
+    }
+
+    /// Freezes a finished pipeline with its completed job: the history
+    /// moves onto shared storage, the scorer and its scored points are
+    /// released, and the raw scores ([`raw_scores`](Self::raw_scores)) are
+    /// handed out this once.
+    fn freeze(&mut self) -> Option<Vec<f64>> {
+        let raw = self.raw_scores();
+        if let History::Open { timestamps, values } = &mut self.history {
+            self.history = History::Frozen {
+                timestamps: std::mem::take(timestamps).into(),
+                values: std::mem::take(values).into(),
+            };
+        }
+        self.scorer = None;
+        self.scored = Vec::new();
+        raw
     }
 }
 
@@ -454,11 +564,15 @@ struct JobState {
     caq: Option<CaqResult>,
 }
 
-/// One machine's event-sourced state.
+/// One machine's event-sourced state. Its sensor inventory and its frozen
+/// jobs live in the machine's line of the materialized plant.
 struct MachineState {
-    sensors: Vec<Sensor>,
-    redundancy: Vec<RedundancyGroup>,
     jobs: Vec<JobState>,
+    /// How many leading `jobs` are frozen (jobs complete in order).
+    frozen: usize,
+    /// The frozen jobs' phase-level detections, in job order — what every
+    /// assembly shares instead of re-thresholding closed series.
+    phase: LevelDetections,
     /// Environment pipelines, continuous across jobs, in declaration
     /// order.
     env: Vec<(String, Pipeline)>,
@@ -482,6 +596,15 @@ pub struct StreamDetector {
     phase_spec: AlgoSpec,
     /// Machines in arrival order (plant line order).
     machines: Vec<(String, MachineState)>,
+    /// The materialized plant: one line per machine, parallel to
+    /// `machines`, holding every frozen job. Jobs are only ever appended;
+    /// an assembly replaces nothing but the environment series.
+    plant: Plant,
+    /// Counters of the frozen jobs' pipelines, folded per lane when the
+    /// job froze, so `stats`/`lane_stats` walk open pipelines only.
+    frozen_lanes: BTreeMap<LaneId, LaneStats>,
+    /// How many frozen pipelines had failed scorers.
+    frozen_failed: u64,
     scratch: Vec<(u64, f64)>,
     samples_ingested: u64,
     /// Wrapper applied to every scorer built for a pipeline once installed
@@ -526,6 +649,9 @@ impl StreamDetector {
             config,
             phase_spec,
             machines: Vec::new(),
+            plant: Plant::new("streamed-plant", Vec::new()),
+            frozen_lanes: BTreeMap::new(),
+            frozen_failed: 0,
             scratch: Vec::new(),
             samples_ingested: 0,
             scorer_wrapper: None,
@@ -548,8 +674,11 @@ impl StreamDetector {
     /// DESIGN.md §4.19 restrict swaps to tick boundaries).
     pub fn visit_scorers(&mut self, f: &mut ScorerVisitor<'_>) {
         for slot in self.pipelines_mut() {
-            if !slot.pipe.finished && !slot.pipe.failed {
-                f(slot.machine, slot.sensor, slot.kind, &mut slot.pipe.scorer);
+            if slot.pipe.finished || slot.pipe.failed {
+                continue;
+            }
+            if let Some(scorer) = &mut slot.pipe.scorer {
+                f(slot.machine, slot.sensor, slot.kind, scorer);
             }
         }
     }
@@ -627,12 +756,19 @@ impl StreamDetector {
         self.machines.push((
             machine.to_string(),
             MachineState {
-                sensors: sensors.to_vec(),
-                redundancy: redundancy.to_vec(),
                 jobs: Vec::new(),
+                frozen: 0,
+                phase: LevelDetections::empty(Level::Phase),
                 env,
             },
         ));
+        self.plant.lines.push(ProductionLine {
+            machine_id: machine.to_string(),
+            sensors: sensors.to_vec(),
+            redundancy: redundancy.to_vec(),
+            jobs: Vec::new(),
+            environment: Environment::default(),
+        });
         Ok(())
     }
 
@@ -759,15 +895,16 @@ impl StreamDetector {
         Ok(())
     }
 
-    /// Every open-or-closed pipeline with its lane coordinates (machine,
-    /// sensor, kind), in plant order: each machine's environment
-    /// pipelines first, then its jobs' phases in execution order.
-    fn pipelines(&self) -> impl Iterator<Item = (&str, &str, LaneKind, &Pipeline)> {
+    /// Every pipeline outside a frozen job with its lane coordinates
+    /// (machine, sensor, kind), in plant order: each machine's environment
+    /// pipelines first, then its unfrozen jobs' phases in execution order.
+    fn unfrozen_pipelines(&self) -> impl Iterator<Item = (&str, &str, LaneKind, &Pipeline)> {
         self.machines.iter().flat_map(|(machine, m)| {
             let env = m.env.iter().map(|(n, p)| (LaneKind::Environment, n, p));
             let phases = m
                 .jobs
                 .iter()
+                .skip(m.frozen)
                 .flat_map(|job| &job.phases)
                 .flat_map(|phase| &phase.pipes)
                 .map(|(n, p)| (LaneKind::Phase, n, p));
@@ -776,9 +913,10 @@ impl StreamDetector {
         })
     }
 
-    /// The mutable walk, same order as [`pipelines`](Self::pipelines).
-    /// The durability layer iterates this to seal rotation chunks and to
-    /// tag/restore pipelines.
+    /// The mutable walk over every pipeline, frozen or not: each machine's
+    /// environment pipelines first, then its jobs' phases in execution
+    /// order. The durability layer iterates this to seal rotation chunks
+    /// and to tag/restore pipelines.
     pub(crate) fn pipelines_mut(&mut self) -> impl Iterator<Item = PipeSlot<'_>> {
         self.machines.iter_mut().flat_map(|(machine, m)| {
             let env = m.env.iter_mut().map(|(n, p)| (LaneKind::Environment, n, p));
@@ -800,42 +938,39 @@ impl StreamDetector {
 
     /// Current ingestion counters.
     pub fn stats(&self) -> StreamStats {
-        let mut stats = StreamStats {
-            samples_ingested: self.samples_ingested,
-            ..StreamStats::default()
-        };
-        for (_, _, _, pipe) in self.pipelines() {
-            stats.samples_released += pipe.timestamps.len() as u64;
-            let w = pipe.watermark.stats();
-            stats.late_dropped += w.late_dropped as u64;
-            stats.duplicates_dropped += w.duplicates_dropped as u64;
-            if pipe.failed {
-                stats.series_failed += 1;
-            }
-            stats.drift_events += pipe.scorer.drift_events();
-            stats.refits += pipe.scorer.refits();
+        let mut total = LaneStats::default();
+        let mut series_failed = self.frozen_failed;
+        for lane in self.frozen_lanes.values() {
+            total.add(lane);
         }
-        stats
+        for (_, _, _, pipe) in self.unfrozen_pipelines() {
+            total.add(&pipe.counters());
+            series_failed += u64::from(pipe.failed);
+        }
+        StreamStats {
+            samples_ingested: self.samples_ingested,
+            samples_released: total.released,
+            late_dropped: total.late_dropped,
+            duplicates_dropped: total.duplicates_dropped,
+            series_failed,
+            corrupt_records: 0,
+            drift_events: total.drift_events,
+            refits: total.refits,
+        }
     }
 
     /// Per-lane release/drop counters, aggregated over every pipeline
     /// (open or closed) the lane ever fed.
     pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
-        let mut out: BTreeMap<LaneId, LaneStats> = BTreeMap::new();
-        for (machine, sensor, kind, pipe) in self.pipelines() {
-            let entry = out
-                .entry(LaneId {
-                    machine: machine.to_string(),
-                    sensor: sensor.to_string(),
-                    kind,
-                })
-                .or_default();
-            entry.released += pipe.timestamps.len() as u64;
-            let w = pipe.watermark.stats();
-            entry.late_dropped += w.late_dropped as u64;
-            entry.duplicates_dropped += w.duplicates_dropped as u64;
-            entry.drift_events += pipe.scorer.drift_events();
-            entry.refits += pipe.scorer.refits();
+        let mut out = self.frozen_lanes.clone();
+        for (machine, sensor, kind, pipe) in self.unfrozen_pipelines() {
+            out.entry(LaneId {
+                machine: machine.to_string(),
+                sensor: sensor.to_string(),
+                kind,
+            })
+            .or_default()
+            .add(&pipe.counters());
         }
         out
     }
@@ -847,25 +982,32 @@ impl StreamDetector {
         self.samples_ingested += n;
     }
 
-    /// Assembles an interim report from everything released so far:
-    /// completed jobs are materialized, their phase scores thresholded,
-    /// the upper levels re-evaluated, and Algorithm 1's propagation run.
-    /// In [`ScorerMode::BatchEquivalent`], a series' scores exist only
-    /// once its phase closed; [`ScorerMode::Incremental`] scores appear
-    /// per sample.
+    /// Assembles an interim report from everything released so far: jobs
+    /// completed since the last assembly are frozen into the materialized
+    /// plant, the environment series and the upper levels re-evaluated,
+    /// and Algorithm 1's propagation run. In
+    /// [`ScorerMode::BatchEquivalent`], a series' scores exist only once
+    /// its phase closed; [`ScorerMode::Incremental`] scores appear per
+    /// sample.
+    ///
+    /// Takes `&mut self` because the first assembly after a job completes
+    /// freezes it; the report is the same whether or not anything froze.
     ///
     /// # Errors
     /// Propagates upper-level detector failures.
-    pub fn tick(&self) -> Result<StreamReport> {
-        let plant = self.materialize();
-        let mut detections = BTreeMap::new();
-        for level in [Level::Phase, Level::Environment] {
-            detections.insert(level, self.emit_level(&plant, level));
+    pub fn tick(&mut self) -> Result<StreamReport> {
+        self.freeze_completed_jobs();
+        let environment = self.assemble_environment();
+        let mut phase = LevelDetections::empty(Level::Phase);
+        for (_, m) in &self.machines {
+            phase.absorb(m.phase.clone());
         }
+        let mut detections =
+            BTreeMap::from([(Level::Phase, phase), (Level::Environment, environment)]);
         for level in [Level::Job, Level::ProductionLine, Level::Production] {
-            detections.insert(level, detect_level(&plant, level, &self.policy)?);
+            detections.insert(level, detect_level(&self.plant, level, &self.policy)?);
         }
-        let report = build_report(&plant, Level::Phase, &detections, &self.policy)?;
+        let report = build_report(&self.plant, Level::Phase, &detections, &self.policy)?;
         Ok(StreamReport {
             detections,
             report,
@@ -895,91 +1037,112 @@ impl StreamDetector {
         self.scratch = scratch;
     }
 
-    /// Materializes the released state as a [`Plant`]. Only completed
-    /// jobs (CAQ present) are included — their feature vectors would
-    /// otherwise change dimension mid-job and poison the line-level
-    /// series.
-    fn materialize(&self) -> Plant {
-        let series_of = |pipes: &[(String, Pipeline)]| {
-            pipes
-                .iter()
-                .filter_map(|(name, pipe)| pipe.series(name))
-                .collect()
-        };
-        let lines = self
-            .machines
-            .iter()
-            .map(|(machine_id, m)| ProductionLine {
-                machine_id: machine_id.clone(),
-                sensors: m.sensors.clone(),
-                redundancy: m.redundancy.clone(),
-                jobs: m
-                    .jobs
-                    .iter()
-                    .filter_map(|j| {
-                        let caq = j.caq.clone()?;
-                        let phases = j
-                            .phases
-                            .iter()
-                            .map(|p| Phase::new(p.kind, series_of(&p.pipes), Vec::new()))
-                            .collect();
-                        Some(Job {
-                            id: j.id.clone(),
-                            start: j.start,
-                            config: j.config.clone(),
-                            phases,
-                            caq,
-                        })
-                    })
-                    .collect(),
-                environment: Environment::new(series_of(&m.env)),
-            })
-            .collect();
-        Plant::new("streamed-plant", lines)
+    /// Freezes every job completed since the last assembly: appends its
+    /// [`Job`] to the machine's line of the materialized plant, its
+    /// phase-level detections to the machine's fragment, and its
+    /// pipelines' counters to the per-lane totals. Only completed jobs
+    /// (CAQ present) enter the plant — their feature vectors would
+    /// otherwise change dimension mid-job and poison the line-level series.
+    /// Series whose scorer failed are skipped in the detections, as the
+    /// batch path skips unscorable series.
+    fn freeze_completed_jobs(&mut self) {
+        let threshold = self.policy.threshold(Level::Phase);
+        let Self {
+            machines,
+            plant,
+            frozen_lanes,
+            frozen_failed,
+            ..
+        } = self;
+        for (line_no, (machine, m)) in machines.iter_mut().enumerate() {
+            while let Some(job) = m.jobs.get_mut(m.frozen) {
+                let Some(caq) = job.caq.clone() else { break };
+                let mut phases = Vec::with_capacity(job.phases.len());
+                for phase in &mut job.phases {
+                    let mut series = Vec::with_capacity(phase.pipes.len());
+                    for (name, pipe) in &mut phase.pipes {
+                        frozen_lanes
+                            .entry(LaneId {
+                                machine: machine.clone(),
+                                sensor: name.clone(),
+                                kind: LaneKind::Phase,
+                            })
+                            .or_default()
+                            .add(&pipe.counters());
+                        *frozen_failed += u64::from(pipe.failed);
+                        let raw = pipe.freeze();
+                        let Some(frozen) = pipe.series(name) else {
+                            continue;
+                        };
+                        if let Some(raw) = raw {
+                            let at = SeriesAt {
+                                machine: machine.clone(),
+                                job: Some(job.id.clone()),
+                                phase: Some(phase.kind),
+                                series: frozen.share(),
+                            };
+                            // At the phase level `emit_series` reads the
+                            // series, its scores and the threshold — nothing
+                            // of the plant, which does not hold this job yet.
+                            emit_series(
+                                plant,
+                                Level::Phase,
+                                threshold,
+                                &at,
+                                &raw,
+                                false,
+                                &mut m.phase,
+                            );
+                        }
+                        series.push(frozen);
+                    }
+                    phases.push(Phase::new(phase.kind, series, Vec::new()));
+                }
+                if let Some(line) = plant.lines.get_mut(line_no) {
+                    line.jobs.push(Job {
+                        id: job.id.clone(),
+                        start: job.start,
+                        config: job.config.clone(),
+                        phases,
+                        caq,
+                    });
+                }
+                m.frozen += 1;
+            }
+        }
     }
 
-    /// Builds the phase or environment detections from pipeline scores,
-    /// iterating the materialized plant's level view so the result order
-    /// is exactly the batch order. Series whose scorer failed or whose
-    /// scores are not yet complete (open phase in batch-equivalent mode)
-    /// are skipped — the batch path skips unscorable series the same way.
-    fn emit_level(&self, plant: &Plant, level: Level) -> LevelDetections {
-        let view = LevelView::extract(plant, level);
-        let mut det = LevelDetections::empty(level);
-        let threshold = self.policy.threshold(level);
-        for at in &view.series {
-            let Some(pipe) = self.pipeline_for(at) else {
-                continue;
-            };
-            if pipe.failed || pipe.scored.len() != at.series.len() {
-                continue;
+    /// Rebuilds the materialized plant's environment series — open until
+    /// finish, so every assembly sees new samples — and thresholds the
+    /// ones whose scores are complete.
+    fn assemble_environment(&mut self) -> LevelDetections {
+        let mut scored = Vec::new();
+        for ((machine, m), line) in self.machines.iter().zip(&mut self.plant.lines) {
+            let mut series = Vec::with_capacity(m.env.len());
+            for (name, pipe) in &m.env {
+                let Some(current) = pipe.series(name) else {
+                    continue;
+                };
+                if let Some(raw) = pipe.raw_scores() {
+                    let at = SeriesAt {
+                        machine: machine.clone(),
+                        job: None,
+                        phase: None,
+                        series: current.share(),
+                    };
+                    scored.push((at, raw));
+                }
+                series.push(current);
             }
-            let raw: Vec<f64> = pipe.scored.iter().map(|p| p.score).collect();
-            emit_series(plant, level, threshold, at, &raw, false, &mut det);
+            line.environment = Environment::new(series);
+        }
+        let level = Level::Environment;
+        let threshold = self.policy.threshold(level);
+        let mut det = LevelDetections::empty(level);
+        for (at, raw) in &scored {
+            emit_series(&self.plant, level, threshold, at, raw, false, &mut det);
         }
         det
-    }
-
-    fn pipeline_for(&self, at: &SeriesAt) -> Option<&Pipeline> {
-        let m = self
-            .machines
-            .iter()
-            .find(|(id, _)| *id == at.machine)
-            .map(|(_, m)| m)?;
-        match (at.job.as_deref(), at.phase) {
-            (Some(job), Some(kind)) => m
-                .jobs
-                .iter()
-                .find(|j| j.id == job)?
-                .phases
-                .iter()
-                .find(|p| p.kind == kind)?
-                .pipes
-                .iter()
-                .find(|(n, _)| n == at.series.name()),
-            _ => m.env.iter().find(|(n, _)| n == at.series.name()),
-        }
-        .map(|(_, pipe)| pipe)
     }
 
     /// Builds the online scorer for a lane of the given kind under the
@@ -1314,6 +1477,70 @@ mod tests {
         // The aggregate view is the sum of the per-lane views.
         let agg: u64 = report.lane_stats.values().map(|l| l.released).sum();
         assert_eq!(agg, report.stats.samples_released);
+    }
+
+    #[test]
+    fn consecutive_ticks_share_closed_history_instead_of_rebuilding_it() {
+        let mut det = detector(ScorerMode::BatchEquivalent);
+        bring_up(&mut det);
+        let bed = LaneId {
+            machine: "m0".into(),
+            sensor: "m0.bed.0".into(),
+            kind: LaneKind::Phase,
+        };
+        let run_job = |det: &mut StreamDetector, id: &str, start: u64| {
+            let config = JobConfig::new(vec!["p".into()], vec![1.0]);
+            det.apply(&ControlEvent::job_start("m0", id, start, config))
+                .expect("job_start");
+            for kind in [PhaseKind::WarmUp, PhaseKind::Printing] {
+                let sensors = [bed.sensor.clone()];
+                det.apply(&ControlEvent::phase_start("m0", kind, &sensors))
+                    .expect("phase_start");
+                let base = start + 100 * u64::from(kind == PhaseKind::Printing);
+                for t in 0..48_u64 {
+                    let value = if t == 30 {
+                        70.0
+                    } else {
+                        (t as f64 * 0.4).sin()
+                    };
+                    let timestamp = base + t;
+                    det.ingest(&bed, Sample { timestamp, value })
+                        .expect("ingest");
+                }
+            }
+            complete_job(det);
+        };
+        run_job(&mut det, "j0", 0);
+        let first = det.tick().expect("first tick");
+        let first_plant = det.plant.clone();
+        run_job(&mut det, "j1", 1000);
+        let second = det.tick().expect("second tick");
+
+        let (closed, all) = (
+            &first.detections[&Level::Phase],
+            &second.detections[&Level::Phase],
+        );
+        assert_eq!(closed.series_scores.len(), 2, "j0's two phases");
+        assert_eq!(all.series_scores.len(), 4);
+        assert!(!closed.outliers.is_empty(), "the spikes must be detected");
+        for (before, after) in closed.series_scores.iter().zip(&all.series_scores) {
+            assert_eq!((&before.job, before.phase), (&after.job, after.phase));
+            assert!(Arc::ptr_eq(&before.z, &after.z), "z re-standardised");
+            assert!(Arc::ptr_eq(&before.timestamps, &after.timestamps));
+        }
+        let series = |plant: &Plant| -> Vec<TimeSeries> {
+            let phases = plant.lines[0].jobs.iter().flat_map(|j| &j.phases);
+            phases
+                .flat_map(|p| p.series.iter().map(TimeSeries::share))
+                .collect()
+        };
+        let (before, after) = (series(&first_plant), series(&det.plant));
+        assert_eq!((before.len(), after.len()), (2, 4));
+        for ((before, after), scores) in before.iter().zip(&after).zip(&all.series_scores) {
+            assert!(before.shares_storage_with(after), "closed series re-copied");
+            // A report's timestamps are the materialized series' own buffer.
+            assert!(Arc::ptr_eq(&after.timestamps_shared(), &scores.timestamps));
+        }
     }
 
     #[test]

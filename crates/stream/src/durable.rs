@@ -446,26 +446,18 @@ impl<S: Storage> DurableStream<S> {
                 kind: slot.kind,
             };
             let stats = slot.pipe.watermark.stats();
-            if slot.pipe.timestamps.len() > slot.pipe.sealed || stats != slot.pipe.sealed_stats {
+            let (timestamps, values) = slot.pipe.released();
+            let released = timestamps.len();
+            if released > slot.pipe.sealed || stats != slot.pipe.sealed_stats {
                 sealed.push(Sealed {
                     id: id.clone(),
                     after: slot.pipe.opened_seq.unwrap_or(0),
-                    timestamps: slot
-                        .pipe
-                        .timestamps
-                        .get(slot.pipe.sealed..)
-                        .unwrap_or(&[])
-                        .to_vec(),
-                    values: slot
-                        .pipe
-                        .values
-                        .get(slot.pipe.sealed..)
-                        .unwrap_or(&[])
-                        .to_vec(),
+                    timestamps: timestamps.get(slot.pipe.sealed..).unwrap_or(&[]).to_vec(),
+                    values: values.get(slot.pipe.sealed..).unwrap_or(&[]).to_vec(),
                     late: stats.late_dropped as u64,
                     dups: stats.duplicates_dropped as u64,
                 });
-                slot.pipe.sealed = slot.pipe.timestamps.len();
+                slot.pipe.sealed = released;
                 slot.pipe.sealed_stats = stats;
             }
             for (t, v) in slot.pipe.watermark.pending_samples() {

@@ -1,6 +1,7 @@
 //! Frame types, payload codecs, and the incremental frame reader.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use hierod_core::HierOutlier;
 use hierod_hierarchy::Level;
@@ -45,6 +46,10 @@ const TAG_NO_CHANGE: u8 = 39;
 const TAG_HEALTH: u8 = 40;
 const TAG_SERIES: u8 = 41;
 const TAG_BACKFILL_DONE: u8 = 42;
+
+/// One lane of a [`Frame::Series`] reply: lane identity, timestamp column,
+/// value column.
+pub type LaneColumns = (LaneId, Arc<[u64]>, Arc<[f64]>);
 
 /// Machine-readable error class carried by [`Frame::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,8 +230,9 @@ pub enum Frame {
     Series {
         /// Per-lane results: lane identity, timestamp column, value
         /// column (columns are index-aligned and strictly increasing in
-        /// time).
-        lanes: Vec<(LaneId, Vec<u64>, Vec<f64>)>,
+        /// time). The columns are shared storage, so a server replies
+        /// with the scanned series' own buffers.
+        lanes: Vec<LaneColumns>,
         /// Chunk-pruning accounting of the scan.
         stats: ScanStats,
     },
@@ -365,16 +371,16 @@ fn take_lane_stats(buf: &mut &[u8]) -> Option<Vec<(LaneId, LaneStats)>> {
     Some(out)
 }
 
-fn put_series(out: &mut Vec<u8>, lanes: &[(LaneId, Vec<u64>, Vec<f64>)], stats: &ScanStats) {
+fn put_series(out: &mut Vec<u8>, lanes: &[LaneColumns], stats: &ScanStats) {
     codec::put_varint(out, lanes.len() as u64);
     for (lane, timestamps, values) in lanes {
         codec::put_bytes(out, &encode_lane(lane));
         codec::put_varint(out, timestamps.len() as u64);
-        for &t in timestamps {
+        for &t in timestamps.iter() {
             codec::put_varint(out, t);
         }
         codec::put_varint(out, values.len() as u64);
-        for &v in values {
+        for &v in values.iter() {
             codec::put_f64(out, v);
         }
     }
@@ -384,8 +390,7 @@ fn put_series(out: &mut Vec<u8>, lanes: &[(LaneId, Vec<u64>, Vec<f64>)], stats: 
     codec::put_varint(out, stats.samples);
 }
 
-#[allow(clippy::type_complexity)]
-fn take_series(buf: &mut &[u8]) -> Option<(Vec<(LaneId, Vec<u64>, Vec<f64>)>, ScanStats)> {
+fn take_series(buf: &mut &[u8]) -> Option<(Vec<LaneColumns>, ScanStats)> {
     let n = codec::take_varint(buf)?;
     let mut lanes = Vec::new();
     for _ in 0..n {
@@ -400,7 +405,7 @@ fn take_series(buf: &mut &[u8]) -> Option<(Vec<(LaneId, Vec<u64>, Vec<f64>)>, Sc
         for _ in 0..vn {
             values.push(codec::take_f64(buf)?);
         }
-        lanes.push((lane, timestamps, values));
+        lanes.push((lane, timestamps.into(), values.into()));
     }
     let stats = ScanStats {
         chunks_total: usize::try_from(codec::take_varint(buf)?).ok()?,

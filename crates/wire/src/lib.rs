@@ -48,5 +48,5 @@
 pub mod frame;
 pub mod report;
 
-pub use frame::{write_frame, ErrorCode, Frame, FrameReader, Poll, MAX_FRAME_LEN};
+pub use frame::{write_frame, ErrorCode, Frame, FrameReader, LaneColumns, Poll, MAX_FRAME_LEN};
 pub use report::{decode_report, encode_report};

@@ -109,11 +109,11 @@ fn put_series_scores(out: &mut Vec<u8>, s: &SeriesScores) {
     put_opt_phase(out, s.phase);
     codec::put_str(out, &s.sensor);
     codec::put_varint(out, s.timestamps.len() as u64);
-    for &t in &s.timestamps {
+    for &t in s.timestamps.iter() {
         codec::put_varint(out, t);
     }
     codec::put_varint(out, s.z.len() as u64);
-    for &z in &s.z {
+    for &z in s.z.iter() {
         codec::put_f64(out, z);
     }
 }
@@ -138,8 +138,8 @@ fn take_series_scores(buf: &mut &[u8]) -> Option<SeriesScores> {
         job,
         phase,
         sensor,
-        timestamps,
-        z,
+        timestamps: timestamps.into(),
+        z: z.into(),
     })
 }
 

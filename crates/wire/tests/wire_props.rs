@@ -17,7 +17,9 @@ use hierod_history::ScanStats;
 use hierod_service::{Health, PlantHealth, RecoverySummary};
 use hierod_store::wal::{self, WalRecord, WAL_MAGIC};
 use hierod_stream::{LaneId, LaneKind, LaneStats, StreamReport, StreamStats};
-use hierod_wire::{decode_report, encode_report, write_frame, ErrorCode, Frame, FrameReader, Poll};
+use hierod_wire::{
+    decode_report, encode_report, write_frame, ErrorCode, Frame, FrameReader, LaneColumns, Poll,
+};
 
 // -----------------------------------------------------------------
 // Generators (the shim has no regex strategies: build strings from
@@ -238,7 +240,7 @@ fn arb_scan_stats() -> impl Strategy<Value = ScanStats> {
 
 /// Lane column triples for [`Frame::Series`]: index-aligned timestamp
 /// and value columns per lane.
-fn arb_series_lanes() -> impl Strategy<Value = Vec<(LaneId, Vec<u64>, Vec<f64>)>> {
+fn arb_series_lanes() -> impl Strategy<Value = Vec<LaneColumns>> {
     prop::collection::vec(
         (
             arb_lane(),

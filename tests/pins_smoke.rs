@@ -2,8 +2,9 @@
 //! of each, through the public facade, so the root package's bare
 //! `cargo test` fails when a driver call site bends a pin. The full
 //! suites (crash sweeps, proptests, fuzzing) live in the member crates:
-//! `tenant_equivalence`, `store_recovery`, `tenant_recovery`,
-//! `wire_equivalence`, `history_equivalence`, `adapt_equivalence`.
+//! `tenant_equivalence` (which also holds cached tick ≡ fresh-replay
+//! tick), `store_recovery`, `tenant_recovery`, `wire_equivalence`,
+//! `history_equivalence`, `adapt_equivalence`.
 
 use std::collections::BTreeMap;
 use std::thread;
@@ -15,7 +16,8 @@ use hierod::service::{PlantService, RegistryService};
 use hierod::store::tenants::MemFactory;
 use hierod::store::{MemStorage, StoreOptions};
 use hierod::stream::{
-    DurableStream, PlantRegistry, StreamConfig, StreamDetector, StreamEvent, TenantConfig,
+    ControlEvent, DurableStream, PlantRegistry, StreamConfig, StreamDetector, StreamEvent,
+    TenantConfig,
 };
 use hierod::synth::ScenarioBuilder;
 use hierod::wire::encode_report;
@@ -52,18 +54,27 @@ macro_rules! drive {
     }};
 }
 
-/// The reference every pin compares against: the bare, in-memory
-/// detector's finish report, as wire bytes (covers every score bit).
-fn reference(events: &[StreamEvent]) -> Vec<u8> {
+/// A bare, in-memory detector that has seen `events`.
+fn detector_after(events: &[StreamEvent]) -> StreamDetector {
     let mut det =
         StreamDetector::new(AlgorithmPolicy::default(), StreamConfig::default()).expect("detector");
+    feed(&mut det, events);
+    det
+}
+
+fn feed(det: &mut StreamDetector, events: &[StreamEvent]) {
     for event in events {
         match event {
             StreamEvent::Control(c) => det.apply(c).expect("control"),
             StreamEvent::Sample(lane, s) => det.ingest(lane, *s).expect("ingest"),
         }
     }
-    let report = det.finish().expect("finish");
+}
+
+/// The reference every pin compares against: the bare, in-memory
+/// detector's finish report, as wire bytes (covers every score bit).
+fn reference(events: &[StreamEvent]) -> Vec<u8> {
+    let report = detector_after(events).finish().expect("finish");
     assert!(!report.report.is_empty(), "a pin over no outliers is weak");
     encode_report(&report)
 }
@@ -90,6 +101,32 @@ fn tenant_equals_bare_detector() {
     drive!(reg.create_tenant("p").expect("tenant"), &events);
     let report = reg.finish_tenant("p").expect("finish");
     assert_eq!(encode_report(&report), reference(&events));
+}
+
+/// A long-lived detector shares frozen jobs into every later report; a
+/// fresh detector that replayed the same prefix has nothing cached.
+#[test]
+fn cached_tick_equals_fresh_replay_tick() {
+    let events = script(42);
+    let mut long_lived = detector_after(&[]);
+    let mut ticks = 0;
+    for (i, event) in events.iter().enumerate() {
+        feed(&mut long_lived, std::slice::from_ref(event));
+        let completed = matches!(
+            event,
+            StreamEvent::Control(ControlEvent::JobComplete { .. })
+        );
+        if completed || i == events.len() / 2 {
+            let cached = long_lived.tick().expect("tick");
+            let fresh = detector_after(&events[..=i]).tick().expect("fresh tick");
+            assert!(
+                encode_report(&cached) == encode_report(&fresh),
+                "tick after event {i} diverged from a fresh replay"
+            );
+            ticks += 1;
+        }
+    }
+    assert_eq!(ticks, 3, "mid-job, after job 1, after job 2");
 }
 
 #[test]

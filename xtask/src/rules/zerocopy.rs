@@ -5,19 +5,28 @@
 //! structured successor to the old CI grep gate (`series: s.clone()` in
 //! `view.rs`). In the listed hot-path files it flags:
 //!
-//! * any `.to_vec()` — a window/row/storage materialization, and
-//! * `.clone()` on series-shaped receivers (`series`, `storage`, `values`,
-//!   `timestamps`, or the conventional series binding `s`) — shared-storage
-//!   handles must be propagated with `.share()` so intent stays explicit.
+//! * `.to_vec()` on a series-shaped receiver (`series`, `storage`, `values`,
+//!   `timestamps`, or the conventional series binding `s`) or on any call or
+//!   index expression (`at.series.timestamps().to_vec()`,
+//!   `values[a..b].to_vec()`) — a window/row/storage materialization, and
+//! * `.clone()` on series-shaped receivers — shared-storage handles must be
+//!   propagated with `.share()` so intent stays explicit.
 //!
-//! Identifier clones (`machine_id.clone()`, `job.id.clone()`) are cheap and
-//! deliberate; they do not match the receiver test.
+//! Identifier copies (`machine_id.clone()`, `job.id.clone()`, a control
+//! event's `sensors.to_vec()` inventory) are cheap and deliberate; a plain
+//! binding that is not series-shaped does not match the receiver test.
 
 use crate::findings::{Finding, Rule};
 use crate::scan::Source;
 
 /// The hot-path files the rule applies to (workspace-relative).
-pub const HOT_PATHS: [&str; 2] = ["crates/hierarchy/src/view.rs", "crates/detect/src/adapt.rs"];
+pub const HOT_PATHS: [&str; 5] = [
+    "crates/hierarchy/src/view.rs",
+    "crates/detect/src/adapt.rs",
+    "crates/stream/src/detector.rs",
+    "crates/core/src/detect_level.rs",
+    "crates/server/src/conn.rs",
+];
 
 /// Receiver names treated as series storage.
 const SERIES_RECEIVERS: [&str; 5] = ["series", "storage", "values", "timestamps", "s"];
@@ -25,15 +34,24 @@ const SERIES_RECEIVERS: [&str; 5] = ["series", "storage", "values", "timestamps"
 /// Scans one hot-path source file (non-test code).
 pub fn check(src: &Source) -> Vec<Finding> {
     let mut out = Vec::new();
-    scan_method(src, ".to_vec()", false, &mut out);
-    scan_method(src, ".clone()", true, &mut out);
+    let to_vec = "hot path materializes a copy with .to_vec(); borrow a view/slice instead";
+    let clone = "series storage is deep-cloned; propagate the Arc with .share()";
+    scan_method(src, ".to_vec()", true, to_vec, &mut out);
+    scan_method(src, ".clone()", false, clone, &mut out);
     out.sort_by_key(|f| f.line);
     out
 }
 
-/// Finds `receiver.method()` occurrences; when `series_only`, the last
-/// receiver path segment must be series-shaped.
-fn scan_method(src: &Source, method: &str, series_only: bool, out: &mut Vec<Finding>) {
+/// Finds `receiver.method()` occurrences whose last receiver path segment
+/// is series-shaped; with `expressions`, a receiver that is no plain
+/// binding at all (a call or index expression) matches too.
+fn scan_method(
+    src: &Source,
+    method: &str,
+    expressions: bool,
+    message: &str,
+    out: &mut Vec<Finding>,
+) {
     let masked = &src.masked;
     let mut search = 0;
     while let Some(rel) = masked[search..].find(method) {
@@ -42,23 +60,21 @@ fn scan_method(src: &Source, method: &str, series_only: bool, out: &mut Vec<Find
         if src.offset_in_test(at) {
             continue;
         }
-        if series_only {
-            let receiver = last_path_segment(&masked[..at]);
-            if !SERIES_RECEIVERS.contains(&receiver.as_str()) {
-                continue;
-            }
-        }
-        let what = if series_only {
-            "series storage is deep-cloned; propagate the Arc with .share()"
+        let receiver = last_path_segment(&masked[..at]);
+        let matches = if receiver.is_empty() {
+            expressions
         } else {
-            "hot path materializes a copy with .to_vec(); borrow a view/slice instead"
+            SERIES_RECEIVERS.contains(&receiver.as_str())
         };
+        if !matches {
+            continue;
+        }
         out.push(Finding {
             rule: Rule::ZeroCopy,
             file: src.path.clone(),
             line: src.line_of(at),
             excerpt: src.excerpt(at),
-            message: what.to_string(),
+            message: message.to_string(),
         });
     }
 }
@@ -91,6 +107,8 @@ mod tests {
         );
         assert_eq!(findings("let c = job.series.clone();").len(), 1);
         assert_eq!(findings("let w = window.values().to_vec();").len(), 1);
+        assert_eq!(findings("let w = pipe.timestamps.to_vec();").len(), 1);
+        assert_eq!(findings("let w = raw[start..].to_vec();").len(), 1);
     }
 
     #[test]
@@ -98,6 +116,7 @@ mod tests {
         assert!(findings("let v = SensorView { series: s.share() };").is_empty());
         assert!(findings("let m = line.machine_id.clone();").is_empty());
         assert!(findings("let j = job.id.clone();").is_empty());
+        assert!(findings("let inventory = sensors.to_vec();").is_empty());
     }
 
     #[test]
