@@ -1,11 +1,32 @@
 //! Per-connection protocol handling: wire frames in, [`PlantService`]
 //! calls down, wire frames out.
+//!
+//! ## Locks
+//!
+//! No frame takes a server-wide lock. The service is shared by reference
+//! and excludes per plant on its own (see [`hierod_service`]); what this
+//! module adds is one [`CacheSlot`] per admitted plant, each behind its
+//! own mutex, found through [`ServiceState::caches`]:
+//!
+//! * the **cache map** lock covers a lookup, an insert or a remove of a
+//!   slot handle and is never held together with any other lock;
+//! * a plant's **cache slot** lock is held across `service.tick` and the
+//!   `advance` that stores its report — so for two connections ticking
+//!   one plant, version order is assembly order — and across answering a
+//!   score or delta query from the stored report. Ingest never takes it.
+//!
+//! Order: cache slot → (inside the service) registry map → tenant.
+//! Nothing acquires leftwards, and `Finish` holds nothing at all across
+//! `service.finish` or the `encode_report` of its reply: it closes the
+//! plant's slot first (later ticks and queries answer `Missing`), lets
+//! the service detach and finalise the plant, and unmaps the slot
+//! afterwards — whether or not the finish succeeded, so a failed one
+//! cannot leave a report behind that keeps being served.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufWriter, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hierod_core::HierOutlier;
 use hierod_detect::engine::AlgoSpec;
@@ -48,12 +69,13 @@ impl ReportCache {
         }
     }
 
-    /// Moves the next report in; the report it displaces keeps only its
-    /// outlier list, as the delta base.
-    fn advance(&mut self, next: StreamReport) {
+    /// Moves the next report in and returns its version; the report it
+    /// displaces keeps only its outlier list, as the delta base.
+    fn advance(&mut self, next: StreamReport) -> u64 {
         self.prev = std::mem::replace(&mut self.current, next).report.outliers;
         self.version += 1;
         self.delta = None;
+        self.version
     }
 
     fn outliers(&self) -> &[HierOutlier] {
@@ -156,21 +178,66 @@ fn outlier_delta(
     (added, removed)
 }
 
-/// The service plus the per-plant report caches, guarded by one mutex in
-/// [`Server`](crate::Server).
+/// What the server remembers of one admitted plant's reports.
+#[derive(Debug)]
+enum CacheSlot {
+    /// Admitted, never ticked.
+    Empty,
+    /// The last tick's report and its version.
+    Filled(Box<ReportCache>),
+    /// A `Finish` is detaching the plant: nothing is served from here
+    /// again, and the slot is about to leave the map.
+    Closed,
+}
+
+type SharedSlot = Arc<Mutex<CacheSlot>>;
+
+/// The service, shared by every worker, plus the per-plant report cache
+/// slots. See the module docs for what each lock covers.
 #[derive(Debug)]
 pub(crate) struct ServiceState<S> {
     service: S,
-    caches: BTreeMap<String, ReportCache>,
+    caches: Mutex<BTreeMap<String, SharedSlot>>,
 }
 
 impl<S: PlantService> ServiceState<S> {
     pub(crate) fn new(service: S) -> Self {
         ServiceState {
             service,
-            caches: BTreeMap::new(),
+            caches: Mutex::new(BTreeMap::new()),
         }
     }
+
+    /// The cache slot of `plant`, if a connection admitted it and no
+    /// `Finish` has unmapped it since.
+    fn slot(&self, plant: &str) -> Option<SharedSlot> {
+        lock(&self.caches).get(plant).cloned()
+    }
+
+    /// The cache slot of a plant the service has just admitted.
+    fn admitted_slot(&self, plant: &str) -> SharedSlot {
+        Arc::clone(
+            lock(&self.caches)
+                .entry(plant.to_string())
+                .or_insert_with(|| Arc::new(Mutex::new(CacheSlot::Empty))),
+        )
+    }
+
+    /// Unmaps `plant`'s cache slot if it still is `slot`.
+    fn unmap(&self, plant: &str, slot: &SharedSlot) {
+        let mut caches = lock(&self.caches);
+        if caches.get(plant).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+            caches.remove(plant);
+        }
+    }
+}
+
+fn not_ticked() -> Frame {
+    error_frame(ErrorCode::Missing, "no report assembled yet (tick first)")
+}
+
+fn plant_gone(plant: &str) -> Frame {
+    error_frame(ErrorCode::Missing, format!("plant {plant:?} is not live"))
 }
 
 /// Connection-local protocol state.
@@ -210,52 +277,41 @@ fn error_frame(code: ErrorCode, message: impl Into<String>) -> Frame {
 }
 
 /// Applies one ingest record; failures are parked, never answered.
-fn apply_ingest<S: PlantService>(
-    state: &mut ServiceState<S>,
-    conn: &mut ConnState,
-    record: WalRecord,
-) {
-    let Some(plant) = conn.plant.clone() else {
-        conn.park(ErrorCode::Protocol, "ingest before admit".to_string());
-        return;
-    };
-    match record {
-        WalRecord::LaneDef { lane, meta } => match decode_lane(&meta) {
+fn apply_ingest<S: PlantService>(service: &S, conn: &mut ConnState, record: WalRecord) {
+    let parked = |e: DetectError| (classify(&e), e.to_string());
+    let protocol = |message: String| Some((ErrorCode::Protocol, message));
+    // Work the failure out under borrows of the plant id and the lane
+    // table, park it after: nothing is cloned per record.
+    let failure = match (conn.plant.as_deref(), record) {
+        (None, _) => protocol("ingest before admit".to_string()),
+        (Some(_), WalRecord::LaneDef { lane, meta }) => match decode_lane(&meta) {
             Some(id) => {
                 conn.lanes.insert(lane, id);
+                None
             }
-            None => conn.park(ErrorCode::Protocol, format!("undecodable lane {lane} meta")),
+            None => protocol(format!("undecodable lane {lane} meta")),
         },
-        WalRecord::Control { seq: _, payload } => match decode_control(&payload) {
-            Some(event) => {
-                if let Err(e) = state.service.control(&plant, &event) {
-                    conn.park(classify(&e), e.to_string());
-                }
-            }
-            None => conn.park(
-                ErrorCode::Protocol,
-                "undecodable control payload".to_string(),
-            ),
+        (Some(plant), WalRecord::Control { seq: _, payload }) => match decode_control(&payload) {
+            Some(event) => service.control(plant, &event).err().map(parked),
+            None => protocol("undecodable control payload".to_string()),
         },
-        WalRecord::Sample {
-            lane,
-            timestamp,
-            value,
-        } => match conn.lanes.get(&lane) {
-            Some(id) => {
-                let id = id.clone();
-                if let Err(e) = state
-                    .service
-                    .ingest(&plant, &id, Sample { timestamp, value })
-                {
-                    conn.park(classify(&e), e.to_string());
-                }
-            }
-            None => conn.park(
-                ErrorCode::Protocol,
-                format!("sample for undefined lane {lane}"),
-            ),
+        (
+            Some(plant),
+            WalRecord::Sample {
+                lane,
+                timestamp,
+                value,
+            },
+        ) => match conn.lanes.get(&lane) {
+            Some(id) => service
+                .ingest(plant, id, Sample { timestamp, value })
+                .err()
+                .map(parked),
+            None => protocol(format!("sample for undefined lane {lane}")),
         },
+    };
+    if let Some((code, message)) = failure {
+        conn.park(code, message);
     }
 }
 
@@ -268,7 +324,7 @@ fn addressed(conn: &ConnState) -> Result<String, Frame> {
 
 /// Handles one synchronous request frame, returning the reply frame.
 fn handle_request<S: PlantService>(
-    state: &mut ServiceState<S>,
+    state: &ServiceState<S>,
     conn: &mut ConnState,
     frame: Frame,
 ) -> Frame {
@@ -277,9 +333,20 @@ fn handle_request<S: PlantService>(
     if let Some((code, message)) = conn.pending.take() {
         return error_frame(code, message);
     }
+    let service = &state.service;
     match frame {
-        Frame::Admit { plant, create } => match state.service.admit(&plant, create) {
+        Frame::Admit { plant, create } => match service.admit(&plant, create) {
             Ok(outcome) => {
+                // A slot some `Finish` has closed but not yet unmapped:
+                // whichever incarnation the service just admitted, this
+                // server cannot cache for it until that finish is over.
+                let slot = state.admitted_slot(&plant);
+                if matches!(*lock(&slot), CacheSlot::Closed) {
+                    return error_frame(
+                        ErrorCode::Invalid,
+                        format!("plant {plant:?} is finishing"),
+                    );
+                }
                 conn.plant = Some(plant);
                 conn.lanes.clear();
                 Frame::Ok {
@@ -296,20 +363,27 @@ fn handle_request<S: PlantService>(
                 Ok(p) => p,
                 Err(f) => return f,
             };
-            match state.service.tick(&plant) {
+            let Some(slot) = state.slot(&plant) else {
+                return plant_gone(&plant);
+            };
+            // Held across the tick and the store, so that version order
+            // is assembly order when two connections tick one plant.
+            let mut cache = lock(&slot);
+            if matches!(*cache, CacheSlot::Closed) {
+                return plant_gone(&plant);
+            }
+            // LOCKS: crates/stream::plants, crates/stream::slot
+            match service.tick(&plant) {
                 Ok(report) => {
-                    let cache = match state.caches.entry(plant) {
-                        Entry::Occupied(slot) => {
-                            let cache = slot.into_mut();
-                            cache.advance(report);
-                            cache
+                    let outliers = report.report.outliers.len() as u64;
+                    let version = match &mut *cache {
+                        CacheSlot::Filled(cache) => cache.advance(report),
+                        vacant => {
+                            *vacant = CacheSlot::Filled(Box::new(ReportCache::new(report)));
+                            1
                         }
-                        Entry::Vacant(slot) => slot.insert(ReportCache::new(report)),
                     };
-                    Frame::TickDone {
-                        version: cache.version,
-                        outliers: cache.outliers().len() as u64,
-                    }
+                    Frame::TickDone { version, outliers }
                 }
                 Err(e) => error_frame(classify(&e), e.to_string()),
             }
@@ -319,12 +393,24 @@ fn handle_request<S: PlantService>(
                 Ok(p) => p,
                 Err(f) => return f,
             };
-            match state.service.finish(&plant) {
+            // Close the slot, then finish with nothing held: the service
+            // detaches the plant before it finalises it, and whatever it
+            // returns the plant is gone — so its slot goes too, and a
+            // failed finish leaves no report behind to be served.
+            let slot = state.slot(&plant);
+            let last = slot
+                .as_ref()
+                .map(|slot| std::mem::replace(&mut *lock(slot), CacheSlot::Closed));
+            let finished = service.finish(&plant);
+            if let Some(slot) = &slot {
+                state.unmap(&plant, slot);
+            }
+            match finished {
                 Ok(report) => {
-                    let version = state
-                        .caches
-                        .remove(&plant)
-                        .map_or(1, |cache| cache.version + 1);
+                    let version = match last {
+                        Some(CacheSlot::Filled(cache)) => cache.version + 1,
+                        _ => 1,
+                    };
                     conn.plant = None;
                     conn.lanes.clear();
                     Frame::Report {
@@ -340,8 +426,12 @@ fn handle_request<S: PlantService>(
                 Ok(p) => p,
                 Err(f) => return f,
             };
-            match state.caches.get(&plant) {
-                Some(cache) => Frame::Scores {
+            let Some(slot) = state.slot(&plant) else {
+                return plant_gone(&plant);
+            };
+            let cache = lock(&slot);
+            match &*cache {
+                CacheSlot::Filled(cache) => Frame::Scores {
                     version: cache.version,
                     outliers: cache
                         .outliers()
@@ -350,7 +440,8 @@ fn handle_request<S: PlantService>(
                         .cloned()
                         .collect(),
                 },
-                None => error_frame(ErrorCode::Missing, "no report assembled yet (tick first)"),
+                CacheSlot::Empty => not_ticked(),
+                CacheSlot::Closed => plant_gone(&plant),
             }
         }
         Frame::QueryLaneStats => {
@@ -358,11 +449,11 @@ fn handle_request<S: PlantService>(
                 Ok(p) => p,
                 Err(f) => return f,
             };
-            let stats = match state.service.stats(&plant) {
+            let stats = match service.stats(&plant) {
                 Ok(s) => s,
                 Err(e) => return error_frame(classify(&e), e.to_string()),
             };
-            match state.service.lane_stats(&plant) {
+            match service.lane_stats(&plant) {
                 Ok(lanes) => Frame::LaneStatsReply {
                     stats,
                     lanes: lanes.into_iter().collect(),
@@ -375,9 +466,14 @@ fn handle_request<S: PlantService>(
                 Ok(p) => p,
                 Err(f) => return f,
             };
-            match state.caches.get_mut(&plant) {
-                Some(cache) => cache.deltas_since(since),
-                None => error_frame(ErrorCode::Missing, "no report assembled yet (tick first)"),
+            let Some(slot) = state.slot(&plant) else {
+                return plant_gone(&plant);
+            };
+            let mut cache = lock(&slot);
+            match &mut *cache {
+                CacheSlot::Filled(cache) => cache.deltas_since(since),
+                CacheSlot::Empty => not_ticked(),
+                CacheSlot::Closed => plant_gone(&plant),
             }
         }
         Frame::RangeScan {
@@ -396,7 +492,7 @@ fn handle_request<S: PlantService>(
                 machine,
                 sensor,
             };
-            match state.service.range_scan(&plant, &query) {
+            match service.range_scan(&plant, &query) {
                 Ok((lanes, stats)) => Frame::Series {
                     lanes: lanes
                         .into_iter()
@@ -416,7 +512,7 @@ fn handle_request<S: PlantService>(
                 Ok(s) => s,
                 Err(e) => return error_frame(classify(&e), e.to_string()),
             };
-            match state.service.backfill(&plant, start, end, spec.as_ref()) {
+            match service.backfill(&plant, start, end, spec.as_ref()) {
                 Ok(outcome) => Frame::BackfillDone {
                     report: encode_report(&outcome.report),
                     controls_replayed: outcome.controls_replayed,
@@ -426,7 +522,7 @@ fn handle_request<S: PlantService>(
                 Err(e) => error_frame(classify(&e), e.to_string()),
             }
         }
-        Frame::QueryHealth => Frame::HealthReply(state.service.health()),
+        Frame::QueryHealth => Frame::HealthReply(service.health()),
         Frame::Ingest(_) => error_frame(ErrorCode::Protocol, "unreachable: ingest is async"),
         // A client sending response-tagged frames is off-protocol.
         _ => error_frame(ErrorCode::Protocol, "unexpected response-tagged frame"),
@@ -436,7 +532,7 @@ fn handle_request<S: PlantService>(
 /// Serves one connection until EOF, a protocol error, or drain.
 pub(crate) fn serve_connection<S: PlantService>(
     stream: TcpStream,
-    service: &Mutex<ServiceState<S>>,
+    state: &ServiceState<S>,
     shared: &Shared,
     config: &ServerConfig,
 ) -> io::Result<()> {
@@ -463,17 +559,11 @@ pub(crate) fn serve_connection<S: PlantService>(
                     return Ok(());
                 }
                 match frame {
-                    Frame::Ingest(record) => {
-                        let mut state = lock(service);
-                        apply_ingest(&mut state, &mut conn, record);
-                        // No ack: the next synchronous request surfaces
-                        // any parked error.
-                    }
+                    // No ack: the next synchronous request surfaces any
+                    // parked error.
+                    Frame::Ingest(record) => apply_ingest(&state.service, &mut conn, record),
                     request => {
-                        let reply = {
-                            let mut state = lock(service);
-                            handle_request(&mut state, &mut conn, request)
-                        };
+                        let reply = handle_request(state, &mut conn, request);
                         write_frame(&mut writer, &reply)?;
                         writer.flush()?;
                     }
@@ -550,7 +640,7 @@ mod tests {
     }
 
     /// A service whose every `tick` returns the next scripted report.
-    struct Scripted(std::collections::VecDeque<StreamReport>);
+    struct Scripted(Mutex<std::collections::VecDeque<StreamReport>>);
 
     fn unscripted<T>() -> Result<T> {
         Err(DetectError::Missing {
@@ -559,22 +649,22 @@ mod tests {
     }
 
     impl PlantService for Scripted {
-        fn admit(&mut self, _: &str, _: bool) -> Result<Admission> {
+        fn admit(&self, _: &str, _: bool) -> Result<Admission> {
             Ok(Admission::Created)
         }
         fn plants(&self) -> Vec<String> {
             Vec::new()
         }
-        fn control(&mut self, _: &str, _: &ControlEvent) -> Result<()> {
+        fn control(&self, _: &str, _: &ControlEvent) -> Result<()> {
             unscripted()
         }
-        fn ingest(&mut self, _: &str, _: &LaneId, _: Sample) -> Result<()> {
+        fn ingest(&self, _: &str, _: &LaneId, _: Sample) -> Result<()> {
             unscripted()
         }
-        fn tick(&mut self, _: &str) -> Result<StreamReport> {
-            self.0.pop_front().map_or_else(unscripted, Ok)
+        fn tick(&self, _: &str) -> Result<StreamReport> {
+            lock(&self.0).pop_front().map_or_else(unscripted, Ok)
         }
-        fn finish(&mut self, _: &str) -> Result<StreamReport> {
+        fn finish(&self, _: &str) -> Result<StreamReport> {
             unscripted()
         }
         fn stats(&self, _: &str) -> Result<StreamStats> {
@@ -586,10 +676,10 @@ mod tests {
         fn health(&self) -> Health {
             Health::default()
         }
-        fn rotate(&mut self, _: &str) -> Result<()> {
+        fn rotate(&self, _: &str) -> Result<()> {
             unscripted()
         }
-        fn compact(&mut self, _: &str, _: &CompactionOptions) -> Result<CompactionStats> {
+        fn compact(&self, _: &str, _: &CompactionOptions) -> Result<CompactionStats> {
             unscripted()
         }
         fn range_scan(
@@ -625,9 +715,9 @@ mod tests {
             outlier("j1", "m0.bed.1", 3, 1),
         ];
         let reports = [v1.clone(), v2.clone(), v2.clone()].map(report_of);
-        let mut state = ServiceState::new(Scripted(reports.iter().cloned().collect()));
+        let state = ServiceState::new(Scripted(Mutex::new(reports.iter().cloned().collect())));
         let mut conn = ConnState::default();
-        let mut ask = |frame| handle_request(&mut state, &mut conn, frame);
+        let mut ask = |frame| handle_request(&state, &mut conn, frame);
         ask(Frame::Admit {
             plant: "p".into(),
             create: true,

@@ -12,11 +12,23 @@
 //! are refused, not buffered without limit); each worker pops one socket
 //! and serves it to completion before taking the next.
 //!
-//! The service itself sits behind one mutex, and detection runs inline
-//! on whichever worker holds it: the serving layer is an ordinary
-//! monitor and correctness never depends on lock juggling. Concurrency
-//! at this layer is about keeping many sockets serviced, not about
-//! parallel scoring (per-tenant locking is ROADMAP item 4).
+//! The service is shared by reference — [`Server`] wants a `Sync`
+//! [`PlantService`] and takes no lock of its own around it — and
+//! detection runs inline on whichever worker serves the frame. What a
+//! frame excludes is therefore what the service excludes:
+//! `RegistryService` locks one plant per call, so two connections on
+//! different plants run side by side, and one plant's `tick`, storage
+//! stall or end-of-shift `finish` delays callers of that plant only. A
+//! `Finish` detaches the plant and then finalises and encodes its report
+//! with no lock held at all.
+//!
+//! The one piece of shared state this crate adds is a report cache slot
+//! per admitted plant, each behind its own mutex (`conn.rs`). Lock
+//! order, outermost first: **cache slot → registry map → tenant**;
+//! nothing acquires leftwards. `cargo xtask lint` holds the graph
+//! acyclic, `hierod-service`'s `tests/loom_registry.rs` walks the inner
+//! two, and `tests/tenant_isolation.rs` parks one plant inside storage
+//! and runs a neighbour's whole session beside it.
 //!
 //! ## Graceful drain
 //!
@@ -143,14 +155,14 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// A bound-but-not-yet-serving TCP front-end over any [`PlantService`].
 pub struct Server<S: PlantService> {
-    service: Mutex<conn::ServiceState<S>>,
+    state: conn::ServiceState<S>,
     listener: TcpListener,
     config: ServerConfig,
     shared: Arc<Shared>,
     addr: SocketAddr,
 }
 
-impl<S: PlantService + Send> Server<S> {
+impl<S: PlantService + Send + Sync> Server<S> {
     /// Binds the listener (without serving yet, so callers can grab a
     /// [`ServerHandle`] before the blocking [`Server::serve`] call).
     ///
@@ -164,7 +176,7 @@ impl<S: PlantService + Send> Server<S> {
         listener.set_nonblocking(true)?;
         let accept_queue = config.accept_queue;
         Ok(Server {
-            service: Mutex::new(conn::ServiceState::new(service)),
+            state: conn::ServiceState::new(service),
             listener,
             config,
             shared: Arc::new(Shared {
@@ -200,10 +212,10 @@ impl<S: PlantService + Send> Server<S> {
         let shared = &self.shared;
         let listener = &self.listener;
         let config = &self.config;
-        let service = &self.service;
+        let state = &self.state;
         tasks.push(Box::new(move || accept_loop(listener, shared, config)));
         for _ in 0..workers {
-            tasks.push(Box::new(move || worker_loop(service, shared, config)));
+            tasks.push(Box::new(move || worker_loop(state, shared, config)));
         }
         pool.run(tasks);
         // Relaxed suffices: `pool.run` joins every task, and the joins
@@ -241,7 +253,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared, config: &ServerConfig) {
 }
 
 fn worker_loop<S: PlantService>(
-    service: &Mutex<conn::ServiceState<S>>,
+    state: &conn::ServiceState<S>,
     shared: &Shared,
     config: &ServerConfig,
 ) {
@@ -249,7 +261,7 @@ fn worker_loop<S: PlantService>(
     // queue is closed *and* drained — exactly the worker exit condition.
     while let Some(stream) = shared.queue.pop() {
         // Per-connection I/O errors end that connection only.
-        let _ = conn::serve_connection(stream, service, shared, config);
+        let _ = conn::serve_connection(stream, state, shared, config);
         shared.connections.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -5,6 +5,9 @@
 //! layer adds transport, never meaning.
 
 use std::collections::BTreeMap;
+use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use hierod_core::{AlgorithmPolicy, HierOutlier};
@@ -15,7 +18,8 @@ use hierod_history::{CompactionOptions, RangeQuery};
 use hierod_server::client::{ClientError, DeltaReply};
 use hierod_server::{Client, Server, ServerConfig, ServerHandle, ServerStats};
 use hierod_service::{PlantService, RegistryService};
-use hierod_store::tenants::MemFactory;
+use hierod_store::tenants::{MemFactory, StorageFactory};
+use hierod_store::MemStorage;
 use hierod_stream::tenant::TenantConfig;
 use hierod_stream::{ControlEvent, LaneId, LaneKind, Sample};
 use hierod_wire::{decode_report, encode_report, ErrorCode};
@@ -30,9 +34,11 @@ fn spawn_server() -> (ServerHandle, thread::JoinHandle<ServerStats>) {
     spawn_server_with(svc)
 }
 
-fn spawn_server_with(
-    svc: RegistryService<MemFactory>,
-) -> (ServerHandle, thread::JoinHandle<ServerStats>) {
+fn spawn_server_with<F>(svc: RegistryService<F>) -> (ServerHandle, thread::JoinHandle<ServerStats>)
+where
+    F: StorageFactory + Send + Sync + 'static,
+    F::Storage: Send,
+{
     let server = Server::bind(svc, ServerConfig::default()).unwrap();
     let handle = server.handle();
     let join = thread::spawn(move || server.serve().unwrap());
@@ -233,10 +239,9 @@ fn scores_and_deltas_follow_report_versions() {
     join.join().unwrap();
 }
 
-#[test]
-fn tick_delta_sequence_over_wire_equals_the_embedded_diff() {
-    // A second job on the same machine, with its own spike.
-    let second_job = [
+/// A second job on the same machine, with its own spike.
+fn second_job() -> [ControlEvent; 2] {
+    [
         ControlEvent::JobStart {
             machine: MACHINE.into(),
             job: "j1".into(),
@@ -248,8 +253,39 @@ fn tick_delta_sequence_over_wire_equals_the_embedded_diff() {
             kind: PhaseKind::WarmUp,
             sensors: vec![BED.to_string()],
         },
-    ];
-    let second_sample = |t: u64| if t == 111 { -45.0 } else { sample_at(t) };
+    ]
+}
+
+fn second_sample(t: u64) -> f64 {
+    if t == 111 {
+        -45.0
+    } else {
+        sample_at(t)
+    }
+}
+
+/// What `QueryDeltas` must answer one version on: the quadratic diff of
+/// two embedded reports' outlier lists.
+fn embedded_diff(from: u64, prev: &[HierOutlier], current: &[HierOutlier]) -> DeltaReply {
+    DeltaReply::Deltas {
+        from,
+        to: from + 1,
+        added: current
+            .iter()
+            .filter(|o| !prev.contains(o))
+            .cloned()
+            .collect(),
+        removed: prev
+            .iter()
+            .filter(|o| !current.contains(o))
+            .cloned()
+            .collect(),
+    }
+}
+
+#[test]
+fn tick_delta_sequence_over_wire_equals_the_embedded_diff() {
+    let second_job = second_job();
 
     let (handle, join) = spawn_server();
     let mut client = Client::connect(handle.local_addr()).unwrap();
@@ -294,23 +330,9 @@ fn tick_delta_sequence_over_wire_equals_the_embedded_diff() {
     let (o1, o2) = (&r1.report.outliers, &r2.report.outliers);
     assert!(o2.len() > o1.len(), "the second job must add outliers");
 
-    let diff = |from: u64, prev: &[HierOutlier], current: &[HierOutlier]| DeltaReply::Deltas {
-        from,
-        to: from + 1,
-        added: current
-            .iter()
-            .filter(|o| !prev.contains(o))
-            .cloned()
-            .collect(),
-        removed: prev
-            .iter()
-            .filter(|o| !current.contains(o))
-            .cloned()
-            .collect(),
-    };
     assert_eq!((v1, v2), (1, 2));
-    assert_eq!(first, diff(0, &[], o1));
-    assert_eq!(second, diff(1, o1, o2));
+    assert_eq!(first, embedded_diff(0, &[], o1));
+    assert_eq!(second, embedded_diff(1, o1, o2));
     assert_eq!(
         resync,
         DeltaReply::Resync {
@@ -318,6 +340,231 @@ fn tick_delta_sequence_over_wire_equals_the_embedded_diff() {
             report: encode_report(&r2),
         }
     );
+}
+
+#[test]
+fn two_connections_on_one_plant_see_one_version_order() {
+    // One connection drives and ticks the plant — mid-job, after the
+    // first job, after the second — while a second connection, admitted
+    // to the same plant, polls for deltas as fast as it can. Wherever a
+    // poll lands between the ticks, what it is told must be the embedded
+    // reports' story: versions only ever rise, a `Deltas` is the diff of
+    // two consecutive embedded reports, a resync is the embedded report.
+    let (handle, join) = spawn_server();
+    let addr = handle.local_addr();
+    let mut ticker = Client::connect(addr).unwrap();
+    ticker.admit("plant-a", true).unwrap();
+    let mut poller = Client::connect(addr).unwrap();
+    assert!(!poller.admit("plant-a", false).unwrap(), "same plant");
+
+    let polling = thread::spawn(move || {
+        let (mut seen, mut replies) = (0, Vec::new());
+        while seen < 3 {
+            // `Missing` until the first tick has stored a report.
+            let Ok(reply) = poller.query_deltas(seen) else {
+                thread::yield_now();
+                continue;
+            };
+            let version = match &reply {
+                DeltaReply::NoChange { version } | DeltaReply::Resync { version, .. } => *version,
+                DeltaReply::Deltas { to, .. } => *to,
+            };
+            assert!(version >= seen, "version went back: {seen} -> {version}");
+            if version > seen {
+                replies.push((seen, reply));
+                seen = version;
+            }
+        }
+        replies
+    });
+    ticker.lane_def(BED_LANE, &bed_lane_id()).unwrap();
+    for event in scenario_events() {
+        ticker.control(&event).unwrap();
+    }
+    for t in 0..32 {
+        ticker.sample(BED_LANE, t, sample_at(t)).unwrap();
+    }
+    assert_eq!(ticker.tick().unwrap().0, 1);
+    ticker.control(&job_complete()).unwrap();
+    assert_eq!(ticker.tick().unwrap().0, 2);
+    for event in second_job() {
+        ticker.control(&event).unwrap();
+    }
+    for t in 100..132 {
+        ticker.sample(BED_LANE, t, second_sample(t)).unwrap();
+    }
+    ticker.control(&job_complete()).unwrap();
+    assert_eq!(ticker.tick().unwrap().0, 3);
+    let replies = polling.join().unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+
+    let svc = RegistryService::open(
+        MemFactory::new(),
+        AlgorithmPolicy::default(),
+        TenantConfig::default(),
+    )
+    .unwrap();
+    svc.admit("plant-a", true).unwrap();
+    let lane = bed_lane_id();
+    let ingest = |t: u64, value: f64| {
+        let sample = Sample {
+            timestamp: t,
+            value,
+        };
+        svc.ingest("plant-a", &lane, sample).unwrap();
+    };
+    for event in scenario_events() {
+        svc.control("plant-a", &event).unwrap();
+    }
+    for t in 0..32 {
+        ingest(t, sample_at(t));
+    }
+    let mut reports = vec![svc.tick("plant-a").unwrap()];
+    svc.control("plant-a", &job_complete()).unwrap();
+    reports.push(svc.tick("plant-a").unwrap());
+    for event in second_job() {
+        svc.control("plant-a", &event).unwrap();
+    }
+    for t in 100..132 {
+        ingest(t, second_sample(t));
+    }
+    svc.control("plant-a", &job_complete()).unwrap();
+    reports.push(svc.tick("plant-a").unwrap());
+    let outliers = |version: u64| match version.checked_sub(1) {
+        Some(index) => reports[index as usize].report.outliers.as_slice(),
+        None => &[],
+    };
+    assert!(outliers(3).len() > outliers(2).len(), "the second job adds");
+
+    assert!(!replies.is_empty());
+    for (since, reply) in replies {
+        match &reply {
+            DeltaReply::Deltas { to, .. } => {
+                assert_eq!(*to, since + 1);
+                assert_eq!(reply, embedded_diff(since, outliers(since), outliers(*to)));
+            }
+            DeltaReply::Resync { version, report } => {
+                assert!(*version > since + 1, "one behind is a delta");
+                assert_eq!(report, &encode_report(&reports[*version as usize - 1]));
+            }
+            DeltaReply::NoChange { .. } => unreachable!("recorded only when the version rose"),
+        }
+    }
+}
+
+/// A [`MemFactory`] that counts how often a tenant's storage is opened.
+#[derive(Default)]
+struct CountingFactory {
+    inner: MemFactory,
+    opens: Arc<AtomicUsize>,
+}
+
+impl StorageFactory for CountingFactory {
+    type Storage = MemStorage;
+
+    fn open_shard(&self, tenant: &str, shard: usize) -> io::Result<MemStorage> {
+        self.opens.fetch_add(1, Ordering::Relaxed);
+        self.inner.open_shard(tenant, shard)
+    }
+    fn list_tenants(&self) -> io::Result<Vec<String>> {
+        self.inner.list_tenants()
+    }
+    fn shard_count(&self, tenant: &str) -> io::Result<usize> {
+        self.inner.shard_count(tenant)
+    }
+}
+
+#[test]
+fn racing_creates_of_one_plant_open_it_once() {
+    let factory = CountingFactory::default();
+    let opens = Arc::clone(&factory.opens);
+    let svc = RegistryService::open(factory, AlgorithmPolicy::default(), TenantConfig::default())
+        .unwrap();
+    let (handle, join) = spawn_server_with(svc);
+    let addr = handle.local_addr();
+    let start = Arc::new(Barrier::new(8));
+    let racers: Vec<_> = (0..8)
+        .map(|_| {
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                start.wait();
+                // Never "already exists": a loser of the race waits for the
+                // winner's open and is told the plant is there.
+                client.admit("plant-a", true).unwrap()
+            })
+        })
+        .collect();
+    let created: Vec<bool> = racers.into_iter().map(|r| r.join().unwrap()).collect();
+    assert_eq!(created.iter().filter(|&&c| c).count(), 1, "{created:?}");
+    assert_eq!(opens.load(Ordering::Relaxed), 1, "one storage open");
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn a_failed_finish_takes_the_plant_and_its_cached_report_with_it() {
+    // The plant's storage handle, taken before the service owns the
+    // factory: the service recovers an empty plant on it.
+    let factory = MemFactory::new();
+    let storage = factory.open_shard("plant-a", 0).unwrap();
+    let svc = RegistryService::open(factory, AlgorithmPolicy::default(), TenantConfig::default())
+        .unwrap();
+    let (handle, join) = spawn_server_with(svc);
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    assert!(!client.admit("plant-a", false).unwrap(), "recovered");
+    client.lane_def(BED_LANE, &bed_lane_id()).unwrap();
+    for event in scenario_events() {
+        client.control(&event).unwrap();
+    }
+    for t in 0..32 {
+        client.sample(BED_LANE, t, sample_at(t)).unwrap();
+    }
+    client.tick().unwrap();
+    assert_eq!(
+        client.query_scores(None).unwrap().0,
+        1,
+        "served from the cache"
+    );
+    // A journalled tail the tick's hard commit did not cover (the barrier
+    // says it has been applied).
+    for t in 32..36 {
+        client.sample(BED_LANE, t, sample_at(t)).unwrap();
+    }
+    client.query_lane_stats().unwrap();
+
+    // Kill the storage: the next append tears, and the sync of that tail
+    // inside `finish` fails. The torn sample's own error is parked and
+    // surfaces at the next request, which is not the finish.
+    storage.set_write_budget(Some(0));
+    client.sample(BED_LANE, 36, 0.0).unwrap();
+    let code = |result: Result<_, ClientError>| match result {
+        Err(ClientError::Server(e)) => e.code,
+        other => panic!("expected a server error, got {:?}", other.map(|_| ())),
+    };
+    assert_eq!(code(client.tick().map(|_| ())), ErrorCode::Substrate);
+    assert_eq!(code(client.finish().map(|_| ())), ErrorCode::Substrate);
+
+    // The plant is gone although its finish failed, and so is every
+    // trace of its last report — on this connection and on a new one.
+    assert_eq!(
+        code(client.query_scores(None).map(|_| ())),
+        ErrorCode::Missing
+    );
+    assert_eq!(code(client.query_deltas(1).map(|_| ())), ErrorCode::Missing);
+    assert!(client.query_health().unwrap().live.is_empty());
+    assert_eq!(
+        code(client.admit("plant-a", false).map(|_| ())),
+        ErrorCode::Missing
+    );
+    let mut fresh = Client::connect(handle.local_addr()).unwrap();
+    assert_eq!(
+        code(fresh.admit("plant-a", false).map(|_| ())),
+        ErrorCode::Missing
+    );
+    handle.shutdown();
+    join.join().unwrap();
 }
 
 #[test]

@@ -21,6 +21,17 @@
 //! [`health`](PlantService::health) maps the registry's
 //! [`failed`](hierod_stream::PlantRegistry::failed) set and per-tenant
 //! recovery summaries directly onto a readiness answer.
+//!
+//! ## Concurrency
+//!
+//! Every [`PlantService`] method takes `&self`: a `Sync` implementor is
+//! served from many workers at once, and what one call excludes is the
+//! implementor's business. [`RegistryService`] excludes per plant —
+//! every by-id call holds that one plant's lock and no other (the
+//! registry-wide lock covers the id lookup only and is released before
+//! the plant's is taken), and [`finish`](PlantService::finish) detaches
+//! the plant first and then finalises it with no lock held at all. See
+//! [`hierod_stream::tenant`] for the lock order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -118,6 +129,11 @@ impl Health {
 /// All operations address a plant by id; the id grammar is
 /// [`valid_tenant_id`](hierod_store::valid_tenant_id) (enforced by
 /// implementations at admission).
+///
+/// Every method takes `&self`, so one service value can be driven from
+/// several threads when the implementor is `Sync`; calls on one plant
+/// are applied in some serial order, calls on different plants need not
+/// wait for each other (see the module docs).
 pub trait PlantService {
     /// Ensures `plant` is live: admits an existing plant, creates a
     /// fresh one when `create` is set, and fails otherwise (or when the
@@ -126,7 +142,7 @@ pub trait PlantService {
     /// # Errors
     /// Invalid plant id, unknown plant without `create`, or a plant
     /// whose storage failed recovery.
-    fn admit(&mut self, plant: &str, create: bool) -> Result<Admission>;
+    fn admit(&self, plant: &str, create: bool) -> Result<Admission>;
 
     /// Ids of all live plants, sorted.
     fn plants(&self) -> Vec<String>;
@@ -135,28 +151,28 @@ pub trait PlantService {
     ///
     /// # Errors
     /// Unknown plant, storage failures, or lifecycle violations.
-    fn control(&mut self, plant: &str, event: &ControlEvent) -> Result<()>;
+    fn control(&self, plant: &str, event: &ControlEvent) -> Result<()>;
 
     /// Ingests one sample into `plant` on `lane`.
     ///
     /// # Errors
     /// Unknown plant or storage failures; samples with no open pipeline
     /// are counted, not errors.
-    fn ingest(&mut self, plant: &str, lane: &LaneId, sample: Sample) -> Result<()>;
+    fn ingest(&self, plant: &str, lane: &LaneId, sample: Sample) -> Result<()>;
 
     /// Assembles an interim report for `plant`, hard-committing its WAL
     /// first (every exposed score is backed by durable input).
     ///
     /// # Errors
     /// Unknown plant, storage failures, or upper-level detector errors.
-    fn tick(&mut self, plant: &str) -> Result<StreamReport>;
+    fn tick(&self, plant: &str) -> Result<StreamReport>;
 
     /// Finalizes `plant` — flushes watermarks, finishes scorers — and
     /// removes it from the live set, returning the final report.
     ///
     /// # Errors
     /// Unknown plant, storage failures, or upper-level detector errors.
-    fn finish(&mut self, plant: &str) -> Result<StreamReport>;
+    fn finish(&self, plant: &str) -> Result<StreamReport>;
 
     /// Current ingestion counters of `plant`, without assembling a
     /// report.
@@ -182,14 +198,14 @@ pub trait PlantService {
     ///
     /// # Errors
     /// Unknown plant or storage failures.
-    fn rotate(&mut self, plant: &str) -> Result<()>;
+    fn rotate(&self, plant: &str) -> Result<()>;
 
     /// Merges `plant`'s sealed rotation segments into the tiered,
     /// Gorilla-compressed history files.
     ///
     /// # Errors
     /// Unknown plant, invalid options, or storage failures.
-    fn compact(&mut self, plant: &str, options: &CompactionOptions) -> Result<CompactionStats>;
+    fn compact(&self, plant: &str, options: &CompactionOptions) -> Result<CompactionStats>;
 
     /// Scans `plant`'s sealed history (compacted files and rotation
     /// segments; never the live WAL tail) for samples in the query's
@@ -218,7 +234,9 @@ pub trait PlantService {
 /// The production [`PlantService`]: a
 /// [`PlantRegistry`](hierod_stream::PlantRegistry) engine plus the
 /// recovery summaries its opening produced, kept for the health
-/// endpoint.
+/// endpoint. `Sync` whenever its storage factory is: share it by
+/// reference and call it from as many threads as there are plants to
+/// keep busy.
 pub struct RegistryService<F: StorageFactory> {
     registry: PlantRegistry<F>,
     recoveries: BTreeMap<String, RecoverySummary>,
@@ -254,92 +272,79 @@ impl<F: StorageFactory> RegistryService<F> {
         &self.recoveries
     }
 
-    fn tenant(&self, plant: &str) -> Result<&Tenant<F::Storage>> {
-        self.registry
-            .tenant(plant)
-            .ok_or_else(|| DetectError::Missing {
+    /// Runs `f` on `plant` under that plant's lock, and no other.
+    fn on<R>(
+        &self,
+        plant: &str,
+        f: impl FnOnce(&mut Tenant<F::Storage>) -> Result<R>,
+    ) -> Result<R> {
+        self.registry.with_tenant(plant, f).unwrap_or_else(|| {
+            Err(DetectError::Missing {
                 what: format!("plant {plant:?}"),
             })
-    }
-
-    fn tenant_mut(&mut self, plant: &str) -> Result<&mut Tenant<F::Storage>> {
-        self.registry
-            .tenant_mut(plant)
-            .ok_or_else(|| DetectError::Missing {
-                what: format!("plant {plant:?}"),
-            })
+        })
     }
 }
 
 impl<F: StorageFactory> PlantService for RegistryService<F> {
-    fn admit(&mut self, plant: &str, create: bool) -> Result<Admission> {
-        if self.registry.tenant(plant).is_some() {
-            return Ok(Admission::Existing);
-        }
-        if let Some(err) = self.registry.failed().get(plant) {
-            return Err(DetectError::Substrate(format!(
-                "plant {plant:?} failed recovery: {err}"
-            )));
-        }
-        if !create {
-            return Err(DetectError::Missing {
-                what: format!("plant {plant:?}"),
-            });
-        }
-        self.registry.create_tenant(plant)?;
-        Ok(Admission::Created)
+    fn admit(&self, plant: &str, create: bool) -> Result<Admission> {
+        Ok(if self.registry.admit_tenant(plant, create)? {
+            Admission::Created
+        } else {
+            Admission::Existing
+        })
     }
 
     fn plants(&self) -> Vec<String> {
-        self.registry
-            .tenant_ids()
-            .into_iter()
-            .map(str::to_string)
-            .collect()
+        self.registry.tenant_ids()
     }
 
-    fn control(&mut self, plant: &str, event: &ControlEvent) -> Result<()> {
-        self.tenant_mut(plant)?.control(event)
+    fn control(&self, plant: &str, event: &ControlEvent) -> Result<()> {
+        self.on(plant, |tenant| tenant.control(event))
     }
 
-    fn ingest(&mut self, plant: &str, lane: &LaneId, sample: Sample) -> Result<()> {
-        self.tenant_mut(plant)?.ingest(lane, sample)
+    fn ingest(&self, plant: &str, lane: &LaneId, sample: Sample) -> Result<()> {
+        self.on(plant, |tenant| tenant.ingest(lane, sample))
     }
 
-    fn tick(&mut self, plant: &str) -> Result<StreamReport> {
-        self.tenant_mut(plant)?.tick()
+    fn tick(&self, plant: &str) -> Result<StreamReport> {
+        self.on(plant, Tenant::tick)
     }
 
-    fn finish(&mut self, plant: &str) -> Result<StreamReport> {
+    fn finish(&self, plant: &str) -> Result<StreamReport> {
         self.registry.finish_tenant(plant)
     }
 
     fn stats(&self, plant: &str) -> Result<StreamStats> {
-        Ok(self.tenant(plant)?.stats())
+        self.on(plant, |tenant| Ok(tenant.stats()))
     }
 
     fn lane_stats(&self, plant: &str) -> Result<BTreeMap<LaneId, LaneStats>> {
-        Ok(self.tenant(plant)?.lane_stats())
+        self.on(plant, |tenant| Ok(tenant.lane_stats()))
     }
 
-    fn rotate(&mut self, plant: &str) -> Result<()> {
-        self.tenant_mut(plant)?.rotate()
+    fn rotate(&self, plant: &str) -> Result<()> {
+        self.on(plant, Tenant::rotate)
     }
 
-    fn compact(&mut self, plant: &str, options: &CompactionOptions) -> Result<CompactionStats> {
-        let (storage, sealed_end) = self.tenant(plant)?.stream().sealed_storage();
-        hierod_history::compact(storage, sealed_end, options).map_err(substrate)
+    fn compact(&self, plant: &str, options: &CompactionOptions) -> Result<CompactionStats> {
+        self.on(plant, |tenant| {
+            let (storage, sealed_end) = tenant.stream().sealed_storage();
+            hierod_history::compact(storage, sealed_end, options).map_err(substrate)
+        })
     }
 
     fn range_scan(&self, plant: &str, query: &RangeQuery) -> Result<(Vec<LaneSeries>, ScanStats)> {
-        let (storage, _) = self.tenant(plant)?.stream().sealed_storage();
-        let reader =
-            HistoryReader::new(snapshot(storage).map_err(substrate)?).map_err(substrate)?;
-        let (mut series, stats) = reader.scan(query).map_err(substrate)?;
-        // The reader yields store-local lane-number order (first-use
-        // order); the reply's order is by lane id.
-        series.sort_by(|a, b| a.id.cmp(&b.id));
-        Ok((series, stats))
+        self.on(plant, |tenant| {
+            let (storage, _) = tenant.stream().sealed_storage();
+            let reader =
+                HistoryReader::new(snapshot(storage).map_err(substrate)?).map_err(substrate)?;
+            let (mut series, stats) = reader.scan(query).map_err(substrate)?;
+            // The reader yields store-local lane-number order (first-use
+            // order); the reply's order is by lane id.
+            series.sort_by(|a, b| a.id.cmp(&b.id));
+            Ok((series, stats))
+        })
     }
 
     fn backfill(
@@ -349,15 +354,17 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
         end: u64,
         spec: Option<&AlgoSpec>,
     ) -> Result<BackfillOutcome> {
-        let (storage, _) = self.tenant(plant)?.stream().sealed_storage();
-        hierod_history::backfill(
-            &[storage],
-            self.registry.policy(),
-            self.registry.config().stream,
-            start,
-            end,
-            spec,
-        )
+        self.on(plant, |tenant| {
+            let (storage, _) = tenant.stream().sealed_storage();
+            hierod_history::backfill(
+                &[storage],
+                self.registry.policy(),
+                self.registry.config().stream,
+                start,
+                end,
+                spec,
+            )
+        })
     }
 
     fn health(&self) -> Health {
@@ -366,8 +373,8 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
             .tenant_ids()
             .into_iter()
             .map(|id| PlantHealth {
-                id: id.to_string(),
-                recovery: self.recoveries.get(id).copied().unwrap_or_default(),
+                recovery: self.recoveries.get(&id).copied().unwrap_or_default(),
+                id,
             })
             .collect();
         let failed = self
@@ -459,7 +466,7 @@ mod tests {
 
     #[test]
     fn admission_create_then_existing() {
-        let mut svc = service();
+        let svc = service();
         assert_eq!(svc.admit("plant-a", true).unwrap(), Admission::Created);
         assert_eq!(svc.admit("plant-a", true).unwrap(), Admission::Existing);
         assert_eq!(svc.admit("plant-a", false).unwrap(), Admission::Existing);
@@ -470,7 +477,7 @@ mod tests {
 
     #[test]
     fn health_maps_failed_onto_readiness() {
-        let mut svc = service();
+        let svc = service();
         svc.admit("plant-a", true).unwrap();
         let health = svc.health();
         assert!(health.ready());
@@ -519,6 +526,57 @@ mod tests {
         }
         let via_engine = registry.finish_tenant("p").unwrap();
         assert_eq!(format!("{via_service:?}"), format!("{via_engine:?}"));
+    }
+
+    #[test]
+    fn finish_racing_ingest_conserves_samples() {
+        // One thread ingests into a plant until it has been turned away a
+        // hundred times; another finishes the plant once the first is
+        // under way. Every call has its own `Result`, so the books must
+        // balance exactly: what returned `Ok` is what the final report
+        // counted, everything else was `Missing` — and nothing reached
+        // the journal behind the report's back, or the plant re-created
+        // from that journal would replay more than was reported.
+        let svc = service();
+        svc.admit("p", true).unwrap();
+        let room = LaneId {
+            machine: "m0".into(),
+            sensor: "m0.room".into(),
+            kind: LaneKind::Environment,
+        };
+        let up = ControlEvent::machine_up("m0", vec![], vec![], std::slice::from_ref(&room.sensor));
+        svc.control("p", &up).unwrap();
+
+        let (under_way, go) = std::sync::mpsc::channel();
+        let (landed, report) = std::thread::scope(|s| {
+            let ingester = s.spawn(|| {
+                let (mut landed, mut missing) = (0_u64, 0);
+                while missing < 100 {
+                    let sample = Sample {
+                        timestamp: landed,
+                        value: 20.0,
+                    };
+                    match svc.ingest("p", &room, sample) {
+                        Ok(()) => {
+                            landed += 1;
+                            if landed == 50 {
+                                under_way.send(()).unwrap();
+                            }
+                        }
+                        Err(DetectError::Missing { .. }) => missing += 1,
+                        Err(other) => panic!("ingest must land or be Missing: {other}"),
+                    }
+                }
+                landed
+            });
+            go.recv().unwrap();
+            let report = svc.finish("p").unwrap();
+            (ingester.join().unwrap(), report)
+        });
+        assert!(landed >= 50);
+        assert_eq!(report.stats.samples_ingested, landed);
+        assert_eq!(svc.admit("p", true).unwrap(), Admission::Created);
+        assert_eq!(svc.stats("p").unwrap().samples_ingested, landed);
     }
 
     #[test]

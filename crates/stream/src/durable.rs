@@ -390,7 +390,12 @@ impl<S: Storage> DurableStream<S> {
                 value: sample.value,
             })
             .map_err(substrate)?;
-        *self.delivered.entry(lane.clone()).or_insert(0) += 1;
+        match self.delivered.get_mut(lane) {
+            Some(count) => *count += 1,
+            None => {
+                self.delivered.insert(lane.clone(), 1);
+            }
+        }
         self.inner.ingest(lane, sample)
     }
 

@@ -9,7 +9,8 @@
 //!
 //! ## Isolation contract
 //!
-//! Tenants never share WAL, segments, detectors, or error state:
+//! Tenants never share WAL, segments, detectors, error state — or a
+//! lock:
 //!
 //! * [`PlantRegistry::open`] recovers every discovered tenant
 //!   **independently**. A tenant whose storage is too damaged to open
@@ -18,8 +19,30 @@
 //! * Soft corruption (torn WAL tails, flipped bits) surfaces per
 //!   tenant in that tenant's [`DurableRecovery`] counters, never in
 //!   another's.
-//! * All per-tenant operations route through [`PlantRegistry::tenant_mut`];
-//!   there is no cross-tenant state to poison.
+//! * Every tenant sits in its own mutex. The one registry-wide lock
+//!   guards the id → slot *map* and is held for a lookup, an insert or
+//!   a remove — never across storage I/O, detection, report assembly,
+//!   or a wait for a tenant's lock that another thread can hold. One
+//!   plant's `tick`, `finish` or storage stall therefore delays nobody
+//!   but callers of that same plant.
+//!
+//! ## Two ways in
+//!
+//! * **Exclusive** (`&mut self`: [`create_tenant`](PlantRegistry::create_tenant),
+//!   [`tenant_mut`](PlantRegistry::tenant_mut)): the engine surface of
+//!   the equivalence pins and the benchmark ladder. Exclusive access to
+//!   the registry is exclusive access to every slot, so these go through
+//!   `get_mut` and take no lock.
+//! * **Shared** (`&self`: [`admit_tenant`](PlantRegistry::admit_tenant),
+//!   [`with_tenant`](PlantRegistry::with_tenant),
+//!   [`finish_tenant`](PlantRegistry::finish_tenant)): what
+//!   `hierod-service` serves many workers from. A caller clones the
+//!   plant's slot out of the map, lets the map go, and only then takes
+//!   the slot.
+//!
+//! Lock order: **map → slot**, and the only place both are held is
+//! `admit_tenant` locking the slot it has just inserted (nobody else can
+//! hold that one). Nothing takes the map while holding a slot.
 //!
 //! ## Layering
 //!
@@ -29,8 +52,14 @@
 //! same operations by plant id — the shared entry point of the
 //! embedded-library path and the network path.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
+use std::sync::{Arc, PoisonError};
+
+#[cfg(feature = "loom")]
+use loom::sync::{Mutex, MutexGuard};
+#[cfg(not(feature = "loom"))]
+use std::sync::{Mutex, MutexGuard};
 
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::{DetectError, Result};
@@ -44,6 +73,18 @@ use crate::lane::{LaneId, Sample};
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
     DetectError::Substrate(format!("tenants: {e}"))
+}
+
+/// Poison-tolerant lock: a panic under one plant's lock must not take
+/// the plant's later callers (or, for the map, every plant) down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The lock-free counterpart of [`lock`] for an exclusively borrowed
+/// mutex.
+fn exclusive<T>(m: &mut Mutex<T>) -> &mut T {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-tenant configuration applied to every plant a registry hosts.
@@ -131,13 +172,36 @@ impl<S: hierod_store::Storage> Tenant<S> {
     }
 }
 
+/// One plant's seat: `None` while its storage is being opened (the
+/// opener holds the lock) and for good once `finish` has taken the
+/// tenant out. Shared so a caller can let go of the map before locking.
+type Slot<S> = Arc<Mutex<Option<Tenant<S>>>>;
+
+/// The tenant in an exclusively borrowed slot, without locking. Slot
+/// handles are locals of [`PlantRegistry`]'s `&self` methods, so none
+/// outlives a shared borrow of the registry: `Arc::get_mut` cannot fail
+/// while the registry is exclusively borrowed.
+fn seated<S: hierod_store::Storage>(slot: &mut Slot<S>) -> Option<&mut Tenant<S>> {
+    exclusive(Arc::get_mut(slot)?).as_mut()
+}
+
+/// What the registry-wide lock guards.
+struct Plants<S: hierod_store::Storage> {
+    /// Live (or just-being-opened) plants.
+    live: BTreeMap<String, Slot<S>>,
+    /// Ids detached by a `finish` still running: their storage has a
+    /// writer, so they must not be re-created yet.
+    closing: BTreeSet<String>,
+}
+
 /// Hosts N independent plants in one process, each with its own
-/// durable directory. See the module docs for the isolation contract.
+/// durable directory and its own lock. See the module docs for the
+/// isolation contract and the lock order.
 pub struct PlantRegistry<F: StorageFactory> {
     factory: F,
     policy: AlgorithmPolicy,
     config: TenantConfig,
-    tenants: BTreeMap<String, Tenant<F::Storage>>,
+    plants: Mutex<Plants<F::Storage>>,
     failed: BTreeMap<String, String>,
 }
 
@@ -157,6 +221,14 @@ fn open_tenant<F: StorageFactory>(
         stream,
     };
     Ok((tenant, recovery))
+}
+
+fn invalid_id(id: &str) -> DetectError {
+    DetectError::invalid("tenant", format!("invalid tenant id {id:?}"))
+}
+
+fn no_live_tenant(id: &str) -> DetectError {
+    DetectError::invalid("tenant", format!("no live tenant {id:?}"))
 }
 
 impl<F: StorageFactory> PlantRegistry<F> {
@@ -179,70 +251,162 @@ impl<F: StorageFactory> PlantRegistry<F> {
         config: TenantConfig,
     ) -> Result<(Self, BTreeMap<String, DurableRecovery>)> {
         let ids = factory.list_tenants().map_err(substrate)?;
-        let mut registry = PlantRegistry {
-            factory,
-            policy,
-            config,
-            tenants: BTreeMap::new(),
-            failed: BTreeMap::new(),
-        };
+        let mut live = BTreeMap::new();
+        let mut failed = BTreeMap::new();
         let mut recoveries = BTreeMap::new();
         for id in ids {
-            let opened = match registry.factory.shard_count(&id) {
+            let opened = match factory.shard_count(&id) {
                 Ok(n) if n > 1 => Err(DetectError::Substrate(format!(
                     "tenants: plant {id:?} has {n} shard directories; this build reads exactly one"
                 ))),
-                Ok(_) => open_tenant(&registry.factory, &registry.policy, &registry.config, &id),
+                Ok(_) => open_tenant(&factory, &policy, &config, &id),
                 Err(e) => Err(substrate(e)),
             };
             match opened {
                 Ok((tenant, recovery)) => {
-                    registry.tenants.insert(id.clone(), tenant);
+                    live.insert(id.clone(), Arc::new(Mutex::new(Some(tenant))));
                     recoveries.insert(id, recovery);
                 }
                 Err(e) => {
-                    registry.failed.insert(id, e.to_string());
+                    failed.insert(id, e.to_string());
                 }
             }
         }
+        let registry = PlantRegistry {
+            factory,
+            policy,
+            config,
+            plants: Mutex::new(Plants {
+                live,
+                closing: BTreeSet::new(),
+            }),
+            failed,
+        };
         Ok((registry, recoveries))
     }
 
-    /// Creates (and registers) a fresh tenant.
+    /// Creates (and registers) a fresh tenant. Exclusive access: no lock
+    /// is taken.
     ///
     /// # Errors
     /// Invalid tenant id, an id already live or failed, or storage /
     /// policy errors opening its stream.
     pub fn create_tenant(&mut self, id: &str) -> Result<&mut Tenant<F::Storage>> {
         if !valid_tenant_id(id) {
-            return Err(DetectError::invalid(
-                "tenant",
-                format!("invalid tenant id {id:?}"),
-            ));
+            return Err(invalid_id(id));
         }
-        if self.tenants.contains_key(id) || self.failed.contains_key(id) {
+        let live = &mut exclusive(&mut self.plants).live;
+        if live.contains_key(id) || self.failed.contains_key(id) {
             return Err(DetectError::invalid(
                 "tenant",
                 format!("tenant {id:?} already exists"),
             ));
         }
         let (tenant, _) = open_tenant(&self.factory, &self.policy, &self.config, id)?;
-        Ok(self.tenants.entry(id.to_string()).or_insert(tenant))
-    }
-
-    /// Read-only access to a live tenant.
-    pub fn tenant(&self, id: &str) -> Option<&Tenant<F::Storage>> {
-        self.tenants.get(id)
+        let slot = live
+            .entry(id.to_string())
+            .or_insert(Arc::new(Mutex::new(Some(tenant))));
+        seated(slot).ok_or_else(|| no_live_tenant(id))
     }
 
     /// Mutable access to a live tenant (ingest, controls, tick).
+    /// Exclusive access: no lock is taken.
     pub fn tenant_mut(&mut self, id: &str) -> Option<&mut Tenant<F::Storage>> {
-        self.tenants.get_mut(id)
+        seated(exclusive(&mut self.plants).live.get_mut(id)?)
     }
 
-    /// Ids of all live tenants, sorted.
-    pub fn tenant_ids(&self) -> Vec<&str> {
-        self.tenants.keys().map(String::as_str).collect()
+    /// Runs `f` on one live tenant under that tenant's own lock — the
+    /// shared-reference counterpart of [`tenant_mut`](Self::tenant_mut).
+    /// The registry-wide lock is released before the tenant's is taken,
+    /// so whatever `f` does (a hard commit, a report assembly) delays
+    /// callers of this plant only. `None` when `id` is not live — never
+    /// was, or a `finish` has already detached it.
+    pub fn with_tenant<R>(
+        &self,
+        id: &str,
+        f: impl FnOnce(&mut Tenant<F::Storage>) -> R,
+    ) -> Option<R> {
+        let slot = lock(&self.plants).live.get(id).cloned()?;
+        let mut seat = lock(&slot);
+        seat.as_mut().map(f)
+    }
+
+    /// Ensures `id` is live from a shared reference: `Ok(false)` when it
+    /// already is, `Ok(true)` when this call created it. Concurrent
+    /// callers for one new id open its storage once — the rest wait on
+    /// the new plant's own lock, not on the registry's, and see it live.
+    ///
+    /// # Errors
+    /// [`DetectError::Missing`] for an unknown id without `create`;
+    /// [`DetectError::Substrate`] for a plant parked in
+    /// [`failed`](Self::failed); an invalid id; an id whose `finish` is
+    /// still running; storage / policy errors opening its stream.
+    pub fn admit_tenant(&self, id: &str, create: bool) -> Result<bool> {
+        loop {
+            let mut plants = lock(&self.plants);
+            let Some(existing) = plants.live.get(id).cloned() else {
+                if let Some(err) = self.failed.get(id) {
+                    return Err(DetectError::Substrate(format!(
+                        "plant {id:?} failed recovery: {err}"
+                    )));
+                }
+                if !create {
+                    return Err(DetectError::Missing {
+                        what: format!("plant {id:?}"),
+                    });
+                }
+                if !valid_tenant_id(id) {
+                    return Err(invalid_id(id));
+                }
+                if plants.closing.contains(id) {
+                    return Err(DetectError::invalid(
+                        "tenant",
+                        format!("tenant {id:?} is finishing"),
+                    ));
+                }
+                // Reserve the id with an empty slot and take the slot's
+                // lock before the map's is released: later callers find
+                // the slot, queue on *it*, and the storage open below
+                // runs with the map free.
+                let slot: Slot<F::Storage> = Arc::new(Mutex::new(None));
+                plants.live.insert(id.to_string(), Arc::clone(&slot));
+                let mut seat = lock(&slot);
+                drop(plants);
+                return match open_tenant(&self.factory, &self.policy, &self.config, id) {
+                    Ok((tenant, _)) => {
+                        *seat = Some(tenant);
+                        Ok(true)
+                    }
+                    Err(e) => {
+                        drop(seat);
+                        self.forget(id, &slot);
+                        Err(e)
+                    }
+                };
+            };
+            drop(plants);
+            if lock(&existing).is_some() {
+                return Ok(false);
+            }
+            // An empty slot nobody holds: its opener failed or a finish
+            // emptied it. Clear it (if it is still mapped) and look again.
+            self.forget(id, &existing);
+        }
+    }
+
+    /// Unmaps `id` if it still maps to `slot`.
+    fn forget(&self, id: &str, slot: &Slot<F::Storage>) {
+        let mut plants = lock(&self.plants);
+        if plants.live.get(id).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+            plants.live.remove(id);
+        }
+    }
+
+    /// Ids of all live tenants, sorted (an id whose storage
+    /// [`admit_tenant`](Self::admit_tenant) is still opening counts; one
+    /// whose `finish` is running does not).
+    pub fn tenant_ids(&self) -> Vec<String> {
+        lock(&self.plants).live.keys().cloned().collect()
     }
 
     /// Tenants that failed hard to recover, with their errors. Their
@@ -251,17 +415,28 @@ impl<F: StorageFactory> PlantRegistry<F> {
         &self.failed
     }
 
-    /// Removes a tenant from the registry and finalizes its report (see
-    /// [`Tenant::finish`]).
+    /// Detaches a tenant from the registry, then finalizes its report
+    /// (see [`Tenant::finish`]) with **no lock held**: the map lock
+    /// covers the remove, the tenant's own lock covers taking it out of
+    /// its slot, and a concurrent caller that already holds the slot
+    /// either ran before the take or finds the slot empty. Whatever
+    /// `finish` returns, the tenant is gone from the registry. Its id
+    /// stays reserved until `finish` is over — re-creating it earlier
+    /// would open a second writer on the same storage.
     ///
     /// # Errors
     /// Unknown tenant id, or the tenant's finalize/assemble error.
-    pub fn finish_tenant(&mut self, id: &str) -> Result<StreamReport> {
-        let tenant = self
-            .tenants
-            .remove(id)
-            .ok_or_else(|| DetectError::invalid("tenant", format!("no live tenant {id:?}")))?;
-        tenant.finish()
+    pub fn finish_tenant(&self, id: &str) -> Result<StreamReport> {
+        let slot = {
+            let mut plants = lock(&self.plants);
+            let slot = plants.live.remove(id).ok_or_else(|| no_live_tenant(id))?;
+            plants.closing.insert(id.to_string());
+            slot
+        };
+        let tenant = lock(&slot).take();
+        let finished = tenant.map_or_else(|| Err(no_live_tenant(id)), Tenant::finish);
+        lock(&self.plants).closing.remove(id);
+        finished
     }
 
     /// The storage factory (read-only; useful for fault injection in

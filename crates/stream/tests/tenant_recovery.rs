@@ -175,7 +175,7 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
     // and counts it — on plant-a only.
     let soft = reg.factory().crash_image(false);
     damage(&soft, "plant-a", "wal-");
-    let (mut recovered, recoveries) =
+    let (recovered, recoveries) =
         PlantRegistry::open(soft, AlgorithmPolicy::default(), config()).expect("reopen soft");
     assert!(recovered.failed().is_empty());
     assert!(recoveries["plant-a"].corrupt_records > 0, "damage detected");
@@ -192,7 +192,7 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
     // `failed()`, plant-b recovers as if nothing happened.
     let hard = reg.factory().crash_image(false);
     damage(&hard, "plant-a", "seg-");
-    let (mut recovered, recoveries) =
+    let (recovered, recoveries) =
         PlantRegistry::open(hard, AlgorithmPolicy::default(), config()).expect("reopen hard");
     assert!(recovered.failed().contains_key("plant-a"), "plant-a parked");
     assert!(!recoveries.contains_key("plant-a"));
@@ -216,7 +216,7 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
             .expect("list")
     };
     let before = files(&old);
-    let (mut recovered, recoveries) =
+    let (recovered, recoveries) =
         PlantRegistry::open(old, AlgorithmPolicy::default(), config()).expect("reopen old");
     let parked = recovered.failed().get("plant-a").expect("plant-a parked");
     assert!(

@@ -32,6 +32,8 @@
 //! `std::thread::scope`, so scoped-borrowing code can be modeled without
 //! an `Arc` rewrite.
 
+#![forbid(unsafe_code)]
+
 pub mod sched;
 pub mod sync;
 pub mod thread;
@@ -119,6 +121,23 @@ mod tests {
             model(|| {
                 thread::scope(|s| {
                     s.spawn(|| panic!("child failure"));
+                });
+            });
+        });
+        assert!(run.is_err());
+    }
+
+    /// So does a failure of the scope body itself, while its children are
+    /// still parked waiting to be scheduled.
+    #[test]
+    fn scope_body_panic_propagates() {
+        let run = std::panic::catch_unwind(|| {
+            model(|| {
+                let m = sync::Mutex::new(());
+                thread::scope(|s| {
+                    s.spawn(|| drop(m.lock().expect("model mutex")));
+                    let _held = m.lock().expect("model mutex");
+                    panic!("scope body failure");
                 });
             });
         });

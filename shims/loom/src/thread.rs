@@ -101,7 +101,19 @@ where
             ctx: ctx.clone(),
             children: RefCell::new(Vec::new()),
         };
-        let out = f(&wrapped);
+        let out = match catch_unwind(AssertUnwindSafe(|| f(&wrapped))) {
+            Ok(out) => out,
+            Err(panic) => {
+                // The scope body itself failed (an assertion on the
+                // spawning thread): its children are parked waiting to be
+                // scheduled, and the implicit std join below would wait
+                // for them forever. Wake them so the model unwinds.
+                if let Some((sched, _)) = &wrapped.ctx {
+                    sched.mark_abort();
+                }
+                resume_unwind(panic);
+            }
+        };
         // Join through the scheduler first so the implicit std join below
         // returns immediately instead of parking an *active* logical
         // thread (which would wedge the model).

@@ -14,6 +14,8 @@
 //! the committed count-ratchet allowlist `xtask/lint.allow`
 //! ([`Allowlist`]).
 
+#![forbid(unsafe_code)]
+
 pub mod allowlist;
 pub mod findings;
 pub mod rules;
@@ -27,7 +29,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use rules::atomic::AtomicSite;
-use rules::lockorder::LockEdge;
+use rules::lockorder::{LockEdge, LockScan};
 use rules::taxonomy::{TaxonomyInputs, CATALOG, COVERAGE, DESIGN, REGISTRY};
 
 /// Where the allowlist lives, workspace-relative.
@@ -77,6 +79,8 @@ pub struct LintOutcome {
     /// The atomic-operation inventory (every load/store/RMW/fence with
     /// the orderings it names), for the JSON report.
     pub atomics: Vec<AtomicSite>,
+    /// The lock graph: every nested acquisition, observed or declared.
+    pub lock_edges: Vec<LockEdge>,
     /// Ratchet violations after applying the allowlist.
     pub violations: Vec<Violation>,
 }
@@ -132,6 +136,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Every atomic op in non-test library code, with its orderings.
     pub atomics: Vec<AtomicSite>,
+    /// Every edge of the lock graph (`held` → `acquired under it`).
+    pub lock_edges: Vec<LockEdge>,
 }
 
 /// Whether a path is library/binary source (the concurrency rules' scope:
@@ -149,7 +155,7 @@ fn in_src(relpath: &str) -> bool {
 pub fn collect_report(root: &Path) -> std::io::Result<Report> {
     let mut findings = Vec::new();
     let mut atomics = Vec::new();
-    let mut lock_edges: Vec<LockEdge> = Vec::new();
+    let mut locks = LockScan::default();
     let mut loom_triggers: Vec<(String, usize)> = Vec::new();
     for path in workspace_sources(root)? {
         let relpath = rel(root, &path);
@@ -169,7 +175,10 @@ pub fn collect_report(root: &Path) -> std::io::Result<Report> {
             let (sites, seqcst) = rules::atomic::check(&src);
             atomics.extend(sites);
             findings.extend(seqcst);
-            lock_edges.extend(rules::lockorder::edges(&src));
+            let scan = rules::lockorder::scan(&src);
+            locks.edges.extend(scan.edges);
+            locks.acquired.extend(scan.acquired);
+            locks.declared.extend(scan.declared);
             // Binaries (bench drivers, the CLI) are not lib code: their
             // atomics never cross a thread boundary an API user can hit.
             if !relpath.contains("/bin/") {
@@ -179,7 +188,11 @@ pub fn collect_report(root: &Path) -> std::io::Result<Report> {
             }
         }
     }
-    findings.extend(rules::lockorder::check(&lock_edges));
+    findings.extend(rules::lockorder::check(&locks.edges));
+    findings.extend(rules::lockorder::check_declared(
+        &locks.declared,
+        &locks.acquired,
+    ));
     let exists = |p: &str| root.join(p).is_file();
     let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_default();
     findings.extend(rules::loom_cov::check(&loom_triggers, &exists, &read));
@@ -193,7 +206,11 @@ pub fn collect_report(root: &Path) -> std::io::Result<Report> {
     }));
     findings.sort_by(|a, b| (a.rule, &a.file, a.line).cmp(&(b.rule, &b.file, b.line)));
     atomics.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(Report { findings, atomics })
+    Ok(Report {
+        findings,
+        atomics,
+        lock_edges: locks.edges,
+    })
 }
 
 /// Runs every rule over the workspace at `root`, returning raw findings.
@@ -216,6 +233,7 @@ pub fn run_lint(root: &Path) -> Result<LintOutcome, String> {
     Ok(LintOutcome {
         findings: report.findings,
         atomics: report.atomics,
+        lock_edges: report.lock_edges,
         violations,
     })
 }

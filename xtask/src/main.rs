@@ -6,6 +6,8 @@
 //!
 //! Exit codes: 0 clean, 1 lint violations, 2 usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -70,11 +72,13 @@ fn main() -> ExitCode {
             .map(|f| f.to_json())
             .collect();
         let atomics: Vec<String> = outcome.atomics.iter().map(|a| a.to_json()).collect();
+        let lock_edges: Vec<String> = outcome.lock_edges.iter().map(|e| e.to_json()).collect();
         println!(
-            "{{\"clean\":{},\"violations\":[{}],\"atomics\":[{}]}}",
+            "{{\"clean\":{},\"violations\":[{}],\"atomics\":[{}],\"lock_edges\":[{}]}}",
             outcome.clean(),
             body.join(","),
-            atomics.join(",")
+            atomics.join(","),
+            lock_edges.join(",")
         );
     } else {
         for v in &outcome.violations {

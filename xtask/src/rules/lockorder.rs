@@ -20,10 +20,22 @@
 //! the end of the statement. Same-name nesting is skipped (lock arrays
 //! like `deques[i]`/`deques[j]` alias one node; loom's dynamic checker
 //! owns that axis).
+//!
+//! The scan stops at function boundaries, so a guard held across a call
+//! into another function — or another crate — needs the callee's locks
+//! written down where the guard is held: a `// LOCKS: <node>, <node>`
+//! line comment declares that the code below it acquires those nodes
+//! (fully qualified, `crates/stream::plants`) while every guard held at
+//! the comment is still held. Each declared node becomes an edge from
+//! each held guard, exactly as a nested `.lock()` would. A declaration is
+//! checked, not trusted blindly: it must sit under at least one held
+//! guard, and every node it names must be acquired *somewhere* in the
+//! scanned tree — renaming the mutex without updating the declaration
+//! fails the lint instead of silently detaching the edge.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::findings::{Finding, Rule};
+use crate::findings::{json_escape, Finding, Rule};
 use crate::scan::Source;
 
 /// One observed nested acquisition: `to` acquired while `from` was held.
@@ -39,6 +51,46 @@ pub struct LockEdge {
     pub line: usize,
 }
 
+impl LockEdge {
+    /// JSON object for the lint report (hand-rolled: no serde offline).
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"from\":\"{}\",\"to\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
+            json_escape(&self.from),
+            json_escape(&self.to),
+            json_escape(&self.file),
+            self.line
+        )
+    }
+}
+
+/// One `// LOCKS:` declaration: `node` is acquired by code the scan
+/// cannot see into, under `held` guards.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Declared {
+    /// The declared node, as written.
+    pub node: String,
+    /// How many guards were held at the declaration.
+    pub held: usize,
+    /// File of the declaration.
+    pub file: String,
+    /// 1-based line of the declaration.
+    pub line: usize,
+}
+
+/// What one file contributes to the lock graph.
+#[derive(Debug, Default)]
+pub struct LockScan {
+    /// Nested acquisitions, observed and declared.
+    pub edges: Vec<LockEdge>,
+    /// Every node this file acquires syntactically.
+    pub acquired: BTreeSet<String>,
+    /// Every `// LOCKS:` declaration.
+    pub declared: Vec<Declared>,
+}
+
+const DECLARATION: &str = "// LOCKS:";
+
 #[derive(Debug)]
 struct Held {
     name: String,
@@ -50,16 +102,51 @@ struct Held {
     scoped: bool,
 }
 
-/// Extracts the lock-acquisition edges of one file.
-pub fn edges(src: &Source) -> Vec<LockEdge> {
+/// Scans one file: edges, acquired nodes and `// LOCKS:` declarations.
+pub fn scan(src: &Source) -> LockScan {
     let crate_key = crate_of(&src.path);
     let bytes = src.masked.as_bytes();
+    let raw = src.text.as_bytes();
     let mut held: Vec<Held> = Vec::new();
     let mut out: Vec<LockEdge> = Vec::new();
+    let mut acquired = BTreeSet::new();
+    let mut declared = Vec::new();
     let mut depth = 0usize;
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];
+        // A line comment (masked to spaces) that opens with the tag, and
+        // is not the tail of a `///` doc comment.
+        if b == b' '
+            && raw[i..].starts_with(DECLARATION.as_bytes())
+            && (i == 0 || raw[i - 1] != b'/')
+            && !src.offset_in_test(i)
+        {
+            let line = src.line_of(i);
+            let end = raw[i..]
+                .iter()
+                .position(|&c| c == b'\n')
+                .map_or(raw.len(), |n| i + n);
+            let names = String::from_utf8_lossy(&raw[i + DECLARATION.len()..end]).into_owned();
+            for node in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+                for h in held.iter().filter(|h| h.name != node) {
+                    out.push(LockEdge {
+                        from: h.name.clone(),
+                        to: node.to_string(),
+                        file: src.path.clone(),
+                        line,
+                    });
+                }
+                declared.push(Declared {
+                    node: node.to_string(),
+                    held: held.len(),
+                    file: src.path.clone(),
+                    line,
+                });
+            }
+            i = end;
+            continue;
+        }
         match b {
             b'{' => depth += 1,
             b'}' => {
@@ -99,6 +186,7 @@ pub fn edges(src: &Source) -> Vec<LockEdge> {
                     format!("{crate_key}::{receiver}")
                 };
                 let line = src.line_of(i);
+                acquired.insert(name.clone());
                 for h in &held {
                     if h.name != name {
                         out.push(LockEdge {
@@ -124,7 +212,35 @@ pub fn edges(src: &Source) -> Vec<LockEdge> {
     }
     let mut seen = BTreeSet::new();
     out.retain(|e| seen.insert((e.from.clone(), e.to.clone())));
-    out
+    LockScan {
+        edges: out,
+        acquired,
+        declared,
+    }
+}
+
+/// Findings for `// LOCKS:` declarations that declare nothing: no guard
+/// was held where they stand, or the node they name is acquired nowhere
+/// in the scanned tree.
+pub fn check_declared(declared: &[Declared], acquired: &BTreeSet<String>) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for d in declared {
+        let message = if d.held == 0 {
+            "LOCKS declaration with no guard held: it adds no edge to the lock graph"
+        } else if !acquired.contains(&d.node) {
+            "LOCKS declaration names a node that nothing acquires (renamed mutex?)"
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            rule: Rule::LockOrder,
+            file: d.file.clone(),
+            line: d.line,
+            excerpt: format!("{DECLARATION} {}", d.node),
+            message: message.to_string(),
+        });
+    }
+    findings
 }
 
 /// `crates/server/src/lib.rs` → `crates/server`; `src/main.rs` → `src`.
@@ -343,7 +459,7 @@ mod tests {
     use super::*;
 
     fn edges_of(text: &str) -> Vec<LockEdge> {
-        edges(&Source::new("crates/x/src/f.rs", text))
+        scan(&Source::new("crates/x/src/f.rs", text)).edges
     }
 
     #[test]
@@ -429,6 +545,44 @@ mod tests {
             "fn lib() {}\n#[cfg(test)]\nmod t {\n fn f() { let g = a.lock().unwrap(); let h = b.lock().unwrap(); }\n}"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn declared_locks_become_edges_from_every_held_guard() {
+        let s = scan(&Source::new(
+            "crates/x/src/f.rs",
+            "fn f(&self) {\n\
+             let cache = lock(&slot);\n\
+             // LOCKS: crates/y::plants, crates/y::seat\n\
+             service.tick(plant);\n\
+             }\n\
+             fn g() {\n\
+             // LOCKS: crates/y::plants\n\
+             service.tick(plant);\n\
+             }\n\
+             /// LOCKS: prose in a doc comment declares nothing\n\
+             fn h() {}",
+        ));
+        let pairs: Vec<_> = s.edges.iter().map(|e| (&*e.from, &*e.to, e.line)).collect();
+        assert_eq!(
+            pairs,
+            [
+                ("crates/x::slot", "crates/y::plants", 3),
+                ("crates/x::slot", "crates/y::seat", 3)
+            ]
+        );
+        assert_eq!(s.declared.len(), 3);
+        // Under no guard (in `g`), and naming nodes nothing acquires.
+        let acquired = BTreeSet::from(["crates/y::plants".to_string()]);
+        let stale = check_declared(&s.declared, &acquired);
+        let lines: Vec<_> = stale.iter().map(|f| (f.line, &*f.excerpt)).collect();
+        assert_eq!(
+            lines,
+            [
+                (3, "// LOCKS: crates/y::seat"),
+                (7, "// LOCKS: crates/y::plants")
+            ]
+        );
     }
 
     #[test]

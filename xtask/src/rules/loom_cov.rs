@@ -33,6 +33,13 @@ pub const MODEL_MAP: &[(&str, &str, &str)] = &[
         "crates/server/tests/loom_queue.rs",
         "drain_unblocks_parked_workers_under_all_interleavings",
     ),
+    // Mutex-only, so nothing triggers it — mapped so the model that walks
+    // the registry's map and per-plant locks cannot be renamed away.
+    (
+        "crates/stream/src/tenant.rs",
+        "crates/service/tests/loom_registry.rs",
+        "ingest_finish_and_admit_on_one_plant_conserve_samples_under_all_interleavings",
+    ),
 ];
 
 /// The first non-test line where the file declares concurrency state

@@ -231,6 +231,101 @@ fn lock_order_cycles_are_never_allowlistable() {
     assert!(out.violations.iter().any(|v| v.rule == Rule::LockOrder));
 }
 
+/// The serving path's order is cache slot → registry map → tenant slot.
+/// A fixture shaped like the real code — the map → slot nesting of
+/// `admit_tenant`, and a cache slot held across a service call whose
+/// locks are declared with `// LOCKS:` — is clean; taking the map under
+/// a tenant's slot, or a cache slot under the map, closes a cycle.
+#[test]
+fn lock_order_rejects_acquiring_leftwards_of_the_serving_order() {
+    let registry = "pub fn admit(&self) {\n\
+         \x20   let mut plants = lock(&self.plants);\n\
+         \x20   let mut seat = lock(&slot);\n\
+         \x20   drop(plants);\n\
+         }\n";
+    let server = "fn tick(state: &State) {\n\
+         \x20   let mut cache = lock(&cached);\n\
+         \x20   // LOCKS: crates/stream::plants, crates/stream::slot\n\
+         \x20   state.service.tick(plant);\n\
+         }\n";
+    let lock_findings = |fx: &Fixture| -> Vec<String> {
+        let out = run_lint(&fx.root).expect("lint");
+        let hits = out.findings.into_iter();
+        hits.filter(|f| f.rule == Rule::LockOrder)
+            .map(|f| format!("{}:{} {}", f.file, f.line, f.excerpt))
+            .collect()
+    };
+
+    let fx = Fixture::new("lockorder-serving");
+    fx.write("crates/stream/src/tenant.rs", registry);
+    fx.write("crates/server/src/conn.rs", server);
+    assert_eq!(lock_findings(&fx), Vec::<String>::new());
+    let out = run_lint(&fx.root).expect("lint");
+    let edges: Vec<_> = out.lock_edges.iter().map(|e| (&*e.from, &*e.to)).collect();
+    assert_eq!(
+        edges,
+        [
+            ("crates/server::cached", "crates/stream::plants"),
+            ("crates/server::cached", "crates/stream::slot"),
+            ("crates/stream::plants", "crates/stream::slot"),
+        ]
+    );
+
+    // Tenant → map: a by-id call that re-enters the map under its slot.
+    fx.write(
+        "crates/stream/src/inverted.rs",
+        "pub fn relookup(&self) {\n\
+         \x20   let seat = lock(&slot);\n\
+         \x20   let plants = lock(&self.plants);\n\
+         }\n",
+    );
+    let found = lock_findings(&fx);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("crates/stream::plants -> crates/stream::slot"));
+    fs::remove_file(fx.root.join("crates/stream/src/inverted.rs")).expect("remove");
+
+    // Map → cache slot, across crates: only the declaration can say so.
+    fx.write(
+        "crates/stream/src/inverted.rs",
+        "pub fn notify(&self) {\n\
+         \x20   let plants = lock(&self.plants);\n\
+         \x20   // LOCKS: crates/server::cached\n\
+         \x20   (self.on_change)();\n\
+         }\n",
+    );
+    let found = lock_findings(&fx);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("crates/server::cached -> crates/stream::plants"));
+    fs::remove_file(fx.root.join("crates/stream/src/inverted.rs")).expect("remove");
+
+    // A declaration that outlived a rename is itself a finding.
+    fx.write(
+        "crates/server/src/conn.rs",
+        &server.replace("crates/stream::slot", "crates/stream::seat"),
+    );
+    let found = lock_findings(&fx);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("// LOCKS: crates/stream::seat"));
+}
+
+/// The real tree's graph has every edge of the serving order DESIGN.md
+/// §4.16 writes down (and, being clean, none that closes a cycle).
+#[test]
+fn repository_lock_graph_holds_the_serving_order() {
+    let out = run_lint(&workspace_root()).expect("lint");
+    for (from, to) in [
+        ("crates/server::slot", "crates/stream::plants"),
+        ("crates/server::slot", "crates/stream::slot"),
+        ("crates/stream::plants", "crates/stream::slot"),
+    ] {
+        assert!(
+            out.lock_edges.iter().any(|e| e.from == from && e.to == to),
+            "missing {from} -> {to} in {:#?}",
+            out.lock_edges
+        );
+    }
+}
+
 #[test]
 fn loom_coverage_requires_the_named_model_test() {
     let fx = Fixture::new("loomcov");
