@@ -252,7 +252,7 @@ impl AdwinWindow {
             let m = 1.0 / (1.0 / n0 as f64 + 1.0 / n1 as f64);
             let eps = (2.0 / m * var_w * ln_term).sqrt() + 2.0 / (3.0 * m) * ln_term;
             let gap = (mean0 - mean1).abs();
-            if gap > eps && best.map_or(true, |(_, g, _)| gap > g) {
+            if gap > eps && best.is_none_or(|(_, g, _)| gap > g) {
                 best = Some((n0, gap, eps));
             }
         }

@@ -189,8 +189,8 @@ impl RangeQuery {
     }
 
     fn matches(&self, id: &LaneId) -> bool {
-        self.machine.as_deref().map_or(true, |m| m == id.machine)
-            && self.sensor.as_deref().map_or(true, |s| s == id.sensor)
+        self.machine.as_deref().is_none_or(|m| m == id.machine)
+            && self.sensor.as_deref().is_none_or(|s| s == id.sensor)
     }
 }
 

@@ -18,7 +18,7 @@ use hierod_service::Health;
 use hierod_store::wal::WalRecord;
 use hierod_stream::codec::{encode_control, encode_lane};
 use hierod_stream::{ControlEvent, LaneId, LaneStats, StreamStats};
-use hierod_wire::{write_frame, ErrorCode, Frame, FrameReader, LaneColumns, Poll};
+use hierod_wire::{ErrorCode, Frame, FrameReader, LaneColumns, Poll};
 
 /// A server-reported failure, preserved with its wire error class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,6 +103,9 @@ pub struct Client {
     reader_stream: TcpStream,
     reader: FrameReader,
     control_seq: u64,
+    /// The frame being sent, encoded; kept for its capacity, so an ingest
+    /// frame costs no allocation.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -119,11 +122,14 @@ impl Client {
             reader_stream,
             reader: FrameReader::new(),
             control_seq: 0,
+            frame: Vec::new(),
         })
     }
 
     fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        write_frame(&mut self.writer, frame)
+        self.frame.clear();
+        frame.encode(&mut self.frame);
+        self.writer.write_all(&self.frame)
     }
 
     fn recv(&mut self) -> Result<Frame> {

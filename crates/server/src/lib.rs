@@ -12,6 +12,24 @@
 //! are refused, not buffered without limit); each worker pops one socket
 //! and serves it to completion before taking the next.
 //!
+//! ## Runs
+//!
+//! Ingest is applied a socket read at a time, not a frame at a time: a
+//! sample frame takes with it every sample frame already buffered behind
+//! it, and the run goes through one `PlantService::ingest_run` — one
+//! plant lookup, one acquisition of that plant, one hand-off to its WAL
+//! file — with the frame counter bumped once by the run's length and the
+//! drain flag checked once. A run ends at a lane definition, a control
+//! frame, a request, or the end of what `read` has delivered, so it holds
+//! at most one read's worth of samples (8 KiB, ≈ 390 frames, plus the
+//! frame the previous read left incomplete): that, and no more, is how
+//! long a same-plant `tick` waits for ingest. The wire format and the
+//! client know nothing of it, and every record of a run is attempted and
+//! answered for exactly as if it had been its own call. Between runs the
+//! worker yields its core, so on a box with more busy threads than cores
+//! another connection's worker waits for one run, not for the kernel to
+//! preempt a worker whose socket never runs dry (`conn.rs`, "Runs").
+//!
 //! The service is shared by reference — [`Server`] wants a `Sync`
 //! [`PlantService`] and takes no lock of its own around it — and
 //! detection runs inline on whichever worker serves the frame. What a
@@ -45,8 +63,12 @@
 //!
 //! ## Protocol state
 //!
-//! Each connection holds its own lane table (built from `LaneDef`
-//! frames, mirroring WAL replay) and its admitted plant. Ingest frames
+//! Each connection holds its admitted plant and its own lane table
+//! (built from `LaneDef` frames, mirroring WAL replay): dense, at most
+//! [`MAX_LANES`](hierod_stream::MAX_LANES) entries — a lane number past
+//! the cap is a parked `Protocol` error — each entry the lane's id and,
+//! once a sample has needed it, the plant's handle for it, good for as
+//! long as the plant stays the incarnation that issued it. Ingest frames
 //! are deliberately not acknowledged one-by-one — the first ingest
 //! error is parked and surfaces at the connection's next synchronous
 //! request, so a firehose of samples costs no response traffic.

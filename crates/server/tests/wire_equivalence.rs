@@ -769,3 +769,538 @@ fn graceful_drain_stops_accepting_and_serve_returns() {
     // Further requests on the old connection fail (Draining or EOF).
     assert!(client.query_health().is_err());
 }
+
+// ---------------------------------------------------------------------
+// Runs: what a connection's read delivered is applied in one service
+// call. Neither the way TCP cut the stream up, nor a plant re-created
+// under a connection, nor a neighbour on the same plant may show.
+
+mod runs {
+    use super::*;
+    use std::io::Write;
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::mpsc;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
+
+    use hierod_detect::DetectError;
+    use hierod_store::storage::{Storage, StorageFile};
+    use hierod_store::wal::WalRecord;
+    use hierod_stream::codec::{encode_control, encode_lane};
+    use hierod_stream::{DurableStream, MAX_LANES};
+    use hierod_wire::{Frame, FrameReader, Poll};
+
+    /// One ingest record as a client would frame it.
+    #[derive(Clone)]
+    enum Rec {
+        Def(u32, LaneId),
+        Control(ControlEvent),
+        Sample(u32, u64, f64),
+    }
+
+    fn room_lane_id() -> LaneId {
+        LaneId {
+            machine: MACHINE.into(),
+            sensor: ROOM.into(),
+            kind: LaneKind::Environment,
+        }
+    }
+
+    /// Samples and controls, a phase sample before any phase is open, a
+    /// sample on a wire lane nobody defined (first of the two failures when
+    /// `undefined_first`), a `LaneDef` re-binding wire lane 2 mid-stream,
+    /// and a straggler after the job has closed.
+    fn op_stream(undefined_first: bool) -> Vec<Rec> {
+        let mut ops = vec![Rec::Def(1, bed_lane_id()), Rec::Def(2, room_lane_id())];
+        let [up, job, phase] = <[ControlEvent; 3]>::try_from(scenario_events()).unwrap();
+        ops.push(Rec::Control(up));
+        ops.extend((0..4).map(|t| Rec::Sample(2, t, 20.0)));
+        let mut strays = [Rec::Sample(1, 0, 1.0), Rec::Sample(9, 0, 1.0)];
+        if undefined_first {
+            strays.reverse();
+        }
+        ops.extend(strays);
+        ops.extend([Rec::Control(job), Rec::Control(phase)]);
+        for t in 0..600 {
+            ops.push(Rec::Sample(1, t, sample_at(t)));
+            if t % 4 == 0 {
+                ops.push(Rec::Sample(2, 4 + t, 20.0 + (t as f64 * 0.1).cos()));
+            }
+        }
+        ops.push(Rec::Def(2, bed_lane_id()));
+        ops.extend((600..640).map(|t| Rec::Sample(2, t, sample_at(t))));
+        ops.push(Rec::Control(job_complete()));
+        ops.push(Rec::Sample(1, 700, 0.0));
+        ops
+    }
+
+    /// Everything a run of the op stream leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        /// The first ingest failure, as the next request is answered.
+        parked: (ErrorCode, String),
+        /// The barrier's reply frame, encoded.
+        barrier: Vec<u8>,
+        wal: Vec<u8>,
+        delivered: BTreeMap<LaneId, u64>,
+        finish: Vec<u8>,
+    }
+
+    /// A service that recovers an empty plant `p` on storage the test
+    /// keeps a handle to.
+    fn plant_and_its_storage() -> (RegistryService<MemFactory>, MemStorage) {
+        let factory = MemFactory::new();
+        let storage = factory.open_shard("p", 0).unwrap();
+        let svc =
+            RegistryService::open(factory, AlgorithmPolicy::default(), TenantConfig::default())
+                .unwrap();
+        (svc, storage)
+    }
+
+    /// The per-record reference: every record through its own embedded
+    /// service call, the first failure kept, as the server parks it.
+    fn replay_embedded(ops: &[Rec]) -> Outcome {
+        let (svc, storage) = plant_and_its_storage();
+        let mut lanes = BTreeMap::new();
+        let mut parked = None;
+        for op in ops {
+            let failure = match op {
+                Rec::Def(lane, id) => {
+                    lanes.insert(*lane, id.clone());
+                    None
+                }
+                Rec::Control(event) => svc.control("p", event).err(),
+                Rec::Sample(lane, timestamp, value) => match lanes.get(lane) {
+                    Some(id) => {
+                        let (timestamp, value) = (*timestamp, *value);
+                        svc.ingest("p", id, Sample { timestamp, value }).err()
+                    }
+                    None => {
+                        let message = format!("sample for undefined lane {lane}");
+                        parked.get_or_insert((ErrorCode::Protocol, message));
+                        None
+                    }
+                },
+            };
+            if let Some(e) = failure {
+                let code = match e {
+                    DetectError::Missing { .. } => ErrorCode::Missing,
+                    DetectError::Substrate(_) => ErrorCode::Substrate,
+                    _ => ErrorCode::Invalid,
+                };
+                parked.get_or_insert((code, e.to_string()));
+            }
+        }
+        let (stats, by_lane) = svc.lane_snapshot("p").unwrap();
+        let mut barrier = Vec::new();
+        Frame::LaneStatsReply {
+            stats,
+            lanes: by_lane.into_iter().collect(),
+        }
+        .encode(&mut barrier);
+        let delivered = svc
+            .registry()
+            .with_tenant("p", |tenant| tenant.stream().delivered())
+            .unwrap();
+        Outcome {
+            parked: parked.expect("the op stream strays"),
+            barrier,
+            wal: storage.read("wal-0.log").unwrap(),
+            delivered,
+            finish: encode_report(&svc.finish("p").unwrap()),
+        }
+    }
+
+    fn encode_ops(ops: &[Rec]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (seq, op) in ops.iter().enumerate() {
+            let record = match op {
+                Rec::Def(lane, id) => WalRecord::LaneDef {
+                    lane: *lane,
+                    meta: encode_lane(id),
+                },
+                Rec::Control(event) => WalRecord::Control {
+                    seq: seq as u64,
+                    payload: encode_control(event),
+                },
+                Rec::Sample(lane, timestamp, value) => WalRecord::Sample {
+                    lane: *lane,
+                    timestamp: *timestamp,
+                    value: *value,
+                },
+            };
+            Frame::Ingest(record).encode(&mut bytes);
+        }
+        bytes
+    }
+
+    /// A client that chooses how its bytes are cut into writes.
+    struct RawClient {
+        stream: TcpStream,
+        reader: FrameReader,
+    }
+
+    impl RawClient {
+        fn connect(addr: SocketAddr) -> RawClient {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            RawClient {
+                stream,
+                reader: FrameReader::new(),
+            }
+        }
+
+        fn write(&mut self, bytes: &[u8], chunk: usize) {
+            for piece in bytes.chunks(chunk) {
+                self.stream.write_all(piece).unwrap();
+            }
+        }
+
+        fn request(&mut self, frame: &Frame) -> Frame {
+            let mut bytes = Vec::new();
+            frame.encode(&mut bytes);
+            self.write(&bytes, bytes.len());
+            loop {
+                match self.reader.poll(&mut self.stream).unwrap() {
+                    Poll::Frame(reply) => return reply,
+                    Poll::Idle => {}
+                    Poll::Eof => panic!("the server hung up"),
+                }
+            }
+        }
+    }
+
+    /// The op stream over TCP, written `chunk` bytes at a time.
+    fn serve_in_writes_of(ops: &[Rec], chunk: usize) -> Outcome {
+        let (svc, storage) = plant_and_its_storage();
+        let (handle, join) = spawn_server_with(svc);
+        let mut client = RawClient::connect(handle.local_addr());
+        let admit = Frame::Admit {
+            plant: "p".into(),
+            create: false,
+        };
+        assert_eq!(client.request(&admit), Frame::Ok { info: 0 });
+        let bytes = encode_ops(ops);
+        client.write(&bytes, chunk.min(bytes.len()));
+        let Frame::Error { code, message } = client.request(&Frame::QueryLaneStats) else {
+            panic!("the parked failure answers the first request");
+        };
+        let mut barrier = Vec::new();
+        client.request(&Frame::QueryLaneStats).encode(&mut barrier);
+        let wal = storage.read("wal-0.log").unwrap();
+        let config = TenantConfig::default();
+        let (recovered, _) = DurableStream::open(
+            AlgorithmPolicy::default(),
+            config.stream,
+            storage.crash_image(true),
+            config.store,
+        )
+        .unwrap();
+        let Frame::Report { report, .. } = client.request(&Frame::Finish) else {
+            panic!("finish answers with the report");
+        };
+        handle.shutdown();
+        join.join().unwrap();
+        Outcome {
+            parked: (code, message),
+            barrier,
+            wal,
+            delivered: recovered.delivered(),
+            finish: report,
+        }
+    }
+
+    #[test]
+    fn any_fragmentation_of_the_stream_equals_the_per_record_replay() {
+        for undefined_first in [false, true] {
+            let ops = op_stream(undefined_first);
+            let reference = replay_embedded(&ops);
+            let expected = match undefined_first {
+                true => (ErrorCode::Protocol, "sample for undefined lane 9"),
+                false => (ErrorCode::Missing, "open pipeline for lane m0.bed.0"),
+            };
+            assert_eq!(reference.parked.0, expected.0);
+            assert!(
+                reference.parked.1.contains(expected.1),
+                "{:?}",
+                reference.parked
+            );
+            assert_eq!(reference.delivered[&bed_lane_id()], 1 + 600 + 40 + 1);
+            for chunk in [1, 8192, usize::MAX] {
+                let served = serve_in_writes_of(&ops, chunk);
+                assert!(
+                    served == reference,
+                    "writes of {chunk} bytes, undefined first {undefined_first}: \
+                     {:?} / {:?}, wal {} / {} bytes",
+                    served.parked,
+                    reference.parked,
+                    served.wal.len(),
+                    reference.wal.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_lane_number_past_the_cap_is_a_parked_protocol_error() {
+        let (handle, join) = spawn_server();
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.admit("plant-a", true).unwrap();
+        for lane in [u32::MAX, MAX_LANES] {
+            client.lane_def(lane, &bed_lane_id()).unwrap();
+            match client.query_lane_stats() {
+                Err(ClientError::Server(e)) => {
+                    assert_eq!(e.code, ErrorCode::Protocol);
+                    assert!(e.message.contains("past the cap"), "{}", e.message);
+                }
+                other => panic!("lane {lane}: expected the parked error, got {other:?}"),
+            }
+            // Nothing was bound, and the connection carries on.
+            client.sample(lane, 0, 1.0).unwrap();
+            let err = client.query_lane_stats().unwrap_err();
+            assert!(err.to_string().contains("undefined lane"), "{err}");
+        }
+        client.lane_def(MAX_LANES - 1, &bed_lane_id()).unwrap();
+        for event in scenario_events() {
+            client.control(&event).unwrap();
+        }
+        client.sample(MAX_LANES - 1, 0, 1.0).unwrap();
+        assert_eq!(client.query_lane_stats().unwrap().0.samples_ingested, 1);
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn handles_do_not_outlive_the_plant_that_issued_them() {
+        // `first` streams into the plant over lanes it resolved in the
+        // order room, bed. A second connection finishes the plant, and —
+        // its journal gone — re-creates it, resolving bed before room.
+        let (svc, storage) = plant_and_its_storage();
+        let (handle, join) = spawn_server_with(svc);
+        let addr = handle.local_addr();
+        let released = |client: &mut Client| -> BTreeMap<LaneId, u64> {
+            let (_, lanes) = client.query_lane_stats().unwrap();
+            lanes.into_iter().map(|(id, l)| (id, l.released)).collect()
+        };
+        let open_phase = |client: &mut Client| {
+            for event in scenario_events() {
+                client.control(&event).unwrap();
+            }
+        };
+        let mut first = Client::connect(addr).unwrap();
+        assert!(!first.admit("p", false).unwrap(), "recovered, empty");
+        first.lane_def(1, &room_lane_id()).unwrap();
+        first.lane_def(2, &bed_lane_id()).unwrap();
+        open_phase(&mut first);
+        first.sample(1, 0, 20.0).unwrap();
+        first.sample(2, 0, 1.0).unwrap();
+        let both = BTreeMap::from([(bed_lane_id(), 1), (room_lane_id(), 1)]);
+        assert_eq!(released(&mut first), both);
+
+        let mut second = Client::connect(addr).unwrap();
+        assert!(!second.admit("p", false).unwrap());
+        second.finish().unwrap();
+        // Between the incarnations there is no plant: turned away, typed.
+        first.sample(1, 1, 20.0).unwrap();
+        match first.query_lane_stats() {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Missing, "{e}"),
+            other => panic!("expected Missing, got {other:?}"),
+        }
+        for name in storage.list().unwrap() {
+            storage.remove(&name).unwrap();
+        }
+        assert!(second.admit("p", true).unwrap(), "a new incarnation");
+        second.lane_def(1, &bed_lane_id()).unwrap();
+        second.lane_def(2, &room_lane_id()).unwrap();
+        open_phase(&mut second);
+        second.sample(1, 0, 1.0).unwrap();
+        second.sample(2, 0, 20.0).unwrap();
+        assert_eq!(released(&mut second), both);
+
+        // `first` still holds room → 0, bed → 1; the plant now has them
+        // the other way round. Three more room samples, one more bed.
+        for t in 1..4 {
+            first.sample(1, t, 20.0).unwrap();
+        }
+        first.sample(2, 1, 1.0).unwrap();
+        let after = BTreeMap::from([(bed_lane_id(), 2), (room_lane_id(), 4)]);
+        assert_eq!(released(&mut first), after);
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// What the gated plant's storage tells the test.
+    enum Event {
+        /// A `sync` of the plant's WAL is parked at the turnstile.
+        Parked,
+        FloodDone,
+    }
+
+    /// A turnstile in front of every `sync` of the plant's WAL: while it
+    /// turns, a sync says it is parked and waits to be let through, one
+    /// at a time.
+    struct Gate {
+        /// (syncs let through but not yet passed, still turning)
+        state: Mutex<(u64, bool)>,
+        moved: Condvar,
+        events: Mutex<mpsc::Sender<Event>>,
+    }
+
+    impl Gate {
+        fn let_one_through(&self) {
+            self.state.lock().unwrap().0 += 1;
+            self.moved.notify_all();
+        }
+
+        fn turning(&self, turning: bool) {
+            self.state.lock().unwrap().1 = turning;
+            self.moved.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut state = self.state.lock().unwrap();
+            if state.1 {
+                self.events.lock().unwrap().send(Event::Parked).unwrap();
+            }
+            while state.1 && state.0 == 0 {
+                state = self.moved.wait(state).unwrap();
+            }
+            state.0 = state.0.saturating_sub(1);
+        }
+    }
+
+    struct GatedFactory(MemFactory, Arc<Gate>);
+    struct Gated(MemStorage, Arc<Gate>);
+    struct GatedFile(Box<dyn StorageFile>, Arc<Gate>);
+
+    impl StorageFile for GatedFile {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.0.append(bytes)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.1.pass();
+            self.0.sync()
+        }
+    }
+
+    impl Storage for Gated {
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.0.list()
+        }
+        fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+            self.0.read(name)
+        }
+        fn create(&self, name: &str) -> io::Result<Box<dyn StorageFile>> {
+            let file = self.0.create(name)?;
+            Ok(Box::new(GatedFile(file, Arc::clone(&self.1))))
+        }
+        fn open_append(&self, name: &str) -> io::Result<Box<dyn StorageFile>> {
+            let file = self.0.open_append(name)?;
+            Ok(Box::new(GatedFile(file, Arc::clone(&self.1))))
+        }
+        fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+            self.0.rename(from, to)
+        }
+        fn remove(&self, name: &str) -> io::Result<()> {
+            self.0.remove(name)
+        }
+    }
+
+    impl StorageFactory for GatedFactory {
+        type Storage = Gated;
+
+        fn open_shard(&self, tenant: &str, shard: usize) -> io::Result<Gated> {
+            Ok(Gated(
+                self.0.open_shard(tenant, shard)?,
+                Arc::clone(&self.1),
+            ))
+        }
+        fn list_tenants(&self) -> io::Result<Vec<String>> {
+            self.0.list_tenants()
+        }
+        fn shard_count(&self, tenant: &str) -> io::Result<usize> {
+            self.0.shard_count(tenant)
+        }
+    }
+
+    #[test]
+    fn lane_stats_totals_and_lanes_are_one_snapshot() {
+        // A second connection floods the plant's room lane and parks in
+        // every group commit — mid-run, the plant held — until the test
+        // lets that one sync through; the first connection asks for the
+        // lane stats over and over beside it. Wherever an answer falls
+        // among the flood's runs, its totals are the sums of its lanes.
+        // (That the answer is one service call, hence one acquisition of
+        // the plant, is pinned without a race in `conn.rs`'s unit tests.)
+        const FLOOD: u64 = 64 * 12;
+        let (events, happened) = mpsc::channel();
+        let gate = Arc::new(Gate {
+            state: Mutex::new((0, false)),
+            moved: Condvar::new(),
+            events: Mutex::new(events.clone()),
+        });
+        let factory = GatedFactory(MemFactory::new(), Arc::clone(&gate));
+        let svc =
+            RegistryService::open(factory, AlgorithmPolicy::default(), TenantConfig::default())
+                .unwrap();
+        let (handle, join) = spawn_server_with(svc);
+        let addr = handle.local_addr();
+        let mut asker = Client::connect(addr).unwrap();
+        asker.admit("p", true).unwrap();
+        let [up, ..] = <[ControlEvent; 3]>::try_from(scenario_events()).unwrap();
+        asker.control(&up).unwrap();
+        asker.query_lane_stats().unwrap();
+
+        gate.turning(true);
+        let flooding = thread::spawn(move || {
+            let mut flooder = Client::connect(addr).unwrap();
+            flooder.admit("p", false).unwrap();
+            flooder.lane_def(1, &room_lane_id()).unwrap();
+            // A write per sample: many short runs, so many chances for
+            // an ingest to fall between two reads of the plant.
+            for t in 0..FLOOD {
+                flooder.sample(1, t, 20.0).unwrap();
+                flooder.flush().unwrap();
+            }
+            let (stats, _) = flooder.query_lane_stats().unwrap();
+            events.send(Event::FloodDone).unwrap();
+            stats.samples_ingested
+        });
+        let asking = thread::spawn(move || {
+            let mut answers = 0_u64;
+            loop {
+                let (stats, lanes) = asker.query_lane_stats().unwrap();
+                answers += 1;
+                let by_lane: u64 = lanes
+                    .iter()
+                    .map(|(_, l)| l.released + l.late_dropped + l.duplicates_dropped)
+                    .sum();
+                assert_eq!(
+                    stats.samples_released + stats.late_dropped + stats.duplicates_dropped,
+                    by_lane,
+                    "answer {answers}: {stats:?} vs {lanes:?}"
+                );
+                if stats.samples_ingested == FLOOD {
+                    return answers;
+                }
+            }
+        });
+        let mut parked = 0;
+        loop {
+            match happened.recv_timeout(Duration::from_secs(20)) {
+                Ok(Event::Parked) => {
+                    parked += 1;
+                    gate.let_one_through();
+                }
+                Ok(Event::FloodDone) => break,
+                Err(_) => panic!("the flood stalled after {parked} parked syncs"),
+            }
+        }
+        gate.turning(false);
+        assert_eq!(flooding.join().unwrap(), FLOOD);
+        assert!(asking.join().unwrap() >= 1);
+        assert_eq!(parked, FLOOD / 64, "one park per group commit");
+        handle.shutdown();
+        join.join().unwrap();
+    }
+}

@@ -29,7 +29,9 @@
 //! implementor's business. [`RegistryService`] excludes per plant —
 //! every by-id call holds that one plant's lock and no other (the
 //! registry-wide lock covers the id lookup only and is released before
-//! the plant's is taken), and [`finish`](PlantService::finish) detaches
+//! the plant's is taken; for [`ingest_run`](PlantService::ingest_run) that
+//! is one lookup and one acquisition for a whole run of samples), and
+//! [`finish`](PlantService::finish) detaches
 //! the plant first and then finalises it with no lock held at all. See
 //! [`hierod_stream::tenant`] for the lock order.
 
@@ -50,12 +52,19 @@ use hierod_history::{
 use hierod_store::tenants::StorageFactory;
 use hierod_stream::tenant::{PlantRegistry, Tenant, TenantConfig};
 use hierod_stream::{
-    ControlEvent, DurableRecovery, LaneId, LaneStats, Sample, StreamReport, StreamStats,
+    ControlEvent, DurableRecovery, LaneId, LaneStats, LaneTable, RunError, Sample, StreamReport,
+    StreamStats,
 };
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
     DetectError::Substrate(format!("history: {e}"))
+}
+
+fn no_plant(plant: &str) -> DetectError {
+    DetectError::Missing {
+        what: format!("plant {plant:?}"),
+    }
 }
 
 /// What [`PlantService::admit`] did for the requested plant.
@@ -160,6 +169,21 @@ pub trait PlantService {
     /// are counted, not errors.
     fn ingest(&self, plant: &str, lane: &LaneId, sample: Sample) -> Result<()>;
 
+    /// Ingests a run of samples into `plant`, each addressed by a wire
+    /// lane of the caller's `lanes` table — one call, and for
+    /// [`RegistryService`] one acquisition of the plant, for as many
+    /// samples as a connection has read. Every record is attempted, as if
+    /// it had come through [`ingest`](PlantService::ingest) under the id
+    /// its wire lane is bound to; the first failure in stream order is
+    /// returned (`None`: all landed). Handles `lanes` has resolved are
+    /// reused only while `plant` is the incarnation that issued them.
+    fn ingest_run(
+        &self,
+        plant: &str,
+        lanes: &mut LaneTable,
+        run: &[(u32, Sample)],
+    ) -> Option<RunError>;
+
     /// Assembles an interim report for `plant`, hard-committing its WAL
     /// first (every exposed score is backed by durable input).
     ///
@@ -187,6 +211,15 @@ pub trait PlantService {
     /// # Errors
     /// Unknown plant.
     fn lane_stats(&self, plant: &str) -> Result<BTreeMap<LaneId, LaneStats>>;
+
+    /// [`stats`](PlantService::stats) and
+    /// [`lane_stats`](PlantService::lane_stats) of one instant: no ingest
+    /// into `plant` lands between the two, so the totals are the sums of
+    /// the lanes.
+    ///
+    /// # Errors
+    /// Unknown plant.
+    fn lane_snapshot(&self, plant: &str) -> Result<(StreamStats, BTreeMap<LaneId, LaneStats>)>;
 
     /// Point-in-time health snapshot: live plants with recovery
     /// summaries, plus the failed set that gates readiness.
@@ -278,11 +311,9 @@ impl<F: StorageFactory> RegistryService<F> {
         plant: &str,
         f: impl FnOnce(&mut Tenant<F::Storage>) -> Result<R>,
     ) -> Result<R> {
-        self.registry.with_tenant(plant, f).unwrap_or_else(|| {
-            Err(DetectError::Missing {
-                what: format!("plant {plant:?}"),
-            })
-        })
+        self.registry
+            .with_tenant(plant, f)
+            .unwrap_or_else(|| Err(no_plant(plant)))
     }
 }
 
@@ -307,6 +338,17 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
         self.on(plant, |tenant| tenant.ingest(lane, sample))
     }
 
+    fn ingest_run(
+        &self,
+        plant: &str,
+        lanes: &mut LaneTable,
+        run: &[(u32, Sample)],
+    ) -> Option<RunError> {
+        self.registry
+            .with_tenant(plant, |tenant| tenant.ingest_run(lanes, run))
+            .unwrap_or_else(|| Some(RunError::Rejected(no_plant(plant))))
+    }
+
     fn tick(&self, plant: &str) -> Result<StreamReport> {
         self.on(plant, Tenant::tick)
     }
@@ -321,6 +363,10 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
 
     fn lane_stats(&self, plant: &str) -> Result<BTreeMap<LaneId, LaneStats>> {
         self.on(plant, |tenant| Ok(tenant.lane_stats()))
+    }
+
+    fn lane_snapshot(&self, plant: &str) -> Result<(StreamStats, BTreeMap<LaneId, LaneStats>)> {
+        self.on(plant, |tenant| Ok((tenant.stats(), tenant.lane_stats())))
     }
 
     fn rotate(&self, plant: &str) -> Result<()> {

@@ -22,7 +22,7 @@ use hierod_store::storage::{Storage, StorageFile};
 use hierod_store::tenants::{MemFactory, StorageFactory};
 use hierod_store::MemStorage;
 use hierod_stream::tenant::TenantConfig;
-use hierod_stream::{ControlEvent, LaneId, LaneKind, Sample};
+use hierod_stream::{ControlEvent, LaneId, LaneKind, LaneTable, RunError, Sample};
 
 /// Live storages per tenant. Plain `std` state: bookkeeping of the
 /// test, not a decision point of the model.
@@ -176,6 +176,66 @@ fn ingest_finish_and_admit_on_one_plant_conserve_samples_under_all_interleavings
                     assert_eq!(report.stats.samples_ingested, landed);
                 }
             }
+        });
+    });
+}
+
+/// A lane table's run ingest × `finish` × `admit(create)` on one plant,
+/// with stale handles in hand throughout: the table resolved its lanes
+/// against plant `q`, which numbers them `[other, room]`, before it ever
+/// talks to `p`, which numbers them `[room, other]` — and `p` is finished
+/// and re-created under it. A run lands whole on the incarnation it
+/// finds, its lanes resolved again whenever that is not the one its
+/// handles came from, or is turned away `Missing` whole; no sample is
+/// ever counted on the other lane's slot.
+#[test]
+fn run_ingest_with_stale_handles_lands_on_its_own_lanes_under_all_interleavings() {
+    loom::model(|| {
+        let svc = service(&[]);
+        let other = LaneId {
+            sensor: "m0.other".into(),
+            ..room_lane()
+        };
+        let sensors = [ROOM.to_string(), other.sensor.clone()];
+        let up = ControlEvent::machine_up("m0", vec![], vec![], &sensors);
+        let sample = |timestamp| {
+            let value = 20.0;
+            Sample { timestamp, value }
+        };
+        for (plant, first, second) in [("q", &other, &room_lane()), ("p", &room_lane(), &other)] {
+            svc.admit(plant, true).expect("admit");
+            svc.control(plant, &up).expect("machine up");
+            svc.ingest(plant, first, sample(0)).expect("numbered 0");
+            svc.ingest(plant, second, sample(0)).expect("numbered 1");
+        }
+        let mut lanes = LaneTable::default();
+        assert!(lanes.bind(7, room_lane()));
+        assert_eq!(svc.ingest_run("q", &mut lanes, &[(7, sample(1))]), None);
+        loom::thread::scope(|s| {
+            let ingester = s.spawn(|| {
+                let mut landed = 0;
+                for from in [1, 3] {
+                    let run = [(7, sample(from)), (7, sample(from + 1))];
+                    match svc.ingest_run("p", &mut lanes, &run) {
+                        None => landed += 2,
+                        Some(RunError::Rejected(DetectError::Missing { .. })) => {}
+                        Some(other) => panic!("a run lands or is Missing, got {other:?}"),
+                    }
+                }
+                landed
+            });
+            let finisher = s.spawn(|| svc.finish("p").expect("the one finish of a live plant"));
+            let admitted = svc.admit("p", true);
+            let landed = ingester.join().expect("ingester");
+            let report = finisher.join().expect("finisher");
+            let by_lane = match admitted {
+                // Re-created: the journal replays what the finished report
+                // counted, later runs landed on top.
+                Ok(Admission::Created) => svc.lane_stats("p").expect("live"),
+                _ => report.lane_stats,
+            };
+            assert_eq!(by_lane[&room_lane()].released, 1 + landed);
+            assert_eq!(by_lane[&other].released, 1);
         });
     });
 }

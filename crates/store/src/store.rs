@@ -216,6 +216,11 @@ pub struct Store<S: Storage> {
     floor: u64,
     group_commit: usize,
     unsynced: usize,
+    /// Encoded records not yet handed to `writer` (see [`Store::append`]).
+    staged: Vec<u8>,
+    /// Why the journal stopped taking writes, once a hand-off or sync of
+    /// the active WAL has failed.
+    failed: Option<(io::ErrorKind, String)>,
 }
 
 impl<S: Storage> Store<S> {
@@ -373,20 +378,50 @@ impl<S: Storage> Store<S> {
                 floor,
                 group_commit: options.group_commit.max(1),
                 unsynced: 0,
+                staged: Vec::new(),
+                failed: None,
             },
             recovered,
         ))
     }
 
-    /// Appends one record to the active WAL. Syncs automatically every
-    /// `group_commit` records; call [`Store::commit`] for a hard barrier.
+    /// Remembers the first failed write of the active WAL and fails every
+    /// later one the same way: after a failed hand-off nobody knows how
+    /// much of it the file took, so a record staged later must not land
+    /// behind the hole (recovery on reopen is the way back).
+    fn guard(&mut self, result: io::Result<()>) -> io::Result<()> {
+        if let Err(e) = &result {
+            self.failed = Some((e.kind(), e.to_string()));
+        }
+        result
+    }
+
+    fn check(&self) -> io::Result<()> {
+        match &self.failed {
+            Some((kind, message)) => Err(io::Error::new(*kind, message.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Appends one record to the active WAL. The record is encoded behind
+    /// the records already staged, in a buffer that is reused (no
+    /// allocation per record), and the file is handed the staged bytes
+    /// once per batch, not once per record: at every `group_commit`-th
+    /// record, which also syncs, at a [`Store::flush`], and at a
+    /// [`Store::commit`], the hard barrier. The file therefore sees the
+    /// same bytes and the same sync points as if each record had been
+    /// written alone, and a crash loses nothing a sync covered.
+    ///
+    /// Readers of the live WAL ([`Storage::read`]) see handed-over bytes
+    /// only: a caller whose own callers may read it flushes before it
+    /// returns.
     ///
     /// # Errors
-    /// Storage I/O failures (including an injected crash).
+    /// Storage I/O failures (including an injected crash) of the group
+    /// commit; every call after a failed write of this WAL.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(32);
-        record.encode(&mut buf);
-        self.writer.append(&buf)?;
+        self.check()?;
+        record.encode(&mut self.staged);
         self.unsynced += 1;
         if self.unsynced >= self.group_commit {
             self.commit()?;
@@ -394,13 +429,30 @@ impl<S: Storage> Store<S> {
         Ok(())
     }
 
-    /// Fsyncs the active WAL, making every appended record durable.
+    /// Hands every staged record to the active WAL file (no sync).
+    ///
+    /// # Errors
+    /// Storage I/O failures (including an injected crash).
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.check()?;
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let handed = self.writer.append(&self.staged);
+        self.staged.clear();
+        self.guard(handed)
+    }
+
+    /// Hands over what is staged and fsyncs the active WAL, making every
+    /// record appended so far durable.
     ///
     /// # Errors
     /// Storage I/O failures (including an injected crash).
     pub fn commit(&mut self) -> io::Result<()> {
+        self.flush()?;
         if self.unsynced > 0 {
-            self.writer.sync()?;
+            let synced = self.writer.sync();
+            self.guard(synced)?;
             self.unsynced = 0;
         }
         Ok(())

@@ -32,9 +32,34 @@ pub const WAL_MAGIC: &[u8; 6] = b"HWAL1\n";
 /// this is treated as corruption rather than an allocation request.
 pub const MAX_RECORD_LEN: u32 = 1 << 24;
 
+/// Cap on lane numbers: a lane number is below this wherever it indexes
+/// a table — a connection's wire-lane table, a plant's lane table, the
+/// table recovery rebuilds from `LaneDef` records. Without it twelve
+/// checksum-valid bytes naming lane `u32::MAX` are a multi-GiB allocation.
+/// 65,536 lanes is three orders of magnitude past the largest plant the
+/// benchmark serves (22 lanes) and costs at most a few MiB of table.
+pub const MAX_LANES: u32 = 1 << 16;
+
 const TAG_LANE_DEF: u8 = 1;
 const TAG_CONTROL: u8 = 2;
 const TAG_SAMPLE: u8 = 3;
+
+/// Appends one framed record — `[u32 len][u32 crc32(payload)][payload]`,
+/// the framing the WAL and the wire share — whose payload `body` writes
+/// in place: the header is reserved first and patched after, so framing
+/// allocates nothing and copies nothing.
+pub fn put_framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; 8]);
+    body(out);
+    let payload = out.get(header + 8..).unwrap_or_default();
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    if let Some(slot) = out.get_mut(header..header + 8) {
+        let (len_slot, crc_slot) = slot.split_at_mut(4);
+        len_slot.copy_from_slice(&len.to_le_bytes());
+        crc_slot.copy_from_slice(&crc.to_le_bytes());
+    }
+}
 
 /// One durable unit of the ingest stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +92,8 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode_payload(&self, out: &mut Vec<u8>) {
+    /// Appends the record's payload (tag + body), unframed.
+    pub fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::LaneDef { lane, meta } => {
                 out.push(TAG_LANE_DEF);
@@ -94,17 +120,27 @@ impl WalRecord {
 
     /// Appends the framed record (length, checksum, payload) to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(24);
-        self.encode_payload(&mut payload);
-        codec::put_u32(out, payload.len() as u32);
-        codec::put_u32(out, crc32(&payload));
-        out.extend_from_slice(&payload);
+        put_framed(out, |out| self.encode_payload(out));
+    }
+
+    /// Decodes a payload that is exactly one `Sample` record into
+    /// `(lane, timestamp, value)`; `None` for any other record or any
+    /// malformation. The served ingest path reads runs of samples through
+    /// this without building a [`WalRecord`] per frame.
+    pub fn decode_sample(mut buf: &[u8]) -> Option<(u32, u64, f64)> {
+        if codec::take_u8(&mut buf)? != TAG_SAMPLE {
+            return None;
+        }
+        let lane = u32::try_from(codec::take_varint(&mut buf)?).ok()?;
+        let timestamp = codec::take_varint(&mut buf)?;
+        let value = codec::take_f64(&mut buf)?;
+        buf.is_empty().then_some((lane, timestamp, value))
     }
 
     /// Decodes one payload (tag + body). Requires full consumption.
-    fn decode_payload(mut buf: &[u8]) -> Option<WalRecord> {
-        let tag = codec::take_u8(&mut buf)?;
-        let record = match tag {
+    pub fn decode_payload(bytes: &[u8]) -> Option<WalRecord> {
+        let mut buf = bytes;
+        let record = match codec::take_u8(&mut buf)? {
             TAG_LANE_DEF => {
                 let lane = u32::try_from(codec::take_varint(&mut buf)?).ok()?;
                 let meta = codec::take_bytes(&mut buf)?.to_vec();
@@ -116,22 +152,16 @@ impl WalRecord {
                 WalRecord::Control { seq, payload }
             }
             TAG_SAMPLE => {
-                let lane = u32::try_from(codec::take_varint(&mut buf)?).ok()?;
-                let timestamp = codec::take_varint(&mut buf)?;
-                let value = codec::take_f64(&mut buf)?;
-                WalRecord::Sample {
+                let (lane, timestamp, value) = Self::decode_sample(bytes)?;
+                return Some(WalRecord::Sample {
                     lane,
                     timestamp,
                     value,
-                }
+                });
             }
             _ => return None,
         };
-        if buf.is_empty() {
-            Some(record)
-        } else {
-            None
-        }
+        buf.is_empty().then_some(record)
     }
 
     /// Best-effort lane attribution, used to count corrupt records per

@@ -6,7 +6,10 @@
 //!   ([`ControlEvent`], applied through [`StreamDetector::apply`]) that
 //!   mirror the production process structure of the paper's Fig. 2.
 //! * **Samples** — per-sensor readings, one [`StreamDetector::ingest`]
-//!   call each.
+//!   call each; a driver that names the same lanes again and again
+//!   resolves each once ([`StreamDetector::lane`]) and applies samples by
+//!   handle ([`StreamDetector::ingest_resolved`]), which is the same path
+//!   with the lookup cached.
 //!
 //! Each open (machine, job, phase, sensor) series and each environment
 //! sensor gets its own **pipeline**: a [`Watermark`] reorder stage feeding
@@ -69,7 +72,7 @@ use hierod_synth::ReplayEvent;
 use hierod_timeseries::TimeSeries;
 use std::sync::Arc;
 
-use crate::lane::{LaneId, LaneKind, Sample};
+use crate::lane::{LaneHandle, LaneId, LaneKind, Sample};
 use crate::watermark::{LatenessStats, Watermark};
 
 /// How phase/environment series are scored online.
@@ -547,6 +550,17 @@ impl Pipeline {
     }
 }
 
+/// Where a lane's samples currently go, as indices — no name is compared
+/// on the way to the pipeline: `machines[machine].env[slot]` for an
+/// environment lane, fixed once the machine is up; for a phase lane
+/// `pipes[slot]` of the last phase of `machines[machine]`'s open job, good
+/// until the next control event moves the open phase.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    machine: usize,
+    slot: usize,
+}
+
 /// One executed (or executing) phase: its kind and per-sensor pipelines
 /// in declaration order (which is the plant's series order, so the
 /// materialized view ordering matches batch).
@@ -607,6 +621,12 @@ pub struct StreamDetector {
     frozen_failed: u64,
     scratch: Vec<(u64, f64)>,
     samples_ingested: u64,
+    /// Every lane a [`LaneHandle`] was issued for, by handle, with its
+    /// route once a sample has looked it up. [`apply`](Self::apply)
+    /// forgets the routes: a control event is what moves them.
+    lanes: Vec<(LaneId, Option<Route>)>,
+    /// Resolve index over `lanes`; no sample walks it.
+    lane_index: BTreeMap<LaneId, LaneHandle>,
     /// Wrapper applied to every scorer built for a pipeline once installed
     /// (e.g. the `hierod-adapt` drift monitor).
     /// Lives outside [`StreamConfig`] so the config stays `Copy`.
@@ -654,6 +674,8 @@ impl StreamDetector {
             frozen_failed: 0,
             scratch: Vec::new(),
             samples_ingested: 0,
+            lanes: Vec::new(),
+            lane_index: BTreeMap::new(),
             scorer_wrapper: None,
         })
     }
@@ -715,6 +737,11 @@ impl StreamDetector {
     ///   [`DetectError::Missing`] without a registered machine or open
     ///   job; scorer construction failures.
     pub fn apply(&mut self, event: &ControlEvent) -> Result<()> {
+        // Whatever the event does to the open phases, no cached route
+        // survives it; the next sample of each lane looks its own up again.
+        for (_, route) in &mut self.lanes {
+            *route = None;
+        }
         match event {
             ControlEvent::MachineUp {
                 machine,
@@ -849,6 +876,19 @@ impl StreamDetector {
         Ok(job)
     }
 
+    /// The handle of `lane`, issued on first use. Resolving never fails
+    /// and touches no pipeline: whether the lane has anywhere to go is
+    /// decided per sample, as for [`ingest`](Self::ingest).
+    pub fn lane(&mut self, lane: &LaneId) -> LaneHandle {
+        if let Some(&handle) = self.lane_index.get(lane) {
+            return handle;
+        }
+        let handle = LaneHandle(self.lanes.len() as u32);
+        self.lanes.push((lane.clone(), None));
+        self.lane_index.insert(lane.clone(), handle);
+        handle
+    }
+
     /// Routes one sample into its pipeline: phase lanes go to the current
     /// open phase of the machine's open job, environment lanes to the
     /// machine's continuous environment pipeline.
@@ -856,41 +896,31 @@ impl StreamDetector {
     /// # Errors
     /// [`DetectError::Missing`] when no pipeline is open for the lane.
     pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.ingest_inner(lane, sample, &mut scratch);
-        self.scratch = scratch;
-        result
+        let route = find_route(&self.machines, lane)?;
+        offer_at(&mut self.machines, route, lane, sample, &mut self.scratch)?;
+        self.samples_ingested += 1;
+        Ok(())
     }
 
-    fn ingest_inner(
-        &mut self,
-        lane: &LaneId,
-        sample: Sample,
-        scratch: &mut Vec<(u64, f64)>,
-    ) -> Result<()> {
-        let Some(m) = self
-            .machines
-            .iter_mut()
-            .find(|(id, _)| *id == lane.machine)
-            .map(|(_, m)| m)
-        else {
+    /// [`ingest`](Self::ingest) for a lane resolved by
+    /// [`lane`](Self::lane): the route found for the lane's previous
+    /// sample is reused until a control event is applied, so a sample
+    /// costs index arithmetic, not name comparisons.
+    ///
+    /// # Errors
+    /// As [`ingest`](Self::ingest); also [`DetectError::Missing`] for a
+    /// handle this detector did not issue.
+    pub fn ingest_resolved(&mut self, lane: LaneHandle, sample: Sample) -> Result<()> {
+        let Some((id, cached)) = self.lanes.get_mut(lane.0 as usize) else {
             return Err(DetectError::Missing {
-                what: format!("machine {} for lane {}", lane.machine, lane.sensor),
+                what: format!("lane handle {}", lane.0),
             });
         };
-        let pipe = match lane.kind {
-            LaneKind::Environment => m.env.iter_mut().find(|(n, _)| *n == lane.sensor),
-            LaneKind::Phase => m
-                .open_job_mut()
-                .and_then(|j| j.phases.last_mut())
-                .and_then(|p| p.pipes.iter_mut().find(|(n, _)| *n == lane.sensor)),
+        let route = match *cached {
+            Some(route) => route,
+            None => *cached.insert(find_route(&self.machines, id)?),
         };
-        let Some((_, pipe)) = pipe else {
-            return Err(DetectError::Missing {
-                what: format!("open pipeline for lane {}", lane.sensor),
-            });
-        };
-        pipe.offer(sample.timestamp, sample.value, scratch);
+        offer_at(&mut self.machines, route, id, sample, &mut self.scratch)?;
         self.samples_ingested += 1;
         Ok(())
     }
@@ -1172,6 +1202,61 @@ impl StreamDetector {
             }),
         }
     }
+}
+
+fn no_open_pipeline(sensor: &str) -> DetectError {
+    DetectError::Missing {
+        what: format!("open pipeline for lane {sensor}"),
+    }
+}
+
+/// Looks `lane` up by name: its machine, then its environment sensor or
+/// its sensor in the open job's current phase.
+fn find_route(machines: &[(String, MachineState)], lane: &LaneId) -> Result<Route> {
+    let Some((machine, (_, m))) = machines
+        .iter()
+        .enumerate()
+        .find(|(_, (id, _))| *id == lane.machine)
+    else {
+        return Err(DetectError::Missing {
+            what: format!("machine {} for lane {}", lane.machine, lane.sensor),
+        });
+    };
+    let named = |pipes: &[(String, Pipeline)]| pipes.iter().position(|(n, _)| *n == lane.sensor);
+    match lane.kind {
+        LaneKind::Environment => named(&m.env),
+        LaneKind::Phase => m
+            .jobs
+            .last()
+            .filter(|job| job.caq.is_none())
+            .and_then(|job| job.phases.last())
+            .and_then(|phase| named(&phase.pipes)),
+    }
+    .map(|slot| Route { machine, slot })
+    .ok_or_else(|| no_open_pipeline(&lane.sensor))
+}
+
+/// Offers `sample` to the pipeline `route` names for `lane`.
+fn offer_at(
+    machines: &mut [(String, MachineState)],
+    route: Route,
+    lane: &LaneId,
+    sample: Sample,
+    scratch: &mut Vec<(u64, f64)>,
+) -> Result<()> {
+    let machine = machines.get_mut(route.machine).map(|(_, m)| m);
+    let pipes = match lane.kind {
+        LaneKind::Environment => machine.map(|m| &mut m.env),
+        LaneKind::Phase => machine
+            .and_then(|m| m.open_job_mut())
+            .and_then(|job| job.phases.last_mut())
+            .map(|phase| &mut phase.pipes),
+    };
+    let (_, pipe) = pipes
+        .and_then(|pipes| pipes.get_mut(route.slot))
+        .ok_or_else(|| no_open_pipeline(&lane.sensor))?;
+    pipe.offer(sample.timestamp, sample.value, scratch);
+    Ok(())
 }
 
 fn find_machine<'a>(
@@ -1550,5 +1635,146 @@ mod tests {
         let report = det.tick().expect("tick");
         assert!(report.report.is_empty());
         assert_eq!(report.stats.samples_ingested, 0);
+    }
+
+    /// Drives one detector by lane id and a twin by handles resolved once,
+    /// before any control event: every sample must meet the same fate,
+    /// and the two must finish on the same report.
+    fn by_handle_equals_by_id(lateness: u64, steps: &[StreamEvent]) {
+        let config = StreamConfig {
+            lateness,
+            mode: ScorerMode::BatchEquivalent,
+        };
+        let twin = || StreamDetector::new(AlgorithmPolicy::default(), config).expect("detector");
+        let (mut by_id, mut by_handle) = (twin(), twin());
+        let mut handles = BTreeMap::new();
+        for step in steps {
+            if let StreamEvent::Sample(lane, _) = step {
+                let handle = by_handle.lane(lane);
+                assert_eq!(*handles.entry(lane).or_insert(handle), handle, "one handle");
+            }
+        }
+        let mut rejected = 0;
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                StreamEvent::Control(event) => {
+                    let outcome = by_id.apply(event).map_err(|e| e.to_string());
+                    assert_eq!(by_handle.apply(event).map_err(|e| e.to_string()), outcome);
+                }
+                StreamEvent::Sample(lane, sample) => {
+                    let outcome = by_id.ingest(lane, *sample).map_err(|e| e.to_string());
+                    let resolved = by_handle.ingest_resolved(handles[lane], *sample);
+                    assert_eq!(resolved.map_err(|e| e.to_string()), outcome, "step {i}");
+                    rejected += usize::from(outcome.is_err());
+                }
+            }
+        }
+        assert!(rejected > 0, "the script must stray outside open phases");
+        assert_eq!(by_handle.stats(), by_id.stats());
+        assert_eq!(by_handle.lane_stats(), by_id.lane_stats());
+        let (a, b) = (
+            by_id.finish().expect("finish"),
+            by_handle.finish().expect("finish"),
+        );
+        assert_eq!(format!("{b:?}"), format!("{a:?}"));
+        assert!(a.stats.samples_released > 0);
+    }
+
+    /// Two jobs on one machine, the bed sensor in both phases of each, a
+    /// room sensor throughout — and bed samples sent where no phase is
+    /// open: before the first job, between a job's start and its first
+    /// phase, after each job completes. `jitter` reorders within a phase.
+    fn two_job_script(jitter: impl Fn(u64) -> u64) -> Vec<StreamEvent> {
+        let lane = |sensor: &str, kind| LaneId {
+            machine: "m0".into(),
+            sensor: sensor.into(),
+            kind,
+        };
+        let (bed, room) = (
+            lane("m0.bed.0", LaneKind::Phase),
+            lane("m0.room_temp", LaneKind::Environment),
+        );
+        let sample = |lane: &LaneId, timestamp: u64| {
+            let value = (timestamp as f64 * 0.3).sin() + f64::from(timestamp % 37 == 5) * 40.0;
+            StreamEvent::Sample(lane.clone(), Sample { timestamp, value })
+        };
+        let sensors = vec![Sensor::new("m0.bed.0", SensorKind::BedTemperature)];
+        let groups = vec![RedundancyGroup::new(
+            SensorKind::BedTemperature,
+            vec!["m0.bed.0".into()],
+        )];
+        let mut script = vec![sample(&bed, 0), sample(&room, 0)];
+        script.push(StreamEvent::Control(ControlEvent::machine_up(
+            "m0",
+            sensors,
+            groups,
+            &["m0.room_temp".into()],
+        )));
+        script.push(sample(&bed, 1));
+        for (job, start) in [("j0", 0_u64), ("j1", 1000)] {
+            let config = JobConfig::new(vec!["p".into()], vec![1.0]);
+            script.push(StreamEvent::Control(ControlEvent::job_start(
+                "m0", job, start, config,
+            )));
+            script.push(sample(&bed, start + 2));
+            for (kind, base) in [
+                (PhaseKind::WarmUp, start),
+                (PhaseKind::Printing, start + 100),
+            ] {
+                let sensors = [bed.sensor.clone()];
+                script.push(StreamEvent::Control(ControlEvent::phase_start(
+                    "m0", kind, &sensors,
+                )));
+                for t in 0..48 {
+                    script.push(sample(&bed, base + jitter(t)));
+                    if t % 3 == 0 {
+                        script.push(sample(&room, base + t));
+                    }
+                }
+            }
+            let caq = CaqResult::new(vec!["q".into()], vec![0.98], true);
+            script.push(StreamEvent::Control(ControlEvent::job_complete("m0", caq)));
+            script.push(sample(&bed, start + 200));
+        }
+        script
+    }
+
+    #[test]
+    fn cached_routes_follow_phases_jobs_and_rejections() {
+        by_handle_equals_by_id(0, &two_job_script(|t| t));
+    }
+
+    #[test]
+    fn cached_routes_keep_reordering_late_drops_and_duplicates() {
+        // Pairs swapped, one sample far behind the frontier, one repeated.
+        let jitter = |t: u64| match t {
+            30 => 2,
+            40 => 39,
+            t => t ^ 1,
+        };
+        let script = two_job_script(jitter);
+        by_handle_equals_by_id(3, &script);
+        let mut det = StreamDetector::new(
+            AlgorithmPolicy::default(),
+            StreamConfig {
+                lateness: 3,
+                mode: ScorerMode::BatchEquivalent,
+            },
+        )
+        .expect("detector");
+        for step in &script {
+            match step {
+                StreamEvent::Control(event) => det.apply(event).expect("control"),
+                StreamEvent::Sample(lane, sample) => {
+                    let handle = det.lane(lane);
+                    let _ = det.ingest_resolved(handle, *sample);
+                }
+            }
+        }
+        let stats = det.stats();
+        assert!(
+            stats.late_dropped > 0 && stats.duplicates_dropped > 0,
+            "{stats:?}"
+        );
     }
 }

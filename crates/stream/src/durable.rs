@@ -14,9 +14,14 @@
 //!   If the application fails (lifecycle violation), the record stays in
 //!   the WAL and the replay repeats the same failure deterministically —
 //!   a rejected control has no effect either way.
-//! * A **sample** is journalled before [`StreamDetector::ingest`] runs,
-//!   under the store's group-commit batching. A sample the detector then
-//!   rejects (no open pipeline) is replayed and re-rejected identically.
+//! * A **sample** is encoded into the journal before the detector sees
+//!   it, under the store's group-commit batching, and the encoded bytes
+//!   reach the WAL file before the call that brought the sample returns —
+//!   once per call, so a run of samples costs one hand-off. A sample the
+//!   detector then rejects (no open pipeline) is replayed and re-rejected
+//!   identically. Should the hand-off fail, the call fails and so does
+//!   every later write of this stream ([`hierod_store::Store::append`]):
+//!   nothing the detector saw beyond the journal is ever reported.
 //! * [`DurableStream::tick`] and [`DurableStream::finish`] hard-commit
 //!   the WAL first, so any score ever exposed to a caller is backed by
 //!   durable input.
@@ -36,6 +41,15 @@
 //! then replays the WAL tail through the ordinary ingest path. The
 //! watermark rewind plus re-offered carry-over samples reconstruct the
 //! reorder buffers exactly.
+//!
+//! ## Lanes
+//!
+//! Every lane a sample has named sits in one dense table, indexed by the
+//! store-local lane number the WAL journals: its id, the detector's handle
+//! for it, its delivered and corrupt counts. A [`LaneId`] is looked up
+//! once, by whoever resolves it; a sample applied by handle indexes the
+//! table. Lane numbers stay below [`MAX_LANES`] — a `LaneDef` above it,
+//! in a WAL or a segment, is skipped like an undecodable one.
 //!
 //! ## Exactly-once resume
 //!
@@ -59,7 +73,9 @@ use crate::codec::{decode_control, decode_lane, encode_control, encode_lane};
 use crate::detector::{
     ControlEvent, LaneStats, StreamConfig, StreamDetector, StreamReport, StreamStats,
 };
-use crate::lane::{LaneId, Sample};
+use crate::lane::{
+    dense_slot, LaneHandle, LaneId, LaneTable, RunError, Sample, WireLane, MAX_LANES,
+};
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
@@ -95,32 +111,38 @@ pub struct DurableRecovery {
     pub store: RecoveryStats,
 }
 
+/// One lane of the plant, at its store-local number.
+#[derive(Default)]
+struct LaneSlot {
+    /// The lane's id and the detector's handle for it; `None` only for
+    /// numbers a damaged or over-cap def left unbound.
+    bound: Option<(LaneId, LaneHandle)>,
+    /// Samples journalled on this lane.
+    delivered: u64,
+    /// WAL records of this lane rejected as corrupt during recovery.
+    corrupt: u64,
+}
+
 /// A [`StreamDetector`] whose inputs are crash-durable: WAL + columnar
 /// segments underneath, identical detection semantics on top. See the
 /// module docs for the journaling and recovery contract.
 pub struct DurableStream<S: Storage> {
     inner: StreamDetector,
     store: Store<S>,
-    /// Lane metadata by store-local lane number (`None` only for numbers
-    /// a damaged def left unbound).
-    lanes: Vec<Option<LaneId>>,
+    /// The lane table, by store-local lane number.
+    lanes: Vec<LaneSlot>,
+    /// Resolve index over `lanes`; no sample walks it.
     lane_index: BTreeMap<LaneId, u32>,
     next_seq: u64,
-    delivered: BTreeMap<LaneId, u64>,
     /// Controls journalled to the active WAL, owed to the next segment.
     unsealed_controls: Vec<ControlRecord>,
     corrupt_records: u64,
-    corrupt_by_lane: BTreeMap<LaneId, u64>,
 }
 
-fn bind_lane(lanes: &mut Vec<Option<LaneId>>, lane: u32, meta: &[u8]) {
+fn bind_lane(lanes: &mut Vec<LaneSlot>, inner: &mut StreamDetector, lane: u32, meta: &[u8]) {
     let Some(id) = decode_lane(meta) else { return };
-    let idx = lane as usize;
-    if lanes.len() <= idx {
-        lanes.resize(idx + 1, None);
-    }
-    if let Some(slot) = lanes.get_mut(idx) {
-        *slot = Some(id);
+    if let Some(slot) = dense_slot(lanes, lane) {
+        slot.bound = Some((id.clone(), inner.lane(&id)));
     }
 }
 
@@ -147,15 +169,14 @@ impl<S: Storage> DurableStream<S> {
     ) -> Result<(Self, DurableRecovery)> {
         let (store, recovered) = Store::open(storage, options).map_err(substrate)?;
         let mut inner = StreamDetector::new(policy, config)?;
-        let mut lanes: Vec<Option<LaneId>> = Vec::new();
+        let mut lanes: Vec<LaneSlot> = Vec::new();
         let mut next_seq = 1_u64;
-        let mut delivered: BTreeMap<LaneId, u64> = BTreeMap::new();
         let mut restored_samples = 0_u64;
         let mut replayed_samples = 0_u64;
 
         for seg in &recovered.segments {
             for def in &seg.lane_defs {
-                bind_lane(&mut lanes, def.lane, &def.meta);
+                bind_lane(&mut lanes, &mut inner, def.lane, &def.meta);
             }
             // Merge controls and chunks back into the order they were
             // journalled: a chunk sorts directly after the control that
@@ -184,13 +205,10 @@ impl<S: Storage> DurableStream<S> {
                         }
                     }
                     Item::Chunk(ch) => {
-                        let Some(id) = lanes
-                            .get(ch.lane as usize)
-                            .and_then(|slot| slot.as_ref())
-                            .cloned()
-                        else {
+                        let Some(lane) = lanes.get_mut(ch.lane as usize) else {
                             continue;
                         };
+                        let Some((id, _)) = &lane.bound else { continue };
                         let mut adjustment = None;
                         for slot in inner.pipelines_mut() {
                             if slot.machine == id.machine
@@ -220,7 +238,7 @@ impl<S: Storage> DurableStream<S> {
                         if let Some(adj) = adjustment {
                             inner.add_recovered_ingested(adj);
                             restored_samples += ch.timestamps.len() as u64;
-                            *delivered.entry(id).or_insert(0) += adj;
+                            lane.delivered += adj;
                         }
                     }
                 }
@@ -230,7 +248,7 @@ impl<S: Storage> DurableStream<S> {
         let mut unsealed_controls = Vec::new();
         for record in &recovered.wal {
             match record {
-                WalRecord::LaneDef { lane, meta } => bind_lane(&mut lanes, *lane, meta),
+                WalRecord::LaneDef { lane, meta } => bind_lane(&mut lanes, &mut inner, *lane, meta),
                 WalRecord::Control { seq, payload } => {
                     next_seq = next_seq.max(seq.saturating_add(1));
                     unsealed_controls.push(ControlRecord {
@@ -248,20 +266,19 @@ impl<S: Storage> DurableStream<S> {
                     timestamp,
                     value,
                 } => {
-                    let Some(id) = lanes
-                        .get(*lane as usize)
-                        .and_then(|slot| slot.as_ref())
-                        .cloned()
-                    else {
+                    let Some(slot) = lanes.get_mut(*lane as usize) else {
+                        continue;
+                    };
+                    let Some((_, route)) = slot.bound else {
                         continue;
                     };
                     replayed_samples += 1;
-                    *delivered.entry(id.clone()).or_insert(0) += 1;
+                    slot.delivered += 1;
                     // A sample the pre-crash detector rejected is
                     // re-rejected here with the same error; either way
                     // it was journalled, so it counts as delivered.
-                    let _ = inner.ingest(
-                        &id,
+                    let _ = inner.ingest_resolved(
+                        route,
                         Sample {
                             timestamp: *timestamp,
                             value: *value,
@@ -271,14 +288,10 @@ impl<S: Storage> DurableStream<S> {
             }
         }
 
-        let mut corrupt_by_lane = BTreeMap::new();
         let corrupt_records = match &recovered.stats.corruption {
             Some(c) => {
-                if let Some(id) = c
-                    .lane
-                    .and_then(|n| lanes.get(n as usize).and_then(|slot| slot.as_ref()))
-                {
-                    corrupt_by_lane.insert(id.clone(), 1_u64);
+                if let Some(slot) = c.lane.and_then(|n| lanes.get_mut(n as usize)) {
+                    slot.corrupt = 1;
                 }
                 1
             }
@@ -286,8 +299,8 @@ impl<S: Storage> DurableStream<S> {
         };
 
         let mut lane_index = BTreeMap::new();
-        for (idx, id) in lanes.iter().enumerate() {
-            if let Some(id) = id {
+        for (idx, slot) in lanes.iter().enumerate() {
+            if let Some((id, _)) = &slot.bound {
                 lane_index.insert(id.clone(), idx as u32);
             }
         }
@@ -305,41 +318,40 @@ impl<S: Storage> DurableStream<S> {
                 lanes,
                 lane_index,
                 next_seq,
-                delivered,
                 unsealed_controls,
                 corrupt_records,
-                corrupt_by_lane,
             },
             recovery,
         ))
     }
 
-    /// Interns a lane number without journalling (rotation publishes
-    /// every definition in the segment footer anyway).
-    fn intern_lane(&mut self, id: &LaneId) -> u32 {
-        if let Some(&n) = self.lane_index.get(id) {
-            return n;
-        }
-        let n = self.lanes.len() as u32;
-        self.lanes.push(Some(id.clone()));
-        self.lane_index.insert(id.clone(), n);
-        n
-    }
-
-    /// Lane number for the sample path: first use journals a
-    /// [`WalRecord::LaneDef`] ahead of the sample that references it.
-    fn lane_no(&mut self, id: &LaneId) -> Result<u32> {
+    /// The store-local number of `id`, binding the next free one when the
+    /// plant has not seen the lane; `journal` first appends the
+    /// [`WalRecord::LaneDef`] a sample referencing the number needs ahead
+    /// of it (rotation interns without: it publishes every definition in
+    /// the segment footer anyway).
+    fn lane_no(&mut self, id: &LaneId, journal: bool) -> Result<u32> {
         if let Some(&n) = self.lane_index.get(id) {
             return Ok(n);
         }
         let n = self.lanes.len() as u32;
-        self.store
-            .append(&WalRecord::LaneDef {
-                lane: n,
-                meta: encode_lane(id),
-            })
-            .map_err(substrate)?;
-        Ok(self.intern_lane(id))
+        if n >= MAX_LANES {
+            return Err(DetectError::invalid(
+                "lane",
+                format!("the plant's lane table is full ({MAX_LANES} lanes)"),
+            ));
+        }
+        if journal {
+            let meta = encode_lane(id);
+            let def = WalRecord::LaneDef { lane: n, meta };
+            self.store.append(&def).map_err(substrate)?;
+        }
+        self.lanes.push(LaneSlot {
+            bound: Some((id.clone(), self.inner.lane(id))),
+            ..LaneSlot::default()
+        });
+        self.lane_index.insert(id.clone(), n);
+        Ok(n)
     }
 
     /// Journals and fsyncs a control payload, assigning its sequence
@@ -373,30 +385,83 @@ impl<S: Storage> DurableStream<S> {
         result
     }
 
+    /// Journals one sample on a resolved lane and applies it.
+    fn apply(&mut self, lane: u32, sample: Sample) -> Result<()> {
+        let Some(LaneSlot {
+            bound: Some((_, route)),
+            delivered,
+            ..
+        }) = self.lanes.get_mut(lane as usize)
+        else {
+            return Err(DetectError::Missing {
+                what: format!("lane number {lane}"),
+            });
+        };
+        let record = WalRecord::Sample {
+            lane,
+            timestamp: sample.timestamp,
+            value: sample.value,
+        };
+        self.store.append(&record).map_err(substrate)?;
+        *delivered += 1;
+        self.inner.ingest_resolved(*route, sample)
+    }
+
     /// Durable [`StreamDetector::ingest`]: the sample is journalled
     /// (group-committed) before the detector sees it, so a crash never
-    /// loses an accepted sample that a later fsync covered.
+    /// loses an accepted sample that a later fsync covered. A run of one:
+    /// the lane is resolved, then the sample takes the path every sample
+    /// of [`Tenant::ingest_run`](crate::tenant::Tenant::ingest_run) takes.
     ///
     /// # Errors
     /// Storage failures as [`DetectError::Substrate`]; routing errors
     /// from the inner detector (the sample is journalled regardless —
     /// replay repeats the rejection).
     pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
-        let n = self.lane_no(lane)?;
-        self.store
-            .append(&WalRecord::Sample {
-                lane: n,
-                timestamp: sample.timestamp,
-                value: sample.value,
-            })
-            .map_err(substrate)?;
-        match self.delivered.get_mut(lane) {
-            Some(count) => *count += 1,
+        let applied = self.lane_no(lane, true).and_then(|n| self.apply(n, sample));
+        let handed = self.store.flush().map_err(substrate);
+        applied.and(handed)
+    }
+
+    /// Applies one sample of a client's wire lane, resolving the lane if
+    /// this is the first sample to need it.
+    fn apply_wire(&mut self, lane: &mut WireLane, sample: Sample) -> Result<()> {
+        let n = match lane.handle {
+            Some(LaneHandle(n)) => n,
             None => {
-                self.delivered.insert(lane.clone(), 1);
+                let n = self.lane_no(&lane.id, true)?;
+                lane.handle = Some(LaneHandle(n));
+                n
+            }
+        };
+        self.apply(n, sample)
+    }
+
+    /// Applies a run of samples addressed by wire lane, each through
+    /// `lanes` — whose handles this stream must have issued; the tenant
+    /// in front sees to that. A lane is resolved (and its `LaneDef`
+    /// journalled) by the first sample that needs it, every record is
+    /// attempted, the journal is handed to the WAL file once, behind the
+    /// last one, and the first failure in stream order is returned.
+    pub(crate) fn ingest_run(
+        &mut self,
+        lanes: &mut LaneTable,
+        run: &[(u32, Sample)],
+    ) -> Option<RunError> {
+        let mut first = None;
+        for &(wire, sample) in run {
+            let applied = match lanes.get_mut(wire) {
+                None => Err(RunError::UndefinedLane(wire)),
+                Some(lane) => self.apply_wire(lane, sample).map_err(RunError::Rejected),
+            };
+            if let Err(e) = applied {
+                first.get_or_insert(e);
             }
         }
-        self.inner.ingest(lane, sample)
+        if let Err(e) = self.store.flush() {
+            first.get_or_insert(RunError::Rejected(substrate(e)));
+        }
+        first
     }
 
     /// Hard-commits the WAL, then assembles an interim report — every
@@ -474,7 +539,7 @@ impl<S: Storage> DurableStream<S> {
             ..SegmentDraft::default()
         };
         for s in sealed {
-            let lane = self.intern_lane(&s.id);
+            let lane = self.lane_no(&s.id, false)?;
             draft.chunks.push(SegmentChunk {
                 lane,
                 after_control_seq: s.after,
@@ -486,15 +551,15 @@ impl<S: Storage> DurableStream<S> {
         }
         let mut carry = Vec::new();
         for (id, timestamp, value) in pending {
-            let lane = self.intern_lane(&id);
+            let lane = self.lane_no(&id, false)?;
             carry.push(WalRecord::Sample {
                 lane,
                 timestamp,
                 value,
             });
         }
-        for (idx, id) in self.lanes.iter().enumerate() {
-            if let Some(id) = id {
+        for (idx, slot) in self.lanes.iter().enumerate() {
+            if let Some((id, _)) = &slot.bound {
                 draft.lane_defs.push(LaneDef {
                     lane: idx as u32,
                     meta: encode_lane(id),
@@ -521,16 +586,25 @@ impl<S: Storage> DurableStream<S> {
     }
 
     fn add_corrupt_lanes(&self, lane_stats: &mut BTreeMap<LaneId, LaneStats>) {
-        for (lane, &n) in &self.corrupt_by_lane {
-            lane_stats.entry(lane.clone()).or_default().corrupt_records += n;
+        for slot in self.lanes.iter().filter(|slot| slot.corrupt > 0) {
+            if let Some((id, _)) = &slot.bound {
+                lane_stats.entry(id.clone()).or_default().corrupt_records += slot.corrupt;
+            }
         }
     }
 
     /// Per-lane count of samples made durable (journalled, whether or
-    /// not the detector accepted them). A resuming client resends each
-    /// lane's stream starting at this index.
-    pub fn delivered(&self) -> &BTreeMap<LaneId, u64> {
-        &self.delivered
+    /// not the detector accepted them), for every lane that has any — a
+    /// view built from the lane table when asked for. A resuming client
+    /// resends each lane's stream starting at this index.
+    pub fn delivered(&self) -> BTreeMap<LaneId, u64> {
+        let mut out = BTreeMap::new();
+        for slot in self.lanes.iter().filter(|slot| slot.delivered > 0) {
+            if let Some((id, _)) = &slot.bound {
+                *out.entry(id.clone()).or_insert(0) += slot.delivered;
+            }
+        }
+        out
     }
 
     /// Highest control sequence number journalled so far; a resuming
@@ -672,7 +746,7 @@ mod tests {
                     .unwrap();
             run_scenario(&mut d, rotate_mid);
             let baseline = d.tick().unwrap();
-            let delivered = d.delivered().clone();
+            let delivered = d.delivered();
             let controls = d.controls_applied();
             drop(d);
 
@@ -682,7 +756,7 @@ mod tests {
             let (d2, recovery) =
                 DurableStream::open(policy, config, image, StoreOptions::default()).unwrap();
             assert_eq!(d2.controls_applied(), controls);
-            assert_eq!(d2.delivered(), &delivered);
+            assert_eq!(d2.delivered(), delivered);
             assert_eq!(recovery.corrupt_records, 0);
             let report = d2.finish().unwrap();
             let baseline_final = {
@@ -772,5 +846,138 @@ mod tests {
         assert_eq!(recovery.replayed_samples, 1);
         assert_eq!(d2.delivered().get(&bad), Some(&1));
         assert_eq!(d2.stats().samples_ingested, 0, "rejection replayed");
+    }
+
+    #[test]
+    fn a_run_journals_and_scores_what_its_samples_would_one_by_one() {
+        // The scenario's samples by lane id, one call each ...
+        let by_id = MemStorage::new();
+        let (policy, config) = policy_and_config();
+        let (mut d, _) =
+            DurableStream::open(policy, config, by_id.clone(), StoreOptions::default()).unwrap();
+        run_scenario(&mut d, false);
+
+        // ... and again in runs of five through a client's lane table,
+        // whose wire numbers are not the store's.
+        let in_runs = MemStorage::new();
+        let (policy, config) = policy_and_config();
+        let (mut r, _) =
+            DurableStream::open(policy, config, in_runs.clone(), StoreOptions::default()).unwrap();
+        let wal = hierod_store::wal::scan(&by_id.read("wal-0.log").unwrap());
+        let mut table = LaneTable::default();
+        let mut run = Vec::new();
+        for record in wal.records.iter().chain([&WalRecord::Control {
+            seq: 0,
+            payload: Vec::new(),
+        }]) {
+            match record {
+                WalRecord::LaneDef { lane, meta } => {
+                    assert!(table.bind(lane + 40, decode_lane(meta).unwrap()));
+                }
+                WalRecord::Sample {
+                    lane,
+                    timestamp,
+                    value,
+                } => {
+                    let (timestamp, value) = (*timestamp, *value);
+                    run.push((lane + 40, Sample { timestamp, value }));
+                    if run.len() < 5 {
+                        continue;
+                    }
+                }
+                WalRecord::Control { .. } => {}
+            }
+            assert_eq!(r.ingest_run(&mut table, &run), None);
+            run.clear();
+            if let WalRecord::Control { payload, .. } = record {
+                if let Some(event) = decode_control(payload) {
+                    r.control(&event).unwrap();
+                }
+            }
+        }
+        assert_eq!(
+            in_runs.read("wal-0.log").unwrap(),
+            by_id.read("wal-0.log").unwrap()
+        );
+        assert_eq!(r.delivered(), d.delivered());
+        assert_eq!(r.lane_stats(), d.lane_stats());
+        assert_eq!(r.stats(), d.stats());
+        let (by_id, in_runs) = (d.finish().unwrap(), r.finish().unwrap());
+        assert_eq!(format!("{in_runs:?}"), format!("{by_id:?}"));
+        // A wire lane nobody bound, and a bound one with nowhere to go
+        // (on another stream, so through a table of its own).
+        let mut table = LaneTable::default();
+        assert!(table.bind(41, lane("m0", "m0.room", LaneKind::Environment)));
+        let (policy, config) = policy_and_config();
+        let (mut r, _) =
+            DurableStream::open(policy, config, MemStorage::new(), StoreOptions::default())
+                .unwrap();
+        let sample = Sample {
+            timestamp: 0,
+            value: 1.0,
+        };
+        let run = [(41, sample), (3, sample), (41, sample)];
+        let first = r.ingest_run(&mut table, &run);
+        assert!(
+            matches!(&first, Some(RunError::Rejected(DetectError::Missing { what })) if what.contains("machine m0")),
+            "{first:?}"
+        );
+        assert_eq!(
+            r.ingest_run(&mut table, &run[1..]),
+            Some(RunError::UndefinedLane(3))
+        );
+        assert_eq!(r.delivered().values().sum::<u64>(), 3, "all attempted");
+    }
+
+    #[test]
+    fn lane_numbers_past_the_cap_are_skipped_on_recovery_not_allocated() {
+        let storage = MemStorage::new();
+        let hostile = lane("m0", "m0.hostile", LaneKind::Environment);
+        let room = lane("m0", "m0.room", LaneKind::Environment);
+        let sample = |lane| WalRecord::Sample {
+            lane,
+            timestamp: 7,
+            value: 1.0,
+        };
+        let image = hierod_store::wal::encode_image(&[
+            WalRecord::LaneDef {
+                lane: u32::MAX,
+                meta: encode_lane(&hostile),
+            },
+            sample(u32::MAX),
+            WalRecord::LaneDef {
+                lane: MAX_LANES,
+                meta: encode_lane(&hostile),
+            },
+            sample(MAX_LANES),
+            WalRecord::LaneDef {
+                lane: MAX_LANES - 1,
+                meta: encode_lane(&room),
+            },
+            sample(MAX_LANES - 1),
+        ]);
+        hierod_store::store::publish(&storage, "wal-0.log", &image).unwrap();
+        let (policy, config) = policy_and_config();
+        let (mut d, recovery) =
+            DurableStream::open(policy, config, storage, StoreOptions::default()).unwrap();
+        assert_eq!(recovery.replayed_samples, 1, "the one lane under the cap");
+        assert_eq!(d.delivered(), BTreeMap::from([(room.clone(), 1)]));
+        assert_eq!(d.lanes.len(), MAX_LANES as usize);
+        // The table is full: a lane the plant has not seen is turned away
+        // (typed), the one it has keeps working.
+        let probe = Sample {
+            timestamp: 8,
+            value: 1.0,
+        };
+        let full = d.ingest(&hostile, probe).unwrap_err();
+        assert!(
+            matches!(full, DetectError::InvalidParameter { .. }),
+            "{full}"
+        );
+        assert!(matches!(
+            d.ingest(&room, probe),
+            Err(DetectError::Missing { .. })
+        ));
+        assert_eq!(d.delivered(), BTreeMap::from([(room, 2)]));
     }
 }

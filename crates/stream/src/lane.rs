@@ -1,6 +1,12 @@
-//! The ingest value types: a [`Sample`] and the [`LaneId`] naming the
-//! sensor lane it belongs to. A sample reaches a detector one way —
-//! `ingest(&LaneId, Sample)` — on every layer from the wire down.
+//! The ingest value types: a [`Sample`], the [`LaneId`] naming the sensor
+//! lane it belongs to, and the resolved forms of that name. A sample
+//! reaches a detector one way — resolve its lane to a [`LaneHandle`] once,
+//! then apply it by handle — and `ingest(&LaneId, Sample)`, on every layer
+//! from the wire down, is that with the resolve done per call.
+
+use hierod_detect::DetectError;
+
+pub use hierod_store::wal::MAX_LANES;
 
 /// One timestamped sensor reading. 16 bytes — the wire unit of every lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,4 +37,91 @@ pub struct LaneId {
     pub sensor: String,
     /// Whether this is a phase or an environment stream.
     pub kind: LaneKind,
+}
+
+/// A [`LaneId`] resolved to a dense index into the lane table of the
+/// detector or durable stream that issued it — and meaningful to that one
+/// value only. Applying a sample by handle compares no string and walks no
+/// map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneHandle(pub(crate) u32);
+
+/// Why one record of an ingest run was not applied.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The record names a wire lane no `LaneDef` has bound (or one at or
+    /// above [`MAX_LANES`]): the client is off-protocol.
+    UndefinedLane(u32),
+    /// The plant turned the record down: no such plant, no open pipeline
+    /// for the lane, a storage failure.
+    Rejected(DetectError),
+}
+
+/// The slot of lane number `lane` in a dense table, grown to hold it;
+/// `None` for a number at or above [`MAX_LANES`] — the one place a lane
+/// number is allowed to size anything.
+pub(crate) fn dense_slot<T: Default>(table: &mut Vec<T>, lane: u32) -> Option<&mut T> {
+    if lane >= MAX_LANES {
+        return None;
+    }
+    let index = lane as usize;
+    if table.len() <= index {
+        table.resize_with(index + 1, T::default);
+    }
+    table.get_mut(index)
+}
+
+/// One wire lane of a [`LaneTable`]: the id its `LaneDef` declared, and
+/// the plant's handle for it once a sample has needed one.
+#[derive(Debug)]
+pub(crate) struct WireLane {
+    pub(crate) id: LaneId,
+    pub(crate) handle: Option<LaneHandle>,
+}
+
+/// One client's wire-lane table: wire lane number → [`LaneId`], dense,
+/// at most [`MAX_LANES`] entries. Each lane's handle is resolved by the
+/// first sample that needs it and kept for as long as the table keeps
+/// talking to the same incarnation of the plant — a plant finished and
+/// re-created in between numbers its lanes afresh, so its first run drops
+/// every handle the table held (see [`Tenant::ingest_run`]). Incarnations
+/// are told apart within one registry: a table lives and dies with a
+/// connection to it, and is not carried to another.
+///
+/// [`Tenant::ingest_run`]: crate::tenant::Tenant::ingest_run
+#[derive(Debug, Default)]
+pub struct LaneTable {
+    /// The plant incarnation the handles belong to (0: none yet).
+    owner: u64,
+    lanes: Vec<Option<WireLane>>,
+}
+
+impl LaneTable {
+    /// Binds wire lane `lane` to `id`, replacing any earlier binding (and
+    /// its handle). `false` when `lane` is at or above [`MAX_LANES`].
+    pub fn bind(&mut self, lane: u32, id: LaneId) -> bool {
+        let slot = dense_slot(&mut self.lanes, lane);
+        slot.map(|slot| *slot = Some(WireLane { id, handle: None }))
+            .is_some()
+    }
+
+    /// Forgets every binding.
+    pub fn clear(&mut self) {
+        self.lanes.clear();
+    }
+
+    /// Makes `owner` the incarnation this table's handles belong to,
+    /// dropping the handles of any other.
+    pub(crate) fn claim(&mut self, owner: u64) {
+        if self.owner != owner {
+            self.owner = owner;
+            for lane in self.lanes.iter_mut().flatten() {
+                lane.handle = None;
+            }
+        }
+    }
+
+    pub(crate) fn get_mut(&mut self, lane: u32) -> Option<&mut WireLane> {
+        self.lanes.get_mut(lane as usize)?.as_mut()
+    }
 }

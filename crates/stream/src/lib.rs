@@ -5,9 +5,11 @@
 //! live plant, and this crate turns the batch engine into that always-on
 //! pipeline.
 //!
-//! * [`lane`] — the ingest value types: [`Sample`] and the [`LaneId`]
-//!   naming its sensor lane. `ingest(&LaneId, Sample)` is the one way a
-//!   sample reaches a detector.
+//! * [`lane`] — the ingest value types: [`Sample`], the [`LaneId`]
+//!   naming its sensor lane, and the id's resolved forms ([`LaneHandle`],
+//!   a client's [`LaneTable`]). A sample reaches a detector one way:
+//!   resolve the lane, apply by handle — `ingest(&LaneId, Sample)` is
+//!   that with the resolve done per call.
 //! * [`watermark`] — per-sensor watermarks with bounded allowed lateness:
 //!   out-of-order, late, and duplicate samples are reordered (or counted
 //!   and dropped) before any scorer sees them.
@@ -47,6 +49,6 @@ pub use detector::{
     StreamReport, StreamStats,
 };
 pub use durable::{DurableRecovery, DurableStream};
-pub use lane::{LaneId, LaneKind, Sample};
+pub use lane::{LaneHandle, LaneId, LaneKind, LaneTable, RunError, Sample, MAX_LANES};
 pub use tenant::{PlantRegistry, Tenant, TenantConfig};
 pub use watermark::{LatenessStats, Watermark};

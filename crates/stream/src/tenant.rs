@@ -68,7 +68,7 @@ use hierod_store::tenants::{valid_tenant_id, StorageFactory};
 
 use crate::detector::{ControlEvent, LaneStats, StreamConfig, StreamReport, StreamStats};
 use crate::durable::{DurableRecovery, DurableStream};
-use crate::lane::{LaneId, Sample};
+use crate::lane::{LaneId, LaneTable, RunError, Sample};
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
@@ -100,6 +100,9 @@ pub struct TenantConfig {
 /// Every operation forwards to it.
 pub struct Tenant<S: hierod_store::Storage> {
     id: String,
+    /// Which opening of a plant, among all its registry ever made, this
+    /// is: what a [`LaneTable`]'s handles are checked against.
+    incarnation: u64,
     stream: DurableStream<S>,
 }
 
@@ -130,6 +133,22 @@ impl<S: hierod_store::Storage> Tenant<S> {
     /// As [`DurableStream::ingest`].
     pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
         self.stream.ingest(lane, sample)
+    }
+
+    /// Journals and ingests a run of samples addressed by the wire lanes
+    /// of `lanes` — what a server applies per socket read, under one
+    /// acquisition of this plant. Every record is attempted, as if each
+    /// had come through [`ingest`](Tenant::ingest) with the id its lane is
+    /// bound to; the first failure in stream order is returned.
+    ///
+    /// The handles `lanes` has resolved are used only if this incarnation
+    /// of the plant issued them: a table that last talked to another one
+    /// (the plant was finished and re-created in between) resolves its
+    /// lanes again, by id, so a sample never lands on another lane's
+    /// slot.
+    pub fn ingest_run(&mut self, lanes: &mut LaneTable, run: &[(u32, Sample)]) -> Option<RunError> {
+        lanes.claim(self.incarnation);
+        self.stream.ingest_run(lanes, run)
     }
 
     /// Rotates the WAL into a sealed segment (see
@@ -187,6 +206,9 @@ fn seated<S: hierod_store::Storage>(slot: &mut Slot<S>) -> Option<&mut Tenant<S>
 
 /// What the registry-wide lock guards.
 struct Plants<S: hierod_store::Storage> {
+    /// Incarnations handed out so far (the first is 1: a fresh
+    /// [`LaneTable`] belongs to none).
+    incarnations: u64,
     /// Live (or just-being-opened) plants.
     live: BTreeMap<String, Slot<S>>,
     /// Ids detached by a `finish` still running: their storage has a
@@ -212,12 +234,14 @@ fn open_tenant<F: StorageFactory>(
     policy: &AlgorithmPolicy,
     config: &TenantConfig,
     id: &str,
+    incarnation: u64,
 ) -> Result<(Tenant<F::Storage>, DurableRecovery)> {
     let storage = factory.open_shard(id, 0).map_err(substrate)?;
     let (stream, recovery) =
         DurableStream::open(policy.clone(), config.stream, storage, config.store)?;
     let tenant = Tenant {
         id: id.to_string(),
+        incarnation,
         stream,
     };
     Ok((tenant, recovery))
@@ -254,12 +278,14 @@ impl<F: StorageFactory> PlantRegistry<F> {
         let mut live = BTreeMap::new();
         let mut failed = BTreeMap::new();
         let mut recoveries = BTreeMap::new();
+        let mut incarnations = 0;
         for id in ids {
+            incarnations += 1;
             let opened = match factory.shard_count(&id) {
                 Ok(n) if n > 1 => Err(DetectError::Substrate(format!(
                     "tenants: plant {id:?} has {n} shard directories; this build reads exactly one"
                 ))),
-                Ok(_) => open_tenant(&factory, &policy, &config, &id),
+                Ok(_) => open_tenant(&factory, &policy, &config, &id, incarnations),
                 Err(e) => Err(substrate(e)),
             };
             match opened {
@@ -277,6 +303,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
             policy,
             config,
             plants: Mutex::new(Plants {
+                incarnations,
                 live,
                 closing: BTreeSet::new(),
             }),
@@ -295,15 +322,18 @@ impl<F: StorageFactory> PlantRegistry<F> {
         if !valid_tenant_id(id) {
             return Err(invalid_id(id));
         }
-        let live = &mut exclusive(&mut self.plants).live;
-        if live.contains_key(id) || self.failed.contains_key(id) {
+        let plants = exclusive(&mut self.plants);
+        if plants.live.contains_key(id) || self.failed.contains_key(id) {
             return Err(DetectError::invalid(
                 "tenant",
                 format!("tenant {id:?} already exists"),
             ));
         }
-        let (tenant, _) = open_tenant(&self.factory, &self.policy, &self.config, id)?;
-        let slot = live
+        plants.incarnations += 1;
+        let incarnation = plants.incarnations;
+        let (tenant, _) = open_tenant(&self.factory, &self.policy, &self.config, id, incarnation)?;
+        let slot = plants
+            .live
             .entry(id.to_string())
             .or_insert(Arc::new(Mutex::new(Some(tenant))));
         seated(slot).ok_or_else(|| no_live_tenant(id))
@@ -370,9 +400,13 @@ impl<F: StorageFactory> PlantRegistry<F> {
                 // runs with the map free.
                 let slot: Slot<F::Storage> = Arc::new(Mutex::new(None));
                 plants.live.insert(id.to_string(), Arc::clone(&slot));
+                plants.incarnations += 1;
+                let incarnation = plants.incarnations;
                 let mut seat = lock(&slot);
                 drop(plants);
-                return match open_tenant(&self.factory, &self.policy, &self.config, id) {
+                let opened =
+                    open_tenant(&self.factory, &self.policy, &self.config, id, incarnation);
+                return match opened {
                     Ok((tenant, _)) => {
                         *seat = Some(tenant);
                         Ok(true)

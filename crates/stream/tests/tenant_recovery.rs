@@ -267,3 +267,94 @@ fn dead_storage_fails_only_its_own_tenant() {
         "sibling affected by a dead neighbour"
     );
 }
+
+/// The by-`LaneId` views — `delivered()`, `lane_stats()`, `stats()` — of
+/// a tenant fed in runs through a client's lane table, live and after a
+/// crash, are those of a tenant fed the same steps one `ingest` at a time.
+#[test]
+fn run_fed_tenant_keeps_the_by_id_views_live_and_recovered() {
+    use hierod_stream::LaneTable;
+    use std::collections::BTreeMap;
+
+    let (steps, boundary) = steps();
+    let mut reg = registry(MemFactory::new());
+    drop(reg.create_tenant("by-id"));
+    drop(reg.create_tenant("in-runs"));
+    drive(reg.tenant_mut("by-id").expect("by-id"), &steps[..boundary]);
+
+    // Wire lanes in reverse order of first use, runs cut at seven samples
+    // and at every control event.
+    let mut wire = BTreeMap::new();
+    for step in &steps {
+        if let StreamEvent::Sample(lane, _) = step {
+            let next = 1000 - wire.len() as u32;
+            wire.entry(lane.clone()).or_insert(next);
+        }
+    }
+    let mut table = LaneTable::default();
+    for (lane, &no) in &wire {
+        assert!(table.bind(no, lane.clone()));
+    }
+    let tenant = reg.tenant_mut("in-runs").expect("in-runs");
+    let mut run = Vec::new();
+    for step in &steps[..boundary] {
+        match step {
+            StreamEvent::Sample(lane, sample) => run.push((wire[lane], *sample)),
+            StreamEvent::Control(_) => {}
+        }
+        if run.len() == 7 || matches!(step, StreamEvent::Control(_)) {
+            assert_eq!(tenant.ingest_run(&mut table, &run), None);
+            run.clear();
+        }
+        if let StreamEvent::Control(event) = step {
+            tenant.control(event).expect("control");
+        }
+    }
+    assert!(run.is_empty(), "the boundary sits behind a control event");
+
+    // What the parent's per-lane map held: one count per sample sent.
+    let mut sent: BTreeMap<_, u64> = BTreeMap::new();
+    for step in &steps[..boundary] {
+        if let StreamEvent::Sample(lane, _) = step {
+            *sent.entry(lane.clone()).or_insert(0) += 1;
+        }
+    }
+    let views = |reg: &mut PlantRegistry<MemFactory>, id: &str| {
+        let tenant = reg.tenant_mut(id).expect("live");
+        (
+            tenant.stream().delivered(),
+            tenant.lane_stats(),
+            tenant.stats(),
+        )
+    };
+    let by_id = views(&mut reg, "by-id");
+    assert_eq!(by_id.0, sent);
+    assert_eq!(views(&mut reg, "in-runs"), by_id);
+
+    for id in ["by-id", "in-runs"] {
+        reg.tenant_mut(id).expect("live").tick().expect("tick");
+    }
+    let mut recovered = registry(reg.factory().crash_image(false));
+    assert_eq!(views(&mut recovered, "in-runs"), by_id);
+    assert_eq!(views(&mut recovered, "by-id"), by_id);
+    // The client's table died with the process; a new one resolves its
+    // lanes against the recovered plant and carries on.
+    let mut table = LaneTable::default();
+    for (lane, &no) in &wire {
+        assert!(table.bind(no, lane.clone()));
+    }
+    let tenant = recovered.tenant_mut("in-runs").expect("in-runs");
+    for step in &steps[boundary..] {
+        match step {
+            StreamEvent::Sample(lane, sample) => {
+                assert_eq!(
+                    tenant.ingest_run(&mut table, &[(wire[lane], *sample)]),
+                    None
+                );
+            }
+            StreamEvent::Control(event) => tenant.control(event).expect("control"),
+        }
+    }
+    let report = recovered.finish_tenant("in-runs").expect("finish");
+    assert_eq!(format!("{report:?}"), baseline(&steps));
+}

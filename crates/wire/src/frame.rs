@@ -9,9 +9,9 @@ use hierod_history::ScanStats;
 use hierod_service::{Health, PlantHealth, RecoverySummary};
 use hierod_store::codec;
 use hierod_store::crc::crc32;
-use hierod_store::wal::WalRecord;
+use hierod_store::wal::{put_framed, WalRecord};
 use hierod_stream::codec::{decode_lane, encode_lane};
-use hierod_stream::{LaneId, LaneStats, StreamStats};
+use hierod_stream::{LaneId, LaneStats, Sample, StreamStats};
 
 use crate::report;
 
@@ -458,13 +458,7 @@ impl Frame {
     /// to the WAL record encoder so their bytes are WAL-verbatim.
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Frame::Ingest(record) => {
-                // WalRecord::encode emits the whole framed record; strip
-                // the 8-byte header to get exactly the payload bytes.
-                let mut framed = Vec::with_capacity(32);
-                record.encode(&mut framed);
-                out.extend_from_slice(framed.get(8..).unwrap_or_default());
-            }
+            Frame::Ingest(record) => record.encode_payload(out),
             Frame::Admit { plant, create } => {
                 out.push(TAG_ADMIT);
                 codec::put_str(out, plant);
@@ -569,18 +563,12 @@ impl Frame {
     }
 
     /// Appends the fully framed record (`[len][crc][payload]`) to
-    /// `out`.
+    /// `out` — for an ingest frame, the framed WAL record. The payload is
+    /// written in place behind a reserved header: a caller that reuses
+    /// `out` (as `hierod_server::Client` does for its ingest frames)
+    /// encodes without allocating.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        if let Frame::Ingest(record) = self {
-            // The framed WAL record IS the framed wire frame.
-            record.encode(out);
-            return;
-        }
-        let mut payload = Vec::with_capacity(64);
-        self.encode_payload(&mut payload);
-        codec::put_u32(out, payload.len() as u32);
-        codec::put_u32(out, crc32(&payload));
-        out.extend_from_slice(&payload);
+        put_framed(out, |out| self.encode_payload(out));
     }
 
     /// Decodes one payload (tag + body); total — `None` on any
@@ -589,25 +577,8 @@ impl Frame {
         let mut buf = bytes;
         let buf = &mut buf;
         let frame = match codec::take_u8(buf)? {
-            TAG_LANE_DEF => {
-                let lane = u32::try_from(codec::take_varint(buf)?).ok()?;
-                let meta = codec::take_bytes(buf)?.to_vec();
-                Frame::Ingest(WalRecord::LaneDef { lane, meta })
-            }
-            TAG_CONTROL => {
-                let seq = codec::take_varint(buf)?;
-                let payload = codec::take_bytes(buf)?.to_vec();
-                Frame::Ingest(WalRecord::Control { seq, payload })
-            }
-            TAG_SAMPLE => {
-                let lane = u32::try_from(codec::take_varint(buf)?).ok()?;
-                let timestamp = codec::take_varint(buf)?;
-                let value = codec::take_f64(buf)?;
-                Frame::Ingest(WalRecord::Sample {
-                    lane,
-                    timestamp,
-                    value,
-                })
+            TAG_LANE_DEF | TAG_CONTROL | TAG_SAMPLE => {
+                return WalRecord::decode_payload(bytes).map(Frame::Ingest);
             }
             TAG_ADMIT => Frame::Admit {
                 plant: codec::take_str(buf)?,
@@ -711,6 +682,22 @@ pub enum Poll {
     Eof,
 }
 
+/// The sample frame at the front of `bytes`, complete and verified, and
+/// the bytes behind it; `None` if what is there is anything else.
+fn front_sample(mut bytes: &[u8]) -> Option<((u32, Sample), &[u8])> {
+    let (len, crc) = (codec::take_u32(&mut bytes)?, codec::take_u32(&mut bytes)?);
+    // Tag, lane, timestamp, value: no sample payload is longer.
+    let len = Some(len as usize).filter(|&len| len <= 1 + 5 + 10 + 8)?;
+    let payload = codec::take(&mut bytes, len)?;
+    // The tag first: only a frame that says it is a sample is worth
+    // checksumming here.
+    if payload.first() != Some(&TAG_SAMPLE) || crc32(payload) != crc {
+        return None;
+    }
+    let (lane, timestamp, value) = WalRecord::decode_sample(payload)?;
+    Some(((lane, Sample { timestamp, value }), bytes))
+}
+
 /// Incremental frame decoder over any [`Read`].
 ///
 /// Tolerates arbitrary read fragmentation (a frame split across reads
@@ -727,6 +714,19 @@ impl FrameReader {
     /// A reader with an empty buffer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Marks `n` buffered bytes as decoded, reclaiming the buffer's front
+    /// once it is worth a move.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > 4096 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
     }
 
     /// Attempts to decode one frame from the buffered bytes.
@@ -759,15 +759,26 @@ impl FrameReader {
         }
         let frame = Frame::decode_payload(payload)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed frame payload"))?;
-        self.start += 8 + len as usize;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start > 4096 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
+        self.consume(8 + len as usize);
         Ok(Some(frame))
+    }
+
+    /// Moves every complete, checksum-verified sample frame at the front
+    /// of the buffered bytes into `run`, as `(wire lane, sample)`, in
+    /// stream order, and stops in front of the first frame that is
+    /// anything else — another kind of frame, an incomplete one, a damaged
+    /// one — which is left for [`poll`](FrameReader::poll) to decode or
+    /// report. Reads nothing: what it takes is what earlier reads already
+    /// delivered, so a run is never longer than one read's worth of
+    /// frames (plus the frame the read before it left incomplete).
+    pub fn take_samples(&mut self, run: &mut Vec<(u32, Sample)>) {
+        let avail = self.buf.get(self.start..).unwrap_or_default();
+        let mut rest = avail;
+        while let Some((sample, behind)) = front_sample(rest) {
+            run.push(sample);
+            rest = behind;
+        }
+        self.consume(avail.len() - rest.len());
     }
 
     /// Reads until one complete frame, a would-block, or EOF.

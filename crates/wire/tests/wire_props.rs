@@ -583,3 +583,107 @@ proptest! {
         prop_assert!(decode_report(&padded).is_none());
     }
 }
+
+// -----------------------------------------------------------------
+// The served ingest path: frames encoded into a reused buffer, sample
+// runs taken from the reader in one go.
+
+/// Mostly samples on a handful of lanes, now and then any other frame.
+fn arb_ingest_stream() -> impl Strategy<Value = Vec<Frame>> {
+    let sample = (0_u32..5, any::<u64>(), arb_f64()).prop_map(|(lane, timestamp, value)| {
+        Frame::Ingest(WalRecord::Sample {
+            lane,
+            timestamp,
+            value,
+        })
+    });
+    let step = (0_u8..8, sample, arb_frame())
+        .prop_map(|(pick, sample, other)| if pick == 0 { other } else { sample });
+    prop::collection::vec(step, 0..40)
+}
+
+/// Drains `bytes` through a fresh reader in reads of at most `chunk`
+/// bytes: the frames decoded before the stream ended or broke, and
+/// whether it broke. With `runs`, a sample frame is followed by
+/// `take_samples`, as the server does it.
+fn drain(bytes: &[u8], chunk: usize, runs: bool) -> (Vec<Frame>, bool) {
+    let mut trickle = Trickle {
+        data: bytes,
+        pos: 0,
+        chunk,
+    };
+    let mut reader = FrameReader::new();
+    let mut frames = Vec::new();
+    let mut run = Vec::new();
+    loop {
+        match reader.poll(&mut trickle) {
+            Ok(Poll::Frame(frame)) => {
+                let sample = matches!(frame, Frame::Ingest(WalRecord::Sample { .. }));
+                frames.push(frame);
+                if runs && sample {
+                    run.clear();
+                    reader.take_samples(&mut run);
+                    frames.extend(run.iter().map(|&(lane, s)| {
+                        Frame::Ingest(WalRecord::Sample {
+                            lane,
+                            timestamp: s.timestamp,
+                            value: s.value,
+                        })
+                    }));
+                }
+            }
+            Ok(Poll::Eof) => return (frames, false),
+            Ok(Poll::Idle) => unreachable!("trickle never blocks"),
+            Err(_) => return (frames, true),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn a_reused_buffer_holds_the_bytes_a_fresh_one_would(
+        frames in prop::collection::vec(arb_frame(), 1..8)
+    ) {
+        // One buffer for every frame, as the client keeps one for its
+        // ingest frames: cleared, never reallocated on the way.
+        let mut reused = Vec::new();
+        for frame in &frames {
+            reused.clear();
+            frame.encode(&mut reused);
+            let mut written = Vec::new();
+            write_frame(&mut written, frame).unwrap();
+            prop_assert_eq!(&reused, &written);
+            // And those bytes are the format: length, checksum, payload.
+            let (header, payload) = reused.split_at(8);
+            prop_assert_eq!(&header[..4], &(payload.len() as u32).to_le_bytes()[..]);
+            prop_assert_eq!(&header[4..], &hierod_store::crc::crc32(payload).to_le_bytes()[..]);
+            let decoded = Frame::decode_payload(payload).expect("decodes");
+            prop_assert!(same(&decoded, frame));
+        }
+    }
+
+    #[test]
+    fn taking_sample_runs_is_polling_them_one_by_one(
+        (frames, chunk, damage) in (arb_ingest_stream(), 1_usize..64, any::<u64>())
+    ) {
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            frame.encode(&mut bytes);
+        }
+        let (one_by_one, broke) = drain(&bytes, chunk, false);
+        prop_assert!(same(&one_by_one, &frames) && !broke);
+        prop_assert!(same(&drain(&bytes, chunk, true), &(one_by_one, false)));
+        // A flipped bit or a cut: a run stops in front of the damage and
+        // the poll behind it reports what polling alone reports.
+        if !bytes.is_empty() {
+            let at = (damage % bytes.len() as u64) as usize;
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << ((damage >> 32) % 8);
+            prop_assert!(same(&drain(&flipped, chunk, true), &drain(&flipped, chunk, false)));
+            let cut = &bytes[..at];
+            prop_assert!(same(&drain(cut, chunk, true), &drain(cut, chunk, false)));
+        }
+    }
+}

@@ -5,6 +5,8 @@
 //! `tenant_equivalence` (which also holds cached tick ≡ fresh-replay
 //! tick), `store_recovery`, `tenant_recovery`, `wire_equivalence`,
 //! `history_equivalence`, `adapt_equivalence`.
+//! `served_runs_equal_per_record_ingest` is the small case of
+//! `wire_equivalence`'s fragmentation pin.
 
 use std::collections::BTreeMap;
 use std::thread;
@@ -194,6 +196,75 @@ fn wire_equals_embedded() {
     let embedded = svc.finish("p").expect("finish");
     assert_eq!(wire_bytes, encode_report(&embedded));
     assert_eq!(wire_bytes, reference(&events));
+}
+
+/// The server applies what each read delivered as one run; however TCP
+/// cuts the stream up, the report is the per-record one.
+#[test]
+fn served_runs_equal_per_record_ingest() {
+    use hierod::store::wal::WalRecord;
+    use hierod::stream::codec::{encode_control, encode_lane};
+    use hierod::wire::{Frame, FrameReader, Poll};
+    use std::io::Write;
+
+    let events = script(42);
+    let mut stream = Vec::new();
+    let mut lanes = BTreeMap::new();
+    let mut put = |record| Frame::Ingest(record).encode(&mut stream);
+    for (seq, event) in events.iter().enumerate() {
+        match event {
+            StreamEvent::Control(c) => put(WalRecord::Control {
+                seq: seq as u64,
+                payload: encode_control(c),
+            }),
+            StreamEvent::Sample(id, s) => {
+                let next = lanes.len() as u32;
+                let lane = *lanes.entry(id).or_insert_with(|| {
+                    let meta = encode_lane(id);
+                    put(WalRecord::LaneDef { lane: next, meta });
+                    next
+                });
+                let (timestamp, value) = (s.timestamp, s.value);
+                put(WalRecord::Sample {
+                    lane,
+                    timestamp,
+                    value,
+                });
+            }
+        }
+    }
+    Frame::Finish.encode(&mut stream);
+
+    let server = Server::bind(service(), ServerConfig::default()).expect("bind");
+    let handle = server.handle();
+    let join = thread::spawn(move || server.serve().expect("serve"));
+    for (plant, chunk) in [("bytes", 1), ("whole", stream.len())] {
+        let mut socket = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+        socket.set_nodelay(true).expect("nodelay");
+        let mut admit = Vec::new();
+        let (plant, create) = (plant.to_string(), true);
+        Frame::Admit { plant, create }.encode(&mut admit);
+        socket.write_all(&admit).expect("admit");
+        for piece in stream.chunks(chunk) {
+            socket.write_all(piece).expect("write");
+        }
+        let mut reader = FrameReader::new();
+        let mut replies = Vec::new();
+        while replies.len() < 2 {
+            if let Poll::Frame(reply) = reader.poll(&mut socket).expect("reply") {
+                replies.push(reply);
+            }
+        }
+        let [Frame::Ok { info: 1 }, Frame::Report { report, .. }] = &replies[..] else {
+            panic!("admitted, then finished: {replies:?}");
+        };
+        assert!(
+            *report == reference(&events),
+            "written {chunk} bytes at a time"
+        );
+    }
+    handle.shutdown();
+    join.join().expect("server thread");
 }
 
 #[test]
