@@ -4,16 +4,12 @@
 //!
 //! The store keeps everything the detector ever saw — control events
 //! and released samples in sealed files, the still-hot tail in the
-//! WAL. [`backfill`] reassembles that record into one globally ordered
-//! stream and drives a fresh [`StreamDetector`] over it:
-//!
-//! * control events replay in sequence order (a sequence number seen
-//!   twice across the given storage roots replays once);
-//! * sealed chunk samples replay right after the control that opened
-//!   their pipeline (the chunk's `after_control_seq` tag), exactly as
-//!   store recovery does;
-//! * WAL-tail samples replay after the last control journalled before
-//!   them.
+//! WAL. [`backfill`] is a reader of that record the way recovery is:
+//! the store's read-only load ([`hierod_store::store::load`]) walked in
+//! journal order ([`hierod_stream::replay_journal`]) into a fresh
+//! [`StreamDetector`]. The only thing it decides for itself is what a
+//! stored sample does: one inside the requested range is ingested by
+//! its lane's handle, one outside is skipped.
 //!
 //! A tenant's live report is pinned byte-identical to a bare
 //! detector's, so replaying the full range with the original policy
@@ -23,142 +19,38 @@
 //! compares the two as multisets of outliers (keyed by their debug
 //! form, so NaN scores cannot make an outlier unequal to itself).
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io;
+use std::collections::BTreeMap;
 
 use hierod_core::{AlgorithmPolicy, HierOutlier, HierReport, PhaseChoice};
 use hierod_detect::engine::AlgoSpec;
 use hierod_detect::{DetectError, Result};
-use hierod_store::{segment, Storage, WalRecord};
-use hierod_stream::codec::{decode_control, decode_lane};
-use hierod_stream::{ControlEvent, LaneId, Sample, StreamConfig, StreamDetector, StreamReport};
-
-use crate::reader::{snapshot, StoreSnapshot};
-
-fn substrate(e: io::Error) -> DetectError {
-    DetectError::Substrate(e.to_string())
-}
-
-/// Replay order within one control sequence number: the control itself,
-/// then every sample attributed to it.
-const ORDER_CONTROL: u8 = 0;
-const ORDER_SAMPLE: u8 = 1;
-
-enum Payload {
-    Control(ControlEvent),
-    Sample(LaneId, Sample),
-}
+use hierod_store::store::load;
+use hierod_store::Storage;
+use hierod_stream::{
+    replay_journal, LaneHandle, Sample, Stored, StreamConfig, StreamDetector, StreamReport,
+};
 
 /// The result of one backfill run.
 #[derive(Debug, Clone)]
 pub struct BackfillOutcome {
     /// The report the detector produced over the replayed range.
     pub report: StreamReport,
-    /// Control events replayed (all of them — the job/phase skeleton
-    /// must exist regardless of the sample range).
+    /// Control events the replay applied, whatever the sample range (the
+    /// job/phase skeleton must exist regardless): the journalled controls
+    /// the detector *accepted*. A control the live detector refused — it
+    /// is journalled before it is applied — is refused again and not
+    /// counted, so this can be lower than the plant's
+    /// [`controls_applied`](hierod_stream::DurableStream::controls_applied).
     pub controls_replayed: u64,
     /// Samples inside the requested range that were replayed.
     pub samples_replayed: u64,
-    /// Samples outside the requested range that were skipped.
+    /// Samples outside the requested range, or that the detector turned
+    /// down, that were skipped.
     pub samples_skipped: u64,
 }
 
-/// Collects one shard's snapshot into the global item list.
-fn collect_shard(
-    snap: &StoreSnapshot,
-    items: &mut Vec<(u64, u8, Payload)>,
-    seen_controls: &mut BTreeSet<u64>,
-) -> Result<()> {
-    let bad = |msg: String| DetectError::Substrate(msg);
-    // Lane numbers are shard-local; resolve them to identities as the
-    // shard's record declares them.
-    let mut lanes: BTreeMap<u32, LaneId> = BTreeMap::new();
-    // The WAL tail's samples belong to the last control journalled
-    // before them; seed the running sequence with the sealed maximum.
-    let mut running_seq = 0u64;
-
-    for file in &snap.files {
-        for def in &file.index.lane_defs {
-            let id = decode_lane(&def.meta)
-                .ok_or_else(|| bad(format!("{}: undecodable lane metadata", file.name)))?;
-            lanes.insert(def.lane, id);
-        }
-        for control in &file.index.controls {
-            running_seq = running_seq.max(control.seq);
-            if !seen_controls.insert(control.seq) {
-                continue; // broadcast duplicate from another shard
-            }
-            let event = decode_control(&control.payload)
-                .ok_or_else(|| bad(format!("{}: undecodable control payload", file.name)))?;
-            items.push((control.seq, ORDER_CONTROL, Payload::Control(event)));
-        }
-        for meta in &file.index.chunks {
-            let id = lanes
-                .get(&meta.lane)
-                .ok_or_else(|| bad(format!("{}: chunk on undeclared lane", file.name)))?
-                .clone();
-            let chunk = segment::decode_chunk(&file.bytes, meta)
-                .map_err(|e| bad(format!("{}: {e}", file.name)))?;
-            for (&t, &v) in chunk.timestamps.iter().zip(chunk.values.iter()) {
-                items.push((
-                    meta.after_control_seq,
-                    ORDER_SAMPLE,
-                    Payload::Sample(
-                        id.clone(),
-                        Sample {
-                            timestamp: t,
-                            value: v,
-                        },
-                    ),
-                ));
-            }
-        }
-    }
-
-    for record in &snap.wal {
-        match record {
-            WalRecord::LaneDef { lane, meta } => {
-                let id = decode_lane(meta)
-                    .ok_or_else(|| bad("wal: undecodable lane metadata".into()))?;
-                lanes.insert(*lane, id);
-            }
-            WalRecord::Control { seq, payload } => {
-                running_seq = running_seq.max(*seq);
-                if !seen_controls.insert(*seq) {
-                    continue;
-                }
-                let event = decode_control(payload)
-                    .ok_or_else(|| bad("wal: undecodable control payload".into()))?;
-                items.push((*seq, ORDER_CONTROL, Payload::Control(event)));
-            }
-            WalRecord::Sample {
-                lane,
-                timestamp,
-                value,
-            } => {
-                let id = lanes
-                    .get(lane)
-                    .ok_or_else(|| bad("wal: sample on undeclared lane".into()))?
-                    .clone();
-                items.push((
-                    running_seq,
-                    ORDER_SAMPLE,
-                    Payload::Sample(
-                        id,
-                        Sample {
-                            timestamp: *timestamp,
-                            value: *value,
-                        },
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Replays the stored record of a plant (its storage roots — one, for
-/// every tenant the registry opens) through a fresh detector, ingesting
+/// Replays the stored record of a plant — `storage` holds exactly one
+/// root, the plant's one journal — through a fresh detector, ingesting
 /// only samples with timestamps in `[start, end]`.
 ///
 /// With the plant's original `policy`/`config` and the full range, the
@@ -167,64 +59,59 @@ fn collect_shard(
 /// point-kind registry entry.
 ///
 /// # Errors
-/// A `spec` the registry does not resolve to a point scorer (rejected
-/// before storage is read); snapshot failures (corrupt files,
-/// inconsistent directory), records that do not decode, or a control
-/// replay the detector rejects.
-/// Sample-level ingest rejections (duplicates journalled in the WAL
-/// tail, late arrivals) are skipped, exactly as store recovery skips
-/// them.
+/// [`DetectError::InvalidParameter`] for any number of roots but one, or
+/// a `spec` the registry does not resolve to a point scorer (both
+/// rejected before storage is read); load failures (corrupt files,
+/// inconsistent directory). A record the live detector turned down — a
+/// refused control, a duplicate or late sample journalled in the WAL
+/// tail — is turned down again and the replay goes on, exactly as in
+/// recovery.
 pub fn backfill<S: Storage>(
-    shards: &[&S],
+    storage: &[&S],
     policy: &AlgorithmPolicy,
     config: StreamConfig,
     start: u64,
     end: u64,
     spec: Option<&AlgoSpec>,
 ) -> Result<BackfillOutcome> {
+    let [storage] = storage else {
+        return Err(DetectError::invalid(
+            "storage",
+            format!("a plant has one journal, got {} roots", storage.len()),
+        ));
+    };
     let mut policy = policy.clone();
     if let Some(spec) = spec {
         policy.phase = PhaseChoice::PerSeries(spec.clone());
     }
     let mut detector = StreamDetector::new(policy, config)?;
+    let loaded = load(*storage).map_err(|e| DetectError::Substrate(e.to_string()))?;
 
-    let mut items: Vec<(u64, u8, Payload)> = Vec::new();
-    let mut seen_controls = BTreeSet::new();
-    for storage in shards {
-        let snap = snapshot(*storage).map_err(substrate)?;
-        collect_shard(&snap, &mut items, &mut seen_controls)?;
-    }
-    // Stable: within one (seq, order) slot, sealed-before-WAL and file
-    // order survive — the same interleaving recovery replays.
-    items.sort_by_key(|&(seq, order, _)| (seq, order));
-
-    let mut controls_replayed = 0;
     let mut samples_replayed = 0;
     let mut samples_skipped = 0;
-    for (_, _, payload) in items {
-        match payload {
-            Payload::Control(event) => {
-                detector.apply(&event)?;
-                controls_replayed += 1;
-            }
-            Payload::Sample(id, sample) => {
-                if sample.timestamp < start || sample.timestamp > end {
-                    samples_skipped += 1;
-                    continue;
-                }
-                // Duplicates and stragglers journalled in the WAL tail
-                // are the detector's call to reject, same as recovery.
-                if detector.ingest(&id, sample).is_ok() {
-                    samples_replayed += 1;
-                } else {
-                    samples_skipped += 1;
-                }
-            }
+    let mut ingest = |detector: &mut StreamDetector, lane: LaneHandle, sample: Sample| {
+        let inside = start <= sample.timestamp && sample.timestamp <= end;
+        if inside && detector.ingest_resolved(lane, sample).is_ok() {
+            samples_replayed += 1;
+        } else {
+            samples_skipped += 1;
         }
-    }
+    };
+    let journal = replay_journal(
+        &loaded,
+        &mut detector,
+        |detector, lane, stored| match stored {
+            Stored::Chunk(chunk) => {
+                for (&timestamp, &value) in chunk.timestamps.iter().zip(chunk.values.iter()) {
+                    ingest(detector, lane.handle, Sample { timestamp, value });
+                }
+            }
+            Stored::Sample(sample) => ingest(detector, lane.handle, sample),
+        },
+    );
     Ok(BackfillOutcome {
         report: detector.finish()?,
-        controls_replayed,
+        controls_replayed: journal.controls_accepted,
         samples_replayed,
         samples_skipped,
     })

@@ -3,11 +3,11 @@
 //!
 //! # Protocol
 //!
-//! The store directory holds (in recovery order) history files
-//! `hist-LO-HI.seg`, the floor marker `compaction.floor`, rotation
-//! segments `seg-N.seg`, and the active WAL. The **floor** F is the
-//! first rotation index not yet absorbed into history; everything below
-//! it lives in hist files that tile `0..F` exactly.
+//! Which files of a store directory are live is the store's one rule
+//! ([`hierod_store::store::layout`]); compaction plans from what that
+//! rule returns and only ever moves a directory between states it
+//! accepts. The **floor** F is the first rotation index not yet
+//! absorbed into history.
 //!
 //! An L0 step absorbs up to [`CompactionOptions::l0_batch`] rotation
 //! segments at the floor:
@@ -15,19 +15,17 @@
 //! 1. publish `hist-F-H.seg` (tmp → fsync → rename, via
 //!    [`hierod_store::store::publish`]) — the merged, re-encoded image;
 //! 2. publish `compaction.floor` = H+1 — **the commit point**;
-//! 3. remove `seg-F.seg ..= seg-H.seg` — now stale.
+//! 3. remove `seg-F.seg ..= seg-H.seg`.
 //!
-//! A crash after (1) leaves an *uncommitted* hist file (`hi >= floor`)
-//! that recovery removes; a crash after (2) leaves *stale* rotation
-//! segments (`index < floor`) that recovery removes. Either way the
-//! directory recovers to a consistent tiling — the same
-//! "highest-WAL-wins" discipline the rotation protocol uses.
+//! A crash after (1) leaves a history file the rule calls stale (never
+//! committed); a crash after (2) leaves rotation segments it calls
+//! stale (below the floor). Recovery removes either, and the next
+//! `compact` resumes from the published floor.
 //!
 //! Tier merges then fold [`CompactionOptions::fanout`] *adjacent*
 //! same-level hist files into one file at the next level: publish the
-//! merged file (a strict superset of each input — the inputs become
-//! *superseded* and recovery would remove them), then remove the
-//! inputs. The floor does not move.
+//! merged file (a strict superset of each input, which the rule then
+//! calls superseded), then remove the inputs. The floor does not move.
 //!
 //! # Merging
 //!
@@ -45,9 +43,7 @@ use std::collections::BTreeMap;
 use std::io;
 
 use hierod_store::segment::{self, ColumnEncoding, ControlRecord, LaneDef, SegmentChunk};
-use hierod_store::store::{
-    hist_name, parse_hist_name, publish, publish_floor, read_floor, seg_name,
-};
+use hierod_store::store::{hist_name, publish, publish_floor, read_floor, read_layout, seg_name};
 use hierod_store::{SegmentData, SegmentDraft, Storage};
 
 /// Footer-extension tag for the history level byte in
@@ -314,39 +310,17 @@ struct HistFile {
     level: u8,
 }
 
-/// Lists committed history files sorted by range start, with levels.
-fn live_hist_files<S: Storage>(storage: &S, floor: u64) -> io::Result<Vec<HistFile>> {
-    let mut files: Vec<HistFile> = Vec::new();
-    for name in storage.list()? {
-        let Some((lo, hi)) = parse_hist_name(&name) else {
-            continue;
-        };
-        if hi >= floor {
-            // Uncommitted leftover from a crashed L0 step; recovery
-            // removes it — compaction just ignores it.
-            continue;
-        }
-        let bytes = storage.read(&name)?;
-        let index = segment::decode_index(&bytes).map_err(|e| invalid(format!("{name}: {e}")))?;
+/// The live history files ([`read_layout`]), ascending, with levels.
+fn live_hist_files<S: Storage>(storage: &S) -> io::Result<Vec<HistFile>> {
+    let mut files = Vec::new();
+    for (lo, hi) in read_layout(storage)?.hist {
+        let name = hist_name(lo, hi);
+        let index = segment::decode_index(&storage.read(&name)?)
+            .map_err(|e| invalid(format!("{name}: {e}")))?;
         let level = parse_level(&index.extra).unwrap_or(1);
         files.push(HistFile { lo, hi, level });
     }
-    files.sort_by_key(|f| (f.lo, f.hi));
-    // Drop superseded files (strict subset of a larger committed file),
-    // mirroring recovery's liveness rule.
-    let keep: Vec<bool> = files
-        .iter()
-        .map(|f| {
-            !files
-                .iter()
-                .any(|g| g.lo <= f.lo && f.hi <= g.hi && (g.hi - g.lo) > (f.hi - f.lo))
-        })
-        .collect();
-    Ok(files
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(f, k)| k.then_some(f))
-        .collect())
+    Ok(files)
 }
 
 /// Runs compaction over a sealed store directory.
@@ -402,7 +376,7 @@ pub fn compact<S: Storage>(
     // Tier merges: fold `fanout` adjacent same-level files into one
     // file at the next level, repeating until no group is full.
     loop {
-        let files = live_hist_files(storage, floor)?;
+        let files = live_hist_files(storage)?;
         let Some(group) = find_merge_group(&files, options) else {
             break;
         };

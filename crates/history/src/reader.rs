@@ -1,12 +1,11 @@
 //! Read-only snapshots of a store directory and pruned time-range
 //! scans over them.
 //!
-//! [`snapshot`] applies the store's recovery liveness rules — committed
-//! history files tiling `0..floor`, live rotation segments
-//! `floor..wal_index`, the highest WAL — **without mutating anything**:
-//! uncommitted or superseded files are skipped, not removed, so a
-//! reader can run against a directory whose owning store is still
-//! alive.
+//! [`snapshot`] is a reader of the store's recovery rule
+//! ([`hierod_store::store::layout`]): it takes the files that rule
+//! calls live and the sealed ones' footer indexes, and **mutates
+//! nothing** — what recovery would remove it skips — so a reader can
+//! run against a directory whose owning store is still alive.
 //!
 //! [`HistoryReader`] serves range scans from such a snapshot. Only the
 //! footer index of each file is decoded up front; chunk columns are
@@ -18,16 +17,15 @@
 //!
 //! Scans cover **sealed** data only — history files and rotation
 //! segments. The active WAL tail is raw journal bytes (it may contain
-//! samples the detector later rejected as duplicates), so it is
-//! exposed on the snapshot for replay-style consumers
-//! ([`crate::backfill`]) but never spliced into scan results.
+//! samples the detector later rejected as duplicates): it is replay
+//! territory ([`crate::backfill`]), never spliced into scan results.
 
 use std::collections::BTreeMap;
 use std::io;
 
 use hierod_store::segment::{self, ChunkMeta, SegmentIndex};
-use hierod_store::store::{parse_hist_name, read_floor, seg_name, FLOOR_NAME};
-use hierod_store::{wal, Storage, WalRecord};
+use hierod_store::store::read_layout;
+use hierod_store::Storage;
 use hierod_stream::codec::decode_lane;
 use hierod_stream::LaneId;
 use hierod_timeseries::TimeSeries;
@@ -47,120 +45,36 @@ pub struct SegmentFile {
     pub index: SegmentIndex,
 }
 
-/// A consistent read-only view of one store directory.
+/// A consistent read-only view of one store directory's sealed half.
 #[derive(Debug, Clone, Default)]
 pub struct StoreSnapshot {
     /// Live sealed files in replay order: history files by range start,
     /// then rotation segments by index.
     pub files: Vec<SegmentFile>,
-    /// Valid records of the active WAL tail (raw journal — may include
-    /// samples the detector rejected).
-    pub wal: Vec<WalRecord>,
     /// The compaction floor at snapshot time.
     pub floor: u64,
     /// The active WAL index at snapshot time.
     pub wal_index: u64,
 }
 
-fn read_index<S: Storage>(storage: &S, name: &str) -> io::Result<SegmentFile> {
-    let bytes = storage.read(name)?;
-    let index = segment::decode_index(&bytes).map_err(|e| invalid(format!("{name}: {e}")))?;
-    Ok(SegmentFile {
-        name: name.to_string(),
-        bytes,
-        index,
-    })
-}
-
-/// Takes a read-only snapshot of a store directory, applying the same
-/// liveness rules as [`hierod_store::Store::open`] recovery (highest
-/// WAL wins; history files tile `0..floor`; rotation segments cover
-/// `floor..wal_index`) without repairing anything.
+/// Takes a read-only snapshot of a store directory: the sealed files
+/// [`hierod_store::Store::open`] would load, footer indexes only.
 ///
 /// # Errors
-/// Storage I/O failures; corrupt footers; a directory whose live files
-/// do not tile their expected ranges (a state recovery would also
-/// reject).
+/// Storage I/O failures; corrupt footers; a directory recovery would
+/// also reject.
 pub fn snapshot<S: Storage>(storage: &S) -> io::Result<StoreSnapshot> {
-    let names = storage.list()?;
-    let floor = read_floor(storage)?;
-
-    // Committed, non-superseded history files.
-    let all_hist: Vec<(u64, u64)> = names.iter().filter_map(|n| parse_hist_name(n)).collect();
-    let mut hist: Vec<(u64, u64)> = all_hist
-        .iter()
-        .copied()
-        .filter(|&(lo, hi)| {
-            hi < floor
-                && !all_hist
-                    .iter()
-                    .any(|&(l2, h2)| l2 <= lo && hi <= h2 && (h2 - l2) > (hi - lo) && h2 < floor)
-        })
-        .collect();
-    hist.sort_unstable();
-    let mut next_expected = 0;
-    for &(lo, hi) in &hist {
-        if lo != next_expected {
-            return Err(invalid(format!(
-                "history run mismatch: expected range starting at {next_expected}, found hist-{lo}-{hi}"
-            )));
-        }
-        next_expected = hi + 1;
+    let layout = read_layout(storage)?;
+    let mut files = Vec::new();
+    for name in layout.sealed_names() {
+        let bytes = storage.read(&name)?;
+        let index = segment::decode_index(&bytes).map_err(|e| invalid(format!("{name}: {e}")))?;
+        files.push(SegmentFile { name, bytes, index });
     }
-    if next_expected != floor {
-        return Err(invalid(format!(
-            "history run mismatch: files cover 0..{next_expected} but {FLOOR_NAME} is {floor}"
-        )));
-    }
-
-    // Live rotation segments and the active WAL.
-    let mut segs: Vec<u64> = names
-        .iter()
-        .filter_map(|n| {
-            n.strip_prefix("seg-")?
-                .strip_suffix(".seg")?
-                .parse::<u64>()
-                .ok()
-        })
-        .filter(|&i| i >= floor)
-        .collect();
-    segs.sort_unstable();
-    let wal_max: Option<u64> = names
-        .iter()
-        .filter_map(|n| n.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok())
-        .max();
-    let wal_index = match wal_max {
-        Some(w) => w,
-        None => segs.last().map(|&s| s + 1).unwrap_or(0).max(floor),
-    };
-    let expected: Vec<u64> = (floor..wal_index).collect();
-    if segs != expected {
-        return Err(invalid(format!(
-            "rotation segments not contiguous: expected seg-{floor}..seg-{wal_index}"
-        )));
-    }
-
-    let mut files = Vec::with_capacity(hist.len() + segs.len());
-    for &(lo, hi) in &hist {
-        files.push(read_index(
-            storage,
-            &hierod_store::store::hist_name(lo, hi),
-        )?);
-    }
-    for &i in &segs {
-        files.push(read_index(storage, &seg_name(i))?);
-    }
-
-    let wal = match wal_max {
-        None => Vec::new(),
-        Some(w) => wal::scan(&storage.read(&format!("wal-{w}.log"))?).records,
-    };
-
     Ok(StoreSnapshot {
         files,
-        wal,
-        floor,
-        wal_index,
+        floor: layout.floor,
+        wal_index: layout.wal_index,
     })
 }
 

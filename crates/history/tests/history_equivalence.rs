@@ -10,17 +10,27 @@
 //!   detector with the original policy reproduces the original report
 //!   byte-for-byte, before and after compaction; replaying under a
 //!   different phase algorithm diffs cleanly.
+//! * **Snapshot ≡ recovery** — a rotation is interrupted at every
+//!   written byte (× page cache kept/lost); on the crashed directory
+//!   and on the one recovery leaves behind, `snapshot` lists the files
+//!   recovery loaded and a full scan returns the samples it restored.
+//! * **Backfill ≡ recovery** — a control the live detector refused is
+//!   in the journal; backfill refuses it again, as recovery does, and
+//!   still reproduces the recovered finish report.
 
 use std::collections::BTreeMap;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::engine::AlgoSpec;
+use hierod_detect::DetectError;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
 use hierod_history::backfill::{backfill, diff_reports};
 use hierod_history::compact::{compact, parse_level, CompactionOptions};
 use hierod_history::reader::{snapshot, HistoryReader, RangeQuery};
-use hierod_store::store::{parse_hist_name, read_floor, StoreOptions};
-use hierod_store::{segment, MemStorage, Storage};
+use hierod_store::store::{
+    hist_name, parse_hist_name, publish_floor, read_floor, seg_name, Store, StoreOptions,
+};
+use hierod_store::{segment, MemStorage, SegmentData, Storage};
 use hierod_stream::codec::decode_lane;
 use hierod_stream::{
     ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
@@ -375,8 +385,9 @@ fn compaction_crash_points_recover_equivalently() {
     for offset in (0..=total).step_by(97) {
         for keep_unsynced in [false, true] {
             let image = pristine.crash_image(true);
-            image.set_write_budget(Some(image.bytes_written() + offset));
+            image.set_write_budget(Some(offset));
             let result = compact(&image, sealed_end, &options);
+            assert_eq!(result.is_err(), offset < total, "offset={offset}");
             if result.is_err() {
                 assert!(image.killed(), "only the injected crash may fail");
             }
@@ -476,4 +487,172 @@ fn compaction_shrinks_the_stored_bytes() {
         hist_bytes < seg_bytes,
         "compressed history is smaller: {hist_bytes} vs {seg_bytes}"
     );
+}
+
+/// A fourth job, on `m1`, left open mid-phase: a rotation now has
+/// releases to seal, controls to carry and a reorder buffer to re-offer.
+fn open_fourth_job(d: &mut DurableStream<MemStorage>) {
+    let bed = "m1.bed.0".to_string();
+    d.control(&ControlEvent::job_start(
+        "m1",
+        "j1",
+        900,
+        JobConfig::new(vec!["speed".into()], vec![4.0]),
+    ))
+    .expect("job start");
+    d.control(&ControlEvent::phase_start(
+        "m1",
+        PhaseKind::WarmUp,
+        std::slice::from_ref(&bed),
+    ))
+    .expect("phase start");
+    for i in 0..16_u64 {
+        let t = 900 + (i ^ 1);
+        let sample = Sample {
+            timestamp: t,
+            value: (t as f64 * 0.37).sin(),
+        };
+        d.ingest(&lane("m1", &bed, LaneKind::Phase), sample)
+            .expect("ingest");
+    }
+}
+
+/// Every non-empty lane's samples across the sealed files a recovery
+/// loaded, in replay order.
+fn restored_samples(segments: &[SegmentData]) -> BTreeMap<LaneId, Vec<(u64, u64)>> {
+    let mut lanes: BTreeMap<u32, LaneId> = BTreeMap::new();
+    let mut out: BTreeMap<LaneId, Vec<(u64, u64)>> = BTreeMap::new();
+    for data in segments {
+        for def in &data.lane_defs {
+            lanes.insert(def.lane, decode_lane(&def.meta).expect("lane id"));
+        }
+        for chunk in data.chunks.iter().filter(|c| !c.timestamps.is_empty()) {
+            let id = lanes.get(&chunk.lane).expect("declared lane").clone();
+            let pairs = chunk.timestamps.iter().zip(chunk.values.iter());
+            out.entry(id)
+                .or_default()
+                .extend(pairs.map(|(&t, &v)| (t, v.to_bits())));
+        }
+    }
+    out
+}
+
+#[test]
+fn snapshot_reads_what_recovery_reads_at_every_byte_of_a_rotation() {
+    // Two of the three sealed segments go into history first, so the
+    // sweep runs over history files, a floor, a segment and the WAL.
+    let (pristine, _) = populated_store();
+    let l0_batch = 2;
+    let options = CompactionOptions {
+        l0_batch,
+        ..CompactionOptions::default()
+    };
+    compact(&pristine, 2, &options).expect("compact");
+    let mut d = open(pristine.clone());
+    open_fourth_job(&mut d);
+    drop(d);
+
+    let rotation_total = {
+        let probe = pristine.crash_image(true);
+        let mut d = open(probe.clone());
+        let before = probe.bytes_written();
+        d.rotate().expect("probe rotate");
+        probe.bytes_written() - before
+    };
+    assert!(rotation_total > 100, "a rotation worth sweeping");
+
+    let mut aborted = 0;
+    for extra in 0..=rotation_total {
+        for keep_unsynced in [false, true] {
+            let at = format!("budget {extra} keep_unsynced {keep_unsynced}");
+            let image = pristine.crash_image(true);
+            let mut d = open(image.clone());
+            image.set_write_budget(Some(extra));
+            assert_eq!(d.rotate().is_err(), extra < rotation_total, "{at}");
+            drop(d);
+            let crashed = image.crash_image(keep_unsynced);
+
+            let repaired = crashed.crash_image(true);
+            let (store, recovered) =
+                Store::open(repaired.clone(), StoreOptions { group_commit: 1 }).expect(&at);
+            let loaded: Vec<String> = std::iter::once(hist_name(0, 1))
+                .chain((2..store.wal_index()).map(seg_name))
+                .collect();
+            assert_eq!(
+                loaded.len(),
+                recovered.stats.hist_loaded + recovered.stats.segments_loaded
+            );
+            let restored = restored_samples(&recovered.segments);
+            let names = crashed.list().expect("list");
+            aborted += usize::from(names.contains(&seg_name(store.wal_index())));
+            drop(store);
+
+            for (which, dir) in [("crashed", &crashed), ("repaired", &repaired)] {
+                let snap = snapshot(dir).unwrap_or_else(|e| panic!("{at}: {which}: {e}"));
+                let listed: Vec<&str> = snap.files.iter().map(|f| f.name.as_str()).collect();
+                assert_eq!(listed, loaded, "{at}: {which}");
+                assert_eq!(
+                    scan_samples(dir, 0, u64::MAX),
+                    restored,
+                    "{at}: {which}: full scan ≡ what recovery restored"
+                );
+            }
+        }
+    }
+    assert!(
+        aborted > 0,
+        "the sweep visited a segment sealed beside its surviving WAL"
+    );
+}
+
+#[test]
+fn backfill_replays_a_refused_control_as_recovery_does() {
+    let storage = MemStorage::new();
+    let mut d = open(storage.clone());
+    let phase_start = ControlEvent::phase_start("m0", PhaseKind::WarmUp, &["m0.bed.0".to_string()]);
+    // Journalled before it is applied, then refused — once before the
+    // machine exists (sealed by the first rotation), once with every
+    // job complete (left in the WAL tail).
+    assert!(d.control(&phase_start).is_err());
+    run_scenario(&mut d);
+    let refused = d.control(&phase_start).expect_err("no open job");
+    assert!(refused.to_string().contains("open job on machine m0"));
+    let (journalled, sealed_end) = (d.controls_applied(), d.store().wal_index());
+    drop(d);
+
+    let (policy, config) = policy_and_config();
+    let original = finish_report(storage.crash_image(true));
+    for compacted in [false, true] {
+        if compacted {
+            compact(&storage, sealed_end, &CompactionOptions::default()).expect("compact");
+        }
+        let outcome = backfill(&[&storage], &policy, config, 0, u64::MAX, None)
+            .unwrap_or_else(|e| panic!("compacted {compacted}: {e}"));
+        assert_eq!(
+            format!("{:?}", outcome.report.report),
+            format!("{:?}", original.report),
+            "compacted {compacted}"
+        );
+        // Two machines up, three jobs of four controls each — and two
+        // journalled controls that were never accepted.
+        assert_eq!((journalled, outcome.controls_replayed), (16, 14));
+    }
+}
+
+#[test]
+fn backfill_takes_exactly_one_storage_root() {
+    // A directory no load accepts: a floor with no history under it.
+    let broken = MemStorage::new();
+    publish_floor(&broken, 3).expect("floor");
+    let (policy, config) = policy_and_config();
+    let run = |roots: &[&MemStorage]| backfill(roots, &policy, config, 0, u64::MAX, None);
+    for roots in [&[][..], &[&broken, &broken][..]] {
+        let err = run(roots).expect_err("one root exactly");
+        assert!(
+            matches!(err, DetectError::InvalidParameter { .. }),
+            "refused before storage is read: {err}"
+        );
+    }
+    let err = run(&[&broken]).expect_err("broken directory");
+    assert!(matches!(err, DetectError::Substrate(_)), "{err}");
 }

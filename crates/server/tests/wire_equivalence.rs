@@ -707,8 +707,18 @@ fn backfill_over_wire_reproduces_the_finish_report() {
     client.admit("plant-a", true).unwrap();
     drive_wire(&mut client, 32);
 
+    // One out-of-order control — the job is complete, there is no open
+    // job to start a phase in — is journalled, refused and parked: it
+    // answers the next request and the connection keeps serving.
+    client
+        .control(&scenario_events().pop().expect("the phase start"))
+        .unwrap();
+    let parked = client.tick().unwrap_err().to_string();
+    assert!(parked.contains("open job on machine m0"), "{parked}");
+
     // Backfill with the original policy replays the journal through a
-    // fresh detector: byte-identical to what finish will report.
+    // fresh detector: byte-identical to what finish will report. The
+    // refused control is refused again and not counted (five journalled).
     let (replayed, (controls, samples, skipped)) = client.backfill(0, u64::MAX, None).unwrap();
     assert_eq!(controls, 4, "machine-up, job-start, phase-start, complete");
     assert_eq!(samples, 32);

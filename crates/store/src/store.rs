@@ -18,18 +18,37 @@
 //! 3. delete `wal-N.log`
 //!
 //! Each step is individually atomic, so a crash anywhere leaves one of
-//! three recoverable states, all handled by the single recovery rule:
-//! **the active WAL is the highest-numbered one; segments with a lower
-//! index are applied in order; everything else is stale and removed.**
+//! three recoverable states. [`layout`] is **the single recovery rule**
+//! — the one function that reads a directory listing, and the only
+//! statement of which files are live. Everything that opens a store
+//! directory goes through it: [`Store::open`] (layout → remove the
+//! stale → load → truncate a torn WAL tail), the read-only [`load`]
+//! (the same minus the two mutating steps), and the history tier's
+//! `snapshot` and `compact`. It sorts every name into one of three
+//! classes:
+//!
+//! * **live** — the highest-numbered WAL; the rotation segments from
+//!   the compaction floor up to that WAL's index, which must be
+//!   contiguous; below the floor, the committed history files, which
+//!   must tile `0..floor`;
+//! * **stale** — `*.tmp` (never published), a lower-numbered WAL, a
+//!   rotation segment below the floor, a history file that reaches the
+//!   floor (never committed) or whose range is a strict subset of a
+//!   committed one (superseded): removed by `Store::open`, skipped by
+//!   every reader;
+//! * **ignored** — a segment at or above the WAL index: an aborted
+//!   rotation whose WAL survived. Nobody reads it and nobody removes
+//!   it; the next rotation rewrites it.
+//!
 //! A crash between 1 and 2 leaves `seg-N` and `wal-N` coexisting — the
-//! segment is ignored (its index is not lower than the WAL's) and the
-//! WAL replayed, so nothing is double-applied. A crash between 2 and 3
-//! leaves two WALs — the lower one's content is fully covered by
-//! `seg-N` + the carry-over, so it is deleted unread.
+//! segment is ignored and the WAL replayed, so nothing is
+//! double-applied. A crash between 2 and 3 leaves two WALs — the lower
+//! one's content is fully covered by `seg-N` + the carry-over, so it is
+//! stale and deleted unread.
 //!
 //! The active WAL tail is scanned with truncate-at-first-bad-record
-//! semantics; a damaged tail is rewritten (tmp + rename) to contain
-//! exactly the valid prefix.
+//! semantics; `Store::open` rewrites a damaged tail (tmp + rename) to
+//! contain exactly the valid prefix.
 //!
 //! ## Compaction (the history tier above rotation)
 //!
@@ -37,19 +56,12 @@
 //! compacted `hist-<lo>-<hi>.seg` files (inclusive index range) and
 //! advances the **compaction floor** — a tiny checksummed marker file
 //! holding the first index still owned by per-rotation segments. Its
-//! publication is the commit point, extending the rotation recovery
-//! rule without adding a second one: **below the floor the live history
-//! files are the truth; from the floor up, the per-rotation run and
-//! the highest-numbered WAL are.** Concretely, on open:
-//!
-//! * a history file whose range reaches the floor or beyond was never
-//!   committed (crash between its rename and the floor bump) — removed;
-//! * a history file whose range is a strict subset of another live one
-//!   was superseded by a tier merge whose input cleanup was interrupted
-//!   — removed;
-//! * the survivors must tile `0..floor` contiguously, and replace the
-//!   per-rotation segments below the floor (any of those still on disk
-//!   are interrupted-cleanup leftovers — removed, like stale WALs).
+//! publication is the commit point, and the rule above already covers
+//! every state it can leave: a history file published but not yet
+//! committed reaches the floor; a tier merge whose input cleanup was
+//! interrupted leaves strict subsets of the merged range; an L0 step
+//! whose cleanup was interrupted leaves rotation segments below the
+//! floor.
 
 use std::io;
 
@@ -208,6 +220,183 @@ pub fn publish_floor<S: Storage>(storage: &S, floor: u64) -> io::Result<()> {
     publish(storage, FLOOR_NAME, &image)
 }
 
+/// How [`layout`] divides a directory listing: what is live, what is
+/// stale (by kind), and what is merely ignored. Every listed name falls
+/// into exactly one of the three.
+#[derive(Debug, Clone, Default)]
+pub struct Layout {
+    /// The compaction floor the listing was read under.
+    pub floor: u64,
+    /// Index of the active WAL. The live rotation segments are exactly
+    /// `floor..wal_index`.
+    pub wal_index: u64,
+    /// Whether the active WAL is listed. A fresh directory has none, nor
+    /// has one that crashed before its very first WAL became durable.
+    pub wal_present: bool,
+    /// Live history ranges (inclusive), ascending: they tile `0..floor`.
+    pub hist: Vec<(u64, u64)>,
+    /// Stale: `*.tmp` files, written but never published.
+    pub stale_tmp: Vec<String>,
+    /// Stale: history files never committed (they reach the floor) or
+    /// superseded (a strict subset of a committed range).
+    pub stale_hist: Vec<String>,
+    /// Stale: rotation segments below the floor.
+    pub stale_segments: Vec<String>,
+    /// Stale: WALs below the highest-numbered one.
+    pub stale_wals: Vec<String>,
+    /// Neither read nor removed: a rotation segment at or above the WAL
+    /// index (an aborted rotation whose WAL survived; the next rotation
+    /// rewrites it), and any name that is not a store file's — the floor
+    /// marker among them, whose content arrives as `floor`.
+    pub ignored: Vec<String>,
+}
+
+impl Layout {
+    /// Names of the live sealed files in replay order: history files by
+    /// range start, then rotation segments by index.
+    pub fn sealed_names(&self) -> impl Iterator<Item = String> + '_ {
+        let hist = self.hist.iter().map(|&(lo, hi)| hist_name(lo, hi));
+        hist.chain((self.floor..self.wal_index).map(seg_name))
+    }
+}
+
+/// The single recovery rule (module docs): sorts a directory listing,
+/// read under compaction floor `floor`, into live, stale and ignored
+/// names. Pure — it touches no storage, so the store's recovery and
+/// every read-only consumer see one directory the same way.
+///
+/// # Errors
+/// A listing whose live files do not cover what they must: history
+/// files that leave a gap in `0..floor` or stop short of it (a committed
+/// history file vanished — as fatal as a missing rotation segment), or
+/// rotation segments that are not exactly `floor..wal_index` (rotation
+/// seals every index once, so the run is contiguous), or an active WAL
+/// below the floor.
+pub fn layout(names: &[String], floor: u64) -> io::Result<Layout> {
+    let mut out = Layout {
+        floor,
+        ..Layout::default()
+    };
+    let mut hist = Vec::new();
+    let mut segs = Vec::new();
+    let mut wals = Vec::new();
+    for name in names {
+        if name.ends_with(".tmp") {
+            out.stale_tmp.push(name.clone());
+        } else if let Some(range) = parse_hist_name(name) {
+            hist.push((range, name));
+        } else if let Some(index) = parse_index(name, "seg-", ".seg") {
+            segs.push((index, name));
+        } else if let Some(index) = parse_index(name, "wal-", ".log") {
+            wals.push((index, name));
+        } else {
+            out.ignored.push(name.clone());
+        }
+    }
+
+    hist.sort_unstable();
+    let mut next_expected = 0;
+    for &((lo, hi), name) in &hist {
+        let committed = hi < floor;
+        let superseded = hist
+            .iter()
+            .any(|&((l2, h2), _)| l2 <= lo && hi <= h2 && (h2 - l2) > (hi - lo) && h2 < floor);
+        if !committed || superseded {
+            out.stale_hist.push(name.clone());
+            continue;
+        }
+        if lo != next_expected {
+            return Err(invalid(format!(
+                "history run mismatch: expected range starting at {next_expected}, \
+                 found hist-{lo}-{hi}.seg"
+            )));
+        }
+        out.hist.push((lo, hi));
+        next_expected = hi + 1;
+    }
+    if next_expected != floor {
+        return Err(invalid(format!(
+            "history run mismatch: floor is {floor} but history covers 0..{next_expected}"
+        )));
+    }
+
+    let active = wals.iter().map(|&(index, _)| index).max();
+    out.wal_present = active.is_some();
+    for &(index, name) in &wals {
+        if Some(index) < active {
+            out.stale_wals.push(name.clone());
+        }
+    }
+    segs.sort_unstable();
+    // With no WAL at all, start after the last sealed segment, or at the
+    // floor when compaction consumed them all.
+    out.wal_index = active.unwrap_or_else(|| segs.last().map_or(0, |&(m, _)| m + 1).max(floor));
+    let mut run = Vec::with_capacity(segs.len());
+    for &(index, name) in &segs {
+        if index < floor {
+            out.stale_segments.push(name.clone());
+        } else if index < out.wal_index {
+            run.push(index);
+        } else {
+            out.ignored.push(name.clone());
+        }
+    }
+    // A WAL below the floor would seal its next segment under history
+    // that already covers the index: as inconsistent as a gap.
+    if out.wal_index < floor || !run.iter().copied().eq(floor..out.wal_index) {
+        return Err(invalid(format!(
+            "segment run mismatch: expected seg-{floor}..seg-{}, found {run:?}",
+            out.wal_index
+        )));
+    }
+    Ok(out)
+}
+
+/// Lists the directory, reads its floor marker and applies [`layout`].
+///
+/// # Errors
+/// Storage I/O failures, a damaged floor marker, and [`layout`]'s.
+pub fn read_layout<S: Storage>(storage: &S) -> io::Result<Layout> {
+    layout(&storage.list()?, read_floor(storage)?)
+}
+
+/// Reads what `layout` calls live: every sealed file, decoded and
+/// verified end to end, and the valid prefix of the active WAL.
+fn load_files<S: Storage>(storage: &S, layout: &Layout) -> io::Result<Recovered> {
+    let mut recovered = Recovered::default();
+    for name in layout.sealed_names() {
+        let data =
+            segment::decode(&storage.read(&name)?).map_err(|e| invalid(format!("{name}: {e}")))?;
+        recovered.segments.push(data);
+    }
+    recovered.stats.hist_loaded = layout.hist.len();
+    recovered.stats.segments_loaded = recovered.segments.len() - layout.hist.len();
+    if layout.wal_present {
+        let bytes = storage.read(&wal_name(layout.wal_index))?;
+        let scanned = wal::scan(&bytes);
+        recovered.stats.wal_records = scanned.records.len();
+        if scanned.corruption.is_some() {
+            recovered.stats.wal_truncated_bytes =
+                (bytes.len() as u64).saturating_sub(scanned.valid_len as u64);
+        }
+        recovered.stats.corruption = scanned.corruption;
+        recovered.wal = scanned.records;
+    }
+    Ok(recovered)
+}
+
+/// [`Store::open`]'s reading of a directory without its two mutating
+/// steps: nothing stale is removed and a torn WAL tail is skipped, not
+/// truncated, so this may run beside the store that owns the directory.
+/// The removal counters of the returned stats stay zero;
+/// `wal_truncated_bytes` counts the bytes past the valid prefix.
+///
+/// # Errors
+/// As [`Store::open`].
+pub fn load<S: Storage>(storage: &S) -> io::Result<Recovered> {
+    load_files(storage, &read_layout(storage)?)
+}
+
 /// A durable record log with segment sealing and crash recovery.
 pub struct Store<S: Storage> {
     storage: S,
@@ -224,149 +413,36 @@ pub struct Store<S: Storage> {
 }
 
 impl<S: Storage> Store<S> {
-    /// Opens (or initialises) a store, running full recovery: load and
-    /// verify every sealed segment, scan the active WAL tail, truncate
-    /// damage, and clean up interrupted-rotation leftovers.
+    /// Opens (or initialises) a store, running full recovery: apply
+    /// [`layout`], remove what it calls stale, load and verify every
+    /// sealed file, scan the active WAL tail and truncate damage.
     ///
     /// # Errors
-    /// Storage I/O failures; a sealed segment that is missing or fails
-    /// verification (segments have no salvageable prefix).
+    /// Storage I/O failures; a directory [`layout`] rejects (nothing is
+    /// removed from it); a sealed file that fails verification (sealed
+    /// files have no salvageable prefix).
     pub fn open(storage: S, options: StoreOptions) -> io::Result<(Self, Recovered)> {
-        let mut recovered = Recovered::default();
-        let names = storage.list()?;
-
-        // Interrupted rotations leave `*.tmp` files; they were never
-        // published, so they are garbage.
-        for name in names.iter().filter(|n| n.ends_with(".tmp")) {
+        let layout = read_layout(&storage)?;
+        let stale = [
+            &layout.stale_tmp,
+            &layout.stale_hist,
+            &layout.stale_segments,
+            &layout.stale_wals,
+        ];
+        for name in stale.into_iter().flatten() {
             storage.remove(name)?;
-            recovered.stats.tmp_files_removed += 1;
         }
+        let mut recovered = load_files(&storage, &layout)?;
+        recovered.stats.tmp_files_removed = layout.stale_tmp.len();
+        recovered.stats.stale_hist_removed = layout.stale_hist.len();
+        recovered.stats.stale_segments_removed = layout.stale_segments.len();
+        recovered.stats.stale_wals_removed = layout.stale_wals.len();
 
-        // Compacted history below the floor (module docs): drop
-        // uncommitted ranges (they reach the floor), drop ranges a
-        // bigger live range supersedes, and demand the rest tile
-        // `0..floor` — a gap means a committed history file vanished,
-        // which is as fatal as a missing rotation segment.
-        let floor = read_floor(&storage)?;
-        let mut hist: Vec<(u64, u64)> = names.iter().filter_map(|n| parse_hist_name(n)).collect();
-        hist.sort_unstable();
-        let mut live_hist = Vec::with_capacity(hist.len());
-        for &(lo, hi) in &hist {
-            let committed = hi < floor;
-            let superseded = hist
-                .iter()
-                .any(|&(l2, h2)| l2 <= lo && hi <= h2 && (h2 - l2) > (hi - lo) && h2 < floor);
-            if committed && !superseded {
-                live_hist.push((lo, hi));
-            } else {
-                storage.remove(&hist_name(lo, hi))?;
-                recovered.stats.stale_hist_removed += 1;
-            }
-        }
-        let mut next_expected = 0;
-        for &(lo, hi) in &live_hist {
-            if lo != next_expected {
-                return Err(invalid(format!(
-                    "history run mismatch: expected range starting at {next_expected}, \
-                     found hist-{lo}-{hi}.seg"
-                )));
-            }
-            next_expected = hi + 1;
-        }
-        if next_expected != floor {
-            return Err(invalid(format!(
-                "history run mismatch: floor is {floor} but history covers 0..{next_expected}"
-            )));
-        }
-
-        let wal_indices: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_index(n, "wal-", ".log"))
-            .collect();
-        let seg_indices: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_index(n, "seg-", ".seg"))
-            .collect();
-
-        // Rotation segments the floor has overtaken are stale copies of
-        // data now owned by history files (interrupted L0 cleanup).
-        let mut seg_live = Vec::with_capacity(seg_indices.len());
-        for &i in &seg_indices {
-            if i < floor {
-                storage.remove(&seg_name(i))?;
-                recovered.stats.stale_segments_removed += 1;
-            } else {
-                seg_live.push(i);
-            }
-        }
-
-        let wal_index = match wal_indices.iter().max().copied() {
-            Some(active) => {
-                // A crash between publishing the next WAL and deleting
-                // the old one leaves lower-numbered WALs behind; their
-                // content is covered by the sealed segments + carry-over.
-                for &stale in wal_indices.iter().filter(|&&i| i < active) {
-                    storage.remove(&wal_name(stale))?;
-                    recovered.stats.stale_wals_removed += 1;
-                }
-                active
-            }
-            None => {
-                // Fresh directory (or a crash before the very first WAL
-                // became durable): start after the last sealed segment,
-                // or at the floor when compaction consumed them all.
-                seg_live.iter().max().map_or(0, |&m| m + 1).max(floor)
-            }
-        };
-
-        // History files replay first: they cover the lowest indices.
-        for &(lo, hi) in &live_hist {
-            let bytes = storage.read(&hist_name(lo, hi))?;
-            let data =
-                segment::decode(&bytes).map_err(|e| invalid(format!("hist-{lo}-{hi}.seg: {e}")))?;
-            recovered.segments.push(data);
-            recovered.stats.hist_loaded += 1;
-        }
-
-        // Apply exactly the segments from the floor to the active WAL,
-        // in order. Rotation seals every index once, so the run must be
-        // contiguous.
-        let expected: Vec<u64> = (floor..wal_index).collect();
-        let mut have = seg_live.clone();
-        have.sort_unstable();
-        have.dedup();
-        have.retain(|&i| i < wal_index);
-        if have != expected {
-            return Err(invalid(format!(
-                "segment run mismatch: expected seg-{floor}..seg-{wal_index}, found {have:?}"
-            )));
-        }
-        for &index in &expected {
-            let bytes = storage.read(&seg_name(index))?;
-            let data =
-                segment::decode(&bytes).map_err(|e| invalid(format!("seg-{index}.seg: {e}")))?;
-            recovered.segments.push(data);
-            recovered.stats.segments_loaded += 1;
-        }
-        // A segment at or above the WAL index is an aborted rotation
-        // whose WAL survived; it will be rewritten by the next rotation.
-
-        // Scan the active WAL tail (if it exists) and truncate damage.
-        let active_name = wal_name(wal_index);
-        let existing = names.contains(&active_name);
-        if existing {
-            let bytes = storage.read(&active_name)?;
-            let scanned = wal::scan(&bytes);
-            recovered.stats.wal_records = scanned.records.len();
-            if let Some(corruption) = scanned.corruption {
-                recovered.stats.corruption = Some(corruption);
-                recovered.stats.wal_truncated_bytes =
-                    (bytes.len() as u64).saturating_sub(scanned.valid_len as u64);
-                publish(&storage, &active_name, &wal::encode_image(&scanned.records))?;
-            }
-            recovered.wal = scanned.records;
-        } else {
-            publish(&storage, &active_name, &wal::encode_image(&[]))?;
+        // A damaged tail is rewritten to exactly its valid prefix; a
+        // missing WAL starts empty.
+        let active_name = wal_name(layout.wal_index);
+        if recovered.stats.corruption.is_some() || !layout.wal_present {
+            publish(&storage, &active_name, &wal::encode_image(&recovered.wal))?;
         }
 
         let writer = storage.open_append(&active_name)?;
@@ -374,8 +450,8 @@ impl<S: Storage> Store<S> {
             Self {
                 storage,
                 writer,
-                wal_index,
-                floor,
+                wal_index: layout.wal_index,
+                floor: layout.floor,
                 group_commit: options.group_commit.max(1),
                 unsynced: 0,
                 staged: Vec::new(),

@@ -64,9 +64,9 @@ use std::io;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::{DetectError, Result};
-use hierod_store::segment::{ControlRecord, LaneDef, SegmentChunk, SegmentDraft};
+use hierod_store::segment::{ControlRecord, DecodedChunk, LaneDef, SegmentChunk, SegmentDraft};
 use hierod_store::storage::Storage;
-use hierod_store::store::{RecoveryStats, Store, StoreOptions};
+use hierod_store::store::{Recovered, RecoveryStats, Store, StoreOptions};
 use hierod_store::wal::WalRecord;
 
 use crate::codec::{decode_control, decode_lane, encode_control, encode_lane};
@@ -82,15 +82,17 @@ fn substrate(e: io::Error) -> DetectError {
     DetectError::Substrate(format!("store: {e}"))
 }
 
-/// Stamps every pipeline the control `seq` just opened. Pipelines only
-/// come into existence through control events, so "untagged" means
+/// Applies control `seq` and stamps every pipeline it opened. Pipelines
+/// only come into existence through control events, so "untagged" means
 /// "created by the event that was just applied".
-fn tag_new_pipelines(inner: &mut StreamDetector, seq: u64) {
+fn apply_tagged(inner: &mut StreamDetector, seq: u64, event: &ControlEvent) -> Result<()> {
+    inner.apply(event)?;
     for slot in inner.pipelines_mut() {
         if slot.pipe.opened_seq.is_none() {
             slot.pipe.opened_seq = Some(seq);
         }
     }
+    Ok(())
 }
 
 /// What [`DurableStream::open`] rebuilt and repaired.
@@ -139,22 +141,157 @@ pub struct DurableStream<S: Storage> {
     corrupt_records: u64,
 }
 
-fn bind_lane(lanes: &mut Vec<LaneSlot>, inner: &mut StreamDetector, lane: u32, meta: &[u8]) {
-    let Some(id) = decode_lane(meta) else { return };
-    if let Some(slot) = dense_slot(lanes, lane) {
-        slot.bound = Some((id.clone(), inner.lane(&id)));
+/// A bound lane, as [`replay_journal`] hands it to its consumer.
+pub struct ReplayLane<'a> {
+    /// The lane's id.
+    pub id: &'a LaneId,
+    /// The replayed detector's handle for it.
+    pub handle: LaneHandle,
+    /// Samples journalled on the lane — recovery's to credit.
+    delivered: &'a mut u64,
+}
+
+/// What the journal holds for a bound lane at one step of
+/// [`replay_journal`].
+pub enum Stored<'a> {
+    /// A sealed chunk: samples the live detector released, in time
+    /// order, on the pipeline the control `after_control_seq` opened.
+    Chunk(&'a DecodedChunk),
+    /// One WAL-tail sample as it was offered (the live detector may
+    /// have turned it down).
+    Sample(Sample),
+}
+
+/// What [`replay_journal`] leaves behind.
+pub struct Replayed {
+    lanes: Vec<LaneSlot>,
+    next_seq: u64,
+    /// The WAL tail's controls, owed to the next segment.
+    unsealed_controls: Vec<ControlRecord>,
+    /// Journalled controls the detector accepted. One it refused live
+    /// (or whose payload does not decode) is in the journal all the
+    /// same and is not counted here.
+    pub controls_accepted: u64,
+}
+
+impl Replayed {
+    fn bind(&mut self, inner: &mut StreamDetector, lane: u32, meta: &[u8]) {
+        let Some(id) = decode_lane(meta) else { return };
+        if let Some(slot) = dense_slot(&mut self.lanes, lane) {
+            let handle = inner.lane(&id);
+            slot.bound = Some((id, handle));
+        }
     }
+
+    fn control(&mut self, inner: &mut StreamDetector, seq: u64, payload: &[u8]) {
+        self.next_seq = self.next_seq.max(seq.saturating_add(1));
+        let accepted =
+            decode_control(payload).is_some_and(|event| apply_tagged(inner, seq, &event).is_ok());
+        self.controls_accepted += u64::from(accepted);
+    }
+
+    fn samples(
+        &mut self,
+        inner: &mut StreamDetector,
+        lane: u32,
+        stored: Stored<'_>,
+        on_samples: &mut impl FnMut(&mut StreamDetector, ReplayLane<'_>, Stored<'_>),
+    ) {
+        if let Some(LaneSlot {
+            bound: Some((id, handle)),
+            delivered,
+            ..
+        }) = self.lanes.get_mut(lane as usize)
+        {
+            let lane = ReplayLane {
+                id,
+                handle: *handle,
+                delivered,
+            };
+            on_samples(inner, lane, stored);
+        }
+    }
+}
+
+/// The journal-order walk: replays what a load of a store directory
+/// returned ([`Store::open`], [`hierod_store::store::load`]) into
+/// `inner`, a fresh detector, in the order the live one saw it. Per
+/// sealed file: its lane definitions, then its controls and chunks
+/// merged by sequence number — a chunk sorts directly after the control
+/// that opened its pipeline and before any later control (which may
+/// close that pipeline again). Then the WAL tail, record by record.
+///
+/// The walk itself binds lanes (each resolved once, to a handle) and
+/// applies controls; `on_samples` decides what a chunk or a tail sample
+/// on a bound lane does to the detector. One rule covers every record
+/// the live path journalled and then turned down — a control the
+/// detector refuses, a payload or lane definition that does not decode,
+/// a lane number at or above [`MAX_LANES`], samples on an unbound lane:
+/// it is turned down again, identically, and the replay goes on.
+pub fn replay_journal(
+    loaded: &Recovered,
+    inner: &mut StreamDetector,
+    mut on_samples: impl FnMut(&mut StreamDetector, ReplayLane<'_>, Stored<'_>),
+) -> Replayed {
+    enum Item<'a> {
+        Control(&'a ControlRecord),
+        Chunk(&'a DecodedChunk),
+    }
+    let mut out = Replayed {
+        lanes: Vec::new(),
+        next_seq: 1,
+        unsealed_controls: Vec::new(),
+        controls_accepted: 0,
+    };
+    for seg in &loaded.segments {
+        for def in &seg.lane_defs {
+            out.bind(inner, def.lane, &def.meta);
+        }
+        let controls = seg.controls.iter().map(|c| (c.seq, Item::Control(c)));
+        let chunks = seg.chunks.iter();
+        let chunks = chunks.map(|ch| (ch.after_control_seq, Item::Chunk(ch)));
+        let mut items: Vec<(u64, Item)> = controls.chain(chunks).collect();
+        // Stable: chunks of one control keep their file order.
+        items.sort_by_key(|(seq, item)| (*seq, matches!(item, Item::Chunk(_))));
+        for (seq, item) in items {
+            match item {
+                Item::Control(c) => out.control(inner, seq, &c.payload),
+                Item::Chunk(ch) => out.samples(inner, ch.lane, Stored::Chunk(ch), &mut on_samples),
+            }
+        }
+    }
+    for record in &loaded.wal {
+        match record {
+            WalRecord::LaneDef { lane, meta } => out.bind(inner, *lane, meta),
+            WalRecord::Control { seq, payload } => {
+                out.unsealed_controls.push(ControlRecord {
+                    seq: *seq,
+                    payload: payload.clone(),
+                });
+                out.control(inner, *seq, payload);
+            }
+            &WalRecord::Sample {
+                lane,
+                timestamp,
+                value,
+            } => {
+                let sample = Stored::Sample(Sample { timestamp, value });
+                out.samples(inner, lane, sample, &mut on_samples);
+            }
+        }
+    }
+    out
 }
 
 impl<S: Storage> DurableStream<S> {
     /// Opens (or recovers) a durable detector on `storage`.
     ///
-    /// An empty directory starts a fresh stream. Otherwise every sealed
-    /// segment is decoded and replayed — controls and chunks merged in
-    /// sequence order — and the WAL tail (truncated at its first
-    /// corrupt record, if any) is re-ingested through the ordinary
-    /// paths, leaving the detector in exactly the state the last
-    /// durable write observed.
+    /// An empty directory starts a fresh stream. Otherwise the store's
+    /// recovery loads the directory and [`replay_journal`] walks it:
+    /// sealed chunks are restored into the pipelines their controls
+    /// opened, and the WAL tail (truncated at its first corrupt record,
+    /// if any) is re-ingested through the ordinary path, leaving the
+    /// detector in exactly the state the last durable write observed.
     ///
     /// # Errors
     /// Storage failures and segment damage (segments are fully
@@ -169,124 +306,53 @@ impl<S: Storage> DurableStream<S> {
     ) -> Result<(Self, DurableRecovery)> {
         let (store, recovered) = Store::open(storage, options).map_err(substrate)?;
         let mut inner = StreamDetector::new(policy, config)?;
-        let mut lanes: Vec<LaneSlot> = Vec::new();
-        let mut next_seq = 1_u64;
         let mut restored_samples = 0_u64;
         let mut replayed_samples = 0_u64;
-
-        for seg in &recovered.segments {
-            for def in &seg.lane_defs {
-                bind_lane(&mut lanes, &mut inner, def.lane, &def.meta);
-            }
-            // Merge controls and chunks back into the order they were
-            // journalled: a chunk sorts directly after the control that
-            // opened its pipeline and before any later control (which
-            // may close that pipeline again).
-            enum Item<'a> {
-                Control(&'a ControlRecord),
-                Chunk(&'a hierod_store::segment::DecodedChunk),
-            }
-            let mut items: Vec<(u64, u8, Item)> = Vec::new();
-            for c in &seg.controls {
-                items.push((c.seq, 0, Item::Control(c)));
-            }
-            for ch in &seg.chunks {
-                items.push((ch.after_control_seq, 1, Item::Chunk(ch)));
-            }
-            items.sort_by_key(|&(seq, order, _)| (seq, order));
-            for (_, _, item) in items {
-                match item {
-                    Item::Control(c) => {
-                        next_seq = next_seq.max(c.seq.saturating_add(1));
-                        if let Some(event) = decode_control(&c.payload) {
-                            if inner.apply(&event).is_ok() {
-                                tag_new_pipelines(&mut inner, c.seq);
-                            }
-                        }
-                    }
-                    Item::Chunk(ch) => {
-                        let Some(lane) = lanes.get_mut(ch.lane as usize) else {
-                            continue;
-                        };
-                        let Some((id, _)) = &lane.bound else { continue };
-                        let mut adjustment = None;
-                        for slot in inner.pipelines_mut() {
-                            if slot.machine == id.machine
-                                && slot.sensor == id.sensor
-                                && slot.kind == id.kind
-                                && slot.pipe.opened_seq == Some(ch.after_control_seq)
-                            {
-                                let before = slot.pipe.watermark.stats();
-                                slot.pipe.restore_chunk(
-                                    &ch.timestamps,
-                                    &ch.values,
-                                    ch.late_dropped,
-                                    ch.duplicates_dropped,
-                                );
-                                // Counters in the chunk are absolute;
-                                // the offer-time credit is this chunk's
-                                // increment over the previous one.
-                                let late =
-                                    ch.late_dropped.saturating_sub(before.late_dropped as u64);
-                                let dups = ch
-                                    .duplicates_dropped
-                                    .saturating_sub(before.duplicates_dropped as u64);
-                                adjustment = Some(ch.timestamps.len() as u64 + late + dups);
-                                break;
-                            }
-                        }
-                        if let Some(adj) = adjustment {
-                            inner.add_recovered_ingested(adj);
-                            restored_samples += ch.timestamps.len() as u64;
-                            lane.delivered += adj;
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut unsealed_controls = Vec::new();
-        for record in &recovered.wal {
-            match record {
-                WalRecord::LaneDef { lane, meta } => bind_lane(&mut lanes, &mut inner, *lane, meta),
-                WalRecord::Control { seq, payload } => {
-                    next_seq = next_seq.max(seq.saturating_add(1));
-                    unsealed_controls.push(ControlRecord {
-                        seq: *seq,
-                        payload: payload.clone(),
-                    });
-                    if let Some(event) = decode_control(payload) {
-                        if inner.apply(&event).is_ok() {
-                            tag_new_pipelines(&mut inner, *seq);
-                        }
-                    }
-                }
-                WalRecord::Sample {
-                    lane,
-                    timestamp,
-                    value,
-                } => {
-                    let Some(slot) = lanes.get_mut(*lane as usize) else {
-                        continue;
-                    };
-                    let Some((_, route)) = slot.bound else {
-                        continue;
-                    };
+        let replayed = replay_journal(&recovered, &mut inner, |inner, lane, stored| {
+            let ch = match stored {
+                Stored::Chunk(ch) => ch,
+                Stored::Sample(sample) => {
                     replayed_samples += 1;
-                    slot.delivered += 1;
+                    *lane.delivered += 1;
                     // A sample the pre-crash detector rejected is
                     // re-rejected here with the same error; either way
                     // it was journalled, so it counts as delivered.
-                    let _ = inner.ingest_resolved(
-                        route,
-                        Sample {
-                            timestamp: *timestamp,
-                            value: *value,
-                        },
-                    );
+                    let _ = inner.ingest_resolved(lane.handle, sample);
+                    return;
                 }
-            }
-        }
+            };
+            let Some(slot) = inner.pipelines_mut().find(|slot| {
+                slot.machine == lane.id.machine
+                    && slot.sensor == lane.id.sensor
+                    && slot.kind == lane.id.kind
+                    && slot.pipe.opened_seq == Some(ch.after_control_seq)
+            }) else {
+                return;
+            };
+            let before = slot.pipe.watermark.stats();
+            slot.pipe.restore_chunk(
+                &ch.timestamps,
+                &ch.values,
+                ch.late_dropped,
+                ch.duplicates_dropped,
+            );
+            // Counters in the chunk are absolute; the offer-time credit
+            // is this chunk's increment over the previous one.
+            let late = ch.late_dropped.saturating_sub(before.late_dropped as u64);
+            let dups = ch
+                .duplicates_dropped
+                .saturating_sub(before.duplicates_dropped as u64);
+            let credit = ch.timestamps.len() as u64 + late + dups;
+            inner.add_recovered_ingested(credit);
+            restored_samples += ch.timestamps.len() as u64;
+            *lane.delivered += credit;
+        });
+        let Replayed {
+            mut lanes,
+            next_seq,
+            unsealed_controls,
+            ..
+        } = replayed;
 
         let corrupt_records = match &recovered.stats.corruption {
             Some(c) => {
@@ -378,11 +444,7 @@ impl<S: Storage> DurableStream<S> {
     /// detector's lifecycle errors.
     pub fn control(&mut self, event: &ControlEvent) -> Result<()> {
         let seq = self.journal_control(encode_control(event))?;
-        let result = self.inner.apply(event);
-        if result.is_ok() {
-            tag_new_pipelines(&mut self.inner, seq);
-        }
-        result
+        apply_tagged(&mut self.inner, seq, event)
     }
 
     /// Journals one sample on a resolved lane and applies it.

@@ -6,7 +6,9 @@
 //! tick), `store_recovery`, `tenant_recovery`, `wire_equivalence`,
 //! `history_equivalence`, `adapt_equivalence`.
 //! `served_runs_equal_per_record_ingest` is the small case of
-//! `wire_equivalence`'s fragmentation pin.
+//! `wire_equivalence`'s fragmentation pin, and
+//! `aborted_rotation_recovers_and_range_scan_answers` of
+//! `history_equivalence`'s snapshot ≡ recovery sweep.
 
 use std::collections::BTreeMap;
 use std::thread;
@@ -88,12 +90,12 @@ fn registry(factory: MemFactory) -> PlantRegistry<MemFactory> {
 }
 
 fn service() -> RegistryService<MemFactory> {
-    RegistryService::open(
-        MemFactory::new(),
-        AlgorithmPolicy::default(),
-        TenantConfig::default(),
-    )
-    .expect("service")
+    service_on(MemFactory::new())
+}
+
+fn service_on(factory: MemFactory) -> RegistryService<MemFactory> {
+    RegistryService::open(factory, AlgorithmPolicy::default(), TenantConfig::default())
+        .expect("service")
 }
 
 #[test]
@@ -281,6 +283,48 @@ fn backfill_equals_finish() {
         format!("{:?}", original.report)
     );
     assert_eq!(encode_report(&original), reference(&events));
+}
+
+/// A rotation that dies between sealing its segment and starting the
+/// next WAL leaves the segment beside the WAL it was sealed from.
+/// Recovery ignores such a segment; so does every reader of the plant.
+#[test]
+fn aborted_rotation_recovers_and_range_scan_answers() {
+    use hierod::history::RangeQuery;
+    use hierod::store::Storage;
+
+    let events = script(42);
+    let (before, after) = events.split_at(events.len() / 2);
+    let mut svc = service();
+    svc.admit("p", true).expect("admit");
+    drive!(svc, before, "p");
+    svc.rotate("p").expect("rotate");
+    drive!(svc, after, "p");
+    svc.tick("p").expect("tick");
+
+    // The next segment's length, from sealing it on a copy: the write
+    // budget that lets exactly that much through kills the rotation on
+    // the first byte of the next WAL.
+    let probe = service_on(svc.registry().factory().crash_image(true));
+    probe.rotate("p").expect("probe rotate");
+    let shard = |svc: &RegistryService<MemFactory>| {
+        let shard = svc.registry().factory().storage("p", 0);
+        shard.expect("the plant's one shard")
+    };
+    let seg_len = shard(&probe).file_len("seg-1.seg").expect("sealed");
+    shard(&svc).set_write_budget(Some(seg_len as u64));
+    svc.rotate("p").expect_err("killed mid-rotation");
+
+    let svc = service_on(svc.registry().factory().crash_image(false));
+    let names = shard(&svc).list().expect("list");
+    for name in ["seg-0.seg", "seg-1.seg", "wal-1.log"] {
+        assert!(names.iter().any(|n| n == name), "{name} in {names:?}");
+    }
+    let query = RangeQuery::range(0, u64::MAX);
+    let (_, scanned) = svc.range_scan("p", &query).expect("range scan");
+    assert!(scanned.samples > 0, "the first rotation's samples");
+    let report = svc.finish("p").expect("finish");
+    assert_eq!(encode_report(&report), reference(&events));
 }
 
 #[test]
