@@ -379,16 +379,11 @@ impl<S: Storage> AdaptiveStream<S> {
 struct Hole;
 
 impl OnlineScorer for Hole {
-    fn push(
-        &mut self,
-        _timestamp: u64,
-        _value: f64,
-        _out: &mut Vec<hierod_detect::online::ScoredPoint>,
-    ) -> Result<()> {
+    fn push(&mut self, _timestamp: u64, _value: f64, _out: &mut Vec<f64>) -> Result<()> {
         Ok(())
     }
 
-    fn finish(&mut self, _out: &mut Vec<hierod_detect::online::ScoredPoint>) -> Result<()> {
+    fn finish(&mut self, _out: &mut Vec<f64>) -> Result<()> {
         Ok(())
     }
 

@@ -9,7 +9,7 @@
 //! [`StreamStats`](hierod_stream::StreamStats)) and latch a pending
 //! flag the refit layer polls at tick boundaries.
 
-use hierod_detect::online::{OnlineScorer, ScoredPoint};
+use hierod_detect::online::OnlineScorer;
 use hierod_detect::Result;
 
 use crate::drift::{DriftEvent, DriftMonitor};
@@ -39,7 +39,7 @@ pub struct DriftingScorer {
     pending: bool,
     last_event: Option<DriftEvent>,
     observed: u64,
-    scratch: Vec<ScoredPoint>,
+    scratch: Vec<f64>,
 }
 
 impl DriftingScorer {
@@ -89,15 +89,15 @@ impl DriftingScorer {
 }
 
 impl OnlineScorer for DriftingScorer {
-    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<f64>) -> Result<()> {
         self.scratch.clear();
         self.inner.push(timestamp, value, &mut self.scratch)?;
-        for p in &self.scratch {
+        for score in &self.scratch {
             self.observed += 1;
             if self.observed <= MONITOR_WARMUP {
                 continue;
             }
-            if let Some(e) = self.monitor.observe(p.score.min(SCORE_CLIP)) {
+            if let Some(e) = self.monitor.observe(score.min(SCORE_CLIP)) {
                 self.drift_events += 1;
                 self.pending = true;
                 self.last_event = Some(e);
@@ -107,7 +107,7 @@ impl OnlineScorer for DriftingScorer {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn finish(&mut self, out: &mut Vec<f64>) -> Result<()> {
         // Flushed scores are not monitored: the stream is over, nothing
         // left to adapt.
         self.inner.finish(out)
@@ -134,7 +134,9 @@ impl OnlineScorer for DriftingScorer {
 mod tests {
     use super::*;
     use crate::drift::MonitorSpec;
-    use hierod_detect::online::RollingRobustZ;
+    use hierod_detect::engine::{self, AlgoSpec};
+    use hierod_detect::online::{RollingRobustZ, WindowedBatch};
+    use proptest::prelude::*;
 
     fn wrapped() -> DriftingScorer {
         DriftingScorer::new(
@@ -143,20 +145,51 @@ mod tests {
         )
     }
 
-    #[test]
-    fn scores_are_identical_to_unwrapped() {
-        let mut bare = RollingRobustZ::new(32).expect("scorer");
-        let mut adaptive = wrapped();
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for t in 0..500_u64 {
-            let v = (t as f64 * 0.17).sin() + if t == 300 { 25.0 } else { 0.0 };
-            bare.push(t, v, &mut out_a).expect("bare");
-            adaptive.push(t, v, &mut out_b).expect("adaptive");
+    /// Drives `scorer` over `values`; `None` when it gave the series up.
+    fn drive(mut scorer: Box<dyn OnlineScorer>, values: &[f64]) -> Option<Vec<f64>> {
+        let mut out = Vec::new();
+        for (t, &v) in values.iter().enumerate() {
+            scorer.push(t as u64, v, &mut out).ok()?;
+            assert!(out.len() <= t + 1, "a score before its push");
         }
-        bare.finish(&mut out_a).expect("finish");
-        adaptive.finish(&mut out_b).expect("finish");
-        assert_eq!(out_a, out_b);
+        scorer.finish(&mut out).ok()?;
+        assert_eq!(out.len(), values.len(), "one score per push");
+        Some(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Whatever the wrapped scorer buffers — nothing (`ar`), a hop
+        /// (`sax` runs hopping), the whole series (full history) — the
+        /// wrapper passes its scores through: one per push, bit-identical.
+        #[test]
+        fn scores_are_identical_to_unwrapped(
+            mut values in prop::collection::vec(-3.0_f64..3.0, 0..=400),
+        ) {
+            if let Some(spike) = values.get_mut(300) {
+                *spike += 25.0;
+            }
+            let forms: [fn() -> Box<dyn OnlineScorer>; 3] = [
+                || engine::build_online(&AlgoSpec::new("ar")).expect("ar"),
+                || engine::build_online(&AlgoSpec::new("sax")).expect("sax"),
+                || {
+                    let batch = engine::build(&AlgoSpec::new("robust-z")).expect("robust-z");
+                    Box::new(WindowedBatch::full_history(batch))
+                },
+            ];
+            for bare in forms {
+                let monitor = MonitorSpec::page_hinkley().build();
+                let adaptive = Box::new(DriftingScorer::new(bare(), monitor));
+                let bits = |out: Vec<f64>| out.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                prop_assert_eq!(
+                    drive(adaptive, &values).map(bits),
+                    drive(bare(), &values).map(bits),
+                    "{}",
+                    bare().name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -226,6 +226,20 @@ impl LevelScorer {
     }
 }
 
+/// Resolves every level's spec exactly as a detection run does before it
+/// scores anything — the check a caller that holds a policy long before
+/// its first run (a stream, a server) makes up front.
+///
+/// # Errors
+/// [`DetectError::InvalidParameter`](hierod_detect::DetectError) on an
+/// unknown key, an undeclared or malformed parameter, or an entry of the
+/// wrong granularity for its level.
+pub fn validate_policy(policy: &AlgorithmPolicy) -> Result<()> {
+    Level::ALL
+        .into_iter()
+        .try_for_each(|level| LevelScorer::build(level, policy).map(drop))
+}
+
 /// Builds the production-level scorer together with the PAA segment count
 /// [`BoxedScorer::score_collection`] embeds vector-kind entries with: 8
 /// unless the spec carries `segments` (which only `phased-kmeans` declares).

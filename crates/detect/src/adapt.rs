@@ -232,13 +232,7 @@ mod tests {
             }
             Ok(rows
                 .iter()
-                .map(|r| {
-                    r.iter()
-                        .zip(&mean)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                        .sqrt()
-                })
+                .map(|r| crate::related::sq_dist(r, &mean).sqrt())
                 .collect())
         }
     }

@@ -12,11 +12,7 @@ use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
 };
-use crate::da::kmeans::KMeans;
-
-fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
+use crate::da::kmeans::{nearest_centroid, KMeans};
 
 const LOG_2PI: f64 = 1.8378770664093453;
 /// Variance floor keeping components from collapsing onto single points.
@@ -112,18 +108,19 @@ impl GaussianMixture {
         let mut var_acc = vec![vec![0.0_f64; d]; k];
         let mut counts = vec![0_usize; k];
         for r in rows {
-            let nearest = centroids
-                .iter()
-                .enumerate()
-                .min_by(|a, b| dist_sq(a.1, r).total_cmp(&dist_sq(b.1, r)))
-                .expect("k >= 1")
-                .0;
-            counts[nearest] += 1;
-            for ((v, x), m) in var_acc[nearest]
-                .iter_mut()
-                .zip(r.iter())
-                .zip(&centroids[nearest])
-            {
+            // Centroids are never empty (k >= 1), and `nearest` indexes them.
+            let Some((nearest, _)) = nearest_centroid(&centroids, r) else {
+                continue;
+            };
+            let (Some(count), Some(acc), Some(centroid)) = (
+                counts.get_mut(nearest),
+                var_acc.get_mut(nearest),
+                centroids.get(nearest),
+            ) else {
+                continue;
+            };
+            *count += 1;
+            for ((v, x), m) in acc.iter_mut().zip(r.iter()).zip(centroid) {
                 *v += (x - m) * (x - m);
             }
         }

@@ -13,20 +13,13 @@ use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
 };
+use crate::related::sq_dist;
 use crate::stat::nan_last_cmp;
-
-/// Squared Euclidean distance over the common prefix. Rows are
-/// dimension-checked up front (`check_rows`) and centroids are built from
-/// those rows, so a length mismatch cannot reach this — unlike the
-/// fallible `sq_euclidean`, it cannot fail and needs no `expect`.
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
 
 /// Index and squared distance of the centroid nearest to `r`; `None` only
 /// for an empty centroid set (which `fit_centroids_once` never produces).
 /// NaN distances order last, so a poisoned centroid never wins.
-fn nearest_centroid(centroids: &[Vec<f64>], r: &[f64]) -> Option<(usize, f64)> {
+pub(crate) fn nearest_centroid(centroids: &[Vec<f64>], r: &[f64]) -> Option<(usize, f64)> {
     centroids
         .iter()
         .enumerate()
@@ -142,21 +135,25 @@ impl KMeans {
         let mut assign = vec![0_usize; rows.len()];
         for _ in 0..self.max_iter {
             let mut changed = false;
-            for (i, r) in rows.iter().enumerate() {
+            for (slot, r) in assign.iter_mut().zip(rows) {
                 // Centroids are never empty (k >= 1 seeds one above).
                 let Some((best, _)) = nearest_centroid(&centroids, r) else {
                     continue;
                 };
-                if assign[i] != best {
-                    assign[i] = best;
+                if *slot != best {
+                    *slot = best;
                     changed = true;
                 }
             }
             let mut sums = vec![vec![0.0; d]; centroids.len()];
             let mut counts = vec![0_usize; centroids.len()];
             for (r, &a) in rows.iter().zip(&assign) {
-                counts[a] += 1;
-                for (s, v) in sums[a].iter_mut().zip(r.iter()) {
+                // Assignments index the centroids they were chosen among.
+                let (Some(count), Some(sum)) = (counts.get_mut(a), sums.get_mut(a)) else {
+                    continue;
+                };
+                *count += 1;
+                for (s, v) in sum.iter_mut().zip(r.iter()) {
                     *s += v;
                 }
             }
@@ -197,7 +194,9 @@ impl KMeans {
                 |r: &[f64]| -> usize { nearest_centroid(&centroids, r).map_or(0, |(j, _)| j) };
             let mut counts = vec![0_usize; centroids.len()];
             for r in &active {
-                counts[nearest(r)] += 1;
+                if let Some(count) = counts.get_mut(nearest(r)) {
+                    *count += 1;
+                }
             }
             let dropped: Vec<usize> = counts
                 .iter()

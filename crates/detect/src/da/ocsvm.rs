@@ -25,6 +25,7 @@ use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
 };
+use crate::related::sq_dist;
 
 /// One-class SVM (SVDD) scorer.
 #[derive(Debug, Clone)]
@@ -86,13 +87,7 @@ impl VectorScorer for OneClassSvm {
                 *c += v / n as f64;
             }
         }
-        let dist = |c: &[f64], x: &[f64]| -> f64 {
-            c.iter()
-                .zip(x)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt()
-        };
+        let dist = |c: &[f64], x: &[f64]| sq_dist(c, x).sqrt();
         let mut radius = 0.0_f64;
         for _ in 0..self.rounds {
             let dists: Vec<f64> = xs.iter().map(|x| dist(&center, x)).collect();

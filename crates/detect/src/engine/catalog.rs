@@ -6,11 +6,13 @@
 //! reverse-kNN — paper Section 5), and the cross-machine profile used at
 //! the production level — everything the hierarchy's default policies can
 //! select that is not itself a Table-1 row. [`find`] and [`build`] resolve
-//! an [`AlgoSpec`] against the union of both.
+//! an [`AlgoSpec`] against the union of both; [`build_online`] resolves the
+//! same spec into its bounded-memory streaming form.
 
 use crate::api::{DetectError, Detector, Result};
 use crate::da::KMeans;
 use crate::engine::{AlgoSpec, BoxedScorer};
+use crate::online::{IncrementalAr, OnlineScorer, RollingRobustZ, WindowedBatch};
 use crate::registry::{registry, RegistryEntry};
 use crate::related::{
     CrossMachineProfile, KnnDistance, LocalOutlierFactor, PairDifference, PairRegression,
@@ -197,6 +199,11 @@ pub fn find(name: &str) -> Result<RegistryEntry> {
 /// [`DetectError::InvalidParameter`] on an unknown name, an undeclared
 /// parameter, or a parameter value the constructor rejects.
 pub fn build(spec: &AlgoSpec) -> Result<BoxedScorer> {
+    resolve(spec).map(|(_, scorer)| scorer)
+}
+
+/// [`build`], plus the registry key the spec's name resolved to.
+fn resolve(spec: &AlgoSpec) -> Result<(&'static str, BoxedScorer)> {
     let entry = find(&spec.name)?;
     for key in spec.params.keys() {
         if !entry.params.contains(&key.as_str()) {
@@ -214,13 +221,93 @@ pub fn build(spec: &AlgoSpec) -> Result<BoxedScorer> {
             ));
         }
     }
-    (entry.build)(spec)
+    Ok((entry.key, (entry.build)(spec)?))
+}
+
+/// Constructor of an entry's incremental form.
+type OnlineForm = fn(&AlgoSpec) -> Result<Box<dyn OnlineScorer>>;
+
+/// The entries with a native incremental form, by registry key. `order`
+/// and `window` default as the entries' own batch builders do; the two
+/// whole-series z-scores share one rolling window.
+const ONLINE_FORMS: [(&str, OnlineForm); 4] = [
+    ("ar", |s| {
+        Ok(Box::new(IncrementalAr::new(s.get_usize("order", 3)?, 32)?))
+    }),
+    ("sliding-z", |s| {
+        let window = s.get_usize("window", 48)?.max(3);
+        Ok(Box::new(RollingRobustZ::new(window)?))
+    }),
+    ("robust-z", |_| Ok(Box::new(RollingRobustZ::new(256)?))),
+    ("global-z", |_| Ok(Box::new(RollingRobustZ::new(256)?))),
+];
+
+/// Resolves a spec into its incremental (bounded-memory, score-as-you-go)
+/// online form: the native incremental of [`ONLINE_FORMS`] when the entry
+/// has one, otherwise the entry's batch scorer re-run over the last 256
+/// samples every 64. The table is keyed by the *resolved* registry key,
+/// since a spec may also name its entry by Table-1 row name. The
+/// batch-equivalent online form needs no table: it is
+/// [`WindowedBatch::full_history`] over [`build`].
+///
+/// # Errors
+/// Exactly [`build`]'s: the spec is resolved through it first, so the
+/// name, the parameter names and their values are checked once for every
+/// form.
+pub fn build_online(spec: &AlgoSpec) -> Result<Box<dyn OnlineScorer>> {
+    let (key, batch) = resolve(spec)?;
+    match ONLINE_FORMS.iter().find(|(k, _)| *k == key) {
+        Some((_, form)) => form(spec),
+        None => Ok(Box::new(WindowedBatch::hopping(batch, 256, 64)?)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::ScorerKind;
+
+    #[test]
+    fn online_forms_name_live_point_entries() {
+        // A key renamed in the registry must not silently fall through to
+        // the hopping fallback.
+        for (key, _) in ONLINE_FORMS {
+            let live = all_entries().iter().any(|e| e.key == key);
+            assert!(live, "ONLINE_FORMS names `{key}`, which no entry has");
+            let kind = build(&AlgoSpec::new(key)).expect(key).kind();
+            assert_eq!(kind, ScorerKind::Point, "{key}");
+        }
+    }
+
+    #[test]
+    fn incremental_table_is_keyed_by_the_resolved_registry_key() {
+        let online_name = |text: &str| {
+            let spec: AlgoSpec = text.parse().expect("well-formed");
+            build_online(&spec).expect("scorer").name()
+        };
+        assert_eq!(online_name("ar"), "incremental-ar");
+        assert_eq!(online_name("Autoregressive Model"), "incremental-ar");
+        assert_eq!(online_name("sliding-z(window=2)"), "rolling-robust-z");
+        assert_eq!(online_name("global-z"), "rolling-robust-z");
+        assert_eq!(online_name("robust-z"), "rolling-robust-z");
+        assert_eq!(online_name("sax"), "windowed-batch(hopping)");
+        // Every form rejects what `build` rejects.
+        for text in [
+            "frobnicator",
+            "ar(window=3)",
+            "ar(order=0)",
+            "robust-z(k=1)",
+        ] {
+            let spec: AlgoSpec = text.parse().expect("well-formed");
+            assert!(
+                matches!(
+                    build_online(&spec),
+                    Err(DetectError::InvalidParameter { .. })
+                ),
+                "{text}"
+            );
+        }
+    }
 
     #[test]
     fn every_entry_builds_from_its_bare_key() {

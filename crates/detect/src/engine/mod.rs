@@ -9,6 +9,9 @@
 //!    supplemental catalog ([`all_entries`]) into a [`BoxedScorer`],
 //!    validating parameter names and values with
 //!    [`DetectError::InvalidParameter`](crate::api::DetectError).
+//!    [`build_online`] is the online half: the same spec resolved into its
+//!    incremental [`OnlineScorer`](crate::online::OnlineScorer), so no
+//!    caller keeps a table of which entry has which streaming form.
 //! 3. [`BoxedScorer`] — one runnable handle over every scorer trait, with
 //!    drivers that bridge granularities (windows, PAA, SAX) where the
 //!    underlying trait differs from the data at hand.
@@ -29,7 +32,7 @@ mod spec;
 mod standardize;
 
 pub use boxed::{BoxedScorer, ScorerKind};
-pub use catalog::{all_entries, build, find, supplemental};
+pub use catalog::{all_entries, build, build_online, find, supplemental};
 pub use scheduler::{Task, TaskPool};
 pub use spec::{AlgoSpec, ParamValue};
 pub use standardize::{Identity, RobustZ, Standardizer};

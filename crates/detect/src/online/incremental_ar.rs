@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use crate::api::Result;
-use crate::online::{OnlineScorer, ScoredPoint};
+use crate::online::OnlineScorer;
 use crate::pm::ar::levinson_durbin;
 use crate::DetectError;
 
@@ -17,7 +17,8 @@ use crate::DetectError;
 /// Approximation vs batch: the batch scorer fits once on the whole series;
 /// here early samples are scored by a model that has seen less data (and
 /// warm-up samples score 0 until the first fit). On stationary streams the
-/// fits converge to the batch coefficients; `bench_stream` measures what
+/// fits converge to the batch coefficients; the
+/// `detect.online.incremental_ar_ns_per_sample` ladder rung measures what
 /// the incrementality buys.
 #[derive(Debug)]
 pub struct IncrementalAr {
@@ -87,7 +88,7 @@ impl IncrementalAr {
 }
 
 impl OnlineScorer for IncrementalAr {
-    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn push(&mut self, _timestamp: u64, value: f64, out: &mut Vec<f64>) -> Result<()> {
         // Score against the current fit, before the sample updates it.
         let score = match (&self.fit, self.recent.len() == self.order) {
             (Some((coeffs, sd)), true) => {
@@ -102,11 +103,7 @@ impl OnlineScorer for IncrementalAr {
             }
             _ => 0.0,
         };
-        out.push(ScoredPoint {
-            timestamp,
-            value,
-            score,
-        });
+        out.push(score);
         // Update running sums (lag 0 is x_t², lag k pairs with history).
         self.sum += value;
         if let Some(p) = self.lag_products.first_mut() {
@@ -135,7 +132,7 @@ impl OnlineScorer for IncrementalAr {
         Ok(())
     }
 
-    fn finish(&mut self, _out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn finish(&mut self, _out: &mut Vec<f64>) -> Result<()> {
         Ok(())
     }
 
@@ -177,11 +174,10 @@ mod tests {
         for (t, &v) in values.iter().enumerate() {
             s.push(t as u64, v, &mut out).expect("push");
         }
-        let best = out
-            .iter()
-            .max_by(|a, b| a.score.total_cmp(&b.score))
+        let (at, _) = (out.iter().enumerate())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("non-empty");
-        assert_eq!(best.timestamp, 300);
+        assert_eq!(at, 300);
     }
 
     #[test]
@@ -193,8 +189,8 @@ mod tests {
             s.push(t as u64, v, &mut out).expect("push");
         }
         // First refit happens at sample 16; everything before scores 0.
-        assert!(out.iter().take(16).all(|p| p.score == 0.0));
-        assert!(out.iter().skip(17).any(|p| p.score > 0.0));
+        assert!(out.iter().take(16).all(|&s| s == 0.0));
+        assert!(out.iter().skip(17).any(|&s| s > 0.0));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! The batch traits ([`PointScorer`](crate::PointScorer) & friends) see a
 //! whole series at once; a live plant delivers one sample at a time. An
 //! [`OnlineScorer`] consumes `(timestamp, value)` pairs in timestamp order
-//! (a watermark upstream guarantees that) and emits [`ScoredPoint`]s —
-//! possibly later than the push, possibly in bursts: windowed adapters
-//! buffer until a hop boundary, and full-history mode defers everything to
-//! [`OnlineScorer::finish`].
+//! (a watermark upstream guarantees that) and emits **one score per pushed
+//! sample, in push order** — possibly later than the push, possibly in
+//! bursts: windowed adapters buffer until a hop boundary, and full-history
+//! mode defers everything to [`OnlineScorer::finish`]. A scorer emits
+//! scores and nothing else: the caller already holds the samples it
+//! pushed, so the i-th score belongs to its i-th push.
 //!
 //! Two families implement the trait:
 //!
@@ -18,7 +20,13 @@
 //!   [`SlidingKnn`], [`SlidingLof`] — score each sample as it arrives in
 //!   O(window) work and O(window) memory. They are *approximations* of
 //!   their batch counterparts (running moments, periodic refits) traded
-//!   for per-sample latency; `bench_stream` quantifies the trade.
+//!   for per-sample latency; the `detect.online.*_ns_per_sample` ladder
+//!   rungs quantify the trade.
+//!
+//! Which form a spec takes online is the engine's decision, not a
+//! caller's: [`engine::build_online`](crate::engine::build_online) maps a
+//! spec to its incremental form, and [`WindowedBatch::full_history`] over
+//! [`engine::build`](crate::engine::build) is the batch-equivalent one.
 //!
 //! Scores follow the crate convention: non-negative, larger = more
 //! anomalous, standardized downstream (not here).
@@ -35,34 +43,23 @@ pub use windowed::WindowedBatch;
 
 use crate::api::Result;
 
-/// One scored sample, emitted by an [`OnlineScorer`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoredPoint {
-    /// The sample's timestamp.
-    pub timestamp: u64,
-    /// The sample's value.
-    pub value: f64,
-    /// Raw (non-negative) outlierness score.
-    pub score: f64,
-}
-
-/// Incremental scorer: samples in (timestamp order), scored points out.
+/// Incremental scorer: samples in (timestamp order), raw scores out.
 ///
 /// Contract:
-/// * `push` may emit zero or more points (buffering is allowed); every
-///   pushed sample is emitted **exactly once** across all `push` and
-///   `finish` calls, in timestamp order, unless an error is returned.
+/// * `push` may append zero or more scores (buffering is allowed); across
+///   all `push` and `finish` calls **one score per pushed sample, in push
+///   order**, is appended, unless an error is returned.
 /// * `finish` flushes whatever is buffered; afterwards the scorer is
 ///   spent — further pushes have unspecified scores.
 /// * An `Err` from either call poisons the series: the caller drops the
 ///   series from the report exactly as the batch path drops series that
 ///   fail to score.
 pub trait OnlineScorer: Send {
-    /// Feeds one sample; appends any newly scored points to `out`.
-    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<ScoredPoint>) -> Result<()>;
+    /// Feeds one sample; appends any newly available scores to `out`.
+    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<f64>) -> Result<()>;
 
-    /// End of stream: scores and appends everything still buffered.
-    fn finish(&mut self, out: &mut Vec<ScoredPoint>) -> Result<()>;
+    /// End of stream: appends the scores of everything still buffered.
+    fn finish(&mut self, out: &mut Vec<f64>) -> Result<()>;
 
     /// Short label for reports and benches.
     fn name(&self) -> &'static str;

@@ -4,17 +4,25 @@
 
 use crate::api::Result;
 use crate::online::rolling::SortedWindow;
-use crate::online::{OnlineScorer, ScoredPoint};
+use crate::online::OnlineScorer;
 use crate::related::distance_matrix_into;
 use crate::DetectError;
 
-/// Distance to the k-th nearest element of `sorted` as seen from `v`,
-/// walking outward from `v`'s insertion point. `exclude` marks one index
-/// to skip (an element asking about its own neighbours).
-fn kth_nearest(sorted: &[f64], v: f64, k: usize, exclude: Option<usize>) -> Option<f64> {
+/// The one outward walk: visits up to `k` elements of `sorted` nearest to
+/// `v` as `(index, distance)`, nearest first, starting at `v`'s insertion
+/// point and taking the closer of the two frontier elements each step (the
+/// lower side on a tie). `exclude` marks one index to skip (an element
+/// asking about its own neighbours). Returns how many were visited —
+/// fewer than `k` only when `sorted` ran out.
+fn walk_nearest(
+    sorted: &[f64],
+    v: f64,
+    k: usize,
+    exclude: Option<usize>,
+    mut visit: impl FnMut(usize, f64),
+) -> usize {
     let mut right = sorted.partition_point(|x| x.total_cmp(&v) == std::cmp::Ordering::Less);
     let mut left = right.checked_sub(1);
-    let mut dist = 0.0;
     let mut taken = 0;
     while taken < k {
         if exclude.is_some() && left == exclude {
@@ -25,26 +33,29 @@ fn kth_nearest(sorted: &[f64], v: f64, k: usize, exclude: Option<usize>) -> Opti
             right += 1;
             continue;
         }
-        let dl = left.and_then(|i| sorted.get(i)).map(|x| (v - x).abs());
-        let dr = sorted.get(right).map(|x| (x - v).abs());
-        match (dl, dr) {
-            (Some(a), Some(b)) if a <= b => {
-                dist = a;
-                left = left.and_then(|i| i.checked_sub(1));
-            }
-            (Some(a), None) => {
-                dist = a;
-                left = left.and_then(|i| i.checked_sub(1));
+        let below = left.and_then(|i| Some((i, (v - sorted.get(i)?).abs())));
+        let above = sorted.get(right).map(|x| (x - v).abs());
+        match (below, above) {
+            (Some((i, a)), b) if b.is_none_or(|b| a <= b) => {
+                visit(i, a);
+                left = i.checked_sub(1);
             }
             (_, Some(b)) => {
-                dist = b;
+                visit(right, b);
                 right += 1;
             }
-            (None, None) => return None,
+            (_, None) => break,
         }
         taken += 1;
     }
-    Some(dist)
+    taken
+}
+
+/// Distance from `v` to its k-th nearest element of `sorted`; `None` when
+/// `sorted` holds fewer than `k`.
+fn kth_nearest(sorted: &[f64], v: f64, k: usize) -> Option<f64> {
+    let mut dist = 0.0;
+    (walk_nearest(sorted, v, k, None, |_, d| dist = d) == k).then_some(dist)
 }
 
 /// k-distance of the element at index `g` of `sorted` (self excluded), in
@@ -79,42 +90,10 @@ fn kdist_sorted(sorted: &[f64], g: usize, k: usize) -> f64 {
 }
 
 /// Indices of the k nearest elements of `sorted` to `v`, excluding
-/// `exclude` (same outward walk as [`kth_nearest`]).
+/// `exclude`.
 fn nearest_indices(sorted: &[f64], v: f64, k: usize, exclude: Option<usize>) -> Vec<usize> {
-    let mut right = sorted.partition_point(|x| x.total_cmp(&v) == std::cmp::Ordering::Less);
-    let mut left = right.checked_sub(1);
     let mut picked = Vec::with_capacity(k);
-    while picked.len() < k {
-        if exclude.is_some() && left == exclude {
-            left = left.and_then(|i| i.checked_sub(1));
-            continue;
-        }
-        if Some(right) == exclude {
-            right += 1;
-            continue;
-        }
-        let dl = left.and_then(|i| sorted.get(i)).map(|x| (v - x).abs());
-        let dr = sorted.get(right).map(|x| (x - v).abs());
-        match (dl, dr) {
-            (Some(a), Some(b)) if a <= b => {
-                if let Some(i) = left {
-                    picked.push(i);
-                }
-                left = left.and_then(|i| i.checked_sub(1));
-            }
-            (Some(_), None) => {
-                if let Some(i) = left {
-                    picked.push(i);
-                }
-                left = left.and_then(|i| i.checked_sub(1));
-            }
-            (_, Some(_)) => {
-                picked.push(right);
-                right += 1;
-            }
-            (None, None) => break,
-        }
-    }
+    walk_nearest(sorted, v, k, exclude, |i, _| picked.push(i));
     picked
 }
 
@@ -148,24 +127,20 @@ impl SlidingKnn {
 }
 
 impl OnlineScorer for SlidingKnn {
-    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn push(&mut self, _timestamp: u64, value: f64, out: &mut Vec<f64>) -> Result<()> {
         // Score against the window *before* inserting: a sample is judged
         // by its past, never by itself.
         let score = if self.window.len() >= self.k {
-            kth_nearest(self.window.sorted(), value, self.k, None).unwrap_or(0.0)
+            kth_nearest(self.window.sorted(), value, self.k).unwrap_or(0.0)
         } else {
             0.0
         };
         self.window.push(value);
-        out.push(ScoredPoint {
-            timestamp,
-            value,
-            score,
-        });
+        out.push(score);
         Ok(())
     }
 
-    fn finish(&mut self, _out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn finish(&mut self, _out: &mut Vec<f64>) -> Result<()> {
         Ok(())
     }
 
@@ -273,7 +248,12 @@ impl SlidingLof {
             }
             let mut reach_sum = 0.0;
             for &m in &neighbours {
-                let mj = m - lo;
+                // The walk starts at the first element equal to `gv`, which
+                // a run of more than 2k+1 duplicates puts below the band:
+                // such a neighbour is at distance 0 with k-distance 0.
+                let Some(mj) = m.checked_sub(lo) else {
+                    continue;
+                };
                 let d = flat.get(j * n + mj).copied().unwrap_or(0.0).sqrt();
                 reach_sum += d.max(kdist_at(sorted, lo, k, memo, mj));
             }
@@ -314,22 +294,18 @@ impl SlidingLof {
 }
 
 impl OnlineScorer for SlidingLof {
-    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn push(&mut self, _timestamp: u64, value: f64, out: &mut Vec<f64>) -> Result<()> {
         let score = if self.window.len() > self.k {
             self.score_value(value)
         } else {
             0.0
         };
         self.window.push(value);
-        out.push(ScoredPoint {
-            timestamp,
-            value,
-            score,
-        });
+        out.push(score);
         Ok(())
     }
 
-    fn finish(&mut self, _out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn finish(&mut self, _out: &mut Vec<f64>) -> Result<()> {
         Ok(())
     }
 
@@ -345,17 +321,20 @@ mod tests {
     #[test]
     fn kth_nearest_walks_both_sides() {
         let sorted = [1.0, 2.0, 4.0, 7.0];
-        assert_eq!(kth_nearest(&sorted, 3.0, 1, None), Some(1.0)); // 2.0 or 4.0
-        assert_eq!(kth_nearest(&sorted, 3.0, 3, None), Some(2.0)); // {2,4,1}
-        assert_eq!(kth_nearest(&sorted, 0.0, 4, None), Some(7.0));
-        assert_eq!(kth_nearest(&sorted, 0.0, 5, None), None);
+        assert_eq!(kth_nearest(&sorted, 3.0, 1), Some(1.0)); // 2.0 or 4.0
+        assert_eq!(kth_nearest(&sorted, 3.0, 3), Some(2.0)); // {2,4,1}
+        assert_eq!(kth_nearest(&sorted, 0.0, 4), Some(7.0));
+        assert_eq!(kth_nearest(&sorted, 0.0, 5), None);
     }
 
     #[test]
-    fn kth_nearest_can_exclude_self() {
+    fn the_walk_can_exclude_self() {
         let sorted = [1.0, 2.0, 4.0];
-        // Element at index 1 (value 2.0) asking for its own neighbour.
-        assert_eq!(kth_nearest(&sorted, 2.0, 1, Some(1)), Some(1.0));
+        // Element at index 1 (value 2.0) asking for its own neighbours.
+        let mut seen = Vec::new();
+        let taken = walk_nearest(&sorted, 2.0, 3, Some(1), |i, d| seen.push((i, d)));
+        assert_eq!((taken, seen), (2, vec![(0, 1.0), (2, 2.0)]));
+        assert_eq!(nearest_indices(&sorted, 2.0, 1, Some(1)), vec![0]);
     }
 
     #[test]
@@ -366,12 +345,11 @@ mod tests {
             let v = if t == 30 { 50.0 } else { (t % 5) as f64 };
             s.push(t, v, &mut out).expect("push");
         }
-        let best = out
-            .iter()
-            .max_by(|a, b| a.score.total_cmp(&b.score))
+        let (at, best) = (out.iter().enumerate())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("non-empty");
-        assert_eq!(best.timestamp, 30);
-        assert!(best.score > 40.0);
+        assert_eq!(at, 30);
+        assert!(*best > 40.0);
     }
 
     #[test]
@@ -386,22 +364,24 @@ mod tests {
             };
             s.push(t, v, &mut out).expect("push");
         }
-        let best = out
-            .iter()
-            .max_by(|a, b| a.score.total_cmp(&b.score))
+        let (at, best) = (out.iter().enumerate())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("non-empty");
-        assert_eq!(best.timestamp, 30);
-        assert!(best.score > 1.0, "LOF spike score {}", best.score);
+        assert_eq!(at, 30);
+        assert!(*best > 1.0, "LOF spike score {best}");
     }
 
     #[test]
     fn lof_constant_stream_scores_zero() {
-        let mut s = SlidingLof::new(8, 2).expect("params");
-        let mut out = Vec::new();
-        for t in 0..20_u64 {
-            s.push(t, 3.0, &mut out).expect("push");
+        // The wide window holds a run of duplicates longer than the band.
+        for window in [8, 32] {
+            let mut s = SlidingLof::new(window, 2).expect("params");
+            let mut out = Vec::new();
+            for t in 0..40_u64 {
+                s.push(t, 3.0, &mut out).expect("push");
+            }
+            assert!(out.iter().all(|&s| s == 0.0), "{out:?}");
         }
-        assert!(out.iter().all(|p| p.score == 0.0), "{out:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use crate::api::Result;
-use crate::online::{OnlineScorer, ScoredPoint};
+use crate::online::OnlineScorer;
 use crate::stat::float::sort_total;
 use crate::DetectError;
 
@@ -169,7 +169,7 @@ fn mad_of_sorted_finite(sorted: &[f64], med: f64) -> f64 {
 }
 
 impl OnlineScorer for RollingRobustZ {
-    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn push(&mut self, _timestamp: u64, value: f64, out: &mut Vec<f64>) -> Result<()> {
         self.window.push(value);
         let med = self.window.median().unwrap_or(value);
         let n = self.window.len();
@@ -217,15 +217,11 @@ impl OnlineScorer for RollingRobustZ {
         } else {
             0.0
         };
-        out.push(ScoredPoint {
-            timestamp,
-            value,
-            score,
-        });
+        out.push(score);
         Ok(())
     }
 
-    fn finish(&mut self, _out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn finish(&mut self, _out: &mut Vec<f64>) -> Result<()> {
         Ok(())
     }
 
@@ -263,17 +259,11 @@ mod tests {
         }
         s.finish(&mut out).expect("finish");
         assert_eq!(out.len(), 64);
-        let spike = out.iter().find(|p| p.timestamp == 50).expect("spike");
-        let typical = out
-            .iter()
-            .filter(|p| p.timestamp != 50)
-            .map(|p| p.score)
-            .fold(0.0, f64::max);
+        let spike = out.remove(50);
+        let typical = out.iter().copied().fold(0.0, f64::max);
         assert!(
-            spike.score > 4.0 * typical.max(1e-9),
-            "spike {} vs typical {}",
-            spike.score,
-            typical
+            spike > 4.0 * typical.max(1e-9),
+            "spike {spike} vs typical {typical}"
         );
     }
 
@@ -284,7 +274,7 @@ mod tests {
         for t in 0..20_u64 {
             s.push(t, 7.0, &mut out).expect("push");
         }
-        assert!(out.iter().all(|p| p.score == 0.0));
+        assert!(out.iter().all(|&s| s == 0.0));
     }
 
     #[test]
@@ -353,7 +343,7 @@ mod tests {
         for (t, &v) in values.iter().enumerate() {
             out.clear();
             fast.push(t as u64, v, &mut out).expect("push");
-            let got = out.last().expect("scored").score;
+            let got = *out.last().expect("scored");
             let want = reference.push(v);
             assert_eq!(
                 got.to_bits(),

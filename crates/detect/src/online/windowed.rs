@@ -2,7 +2,7 @@
 
 use crate::api::Result;
 use crate::engine::BoxedScorer;
-use crate::online::{OnlineScorer, ScoredPoint};
+use crate::online::OnlineScorer;
 
 /// Drives an arbitrary batch scorer over a streaming series.
 ///
@@ -26,7 +26,6 @@ pub struct WindowedBatch {
     /// `None` = full history.
     window: Option<usize>,
     hop: usize,
-    timestamps: Vec<u64>,
     values: Vec<f64>,
     /// Trailing samples not yet emitted.
     unscored: usize,
@@ -40,7 +39,6 @@ impl WindowedBatch {
             scorer,
             window: None,
             hop: 0,
-            timestamps: Vec::new(),
             values: Vec::new(),
             unscored: 0,
         }
@@ -65,47 +63,33 @@ impl WindowedBatch {
             scorer,
             window: Some(window),
             hop,
-            timestamps: Vec::new(),
             values: Vec::new(),
             unscored: 0,
         })
     }
 
     /// Scores the buffered window and emits the trailing `unscored`
-    /// points; a scorer error (warm-up: window still too short) emits
+    /// scores; a scorer error (warm-up: window still too short) emits
     /// zeros instead.
-    fn emit_tail(&mut self, out: &mut Vec<ScoredPoint>) {
+    fn emit_tail(&mut self, out: &mut Vec<f64>) {
         if self.unscored == 0 {
             return;
         }
         let scores = self.scorer.score_points(&self.values).unwrap_or_default();
         let start = self.values.len().saturating_sub(self.unscored);
-        let ts = self.timestamps.get(start..).unwrap_or(&[]);
-        let vals = self.values.get(start..).unwrap_or(&[]);
-        for (i, (&timestamp, &value)) in ts.iter().zip(vals).enumerate() {
-            let score = scores.get(start + i).copied().unwrap_or(0.0);
-            out.push(ScoredPoint {
-                timestamp,
-                value,
-                score,
-            });
-        }
+        out.extend((start..self.values.len()).map(|i| scores.get(i).copied().unwrap_or(0.0)));
         self.unscored = 0;
         if let Some(window) = self.window {
             // Retain the newest `window` samples as context for the next
             // hop; everything older has been emitted.
             let excess = self.values.len().saturating_sub(window);
-            if excess > 0 {
-                self.timestamps.drain(..excess);
-                self.values.drain(..excess);
-            }
+            self.values.drain(..excess);
         }
     }
 }
 
 impl OnlineScorer for WindowedBatch {
-    fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<ScoredPoint>) -> Result<()> {
-        self.timestamps.push(timestamp);
+    fn push(&mut self, _timestamp: u64, value: f64, out: &mut Vec<f64>) -> Result<()> {
         self.values.push(value);
         self.unscored += 1;
         if self.window.is_some() && self.unscored >= self.hop {
@@ -114,7 +98,7 @@ impl OnlineScorer for WindowedBatch {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<ScoredPoint>) -> Result<()> {
+    fn finish(&mut self, out: &mut Vec<f64>) -> Result<()> {
         match self.window {
             Some(_) => {
                 self.emit_tail(out);
@@ -126,16 +110,7 @@ impl OnlineScorer for WindowedBatch {
                 }
                 // Full history: the one batch call. Errors propagate — the
                 // series is unscorable, exactly as in the batch pipeline.
-                let scores = self.scorer.score_points(&self.values)?;
-                for ((&timestamp, &value), &score) in
-                    self.timestamps.iter().zip(&self.values).zip(&scores)
-                {
-                    out.push(ScoredPoint {
-                        timestamp,
-                        value,
-                        score,
-                    });
-                }
+                out.extend(self.scorer.score_points(&self.values)?);
                 self.unscored = 0;
                 Ok(())
             }
@@ -160,7 +135,7 @@ mod tests {
         build(&AlgoSpec::new("robust-z")).expect("registry entry")
     }
 
-    fn drive(mut s: impl OnlineScorer, values: &[f64]) -> Vec<ScoredPoint> {
+    fn drive(mut s: impl OnlineScorer, values: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
         for (t, &v) in values.iter().enumerate() {
             s.push(t as u64, v, &mut out).expect("push");
@@ -175,25 +150,26 @@ mod tests {
         let batch = robust_z().score_points(&values).expect("batch");
         let online = drive(WindowedBatch::full_history(robust_z()), &values);
         assert_eq!(online.len(), values.len());
-        for (p, (&b, (t, &v))) in online
-            .iter()
-            .zip(batch.iter().zip(values.iter().enumerate()))
-        {
-            assert_eq!(p.timestamp, t as u64);
-            assert_eq!(p.value, v);
-            assert_eq!(p.score.to_bits(), b.to_bits(), "score differs at {t}");
+        for (t, (s, b)) in online.iter().zip(&batch).enumerate() {
+            assert_eq!(s.to_bits(), b.to_bits(), "score differs at {t}");
         }
     }
 
     #[test]
-    fn hopping_emits_every_point_exactly_once_in_order() {
+    fn hopping_emits_one_score_per_push_at_hop_boundaries() {
         let values: Vec<f64> = (0..100).map(|i| (i % 7) as f64).collect();
-        let out = drive(
-            WindowedBatch::hopping(robust_z(), 16, 4).expect("params"),
-            &values,
-        );
-        let ts: Vec<u64> = out.iter().map(|p| p.timestamp).collect();
-        assert_eq!(ts, (0..100).collect::<Vec<u64>>());
+        let mut s = WindowedBatch::hopping(robust_z(), 16, 4).expect("params");
+        let mut out = Vec::new();
+        for (t, &v) in values.iter().enumerate() {
+            s.push(t as u64, v, &mut out).expect("push");
+            assert_eq!(out.len(), (t + 1) / 4 * 4, "after push {t}");
+        }
+        s.finish(&mut out).expect("finish");
+        assert_eq!(out.len(), 100);
+        // A point is scored within the window that ends at its hop: the
+        // first hop's scores are the batch scores of the first four values.
+        let first = robust_z().score_points(&values[..4]).expect("batch");
+        assert_eq!(out[..4], first[..]);
     }
 
     #[test]
@@ -235,6 +211,6 @@ mod tests {
         }
         s.finish(&mut out).expect("finish");
         assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|p| p.score == 0.0));
+        assert!(out.iter().all(|&s| s == 0.0));
     }
 }

@@ -9,7 +9,10 @@
 //! names, and a `build` function resolving an [`AlgoSpec`] into a runnable
 //! [`BoxedScorer`] — the registry is the single source of truth for *what
 //! exists* and *how to construct it*, so adding a detector is one new entry
-//! here (plus the implementation), with no caller-side enum to extend.
+//! here (plus the implementation), with no caller-side enum to extend. The
+//! online half of "how to construct it" is
+//! [`engine::build_online`](crate::engine::build_online), keyed by the
+//! `key`s declared here and checked against them by a unit test.
 //!
 //! ## Column-assignment note
 //!

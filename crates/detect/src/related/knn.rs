@@ -11,7 +11,7 @@ use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
 };
-use crate::related::{distance_matrix, knn_with_kdist};
+use crate::related::{distance_matrix_into, knn_with_kdist};
 
 /// Distance-to-kth-neighbor scorer.
 #[derive(Debug, Clone, Copy)]
@@ -54,13 +54,17 @@ impl Detector for KnnDistance {
 impl VectorScorer for KnnDistance {
     fn score_rows(&self, rows: &[&[f64]]) -> Result<Vec<f64>> {
         check_rows("KnnDistance", rows)?;
-        if rows.len() < 2 {
-            return Ok(vec![0.0; rows.len()]);
+        let n = rows.len();
+        if n < 2 {
+            return Ok(vec![0.0; n]);
         }
-        let k = self.k.min(rows.len() - 1);
-        let dist = distance_matrix(rows, false);
-        Ok((0..rows.len())
-            .map(|i| knn_with_kdist(&dist, i, k).1.sqrt())
+        let k = self.k.min(n - 1);
+        let mut dist = Vec::new();
+        distance_matrix_into(rows, false, &mut dist);
+        Ok(dist
+            .chunks_exact(n)
+            .enumerate()
+            .map(|(i, row)| knn_with_kdist(row, i, k).1.sqrt())
             .collect())
     }
 }
@@ -111,11 +115,14 @@ impl VectorScorer for ReverseKnn {
             return Ok(vec![0.0; n]);
         }
         let k = self.k.min(n - 1);
-        let dist = distance_matrix(rows, false);
+        let mut dist = Vec::new();
+        distance_matrix_into(rows, false, &mut dist);
         let mut reverse_count = vec![0_usize; n];
-        for i in 0..n {
-            for j in knn_with_kdist(&dist, i, k).0 {
-                reverse_count[j] += 1;
+        for (i, row) in dist.chunks_exact(n).enumerate() {
+            for j in knn_with_kdist(row, i, k).0 {
+                if let Some(count) = reverse_count.get_mut(j) {
+                    *count += 1;
+                }
             }
         }
         // Score = scarcity of reverse neighbors, normalized so 0 means the

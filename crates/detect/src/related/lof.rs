@@ -11,7 +11,7 @@ use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
 };
-use crate::related::{distance_matrix, knn_with_kdist};
+use crate::related::{distance_matrix_into, knn_with_kdist};
 
 /// Local outlier factor scorer.
 #[derive(Debug, Clone, Copy)]
@@ -59,22 +59,21 @@ impl VectorScorer for LocalOutlierFactor {
             return Ok(vec![0.0; n]);
         }
         let k = self.k.min(n - 1);
-        let dist = distance_matrix(rows, true);
+        let mut dist = Vec::new();
+        distance_matrix_into(rows, true, &mut dist);
         // k-neighborhoods and k-distances.
-        let mut neighbors: Vec<Vec<usize>> = Vec::with_capacity(n);
-        let mut k_dist = vec![0.0_f64; n];
-        for (i, slot) in k_dist.iter_mut().enumerate() {
-            let (order, kth) = knn_with_kdist(&dist, i, k);
-            *slot = kth;
-            neighbors.push(order);
-        }
+        let (neighbors, k_dist): (Vec<Vec<usize>>, Vec<f64>) = dist
+            .chunks_exact(n)
+            .enumerate()
+            .map(|(i, row)| knn_with_kdist(row, i, k))
+            .unzip();
         // Local reachability density.
-        let lrd: Vec<f64> = (0..n)
-            .map(|i| {
-                let reach_sum: f64 = neighbors[i]
-                    .iter()
-                    .map(|&j| dist[i][j].max(k_dist[j]))
-                    .sum();
+        let at = |xs: &[f64], j: usize| xs.get(j).copied().unwrap_or(f64::NAN);
+        let lrd: Vec<f64> = dist
+            .chunks_exact(n)
+            .zip(&neighbors)
+            .map(|(row, near)| {
+                let reach_sum: f64 = near.iter().map(|&j| at(row, j).max(at(&k_dist, j))).sum();
                 if reach_sum <= 1e-300 {
                     f64::INFINITY // duplicated points: infinite density
                 } else {
@@ -84,17 +83,20 @@ impl VectorScorer for LocalOutlierFactor {
             .collect();
         // LOF = mean neighbor lrd / own lrd; shift by -1 so inliers sit at
         // ~0 and the score is (clamped) non-negative.
-        Ok((0..n)
-            .map(|i| {
-                if lrd[i].is_infinite() {
+        Ok(lrd
+            .iter()
+            .zip(&neighbors)
+            .map(|(&own, near)| {
+                if own.is_infinite() {
                     return 0.0; // co-located with duplicates: maximal density
                 }
-                let mean_neighbor_lrd: f64 = neighbors[i]
+                let mean_neighbor_lrd: f64 = near
                     .iter()
-                    .map(|&j| if lrd[j].is_infinite() { lrd[i] } else { lrd[j] })
+                    .map(|&j| at(&lrd, j))
+                    .map(|l| if l.is_infinite() { own } else { l })
                     .sum::<f64>()
                     / k as f64;
-                (mean_neighbor_lrd / lrd[i] - 1.0).max(0.0)
+                (mean_neighbor_lrd / own - 1.0).max(0.0)
             })
             .collect())
     }

@@ -1,10 +1,13 @@
 //! Property tests over the engine's spec-resolution contract: every
 //! registry/catalog entry is buildable by name through an [`AlgoSpec`],
 //! malformed specs are rejected with `InvalidParameter` (never a panic),
-//! and every built scorer yields finite robust-z standardized scores on
-//! synthetic data when driven through the [`BoxedScorer`] bridges.
+//! every built scorer yields finite robust-z standardized scores on
+//! synthetic data when driven through the [`BoxedScorer`] bridges, and both
+//! online forms of every point-kind entry keep the [`OnlineScorer`]
+//! contract: one score per pushed sample, in push order.
 
 use hierod_detect::engine::{self, AlgoSpec, RobustZ, ScorerKind, Standardizer};
+use hierod_detect::online::{OnlineScorer, SlidingKnn, SlidingLof, WindowedBatch};
 use hierod_detect::registry::registry;
 use hierod_detect::DetectError;
 use proptest::prelude::*;
@@ -140,8 +143,71 @@ fn every_entry_scores_synthetic_data_to_finite_standardized_scores() {
     }
 }
 
+/// Drives `scorer` over `values` and holds it to the [`OnlineScorer`]
+/// contract: never more scores than pushes so far, exactly one per push
+/// once finished, each finite and non-negative. `None` when the scorer gave
+/// the series up with an `Err`, which the contract allows.
+fn drive_online(mut scorer: Box<dyn OnlineScorer>, values: &[f64], what: &str) -> Option<Vec<f64>> {
+    let mut out = Vec::new();
+    for (pushed, &v) in values.iter().enumerate() {
+        scorer.push(pushed as u64, v, &mut out).ok()?;
+        assert!(out.len() <= pushed + 1, "{what}: a score before its push");
+    }
+    scorer.finish(&mut out).ok()?;
+    assert_eq!(out.len(), values.len(), "{what}: one score per push");
+    for (i, s) in out.iter().enumerate() {
+        assert!(s.is_finite() && *s >= 0.0, "{what}: score {s} at {i}");
+    }
+    Some(out)
+}
+
+/// Every point-kind entry of [`COVERED_KEYS`] in both its online forms,
+/// and the two sliding neighbour scorers (which have no registry entry),
+/// over one series.
+fn check_online_contract(values: &[f64]) {
+    let bits = |scores: Vec<f64>| scores.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let mut point_entries = 0;
+    for spec in COVERED_KEYS.map(AlgoSpec::new) {
+        let batch = engine::build(&spec).expect("covered");
+        if batch.kind() != ScorerKind::Point {
+            continue;
+        }
+        point_entries += 1;
+        let incremental = engine::build_online(&spec).expect("covered");
+        drive_online(incremental, values, &format!("build_online({spec})"));
+
+        let full = WindowedBatch::full_history(engine::build(&spec).expect("covered"));
+        let online = drive_online(Box::new(full), values, &format!("full_history({spec})"));
+        if values.is_empty() {
+            // Nothing pushed, nothing scored — whatever batch makes of an
+            // empty series.
+            assert_eq!(online, Some(Vec::new()), "{spec}");
+        } else {
+            let batch = batch.score_points(values).ok();
+            assert_eq!(online.map(bits), batch.map(bits), "{spec}");
+        }
+    }
+    assert!(
+        point_entries >= 7,
+        "only {point_entries} point-kind entries"
+    );
+    let knn = SlidingKnn::new(64, 5).expect("params");
+    assert!(drive_online(Box::new(knn), values, "sliding-knn").is_some());
+    let lof = SlidingLof::new(64, 5).expect("params");
+    assert!(drive_online(Box::new(lof), values, "sliding-lof").is_some());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn online_forms_emit_one_score_per_pushed_sample(
+        smooth in prop::collection::vec(-1.0e6_f64..1.0e6, 0..=400),
+        stepped in prop::collection::vec((-3_i32..4).prop_map(f64::from), 0..=400),
+    ) {
+        check_online_contract(&smooth);
+        check_online_contract(&stepped);
+    }
 
     #[test]
     fn unknown_names_are_rejected_with_invalid_parameter(

@@ -43,26 +43,24 @@
 //!   full-history [`WindowedBatch`]: per-series raw scores are
 //!   bit-identical to batch, at O(series) memory. Scores appear when a
 //!   series closes (phase boundary / finish).
-//! * [`ScorerMode::Incremental`] uses true per-sample scorers
-//!   ([`IncrementalAr`], [`RollingRobustZ`], hopping [`WindowedBatch`]
-//!   fallback): bounded memory and immediate scores, approximating batch.
+//! * [`ScorerMode::Incremental`] uses the spec's incremental form as
+//!   [`engine::build_online`] resolves it: bounded memory and immediate
+//!   scores, approximating batch.
 //!
 //! Both modes build from the policy's phase and environment [`AlgoSpec`]s
-//! — any point-kind registry entry — which [`StreamDetector::new`]
-//! resolves once, so an invalid policy fails before any event. In either
-//! mode, a wrapper installed through
+//! — any point-kind registry entry. [`StreamDetector::new`] resolves all
+//! five levels' specs once, so an invalid policy fails before any event.
+//! In either mode, a wrapper installed through
 //! [`StreamDetector::set_scorer_wrapper`] (the `hierod-adapt` drift
 //! monitors) interposes on every pipeline opened afterwards.
 
 use std::collections::BTreeMap;
 
-use hierod_core::detect_level::{detect_level, emit_series, LevelDetections};
+use hierod_core::detect_level::{detect_level, emit_series, validate_policy, LevelDetections};
 use hierod_core::pipeline::build_report;
 use hierod_core::{AlgorithmPolicy, HierReport, PhaseChoice};
 use hierod_detect::engine::{self, AlgoSpec};
-use hierod_detect::online::{
-    IncrementalAr, OnlineScorer, RollingRobustZ, ScoredPoint, WindowedBatch,
-};
+use hierod_detect::online::{OnlineScorer, WindowedBatch};
 use hierod_detect::{DetectError, Result};
 use hierod_hierarchy::{
     CaqResult, Environment, Job, JobConfig, Level, Phase, PhaseKind, Plant, ProductionLine,
@@ -82,9 +80,8 @@ pub enum ScorerMode {
     /// raw scores bit-identical to the batch pipeline (the equivalence
     /// test pins this), O(series) memory per open series.
     BatchEquivalent,
-    /// True incremental scorers with bounded memory: AR choices run
-    /// [`IncrementalAr`], sliding/robust z-choices run [`RollingRobustZ`],
-    /// everything else falls back to a hopping [`WindowedBatch`].
+    /// True incremental scorers with bounded memory, one per spec as
+    /// [`engine::build_online`] resolves it.
     Incremental,
 }
 
@@ -373,13 +370,15 @@ enum History {
 }
 
 /// One sensor stream's online scoring state: watermark reorder buffer,
-/// the scorer, and the released/scored history.
+/// the scorer, the released history and its scores.
 pub(crate) struct Pipeline {
     pub(crate) watermark: Watermark,
     /// `None` once the pipeline is frozen with its job.
     scorer: Option<Box<dyn OnlineScorer>>,
     history: History,
-    scored: Vec<ScoredPoint>,
+    /// The scorer's output so far: the i-th score is the i-th released
+    /// sample's.
+    scored: Vec<f64>,
     failed: bool,
     finished: bool,
     /// How many released samples have already been sealed into a segment
@@ -510,9 +509,9 @@ impl Pipeline {
     /// skips: its scorer failed, or its scores are not complete yet (open
     /// phase in batch-equivalent mode) — the batch path skips unscorable
     /// series the same way.
-    fn raw_scores(&self) -> Option<Vec<f64>> {
+    fn raw_scores(&self) -> Option<&[f64]> {
         (!self.failed && self.scored.len() == self.released().0.len())
-            .then(|| self.scored.iter().map(|p| p.score).collect())
+            .then_some(self.scored.as_slice())
     }
 
     /// This pipeline's share of its lane's counters.
@@ -533,11 +532,10 @@ impl Pipeline {
     }
 
     /// Freezes a finished pipeline with its completed job: the history
-    /// moves onto shared storage, the scorer and its scored points are
-    /// released, and the raw scores ([`raw_scores`](Self::raw_scores)) are
-    /// handed out this once.
+    /// moves onto shared storage, the scorer is released, and the raw
+    /// scores ([`raw_scores`](Self::raw_scores)) move out this once.
     fn freeze(&mut self) -> Option<Vec<f64>> {
-        let raw = self.raw_scores();
+        let complete = self.raw_scores().is_some();
         if let History::Open { timestamps, values } = &mut self.history {
             self.history = History::Frozen {
                 timestamps: std::mem::take(timestamps).into(),
@@ -545,8 +543,8 @@ impl Pipeline {
             };
         }
         self.scorer = None;
-        self.scored = Vec::new();
-        raw
+        let scored = std::mem::take(&mut self.scored);
+        complete.then_some(scored)
     }
 }
 
@@ -649,10 +647,11 @@ impl StreamDetector {
     /// # Errors
     /// Rejects [`PhaseChoice::ProfileAcrossJobs`] — profiles are learned
     /// across completed jobs and have no per-sample online form; use the
-    /// batch pipeline for profile mode. Resolves the phase and environment
-    /// specs once, so an unknown key, an undeclared or malformed parameter
-    /// or a non-point entry is an [`DetectError::InvalidParameter`] here,
-    /// before any control event is applied.
+    /// batch pipeline for profile mode. Resolves every level's spec once,
+    /// as the batch path does before it scores anything, so an unknown
+    /// key, an undeclared or malformed parameter or an entry of the wrong
+    /// granularity is an [`DetectError::InvalidParameter`] here, before
+    /// any control event is applied — not at the first tick.
     pub fn new(policy: AlgorithmPolicy, config: StreamConfig) -> Result<Self> {
         let PhaseChoice::PerSeries(phase_spec) = &policy.phase else {
             return Err(DetectError::invalid(
@@ -660,9 +659,7 @@ impl StreamDetector {
                 "ProfileAcrossJobs is not streamable per-series; use batch detection",
             ));
         };
-        for spec in [phase_spec, &policy.environment] {
-            engine::build(spec)?.into_point()?;
-        }
+        validate_policy(&policy)?;
         let phase_spec = phase_spec.clone();
         Ok(Self {
             policy,
@@ -1185,21 +1182,14 @@ impl StreamDetector {
         })
     }
 
-    /// Builds the online scorer without the adaptive wrapper. The
-    /// incremental table is keyed by the resolved registry key, since a
-    /// spec may also name its entry by Table-1 row name; `order` and
-    /// `window` default as the registry's own builders do.
+    /// Builds the online scorer without the adaptive wrapper: the mode
+    /// picks which of the engine's two online forms of the spec runs.
     fn build_bare_scorer(&self, spec: &AlgoSpec) -> Result<Box<dyn OnlineScorer>> {
         match self.config.mode {
             ScorerMode::BatchEquivalent => {
                 Ok(Box::new(WindowedBatch::full_history(engine::build(spec)?)))
             }
-            ScorerMode::Incremental => Ok(match engine::find(&spec.name)?.key {
-                "ar" => Box::new(IncrementalAr::new(spec.get_usize("order", 3)?, 32)?),
-                "sliding-z" => Box::new(RollingRobustZ::new(spec.get_usize("window", 48)?.max(3))?),
-                "robust-z" | "global-z" => Box::new(RollingRobustZ::new(256)?),
-                _ => Box::new(WindowedBatch::hopping(engine::build(spec)?, 256, 64)?),
-            }),
+            ScorerMode::Incremental => engine::build_online(spec),
         }
     }
 }
@@ -1353,6 +1343,36 @@ mod tests {
     }
 
     #[test]
+    fn rejects_upper_level_specs_the_first_tick_would_reject() {
+        // Wrong granularity at the job and line levels, a misspelt key and
+        // a malformed parameter at the production level.
+        for (level, text) in [
+            (Level::Job, "ar"),
+            (Level::ProductionLine, "pca"),
+            (Level::Production, "cross-machine-profil"),
+            (Level::Production, "phased-kmeans(segments=-1)"),
+        ] {
+            let mut policy = AlgorithmPolicy::default();
+            let slot = match level {
+                Level::Job => &mut policy.job,
+                Level::ProductionLine => &mut policy.line,
+                _ => &mut policy.production,
+            };
+            *slot = text.parse().expect("well-formed");
+            for mode in [ScorerMode::BatchEquivalent, ScorerMode::Incremental] {
+                let config = StreamConfig { lateness: 0, mode };
+                assert!(
+                    matches!(
+                        StreamDetector::new(policy.clone(), config),
+                        Err(DetectError::InvalidParameter { .. })
+                    ),
+                    "{level:?}: {text}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn lifecycle_is_enforced() {
         let mut det = detector(ScorerMode::BatchEquivalent);
         let job =
@@ -1486,28 +1506,6 @@ mod tests {
             "incremental scorers must flag the spike: {:?}",
             phase.outliers
         );
-    }
-
-    #[test]
-    fn incremental_table_is_keyed_by_the_resolved_registry_key() {
-        let online_name = |phase: &str| {
-            let policy = AlgorithmPolicy {
-                phase: PhaseChoice::PerSeries(phase.parse().expect("well-formed")),
-                ..AlgorithmPolicy::default()
-            };
-            let config = StreamConfig {
-                lateness: 0,
-                mode: ScorerMode::Incremental,
-            };
-            let det = StreamDetector::new(policy, config).expect("streamable");
-            det.build_lane_scorer(LaneKind::Phase)
-                .expect("scorer")
-                .name()
-        };
-        assert_eq!(online_name("ar"), "incremental-ar");
-        assert_eq!(online_name("Autoregressive Model"), "incremental-ar");
-        assert_eq!(online_name("global-z"), "rolling-robust-z");
-        assert_eq!(online_name("sax"), "windowed-batch(hopping)");
     }
 
     #[test]

@@ -66,7 +66,9 @@ use hierod_detect::{DetectError, Result};
 use hierod_store::store::StoreOptions;
 use hierod_store::tenants::{valid_tenant_id, StorageFactory};
 
-use crate::detector::{ControlEvent, LaneStats, StreamConfig, StreamReport, StreamStats};
+use crate::detector::{
+    ControlEvent, LaneStats, StreamConfig, StreamDetector, StreamReport, StreamStats,
+};
 use crate::durable::{DurableRecovery, DurableStream};
 use crate::lane::{LaneId, LaneTable, RunError, Sample};
 
@@ -268,12 +270,15 @@ impl<F: StorageFactory> PlantRegistry<F> {
     ///
     /// # Errors
     /// Only on failure to enumerate tenants at all (the factory root
-    /// itself is unreadable) or on policy rejection.
+    /// itself is unreadable) or on policy rejection — checked once, before
+    /// any tenant's storage is touched, so a registry never serves a
+    /// policy that cannot produce a report.
     pub fn open(
         factory: F,
         policy: AlgorithmPolicy,
         config: TenantConfig,
     ) -> Result<(Self, BTreeMap<String, DurableRecovery>)> {
+        StreamDetector::new(policy.clone(), config.stream)?;
         let ids = factory.list_tenants().map_err(substrate)?;
         let mut live = BTreeMap::new();
         let mut failed = BTreeMap::new();
@@ -616,6 +621,31 @@ mod tests {
             format!("{recovered_report:?}"),
             "post-recovery tick matches pre-crash tick"
         );
+    }
+
+    #[test]
+    fn open_rejects_a_policy_no_report_could_come_from() {
+        let bad = AlgorithmPolicy {
+            job: "ar".parse().unwrap(),
+            ..AlgorithmPolicy::default()
+        };
+        // Over an empty factory no tenant would resolve the spec either.
+        let empty = PlantRegistry::open(MemFactory::new(), bad.clone(), TenantConfig::default());
+        assert!(matches!(empty, Err(DetectError::InvalidParameter { .. })));
+        // Over a populated one the plants are not written off as failed.
+        let (mut registry, _) = PlantRegistry::open(
+            MemFactory::new(),
+            AlgorithmPolicy::default(),
+            TenantConfig::default(),
+        )
+        .unwrap();
+        drive(registry.create_tenant("plant-a").unwrap(), 0.0);
+        let image = registry.factory().crash_image(false);
+        let populated = PlantRegistry::open(image, bad, TenantConfig::default());
+        assert!(matches!(
+            populated,
+            Err(DetectError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

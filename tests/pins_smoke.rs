@@ -9,12 +9,16 @@
 //! `wire_equivalence`'s fragmentation pin, and
 //! `aborted_rotation_recovers_and_range_scan_answers` of
 //! `history_equivalence`'s snapshot ≡ recovery sweep.
+//! `unresolvable_policy_is_rejected_at_construction` is not an equivalence
+//! pin but rides here because tier-1 runs only this package: a policy the
+//! first tick would reject must never get as far as a tick.
 
 use std::collections::BTreeMap;
 use std::thread;
 
 use hierod::adapt::AdaptiveStream;
 use hierod::core::AlgorithmPolicy;
+use hierod::detect::DetectError;
 use hierod::server::{Client, Server, ServerConfig};
 use hierod::service::{PlantService, RegistryService};
 use hierod::store::tenants::MemFactory;
@@ -342,4 +346,20 @@ fn adaptive_passthrough_equals_plain() {
     assert!(stream.refit_log().is_empty());
     let report = stream.finish().expect("finish");
     assert_eq!(encode_report(&report), reference(&events));
+}
+
+/// The batch path resolves all five levels' specs before it scores
+/// anything; a detector and a server must do so before they accept
+/// anything.
+#[test]
+fn unresolvable_policy_is_rejected_at_construction() {
+    let bad = AlgorithmPolicy {
+        job: "ar".parse().expect("well-formed"),
+        ..AlgorithmPolicy::default()
+    };
+    let invalid = |e: &DetectError| matches!(e, DetectError::InvalidParameter { .. });
+    let det = StreamDetector::new(bad.clone(), StreamConfig::default());
+    assert!(det.is_err_and(|e| invalid(&e)), "accepted by the detector");
+    let svc = RegistryService::open(MemFactory::new(), bad, TenantConfig::default());
+    assert!(svc.is_err_and(|e| invalid(&e)), "accepted by the service");
 }
