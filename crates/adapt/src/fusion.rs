@@ -22,6 +22,7 @@ use hierod_core::{HierOutlier, HierReport};
 use hierod_detect::engine::{self, AlgoSpec};
 use hierod_detect::Result;
 use hierod_hierarchy::Plant;
+use hierod_timeseries::stats::order_pair;
 
 /// How to fuse.
 #[derive(Debug, Clone)]
@@ -231,7 +232,7 @@ fn residual_spikes_at(residuals: &[f64], index: usize, policy: &FusionPolicy) ->
     if !peak.is_finite() {
         return false;
     }
-    let context: Vec<f64> = jumps
+    let mut context: Vec<f64> = jumps
         .iter()
         .enumerate()
         .filter(|(i, v)| (*i < lo || *i > hi) && v.is_finite())
@@ -240,7 +241,7 @@ fn residual_spikes_at(residuals: &[f64], index: usize, policy: &FusionPolicy) ->
     if context.len() < MIN_CONTEXT {
         return false;
     }
-    let (median, mad) = median_mad(&context);
+    let (median, mad) = median_mad(&mut context);
     // 1.4826·MAD ≈ σ for Gaussian jumps; the floor keeps a degenerate
     // perfectly-collinear pair (context jumps all ~0) from dividing by
     // zero — any nonzero jump then reads as disagreement.
@@ -248,15 +249,15 @@ fn residual_spikes_at(residuals: &[f64], index: usize, policy: &FusionPolicy) ->
     (peak - median) / scale >= policy.z_threshold
 }
 
-/// `(median, MAD)` of a non-empty slice (0s when empty).
-fn median_mad(vals: &[f64]) -> (f64, f64) {
-    let mut sorted = vals.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
-    let mut devs: Vec<f64> = sorted.iter().map(|v| (v - median).abs()).collect();
-    devs.sort_by(f64::total_cmp);
-    let mad = devs.get(devs.len() / 2).copied().unwrap_or(0.0);
-    (median, mad)
+/// `(upper median, unscaled MAD about it)` of a scratch buffer, which is
+/// left holding the deviations (0s when empty): the order statistic at
+/// rank `n / 2`, no midpoint.
+fn median_mad(scratch: &mut [f64]) -> (f64, f64) {
+    let mid = scratch.len() / 2;
+    let upper = |scratch: &mut [f64]| order_pair(scratch, mid, mid).map_or(0.0, |(_, at)| at);
+    let median = upper(scratch);
+    scratch.iter_mut().for_each(|v| *v = (*v - median).abs());
+    (median, upper(scratch))
 }
 
 #[cfg(test)]
@@ -267,6 +268,34 @@ mod tests {
         RedundancyGroup, Sensor, SensorKind,
     };
     use hierod_timeseries::TimeSeries;
+    use proptest::prelude::*;
+
+    /// `median_mad` as it was: two copies, two sorts, upper medians.
+    fn sorted_median_mad(vals: &[f64]) -> (f64, f64) {
+        let mut sorted = vals.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
+        let mut devs: Vec<f64> = sorted.iter().map(|v| (v - median).abs()).collect();
+        devs.sort_by(f64::total_cmp);
+        let mad = devs.get(devs.len() / 2).copied().unwrap_or(0.0);
+        (median, mad)
+    }
+
+    proptest! {
+        #[test]
+        fn selected_median_mad_is_the_sorted_one(
+            vals in prop::collection::vec((0.0_f64..10.0, 0_u8..3), 0..80_usize),
+        ) {
+            // Magnitudes of jumps: non-negative, many of them equal.
+            let vals: Vec<f64> = vals
+                .into_iter()
+                .map(|(v, kind)| if kind == 0 { v } else { v.round() })
+                .collect();
+            let (median, mad) = median_mad(&mut vals.clone());
+            let want = sorted_median_mad(&vals);
+            prop_assert_eq!((median.to_bits(), mad.to_bits()), (want.0.to_bits(), want.1.to_bits()));
+        }
+    }
 
     /// One machine, one job, one heating phase with two redundant
     /// chamber-temperature gauges reading `base`, the primary perturbed

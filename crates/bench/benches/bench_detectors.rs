@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hierod_detect::da::{GaussianMixture, OneClassSvm, PrincipalComponentSpace, SelfOrganizingMap};
+use hierod_detect::engine::{RobustZ, Standardizer};
 use hierod_detect::itm::HistogramDeviants;
 use hierod_detect::npd::WindowSequenceDb;
 use hierod_detect::os::SaxDiscord;
@@ -13,6 +14,7 @@ use hierod_detect::sa::NeuralNetwork;
 use hierod_detect::uoa::OlapCubeDetector;
 use hierod_detect::upa::{FiniteStateAutomaton, HiddenMarkov};
 use hierod_detect::{DiscreteScorer, PointScorer, SupervisedScorer, VectorScorer};
+use hierod_timeseries::stats;
 use std::hint::black_box;
 
 fn noisy_series(n: usize) -> Vec<f64> {
@@ -103,6 +105,23 @@ fn bench_profile(c: &mut Criterion) {
     group.finish();
 }
 
+/// The order-statistics kernel and the standardizer on top of it, at the
+/// length of one phase series (960) and of a long environment series.
+fn bench_order_statistics(c: &mut Criterion) {
+    for n in [960, 100_000] {
+        let raw = noisy_series(n);
+        let mut group = c.benchmark_group(&format!("order_statistics_n{n}"));
+        group.bench_function("median", |b| {
+            b.iter(|| stats::median(black_box(&raw)).unwrap())
+        });
+        group.bench_function("mad", |b| b.iter(|| stats::mad(black_box(&raw)).unwrap()));
+        group.bench_function("robust_z_standardize", |b| {
+            b.iter(|| RobustZ.standardize(black_box(&raw)))
+        });
+        group.finish();
+    }
+}
+
 fn bench_discrete(c: &mut Criterion) {
     let seqs = sequences(24, 64);
     let refs: Vec<&[u16]> = seqs.iter().map(Vec::as_slice).collect();
@@ -155,6 +174,7 @@ criterion_group!(
     bench_discrete,
     bench_subsequence,
     bench_supervised,
-    bench_profile
+    bench_profile,
+    bench_order_statistics
 );
 criterion_main!(benches);

@@ -164,7 +164,7 @@ pub fn emit_series(
     let z: Arc<[f64]> = if already_standardized {
         raw.into()
     } else {
-        RobustZ.standardize(raw).into()
+        RobustZ.standardize(raw)
     };
     for (idx, (&zs, &rs)) in z.iter().zip(raw).enumerate() {
         if zs >= threshold {
@@ -332,14 +332,14 @@ fn level_tasks<'env>(
                         view.vectors.iter().map(|v| v.features.as_ref()).collect();
                     let raw = scorer.score_rows(&rows)?;
                     let z = RobustZ.standardize(&raw);
-                    for (v, &zs) in view.vectors.iter().zip(&z) {
+                    for (v, &zs) in view.vectors.iter().zip(z.iter()) {
                         frag.vector_scores.push(VectorScore {
                             machine: v.machine.clone(),
                             job: v.job.clone(),
                             z: zs,
                         });
                     }
-                    for ((v, &zs), &rs) in view.vectors.iter().zip(&z).zip(&raw) {
+                    for ((v, &zs), &rs) in view.vectors.iter().zip(z.iter()).zip(&raw) {
                         if zs >= threshold {
                             frag.outliers.push(LevelOutlier {
                                 level,
@@ -366,7 +366,7 @@ fn level_tasks<'env>(
                         view.series.iter().map(|s| s.series.values()).collect();
                     if let Ok(raw) = scorer.score_collection(&collection, *segments) {
                         let z = RobustZ.standardize(&raw);
-                        for ((at, &zs), &rs) in view.series.iter().zip(&z).zip(&raw) {
+                        for ((at, &zs), &rs) in view.series.iter().zip(z.iter()).zip(&raw) {
                             if zs >= threshold {
                                 frag.outliers.push(LevelOutlier {
                                     level,

@@ -378,8 +378,8 @@ pub fn drift_eval(scenario: &Scenario, policy: &AlgorithmPolicy) -> Result<Drift
             production_ranking = view
                 .series
                 .iter()
-                .zip(z)
-                .map(|(s, z)| (s.machine.clone(), z))
+                .zip(z.iter())
+                .map(|(s, &z)| (s.machine.clone(), z))
                 .collect();
             production_ranking.sort_by(|a, b| b.1.total_cmp(&a.1));
         }

@@ -120,7 +120,7 @@ proptest! {
         let z = RobustZ.standardize(&scores);
         prop_assert_eq!(z.len(), scores.len());
         // The median element maps to (approximately) zero.
-        let mut sorted = z.clone();
+        let mut sorted = z.to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
         let med = sorted[sorted.len() / 2];
         prop_assert!(med.abs() < 1.0, "median z {med}");

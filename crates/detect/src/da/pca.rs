@@ -11,6 +11,7 @@ use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
 };
+use crate::stat::midpoint_median;
 
 /// PCA reconstruction-error scorer.
 ///
@@ -177,12 +178,10 @@ impl VectorScorer for PrincipalComponentSpace {
         let n = rows.len();
         let mut zs = vec![vec![0.0_f64; d]; n];
         for c in 0..d {
-            let col: Vec<f64> = rows.iter().map(|r| r[c]).collect();
-            let med = median_of(&col);
-            let mad = {
-                let dev: Vec<f64> = col.iter().map(|x| (x - med).abs()).collect();
-                1.4826 * median_of(&dev)
-            };
+            let mut col: Vec<f64> = rows.iter().map(|r| r[c]).collect();
+            let med = midpoint_median(&mut col);
+            col.iter_mut().for_each(|x| *x = (*x - med).abs());
+            let mad = 1.4826 * midpoint_median(&mut col);
             if mad > 1e-12 {
                 for (z, r) in zs.iter_mut().zip(rows) {
                     z[c] = (r[c] - med) / mad;
@@ -201,17 +200,6 @@ impl VectorScorer for PrincipalComponentSpace {
             .iter()
             .map(|z| pca.reconstruction_error(z).sqrt())
             .collect())
-    }
-}
-
-fn median_of(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
     }
 }
 

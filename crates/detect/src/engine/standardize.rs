@@ -7,12 +7,15 @@
 //! [`Standardizer`] makes that final normalization stage explicit and
 //! swappable instead of hard-wiring it into the level-detection loop.
 
+use std::sync::Arc;
+
 use hierod_timeseries::stats;
 
 /// Maps a raw score vector onto a common comparable scale.
 pub trait Standardizer: Send + Sync {
-    /// Standardizes the raw scores (same length as the input).
-    fn standardize(&self, raw: &[f64]) -> Vec<f64>;
+    /// Standardizes the raw scores (same length as the input) into the
+    /// shared buffer a report column holds, so the scores are written once.
+    fn standardize(&self, raw: &[f64]) -> Arc<[f64]>;
 
     /// Short label for reports.
     fn label(&self) -> &'static str;
@@ -25,22 +28,18 @@ pub trait Standardizer: Send + Sync {
 pub struct RobustZ;
 
 impl Standardizer for RobustZ {
-    fn standardize(&self, raw: &[f64]) -> Vec<f64> {
-        if raw.is_empty() {
-            return Vec::new();
-        }
-        let med = stats::median(raw).expect("non-empty");
-        let mad = stats::mad(raw).expect("non-empty");
+    fn standardize(&self, raw: &[f64]) -> Arc<[f64]> {
+        let Ok((med, mad)) = stats::median_mad_in(&mut raw.to_vec()) else {
+            return raw.into(); // empty in, empty out
+        };
         let spread = if mad > 1e-12 {
             mad
         } else {
             // MAD collapses when most scores are identical (e.g. IQR-fence
             // zeros); fall back to the standard deviation.
-            let sd = stats::std_dev(raw).expect("non-empty");
-            if sd > 1e-12 {
-                sd
-            } else {
-                return vec![0.0; raw.len()];
+            match stats::std_dev(raw) {
+                Ok(sd) if sd > 1e-12 => sd,
+                _ => return raw.iter().map(|_| 0.0).collect(),
             }
         };
         raw.iter().map(|s| (s - med) / spread).collect()
@@ -59,8 +58,8 @@ impl Standardizer for RobustZ {
 pub struct Identity;
 
 impl Standardizer for Identity {
-    fn standardize(&self, raw: &[f64]) -> Vec<f64> {
-        raw.to_vec()
+    fn standardize(&self, raw: &[f64]) -> Arc<[f64]> {
+        raw.into()
     }
 
     fn label(&self) -> &'static str {
@@ -81,8 +80,8 @@ mod tests {
 
     #[test]
     fn robust_z_degenerate_inputs() {
-        assert_eq!(RobustZ.standardize(&[]), Vec::<f64>::new());
-        assert_eq!(RobustZ.standardize(&[2.0, 2.0]), vec![0.0, 0.0]);
+        assert!(RobustZ.standardize(&[]).is_empty());
+        assert_eq!(*RobustZ.standardize(&[2.0, 2.0]), [0.0, 0.0]);
         // MAD zero but variance nonzero: one extreme among many identical.
         let mut v = vec![0.0; 9];
         v.push(100.0);
@@ -92,9 +91,24 @@ mod tests {
     }
 
     #[test]
+    fn robust_z_with_infinite_scores() {
+        let inf = f64::INFINITY;
+        // A minority of infinite scores is flagged at ∞; the rest keep
+        // their finite scale.
+        let z = RobustZ.standardize(&[1.0, 1.1, 0.9, 1.0, inf]);
+        assert_eq!(z[4], inf);
+        assert!(z[..4].iter().all(|x| x.is_finite()));
+        // A majority has median ∞ (not NaN) and no usable spread: every
+        // score is zero, none is NaN.
+        for raw in [[1.0, inf, inf, inf], [inf, inf, inf, inf]] {
+            assert_eq!(*RobustZ.standardize(&raw), [0.0; 4]);
+        }
+    }
+
+    #[test]
     fn identity_is_noop() {
         let raw = [0.5, 3.0, -1.0];
-        assert_eq!(Identity.standardize(&raw), raw.to_vec());
+        assert_eq!(*Identity.standardize(&raw), raw);
         assert_eq!(Identity.label(), "identity");
         assert_eq!(RobustZ.label(), "robust z");
     }

@@ -15,6 +15,7 @@ use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
 };
+use crate::stat::midpoint_median;
 
 /// Ordinary-least-squares regression of the sibling column on the primary
 /// column; each row's score is its absolute regression residual
@@ -138,9 +139,10 @@ impl VectorScorer for PairDifference {
     fn score_rows(&self, rows: &[&[f64]]) -> Result<Vec<f64>> {
         let ab = pairs(rows)?;
         let diffs: Vec<f64> = ab.iter().map(|(a, b)| b - a).collect();
-        let med = median_in_place(&mut diffs.clone());
-        let mut abs_dev: Vec<f64> = diffs.iter().map(|d| (d - med).abs()).collect();
-        let mad = median_in_place(&mut abs_dev);
+        let mut scratch = diffs.clone();
+        let med = midpoint_median(&mut scratch);
+        scratch.iter_mut().for_each(|d| *d = (*d - med).abs());
+        let mad = midpoint_median(&mut scratch);
         // 1.4826 · MAD estimates σ for Gaussian deviations; the floor keeps
         // the degenerate all-equal case finite (its deviations are 0, so
         // scores collapse to 0 rather than 0/0).
@@ -156,23 +158,6 @@ impl VectorScorer for PairDifference {
                 }
             })
             .collect())
-    }
-}
-
-/// Median by sort (inputs are pre-validated finite).
-fn median_in_place(v: &mut [f64]) -> f64 {
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    let hi = v.get(n / 2).copied().unwrap_or(0.0);
-    if n % 2 == 1 {
-        hi
-    } else {
-        let lo = n
-            .checked_sub(1)
-            .and_then(|m| v.get(m / 2))
-            .copied()
-            .unwrap_or(0.0);
-        (lo + hi) / 2.0
     }
 }
 

@@ -11,6 +11,7 @@
 
 use crate::api::{Capabilities, TechniqueClass};
 use crate::api::{DetectError, Detector, DetectorInfo, Result};
+use crate::stat::midpoint_median;
 
 /// A fitted per-position profile.
 #[derive(Debug, Clone)]
@@ -47,24 +48,16 @@ impl ProfileSimilarity {
         // event positions, masking the very anomaly a later scoring pass
         // should find; the median/MAD template is immune to a minority of
         // contaminated references.
-        let median_of = |xs: &mut Vec<f64>| -> f64 {
-            xs.sort_by(|a, b| a.total_cmp(b));
-            let n = xs.len();
-            if n % 2 == 1 {
-                xs[n / 2]
-            } else {
-                (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-            }
-        };
         let mut mean = vec![0.0_f64; len];
         let mut std = vec![0.0_f64; len];
+        let mut col = Vec::with_capacity(references.len());
         for pos in 0..len {
-            let mut col: Vec<f64> = references.iter().map(|r| r[pos]).collect();
-            let med = median_of(&mut col);
-            let mut dev: Vec<f64> = col.iter().map(|x| (x - med).abs()).collect();
-            let mad = 1.4826 * median_of(&mut dev);
+            col.clear();
+            col.extend(references.iter().map(|r| r[pos]));
+            let med = midpoint_median(&mut col);
+            col.iter_mut().for_each(|x| *x = (*x - med).abs());
             mean[pos] = med;
-            std[pos] = mad;
+            std[pos] = 1.4826 * midpoint_median(&mut col);
         }
         // Floor each position's spread at half the profile's global level:
         // a per-position MAD estimated from a handful of references is

@@ -12,6 +12,8 @@
 
 use std::cmp::Ordering;
 
+use hierod_timeseries::stats::order_pair;
+
 /// Total order with NaN (either sign) strictly greatest.
 ///
 /// Unlike raw [`f64::total_cmp`] — which puts negative NaN *below*
@@ -45,6 +47,22 @@ pub fn sort_total(xs: &mut [f64]) {
 /// Sorts by an `f64` key, ascending, NaN keys last.
 pub fn sort_by_key_total<T>(xs: &mut [T], key: impl Fn(&T) -> f64) {
     xs.sort_by(|a, b| nan_last_cmp(key(a), key(b)));
+}
+
+/// Midpoint median of a scratch buffer (which it permutes): the middle
+/// order statistic, or `(a + b) / 2` of the two middle ones; 0 when empty.
+/// The ranks come from the workspace's selection kernel; the midpoint stays
+/// here because `(a + b) / 2` and the type-7 `a + (b − a) · 0.5` of
+/// [`stats::median`](hierod_timeseries::stats::median) differ in the last
+/// bit, and the detectors built on this form are pinned bit for bit.
+pub fn midpoint_median(scratch: &mut [f64]) -> f64 {
+    let n = scratch.len();
+    let (below, above) = (n.saturating_sub(1) / 2, n / 2);
+    match order_pair(scratch, below, above) {
+        Some((lo, hi)) if below < above => (lo + hi) / 2.0,
+        Some((_, hi)) => hi,
+        None => 0.0,
+    }
 }
 
 #[cfg(test)]

@@ -68,8 +68,9 @@ impl Detector for IqrFence {
 impl PointScorer for IqrFence {
     fn score_points(&self, values: &[f64]) -> Result<Vec<f64>> {
         check_finite("IqrFence", values)?;
-        let q1 = stats::quantile(values, 0.25)?;
-        let q3 = stats::quantile(values, 0.75)?;
+        let mut scratch = values.to_vec();
+        let q1 = stats::quantile_in(&mut scratch, 0.25)?;
+        let q3 = stats::quantile_in(&mut scratch, 0.75)?;
         let iqr = (q3 - q1).max(1e-12);
         let lo = q1 - 1.5 * iqr;
         let hi = q3 + 1.5 * iqr;

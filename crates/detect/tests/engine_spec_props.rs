@@ -137,7 +137,7 @@ fn every_entry_scores_synthetic_data_to_finite_standardized_scores() {
         assert!(!raw.is_empty(), "{} returned no scores", e.key);
         let z = RobustZ.standardize(&raw);
         assert_eq!(z.len(), raw.len());
-        for v in &z {
+        for v in z.iter() {
             assert!(v.is_finite(), "{}: non-finite standardized score", e.key);
         }
     }
@@ -276,7 +276,7 @@ proptest! {
                 _ => continue,
             };
             prop_assert_eq!(raw.len(), values.len(), "{}", e.key);
-            for z in RobustZ.standardize(&raw) {
+            for z in RobustZ.standardize(&raw).iter() {
                 prop_assert!(z.is_finite(), "{}: {}", e.key, z);
             }
         }

@@ -85,3 +85,41 @@ fn all_nan_series_never_panics() {
         }
     }
 }
+
+/// Nothing upstream of the standardizer calls `is_finite` on a raw score,
+/// so its order statistics must survive infinite runs: the median of a
+/// run of `∞` is `∞` (it was `∞ + (∞ − ∞) · frac = NaN`), and no
+/// standardized score turns NaN because of it.
+#[test]
+fn infinite_raw_scores_standardize_without_nan() {
+    use hierod_detect::engine::{RobustZ, Standardizer};
+    use hierod_timeseries::stats;
+
+    let inf = f64::INFINITY;
+    assert_eq!(stats::median(&[inf, inf, 2.0, inf]).unwrap(), inf);
+    assert_eq!(
+        stats::quantile(&[0.0, -inf, -inf, -inf], 0.25).unwrap(),
+        -inf
+    );
+    for infinite in 0..=8 {
+        let raw: Vec<f64> = (0..8)
+            .map(|i| {
+                if i < infinite {
+                    inf
+                } else {
+                    1.0 + (i as f64 * 0.9).sin()
+                }
+            })
+            .collect();
+        let z = RobustZ.standardize(&raw);
+        assert_eq!(z.len(), raw.len());
+        assert!(
+            z.iter().all(|x| !x.is_nan()),
+            "{infinite} of 8 infinite: {z:?}"
+        );
+        // While they are the minority, the infinite scores are what is flagged.
+        if (1..4).contains(&infinite) {
+            assert!(z.iter().zip(&raw).all(|(z, r)| (*z == inf) == (*r == inf)));
+        }
+    }
+}

@@ -225,3 +225,190 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Order statistics by selection: every median that moved off a sort,
+// against the sort-based form it replaced, kept here as the oracle.
+
+use hierod_detect::engine::{RobustZ, Standardizer};
+use hierod_detect::related::{PairDifference, ProfileSimilarity};
+use hierod_detect::stat::midpoint_median;
+use hierod_timeseries::stats;
+
+fn sorted(xs: &[f64]) -> Vec<f64> {
+    let mut v = xs.to_vec();
+    v.sort_by(|a, b| a.total_cmp(b));
+    v
+}
+
+/// The detectors' midpoint median, by sort.
+fn sorted_midpoint_median(xs: &[f64]) -> f64 {
+    let v = sorted(xs);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// `stats::median` by sort: type-7 interpolation, an infinite run being
+/// that infinity (see `hierod-timeseries`' own property tests).
+fn sorted_type7_median(xs: &[f64]) -> f64 {
+    let v = sorted(xs);
+    let h = 0.5 * (v.len() - 1) as f64;
+    let (lo, hi) = (v[h.floor() as usize], v[h.ceil() as usize]);
+    if lo == hi && lo.is_infinite() {
+        return lo;
+    }
+    lo + (hi - lo) * (h - h.floor())
+}
+
+/// `RobustZ` as it was: a sorted median, a sorted median inside the MAD,
+/// a third around a fresh deviation vector.
+fn three_sort_robust_z(raw: &[f64]) -> Vec<f64> {
+    if raw.is_empty() {
+        return Vec::new();
+    }
+    let med = sorted_type7_median(raw);
+    let dev: Vec<f64> = raw.iter().map(|x| (x - med).abs()).collect();
+    let mad = 1.4826 * sorted_type7_median(&dev);
+    let spread = if mad > 1e-12 {
+        mad
+    } else {
+        let sd = stats::std_dev(raw).unwrap();
+        if sd > 1e-12 {
+            sd
+        } else {
+            return vec![0.0; raw.len()];
+        }
+    };
+    raw.iter().map(|s| (s - med) / spread).collect()
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Raw score vectors of every kind `RobustZ` branches on: spread out,
+/// mostly one value with a few spikes (MAD collapses, `std_dev` takes
+/// over), all equal (zeros), and arbitrary bit patterns.
+fn raw_scores() -> impl Strategy<Value = Vec<f64>> {
+    (
+        prop::collection::vec((any::<u64>(), -50.0_f64..50.0), 0..200_usize),
+        0_u8..4,
+    )
+        .prop_map(|(draws, kind)| {
+            draws
+                .into_iter()
+                .map(|(bits, x)| match kind {
+                    0 => x,
+                    1 if bits % 16 == 0 => x,
+                    1 | 2 => 3.5,
+                    _ if bits % 4 == 0 => f64::from_bits(bits),
+                    _ if bits % 4 == 1 => {
+                        [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0][(bits >> 2) as usize % 4]
+                    }
+                    _ => x.round(),
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #[test]
+    fn robust_z_is_its_three_sort_definition(raw in raw_scores()) {
+        prop_assert_eq!(bits(&RobustZ.standardize(&raw)), bits(&three_sort_robust_z(&raw)));
+    }
+
+    #[test]
+    fn midpoint_median_is_its_sorted_form_on_even_and_odd_lengths(
+        xs in prop::collection::vec(-100.0_f64..100.0, 1..64_usize),
+        dup in 0_usize..64,
+    ) {
+        // Both parities of every draw, with a duplicated value in the mix.
+        let mut longer = xs.clone();
+        longer.push(xs[dup % xs.len()]);
+        for xs in [xs, longer] {
+            prop_assert_eq!(
+                midpoint_median(&mut xs.clone()).to_bits(),
+                sorted_midpoint_median(&xs).to_bits()
+            );
+        }
+        prop_assert_eq!(midpoint_median(&mut []), 0.0);
+    }
+
+    #[test]
+    fn pair_difference_is_its_sort_based_form(rows in vec_rows(1..40, 2), signed in 0_u8..2) {
+        let diffs: Vec<f64> = rows.iter().map(|r| r[1] - r[0]).collect();
+        let med = sorted_midpoint_median(&diffs);
+        let abs_dev: Vec<f64> = diffs.iter().map(|d| (d - med).abs()).collect();
+        let scale = (1.4826 * sorted_midpoint_median(&abs_dev)).max(f64::EPSILON);
+        let want: Vec<f64> = diffs
+            .iter()
+            .map(|d| (d - med) / scale)
+            .map(|z| if signed == 1 { z } else { z.abs() })
+            .collect();
+        let got = PairDifference::new(signed == 1)
+            .score_rows(&hierod_detect::row_refs(&rows))
+            .unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn profile_template_is_its_sort_based_form(
+        refs in (2_usize..12).prop_flat_map(|len| vec_rows(1..9, len)),
+    ) {
+        let len = refs[0].len();
+        let mut mean = vec![0.0_f64; len];
+        let mut std = vec![0.0_f64; len];
+        for pos in 0..len {
+            let col: Vec<f64> = refs.iter().map(|r| r[pos]).collect();
+            let med = sorted_midpoint_median(&col);
+            let dev: Vec<f64> = col.iter().map(|x| (x - med).abs()).collect();
+            mean[pos] = med;
+            std[pos] = 1.4826 * sorted_midpoint_median(&dev);
+        }
+        let global = (std.iter().map(|s| s * s).sum::<f64>() / len as f64).sqrt().max(1e-9);
+        let probe = &refs[0];
+        let want: Vec<f64> = probe
+            .iter()
+            .zip(&mean)
+            .zip(&std)
+            .map(|((x, m), s)| ((x - m) / s.max(global * 0.5)).abs())
+            .collect();
+        let got = ProfileSimilarity::fit(&hierod_detect::row_refs(&refs))
+            .unwrap()
+            .score_points(probe)
+            .unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn robust_pca_is_its_sort_based_form(rows in vec_rows(3..24, 3)) {
+        let pca = PrincipalComponentSpace::new(1).unwrap();
+        let (n, d) = (rows.len(), 3);
+        let mut zs = vec![vec![0.0_f64; d]; n];
+        for c in 0..d {
+            let col: Vec<f64> = rows.iter().map(|r| r[c]).collect();
+            let med = sorted_midpoint_median(&col);
+            let dev: Vec<f64> = col.iter().map(|x| (x - med).abs()).collect();
+            let mad = 1.4826 * sorted_midpoint_median(&dev);
+            if mad > 1e-12 {
+                for (z, r) in zs.iter_mut().zip(&rows) {
+                    z[c] = (r[c] - med) / mad;
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        let norm = |z: &Vec<f64>| z.iter().map(|x| x * x).sum::<f64>();
+        order.sort_by(|&a, &b| norm(&zs[a]).total_cmp(&norm(&zs[b])));
+        let keep = ((n as f64 * pca.trim.clamp(0.0, 1.0)).ceil() as usize)
+            .clamp((pca.components + 1).min(n), n);
+        let train: Vec<&[f64]> = order[..keep].iter().map(|&i| zs[i].as_slice()).collect();
+        let fitted = pca.fit(&train).unwrap();
+        let want: Vec<f64> = zs.iter().map(|z| fitted.reconstruction_error(z).sqrt()).collect();
+        let got = pca.score_rows(&hierod_detect::row_refs(&rows)).unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}

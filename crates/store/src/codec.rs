@@ -35,6 +35,12 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_varint`] writes for `v` (1–10), for sizing a buffer ahead
+/// of the writes.
+pub fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
 /// Appends a length-prefixed byte string (varint length + raw bytes).
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_varint(out, bytes.len() as u64);
@@ -126,10 +132,15 @@ mod tests {
             16_383,
             16_384,
             u32::MAX as u64,
+            (1 << 56) - 1,
+            1 << 56,
+            (1 << 63) - 1,
+            1 << 63,
             u64::MAX,
         ] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "length of {v}");
             let mut slice = buf.as_slice();
             assert_eq!(take_varint(&mut slice), Some(v));
             assert!(slice.is_empty(), "trailing bytes for {v}");

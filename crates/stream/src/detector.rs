@@ -588,6 +588,11 @@ struct MachineState {
     /// Environment pipelines, continuous across jobs, in declaration
     /// order.
     env: Vec<(String, Pipeline)>,
+    /// Counters of the frozen jobs' (phase) pipelines, folded per sensor
+    /// when the job froze, so `stats`/`lane_stats` walk open pipelines
+    /// only — and a freeze looks its lane up by `&str`, cloning the name
+    /// the first time only.
+    frozen_lanes: BTreeMap<String, LaneStats>,
 }
 
 impl MachineState {
@@ -612,9 +617,6 @@ pub struct StreamDetector {
     /// `machines`, holding every frozen job. Jobs are only ever appended;
     /// an assembly replaces nothing but the environment series.
     plant: Plant,
-    /// Counters of the frozen jobs' pipelines, folded per lane when the
-    /// job froze, so `stats`/`lane_stats` walk open pipelines only.
-    frozen_lanes: BTreeMap<LaneId, LaneStats>,
     /// How many frozen pipelines had failed scorers.
     frozen_failed: u64,
     scratch: Vec<(u64, f64)>,
@@ -667,7 +669,6 @@ impl StreamDetector {
             phase_spec,
             machines: Vec::new(),
             plant: Plant::new("streamed-plant", Vec::new()),
-            frozen_lanes: BTreeMap::new(),
             frozen_failed: 0,
             scratch: Vec::new(),
             samples_ingested: 0,
@@ -784,6 +785,7 @@ impl StreamDetector {
                 frozen: 0,
                 phase: LevelDetections::empty(Level::Phase),
                 env,
+                frozen_lanes: BTreeMap::new(),
             },
         ));
         self.plant.lines.push(ProductionLine {
@@ -967,7 +969,11 @@ impl StreamDetector {
     pub fn stats(&self) -> StreamStats {
         let mut total = LaneStats::default();
         let mut series_failed = self.frozen_failed;
-        for lane in self.frozen_lanes.values() {
+        for lane in self
+            .machines
+            .iter()
+            .flat_map(|(_, m)| m.frozen_lanes.values())
+        {
             total.add(lane);
         }
         for (_, _, _, pipe) in self.unfrozen_pipelines() {
@@ -989,7 +995,17 @@ impl StreamDetector {
     /// Per-lane release/drop counters, aggregated over every pipeline
     /// (open or closed) the lane ever fed.
     pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
-        let mut out = self.frozen_lanes.clone();
+        let mut out = BTreeMap::new();
+        for (machine, m) in &self.machines {
+            for (sensor, lane) in &m.frozen_lanes {
+                let id = LaneId {
+                    machine: machine.clone(),
+                    sensor: sensor.clone(),
+                    kind: LaneKind::Phase,
+                };
+                out.insert(id, *lane);
+            }
+        }
         for (machine, sensor, kind, pipe) in self.unfrozen_pipelines() {
             out.entry(LaneId {
                 machine: machine.to_string(),
@@ -1077,7 +1093,6 @@ impl StreamDetector {
         let Self {
             machines,
             plant,
-            frozen_lanes,
             frozen_failed,
             ..
         } = self;
@@ -1088,14 +1103,12 @@ impl StreamDetector {
                 for phase in &mut job.phases {
                     let mut series = Vec::with_capacity(phase.pipes.len());
                     for (name, pipe) in &mut phase.pipes {
-                        frozen_lanes
-                            .entry(LaneId {
-                                machine: machine.clone(),
-                                sensor: name.clone(),
-                                kind: LaneKind::Phase,
-                            })
-                            .or_default()
-                            .add(&pipe.counters());
+                        match m.frozen_lanes.get_mut(name.as_str()) {
+                            Some(lane) => lane.add(&pipe.counters()),
+                            None => {
+                                m.frozen_lanes.insert(name.clone(), pipe.counters());
+                            }
+                        }
                         *frozen_failed += u64::from(pipe.failed);
                         let raw = pipe.freeze();
                         let Some(frozen) = pipe.series(name) else {

@@ -52,9 +52,10 @@ pub fn min_max(xs: &[f64]) -> Result<Vec<f64>> {
 /// # Errors
 /// Returns [`Error::Empty`] for an empty slice.
 pub fn robust_scale(xs: &[f64]) -> Result<Vec<f64>> {
-    let med = stats::median(xs)?;
-    let q1 = stats::quantile(xs, 0.25)?;
-    let q3 = stats::quantile(xs, 0.75)?;
+    let mut scratch = xs.to_vec();
+    let med = stats::quantile_in(&mut scratch, 0.5)?;
+    let q1 = stats::quantile_in(&mut scratch, 0.25)?;
+    let q3 = stats::quantile_in(&mut scratch, 0.75)?;
     let iqr = q3 - q1;
     if iqr == 0.0 {
         return Ok(vec![0.0; xs.len()]);

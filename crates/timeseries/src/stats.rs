@@ -68,24 +68,59 @@ pub fn max(xs: &[f64]) -> Result<f64> {
     Ok(xs.iter().copied().fold(f64::NEG_INFINITY, f64::max))
 }
 
-/// Linear-interpolated quantile, `q` in `[0, 1]` (type-7, the R default).
+/// The neighbouring order statistics `(x[lo], x[hi])` of `scratch` under
+/// [`f64::total_cmp`], for `lo == hi` or `lo + 1 == hi` — the one place in
+/// the workspace a rank is taken. One linear-time selection puts `x[hi]`
+/// in place with nothing greater to its left, so `x[lo]` is the maximum of
+/// that left part. Values equal under `total_cmp` are bit-identical, so
+/// the pair is exactly what a full sort would have left at those indices.
+///
+/// Permutes `scratch`. `None` when `hi` is out of range or the ranks are
+/// not neighbours.
+pub fn order_pair(scratch: &mut [f64], lo: usize, hi: usize) -> Option<(f64, f64)> {
+    if hi >= scratch.len() || lo > hi || hi - lo > 1 {
+        return None;
+    }
+    let (left, &mut at_hi, _) = scratch.select_nth_unstable_by(hi, f64::total_cmp);
+    let at_lo = if lo == hi {
+        at_hi
+    } else {
+        left.iter().copied().max_by(f64::total_cmp)?
+    };
+    Some((at_lo, at_hi))
+}
+
+/// [`quantile`] of a caller-owned scratch buffer, which it permutes: a
+/// caller reading several quantiles of one slice copies it once.
 ///
 /// # Errors
 /// Returns an error for an empty slice or `q` outside `[0, 1]`.
-pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
-    if xs.is_empty() {
+pub fn quantile_in(scratch: &mut [f64], q: f64) -> Result<f64> {
+    if scratch.is_empty() {
         return Err(Error::Empty { what: "quantile" });
     }
     if !(0.0..=1.0).contains(&q) {
         return Err(Error::invalid("q", "must be in [0, 1]"));
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let h = q * (sorted.len() - 1) as f64;
+    let h = q * (scratch.len() - 1) as f64;
     let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
     let frac = h - lo as f64;
-    Ok(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    let (at_lo, at_hi) =
+        order_pair(scratch, lo, h.ceil() as usize).ok_or(Error::Empty { what: "quantile" })?;
+    // Between two equal infinities the interpolation below is `∞ − ∞`:
+    // the quantile of a run of infinite values is that value, not NaN.
+    if at_lo == at_hi && at_lo.is_infinite() {
+        return Ok(at_lo);
+    }
+    Ok(at_lo + (at_hi - at_lo) * frac)
+}
+
+/// Linear-interpolated quantile, `q` in `[0, 1]` (type-7, the R default).
+///
+/// # Errors
+/// Returns an error for an empty slice or `q` outside `[0, 1]`.
+pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
+    quantile_in(&mut xs.to_vec(), q)
 }
 
 /// Median (50 % quantile).
@@ -96,15 +131,27 @@ pub fn median(xs: &[f64]) -> Result<f64> {
     quantile(xs, 0.5)
 }
 
+/// `(median, MAD)` of a caller-owned scratch buffer, which is left holding
+/// the absolute deviations in no particular order: the second selection
+/// does not care that the first one permuted its input.
+///
+/// # Errors
+/// Returns [`Error::Empty`] for an empty slice.
+pub fn median_mad_in(scratch: &mut [f64]) -> Result<(f64, f64)> {
+    let med = quantile_in(scratch, 0.5)?;
+    for x in scratch.iter_mut() {
+        *x = (*x - med).abs();
+    }
+    Ok((med, 1.4826 * quantile_in(scratch, 0.5)?))
+}
+
 /// Median absolute deviation, scaled by 1.4826 to be consistent with the
 /// standard deviation under normality.
 ///
 /// # Errors
 /// Returns [`Error::Empty`] for an empty slice.
 pub fn mad(xs: &[f64]) -> Result<f64> {
-    let med = median(xs)?;
-    let dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    Ok(1.4826 * median(&dev)?)
+    Ok(median_mad_in(&mut xs.to_vec())?.1)
 }
 
 /// Z-scores against the slice's own mean/std. A zero-variance input yields
@@ -128,8 +175,7 @@ pub fn z_scores(xs: &[f64]) -> Result<Vec<f64>> {
 /// # Errors
 /// Returns [`Error::Empty`] for an empty slice.
 pub fn robust_z_scores(xs: &[f64]) -> Result<Vec<f64>> {
-    let med = median(xs)?;
-    let m = mad(xs)?;
+    let (med, m) = median_mad_in(&mut xs.to_vec())?;
     if m <= 1e-12 * (1.0 + med.abs()) {
         return Ok(vec![0.0; xs.len()]);
     }
@@ -409,6 +455,42 @@ mod tests {
         assert!((quantile(&xs, 0.5).unwrap() - 2.5).abs() < EPS);
         assert!((quantile(&xs, 0.25).unwrap() - 1.75).abs() < EPS);
         assert!(quantile(&xs, 1.5).is_err());
+    }
+
+    #[test]
+    fn quantile_of_an_infinite_run_is_that_infinity() {
+        let inf = f64::INFINITY;
+        // Both neighbours infinite: `∞ + (∞ − ∞) · frac` used to be NaN.
+        assert_eq!(median(&[inf, inf, inf]).unwrap(), inf);
+        assert_eq!(median(&[-inf, -inf]).unwrap(), -inf);
+        assert_eq!(quantile(&[1.0, inf, inf, inf], 0.5).unwrap(), inf);
+        assert_eq!(quantile(&[1.0, 2.0, inf, inf], 0.9).unwrap(), inf);
+        // ... and so was the MAD of a series whose deviations are mostly ∞.
+        assert_eq!(mad(&[-inf, 5.0, inf]).unwrap(), inf);
+        // An infinite minority never reached that arithmetic.
+        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0, inf]).unwrap(), 3.0);
+        // Finite neighbours keep the interpolation, signed zero included.
+        assert_eq!(median(&[-0.0]).unwrap().to_bits(), 0.0_f64.to_bits());
+    }
+
+    #[test]
+    fn order_pair_reads_what_a_sort_would_leave() {
+        let xs = [5.0, -0.0, f64::NAN, 0.0, 2.0, -f64::NAN, 2.0];
+        let mut sorted = xs;
+        sorted.sort_by(f64::total_cmp);
+        for hi in 0..xs.len() {
+            for lo in hi.saturating_sub(1)..=hi {
+                let (a, b) = order_pair(&mut xs.clone(), lo, hi).unwrap();
+                assert_eq!(
+                    (a.to_bits(), b.to_bits()),
+                    (sorted[lo].to_bits(), sorted[hi].to_bits())
+                );
+            }
+        }
+        assert_eq!(order_pair(&mut xs.clone(), 7, 7), None);
+        assert_eq!(order_pair(&mut xs.clone(), 0, 2), None);
+        assert_eq!(order_pair(&mut xs.clone(), 2, 1), None);
+        assert_eq!(order_pair(&mut [], 0, 0), None);
     }
 
     #[test]

@@ -307,3 +307,108 @@ mod view_boundaries {
         series(4).slice(2..9);
     }
 }
+
+// ---------------------------------------------------------------------
+// Order statistics by selection: `stats::{quantile, median, mad}` against
+// the copy-and-sort definitions they replaced, kept here as the oracle.
+
+/// The sort-based definition's neighbours: the two order statistics a
+/// type-7 quantile interpolates between, and the interpolation weight.
+fn sorted_neighbours(xs: &[f64], q: f64) -> (f64, f64, f64) {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let h = q * (sorted.len() - 1) as f64;
+    let lo = h.floor() as usize;
+    let hi = h.ceil() as usize;
+    let frac = h - lo as f64;
+    (sorted[lo], sorted[hi], frac)
+}
+
+/// The sort-based quantile, with the one case the selection kernel was
+/// asked to answer differently: between two equal infinities the
+/// interpolation is `∞ − ∞`, and the quantile is that infinity, not NaN.
+fn sorted_quantile(xs: &[f64], q: f64) -> f64 {
+    let (lo, hi, frac) = sorted_neighbours(xs, q);
+    if lo == hi && lo.is_infinite() {
+        return lo;
+    }
+    lo + (hi - lo) * frac
+}
+
+/// The sort-based MAD: a fresh deviation vector, its median scaled.
+fn sorted_mad(xs: &[f64]) -> f64 {
+    let med = sorted_quantile(xs, 0.5);
+    let dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
+    1.4826 * sorted_quantile(&dev, 0.5)
+}
+
+/// Any `f64` at all — raw bit patterns (both NaN signs, payloads,
+/// subnormals), the special values, and small integers so long runs of
+/// duplicates are the rule rather than the exception.
+fn any_f64() -> impl Strategy<Value = f64> {
+    const SPECIAL: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        -1.0,
+    ];
+    (any::<u64>(), 0_u8..4).prop_map(|(bits, kind)| match kind {
+        0 => f64::from_bits(bits),
+        1 => SPECIAL[(bits % 8) as usize].copysign(if bits & 8 == 0 { 1.0 } else { -1.0 }),
+        2 => (bits % 4) as f64,
+        _ => (bits as i64 as f64) * 1e-15,
+    })
+}
+
+/// Vectors of 1–2,000 arbitrary floats, as drawn, ascending or descending.
+fn any_series() -> impl Strategy<Value = Vec<f64>> {
+    (prop::collection::vec(any_f64(), 1..=2000_usize), 0_u8..3).prop_map(|(mut xs, shape)| {
+        match shape {
+            0 => {}
+            1 => xs.sort_by(f64::total_cmp),
+            _ => xs.sort_by(|a, b| b.total_cmp(a)),
+        }
+        xs
+    })
+}
+
+proptest! {
+    #[test]
+    fn selected_quantiles_are_the_sorted_ones_bit_for_bit(
+        xs in any_series(),
+        q in 0.0_f64..=1.0,
+    ) {
+        for q in [q, 0.0, 0.25, 0.5, 0.75, 1.0] {
+            prop_assert_eq!(
+                stats::quantile(&xs, q).unwrap().to_bits(),
+                sorted_quantile(&xs, q).to_bits(),
+                "q = {}", q
+            );
+        }
+        prop_assert_eq!(
+            stats::median(&xs).unwrap().to_bits(),
+            sorted_quantile(&xs, 0.5).to_bits()
+        );
+        // Several quantiles off one scratch: each selection sees whatever
+        // permutation the previous one left.
+        let mut scratch = xs.clone();
+        for q in [0.5, 0.25, 0.75, q] {
+            prop_assert_eq!(
+                stats::quantile_in(&mut scratch, q).unwrap().to_bits(),
+                sorted_quantile(&xs, q).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn selected_mad_is_the_sorted_one_bit_for_bit(xs in any_series()) {
+        prop_assert_eq!(stats::mad(&xs).unwrap().to_bits(), sorted_mad(&xs).to_bits());
+        let (med, mad) = stats::median_mad_in(&mut xs.clone()).unwrap();
+        prop_assert_eq!(med.to_bits(), sorted_quantile(&xs, 0.5).to_bits());
+        prop_assert_eq!(mad.to_bits(), sorted_mad(&xs).to_bits());
+    }
+}

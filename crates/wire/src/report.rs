@@ -113,9 +113,12 @@ fn put_series_scores(out: &mut Vec<u8>, s: &SeriesScores) {
         codec::put_varint(out, t);
     }
     codec::put_varint(out, s.z.len() as u64);
-    for &z in s.z.iter() {
-        codec::put_f64(out, z);
-    }
+    out.extend(s.z.iter().flat_map(|z| z.to_le_bytes()));
+}
+
+/// A claimed element count, bounded by how many the remaining bytes can hold.
+fn claimed(n: u64, fit: usize) -> usize {
+    usize::try_from(n).map_or(fit, |n| n.min(fit))
 }
 
 fn take_series_scores(buf: &mut &[u8]) -> Option<SeriesScores> {
@@ -123,13 +126,15 @@ fn take_series_scores(buf: &mut &[u8]) -> Option<SeriesScores> {
     let job = take_opt_str(buf)?;
     let phase = take_opt_phase(buf)?;
     let sensor = codec::take_str(buf)?;
+    // A length is the wire's claim: reserve no more than the bytes that
+    // are actually there could hold (a timestamp is ≥ 1 byte, a score 8).
     let n = codec::take_varint(buf)?;
-    let mut timestamps = Vec::new();
+    let mut timestamps = Vec::with_capacity(claimed(n, buf.len()));
     for _ in 0..n {
         timestamps.push(codec::take_varint(buf)?);
     }
     let m = codec::take_varint(buf)?;
-    let mut z = Vec::new();
+    let mut z = Vec::with_capacity(claimed(m, buf.len() / 8));
     for _ in 0..m {
         z.push(codec::take_f64(buf)?);
     }
@@ -191,10 +196,49 @@ fn take_detections(buf: &mut &[u8]) -> Option<LevelDetections> {
     Some(d)
 }
 
+/// What a record's fixed-width and varint fields (levels, tags, lengths,
+/// indices, timestamps, two floats) can take at most, strings excluded —
+/// a lane's record, its six counters included, fits in two.
+const RECORD_FIXED_MAX: usize = 80;
+
+/// The size [`encode_report`] allocates, once, from the column lengths: 8
+/// bytes a score, a timestamp at the width of its column's last one — a
+/// series' timestamps ascend, so that is the widest — and
+/// [`RECORD_FIXED_MAX`] plus its strings per record. Exact where a
+/// report's bytes are (a column whose timestamps share a width), an upper
+/// bound for any ascending column, and only a hint otherwise: a report
+/// that outgrows it grows the buffer as any `Vec` does.
+fn encoded_size_hint(report: &StreamReport) -> usize {
+    let opt = |s: &Option<String>| s.as_ref().map_or(0, String::len);
+    let mut size = 2 * RECORD_FIXED_MAX; // version, section counts, stream stats
+    for d in report.detections.values() {
+        size += RECORD_FIXED_MAX;
+        for o in &d.outliers {
+            size += RECORD_FIXED_MAX + o.machine.len() + opt(&o.job) + opt(&o.sensor);
+        }
+        for s in &d.series_scores {
+            size += RECORD_FIXED_MAX + s.machine.len() + opt(&s.job) + s.sensor.len();
+            size += s.timestamps.last().map_or(0, |&t| codec::varint_len(t)) * s.timestamps.len();
+            size += 8 * s.z.len();
+        }
+        for v in &d.vector_scores {
+            size += RECORD_FIXED_MAX + v.machine.len() + v.job.len();
+        }
+    }
+    for o in &report.report.outliers {
+        size += RECORD_FIXED_MAX + o.machine.len() + opt(&o.job) + opt(&o.sensor);
+    }
+    size += report.report.warnings.len() * RECORD_FIXED_MAX;
+    for lane in report.lane_stats.keys() {
+        size += 2 * RECORD_FIXED_MAX + lane.machine.len() + lane.sensor.len();
+    }
+    size
+}
+
 /// Serialises a full [`StreamReport`] deterministically. See the module
 /// docs for the determinism contract.
 pub fn encode_report(report: &StreamReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
+    let mut out = Vec::with_capacity(encoded_size_hint(report));
     out.push(2); // report codec version (2: added drift/refit counters)
     codec::put_varint(&mut out, report.detections.len() as u64);
     for d in report.detections.values() {

@@ -687,3 +687,237 @@ proptest! {
         }
     }
 }
+
+// -----------------------------------------------------------------
+// The report codec sized once: `encode_report` against the growing,
+// one-element-at-a-time encoder it replaced, kept here as the reference.
+
+mod reference {
+    use hierod_core::detect_level::{LevelDetections, LevelOutlier};
+    use hierod_core::{HierOutlier, Warning};
+    use hierod_hierarchy::PhaseKind;
+    use hierod_store::codec;
+    use hierod_stream::codec::{encode_lane, phase_kind_code};
+    use hierod_stream::StreamReport;
+
+    fn put_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
+        match v {
+            Some(s) => {
+                out.push(1);
+                codec::put_str(out, s);
+            }
+            None => out.push(0),
+        }
+    }
+
+    fn put_opt_varint(out: &mut Vec<u8>, v: Option<u64>) {
+        match v {
+            Some(n) => {
+                out.push(1);
+                codec::put_varint(out, n);
+            }
+            None => out.push(0),
+        }
+    }
+
+    fn put_opt_phase(out: &mut Vec<u8>, v: Option<PhaseKind>) {
+        match v {
+            Some(kind) => {
+                out.push(1);
+                out.push(phase_kind_code(kind));
+            }
+            None => out.push(0),
+        }
+    }
+
+    fn put_hier_outlier(out: &mut Vec<u8>, o: &HierOutlier) {
+        out.push(o.level.number());
+        codec::put_str(out, &o.machine);
+        put_opt_str(out, o.job.as_deref());
+        put_opt_phase(out, o.phase);
+        put_opt_str(out, o.sensor.as_deref());
+        put_opt_varint(out, o.index.map(|i| i as u64));
+        put_opt_varint(out, o.timestamp);
+        codec::put_f64(out, o.outlierness);
+        codec::put_f64(out, o.support);
+        out.push(o.global_score);
+    }
+
+    fn put_level_outlier(out: &mut Vec<u8>, o: &LevelOutlier) {
+        out.push(o.level.number());
+        codec::put_str(out, &o.machine);
+        put_opt_str(out, o.job.as_deref());
+        put_opt_phase(out, o.phase);
+        put_opt_str(out, o.sensor.as_deref());
+        put_opt_varint(out, o.index.map(|i| i as u64));
+        put_opt_varint(out, o.timestamp);
+        codec::put_f64(out, o.outlierness);
+        codec::put_f64(out, o.raw_score);
+    }
+
+    fn put_detections(out: &mut Vec<u8>, d: &LevelDetections) {
+        out.push(d.level.number());
+        codec::put_varint(out, d.outliers.len() as u64);
+        for o in &d.outliers {
+            put_level_outlier(out, o);
+        }
+        codec::put_varint(out, d.series_scores.len() as u64);
+        for s in &d.series_scores {
+            codec::put_str(out, &s.machine);
+            put_opt_str(out, s.job.as_deref());
+            put_opt_phase(out, s.phase);
+            codec::put_str(out, &s.sensor);
+            codec::put_varint(out, s.timestamps.len() as u64);
+            for &t in s.timestamps.iter() {
+                codec::put_varint(out, t);
+            }
+            codec::put_varint(out, s.z.len() as u64);
+            for &z in s.z.iter() {
+                codec::put_f64(out, z);
+            }
+        }
+        codec::put_varint(out, d.vector_scores.len() as u64);
+        for v in &d.vector_scores {
+            codec::put_str(out, &v.machine);
+            codec::put_str(out, &v.job);
+            codec::put_f64(out, v.z);
+        }
+    }
+
+    pub fn encode_report(report: &StreamReport) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1024);
+        out.push(2);
+        codec::put_varint(&mut out, report.detections.len() as u64);
+        for d in report.detections.values() {
+            put_detections(&mut out, d);
+        }
+        codec::put_varint(&mut out, report.report.outliers.len() as u64);
+        for o in &report.report.outliers {
+            put_hier_outlier(&mut out, o);
+        }
+        codec::put_varint(&mut out, report.report.warnings.len() as u64);
+        for w in &report.report.warnings {
+            let Warning::SuspectedMeasurementError {
+                outlier_idx,
+                missing_level,
+            } = w;
+            codec::put_varint(&mut out, *outlier_idx as u64);
+            out.push(missing_level.number());
+        }
+        let s = &report.stats;
+        for v in [
+            s.samples_ingested,
+            s.samples_released,
+            s.late_dropped,
+            s.duplicates_dropped,
+            s.series_failed,
+            s.corrupt_records,
+            s.drift_events,
+            s.refits,
+        ] {
+            codec::put_varint(&mut out, v);
+        }
+        codec::put_varint(&mut out, report.lane_stats.len() as u64);
+        for (lane, l) in &report.lane_stats {
+            codec::put_bytes(&mut out, &encode_lane(lane));
+            for v in [
+                l.released,
+                l.late_dropped,
+                l.duplicates_dropped,
+                l.corrupt_records,
+                l.drift_events,
+                l.refits,
+            ] {
+                codec::put_varint(&mut out, v);
+            }
+        }
+        out
+    }
+}
+
+/// How many records (everything that is not a score or a timestamp) a
+/// report holds: what the size hint may over-reserve 80 bytes each for.
+fn records(report: &StreamReport) -> usize {
+    let per_level: usize = report
+        .detections
+        .values()
+        .map(|d| 1 + d.outliers.len() + d.series_scores.len() + d.vector_scores.len())
+        .sum();
+    2 + per_level
+        + report.report.outliers.len()
+        + report.report.warnings.len()
+        + 2 * report.lane_stats.len()
+}
+
+fn varint_len(v: u64) -> usize {
+    let mut out = Vec::new();
+    hierod_store::codec::put_varint(&mut out, v);
+    out.len()
+}
+
+/// What sizing every timestamp at its column's last one's width
+/// over-reserves: nothing for a column whose timestamps share a width.
+fn timestamp_slack(report: &StreamReport) -> usize {
+    report
+        .detections
+        .values()
+        .flat_map(|d| &d.series_scores)
+        .map(|s| {
+            let widest = s.timestamps.last().map_or(0, |&t| varint_len(t));
+            s.timestamps
+                .iter()
+                .map(|&t| widest - varint_len(t))
+                .sum::<usize>()
+        })
+        .sum()
+}
+
+proptest! {
+    #[test]
+    fn a_report_is_sized_once_and_its_bytes_do_not_move(
+        (mut report, long) in (arb_report(), prop::collection::vec((any::<u64>(), arb_f64()), 0..3000)),
+    ) {
+        // One long column beside the short ones: where the bytes are.
+        if let Some(s) = report.detections.values_mut().flat_map(|d| d.series_scores.iter_mut()).next() {
+            s.timestamps = long.iter().map(|&(t, _)| t >> (t % 64)).collect();
+            s.z = long.iter().map(|&(_, z)| z).collect();
+        }
+        // Any columns at all: the size is a hint, the bytes are not.
+        prop_assert_eq!(encode_report(&report), reference::encode_report(&report));
+        // Ascending columns, the only kind a detector emits: allocated once
+        // — a buffer that had to regrow would have doubled past this bound.
+        for s in report.detections.values_mut().flat_map(|d| d.series_scores.iter_mut()) {
+            let mut ascending = s.timestamps.to_vec();
+            ascending.sort_unstable();
+            s.timestamps = ascending.into();
+        }
+        let bytes = encode_report(&report);
+        prop_assert_eq!(&bytes, &reference::encode_report(&report));
+        let bound = bytes.len() + 80 * records(&report) + timestamp_slack(&report);
+        prop_assert!(bytes.capacity() <= bound,
+            "capacity {} for {} bytes, bound {}", bytes.capacity(), bytes.len(), bound);
+    }
+}
+
+/// A column length is the wire's claim, not an allocation size: 2⁴⁰ (or
+/// `u64::MAX`) timestamps or scores over a 16-byte tail must decode to
+/// `None` without reserving room for them.
+#[test]
+fn a_claimed_column_length_reserves_no_more_than_the_bytes_there() {
+    use hierod_store::codec;
+    for claimed in [1_u64 << 40, u64::MAX] {
+        for in_scores in [false, true] {
+            let mut bytes = vec![2, 1, Level::Phase.number(), 0, 1];
+            codec::put_str(&mut bytes, "m0");
+            bytes.push(0); // no job
+            bytes.push(0); // no phase
+            codec::put_str(&mut bytes, "s");
+            if in_scores {
+                codec::put_varint(&mut bytes, 0); // no timestamps
+            }
+            codec::put_varint(&mut bytes, claimed);
+            bytes.extend_from_slice(&[0; 16]);
+            assert!(decode_report(&bytes).is_none());
+        }
+    }
+}
