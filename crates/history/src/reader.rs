@@ -270,22 +270,29 @@ impl HistoryReader {
             }
         }
 
-        let mut timestamps: Vec<u64> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
+        let total = decoded.iter().map(|c| c.timestamps.len()).sum();
+        let mut timestamps: Vec<u64> = Vec::with_capacity(total);
+        let mut values: Vec<f64> = Vec::with_capacity(total);
         for chunk in &decoded {
-            for (&t, &v) in chunk.timestamps.iter().zip(chunk.values.iter()) {
-                if t < query.start || t > query.end {
-                    continue;
-                }
-                if timestamps.last().is_some_and(|&prev| prev >= t) {
+            // A decoded chunk is strictly increasing: `[start, end]` is one
+            // slice of it.
+            let lo = chunk.timestamps.partition_point(|&t| t < query.start);
+            let hi = chunk.timestamps.partition_point(|&t| t <= query.end);
+            let (Some(kept_ts), Some(kept_values)) =
+                (chunk.timestamps.get(lo..hi), chunk.values.get(lo..hi))
+            else {
+                continue;
+            };
+            if let (Some(&prev), Some(&first)) = (timestamps.last(), kept_ts.first()) {
+                if prev >= first {
                     return Err(invalid(format!(
                         "lane {}: samples not strictly time-ordered across chunks",
                         chunk.lane
                     )));
                 }
-                timestamps.push(t);
-                values.push(v);
             }
+            timestamps.extend_from_slice(kept_ts);
+            values.extend_from_slice(kept_values);
         }
         if timestamps.is_empty() {
             return Ok(None);

@@ -20,6 +20,8 @@
 
 use std::collections::BTreeMap;
 
+use proptest::prelude::*;
+
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::engine::AlgoSpec;
 use hierod_detect::DetectError;
@@ -27,11 +29,13 @@ use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor,
 use hierod_history::backfill::{backfill, diff_reports};
 use hierod_history::compact::{compact, parse_level, CompactionOptions};
 use hierod_history::reader::{snapshot, HistoryReader, RangeQuery};
+use hierod_store::segment::{ColumnEncoding, LaneDef, SegmentChunk, SegmentDraft};
 use hierod_store::store::{
-    hist_name, parse_hist_name, publish_floor, read_floor, seg_name, Store, StoreOptions,
+    hist_name, parse_hist_name, publish, publish_floor, read_floor, read_layout, seg_name, Store,
+    StoreOptions,
 };
 use hierod_store::{segment, MemStorage, SegmentData, Storage};
-use hierod_stream::codec::decode_lane;
+use hierod_stream::codec::{decode_lane, encode_lane};
 use hierod_stream::{
     ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
@@ -655,4 +659,235 @@ fn backfill_takes_exactly_one_storage_root() {
     }
     let err = run(&[&broken]).expect_err("broken directory");
     assert!(matches!(err, DetectError::Substrate(_)), "{err}");
+}
+
+// -----------------------------------------------------------------
+// Scan ≡ brute force over crafted layouts: a scan cuts each decoded
+// chunk to `[start, end]` by slice, so every way a range can meet a
+// chunk — outside, inside, on an edge, exactly one whole chunk (the
+// zero-copy path), reversed — must return what filtering every sample
+// of every live file returns.
+
+const CRAFTED_LANES: usize = 3;
+
+/// A crafted directory's files: per file, its chunks as `(lane,
+/// timestamps, value bits)`.
+type CraftedFiles = Vec<Vec<(usize, Vec<u64>, Vec<u64>)>>;
+
+fn crafted_lane(l: usize) -> LaneId {
+    match l {
+        0 => lane("m0", "m0.bed.0", LaneKind::Phase),
+        1 => lane("m0", "m0.room", LaneKind::Environment),
+        _ => lane("m1", "m1.bed.0", LaneKind::Phase),
+    }
+}
+
+/// Writes `files` as a live store directory: the first `hist` as Gorilla history files
+/// under a floor, the rest as raw rotation segments.
+fn crafted_store(files: &CraftedFiles, hist: usize) -> MemStorage {
+    let storage = MemStorage::new();
+    let hist = hist.min(files.len());
+    for (f, chunks) in files.iter().enumerate() {
+        let draft = SegmentDraft {
+            lane_defs: (0..CRAFTED_LANES)
+                .map(|l| LaneDef {
+                    lane: l as u32,
+                    meta: encode_lane(&crafted_lane(l)),
+                })
+                .collect(),
+            chunks: chunks
+                .iter()
+                .map(|(l, timestamps, bits)| SegmentChunk {
+                    lane: *l as u32,
+                    after_control_seq: 0,
+                    timestamps: timestamps.clone(),
+                    values: bits.iter().map(|&b| f64::from_bits(b)).collect(),
+                    late_dropped: 0,
+                    duplicates_dropped: 0,
+                })
+                .collect(),
+            ..SegmentDraft::default()
+        };
+        let f = f as u64;
+        let (name, image) = if (f as usize) < hist {
+            (hist_name(f, f), draft.encode_as(ColumnEncoding::Gorilla))
+        } else {
+            (seg_name(f), draft.encode())
+        };
+        publish(&storage, &name, &image.expect("encode")).expect("publish");
+    }
+    if hist > 0 {
+        publish_floor(&storage, hist as u64).expect("floor");
+    }
+    storage
+}
+
+/// Brute force: every sample of every live file in replay order, decoded
+/// whole and filtered to `[start, end]`.
+fn filtered_samples(
+    storage: &MemStorage,
+    start: u64,
+    end: u64,
+) -> BTreeMap<LaneId, Vec<(u64, u64)>> {
+    let layout = read_layout(storage).expect("layout");
+    let mut out: BTreeMap<LaneId, Vec<(u64, u64)>> = BTreeMap::new();
+    for name in layout.sealed_names() {
+        let data = segment::decode(&storage.read(&name).expect("read")).expect("decode");
+        let ids: BTreeMap<u32, LaneId> = data
+            .lane_defs
+            .iter()
+            .map(|def| (def.lane, decode_lane(&def.meta).expect("lane id")))
+            .collect();
+        for chunk in &data.chunks {
+            for (&t, &v) in chunk.timestamps.iter().zip(chunk.values.iter()) {
+                if start <= t && t <= end {
+                    out.entry(ids[&chunk.lane].clone())
+                        .or_default()
+                        .push((t, v.to_bits()));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Per file, per lane, the lengths of that lane's chunks in that file;
+/// each lane's timeline (from `gaps`) is dealt out to them in order.
+fn deal_chunks(layout: &[Vec<usize>], files: usize, gaps: &[u64], bits: &[u64]) -> CraftedFiles {
+    let mut next = [0_usize; CRAFTED_LANES];
+    let mut clock = [0_u64, 1, 2];
+    let mut out = Vec::new();
+    for f in 0..files {
+        let mut chunks = Vec::new();
+        for l in 0..CRAFTED_LANES {
+            for &len in &layout[(f * CRAFTED_LANES + l) % layout.len()] {
+                let mut timestamps = Vec::with_capacity(len);
+                let mut values = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let i = next[l];
+                    next[l] += 1;
+                    clock[l] += gaps[(i * CRAFTED_LANES + l) % gaps.len()];
+                    timestamps.push(clock[l]);
+                    values.push(bits[(i + l) % bits.len()]);
+                }
+                chunks.push((l, timestamps, values));
+            }
+        }
+        out.push(chunks);
+    }
+    out
+}
+
+/// The ranges worth asking of a layout: for every non-empty chunk, the
+/// chunk exactly (zero-copy), its inside, each edge alone, the edge to
+/// the next chunk of its lane, and a reversed one; plus everything and
+/// nothing.
+fn edge_ranges(files: &CraftedFiles) -> Vec<(u64, u64)> {
+    let mut out = vec![(0, u64::MAX), (u64::MAX, 0), (u64::MAX, u64::MAX)];
+    let mut last_of_lane = [None::<u64>; CRAFTED_LANES];
+    for (l, ts, _) in files.iter().flatten() {
+        let (Some(&first), Some(&last)) = (ts.first(), ts.last()) else {
+            continue;
+        };
+        out.extend([(first, last), (first, first), (last, last), (last, first)]);
+        out.push((first + 1, last.saturating_sub(1)));
+        if let Some(prev) = last_of_lane[*l] {
+            out.extend([(prev, first), (prev + 1, first), (prev, first - 1)]);
+        }
+        last_of_lane[*l] = Some(last);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn scans_equal_a_brute_force_filter_over_arbitrary_chunk_layouts(
+        files in 1_usize..5,
+        hist in 0_usize..5,
+        layout in prop::collection::vec(
+            prop::collection::vec(0_usize..12, 0..3), 1..13),
+        gaps in prop::collection::vec(1_u64..40, 1..64),
+        bits in prop::collection::vec(any::<u64>(), 1..64),
+        picks in prop::collection::vec(
+            (any::<u64>(), any::<u64>()), 6),
+    ) {
+        let chunks = deal_chunks(&layout, files, &gaps, &bits);
+        let storage = crafted_store(&chunks, hist);
+        let reader = HistoryReader::new(snapshot(&storage).expect("snapshot")).expect("reader");
+        let horizon = chunks
+            .iter()
+            .flatten()
+            .filter_map(|(_, ts, _)| ts.last().copied())
+            .max()
+            .unwrap_or(0)
+            + 3;
+        let mut ranges = edge_ranges(&chunks);
+        ranges.extend(picks.iter().map(|&(a, b)| (a % horizon, b % horizon)));
+        for (start, end) in ranges {
+            let (series, stats) = reader
+                .scan(&RangeQuery::range(start, end))
+                .unwrap_or_else(|e| panic!("[{start}, {end}]: {e}"));
+            let got: BTreeMap<LaneId, Vec<(u64, u64)>> = series
+                .into_iter()
+                .map(|ls| {
+                    let pairs = ls
+                        .series
+                        .timestamps()
+                        .iter()
+                        .zip(ls.series.values())
+                        .map(|(&t, &v)| (t, v.to_bits()))
+                        .collect();
+                    (ls.id, pairs)
+                })
+                .collect();
+            prop_assert_eq!(
+                &got,
+                &filtered_samples(&storage, start, end),
+                "range [{}, {}] over {:?}",
+                start,
+                end,
+                chunks
+            );
+            prop_assert_eq!(
+                stats.chunks_total,
+                stats.chunks_pruned + stats.chunks_decoded
+            );
+            prop_assert_eq!(
+                stats.samples,
+                got.values().map(|s| s.len() as u64).sum::<u64>()
+            );
+        }
+    }
+}
+
+#[test]
+fn overlapping_chunks_are_still_a_time_order_error() {
+    let bed = |ts: &[u64]| (0_usize, ts.to_vec(), ts.iter().map(|&t| t * 3).collect());
+    for (files, hist) in [
+        // Across two files, one inside the other's span.
+        (vec![vec![bed(&[10, 20, 30])], vec![bed(&[25, 40])]], 0),
+        // Touching: the next chunk starts on the last kept timestamp.
+        (vec![vec![bed(&[10, 20])], vec![bed(&[20, 30])]], 1),
+        // Two chunks of one file, in one history file.
+        (vec![vec![bed(&[10, 20, 30]), bed(&[5, 15])]], 1),
+    ] {
+        let storage = crafted_store(&files, hist);
+        let reader = HistoryReader::new(snapshot(&storage).expect("snapshot")).expect("reader");
+        let err = reader
+            .scan(&RangeQuery::range(0, u64::MAX))
+            .expect_err("overlapping chunks");
+        assert!(
+            err.to_string()
+                .contains("lane 0: samples not strictly time-ordered across chunks"),
+            "{files:?}: {err}"
+        );
+    }
+    // A range that keeps only one side of the overlap is answered.
+    let storage = crafted_store(&vec![vec![bed(&[10, 20, 30])], vec![bed(&[25, 40])]], 0);
+    let reader = HistoryReader::new(snapshot(&storage).expect("snapshot")).expect("reader");
+    let (series, _) = reader.scan(&RangeQuery::range(0, 22)).expect("one side");
+    assert_eq!(series.len(), 1);
+    assert_eq!(series[0].series.timestamps(), &[10, 20]);
 }

@@ -381,16 +381,19 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
     }
 
     fn range_scan(&self, plant: &str, query: &RangeQuery) -> Result<(Vec<LaneSeries>, ScanStats)> {
-        self.on(plant, |tenant| {
+        // The plant's lock covers the snapshot — it copies the sealed files'
+        // bytes — and nothing else: decoding waits for no ingest, and no
+        // ingest waits for it.
+        let sealed = self.on(plant, |tenant| {
             let (storage, _) = tenant.stream().sealed_storage();
-            let reader =
-                HistoryReader::new(snapshot(storage).map_err(substrate)?).map_err(substrate)?;
-            let (mut series, stats) = reader.scan(query).map_err(substrate)?;
-            // The reader yields store-local lane-number order (first-use
-            // order); the reply's order is by lane id.
-            series.sort_by(|a, b| a.id.cmp(&b.id));
-            Ok((series, stats))
-        })
+            snapshot(storage).map_err(substrate)
+        })?;
+        let reader = HistoryReader::new(sealed).map_err(substrate)?;
+        let (mut series, stats) = reader.scan(query).map_err(substrate)?;
+        // The reader yields store-local lane-number order (first-use
+        // order); the reply's order is by lane id.
+        series.sort_by(|a, b| a.id.cmp(&b.id));
+        Ok((series, stats))
     }
 
     fn backfill(

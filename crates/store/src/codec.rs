@@ -22,6 +22,13 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends a column of `f64`s as their IEEE-754 bit patterns,
+/// little-endian, in one pass.
+pub fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    out.reserve(values.len().saturating_mul(8));
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+}
+
 /// Appends a `u64` as a LEB128 varint (1–10 bytes).
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -80,6 +87,20 @@ pub fn take_u64(buf: &mut &[u8]) -> Option<u64> {
 /// Reads a little-endian `f64` bit pattern.
 pub fn take_f64(buf: &mut &[u8]) -> Option<f64> {
     take(buf, 8)?.try_into().ok().map(f64::from_le_bytes)
+}
+
+/// Reads a column of `n` little-endian `f64` bit patterns; `None` when
+/// `buf` holds fewer. Nothing is allocated before the bytes are known to
+/// be there, so `n` may be any claim.
+pub fn take_f64s(buf: &mut &[u8], n: usize) -> Option<Vec<f64>> {
+    let bytes = take(buf, n.checked_mul(8)?)?;
+    let mut values = Vec::with_capacity(n);
+    values.extend(
+        bytes
+            .chunks_exact(8)
+            .filter_map(|b| b.try_into().ok().map(f64::from_le_bytes)),
+    );
+    Some(values)
 }
 
 /// Reads a LEB128 varint; rejects encodings longer than 10 bytes.

@@ -34,55 +34,56 @@
 //! Raw bit patterns round-trip exactly — NaN payloads, `-0.0`,
 //! subnormals, and infinities all survive.
 
-/// An MSB-first bit accumulator over a growing byte buffer.
+/// An MSB-first bit accumulator over a growing byte buffer: a field
+/// lands in a 64-bit word with one shift, and the word leaves as eight
+/// whole bytes when it fills.
 struct BitWriter {
     buf: Vec<u8>,
-    /// Bits already used in the final byte of `buf` (0 = byte-aligned).
-    used: u32,
+    /// Bits not yet in `buf`, right-aligned.
+    acc: u64,
+    /// How many low bits of `acc` are pending (always < 64).
+    pending: u32,
 }
 
 impl BitWriter {
     fn new() -> Self {
         Self {
             buf: Vec::new(),
-            used: 0,
+            acc: 0,
+            pending: 0,
         }
     }
 
     /// Appends the low `count` bits of `value`, MSB-first. `count` must
-    /// be ≤ 64 (callers pass constants).
+    /// be ≤ 64 (callers pass constants and window widths).
     fn push_bits(&mut self, value: u64, count: u32) {
-        let mut remaining = count.min(64);
-        while remaining > 0 {
-            if self.used == 0 {
-                self.buf.push(0);
-                self.used = 0;
-            }
-            let free = 8 - self.used;
-            let take = free.min(remaining);
-            // The `take` bits of `value` just below bit `remaining`.
-            let chunk = if remaining >= 64 {
-                value >> (64 - take)
-            } else {
-                (value >> (remaining - take)) & ((1_u64 << take) - 1)
-            };
-            if let Some(last) = self.buf.last_mut() {
-                *last |= (chunk as u8) << (free - take);
-            }
-            self.used = (self.used + take) % 8;
-            // A full byte means the next push starts a fresh one.
-            if self.used == 0 && take == free {
-                // nothing: push_bits allocates lazily above
-            }
-            remaining -= take;
+        let count = count.min(64);
+        let value = value & u64::MAX.checked_shr(64 - count).unwrap_or(0);
+        let free = 64 - self.pending;
+        if count < free {
+            self.acc = (self.acc << count) | value;
+            self.pending += count;
+            return;
         }
+        // The word fills: its head leaves whole, the rest of `value` stays.
+        let spill = count - free;
+        let word = self.acc.checked_shl(free).unwrap_or(0) | value >> spill;
+        self.buf.extend_from_slice(&word.to_be_bytes());
+        self.acc = value & ((1_u64 << spill) - 1);
+        self.pending = spill;
     }
 
     fn push_bit(&mut self, bit: bool) {
         self.push_bits(u64::from(bit), 1);
     }
 
-    fn finish(self) -> Vec<u8> {
+    fn finish(mut self) -> Vec<u8> {
+        // The pending bits, left-aligned: their bytes lead the word, the
+        // last one zero-padded below its bits.
+        let word = self.acc.checked_shl(64 - self.pending).unwrap_or(0);
+        let bytes = self.pending.div_ceil(8) as usize;
+        self.buf
+            .extend_from_slice(word.to_be_bytes().get(..bytes).unwrap_or_default());
         self.buf
     }
 }
@@ -106,13 +107,29 @@ impl<'a> BitReader<'a> {
         Some(bit == 1)
     }
 
-    /// Reads `count` (≤ 64) bits MSB-first.
+    /// Reads `count` (≤ 64) bits MSB-first: the ≤ 9 bytes under the
+    /// cursor form one zero-padded window, shifted once.
     fn read_bits(&mut self, count: u32) -> Option<u64> {
-        let mut out = 0_u64;
-        for _ in 0..count.min(64) {
-            out = (out << 1) | u64::from(self.read_bit()?);
+        let count = count.min(64);
+        let end = self.pos + count as usize;
+        if end > self.bytes.len().saturating_mul(8) {
+            return None;
         }
-        Some(out)
+        let under = self.bytes.get(self.pos / 8..).unwrap_or_default();
+        let window = under.first_chunk::<9>().copied().unwrap_or_else(|| {
+            // The column's last bytes: zero past its end.
+            let mut padded = [0_u8; 9];
+            for (slot, &byte) in padded.iter_mut().zip(under) {
+                *slot = byte;
+            }
+            padded
+        });
+        let [b0, b1, b2, b3, b4, b5, b6, b7, b8] = window;
+        let skip = (self.pos % 8) as u32;
+        let word = u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7]) << skip
+            | u64::from(b8) >> (8 - skip);
+        self.pos = end;
+        Some(word.checked_shr(64 - count).unwrap_or(0))
     }
 
     /// `true` when every remaining bit (byte padding) is zero.
@@ -296,8 +313,10 @@ pub fn decompress_values(bytes: &[u8], count: usize) -> Option<Vec<f64>> {
                 let wtrail = 64 - wl - wm;
                 p ^ (payload << wtrail)
             } else {
-                let lead = r.read_bits(5)? as u32;
-                let meaningful = r.read_bits(6)? as u32 + 1;
+                // One field: 5 bits of leading zeros, 6 of length − 1.
+                let header = r.read_bits(11)? as u32;
+                let lead = header >> 6;
+                let meaningful = (header & 0x3f) + 1;
                 if lead + meaningful > 64 {
                     return None;
                 }
@@ -474,23 +493,36 @@ mod tests {
         }
     }
 
+    /// Sets each of the pad bits below the `used` bits of `column` in
+    /// turn and asserts `decodes` rejects every one.
+    fn assert_every_pad_bit_rejected(column: &[u8], used: usize, decodes: impl Fn(&[u8]) -> bool) {
+        assert_eq!(column.len(), used.div_ceil(8), "encoder bit count");
+        let pad = column.len() * 8 - used;
+        assert!(pad > 0, "the column's last byte must have padding");
+        assert!(decodes(column));
+        for bit in 0..pad {
+            let mut dirty = column.to_vec();
+            if let Some(last) = dirty.last_mut() {
+                *last |= 1 << bit;
+            }
+            assert!(!decodes(&dirty), "pad bit {bit} of {pad} accepted");
+        }
+    }
+
     #[test]
     fn dirty_padding_is_rejected() {
+        // 1.0 = 0x3FF0…, 2.0 = 0x4000… (xor 0x7FF0…: `11`, 5 + 6 header
+        // bits, 11 payload bits), 3.0 = 0x4008… (xor 0x0008…, which the
+        // open window cannot hold: `11`, 11 header bits, 1 payload bit):
+        // 64 + 24 + 14 = 102 bits, 2 of them pad.
         let bytes = compress_values(&[1.0, 2.0, 3.0]);
+        assert_every_pad_bit_rejected(&bytes, 102, |b| decompress_values(b, 3).is_some());
+        // 0, then a delta of 10 (`10` + 7 bits), then a dod of 0 (`0`):
+        // 64 + 9 + 1 = 74 bits, 6 of them pad.
+        let ts = compress_timestamps(&[0, 10, 20]).expect("compress");
+        assert_every_pad_bit_rejected(&ts, 74, |b| decompress_timestamps(b, 3).is_some());
+
         let mut dirty = bytes.clone();
-        if let Some(last) = dirty.last_mut() {
-            // If the final byte has pad bits, setting the lowest makes
-            // them dirty; if it is fully used this flips a payload bit
-            // and the decode result simply differs (also acceptable to
-            // reject). We only assert the pad case when there is one.
-            let used_bits = {
-                // Recompute: 64 + 2 XOR headers + windows — instead of
-                // deriving, append a whole dirty byte, which is always
-                // invalid padding.
-                *last
-            };
-            let _ = used_bits;
-        }
         dirty.push(0x01);
         assert!(decompress_values(&dirty, 3).is_none());
         let mut extra_clean = bytes;

@@ -302,10 +302,8 @@ impl SegmentDraft {
 
             let val_col = match encoding {
                 ColumnEncoding::Raw => {
-                    let mut col = Vec::with_capacity(chunk.values.len() * 8);
-                    for &v in &chunk.values {
-                        codec::put_f64(&mut col, v);
-                    }
+                    let mut col = Vec::new();
+                    codec::put_f64s(&mut col, &chunk.values);
                     col
                 }
                 ColumnEncoding::Gorilla => gorilla::compress_values(&chunk.values),
@@ -569,21 +567,10 @@ pub fn decode_chunk(bytes: &[u8], meta: &ChunkMeta) -> Result<DecodedChunk, Segm
 
     let values = match e.encoding {
         ColumnEncoding::Raw => {
-            let val_bytes = count
-                .checked_mul(8)
-                .ok_or(SegmentError::Malformed("value column length"))?;
-            if val_col.len() != val_bytes {
-                return Err(SegmentError::Malformed("value column length"));
-            }
-            let mut values = Vec::with_capacity(count);
             let mut rest = val_col;
-            while let Some(v) = codec::take_f64(&mut rest) {
-                values.push(v);
-            }
-            if values.len() != count {
-                return Err(SegmentError::Malformed("value column count"));
-            }
-            values
+            codec::take_f64s(&mut rest, count)
+                .filter(|_| rest.is_empty())
+                .ok_or(SegmentError::Malformed("value column length"))?
         }
         ColumnEncoding::Gorilla => gorilla::decompress_values(val_col, count)
             .ok_or(SegmentError::Malformed("gorilla value column"))?,

@@ -372,17 +372,23 @@ fn take_lane_stats(buf: &mut &[u8]) -> Option<Vec<(LaneId, LaneStats)>> {
 }
 
 fn put_series(out: &mut Vec<u8>, lanes: &[LaneColumns], stats: &ScanStats) {
+    // One reservation: a lane's record at most, plus its columns sized as
+    // `encode_report` sizes a score series.
+    let size = lanes
+        .iter()
+        .map(|(lane, timestamps, values)| {
+            report::RECORD_FIXED_MAX
+                + lane.machine.len()
+                + lane.sensor.len()
+                + report::columns_size_hint(timestamps, values.len())
+        })
+        .sum::<usize>();
+    out.reserve(report::RECORD_FIXED_MAX + size);
     codec::put_varint(out, lanes.len() as u64);
     for (lane, timestamps, values) in lanes {
         codec::put_bytes(out, &encode_lane(lane));
-        codec::put_varint(out, timestamps.len() as u64);
-        for &t in timestamps.iter() {
-            codec::put_varint(out, t);
-        }
-        codec::put_varint(out, values.len() as u64);
-        for &v in values.iter() {
-            codec::put_f64(out, v);
-        }
+        report::put_timestamps(out, timestamps);
+        report::put_floats(out, values);
     }
     codec::put_varint(out, stats.chunks_total as u64);
     codec::put_varint(out, stats.chunks_pruned as u64);
@@ -395,16 +401,8 @@ fn take_series(buf: &mut &[u8]) -> Option<(Vec<LaneColumns>, ScanStats)> {
     let mut lanes = Vec::new();
     for _ in 0..n {
         let lane = decode_lane(codec::take_bytes(buf)?)?;
-        let tn = codec::take_varint(buf)?;
-        let mut timestamps = Vec::new();
-        for _ in 0..tn {
-            timestamps.push(codec::take_varint(buf)?);
-        }
-        let vn = codec::take_varint(buf)?;
-        let mut values = Vec::new();
-        for _ in 0..vn {
-            values.push(codec::take_f64(buf)?);
-        }
+        let timestamps = report::take_timestamps(buf)?;
+        let values = report::take_floats(buf)?;
         lanes.push((lane, timestamps.into(), values.into()));
     }
     let stats = ScanStats {

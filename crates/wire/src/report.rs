@@ -108,12 +108,8 @@ fn put_series_scores(out: &mut Vec<u8>, s: &SeriesScores) {
     put_opt_str(out, s.job.as_deref());
     put_opt_phase(out, s.phase);
     codec::put_str(out, &s.sensor);
-    codec::put_varint(out, s.timestamps.len() as u64);
-    for &t in s.timestamps.iter() {
-        codec::put_varint(out, t);
-    }
-    codec::put_varint(out, s.z.len() as u64);
-    out.extend(s.z.iter().flat_map(|z| z.to_le_bytes()));
+    put_timestamps(out, &s.timestamps);
+    put_floats(out, &s.z);
 }
 
 /// A claimed element count, bounded by how many the remaining bytes can hold.
@@ -121,30 +117,58 @@ fn claimed(n: u64, fit: usize) -> usize {
     usize::try_from(n).map_or(fit, |n| n.min(fit))
 }
 
-fn take_series_scores(buf: &mut &[u8]) -> Option<SeriesScores> {
-    let machine = codec::take_str(buf)?;
-    let job = take_opt_str(buf)?;
-    let phase = take_opt_phase(buf)?;
-    let sensor = codec::take_str(buf)?;
-    // A length is the wire's claim: reserve no more than the bytes that
-    // are actually there could hold (a timestamp is ≥ 1 byte, a score 8).
+/// The bytes a timestamp column and `floats` floats take at most, each
+/// timestamp at the width of the column's last one — an ascending
+/// column's widest (see [`encoded_size_hint`]).
+pub(crate) fn columns_size_hint(timestamps: &[u64], floats: usize) -> usize {
+    timestamps.last().map_or(0, |&t| codec::varint_len(t)) * timestamps.len() + 8 * floats
+}
+
+/// A timestamp column: its length, then one varint each.
+pub(crate) fn put_timestamps(out: &mut Vec<u8>, timestamps: &[u64]) {
+    codec::put_varint(out, timestamps.len() as u64);
+    for &t in timestamps {
+        codec::put_varint(out, t);
+    }
+}
+
+/// Inverse of [`put_timestamps`]. The length is the wire's claim: reserve
+/// no more than the bytes that are actually there could hold (a
+/// timestamp is ≥ 1 byte).
+pub(crate) fn take_timestamps(buf: &mut &[u8]) -> Option<Vec<u64>> {
     let n = codec::take_varint(buf)?;
     let mut timestamps = Vec::with_capacity(claimed(n, buf.len()));
     for _ in 0..n {
         timestamps.push(codec::take_varint(buf)?);
     }
-    let m = codec::take_varint(buf)?;
-    let mut z = Vec::with_capacity(claimed(m, buf.len() / 8));
-    for _ in 0..m {
-        z.push(codec::take_f64(buf)?);
-    }
+    Some(timestamps)
+}
+
+/// A float column: its length, then the raw bit patterns in one pass.
+pub(crate) fn put_floats(out: &mut Vec<u8>, values: &[f64]) {
+    codec::put_varint(out, values.len() as u64);
+    codec::put_f64s(out, values);
+}
+
+/// Inverse of [`put_floats`]; reads (and reserves) only once the claimed
+/// count's bytes are known to be there.
+pub(crate) fn take_floats(buf: &mut &[u8]) -> Option<Vec<f64>> {
+    let n = usize::try_from(codec::take_varint(buf)?).ok()?;
+    codec::take_f64s(buf, n)
+}
+
+fn take_series_scores(buf: &mut &[u8]) -> Option<SeriesScores> {
+    let machine = codec::take_str(buf)?;
+    let job = take_opt_str(buf)?;
+    let phase = take_opt_phase(buf)?;
+    let sensor = codec::take_str(buf)?;
     Some(SeriesScores {
         machine,
         job,
         phase,
         sensor,
-        timestamps: timestamps.into(),
-        z: z.into(),
+        timestamps: take_timestamps(buf)?.into(),
+        z: take_floats(buf)?.into(),
     })
 }
 
@@ -199,7 +223,7 @@ fn take_detections(buf: &mut &[u8]) -> Option<LevelDetections> {
 /// What a record's fixed-width and varint fields (levels, tags, lengths,
 /// indices, timestamps, two floats) can take at most, strings excluded —
 /// a lane's record, its six counters included, fits in two.
-const RECORD_FIXED_MAX: usize = 80;
+pub(crate) const RECORD_FIXED_MAX: usize = 80;
 
 /// The size [`encode_report`] allocates, once, from the column lengths: 8
 /// bytes a score, a timestamp at the width of its column's last one — a
@@ -218,8 +242,7 @@ fn encoded_size_hint(report: &StreamReport) -> usize {
         }
         for s in &d.series_scores {
             size += RECORD_FIXED_MAX + s.machine.len() + opt(&s.job) + s.sensor.len();
-            size += s.timestamps.last().map_or(0, |&t| codec::varint_len(t)) * s.timestamps.len();
-            size += 8 * s.z.len();
+            size += columns_size_hint(&s.timestamps, s.z.len());
         }
         for v in &d.vector_scores {
             size += RECORD_FIXED_MAX + v.machine.len() + v.job.len();

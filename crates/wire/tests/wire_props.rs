@@ -857,18 +857,17 @@ fn varint_len(v: u64) -> usize {
 
 /// What sizing every timestamp at its column's last one's width
 /// over-reserves: nothing for a column whose timestamps share a width.
+fn column_slack(timestamps: &[u64]) -> usize {
+    let widest = timestamps.last().map_or(0, |&t| varint_len(t));
+    timestamps.iter().map(|&t| widest - varint_len(t)).sum()
+}
+
 fn timestamp_slack(report: &StreamReport) -> usize {
     report
         .detections
         .values()
         .flat_map(|d| &d.series_scores)
-        .map(|s| {
-            let widest = s.timestamps.last().map_or(0, |&t| varint_len(t));
-            s.timestamps
-                .iter()
-                .map(|&t| widest - varint_len(t))
-                .sum::<usize>()
-        })
+        .map(|s| column_slack(&s.timestamps))
         .sum()
 }
 
@@ -919,5 +918,136 @@ fn a_claimed_column_length_reserves_no_more_than_the_bytes_there() {
             bytes.extend_from_slice(&[0; 16]);
             assert!(decode_report(&bytes).is_none());
         }
+    }
+}
+
+// -----------------------------------------------------------------
+// `Series` frames coded in bulk: one reservation, one pass per value
+// column — against the per-element encoder they replaced, kept here as
+// the reference.
+
+/// The `Series` response tag.
+const TAG_SERIES: u8 = 41;
+
+/// The pre-bulk `Series` payload encoder: tag, then one `put_varint` per
+/// timestamp and one `put_f64` per value into a growing buffer.
+fn reference_series_payload(lanes: &[LaneColumns], stats: &ScanStats) -> Vec<u8> {
+    use hierod_store::codec;
+    let mut out = vec![TAG_SERIES];
+    codec::put_varint(&mut out, lanes.len() as u64);
+    for (lane, timestamps, values) in lanes {
+        codec::put_bytes(&mut out, &hierod_stream::codec::encode_lane(lane));
+        codec::put_varint(&mut out, timestamps.len() as u64);
+        for &t in timestamps.iter() {
+            codec::put_varint(&mut out, t);
+        }
+        codec::put_varint(&mut out, values.len() as u64);
+        for &v in values.iter() {
+            codec::put_f64(&mut out, v);
+        }
+    }
+    codec::put_varint(&mut out, stats.chunks_total as u64);
+    codec::put_varint(&mut out, stats.chunks_pruned as u64);
+    codec::put_varint(&mut out, stats.chunks_decoded as u64);
+    codec::put_varint(&mut out, stats.samples);
+    out
+}
+
+/// Lanes with long columns of every varint width (and, now and then, a
+/// value column of another length than its timestamps).
+fn arb_long_series_lanes() -> impl Strategy<Value = Vec<LaneColumns>> {
+    let lane = (
+        arb_lane(),
+        prop::collection::vec(any::<u64>(), 0..700),
+        prop::collection::vec(arb_f64(), 0..700),
+        0_u8..4,
+    )
+        .prop_map(|(lane, ts, values, shape)| {
+            let n = if shape == 0 { values.len() } else { ts.len() };
+            let timestamps: Vec<u64> = ts.iter().map(|&t| t >> (t % 64)).collect();
+            let values: Vec<f64> = values.iter().copied().cycle().take(n).collect();
+            (lane, timestamps.into(), values.into())
+        });
+    prop::collection::vec(lane, 0..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn a_series_frame_is_the_per_element_encoding_sized_once(
+        (mut lanes, stats) in (arb_long_series_lanes(), arb_scan_stats())
+    ) {
+        // Any columns at all: the bytes are the reference's, and they
+        // round-trip.
+        let frame = Frame::Series { lanes: lanes.clone(), stats };
+        let bytes = encode_frame(&frame);
+        prop_assert_eq!(&bytes[8..], &reference_series_payload(&lanes, &stats)[..]);
+        let decoded = Frame::decode_payload(&bytes[8..]).expect("decodes");
+        prop_assert!(same(&decoded, &frame));
+        // Ascending timestamps, the only kind a scan returns: one
+        // reservation — a buffer that regrew would have doubled past this.
+        for (_, timestamps, _) in &mut lanes {
+            let mut ascending = timestamps.to_vec();
+            ascending.sort_unstable();
+            *timestamps = ascending.into();
+        }
+        let frame = Frame::Series { lanes: lanes.clone(), stats };
+        let bytes = encode_frame(&frame);
+        prop_assert_eq!(&bytes[8..], &reference_series_payload(&lanes, &stats)[..]);
+        let slack: usize = lanes.iter().map(|(_, t, _)| column_slack(t)).sum();
+        let bound = bytes.len() + 80 * (lanes.len() + 1) + slack;
+        prop_assert!(bytes.capacity() <= bound,
+            "capacity {} for {} bytes, bound {}", bytes.capacity(), bytes.len(), bound);
+        let mut reader = FrameReader::new();
+        match reader.poll(&mut Cursor::new(&bytes)).unwrap() {
+            Poll::Frame(got) => prop_assert!(same(&got, &frame)),
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+}
+
+/// This process's peak virtual size, in KiB (Linux only).
+fn vm_peak_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmPeak:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
+/// A `Series` column length is the wire's claim, not an allocation size:
+/// 2⁴⁰ (or `u64::MAX`) timestamps or values over a 16-byte tail decode
+/// to `None`, and the decoder reserves no more than the tail could hold —
+/// an 8 TiB reservation would move the peak virtual size (or abort).
+#[test]
+fn a_claimed_series_column_reserves_no_more_than_the_bytes_there() {
+    use hierod_store::codec;
+    let lane = LaneId {
+        machine: "m0".into(),
+        sensor: "m0.bed.0".into(),
+        kind: LaneKind::Phase,
+    };
+    let before = vm_peak_kib();
+    for claimed in [1_u64 << 40, u64::MAX] {
+        for in_values in [false, true] {
+            let mut payload = vec![TAG_SERIES, 1];
+            codec::put_bytes(&mut payload, &hierod_stream::codec::encode_lane(&lane));
+            if in_values {
+                codec::put_varint(&mut payload, 0); // no timestamps
+            }
+            codec::put_varint(&mut payload, claimed);
+            payload.extend_from_slice(&[0; 16]);
+            assert!(
+                Frame::decode_payload(&payload).is_none(),
+                "claim {claimed} in the {} column",
+                if in_values { "value" } else { "timestamp" }
+            );
+        }
+    }
+    if let (Some(before), Some(after)) = (before, vm_peak_kib()) {
+        assert!(
+            after - before < 1 << 20,
+            "peak virtual size grew {} KiB decoding 16-byte tails",
+            after - before
+        );
     }
 }
