@@ -3,12 +3,15 @@
 //! "calculation speed" requirement (Section 3) trades off.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hierod_detect::da::{GaussianMixture, OneClassSvm, PrincipalComponentSpace, SelfOrganizingMap};
+use hierod_detect::da::{
+    DynamicClustering, GaussianMixture, LcsCluster, OneClassSvm, PrincipalComponentSpace,
+    SelfOrganizingMap, SingleLinkage,
+};
 use hierod_detect::engine::{RobustZ, Standardizer};
 use hierod_detect::itm::HistogramDeviants;
 use hierod_detect::npd::WindowSequenceDb;
 use hierod_detect::os::SaxDiscord;
-use hierod_detect::pm::AutoregressiveModel;
+use hierod_detect::pm::{AutoregressiveModel, VectorAutoregressive};
 use hierod_detect::related::{LocalOutlierFactor, ProfileSimilarity, ReverseKnn};
 use hierod_detect::sa::NeuralNetwork;
 use hierod_detect::uoa::OlapCubeDetector;
@@ -71,6 +74,14 @@ fn bench_vector(c: &mut Criterion) {
         let det = OneClassSvm::default();
         b.iter(|| det.score_rows(black_box(&data)).unwrap())
     });
+    group.bench_function("single_linkage (DA)", |b| {
+        let det = SingleLinkage::default();
+        b.iter(|| det.score_rows(black_box(&data)).unwrap())
+    });
+    group.bench_function("dynamic_clustering (DA)", |b| {
+        let det = DynamicClustering::default();
+        b.iter(|| det.score_rows(black_box(&data)).unwrap())
+    });
     group.bench_function("som (DA)", |b| {
         let det = SelfOrganizingMap::default();
         b.iter(|| det.score_rows(black_box(&data)).unwrap())
@@ -86,6 +97,29 @@ fn bench_vector(c: &mut Criterion) {
     group.bench_function("reverse_knn (related)", |b| {
         let det = ReverseKnn::default();
         b.iter(|| det.score_rows(black_box(&data)).unwrap())
+    });
+    group.finish();
+}
+
+/// The multivariate PM over a time-aligned bundle (one row per time point).
+fn bench_multivariate(c: &mut Criterion) {
+    let channels: Vec<Vec<f64>> = (0..4).map(|_| noisy_series(2048)).collect();
+    let data: Vec<Vec<f64>> = (0..2048)
+        .map(|t| {
+            channels
+                .iter()
+                .enumerate()
+                .map(|(c, s)| s[t] * (c + 1) as f64)
+                .collect()
+        })
+        .collect();
+    let mut group = c.benchmark_group("multivariate_2048x4");
+    group.bench_function("var1 (PM)", |b| {
+        b.iter(|| {
+            VectorAutoregressive
+                .score_rows_over_time(black_box(&data))
+                .unwrap()
+        })
     });
     group.finish();
 }
@@ -134,6 +168,10 @@ fn bench_discrete(c: &mut Criterion) {
         let det = HiddenMarkov::new(2).unwrap();
         b.iter(|| det.score_sequences(black_box(&refs)).unwrap())
     });
+    group.bench_function("lcs_cluster (DA)", |b| {
+        let det = LcsCluster::default();
+        b.iter(|| det.score_sequences(black_box(&refs)).unwrap())
+    });
     group.bench_function("window_db (NPD)", |b| {
         let det = WindowSequenceDb::default();
         b.iter(|| det.score_sequences(black_box(&refs)).unwrap())
@@ -170,6 +208,7 @@ fn bench_supervised(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_point,
+    bench_multivariate,
     bench_vector,
     bench_discrete,
     bench_subsequence,
