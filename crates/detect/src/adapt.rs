@@ -4,8 +4,8 @@
 //! by three standard embeddings, so that one implementation can serve
 //! several granularities:
 //!
-//! * sub-sequences → vectors: sliding-window embedding (optionally
-//!   z-normalized, as the phased/shape-based methods require);
+//! * sub-sequences → vectors: sliding-window embedding (z-normalized, as
+//!   the phased/shape-based methods require);
 //! * whole series → vectors: PAA to a fixed segment count;
 //! * numeric series → symbol sequences: SAX, so the discrete-sequence
 //!   detectors (match count, LCS, FSA, HMM, NPD, NMD) can also run on
@@ -18,11 +18,11 @@ use hierod_timeseries::MultiSeries;
 
 use crate::api::{DetectError, DiscreteScorer, Result, VectorScorer};
 
-/// Embeds the sliding windows of a series as vectors.
+/// Embeds the sliding windows of a series as z-normalized vectors.
 ///
 /// # Errors
 /// Returns an error when the series is shorter than one window.
-pub fn embed_windows(values: &[f64], spec: WindowSpec, z_norm: bool) -> Result<Vec<Vec<f64>>> {
+pub fn embed_windows(values: &[f64], spec: WindowSpec) -> Result<Vec<Vec<f64>>> {
     if values.len() < spec.len {
         return Err(DetectError::NotEnoughData {
             what: "embed_windows",
@@ -32,11 +32,7 @@ pub fn embed_windows(values: &[f64], spec: WindowSpec, z_norm: bool) -> Result<V
     }
     let mut out = Vec::with_capacity(spec.count(values.len()));
     for w in windows(values, spec) {
-        if z_norm {
-            out.push(z_normalize(w.values)?);
-        } else {
-            out.push(w.values.to_vec());
-        }
+        out.push(z_normalize(w.values)?);
     }
     Ok(out)
 }
@@ -58,7 +54,7 @@ pub fn score_windows_with(
     z_norm: bool,
 ) -> Result<(Vec<f64>, Vec<f64>)> {
     let w_scores = if z_norm {
-        let rows = embed_windows(values, spec, true)?;
+        let rows = embed_windows(values, spec)?;
         scorer.score_rows(&crate::api::row_refs(&rows))?
     } else {
         if values.len() < spec.len {
@@ -96,8 +92,8 @@ pub fn embed_series(collection: &[&[f64]], segments: usize) -> Result<Vec<Vec<f6
         })
         .collect::<Result<Vec<_>>>()
         .and_then(|rows| {
-            let d = rows[0].len();
-            if rows.iter().any(|r| r.len() != d) {
+            let width = rows.first().map(Vec::len);
+            if rows.iter().any(|r| Some(r.len()) != width) {
                 return Err(DetectError::ShapeMismatch {
                     message: "embed_series: a series was shorter than the segment count"
                         .to_string(),
@@ -265,12 +261,12 @@ mod tests {
     fn embed_windows_shapes() {
         let vals = [1.0, 2.0, 3.0, 4.0, 5.0];
         let spec = WindowSpec::new(3, 1).unwrap();
-        let rows = embed_windows(&vals, spec, false).unwrap();
+        let rows = embed_windows(&vals, spec).unwrap();
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0], vec![1.0, 2.0, 3.0]);
-        let z = embed_windows(&vals, spec, true).unwrap();
+        assert_eq!(rows[0], z_normalize(&vals[..3]).unwrap());
+        let z = embed_windows(&vals, spec).unwrap();
         assert!(z[0][1].abs() < 1e-9); // middle of z-normed ramp is mean
-        assert!(embed_windows(&vals[..2], spec, false).is_err());
+        assert!(embed_windows(&vals[..2], spec).is_err());
     }
 
     #[test]

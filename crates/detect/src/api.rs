@@ -334,6 +334,18 @@ pub fn check_finite(what: &'static str, values: &[f64]) -> Result<()> {
     Ok(())
 }
 
+/// Passes scores through when every one is finite. Scorers call it on
+/// input already checked finite, so a non-finite score means the arithmetic
+/// overflowed (magnitudes near `f64::MAX`): a typed error, not a ranking.
+pub fn finite_scores(what: &'static str, scores: Vec<f64>) -> Result<Vec<f64>> {
+    if scores.iter().any(|s| !s.is_finite()) {
+        return Err(DetectError::Numeric {
+            message: format!("{what}: scores overflow f64 at this input magnitude"),
+        });
+    }
+    Ok(scores)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,12 +8,11 @@
 //! combines cluster rarity with the distance to the cluster's center, so
 //! within-cluster ranking is preserved.
 
-use hierod_timeseries::distance::sq_euclidean;
-
 use crate::api::{
-    check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
-    VectorScorer,
+    check_rows, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, Result,
+    TechniqueClass, VectorScorer,
 };
+use crate::related::sq_dist;
 
 /// Leader-clustering scorer.
 #[derive(Debug, Clone)]
@@ -57,7 +56,7 @@ impl DynamicClustering {
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(_, o)| sq_euclidean(r, o).expect("dims"))
+                .map(|(_, o)| sq_dist(r, o))
                 .fold(f64::INFINITY, f64::min)
                 .sqrt();
             total += nn;
@@ -87,13 +86,12 @@ impl VectorScorer for DynamicClustering {
         // Streaming pass: join-or-found. Centers update incrementally.
         for r in rows {
             let nearest = clusters
-                .iter()
+                .iter_mut()
                 .enumerate()
-                .map(|(i, c)| (i, sq_euclidean(&c.center, r).expect("dims").sqrt()))
+                .map(|(i, c)| (i, sq_dist(&c.center, r).sqrt(), c))
                 .min_by(|a, b| a.1.total_cmp(&b.1));
             match nearest {
-                Some((i, d)) if d <= radius => {
-                    let c = &mut clusters[i];
+                Some((i, d, c)) if d <= radius => {
                     c.count += 1;
                     let w = 1.0 / c.count as f64;
                     for (cv, xv) in c.center.iter_mut().zip(r.iter()) {
@@ -111,17 +109,18 @@ impl VectorScorer for DynamicClustering {
             }
         }
         let n = rows.len() as f64;
-        Ok(rows
+        let scores = rows
             .iter()
             .zip(&assignment)
-            .map(|(r, &a)| {
-                let c = &clusters[a];
+            .filter_map(|(r, &a)| {
+                let c = clusters.get(a)?;
                 let rarity = 1.0 - c.count as f64 / n;
-                let dist = sq_euclidean(&c.center, r).expect("dims").sqrt();
+                let dist = sq_dist(&c.center, r).sqrt();
                 // Rarity dominates; distance breaks ties within a cluster.
-                rarity + dist / (radius + 1e-12) * 1e-3
+                Some(rarity + dist / (radius + 1e-12) * 1e-3)
             })
-            .collect())
+            .collect();
+        finite_scores("DynamicClustering", scores)
     }
 }
 

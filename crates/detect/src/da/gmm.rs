@@ -8,6 +8,8 @@
 //! fitted mixture. Diagonal covariances, k-means initialization, fixed
 //! iteration budget; fully deterministic.
 
+use hierod_timeseries::Dense;
+
 use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
@@ -51,12 +53,22 @@ impl FittedMixture {
     /// Log-density of one row under the mixture (log-sum-exp over
     /// components).
     pub fn log_density(&self, row: &[f64]) -> f64 {
-        let logs: Vec<f64> = self
-            .weights
+        let logs: Vec<f64> = self.component_logs(row).collect();
+        let max = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        if !max.is_finite() {
+            return f64::NEG_INFINITY;
+        }
+        max + logs.iter().map(|l| (l - max).exp()).sum::<f64>().ln()
+    }
+
+    /// Each component's weighted log-density of one row, in component
+    /// order.
+    fn component_logs<'a>(&'a self, row: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        self.weights
             .iter()
             .zip(&self.means)
             .zip(&self.variances)
-            .map(|((w, mu), var)| {
+            .map(move |((w, mu), var)| {
                 let mut lp = w.max(1e-300).ln();
                 for ((x, m), v) in row.iter().zip(mu).zip(var) {
                     let v = v.max(VAR_FLOOR);
@@ -64,12 +76,6 @@ impl FittedMixture {
                 }
                 lp
             })
-            .collect();
-        let max = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        if !max.is_finite() {
-            return f64::NEG_INFINITY;
-        }
-        max + logs.iter().map(|l| (l - max).exp()).sum::<f64>().ln()
     }
 }
 
@@ -136,48 +142,43 @@ impl GaussianMixture {
             variances: var_acc,
         };
 
-        let mut resp = vec![vec![0.0_f64; k]; n];
+        let mut resp = Dense::filled(n, k, 0.0);
+        let mut logs = Vec::with_capacity(k);
         for _ in 0..self.max_iter {
             // E-step.
-            for (i, r) in rows.iter().enumerate() {
-                let logs: Vec<f64> = (0..k)
-                    .map(|j| {
-                        let mut lp = mix.weights[j].max(1e-300).ln();
-                        for ((x, m), v) in r.iter().zip(&mix.means[j]).zip(&mix.variances[j]) {
-                            let v = v.max(VAR_FLOOR);
-                            lp += -0.5 * (LOG_2PI + v.ln() + (x - m) * (x - m) / v);
-                        }
-                        lp
-                    })
-                    .collect();
+            for (r, resp_r) in rows.iter().zip(resp.rows_mut()) {
+                logs.clear();
+                logs.extend(mix.component_logs(r));
                 let max = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let denom: f64 = logs.iter().map(|l| (l - max).exp()).sum();
-                for j in 0..k {
-                    resp[i][j] = (logs[j] - max).exp() / denom;
+                for (p, l) in resp_r.iter_mut().zip(&logs) {
+                    *p = (l - max).exp() / denom;
                 }
             }
             // M-step.
-            for j in 0..k {
-                let nj: f64 = resp.iter().map(|r| r[j]).sum();
+            let components = mix.weights.iter_mut().zip(&mut mix.means);
+            for (j, ((weight, means), variances)) in components.zip(&mut mix.variances).enumerate()
+            {
+                let nj: f64 = resp.col(j).sum();
                 if nj < 1e-9 {
                     continue; // dead component keeps its parameters
                 }
-                mix.weights[j] = nj / n as f64;
+                *weight = nj / n as f64;
                 let mut mean = vec![0.0_f64; d];
-                for (r, rj) in rows.iter().zip(resp.iter().map(|r| r[j])) {
+                for (r, rj) in rows.iter().zip(resp.col(j)) {
                     for (m, x) in mean.iter_mut().zip(r.iter()) {
                         *m += rj * x / nj;
                     }
                 }
                 let mut var = vec![0.0_f64; d];
-                for (r, rj) in rows.iter().zip(resp.iter().map(|r| r[j])) {
+                for (r, rj) in rows.iter().zip(resp.col(j)) {
                     for ((v, x), m) in var.iter_mut().zip(r.iter()).zip(&mean) {
                         *v += rj * (x - m) * (x - m) / nj;
                     }
                 }
                 var.iter_mut().for_each(|v| *v = v.max(VAR_FLOOR));
-                mix.means[j] = mean;
-                mix.variances[j] = var;
+                *means = mean;
+                *variances = var;
             }
         }
         Ok(mix)

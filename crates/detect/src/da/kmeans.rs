@@ -10,8 +10,8 @@
 use hierod_timeseries::normalize::z_normalize;
 
 use crate::api::{
-    check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
-    VectorScorer,
+    check_rows, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, Result,
+    TechniqueClass, VectorScorer,
 };
 use crate::related::sq_dist;
 use crate::stat::nan_last_cmp;
@@ -107,7 +107,8 @@ impl KMeans {
             state
         };
         let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-        centroids.push(rows[(next() as usize) % rows.len()].to_vec());
+        let pick = |i: usize| rows.get(i % rows.len()).map(|r| r.to_vec());
+        centroids.extend(pick(next() as usize));
         while centroids.len() < k {
             // Choose next center proportional to squared distance.
             let d2: Vec<f64> = rows
@@ -115,21 +116,23 @@ impl KMeans {
                 .map(|r| nearest_centroid(&centroids, r).map_or(f64::INFINITY, |(_, d)| d))
                 .collect();
             let total: f64 = d2.iter().sum();
-            if total <= 0.0 {
+            let chosen = if total <= 0.0 {
                 // All points coincide with existing centroids.
-                centroids.push(rows[(next() as usize) % rows.len()].to_vec());
-                continue;
-            }
-            let mut target = (next() as f64 / u64::MAX as f64) * total;
-            let mut chosen = rows.len() - 1;
-            for (i, &w) in d2.iter().enumerate() {
-                if target <= w {
-                    chosen = i;
-                    break;
+                next() as usize
+            } else {
+                let mut target = (next() as f64 / u64::MAX as f64) * total;
+                let mut chosen = rows.len() - 1;
+                for (i, &w) in d2.iter().enumerate() {
+                    if target <= w {
+                        chosen = i;
+                        break;
+                    }
+                    target -= w;
                 }
-                target -= w;
-            }
-            centroids.push(rows[chosen].to_vec());
+                chosen
+            };
+            let Some(c) = pick(chosen) else { break };
+            centroids.push(c);
         }
         // Lloyd iterations.
         let mut assign = vec![0_usize; rows.len()];
@@ -243,7 +246,7 @@ impl Detector for KMeans {
 impl VectorScorer for KMeans {
     fn score_rows(&self, rows: &[&[f64]]) -> Result<Vec<f64>> {
         let centroids = self.fit_filtered_centroids(rows, 2)?;
-        Ok(Self::distances(&centroids, rows))
+        finite_scores("KMeans", Self::distances(&centroids, rows))
     }
 }
 

@@ -8,6 +8,7 @@
 //! so it handles variable-length sequences.
 
 use hierod_timeseries::distance::lcs_similarity;
+use hierod_timeseries::Dense;
 
 use crate::api::{
     Capabilities, DetectError, Detector, DetectorInfo, DiscreteScorer, Result, TechniqueClass,
@@ -43,31 +44,37 @@ impl LcsCluster {
     /// highest total similarity (most central); each further medoid is the
     /// sequence worst-covered by the current medoids (farthest-point
     /// heuristic). Deterministic.
-    fn select_medoids(&self, sim: &[Vec<f64>]) -> Vec<usize> {
-        let n = sim.len();
-        let k = self.k.min(n);
+    fn select_medoids(&self, sim: &Dense) -> Vec<usize> {
+        let k = self.k.min(sim.height());
         let mut medoids = Vec::with_capacity(k);
-        let first = (0..n)
-            .max_by(|&a, &b| {
-                let sa: f64 = sim[a].iter().sum();
-                let sb: f64 = sim[b].iter().sum();
-                sa.total_cmp(&sb)
-            })
-            .expect("non-empty");
-        medoids.push(first);
+        let first = sim
+            .rows()
+            .map(|row| row.iter().sum::<f64>())
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(&b.1));
+        medoids.extend(first.map(|(i, _)| i));
         while medoids.len() < k {
-            let next = (0..n).filter(|i| !medoids.contains(i)).min_by(|&a, &b| {
-                let ca = medoids.iter().map(|&m| sim[a][m]).fold(f64::MIN, f64::max);
-                let cb = medoids.iter().map(|&m| sim[b][m]).fold(f64::MIN, f64::max);
-                ca.total_cmp(&cb)
-            });
+            let next = sim
+                .rows()
+                .enumerate()
+                .filter(|(i, _)| !medoids.contains(i))
+                .map(|(i, row)| (i, coverage(row, &medoids)))
+                .min_by(|a, b| a.1.total_cmp(&b.1));
             match next {
-                Some(i) => medoids.push(i),
+                Some((i, _)) => medoids.push(i),
                 None => break,
             }
         }
         medoids
     }
+}
+
+/// How well the medoids cover one sequence: its best similarity to any.
+fn coverage(sim_row: &[f64], medoids: &[usize]) -> f64 {
+    medoids
+        .iter()
+        .filter_map(|&m| sim_row.get(m))
+        .fold(f64::MIN, |best, &s| best.max(s))
 }
 
 impl Detector for LcsCluster {
@@ -91,32 +98,32 @@ impl DiscreteScorer for LcsCluster {
                 got: seqs.len(),
             });
         }
-        let n = seqs.len();
         // Full pairwise similarity matrix (symmetric).
-        let mut sim = vec![vec![0.0_f64; n]; n];
-        for i in 0..n {
-            sim[i][i] = 1.0;
-            for j in (i + 1)..n {
-                let s = lcs_similarity(seqs[i], seqs[j]);
-                sim[i][j] = s;
-                sim[j][i] = s;
+        let n = seqs.len();
+        let mut sim = Dense::filled(n, n, 0.0);
+        for (i, (row, a)) in sim.rows_mut().zip(seqs).enumerate() {
+            for (j, (s, b)) in row.iter_mut().zip(seqs).enumerate().skip(i) {
+                *s = if j == i { 1.0 } else { lcs_similarity(a, b) };
             }
         }
+        sim.mirror_upper();
         let medoids = self.select_medoids(&sim);
-        Ok((0..n)
-            .map(|i| {
+        Ok(sim
+            .rows()
+            .enumerate()
+            .map(|(i, row)| {
                 if medoids.contains(&i) && medoids.len() > 1 {
                     // A medoid is scored against the *other* medoids' members
                     // via its best non-self similarity, so a lone-outlier
                     // medoid still scores high.
-                    let best = (0..n)
-                        .filter(|&j| j != i)
-                        .map(|j| sim[i][j])
-                        .fold(f64::MIN, f64::max);
+                    let best = row
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| j != i)
+                        .fold(f64::MIN, |best, (_, &s)| best.max(s));
                     1.0 - best
                 } else {
-                    let best = medoids.iter().map(|&m| sim[i][m]).fold(f64::MIN, f64::max);
-                    1.0 - best
+                    1.0 - coverage(row, &medoids)
                 }
             })
             .collect())

@@ -61,7 +61,7 @@ impl DiscreteScorer for MatchCount {
                 got: seqs.len(),
             });
         }
-        let len = seqs[0].len();
+        let len = seqs.first().map_or(0, |s| s.len());
         if len == 0 || seqs.iter().any(|s| s.len() != len) {
             return Err(DetectError::ShapeMismatch {
                 message: "MatchCount requires equal-length non-empty sequences".into(),
@@ -69,15 +69,15 @@ impl DiscreteScorer for MatchCount {
         }
         let mut scores = Vec::with_capacity(seqs.len());
         for (i, a) in seqs.iter().enumerate() {
-            let mut sims: Vec<f64> = seqs
+            let mut sims = seqs
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(_, b)| match_count_similarity(a, b).expect("equal lengths"))
-                .collect();
+                .map(|(_, b)| match_count_similarity(a, b))
+                .collect::<std::result::Result<Vec<f64>, _>>()?;
             sims.sort_by(|x, y| y.total_cmp(x));
             let k = self.smooth_k.min(sims.len());
-            let avg = sims[..k].iter().sum::<f64>() / k as f64;
+            let avg = sims.iter().take(k).sum::<f64>() / k as f64;
             scores.push(1.0 - avg);
         }
         Ok(scores)

@@ -19,7 +19,7 @@
 //! learned sphere, in any direction.
 
 use hierod_timeseries::normalize::ColumnScaler;
-use hierod_timeseries::stats::quantile;
+use hierod_timeseries::stats::{quantile, quantile_in};
 
 use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
@@ -75,12 +75,11 @@ impl Detector for OneClassSvm {
 
 impl VectorScorer for OneClassSvm {
     fn score_rows(&self, rows: &[&[f64]]) -> Result<Vec<f64>> {
-        check_rows("OneClassSvm", rows)?;
+        let d = check_rows("OneClassSvm", rows)?;
         let scaler = ColumnScaler::fit(rows)?;
         let xs: Vec<Vec<f64>> = scaler.transform_all(rows)?;
         let n = xs.len();
         // Init center at the overall mean.
-        let d = xs[0].len();
         let mut center = vec![0.0_f64; d];
         for x in &xs {
             for (c, v) in center.iter_mut().zip(x) {
@@ -89,9 +88,12 @@ impl VectorScorer for OneClassSvm {
         }
         let dist = |c: &[f64], x: &[f64]| sq_dist(c, x).sqrt();
         let mut radius = 0.0_f64;
+        let (mut dists, mut scratch) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for _ in 0..self.rounds {
-            let dists: Vec<f64> = xs.iter().map(|x| dist(&center, x)).collect();
-            radius = quantile(&dists, 1.0 - self.nu)?;
+            dists.clear();
+            dists.extend(xs.iter().map(|x| dist(&center, x)));
+            scratch.clone_from(&dists);
+            radius = quantile_in(&mut scratch, 1.0 - self.nu)?;
             // Re-center on the inliers (trimmed mean).
             let mut new_center = vec![0.0_f64; d];
             let mut count = 0_usize;

@@ -7,6 +7,8 @@
 //! the top-`k` components. Eigenvectors are found by power iteration with
 //! deflation (no external linear algebra).
 
+use hierod_timeseries::Dense;
+
 use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
@@ -86,7 +88,6 @@ impl PrincipalComponentSpace {
     ///
     /// # Errors
     /// Rejects empty/ragged collections.
-    #[allow(clippy::needless_range_loop)] // index DP/matrix kernels read clearer indexed
     pub fn fit(&self, rows: &[&[f64]]) -> Result<FittedPca> {
         let d = check_rows("PrincipalComponentSpace", rows)?;
         let n = rows.len() as f64;
@@ -96,26 +97,26 @@ impl PrincipalComponentSpace {
                 *m += x / n;
             }
         }
-        // Covariance matrix (d × d). Fine for the moderate dimensionalities
-        // of job vectors and window embeddings.
-        let mut cov = vec![vec![0.0_f64; d]; d];
+        // Covariance matrix (d × d), upper triangle accumulated then
+        // mirrored. Fine for the moderate dimensionalities of job vectors
+        // and window embeddings.
+        let mut cov = Dense::filled(d, d, 0.0);
+        let mut c = Vec::with_capacity(d);
         for r in rows {
-            let c: Vec<f64> = r.iter().zip(&mean).map(|(x, m)| x - m).collect();
-            for i in 0..d {
-                for j in i..d {
-                    cov[i][j] += c[i] * c[j] / n;
+            c.clear();
+            c.extend(r.iter().zip(&mean).map(|(x, m)| x - m));
+            for (i, (cov_i, ci)) in cov.rows_mut().zip(&c).enumerate() {
+                for (x, cj) in cov_i.iter_mut().zip(&c).skip(i) {
+                    *x += ci * cj / n;
                 }
             }
         }
-        for i in 0..d {
-            for j in 0..i {
-                cov[i][j] = cov[j][i];
-            }
-        }
+        cov.mirror_upper();
         let k = self.components.min(d);
         let mut comps: Vec<Vec<f64>> = Vec::with_capacity(k);
         let mut eigenvalues = Vec::with_capacity(k);
         let mut work = cov;
+        let mut w = vec![0.0_f64; d];
         for c_idx in 0..k {
             // Deterministic start vector, orthogonalized against found comps.
             let mut v: Vec<f64> = (0..d)
@@ -124,28 +125,29 @@ impl PrincipalComponentSpace {
             let mut lambda = 0.0_f64;
             for _ in 0..self.iterations {
                 // w = A v
-                let mut w = vec![0.0_f64; d];
-                for i in 0..d {
+                for (wi, row) in w.iter_mut().zip(work.rows()) {
                     let mut s = 0.0;
-                    for j in 0..d {
-                        s += work[i][j] * v[j];
+                    for (a, vj) in row.iter().zip(&v) {
+                        s += a * vj;
                     }
-                    w[i] = s;
+                    *wi = s;
                 }
                 let norm = w.iter().map(|x| x * x).sum::<f64>().sqrt();
                 if norm < 1e-15 {
                     break; // rank exhausted
                 }
                 lambda = norm;
-                v = w.into_iter().map(|x| x / norm).collect();
+                for (vi, wi) in v.iter_mut().zip(&w) {
+                    *vi = wi / norm;
+                }
             }
             if lambda < 1e-12 {
                 break;
             }
             // Deflate: A <- A − λ v vᵀ.
-            for i in 0..d {
-                for j in 0..d {
-                    work[i][j] -= lambda * v[i] * v[j];
+            for (row, vi) in work.rows_mut().zip(&v) {
+                for (x, vj) in row.iter_mut().zip(&v) {
+                    *x -= lambda * vi * vj;
                 }
             }
             comps.push(v);
@@ -176,28 +178,33 @@ impl VectorScorer for PrincipalComponentSpace {
         let d = check_rows("PrincipalComponentSpace", rows)?;
         // Robust per-column standardization.
         let n = rows.len();
-        let mut zs = vec![vec![0.0_f64; d]; n];
+        let mut zs = Dense::filled(n, d, 0.0);
+        let mut col = Vec::with_capacity(n);
         for c in 0..d {
-            let mut col: Vec<f64> = rows.iter().map(|r| r[c]).collect();
+            col.clear();
+            // Every row is `d` wide (checked above).
+            col.extend(rows.iter().map(|r| r.get(c).map_or(f64::NAN, |x| *x)));
             let med = midpoint_median(&mut col);
             col.iter_mut().for_each(|x| *x = (*x - med).abs());
             let mad = 1.4826 * midpoint_median(&mut col);
             if mad > 1e-12 {
-                for (z, r) in zs.iter_mut().zip(rows) {
-                    z[c] = (r[c] - med) / mad;
+                for (z, r) in zs.rows_mut().zip(rows) {
+                    if let (Some(z), Some(x)) = (z.get_mut(c), r.get(c)) {
+                        *z = (x - med) / mad;
+                    }
                 }
             }
         }
         // Trimmed fit: rows with the smallest robust norm define normal.
-        let mut order: Vec<usize> = (0..n).collect();
-        let norm = |z: &Vec<f64>| z.iter().map(|x| x * x).sum::<f64>();
-        order.sort_by(|&a, &b| norm(&zs[a]).total_cmp(&norm(&zs[b])));
+        let norm = |z: &[f64]| z.iter().map(|x| x * x).sum::<f64>();
+        let mut order: Vec<(f64, &[f64])> = zs.rows().map(|z| (norm(z), z)).collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0));
         let keep = ((n as f64 * self.trim.clamp(0.0, 1.0)).ceil() as usize)
             .clamp((self.components + 1).min(n), n);
-        let train: Vec<&[f64]> = order[..keep].iter().map(|&i| zs[i].as_slice()).collect();
+        let train: Vec<&[f64]> = order.iter().take(keep).map(|&(_, z)| z).collect();
         let pca = self.fit(&train)?;
         Ok(zs
-            .iter()
+            .rows()
             .map(|z| pca.reconstruction_error(z).sqrt())
             .collect())
     }

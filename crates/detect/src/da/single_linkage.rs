@@ -8,12 +8,11 @@
 //! a distance threshold — by default the `cut_quantile` of all pairwise
 //! distances, following Portnoy's width heuristic.
 
-use hierod_timeseries::distance::sq_euclidean;
-
 use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
     VectorScorer,
 };
+use crate::related::sq_dist;
 
 /// Single-linkage small-cluster scorer.
 #[derive(Debug, Clone)]
@@ -42,12 +41,17 @@ impl Dsu {
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    /// The root of `x`'s tree (union by size keeps trees O(log n) deep).
+    fn find(&self, mut x: usize) -> usize {
+        while let Some(&up) = self.parent.get(x).filter(|&&up| up != x) {
+            x = up;
         }
-        self.parent[x]
+        x
+    }
+
+    /// The population of `x`'s cluster.
+    fn size_of(&self, x: usize) -> usize {
+        self.size.get(self.find(x)).copied().unwrap_or(1)
     }
 
     fn union(&mut self, a: usize, b: usize) {
@@ -55,13 +59,12 @@ impl Dsu {
         if ra == rb {
             return;
         }
-        let (big, small) = if self.size[ra] >= self.size[rb] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[small] = big;
-        self.size[big] += self.size[small];
+        let (sa, sb) = (self.size_of(ra), self.size_of(rb));
+        let (big, small) = if sa >= sb { (ra, rb) } else { (rb, ra) };
+        if let (Some(up), Some(size)) = (self.parent.get_mut(small), self.size.get_mut(big)) {
+            *up = big;
+            *size = sa + sb;
+        }
     }
 }
 
@@ -86,14 +89,16 @@ impl SingleLinkage {
         }
         // All pairwise distances.
         let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                pairs.push((sq_euclidean(rows[i], rows[j]).expect("dims"), i, j));
+        for (i, a) in rows.iter().enumerate() {
+            for (j, b) in rows.iter().enumerate().skip(i + 1) {
+                pairs.push((sq_dist(a, b), i, j));
             }
         }
         pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         let cut_idx = ((pairs.len() as f64) * self.cut_quantile) as usize;
-        let cut = pairs[cut_idx.min(pairs.len() - 1)].0;
+        let Some(&(cut, _, _)) = pairs.get(cut_idx).or(pairs.last()) else {
+            return Ok(vec![1; n]);
+        };
         // Single linkage = union all pairs with distance <= cut.
         let mut dsu = Dsu::new(n);
         for &(d, i, j) in &pairs {
@@ -102,12 +107,7 @@ impl SingleLinkage {
             }
             dsu.union(i, j);
         }
-        Ok((0..n)
-            .map(|i| {
-                let root = dsu.find(i);
-                dsu.size[root]
-            })
-            .collect())
+        Ok((0..n).map(|i| dsu.size_of(i)).collect())
     }
 }
 

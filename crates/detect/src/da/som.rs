@@ -9,12 +9,11 @@
 //! ranges, standard decaying Gaussian-neighborhood training with a fixed
 //! sample order.
 
-use hierod_timeseries::distance::sq_euclidean;
-
 use crate::api::{
-    check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
-    VectorScorer,
+    check_rows, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, Result,
+    TechniqueClass, VectorScorer,
 };
+use crate::related::sq_dist;
 
 /// SOM quantization-error scorer.
 #[derive(Debug, Clone)]
@@ -61,14 +60,17 @@ impl SelfOrganizingMap {
     ///
     /// # Errors
     /// Rejects empty/ragged collections.
-    #[allow(clippy::needless_range_loop)] // index DP/matrix kernels read clearer indexed
     pub fn fit(&self, rows: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
-        let d = check_rows("SelfOrganizingMap", rows)?;
+        check_rows("SelfOrganizingMap", rows)?;
         let units = self.width * self.height;
         // Initialize codebook by cycling through the data (deterministic,
         // data-spanning).
-        let mut codebook: Vec<Vec<f64>> =
-            (0..units).map(|u| rows[u % rows.len()].to_vec()).collect();
+        let mut codebook: Vec<Vec<f64>> = rows
+            .iter()
+            .cycle()
+            .take(units)
+            .map(|r| r.to_vec())
+            .collect();
         let total_steps = (self.epochs * rows.len()).max(1);
         let init_radius = (self.width.max(self.height) as f64) / 2.0;
         let mut step = 0_usize;
@@ -78,30 +80,28 @@ impl SelfOrganizingMap {
                 let lr = self.learning_rate * (1.0 - frac).max(0.01);
                 let radius = (init_radius * (1.0 - frac)).max(0.5);
                 // Best-matching unit.
-                let bmu = (0..units)
-                    .min_by(|&a, &b| {
-                        sq_euclidean(&codebook[a], r)
-                            .expect("dims")
-                            .total_cmp(&sq_euclidean(&codebook[b], r).expect("dims"))
-                    })
-                    .expect("non-empty grid");
+                let bmu = codebook
+                    .iter()
+                    .map(|c| sq_dist(c, r))
+                    .enumerate()
+                    .min_by(|a, b| a.1.total_cmp(&b.1));
+                let Some((bmu, _)) = bmu else { break };
                 let (bx, by) = (bmu % self.width, bmu / self.width);
                 // Gaussian neighborhood update.
-                for u in 0..units {
+                for (u, unit) in codebook.iter_mut().enumerate() {
                     let (ux, uy) = (u % self.width, u / self.width);
                     let grid_d2 = (ux as f64 - bx as f64).powi(2) + (uy as f64 - by as f64).powi(2);
                     let h = (-grid_d2 / (2.0 * radius * radius)).exp();
                     if h < 1e-4 {
                         continue;
                     }
-                    for (c, x) in codebook[u].iter_mut().zip(r.iter()) {
+                    for (c, x) in unit.iter_mut().zip(r.iter()) {
                         *c += lr * h * (x - *c);
                     }
                 }
                 step += 1;
             }
         }
-        debug_assert_eq!(codebook[0].len(), d);
         Ok(codebook)
     }
 }
@@ -121,16 +121,17 @@ impl Detector for SelfOrganizingMap {
 impl VectorScorer for SelfOrganizingMap {
     fn score_rows(&self, rows: &[&[f64]]) -> Result<Vec<f64>> {
         let codebook = self.fit(rows)?;
-        Ok(rows
+        let errors = rows
             .iter()
             .map(|r| {
                 codebook
                     .iter()
-                    .map(|c| sq_euclidean(c, r).expect("dims"))
+                    .map(|c| sq_dist(c, r))
                     .fold(f64::INFINITY, f64::min)
                     .sqrt()
             })
-            .collect())
+            .collect();
+        finite_scores("SelfOrganizingMap", errors)
     }
 }
 

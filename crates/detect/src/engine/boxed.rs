@@ -303,10 +303,7 @@ impl SupervisedScorer for MotifOnVectors {
         all.sort_by(|a, b| a.total_cmp(b));
         // alphabet bins need alphabet - 1 interior edges.
         let edges: Vec<f64> = (1..self.alphabet)
-            .map(|i| {
-                let pos = i * (all.len() - 1) / self.alphabet;
-                all[pos]
-            })
+            .filter_map(|i| all.get(i * (all.len() - 1) / self.alphabet).copied())
             .collect();
         let seqs = self.symbolize_rows(rows, &edges);
         let refs: Vec<&[u16]> = seqs.iter().map(Vec::as_slice).collect();

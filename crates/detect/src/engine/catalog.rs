@@ -82,7 +82,7 @@ fn build_pair_diff(s: &AlgoSpec) -> Result<BoxedScorer> {
 pub fn supplemental() -> Vec<RegistryEntry> {
     vec![
         RegistryEntry {
-            info: SlidingZScore::new(48).expect("static default").info(),
+            info: SlidingZScore::default().info(),
             module: "hierod_detect::stat::SlidingZScore",
             key: "sliding-z",
             params: &["window"],
@@ -110,28 +110,28 @@ pub fn supplemental() -> Vec<RegistryEntry> {
             build: build_iqr,
         },
         RegistryEntry {
-            info: KMeans::new(4).expect("static default").info(),
+            info: KMeans::default().info(),
             module: "hierod_detect::da::KMeans",
             key: "kmeans",
             params: &["k"],
             build: build_kmeans,
         },
         RegistryEntry {
-            info: LocalOutlierFactor::new(5).expect("static default").info(),
+            info: LocalOutlierFactor::default().info(),
             module: "hierod_detect::related::LocalOutlierFactor",
             key: "lof",
             params: &["k"],
             build: build_lof,
         },
         RegistryEntry {
-            info: KnnDistance::new(5).expect("static default").info(),
+            info: KnnDistance::default().info(),
             module: "hierod_detect::related::KnnDistance",
             key: "knn",
             params: &["k"],
             build: build_knn,
         },
         RegistryEntry {
-            info: ReverseKnn::new(5).expect("static default").info(),
+            info: ReverseKnn::default().info(),
             module: "hierod_detect::related::ReverseKnn",
             key: "rknn",
             params: &["k"],

@@ -82,17 +82,25 @@ impl TaskPool {
         type Deque<'env, T> = Mutex<VecDeque<(usize, Task<'env, T>)>>;
         let mut deques: Vec<Deque<'env, T>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            deques[i % workers]
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back((i, task));
+        let mut tasks = tasks.into_iter().enumerate().peekable();
+        while tasks.peek().is_some() {
+            for (deque, task) in deques.iter_mut().zip(&mut tasks) {
+                deque
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push_back(task);
+            }
         }
         let deques = &deques;
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let slots = &slots;
+        let store = |idx: usize, out: T| {
+            if let Some(slot) = slots.get(idx) {
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+            }
+        };
         thread::scope(|scope| {
-            for w in 0..workers {
+            for (w, own) in deques.iter().enumerate() {
                 scope.spawn(move || {
                     loop {
                         // Own deque first: pop the back (most recently
@@ -101,49 +109,34 @@ impl TaskPool {
                         // panicking task resurfaces at scope join anyway,
                         // and a deque/slot is consistent at every await
                         // point (push/pop are atomic under the lock).
-                        let own = deques[w]
+                        let popped = own
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
                             .pop_back();
-                        if let Some((idx, task)) = own {
-                            *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) =
-                                Some(task());
-                            continue;
-                        }
-                        // Steal sweep: oldest work from the other deques.
-                        let mut stolen = None;
-                        for off in 1..workers {
-                            let victim = (w + off) % workers;
-                            if let Some(t) = deques[victim]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .pop_front()
-                            {
-                                stolen = Some(t);
-                                break;
-                            }
-                        }
-                        match stolen {
-                            Some((idx, task)) => {
-                                *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) =
-                                    Some(task());
-                            }
-                            // Tasks never spawn tasks: an empty sweep means
-                            // all queues are drained for good.
-                            None => break,
-                        }
+                        // Steal sweep: oldest work from the other deques,
+                        // starting with the next worker's.
+                        let next = popped.or_else(|| {
+                            let mut victims = deques.iter().cycle().skip(w + 1).take(workers - 1);
+                            victims.find_map(|victim| {
+                                victim
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .pop_front()
+                            })
+                        });
+                        // Tasks never spawn tasks: an empty sweep means all
+                        // queues are drained for good.
+                        let Some((idx, task)) = next else { break };
+                        store(idx, task());
                     }
                 });
             }
         });
+        // Every slot is filled here: the scope joined every worker, and a
+        // task that panicked instead of filling its slot re-raised at join.
         slots
             .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .expect("every task ran")
-            })
+            .filter_map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take())
             .collect()
     }
 }

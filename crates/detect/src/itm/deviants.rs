@@ -19,8 +19,8 @@
 use hierod_timeseries::histogram::VOptimalHistogram;
 
 use crate::api::{
-    check_finite, Capabilities, DetectError, Detector, DetectorInfo, PointScorer, Result,
-    TechniqueClass,
+    check_finite, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, PointScorer,
+    Result, TechniqueClass,
 };
 
 /// Deviant scorer based on the V-optimal histogram.
@@ -75,38 +75,38 @@ impl PointScorer for HistogramDeviants {
         let buckets = hist.buckets();
         let mut scores = vec![0.0_f64; values.len()];
         for (b_idx, bucket) in buckets.iter().enumerate() {
-            let n_b = (bucket.end - bucket.start) as f64;
+            let span = bucket.start..bucket.end;
+            let (Some(xs), Some(out)) = (values.get(span.clone()), scores.get_mut(span)) else {
+                continue;
+            };
+            let n_b = xs.len() as f64;
             if n_b < 2.0 {
                 // A singleton bucket is the histogram's own deviant signal:
                 // the optimizer paid a whole bucket to isolate this point.
                 // Its score is the SSE the representation would incur if the
                 // point were merged into the cheaper adjacent bucket — the
                 // isolation cost.
-                let i = bucket.start;
-                let mut cost = f64::INFINITY;
-                if b_idx > 0 {
-                    let prev = &buckets[b_idx - 1];
-                    let n = (prev.end - prev.start) as f64;
-                    let d = values[i] - prev.mean;
-                    cost = cost.min(d * d * n / (n + 1.0));
-                }
-                if b_idx + 1 < buckets.len() {
-                    let next = &buckets[b_idx + 1];
-                    let n = (next.end - next.start) as f64;
-                    let d = values[i] - next.mean;
-                    cost = cost.min(d * d * n / (n + 1.0));
-                }
-                if cost.is_finite() {
-                    scores[i] = cost;
+                let prev = b_idx.checked_sub(1).and_then(|p| buckets.get(p));
+                let next = buckets.get(b_idx + 1);
+                for (x, score) in xs.iter().zip(out) {
+                    let mut cost = f64::INFINITY;
+                    for neighbour in [prev, next].into_iter().flatten() {
+                        let n = (neighbour.end - neighbour.start) as f64;
+                        let d = x - neighbour.mean;
+                        cost = cost.min(d * d * n / (n + 1.0));
+                    }
+                    if cost.is_finite() {
+                        *score = cost;
+                    }
                 }
                 continue;
             }
-            for i in bucket.start..bucket.end {
-                let d = values[i] - bucket.mean;
-                scores[i] = d * d * n_b / (n_b - 1.0);
+            for (x, score) in xs.iter().zip(out) {
+                let d = x - bucket.mean;
+                *score = d * d * n_b / (n_b - 1.0);
             }
         }
-        Ok(scores)
+        finite_scores("HistogramDeviants", scores)
     }
 }
 

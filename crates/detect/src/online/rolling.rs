@@ -138,8 +138,8 @@ fn mad_of_sorted_finite(sorted: &[f64], med: f64) -> f64 {
     let mut cur = 0.0;
     for _ in 0..n / 2 + 1 {
         prev = cur;
-        let low = (lo > 0).then(|| med - sorted[lo - 1]);
-        let high = (hi < n).then(|| sorted[hi] - med);
+        let low = sorted.get(..lo).and_then(<[f64]>::last).map(|x| med - x);
+        let high = sorted.get(hi).map(|x| x - med);
         cur = match (low, high) {
             (Some(a), Some(b)) => {
                 if a.total_cmp(&b) != std::cmp::Ordering::Greater {

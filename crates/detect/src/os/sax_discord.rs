@@ -11,12 +11,12 @@
 
 use std::collections::HashMap;
 
-use hierod_timeseries::distance::euclidean;
 use hierod_timeseries::normalize::z_normalize;
 use hierod_timeseries::sax::SaxEncoder;
 use hierod_timeseries::window::{window_scores_to_point_scores, windows, WindowSpec};
 
 use crate::api::{Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass};
+use crate::related::sq_dist;
 
 /// SAX discord scorer for numeric series.
 #[derive(Debug, Clone)]
@@ -89,9 +89,8 @@ impl SaxDiscord {
             words.push(word.symbols);
             z_windows.push(z);
         }
-        let n_w = z_windows.len();
-        let mut w_scores = Vec::with_capacity(n_w);
-        for i in 0..n_w {
+        let mut w_scores = Vec::with_capacity(z_windows.len());
+        for (i, (z, word)) in z_windows.iter().zip(&words).enumerate() {
             // Nearest non-overlapping neighbor distance (exact; windows
             // overlap iff |i - j| < window_len).
             let mut nn = f64::INFINITY;
@@ -99,7 +98,7 @@ impl SaxDiscord {
                 if i.abs_diff(j) < self.window_len {
                     continue;
                 }
-                let d = euclidean(&z_windows[i], other).expect("equal window lengths");
+                let d = sq_dist(z, other).sqrt();
                 if d < nn {
                     nn = d;
                 }
@@ -107,7 +106,7 @@ impl SaxDiscord {
             if !nn.is_finite() {
                 nn = 0.0;
             }
-            let rarity = 1.0 / word_counts[&words[i]] as f64;
+            let rarity = 1.0 / word_counts.get(word).copied().unwrap_or(1) as f64;
             w_scores.push(nn * rarity.sqrt());
         }
         let p_scores = window_scores_to_point_scores(values.len(), spec, &w_scores);

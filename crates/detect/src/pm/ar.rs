@@ -11,8 +11,8 @@
 use hierod_timeseries::stats::{autocovariances, std_dev};
 
 use crate::api::{
-    check_finite, Capabilities, DetectError, Detector, DetectorInfo, PointScorer, Result,
-    TechniqueClass,
+    check_finite, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, PointScorer,
+    Result, TechniqueClass,
 };
 
 /// AR(p) prediction-error scorer.
@@ -173,7 +173,8 @@ impl PointScorer for AutoregressiveModel {
             .collect();
         // Standardize by the innovation std over the predicted region.
         let sd = std_dev(errors.get(p..).unwrap_or(&[]))?.max(1e-12);
-        Ok(errors.into_iter().map(|e| (e / sd).abs()).collect())
+        let scores = errors.into_iter().map(|e| (e / sd).abs()).collect();
+        finite_scores("AutoregressiveModel", scores)
     }
 }
 

@@ -10,6 +10,8 @@
 //! breaking its usual relationship to the others) surfaces as a VAR
 //! residual.
 
+use hierod_timeseries::Dense;
+
 use crate::api::{Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass};
 
 /// VAR(1) prediction-error scorer over a multivariate series
@@ -28,39 +30,73 @@ pub struct FittedVar {
     pub residual_std: Vec<f64>,
 }
 
+impl FittedVar {
+    /// Per-channel one-step prediction errors `x_t − (coeffs · x_{t−1} +
+    /// intercept)`, channel by channel.
+    fn errors<'a>(&'a self, prev: &'a [f64], cur: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        self.coeffs
+            .iter()
+            .zip(&self.intercept)
+            .zip(cur)
+            .map(move |((coeffs, intercept), x)| {
+                let pred: f64 =
+                    coeffs.iter().zip(prev).map(|(a, x)| a * x).sum::<f64>() + intercept;
+                x - pred
+            })
+    }
+}
+
 /// Solves `M·x = b` by Gaussian elimination with partial pivoting.
-/// Returns `None` when `M` is (numerically) singular.
-#[allow(clippy::needless_range_loop)] // elimination kernel reads clearer indexed
-fn solve(mut m: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+/// Returns `None` when `M` is (numerically) singular or not `n × n` for
+/// `n = b.len()`.
+fn solve(m: impl TryInto<Dense>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+    let mut m: Dense = m.try_into().ok()?;
     let n = b.len();
+    if m.height() != n || m.width() != n {
+        return None;
+    }
     for col in 0..n {
-        // Pivot.
-        let pivot = (col..n).max_by(|&a, &c| m[a][col].abs().total_cmp(&m[c][col].abs()))?;
-        if m[pivot][col].abs() < 1e-12 {
+        // Pivot: the largest magnitude at or below the diagonal (the last
+        // one on ties).
+        let (pivot, diagonal) = m
+            .rows()
+            .map(|row| row.get(col).copied().unwrap_or(0.0))
+            .enumerate()
+            .skip(col)
+            .max_by(|a, c| a.1.abs().total_cmp(&c.1.abs()))?;
+        if diagonal.abs() < 1e-12 {
             return None;
         }
-        m.swap(col, pivot);
+        m.swap_rows(col, pivot);
         b.swap(col, pivot);
         // Eliminate below.
-        for row in (col + 1)..n {
-            let f = m[row][col] / m[col][col];
+        let (upto, below) = m.split_rows_mut(col + 1);
+        let (b_upto, b_below) = b.split_at_mut(col + 1);
+        let (Some(pivot_row), Some(&b_pivot)) = (upto.last(), b_upto.last()) else {
+            return None;
+        };
+        for (row, b_row) in below.zip(b_below) {
+            let f = row.get(col).copied().unwrap_or(0.0) / diagonal;
             if f == 0.0 {
                 continue;
             }
-            for k in col..n {
-                m[row][k] -= f * m[col][k];
+            for (x, p) in row.iter_mut().zip(pivot_row.iter()).skip(col) {
+                *x -= f * p;
             }
-            b[row] -= f * b[col];
+            *b_row -= f * b_pivot;
         }
     }
     // Back substitution.
     let mut x = vec![0.0_f64; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for k in (row + 1)..n {
-            acc -= m[row][k] * x[k];
+    for (row, (m_row, &b_row)) in m.rows().zip(&b).enumerate().rev() {
+        let mut acc = b_row;
+        for (a, xk) in m_row.iter().zip(&x).skip(row + 1) {
+            acc -= a * xk;
         }
-        x[row] = acc / m[row][row];
+        let diagonal = m_row.get(row).copied().unwrap_or(0.0);
+        if let Some(slot) = x.get_mut(row) {
+            *slot = acc / diagonal;
+        }
     }
     Some(x)
 }
@@ -84,58 +120,57 @@ impl VectorAutoregressive {
         // Design: z_t = [x_{t-1}, 1]; per-channel least squares share the
         // Gram matrix G = Σ z zᵀ.
         let dim = d + 1;
-        let mut gram = vec![vec![0.0_f64; dim]; dim];
-        let mut rhs = vec![vec![0.0_f64; dim]; d]; // one b per output channel
-        for t in 1..n {
-            let mut z = rows[t - 1].clone();
+        let mut gram = Dense::filled(dim, dim, 0.0);
+        let mut rhs = Dense::filled(d, dim, 0.0); // one b per output channel
+        let mut z = Vec::with_capacity(dim);
+        for (prev, cur) in rows.iter().zip(rows.iter().skip(1)) {
+            z.clear();
+            z.extend_from_slice(prev);
             z.push(1.0);
-            for i in 0..dim {
-                for j in 0..dim {
-                    gram[i][j] += z[i] * z[j];
+            for (g_row, zi) in gram.rows_mut().zip(&z) {
+                for (g, zj) in g_row.iter_mut().zip(&z) {
+                    *g += zi * zj;
                 }
             }
-            for (c, r) in rhs.iter_mut().enumerate() {
+            for (r, y) in rhs.rows_mut().zip(cur) {
                 for (ri, zi) in r.iter_mut().zip(&z) {
-                    *ri += zi * rows[t][c];
+                    *ri += zi * y;
                 }
             }
         }
         // Ridge: keeps near-constant channels solvable.
-        for (i, row) in gram.iter_mut().enumerate() {
-            row[i] += 1e-8;
+        for (i, row) in gram.rows_mut().enumerate() {
+            if let Some(g) = row.get_mut(i) {
+                *g += 1e-8;
+            }
         }
         let mut coeffs = Vec::with_capacity(d);
         let mut intercept = Vec::with_capacity(d);
-        for r in &rhs {
-            let sol = solve(gram.clone(), r.clone()).ok_or_else(|| DetectError::Numeric {
+        for r in rhs.rows() {
+            let singular = || DetectError::Numeric {
                 message: "VAR normal equations are singular".into(),
-            })?;
-            intercept.push(sol[d]);
-            coeffs.push(sol[..d].to_vec());
+            };
+            let mut sol = solve(gram.clone(), r.to_vec()).ok_or_else(singular)?;
+            intercept.push(sol.pop().ok_or_else(singular)?);
+            coeffs.push(sol);
         }
+        let mut model = FittedVar {
+            coeffs,
+            intercept,
+            residual_std: Vec::new(),
+        };
         // Residual std per channel.
         let mut residual_sq = vec![0.0_f64; d];
-        for t in 1..n {
-            for c in 0..d {
-                let pred: f64 = coeffs[c]
-                    .iter()
-                    .zip(&rows[t - 1])
-                    .map(|(a, x)| a * x)
-                    .sum::<f64>()
-                    + intercept[c];
-                let e = rows[t][c] - pred;
-                residual_sq[c] += e * e;
+        for (prev, cur) in rows.iter().zip(rows.iter().skip(1)) {
+            for (sq, e) in residual_sq.iter_mut().zip(model.errors(prev, cur)) {
+                *sq += e * e;
             }
         }
-        let residual_std = residual_sq
+        model.residual_std = residual_sq
             .into_iter()
             .map(|s| (s / (n - 1) as f64).sqrt().max(1e-9))
             .collect();
-        Ok(FittedVar {
-            coeffs,
-            intercept,
-            residual_std,
-        })
+        Ok(model)
     }
 
     /// Scores every time point: the root-mean-square of the per-channel
@@ -148,16 +183,10 @@ impl VectorAutoregressive {
         let d = model.coeffs.len();
         let mut out = Vec::with_capacity(rows.len());
         out.push(0.0);
-        for t in 1..rows.len() {
+        for (prev, cur) in rows.iter().zip(rows.iter().skip(1)) {
             let mut acc = 0.0;
-            for c in 0..d {
-                let pred: f64 = model.coeffs[c]
-                    .iter()
-                    .zip(&rows[t - 1])
-                    .map(|(a, x)| a * x)
-                    .sum::<f64>()
-                    + model.intercept[c];
-                let e = (rows[t][c] - pred) / model.residual_std[c];
+            for (e, std) in model.errors(prev, cur).zip(&model.residual_std) {
+                let e = e / std;
                 acc += e * e;
             }
             out.push((acc / d as f64).sqrt());

@@ -363,14 +363,14 @@ pub fn render_table1() -> String {
     out.push_str(&"-".repeat(56));
     out.push('\n');
     for e in registry() {
-        let marks = e.info.capabilities.checkmarks();
+        let [pts, ssq, tss] = e.info.capabilities.checkmarks();
         out.push_str(&format!(
             "{:<36} {:<5} {:^3} {:^3} {:^3}\n",
             format!("{} {}", e.info.name, e.info.citation),
             e.info.class.abbrev(),
-            marks[0],
-            marks[1],
-            marks[2]
+            pts,
+            ssq,
+            tss
         ));
     }
     out

@@ -8,8 +8,8 @@
 //! is more robust to hubness than raw distances.
 
 use crate::api::{
-    check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
-    VectorScorer,
+    check_rows, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, Result,
+    TechniqueClass, VectorScorer,
 };
 use crate::related::{distance_matrix_into, knn_with_kdist};
 
@@ -61,11 +61,12 @@ impl VectorScorer for KnnDistance {
         let k = self.k.min(n - 1);
         let mut dist = Vec::new();
         distance_matrix_into(rows, false, &mut dist);
-        Ok(dist
+        let scores = dist
             .chunks_exact(n)
             .enumerate()
             .map(|(i, row)| knn_with_kdist(row, i, k).1.sqrt())
-            .collect())
+            .collect();
+        finite_scores("KnnDistance", scores)
     }
 }
 

@@ -8,8 +8,8 @@
 //! > 1 for points less dense than their neighborhood.
 
 use crate::api::{
-    check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
-    VectorScorer,
+    check_rows, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, Result,
+    TechniqueClass, VectorScorer,
 };
 use crate::related::{distance_matrix_into, knn_with_kdist};
 
@@ -83,7 +83,7 @@ impl VectorScorer for LocalOutlierFactor {
             .collect();
         // LOF = mean neighbor lrd / own lrd; shift by -1 so inliers sit at
         // ~0 and the score is (clamped) non-negative.
-        Ok(lrd
+        let scores = lrd
             .iter()
             .zip(&neighbors)
             .map(|(&own, near)| {
@@ -98,7 +98,8 @@ impl VectorScorer for LocalOutlierFactor {
                     / k as f64;
                 (mean_neighbor_lrd / own - 1.0).max(0.0)
             })
-            .collect())
+            .collect();
+        finite_scores("LocalOutlierFactor", scores)
     }
 }
 

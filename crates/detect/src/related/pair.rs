@@ -12,8 +12,8 @@
 //! fusion layer when it recomputes Algorithm 1's support term.
 
 use crate::api::{
-    check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
-    VectorScorer,
+    check_rows, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, Result,
+    TechniqueClass, VectorScorer,
 };
 use crate::stat::midpoint_median;
 
@@ -109,7 +109,7 @@ impl VectorScorer for PairRegression {
             0.0
         };
         let alpha = mean_b - beta * mean_a;
-        Ok(ab
+        let residuals = ab
             .iter()
             .map(|(a, b)| {
                 let r = b - (alpha + beta * a);
@@ -119,7 +119,8 @@ impl VectorScorer for PairRegression {
                     r.abs()
                 }
             })
-            .collect())
+            .collect();
+        finite_scores("PairRegression", residuals)
     }
 }
 

@@ -51,13 +51,18 @@ impl ProfileSimilarity {
         let mut mean = vec![0.0_f64; len];
         let mut std = vec![0.0_f64; len];
         let mut col = Vec::with_capacity(references.len());
-        for pos in 0..len {
+        for (pos, (m, s)) in mean.iter_mut().zip(std.iter_mut()).enumerate() {
             col.clear();
-            col.extend(references.iter().map(|r| r[pos]));
+            // Every reference is `len` long (checked above).
+            col.extend(
+                references
+                    .iter()
+                    .map(|r| r.get(pos).map_or(f64::NAN, |x| *x)),
+            );
             let med = midpoint_median(&mut col);
             col.iter_mut().for_each(|x| *x = (*x - med).abs());
-            mean[pos] = med;
-            std[pos] = 1.4826 * midpoint_median(&mut col);
+            *m = med;
+            *s = 1.4826 * midpoint_median(&mut col);
         }
         // Floor each position's spread at half the profile's global level:
         // a per-position MAD estimated from a handful of references is
@@ -157,7 +162,10 @@ impl crate::api::SeriesScorer for CrossMachineProfile {
         if min_len == 0 || collection.len() < 2 {
             return Ok(vec![0.0; collection.len()]);
         }
-        let truncated: Vec<&[f64]> = collection.iter().map(|s| &s[..min_len]).collect();
+        let truncated: Vec<&[f64]> = collection
+            .iter()
+            .map(|s| s.get(..min_len).unwrap_or_default())
+            .collect();
         let profile = ProfileSimilarity::fit(&truncated)?;
         truncated
             .iter()

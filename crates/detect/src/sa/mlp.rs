@@ -9,10 +9,11 @@
 //! use the predicted anomaly probability as the score.
 
 use hierod_timeseries::normalize::ColumnScaler;
+use hierod_timeseries::Dense;
 
 use crate::api::{
-    check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, SupervisedScorer,
-    TechniqueClass,
+    check_rows, finite_scores, Capabilities, DetectError, Detector, DetectorInfo, Result,
+    SupervisedScorer, TechniqueClass,
 };
 
 /// One-hidden-layer MLP scorer.
@@ -30,7 +31,7 @@ pub struct NeuralNetwork {
 #[derive(Debug, Clone)]
 struct Fitted {
     scaler: ColumnScaler,
-    w1: Vec<Vec<f64>>, // hidden × d
+    w1: Dense, // hidden × d
     b1: Vec<f64>,
     w2: Vec<f64>, // hidden
     b2: f64,
@@ -68,7 +69,7 @@ impl NeuralNetwork {
 
     fn forward(f: &Fitted, x: &[f64]) -> (Vec<f64>, f64) {
         let h: Vec<f64> =
-            f.w1.iter()
+            f.w1.rows()
                 .zip(&f.b1)
                 .map(|(w, b)| {
                     let z: f64 = w.iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f64>() + b;
@@ -113,16 +114,18 @@ impl SupervisedScorer for NeuralNetwork {
         };
         let mut f = Fitted {
             scaler,
-            w1: (0..self.hidden)
-                .map(|_| (0..d).map(|_| next() * 0.5).collect())
-                .collect(),
+            w1: {
+                let mut w1 = Dense::filled(self.hidden, d, 0.0);
+                w1.rows_mut().flatten().for_each(|w| *w = next() * 0.5);
+                w1
+            },
             b1: (0..self.hidden).map(|_| next() * 0.1).collect(),
             w2: (0..self.hidden).map(|_| next() * 0.5).collect(),
             b2: 0.0,
         };
         let n = xs.len() as f64;
         for _ in 0..self.epochs {
-            let mut g_w1 = vec![vec![0.0; d]; self.hidden];
+            let mut g_w1 = Dense::filled(self.hidden, d, 0.0);
             let mut g_b1 = vec![0.0; self.hidden];
             let mut g_w2 = vec![0.0; self.hidden];
             let mut g_b2 = 0.0;
@@ -130,22 +133,25 @@ impl SupervisedScorer for NeuralNetwork {
                 let (h, out) = Self::forward(&f, x);
                 let delta_out = out - y; // dCE/dz for sigmoid + CE
                 g_b2 += delta_out / n;
-                for j in 0..self.hidden {
-                    g_w2[j] += delta_out * h[j] / n;
-                    let delta_h = delta_out * f.w2[j] * (1.0 - h[j] * h[j]);
-                    g_b1[j] += delta_h / n;
-                    for (g, xi) in g_w1[j].iter_mut().zip(x) {
+                let units = g_w2.iter_mut().zip(&mut g_b1).zip(g_w1.rows_mut());
+                for (((g_w2j, g_b1j), g_w1j), (w2j, hj)) in units.zip(f.w2.iter().zip(&h)) {
+                    *g_w2j += delta_out * hj / n;
+                    let delta_h = delta_out * w2j * (1.0 - hj * hj);
+                    *g_b1j += delta_h / n;
+                    for (g, xi) in g_w1j.iter_mut().zip(x) {
                         *g += delta_h * xi / n;
                     }
                 }
             }
             let lr = self.learning_rate;
-            for j in 0..self.hidden {
-                for (w, g) in f.w1[j].iter_mut().zip(&g_w1[j]) {
-                    *w -= lr * g;
-                }
-                f.b1[j] -= lr * g_b1[j];
-                f.w2[j] -= lr * g_w2[j];
+            for (w, g) in f.w1.rows_mut().flatten().zip(g_w1.rows().flatten()) {
+                *w -= lr * g;
+            }
+            for (b, g) in f.b1.iter_mut().zip(&g_b1) {
+                *b -= lr * g;
+            }
+            for (w, g) in f.w2.iter_mut().zip(&g_w2) {
+                *w -= lr * g;
             }
             f.b2 -= lr * g_b2;
         }
@@ -155,12 +161,11 @@ impl SupervisedScorer for NeuralNetwork {
 
     fn predict(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
         let f = self.fitted.as_ref().ok_or(DetectError::NotFitted)?;
-        rows.iter()
-            .map(|r| {
-                let x = f.scaler.transform(r)?;
-                Ok(Self::forward(f, &x).1)
-            })
-            .collect()
+        let scores = rows
+            .iter()
+            .map(|r| Ok(Self::forward(f, &f.scaler.transform(r)?).1))
+            .collect::<Result<_>>()?;
+        finite_scores("NeuralNetwork", scores)
     }
 }
 

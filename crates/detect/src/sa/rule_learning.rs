@@ -28,7 +28,9 @@ pub struct Literal {
 
 impl Literal {
     fn matches(&self, row: &[f64]) -> bool {
-        let x = row[self.feature];
+        let Some(&x) = row.get(self.feature) else {
+            return false;
+        };
         if self.greater {
             x > self.threshold
         } else {
@@ -60,6 +62,9 @@ pub struct RuleLearner {
     /// Maximum literals per rule.
     pub max_literals: usize,
     rules: Option<Vec<Rule>>,
+    /// Row width seen by `fit`; `predict` holds rows to it (a rule tests a
+    /// feature by position).
+    width: usize,
 }
 
 impl Default for RuleLearner {
@@ -68,6 +73,7 @@ impl Default for RuleLearner {
             max_rules: 8,
             max_literals: 3,
             rules: None,
+            width: 0,
         }
     }
 }
@@ -88,6 +94,7 @@ impl RuleLearner {
             max_rules,
             max_literals,
             rules: None,
+            width: 0,
         })
     }
 
@@ -104,25 +111,24 @@ impl RuleLearner {
 
     /// Grows one rule greedily on the active set.
     fn grow_rule(&self, rows: &[Vec<f64>], labels: &[bool], active: &[bool]) -> Option<Rule> {
-        let d = rows[0].len();
         let mut literals: Vec<Literal> = Vec::new();
         let mut covered: Vec<bool> = active.to_vec();
         let mut best_quality = 0.0_f64;
         for _ in 0..self.max_literals {
             let mut best: Option<(Literal, f64)> = None;
-            for f in 0..d {
+            for f in 0..self.width {
                 // Candidate thresholds: midpoints of sorted distinct values
                 // among currently covered rows.
                 let mut vals: Vec<f64> = rows
                     .iter()
                     .zip(covered.iter())
                     .filter(|(_, &c)| c)
-                    .map(|(r, _)| r[f])
+                    .filter_map(|(r, _)| r.get(f).copied())
                     .collect();
                 vals.sort_by(|a, b| a.total_cmp(b));
                 vals.dedup();
-                for w in vals.windows(2) {
-                    let threshold = (w[0] + w[1]) / 2.0;
+                for (lo, hi) in vals.iter().zip(vals.iter().skip(1)) {
+                    let threshold = (lo + hi) / 2.0;
                     for greater in [false, true] {
                         let lit = Literal {
                             feature: f,
@@ -189,7 +195,7 @@ impl Detector for RuleLearner {
 
 impl SupervisedScorer for RuleLearner {
     fn fit(&mut self, rows: &[Vec<f64>], labels: &[bool]) -> Result<()> {
-        check_rows("RuleLearner", rows)?;
+        let width = check_rows("RuleLearner", rows)?;
         if rows.len() != labels.len() {
             return Err(DetectError::ShapeMismatch {
                 message: "rows/labels length mismatch".into(),
@@ -201,6 +207,7 @@ impl SupervisedScorer for RuleLearner {
                 "need at least one positive (anomalous) example",
             ));
         }
+        self.width = width;
         let mut active: Vec<bool> = vec![true; rows.len()];
         let mut rules = Vec::new();
         for _ in 0..self.max_rules {
@@ -231,6 +238,10 @@ impl SupervisedScorer for RuleLearner {
 
     fn predict(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
         let rules = self.rules.as_ref().ok_or(DetectError::NotFitted)?;
+        if rows.iter().any(|r| r.len() != self.width) {
+            let message = format!("RuleLearner: rows must be {} wide, as in fit", self.width);
+            return Err(DetectError::ShapeMismatch { message });
+        }
         Ok(rows
             .iter()
             .map(|r| {

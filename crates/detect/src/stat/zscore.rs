@@ -136,7 +136,7 @@ impl PointScorer for SlidingZScore {
         let mut out = Vec::with_capacity(values.len());
         for (i, &x) in values.iter().enumerate() {
             let start = i.saturating_sub(self.window);
-            let ctx = &values[start..i];
+            let ctx = values.get(start..i).unwrap_or_default();
             if ctx.len() < 2 {
                 out.push(0.0);
                 continue;

@@ -58,9 +58,9 @@ impl OlapCubeDetector {
         cell_outlierness(cube, self.min_peers)
     }
 
-    /// Quantizes rows into per-column equi-width bucket coordinates.
-    fn coordinates(&self, rows: &[&[f64]]) -> Result<Vec<Vec<usize>>> {
-        let d = check_rows("OlapCubeDetector", rows)?;
+    /// Quantizes rows of width `d` into per-column equi-width bucket
+    /// coordinates.
+    fn coordinates(&self, rows: &[&[f64]], d: usize) -> Vec<Vec<usize>> {
         let mut lo = vec![f64::INFINITY; d];
         let mut hi = vec![f64::NEG_INFINITY; d];
         for r in rows {
@@ -69,13 +69,11 @@ impl OlapCubeDetector {
                 *h = h.max(*x);
             }
         }
-        Ok(rows
-            .iter()
+        rows.iter()
             .map(|r| {
                 r.iter()
-                    .enumerate()
-                    .map(|(c, &x)| {
-                        let (l, h) = (lo[c], hi[c]);
+                    .zip(lo.iter().zip(&hi))
+                    .map(|(&x, (&l, &h))| {
                         if h <= l {
                             0
                         } else {
@@ -85,7 +83,7 @@ impl OlapCubeDetector {
                     })
                     .collect()
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -103,8 +101,8 @@ impl Detector for OlapCubeDetector {
 
 impl VectorScorer for OlapCubeDetector {
     fn score_rows(&self, rows: &[&[f64]]) -> Result<Vec<f64>> {
-        let coords = self.coordinates(rows)?;
-        let d = coords[0].len();
+        let d = check_rows("OlapCubeDetector", rows)?;
+        let coords = self.coordinates(rows, d);
         let schema = CubeSchema::new(
             (0..d)
                 .map(|c| Dimension::indexed(format!("f{c}"), self.buckets))

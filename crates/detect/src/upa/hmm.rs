@@ -7,6 +7,8 @@
 //! anomaly score is its negative per-symbol log-likelihood under the model,
 //! so sequences the summary model cannot explain rank highest.
 
+use hierod_timeseries::Dense;
+
 use crate::api::{
     Capabilities, DetectError, Detector, DetectorInfo, DiscreteScorer, Result, TechniqueClass,
 };
@@ -45,41 +47,68 @@ pub struct FittedHmm {
 
 impl FittedHmm {
     /// Scaled-forward log-likelihood of a sequence.
-    #[allow(clippy::needless_range_loop)] // forward kernel reads clearer indexed
     pub fn log_likelihood(&self, seq: &[u16]) -> f64 {
-        if seq.is_empty() {
-            return 0.0;
-        }
-        let s = self.pi.len();
-        let m = self.emit[0].len();
-        let emit_of = |state: usize, sym: u16| -> f64 {
-            if (sym as usize) < m {
-                self.emit[state][sym as usize]
-            } else {
-                1e-12 // out-of-alphabet symbol
-            }
-        };
-        let mut alpha: Vec<f64> = (0..s).map(|i| self.pi[i] * emit_of(i, seq[0])).collect();
-        let mut log_like = 0.0;
-        let c0: f64 = alpha.iter().sum::<f64>().max(1e-300);
-        alpha.iter_mut().for_each(|a| *a /= c0);
-        log_like += c0.ln();
-        for &sym in &seq[1..] {
-            let mut next = vec![0.0_f64; s];
-            for (j, nj) in next.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (i, &ai) in alpha.iter().enumerate() {
-                    acc += ai * self.trans[i][j];
-                }
-                *nj = acc * emit_of(j, sym);
-            }
-            let c: f64 = next.iter().sum::<f64>().max(1e-300);
-            next.iter_mut().for_each(|a| *a /= c);
-            log_like += c.ln();
-            alpha = next;
-        }
-        log_like
+        let mut alpha = Dense::filled(0, self.pi.len(), 0.0);
+        let mut scale = Vec::with_capacity(seq.len());
+        self.forward(seq, &mut alpha, &mut scale);
+        scale.iter().fold(0.0, |log_like, c| log_like + c.ln())
     }
+
+    /// The scaled forward recursion: fills `alpha` (`|seq| × s`) with the
+    /// per-step normalized forward variables and `scale` with each step's
+    /// normalizer. A symbol outside the emission alphabet emits with
+    /// probability `1e-12`.
+    fn forward(&self, seq: &[u16], alpha: &mut Dense, scale: &mut Vec<f64>) {
+        alpha.refill(seq.len(), 0.0);
+        scale.clear();
+        let mut prev: Option<&[f64]> = None;
+        for (row, &sym) in alpha.rows_mut().zip(seq) {
+            match prev {
+                None => {
+                    for (a, p) in row.iter_mut().zip(&self.pi) {
+                        *a = *p;
+                    }
+                }
+                Some(prev) => {
+                    // row[j] = Σ_i prev[i] · trans[i][j], summed in i order.
+                    for (&ai, trans_i) in prev.iter().zip(&self.trans) {
+                        for (a, t) in row.iter_mut().zip(trans_i) {
+                            *a += ai * t;
+                        }
+                    }
+                }
+            }
+            for (a, e) in row.iter_mut().zip(emission(&self.emit, sym)) {
+                *a *= e;
+            }
+            let c = row.iter().sum::<f64>().max(1e-300);
+            row.iter_mut().for_each(|a| *a /= c);
+            scale.push(c);
+            prev = Some(row);
+        }
+    }
+}
+
+/// Row `i`'s unnormalized transition posteriors
+/// `alpha_t[i] · trans[i][j] · emit[j][sym] · beta_{t+1}[j]`, in `j` order.
+fn xi_terms<'a>(
+    alpha_ti: f64,
+    trans_i: &'a [f64],
+    emit_next: &'a [f64],
+    beta_next: &'a [f64],
+) -> impl Iterator<Item = f64> + 'a {
+    trans_i
+        .iter()
+        .zip(emit_next)
+        .zip(beta_next)
+        .map(move |((t, e), b)| alpha_ti * t * e * b)
+}
+
+/// Each state's probability of emitting `sym` (`1e-12` outside the
+/// alphabet).
+fn emission<'a>(emit: &'a [Vec<f64>], sym: u16) -> impl Iterator<Item = f64> + 'a {
+    emit.iter()
+        .map(move |row| row.get(usize::from(sym)).copied().unwrap_or(1e-12))
 }
 
 impl HiddenMarkov {
@@ -130,7 +159,6 @@ impl HiddenMarkov {
     ///
     /// # Errors
     /// Rejects an empty collection or all-empty sequences.
-    #[allow(clippy::needless_range_loop)] // forward/backward kernels read clearer indexed
     pub fn fit(&self, seqs: &[&[u16]]) -> Result<FittedHmm> {
         if seqs.is_empty() {
             return Err(DetectError::NotEnoughData {
@@ -151,82 +179,75 @@ impl HiddenMarkov {
             })?;
         let s = self.states;
         let mut model = self.init(m);
+        let mut alpha = Dense::filled(0, s, 0.0);
+        let mut beta = Dense::filled(0, s, 0.0);
+        let mut scale = Vec::new();
+        let mut emit_next = Vec::with_capacity(s);
         for _ in 0..self.iterations {
             let mut pi_acc = vec![self.smoothing; s];
-            let mut trans_acc = vec![vec![self.smoothing; s]; s];
-            let mut emit_acc = vec![vec![self.smoothing; m]; s];
+            let mut trans_acc = Dense::filled(s, s, self.smoothing);
+            let mut emit_acc = Dense::filled(s, m, self.smoothing);
             for seq in seqs {
                 if seq.is_empty() {
                     continue;
                 }
-                let t_len = seq.len();
-                // Scaled forward.
-                let mut alpha = vec![vec![0.0_f64; s]; t_len];
-                let mut scale = vec![0.0_f64; t_len];
-                for i in 0..s {
-                    alpha[0][i] = model.pi[i] * model.emit[i][seq[0] as usize];
-                }
-                scale[0] = alpha[0].iter().sum::<f64>().max(1e-300);
-                alpha[0].iter_mut().for_each(|a| *a /= scale[0]);
-                for t in 1..t_len {
-                    for j in 0..s {
+                model.forward(seq, &mut alpha, &mut scale);
+                // Scaled backward: beta[t][i] = Σ_j trans[i][j] ·
+                // emit[j][seq[t + 1]] · beta[t + 1][j] / scale[t + 1].
+                beta.refill(seq.len(), 1.0);
+                let mut rows = beta.rows_mut().rev();
+                let Some(last) = rows.next() else { continue };
+                let mut next: &[f64] = last;
+                for (row, (&sym, &c)) in rows.zip(seq.iter().zip(&scale).skip(1).rev()) {
+                    emit_next.clear();
+                    emit_next.extend(emission(&model.emit, sym));
+                    for (b, trans_i) in row.iter_mut().zip(&model.trans) {
                         let mut acc = 0.0;
-                        for i in 0..s {
-                            acc += alpha[t - 1][i] * model.trans[i][j];
+                        for ((t, e), bn) in trans_i.iter().zip(&emit_next).zip(next) {
+                            acc += t * e * bn;
                         }
-                        alpha[t][j] = acc * model.emit[j][seq[t] as usize];
+                        *b = acc / c;
                     }
-                    scale[t] = alpha[t].iter().sum::<f64>().max(1e-300);
-                    let sc = scale[t];
-                    alpha[t].iter_mut().for_each(|a| *a /= sc);
-                }
-                // Scaled backward.
-                let mut beta = vec![vec![0.0_f64; s]; t_len];
-                beta[t_len - 1].iter_mut().for_each(|b| *b = 1.0);
-                for t in (0..t_len - 1).rev() {
-                    for i in 0..s {
-                        let mut acc = 0.0;
-                        for j in 0..s {
-                            acc += model.trans[i][j]
-                                * model.emit[j][seq[t + 1] as usize]
-                                * beta[t + 1][j];
-                        }
-                        beta[t][i] = acc / scale[t + 1];
-                    }
+                    next = row;
                 }
                 // Accumulate expected counts.
-                for t in 0..t_len {
-                    let gamma_denom: f64 = (0..s)
-                        .map(|i| alpha[t][i] * beta[t][i])
+                for (t, ((a_t, b_t), &sym)) in alpha.rows().zip(beta.rows()).zip(*seq).enumerate() {
+                    let gamma_denom: f64 = a_t
+                        .iter()
+                        .zip(b_t)
+                        .map(|(a, b)| a * b)
                         .sum::<f64>()
                         .max(1e-300);
-                    for i in 0..s {
-                        let gamma = alpha[t][i] * beta[t][i] / gamma_denom;
+                    let states = a_t.iter().zip(b_t).zip(emit_acc.rows_mut());
+                    for (((a, b), emit_i), pi_i) in states.zip(pi_acc.iter_mut()) {
+                        let gamma = a * b / gamma_denom;
                         if t == 0 {
-                            pi_acc[i] += gamma;
+                            *pi_i += gamma;
                         }
-                        emit_acc[i][seq[t] as usize] += gamma;
+                        if let Some(e) = emit_i.get_mut(usize::from(sym)) {
+                            *e += gamma;
+                        }
                     }
                 }
-                for t in 0..t_len - 1 {
+                let pairs = alpha
+                    .rows()
+                    .zip(beta.rows().skip(1))
+                    .zip(seq.iter().skip(1));
+                for ((a_t, b_next), &sym) in pairs {
+                    emit_next.clear();
+                    emit_next.extend(emission(&model.emit, sym));
                     let mut denom = 0.0;
-                    for i in 0..s {
-                        for j in 0..s {
-                            denom += alpha[t][i]
-                                * model.trans[i][j]
-                                * model.emit[j][seq[t + 1] as usize]
-                                * beta[t + 1][j];
+                    for (&a, trans_i) in a_t.iter().zip(&model.trans) {
+                        for x in xi_terms(a, trans_i, &emit_next, b_next) {
+                            denom += x;
                         }
                     }
                     let denom = denom.max(1e-300);
-                    for i in 0..s {
-                        for j in 0..s {
-                            let xi = alpha[t][i]
-                                * model.trans[i][j]
-                                * model.emit[j][seq[t + 1] as usize]
-                                * beta[t + 1][j]
-                                / denom;
-                            trans_acc[i][j] += xi;
+                    let rows = a_t.iter().zip(&model.trans).zip(trans_acc.rows_mut());
+                    for ((&a, trans_i), acc_i) in rows {
+                        let xi = xi_terms(a, trans_i, &emit_next, b_next);
+                        for (acc, x) in acc_i.iter_mut().zip(xi) {
+                            *acc += x / denom;
                         }
                     }
                 }
@@ -234,14 +255,10 @@ impl HiddenMarkov {
             // Re-estimate.
             normalize(&mut pi_acc);
             model.pi = pi_acc;
-            for row in trans_acc.iter_mut() {
-                normalize(row);
-            }
-            model.trans = trans_acc;
-            for row in emit_acc.iter_mut() {
-                normalize(row);
-            }
-            model.emit = emit_acc;
+            trans_acc.rows_mut().for_each(normalize);
+            model.trans = trans_acc.into_rows();
+            emit_acc.rows_mut().for_each(normalize);
+            model.emit = emit_acc.into_rows();
         }
         Ok(model)
     }

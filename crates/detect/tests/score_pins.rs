@@ -1,7 +1,7 @@
 //! Bit pins for every engine entry: the raw scores each registry/catalog
 //! key produces on fixed inputs, recorded as length plus an FNV-1a digest
 //! of the `f64` bit patterns (or the error text), one line per key and
-//! driver. The golden file `score_pins.golden` beside this test was written
+//! call. The golden file `score_pins.golden` beside this test was written
 //! once from the tree before the dense-kernel rewrite of the matrix and DP
 //! detectors; any refactor of detector internals must keep every line.
 //!

@@ -44,8 +44,9 @@ impl CaqResult {
     pub fn value(&self, name: &str) -> Option<f64> {
         self.names
             .iter()
-            .position(|n| n == name)
-            .map(|i| self.values[i])
+            .zip(&self.values)
+            .find(|(n, _)| *n == name)
+            .map(|(_, &v)| v)
     }
 }
 

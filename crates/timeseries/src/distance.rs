@@ -95,25 +95,32 @@ pub fn dtw(a: &[f64], b: &[f64], band: Option<usize>) -> Result<f64> {
             ));
         }
     }
-    // Two-row DP over the cost matrix.
+    // Two-row DP over the cost matrix: `curr[j]` (j ≥ 1) extends the best
+    // of `prev[j - 1]`, `prev[j]` and `curr[j - 1]`.
     let big = f64::INFINITY;
     let mut prev = vec![big; m + 1];
     let mut curr = vec![big; m + 1];
-    prev[0] = 0.0;
-    for i in 1..=n {
-        curr.iter_mut().for_each(|c| *c = big);
+    if let Some(origin) = prev.first_mut() {
+        *origin = 0.0;
+    }
+    for (i, &ai) in (1_usize..).zip(a) {
+        curr.fill(big);
         let (j_lo, j_hi) = match band {
             Some(r) => (i.saturating_sub(r).max(1), (i + r).min(m)),
             None => (1, m),
         };
-        for j in j_lo..=j_hi {
-            let d = (a[i - 1] - b[j - 1]) * (a[i - 1] - b[j - 1]);
-            let best = prev[j - 1].min(prev[j]).min(curr[j - 1]);
-            curr[j] = d + best;
+        let cells = curr.iter_mut().skip(1).zip(prev.windows(2)).zip(b);
+        let mut left = big;
+        for ((cell, diag_up), &bj) in cells.skip(j_lo - 1).take((j_hi + 1).saturating_sub(j_lo)) {
+            if let [diag, up] = *diag_up {
+                let d = (ai - bj) * (ai - bj);
+                left = d + diag.min(up).min(left);
+                *cell = left;
+            }
         }
         std::mem::swap(&mut prev, &mut curr);
     }
-    let total = prev[m];
+    let total = prev.last().copied().unwrap_or(big);
     if !total.is_finite() {
         return Err(Error::Numeric {
             message: "dtw: no admissible warping path".into(),
@@ -131,17 +138,18 @@ pub fn lcs_len(a: &[u16], b: &[u16]) -> usize {
     let mut prev = vec![0_usize; m + 1];
     let mut curr = vec![0_usize; m + 1];
     for &ai in a {
-        for (j, &bj) in b.iter().enumerate() {
-            curr[j + 1] = if ai == bj {
-                prev[j] + 1
-            } else {
-                prev[j + 1].max(curr[j])
-            };
+        // `curr[0]` stays 0; `curr[j + 1]` extends `prev[j]` on a match, else
+        // the longer of `prev[j + 1]` and `curr[j]`.
+        let mut left = 0;
+        for ((cell, diag_up), &bj) in curr.iter_mut().skip(1).zip(prev.windows(2)).zip(b) {
+            if let [diag, up] = *diag_up {
+                left = if ai == bj { diag + 1 } else { up.max(left) };
+                *cell = left;
+            }
         }
         std::mem::swap(&mut prev, &mut curr);
-        curr[0] = 0;
     }
-    prev[m]
+    prev.last().copied().unwrap_or(0)
 }
 
 /// Normalized LCS similarity in `[0, 1]`: `lcs_len / max(|a|, |b|)`.

@@ -85,17 +85,16 @@ pub fn fft_in_place(data: &mut [Complex], inverse: bool) -> Result<()> {
     while len <= n {
         let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
         let wlen = Complex::new(ang.cos(), ang.sin());
-        let mut i = 0;
-        while i < n {
+        for block in data.chunks_exact_mut(len) {
+            let (lower, upper) = block.split_at_mut(len / 2);
             let mut w = Complex::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = data[i + k];
-                let v = data[i + k + len / 2].mul(w);
-                data[i + k] = u.add(v);
-                data[i + k + len / 2] = u.sub(v);
+            for (a, b) in lower.iter_mut().zip(upper.iter_mut()) {
+                let u = *a;
+                let v = b.mul(w);
+                *a = u.add(v);
+                *b = u.sub(v);
                 w = w.mul(wlen);
             }
-            i += len;
         }
         len <<= 1;
     }
@@ -127,8 +126,9 @@ pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>> {
 pub fn power_spectrum(signal: &[f64]) -> Result<Vec<f64>> {
     let n = signal.len();
     let spec = fft_real(signal)?;
-    Ok(spec[..=n / 2]
+    Ok(spec
         .iter()
+        .take(n / 2 + 1)
         .map(|c| c.norm_sq() / n as f64)
         .collect())
 }
@@ -161,7 +161,7 @@ pub fn spectral_signature(signal: &[f64], bands: usize) -> Result<Vec<f64>> {
     let padded = pad_to_pow2(signal);
     let ps = power_spectrum(&padded)?;
     // Skip the DC bin so constant offsets don't dominate the signature.
-    let ac = &ps[1..];
+    let ac = ps.get(1..).unwrap_or_default();
     let mut sig = vec![0.0_f64; bands];
     let mut counts = vec![0_usize; bands];
     if ac.is_empty() {
@@ -170,8 +170,10 @@ pub fn spectral_signature(signal: &[f64], bands: usize) -> Result<Vec<f64>> {
     for (i, &p) in ac.iter().enumerate() {
         let band = (i * bands) / ac.len();
         let band = band.min(bands - 1);
-        sig[band] += p;
-        counts[band] += 1;
+        if let (Some(s), Some(c)) = (sig.get_mut(band), counts.get_mut(band)) {
+            *s += p;
+            *c += 1;
+        }
     }
     for (s, &c) in sig.iter_mut().zip(&counts) {
         if c > 0 {

@@ -6,6 +6,7 @@
 //! The V-optimal histogram here is the exact dynamic program (O(n²·B)),
 //! verified against brute force by property tests.
 
+use crate::dense::Dense;
 use crate::error::{Error, Result};
 
 /// A fixed-bin equi-width histogram over a value range.
@@ -30,16 +31,10 @@ impl EquiWidthHistogram {
             return Err(Error::invalid("lo/hi", "must satisfy lo < hi"));
         }
         let mut counts = vec![0_u64; bins];
-        let width = (hi - lo) / bins as f64;
         for &v in values {
-            let idx = if v <= lo {
-                0
-            } else if v >= hi {
-                bins - 1
-            } else {
-                (((v - lo) / width) as usize).min(bins - 1)
-            };
-            counts[idx] += 1;
+            if let Some(c) = counts.get_mut(bin_of(v, lo, hi, bins)) {
+                *c += 1;
+            }
         }
         Ok(Self { lo, hi, counts })
     }
@@ -83,15 +78,25 @@ impl EquiWidthHistogram {
     /// rarity score.
     pub fn probability(&self, v: f64) -> f64 {
         let bins = self.bins();
-        let width = (self.hi - self.lo) / bins as f64;
-        let idx = if v <= self.lo {
-            0
-        } else if v >= self.hi {
-            bins - 1
-        } else {
-            (((v - self.lo) / width) as usize).min(bins - 1)
-        };
-        (self.counts[idx] as f64 + 1.0) / (self.total() as f64 + bins as f64)
+        let count = self
+            .counts
+            .get(bin_of(v, self.lo, self.hi, bins))
+            .copied()
+            .unwrap_or(0);
+        (count as f64 + 1.0) / (self.total() as f64 + bins as f64)
+    }
+}
+
+/// The bin of `v` among `bins` equal-width bins over `[lo, hi]`, values
+/// outside the range clamped into the edge bins.
+fn bin_of(v: f64, lo: f64, hi: f64, bins: usize) -> usize {
+    let width = (hi - lo) / bins as f64;
+    if v <= lo {
+        0
+    } else if v >= hi {
+        bins - 1
+    } else {
+        (((v - lo) / width) as usize).min(bins - 1)
     }
 }
 
@@ -116,40 +121,48 @@ pub struct VOptimalHistogram {
     total_sse: f64,
 }
 
-/// Prefix-sum helper giving O(1) SSE of any index range.
-struct PrefixSse {
-    sum: Vec<f64>,
-    sum_sq: Vec<f64>,
-}
+/// Prefix-sum helper giving O(1) SSE of any index range: entry `k` holds
+/// the sum and the sum of squares of `xs[..k]`.
+struct PrefixSse(Vec<(f64, f64)>);
 
 impl PrefixSse {
     fn new(xs: &[f64]) -> Self {
-        let mut sum = Vec::with_capacity(xs.len() + 1);
-        let mut sum_sq = Vec::with_capacity(xs.len() + 1);
-        sum.push(0.0);
-        sum_sq.push(0.0);
+        let mut prefix = Vec::with_capacity(xs.len() + 1);
+        let (mut sum, mut sum_sq) = (0.0, 0.0);
+        prefix.push((sum, sum_sq));
         for &x in xs {
-            sum.push(sum.last().unwrap() + x);
-            sum_sq.push(sum_sq.last().unwrap() + x * x);
+            sum += x;
+            sum_sq += x * x;
+            prefix.push((sum, sum_sq));
         }
-        Self { sum, sum_sq }
+        Self(prefix)
     }
 
     /// SSE of `xs[i..j]` around its own mean (0 for empty or singleton).
     fn sse(&self, i: usize, j: usize) -> f64 {
-        if j <= i + 1 {
-            return 0.0;
+        match (self.0.get(i), self.0.get(j)) {
+            (Some(&from), Some(&to)) => span_sse(from, to, j.saturating_sub(i)),
+            _ => 0.0,
         }
-        let n = (j - i) as f64;
-        let s = self.sum[j] - self.sum[i];
-        let ss = self.sum_sq[j] - self.sum_sq[i];
-        (ss - s * s / n).max(0.0)
     }
 
     fn mean(&self, i: usize, j: usize) -> f64 {
-        let n = (j - i) as f64;
-        (self.sum[j] - self.sum[i]) / n
+        match (self.0.get(i), self.0.get(j)) {
+            (Some(&(s_i, _)), Some(&(s_j, _))) => (s_j - s_i) / (j - i) as f64,
+            _ => f64::NAN,
+        }
     }
+}
+
+/// SSE around its own mean of the `len`-element span between two prefix
+/// entries (0 for empty or singleton spans).
+fn span_sse((s_i, ss_i): (f64, f64), (s_j, ss_j): (f64, f64), len: usize) -> f64 {
+    if len <= 1 {
+        return 0.0;
+    }
+    let s = s_j - s_i;
+    let ss = ss_j - ss_i;
+    (ss - s * s / len as f64).max(0.0)
 }
 
 impl VOptimalHistogram {
@@ -158,7 +171,6 @@ impl VOptimalHistogram {
     ///
     /// # Errors
     /// Returns an error on empty input or `buckets == 0`.
-    #[allow(clippy::needless_range_loop)] // index DP/matrix kernels read clearer indexed
     pub fn fit(xs: &[f64], buckets: usize) -> Result<Self> {
         if xs.is_empty() {
             return Err(Error::Empty {
@@ -171,55 +183,62 @@ impl VOptimalHistogram {
         let n = xs.len();
         let b = buckets.min(n);
         let pre = PrefixSse::new(xs);
-        // dp[k][j] = min SSE of xs[0..j] using exactly k buckets.
-        // choice[k][j] = split point i (bucket k covers xs[i..j]).
+        // `prev[j]`/`cur[j]` = min SSE of xs[0..j] using exactly k-1 / k
+        // buckets; choice[k][j] = split point i (bucket k covers xs[i..j]).
         let inf = f64::INFINITY;
-        let mut dp = vec![vec![inf; n + 1]; b + 1];
-        let mut choice = vec![vec![0_usize; n + 1]; b + 1];
-        dp[0][0] = 0.0;
-        for k in 1..=b {
-            for j in k..=n {
+        let mut prev = vec![inf; n + 1];
+        let mut cur = vec![inf; n + 1];
+        if let Some(origin) = prev.first_mut() {
+            *origin = 0.0;
+        }
+        let mut choice = Dense::filled(b + 1, n + 1, 0_usize);
+        for (k, choice_k) in choice.rows_mut().enumerate().skip(1) {
+            cur.fill(inf);
+            for (j, (best_sse, best_split)) in cur.iter_mut().zip(choice_k).enumerate().skip(k) {
+                let Some(&to) = pre.0.get(j) else { break };
                 let mut best = inf;
                 let mut best_i = k - 1;
+                // Bucket k covers xs[i..j].
                 for i in (k - 1)..j {
-                    if dp[k - 1][i] == inf {
+                    let (Some(&p), Some(&from)) = (prev.get(i), pre.0.get(i)) else {
+                        break;
+                    };
+                    if p == inf {
                         continue;
                     }
-                    let cand = dp[k - 1][i] + pre.sse(i, j);
+                    let cand = p + span_sse(from, to, j - i);
                     if cand < best {
                         best = cand;
                         best_i = i;
                     }
                 }
-                dp[k][j] = best;
-                choice[k][j] = best_i;
+                *best_sse = best;
+                *best_split = best_i;
             }
+            std::mem::swap(&mut prev, &mut cur);
         }
         // Using fewer buckets can never help (SSE is monotone in B), so take
         // exactly b buckets.
         let mut bounds = Vec::with_capacity(b + 1);
         let mut j = n;
-        let mut k = b;
         bounds.push(n);
-        while k > 0 {
-            let i = choice[k][j];
-            bounds.push(i);
-            j = i;
-            k -= 1;
+        for choice_k in choice.rows().skip(1).rev() {
+            j = choice_k.get(j).copied().unwrap_or(0);
+            bounds.push(j);
         }
         bounds.reverse();
-        let mut out = Vec::with_capacity(b);
-        for w in bounds.windows(2) {
-            let (i, j) = (w[0], w[1]);
-            out.push(Bucket {
+        let out = bounds
+            .iter()
+            .zip(bounds.iter().skip(1))
+            .map(|(&i, &j)| Bucket {
                 start: i,
                 end: j,
                 mean: pre.mean(i, j),
                 sse: pre.sse(i, j),
-            });
-        }
+            })
+            .collect();
         Ok(Self {
-            total_sse: dp[b][n],
+            total_sse: prev.last().copied().unwrap_or(inf),
             buckets: out,
         })
     }
@@ -238,8 +257,8 @@ impl VOptimalHistogram {
     pub fn reconstruct(&self, n: usize) -> Vec<f64> {
         let mut out = vec![0.0; n];
         for bk in &self.buckets {
-            for o in &mut out[bk.start..bk.end.min(n)] {
-                *o = bk.mean;
+            if let Some(span) = out.get_mut(bk.start..bk.end.min(n)) {
+                span.fill(bk.mean);
             }
         }
         out

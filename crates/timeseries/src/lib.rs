@@ -13,6 +13,8 @@
 //!
 //! * [`series`] — containers: [`TimeSeries`], [`DiscreteSequence`],
 //!   [`MultiSeries`].
+//! * [`dense`] — [`Dense`], the checked row-major table the matrix and
+//!   dynamic-programming detectors keep their state in.
 //! * [`stats`] — descriptive statistics, robust estimators, autocorrelation.
 //! * [`window`] — fixed-size overlapping/sliding window extraction.
 //! * [`resample`] — aggregation between hierarchy resolutions.
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod dense;
 pub mod distance;
 pub mod error;
 pub mod fft;
@@ -43,6 +46,7 @@ pub mod series;
 pub mod stats;
 pub mod window;
 
+pub use dense::Dense;
 pub use error::{Error, Result};
 pub use series::{DiscreteSequence, MultiSeries, TimeSeries};
 pub use window::{Window, WindowIter, WindowSpec};

@@ -34,7 +34,7 @@ impl Aggregate {
             Aggregate::Mean => bucket.iter().sum::<f64>() / bucket.len() as f64,
             Aggregate::Min => bucket.iter().copied().fold(f64::INFINITY, f64::min),
             Aggregate::Max => bucket.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Aggregate::Last => *bucket.last().expect("non-empty bucket"),
+            Aggregate::Last => bucket.last().copied().unwrap_or(f64::NAN),
             Aggregate::Sum => bucket.iter().sum(),
             Aggregate::Count => bucket.len() as f64,
         }
@@ -112,8 +112,8 @@ pub fn align_last_value(reference: &TimeSeries, context: &TimeSeries) -> Result<
     let mut vals = Vec::with_capacity(reference.len());
     for &t in reference.timestamps() {
         let pos = cts.partition_point(|&ct| ct <= t);
-        let v = if pos == 0 { cvs[0] } else { cvs[pos - 1] };
-        vals.push(v);
+        // Before the first context sample, the first one stands in.
+        vals.push(cvs.get(pos.saturating_sub(1)).copied().unwrap_or(f64::NAN));
     }
     TimeSeries::new(context.name(), reference.timestamps().to_vec(), vals)
 }

@@ -19,7 +19,7 @@ pub fn inv_norm_cdf(p: f64) -> Result<f64> {
     if !(p > 0.0 && p < 1.0) {
         return Err(Error::invalid("p", "must be in (0, 1)"));
     }
-    const A: [f64; 6] = [
+    let [a0, a1, a2, a3, a4, a5] = [
         -3.969683028665376e+01,
         2.209460984245205e+02,
         -2.759285104469687e+02,
@@ -27,14 +27,14 @@ pub fn inv_norm_cdf(p: f64) -> Result<f64> {
         -3.066479806614716e+01,
         2.506628277459239e+00,
     ];
-    const B: [f64; 5] = [
+    let [b0, b1, b2, b3, b4] = [
         -5.447609879822406e+01,
         1.615858368580409e+02,
         -1.556989798598866e+02,
         6.680131188771972e+01,
         -1.328068155288572e+01,
     ];
-    const C: [f64; 6] = [
+    let [c0, c1, c2, c3, c4, c5] = [
         -7.784894002430293e-03,
         -3.223964580411365e-01,
         -2.400758277161838e+00,
@@ -42,7 +42,7 @@ pub fn inv_norm_cdf(p: f64) -> Result<f64> {
         4.374664141464968e+00,
         2.938163982698783e+00,
     ];
-    const D: [f64; 4] = [
+    let [d0, d1, d2, d3] = [
         7.784695709041462e-03,
         3.224671290700398e-01,
         2.445134137142996e+00,
@@ -51,17 +51,17 @@ pub fn inv_norm_cdf(p: f64) -> Result<f64> {
     const P_LOW: f64 = 0.02425;
     let x = if p < P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+        (((((c0 * q + c1) * q + c2) * q + c3) * q + c4) * q + c5)
+            / ((((d0 * q + d1) * q + d2) * q + d3) * q + 1.0)
     } else if p <= 1.0 - P_LOW {
         let q = p - 0.5;
         let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+        (((((a0 * r + a1) * r + a2) * r + a3) * r + a4) * r + a5) * q
+            / (((((b0 * r + b1) * r + b2) * r + b3) * r + b4) * r + 1.0)
     } else {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+        -(((((c0 * q + c1) * q + c2) * q + c3) * q + c4) * q + c5)
+            / ((((d0 * q + d1) * q + d2) * q + d3) * q + 1.0)
     };
     Ok(x)
 }
@@ -103,7 +103,9 @@ pub fn paa(xs: &[f64], segments: usize) -> Result<Vec<f64>> {
             let seg = s / n;
             let seg_end = (seg + 1) * n;
             let take = seg_end.min(end) - s;
-            out[seg] += x * take as f64;
+            if let Some(o) = out.get_mut(seg) {
+                *o += x * take as f64;
+            }
             s += take;
         }
     }
@@ -154,10 +156,11 @@ impl SaxQuantizer {
     /// the enclosing breakpoints.
     pub fn symbol_dist(&self, r: u16, c: u16) -> f64 {
         let (lo, hi) = if r < c { (r, c) } else { (c, r) };
-        if hi - lo <= 1 {
-            0.0
-        } else {
-            self.breakpoints[(hi - 1) as usize] - self.breakpoints[lo as usize]
+        // The breakpoints strictly between the two symbols' regions; a
+        // symbol past the alphabet has none.
+        match self.breakpoints.get(usize::from(lo)..usize::from(hi)) {
+            Some([lower, .., upper]) => upper - lower,
+            _ => 0.0,
         }
     }
 }

@@ -22,6 +22,14 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 
+/// Whether every timestamp is strictly below its successor.
+fn strictly_increasing(timestamps: &[u64]) -> bool {
+    timestamps
+        .iter()
+        .zip(timestamps.iter().skip(1))
+        .all(|(a, b)| a < b)
+}
+
 /// A regularly/irregularly sampled univariate numeric time series.
 ///
 /// Timestamps are `u64` ticks (the unit is defined by the producer — the
@@ -75,7 +83,7 @@ impl TimeSeries {
                 right: values.len(),
             });
         }
-        if timestamps.windows(2).any(|w| w[0] >= w[1]) {
+        if !strictly_increasing(&timestamps) {
             return Err(Error::invalid("timestamps", "must be strictly increasing"));
         }
         Ok(Self::from_parts(
@@ -135,11 +143,7 @@ impl TimeSeries {
                 right: values.len(),
             });
         }
-        let ordered = timestamps
-            .iter()
-            .zip(timestamps.iter().skip(1))
-            .all(|(a, b)| a < b);
-        if !ordered {
+        if !strictly_increasing(&timestamps) {
             return Err(Error::invalid("timestamps", "must be strictly increasing"));
         }
         Ok(Self::from_parts(name.into().into(), timestamps, values))
@@ -176,12 +180,16 @@ impl TimeSeries {
 
     /// The sample values.
     pub fn values(&self) -> &[f64] {
-        &self.values[self.offset..self.offset + self.len]
+        self.values
+            .get(self.offset..self.offset + self.len)
+            .unwrap_or_default()
     }
 
     /// The sample timestamps (strictly increasing).
     pub fn timestamps(&self) -> &[u64] {
-        &self.timestamps[self.offset..self.offset + self.len]
+        self.timestamps
+            .get(self.offset..self.offset + self.len)
+            .unwrap_or_default()
     }
 
     /// The values as shared storage: O(1) when this series covers its whole
@@ -221,11 +229,7 @@ impl TimeSeries {
 
     /// Returns `(timestamp, value)` at `idx`, if in bounds.
     pub fn get(&self, idx: usize) -> Option<(u64, f64)> {
-        if idx < self.len {
-            Some((self.timestamps()[idx], self.values()[idx]))
-        } else {
-            None
-        }
+        Some((*self.timestamps().get(idx)?, *self.values().get(idx)?))
     }
 
     /// Time span `(first, last)` covered by the series, if non-empty.
@@ -432,7 +436,7 @@ impl MultiSeries {
         let first = series.first().ok_or(Error::Empty {
             what: "MultiSeries::new",
         })?;
-        for s in &series[1..] {
+        for s in series.iter().skip(1) {
             if s.timestamps() != first.timestamps() {
                 return Err(Error::invalid(
                     "series",
@@ -454,12 +458,12 @@ impl MultiSeries {
 
     /// Number of time points.
     pub fn len(&self) -> usize {
-        self.series[0].len()
+        self.series.first().map_or(0, TimeSeries::len)
     }
 
     /// `true` if there are no time points.
     pub fn is_empty(&self) -> bool {
-        self.series[0].is_empty()
+        self.len() == 0
     }
 
     /// Member series.
@@ -467,9 +471,13 @@ impl MultiSeries {
         &self.series
     }
 
-    /// The sample at time index `idx` as a vector across dimensions.
+    /// The sample at time index `idx` as a vector across dimensions (empty
+    /// past the last time point).
     pub fn row(&self, idx: usize) -> Vec<f64> {
-        self.series.iter().map(|s| s.values()[idx]).collect()
+        self.series
+            .iter()
+            .filter_map(|s| s.values().get(idx).copied())
+            .collect()
     }
 
     /// All samples as row vectors (n × d).

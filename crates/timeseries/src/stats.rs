@@ -218,16 +218,16 @@ pub fn kurtosis(xs: &[f64]) -> Result<f64> {
 /// # Errors
 /// Returns an error for an empty input or `alpha` outside `(0, 1]`.
 pub fn ewma(xs: &[f64], alpha: f64) -> Result<Vec<f64>> {
-    if xs.is_empty() {
+    let Some((&first, rest)) = xs.split_first() else {
         return Err(Error::Empty { what: "ewma" });
-    }
+    };
     if !(alpha > 0.0 && alpha <= 1.0) {
         return Err(Error::invalid("alpha", "must be in (0, 1]"));
     }
     let mut out = Vec::with_capacity(xs.len());
-    let mut acc = xs[0];
+    let mut acc = first;
     out.push(acc);
-    for &x in &xs[1..] {
+    for &x in rest {
         acc = alpha * x + (1.0 - alpha) * acc;
         out.push(acc);
     }
@@ -253,10 +253,15 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> Result<f64> {
     if denom == 0.0 {
         return Ok(0.0);
     }
-    let num: f64 = (0..xs.len() - lag)
-        .map(|i| (xs[i] - m) * (xs[i + lag] - m))
-        .sum();
-    Ok(num / denom)
+    Ok(lagged_products(xs, m, lag) / denom)
+}
+
+/// `Σ (x_t − m)(x_{t+lag} − m)` over every pair the series holds.
+fn lagged_products(xs: &[f64], m: f64, lag: usize) -> f64 {
+    xs.iter()
+        .zip(xs.iter().skip(lag))
+        .map(|(a, b)| (a - m) * (b - m))
+        .sum()
 }
 
 /// Autocovariance sequence for lags `0..=max_lag` (biased, divides by `n`).
@@ -276,11 +281,7 @@ pub fn autocovariances(xs: &[f64], max_lag: usize) -> Result<Vec<f64>> {
     let m = mean(xs)?;
     let mut out = Vec::with_capacity(max_lag + 1);
     for lag in 0..=max_lag {
-        let c: f64 = (0..xs.len() - lag)
-            .map(|i| (xs[i] - m) * (xs[i + lag] - m))
-            .sum::<f64>()
-            / n;
-        out.push(c);
+        out.push(lagged_products(xs, m, lag) / n);
     }
     Ok(out)
 }
@@ -344,12 +345,17 @@ pub fn cross_correlation(xs: &[f64], ys: &[f64], lag: isize) -> Result<f64> {
             "leaves fewer than 2 overlapping samples",
         ));
     }
-    let (a, b): (&[f64], &[f64]) = if lag >= 0 {
-        (&xs[..xs.len() - lag as usize], &ys[lag as usize..])
+    let shift = lag.unsigned_abs();
+    let keep = xs.len() - shift;
+    let (a, b) = if lag >= 0 {
+        (xs.get(..keep), ys.get(shift..))
     } else {
-        (&xs[(-lag) as usize..], &ys[..ys.len() - (-lag) as usize])
+        (xs.get(shift..), ys.get(..keep))
     };
-    pearson(a, b)
+    match (a, b) {
+        (Some(a), Some(b)) => pearson(a, b),
+        _ => Err(Error::invalid("lag", "out of range")),
+    }
 }
 
 /// Incremental mean/variance accumulator (Welford's algorithm). Useful for

@@ -46,30 +46,6 @@ impl Rule {
         }
     }
 
-    /// Parses a rule identifier (as written in the allowlist).
-    pub fn parse(s: &str) -> Option<Rule> {
-        match s {
-            "nan-cmp" => Some(Rule::NanCmp),
-            "panic-site" => Some(Rule::PanicSite),
-            "taxonomy" => Some(Rule::Taxonomy),
-            "zero-copy" => Some(Rule::ZeroCopy),
-            "unsafe-audit" => Some(Rule::UnsafeAudit),
-            "atomic-ordering" => Some(Rule::AtomicOrdering),
-            "lock-order" => Some(Rule::LockOrder),
-            "loom-coverage" => Some(Rule::LoomCoverage),
-            _ => None,
-        }
-    }
-
-    /// Whether findings of this rule may be grandfathered in the allowlist.
-    /// Taxonomy drift, lock-order cycles, and loom-coverage gaps are always
-    /// hard failures: the paper's Table 1 and the code must never disagree,
-    /// a potential ABBA deadlock must never land old or new, and lock-free
-    /// code must never exist unmodeled.
-    pub fn allowlistable(self) -> bool {
-        !matches!(self, Rule::Taxonomy | Rule::LockOrder | Rule::LoomCoverage)
-    }
-
     /// All rules, in report order.
     pub const ALL: [Rule; 8] = [
         Rule::NanCmp,
@@ -149,29 +125,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rule_ids_round_trip() {
-        for r in Rule::ALL {
-            assert_eq!(Rule::parse(r.id()), Some(r));
-        }
-        assert_eq!(Rule::parse("unknown"), None);
-    }
-
-    #[test]
-    fn taxonomy_is_never_allowlistable() {
-        assert!(!Rule::Taxonomy.allowlistable());
-        assert!(Rule::PanicSite.allowlistable());
-    }
-
-    #[test]
-    fn concurrency_gate_allowlistability() {
-        // Count-ratchet families: grandfathered sites may exist while a
-        // burndown is underway.
-        assert!(Rule::UnsafeAudit.allowlistable());
-        assert!(Rule::AtomicOrdering.allowlistable());
-        // Hard gates: an ABBA cycle or an unmodeled atomics file must fail
-        // the build regardless of any allowlist entry.
-        assert!(!Rule::LockOrder.allowlistable());
-        assert!(!Rule::LoomCoverage.allowlistable());
+    fn rule_ids_are_distinct() {
+        let mut ids: Vec<&str> = Rule::ALL.iter().map(|r| r.id()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), Rule::ALL.len());
     }
 
     #[test]

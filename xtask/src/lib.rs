@@ -2,7 +2,7 @@
 //!
 //! Eight rule families keep the reproduction faithful and production-safe
 //! (DESIGN.md §4.12, §4.17): `nan-cmp` (no force-unwrapped `partial_cmp`),
-//! `panic-site` (a shrinking panic surface in library code), `taxonomy`
+//! `panic-site` (no panic surface in library code), `taxonomy`
 //! (Table 1 ↔ registry ↔ engine catalog ↔ tests ↔ docs cross-check),
 //! `zero-copy` (no deep series copies on the data-plane hot paths),
 //! `unsafe-audit` (every `unsafe` carries a `// SAFETY:` invariant),
@@ -10,18 +10,15 @@
 //! `// ORDERING:` justification), `lock-order` (whole-repo lock graph,
 //! ABBA cycles are hard failures), and `loom-coverage` (every file owning
 //! atomics/`UnsafeCell` maps to a named loom model test).
-//! Findings are machine-readable ([`Finding`]); grandfathered sites live in
-//! the committed count-ratchet allowlist `xtask/lint.allow`
-//! ([`Allowlist`]).
+//! Findings are machine-readable ([`Finding`]), and every rule is a hard
+//! gate: the tree is clean iff a run reports no finding at all.
 
 #![forbid(unsafe_code)]
 
-pub mod allowlist;
 pub mod findings;
 pub mod rules;
 pub mod scan;
 
-pub use allowlist::{Allowlist, Violation};
 pub use findings::{Finding, Rule};
 pub use scan::Source;
 
@@ -31,9 +28,6 @@ use std::path::{Path, PathBuf};
 use rules::atomic::AtomicSite;
 use rules::lockorder::{LockEdge, LockScan};
 use rules::taxonomy::{TaxonomyInputs, CATALOG, COVERAGE, DESIGN, REGISTRY};
-
-/// Where the allowlist lives, workspace-relative.
-pub const ALLOWLIST_PATH: &str = "xtask/lint.allow";
 
 /// The crates whose library code is under the `panic-site` rule.
 const PANIC_SCOPE: [&str; 15] = [
@@ -70,27 +64,6 @@ const NAN_SCOPE: [&str; 13] = [
     "crates/corpus/",
     "crates/adapt/",
 ];
-
-/// The result of a lint run.
-#[derive(Debug)]
-pub struct LintOutcome {
-    /// Every raw finding, allowlisted or not.
-    pub findings: Vec<Finding>,
-    /// The atomic-operation inventory (every load/store/RMW/fence with
-    /// the orderings it names), for the JSON report.
-    pub atomics: Vec<AtomicSite>,
-    /// The lock graph: every nested acquisition, observed or declared.
-    pub lock_edges: Vec<LockEdge>,
-    /// Ratchet violations after applying the allowlist.
-    pub violations: Vec<Violation>,
-}
-
-impl LintOutcome {
-    /// Whether the tree is clean under the committed allowlist.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
 
 /// Collects every `.rs` file under `crates/` and `src/`, workspace-relative
 /// and `/`-separated, in deterministic order. `target/`, `shims/` (offline
@@ -129,15 +102,24 @@ fn rel(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Raw scan output: findings plus the atomic-op inventory.
+/// The result of a lint run.
 #[derive(Debug)]
 pub struct Report {
-    /// Every raw finding, allowlisted or not.
+    /// Every finding; each one fails the lint.
     pub findings: Vec<Finding>,
-    /// Every atomic op in non-test library code, with its orderings.
+    /// Every atomic op in non-test library code, with its orderings (the
+    /// `atomic-ordering` inventory, for the JSON report).
     pub atomics: Vec<AtomicSite>,
-    /// Every edge of the lock graph (`held` → `acquired under it`).
+    /// Every edge of the lock graph (`held` → `acquired under it`),
+    /// observed or declared.
     pub lock_edges: Vec<LockEdge>,
+}
+
+impl Report {
+    /// Whether the tree is clean: no rule reported anything.
+    pub fn clean(&self) -> bool {
+        self.findings.is_empty()
+    }
 }
 
 /// Whether a path is library/binary source (the concurrency rules' scope:
@@ -152,7 +134,7 @@ fn in_src(relpath: &str) -> bool {
 /// # Errors
 /// I/O errors reading sources (a cross-checked file that is *missing* is a
 /// taxonomy finding, not an error).
-pub fn collect_report(root: &Path) -> std::io::Result<Report> {
+pub fn run_lint(root: &Path) -> std::io::Result<Report> {
     let mut findings = Vec::new();
     let mut atomics = Vec::new();
     let mut locks = LockScan::default();
@@ -211,44 +193,6 @@ pub fn collect_report(root: &Path) -> std::io::Result<Report> {
         atomics,
         lock_edges: locks.edges,
     })
-}
-
-/// Runs every rule over the workspace at `root`, returning raw findings.
-///
-/// # Errors
-/// As [`collect_report`].
-pub fn collect_findings(root: &Path) -> std::io::Result<Vec<Finding>> {
-    collect_report(root).map(|r| r.findings)
-}
-
-/// Runs the lint against the committed allowlist.
-///
-/// # Errors
-/// I/O failures, or a malformed allowlist (message describes the line).
-pub fn run_lint(root: &Path) -> Result<LintOutcome, String> {
-    let report = collect_report(root).map_err(|e| format!("scanning sources: {e}"))?;
-    let allow_text = fs::read_to_string(root.join(ALLOWLIST_PATH)).unwrap_or_default();
-    let allowlist = Allowlist::parse(&allow_text).map_err(|e| format!("{ALLOWLIST_PATH}: {e}"))?;
-    let violations = allowlist.check(&report.findings);
-    Ok(LintOutcome {
-        findings: report.findings,
-        atomics: report.atomics,
-        lock_edges: report.lock_edges,
-        violations,
-    })
-}
-
-/// Rewrites the allowlist to exactly match the current findings (the
-/// ratchet update after a burndown).
-///
-/// # Errors
-/// I/O failures while scanning or writing.
-pub fn update_allowlist(root: &Path) -> Result<usize, String> {
-    let findings = collect_findings(root).map_err(|e| format!("scanning sources: {e}"))?;
-    let text = Allowlist::render_for(&findings);
-    fs::write(root.join(ALLOWLIST_PATH), text)
-        .map_err(|e| format!("writing {ALLOWLIST_PATH}: {e}"))?;
-    Ok(findings.iter().filter(|f| f.rule.allowlistable()).count())
 }
 
 /// The workspace root: the parent of this crate's manifest directory.

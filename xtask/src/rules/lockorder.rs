@@ -7,8 +7,7 @@
 //! the server's `lock(..)` helper); each "lock B acquired while lock A is
 //! held" observation becomes a directed edge A → B; and any cycle in the
 //! union graph — two mutexes ever taken in opposite orders — fails the
-//! lint. Findings are never allowlistable: a potential deadlock must not
-//! land, old or new.
+//! lint: a potential deadlock must not land.
 //!
 //! Node naming is heuristic but deliberate: a receiver's *last field or
 //! variable identifier* (index/call groups stripped) names the mutex,

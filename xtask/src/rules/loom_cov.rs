@@ -1,6 +1,6 @@
 //! Rule `loom-coverage`: no unmodeled lock-free code.
 //!
-//! Modeled on `taxonomy` (and like it, never allowlistable): every library
+//! Modeled on `taxonomy`: every library
 //! file that *owns* concurrency state — an `Atomic*` type or an
 //! `UnsafeCell` outside `#[cfg(test)]` — must be mapped in [`MODEL_MAP`]
 //! to a named loom model test, and every mapped test must actually exist

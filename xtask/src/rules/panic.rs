@@ -2,11 +2,11 @@
 //!
 //! Industrial deployments die on partial failures, not accuracy: a single
 //! `unwrap()` on an empty sensor stream takes the whole plant report down.
-//! This rule counts every potential panic site in non-test library code —
+//! This rule flags every potential panic site in non-test library code —
 //! `.unwrap()`, `.expect(..)`, `panic!`/`unreachable!`/`todo!`/
 //! `unimplemented!`, and direct `container[index]` indexing (no `.get`) —
-//! and holds the total at or below the committed allowlist, so the surface
-//! only ever shrinks.
+//! and each one fails the lint: rows are reached through iterators,
+//! `chunks_exact`, `get`, or slice patterns instead.
 //!
 //! Test modules (`#[cfg(test)]`), integration tests, benches, and examples
 //! are out of scope: panicking is how tests fail.

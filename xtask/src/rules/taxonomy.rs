@@ -11,8 +11,7 @@
 //!    demonstrably exercises it), and
 //! 3. is named in `DESIGN.md` (so the documented taxonomy matches).
 //!
-//! It also pins the registry's cardinality at the paper's 21 rows. Findings
-//! of this rule are never allowlistable.
+//! It also pins the registry's cardinality at the paper's 21 rows.
 
 use crate::findings::{Finding, Rule};
 

@@ -1,12 +1,12 @@
-//! End-to-end ratchet behaviour over a synthetic workspace: findings are
-//! grandfathered by `--update-allowlist`, NEW sites fail the lint, and
-//! burned-down sites fail as stale until the budget is shrunk. A final
-//! test pins the real repository clean under its committed allowlist.
+//! End-to-end lint behaviour over synthetic workspaces: every rule is a
+//! hard gate, so a single finding of any rule fails the lint and fixing it
+//! makes the tree clean again. A final test pins the real repository at
+//! zero findings.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use xtask::{run_lint, update_allowlist, workspace_root, Rule};
+use xtask::{run_lint, workspace_root, Rule};
 
 /// A throwaway workspace under the target-adjacent temp dir.
 struct Fixture {
@@ -19,7 +19,6 @@ impl Fixture {
         let _ = fs::remove_dir_all(&root);
         let f = Self { root };
         f.write_consistent_taxonomy();
-        fs::create_dir_all(f.root.join("xtask")).expect("mkdir xtask");
         f
     }
 
@@ -65,52 +64,53 @@ const BAD_LIB: &str = "pub fn f(xs: &mut [f64]) -> f64 {\n\
      *xs.first().unwrap()\n\
 }\n";
 
-#[test]
-fn ratchet_grandfathers_then_blocks_new_sites_and_stale_budgets() {
-    let fx = Fixture::new("ratchet");
-    fx.write("crates/detect/src/da/bad.rs", BAD_LIB);
+/// The rules whose findings `report` holds, in order, deduplicated.
+fn rules_of(report: &xtask::Report) -> Vec<Rule> {
+    let mut rules: Vec<Rule> = report.findings.iter().map(|f| f.rule).collect();
+    rules.dedup();
+    rules
+}
 
-    // Fresh tree, empty allowlist: everything violates.
+#[test]
+fn any_single_finding_fails_and_fixing_it_cleans_the_tree() {
+    let fx = Fixture::new("gate");
+    assert!(run_lint(&fx.root).expect("lint").clean());
+
+    fx.write("crates/detect/src/da/bad.rs", BAD_LIB);
     let out = run_lint(&fx.root).expect("lint");
     assert!(!out.clean());
-    assert!(out.findings.iter().any(|f| f.rule == Rule::NanCmp));
-    assert!(out.findings.iter().any(|f| f.rule == Rule::PanicSite));
+    assert_eq!(rules_of(&out), [Rule::NanCmp, Rule::PanicSite]);
 
-    // Grandfather the current state: clean.
-    let n = update_allowlist(&fx.root).expect("update");
-    assert!(n >= 2, "expected grandfathered sites, got {n}");
-    let out = run_lint(&fx.root).expect("lint");
-    assert!(out.clean(), "{:?}", out.violations);
-
-    // A NEW panic site exceeds the budget and fails.
+    // One panic site alone fails: there is no budget to absorb it.
     fx.write(
         "crates/detect/src/da/bad.rs",
-        &format!("{BAD_LIB}pub fn g(v: &[f64]) -> f64 {{ *v.last().unwrap() }}\n"),
+        "pub fn g(v: &[f64]) -> f64 { v[0] }\n",
     );
     let out = run_lint(&fx.root).expect("lint");
-    let over: Vec<_> = out
-        .violations
-        .iter()
-        .filter(|v| v.actual > v.allowed)
-        .collect();
-    assert!(!over.is_empty(), "new site must violate the ratchet");
+    assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
+    assert!(!out.clean());
 
-    // Burning sites down WITHOUT shrinking the budget fails as stale.
-    fx.write("crates/detect/src/da/bad.rs", "pub fn f() {}\n");
-    let out = run_lint(&fx.root).expect("lint");
-    assert!(
-        out.violations.iter().any(|v| v.actual < v.allowed),
-        "stale budget must violate: {:?}",
-        out.violations
+    fx.write(
+        "crates/detect/src/da/bad.rs",
+        "pub fn g(v: &[f64]) -> f64 { v.first().copied().unwrap_or(0.0) }\n",
     );
-
-    // Shrinking the budget restores a clean ratchet.
-    update_allowlist(&fx.root).expect("update");
     assert!(run_lint(&fx.root).expect("lint").clean());
 }
 
 #[test]
-fn taxonomy_drift_is_never_allowlistable() {
+fn zero_copy_finding_fails_the_lint() {
+    let fx = Fixture::new("zerocopy");
+    fx.write(
+        "crates/detect/src/adapt.rs",
+        "pub fn embed(values: &[f64]) -> Vec<f64> {\n    values.to_vec()\n}\n",
+    );
+    let out = run_lint(&fx.root).expect("lint");
+    assert_eq!(rules_of(&out), [Rule::ZeroCopy]);
+    assert!(!out.clean());
+}
+
+#[test]
+fn taxonomy_drift_fails_the_lint() {
     let fx = Fixture::new("taxonomy");
     // Break the cross-check: one key vanishes from the coverage list.
     fx.write(
@@ -118,20 +118,12 @@ fn taxonomy_drift_is_never_allowlistable() {
         "const COVERED_KEYS: [&str; 1] = [\"algo-0\"];\n",
     );
     let out = run_lint(&fx.root).expect("lint");
-    assert!(!out.clean());
-    // Even a freshly updated allowlist cannot absorb taxonomy findings.
-    update_allowlist(&fx.root).expect("update");
-    let out = run_lint(&fx.root).expect("lint");
-    assert!(
-        out.violations.iter().all(|v| v.rule == Rule::Taxonomy),
-        "{:?}",
-        out.violations
-    );
+    assert_eq!(rules_of(&out), [Rule::Taxonomy]);
     assert!(!out.clean());
 }
 
 #[test]
-fn unsafe_audit_flags_only_uncommented_blocks_and_ratchets() {
+fn unsafe_audit_flags_only_uncommented_blocks() {
     let fx = Fixture::new("unsafe");
     fx.write(
         "crates/detect/src/da/raw.rs",
@@ -151,9 +143,7 @@ fn unsafe_audit_flags_only_uncommented_blocks_and_ratchets() {
         .collect();
     assert_eq!(hits.len(), 1, "only the SAFETY-less block: {hits:?}");
     assert_eq!(hits[0].line, 6);
-    // Count-ratcheted like panic-site: grandfathering absorbs it.
-    update_allowlist(&fx.root).expect("update");
-    assert!(run_lint(&fx.root).expect("lint").clean());
+    assert!(!out.clean());
 }
 
 #[test]
@@ -185,20 +175,13 @@ fn atomic_ordering_inventories_ops_and_gates_seqcst() {
     assert_eq!(hits.len(), 1, "{hits:?}");
     assert_eq!(hits[0].line, 9);
     // The file holds an AtomicBool with no loom model mapped: the
-    // coverage gate fires too, and no allowlist update absorbs it.
-    assert!(out.findings.iter().any(|f| f.rule == Rule::LoomCoverage));
-    update_allowlist(&fx.root).expect("update");
-    let out = run_lint(&fx.root).expect("lint");
+    // coverage gate fires too.
+    assert_eq!(rules_of(&out), [Rule::AtomicOrdering, Rule::LoomCoverage]);
     assert!(!out.clean());
-    assert!(
-        out.violations.iter().all(|v| v.rule == Rule::LoomCoverage),
-        "{:?}",
-        out.violations
-    );
 }
 
 #[test]
-fn lock_order_cycles_are_never_allowlistable() {
+fn lock_order_cycles_fail_the_lint() {
     let fx = Fixture::new("lockorder");
     fx.write(
         "crates/store/src/ab.rs",
@@ -224,11 +207,7 @@ fn lock_order_cycles_are_never_allowlistable() {
         "ABBA across files must surface: {:?}",
         out.findings
     );
-    // Deadlocks cannot be grandfathered.
-    update_allowlist(&fx.root).expect("update");
-    let out = run_lint(&fx.root).expect("lint");
     assert!(!out.clean());
-    assert!(out.violations.iter().any(|v| v.rule == Rule::LockOrder));
 }
 
 /// The serving path's order is cache slot → registry map → tenant slot.
@@ -353,16 +332,13 @@ fn loom_coverage_requires_the_named_model_test() {
     );
 }
 
-/// The real repository must be clean under its committed allowlist — this
-/// is the same check CI runs via `cargo xtask lint`.
+/// The real repository has zero findings of every rule — the same check
+/// CI runs via `cargo xtask lint`.
 #[test]
-fn repository_is_clean_under_committed_allowlist() {
+fn repository_has_zero_findings() {
     let out = run_lint(&workspace_root()).expect("lint");
-    assert!(
-        out.clean(),
-        "repository violates its own lint ratchet: {:#?}",
-        out.violations
-    );
+    let rendered: Vec<String> = out.findings.iter().map(|f| f.render()).collect();
+    assert!(out.clean(), "{}", rendered.join("\n"));
     // The concurrency sweep holds: the atomic inventory is populated and
     // no site in it needs SeqCst.
     assert!(
@@ -373,10 +349,6 @@ fn repository_is_clean_under_committed_allowlist() {
         .atomics
         .iter()
         .all(|a| a.orderings.iter().all(|o| o != "SeqCst")));
-    assert!(out
-        .findings
-        .iter()
-        .all(|f| f.rule != Rule::AtomicOrdering && f.rule != Rule::UnsafeAudit));
 }
 
 /// Structured output stays machine-parseable (CI consumes it).
