@@ -7,6 +7,15 @@
 //! [`Client::flush`] or the next synchronous request. That mirrors the
 //! protocol's design: ingest is an unacknowledged firehose, and errors
 //! surface at the next request/response exchange.
+//!
+//! The reports [`Client::finish`], [`Client::backfill`] and a
+//! [`DeltaReply::Resync`] return carry the Algorithm-1 triples and name
+//! every scored series, but not the series' per-sample `timestamps` and
+//! `z` columns: [`decode_report`](hierod_wire::decode_report) gives them
+//! back empty. Fetch the columns of the series you want with
+//! [`Client::query_series`], cut to a time range, from the plant's last
+//! tick. A reply that would exceed the frame cap comes back as a
+//! [`ErrorCode::TooLarge`] server error, and the connection stays usable.
 
 use std::io::{self, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -18,7 +27,7 @@ use hierod_service::Health;
 use hierod_store::wal::WalRecord;
 use hierod_stream::codec::{encode_control, encode_lane};
 use hierod_stream::{ControlEvent, LaneId, LaneStats, StreamStats};
-use hierod_wire::{ErrorCode, Frame, FrameReader, LaneColumns, Poll};
+use hierod_wire::{ErrorCode, Frame, FrameReader, LaneColumns, LevelSeries, Poll};
 
 /// A server-reported failure, preserved with its wire error class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +101,8 @@ pub enum DeltaReply {
     Resync {
         /// Current report version.
         version: u64,
-        /// `encode_report` bytes of the full report.
+        /// `encode_report` bytes of the report (series named, their
+        /// columns left to [`Client::query_series`]).
         report: Vec<u8>,
     },
 }
@@ -295,6 +305,36 @@ impl Client {
         match self.request(&Frame::QueryHealth)? {
             Frame::HealthReply(health) => Ok(health),
             _ => Err(ClientError::Unexpected("query_health expects HealthReply")),
+        }
+    }
+
+    /// Fetches per-series score columns from the report of the plant's
+    /// last tick: every series of `level`, `machine` and `sensor` (`None`
+    /// = any) with samples in `[start, end]`, each a key plus its
+    /// `timestamps` and `z` columns cut to the range, in report order.
+    /// Returns the report version they came from.
+    ///
+    /// # Errors
+    /// Transport failures or a server-side rejection: `Missing` before the
+    /// plant's first tick or after its finish, `TooLarge` for a range whose
+    /// columns would not fit in one frame.
+    pub fn query_series(
+        &mut self,
+        level: Option<Level>,
+        machine: Option<&str>,
+        sensor: Option<&str>,
+        start: u64,
+        end: u64,
+    ) -> Result<(u64, Vec<LevelSeries>)> {
+        match self.request(&Frame::QuerySeries {
+            level,
+            machine: machine.map(str::to_string),
+            sensor: sensor.map(str::to_string),
+            start,
+            end,
+        })? {
+            Frame::SeriesScores { version, series } => Ok((version, series)),
+            _ => Err(ClientError::Unexpected("query_series expects SeriesScores")),
         }
     }
 

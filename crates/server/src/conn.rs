@@ -34,9 +34,10 @@
 //! * a plant's **cache slot** lock is held across `service.tick` and the
 //!   `advance` that stores its report — so for two connections ticking
 //!   one plant, version order is assembly order — and across answering a
-//!   score or delta query from the stored report. Ingest never takes it:
-//!   a run holds its plant's tenant slot (inside the service) and nothing
-//!   else.
+//!   score or delta query from the stored report. A series query holds it
+//!   only to pick its series' shared columns; it cuts and encodes them
+//!   after release. Ingest never takes it: a run holds its plant's tenant
+//!   slot (inside the service) and nothing else.
 //!
 //! Order: cache slot → (inside the service) registry map → tenant.
 //! Nothing acquires leftwards, and `Finish` holds nothing at all across
@@ -45,6 +46,13 @@
 //! the service detach and finalise the plant, and unmaps the slot
 //! afterwards — whether or not the finish succeeded, so a failed one
 //! cannot leave a report behind that keeps being served.
+//!
+//! ## Replies over the cap
+//!
+//! A reply is encoded before a byte of it is written; one whose payload
+//! would exceed [`MAX_FRAME_LEN`] — a range scan or series query over too
+//! much history — is swapped for an [`ErrorCode::TooLarge`] error, so the
+//! client learns to narrow its range and the connection keeps serving.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufWriter, Write};
@@ -59,7 +67,9 @@ use hierod_service::PlantService;
 use hierod_store::wal::WalRecord;
 use hierod_stream::codec::{decode_control, decode_lane};
 use hierod_stream::{LaneTable, RunError, Sample, StreamReport, MAX_LANES};
-use hierod_wire::{encode_report, write_frame, ErrorCode, Frame, FrameReader, Poll};
+use hierod_wire::{
+    encode_report, write_frame, ErrorCode, Frame, FrameReader, Poll, SeriesQuery, MAX_FRAME_LEN,
+};
 
 use crate::{lock, ServerConfig, Shared};
 
@@ -503,6 +513,39 @@ fn handle_request<S: PlantService>(
                 CacheSlot::Closed => plant_gone(&plant),
             }
         }
+        Frame::QuerySeries {
+            level,
+            machine,
+            sensor,
+            start,
+            end,
+        } => {
+            let plant = match addressed(conn) {
+                Ok(p) => p,
+                Err(f) => return f,
+            };
+            let Some(slot) = state.slot(&plant) else {
+                return plant_gone(&plant);
+            };
+            let query = SeriesQuery {
+                level,
+                machine,
+                sensor,
+                start,
+                end,
+            };
+            // Under the lock: reference counts. The cut copies samples, so
+            // it waits until the slot is free again.
+            let (version, picked) = match &*lock(&slot) {
+                CacheSlot::Filled(cache) => (cache.version, query.pick(&cache.current)),
+                CacheSlot::Empty => return not_ticked(),
+                CacheSlot::Closed => return plant_gone(&plant),
+            };
+            Frame::SeriesScores {
+                version,
+                series: query.cut(picked),
+            }
+        }
         Frame::RangeScan {
             start,
             end,
@@ -554,6 +597,20 @@ fn handle_request<S: PlantService>(
         // A client sending response-tagged frames is off-protocol.
         _ => error_frame(ErrorCode::Protocol, "unexpected response-tagged frame"),
     }
+}
+
+/// `reply`, framed — or, when its payload would exceed [`MAX_FRAME_LEN`],
+/// an [`ErrorCode::TooLarge`] error in its place (module docs).
+fn encode_reply(reply: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
+    reply.encode(&mut out);
+    let payload = out.len().saturating_sub(8);
+    if payload > MAX_FRAME_LEN as usize {
+        let message = format!("{payload} bytes > cap {MAX_FRAME_LEN}; narrow the range");
+        out = Vec::new();
+        error_frame(ErrorCode::TooLarge, message).encode(&mut out);
+    }
+    out
 }
 
 /// Serves one connection until EOF, a protocol error, or drain.
@@ -614,7 +671,7 @@ pub(crate) fn serve_connection<S: PlantService>(
                     }
                     request => {
                         let reply = handle_request(state, &mut conn, request);
-                        write_frame(&mut writer, &reply)?;
+                        writer.write_all(&encode_reply(&reply))?;
                         writer.flush()?;
                     }
                 }
@@ -852,6 +909,56 @@ mod tests {
         };
         let by_lane: u64 = lanes.iter().map(|(_, l)| l.released).sum();
         assert_eq!((stats.samples_released, by_lane), (3, 3));
+    }
+
+    #[test]
+    fn an_over_cap_reply_is_a_typed_error_and_the_connection_serves_on() {
+        use hierod_core::detect_level::{LevelDetections, SeriesScores};
+
+        // Sixteen phase series sharing one pair of 260k-sample columns, each
+        // timestamp a 9-byte varint: 17 bytes a sample, 70.7 MB in all —
+        // over the 64 MiB cap — while one series is 4.4 MB.
+        const N: u64 = 260_000;
+        let timestamps: Arc<[u64]> = (0..N).map(|t| (1 << 56) + t).collect();
+        let z: Arc<[f64]> = (0..N).map(|t| t as f64).collect();
+        let mut phase = LevelDetections::empty(Level::Phase);
+        phase.series_scores = (0..16)
+            .map(|i| SeriesScores {
+                machine: "m0".into(),
+                job: Some("j0".into()),
+                phase: Some(PhaseKind::WarmUp),
+                sensor: format!("m0.bed.{i}"),
+                timestamps: Arc::clone(&timestamps),
+                z: Arc::clone(&z),
+            })
+            .collect();
+        let mut report = report_of(Vec::new());
+        report.detections.insert(Level::Phase, phase);
+        let service = Scripted(Mutex::new([report].into_iter().collect()));
+        let server = crate::Server::bind(service, crate::ServerConfig::default()).unwrap();
+        let handle = server.handle();
+        let serving = std::thread::spawn(move || server.serve().unwrap());
+
+        let mut client = crate::Client::connect(handle.local_addr()).unwrap();
+        client.admit("p", true).unwrap();
+        assert_eq!(client.tick().unwrap(), (1, 0));
+        match client.query_series(None, None, None, 0, u64::MAX) {
+            Err(crate::client::ClientError::Server(e)) => {
+                assert_eq!(e.code, ErrorCode::TooLarge);
+                assert!(e.message.ends_with("narrow the range"), "{}", e.message);
+            }
+            other => panic!("expected TooLarge, got {:?}", other.map(|(v, _)| v)),
+        }
+        // Same connection: a small request, then a narrower query.
+        assert_eq!(client.query_lane_stats().unwrap().0.samples_released, 3);
+        let (_, one) = client
+            .query_series(None, None, Some("m0.bed.3"), 0, u64::MAX)
+            .unwrap();
+        assert_eq!(one.len(), 1);
+        assert_eq!(one.first().map(|(_, s)| s.z.len()), Some(N as usize));
+        drop(client);
+        handle.shutdown();
+        serving.join().unwrap();
     }
 
     #[test]

@@ -22,7 +22,7 @@ use hierod_store::tenants::{MemFactory, StorageFactory};
 use hierod_store::MemStorage;
 use hierod_stream::tenant::TenantConfig;
 use hierod_stream::{ControlEvent, LaneId, LaneKind, Sample};
-use hierod_wire::{decode_report, encode_report, ErrorCode};
+use hierod_wire::{decode_report, encode_report, without_columns, ErrorCode, Frame, SeriesQuery};
 
 fn spawn_server() -> (ServerHandle, thread::JoinHandle<ServerStats>) {
     let svc = RegistryService::open(
@@ -155,11 +155,146 @@ fn report_over_wire_is_byte_identical_to_embedded() {
         wire_bytes, embedded_bytes,
         "wire report must be byte-identical to the embedded path"
     );
-    // And the bytes decode back to the embedded report exactly.
+    // And the bytes decode back to the embedded report exactly, its
+    // series named without their columns (those are `query_series`').
     let decoded = decode_report(&wire_bytes).unwrap();
-    assert_eq!(format!("{decoded:?}"), format!("{embedded:?}"));
+    assert_eq!(
+        format!("{decoded:?}"),
+        format!("{:?}", without_columns(&embedded))
+    );
     assert!(decoded.stats.samples_ingested == 32);
 
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// The reply frame a `QuerySeries` for `query` must be, from `report`.
+fn series_reply(
+    version: u64,
+    query: &SeriesQuery,
+    report: &hierod_stream::StreamReport,
+) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    Frame::SeriesScores {
+        version,
+        series: query.answer(report),
+    }
+    .encode(&mut bytes);
+    bytes
+}
+
+#[test]
+fn series_over_wire_equal_the_embedded_tick_filtered_alike() {
+    let queries = [
+        (None, None, None, 0, u64::MAX),
+        (Some(Level::Phase), Some(MACHINE), Some(BED), 16, 24),
+        (Some(Level::Phase), None, Some(BED), 20, 20),
+        (None, Some(MACHINE), None, 10, u64::MAX),
+        (Some(Level::Environment), None, None, 0, u64::MAX),
+        (None, Some("m-unknown"), None, 0, u64::MAX),
+    ]
+    .map(|(level, machine, sensor, start, end)| SeriesQuery {
+        level,
+        machine: machine.map(str::to_string),
+        sensor: sensor.map(str::to_string),
+        start,
+        end,
+    });
+
+    let (handle, join) = spawn_server();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.admit("plant-a", true).unwrap();
+    drive_wire(&mut client, 32);
+    let err = client
+        .query_series(None, None, None, 0, u64::MAX)
+        .unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Server(e) if e.code == ErrorCode::Missing),
+        "before the first tick: {err}"
+    );
+    let (version, _) = client.tick().unwrap();
+    let served: Vec<_> = queries
+        .iter()
+        .map(|q| {
+            let q = q.clone();
+            let reply = client.query_series(
+                q.level,
+                q.machine.as_deref(),
+                q.sensor.as_deref(),
+                q.start,
+                q.end,
+            );
+            let (v, series) = reply.unwrap();
+            let mut bytes = Vec::new();
+            Frame::SeriesScores { version: v, series }.encode(&mut bytes);
+            bytes
+        })
+        .collect();
+    // A second connection on the plant outlives its finish.
+    let mut second = Client::connect(handle.local_addr()).unwrap();
+    second.admit("plant-a", false).unwrap();
+    client.finish().unwrap();
+    let err = second
+        .query_series(None, None, None, 0, u64::MAX)
+        .unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Server(e) if e.code == ErrorCode::Missing),
+        "after finish: {err}"
+    );
+    handle.shutdown();
+    join.join().unwrap();
+
+    let mut svc = RegistryService::open(
+        MemFactory::new(),
+        AlgorithmPolicy::default(),
+        TenantConfig::default(),
+    )
+    .unwrap();
+    svc.admit("plant-a", true).unwrap();
+    drive_embedded(&mut svc, "plant-a", 32);
+    let embedded = svc.tick("plant-a").unwrap();
+    let everything = queries[0].answer(&embedded);
+    assert!(
+        everything.iter().any(|(_, s)| s.z.len() == 32),
+        "the phase series is scored in full"
+    );
+    let (_, around_spike) = &queries[1].answer(&embedded)[0];
+    assert_eq!(
+        around_spike.timestamps.as_ref(),
+        (16..=24).collect::<Vec<u64>>()
+    );
+    for (query, served) in queries.iter().zip(&served) {
+        assert_eq!(
+            served,
+            &series_reply(version, query, &embedded),
+            "{query:?}"
+        );
+    }
+}
+
+#[test]
+fn hostile_range_bounds_get_typed_answers_and_the_connection_serves_on() {
+    let (handle, join) = spawn_server_with(sealed_service("plant-a"));
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    assert!(!client.admit("plant-a", false).unwrap(), "plant exists");
+    client.tick().unwrap();
+    let (_, all) = client.query_series(None, None, None, 0, u64::MAX).unwrap();
+    assert!(!all.is_empty());
+    for (start, end) in [(9, 3), (u64::MAX, 0), (u64::MAX, u64::MAX)] {
+        let (_, series) = client.query_series(None, None, None, start, end).unwrap();
+        assert!(series.is_empty(), "series in [{start}, {end}]");
+        let (lanes, _) = client.range_scan(start, end, None, None).unwrap();
+        assert!(
+            lanes.iter().all(|(_, t, _)| t.is_empty()),
+            "scan [{start}, {end}]"
+        );
+        let (_, (_, replayed, _)) = client.backfill(start, end, None).unwrap();
+        assert_eq!(replayed, 0, "backfill [{start}, {end}]");
+        client.query_lane_stats().unwrap();
+    }
+    // `u64::MAX` as an end is "to the end of time", not an overflow.
+    let (_, to_the_end) = client.query_series(None, None, None, 0, u64::MAX).unwrap();
+    assert_eq!(format!("{to_the_end:?}"), format!("{all:?}"));
     handle.shutdown();
     join.join().unwrap();
 }

@@ -13,11 +13,14 @@ use hierod_store::wal::{put_framed, WalRecord};
 use hierod_stream::codec::{decode_lane, encode_lane};
 use hierod_stream::{LaneId, LaneStats, Sample, StreamStats};
 
-use crate::report;
+use crate::report::{self, LevelSeries};
 
-/// Sanity cap on one frame's payload (64 MiB — reports carry full score
-/// vectors). A length field above this is corruption, not an allocation
-/// request.
+/// Cap on one frame's payload (64 MiB). A length field above it is
+/// corruption, not an allocation request; a server whose reply would be
+/// longer answers [`ErrorCode::TooLarge`] instead. A report names its
+/// series without their columns (codec v3), so it grows with the
+/// findings; the replies that grow with the history — range scans and
+/// series queries — are narrowed by their range.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
 
 // Tags 1–3 are the WAL record tags, verbatim (hierod_store::wal).
@@ -34,6 +37,7 @@ const TAG_QUERY_DELTAS: u8 = 21;
 const TAG_QUERY_HEALTH: u8 = 22;
 const TAG_RANGE_SCAN: u8 = 23;
 const TAG_BACKFILL: u8 = 24;
+const TAG_QUERY_SERIES: u8 = 25;
 // Response frames.
 const TAG_OK: u8 = 32;
 const TAG_ERROR: u8 = 33;
@@ -46,6 +50,7 @@ const TAG_NO_CHANGE: u8 = 39;
 const TAG_HEALTH: u8 = 40;
 const TAG_SERIES: u8 = 41;
 const TAG_BACKFILL_DONE: u8 = 42;
+const TAG_SERIES_SCORES: u8 = 43;
 
 /// One lane of a [`Frame::Series`] reply: lane identity, timestamp column,
 /// value column.
@@ -68,6 +73,9 @@ pub enum ErrorCode {
     Substrate,
     /// The server is shutting down and draining connections.
     Draining,
+    /// The reply would exceed [`MAX_FRAME_LEN`]; the connection stays
+    /// usable, and a narrower request may fit.
+    TooLarge,
 }
 
 impl ErrorCode {
@@ -80,6 +88,7 @@ impl ErrorCode {
             ErrorCode::Failed => 4,
             ErrorCode::Substrate => 5,
             ErrorCode::Draining => 6,
+            ErrorCode::TooLarge => 7,
         }
     }
 
@@ -92,6 +101,7 @@ impl ErrorCode {
             4 => Some(ErrorCode::Failed),
             5 => Some(ErrorCode::Substrate),
             6 => Some(ErrorCode::Draining),
+            7 => Some(ErrorCode::TooLarge),
             _ => None,
         }
     }
@@ -165,6 +175,22 @@ pub enum Frame {
         /// Replacement phase-detector spec (`None` = original policy).
         spec: Option<String>,
     },
+    /// Asks for per-series score columns of the current report — which
+    /// reports name but do not carry — cut to `[start, end]`, optionally
+    /// restricted to one level, machine and/or sensor (see
+    /// [`SeriesQuery`](report::SeriesQuery)); answered by [`Frame::SeriesScores`].
+    QuerySeries {
+        /// Restrict to one level (`None` = all levels).
+        level: Option<Level>,
+        /// Restrict to series of one machine (`None` = all machines).
+        machine: Option<String>,
+        /// Restrict to series of one sensor (`None` = all sensors).
+        sensor: Option<String>,
+        /// Inclusive range start (tick domain).
+        start: u64,
+        /// Inclusive range end.
+        end: u64,
+    },
     /// Generic success acknowledgement.
     Ok {
         /// Request-specific detail (e.g. admission outcome).
@@ -184,8 +210,8 @@ pub enum Frame {
         /// Number of hierarchical outliers in the report.
         outliers: u64,
     },
-    /// A full serialized [`StreamReport`](hierod_stream::StreamReport)
-    /// (see [`report::encode_report`]).
+    /// A serialized [`StreamReport`](hierod_stream::StreamReport), its
+    /// series named without their columns (see [`report::encode_report`]).
     Report {
         /// Report version (monotone per plant).
         version: u64,
@@ -247,6 +273,16 @@ pub enum Frame {
         /// Samples outside the requested range that were skipped.
         samples_skipped: u64,
     },
+    /// Per-series score columns answering a [`Frame::QuerySeries`]: every
+    /// selected series with samples in the range, in report order.
+    SeriesScores {
+        /// Report version the columns came from.
+        version: u64,
+        /// Level, key, and the columns cut to the range. The columns are
+        /// shared storage: a series wholly inside the range is replied
+        /// with the report's own buffers.
+        series: Vec<LevelSeries>,
+    },
 }
 
 // ---------------------------------------------------------------------
@@ -285,6 +321,15 @@ pub(crate) fn take_opt_varint(buf: &mut &[u8]) -> Option<Option<u64>> {
         0 => Some(None),
         1 => Some(Some(codec::take_varint(buf)?)),
         _ => None,
+    }
+}
+
+/// A level filter: 0 for none, else the level's number — any other byte
+/// is malformed.
+fn take_opt_level(buf: &mut &[u8]) -> Option<Option<Level>> {
+    match codec::take_u8(buf)? {
+        0 => Some(None),
+        n => Some(Some(Level::from_number(n)?)),
     }
 }
 
@@ -372,8 +417,7 @@ fn take_lane_stats(buf: &mut &[u8]) -> Option<Vec<(LaneId, LaneStats)>> {
 }
 
 fn put_series(out: &mut Vec<u8>, lanes: &[LaneColumns], stats: &ScanStats) {
-    // One reservation: a lane's record at most, plus its columns sized as
-    // `encode_report` sizes a score series.
+    // One reservation: a lane's record at most, plus its columns.
     let size = lanes
         .iter()
         .map(|(lane, timestamps, values)| {
@@ -492,6 +536,20 @@ impl Frame {
                 codec::put_varint(out, *end);
                 put_opt_str(out, spec.as_deref());
             }
+            Frame::QuerySeries {
+                level,
+                machine,
+                sensor,
+                start,
+                end,
+            } => {
+                out.push(TAG_QUERY_SERIES);
+                out.push(level.map_or(0, Level::number));
+                put_opt_str(out, machine.as_deref());
+                put_opt_str(out, sensor.as_deref());
+                codec::put_varint(out, *start);
+                codec::put_varint(out, *end);
+            }
             Frame::Ok { info } => {
                 out.push(TAG_OK);
                 codec::put_varint(out, *info);
@@ -557,6 +615,21 @@ impl Frame {
                 codec::put_varint(out, *samples_replayed);
                 codec::put_varint(out, *samples_skipped);
             }
+            Frame::SeriesScores { version, series } => {
+                out.reserve(
+                    report::RECORD_FIXED_MAX
+                        + series
+                            .iter()
+                            .map(report::level_series_size_hint)
+                            .sum::<usize>(),
+                );
+                out.push(TAG_SERIES_SCORES);
+                codec::put_varint(out, *version);
+                codec::put_varint(out, series.len() as u64);
+                for s in series {
+                    report::put_level_series(out, s);
+                }
+            }
         }
     }
 
@@ -584,13 +657,9 @@ impl Frame {
             },
             TAG_TICK => Frame::Tick,
             TAG_FINISH => Frame::Finish,
-            TAG_QUERY_SCORES => {
-                let level = match codec::take_u8(buf)? {
-                    0 => None,
-                    n => Some(Level::from_number(n)?),
-                };
-                Frame::QueryScores { level }
-            }
+            TAG_QUERY_SCORES => Frame::QueryScores {
+                level: take_opt_level(buf)?,
+            },
             TAG_QUERY_LANE_STATS => Frame::QueryLaneStats,
             TAG_QUERY_DELTAS => Frame::QueryDeltas {
                 since: codec::take_varint(buf)?,
@@ -606,6 +675,13 @@ impl Frame {
                 start: codec::take_varint(buf)?,
                 end: codec::take_varint(buf)?,
                 spec: take_opt_str(buf)?,
+            },
+            TAG_QUERY_SERIES => Frame::QuerySeries {
+                level: take_opt_level(buf)?,
+                machine: take_opt_str(buf)?,
+                sensor: take_opt_str(buf)?,
+                start: codec::take_varint(buf)?,
+                end: codec::take_varint(buf)?,
             },
             TAG_OK => Frame::Ok {
                 info: codec::take_varint(buf)?,
@@ -650,6 +726,15 @@ impl Frame {
                 samples_replayed: codec::take_varint(buf)?,
                 samples_skipped: codec::take_varint(buf)?,
             },
+            TAG_SERIES_SCORES => {
+                let version = codec::take_varint(buf)?;
+                let n = codec::take_varint(buf)?;
+                let mut series = Vec::new();
+                for _ in 0..n {
+                    series.push(report::take_level_series(buf)?);
+                }
+                Frame::SeriesScores { version, series }
+            }
             _ => return None,
         };
         buf.is_empty().then_some(frame)

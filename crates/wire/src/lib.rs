@@ -34,12 +34,15 @@
 //!
 //! ## Reports
 //!
-//! [`report::encode_report`] serialises a full
+//! [`report::encode_report`] serialises a
 //! [`StreamReport`](hierod_stream::StreamReport) — detections per
 //! level, the Algorithm-1 ⟨global score, outlierness, support⟩ triples,
 //! stream stats, and per-lane stats — deterministically, which is what
 //! makes "a report obtained over the wire is byte-identical to the
-//! embedded path" a testable statement.
+//! embedded path" a testable statement. A report names every scored
+//! series but carries none of its per-sample columns, so its size follows
+//! the findings, not the history; [`Frame::QuerySeries`] fetches columns
+//! on demand, cut to a time range ([`SeriesQuery`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,4 +52,4 @@ pub mod frame;
 pub mod report;
 
 pub use frame::{write_frame, ErrorCode, Frame, FrameReader, LaneColumns, Poll, MAX_FRAME_LEN};
-pub use report::{decode_report, encode_report};
+pub use report::{decode_report, encode_report, without_columns, LevelSeries, SeriesQuery};

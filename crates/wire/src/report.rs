@@ -1,19 +1,33 @@
-//! Deterministic full-report serialisation.
+//! Deterministic report serialisation, and the per-series columns on
+//! demand.
 //!
 //! [`encode_report`] turns a [`StreamReport`] — per-level detections,
 //! the Algorithm-1 ⟨global score, outlierness, support⟩ triples with
 //! warnings, aggregate stream stats, and per-lane stats — into one
-//! byte string; [`decode_report`] is its total inverse. Both paths
-//! iterate the report's `BTreeMap`s, so the encoding is a pure function
-//! of the report's value: two equal reports encode to equal bytes, no
-//! matter which process produced them. That determinism is what the
-//! wire-equivalence test leans on when it pins *report over TCP ≡
-//! report from the embedded service, byte for byte*.
+//! byte string; [`decode_report`] is its total inverse up to the columns
+//! (below). Both paths iterate the report's `BTreeMap`s, so the encoding
+//! is a pure function of the report's value: two equal reports encode to
+//! equal bytes, no matter which process produced them. That determinism
+//! is what the wire-equivalence test leans on when it pins *report over
+//! TCP ≡ report from the embedded service, byte for byte*.
+//!
+//! ## Codec v3: findings, not history
+//!
+//! A report names every scored series — machine, job, phase, sensor —
+//! but does not carry its `timestamps` and `z` columns: those grow with
+//! everything ingested (12 MB for a million-sample plant with 6,079
+//! outliers), the rest grows with the findings. What a report is once it
+//! has crossed the wire is [`without_columns`] of the report that was
+//! sent. The columns are served on demand: a [`SeriesQuery`] picks series
+//! by level, machine and sensor and cuts their columns to a time range
+//! (`Frame::QuerySeries`, answered from the report a server caches).
+//! Version 2 bytes, which carried the columns, decode to `None`.
 //!
 //! Floats are encoded bit-exactly ([`codec::put_f64`]), so NaN scores
 //! survive the round trip unchanged.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hierod_core::detect_level::{LevelDetections, LevelOutlier, SeriesScores, VectorScore};
 use hierod_core::{HierOutlier, HierReport, Warning};
@@ -103,13 +117,25 @@ fn take_level_outlier(buf: &mut &[u8]) -> Option<LevelOutlier> {
     })
 }
 
-fn put_series_scores(out: &mut Vec<u8>, s: &SeriesScores) {
+/// A series' key — machine, job, phase, sensor — which is all a report
+/// carries of it.
+fn put_series_key(out: &mut Vec<u8>, s: &SeriesScores) {
     codec::put_str(out, &s.machine);
     put_opt_str(out, s.job.as_deref());
     put_opt_phase(out, s.phase);
     codec::put_str(out, &s.sensor);
-    put_timestamps(out, &s.timestamps);
-    put_floats(out, &s.z);
+}
+
+/// Inverse of [`put_series_key`]: the keyed series with empty columns.
+fn take_series_key(buf: &mut &[u8]) -> Option<SeriesScores> {
+    Some(SeriesScores {
+        machine: codec::take_str(buf)?,
+        job: take_opt_str(buf)?,
+        phase: take_opt_phase(buf)?,
+        sensor: codec::take_str(buf)?,
+        timestamps: Arc::from([]),
+        z: Arc::from([]),
+    })
 }
 
 /// A claimed element count, bounded by how many the remaining bytes can hold.
@@ -119,7 +145,9 @@ fn claimed(n: u64, fit: usize) -> usize {
 
 /// The bytes a timestamp column and `floats` floats take at most, each
 /// timestamp at the width of the column's last one — an ascending
-/// column's widest (see [`encoded_size_hint`]).
+/// column's widest. Exact where a column's timestamps share a width, an
+/// upper bound for any ascending column, and only a hint otherwise: a
+/// frame that outgrows it grows its buffer as any `Vec` does.
 pub(crate) fn columns_size_hint(timestamps: &[u64], floats: usize) -> usize {
     timestamps.last().map_or(0, |&t| codec::varint_len(t)) * timestamps.len() + 8 * floats
 }
@@ -157,19 +185,122 @@ pub(crate) fn take_floats(buf: &mut &[u8]) -> Option<Vec<f64>> {
     codec::take_f64s(buf, n)
 }
 
-fn take_series_scores(buf: &mut &[u8]) -> Option<SeriesScores> {
-    let machine = codec::take_str(buf)?;
-    let job = take_opt_str(buf)?;
-    let phase = take_opt_phase(buf)?;
-    let sensor = codec::take_str(buf)?;
-    Some(SeriesScores {
-        machine,
-        job,
-        phase,
-        sensor,
-        timestamps: take_timestamps(buf)?.into(),
-        z: take_floats(buf)?.into(),
-    })
+/// One entry of a `Frame::SeriesScores` reply: the level a series was
+/// scored at, and the series — its key plus the part of its columns a
+/// [`SeriesQuery`] asked for.
+pub type LevelSeries = (Level, SeriesScores);
+
+/// A level series' record at most, plus its columns.
+pub(crate) fn level_series_size_hint((_, s): &LevelSeries) -> usize {
+    let job = s.job.as_ref().map_or(0, String::len);
+    RECORD_FIXED_MAX
+        + s.machine.len()
+        + job
+        + s.sensor.len()
+        + columns_size_hint(&s.timestamps, s.z.len())
+}
+
+/// A level series: level, key, timestamp column, score column.
+pub(crate) fn put_level_series(out: &mut Vec<u8>, (level, s): &LevelSeries) {
+    out.push(level.number());
+    put_series_key(out, s);
+    put_timestamps(out, &s.timestamps);
+    put_floats(out, &s.z);
+}
+
+/// Inverse of [`put_level_series`].
+pub(crate) fn take_level_series(buf: &mut &[u8]) -> Option<LevelSeries> {
+    let level = Level::from_number(codec::take_u8(buf)?)?;
+    let mut s = take_series_key(buf)?;
+    s.timestamps = take_timestamps(buf)?.into();
+    s.z = take_floats(buf)?.into();
+    Some((level, s))
+}
+
+/// Which per-series score columns a `Frame::QuerySeries` asks for: the
+/// series of one level (or all), of one machine and/or sensor (or all),
+/// each cut to the samples in inclusive `[start, end]`.
+///
+/// A server answers in two steps so that it holds its cache lock for
+/// reference counts only: [`pick`](SeriesQuery::pick) under the lock,
+/// [`cut`](SeriesQuery::cut) after it. [`answer`](SeriesQuery::answer) is
+/// both, for callers that hold the report themselves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeriesQuery {
+    /// Restrict to one level (`None` = all levels).
+    pub level: Option<Level>,
+    /// Restrict to series of one machine (`None` = all machines).
+    pub machine: Option<String>,
+    /// Restrict to series of one sensor (`None` = all sensors).
+    pub sensor: Option<String>,
+    /// Inclusive range start (tick domain).
+    pub start: u64,
+    /// Inclusive range end.
+    pub end: u64,
+}
+
+impl SeriesQuery {
+    /// The series of `report` the query's level, machine and sensor
+    /// select, in report order, their columns shared with `report`.
+    pub fn pick(&self, report: &StreamReport) -> Vec<LevelSeries> {
+        let wanted = |s: &SeriesScores| {
+            self.machine.as_deref().is_none_or(|m| m == s.machine)
+                && self.sensor.as_deref().is_none_or(|m| m == s.sensor)
+        };
+        report
+            .detections
+            .values()
+            .filter(|d| self.level.is_none_or(|l| l == d.level))
+            .flat_map(|d| d.series_scores.iter().map(move |s| (d.level, s)))
+            .filter(|(_, s)| wanted(s))
+            .map(|(level, s)| (level, s.clone()))
+            .collect()
+    }
+
+    /// `picked` with every series' columns cut to the samples in
+    /// `[start, end]` — a series' timestamps ascend, so the cut is two
+    /// `partition_point`s — and the series with none there dropped. A
+    /// series wholly inside keeps its shared columns; `start > end`
+    /// selects nothing.
+    pub fn cut(&self, picked: Vec<LevelSeries>) -> Vec<LevelSeries> {
+        picked
+            .into_iter()
+            .filter_map(|(level, mut s)| {
+                let from = s.timestamps.partition_point(|&t| t < self.start);
+                let to = s.timestamps.partition_point(|&t| t <= self.end);
+                if to <= from {
+                    return None;
+                }
+                if (from, to) != (0, s.timestamps.len()) {
+                    s.timestamps = s.timestamps.get(from..to)?.into();
+                    s.z = s.z.get(from..to)?.into();
+                }
+                Some((level, s))
+            })
+            .collect()
+    }
+
+    /// [`cut`](SeriesQuery::cut) of [`pick`](SeriesQuery::pick): the
+    /// answer to this query from `report`.
+    pub fn answer(&self, report: &StreamReport) -> Vec<LevelSeries> {
+        self.cut(self.pick(report))
+    }
+}
+
+/// What `report` is once it has crossed the wire: the same report with
+/// every series' `timestamps` and `z` columns empty (see the module docs).
+/// `decode_report(&encode_report(r))` equals `without_columns(r)`.
+pub fn without_columns(report: &StreamReport) -> StreamReport {
+    let mut report = report.clone();
+    for s in report
+        .detections
+        .values_mut()
+        .flat_map(|d| d.series_scores.iter_mut())
+    {
+        s.timestamps = Arc::from([]);
+        s.z = Arc::from([]);
+    }
+    report
 }
 
 fn put_vector_score(out: &mut Vec<u8>, v: &VectorScore) {
@@ -194,7 +325,7 @@ fn put_detections(out: &mut Vec<u8>, d: &LevelDetections) {
     }
     codec::put_varint(out, d.series_scores.len() as u64);
     for s in &d.series_scores {
-        put_series_scores(out, s);
+        put_series_key(out, s);
     }
     codec::put_varint(out, d.vector_scores.len() as u64);
     for v in &d.vector_scores {
@@ -211,7 +342,7 @@ fn take_detections(buf: &mut &[u8]) -> Option<LevelDetections> {
     }
     let n = codec::take_varint(buf)?;
     for _ in 0..n {
-        d.series_scores.push(take_series_scores(buf)?);
+        d.series_scores.push(take_series_key(buf)?);
     }
     let n = codec::take_varint(buf)?;
     for _ in 0..n {
@@ -225,13 +356,8 @@ fn take_detections(buf: &mut &[u8]) -> Option<LevelDetections> {
 /// a lane's record, its six counters included, fits in two.
 pub(crate) const RECORD_FIXED_MAX: usize = 80;
 
-/// The size [`encode_report`] allocates, once, from the column lengths: 8
-/// bytes a score, a timestamp at the width of its column's last one — a
-/// series' timestamps ascend, so that is the widest — and
-/// [`RECORD_FIXED_MAX`] plus its strings per record. Exact where a
-/// report's bytes are (a column whose timestamps share a width), an upper
-/// bound for any ascending column, and only a hint otherwise: a report
-/// that outgrows it grows the buffer as any `Vec` does.
+/// The size [`encode_report`] allocates, once: [`RECORD_FIXED_MAX`] plus
+/// its strings per record — an upper bound, as a series is a key.
 fn encoded_size_hint(report: &StreamReport) -> usize {
     let opt = |s: &Option<String>| s.as_ref().map_or(0, String::len);
     let mut size = 2 * RECORD_FIXED_MAX; // version, section counts, stream stats
@@ -242,7 +368,6 @@ fn encoded_size_hint(report: &StreamReport) -> usize {
         }
         for s in &d.series_scores {
             size += RECORD_FIXED_MAX + s.machine.len() + opt(&s.job) + s.sensor.len();
-            size += columns_size_hint(&s.timestamps, s.z.len());
         }
         for v in &d.vector_scores {
             size += RECORD_FIXED_MAX + v.machine.len() + v.job.len();
@@ -258,11 +383,12 @@ fn encoded_size_hint(report: &StreamReport) -> usize {
     size
 }
 
-/// Serialises a full [`StreamReport`] deterministically. See the module
-/// docs for the determinism contract.
+/// Serialises a [`StreamReport`] deterministically, every series as its
+/// key (codec v3). See the module docs for the determinism contract and
+/// where the columns went.
 pub fn encode_report(report: &StreamReport) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_size_hint(report));
-    out.push(2); // report codec version (2: added drift/refit counters)
+    out.push(3); // report codec version (3: series keys without columns)
     codec::put_varint(&mut out, report.detections.len() as u64);
     for d in report.detections.values() {
         put_detections(&mut out, d);
@@ -301,12 +427,14 @@ pub fn encode_report(report: &StreamReport) -> Vec<u8> {
     out
 }
 
-/// Total inverse of [`encode_report`]; `None` on any malformation
-/// (truncation, bad level codes, trailing bytes).
+/// Total inverse of [`encode_report`] up to the columns: the report it
+/// returns is [`without_columns`] of the one encoded. `None` on any
+/// malformation (truncation, bad level codes, trailing bytes) and on any
+/// other codec version.
 pub fn decode_report(bytes: &[u8]) -> Option<StreamReport> {
     let mut buf = bytes;
     let buf = &mut buf;
-    if codec::take_u8(buf)? != 2 {
+    if codec::take_u8(buf)? != 3 {
         return None;
     }
     let n = codec::take_varint(buf)?;

@@ -18,7 +18,8 @@ use hierod_service::{Health, PlantHealth, RecoverySummary};
 use hierod_store::wal::{self, WalRecord, WAL_MAGIC};
 use hierod_stream::{LaneId, LaneKind, LaneStats, StreamReport, StreamStats};
 use hierod_wire::{
-    decode_report, encode_report, write_frame, ErrorCode, Frame, FrameReader, LaneColumns, Poll,
+    decode_report, encode_report, without_columns, write_frame, ErrorCode, Frame, FrameReader,
+    LaneColumns, LevelSeries, Poll, SeriesQuery,
 };
 
 // -----------------------------------------------------------------
@@ -262,12 +263,49 @@ fn arb_series_lanes() -> impl Strategy<Value = Vec<LaneColumns>> {
     })
 }
 
+/// A series' key: machine, job, phase, sensor.
+fn arb_series_key() -> impl Strategy<Value = (String, Option<String>, Option<PhaseKind>, String)> {
+    (arb_str(), arb_opt_str(), arb_opt_phase(), arb_str())
+}
+
+fn series_of(
+    (machine, job, phase, sensor): (String, Option<String>, Option<PhaseKind>, String),
+    points: &[(u64, f64)],
+) -> SeriesScores {
+    SeriesScores {
+        machine,
+        job,
+        phase,
+        sensor,
+        timestamps: points.iter().map(|&(t, _)| t).collect(),
+        z: points.iter().map(|&(_, z)| z).collect(),
+    }
+}
+
+/// Level series for [`Frame::SeriesScores`]: keys with short columns.
+fn arb_level_series() -> impl Strategy<Value = Vec<LevelSeries>> {
+    prop::collection::vec(
+        (
+            arb_level(),
+            arb_series_key(),
+            prop::collection::vec((any::<u64>(), arb_f64()), 0..5),
+        ),
+        0..4,
+    )
+    .prop_map(|series| {
+        series
+            .into_iter()
+            .map(|(level, key, points)| (level, series_of(key, &points)))
+            .collect()
+    })
+}
+
 /// One strategy covering every [`Frame`] variant via a selector over a
 /// shared pool of ingredients.
 fn arb_frame() -> impl Strategy<Value = Frame> {
     (
-        (0_u8..21, arb_wal_record(), arb_str(), 0_u8..2),
-        (any::<u64>(), any::<u64>(), arb_opt_level(), 1_u8..7),
+        (0_u8..23, arb_wal_record(), arb_str(), 0_u8..2),
+        (any::<u64>(), any::<u64>(), arb_opt_level(), 1_u8..8),
         (arb_outliers(), arb_outliers(), arb_stream_stats()),
         (arb_lane_stats(), arb_health(), arb_bytes()),
         (
@@ -275,6 +313,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             arb_series_lanes(),
             arb_scan_stats(),
         ),
+        arb_level_series(),
     )
         .prop_map(
             |(
@@ -283,6 +322,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 (added, removed, stats),
                 (lanes, health, bytes),
                 ((machine, sensor), series_lanes, scan_stats),
+                level_series,
             )| match sel {
                 0 => Frame::Ingest(record),
                 1 => Frame::Admit {
@@ -336,6 +376,17 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                     lanes: series_lanes,
                     stats: scan_stats,
                 },
+                20 => Frame::QuerySeries {
+                    level,
+                    machine,
+                    sensor,
+                    start: v1,
+                    end: v2,
+                },
+                21 => Frame::SeriesScores {
+                    version: v1,
+                    series: level_series,
+                },
                 _ => Frame::BackfillDone {
                     report: bytes,
                     controls_replayed: v1,
@@ -354,7 +405,7 @@ fn arb_report() -> impl Strategy<Value = StreamReport> {
                 arb_outliers(),
                 prop::collection::vec(
                     (
-                        (arb_str(), arb_opt_str(), arb_opt_phase(), arb_str()),
+                        arb_series_key(),
                         prop::collection::vec((any::<u64>(), arb_f64()), 0..4),
                     ),
                     0..3,
@@ -387,15 +438,8 @@ fn arb_report() -> impl Strategy<Value = StreamReport> {
                         raw_score: o.support,
                     });
                 }
-                for ((machine, job, phase, sensor), points) in series {
-                    d.series_scores.push(SeriesScores {
-                        machine,
-                        job,
-                        phase,
-                        sensor,
-                        timestamps: points.iter().map(|&(t, _)| t).collect(),
-                        z: points.iter().map(|&(_, z)| z).collect(),
-                    });
+                for (key, points) in series {
+                    d.series_scores.push(series_of(key, &points));
                 }
                 for (machine, job, z) in vectors {
                     d.vector_scores.push(VectorScore { machine, job, z });
@@ -571,7 +615,8 @@ proptest! {
     ) {
         let bytes = encode_report(&report);
         let decoded = decode_report(&bytes).expect("well-formed report must decode");
-        prop_assert!(same(&decoded, &report));
+        // What crosses the wire is the report without its columns.
+        prop_assert!(same(&decoded, &without_columns(&report)));
         // Determinism: re-encoding the decoded value is byte-identical.
         prop_assert_eq!(encode_report(&decoded), bytes.clone());
         // Truncations never panic and never decode.
@@ -689,8 +734,10 @@ proptest! {
 }
 
 // -----------------------------------------------------------------
-// The report codec sized once: `encode_report` against the growing,
-// one-element-at-a-time encoder it replaced, kept here as the reference.
+// The report codec: `encode_report` against the growing,
+// one-element-at-a-time encoder it replaced, kept here as the reference —
+// at version 3, which names a series without its columns, and at
+// version 2, which carried them and no longer decodes.
 
 mod reference {
     use hierod_core::detect_level::{LevelDetections, LevelOutlier};
@@ -755,7 +802,7 @@ mod reference {
         codec::put_f64(out, o.raw_score);
     }
 
-    fn put_detections(out: &mut Vec<u8>, d: &LevelDetections) {
+    fn put_detections(out: &mut Vec<u8>, d: &LevelDetections, columns: bool) {
         out.push(d.level.number());
         codec::put_varint(out, d.outliers.len() as u64);
         for o in &d.outliers {
@@ -767,6 +814,9 @@ mod reference {
             put_opt_str(out, s.job.as_deref());
             put_opt_phase(out, s.phase);
             codec::put_str(out, &s.sensor);
+            if !columns {
+                continue;
+            }
             codec::put_varint(out, s.timestamps.len() as u64);
             for &t in s.timestamps.iter() {
                 codec::put_varint(out, t);
@@ -784,12 +834,14 @@ mod reference {
         }
     }
 
-    pub fn encode_report(report: &StreamReport) -> Vec<u8> {
+    /// Version 2 carried every series' columns; version 3 writes its key
+    /// only and is otherwise byte for byte version 2.
+    pub fn encode_report(report: &StreamReport, version: u8) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024);
-        out.push(2);
+        out.push(version);
         codec::put_varint(&mut out, report.detections.len() as u64);
         for d in report.detections.values() {
-            put_detections(&mut out, d);
+            put_detections(&mut out, d, version == 2);
         }
         codec::put_varint(&mut out, report.report.outliers.len() as u64);
         for o in &report.report.outliers {
@@ -862,63 +914,214 @@ fn column_slack(timestamps: &[u64]) -> usize {
     timestamps.iter().map(|&t| widest - varint_len(t)).sum()
 }
 
-fn timestamp_slack(report: &StreamReport) -> usize {
-    report
-        .detections
-        .values()
-        .flat_map(|d| &d.series_scores)
-        .map(|s| column_slack(&s.timestamps))
-        .sum()
-}
-
 proptest! {
     #[test]
     fn a_report_is_sized_once_and_its_bytes_do_not_move(
         (mut report, long) in (arb_report(), prop::collection::vec((any::<u64>(), arb_f64()), 0..3000)),
     ) {
-        // One long column beside the short ones: where the bytes are.
+        // One long column beside the short ones: the bytes are still the
+        // reference's, and the reservation is the records', not the column's.
         if let Some(s) = report.detections.values_mut().flat_map(|d| d.series_scores.iter_mut()).next() {
             s.timestamps = long.iter().map(|&(t, _)| t >> (t % 64)).collect();
             s.z = long.iter().map(|&(_, z)| z).collect();
         }
-        // Any columns at all: the size is a hint, the bytes are not.
-        prop_assert_eq!(encode_report(&report), reference::encode_report(&report));
-        // Ascending columns, the only kind a detector emits: allocated once
-        // — a buffer that had to regrow would have doubled past this bound.
-        for s in report.detections.values_mut().flat_map(|d| d.series_scores.iter_mut()) {
-            let mut ascending = s.timestamps.to_vec();
-            ascending.sort_unstable();
-            s.timestamps = ascending.into();
-        }
         let bytes = encode_report(&report);
-        prop_assert_eq!(&bytes, &reference::encode_report(&report));
-        let bound = bytes.len() + 80 * records(&report) + timestamp_slack(&report);
+        prop_assert_eq!(&bytes, &reference::encode_report(&report, 3));
+        let bound = bytes.len() + 80 * records(&report);
         prop_assert!(bytes.capacity() <= bound,
             "capacity {} for {} bytes, bound {}", bytes.capacity(), bytes.len(), bound);
+        // Version 2 bytes — columns and all — are no report any more.
+        prop_assert!(decode_report(&reference::encode_report(&report, 2)).is_none());
+    }
+
+    #[test]
+    fn report_size_follows_findings_not_history(
+        (report, extra, which) in (
+            arb_report(),
+            prop::collection::vec((any::<u64>(), arb_f64()), 1..500),
+            any::<usize>(),
+        ),
+    ) {
+        // Lengthen any one series' columns: not a byte of the report moves.
+        let before = encode_report(&report);
+        let mut longer = report.clone();
+        let mut series: Vec<_> = longer
+            .detections
+            .values_mut()
+            .flat_map(|d| d.series_scores.iter_mut())
+            .collect();
+        let n = series.len();
+        if let Some(s) = series.get_mut(which % n.max(1)) {
+            let mut timestamps = s.timestamps.to_vec();
+            let mut z = s.z.to_vec();
+            timestamps.extend(extra.iter().map(|&(t, _)| t));
+            z.extend(extra.iter().map(|&(_, z)| z));
+            s.timestamps = timestamps.into();
+            s.z = z.into();
+        }
+        prop_assert_eq!(encode_report(&longer), before);
     }
 }
 
 /// A column length is the wire's claim, not an allocation size: 2⁴⁰ (or
-/// `u64::MAX`) timestamps or scores over a 16-byte tail must decode to
-/// `None` without reserving room for them.
+/// `u64::MAX`) timestamps or scores over a 16-byte tail of a
+/// `SeriesScores` reply must decode to `None` without reserving room for
+/// them.
 #[test]
 fn a_claimed_column_length_reserves_no_more_than_the_bytes_there() {
     use hierod_store::codec;
+    let before = vm_peak_kib();
     for claimed in [1_u64 << 40, u64::MAX] {
         for in_scores in [false, true] {
-            let mut bytes = vec![2, 1, Level::Phase.number(), 0, 1];
-            codec::put_str(&mut bytes, "m0");
-            bytes.push(0); // no job
-            bytes.push(0); // no phase
-            codec::put_str(&mut bytes, "s");
+            let mut payload = vec![TAG_SERIES_SCORES, 1, 1, Level::Phase.number()];
+            codec::put_str(&mut payload, "m0");
+            payload.push(0); // no job
+            payload.push(0); // no phase
+            codec::put_str(&mut payload, "s");
             if in_scores {
-                codec::put_varint(&mut bytes, 0); // no timestamps
+                codec::put_varint(&mut payload, 0); // no timestamps
             }
-            codec::put_varint(&mut bytes, claimed);
-            bytes.extend_from_slice(&[0; 16]);
-            assert!(decode_report(&bytes).is_none());
+            codec::put_varint(&mut payload, claimed);
+            payload.extend_from_slice(&[0; 16]);
+            assert!(Frame::decode_payload(&payload).is_none());
         }
     }
+    if let (Some(before), Some(after)) = (before, vm_peak_kib()) {
+        assert!(
+            after - before < 1 << 20,
+            "peak virtual size grew {} KiB",
+            after - before
+        );
+    }
+}
+
+/// The `SeriesScores` response tag.
+const TAG_SERIES_SCORES: u8 = 43;
+
+/// A v2 report — the layout with columns, as a server before codec v3
+/// sent it — is not a report: `None`, whatever it holds.
+#[test]
+fn a_version_2_report_decodes_to_none() {
+    let report = StreamReport {
+        detections: BTreeMap::new(),
+        report: HierReport::default(),
+        stats: StreamStats::default(),
+        lane_stats: BTreeMap::new(),
+    };
+    let v2 = reference::encode_report(&report, 2);
+    assert_eq!(v2.first(), Some(&2));
+    assert!(decode_report(&v2).is_none());
+    assert!(decode_report(&reference::encode_report(&report, 3)).is_some());
+}
+
+// -----------------------------------------------------------------
+// Series queries: which series, which samples.
+
+/// Series with ascending timestamps (what a detector emits), a few
+/// machines, sensors and levels to select among.
+fn arb_query_report() -> impl Strategy<Value = StreamReport> {
+    prop::collection::vec(
+        (
+            arb_level(),
+            0_u8..3,
+            0_u8..3,
+            prop::collection::vec((0_u64..64, arb_f64()), 0..24),
+        ),
+        0..8,
+    )
+    .prop_map(|series| {
+        let mut detections = BTreeMap::new();
+        for (level, machine, sensor, mut points) in series {
+            points.sort_by_key(|&(t, _)| t);
+            let key = (format!("m{machine}"), None, None, format!("s{sensor}"));
+            detections
+                .entry(level)
+                .or_insert_with(|| LevelDetections::empty(level))
+                .series_scores
+                .push(series_of(key, &points));
+        }
+        StreamReport {
+            detections,
+            report: HierReport::default(),
+            stats: StreamStats::default(),
+            lane_stats: BTreeMap::new(),
+        }
+    })
+}
+
+fn arb_series_query() -> impl Strategy<Value = SeriesQuery> {
+    (
+        arb_opt_level(),
+        (0_u8..4, 0_u8..4),
+        (0_u8..8, 0_u64..80, 0_u64..80),
+    )
+        .prop_map(
+            |(level, (machine, sensor), (edge, start, end))| SeriesQuery {
+                level,
+                machine: (machine < 3).then(|| format!("m{machine}")),
+                sensor: (sensor < 3).then(|| format!("s{sensor}")),
+                start: if edge == 0 { u64::MAX } else { start },
+                end: if edge == 1 { u64::MAX } else { end },
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_series_answer_is_the_brute_force_filter(
+        (report, query) in (arb_query_report(), arb_series_query())
+    ) {
+        // The reference: every sample of every selected series, one by one.
+        let mut expected = Vec::new();
+        for d in report.detections.values() {
+            if query.level.is_some_and(|l| l != d.level) {
+                continue;
+            }
+            for s in &d.series_scores {
+                if query.machine.as_ref().is_some_and(|m| *m != s.machine)
+                    || query.sensor.as_ref().is_some_and(|m| *m != s.sensor)
+                {
+                    continue;
+                }
+                let inside: Vec<(u64, f64)> = s
+                    .timestamps
+                    .iter()
+                    .zip(s.z.iter())
+                    .filter(|&(&t, _)| query.start <= t && t <= query.end)
+                    .map(|(&t, &z)| (t, z))
+                    .collect();
+                if !inside.is_empty() {
+                    let key = (s.machine.clone(), s.job.clone(), s.phase, s.sensor.clone());
+                    expected.push((d.level, series_of(key, &inside)));
+                }
+            }
+        }
+        let picked = query.pick(&report);
+        let answer = query.cut(picked.clone());
+        prop_assert!(same(&answer, &expected), "{query:?}");
+        prop_assert!(same(&query.answer(&report), &answer));
+        // A series wholly inside is replied with the report's own columns;
+        // any other is cut into columns of its own.
+        let shares = |(_, a): &LevelSeries| {
+            picked.iter().any(|(_, p)| {
+                std::sync::Arc::ptr_eq(&p.z, &a.z) && std::sync::Arc::ptr_eq(&p.timestamps, &a.timestamps)
+            })
+        };
+        let whole = picked.iter().filter(|(_, p)| whole_range(&query, p)).count();
+        prop_assert_eq!(answer.iter().filter(|a| shares(a)).count(), whole);
+        // And the answer round-trips as a reply frame.
+        let frame = Frame::SeriesScores { version: 7, series: answer };
+        let bytes = encode_frame(&frame);
+        prop_assert!(same(&Frame::decode_payload(&bytes[8..]).expect("decodes"), &frame));
+    }
+}
+
+/// Whether `query` spans all of `s`'s timestamps.
+fn whole_range(query: &SeriesQuery, s: &SeriesScores) -> bool {
+    s.timestamps.first().is_some_and(|&t| query.start <= t)
+        && s.timestamps.last().is_some_and(|&t| t <= query.end)
 }
 
 // -----------------------------------------------------------------
@@ -1050,4 +1253,42 @@ fn a_claimed_series_column_reserves_no_more_than_the_bytes_there() {
             after - before
         );
     }
+}
+
+/// Hostile integers on the range requests: reversed and `u64::MAX`
+/// bounds are plain values that round-trip (the server answers them),
+/// and a level byte naming no level is a malformed frame.
+#[test]
+fn hostile_range_requests_round_trip_or_decode_to_none() {
+    for (start, end) in [(9, 3), (0, u64::MAX), (u64::MAX, u64::MAX), (u64::MAX, 0)] {
+        for frame in [
+            Frame::QuerySeries {
+                level: Some(Level::Phase),
+                machine: None,
+                sensor: Some("s".into()),
+                start,
+                end,
+            },
+            Frame::RangeScan {
+                start,
+                end,
+                machine: None,
+                sensor: None,
+            },
+            Frame::Backfill {
+                start,
+                end,
+                spec: None,
+            },
+        ] {
+            let bytes = encode_frame(&frame);
+            assert_eq!(Frame::decode_payload(&bytes[8..]), Some(frame));
+        }
+    }
+    // Tag 25, then the level byte: 0 is "any", 1–5 a level, nothing else.
+    for level in [6_u8, 7, 0x80, u8::MAX] {
+        let payload = [25, level, 0, 0, 0, 0];
+        assert_eq!(Frame::decode_payload(&payload), None, "level byte {level}");
+    }
+    assert!(Frame::decode_payload(&[25, 0, 0, 0, 0, 0]).is_some());
 }

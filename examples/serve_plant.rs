@@ -3,8 +3,9 @@
 //! then drive a plant from a [`Client`] over a real TCP socket —
 //! admission, lane definitions, control events, a firehose of
 //! unacknowledged samples, a synchronous detection tick — and query
-//! per-level scores, per-lane stats, versioned report deltas, and
-//! health, before draining the server gracefully.
+//! per-level scores, one series' score columns, per-lane stats,
+//! versioned report deltas, and health, before draining the server
+//! gracefully.
 //!
 //! ```sh
 //! cargo run --release --example serve_plant
@@ -140,6 +141,22 @@ fn main() {
         );
     }
 
+    // Reports name every scored series but do not carry its per-sample
+    // columns; fetch the bed sensor's phase-level robust z-scores around
+    // the spike, cut to [16, 24], from the same report.
+    let (_, series) = client
+        .query_series(Some(Level::Phase), Some(MACHINE), Some(BED), 16, 24)
+        .expect("series");
+    for (level, s) in &series {
+        let peak = s.z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        println!(
+            "  {level:?} series {}/{}: {} score(s) in [16, 24], peak z={peak:.2}",
+            s.machine,
+            s.sensor,
+            s.z.len()
+        );
+    }
+
     // Per-lane ingestion counters and stream-wide stats.
     let (stats, lanes) = client.query_lane_stats().expect("lane stats");
     println!(
@@ -177,8 +194,13 @@ fn main() {
     match client.query_deltas(0).expect("resync") {
         DeltaReply::Resync { version, report } => {
             let report = decode_report(&report).expect("decode report");
+            let named: usize = report
+                .detections
+                .values()
+                .map(|d| d.series_scores.len())
+                .sum();
             println!(
-                "cold resync -> full report v{version} ({} outlier(s))",
+                "cold resync -> report v{version} ({} outlier(s), {named} series named)",
                 report.report.outliers.len()
             );
         }
