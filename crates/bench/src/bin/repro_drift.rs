@@ -36,7 +36,7 @@ fn main() {
                 detections[&Level::Phase]
                     .outliers
                     .iter()
-                    .filter(|o| o.machine == format!("m{m}"))
+                    .filter(|o| *o.machine == format!("m{m}"))
                     .count()
             })
             .max()

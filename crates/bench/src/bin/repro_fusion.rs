@@ -26,7 +26,7 @@ const MATCH_SLACK: usize = 3;
 fn truth_label(scenario: &Scenario, o: &hierod_core::HierOutlier) -> Option<bool> {
     let (job, phase, sensor, idx) = (o.job.as_deref()?, o.phase?, o.sensor.as_deref()?, o.index?);
     for r in &scenario.truth.injections {
-        if r.machine == o.machine
+        if *r.machine == *o.machine
             && r.job == job
             && r.phase == phase
             && r.affected_sensors.iter().any(|s| s == sensor)

@@ -29,18 +29,22 @@ use hierod_hierarchy::{Level, LevelView, PhaseKind, Plant, SeriesAt};
 use crate::policy::{AlgorithmPolicy, PhaseChoice};
 
 /// One detected outlier at one level (before support / global score).
+///
+/// Its names are shared: every outlier of one series holds the same
+/// `Arc<str>` per name as the series' [`SeriesScores`], so cloning an
+/// outlier bumps reference counts and copies no string.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelOutlier {
     /// Level of detection.
     pub level: Level,
     /// Machine id.
-    pub machine: String,
+    pub machine: Arc<str>,
     /// Job id, when inside a job.
-    pub job: Option<String>,
+    pub job: Option<Arc<str>>,
     /// Phase, when inside a phase.
     pub phase: Option<PhaseKind>,
     /// Sensor / feature / series name.
-    pub sensor: Option<String>,
+    pub sensor: Option<Arc<str>>,
     /// Sample index within the scored series.
     pub index: Option<usize>,
     /// Timestamp, when the series carries one.
@@ -54,21 +58,23 @@ pub struct LevelOutlier {
 /// Full per-point standardized scores of one series (kept so support and
 /// evaluation can look beyond the thresholded outliers).
 ///
-/// Both columns are shared storage, so cloning a `SeriesScores` — into a
-/// report, a cache, a second report of the same closed series — bumps two
-/// reference counts and copies no samples.
+/// Both columns and all three names are shared storage (the names are the
+/// same `Arc<str>`s the series' outliers hold), so cloning a
+/// `SeriesScores` — into a report, a cache, a second report of the same
+/// closed series — bumps reference counts and copies no samples or
+/// strings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesScores {
     /// Machine id.
-    pub machine: String,
+    pub machine: Arc<str>,
     /// Job id, when inside a job.
-    pub job: Option<String>,
+    pub job: Option<Arc<str>>,
     /// Phase, when inside a phase.
     pub phase: Option<PhaseKind>,
     /// Sensor / feature name.
-    pub sensor: String,
-    /// Timestamps, parallel to `z` — the scored series' own buffer when it
-    /// covers its whole storage.
+    pub sensor: Arc<str>,
+    /// Timestamps, parallel to `z` and ascending (a scored series' own) —
+    /// the scored series' buffer when it covers its whole storage.
     pub timestamps: Arc<[u64]>,
     /// Standardized scores (robust z-units), parallel to `timestamps`.
     pub z: Arc<[f64]>,
@@ -78,9 +84,9 @@ pub struct SeriesScores {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorScore {
     /// Machine id.
-    pub machine: String,
+    pub machine: Arc<str>,
     /// Job id.
-    pub job: String,
+    pub job: Arc<str>,
     /// Standardized score (robust z-units).
     pub z: f64,
 }
@@ -118,26 +124,6 @@ impl LevelDetections {
         self.series_scores.extend(fragment.series_scores);
         self.vector_scores.extend(fragment.vector_scores);
     }
-
-    /// `true` if an outlier at this level is associated with the given
-    /// machine (and, when given, job).
-    pub fn has_outlier_for(&self, machine: &str, job: Option<&str>) -> bool {
-        self.outliers.iter().any(|o| {
-            o.machine == machine
-                && match job {
-                    Some(j) => o.job.as_deref() == Some(j),
-                    None => true,
-                }
-        })
-    }
-
-    /// `true` if an outlier at this level on `machine` overlaps the time
-    /// interval `[t0, t1]` (outliers without timestamps never match).
-    pub fn has_outlier_in_span(&self, machine: &str, t0: u64, t1: u64) -> bool {
-        self.outliers.iter().any(|o| {
-            o.machine == machine && o.timestamp.map(|t| t >= t0 && t <= t1).unwrap_or(false)
-        })
-    }
 }
 
 /// Scores one series' raw output into a detections fragment: thresholded
@@ -166,14 +152,18 @@ pub fn emit_series(
     } else {
         RobustZ.standardize(raw)
     };
+    // One shared string per name; every outlier of the series clones it.
+    let machine: Arc<str> = at.machine.as_str().into();
+    let job: Option<Arc<str>> = at.job.as_deref().map(Arc::from);
+    let sensor: Arc<str> = at.series.name().into();
     for (idx, (&zs, &rs)) in z.iter().zip(raw).enumerate() {
         if zs >= threshold {
             into.outliers.push(LevelOutlier {
                 level,
-                machine: at.machine.clone(),
-                job: job_for(plant, level, at, idx),
+                machine: Arc::clone(&machine),
+                job: job_for(plant, level, at, job.as_ref(), idx),
                 phase: at.phase,
-                sensor: Some(at.series.name().to_string()),
+                sensor: Some(Arc::clone(&sensor)),
                 index: Some(idx),
                 timestamp: at.series.timestamps().get(idx).copied(),
                 outlierness: zs,
@@ -182,10 +172,10 @@ pub fn emit_series(
         }
     }
     into.series_scores.push(SeriesScores {
-        machine: at.machine.clone(),
-        job: at.job.clone(),
+        machine,
+        job,
         phase: at.phase,
-        sensor: at.series.name().to_string(),
+        sensor,
         timestamps: at.series.timestamps_shared(),
         z,
     });
@@ -334,22 +324,23 @@ fn level_tasks<'env>(
                     let z = RobustZ.standardize(&raw);
                     for (v, &zs) in view.vectors.iter().zip(z.iter()) {
                         frag.vector_scores.push(VectorScore {
-                            machine: v.machine.clone(),
-                            job: v.job.clone(),
+                            machine: v.machine.as_str().into(),
+                            job: v.job.as_str().into(),
                             z: zs,
                         });
                     }
-                    for ((v, &zs), &rs) in view.vectors.iter().zip(z.iter()).zip(&raw) {
-                        if zs >= threshold {
+                    let scored = frag.vector_scores.iter().zip(&view.vectors).zip(&raw);
+                    for ((score, v), &rs) in scored {
+                        if score.z >= threshold {
                             frag.outliers.push(LevelOutlier {
                                 level,
-                                machine: v.machine.clone(),
-                                job: Some(v.job.clone()),
+                                machine: Arc::clone(&score.machine),
+                                job: Some(Arc::clone(&score.job)),
                                 phase: None,
                                 sensor: None,
                                 index: None,
                                 timestamp: Some(v.start),
-                                outlierness: zs,
+                                outlierness: score.z,
                                 raw_score: rs,
                             });
                         }
@@ -370,10 +361,10 @@ fn level_tasks<'env>(
                             if zs >= threshold {
                                 frag.outliers.push(LevelOutlier {
                                     level,
-                                    machine: at.machine.clone(),
+                                    machine: at.machine.as_str().into(),
                                     job: None,
                                     phase: None,
-                                    sensor: Some(at.series.name().to_string()),
+                                    sensor: Some(at.series.name().into()),
                                     index: None,
                                     timestamp: None,
                                     outlierness: zs,
@@ -463,14 +454,21 @@ pub fn detect_all_levels_with_pool(
 }
 
 /// Resolves the job an outlier belongs to. Phase-level series carry their
-/// job directly; line-level feature series are indexed by job position.
-fn job_for(plant: &Plant, level: Level, at: &SeriesAt, idx: usize) -> Option<String> {
+/// job directly (`series_job`, shared); line-level feature series are
+/// indexed by job position.
+fn job_for(
+    plant: &Plant,
+    level: Level,
+    at: &SeriesAt,
+    series_job: Option<&Arc<str>>,
+    idx: usize,
+) -> Option<Arc<str>> {
     match level {
-        Level::Phase => at.job.clone(),
+        Level::Phase => series_job.cloned(),
         Level::ProductionLine => plant
             .line(&at.machine)
             .and_then(|l| l.jobs.get(idx))
-            .map(|j| j.id.clone()),
+            .map(|j| j.id.as_str().into()),
         _ => None,
     }
 }
@@ -549,7 +547,7 @@ mod tests {
             .filter(|o| {
                 truth
                     .iter()
-                    .any(|(m, j)| *m == o.machine && o.job.as_deref() == Some(j))
+                    .any(|(m, j)| **m == *o.machine && o.job.as_deref() == Some(j))
             })
             .count();
         assert!(
@@ -646,18 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn association_lookups() {
-        let s = scenario();
-        let det = detect_level(&s.plant, Level::Phase, &AlgorithmPolicy::default()).unwrap();
-        let o = &det.outliers[0];
-        assert!(det.has_outlier_for(&o.machine, o.job.as_deref()));
-        assert!(!det.has_outlier_for("ghost-machine", None));
-        let t = o.timestamp.unwrap();
-        assert!(det.has_outlier_in_span(&o.machine, t.saturating_sub(1), t + 1));
-        assert!(!det.has_outlier_in_span(&o.machine, t + 1_000_000, t + 1_000_001));
-    }
-
-    #[test]
     fn invalid_policy_surfaces_as_an_error_not_a_panic() {
         let s = scenario();
         let spec = |text: &str| text.parse::<AlgoSpec>().unwrap();
@@ -716,10 +702,10 @@ mod tests {
             .series_scores
             .iter()
             .filter(|ss| {
-                ss.machine == rec.machine
+                *ss.machine == *rec.machine
                     && ss.job.as_deref() == Some(rec.job.as_str())
                     && ss.phase == Some(rec.phase)
-                    && ss.sensor != rec.sensor
+                    && *ss.sensor != *rec.sensor
                     && ss.sensor.contains(
                         rec.sensor
                             .rsplit_once('.')

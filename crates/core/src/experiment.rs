@@ -13,6 +13,7 @@
 //!   improve job-level detection?
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use hierod_detect::engine::{RobustZ, Standardizer};
 use hierod_detect::Result;
@@ -86,7 +87,7 @@ pub fn evaluate_levels(
     crate::detect_level::detect_all_levels(&scenario.plant, policy)
 }
 
-type PointKey = (String, String, PhaseKind, String, usize);
+type PointKey = (Arc<str>, Arc<str>, PhaseKind, Arc<str>, usize);
 
 /// E4: point-level detection of **process anomalies**.
 ///
@@ -203,7 +204,7 @@ pub fn triage_eval(scenario: &Scenario, policy: &AlgorithmPolicy) -> Result<Tria
             continue;
         };
         let hit = scenario.truth.injections.iter().find(|r| {
-            r.machine == o.machine
+            *r.machine == *o.machine
                 && r.job == job
                 && r.phase == phase
                 && r.affected_sensors.iter().any(|a| a == sensor)
@@ -269,14 +270,14 @@ pub fn job_level_eval(
     let job_report = build_report(&scenario.plant, Level::Job, &detections, policy)?;
     let phase_report = build_report(&scenario.plant, Level::Phase, &detections, policy)?;
     // Upward confirmation per flagged job.
-    let mut flagged: HashMap<(String, String), u8> = HashMap::new();
+    let mut flagged: HashMap<(Arc<str>, Arc<str>), u8> = HashMap::new();
     for o in &job_report.outliers {
         if let Some(job) = o.job.clone() {
             flagged.insert((o.machine.clone(), job), o.global_score);
         }
     }
     // Downward evidence per job: the best support among its phase outliers.
-    let mut phase_evidence: HashMap<(String, String), f64> = HashMap::new();
+    let mut phase_evidence: HashMap<(Arc<str>, Arc<str>), f64> = HashMap::new();
     for o in &phase_report.outliers {
         if let Some(job) = o.job.clone() {
             let e = phase_evidence
@@ -313,7 +314,7 @@ pub fn job_level_eval(
         };
         base.push(vs.z.max(0.0));
         hier.push(fusion.score(&pseudo));
-        labels.push(truth.contains(&key));
+        labels.push(truth.contains(&(vs.machine.to_string(), vs.job.to_string())));
     }
     Ok(JobEval {
         baseline: metrics(&base, &labels),
@@ -395,7 +396,7 @@ pub fn drift_eval(scenario: &Scenario, policy: &AlgorithmPolicy) -> Result<Drift
             .map(|det| {
                 det.outliers
                     .iter()
-                    .filter(|o| scenario.drifting_machines.contains(&o.machine))
+                    .filter(|o| scenario.drifting_machines.iter().any(|m| **m == *o.machine))
                     .count()
             })
             .unwrap_or(0)
@@ -530,7 +531,7 @@ mod tests {
             detections[&Level::Phase]
                 .outliers
                 .iter()
-                .filter(|o| o.machine == m)
+                .filter(|o| &*o.machine == m)
                 .count()
         };
         let healthy_max = (0..3).map(|m| per_machine(&format!("m{m}"))).max().unwrap();

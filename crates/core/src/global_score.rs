@@ -22,87 +22,80 @@
 //! one being scored — same machine, and same job / overlapping time span
 //! where the level carries that information (see [`associated`]).
 
-use std::collections::BTreeMap;
+use hierod_hierarchy::Level;
 
-use hierod_hierarchy::{Level, Plant};
+use crate::detect_level::LevelOutlier;
+use crate::evidence::Evidence;
 
-use crate::detect_level::{LevelDetections, LevelOutlier};
+/// How far (ticks) either side of its own timestamp an outlier outside any
+/// known job span looks for environment evidence.
+const ENV_FALLBACK_TICKS: u64 = 512;
 
-/// Whether `detections` (at its own level) contains an outlier associated
-/// with `outlier` (detected at a possibly different level).
+/// Whether `level`'s detections contain an outlier associated with
+/// `outlier` (detected at a possibly different level); `None` when `level`
+/// was not evaluated.
 ///
 /// Association rules per evidence level:
 /// * **phase / job / production-line** — same machine and same job when the
 ///   outlier names one; same machine otherwise.
 /// * **environment** — same machine and a detection whose timestamp falls
 ///   within the time span of the outlier's job (environment data has no job
-///   structure of its own).
+///   structure of its own), or within `ENV_FALLBACK_TICKS` of the
+///   outlier's own timestamp when the job's span is unknown.
 /// * **production** — same machine.
-pub fn associated(plant: &Plant, outlier: &LevelOutlier, detections: &LevelDetections) -> bool {
-    match detections.level {
+pub fn associated(evidence: &Evidence<'_>, outlier: &LevelOutlier, level: Level) -> Option<bool> {
+    let at = evidence.level(level)?;
+    let machine = &*outlier.machine;
+    Some(match at.level() {
         Level::Environment => {
             // Match through the job's time span when known, else through
             // the outlier's own timestamp.
-            if let (Some(job), Some(line)) = (outlier.job.as_deref(), plant.line(&outlier.machine))
-            {
-                if let Some(span) = line.job(job).and_then(|j| j.span()) {
-                    return detections.has_outlier_in_span(&outlier.machine, span.0, span.1);
-                }
-            }
-            match outlier.timestamp {
-                Some(t) => {
-                    detections.has_outlier_in_span(&outlier.machine, t.saturating_sub(512), t + 512)
-                }
-                None => detections.has_outlier_for(&outlier.machine, None),
+            let span = outlier
+                .job
+                .as_deref()
+                .and_then(|job| evidence.job_span(machine, job));
+            match (span, outlier.timestamp) {
+                (Some((t0, t1)), _) => at.has_outlier_in_span(machine, t0, t1),
+                (None, Some(t)) => at.has_outlier_in_span(
+                    machine,
+                    t.saturating_sub(ENV_FALLBACK_TICKS),
+                    t.saturating_add(ENV_FALLBACK_TICKS),
+                ),
+                (None, None) => at.has_outlier_for(machine, None),
             }
         }
-        Level::Production => detections.has_outlier_for(&outlier.machine, None),
-        _ => detections.has_outlier_for(&outlier.machine, outlier.job.as_deref()),
-    }
+        Level::Production => at.has_outlier_for(machine, None),
+        _ => at.has_outlier_for(machine, outlier.job.as_deref()),
+    })
 }
 
 /// The upward pass: starting from the outlier's own level (score 1), +1 for
 /// each consecutive higher level with an associated detection; stops at the
-/// first level without one.
-pub fn upward_global_score(
-    plant: &Plant,
-    outlier: &LevelOutlier,
-    detections: &BTreeMap<Level, LevelDetections>,
-) -> u8 {
+/// first level without one (or not evaluated).
+pub fn upward_global_score(evidence: &Evidence<'_>, outlier: &LevelOutlier) -> u8 {
     let mut score = 1_u8;
     let mut level = outlier.level;
     while let Some(up) = level.up() {
-        let Some(det) = detections.get(&up) else {
-            break;
-        };
-        if associated(plant, outlier, det) {
-            score += 1;
-            level = up;
-        } else {
+        if associated(evidence, outlier, up) != Some(true) {
             break;
         }
+        score += 1;
+        level = up;
     }
     score
 }
 
 /// The downward pass: descends from the outlier's level; returns the first
 /// lower level with **no** associated detection (the paper's measurement-
-/// error warning), or `None` when every lower level confirms.
-pub fn downward_missing_level(
-    plant: &Plant,
-    outlier: &LevelOutlier,
-    detections: &BTreeMap<Level, LevelDetections>,
-) -> Option<Level> {
+/// error warning), or `None` when every lower level confirms or a level on
+/// the way was not evaluated (no verdict).
+pub fn downward_missing_level(evidence: &Evidence<'_>, outlier: &LevelOutlier) -> Option<Level> {
     let mut level = outlier.level;
     while let Some(down) = level.down() {
-        let Some(det) = detections.get(&down) else {
-            return None; // level not evaluated: no verdict
-        };
-        if associated(plant, outlier, det) {
-            level = down;
-        } else {
+        if !associated(evidence, outlier, down)? {
             return Some(down);
         }
+        level = down;
     }
     None
 }
@@ -110,9 +103,11 @@ pub fn downward_missing_level(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect_level::detect_level;
+    use crate::detect_level::{detect_level, LevelDetections};
     use crate::policy::AlgorithmPolicy;
+    use hierod_hierarchy::Plant;
     use hierod_synth::ScenarioBuilder;
+    use std::collections::BTreeMap;
 
     fn all_detections(plant: &Plant, policy: &AlgorithmPolicy) -> BTreeMap<Level, LevelDetections> {
         Level::ALL
@@ -134,8 +129,9 @@ mod tests {
             .build();
         let policy = AlgorithmPolicy::default();
         let dets = all_detections(&s.plant, &policy);
+        let evidence = Evidence::new(&s.plant, &dets, &policy);
         for o in &dets[&Level::Phase].outliers {
-            let g = upward_global_score(&s.plant, o, &dets);
+            let g = upward_global_score(&evidence, o);
             assert!((1..=5).contains(&g), "global score {g}");
         }
     }
@@ -155,10 +151,11 @@ mod tests {
             .build();
         let policy = AlgorithmPolicy::default();
         let dets = all_detections(&strong.plant, &policy);
+        let evidence = Evidence::new(&strong.plant, &dets, &policy);
         let gmax = dets[&Level::Phase]
             .outliers
             .iter()
-            .map(|o| upward_global_score(&strong.plant, o, &dets))
+            .map(|o| upward_global_score(&evidence, o))
             .max()
             .unwrap_or(1);
         assert!(
@@ -181,19 +178,24 @@ mod tests {
             .build();
         let policy = AlgorithmPolicy::default();
         let dets = all_detections(&s.plant, &policy);
+        let evidence = Evidence::new(&s.plant, &dets, &policy);
         // Job-level outliers on truly anomalous jobs should find phase
         // evidence below (no warning).
         let truth = s.truth.anomalous_jobs();
+        let named = |o: &LevelOutlier| {
+            let job = o.job.as_deref().unwrap_or_default();
+            truth.contains(&(o.machine.to_string(), job.to_string()))
+        };
         let confirmed = dets[&Level::Job]
             .outliers
             .iter()
-            .filter(|o| truth.contains(&(o.machine.clone(), o.job.clone().unwrap_or_default())))
-            .filter(|o| downward_missing_level(&s.plant, o, &dets).is_none())
+            .filter(|o| named(o))
+            .filter(|o| downward_missing_level(&evidence, o).is_none())
             .count();
         let total = dets[&Level::Job]
             .outliers
             .iter()
-            .filter(|o| truth.contains(&(o.machine.clone(), o.job.clone().unwrap_or_default())))
+            .filter(|o| named(o))
             .count();
         if total > 0 {
             assert!(
@@ -215,6 +217,7 @@ mod tests {
             .build();
         let policy = AlgorithmPolicy::default();
         let dets = all_detections(&s.plant, &policy);
+        let evidence = Evidence::new(&s.plant, &dets, &policy);
         let fake = LevelOutlier {
             level: Level::Job,
             machine: "m0".into(),
@@ -226,16 +229,53 @@ mod tests {
             outlierness: 10.0,
             raw_score: 10.0,
         };
-        assert_eq!(
-            downward_missing_level(&s.plant, &fake, &dets),
-            Some(Level::Phase)
-        );
+        assert_eq!(downward_missing_level(&evidence, &fake), Some(Level::Phase));
         // Phase-level outliers have nothing below: never a warning.
         let fake_phase = LevelOutlier {
             level: Level::Phase,
             ..fake
         };
-        assert_eq!(downward_missing_level(&s.plant, &fake_phase, &dets), None);
+        assert_eq!(downward_missing_level(&evidence, &fake_phase), None);
+    }
+
+    #[test]
+    fn fallback_window_saturates_at_the_end_of_the_clock() {
+        // A job the plant does not hold has no span, so the environment
+        // association falls back to the outlier's own timestamp — here one
+        // tick short of `u64::MAX`, whose window must end at `u64::MAX`
+        // instead of overflowing.
+        let s = ScenarioBuilder::new(4)
+            .machines(1)
+            .jobs_per_machine(2)
+            .phase_samples(40)
+            .anomaly_rate(0.0)
+            .build();
+        let policy = AlgorithmPolicy::default();
+        let mut dets = all_detections(&s.plant, &policy);
+        let late = |level, job: Option<&str>, timestamp| LevelOutlier {
+            level,
+            machine: "m0".into(),
+            job: job.map(Into::into),
+            phase: None,
+            sensor: None,
+            index: None,
+            timestamp: Some(timestamp),
+            outlierness: 10.0,
+            raw_score: 10.0,
+        };
+        let env = dets.get_mut(&Level::Environment).unwrap();
+        env.outliers.push(late(Level::Environment, None, u64::MAX));
+        let evidence = Evidence::new(&s.plant, &dets, &policy);
+        let unknown_job = late(Level::Job, Some("m0-j99"), u64::MAX - 1);
+        assert_eq!(
+            associated(&evidence, &unknown_job, Level::Environment),
+            Some(true)
+        );
+        let no_job = late(Level::Job, None, u64::MAX - 1);
+        assert_eq!(
+            associated(&evidence, &no_job, Level::Environment),
+            Some(true)
+        );
     }
 
     #[test]
@@ -249,15 +289,18 @@ mod tests {
             .build();
         let policy = AlgorithmPolicy::default();
         let dets = all_detections(&s.plant, &policy);
-        let phase_det = &dets[&Level::Phase];
-        if let Some(o) = phase_det.outliers.first() {
+        let evidence = Evidence::new(&s.plant, &dets, &policy);
+        if let Some(o) = dets[&Level::Phase].outliers.first() {
             // An outlier is associated with its own level's detections.
-            assert!(associated(&s.plant, o, phase_det));
+            assert_eq!(associated(&evidence, o, Level::Phase), Some(true));
+            // A level missing from the map gives no verdict.
+            let phase_only = BTreeMap::from([(Level::Phase, dets[&Level::Phase].clone())]);
+            let partial = Evidence::new(&s.plant, &phase_only, &policy);
+            assert_eq!(associated(&partial, o, Level::Job), None);
         }
         // Production associations ignore jobs.
-        let prod = &dets[&Level::Production];
-        for o in &prod.outliers {
-            assert!(associated(&s.plant, o, prod));
+        for o in &dets[&Level::Production].outliers {
+            assert_eq!(associated(&evidence, o, Level::Production), Some(true));
         }
     }
 }

@@ -15,6 +15,10 @@
 //!   outlier visible at a high level but absent below it raises a
 //!   *measurement-error warning*.
 //!
+//! Both read their evidence through [`evidence::Evidence`], which indexes
+//! the plant's series, correspondents, job spans and per-level outliers
+//! once per report.
+//!
 //! [`pipeline::find_hierarchical_outliers`] runs the whole algorithm on a
 //! [`hierod_hierarchy::Plant`]; [`fusion`] combines the triple into a single
 //! ranking (our concretization of the paper's "combine outlier information
@@ -26,6 +30,7 @@
 #![warn(clippy::all)]
 
 pub mod detect_level;
+pub mod evidence;
 pub mod experiment;
 pub mod fusion;
 pub mod global_score;

@@ -1,21 +1,28 @@
 //! The outlier data structure: the paper's ⟨global score, outlierness,
 //! support⟩ triple with full hierarchy provenance.
 
+use std::sync::Arc;
+
 use hierod_hierarchy::{Level, PhaseKind};
 
 /// A hierarchical outlier: the paper's result triple plus its location.
+///
+/// Its names are shared with the [`LevelOutlier`](crate::LevelOutlier) it
+/// was built from (and with every other outlier of that series), so
+/// building, cloning and dropping a report moves reference counts, not
+/// strings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierOutlier {
     /// Level at which the outlier was originally detected (`startLevel`).
     pub level: Level,
     /// Machine id.
-    pub machine: String,
+    pub machine: Arc<str>,
     /// Job id, when the outlier lies inside a job.
-    pub job: Option<String>,
+    pub job: Option<Arc<str>>,
     /// Phase, when the outlier lies inside a phase.
     pub phase: Option<PhaseKind>,
     /// Sensor / feature name the outlier was found on.
-    pub sensor: Option<String>,
+    pub sensor: Option<Arc<str>>,
     /// Sample index within its series, when point-granular.
     pub index: Option<usize>,
     /// Timestamp of the outlier, when available.

@@ -17,16 +17,18 @@
 //! "calculation speed" requirement of the paper's Section 1 honest).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hierod_hierarchy::{Level, Plant};
 
 use hierod_detect::{DetectError, Result};
 
 use crate::detect_level::LevelDetections;
+use crate::evidence::Evidence;
 use crate::global_score::{downward_missing_level, upward_global_score};
 use crate::outlier::{HierOutlier, HierReport, Warning};
 use crate::policy::AlgorithmPolicy;
-use crate::support::support_for;
+use crate::support::support_among;
 
 /// Options for a `FindHierarchicalOutlier` run.
 #[derive(Debug, Clone, Default)]
@@ -54,6 +56,9 @@ pub fn find_hierarchical_outliers(
 
 /// Builds the report from precomputed level detections (shared with the
 /// experiment harness, which reuses detections across configurations).
+/// The support and global-score lookups are indexed once per call
+/// ([`Evidence`]), so an outlier's triple costs ordered lookups, not scans
+/// of every series and outlier.
 ///
 /// # Errors
 /// [`DetectError::Missing`] when `detections` lacks the start level or the
@@ -70,39 +75,52 @@ pub fn build_report(
         .ok_or_else(|| DetectError::Missing {
             what: format!("detections for start level {start_level:?}"),
         })?;
-    let env = detections.get(&Level::Environment);
-    let phase = detections
-        .get(&Level::Phase)
-        .ok_or_else(|| DetectError::Missing {
+    if !detections.contains_key(&Level::Phase) {
+        return Err(DetectError::Missing {
             what: "detections for level Phase (required by the downward pass)".into(),
-        })?;
-    let mut report = HierReport::default();
-    for o in &start.outliers {
-        let support = if start_level == Level::Phase || start_level == Level::Environment {
-            support_for(plant, o, phase, env, policy)
-        } else {
-            0.0 // no corresponding sensors above the sensor levels
-        };
-        let global = upward_global_score(plant, o, detections);
-        let missing = downward_missing_level(plant, o, detections);
-        let idx = report.outliers.len();
-        report.outliers.push(HierOutlier {
-            level: o.level,
-            machine: o.machine.clone(),
-            job: o.job.clone(),
-            phase: o.phase,
-            sensor: o.sensor.clone(),
-            index: o.index,
-            timestamp: o.timestamp,
-            outlierness: o.outlierness,
-            support,
-            global_score: global,
         });
-        if let Some(missing_level) = missing {
-            report.warnings.push(Warning::SuspectedMeasurementError {
-                outlier_idx: idx,
-                missing_level,
+    }
+    let evidence = Evidence::new(plant, detections, policy);
+    let mut report = HierReport {
+        outliers: Vec::with_capacity(start.outliers.len()),
+        warnings: Vec::new(),
+    };
+    // An outlier of a series follows the previous one of that series and
+    // holds the same names (pointer-equal), so a run of them looks its
+    // correspondents up once.
+    let series_runs = start
+        .outliers
+        .chunk_by(|a, b| a.machine == b.machine && a.sensor == b.sensor);
+    for run in series_runs {
+        let correspondents = match run.first() {
+            Some(first) if start_level == Level::Phase || start_level == Level::Environment => {
+                evidence.correspondents_of(first)
+            }
+            _ => &[], // no corresponding sensors above the sensor levels
+        };
+        for o in run {
+            let support = support_among(&evidence, correspondents, o);
+            let global = upward_global_score(&evidence, o);
+            let missing = downward_missing_level(&evidence, o);
+            let idx = report.outliers.len();
+            report.outliers.push(HierOutlier {
+                level: o.level,
+                machine: Arc::clone(&o.machine),
+                job: o.job.clone(),
+                phase: o.phase,
+                sensor: o.sensor.clone(),
+                index: o.index,
+                timestamp: o.timestamp,
+                outlierness: o.outlierness,
+                support,
+                global_score: global,
             });
+            if let Some(missing_level) = missing {
+                report.warnings.push(Warning::SuspectedMeasurementError {
+                    outlier_idx: idx,
+                    missing_level,
+                });
+            }
         }
     }
     Ok(report)
@@ -221,7 +239,7 @@ mod tests {
             };
             let Some(idx) = o.index else { continue };
             let hit = s.truth.injections.iter().find(|r| {
-                r.machine == o.machine
+                *r.machine == *o.machine
                     && Some(r.job.as_str()) == o.job.as_deref()
                     && Some(r.phase) == o.phase
                     && r.affected_sensors.iter().any(|a| a == sensor)

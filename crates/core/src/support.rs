@@ -23,8 +23,8 @@
 
 use hierod_hierarchy::{Plant, SensorKind};
 
-use crate::detect_level::{LevelDetections, LevelOutlier};
-use crate::policy::AlgorithmPolicy;
+use crate::detect_level::LevelOutlier;
+use crate::evidence::Evidence;
 
 /// Names of the sensors corresponding to `sensor` on its machine:
 /// redundancy-group siblings plus the environment echo for chamber
@@ -50,69 +50,64 @@ pub fn corresponding_sensors(plant: &Plant, machine: &str, sensor: &str) -> Vec<
 /// normalization: `confirmations / |corresponding sensors|`. Outliers whose
 /// sensor has no correspondents get support 0 (no evidence either way).
 ///
-/// `phase_detections` supplies the sibling scores; `env_detections` (same
-/// machine, environment level) supplies the room-temperature echo scores
-/// and may be `None` when the environment level was not evaluated.
-pub fn support_for(
-    plant: &Plant,
+/// A sibling sensor confirms when its series in the outlier's (machine,
+/// job, phase) scores above the phase threshold within `support_window`
+/// samples of the outlier's index. The room-temperature echo is matched by
+/// *timestamp* (the environment clock is coarser than the phase clock)
+/// against the environment level's scores, and confirms nothing when that
+/// level was not evaluated.
+pub fn support_for(evidence: &Evidence<'_>, outlier: &LevelOutlier) -> f64 {
+    support_among(evidence, evidence.correspondents_of(outlier), outlier)
+}
+
+/// [`support_for`] with the outlier's correspondents already looked up.
+pub(crate) fn support_among(
+    evidence: &Evidence<'_>,
+    correspondents: &[String],
     outlier: &LevelOutlier,
-    phase_detections: &LevelDetections,
-    env_detections: Option<&LevelDetections>,
-    policy: &AlgorithmPolicy,
 ) -> f64 {
-    let Some(sensor) = outlier.sensor.as_deref() else {
-        return 0.0;
-    };
     let Some(idx) = outlier.index else {
         return 0.0;
     };
-    let correspondents = corresponding_sensors(plant, &outlier.machine, sensor);
     if correspondents.is_empty() {
         return 0.0;
     }
-    let window = policy.support_window;
-    let mut confirmations = 0_usize;
-    for corr in &correspondents {
-        let confirmed = if corr.ends_with(".room_temp") {
-            // Environment correspondent: match by *timestamp* (the
-            // environment clock is coarser than the phase clock).
-            match (env_detections, outlier.timestamp) {
-                (Some(env), Some(ts)) => {
-                    let tol = (window as u64).saturating_mul(16).max(64);
-                    env.series_scores.iter().any(|ss| {
-                        ss.sensor == *corr
-                            && ss.timestamps.iter().zip(ss.z.iter()).any(|(&t, &z)| {
-                                t.abs_diff(ts) <= tol && z >= policy.threshold(env.level)
-                            })
-                    })
-                }
-                _ => false,
+    let job = outlier.job.as_deref();
+    let confirmations = correspondents
+        .iter()
+        .filter(|corr| {
+            if corr.ends_with(".room_temp") {
+                outlier
+                    .timestamp
+                    .is_some_and(|ts| evidence.echo_fires(corr, ts))
+            } else {
+                evidence.sibling_fires((&outlier.machine, job, outlier.phase), corr, idx)
             }
-        } else {
-            // Sibling sensor in the same phase: match by sample index.
-            phase_detections.series_scores.iter().any(|ss| {
-                ss.sensor == *corr
-                    && ss.machine == outlier.machine
-                    && ss.job == outlier.job
-                    && ss.phase == outlier.phase
-                    && ss.z.iter().enumerate().any(|(i, &z)| {
-                        i.abs_diff(idx) <= window && z >= policy.threshold(phase_detections.level)
-                    })
-            })
-        };
-        if confirmed {
-            confirmations += 1;
-        }
-    }
+        })
+        .count();
     confirmations as f64 / correspondents.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect_level::detect_level;
+    use crate::detect_level::{detect_level, LevelDetections};
+    use crate::policy::AlgorithmPolicy;
     use hierod_hierarchy::Level;
     use hierod_synth::{ScenarioBuilder, Scope};
+    use std::collections::BTreeMap;
+
+    /// The plant's detections at `levels`, keyed as `build_report` takes them.
+    fn detections(
+        plant: &Plant,
+        levels: &[Level],
+        policy: &AlgorithmPolicy,
+    ) -> BTreeMap<Level, LevelDetections> {
+        levels
+            .iter()
+            .map(|&l| (l, detect_level(plant, l, policy).unwrap()))
+            .collect()
+    }
 
     #[test]
     fn corresponding_includes_group_siblings() {
@@ -148,14 +143,15 @@ mod tests {
             .magnitude_sigmas(15.0)
             .build();
         let policy = AlgorithmPolicy::default();
-        let det = detect_level(&s.plant, Level::Phase, &policy).unwrap();
-        for o in det.outliers.iter().filter(|o| {
+        let dets = detections(&s.plant, &[Level::Phase], &policy);
+        let evidence = Evidence::new(&s.plant, &dets, &policy);
+        for o in dets[&Level::Phase].outliers.iter().filter(|o| {
             o.sensor
                 .as_deref()
                 .map(|s| s.contains("bed_temp") || s.contains("laser"))
                 .unwrap_or(false)
         }) {
-            let sup = support_for(&s.plant, o, &det, None, &policy);
+            let sup = support_for(&evidence, o);
             assert_eq!(sup, 0.0, "outlier {o:?}");
         }
     }
@@ -173,8 +169,9 @@ mod tests {
             .measurement_error_fraction(0.0)
             .magnitude_sigmas(15.0)
             .build();
-        let det = detect_level(&pa.plant, Level::Phase, &policy).unwrap();
-        let temp_outliers: Vec<_> = det
+        let dets = detections(&pa.plant, &[Level::Phase], &policy);
+        let evidence = Evidence::new(&pa.plant, &dets, &policy);
+        let temp_outliers: Vec<_> = dets[&Level::Phase]
             .outliers
             .iter()
             .filter(|o| {
@@ -187,7 +184,7 @@ mod tests {
         assert!(!temp_outliers.is_empty());
         let mean_support: f64 = temp_outliers
             .iter()
-            .map(|o| support_for(&pa.plant, o, &det, None, &policy))
+            .map(|o| support_for(&evidence, o))
             .sum::<f64>()
             / temp_outliers.len() as f64;
         assert!(
@@ -205,7 +202,8 @@ mod tests {
             .measurement_error_fraction(1.0)
             .magnitude_sigmas(15.0)
             .build();
-        let det_me = detect_level(&me.plant, Level::Phase, &policy).unwrap();
+        let dets_me = detections(&me.plant, &[Level::Phase], &policy);
+        let evidence_me = Evidence::new(&me.plant, &dets_me, &policy);
         let me_recs: Vec<_> = me
             .truth
             .injections
@@ -213,7 +211,7 @@ mod tests {
             .filter(|r| r.scope == Scope::MeasurementError)
             .collect();
         assert!(!me_recs.is_empty());
-        let me_outliers: Vec<_> = det_me
+        let me_outliers: Vec<_> = dets_me[&Level::Phase]
             .outliers
             .iter()
             .filter(|o| {
@@ -226,7 +224,7 @@ mod tests {
         if !me_outliers.is_empty() {
             let mean_me: f64 = me_outliers
                 .iter()
-                .map(|o| support_for(&me.plant, o, &det_me, None, &policy))
+                .map(|o| support_for(&evidence_me, o))
                 .sum::<f64>()
                 / me_outliers.len() as f64;
             assert!(
@@ -247,10 +245,10 @@ mod tests {
             .anomaly_rate(1.0)
             .magnitude_sigmas(12.0)
             .build();
-        let det = detect_level(&s.plant, Level::Phase, &policy).unwrap();
-        let env = detect_level(&s.plant, Level::Environment, &policy).unwrap();
-        for o in &det.outliers {
-            let sup = support_for(&s.plant, o, &det, Some(&env), &policy);
+        let dets = detections(&s.plant, &[Level::Phase, Level::Environment], &policy);
+        let evidence = Evidence::new(&s.plant, &dets, &policy);
+        for o in &dets[&Level::Phase].outliers {
+            let sup = support_for(&evidence, o);
             assert!((0.0..=1.0).contains(&sup), "support {sup} for {o:?}");
         }
     }

@@ -55,6 +55,7 @@
 //! client learns to narrow its range and the connection keeps serving.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -141,6 +142,31 @@ impl ReportCache {
     }
 }
 
+/// 64-bit FNV-1a, the location index's hasher: cheaper than the default
+/// SipHash on short keys, and not collision-resistant — which is safe here
+/// because `outlier_delta`'s keys are one plant's own locations, so a
+/// client that crafts colliding names slows only its own plant's deltas.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Where an outlier sits; two equal outliers share it, so equality only
 /// has to be checked among the outliers of one location.
 type Location<'a> = (
@@ -179,7 +205,8 @@ fn outlier_delta(
     }
     // Outliers sharing a location (duplicates, in practice none) chain
     // through `next`, so the index allocates nothing per entry.
-    let mut head: HashMap<Location<'_>, usize> = HashMap::with_capacity(prev.len());
+    let mut head: HashMap<Location<'_>, usize, BuildHasherDefault<Fnv1a>> =
+        HashMap::with_capacity_and_hasher(prev.len(), BuildHasherDefault::default());
     let mut next = vec![None; prev.len()];
     for (i, (o, next)) in prev.iter().zip(&mut next).enumerate() {
         *next = head.insert(location(o), i);
@@ -927,7 +954,7 @@ mod tests {
                 machine: "m0".into(),
                 job: Some("j0".into()),
                 phase: Some(PhaseKind::WarmUp),
-                sensor: format!("m0.bed.{i}"),
+                sensor: format!("m0.bed.{i}").into(),
                 timestamps: Arc::clone(&timestamps),
                 z: Arc::clone(&z),
             })
@@ -964,7 +991,10 @@ mod tests {
     #[test]
     fn keyed_delta_equals_the_quadratic_oracle_on_arbitrary_lists() {
         // Small alphabets force shared locations, exact duplicates and NaN
-        // scores (which equal nothing, themselves included).
+        // scores (which equal nothing, themselves included). Names are
+        // drawn either from one shared set of strings or freshly
+        // allocated, so equal locations compare by pointer in some pairs
+        // and by content in others.
         let mut state = 0x2545_f491_4f6c_dd1d_u64;
         let mut next = |n: u64| {
             state ^= state << 13;
@@ -972,13 +1002,25 @@ mod tests {
             state ^= state << 17;
             state % n
         };
-        for _ in 0..300 {
+        let shared: [Arc<str>; 4] = ["m0", "m1", "m0.bed.0", "m0.bed.1"].map(Arc::from);
+        for _ in 0..600 {
             let mut list = |max: u64| -> Vec<HierOutlier> {
                 (0..next(max))
                     .map(|_| {
                         let job = ["j0", "j1"][next(2) as usize];
                         let sensor = ["m0.bed.0", "m0.bed.1"][next(2) as usize];
                         let mut o = outlier(job, sensor, next(3) as usize, 1 + next(2) as u8);
+                        if next(2) == 0 {
+                            o.machine = Arc::clone(&shared[next(2) as usize]);
+                            o.sensor = Some(Arc::clone(&shared[2 + next(2) as usize]));
+                        }
+                        if next(4) == 0 {
+                            o.level = Level::Environment;
+                            o.phase = None;
+                        }
+                        if next(5) == 0 {
+                            o.timestamp = None;
+                        }
                         if next(9) == 0 {
                             o.outlierness = f64::NAN;
                         }
@@ -992,6 +1034,10 @@ mod tests {
                 format!("{:?}", quadratic_delta(&prev, &current)),
                 "prev {prev:?} current {current:?}"
             );
+            // A list against its own clone: every name shared, no change.
+            let (added, removed) = outlier_delta(&current, &current.clone());
+            let unequal = current.iter().filter(|o| o.outlierness.is_nan()).count();
+            assert_eq!((added.len(), removed.len()), (unequal, unequal));
         }
     }
 }

@@ -31,11 +31,13 @@
 //! one [`Job`] appended to the materialized plant, and its phase-level
 //! detections fragment (one `emit_series` per series) is built, exactly
 //! once. Every later assembly shares both — an assembly costs the
-//! environment series (open until finish), the three upper levels (one row
-//! per completed job) and Algorithm 1's pass over the outliers, not closed
-//! history. Freezing happens at the assembly, never at the job-complete
-//! event, so a stream that is only ingested and finished standardises each
-//! series once, at `finish` (DESIGN.md §4.13 has the invariants).
+//! environment series (open until finish), a reference count per shared
+//! name and column, and Algorithm 1's indexed pass over the outliers, not
+//! closed history. The three upper levels (one row per completed job) are
+//! re-run only by an assembly that froze a job. Freezing happens at the
+//! assembly, never at the job-complete event, so a stream that is only
+//! ingested and finished standardises each series once, at `finish`
+//! (DESIGN.md §4.13 has the invariants and the cost model).
 //!
 //! ## Scorer modes
 //!
@@ -617,6 +619,11 @@ pub struct StreamDetector {
     /// `machines`, holding every frozen job. Jobs are only ever appended;
     /// an assembly replaces nothing but the environment series.
     plant: Plant,
+    /// The job, production-line and production detections of the plant
+    /// as last frozen. Those levels read only frozen jobs' setup and CAQ
+    /// rows, so they are re-run on a tick that froze a job (or the first
+    /// one) and shared by every other; empty until then.
+    upper: BTreeMap<Level, LevelDetections>,
     /// How many frozen pipelines had failed scorers.
     frozen_failed: u64,
     scratch: Vec<(u64, f64)>,
@@ -669,6 +676,7 @@ impl StreamDetector {
             phase_spec,
             machines: Vec::new(),
             plant: Plant::new("streamed-plant", Vec::new()),
+            upper: BTreeMap::new(),
             frozen_failed: 0,
             scratch: Vec::new(),
             samples_ingested: 0,
@@ -1034,22 +1042,26 @@ impl StreamDetector {
     /// sample.
     ///
     /// Takes `&mut self` because the first assembly after a job completes
-    /// freezes it; the report is the same whether or not anything froze.
+    /// freezes it (and re-runs the upper levels, which read only frozen
+    /// jobs); the report is the same whether or not anything froze.
     ///
     /// # Errors
     /// Propagates upper-level detector failures.
     pub fn tick(&mut self) -> Result<StreamReport> {
-        self.freeze_completed_jobs();
-        let environment = self.assemble_environment();
-        let mut phase = LevelDetections::empty(Level::Phase);
-        for (_, m) in &self.machines {
-            phase.absorb(m.phase.clone());
+        if self.freeze_completed_jobs() || self.upper.is_empty() {
+            // Cleared first, so a failed run is retried by the next tick.
+            self.upper.clear();
+            let mut upper = BTreeMap::new();
+            for level in [Level::Job, Level::ProductionLine, Level::Production] {
+                upper.insert(level, detect_level(&self.plant, level, &self.policy)?);
+            }
+            self.upper = upper;
         }
+        let environment = self.assemble_environment();
+        let phase = gather(Level::Phase, self.machines.iter().map(|(_, m)| &m.phase));
         let mut detections =
             BTreeMap::from([(Level::Phase, phase), (Level::Environment, environment)]);
-        for level in [Level::Job, Level::ProductionLine, Level::Production] {
-            detections.insert(level, detect_level(&self.plant, level, &self.policy)?);
-        }
+        detections.extend(self.upper.iter().map(|(&level, d)| (level, d.clone())));
         let report = build_report(&self.plant, Level::Phase, &detections, &self.policy)?;
         Ok(StreamReport {
             detections,
@@ -1087,9 +1099,10 @@ impl StreamDetector {
     /// (CAQ present) enter the plant — their feature vectors would
     /// otherwise change dimension mid-job and poison the line-level series.
     /// Series whose scorer failed are skipped in the detections, as the
-    /// batch path skips unscorable series.
-    fn freeze_completed_jobs(&mut self) {
+    /// batch path skips unscorable series. Returns whether a job froze.
+    fn freeze_completed_jobs(&mut self) -> bool {
         let threshold = self.policy.threshold(Level::Phase);
+        let mut froze = false;
         let Self {
             machines,
             plant,
@@ -1148,8 +1161,10 @@ impl StreamDetector {
                     });
                 }
                 m.frozen += 1;
+                froze = true;
             }
         }
+        froze
     }
 
     /// Rebuilds the materialized plant's environment series — open until
@@ -1205,6 +1220,28 @@ impl StreamDetector {
             ScorerMode::Incremental => engine::build_online(spec),
         }
     }
+}
+
+/// The concatenation of `parts` in order, each column allocated once: the
+/// fragments' names and score columns are shared, so this costs reference
+/// counts, not copies.
+fn gather<'a>(
+    level: Level,
+    parts: impl Iterator<Item = &'a LevelDetections> + Clone,
+) -> LevelDetections {
+    let mut out = LevelDetections::empty(level);
+    out.outliers
+        .reserve_exact(parts.clone().map(|d| d.outliers.len()).sum());
+    out.series_scores
+        .reserve_exact(parts.clone().map(|d| d.series_scores.len()).sum());
+    out.vector_scores
+        .reserve_exact(parts.clone().map(|d| d.vector_scores.len()).sum());
+    for d in parts {
+        out.outliers.extend_from_slice(&d.outliers);
+        out.series_scores.extend_from_slice(&d.series_scores);
+        out.vector_scores.extend_from_slice(&d.vector_scores);
+    }
+    out
 }
 
 fn no_open_pipeline(sensor: &str) -> DetectError {

@@ -4,6 +4,8 @@
 //! outlier sets, scores within 1e-9, and the same Algorithm-1 global
 //! scores and support fractions.
 
+use std::sync::Arc;
+
 use hierod_core::pipeline::build_report;
 use hierod_core::{detect_all_levels, AlgorithmPolicy, LevelOutlier, PhaseChoice};
 use hierod_hierarchy::Level;
@@ -103,9 +105,9 @@ fn assert_stream_matches_batch(policy: AlgorithmPolicy) {
 
     // Algorithm-1 propagation: same global scores and support per outlier.
     let key = |machine: &str,
-               job: &Option<String>,
+               job: &Option<Arc<str>>,
                phase: &Option<_>,
-               sensor: &Option<String>,
+               sensor: &Option<Arc<str>>,
                index: &Option<usize>| {
         format!("{machine}|{job:?}|{phase:?}|{sensor:?}|{index:?}")
     };

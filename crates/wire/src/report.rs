@@ -36,7 +36,7 @@ use hierod_store::codec;
 use hierod_stream::codec::{decode_lane, encode_lane, phase_kind_code, phase_kind_from};
 use hierod_stream::{LaneId, LaneStats, StreamReport, StreamStats};
 
-use crate::frame::{put_opt_str, put_opt_varint, take_opt_str, take_opt_varint};
+use crate::frame::{put_opt_str, put_opt_varint, take_opt_varint};
 
 fn put_opt_phase(out: &mut Vec<u8>, v: Option<PhaseKind>) {
     match v {
@@ -63,6 +63,21 @@ fn take_opt_index(buf: &mut &[u8]) -> Option<Option<usize>> {
     }
 }
 
+/// A name, decoded straight into the shared string the report types hold.
+fn take_name(buf: &mut &[u8]) -> Option<Arc<str>> {
+    std::str::from_utf8(codec::take_bytes(buf)?)
+        .ok()
+        .map(Arc::from)
+}
+
+fn take_opt_name(buf: &mut &[u8]) -> Option<Option<Arc<str>>> {
+    match codec::take_u8(buf)? {
+        0 => Some(None),
+        1 => Some(Some(take_name(buf)?)),
+        _ => None,
+    }
+}
+
 pub(crate) fn put_hier_outlier(out: &mut Vec<u8>, o: &HierOutlier) {
     out.push(o.level.number());
     codec::put_str(out, &o.machine);
@@ -79,10 +94,10 @@ pub(crate) fn put_hier_outlier(out: &mut Vec<u8>, o: &HierOutlier) {
 pub(crate) fn take_hier_outlier(buf: &mut &[u8]) -> Option<HierOutlier> {
     Some(HierOutlier {
         level: Level::from_number(codec::take_u8(buf)?)?,
-        machine: codec::take_str(buf)?,
-        job: take_opt_str(buf)?,
+        machine: take_name(buf)?,
+        job: take_opt_name(buf)?,
         phase: take_opt_phase(buf)?,
-        sensor: take_opt_str(buf)?,
+        sensor: take_opt_name(buf)?,
         index: take_opt_index(buf)?,
         timestamp: take_opt_varint(buf)?,
         outlierness: codec::take_f64(buf)?,
@@ -106,10 +121,10 @@ fn put_level_outlier(out: &mut Vec<u8>, o: &LevelOutlier) {
 fn take_level_outlier(buf: &mut &[u8]) -> Option<LevelOutlier> {
     Some(LevelOutlier {
         level: Level::from_number(codec::take_u8(buf)?)?,
-        machine: codec::take_str(buf)?,
-        job: take_opt_str(buf)?,
+        machine: take_name(buf)?,
+        job: take_opt_name(buf)?,
         phase: take_opt_phase(buf)?,
-        sensor: take_opt_str(buf)?,
+        sensor: take_opt_name(buf)?,
         index: take_opt_index(buf)?,
         timestamp: take_opt_varint(buf)?,
         outlierness: codec::take_f64(buf)?,
@@ -129,10 +144,10 @@ fn put_series_key(out: &mut Vec<u8>, s: &SeriesScores) {
 /// Inverse of [`put_series_key`]: the keyed series with empty columns.
 fn take_series_key(buf: &mut &[u8]) -> Option<SeriesScores> {
     Some(SeriesScores {
-        machine: codec::take_str(buf)?,
-        job: take_opt_str(buf)?,
+        machine: take_name(buf)?,
+        job: take_opt_name(buf)?,
         phase: take_opt_phase(buf)?,
-        sensor: codec::take_str(buf)?,
+        sensor: take_name(buf)?,
         timestamps: Arc::from([]),
         z: Arc::from([]),
     })
@@ -192,7 +207,7 @@ pub type LevelSeries = (Level, SeriesScores);
 
 /// A level series' record at most, plus its columns.
 pub(crate) fn level_series_size_hint((_, s): &LevelSeries) -> usize {
-    let job = s.job.as_ref().map_or(0, String::len);
+    let job = s.job.as_ref().map_or(0, |job| job.len());
     RECORD_FIXED_MAX
         + s.machine.len()
         + job
@@ -244,8 +259,8 @@ impl SeriesQuery {
     /// select, in report order, their columns shared with `report`.
     pub fn pick(&self, report: &StreamReport) -> Vec<LevelSeries> {
         let wanted = |s: &SeriesScores| {
-            self.machine.as_deref().is_none_or(|m| m == s.machine)
-                && self.sensor.as_deref().is_none_or(|m| m == s.sensor)
+            self.machine.as_deref().is_none_or(|m| m == &*s.machine)
+                && self.sensor.as_deref().is_none_or(|m| m == &*s.sensor)
         };
         report
             .detections
@@ -311,8 +326,8 @@ fn put_vector_score(out: &mut Vec<u8>, v: &VectorScore) {
 
 fn take_vector_score(buf: &mut &[u8]) -> Option<VectorScore> {
     Some(VectorScore {
-        machine: codec::take_str(buf)?,
-        job: codec::take_str(buf)?,
+        machine: take_name(buf)?,
+        job: take_name(buf)?,
         z: codec::take_f64(buf)?,
     })
 }
@@ -359,7 +374,7 @@ pub(crate) const RECORD_FIXED_MAX: usize = 80;
 /// The size [`encode_report`] allocates, once: [`RECORD_FIXED_MAX`] plus
 /// its strings per record — an upper bound, as a series is a key.
 fn encoded_size_hint(report: &StreamReport) -> usize {
-    let opt = |s: &Option<String>| s.as_ref().map_or(0, String::len);
+    let opt = |s: &Option<Arc<str>>| s.as_ref().map_or(0, |s| s.len());
     let mut size = 2 * RECORD_FIXED_MAX; // version, section counts, stream stats
     for d in report.detections.values() {
         size += RECORD_FIXED_MAX;

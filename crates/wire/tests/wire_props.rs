@@ -89,10 +89,10 @@ fn arb_outlier() -> impl Strategy<Value = HierOutlier> {
                 (outlierness, support, global_score),
             )| HierOutlier {
                 level,
-                machine,
-                job,
+                machine: machine.into(),
+                job: job.map(Into::into),
                 phase,
-                sensor,
+                sensor: sensor.map(Into::into),
                 index: index.map(|i| i as usize),
                 timestamp,
                 outlierness,
@@ -273,10 +273,10 @@ fn series_of(
     points: &[(u64, f64)],
 ) -> SeriesScores {
     SeriesScores {
-        machine,
-        job,
+        machine: machine.into(),
+        job: job.map(Into::into),
         phase,
-        sensor,
+        sensor: sensor.into(),
         timestamps: points.iter().map(|&(t, _)| t).collect(),
         z: points.iter().map(|&(_, z)| z).collect(),
     }
@@ -442,7 +442,11 @@ fn arb_report() -> impl Strategy<Value = StreamReport> {
                     d.series_scores.push(series_of(key, &points));
                 }
                 for (machine, job, z) in vectors {
-                    d.vector_scores.push(VectorScore { machine, job, z });
+                    d.vector_scores.push(VectorScore {
+                        machine: machine.into(),
+                        job: job.into(),
+                        z,
+                    });
                 }
                 detections.insert(level, d);
             }
@@ -1080,8 +1084,8 @@ proptest! {
                 continue;
             }
             for s in &d.series_scores {
-                if query.machine.as_ref().is_some_and(|m| *m != s.machine)
-                    || query.sensor.as_ref().is_some_and(|m| *m != s.sensor)
+                if query.machine.as_ref().is_some_and(|m| **m != *s.machine)
+                    || query.sensor.as_ref().is_some_and(|m| **m != *s.sensor)
                 {
                     continue;
                 }
@@ -1093,7 +1097,8 @@ proptest! {
                     .map(|(&t, &z)| (t, z))
                     .collect();
                 if !inside.is_empty() {
-                    let key = (s.machine.clone(), s.job.clone(), s.phase, s.sensor.clone());
+                    let job = s.job.as_deref().map(String::from);
+                    let key = (s.machine.to_string(), job, s.phase, s.sensor.to_string());
                     expected.push((d.level, series_of(key, &inside)));
                 }
             }

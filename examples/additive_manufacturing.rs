@@ -57,7 +57,7 @@ fn main() {
             continue;
         };
         let hit = scenario.truth.injections.iter().find(|r| {
-            r.machine == o.machine
+            *r.machine == *o.machine
                 && r.job == job
                 && r.phase == phase
                 && r.affected_sensors.iter().any(|a| a == sensor)

@@ -132,7 +132,7 @@ fn measurement_errors_never_reach_high_global_scores_with_high_support() {
         };
         let matched = scenario.truth.injections.iter().any(|r| {
             r.scope == Scope::MeasurementError
-                && r.machine == o.machine
+                && *r.machine == *o.machine
                 && r.job == job
                 && r.phase == phase
                 && r.affected_sensors.iter().any(|a| a == sensor)
@@ -225,7 +225,7 @@ fn environment_start_level_detects_hvac_excursions_and_warns() {
     let mut matched = 0;
     for (i, o) in report.outliers.iter().enumerate() {
         let hit = scenario.truth.environment_injections.iter().any(|r| {
-            r.machine == o.machine
+            *r.machine == *o.machine
                 && o.sensor.as_deref() == Some(r.sensor.as_str())
                 && o.index
                     .map(|idx| idx + 2 >= r.start_idx && idx <= r.start_idx + r.len + 2)
