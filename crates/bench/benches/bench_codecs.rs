@@ -1,17 +1,22 @@
 //! History-path codec probe: the Gorilla column codecs on quantized and
 //! full-precision lanes, one hist chunk through `decode_chunk`, and one
 //! `Series` reply through the wire codec — the per-field costs a range
-//! scan pays between the hist file and the client.
+//! scan pays between the hist file and the client. Plus the checksum of
+//! the short records every served sample pays for three times (client
+//! encode, server verify, WAL append): `crc32` alone at a sample payload's
+//! 13 bytes and at 21, and one sample record encoded and framed.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hierod_history::ScanStats;
+use hierod_store::crc::crc32;
 use hierod_store::gorilla::{
     compress_timestamps, compress_values, decompress_timestamps, decompress_values,
 };
 use hierod_store::segment::{self, ColumnEncoding, LaneDef, SegmentChunk, SegmentDraft};
+use hierod_store::wal::WalRecord;
 use hierod_stream::{LaneId, LaneKind};
 use hierod_wire::Frame;
 
@@ -121,5 +126,30 @@ fn bench_scan_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gorilla, bench_scan_path);
+fn bench_checksums(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    let bytes: Vec<u8> = (0..21_u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+    for len in [13, 21] {
+        let record = &bytes[..len];
+        group.bench_function(BenchmarkId::new("crc32", len), |b| {
+            b.iter(|| crc32(black_box(record)))
+        });
+    }
+    let record = WalRecord::Sample {
+        lane: 3,
+        timestamp: 1_000_000,
+        value: 221.37,
+    };
+    let mut out = Vec::with_capacity(64);
+    group.bench_function(BenchmarkId::new("wal_sample_record", 21), |b| {
+        b.iter(|| {
+            out.clear();
+            black_box(&record).encode(&mut out);
+            out.len()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_gorilla, bench_scan_path, bench_checksums);
 criterion_main!(benches);

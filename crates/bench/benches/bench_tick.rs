@@ -3,14 +3,24 @@
 //! `StreamDetector::tick` that closes no job (the returned report dropped
 //! inside the timed loop, as a server drops the report it displaces), and
 //! Algorithm 1's `build_report` alone over the same plant's detections.
+//!
+//! Then the two ends of a closed phase's cost on the served `firehose`
+//! plant (2 machines × 10 jobs × 960 samples per phase, seed 11): the
+//! first control that closes one of its widest phases (`phase_close`,
+//! keyed by the phase's series count), and `finish`
+//! on a detector that has seen the whole plant, every job complete and
+//! never ticked. Each times the call alone, on a detector replayed
+//! untimed; dropping the returned report is not timed either.
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::Duration;
+
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hierod_core::pipeline::build_report;
 use hierod_core::{detect_all_levels, AlgorithmPolicy};
 use hierod_hierarchy::Level;
-use hierod_stream::{StreamConfig, StreamDetector, StreamEvent};
+use hierod_stream::{ControlEvent, StreamConfig, StreamDetector, StreamEvent};
 use hierod_synth::{Scenario, ScenarioBuilder};
 
 /// The `dashboard` workload's plant (`benchmark/src/plant.rs` knobs).
@@ -26,19 +36,66 @@ fn scenario() -> Scenario {
         .build()
 }
 
+/// The `firehose` workload's plant: the `dashboard` knobs at 960 samples
+/// per phase.
+fn firehose_scenario() -> Scenario {
+    ScenarioBuilder::new(11)
+        .machines(2)
+        .jobs_per_machine(10)
+        .redundancy(3)
+        .phase_samples(960)
+        .anomaly_rate(0.3)
+        .measurement_error_fraction(0.5)
+        .magnitude_sigmas(12.0)
+        .build()
+}
+
+/// A detector that has seen `events`, in order.
+fn replayed(events: &[StreamEvent]) -> StreamDetector {
+    let mut det = StreamDetector::new(AlgorithmPolicy::default(), StreamConfig::default())
+        .expect("default policy");
+    for event in events {
+        match event {
+            StreamEvent::Control(control) => det.apply(control).expect("control"),
+            StreamEvent::Sample(lane, sample) => det.ingest(lane, *sample).expect("ingest"),
+        }
+    }
+    det
+}
+
 /// A detector that has seen the whole plant and ticked once, so every job
 /// is frozen and the next tick is a steady-state one.
 fn ticked_detector(scenario: &Scenario) -> StreamDetector {
-    let mut det = StreamDetector::new(AlgorithmPolicy::default(), StreamConfig::default())
-        .expect("default policy");
-    for event in scenario.replay().into_iter().map(StreamEvent::from) {
-        match event {
-            StreamEvent::Control(control) => det.apply(&control).expect("control"),
-            StreamEvent::Sample(lane, sample) => det.ingest(&lane, sample).expect("ingest"),
-        }
-    }
+    let events: Vec<StreamEvent> = scenario.replay().into_iter().map(From::from).collect();
+    let mut det = replayed(&events);
     det.tick().expect("first tick");
     det
+}
+
+/// The first control that closes one of the plant's widest phases (the
+/// next phase start or job completion on its machine): its index and the
+/// phase's series count.
+fn widest_phase_close(events: &[StreamEvent]) -> Option<(usize, usize)> {
+    let mut open = std::collections::BTreeMap::new();
+    let mut widest: Option<(usize, usize)> = None;
+    for (i, event) in events.iter().enumerate() {
+        let StreamEvent::Control(control) = event else {
+            continue;
+        };
+        let (machine, opens) = match control {
+            ControlEvent::PhaseStart {
+                machine, sensors, ..
+            } => (machine, sensors.len()),
+            ControlEvent::JobComplete { machine, .. } => (machine, 0),
+            _ => continue,
+        };
+        if let Some(closes) = open.insert(machine, opens) {
+            if widest.is_none_or(|(_, series)| closes > series) {
+                widest = Some((i, closes));
+            }
+        }
+    }
+    widest
 }
 
 fn bench_tick(c: &mut Criterion) {
@@ -66,5 +123,42 @@ fn bench_tick(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tick);
+fn bench_phase_close(c: &mut Criterion) {
+    let events: Vec<StreamEvent> = firehose_scenario()
+        .replay()
+        .into_iter()
+        .map(From::from)
+        .collect();
+    let mut group = c.benchmark_group("close");
+    group.measurement_time(Duration::from_secs(5));
+    let (close, series) = widest_phase_close(&events).expect("a phase closes");
+    let (before, control) = events.split_at(close);
+    let Some(StreamEvent::Control(control)) = control.first() else {
+        unreachable!("widest_phase_close returns a control's index");
+    };
+    group.bench_function(BenchmarkId::new("phase_close", series), |b| {
+        b.iter_batched(
+            || replayed(before),
+            |mut det| {
+                det.apply(control).expect("close");
+                det
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    let samples = events
+        .iter()
+        .filter(|e| matches!(e, StreamEvent::Sample(..)))
+        .count();
+    group.bench_function(BenchmarkId::new("finish", samples), |b| {
+        b.iter_batched(
+            || replayed(&events),
+            |det| det.finish().expect("finish"),
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_tick, bench_phase_close);
 criterion_main!(benches);

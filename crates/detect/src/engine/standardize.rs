@@ -29,7 +29,7 @@ pub struct RobustZ;
 
 impl Standardizer for RobustZ {
     fn standardize(&self, raw: &[f64]) -> Arc<[f64]> {
-        let Ok((med, mad)) = stats::median_mad_in(&mut raw.to_vec()) else {
+        let Ok((med, mad)) = stats::median_mad(raw) else {
             return raw.into(); // empty in, empty out
         };
         let spread = if mad > 1e-12 {

@@ -314,6 +314,10 @@ struct ConnState {
     pending: Option<(ErrorCode, String)>,
     /// The sample run being applied; kept for its capacity.
     run: Vec<(u32, Sample)>,
+    /// The report of the plant this connection just finished, parked
+    /// until its reply is flushed: dropping it frees every closed buffer
+    /// of the plant, which the client need not wait for.
+    finished: Option<StreamReport>,
 }
 
 impl ConnState {
@@ -479,10 +483,8 @@ fn handle_request<S: PlantService>(
                     };
                     conn.plant = None;
                     conn.lanes.clear();
-                    Frame::Report {
-                        version,
-                        report: encode_report(&report),
-                    }
+                    let report = encode_report(conn.finished.insert(report));
+                    Frame::Report { version, report }
                 }
                 Err(e) => error_frame(classify(&e), e.to_string()),
             }
@@ -700,6 +702,7 @@ pub(crate) fn serve_connection<S: PlantService>(
                         let reply = handle_request(state, &mut conn, request);
                         writer.write_all(&encode_reply(&reply))?;
                         writer.flush()?;
+                        conn.finished = None;
                     }
                 }
             }

@@ -8,7 +8,9 @@
 //! Eight 256-entry tables, built at compile time: table `k` maps a byte to
 //! its CRC contribution when `k` more bytes follow it, so eight input bytes
 //! fold into the running checksum with eight independent lookups instead
-//! of eight dependent ones.
+//! of eight dependent ones. The last four whole bytes of a record take
+//! the same step with tables `3..0`, so at most three bytes are folded one
+//! at a time.
 
 /// The reflected IEEE polynomial used by zlib, gzip, and ethernet.
 const POLY: u32 = 0xEDB8_8320;
@@ -80,7 +82,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ at(t1, hi >> 16)
             ^ at(t0, hi >> 24);
     }
-    for &b in chunks.remainder() {
+    // A short record (a 13-byte sample payload) ends with up to seven
+    // bytes: four of them fold with one independent step, as above.
+    let mut rest = chunks.remainder();
+    if let [a, b, c, d, tail @ ..] = rest {
+        let lo = crc ^ u32::from_le_bytes([*a, *b, *c, *d]);
+        crc = at(t3, lo) ^ at(t2, lo >> 8) ^ at(t1, lo >> 16) ^ at(t0, lo >> 24);
+        rest = tail;
+    }
+    for &b in rest {
         crc = (crc >> 8) ^ at(t0, crc ^ u32::from(b));
     }
     !crc

@@ -16,28 +16,31 @@
 //! an [`OnlineScorer`]. Control events apply to samples ingested *after*
 //! the call.
 //!
-//! On a [`StreamDetector::tick`] or at [`StreamDetector::finish`], the
-//! detector turns the pipelines' per-sample scores into phase/environment
+//! The pipelines' per-sample scores become phase/environment
 //! [`LevelDetections`] through the *same* `emit_series` thresholding path
-//! the batch engine uses, runs the upper levels (job, production line,
+//! the batch engine uses — a phase's when it closes, the environment's on
+//! every [`StreamDetector::tick`] and at [`StreamDetector::finish`], which
+//! also run the upper levels (job, production line,
 //! production) on its materialized [`Plant`], and propagates everything
 //! through Algorithm 1's `CalcGlobalScore` — yielding the same
 //! ⟨global score, outlierness, support⟩ triples as a batch run.
 //!
 //! ## Freeze once
 //!
-//! A completed job never changes, so the first assembly that sees it
-//! **freezes** it: its released samples move onto the shared storage of
-//! one [`Job`] appended to the materialized plant, and its phase-level
-//! detections fragment (one `emit_series` per series) is built, exactly
-//! once. Every later assembly shares both — an assembly costs the
-//! environment series (open until finish), a reference count per shared
-//! name and column, and Algorithm 1's indexed pass over the outliers, not
-//! closed history. The three upper levels (one row per completed job) are
-//! re-run only by an assembly that froze a job. Freezing happens at the
-//! assembly, never at the job-complete event, so a stream that is only
-//! ingested and finished standardises each series once, at `finish`
-//! (DESIGN.md §4.13 has the invariants and the cost model).
+//! A closed phase never changes, so the control that closes it
+//! **freezes** its pipelines: their released samples move onto shared
+//! storage, their scorers are released, and each series is standardised
+//! and thresholded (one `emit_series`) into its job's phase-level
+//! fragment, exactly once. The first assembly after the job completes
+//! only appends the job's fragment and one [`Job`] built from those
+//! buffers to the materialized plant; every later assembly shares both —
+//! an assembly costs the environment series (open until finish), a
+//! reference count per shared name and column, and Algorithm 1's indexed
+//! pass over the outliers, not closed history. The three upper levels
+//! (one row per completed job) are re-run only by an assembly that
+//! appended a job. So neither a `tick` nor `finish` touches a series that
+//! closed before it (DESIGN.md §4.13 has the invariants and the cost
+//! model).
 //!
 //! ## Scorer modes
 //!
@@ -375,8 +378,10 @@ enum History {
 /// the scorer, the released history and its scores.
 pub(crate) struct Pipeline {
     pub(crate) watermark: Watermark,
-    /// `None` once the pipeline is frozen with its job.
+    /// `None` once the pipeline is frozen with its phase.
     scorer: Option<Box<dyn OnlineScorer>>,
+    /// The released scorer's drift events and refits, kept when it froze.
+    released_adapt: (u64, u64),
     history: History,
     /// The scorer's output so far: the i-th score is the i-th released
     /// sample's.
@@ -401,6 +406,7 @@ impl Pipeline {
         Self {
             watermark: Watermark::new(lateness),
             scorer: Some(scorer),
+            released_adapt: (0, 0),
             history: History::Open {
                 timestamps: Vec::new(),
                 values: Vec::new(),
@@ -421,14 +427,21 @@ impl Pipeline {
     /// Re-offering the journalled carry-over samples afterwards (ascending
     /// timestamps, all above the floor) rebuilds the pre-crash watermark
     /// state exactly. Only valid on a fresh pipeline or directly after a
-    /// previous `restore_chunk`.
+    /// previous `restore_chunk`: a closed pipeline is frozen and its
+    /// series already thresholded, so it refuses the chunk — untouched —
+    /// and returns `false`. Journal-order replay never offers it one
+    /// (a chunk sorts before any later control), so only a damaged or
+    /// crafted journal does.
     pub(crate) fn restore_chunk(
         &mut self,
         timestamps: &[u64],
         values: &[f64],
         late: u64,
         dups: u64,
-    ) {
+    ) -> bool {
+        if self.finished {
+            return false;
+        }
         self.absorb_released(timestamps.iter().copied().zip(values.iter().copied()));
         let stats = LatenessStats {
             late_dropped: late as usize,
@@ -439,6 +452,7 @@ impl Pipeline {
         self.watermark.restore_state(floor, stats);
         self.sealed = sealed;
         self.sealed_stats = stats;
+        true
     }
 
     /// Offers one sample; everything the watermark releases flows into the
@@ -468,9 +482,9 @@ impl Pipeline {
         self.finished = true;
     }
 
-    /// Nothing releases into a frozen pipeline: its job is complete, so
-    /// `ingest` routes past it, it is finished, and recovery restores
-    /// chunks before the first assembly can freeze anything.
+    /// Nothing releases into a frozen pipeline: its phase is closed, so
+    /// `ingest` routes past it, it is finished, and recovery refuses a
+    /// chunk for it ([`restore_chunk`](Self::restore_chunk)).
     fn absorb_released(&mut self, released: impl Iterator<Item = (u64, f64)>) {
         let (History::Open { timestamps, values }, Some(scorer)) =
             (&mut self.history, &mut self.scorer)
@@ -522,7 +536,7 @@ impl Pipeline {
         let (drift_events, refits) = self
             .scorer
             .as_ref()
-            .map_or((0, 0), |s| (s.drift_events(), s.refits()));
+            .map_or(self.released_adapt, |s| (s.drift_events(), s.refits()));
         LaneStats {
             released: self.released().0.len() as u64,
             late_dropped: w.late_dropped as u64,
@@ -533,10 +547,12 @@ impl Pipeline {
         }
     }
 
-    /// Freezes a finished pipeline with its completed job: the history
-    /// moves onto shared storage, the scorer is released, and the raw
-    /// scores ([`raw_scores`](Self::raw_scores)) move out this once.
-    fn freeze(&mut self) -> Option<Vec<f64>> {
+    /// Finishes the pipeline and freezes it as its phase closes: the
+    /// history moves onto shared storage, the scorer is released (its
+    /// drift and refit counts stay with the pipeline), and the raw scores
+    /// ([`raw_scores`](Self::raw_scores)) move out this once.
+    fn freeze(&mut self, scratch: &mut Vec<(u64, f64)>) -> Option<Vec<f64>> {
+        self.finish(scratch);
         let complete = self.raw_scores().is_some();
         if let History::Open { timestamps, values } = &mut self.history {
             self.history = History::Frozen {
@@ -544,7 +560,9 @@ impl Pipeline {
                 values: std::mem::take(values).into(),
             };
         }
-        self.scorer = None;
+        if let Some(scorer) = self.scorer.take() {
+            self.released_adapt = (scorer.drift_events(), scorer.refits());
+        }
         let scored = std::mem::take(&mut self.scored);
         complete.then_some(scored)
     }
@@ -575,6 +593,13 @@ struct JobState {
     start: u64,
     config: JobConfig,
     phases: Vec<PhaseState>,
+    /// The closed phases, materialized on their frozen pipelines'
+    /// buffers; they move into the plant's [`Job`] when the job freezes.
+    closed: Vec<Phase>,
+    /// The closed phases' phase-level detections, standardised and
+    /// thresholded as each phase closed; appended to the machine's
+    /// fragment when the job freezes.
+    fragment: LevelDetections,
     caq: Option<CaqResult>,
 }
 
@@ -826,6 +851,8 @@ impl StreamDetector {
             start,
             config: config.clone(),
             phases: Vec::new(),
+            closed: Vec::new(),
+            fragment: LevelDetections::empty(Level::Phase),
             caq: None,
         });
         Ok(())
@@ -864,11 +891,19 @@ impl StreamDetector {
             .collect()
     }
 
-    /// Finishes the pipelines of the current phase of the machine's open
-    /// job and returns that job.
+    /// Closes the current phase of the machine's open job and returns
+    /// that job. The phase's pipelines finish and freeze, and each series
+    /// is standardised and thresholded into the job's fragment here, once:
+    /// no later tick or `finish` reads it again. Series whose scorer
+    /// failed are left out of the fragment, as the batch path skips
+    /// unscorable series; degenerate ones are left out of the phase too.
     fn close_open_phase(&mut self, machine: &str) -> Result<&mut JobState> {
+        let threshold = self.policy.threshold(Level::Phase);
         let Self {
-            machines, scratch, ..
+            machines,
+            plant,
+            scratch,
+            ..
         } = self;
         let job = find_machine(machines, machine)?
             .open_job_mut()
@@ -876,9 +911,35 @@ impl StreamDetector {
                 what: format!("open job on machine {machine}"),
             })?;
         if let Some(phase) = job.phases.last_mut() {
-            for (_, pipe) in &mut phase.pipes {
-                pipe.finish(scratch);
+            let mut series = Vec::with_capacity(phase.pipes.len());
+            for (name, pipe) in &mut phase.pipes {
+                let raw = pipe.freeze(scratch);
+                let Some(frozen) = pipe.series(name) else {
+                    continue;
+                };
+                if let Some(raw) = raw {
+                    let at = SeriesAt {
+                        machine: machine.to_string(),
+                        job: Some(job.id.clone()),
+                        phase: Some(phase.kind),
+                        series: frozen.share(),
+                    };
+                    // At the phase level `emit_series` reads the series,
+                    // its scores and the threshold — nothing of the plant,
+                    // which does not hold this job yet.
+                    emit_series(
+                        plant,
+                        Level::Phase,
+                        threshold,
+                        &at,
+                        &raw,
+                        false,
+                        &mut job.fragment,
+                    );
+                }
+                series.push(frozen);
             }
+            job.closed.push(Phase::new(phase.kind, series, Vec::new()));
         }
         Ok(job)
     }
@@ -1034,12 +1095,14 @@ impl StreamDetector {
     }
 
     /// Assembles an interim report from everything released so far: jobs
-    /// completed since the last assembly are frozen into the materialized
-    /// plant, the environment series and the upper levels re-evaluated,
-    /// and Algorithm 1's propagation run. In
-    /// [`ScorerMode::BatchEquivalent`], a series' scores exist only once
-    /// its phase closed; [`ScorerMode::Incremental`] scores appear per
-    /// sample.
+    /// completed since the last assembly are appended to the materialized
+    /// plant with the phase fragments their closing controls built, the
+    /// environment series and the upper levels re-evaluated, and
+    /// Algorithm 1's propagation run. A phase series enters the report
+    /// once its job completes, standardised when its phase closed; no
+    /// tick reads it again. In [`ScorerMode::BatchEquivalent`] its scores
+    /// come into being at that close; [`ScorerMode::Incremental`] scores
+    /// them per sample.
     ///
     /// Takes `&mut self` because the first assembly after a job completes
     /// freezes it (and re-runs the upper levels, which read only frozen
@@ -1073,7 +1136,8 @@ impl StreamDetector {
 
     /// Flushes every watermark, finishes every scorer, and assembles the
     /// final report. Environment pipelines and any still-open phases are
-    /// finalized here.
+    /// finalized here; a phase that closed before costs `finish` nothing
+    /// but its share of the assembly.
     ///
     /// # Errors
     /// Propagates upper-level detector failures.
@@ -1093,15 +1157,14 @@ impl StreamDetector {
     }
 
     /// Freezes every job completed since the last assembly: appends its
-    /// [`Job`] to the machine's line of the materialized plant, its
-    /// phase-level detections to the machine's fragment, and its
-    /// pipelines' counters to the per-lane totals. Only completed jobs
-    /// (CAQ present) enter the plant — their feature vectors would
-    /// otherwise change dimension mid-job and poison the line-level series.
-    /// Series whose scorer failed are skipped in the detections, as the
-    /// batch path skips unscorable series. Returns whether a job froze.
+    /// [`Job`] (the phases materialized when they closed) to the machine's
+    /// line of the materialized plant, its fragment to the machine's
+    /// phase-level detections, and its pipelines' counters to the per-lane
+    /// totals — no series is read. Only completed jobs (CAQ present) enter
+    /// the plant — their feature vectors would otherwise change dimension
+    /// mid-job and poison the line-level series. Returns whether a job
+    /// froze.
     fn freeze_completed_jobs(&mut self) -> bool {
-        let threshold = self.policy.threshold(Level::Phase);
         let mut froze = false;
         let Self {
             machines,
@@ -1109,57 +1172,28 @@ impl StreamDetector {
             frozen_failed,
             ..
         } = self;
-        for (line_no, (machine, m)) in machines.iter_mut().enumerate() {
+        for ((_, m), line) in machines.iter_mut().zip(&mut plant.lines) {
             while let Some(job) = m.jobs.get_mut(m.frozen) {
                 let Some(caq) = job.caq.clone() else { break };
-                let mut phases = Vec::with_capacity(job.phases.len());
-                for phase in &mut job.phases {
-                    let mut series = Vec::with_capacity(phase.pipes.len());
-                    for (name, pipe) in &mut phase.pipes {
-                        match m.frozen_lanes.get_mut(name.as_str()) {
-                            Some(lane) => lane.add(&pipe.counters()),
-                            None => {
-                                m.frozen_lanes.insert(name.clone(), pipe.counters());
-                            }
+                for (name, pipe) in job.phases.iter().flat_map(|phase| &phase.pipes) {
+                    match m.frozen_lanes.get_mut(name.as_str()) {
+                        Some(lane) => lane.add(&pipe.counters()),
+                        None => {
+                            m.frozen_lanes.insert(name.clone(), pipe.counters());
                         }
-                        *frozen_failed += u64::from(pipe.failed);
-                        let raw = pipe.freeze();
-                        let Some(frozen) = pipe.series(name) else {
-                            continue;
-                        };
-                        if let Some(raw) = raw {
-                            let at = SeriesAt {
-                                machine: machine.clone(),
-                                job: Some(job.id.clone()),
-                                phase: Some(phase.kind),
-                                series: frozen.share(),
-                            };
-                            // At the phase level `emit_series` reads the
-                            // series, its scores and the threshold — nothing
-                            // of the plant, which does not hold this job yet.
-                            emit_series(
-                                plant,
-                                Level::Phase,
-                                threshold,
-                                &at,
-                                &raw,
-                                false,
-                                &mut m.phase,
-                            );
-                        }
-                        series.push(frozen);
                     }
-                    phases.push(Phase::new(phase.kind, series, Vec::new()));
+                    *frozen_failed += u64::from(pipe.failed);
                 }
-                if let Some(line) = plant.lines.get_mut(line_no) {
-                    line.jobs.push(Job {
-                        id: job.id.clone(),
-                        start: job.start,
-                        config: job.config.clone(),
-                        phases,
-                        caq,
-                    });
-                }
+                let fragment =
+                    std::mem::replace(&mut job.fragment, LevelDetections::empty(Level::Phase));
+                m.phase.absorb(fragment);
+                line.jobs.push(Job {
+                    id: job.id.clone(),
+                    start: job.start,
+                    config: job.config.clone(),
+                    phases: std::mem::take(&mut job.closed),
+                    caq,
+                });
                 m.frozen += 1;
                 froze = true;
             }
@@ -1674,6 +1708,85 @@ mod tests {
             // A report's timestamps are the materialized series' own buffer.
             assert!(Arc::ptr_eq(&after.timestamps_shared(), &scores.timestamps));
         }
+    }
+
+    #[test]
+    fn a_phase_is_standardised_when_it_closes_and_shared_by_the_next_tick() {
+        let mut det = detector(ScorerMode::BatchEquivalent);
+        bring_up(&mut det);
+        open_warm_up(&mut det);
+        let bed = LaneId {
+            machine: "m0".into(),
+            sensor: "m0.bed.0".into(),
+            kind: LaneKind::Phase,
+        };
+        for t in 0..64_u64 {
+            let value = if t == 40 {
+                90.0
+            } else {
+                (t as f64 * 0.4).sin()
+            };
+            det.ingest(
+                &bed,
+                Sample {
+                    timestamp: t,
+                    value,
+                },
+            )
+            .expect("ingest");
+        }
+        let job = |det: &StreamDetector| {
+            let (_, m) = &det.machines[0];
+            m.jobs.last().map(|job| {
+                let pipes = job.phases.iter().flat_map(|phase| &phase.pipes);
+                let live = pipes.filter(|(_, pipe)| pipe.scorer.is_some()).count();
+                (live, job.closed.len(), job.fragment.series_scores.clone())
+            })
+        };
+        let (live, closed, fragment) = job(&det).expect("open job");
+        assert_eq!((live, closed, fragment.len()), (1, 0, 0), "warm-up is open");
+
+        // The printing phase's start closes the warm-up: no tick yet.
+        let sensors = [bed.sensor.clone()];
+        det.apply(&ControlEvent::phase_start(
+            "m0",
+            PhaseKind::Printing,
+            &sensors,
+        ))
+        .expect("phase_start");
+        let (live, closed, warm_up) = job(&det).expect("open job");
+        assert_eq!((live, closed, warm_up.len()), (1, 1, 1), "warm-up closed");
+        for t in 100..164_u64 {
+            let value = (t as f64 * 0.3).cos();
+            det.ingest(
+                &bed,
+                Sample {
+                    timestamp: t,
+                    value,
+                },
+            )
+            .expect("ingest");
+        }
+        complete_job(&mut det);
+        let (live, closed, fragment) = job(&det).expect("completed job");
+        assert_eq!((live, closed, fragment.len()), (0, 2, 2), "no scorer left");
+        assert!(Arc::ptr_eq(&fragment[0].z, &warm_up[0].z));
+
+        let report = det.tick().expect("tick");
+        let phase = &report.detections[&Level::Phase];
+        assert_eq!(phase.series_scores.len(), 2);
+        for (ticked, closed) in phase.series_scores.iter().zip(&fragment) {
+            assert!(Arc::ptr_eq(&ticked.z, &closed.z), "re-standardised");
+            assert!(Arc::ptr_eq(&ticked.timestamps, &closed.timestamps));
+        }
+        assert!(phase.outliers.iter().any(|o| o.index == Some(40)));
+        let (live, closed, fragment) = job(&det).expect("frozen job");
+        assert_eq!(
+            (live, closed, fragment.len()),
+            (0, 0, 0),
+            "moved into the plant"
+        );
+        assert_eq!(det.plant.lines[0].jobs[0].phases.len(), 2);
     }
 
     #[test]

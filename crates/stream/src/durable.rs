@@ -109,6 +109,12 @@ pub struct DurableRecovery {
     /// Corruption events survived (a damaged WAL tail truncated at the
     /// first bad record counts once).
     pub corrupt_records: u64,
+    /// Sealed chunks refused because the pipeline they address was
+    /// already closed when they replayed: a closed phase is frozen and
+    /// thresholded, so nothing is absorbed into it. Journal order never
+    /// produces one (a chunk sorts before any later control); a segment
+    /// that does is damaged or crafted, and its samples are not restored.
+    pub refused_chunks: u64,
     /// Low-level store repair accounting.
     pub store: RecoveryStats,
 }
@@ -289,9 +295,11 @@ impl<S: Storage> DurableStream<S> {
     /// An empty directory starts a fresh stream. Otherwise the store's
     /// recovery loads the directory and [`replay_journal`] walks it:
     /// sealed chunks are restored into the pipelines their controls
-    /// opened, and the WAL tail (truncated at its first corrupt record,
-    /// if any) is re-ingested through the ordinary path, leaving the
-    /// detector in exactly the state the last durable write observed.
+    /// opened — never into one a control has closed since, which refuses
+    /// the chunk ([`DurableRecovery::refused_chunks`]) — and the WAL tail
+    /// (truncated at its first corrupt record, if any) is re-ingested
+    /// through the ordinary path, leaving the detector in exactly the
+    /// state the last durable write observed.
     ///
     /// # Errors
     /// Storage failures and segment damage (segments are fully
@@ -308,6 +316,7 @@ impl<S: Storage> DurableStream<S> {
         let mut inner = StreamDetector::new(policy, config)?;
         let mut restored_samples = 0_u64;
         let mut replayed_samples = 0_u64;
+        let mut refused_chunks = 0_u64;
         let replayed = replay_journal(&recovered, &mut inner, |inner, lane, stored| {
             let ch = match stored {
                 Stored::Chunk(ch) => ch,
@@ -330,12 +339,15 @@ impl<S: Storage> DurableStream<S> {
                 return;
             };
             let before = slot.pipe.watermark.stats();
-            slot.pipe.restore_chunk(
+            if !slot.pipe.restore_chunk(
                 &ch.timestamps,
                 &ch.values,
                 ch.late_dropped,
                 ch.duplicates_dropped,
-            );
+            ) {
+                refused_chunks += 1;
+                return;
+            }
             // Counters in the chunk are absolute; the offer-time credit
             // is this chunk's increment over the previous one.
             let late = ch.late_dropped.saturating_sub(before.late_dropped as u64);
@@ -375,6 +387,7 @@ impl<S: Storage> DurableStream<S> {
             restored_samples,
             replayed_samples,
             corrupt_records,
+            refused_chunks,
             store: recovered.stats,
         };
         Ok((

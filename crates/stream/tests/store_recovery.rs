@@ -19,9 +19,11 @@ use std::collections::BTreeMap;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
+use hierod_store::segment::{SegmentChunk, SegmentDraft};
 use hierod_store::storage::Storage;
-use hierod_store::store::StoreOptions;
+use hierod_store::store::{Store, StoreOptions};
 use hierod_store::MemStorage;
+use hierod_stream::codec::decode_lane;
 use hierod_stream::{
     ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
@@ -365,6 +367,155 @@ fn torn_and_bit_flipped_wal_tails_are_survived() {
         }
         assert_reports_equal(&got, &baseline, &format!("damage={damage}"));
     }
+}
+
+/// `scenario(1)` with a rotation inside every job: a few samples into
+/// its printing phase, so the segment seals the warm-up pipeline the
+/// phase start closed (frozen, thresholded) beside the open one.
+fn scenario_rotating_inside_jobs() -> Vec<Op> {
+    let mut ops = Vec::new();
+    let mut samples_to_rotation = None;
+    for op in scenario(1) {
+        if let Op::PhaseStart(_, PhaseKind::Printing, _) = op {
+            samples_to_rotation = Some(5);
+        }
+        let sample = matches!(op, Op::Sample(..));
+        ops.push(op);
+        if sample {
+            samples_to_rotation = match samples_to_rotation {
+                Some(1) => {
+                    ops.push(Op::Rotate);
+                    None
+                }
+                left => left.map(|n| n - 1),
+            };
+        }
+    }
+    ops
+}
+
+#[test]
+fn crash_between_a_phase_close_and_its_job_complete_recovers_equivalently() {
+    let ops = scenario_rotating_inside_jobs();
+    let baseline = uninterrupted(&ops);
+
+    // The write offsets at which each job's warm-up has closed and its
+    // job-complete has not yet been written, one op at a time.
+    let probe = MemStorage::new();
+    let mut d = open(probe.clone());
+    let mut windows = Vec::new();
+    let mut closed_at = None;
+    for op in &ops {
+        if let Op::JobComplete(..) = op {
+            let closed = closed_at.take().expect("a phase closed before");
+            // Through the job-complete record itself, torn at every byte.
+            windows.push(closed..=probe.bytes_written() + 24);
+        }
+        assert!(run_ops(
+            &mut d,
+            std::slice::from_ref(op),
+            0,
+            &BTreeMap::new()
+        ));
+        if let Op::PhaseStart(_, PhaseKind::Printing, _) = op {
+            closed_at = Some(probe.bytes_written());
+        }
+    }
+    assert_eq!(windows.len(), 3, "one window per job");
+
+    let mut swept = 0;
+    for window in windows {
+        for budget in window.step_by(29) {
+            for keep_unsynced in [false, true] {
+                let report = crash_recover_resume(&ops, budget, keep_unsynced);
+                assert_reports_equal(
+                    &report,
+                    &baseline,
+                    &format!("budget={budget} keep_unsynced={keep_unsynced}"),
+                );
+                swept += 1;
+            }
+        }
+    }
+    assert!(swept >= 60, "sweep covered {swept} crash points");
+}
+
+/// A checksum-valid segment whose chunk addresses a pipeline an earlier
+/// segment's control already closed: recovery refuses it, counts it, and
+/// ends on the report the journal without it gives.
+#[test]
+fn a_chunk_for_a_closed_pipeline_is_refused() {
+    let ops = scenario(1);
+    let first_rotation = ops
+        .iter()
+        .position(|op| matches!(op, Op::Rotate))
+        .expect("a rotation");
+    let storage = MemStorage::new();
+    let mut d = open(storage.clone());
+    assert!(run_ops(
+        &mut d,
+        &ops[..=first_rotation],
+        0,
+        &BTreeMap::new()
+    ));
+    drop(d);
+    let clean = storage.crash_image(true);
+
+    // Seal one more segment onto a copy: no controls, one chunk on m0's
+    // bed lane for the warm-up pipeline control 4 opened — and control 5,
+    // sealed in the first segment, closed.
+    let crafted = storage.crash_image(true);
+    let (mut store, recovered) =
+        Store::open(crafted.clone(), StoreOptions { group_commit: 8 }).expect("store");
+    let sealed = &recovered.segments[0];
+    let bed = lane("m0", "m0.bed.0", LaneKind::Phase);
+    let bed_no = sealed
+        .lane_defs
+        .iter()
+        .find(|def| decode_lane(&def.meta).as_ref() == Some(&bed))
+        .expect("bed lane sealed")
+        .lane;
+    let warm_up = sealed
+        .chunks
+        .iter()
+        .find(|ch| ch.lane == bed_no)
+        .expect("warm-up chunk")
+        .after_control_seq;
+    assert_eq!(warm_up, 4);
+    let draft = SegmentDraft {
+        lane_defs: sealed.lane_defs.clone(),
+        chunks: vec![SegmentChunk {
+            lane: bed_no,
+            after_control_seq: warm_up,
+            timestamps: (90..96).collect(),
+            values: vec![1e3; 6],
+            late_dropped: 0,
+            duplicates_dropped: 0,
+        }],
+        ..SegmentDraft::default()
+    };
+    store
+        .rotate(&draft, &recovered.wal)
+        .expect("seal the crafted segment");
+    drop(store);
+
+    let resume = |storage: MemStorage| {
+        let (policy, config) = policy_and_config();
+        let (mut d, recovery) =
+            DurableStream::open(policy, config, storage, StoreOptions { group_commit: 8 })
+                .expect("open");
+        let skip = d.controls_applied();
+        let delivered = d.delivered().clone();
+        assert!(run_ops(&mut d, &ops, skip, &delivered));
+        (recovery, d.finish().expect("finish"))
+    };
+    let (clean_recovery, want) = resume(clean);
+    let (recovery, got) = resume(crafted);
+    assert_eq!(clean_recovery.refused_chunks, 0);
+    assert_eq!(recovery.refused_chunks, 1);
+    assert_eq!(recovery.restored_samples, clean_recovery.restored_samples);
+    assert_reports_equal(&got, &want, "a refused chunk");
+    assert_reports_equal(&got, &uninterrupted(&ops), "a refused chunk");
 }
 
 proptest! {

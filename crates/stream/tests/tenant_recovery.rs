@@ -358,3 +358,55 @@ fn run_fed_tenant_keeps_the_by_id_views_live_and_recovered() {
     let report = recovered.finish_tenant("in-runs").expect("finish");
     assert_eq!(format!("{report:?}"), baseline(&steps));
 }
+
+#[test]
+fn tenant_crashed_between_a_phase_close_and_its_job_complete_recovers_equivalent() {
+    let (steps, boundary) = steps();
+    let want = baseline(&steps);
+    // The second job's second phase start closes its first phase; the
+    // rotation seals that closed pipeline, the crash comes five samples
+    // into the next phase, long before the job completes.
+    let close = boundary
+        + steps[boundary..]
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| matches!(s, StreamEvent::Control(ControlEvent::PhaseStart { .. })))
+            .nth(1)
+            .map(|(i, _)| i)
+            .expect("a second phase in the second job");
+    let crash = close + 6;
+    assert!(
+        steps[close + 1..crash]
+            .iter()
+            .all(|s| matches!(s, StreamEvent::Sample(..))),
+        "the crash falls inside the phase"
+    );
+
+    let mut reg = registry(MemFactory::new());
+    drop(reg.create_tenant("plant-a"));
+    let tenant = reg.tenant_mut("plant-a").expect("a");
+    drive(tenant, &steps[..=close]);
+    tenant.rotate().expect("rotate after the phase close");
+    drive(tenant, &steps[close + 1..crash]);
+    tenant.tick().expect("hard-commit the WAL");
+
+    let (mut recovered, recoveries) = PlantRegistry::open(
+        reg.factory().crash_image(false),
+        AlgorithmPolicy::default(),
+        config(),
+    )
+    .expect("reopen");
+    let rec = &recoveries["plant-a"];
+    assert_eq!((rec.corrupt_records, rec.refused_chunks), (0, 0));
+    assert!(
+        rec.restored_samples > 0 && rec.replayed_samples > 0,
+        "{rec:?}"
+    );
+    drive(recovered.tenant_mut("plant-a").expect("a"), &steps[crash..]);
+    let a = recovered.finish_tenant("plant-a").expect("finish a");
+    assert_eq!(
+        format!("{a:?}"),
+        want,
+        "plant-a diverged from uninterrupted run"
+    );
+}

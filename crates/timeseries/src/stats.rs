@@ -70,7 +70,8 @@ pub fn max(xs: &[f64]) -> Result<f64> {
 
 /// The neighbouring order statistics `(x[lo], x[hi])` of `scratch` under
 /// [`f64::total_cmp`], for `lo == hi` or `lo + 1 == hi` — the one place in
-/// the workspace a rank is taken. One linear-time selection puts `x[hi]`
+/// the workspace a rank is taken, but for [`median_mad`]'s, which is this
+/// selection on integer keys. One linear-time selection puts `x[hi]`
 /// in place with nothing greater to its left, so `x[lo]` is the maximum of
 /// that left part. Values equal under `total_cmp` are bit-identical, so
 /// the pair is exactly what a full sort would have left at those indices.
@@ -102,17 +103,27 @@ pub fn quantile_in(scratch: &mut [f64], q: f64) -> Result<f64> {
     if !(0.0..=1.0).contains(&q) {
         return Err(Error::invalid("q", "must be in [0, 1]"));
     }
-    let h = q * (scratch.len() - 1) as f64;
+    let (lo, hi, frac) = type7_ranks(scratch.len(), q);
+    let (at_lo, at_hi) = order_pair(scratch, lo, hi).ok_or(Error::Empty { what: "quantile" })?;
+    Ok(interpolate(at_lo, at_hi, frac))
+}
+
+/// The neighbouring ranks a type-7 quantile of `n > 0` values reads and
+/// the weight of the upper one.
+fn type7_ranks(n: usize, q: f64) -> (usize, usize, f64) {
+    let h = q * (n - 1) as f64;
     let lo = h.floor() as usize;
-    let frac = h - lo as f64;
-    let (at_lo, at_hi) =
-        order_pair(scratch, lo, h.ceil() as usize).ok_or(Error::Empty { what: "quantile" })?;
+    (lo, h.ceil() as usize, h - lo as f64)
+}
+
+/// The type-7 interpolation between two neighbouring order statistics.
+fn interpolate(at_lo: f64, at_hi: f64, frac: f64) -> f64 {
     // Between two equal infinities the interpolation below is `∞ − ∞`:
     // the quantile of a run of infinite values is that value, not NaN.
     if at_lo == at_hi && at_lo.is_infinite() {
-        return Ok(at_lo);
+        return at_lo;
     }
-    Ok(at_lo + (at_hi - at_lo) * frac)
+    at_lo + (at_hi - at_lo) * frac
 }
 
 /// Linear-interpolated quantile, `q` in `[0, 1]` (type-7, the R default).
@@ -131,18 +142,58 @@ pub fn median(xs: &[f64]) -> Result<f64> {
     quantile(xs, 0.5)
 }
 
-/// `(median, MAD)` of a caller-owned scratch buffer, which is left holding
-/// the absolute deviations in no particular order: the second selection
-/// does not care that the first one permuted its input.
+/// `(median, MAD)` of `xs`: the type-7 [`median`] and the median of the
+/// absolute deviations from it, scaled as [`mad`] — bit for bit what two
+/// [`quantile_in`] selections over one copy of `xs` give. The selections
+/// run on one buffer of ordered integer keys, built once from `xs` and
+/// overwritten with the deviations' keys: the keys' order *is*
+/// [`f64::total_cmp`]'s and the map is a bijection, so the selected pair
+/// maps back to the very values a `total_cmp` selection finds, and no
+/// comparison re-derives a key.
 ///
 /// # Errors
 /// Returns [`Error::Empty`] for an empty slice.
-pub fn median_mad_in(scratch: &mut [f64]) -> Result<(f64, f64)> {
-    let med = quantile_in(scratch, 0.5)?;
-    for x in scratch.iter_mut() {
-        *x = (*x - med).abs();
+pub fn median_mad(xs: &[f64]) -> Result<(f64, f64)> {
+    let mut keys: Vec<i64> = xs.iter().map(|&x| total_key(x)).collect();
+    let med = keyed_median(&mut keys)?;
+    for (key, &x) in keys.iter_mut().zip(xs) {
+        *key = total_key((x - med).abs());
     }
-    Ok((med, 1.4826 * quantile_in(scratch, 0.5)?))
+    Ok((med, 1.4826 * keyed_median(&mut keys)?))
+}
+
+/// The `i64` whose signed order is [`f64::total_cmp`]'s order of `x`:
+/// negative values keep their sign bit and flip the other 63. The same
+/// flip undoes it ([`from_total_key`]).
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The `f64` whose [`total_key`] is `key`.
+fn from_total_key(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// The type-7 median of the values behind `keys`, which it permutes — the
+/// [`order_pair`] selection, on keys.
+fn keyed_median(keys: &mut [i64]) -> Result<f64> {
+    if keys.is_empty() {
+        return Err(Error::Empty { what: "quantile" });
+    }
+    let (lo, hi, frac) = type7_ranks(keys.len(), 0.5);
+    let (left, &mut at_hi, _) = keys.select_nth_unstable(hi);
+    let at_lo = if lo == hi {
+        Some(at_hi)
+    } else {
+        left.iter().copied().max()
+    };
+    let at_lo = at_lo.ok_or(Error::Empty { what: "quantile" })?;
+    Ok(interpolate(
+        from_total_key(at_lo),
+        from_total_key(at_hi),
+        frac,
+    ))
 }
 
 /// Median absolute deviation, scaled by 1.4826 to be consistent with the
@@ -151,7 +202,7 @@ pub fn median_mad_in(scratch: &mut [f64]) -> Result<(f64, f64)> {
 /// # Errors
 /// Returns [`Error::Empty`] for an empty slice.
 pub fn mad(xs: &[f64]) -> Result<f64> {
-    Ok(median_mad_in(&mut xs.to_vec())?.1)
+    Ok(median_mad(xs)?.1)
 }
 
 /// Z-scores against the slice's own mean/std. A zero-variance input yields
@@ -175,7 +226,7 @@ pub fn z_scores(xs: &[f64]) -> Result<Vec<f64>> {
 /// # Errors
 /// Returns [`Error::Empty`] for an empty slice.
 pub fn robust_z_scores(xs: &[f64]) -> Result<Vec<f64>> {
-    let (med, m) = median_mad_in(&mut xs.to_vec())?;
+    let (med, m) = median_mad(xs)?;
     if m <= 1e-12 * (1.0 + med.abs()) {
         return Ok(vec![0.0; xs.len()]);
     }

@@ -342,6 +342,27 @@ fn sorted_mad(xs: &[f64]) -> f64 {
     1.4826 * sorted_quantile(&dev, 0.5)
 }
 
+/// `(median, MAD)` by two [`stats::quantile_in`] selections under
+/// `total_cmp` over one copy — the `order_pair` path the keyed
+/// [`stats::median_mad`] replaced, kept as its oracle.
+fn order_pair_median_mad(xs: &[f64]) -> (f64, f64) {
+    let mut scratch = xs.to_vec();
+    let med = stats::quantile_in(&mut scratch, 0.5).unwrap();
+    for x in scratch.iter_mut() {
+        *x = (*x - med).abs();
+    }
+    (med, 1.4826 * stats::quantile_in(&mut scratch, 0.5).unwrap())
+}
+
+/// [`any_f64`], with subnormals of either sign as a class of their own.
+fn any_f64_or_subnormal() -> impl Strategy<Value = f64> {
+    (any_f64(), any::<u64>(), 0_u8..5).prop_map(|(x, bits, kind)| match kind {
+        0 => f64::from_bits(bits % (1_u64 << 52)),
+        1 => -f64::from_bits(bits % (1_u64 << 52)),
+        _ => x,
+    })
+}
+
 /// Any `f64` at all — raw bit patterns (both NaN signs, payloads,
 /// subnormals), the special values, and small integers so long runs of
 /// duplicates are the rule rather than the exception.
@@ -405,9 +426,27 @@ proptest! {
     }
 
     #[test]
+    fn keyed_median_mad_is_the_order_pair_one_bit_for_bit(
+        short in prop::collection::vec(any_f64_or_subnormal(), 1..=64_usize),
+        long in prop::collection::vec(any_f64_or_subnormal(), 1990..=2010_usize),
+    ) {
+        for xs in [&short, &long] {
+            let (med, mad) = stats::median_mad(xs).unwrap();
+            let (want_med, want_mad) = order_pair_median_mad(xs);
+            prop_assert_eq!(med.to_bits(), want_med.to_bits());
+            prop_assert_eq!(mad.to_bits(), want_mad.to_bits());
+        }
+        // Every element one value: duplicates all the way down.
+        let run = vec![short[0]; short.len()];
+        let (med, mad) = stats::median_mad(&run).unwrap();
+        let (want_med, want_mad) = order_pair_median_mad(&run);
+        prop_assert_eq!((med.to_bits(), mad.to_bits()), (want_med.to_bits(), want_mad.to_bits()));
+    }
+
+    #[test]
     fn selected_mad_is_the_sorted_one_bit_for_bit(xs in any_series()) {
         prop_assert_eq!(stats::mad(&xs).unwrap().to_bits(), sorted_mad(&xs).to_bits());
-        let (med, mad) = stats::median_mad_in(&mut xs.clone()).unwrap();
+        let (med, mad) = stats::median_mad(&xs).unwrap();
         prop_assert_eq!(med.to_bits(), sorted_quantile(&xs, 0.5).to_bits());
         prop_assert_eq!(mad.to_bits(), sorted_mad(&xs).to_bits());
     }

@@ -3,6 +3,7 @@
 //! The build environment cannot fetch crates.io, so this workspace member
 //! provides the API subset the `crates/bench` benches use — `Criterion`,
 //! `benchmark_group`, `bench_function`, `bench_with_input`, `BenchmarkId`,
+//! `Bencher::iter`, `Bencher::iter_batched` with its `BatchSize`,
 //! `black_box`, `criterion_group!`, `criterion_main!` — backed by a simple
 //! wall-clock harness instead of criterion's statistical machinery.
 //!
@@ -151,6 +152,14 @@ impl fmt::Display for BenchmarkId {
     }
 }
 
+/// How many inputs [`Bencher::iter_batched`] prepares at a time. Accepted
+/// for API compatibility: the shim builds one input per iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs too large to keep many of.
+    LargeInput,
+}
+
 /// Timer handle handed to the closure being benchmarked.
 pub struct Bencher {
     warmup: Duration,
@@ -185,6 +194,33 @@ impl Bencher {
             black_box(f());
         }
         self.result = Some((start.elapsed(), iters));
+    }
+
+    /// Times `routine` alone on inputs `setup` builds, one per iteration:
+    /// neither the setup nor dropping the routine's output is timed. Runs
+    /// once to warm up, then until the measurement window of wall-clock
+    /// time (setup included) has passed, at least three times — for
+    /// routines that consume an expensive input.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut once = |timed: &mut Duration| {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            *timed += start.elapsed();
+            drop(output);
+        };
+        let mut warm_up = Duration::ZERO;
+        once(&mut warm_up);
+        let (start, mut timed, mut iters) = (Instant::now(), Duration::ZERO, 0_u64);
+        while iters < 3 || start.elapsed() < self.measure {
+            once(&mut timed);
+            iters += 1;
+        }
+        self.result = Some((timed, iters));
     }
 }
 
