@@ -16,6 +16,7 @@
 //! scenarios under proptest.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
@@ -27,7 +28,10 @@ use hierod_stream::codec::decode_lane;
 use hierod_stream::{
     ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
+use hierod_wire::encode_report;
 use proptest::prelude::*;
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/store_recovery.golden");
 
 /// One step of a scripted scenario.
 #[derive(Clone, Debug)]
@@ -516,6 +520,49 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
     assert_eq!(recovery.restored_samples, clean_recovery.restored_samples);
     assert_reports_equal(&got, &want, "a refused chunk");
     assert_reports_equal(&got, &uninterrupted(&ops), "a refused chunk");
+}
+
+/// FNV-1a over `bytes`.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every byte a [`DurableStream`] writes, and the report it finishes on,
+/// for both scripted scenarios: one line per storage file (name, length,
+/// FNV-1a digest) plus one for `encode_report` of the finished report.
+/// The golden file beside this test was written before the stream
+/// detector stopped keeping closed pipelines; a refactor of the detector
+/// or of rotation and recovery must keep every line. When the file is
+/// absent the test writes it and fails, so a fresh pin set is never
+/// mistaken for a passing one.
+#[test]
+fn segment_wal_and_report_bytes_are_pinned() {
+    let mut actual = String::new();
+    for (name, ops) in [
+        ("scenario(1)", scenario(1)),
+        ("rotating_inside_jobs", scenario_rotating_inside_jobs()),
+    ] {
+        let storage = MemStorage::new();
+        let mut d = open(storage.clone());
+        assert!(run_ops(&mut d, &ops, 0, &BTreeMap::new()), "no budget set");
+        let report = encode_report(&d.finish().expect("finish"));
+        let mut files = storage.list().expect("list");
+        files.sort();
+        for file in files {
+            let bytes = storage.read(&file).expect("read");
+            let (len, digest) = (bytes.len(), fnv(&bytes));
+            writeln!(actual, "{name} {file} {len} {digest:016x}").expect("write to String");
+        }
+        let (len, digest) = (report.len(), fnv(&report));
+        writeln!(actual, "{name} report {len} {digest:016x}").expect("write to String");
+    }
+    let Ok(golden) = std::fs::read_to_string(GOLDEN) else {
+        std::fs::write(GOLDEN, &actual).expect("write golden");
+        panic!("{GOLDEN} was missing and has been written; re-run to check it");
+    };
+    assert_eq!(actual, golden, "stored or report bytes moved");
 }
 
 proptest! {
