@@ -11,6 +11,15 @@
 //! on a detector that has seen the whole plant, every job complete and
 //! never ticked. Each times the call alone, on a detector replayed
 //! untimed; dropping the returned report is not timed either.
+//!
+//! Then the two durability walks bounded by the open window, on an
+//! in-memory store: `rotate` on the `firehose` plant driven through a
+//! `DurableStream` with a rotation after every job completion — every job
+//! complete and the previous rotation taken, so it seals what the open
+//! pipelines hold and nothing of closed history — and `recover`,
+//! `DurableStream::open` of a `cold_store`-shaped image (1 machine × 16
+//! jobs × 576 samples per phase, seed 11, one rotation per job), the
+//! image copied untimed before each open.
 
 use std::hint::black_box;
 
@@ -20,7 +29,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use hierod_core::pipeline::build_report;
 use hierod_core::{detect_all_levels, AlgorithmPolicy};
 use hierod_hierarchy::Level;
-use hierod_stream::{ControlEvent, StreamConfig, StreamDetector, StreamEvent};
+use hierod_store::store::StoreOptions;
+use hierod_store::MemStorage;
+use hierod_stream::{ControlEvent, DurableStream, StreamConfig, StreamDetector, StreamEvent};
 use hierod_synth::{Scenario, ScenarioBuilder};
 
 /// The `dashboard` workload's plant (`benchmark/src/plant.rs` knobs).
@@ -39,15 +50,40 @@ fn scenario() -> Scenario {
 /// The `firehose` workload's plant: the `dashboard` knobs at 960 samples
 /// per phase.
 fn firehose_scenario() -> Scenario {
+    shaped_scenario(2, 10, 960)
+}
+
+/// The `dashboard` knobs at another shape.
+fn shaped_scenario(machines: usize, jobs: usize, phase_samples: usize) -> Scenario {
     ScenarioBuilder::new(11)
-        .machines(2)
-        .jobs_per_machine(10)
+        .machines(machines)
+        .jobs_per_machine(jobs)
         .redundancy(3)
-        .phase_samples(960)
+        .phase_samples(phase_samples)
         .anomaly_rate(0.3)
         .measurement_error_fraction(0.5)
         .magnitude_sigmas(12.0)
         .build()
+}
+
+/// A durable stream on `storage` that has seen `scenario`, rotating after
+/// every job completion.
+fn durable_replayed(scenario: &Scenario, storage: MemStorage) -> DurableStream<MemStorage> {
+    let (policy, config) = (AlgorithmPolicy::default(), StreamConfig::default());
+    let (mut stream, _) =
+        DurableStream::open(policy, config, storage, StoreOptions::default()).expect("fresh store");
+    for event in scenario.replay().into_iter().map(StreamEvent::from) {
+        match event {
+            StreamEvent::Control(control) => {
+                stream.control(&control).expect("control");
+                if matches!(control, ControlEvent::JobComplete { .. }) {
+                    stream.rotate().expect("rotate");
+                }
+            }
+            StreamEvent::Sample(lane, sample) => stream.ingest(&lane, sample).expect("ingest"),
+        }
+    }
+    stream
 }
 
 /// A detector that has seen `events`, in order.
@@ -160,5 +196,40 @@ fn bench_phase_close(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tick, bench_phase_close);
+fn bench_durable(c: &mut Criterion) {
+    let mut group = c.benchmark_group("durable");
+    group.measurement_time(Duration::from_secs(1));
+    let mut stream = durable_replayed(&firehose_scenario(), MemStorage::new());
+    // Each rotation leaves a segment behind in memory: timed call by call
+    // until the window's wall time is spent, so their number stays
+    // bounded by the window.
+    group.bench_function("rotate", |b| {
+        b.iter_batched(
+            || (),
+            |()| stream.rotate().expect("rotate"),
+            BatchSize::LargeInput,
+        )
+    });
+    drop(stream);
+
+    let image = MemStorage::new();
+    drop(durable_replayed(
+        &shaped_scenario(1, 16, 576),
+        image.clone(),
+    ));
+    group.bench_function("recover", |b| {
+        b.iter_batched(
+            || image.crash_image(false),
+            |storage| {
+                let (policy, config) = (AlgorithmPolicy::default(), StreamConfig::default());
+                DurableStream::open(policy, config, storage, StoreOptions::default())
+                    .expect("recover")
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_tick, bench_phase_close, bench_durable);
 criterion_main!(benches);

@@ -25,21 +25,23 @@
 //! through Algorithm 1's `CalcGlobalScore` — yielding the same
 //! ⟨global score, outlierness, support⟩ triples as a batch run.
 //!
-//! ## Freeze once
+//! ## Open pipeline → closed phase data
 //!
-//! A closed phase never changes, so the control that closes it
-//! **freezes** its pipelines: their released samples move onto shared
-//! storage, their scorers are released, and each series is standardised
-//! and thresholded (one `emit_series`) into its job's phase-level
-//! fragment, exactly once. The first assembly after the job completes
-//! only appends the job's fragment and one [`Job`] built from those
-//! buffers to the materialized plant; every later assembly shares both —
-//! an assembly costs the environment series (open until finish), a
+//! A pipeline lives only while its series is open. The control that
+//! closes a phase **consumes** the phase's pipelines: each one's released
+//! samples move onto shared storage as a series of the job's closed
+//! phases, the series is standardised and thresholded (one
+//! `emit_series`) into the job's phase-level fragment, and its counters
+//! fold into per-lane totals — exactly once. The control that completes
+//! the job appends its [`Job`] to the materialized plant and its fragment
+//! to the machine's phase-level detections, and marks the upper levels
+//! (one row per completed job) stale. An assembly then costs the
+//! environment series (open until finish), the upper levels when stale, a
 //! reference count per shared name and column, and Algorithm 1's indexed
-//! pass over the outliers, not closed history. The three upper levels
-//! (one row per completed job) are re-run only by an assembly that
-//! appended a job. So neither a `tick` nor `finish` touches a series that
-//! closed before it (DESIGN.md §4.13 has the invariants and the cost
+//! pass over the outliers: neither a `tick` nor `finish` touches a
+//! series that closed before it, and the detector holds one pipeline per
+//! environment sensor and per sensor of each open phase, however many
+//! jobs it has seen (DESIGN.md §4.13 has the invariants and the cost
 //! model).
 //!
 //! ## Scorer modes
@@ -71,6 +73,7 @@ use hierod_hierarchy::{
     CaqResult, Environment, Job, JobConfig, Level, Phase, PhaseKind, Plant, ProductionLine,
     RedundancyGroup, Sensor, SeriesAt,
 };
+use hierod_store::segment::DecodedChunk;
 use hierod_synth::ReplayEvent;
 use hierod_timeseries::TimeSeries;
 use std::sync::Arc;
@@ -349,71 +352,73 @@ impl From<ReplayEvent> for StreamEvent {
     }
 }
 
-/// A mutable view of one open pipeline with its lane coordinates —
-/// the durability layer walks these to seal chunks and tag pipelines
-/// with the control sequence that opened them.
-pub(crate) struct PipeSlot<'a> {
-    pub(crate) machine: &'a str,
-    pub(crate) sensor: &'a str,
-    pub(crate) kind: LaneKind,
-    pub(crate) pipe: &'a mut Pipeline,
-}
-
-/// A pipeline's released samples.
-enum History {
-    /// Growing: the pipeline can still release samples.
-    Open {
-        timestamps: Vec<u64>,
-        values: Vec<f64>,
-    },
-    /// Frozen with the pipeline's job, onto the buffers the materialized
-    /// series and every report's phase-level `SeriesScores` share.
-    Frozen {
-        timestamps: Arc<[u64]>,
-        values: Arc<[f64]>,
-    },
-}
-
-/// One sensor stream's online scoring state: watermark reorder buffer,
-/// the scorer, the released history and its scores.
+/// One open series' online scoring state: watermark reorder buffer, the
+/// scorer, the released history and its scores. The control that closes
+/// the series consumes it.
 pub(crate) struct Pipeline {
-    pub(crate) watermark: Watermark,
-    /// `None` once the pipeline is frozen with its phase.
-    scorer: Option<Box<dyn OnlineScorer>>,
-    /// The released scorer's drift events and refits, kept when it froze.
-    released_adapt: (u64, u64),
-    history: History,
+    watermark: Watermark,
+    scorer: Box<dyn OnlineScorer>,
+    /// The released samples, parallel.
+    timestamps: Vec<u64>,
+    values: Vec<f64>,
     /// The scorer's output so far: the i-th score is the i-th released
     /// sample's.
     scored: Vec<f64>,
     failed: bool,
-    finished: bool,
     /// How many released samples have already been sealed into a segment
     /// (durability layer); samples beyond this index still live only in
     /// the WAL and must be re-emitted on the next rotation.
-    pub(crate) sealed: usize,
+    sealed: usize,
     /// Drop counters at the last seal — a rotation emits a chunk whenever
     /// the live counters moved past these, even with no new releases.
-    pub(crate) sealed_stats: LatenessStats,
+    sealed_stats: LatenessStats,
     /// Sequence number of the control event that opened this pipeline
     /// (`None` until the durability layer tags it). Recovery matches
     /// restored chunks to pipelines through this tag.
     pub(crate) opened_seq: Option<u64>,
 }
 
+/// What a closed pipeline still owes the next rotation segment: its
+/// released samples past the sealed index, on the shared buffers its
+/// closed series holds, and its final drop counters. Only a tagged
+/// (durable) pipeline leaves one.
+struct Owed {
+    sensor: String,
+    opened_seq: u64,
+    sealed: usize,
+    stats: LatenessStats,
+    timestamps: Arc<[u64]>,
+    values: Arc<[f64]>,
+}
+
+/// One series' part of a rotation segment: the samples it released since
+/// its last seal and its drop counters now, on the pipeline the control
+/// `opened_seq` opened.
+pub(crate) struct Unsealed<'a> {
+    pub(crate) lane: LaneId,
+    pub(crate) opened_seq: u64,
+    pub(crate) timestamps: &'a [u64],
+    pub(crate) values: &'a [f64],
+    pub(crate) stats: LatenessStats,
+}
+
+/// `xs` past its first `sealed` elements.
+fn past<T>(xs: &[T], sealed: usize) -> &[T] {
+    xs.get(sealed..).unwrap_or(&[])
+}
+
+/// An open lane's samples still buffered in its watermark.
+pub(crate) type Buffered = (LaneId, Vec<(u64, f64)>);
+
 impl Pipeline {
     fn new(lateness: u64, scorer: Box<dyn OnlineScorer>) -> Self {
         Self {
             watermark: Watermark::new(lateness),
-            scorer: Some(scorer),
-            released_adapt: (0, 0),
-            history: History::Open {
-                timestamps: Vec::new(),
-                values: Vec::new(),
-            },
+            scorer,
+            timestamps: Vec::new(),
+            values: Vec::new(),
             scored: Vec::new(),
             failed: false,
-            finished: false,
             sealed: 0,
             sealed_stats: LatenessStats::default(),
             opened_seq: None,
@@ -427,151 +432,125 @@ impl Pipeline {
     /// Re-offering the journalled carry-over samples afterwards (ascending
     /// timestamps, all above the floor) rebuilds the pre-crash watermark
     /// state exactly. Only valid on a fresh pipeline or directly after a
-    /// previous `restore_chunk`: a closed pipeline is frozen and its
-    /// series already thresholded, so it refuses the chunk — untouched —
-    /// and returns `false`. Journal-order replay never offers it one
-    /// (a chunk sorts before any later control), so only a damaged or
-    /// crafted journal does.
-    pub(crate) fn restore_chunk(
-        &mut self,
-        timestamps: &[u64],
-        values: &[f64],
-        late: u64,
-        dups: u64,
-    ) -> bool {
-        if self.finished {
-            return false;
-        }
-        self.absorb_released(timestamps.iter().copied().zip(values.iter().copied()));
+    /// previous `restore_chunk`, which journal-order replay guarantees.
+    /// Returns the samples and drops the chunk adds to the lane's offers.
+    fn restore_chunk(&mut self, ch: &DecodedChunk) -> u64 {
+        let before = self.watermark.stats();
+        let released = ch.timestamps.iter().copied().zip(ch.values.iter().copied());
+        self.absorb_released(released);
         let stats = LatenessStats {
-            late_dropped: late as usize,
-            duplicates_dropped: dups as usize,
+            late_dropped: ch.late_dropped as usize,
+            duplicates_dropped: ch.duplicates_dropped as usize,
         };
-        let (timestamps, _) = self.released();
-        let (floor, sealed) = (timestamps.last().copied(), timestamps.len());
-        self.watermark.restore_state(floor, stats);
-        self.sealed = sealed;
-        self.sealed_stats = stats;
-        true
+        self.watermark
+            .restore_state(self.timestamps.last().copied(), stats);
+        (self.sealed, self.sealed_stats) = (self.timestamps.len(), stats);
+        // Counters in the chunk are absolute; its drops are its increment
+        // over the previous one's.
+        let late = stats.late_dropped.saturating_sub(before.late_dropped);
+        let dups = stats
+            .duplicates_dropped
+            .saturating_sub(before.duplicates_dropped);
+        (ch.timestamps.len() + late + dups) as u64
     }
 
     /// Offers one sample; everything the watermark releases flows into the
     /// history and the scorer. A scorer error poisons the series (it will
     /// be skipped at assembly, mirroring the batch skip of unscorable
     /// series).
-    fn offer(&mut self, ts: u64, value: f64, scratch: &mut Vec<(u64, f64)>) {
+    fn offer(&mut self, sample: Sample, scratch: &mut Vec<(u64, f64)>) {
         scratch.clear();
-        self.watermark.offer(ts, value, scratch);
+        self.watermark
+            .offer(sample.timestamp, sample.value, scratch);
         self.absorb_released(scratch.iter().copied());
     }
 
     /// Flushes the watermark and finishes the scorer (phase boundary or
     /// end of stream).
     fn finish(&mut self, scratch: &mut Vec<(u64, f64)>) {
-        if self.finished {
-            return;
-        }
         scratch.clear();
         self.watermark.flush(scratch);
         self.absorb_released(scratch.iter().copied());
-        if let Some(scorer) = &mut self.scorer {
-            if !self.failed && scorer.finish(&mut self.scored).is_err() {
-                self.failed = true;
-            }
+        if !self.failed && self.scorer.finish(&mut self.scored).is_err() {
+            self.failed = true;
         }
-        self.finished = true;
     }
 
-    /// Nothing releases into a frozen pipeline: its phase is closed, so
-    /// `ingest` routes past it, it is finished, and recovery refuses a
-    /// chunk for it ([`restore_chunk`](Self::restore_chunk)).
     fn absorb_released(&mut self, released: impl Iterator<Item = (u64, f64)>) {
-        let (History::Open { timestamps, values }, Some(scorer)) =
-            (&mut self.history, &mut self.scorer)
-        else {
-            return;
-        };
         for (t, v) in released {
-            timestamps.push(t);
-            values.push(v);
-            if !self.failed && scorer.push(t, v, &mut self.scored).is_err() {
+            self.timestamps.push(t);
+            self.values.push(v);
+            if !self.failed && self.scorer.push(t, v, &mut self.scored).is_err() {
                 self.failed = true;
             }
         }
     }
 
-    /// The released timestamps and values, parallel. The durability layer
-    /// seals their unsealed suffix at a rotation, frozen or not.
-    pub(crate) fn released(&self) -> (&[u64], &[f64]) {
-        match &self.history {
-            History::Open { timestamps, values } => (timestamps, values),
-            History::Frozen { timestamps, values } => (timestamps, values),
+    /// Whether a rotation owes a segment anything of this series: releases
+    /// or drops past the last seal.
+    fn unsealed(&self) -> bool {
+        self.timestamps.len() > self.sealed || self.watermark.stats() != self.sealed_stats
+    }
+
+    /// Marks everything released sealed, handing what the last seal had
+    /// not covered to `chunk` and what the watermark still buffers to
+    /// `buffered`.
+    fn seal(
+        &mut self,
+        lane: impl Fn() -> LaneId,
+        chunk: &mut impl FnMut(Unsealed<'_>),
+        buffered: &mut Vec<Buffered>,
+    ) {
+        if self.unsealed() {
+            let stats = self.watermark.stats();
+            chunk(Unsealed {
+                lane: lane(),
+                opened_seq: self.opened_seq.unwrap_or(0),
+                timestamps: past(&self.timestamps, self.sealed),
+                values: past(&self.values, self.sealed),
+                stats,
+            });
+            (self.sealed, self.sealed_stats) = (self.timestamps.len(), stats);
+        }
+        let pending: Vec<_> = self.watermark.pending_samples().collect();
+        if !pending.is_empty() {
+            buffered.push((lane(), pending));
         }
     }
 
-    /// The released history as a series, when non-degenerate: one copy of
-    /// an open pipeline's samples, a share of a frozen one's.
+    /// The released history as a series: one copy of its samples.
     fn series(&self, name: &str) -> Option<TimeSeries> {
-        let (timestamps, values) = match &self.history {
-            History::Open { timestamps, values } => {
-                (timestamps.as_slice().into(), values.as_slice().into())
-            }
-            History::Frozen { timestamps, values } => (Arc::clone(timestamps), Arc::clone(values)),
-        };
-        TimeSeries::from_shared(name, timestamps, values).ok()
+        let (timestamps, values) = (self.timestamps.as_slice(), self.values.as_slice());
+        TimeSeries::from_shared(name, timestamps.into(), values.into()).ok()
     }
 
     /// One raw score per released sample, or `None` for a series assembly
     /// skips: its scorer failed, or its scores are not complete yet (open
-    /// phase in batch-equivalent mode) — the batch path skips unscorable
+    /// series in batch-equivalent mode) — the batch path skips unscorable
     /// series the same way.
     fn raw_scores(&self) -> Option<&[f64]> {
-        (!self.failed && self.scored.len() == self.released().0.len())
+        (!self.failed && self.scored.len() == self.timestamps.len())
             .then_some(self.scored.as_slice())
     }
 
     /// This pipeline's share of its lane's counters.
     fn counters(&self) -> LaneStats {
         let w = self.watermark.stats();
-        let (drift_events, refits) = self
-            .scorer
-            .as_ref()
-            .map_or(self.released_adapt, |s| (s.drift_events(), s.refits()));
         LaneStats {
-            released: self.released().0.len() as u64,
+            released: self.timestamps.len() as u64,
             late_dropped: w.late_dropped as u64,
             duplicates_dropped: w.duplicates_dropped as u64,
             corrupt_records: 0,
-            drift_events,
-            refits,
+            drift_events: self.scorer.drift_events(),
+            refits: self.scorer.refits(),
         }
-    }
-
-    /// Finishes the pipeline and freezes it as its phase closes: the
-    /// history moves onto shared storage, the scorer is released (its
-    /// drift and refit counts stay with the pipeline), and the raw scores
-    /// ([`raw_scores`](Self::raw_scores)) move out this once.
-    fn freeze(&mut self, scratch: &mut Vec<(u64, f64)>) -> Option<Vec<f64>> {
-        self.finish(scratch);
-        let complete = self.raw_scores().is_some();
-        if let History::Open { timestamps, values } = &mut self.history {
-            self.history = History::Frozen {
-                timestamps: std::mem::take(timestamps).into(),
-                values: std::mem::take(values).into(),
-            };
-        }
-        if let Some(scorer) = self.scorer.take() {
-            self.released_adapt = (scorer.drift_events(), scorer.refits());
-        }
-        let scored = std::mem::take(&mut self.scored);
-        complete.then_some(scored)
     }
 }
 
 /// Where a lane's samples currently go, as indices — no name is compared
 /// on the way to the pipeline: `machines[machine].env[slot]` for an
 /// environment lane, fixed once the machine is up; for a phase lane
-/// `pipes[slot]` of the last phase of `machines[machine]`'s open job, good
+/// `pipes[slot]` of the open phase of `machines[machine]`'s open job, good
 /// until the next control event moves the open phase.
 #[derive(Debug, Clone, Copy)]
 struct Route {
@@ -579,53 +558,48 @@ struct Route {
     slot: usize,
 }
 
-/// One executed (or executing) phase: its kind and per-sensor pipelines
-/// in declaration order (which is the plant's series order, so the
+/// The executing phase: its kind and per-sensor pipelines in
+/// declaration order (which is the plant's series order, so the
 /// materialized view ordering matches batch).
 struct PhaseState {
     kind: PhaseKind,
     pipes: Vec<(String, Pipeline)>,
 }
 
-/// One job's event-sourced state; `caq: None` marks it still open.
+/// The open job's event-sourced state.
 struct JobState {
     id: String,
     start: u64,
     config: JobConfig,
-    phases: Vec<PhaseState>,
-    /// The closed phases, materialized on their frozen pipelines'
-    /// buffers; they move into the plant's [`Job`] when the job freezes.
+    /// The open phase, if one has started since the last closed.
+    phase: Option<PhaseState>,
+    /// The closed phases, on their series' shared buffers; they become
+    /// the plant's [`Job`] when the job completes.
     closed: Vec<Phase>,
     /// The closed phases' phase-level detections, standardised and
     /// thresholded as each phase closed; appended to the machine's
-    /// fragment when the job freezes.
+    /// detections when the job completes.
     fragment: LevelDetections,
-    caq: Option<CaqResult>,
 }
 
-/// One machine's event-sourced state. Its sensor inventory and its frozen
-/// jobs live in the machine's line of the materialized plant.
+/// One machine's event-sourced state. Its sensor inventory and its
+/// completed jobs live in the machine's line of the materialized plant.
 struct MachineState {
-    jobs: Vec<JobState>,
-    /// How many leading `jobs` are frozen (jobs complete in order).
-    frozen: usize,
-    /// The frozen jobs' phase-level detections, in job order — what every
-    /// assembly shares instead of re-thresholding closed series.
+    job: Option<JobState>,
+    /// The completed jobs' phase-level detections, in job order — what
+    /// every assembly shares instead of re-thresholding closed series.
     phase: LevelDetections,
     /// Environment pipelines, continuous across jobs, in declaration
     /// order.
     env: Vec<(String, Pipeline)>,
-    /// Counters of the frozen jobs' (phase) pipelines, folded per sensor
-    /// when the job froze, so `stats`/`lane_stats` walk open pipelines
-    /// only — and a freeze looks its lane up by `&str`, cloning the name
+    /// Counters of the closed (phase) pipelines, folded per sensor as
+    /// their phase closed, so `stats`/`lane_stats` walk open pipelines
+    /// only — and a close looks its lane up by `&str`, cloning the name
     /// the first time only.
-    frozen_lanes: BTreeMap<String, LaneStats>,
-}
-
-impl MachineState {
-    fn open_job_mut(&mut self) -> Option<&mut JobState> {
-        self.jobs.last_mut().filter(|j| j.caq.is_none())
-    }
+    closed_lanes: BTreeMap<String, LaneStats>,
+    /// What closed pipelines owe the next rotation segment, in close
+    /// order.
+    owed: Vec<Owed>,
 }
 
 /// The streaming counterpart of
@@ -641,16 +615,17 @@ pub struct StreamDetector {
     /// Machines in arrival order (plant line order).
     machines: Vec<(String, MachineState)>,
     /// The materialized plant: one line per machine, parallel to
-    /// `machines`, holding every frozen job. Jobs are only ever appended;
-    /// an assembly replaces nothing but the environment series.
+    /// `machines`, holding every completed job. Jobs are only ever
+    /// appended, by the control that completes them; an assembly replaces
+    /// nothing but the environment series.
     plant: Plant,
-    /// The job, production-line and production detections of the plant
-    /// as last frozen. Those levels read only frozen jobs' setup and CAQ
-    /// rows, so they are re-run on a tick that froze a job (or the first
-    /// one) and shared by every other; empty until then.
-    upper: BTreeMap<Level, LevelDetections>,
-    /// How many frozen pipelines had failed scorers.
-    frozen_failed: u64,
+    /// The job, production-line and production detections of the plant.
+    /// Those levels read only completed jobs' setup and CAQ rows, so a
+    /// job completion marks them stale (`None`) and the next assembly
+    /// re-runs them; every other shares them.
+    upper: Option<BTreeMap<Level, LevelDetections>>,
+    /// How many closed pipelines had failed scorers.
+    closed_failed: u64,
     scratch: Vec<(u64, f64)>,
     samples_ingested: u64,
     /// Every lane a [`LaneHandle`] was issued for, by handle, with its
@@ -701,8 +676,8 @@ impl StreamDetector {
             phase_spec,
             machines: Vec::new(),
             plant: Plant::new("streamed-plant", Vec::new()),
-            upper: BTreeMap::new(),
-            frozen_failed: 0,
+            upper: None,
+            closed_failed: 0,
             scratch: Vec::new(),
             samples_ingested: 0,
             lanes: Vec::new(),
@@ -726,12 +701,9 @@ impl StreamDetector {
     /// already-emitted points are kept (the commit-point rules in
     /// DESIGN.md §4.19 restrict swaps to tick boundaries).
     pub fn visit_scorers(&mut self, f: &mut ScorerVisitor<'_>) {
-        for slot in self.pipelines_mut() {
-            if slot.pipe.finished || slot.pipe.failed {
-                continue;
-            }
-            if let Some(scorer) = &mut slot.pipe.scorer {
-                f(slot.machine, slot.sensor, slot.kind, scorer);
+        for (machine, sensor, kind, pipe) in self.pipelines_mut() {
+            if !pipe.failed {
+                f(machine, sensor, kind, &mut pipe.scorer);
             }
         }
     }
@@ -814,11 +786,11 @@ impl StreamDetector {
         self.machines.push((
             machine.to_string(),
             MachineState {
-                jobs: Vec::new(),
-                frozen: 0,
+                job: None,
                 phase: LevelDetections::empty(Level::Phase),
                 env,
-                frozen_lanes: BTreeMap::new(),
+                closed_lanes: BTreeMap::new(),
+                owed: Vec::new(),
             },
         ));
         self.plant.lines.push(ProductionLine {
@@ -840,39 +812,53 @@ impl StreamDetector {
         config: &JobConfig,
     ) -> Result<()> {
         let m = find_machine(&mut self.machines, machine)?;
-        if m.open_job_mut().is_some() {
+        if m.job.is_some() {
             return Err(DetectError::invalid(
                 "job",
                 format!("machine {machine} already has an open job"),
             ));
         }
-        m.jobs.push(JobState {
+        m.job = Some(JobState {
             id: job.to_string(),
             start,
             config: config.clone(),
-            phases: Vec::new(),
+            phase: None,
             closed: Vec::new(),
             fragment: LevelDetections::empty(Level::Phase),
-            caq: None,
         });
         Ok(())
     }
 
-    /// Opens a phase within the machine's open job, finalizing the
-    /// previous phase's pipelines (their watermarks flush and their
-    /// scorers finish).
+    /// Opens a phase within the machine's open job, closing the previous
+    /// phase ([`close_open_phase`](Self::close_open_phase)).
     fn phase_start(&mut self, machine: &str, kind: PhaseKind, sensors: &[String]) -> Result<()> {
         let pipes = self.open_pipelines(sensors, LaneKind::Phase)?;
-        self.close_open_phase(machine)?
-            .phases
-            .push(PhaseState { kind, pipes });
+        self.close_open_phase(machine)?.phase = Some(PhaseState { kind, pipes });
         Ok(())
     }
 
-    /// Completes the machine's open job with its CAQ result, finalizing
-    /// the last phase's pipelines.
+    /// Completes the machine's open job with its CAQ result: its last
+    /// phase closes, the [`Job`] joins the machine's line of the
+    /// materialized plant and its fragment the machine's phase-level
+    /// detections, and the upper levels go stale. Only completed jobs
+    /// enter the plant — their feature vectors would otherwise change
+    /// dimension mid-job and poison the line-level series.
     fn job_complete(&mut self, machine: &str, caq: &CaqResult) -> Result<()> {
-        self.close_open_phase(machine)?.caq = Some(caq.clone());
+        self.close_open_phase(machine)?;
+        let mut lines = self.machines.iter_mut().zip(&mut self.plant.lines);
+        if let Some(((_, m), line)) = lines.find(|((id, _), _)| id == machine) {
+            if let Some(job) = m.job.take() {
+                m.phase.absorb(job.fragment);
+                line.jobs.push(Job {
+                    id: job.id,
+                    start: job.start,
+                    config: job.config,
+                    phases: job.closed,
+                    caq: caq.clone(),
+                });
+                self.upper = None;
+            }
+        }
         Ok(())
     }
 
@@ -891,56 +877,88 @@ impl StreamDetector {
             .collect()
     }
 
-    /// Closes the current phase of the machine's open job and returns
-    /// that job. The phase's pipelines finish and freeze, and each series
-    /// is standardised and thresholded into the job's fragment here, once:
-    /// no later tick or `finish` reads it again. Series whose scorer
-    /// failed are left out of the fragment, as the batch path skips
-    /// unscorable series; degenerate ones are left out of the phase too.
+    /// Closes the open phase of the machine's open job, if any, and
+    /// returns that job. The phase's pipelines finish and are consumed
+    /// here, once: each series moves onto shared buffers as one of the
+    /// job's closed phases and is standardised and thresholded into the
+    /// job's fragment, each pipeline's counters fold into its lane's
+    /// totals, and a tagged pipeline with anything unsealed leaves what it
+    /// owes the next rotation. No later tick or `finish` reads the series
+    /// again. Series whose scorer failed are left out of the fragment, as
+    /// the batch path skips unscorable series; degenerate ones are left
+    /// out of the phase too.
     fn close_open_phase(&mut self, machine: &str) -> Result<&mut JobState> {
         let threshold = self.policy.threshold(Level::Phase);
         let Self {
             machines,
             plant,
             scratch,
+            closed_failed,
             ..
         } = self;
-        let job = find_machine(machines, machine)?
-            .open_job_mut()
-            .ok_or_else(|| DetectError::Missing {
-                what: format!("open job on machine {machine}"),
-            })?;
-        if let Some(phase) = job.phases.last_mut() {
-            let mut series = Vec::with_capacity(phase.pipes.len());
-            for (name, pipe) in &mut phase.pipes {
-                let raw = pipe.freeze(scratch);
-                let Some(frozen) = pipe.series(name) else {
-                    continue;
-                };
-                if let Some(raw) = raw {
-                    let at = SeriesAt {
-                        machine: machine.to_string(),
-                        job: Some(job.id.clone()),
-                        phase: Some(phase.kind),
-                        series: frozen.share(),
-                    };
-                    // At the phase level `emit_series` reads the series,
-                    // its scores and the threshold — nothing of the plant,
-                    // which does not hold this job yet.
-                    emit_series(
-                        plant,
-                        Level::Phase,
-                        threshold,
-                        &at,
-                        &raw,
-                        false,
-                        &mut job.fragment,
-                    );
+        let MachineState {
+            job,
+            closed_lanes,
+            owed,
+            ..
+        } = find_machine(machines, machine)?;
+        let job = job.as_mut().ok_or_else(|| DetectError::Missing {
+            what: format!("open job on machine {machine}"),
+        })?;
+        let Some(PhaseState { kind, pipes }) = job.phase.take() else {
+            return Ok(job);
+        };
+        let mut series = Vec::with_capacity(pipes.len());
+        for (name, mut pipe) in pipes {
+            pipe.finish(scratch);
+            let counters = pipe.counters();
+            match closed_lanes.get_mut(name.as_str()) {
+                Some(lane) => lane.add(&counters),
+                None => {
+                    closed_lanes.insert(name.clone(), counters);
                 }
-                series.push(frozen);
             }
-            job.closed.push(Phase::new(phase.kind, series, Vec::new()));
+            *closed_failed += u64::from(pipe.failed);
+            let complete = pipe.raw_scores().is_some();
+            let unsealed = pipe.unsealed();
+            let timestamps: Arc<[u64]> = std::mem::take(&mut pipe.timestamps).into();
+            let values: Arc<[f64]> = std::mem::take(&mut pipe.values).into();
+            if let Some(opened_seq) = pipe.opened_seq.filter(|_| unsealed) {
+                owed.push(Owed {
+                    sensor: name.clone(),
+                    opened_seq,
+                    sealed: pipe.sealed,
+                    stats: pipe.watermark.stats(),
+                    timestamps: Arc::clone(&timestamps),
+                    values: Arc::clone(&values),
+                });
+            }
+            let Ok(closed) = TimeSeries::from_shared(name, timestamps, values) else {
+                continue;
+            };
+            if complete {
+                let at = SeriesAt {
+                    machine: machine.to_string(),
+                    job: Some(job.id.clone()),
+                    phase: Some(kind),
+                    series: closed.share(),
+                };
+                // At the phase level `emit_series` reads the series, its
+                // scores and the threshold — nothing of the plant, which
+                // does not hold this job yet.
+                emit_series(
+                    plant,
+                    Level::Phase,
+                    threshold,
+                    &at,
+                    &pipe.scored,
+                    false,
+                    &mut job.fragment,
+                );
+            }
+            series.push(closed);
         }
+        job.closed.push(Phase::new(kind, series, Vec::new()));
         Ok(job)
     }
 
@@ -965,7 +983,7 @@ impl StreamDetector {
     /// [`DetectError::Missing`] when no pipeline is open for the lane.
     pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
         let route = find_route(&self.machines, lane)?;
-        offer_at(&mut self.machines, route, lane, sample, &mut self.scratch)?;
+        pipe_at(&mut self.machines, route, lane)?.offer(sample, &mut self.scratch);
         self.samples_ingested += 1;
         Ok(())
     }
@@ -979,73 +997,108 @@ impl StreamDetector {
     /// As [`ingest`](Self::ingest); also [`DetectError::Missing`] for a
     /// handle this detector did not issue.
     pub fn ingest_resolved(&mut self, lane: LaneHandle, sample: Sample) -> Result<()> {
-        let Some((id, cached)) = self.lanes.get_mut(lane.0 as usize) else {
-            return Err(DetectError::Missing {
-                what: format!("lane handle {}", lane.0),
-            });
-        };
-        let route = match *cached {
-            Some(route) => route,
-            None => *cached.insert(find_route(&self.machines, id)?),
-        };
-        offer_at(&mut self.machines, route, id, sample, &mut self.scratch)?;
+        let Self {
+            machines,
+            lanes,
+            scratch,
+            ..
+        } = self;
+        resolve(machines, lanes, lane)?.offer(sample, scratch);
         self.samples_ingested += 1;
         Ok(())
     }
 
-    /// Every pipeline outside a frozen job with its lane coordinates
-    /// (machine, sensor, kind), in plant order: each machine's environment
-    /// pipelines first, then its unfrozen jobs' phases in execution order.
-    fn unfrozen_pipelines(&self) -> impl Iterator<Item = (&str, &str, LaneKind, &Pipeline)> {
+    /// Restores a sealed chunk into the open pipeline `lane` routes to —
+    /// the route a sample on the lane takes — if the control
+    /// `ch.after_control_seq` opened it, and credits the chunk's samples
+    /// and its drops past the pipeline's as ingested. Returns the credit,
+    /// or `None`, touching nothing, for a chunk that addresses no open
+    /// pipeline: journal-order replay never produces one (a chunk sorts
+    /// directly after the control that opened its pipeline and before any
+    /// later control, which may close it), so only a damaged or crafted
+    /// journal does.
+    pub(crate) fn restore_chunk(&mut self, lane: LaneHandle, ch: &DecodedChunk) -> Option<u64> {
+        let pipe = resolve(&mut self.machines, &mut self.lanes, lane).ok()?;
+        let opened = pipe.opened_seq == Some(ch.after_control_seq);
+        let credit = opened.then(|| pipe.restore_chunk(ch))?;
+        self.samples_ingested += credit;
+        Some(credit)
+    }
+
+    /// Every open pipeline with its lane coordinates (machine, sensor,
+    /// kind), in plant order: each machine's environment pipelines first,
+    /// then its open phase's.
+    fn pipelines(&self) -> impl Iterator<Item = (&str, &str, LaneKind, &Pipeline)> {
         self.machines.iter().flat_map(|(machine, m)| {
             let env = m.env.iter().map(|(n, p)| (LaneKind::Environment, n, p));
-            let phases = m
-                .jobs
-                .iter()
-                .skip(m.frozen)
-                .flat_map(|job| &job.phases)
-                .flat_map(|phase| &phase.pipes)
-                .map(|(n, p)| (LaneKind::Phase, n, p));
-            env.chain(phases)
+            let phase = m.job.iter().flat_map(|job| &job.phase);
+            let phase = phase.flat_map(|phase| &phase.pipes);
+            env.chain(phase.map(|(n, p)| (LaneKind::Phase, n, p)))
                 .map(move |(kind, n, p)| (machine.as_str(), n.as_str(), kind, p))
         })
     }
 
-    /// The mutable walk over every pipeline, frozen or not: each machine's
-    /// environment pipelines first, then its jobs' phases in execution
-    /// order. The durability layer iterates this to seal rotation chunks
-    /// and to tag/restore pipelines.
-    pub(crate) fn pipelines_mut(&mut self) -> impl Iterator<Item = PipeSlot<'_>> {
+    /// [`pipelines`](Self::pipelines), mutably. The durability layer tags
+    /// the pipelines a control opened through this walk.
+    pub(crate) fn pipelines_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (&str, &str, LaneKind, &mut Pipeline)> {
         self.machines.iter_mut().flat_map(|(machine, m)| {
             let env = m.env.iter_mut().map(|(n, p)| (LaneKind::Environment, n, p));
-            let phases = m
-                .jobs
-                .iter_mut()
-                .flat_map(|job| &mut job.phases)
-                .flat_map(|phase| &mut phase.pipes)
-                .map(|(n, p)| (LaneKind::Phase, n, p));
+            let phase = m.job.iter_mut().flat_map(|job| &mut job.phase);
+            let phase = phase.flat_map(|phase| &mut phase.pipes);
             let machine = machine.as_str();
-            env.chain(phases).map(move |(kind, n, pipe)| PipeSlot {
-                machine,
-                sensor: n,
-                kind,
-                pipe,
-            })
+            env.chain(phase.map(|(n, p)| (LaneKind::Phase, n, p)))
+                .map(move |(kind, n, p)| (machine, n.as_str(), kind, p))
         })
+    }
+
+    /// Marks everything released so far sealed and hands `chunk` what a
+    /// rotation segment owes: per machine, in this order, its environment
+    /// pipelines' unsealed parts, what its closed pipelines left owing (in
+    /// close order), and its open phase's. Returns every open watermark's
+    /// buffered samples, in the same order.
+    pub(crate) fn seal(&mut self, mut chunk: impl FnMut(Unsealed<'_>)) -> Vec<Buffered> {
+        let mut buffered = Vec::new();
+        for (machine, m) in &mut self.machines {
+            let lane = |sensor: &str, kind| LaneId {
+                machine: machine.clone(),
+                sensor: sensor.to_string(),
+                kind,
+            };
+            for (sensor, pipe) in &mut m.env {
+                let env = || lane(sensor, LaneKind::Environment);
+                pipe.seal(env, &mut chunk, &mut buffered);
+            }
+            for owed in m.owed.drain(..) {
+                chunk(Unsealed {
+                    lane: lane(&owed.sensor, LaneKind::Phase),
+                    opened_seq: owed.opened_seq,
+                    timestamps: past(&owed.timestamps, owed.sealed),
+                    values: past(&owed.values, owed.sealed),
+                    stats: owed.stats,
+                });
+            }
+            let phase = m.job.iter_mut().flat_map(|job| &mut job.phase);
+            for (sensor, pipe) in phase.flat_map(|phase| &mut phase.pipes) {
+                pipe.seal(|| lane(sensor, LaneKind::Phase), &mut chunk, &mut buffered);
+            }
+        }
+        buffered
     }
 
     /// Current ingestion counters.
     pub fn stats(&self) -> StreamStats {
         let mut total = LaneStats::default();
-        let mut series_failed = self.frozen_failed;
+        let mut series_failed = self.closed_failed;
         for lane in self
             .machines
             .iter()
-            .flat_map(|(_, m)| m.frozen_lanes.values())
+            .flat_map(|(_, m)| m.closed_lanes.values())
         {
             total.add(lane);
         }
-        for (_, _, _, pipe) in self.unfrozen_pipelines() {
+        for (_, _, _, pipe) in self.pipelines() {
             total.add(&pipe.counters());
             series_failed += u64::from(pipe.failed);
         }
@@ -1066,7 +1119,7 @@ impl StreamDetector {
     pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
         let mut out = BTreeMap::new();
         for (machine, m) in &self.machines {
-            for (sensor, lane) in &m.frozen_lanes {
+            for (sensor, lane) in &m.closed_lanes {
                 let id = LaneId {
                     machine: machine.clone(),
                     sensor: sensor.clone(),
@@ -1075,7 +1128,7 @@ impl StreamDetector {
                 out.insert(id, *lane);
             }
         }
-        for (machine, sensor, kind, pipe) in self.unfrozen_pipelines() {
+        for (machine, sensor, kind, pipe) in self.pipelines() {
             out.entry(LaneId {
                 machine: machine.to_string(),
                 sensor: sensor.to_string(),
@@ -1087,44 +1140,37 @@ impl StreamDetector {
         out
     }
 
-    /// Credits samples that were ingested before a crash and restored from
-    /// sealed segments (their releases and drops are rebuilt by
-    /// [`Pipeline::restore_chunk`], but the offer-time counter lives here).
-    pub(crate) fn add_recovered_ingested(&mut self, n: u64) {
-        self.samples_ingested += n;
-    }
-
-    /// Assembles an interim report from everything released so far: jobs
-    /// completed since the last assembly are appended to the materialized
-    /// plant with the phase fragments their closing controls built, the
-    /// environment series and the upper levels re-evaluated, and
-    /// Algorithm 1's propagation run. A phase series enters the report
-    /// once its job completes, standardised when its phase closed; no
-    /// tick reads it again. In [`ScorerMode::BatchEquivalent`] its scores
-    /// come into being at that close; [`ScorerMode::Incremental`] scores
-    /// them per sample.
+    /// Assembles an interim report from everything released so far: the
+    /// completed jobs' phase detections (built as each phase closed) are
+    /// gathered, the environment series re-evaluated, the upper levels
+    /// re-run if a job completed since the last assembly, and Algorithm
+    /// 1's propagation run. A phase series enters the report once its job
+    /// completes, standardised when its phase closed; no tick reads it
+    /// again. In [`ScorerMode::BatchEquivalent`] its scores come into
+    /// being at that close; [`ScorerMode::Incremental`] scores them per
+    /// sample.
     ///
-    /// Takes `&mut self` because the first assembly after a job completes
-    /// freezes it (and re-runs the upper levels, which read only frozen
-    /// jobs); the report is the same whether or not anything froze.
+    /// Takes `&mut self` for the two things an assembly refreshes: the
+    /// cached upper levels and the materialized environment series. It
+    /// reads no phase state.
     ///
     /// # Errors
-    /// Propagates upper-level detector failures.
+    /// Propagates upper-level detector failures; the upper levels stay
+    /// stale, so the next tick runs them again.
     pub fn tick(&mut self) -> Result<StreamReport> {
-        if self.freeze_completed_jobs() || self.upper.is_empty() {
-            // Cleared first, so a failed run is retried by the next tick.
-            self.upper.clear();
+        if self.upper.is_none() {
             let mut upper = BTreeMap::new();
             for level in [Level::Job, Level::ProductionLine, Level::Production] {
                 upper.insert(level, detect_level(&self.plant, level, &self.policy)?);
             }
-            self.upper = upper;
+            self.upper = Some(upper);
         }
         let environment = self.assemble_environment();
         let phase = gather(Level::Phase, self.machines.iter().map(|(_, m)| &m.phase));
         let mut detections =
             BTreeMap::from([(Level::Phase, phase), (Level::Environment, environment)]);
-        detections.extend(self.upper.iter().map(|(&level, d)| (level, d.clone())));
+        let upper = self.upper.iter().flatten();
+        detections.extend(upper.map(|(&level, d)| (level, d.clone())));
         let report = build_report(&self.plant, Level::Phase, &detections, &self.policy)?;
         Ok(StreamReport {
             detections,
@@ -1135,9 +1181,10 @@ impl StreamDetector {
     }
 
     /// Flushes every watermark, finishes every scorer, and assembles the
-    /// final report. Environment pipelines and any still-open phases are
-    /// finalized here; a phase that closed before costs `finish` nothing
-    /// but its share of the assembly.
+    /// final report. Only open pipelines are left to finalize here — the
+    /// environment's and any still-open phase's, whose job never completes
+    /// and so never enters the report; a phase that closed before costs
+    /// `finish` nothing but its share of the assembly.
     ///
     /// # Errors
     /// Propagates upper-level detector failures.
@@ -1146,59 +1193,14 @@ impl StreamDetector {
         self.tick()
     }
 
-    /// Flushes every watermark and finishes every scorer without
+    /// Flushes every open watermark and finishes every open scorer without
     /// assembling.
     pub(crate) fn finalize_pipelines(&mut self) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        for slot in self.pipelines_mut() {
-            slot.pipe.finish(&mut scratch);
+        for (_, _, _, pipe) in self.pipelines_mut() {
+            pipe.finish(&mut scratch);
         }
         self.scratch = scratch;
-    }
-
-    /// Freezes every job completed since the last assembly: appends its
-    /// [`Job`] (the phases materialized when they closed) to the machine's
-    /// line of the materialized plant, its fragment to the machine's
-    /// phase-level detections, and its pipelines' counters to the per-lane
-    /// totals — no series is read. Only completed jobs (CAQ present) enter
-    /// the plant — their feature vectors would otherwise change dimension
-    /// mid-job and poison the line-level series. Returns whether a job
-    /// froze.
-    fn freeze_completed_jobs(&mut self) -> bool {
-        let mut froze = false;
-        let Self {
-            machines,
-            plant,
-            frozen_failed,
-            ..
-        } = self;
-        for ((_, m), line) in machines.iter_mut().zip(&mut plant.lines) {
-            while let Some(job) = m.jobs.get_mut(m.frozen) {
-                let Some(caq) = job.caq.clone() else { break };
-                for (name, pipe) in job.phases.iter().flat_map(|phase| &phase.pipes) {
-                    match m.frozen_lanes.get_mut(name.as_str()) {
-                        Some(lane) => lane.add(&pipe.counters()),
-                        None => {
-                            m.frozen_lanes.insert(name.clone(), pipe.counters());
-                        }
-                    }
-                    *frozen_failed += u64::from(pipe.failed);
-                }
-                let fragment =
-                    std::mem::replace(&mut job.fragment, LevelDetections::empty(Level::Phase));
-                m.phase.absorb(fragment);
-                line.jobs.push(Job {
-                    id: job.id.clone(),
-                    start: job.start,
-                    config: job.config.clone(),
-                    phases: std::mem::take(&mut job.closed),
-                    caq,
-                });
-                m.frozen += 1;
-                froze = true;
-            }
-        }
-        froze
     }
 
     /// Rebuilds the materialized plant's environment series — open until
@@ -1300,37 +1302,53 @@ fn find_route(machines: &[(String, MachineState)], lane: &LaneId) -> Result<Rout
     match lane.kind {
         LaneKind::Environment => named(&m.env),
         LaneKind::Phase => m
-            .jobs
-            .last()
-            .filter(|job| job.caq.is_none())
-            .and_then(|job| job.phases.last())
+            .job
+            .as_ref()
+            .and_then(|job| job.phase.as_ref())
             .and_then(|phase| named(&phase.pipes)),
     }
     .map(|slot| Route { machine, slot })
     .ok_or_else(|| no_open_pipeline(&lane.sensor))
 }
 
-/// Offers `sample` to the pipeline `route` names for `lane`.
-fn offer_at(
-    machines: &mut [(String, MachineState)],
+/// The open pipeline `route` names for `lane`.
+fn pipe_at<'a>(
+    machines: &'a mut [(String, MachineState)],
     route: Route,
     lane: &LaneId,
-    sample: Sample,
-    scratch: &mut Vec<(u64, f64)>,
-) -> Result<()> {
+) -> Result<&'a mut Pipeline> {
     let machine = machines.get_mut(route.machine).map(|(_, m)| m);
     let pipes = match lane.kind {
         LaneKind::Environment => machine.map(|m| &mut m.env),
         LaneKind::Phase => machine
-            .and_then(|m| m.open_job_mut())
-            .and_then(|job| job.phases.last_mut())
+            .and_then(|m| m.job.as_mut())
+            .and_then(|job| job.phase.as_mut())
             .map(|phase| &mut phase.pipes),
     };
-    let (_, pipe) = pipes
+    pipes
         .and_then(|pipes| pipes.get_mut(route.slot))
-        .ok_or_else(|| no_open_pipeline(&lane.sensor))?;
-    pipe.offer(sample.timestamp, sample.value, scratch);
-    Ok(())
+        .map(|(_, pipe)| pipe)
+        .ok_or_else(|| no_open_pipeline(&lane.sensor))
+}
+
+/// The open pipeline the lane behind `handle` routes to, through the
+/// route cached for its previous sample when a control event has not
+/// cleared it since.
+fn resolve<'a>(
+    machines: &'a mut [(String, MachineState)],
+    lanes: &mut [(LaneId, Option<Route>)],
+    handle: LaneHandle,
+) -> Result<&'a mut Pipeline> {
+    let Some((id, cached)) = lanes.get_mut(handle.0 as usize) else {
+        return Err(DetectError::Missing {
+            what: format!("lane handle {}", handle.0),
+        });
+    };
+    let route = match *cached {
+        Some(route) => route,
+        None => *cached.insert(find_route(machines, id)?),
+    };
+    pipe_at(machines, route, id)
 }
 
 fn find_machine<'a>(
@@ -1678,8 +1696,10 @@ mod tests {
             complete_job(det);
         };
         run_job(&mut det, "j0", 0);
-        let first = det.tick().expect("first tick");
+        // The job joined the plant with its completion, before any tick.
         let first_plant = det.plant.clone();
+        assert_eq!(first_plant.lines[0].jobs.len(), 1);
+        let first = det.tick().expect("first tick");
         run_job(&mut det, "j1", 1000);
         let second = det.tick().expect("second tick");
 
@@ -1737,9 +1757,8 @@ mod tests {
         }
         let job = |det: &StreamDetector| {
             let (_, m) = &det.machines[0];
-            m.jobs.last().map(|job| {
-                let pipes = job.phases.iter().flat_map(|phase| &phase.pipes);
-                let live = pipes.filter(|(_, pipe)| pipe.scorer.is_some()).count();
+            m.job.as_ref().map(|job| {
+                let live = job.phase.as_ref().map_or(0, |phase| phase.pipes.len());
                 (live, job.closed.len(), job.fragment.series_scores.clone())
             })
         };
@@ -1768,8 +1787,13 @@ mod tests {
             .expect("ingest");
         }
         complete_job(&mut det);
-        let (live, closed, fragment) = job(&det).expect("completed job");
-        assert_eq!((live, closed, fragment.len()), (0, 2, 2), "no scorer left");
+        // The completion moved the job into the plant, no tick needed, and
+        // left no pipeline open.
+        assert!(job(&det).is_none(), "no open job");
+        assert_eq!(det.pipelines().count(), 1, "the room sensor's only");
+        assert_eq!(det.plant.lines[0].jobs[0].phases.len(), 2);
+        let fragment = det.machines[0].1.phase.series_scores.clone();
+        assert_eq!(fragment.len(), 2);
         assert!(Arc::ptr_eq(&fragment[0].z, &warm_up[0].z));
 
         let report = det.tick().expect("tick");
@@ -1780,13 +1804,43 @@ mod tests {
             assert!(Arc::ptr_eq(&ticked.timestamps, &closed.timestamps));
         }
         assert!(phase.outliers.iter().any(|o| o.index == Some(40)));
-        let (live, closed, fragment) = job(&det).expect("frozen job");
-        assert_eq!(
-            (live, closed, fragment.len()),
-            (0, 0, 0),
-            "moved into the plant"
-        );
-        assert_eq!(det.plant.lines[0].jobs[0].phases.len(), 2);
+    }
+
+    #[test]
+    fn held_pipelines_are_bounded_by_the_open_state() {
+        let mut det = detector(ScorerMode::BatchEquivalent);
+        bring_up(&mut det);
+        let bed = LaneId {
+            machine: "m0".into(),
+            sensor: "m0.bed.0".into(),
+            kind: LaneKind::Phase,
+        };
+        let (mut held, mut after) = (Vec::new(), Vec::new());
+        for job in 0..20_u64 {
+            let config = JobConfig::new(vec!["p".into()], vec![1.0]);
+            det.apply(&ControlEvent::job_start("m0", "j", job * 100, config))
+                .expect("job_start");
+            let sensors = [bed.sensor.clone()];
+            det.apply(&ControlEvent::phase_start(
+                "m0",
+                PhaseKind::Printing,
+                &sensors,
+            ))
+            .expect("phase_start");
+            for t in 0..16 {
+                let (timestamp, value) = (job * 100 + t, (t as f64).sin());
+                det.ingest(&bed, Sample { timestamp, value })
+                    .expect("ingest");
+            }
+            // Held mid-phase: the room sensor's and the open phase's.
+            held.push(det.pipelines_mut().count());
+            complete_job(&mut det);
+            // Between jobs: the room sensor's only.
+            after.push(det.pipelines_mut().count());
+        }
+        assert_eq!(det.plant.lines[0].jobs.len(), 20);
+        assert_eq!((held[0], held[19]), (2, 2), "{held:?}");
+        assert_eq!((after[0], after[19]), (1, 1), "{after:?}");
     }
 
     #[test]

@@ -29,18 +29,23 @@
 //! ## Rotation and recovery
 //!
 //! [`DurableStream::rotate`] seals everything *released* so far into an
-//! immutable columnar segment: per-pipeline chunks (the unsealed suffix
-//! of released history plus the absolute drop counters), the control
-//! events journalled since the last rotation, and every lane
-//! declaration. Samples still buffered in watermarks are carried over
-//! as the opening records of the next WAL.
+//! immutable columnar segment: per-series chunks (the unsealed suffix of
+//! released history plus the absolute drop counters), the control events
+//! journalled since the last rotation, and every lane declaration. Per
+//! machine the chunks come in a fixed order: the environment pipelines',
+//! then what the phases closed since the last rotation left owing (in
+//! close order), then the open phase's. Only open pipelines and those
+//! owed records are visited — never a series sealed before. Samples still
+//! buffered in watermarks are carried over as the opening records of the
+//! next WAL.
 //!
 //! Recovery replays segments in order — within one segment, controls
-//! and chunks merge by sequence number, each chunk landing in the
-//! pipeline whose opening control matches its `after_control_seq` — and
-//! then replays the WAL tail through the ordinary ingest path. The
-//! watermark rewind plus re-offered carry-over samples reconstruct the
-//! reorder buffers exactly.
+//! and chunks merge by sequence number — and then replays the WAL tail
+//! through the ordinary ingest path. A chunk routes like a sample: it
+//! lands in its lane's *open* pipeline, and only if the control that
+//! opened that pipeline is its `after_control_seq`; any other chunk is
+//! refused and counted. The watermark rewind plus re-offered carry-over
+//! samples reconstruct the reorder buffers exactly.
 //!
 //! ## Lanes
 //!
@@ -87,10 +92,8 @@ fn substrate(e: io::Error) -> DetectError {
 /// "created by the event that was just applied".
 fn apply_tagged(inner: &mut StreamDetector, seq: u64, event: &ControlEvent) -> Result<()> {
     inner.apply(event)?;
-    for slot in inner.pipelines_mut() {
-        if slot.pipe.opened_seq.is_none() {
-            slot.pipe.opened_seq = Some(seq);
-        }
+    for (_, _, _, pipe) in inner.pipelines_mut() {
+        pipe.opened_seq.get_or_insert(seq);
     }
     Ok(())
 }
@@ -109,11 +112,14 @@ pub struct DurableRecovery {
     /// Corruption events survived (a damaged WAL tail truncated at the
     /// first bad record counts once).
     pub corrupt_records: u64,
-    /// Sealed chunks refused because the pipeline they address was
-    /// already closed when they replayed: a closed phase is frozen and
-    /// thresholded, so nothing is absorbed into it. Journal order never
-    /// produces one (a chunk sorts before any later control); a segment
-    /// that does is damaged or crafted, and its samples are not restored.
+    /// Sealed chunks refused because they addressed no open pipeline when
+    /// they replayed: their lane's open pipeline, if any, was not opened
+    /// by their `after_control_seq` control — it closed since, or that
+    /// control opened none. A closed phase is already thresholded, so
+    /// nothing is absorbed into it. Journal order never produces one (a
+    /// chunk sorts directly after the control that opened its pipeline and
+    /// before any later control); a segment that does is damaged or
+    /// crafted, and its samples are not restored.
     pub refused_chunks: u64,
     /// Low-level store repair accounting.
     pub store: RecoveryStats,
@@ -294,9 +300,10 @@ impl<S: Storage> DurableStream<S> {
     ///
     /// An empty directory starts a fresh stream. Otherwise the store's
     /// recovery loads the directory and [`replay_journal`] walks it:
-    /// sealed chunks are restored into the pipelines their controls
-    /// opened — never into one a control has closed since, which refuses
-    /// the chunk ([`DurableRecovery::refused_chunks`]) — and the WAL tail
+    /// sealed chunks are restored into the open pipelines their controls
+    /// opened, through the route a sample on their lane takes — a chunk
+    /// that addresses no open pipeline is refused
+    /// ([`DurableRecovery::refused_chunks`]) — and the WAL tail
     /// (truncated at its first corrupt record, if any) is re-ingested
     /// through the ordinary path, leaving the detector in exactly the
     /// state the last durable write observed.
@@ -330,32 +337,10 @@ impl<S: Storage> DurableStream<S> {
                     return;
                 }
             };
-            let Some(slot) = inner.pipelines_mut().find(|slot| {
-                slot.machine == lane.id.machine
-                    && slot.sensor == lane.id.sensor
-                    && slot.kind == lane.id.kind
-                    && slot.pipe.opened_seq == Some(ch.after_control_seq)
-            }) else {
-                return;
-            };
-            let before = slot.pipe.watermark.stats();
-            if !slot.pipe.restore_chunk(
-                &ch.timestamps,
-                &ch.values,
-                ch.late_dropped,
-                ch.duplicates_dropped,
-            ) {
+            let Some(credit) = inner.restore_chunk(lane.handle, ch) else {
                 refused_chunks += 1;
                 return;
-            }
-            // Counters in the chunk are absolute; the offer-time credit
-            // is this chunk's increment over the previous one.
-            let late = ch.late_dropped.saturating_sub(before.late_dropped as u64);
-            let dups = ch
-                .duplicates_dropped
-                .saturating_sub(before.duplicates_dropped as u64);
-            let credit = ch.timestamps.len() as u64 + late + dups;
-            inner.add_recovered_ingested(credit);
+            };
             restored_samples += ch.timestamps.len() as u64;
             *lane.delivered += credit;
         });
@@ -574,64 +559,38 @@ impl<S: Storage> DurableStream<S> {
     /// Storage failures as [`DetectError::Substrate`]. On error the
     /// store is still on the old WAL and nothing is lost.
     pub fn rotate(&mut self) -> Result<()> {
-        struct Sealed {
-            id: LaneId,
-            after: u64,
-            timestamps: Vec<u64>,
-            values: Vec<f64>,
-            late: u64,
-            dups: u64,
-        }
-        let mut sealed = Vec::new();
-        let mut pending: Vec<(LaneId, u64, f64)> = Vec::new();
-        for slot in self.inner.pipelines_mut() {
-            let id = LaneId {
-                machine: slot.machine.to_string(),
-                sensor: slot.sensor.to_string(),
-                kind: slot.kind,
+        let mut chunks = Vec::new();
+        let buffered = self.inner.seal(|ch| {
+            let chunk = SegmentChunk {
+                // Numbered below, once the detector is released.
+                lane: 0,
+                after_control_seq: ch.opened_seq,
+                timestamps: ch.timestamps.to_vec(),
+                values: ch.values.to_vec(),
+                late_dropped: ch.stats.late_dropped as u64,
+                duplicates_dropped: ch.stats.duplicates_dropped as u64,
             };
-            let stats = slot.pipe.watermark.stats();
-            let (timestamps, values) = slot.pipe.released();
-            let released = timestamps.len();
-            if released > slot.pipe.sealed || stats != slot.pipe.sealed_stats {
-                sealed.push(Sealed {
-                    id: id.clone(),
-                    after: slot.pipe.opened_seq.unwrap_or(0),
-                    timestamps: timestamps.get(slot.pipe.sealed..).unwrap_or(&[]).to_vec(),
-                    values: values.get(slot.pipe.sealed..).unwrap_or(&[]).to_vec(),
-                    late: stats.late_dropped as u64,
-                    dups: stats.duplicates_dropped as u64,
-                });
-                slot.pipe.sealed = released;
-                slot.pipe.sealed_stats = stats;
-            }
-            for (t, v) in slot.pipe.watermark.pending_samples() {
-                pending.push((id.clone(), t, v));
-            }
-        }
+            chunks.push((ch.lane, chunk));
+        });
         let mut draft = SegmentDraft {
             controls: std::mem::take(&mut self.unsealed_controls),
             ..SegmentDraft::default()
         };
-        for s in sealed {
-            let lane = self.lane_no(&s.id, false)?;
-            draft.chunks.push(SegmentChunk {
-                lane,
-                after_control_seq: s.after,
-                timestamps: s.timestamps,
-                values: s.values,
-                late_dropped: s.late,
-                duplicates_dropped: s.dups,
-            });
+        for (id, mut chunk) in chunks {
+            chunk.lane = self.lane_no(&id, false)?;
+            draft.chunks.push(chunk);
         }
         let mut carry = Vec::new();
-        for (id, timestamp, value) in pending {
+        for (id, samples) in buffered {
             let lane = self.lane_no(&id, false)?;
-            carry.push(WalRecord::Sample {
-                lane,
-                timestamp,
-                value,
-            });
+            let records = samples
+                .into_iter()
+                .map(|(timestamp, value)| WalRecord::Sample {
+                    lane,
+                    timestamp,
+                    value,
+                });
+            carry.extend(records);
         }
         for (idx, slot) in self.lanes.iter().enumerate() {
             if let Some((id, _)) = &slot.bound {

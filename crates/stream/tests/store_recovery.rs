@@ -444,9 +444,10 @@ fn crash_between_a_phase_close_and_its_job_complete_recovers_equivalently() {
     assert!(swept >= 60, "sweep covered {swept} crash points");
 }
 
-/// A checksum-valid segment whose chunk addresses a pipeline an earlier
-/// segment's control already closed: recovery refuses it, counts it, and
-/// ends on the report the journal without it gives.
+/// A checksum-valid segment whose chunks address no open pipeline — one a
+/// pipeline an earlier segment's control already closed, one a control
+/// that opened no pipeline: recovery refuses both, counts them, and ends
+/// on the report the journal without them gives.
 #[test]
 fn a_chunk_for_a_closed_pipeline_is_refused() {
     let ops = scenario(1);
@@ -465,9 +466,10 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
     drop(d);
     let clean = storage.crash_image(true);
 
-    // Seal one more segment onto a copy: no controls, one chunk on m0's
-    // bed lane for the warm-up pipeline control 4 opened — and control 5,
-    // sealed in the first segment, closed.
+    // Seal one more segment onto a copy: no controls, two chunks on m0's
+    // bed lane. One for the warm-up pipeline control 4 opened — and
+    // control 5, sealed in the first segment, closed; one after control 3,
+    // the job start, which opened no pipeline.
     let crafted = storage.crash_image(true);
     let (mut store, recovered) =
         Store::open(crafted.clone(), StoreOptions { group_commit: 8 }).expect("store");
@@ -486,16 +488,17 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
         .expect("warm-up chunk")
         .after_control_seq;
     assert_eq!(warm_up, 4);
+    let chunk = |after_control_seq| SegmentChunk {
+        lane: bed_no,
+        after_control_seq,
+        timestamps: (90..96).collect(),
+        values: vec![1e3; 6],
+        late_dropped: 0,
+        duplicates_dropped: 0,
+    };
     let draft = SegmentDraft {
         lane_defs: sealed.lane_defs.clone(),
-        chunks: vec![SegmentChunk {
-            lane: bed_no,
-            after_control_seq: warm_up,
-            timestamps: (90..96).collect(),
-            values: vec![1e3; 6],
-            late_dropped: 0,
-            duplicates_dropped: 0,
-        }],
+        chunks: vec![chunk(warm_up), chunk(3)],
         ..SegmentDraft::default()
     };
     store
@@ -516,7 +519,7 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
     let (clean_recovery, want) = resume(clean);
     let (recovery, got) = resume(crafted);
     assert_eq!(clean_recovery.refused_chunks, 0);
-    assert_eq!(recovery.refused_chunks, 1);
+    assert_eq!(recovery.refused_chunks, 2);
     assert_eq!(recovery.restored_samples, clean_recovery.restored_samples);
     assert_reports_equal(&got, &want, "a refused chunk");
     assert_reports_equal(&got, &uninterrupted(&ops), "a refused chunk");
