@@ -445,9 +445,10 @@ fn crash_between_a_phase_close_and_its_job_complete_recovers_equivalently() {
 }
 
 /// A checksum-valid segment whose chunks address no open pipeline — one a
-/// pipeline an earlier segment's control already closed, one a control
-/// that opened no pipeline: recovery refuses both, counts them, and ends
-/// on the report the journal without them gives.
+/// pipeline an earlier segment's control already closed, two a control
+/// that opened no pipeline, on a lane with none open and on one whose
+/// open pipeline another control opened: recovery refuses all three,
+/// counts them, and ends on the report the journal without them gives.
 #[test]
 fn a_chunk_for_a_closed_pipeline_is_refused() {
     let ops = scenario(1);
@@ -469,18 +470,19 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
     // Seal one more segment onto a copy: no controls, two chunks on m0's
     // bed lane. One for the warm-up pipeline control 4 opened — and
     // control 5, sealed in the first segment, closed; one after control 3,
-    // the job start, which opened no pipeline.
+    // the job start, which opened no pipeline. And one after control 3 on
+    // m0's room lane, whose open pipeline control 1 opened.
     let crafted = storage.crash_image(true);
     let (mut store, recovered) =
         Store::open(crafted.clone(), StoreOptions { group_commit: 8 }).expect("store");
     let sealed = &recovered.segments[0];
-    let bed = lane("m0", "m0.bed.0", LaneKind::Phase);
-    let bed_no = sealed
-        .lane_defs
-        .iter()
-        .find(|def| decode_lane(&def.meta).as_ref() == Some(&bed))
-        .expect("bed lane sealed")
-        .lane;
+    let lane_no = |id: LaneId| {
+        let def = sealed.lane_defs.iter();
+        let mut def = def.filter(|def| decode_lane(&def.meta).as_ref() == Some(&id));
+        def.next().expect("lane sealed").lane
+    };
+    let bed_no = lane_no(lane("m0", "m0.bed.0", LaneKind::Phase));
+    let room_no = lane_no(lane("m0", "m0.room", LaneKind::Environment));
     let warm_up = sealed
         .chunks
         .iter()
@@ -488,8 +490,8 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
         .expect("warm-up chunk")
         .after_control_seq;
     assert_eq!(warm_up, 4);
-    let chunk = |after_control_seq| SegmentChunk {
-        lane: bed_no,
+    let chunk = |lane, after_control_seq| SegmentChunk {
+        lane,
         after_control_seq,
         timestamps: (90..96).collect(),
         values: vec![1e3; 6],
@@ -498,7 +500,7 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
     };
     let draft = SegmentDraft {
         lane_defs: sealed.lane_defs.clone(),
-        chunks: vec![chunk(warm_up), chunk(3)],
+        chunks: vec![chunk(bed_no, warm_up), chunk(bed_no, 3), chunk(room_no, 3)],
         ..SegmentDraft::default()
     };
     store
@@ -519,7 +521,7 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
     let (clean_recovery, want) = resume(clean);
     let (recovery, got) = resume(crafted);
     assert_eq!(clean_recovery.refused_chunks, 0);
-    assert_eq!(recovery.refused_chunks, 2);
+    assert_eq!(recovery.refused_chunks, 3);
     assert_eq!(recovery.restored_samples, clean_recovery.restored_samples);
     assert_reports_equal(&got, &want, "a refused chunk");
     assert_reports_equal(&got, &uninterrupted(&ops), "a refused chunk");
