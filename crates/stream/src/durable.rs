@@ -1012,6 +1012,36 @@ mod tests {
             d.ingest(&room, probe),
             Err(DetectError::Missing { .. })
         ));
+        assert_eq!(d.delivered(), BTreeMap::from([(room.clone(), 2)]));
+
+        // A hole: number 0's def does not decode, number 1's does. The
+        // samples on 1 stay 1's, and the next lane the plant sees is 2.
+        let storage = MemStorage::new();
+        let image = hierod_store::wal::encode_image(&[
+            WalRecord::LaneDef {
+                lane: 0,
+                meta: vec![0xff],
+            },
+            WalRecord::LaneDef {
+                lane: 1,
+                meta: encode_lane(&room),
+            },
+            sample(1),
+            sample(1),
+        ]);
+        hierod_store::store::publish(&storage, "wal-0.log", &image).unwrap();
+        let (policy, config) = policy_and_config();
+        let (mut d, recovery) =
+            DurableStream::open(policy, config, storage.clone(), StoreOptions::default()).unwrap();
+        assert_eq!(recovery.replayed_samples, 2);
         assert_eq!(d.delivered(), BTreeMap::from([(room, 2)]));
+        let unseen = lane("m0", "m0.unseen", LaneKind::Environment);
+        assert!(d.ingest(&unseen, probe).is_err(), "no machine m0");
+        let wal = hierod_store::store::load(&storage).unwrap().wal;
+        let def = WalRecord::LaneDef {
+            lane: 2,
+            meta: encode_lane(&unseen),
+        };
+        assert!(wal.contains(&def), "{wal:?}");
     }
 }
