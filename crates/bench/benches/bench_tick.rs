@@ -19,8 +19,14 @@
 //! pipelines hold and nothing of closed history — and `recover`,
 //! `DurableStream::open` of a `cold_store`-shaped image (1 machine × 16
 //! jobs × 576 samples per phase, seed 11, one rotation per job), the
-//! image copied untimed before each open.
+//! image copied untimed before each open. Then `ingest_run`: one socket
+//! read's worth of samples (390, the bound `hierod-server`'s `conn.rs`
+//! documents) through `Tenant::ingest_run`, round-robin over four
+//! environment lanes of one machine whose handles the wire-lane table
+//! already holds; the plant is rebuilt untimed every 256 runs, so its
+//! memory stays bounded.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 
 use std::time::Duration;
@@ -30,8 +36,12 @@ use hierod_core::pipeline::build_report;
 use hierod_core::{detect_all_levels, AlgorithmPolicy};
 use hierod_hierarchy::Level;
 use hierod_store::store::StoreOptions;
+use hierod_store::tenants::MemFactory;
 use hierod_store::MemStorage;
-use hierod_stream::{ControlEvent, DurableStream, StreamConfig, StreamDetector, StreamEvent};
+use hierod_stream::{
+    ControlEvent, DurableStream, LaneId, LaneKind, LaneTable, PlantRegistry, Sample, StreamConfig,
+    StreamDetector, StreamEvent, TenantConfig,
+};
 use hierod_synth::{Scenario, ScenarioBuilder};
 
 /// The `dashboard` workload's plant (`benchmark/src/plant.rs` knobs).
@@ -84,6 +94,68 @@ fn durable_replayed(scenario: &Scenario, storage: MemStorage) -> DurableStream<M
         }
     }
     stream
+}
+
+/// Samples per `ingest_run` call: one socket read's worth.
+const RUN: u64 = 390;
+/// Environment lanes the runs go round.
+const FEED_LANES: u64 = 4;
+
+/// A plant fed through a client's wire-lane table, as a server feeds it.
+struct Feed {
+    registry: PlantRegistry<MemFactory>,
+    lanes: LaneTable,
+    runs: u64,
+}
+
+impl Feed {
+    /// A fresh plant with one machine up, its lanes bound on wire lanes
+    /// `0..FEED_LANES` and resolved by one run.
+    fn new() -> Feed {
+        let (policy, config) = (AlgorithmPolicy::default(), TenantConfig::default());
+        let (mut registry, _) =
+            PlantRegistry::open(MemFactory::new(), policy, config).expect("registry");
+        let sensors: Vec<String> = (0..FEED_LANES).map(|i| format!("m0.room.{i}")).collect();
+        let up = ControlEvent::machine_up("m0", vec![], vec![], &sensors);
+        let tenant = registry.create_tenant("p").expect("fresh plant");
+        tenant.control(&up).expect("machine up");
+        let mut lanes = LaneTable::default();
+        for (wire, sensor) in (0..).zip(sensors) {
+            let kind = LaneKind::Environment;
+            let machine = "m0".to_string();
+            assert!(lanes.bind(
+                wire,
+                LaneId {
+                    machine,
+                    sensor,
+                    kind
+                }
+            ));
+        }
+        let mut feed = Feed {
+            registry,
+            lanes,
+            runs: 0,
+        };
+        feed.ingest(&feed.run());
+        feed
+    }
+
+    /// The next run: each lane's timestamps ascend past the last run's.
+    fn run(&self) -> Vec<(u32, Sample)> {
+        let first = self.runs * RUN;
+        let sample = |timestamp: u64| {
+            let value = (timestamp as f64 * 0.1).sin();
+            ((timestamp % FEED_LANES) as u32, Sample { timestamp, value })
+        };
+        (first..first + RUN).map(sample).collect()
+    }
+
+    fn ingest(&mut self, run: &[(u32, Sample)]) {
+        self.runs += 1;
+        let tenant = self.registry.tenant_mut("p").expect("live plant");
+        assert_eq!(tenant.ingest_run(&mut self.lanes, run), None);
+    }
 }
 
 /// A detector that has seen `events`, in order.
@@ -225,6 +297,21 @@ fn bench_durable(c: &mut Criterion) {
                 DurableStream::open(policy, config, storage, StoreOptions::default())
                     .expect("recover")
             },
+            BatchSize::LargeInput,
+        )
+    });
+
+    let feed = RefCell::new(Feed::new());
+    group.bench_function(BenchmarkId::new("ingest_run", RUN), |b| {
+        b.iter_batched(
+            || {
+                let mut feed = feed.borrow_mut();
+                if feed.runs >= 256 {
+                    *feed = Feed::new();
+                }
+                feed.run()
+            },
+            |run| feed.borrow_mut().ingest(&run),
             BatchSize::LargeInput,
         )
     });

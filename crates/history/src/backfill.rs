@@ -103,10 +103,10 @@ pub fn backfill<S: Storage>(
         |detector, lane, stored| match stored {
             Stored::Chunk(chunk) => {
                 for (&timestamp, &value) in chunk.timestamps.iter().zip(chunk.values.iter()) {
-                    ingest(detector, lane.handle, Sample { timestamp, value });
+                    ingest(detector, lane, Sample { timestamp, value });
                 }
             }
-            Stored::Sample(sample) => ingest(detector, lane.handle, sample),
+            Stored::Sample(sample) => ingest(detector, lane, sample),
         },
     );
     Ok(BackfillOutcome {

@@ -72,7 +72,7 @@ use hierod_wire::{
     encode_report, write_frame, ErrorCode, Frame, FrameReader, Poll, SeriesQuery, MAX_FRAME_LEN,
 };
 
-use crate::{lock, ServerConfig, Shared};
+use crate::{lock, Shared, READ_TIMEOUT};
 
 /// Versioned report snapshot for one plant, kept so score and delta
 /// queries answer from the last assembled report instead of forcing a
@@ -647,11 +647,10 @@ pub(crate) fn serve_connection<S: PlantService>(
     stream: TcpStream,
     state: &ServiceState<S>,
     shared: &Shared,
-    config: &ServerConfig,
 ) -> io::Result<()> {
     // The read timeout is the drain poll interval (see module docs of
     // the crate): poll() returns Idle instead of blocking forever.
-    stream.set_read_timeout(Some(config.read_timeout))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_nodelay(true)?;
     let mut reader_stream = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
@@ -805,12 +804,6 @@ mod tests {
             lock(&self.0).pop_front().map_or_else(unscripted, Ok)
         }
         fn finish(&self, _: &str) -> Result<StreamReport> {
-            unscripted()
-        }
-        fn stats(&self, _: &str) -> Result<StreamStats> {
-            unscripted()
-        }
-        fn lane_stats(&self, _: &str) -> Result<BTreeMap<LaneId, LaneStats>> {
             unscripted()
         }
         /// The one scripted read: three samples released, all on one lane.

@@ -4,13 +4,12 @@
 //!
 //! ## Threading model
 //!
-//! One [`TaskPool::run`](hierod_detect::engine::TaskPool) call hosts the
-//! whole server: an acceptor task plus `workers` connection tasks, all
-//! scoped threads (no detached threads, nothing outlives
-//! [`Server::serve`]). The acceptor offers sockets to a **bounded**
-//! [`HandoffQueue`](queue::HandoffQueue) (at capacity new connections
-//! are refused, not buffered without limit); each worker pops one socket
-//! and serves it to completion before taking the next.
+//! [`Server::serve`] runs the acceptor and `workers` connection loops on
+//! threads of its own, one each, in one [`std::thread::scope`] (no
+//! detached threads, nothing outlives the call). The acceptor offers
+//! sockets to a **bounded** [`HandoffQueue`] of 64 (at capacity new
+//! connections are refused, not buffered without limit); each worker pops
+//! one socket and serves it to completion before taking the next.
 //!
 //! ## Runs
 //!
@@ -54,7 +53,7 @@
 //! under the queue mutex, so parked workers cannot miss the wakeup —
 //! the protocol `tests/loom_queue.rs` model-checks). The acceptor stops
 //! accepting; workers drain already-queued sockets, and in-flight
-//! connections — whose reads carry a short timeout precisely so
+//! connections — whose reads carry a short timeout (50 ms) precisely so
 //! [`FrameReader::poll`](hierod_wire::FrameReader) surfaces
 //! [`Poll::Idle`](hierod_wire::Poll) between frames — notice the flag at
 //! the next frame boundary, answer any further request with
@@ -67,8 +66,11 @@
 //! (built from `LaneDef` frames, mirroring WAL replay): dense, at most
 //! [`MAX_LANES`](hierod_stream::MAX_LANES) entries — a lane number past
 //! the cap is a parked `Protocol` error — each entry the lane's id and,
-//! once a sample has needed it, the plant's handle for it, good for as
-//! long as the plant stays the incarnation that issued it. Ingest frames
+//! once a sample has needed it, the plant's handle for it: the plant's
+//! own lane number, as its journal records it, good for as long as the
+//! plant stays the incarnation that issued it. The two numberings are
+//! independent — a client's wire lane 7 may be the plant's lane 0, and
+//! only the plant's is ever written to storage. Ingest frames
 //! are deliberately not acknowledged one-by-one — the first ingest
 //! error is parked and surfaces at the connection's next synchronous
 //! request, so a firehose of samples costs no response traffic.
@@ -83,7 +85,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use hierod_detect::engine::{Task, TaskPool};
 use hierod_service::PlantService;
 
 pub mod client;
@@ -94,6 +95,15 @@ pub use client::Client;
 
 use queue::HandoffQueue;
 
+/// Bound on the accepted-but-unserved socket queue; beyond it new sockets
+/// are refused immediately instead of queueing unboundedly.
+const ACCEPT_QUEUE: usize = 64;
+
+/// Socket read timeout — the drain poll interval: how long a worker can
+/// sit in a blocking read before it re-checks the shutdown flag. The
+/// acceptor backs off this long after a failed accept.
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
 /// Tuning knobs for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -101,12 +111,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Connection-serving workers (the acceptor is extra).
     pub workers: usize,
-    /// Bound on the accepted-but-unserved socket queue; beyond it new
-    /// sockets are refused immediately instead of queueing unboundedly.
-    pub accept_queue: usize,
-    /// Socket read timeout — the drain poll interval: how long a worker
-    /// can sit in a blocking read before it re-checks the shutdown flag.
-    pub read_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -114,8 +118,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            accept_queue: 64,
-            read_timeout: Duration::from_millis(50),
         }
     }
 }
@@ -196,7 +198,6 @@ impl<S: PlantService + Send + Sync> Server<S> {
         // The acceptor polls: it must wake up to observe shutdown even
         // when no client ever connects.
         listener.set_nonblocking(true)?;
-        let accept_queue = config.accept_queue;
         Ok(Server {
             state: conn::ServiceState::new(service),
             listener,
@@ -205,7 +206,7 @@ impl<S: PlantService + Send + Sync> Server<S> {
                 connections: AtomicU64::new(0),
                 frames: AtomicU64::new(0),
                 refused: AtomicU64::new(0),
-                queue: HandoffQueue::new(accept_queue),
+                queue: HandoffQueue::new(ACCEPT_QUEUE),
             }),
             addr,
         })
@@ -228,19 +229,14 @@ impl<S: PlantService + Send + Sync> Server<S> {
     /// close that connection only); the `Result` reserves the right to
     /// surface listener failures.
     pub fn serve(self) -> io::Result<ServerStats> {
-        let workers = self.config.workers.max(1);
-        let pool = TaskPool::new(workers + 1);
-        let mut tasks: Vec<Task<'_, ()>> = Vec::with_capacity(workers + 1);
-        let shared = &self.shared;
-        let listener = &self.listener;
-        let config = &self.config;
-        let state = &self.state;
-        tasks.push(Box::new(move || accept_loop(listener, shared, config)));
-        for _ in 0..workers {
-            tasks.push(Box::new(move || worker_loop(state, shared, config)));
-        }
-        pool.run(tasks);
-        // Relaxed suffices: `pool.run` joins every task, and the joins
+        let (shared, state) = (&*self.shared, &self.state);
+        std::thread::scope(|scope| {
+            scope.spawn(|| accept_loop(&self.listener, shared));
+            for _ in 0..self.config.workers.max(1) {
+                scope.spawn(|| worker_loop(state, shared));
+            }
+        });
+        // Relaxed suffices: the scope joins every thread, and the joins
         // happened-before these loads — no counter update can race them.
         Ok(ServerStats {
             connections: self.shared.connections.load(Ordering::Relaxed),
@@ -250,7 +246,7 @@ impl<S: PlantService + Send + Sync> Server<S> {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared, config: &ServerConfig) {
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
     while !shared.draining() {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -262,28 +258,24 @@ fn accept_loop(listener: &TcpListener, shared: &Shared, config: &ServerConfig) {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.read_timeout.min(Duration::from_millis(20)));
+                std::thread::sleep(Duration::from_millis(20));
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             // Transient accept errors (aborted handshakes, fd pressure):
             // back off briefly and keep listening.
-            Err(_) => std::thread::sleep(config.read_timeout),
+            Err(_) => std::thread::sleep(READ_TIMEOUT),
         }
     }
     // Workers blocked in `pop` were already woken by `close`; nothing to
     // notify here.
 }
 
-fn worker_loop<S: PlantService>(
-    state: &conn::ServiceState<S>,
-    shared: &Shared,
-    config: &ServerConfig,
-) {
+fn worker_loop<S: PlantService>(state: &conn::ServiceState<S>, shared: &Shared) {
     // `pop` parks until a socket arrives and yields `None` only once the
     // queue is closed *and* drained — exactly the worker exit condition.
     while let Some(stream) = shared.queue.pop() {
         // Per-connection I/O errors end that connection only.
-        let _ = conn::serve_connection(stream, state, shared, config);
+        let _ = conn::serve_connection(stream, state, shared);
         shared.connections.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -198,24 +198,10 @@ pub trait PlantService {
     /// Unknown plant, storage failures, or upper-level detector errors.
     fn finish(&self, plant: &str) -> Result<StreamReport>;
 
-    /// Current ingestion counters of `plant`, without assembling a
-    /// report.
-    ///
-    /// # Errors
-    /// Unknown plant.
-    fn stats(&self, plant: &str) -> Result<StreamStats>;
-
-    /// Per-lane release/drop/corruption counters of `plant`, without
-    /// assembling a report.
-    ///
-    /// # Errors
-    /// Unknown plant.
-    fn lane_stats(&self, plant: &str) -> Result<BTreeMap<LaneId, LaneStats>>;
-
-    /// [`stats`](PlantService::stats) and
-    /// [`lane_stats`](PlantService::lane_stats) of one instant: no ingest
-    /// into `plant` lands between the two, so the totals are the sums of
-    /// the lanes.
+    /// The ingestion counters of `plant` and its per-lane
+    /// release/drop/corruption counters, without assembling a report, of
+    /// one instant: no ingest into `plant` lands between the two, so the
+    /// totals are the sums of the lanes.
     ///
     /// # Errors
     /// Unknown plant.
@@ -355,14 +341,6 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
 
     fn finish(&self, plant: &str) -> Result<StreamReport> {
         self.registry.finish_tenant(plant)
-    }
-
-    fn stats(&self, plant: &str) -> Result<StreamStats> {
-        self.on(plant, |tenant| Ok(tenant.stats()))
-    }
-
-    fn lane_stats(&self, plant: &str) -> Result<BTreeMap<LaneId, LaneStats>> {
-        self.on(plant, |tenant| Ok(tenant.lane_stats()))
     }
 
     fn lane_snapshot(&self, plant: &str) -> Result<(StreamStats, BTreeMap<LaneId, LaneStats>)> {
@@ -551,10 +529,10 @@ mod tests {
         let mut svc = service();
         svc.admit("p", true).unwrap();
         drive(&mut svc, "p");
-        assert_eq!(svc.stats("p").unwrap().samples_ingested, 32);
-        let lanes = svc.lane_stats("p").unwrap();
+        let (stats, lanes) = svc.lane_snapshot("p").unwrap();
+        assert_eq!(stats.samples_ingested, 32);
         assert_eq!(lanes.len(), 2, "phase lane + environment lane");
-        assert_eq!(svc.stats("p").unwrap(), svc.tick("p").unwrap().stats);
+        assert_eq!(stats, svc.tick("p").unwrap().stats);
         assert_eq!(lanes, svc.tick("p").unwrap().lane_stats);
         let via_service = svc.finish("p").unwrap();
         assert!(svc.plants().is_empty());
@@ -625,7 +603,8 @@ mod tests {
         assert!(landed >= 50);
         assert_eq!(report.stats.samples_ingested, landed);
         assert_eq!(svc.admit("p", true).unwrap(), Admission::Created);
-        assert_eq!(svc.stats("p").unwrap().samples_ingested, landed);
+        let (stats, _) = svc.lane_snapshot("p").unwrap();
+        assert_eq!(stats.samples_ingested, landed);
     }
 
     #[test]

@@ -167,7 +167,8 @@ fn ingest_finish_and_admit_on_one_plant_conserve_samples_under_all_interleavings
                 Ok(Admission::Created) => {
                     assert_eq!(svc.plants(), ["p"]);
                     assert!(report.stats.samples_ingested <= landed);
-                    assert_eq!(svc.stats("p").expect("live").samples_ingested, landed);
+                    let (stats, _) = svc.lane_snapshot("p").expect("live");
+                    assert_eq!(stats.samples_ingested, landed);
                 }
                 // Asked while the finish was running.
                 Err(e) => {
@@ -231,7 +232,7 @@ fn run_ingest_with_stale_handles_lands_on_its_own_lanes_under_all_interleavings(
             let by_lane = match admitted {
                 // Re-created: the journal replays what the finished report
                 // counted, later runs landed on top.
-                Ok(Admission::Created) => svc.lane_stats("p").expect("live"),
+                Ok(Admission::Created) => svc.lane_snapshot("p").expect("live").1,
                 _ => report.lane_stats,
             };
             assert_eq!(by_lane[&room_lane()].released, 1 + landed);
@@ -255,7 +256,8 @@ fn finish_ingest_and_create_on_different_plants_never_interfere_under_all_interl
             assert_eq!(finisher.join().expect("finisher").stats.samples_ingested, 0);
         });
         assert_eq!(svc.plants(), ["q", "r"]);
-        assert_eq!(svc.stats("q").expect("q").samples_ingested, 2);
+        let (stats, _) = svc.lane_snapshot("q").expect("q");
+        assert_eq!(stats.samples_ingested, 2);
     });
 }
 

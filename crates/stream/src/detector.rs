@@ -74,11 +74,12 @@ use hierod_hierarchy::{
     RedundancyGroup, Sensor, SeriesAt,
 };
 use hierod_store::segment::DecodedChunk;
+use hierod_store::wal::WalRecord;
 use hierod_synth::ReplayEvent;
 use hierod_timeseries::TimeSeries;
 use std::sync::Arc;
 
-use crate::lane::{LaneHandle, LaneId, LaneKind, Sample};
+use crate::lane::{dense_slot, LaneHandle, LaneId, LaneKind, Sample};
 use crate::watermark::{LatenessStats, Watermark};
 
 /// How phase/environment series are scored online.
@@ -127,7 +128,7 @@ pub struct StreamStats {
     /// unscorable series).
     pub series_failed: u64,
     /// WAL records rejected as corrupt during recovery (always 0 for a
-    /// purely in-memory detector; the durable wrapper fills it in).
+    /// detector that recovered nothing).
     pub corrupt_records: u64,
     /// Drift events emitted by adaptive scorer wrappers (always 0 with no
     /// wrapper installed).
@@ -372,10 +373,10 @@ pub(crate) struct Pipeline {
     /// Drop counters at the last seal — a rotation emits a chunk whenever
     /// the live counters moved past these, even with no new releases.
     sealed_stats: LatenessStats,
-    /// Sequence number of the control event that opened this pipeline
-    /// (`None` until the durability layer tags it). Recovery matches
-    /// restored chunks to pipelines through this tag.
-    pub(crate) opened_seq: Option<u64>,
+    /// Sequence number of the control event that opened this pipeline,
+    /// when the journal numbered it (`None` for a bare detector's).
+    /// Recovery matches restored chunks to pipelines through this tag.
+    opened_seq: Option<u64>,
 }
 
 /// What a closed pipeline still owes the next rotation segment: its
@@ -393,9 +394,9 @@ struct Owed {
 
 /// One series' part of a rotation segment: the samples it released since
 /// its last seal and its drop counters now, on the pipeline the control
-/// `opened_seq` opened.
+/// `opened_seq` opened, for lane number `lane`.
 pub(crate) struct Unsealed<'a> {
-    pub(crate) lane: LaneId,
+    pub(crate) lane: u32,
     pub(crate) opened_seq: u64,
     pub(crate) timestamps: &'a [u64],
     pub(crate) values: &'a [f64],
@@ -407,11 +408,8 @@ fn past<T>(xs: &[T], sealed: usize) -> &[T] {
     xs.get(sealed..).unwrap_or(&[])
 }
 
-/// An open lane's samples still buffered in its watermark.
-pub(crate) type Buffered = (LaneId, Vec<(u64, f64)>);
-
 impl Pipeline {
-    fn new(lateness: u64, scorer: Box<dyn OnlineScorer>) -> Self {
+    fn new(lateness: u64, scorer: Box<dyn OnlineScorer>, opened_seq: Option<u64>) -> Self {
         Self {
             watermark: Watermark::new(lateness),
             scorer,
@@ -421,7 +419,7 @@ impl Pipeline {
             failed: false,
             sealed: 0,
             sealed_stats: LatenessStats::default(),
-            opened_seq: None,
+            opened_seq,
         }
     }
 
@@ -494,12 +492,12 @@ impl Pipeline {
 
     /// Marks everything released sealed, handing what the last seal had
     /// not covered to `chunk` and what the watermark still buffers to
-    /// `buffered`.
+    /// `carry`, on the lane number `lane` returns.
     fn seal(
         &mut self,
-        lane: impl Fn() -> LaneId,
+        mut lane: impl FnMut() -> u32,
         chunk: &mut impl FnMut(Unsealed<'_>),
-        buffered: &mut Vec<Buffered>,
+        carry: &mut Vec<WalRecord>,
     ) {
         if self.unsealed() {
             let stats = self.watermark.stats();
@@ -512,9 +510,15 @@ impl Pipeline {
             });
             (self.sealed, self.sealed_stats) = (self.timestamps.len(), stats);
         }
-        let pending: Vec<_> = self.watermark.pending_samples().collect();
-        if !pending.is_empty() {
-            buffered.push((lane(), pending));
+        let mut pending = self.watermark.pending_samples().peekable();
+        if pending.peek().is_some() {
+            let lane = lane();
+            let sample = |(timestamp, value)| WalRecord::Sample {
+                lane,
+                timestamp,
+                value,
+            };
+            carry.extend(pending.map(sample));
         }
     }
 
@@ -556,6 +560,56 @@ impl Pipeline {
 struct Route {
     machine: usize,
     slot: usize,
+}
+
+/// One lane of the plant, at the number its [`LaneHandle`] carries.
+struct Lane {
+    id: LaneId,
+    /// Where its previous sample went, until a control event moves it.
+    route: Option<Route>,
+    /// Samples offered on the lane, whether or not a pipeline took them:
+    /// for a durable plant, the samples journalled on it.
+    offered: u64,
+    /// WAL records of the lane that recovery rejected as corrupt.
+    corrupt: u64,
+}
+
+impl Lane {
+    fn new(id: LaneId) -> Self {
+        Self {
+            id,
+            route: None,
+            offered: 0,
+            corrupt: 0,
+        }
+    }
+}
+
+/// The plant's one lane table: every lane a [`LaneHandle`] was issued or
+/// bound for, at its number, and the resolve index over it.
+#[derive(Default)]
+struct Lanes {
+    /// By lane number; `None` for a number a damaged journal left unbound.
+    table: Vec<Option<Lane>>,
+    /// Resolve index over `table`; no sample walks it.
+    index: BTreeMap<LaneId, LaneHandle>,
+}
+
+impl Lanes {
+    /// The handle of `id`, issuing the next number on first use.
+    fn issue(&mut self, id: &LaneId) -> LaneHandle {
+        if let Some(&handle) = self.index.get(id) {
+            return handle;
+        }
+        let handle = LaneHandle(self.table.len() as u32);
+        self.table.push(Some(Lane::new(id.clone())));
+        self.index.insert(id.clone(), handle);
+        handle
+    }
+
+    fn get_mut(&mut self, handle: LaneHandle) -> Option<&mut Lane> {
+        self.table.get_mut(handle.0 as usize)?.as_mut()
+    }
 }
 
 /// The executing phase: its kind and per-sensor pipelines in
@@ -628,12 +682,11 @@ pub struct StreamDetector {
     closed_failed: u64,
     scratch: Vec<(u64, f64)>,
     samples_ingested: u64,
-    /// Every lane a [`LaneHandle`] was issued for, by handle, with its
-    /// route once a sample has looked it up. [`apply`](Self::apply)
-    /// forgets the routes: a control event is what moves them.
-    lanes: Vec<(LaneId, Option<Route>)>,
-    /// Resolve index over `lanes`; no sample walks it.
-    lane_index: BTreeMap<LaneId, LaneHandle>,
+    /// The plant's lanes, by the number a [`LaneHandle`] carries.
+    lanes: Lanes,
+    /// WAL corruption events recovery survived (at most one: a damaged
+    /// tail is truncated at its first bad record).
+    corrupt_records: u64,
     /// Wrapper applied to every scorer built for a pipeline once installed
     /// (e.g. the `hierod-adapt` drift monitor).
     /// Lives outside [`StreamConfig`] so the config stays `Copy`.
@@ -680,8 +733,8 @@ impl StreamDetector {
             closed_failed: 0,
             scratch: Vec::new(),
             samples_ingested: 0,
-            lanes: Vec::new(),
-            lane_index: BTreeMap::new(),
+            lanes: Lanes::default(),
+            corrupt_records: 0,
             scorer_wrapper: None,
         })
     }
@@ -740,10 +793,16 @@ impl StreamDetector {
     ///   [`DetectError::Missing`] without a registered machine or open
     ///   job; scorer construction failures.
     pub fn apply(&mut self, event: &ControlEvent) -> Result<()> {
+        self.apply_tagged(None, event)
+    }
+
+    /// [`apply`](Self::apply), tagging every pipeline the event opens with
+    /// `seq`, the sequence number the journal gave the event.
+    pub(crate) fn apply_tagged(&mut self, seq: Option<u64>, event: &ControlEvent) -> Result<()> {
         // Whatever the event does to the open phases, no cached route
         // survives it; the next sample of each lane looks its own up again.
-        for (_, route) in &mut self.lanes {
-            *route = None;
+        for lane in self.lanes.table.iter_mut().flatten() {
+            lane.route = None;
         }
         match event {
             ControlEvent::MachineUp {
@@ -751,7 +810,7 @@ impl StreamDetector {
                 sensors,
                 redundancy,
                 env_sensors,
-            } => self.machine_up(machine, sensors, redundancy, env_sensors),
+            } => self.machine_up(machine, sensors, redundancy, env_sensors, seq),
             ControlEvent::JobStart {
                 machine,
                 job,
@@ -762,7 +821,14 @@ impl StreamDetector {
                 machine,
                 kind,
                 sensors,
-            } => self.phase_start(machine, *kind, sensors),
+            } => {
+                // The phase opens within the machine's open job, closing
+                // the previous one (`close_open_phase`).
+                let pipes = self.open_pipelines(sensors, LaneKind::Phase, seq)?;
+                let kind = *kind;
+                self.close_open_phase(machine)?.phase = Some(PhaseState { kind, pipes });
+                Ok(())
+            }
             ControlEvent::JobComplete { machine, caq } => self.job_complete(machine, caq),
         }
     }
@@ -775,6 +841,7 @@ impl StreamDetector {
         sensors: &[Sensor],
         redundancy: &[RedundancyGroup],
         env_sensors: &[String],
+        seq: Option<u64>,
     ) -> Result<()> {
         if self.machines.iter().any(|(id, _)| id == machine) {
             return Err(DetectError::invalid(
@@ -782,7 +849,7 @@ impl StreamDetector {
                 format!("machine {machine} already registered"),
             ));
         }
-        let env = self.open_pipelines(env_sensors, LaneKind::Environment)?;
+        let env = self.open_pipelines(env_sensors, LaneKind::Environment, seq)?;
         self.machines.push((
             machine.to_string(),
             MachineState {
@@ -829,14 +896,6 @@ impl StreamDetector {
         Ok(())
     }
 
-    /// Opens a phase within the machine's open job, closing the previous
-    /// phase ([`close_open_phase`](Self::close_open_phase)).
-    fn phase_start(&mut self, machine: &str, kind: PhaseKind, sensors: &[String]) -> Result<()> {
-        let pipes = self.open_pipelines(sensors, LaneKind::Phase)?;
-        self.close_open_phase(machine)?.phase = Some(PhaseState { kind, pipes });
-        Ok(())
-    }
-
     /// Completes the machine's open job with its CAQ result: its last
     /// phase closes, the [`Job`] joins the machine's line of the
     /// materialized plant and its fragment the machine's phase-level
@@ -862,17 +921,19 @@ impl StreamDetector {
         Ok(())
     }
 
-    /// One pipeline per sensor, in declaration order.
+    /// One pipeline per sensor, in declaration order, tagged with `seq`.
     fn open_pipelines(
         &self,
         sensors: &[String],
         kind: LaneKind,
+        seq: Option<u64>,
     ) -> Result<Vec<(String, Pipeline)>> {
         sensors
             .iter()
             .map(|name| {
                 let scorer = self.build_scorer(kind)?;
-                Ok((name.clone(), Pipeline::new(self.config.lateness, scorer)))
+                let pipe = Pipeline::new(self.config.lateness, scorer, seq);
+                Ok((name.clone(), pipe))
             })
             .collect()
     }
@@ -962,17 +1023,59 @@ impl StreamDetector {
         Ok(job)
     }
 
-    /// The handle of `lane`, issued on first use. Resolving never fails
-    /// and touches no pipeline: whether the lane has anywhere to go is
-    /// decided per sample, as for [`ingest`](Self::ingest).
+    /// The handle of `lane`, the next lane number on first use. Resolving
+    /// never fails and touches no pipeline: whether the lane has anywhere
+    /// to go is decided per sample, as for [`ingest`](Self::ingest).
     pub fn lane(&mut self, lane: &LaneId) -> LaneHandle {
-        if let Some(&handle) = self.lane_index.get(lane) {
-            return handle;
+        self.lanes.issue(lane)
+    }
+
+    /// The handle issued or bound for `lane`, if any — or else the number
+    /// [`lane`](Self::lane) would issue it.
+    pub(crate) fn lane_number(&self, lane: &LaneId) -> std::result::Result<LaneHandle, u32> {
+        let next = self.lanes.table.len() as u32;
+        self.lanes.index.get(lane).copied().ok_or(next)
+    }
+
+    /// Binds `lane` at number `n` as a journalled definition declares it;
+    /// one at or above [`MAX_LANES`](crate::MAX_LANES) stays unbound. A
+    /// number binds once: every segment declares its lanes again.
+    pub(crate) fn bind_lane(&mut self, n: u32, lane: LaneId) {
+        if let Some(slot @ None) = dense_slot(&mut self.lanes.table, n) {
+            self.lanes.index.insert(lane.clone(), LaneHandle(n));
+            *slot = Some(Lane::new(lane));
         }
-        let handle = LaneHandle(self.lanes.len() as u32);
-        self.lanes.push((lane.clone(), None));
-        self.lane_index.insert(lane.clone(), handle);
-        handle
+    }
+
+    /// Whether `handle` names a bound lane number.
+    pub(crate) fn is_bound(&self, handle: LaneHandle) -> bool {
+        matches!(self.lanes.table.get(handle.0 as usize), Some(Some(_)))
+    }
+
+    /// Every bound lane number with its id, ascending.
+    pub(crate) fn lane_defs(&self) -> impl Iterator<Item = (u32, &LaneId)> {
+        let table = self.lanes.table.iter().enumerate();
+        table.filter_map(|(n, lane)| Some((n as u32, &lane.as_ref()?.id)))
+    }
+
+    /// Samples offered per lane by handle (or restored into it), for
+    /// every lane that has any.
+    pub(crate) fn offered(&self) -> BTreeMap<LaneId, u64> {
+        let mut out = BTreeMap::new();
+        for lane in self.lanes.table.iter().flatten() {
+            *out.entry(lane.id.clone()).or_insert(0) += lane.offered;
+        }
+        out.retain(|_, offered| *offered > 0);
+        out
+    }
+
+    /// Records the one WAL corruption event recovery survived, on lane
+    /// number `lane` when the damaged record named a bound one.
+    pub(crate) fn note_corruption(&mut self, lane: Option<u32>) {
+        self.corrupt_records = 1;
+        if let Some(lane) = lane.and_then(|n| self.lanes.get_mut(LaneHandle(n))) {
+            lane.corrupt = 1;
+        }
     }
 
     /// Routes one sample into its pipeline: phase lanes go to the current
@@ -991,7 +1094,8 @@ impl StreamDetector {
     /// [`ingest`](Self::ingest) for a lane resolved by
     /// [`lane`](Self::lane): the route found for the lane's previous
     /// sample is reused until a control event is applied, so a sample
-    /// costs index arithmetic, not name comparisons.
+    /// costs index arithmetic, not name comparisons. The lane counts the
+    /// offer whether or not a pipeline takes it.
     ///
     /// # Errors
     /// As [`ingest`](Self::ingest); also [`DetectError::Missing`] for a
@@ -1003,7 +1107,11 @@ impl StreamDetector {
             scratch,
             ..
         } = self;
-        resolve(machines, lanes, lane)?.offer(sample, scratch);
+        let lane = lanes.get_mut(lane).ok_or_else(|| DetectError::Missing {
+            what: format!("lane number {}", lane.0),
+        })?;
+        lane.offered += 1;
+        resolve(machines, lane)?.offer(sample, scratch);
         self.samples_ingested += 1;
         Ok(())
     }
@@ -1011,18 +1119,24 @@ impl StreamDetector {
     /// Restores a sealed chunk into the open pipeline `lane` routes to —
     /// the route a sample on the lane takes — if the control
     /// `ch.after_control_seq` opened it, and credits the chunk's samples
-    /// and its drops past the pipeline's as ingested. Returns the credit,
-    /// or `None`, touching nothing, for a chunk that addresses no open
-    /// pipeline: journal-order replay never produces one (a chunk sorts
-    /// directly after the control that opened its pipeline and before any
-    /// later control, which may close it), so only a damaged or crafted
-    /// journal does.
-    pub(crate) fn restore_chunk(&mut self, lane: LaneHandle, ch: &DecodedChunk) -> Option<u64> {
-        let pipe = resolve(&mut self.machines, &mut self.lanes, lane).ok()?;
-        let opened = pipe.opened_seq == Some(ch.after_control_seq);
-        let credit = opened.then(|| pipe.restore_chunk(ch))?;
+    /// and its drops past the pipeline's as ingested and offered. `false`,
+    /// touching nothing, for a chunk that addresses no open pipeline:
+    /// journal-order replay never produces one (a chunk sorts directly
+    /// after the control that opened its pipeline and before any later
+    /// control, which may close it), so only a damaged or crafted journal
+    /// does.
+    pub(crate) fn restore_chunk(&mut self, lane: LaneHandle, ch: &DecodedChunk) -> bool {
+        let Some(lane) = self.lanes.get_mut(lane) else {
+            return false;
+        };
+        let pipe = resolve(&mut self.machines, lane).ok();
+        let Some(pipe) = pipe.filter(|pipe| pipe.opened_seq == Some(ch.after_control_seq)) else {
+            return false;
+        };
+        let credit = pipe.restore_chunk(ch);
+        lane.offered += credit;
         self.samples_ingested += credit;
-        Some(credit)
+        true
     }
 
     /// Every open pipeline with its lane coordinates (machine, sensor,
@@ -1038,11 +1152,8 @@ impl StreamDetector {
         })
     }
 
-    /// [`pipelines`](Self::pipelines), mutably. The durability layer tags
-    /// the pipelines a control opened through this walk.
-    pub(crate) fn pipelines_mut(
-        &mut self,
-    ) -> impl Iterator<Item = (&str, &str, LaneKind, &mut Pipeline)> {
+    /// [`pipelines`](Self::pipelines), mutably.
+    fn pipelines_mut(&mut self) -> impl Iterator<Item = (&str, &str, LaneKind, &mut Pipeline)> {
         self.machines.iter_mut().flat_map(|(machine, m)| {
             let env = m.env.iter_mut().map(|(n, p)| (LaneKind::Environment, n, p));
             let phase = m.job.iter_mut().flat_map(|job| &mut job.phase);
@@ -1057,18 +1168,26 @@ impl StreamDetector {
     /// rotation segment owes: per machine, in this order, its environment
     /// pipelines' unsealed parts, what its closed pipelines left owing (in
     /// close order), and its open phase's. Returns every open watermark's
-    /// buffered samples, in the same order.
-    pub(crate) fn seal(&mut self, mut chunk: impl FnMut(Unsealed<'_>)) -> Vec<Buffered> {
-        let mut buffered = Vec::new();
-        for (machine, m) in &mut self.machines {
-            let lane = |sensor: &str, kind| LaneId {
-                machine: machine.clone(),
-                sensor: sensor.to_string(),
-                kind,
+    /// buffered samples, in the same order, as the next WAL's opening
+    /// records. Both are numbered by the lane table (a lane no sample
+    /// named, which no durable plant has, is issued a number here).
+    pub(crate) fn seal(&mut self, mut chunk: impl FnMut(Unsealed<'_>)) -> Vec<WalRecord> {
+        let mut carry = Vec::new();
+        let Self {
+            machines, lanes, ..
+        } = self;
+        for (machine, m) in machines {
+            let mut lane = |sensor: &str, kind| {
+                let id = LaneId {
+                    machine: machine.clone(),
+                    sensor: sensor.to_string(),
+                    kind,
+                };
+                lanes.issue(&id).0
             };
             for (sensor, pipe) in &mut m.env {
                 let env = || lane(sensor, LaneKind::Environment);
-                pipe.seal(env, &mut chunk, &mut buffered);
+                pipe.seal(env, &mut chunk, &mut carry);
             }
             for owed in m.owed.drain(..) {
                 chunk(Unsealed {
@@ -1081,10 +1200,10 @@ impl StreamDetector {
             }
             let phase = m.job.iter_mut().flat_map(|job| &mut job.phase);
             for (sensor, pipe) in phase.flat_map(|phase| &mut phase.pipes) {
-                pipe.seal(|| lane(sensor, LaneKind::Phase), &mut chunk, &mut buffered);
+                pipe.seal(|| lane(sensor, LaneKind::Phase), &mut chunk, &mut carry);
             }
         }
-        buffered
+        carry
     }
 
     /// Current ingestion counters.
@@ -1108,14 +1227,15 @@ impl StreamDetector {
             late_dropped: total.late_dropped,
             duplicates_dropped: total.duplicates_dropped,
             series_failed,
-            corrupt_records: 0,
+            corrupt_records: self.corrupt_records,
             drift_events: total.drift_events,
             refits: total.refits,
         }
     }
 
     /// Per-lane release/drop counters, aggregated over every pipeline
-    /// (open or closed) the lane ever fed.
+    /// (open or closed) the lane ever fed, with the WAL corruption
+    /// recovery attributed to a lane.
     pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
         let mut out = BTreeMap::new();
         for (machine, m) in &self.machines {
@@ -1136,6 +1256,10 @@ impl StreamDetector {
             })
             .or_default()
             .add(&pipe.counters());
+        }
+        let lanes = self.lanes.table.iter().flatten();
+        for lane in lanes.filter(|lane| lane.corrupt > 0) {
+            out.entry(lane.id.clone()).or_default().corrupt_records += lane.corrupt;
         }
         out
     }
@@ -1331,24 +1455,17 @@ fn pipe_at<'a>(
         .ok_or_else(|| no_open_pipeline(&lane.sensor))
 }
 
-/// The open pipeline the lane behind `handle` routes to, through the
-/// route cached for its previous sample when a control event has not
-/// cleared it since.
+/// The open pipeline `lane` routes to, through the route cached for its
+/// previous sample when a control event has not cleared it since.
 fn resolve<'a>(
     machines: &'a mut [(String, MachineState)],
-    lanes: &mut [(LaneId, Option<Route>)],
-    handle: LaneHandle,
+    lane: &mut Lane,
 ) -> Result<&'a mut Pipeline> {
-    let Some((id, cached)) = lanes.get_mut(handle.0 as usize) else {
-        return Err(DetectError::Missing {
-            what: format!("lane handle {}", handle.0),
-        });
-    };
-    let route = match *cached {
+    let route = match lane.route {
         Some(route) => route,
-        None => *cached.insert(find_route(machines, id)?),
+        None => *lane.route.insert(find_route(machines, &lane.id)?),
     };
-    pipe_at(machines, route, id)
+    pipe_at(machines, route, &lane.id)
 }
 
 fn find_machine<'a>(

@@ -28,20 +28,22 @@
 //!
 //! ## Rotation and recovery
 //!
-//! [`DurableStream::rotate`] seals everything *released* so far into an
+//! [`DurableStream::rotate`] seals what the detector hands it into an
 //! immutable columnar segment: per-series chunks (the unsealed suffix of
-//! released history plus the absolute drop counters), the control events
-//! journalled since the last rotation, and every lane declaration. Per
-//! machine the chunks come in a fixed order: the environment pipelines',
-//! then what the phases closed since the last rotation left owing (in
-//! close order), then the open phase's. Only open pipelines and those
-//! owed records are visited — never a series sealed before. Samples still
+//! released history plus the absolute drop counters), each numbered by
+//! the detector's lane table, the control events journalled since the
+//! last rotation, and every lane definition in that table. Per machine
+//! the chunks come in a fixed order: the environment pipelines', then
+//! what the phases closed since the last rotation left owing (in close
+//! order), then the open phase's. Only open pipelines and those owed
+//! records are visited — never a series sealed before. Samples still
 //! buffered in watermarks are carried over as the opening records of the
 //! next WAL.
 //!
 //! Recovery replays segments in order — within one segment, controls
 //! and chunks merge by sequence number — and then replays the WAL tail
-//! through the ordinary ingest path. A chunk routes like a sample: it
+//! through the ordinary ingest path. A control tags the pipelines it
+//! opens with its sequence number. A chunk routes like a sample: it
 //! lands in its lane's *open* pipeline, and only if the control that
 //! opened that pipeline is its `after_control_seq`; any other chunk is
 //! refused and counted. The watermark rewind plus re-offered carry-over
@@ -49,12 +51,15 @@
 //!
 //! ## Lanes
 //!
-//! Every lane a sample has named sits in one dense table, indexed by the
-//! store-local lane number the WAL journals: its id, the detector's handle
-//! for it, its delivered and corrupt counts. A [`LaneId`] is looked up
-//! once, by whoever resolves it; a sample applied by handle indexes the
-//! table. Lane numbers stay below [`MAX_LANES`] — a `LaneDef` above it,
-//! in a WAL or a segment, is skipped like an undecodable one.
+//! The plant has one lane table, the detector's: a [`LaneHandle`] is the
+//! store-local lane number the WAL and the segments record, and each
+//! entry holds the lane's id and its offered and corrupt counts. This
+//! stream keeps no lane state of its own. A new lane's `LaneDef` is
+//! journalled before the detector issues its number, so a failed append
+//! binds nothing; recovery binds each def at its number, and a number
+//! whose def is missing or does not decode stays a hole. Lane numbers
+//! stay below [`MAX_LANES`] — a `LaneDef` above it, in a WAL or a
+//! segment, is skipped like an undecodable one.
 //!
 //! ## Exactly-once resume
 //!
@@ -78,24 +83,11 @@ use crate::codec::{decode_control, decode_lane, encode_control, encode_lane};
 use crate::detector::{
     ControlEvent, LaneStats, StreamConfig, StreamDetector, StreamReport, StreamStats,
 };
-use crate::lane::{
-    dense_slot, LaneHandle, LaneId, LaneTable, RunError, Sample, WireLane, MAX_LANES,
-};
+use crate::lane::{LaneHandle, LaneId, LaneTable, RunError, Sample, WireLane, MAX_LANES};
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
     DetectError::Substrate(format!("store: {e}"))
-}
-
-/// Applies control `seq` and stamps every pipeline it opened. Pipelines
-/// only come into existence through control events, so "untagged" means
-/// "created by the event that was just applied".
-fn apply_tagged(inner: &mut StreamDetector, seq: u64, event: &ControlEvent) -> Result<()> {
-    inner.apply(event)?;
-    for (_, _, _, pipe) in inner.pipelines_mut() {
-        pipe.opened_seq.get_or_insert(seq);
-    }
-    Ok(())
 }
 
 /// What [`DurableStream::open`] rebuilt and repaired.
@@ -125,42 +117,15 @@ pub struct DurableRecovery {
     pub store: RecoveryStats,
 }
 
-/// One lane of the plant, at its store-local number.
-#[derive(Default)]
-struct LaneSlot {
-    /// The lane's id and the detector's handle for it; `None` only for
-    /// numbers a damaged or over-cap def left unbound.
-    bound: Option<(LaneId, LaneHandle)>,
-    /// Samples journalled on this lane.
-    delivered: u64,
-    /// WAL records of this lane rejected as corrupt during recovery.
-    corrupt: u64,
-}
-
 /// A [`StreamDetector`] whose inputs are crash-durable: WAL + columnar
 /// segments underneath, identical detection semantics on top. See the
 /// module docs for the journaling and recovery contract.
 pub struct DurableStream<S: Storage> {
     inner: StreamDetector,
     store: Store<S>,
-    /// The lane table, by store-local lane number.
-    lanes: Vec<LaneSlot>,
-    /// Resolve index over `lanes`; no sample walks it.
-    lane_index: BTreeMap<LaneId, u32>,
     next_seq: u64,
     /// Controls journalled to the active WAL, owed to the next segment.
     unsealed_controls: Vec<ControlRecord>,
-    corrupt_records: u64,
-}
-
-/// A bound lane, as [`replay_journal`] hands it to its consumer.
-pub struct ReplayLane<'a> {
-    /// The lane's id.
-    pub id: &'a LaneId,
-    /// The replayed detector's handle for it.
-    pub handle: LaneHandle,
-    /// Samples journalled on the lane — recovery's to credit.
-    delivered: &'a mut u64,
 }
 
 /// What the journal holds for a bound lane at one step of
@@ -176,7 +141,6 @@ pub enum Stored<'a> {
 
 /// What [`replay_journal`] leaves behind.
 pub struct Replayed {
-    lanes: Vec<LaneSlot>,
     next_seq: u64,
     /// The WAL tail's controls, owed to the next segment.
     unsealed_controls: Vec<ControlRecord>,
@@ -187,41 +151,33 @@ pub struct Replayed {
 }
 
 impl Replayed {
-    fn bind(&mut self, inner: &mut StreamDetector, lane: u32, meta: &[u8]) {
-        let Some(id) = decode_lane(meta) else { return };
-        if let Some(slot) = dense_slot(&mut self.lanes, lane) {
-            let handle = inner.lane(&id);
-            slot.bound = Some((id, handle));
-        }
-    }
-
     fn control(&mut self, inner: &mut StreamDetector, seq: u64, payload: &[u8]) {
         self.next_seq = self.next_seq.max(seq.saturating_add(1));
-        let accepted =
-            decode_control(payload).is_some_and(|event| apply_tagged(inner, seq, &event).is_ok());
+        let accepted = decode_control(payload)
+            .is_some_and(|event| inner.apply_tagged(Some(seq), &event).is_ok());
         self.controls_accepted += u64::from(accepted);
     }
+}
 
-    fn samples(
-        &mut self,
-        inner: &mut StreamDetector,
-        lane: u32,
-        stored: Stored<'_>,
-        on_samples: &mut impl FnMut(&mut StreamDetector, ReplayLane<'_>, Stored<'_>),
-    ) {
-        if let Some(LaneSlot {
-            bound: Some((id, handle)),
-            delivered,
-            ..
-        }) = self.lanes.get_mut(lane as usize)
-        {
-            let lane = ReplayLane {
-                id,
-                handle: *handle,
-                delivered,
-            };
-            on_samples(inner, lane, stored);
-        }
+/// Binds a journalled lane definition at its number; one that does not
+/// decode leaves the number unbound.
+fn bind(inner: &mut StreamDetector, lane: u32, meta: &[u8]) {
+    if let Some(id) = decode_lane(meta) {
+        inner.bind_lane(lane, id);
+    }
+}
+
+/// Hands `on_samples` what the journal holds on lane number `lane`, if it
+/// is bound.
+fn samples(
+    inner: &mut StreamDetector,
+    lane: u32,
+    stored: Stored<'_>,
+    on_samples: &mut impl FnMut(&mut StreamDetector, LaneHandle, Stored<'_>),
+) {
+    let lane = LaneHandle(lane);
+    if inner.is_bound(lane) {
+        on_samples(inner, lane, stored);
     }
 }
 
@@ -233,9 +189,10 @@ impl Replayed {
 /// that opened its pipeline and before any later control (which may
 /// close that pipeline again). Then the WAL tail, record by record.
 ///
-/// The walk itself binds lanes (each resolved once, to a handle) and
-/// applies controls; `on_samples` decides what a chunk or a tail sample
-/// on a bound lane does to the detector. One rule covers every record
+/// The walk itself binds each lane definition at its number in the
+/// detector's lane table and applies controls, tagging the pipelines each
+/// opens; `on_samples` decides what a chunk or a tail sample on a bound
+/// lane number does to the detector. One rule covers every record
 /// the live path journalled and then turned down — a control the
 /// detector refuses, a payload or lane definition that does not decode,
 /// a lane number at or above [`MAX_LANES`], samples on an unbound lane:
@@ -243,21 +200,20 @@ impl Replayed {
 pub fn replay_journal(
     loaded: &Recovered,
     inner: &mut StreamDetector,
-    mut on_samples: impl FnMut(&mut StreamDetector, ReplayLane<'_>, Stored<'_>),
+    mut on_samples: impl FnMut(&mut StreamDetector, LaneHandle, Stored<'_>),
 ) -> Replayed {
     enum Item<'a> {
         Control(&'a ControlRecord),
         Chunk(&'a DecodedChunk),
     }
     let mut out = Replayed {
-        lanes: Vec::new(),
         next_seq: 1,
         unsealed_controls: Vec::new(),
         controls_accepted: 0,
     };
     for seg in &loaded.segments {
         for def in &seg.lane_defs {
-            out.bind(inner, def.lane, &def.meta);
+            bind(inner, def.lane, &def.meta);
         }
         let controls = seg.controls.iter().map(|c| (c.seq, Item::Control(c)));
         let chunks = seg.chunks.iter();
@@ -268,13 +224,13 @@ pub fn replay_journal(
         for (seq, item) in items {
             match item {
                 Item::Control(c) => out.control(inner, seq, &c.payload),
-                Item::Chunk(ch) => out.samples(inner, ch.lane, Stored::Chunk(ch), &mut on_samples),
+                Item::Chunk(ch) => samples(inner, ch.lane, Stored::Chunk(ch), &mut on_samples),
             }
         }
     }
     for record in &loaded.wal {
         match record {
-            WalRecord::LaneDef { lane, meta } => out.bind(inner, *lane, meta),
+            WalRecord::LaneDef { lane, meta } => bind(inner, *lane, meta),
             WalRecord::Control { seq, payload } => {
                 out.unsealed_controls.push(ControlRecord {
                     seq: *seq,
@@ -288,7 +244,7 @@ pub fn replay_journal(
                 value,
             } => {
                 let sample = Stored::Sample(Sample { timestamp, value });
-                out.samples(inner, lane, sample, &mut on_samples);
+                samples(inner, lane, sample, &mut on_samples);
             }
         }
     }
@@ -324,54 +280,27 @@ impl<S: Storage> DurableStream<S> {
         let mut restored_samples = 0_u64;
         let mut replayed_samples = 0_u64;
         let mut refused_chunks = 0_u64;
-        let replayed = replay_journal(&recovered, &mut inner, |inner, lane, stored| {
-            let ch = match stored {
-                Stored::Chunk(ch) => ch,
-                Stored::Sample(sample) => {
-                    replayed_samples += 1;
-                    *lane.delivered += 1;
-                    // A sample the pre-crash detector rejected is
-                    // re-rejected here with the same error; either way
-                    // it was journalled, so it counts as delivered.
-                    let _ = inner.ingest_resolved(lane.handle, sample);
-                    return;
-                }
-            };
-            let Some(credit) = inner.restore_chunk(lane.handle, ch) else {
-                refused_chunks += 1;
-                return;
-            };
-            restored_samples += ch.timestamps.len() as u64;
-            *lane.delivered += credit;
+        let replayed = replay_journal(&recovered, &mut inner, |inner, lane, stored| match stored {
+            Stored::Sample(sample) => {
+                replayed_samples += 1;
+                // A sample the pre-crash detector rejected is re-rejected
+                // here with the same error; either way it was journalled,
+                // so its lane counts the offer.
+                let _ = inner.ingest_resolved(lane, sample);
+            }
+            Stored::Chunk(ch) if inner.restore_chunk(lane, ch) => {
+                restored_samples += ch.timestamps.len() as u64;
+            }
+            Stored::Chunk(_) => refused_chunks += 1,
         });
-        let Replayed {
-            mut lanes,
-            next_seq,
-            unsealed_controls,
-            ..
-        } = replayed;
-
-        let corrupt_records = match &recovered.stats.corruption {
-            Some(c) => {
-                if let Some(slot) = c.lane.and_then(|n| lanes.get_mut(n as usize)) {
-                    slot.corrupt = 1;
-                }
-                1
-            }
-            None => 0,
-        };
-
-        let mut lane_index = BTreeMap::new();
-        for (idx, slot) in lanes.iter().enumerate() {
-            if let Some((id, _)) = &slot.bound {
-                lane_index.insert(id.clone(), idx as u32);
-            }
+        if let Some(c) = &recovered.stats.corruption {
+            inner.note_corruption(c.lane);
         }
         let recovery = DurableRecovery {
-            controls_applied: next_seq - 1,
+            controls_applied: replayed.next_seq - 1,
             restored_samples,
             replayed_samples,
-            corrupt_records,
+            corrupt_records: u64::from(recovered.stats.corruption.is_some()),
             refused_chunks,
             store: recovered.stats,
         };
@@ -379,43 +308,34 @@ impl<S: Storage> DurableStream<S> {
             Self {
                 inner,
                 store,
-                lanes,
-                lane_index,
-                next_seq,
-                unsealed_controls,
-                corrupt_records,
+                next_seq: replayed.next_seq,
+                unsealed_controls: replayed.unsealed_controls,
             },
             recovery,
         ))
     }
 
-    /// The store-local number of `id`, binding the next free one when the
-    /// plant has not seen the lane; `journal` first appends the
-    /// [`WalRecord::LaneDef`] a sample referencing the number needs ahead
-    /// of it (rotation interns without: it publishes every definition in
-    /// the segment footer anyway).
-    fn lane_no(&mut self, id: &LaneId, journal: bool) -> Result<u32> {
-        if let Some(&n) = self.lane_index.get(id) {
-            return Ok(n);
-        }
-        let n = self.lanes.len() as u32;
-        if n >= MAX_LANES {
+    /// The plant's number for `id`. A lane it has not seen is numbered
+    /// next by the detector once the [`WalRecord::LaneDef`] a sample on
+    /// it needs ahead of it is journalled, so a failed append (or a full
+    /// table) binds nothing.
+    fn lane_no(&mut self, id: &LaneId) -> Result<LaneHandle> {
+        let next = match self.inner.lane_number(id) {
+            Ok(handle) => return Ok(handle),
+            Err(next) => next,
+        };
+        if next >= MAX_LANES {
             return Err(DetectError::invalid(
                 "lane",
                 format!("the plant's lane table is full ({MAX_LANES} lanes)"),
             ));
         }
-        if journal {
-            let meta = encode_lane(id);
-            let def = WalRecord::LaneDef { lane: n, meta };
-            self.store.append(&def).map_err(substrate)?;
-        }
-        self.lanes.push(LaneSlot {
-            bound: Some((id.clone(), self.inner.lane(id))),
-            ..LaneSlot::default()
-        });
-        self.lane_index.insert(id.clone(), n);
-        Ok(n)
+        let def = WalRecord::LaneDef {
+            lane: next,
+            meta: encode_lane(id),
+        };
+        self.store.append(&def).map_err(substrate)?;
+        Ok(self.inner.lane(id))
     }
 
     /// Journals and fsyncs a control payload, assigning its sequence
@@ -442,29 +362,18 @@ impl<S: Storage> DurableStream<S> {
     /// detector's lifecycle errors.
     pub fn control(&mut self, event: &ControlEvent) -> Result<()> {
         let seq = self.journal_control(encode_control(event))?;
-        apply_tagged(&mut self.inner, seq, event)
+        self.inner.apply_tagged(Some(seq), event)
     }
 
-    /// Journals one sample on a resolved lane and applies it.
-    fn apply(&mut self, lane: u32, sample: Sample) -> Result<()> {
-        let Some(LaneSlot {
-            bound: Some((_, route)),
-            delivered,
-            ..
-        }) = self.lanes.get_mut(lane as usize)
-        else {
-            return Err(DetectError::Missing {
-                what: format!("lane number {lane}"),
-            });
-        };
+    /// Journals one sample on a lane this stream numbered and applies it.
+    fn apply(&mut self, lane: LaneHandle, sample: Sample) -> Result<()> {
         let record = WalRecord::Sample {
-            lane,
+            lane: lane.0,
             timestamp: sample.timestamp,
             value: sample.value,
         };
         self.store.append(&record).map_err(substrate)?;
-        *delivered += 1;
-        self.inner.ingest_resolved(*route, sample)
+        self.inner.ingest_resolved(lane, sample)
     }
 
     /// Durable [`StreamDetector::ingest`]: the sample is journalled
@@ -478,7 +387,7 @@ impl<S: Storage> DurableStream<S> {
     /// from the inner detector (the sample is journalled regardless —
     /// replay repeats the rejection).
     pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
-        let applied = self.lane_no(lane, true).and_then(|n| self.apply(n, sample));
+        let applied = self.lane_no(lane).and_then(|n| self.apply(n, sample));
         let handed = self.store.flush().map_err(substrate);
         applied.and(handed)
     }
@@ -486,15 +395,11 @@ impl<S: Storage> DurableStream<S> {
     /// Applies one sample of a client's wire lane, resolving the lane if
     /// this is the first sample to need it.
     fn apply_wire(&mut self, lane: &mut WireLane, sample: Sample) -> Result<()> {
-        let n = match lane.handle {
-            Some(LaneHandle(n)) => n,
-            None => {
-                let n = self.lane_no(&lane.id, true)?;
-                lane.handle = Some(LaneHandle(n));
-                n
-            }
+        let handle = match lane.handle {
+            Some(handle) => handle,
+            None => *lane.handle.insert(self.lane_no(&lane.id)?),
         };
-        self.apply(n, sample)
+        self.apply(handle, sample)
     }
 
     /// Applies a run of samples addressed by wire lane, each through
@@ -532,10 +437,7 @@ impl<S: Storage> DurableStream<S> {
     /// detector failures as in [`StreamDetector::tick`].
     pub fn tick(&mut self) -> Result<StreamReport> {
         self.store.commit().map_err(substrate)?;
-        let mut report = self.inner.tick()?;
-        report.stats.corrupt_records = self.corrupt_records;
-        self.add_corrupt_lanes(&mut report.lane_stats);
-        Ok(report)
+        self.inner.tick()
     }
 
     /// Finalizes every pipeline (watermarks flush, scorers finish), then
@@ -560,71 +462,39 @@ impl<S: Storage> DurableStream<S> {
     /// store is still on the old WAL and nothing is lost.
     pub fn rotate(&mut self) -> Result<()> {
         let mut chunks = Vec::new();
-        let buffered = self.inner.seal(|ch| {
-            let chunk = SegmentChunk {
-                // Numbered below, once the detector is released.
-                lane: 0,
+        let carry = self.inner.seal(|ch| {
+            chunks.push(SegmentChunk {
+                lane: ch.lane,
                 after_control_seq: ch.opened_seq,
                 timestamps: ch.timestamps.to_vec(),
                 values: ch.values.to_vec(),
                 late_dropped: ch.stats.late_dropped as u64,
                 duplicates_dropped: ch.stats.duplicates_dropped as u64,
-            };
-            chunks.push((ch.lane, chunk));
+            });
         });
-        let mut draft = SegmentDraft {
+        let defs = self.inner.lane_defs().map(|(lane, id)| LaneDef {
+            lane,
+            meta: encode_lane(id),
+        });
+        let draft = SegmentDraft {
+            lane_defs: defs.collect(),
             controls: std::mem::take(&mut self.unsealed_controls),
+            chunks,
             ..SegmentDraft::default()
         };
-        for (id, mut chunk) in chunks {
-            chunk.lane = self.lane_no(&id, false)?;
-            draft.chunks.push(chunk);
-        }
-        let mut carry = Vec::new();
-        for (id, samples) in buffered {
-            let lane = self.lane_no(&id, false)?;
-            let records = samples
-                .into_iter()
-                .map(|(timestamp, value)| WalRecord::Sample {
-                    lane,
-                    timestamp,
-                    value,
-                });
-            carry.extend(records);
-        }
-        for (idx, slot) in self.lanes.iter().enumerate() {
-            if let Some((id, _)) = &slot.bound {
-                draft.lane_defs.push(LaneDef {
-                    lane: idx as u32,
-                    meta: encode_lane(id),
-                });
-            }
-        }
         self.store.rotate(&draft, &carry).map_err(substrate)
     }
 
-    /// Current counters, with recovery corruption folded in.
+    /// Current counters, recovery corruption included.
     pub fn stats(&self) -> StreamStats {
-        let mut stats = self.inner.stats();
-        stats.corrupt_records = self.corrupt_records;
-        stats
+        self.inner.stats()
     }
 
-    /// Per-lane release/drop counters with recovery corruption folded
-    /// in — the live query surface: unlike walking a [`StreamReport`],
-    /// this never runs detection, so operators can poll it cheaply.
+    /// Per-lane release/drop/corruption counters — the live query
+    /// surface: unlike walking a [`StreamReport`], this never runs
+    /// detection, so operators can poll it cheaply.
     pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
-        let mut out = self.inner.lane_stats();
-        self.add_corrupt_lanes(&mut out);
-        out
-    }
-
-    fn add_corrupt_lanes(&self, lane_stats: &mut BTreeMap<LaneId, LaneStats>) {
-        for slot in self.lanes.iter().filter(|slot| slot.corrupt > 0) {
-            if let Some((id, _)) = &slot.bound {
-                lane_stats.entry(id.clone()).or_default().corrupt_records += slot.corrupt;
-            }
-        }
+        self.inner.lane_stats()
     }
 
     /// Per-lane count of samples made durable (journalled, whether or
@@ -632,13 +502,7 @@ impl<S: Storage> DurableStream<S> {
     /// view built from the lane table when asked for. A resuming client
     /// resends each lane's stream starting at this index.
     pub fn delivered(&self) -> BTreeMap<LaneId, u64> {
-        let mut out = BTreeMap::new();
-        for slot in self.lanes.iter().filter(|slot| slot.delivered > 0) {
-            if let Some((id, _)) = &slot.bound {
-                *out.entry(id.clone()).or_insert(0) += slot.delivered;
-            }
-        }
-        out
+        self.inner.offered()
     }
 
     /// Highest control sequence number journalled so far; a resuming
@@ -996,7 +860,7 @@ mod tests {
             DurableStream::open(policy, config, storage, StoreOptions::default()).unwrap();
         assert_eq!(recovery.replayed_samples, 1, "the one lane under the cap");
         assert_eq!(d.delivered(), BTreeMap::from([(room.clone(), 1)]));
-        assert_eq!(d.lanes.len(), MAX_LANES as usize);
+        assert_eq!(d.inner.lane_number(&hostile), Err(MAX_LANES));
         // The table is full: a lane the plant has not seen is turned away
         // (typed), the one it has keeps working.
         let probe = Sample {

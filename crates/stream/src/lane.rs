@@ -1,8 +1,10 @@
 //! The ingest value types: a [`Sample`], the [`LaneId`] naming the sensor
-//! lane it belongs to, and the resolved forms of that name. A sample
-//! reaches a detector one way — resolve its lane to a [`LaneHandle`] once,
-//! then apply it by handle — and `ingest(&LaneId, Sample)`, on every layer
-//! from the wire down, is that with the resolve done per call.
+//! lane it belongs to, and the resolved forms of that name — the plant's
+//! [`LaneHandle`], which is its lane number as its journal records it, and
+//! a client's [`LaneTable`] of wire lanes. A sample reaches a detector one
+//! way — resolve its lane to a handle once, then apply it by handle — and
+//! `ingest(&LaneId, Sample)`, on every layer from the wire down, is that
+//! with the resolve done per call.
 
 use hierod_detect::DetectError;
 
@@ -39,10 +41,10 @@ pub struct LaneId {
     pub kind: LaneKind,
 }
 
-/// A [`LaneId`] resolved to a dense index into the lane table of the
-/// detector or durable stream that issued it — and meaningful to that one
-/// value only. Applying a sample by handle compares no string and walks no
-/// map.
+/// A [`LaneId`] resolved to the plant's lane number: its index in the
+/// lane table of the detector that issued or bound it, and the number the
+/// plant's WAL and segments record — meaningful to that one plant only.
+/// Applying a sample by handle compares no string and walks no map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneHandle(pub(crate) u32);
 
