@@ -68,11 +68,6 @@ impl DriftingScorer {
         self.last_event
     }
 
-    /// Label of the wrapped scorer.
-    pub fn inner_name(&self) -> &'static str {
-        self.inner.name()
-    }
-
     /// Swaps in a freshly trained scorer (the refit commit point):
     /// counts one refit, clears the pending flag, and re-arms the
     /// monitor — the new model's residuals are a fresh stream. Counters

@@ -11,17 +11,18 @@
 //! (level × machine × sensor/group) granularity: one task per series at the
 //! point-scored levels, one per profile group in profile mode, one per
 //! collective (job vectors, machine summaries) at the job and production
-//! levels. [`detect_all_levels`] feeds the full task list of all five
-//! levels into a work-stealing [`TaskPool`], so a wide plant saturates
-//! every core instead of being capped at one thread per level; fragments
-//! are merged back **in task order**, which keeps results identical to the
-//! serial path (a plain [`detect_level`] loop over the five levels, which
+//! levels. [`detect_all_levels`] hands the full task list of all five
+//! levels to [`engine::run_tasks`], whose threads claim tasks from one
+//! shared queue, so a wide plant saturates every core instead of being
+//! capped at one thread per level; fragments are merged back **in task
+//! order**, which keeps results identical to the serial path (a plain
+//! [`detect_level`] loop over the five levels, which
 //! `pooled_run_matches_serial_run_exactly` keeps as the reference).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hierod_detect::engine::{self, AlgoSpec, BoxedScorer, RobustZ, Standardizer, Task, TaskPool};
+use hierod_detect::engine::{self, AlgoSpec, BoxedScorer, RobustZ, Standardizer, Task};
 use hierod_detect::related::ProfileSimilarity;
 use hierod_detect::{PointScorer, Result, VectorScorer};
 use hierod_hierarchy::{Level, LevelView, PhaseKind, Plant, SeriesAt};
@@ -401,8 +402,8 @@ pub fn detect_level(
     Ok(det)
 }
 
-/// Runs `CalculateOutlier` for all five levels on a work-stealing task
-/// pool sized to the machine, returning them in level order.
+/// Runs `CalculateOutlier` for all five levels on one thread per
+/// available core (4 when that is unknown), returning them in level order.
 ///
 /// # Errors
 /// Propagates the first per-level failure (in deterministic task order).
@@ -410,19 +411,17 @@ pub fn detect_all_levels(
     plant: &Plant,
     policy: &AlgorithmPolicy,
 ) -> Result<BTreeMap<Level, LevelDetections>> {
-    detect_all_levels_with_pool(plant, policy, &TaskPool::with_default_parallelism())
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    detect_all_levels_on(plant, policy, workers)
 }
 
-/// [`detect_all_levels`] on a caller-provided pool: decomposes all five
-/// levels into one flat task list and lets the pool's workers steal across
-/// level boundaries, so a wide level cannot serialize behind a narrow one.
-///
-/// # Errors
-/// Propagates the first per-level failure (in deterministic task order).
-pub fn detect_all_levels_with_pool(
+/// [`detect_all_levels`] on `workers` threads: decomposes all five levels
+/// into one flat task list whose tasks any thread may claim, so a wide
+/// level cannot serialize behind a narrow one.
+fn detect_all_levels_on(
     plant: &Plant,
     policy: &AlgorithmPolicy,
-    pool: &TaskPool,
+    workers: usize,
 ) -> Result<BTreeMap<Level, LevelDetections>> {
     // Materialize all five views in one pass so the per-job feature rows
     // are derived once and shared (Arc) across the Job, ProductionLine and
@@ -440,7 +439,7 @@ pub fn detect_all_levels_with_pool(
             task_level.push(*level);
         }
     }
-    let fragments = pool.run(tasks);
+    let fragments = engine::run_tasks(workers, tasks);
     let mut out: BTreeMap<Level, LevelDetections> = Level::ALL
         .into_iter()
         .map(|level| (level, LevelDetections::empty(level)))
@@ -571,17 +570,17 @@ mod tests {
     #[test]
     fn pooled_run_matches_serial_run_exactly() {
         // The same task list merged in task order must make scheduling
-        // invisible: serial, single-worker, and wide pool all agree.
+        // invisible: serial, single-worker, and wide runs all agree.
         let s = scenario();
         let policy = AlgorithmPolicy::default();
         let serial: BTreeMap<Level, LevelDetections> = Level::ALL
             .into_iter()
             .map(|l| (l, detect_level(&s.plant, l, &policy).unwrap()))
             .collect();
-        let pooled = detect_all_levels_with_pool(&s.plant, &policy, &TaskPool::new(8)).unwrap();
-        let single = detect_all_levels_with_pool(&s.plant, &policy, &TaskPool::new(1)).unwrap();
-        assert_eq!(serial, pooled);
-        assert_eq!(serial, single);
+        for workers in [1, 2, 8] {
+            let pooled = detect_all_levels_on(&s.plant, &policy, workers).unwrap();
+            assert_eq!(serial, pooled, "{workers} workers");
+        }
     }
 
     #[test]

@@ -39,9 +39,7 @@ pub mod pipeline;
 pub mod policy;
 pub mod support;
 
-pub use detect_level::{
-    detect_all_levels, detect_all_levels_with_pool, detect_level, LevelDetections, LevelOutlier,
-};
+pub use detect_level::{detect_all_levels, detect_level, LevelDetections, LevelOutlier};
 pub use fusion::FusionRule;
 pub use outlier::{HierOutlier, HierReport, Warning};
 pub use pipeline::{find_hierarchical_outliers, FindOptions};

@@ -18,9 +18,10 @@
 //! 4. [`Standardizer`] — turns raw, detector-specific score scales into
 //!    comparable robust z-scores ([`RobustZ`]) so one threshold works
 //!    across all 21+ detectors.
-//! 5. [`TaskPool`] — a work-stealing scheduler running the per-(level ×
-//!    machine × sensor/job-group) scoring tasks that the hierarchy layer
-//!    (`hierod-core`) decomposes a plant into.
+//! 5. [`run_tasks`] — the batch task runner: scoped threads claiming the
+//!    per-(level × machine × sensor/job-group) scoring tasks that the
+//!    hierarchy layer (`hierod-core`) decomposes a plant into from one
+//!    shared queue.
 //!
 //! The `hierod-core` policy holds bare specs, one per level; nothing above
 //! this module keeps its own list of algorithms to build scorers from.
@@ -33,6 +34,6 @@ mod standardize;
 
 pub use boxed::{BoxedScorer, ScorerKind};
 pub use catalog::{all_entries, build, build_online, find, supplemental};
-pub use scheduler::{Task, TaskPool};
+pub use scheduler::{run_tasks, Task};
 pub use spec::{AlgoSpec, ParamValue};
 pub use standardize::{Identity, RobustZ, Standardizer};

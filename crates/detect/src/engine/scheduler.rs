@@ -1,24 +1,21 @@
-//! Work-stealing task pool.
+//! Batch task runner.
 //!
 //! The hierarchy used to parallelize detection with one thread per level
 //! (≤ 5 threads, serial per-sensor scoring inside each). That caps speed-up
 //! at the slowest level and leaves wide plants (many machines × sensors)
-//! under-parallelized. [`TaskPool`] instead takes the full task list —
+//! under-parallelized. [`run_tasks`] instead takes the full task list —
 //! typically one [`ScoringTask`](crate::engine) per (level × machine ×
-//! sensor/job group) — and runs it on a fixed worker set with work
-//! stealing: each worker owns a deque seeded round-robin, pops from its own
-//! back (LIFO: cache-warm, recently pushed), and steals from other deques'
-//! fronts (FIFO: the oldest, usually largest remaining work) when its own
-//! runs dry. Tasks never spawn tasks, so a worker that completes a full
-//! sweep of all deques without finding work can exit.
+//! sensor/job group) — and runs it on a fixed set of scoped threads that
+//! claim tasks one at a time from one shared queue. Tasks are coarse and
+//! never spawn tasks, so one queue balances them without per-thread
+//! deques, and a thread that finds the queue empty can exit.
 //!
 //! Results return **in task order**, so scheduling is invisible to callers:
 //! the same task list always produces the same output vector.
 
-use std::collections::VecDeque;
 use std::sync::PoisonError;
 
-// Under `--features loom` the pool runs on model-checked primitives (see
+// Under `--features loom` the runner uses model-checked primitives (see
 // shims/loom and tests/loom_pool.rs); the shim degrades to plain `std`
 // outside a `loom::model` run, so the ordinary tests still pass either way.
 #[cfg(feature = "loom")]
@@ -28,131 +25,57 @@ use std::{sync::Mutex, thread};
 
 /// A unit of work: boxed so heterogeneous closures share one queue. The
 /// lifetime ties tasks to data borrowed from the caller's stack (plant
-/// views, policies), which the scoped workers may freely reference.
+/// views, policies), which the scoped threads may freely reference.
 pub type Task<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
 
-/// Fixed-size work-stealing thread pool (scoped; no detached threads).
-#[derive(Debug, Clone)]
-pub struct TaskPool {
-    workers: usize,
-}
-
-impl Default for TaskPool {
-    fn default() -> Self {
-        Self::with_default_parallelism()
+/// Runs every task on `workers` scoped threads and returns their results
+/// in task order.
+///
+/// `workers` is clamped to `1..=tasks.len()`; one worker runs the tasks
+/// inline on the calling thread. Tasks may borrow from the caller's stack.
+/// A panicking task propagates its panic to the caller after the scope
+/// joins (no result is lost silently).
+pub fn run_tasks<T: Send>(workers: usize, tasks: Vec<Task<'_, T>>) -> Vec<T> {
+    let workers = workers.clamp(1, tasks.len().max(1));
+    if workers == 1 {
+        return tasks.into_iter().map(|t| t()).collect();
     }
-}
-
-impl TaskPool {
-    /// A pool with an explicit worker count (min 1).
-    pub fn new(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-        }
-    }
-
-    /// A pool sized to the machine's available parallelism.
-    pub fn with_default_parallelism() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(workers)
-    }
-
-    /// The worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs every task and returns their results in task order.
-    ///
-    /// Workers are scoped threads, so tasks may borrow from the caller's
-    /// stack. A panicking task propagates its panic to the caller after the
-    /// scope joins (no result is lost silently).
-    pub fn run<'env, T: Send>(&self, tasks: Vec<Task<'env, T>>) -> Vec<T> {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(n);
-        if workers == 1 {
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-        // Seed the per-worker deques round-robin with (index, task).
-        type Deque<'env, T> = Mutex<VecDeque<(usize, Task<'env, T>)>>;
-        let mut deques: Vec<Deque<'env, T>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        let mut tasks = tasks.into_iter().enumerate().peekable();
-        while tasks.peek().is_some() {
-            for (deque, task) in deques.iter_mut().zip(&mut tasks) {
-                deque
-                    .get_mut()
+    let done = Mutex::new(Vec::with_capacity(tasks.len()));
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // The guard is a temporary of this statement: the queue is
+                // unlocked again before the claimed task runs. No task runs
+                // under either lock, so neither is ever poisoned; recovering
+                // the guard anyway keeps the lib free of panic sites.
+                let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((idx, task)) = claimed else { break };
+                let out = task();
+                done.lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .push_back(task);
-            }
+                    .push((idx, out));
+            });
         }
-        let deques = &deques;
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let slots = &slots;
-        let store = |idx: usize, out: T| {
-            if let Some(slot) = slots.get(idx) {
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            }
-        };
-        thread::scope(|scope| {
-            for (w, own) in deques.iter().enumerate() {
-                scope.spawn(move || {
-                    loop {
-                        // Own deque first: pop the back (most recently
-                        // seeded work; LIFO keeps the footprint warm).
-                        // Poisoned locks are recovered, not propagated: a
-                        // panicking task resurfaces at scope join anyway,
-                        // and a deque/slot is consistent at every await
-                        // point (push/pop are atomic under the lock).
-                        let popped = own
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .pop_back();
-                        // Steal sweep: oldest work from the other deques,
-                        // starting with the next worker's.
-                        let next = popped.or_else(|| {
-                            let mut victims = deques.iter().cycle().skip(w + 1).take(workers - 1);
-                            victims.find_map(|victim| {
-                                victim
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .pop_front()
-                            })
-                        });
-                        // Tasks never spawn tasks: an empty sweep means all
-                        // queues are drained for good.
-                        let Some((idx, task)) = next else { break };
-                        store(idx, task());
-                    }
-                });
-            }
-        });
-        // Every slot is filled here: the scope joined every worker, and a
-        // task that panicked instead of filling its slot re-raised at join.
-        slots
-            .iter()
-            .filter_map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take())
-            .collect()
-    }
+    });
+    let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    done.sort_unstable_by_key(|&(idx, _)| idx);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn results_come_back_in_task_order() {
-        let pool = TaskPool::new(4);
         let tasks: Vec<Task<usize>> = (0..64)
             .map(|i| {
                 let t: Task<usize> = Box::new(move || {
-                    // Uneven task cost to force stealing.
+                    // Uneven task cost so threads finish out of order.
                     let spin = (i % 7) * 1000;
                     let mut acc = 0usize;
                     for j in 0..spin {
@@ -164,14 +87,13 @@ mod tests {
                 t
             })
             .collect();
-        let out = pool.run(tasks);
+        let out = run_tasks(4, tasks);
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let pool = TaskPool::new(3);
         let tasks: Vec<Task<()>> = (0..100)
             .map(|_| {
                 let c = &counter;
@@ -181,14 +103,13 @@ mod tests {
                 t
             })
             .collect();
-        pool.run(tasks);
+        run_tasks(3, tasks);
         assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
     #[test]
     fn tasks_may_borrow_caller_data() {
         let data: Vec<u64> = (0..1000).collect();
-        let pool = TaskPool::with_default_parallelism();
         let tasks: Vec<Task<u64>> = data
             .chunks(100)
             .map(|chunk| {
@@ -196,25 +117,69 @@ mod tests {
                 t
             })
             .collect();
-        let partials = pool.run(tasks);
+        let partials = run_tasks(4, tasks);
         assert_eq!(partials.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
     #[test]
     fn empty_and_single_worker_paths() {
-        let pool = TaskPool::new(0); // clamps to 1
-        assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.run(Vec::<Task<u8>>::new()), Vec::<u8>::new());
+        assert_eq!(run_tasks(4, Vec::<Task<u8>>::new()), Vec::<u8>::new());
+        // Zero workers clamps to one.
         let one: Vec<Task<u8>> = vec![Box::new(|| 7)];
-        assert_eq!(pool.run(one), vec![7]);
+        assert_eq!(run_tasks(0, one), vec![7]);
     }
 
     #[test]
     fn more_workers_than_tasks_is_fine() {
-        let pool = TaskPool::new(16);
         let tasks: Vec<Task<usize>> = (0..3_usize)
             .map(|i| Box::new(move || i) as Task<usize>)
             .collect();
-        assert_eq!(pool.run(tasks), vec![0, 1, 2]);
+        assert_eq!(run_tasks(16, tasks), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn no_lock_is_held_while_a_task_runs() {
+        // Each task waits for the other to start, which only happens if
+        // the queue is unlocked while a claimed task runs.
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let tasks: Vec<Task<bool>> = (0..2)
+            .map(|i| {
+                let started = &started;
+                Box::new(move || {
+                    started[i].store(true, Ordering::Relaxed);
+                    while !started[1 - i].load(Ordering::Relaxed) {
+                        if Instant::now() > deadline {
+                            return false;
+                        }
+                        std::thread::yield_now();
+                    }
+                    true
+                }) as Task<bool>
+            })
+            .collect();
+        assert_eq!(run_tasks(2, tasks), vec![true, true]);
+    }
+
+    #[test]
+    fn a_panicking_task_resurfaces_after_the_others_ran() {
+        let ran: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        let tasks: Vec<Task<()>> = ran
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                Box::new(move || {
+                    if i == 3 {
+                        panic!("task 3 panics");
+                    }
+                    slot.fetch_add(1, Ordering::Relaxed);
+                }) as Task<()>
+            })
+            .collect();
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_tasks(2, tasks)));
+        assert!(outcome.is_err(), "the task's panic must reach the caller");
+        for (i, r) in ran.iter().enumerate().filter(|&(i, _)| i != 3) {
+            assert_eq!(r.load(Ordering::Relaxed), 1, "task {i}");
+        }
     }
 }

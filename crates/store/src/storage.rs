@@ -10,7 +10,7 @@
 //! operation.
 
 use std::fs;
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, Seek, Write};
 use std::path::PathBuf;
 
 /// An append-only handle to one storage file.
@@ -129,13 +129,6 @@ impl Storage for DiskStorage {
     fn remove(&self, name: &str) -> io::Result<()> {
         fs::remove_file(self.path(name))
     }
-}
-
-/// Reads a whole file through a generic reader (helper for tests).
-pub fn read_all(mut r: impl Read) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    Ok(buf)
 }
 
 #[cfg(test)]
