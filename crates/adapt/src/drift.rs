@@ -398,6 +398,29 @@ mod tests {
         assert!(event.statistic > event.threshold);
     }
 
+    /// Samples from the onset of a mean shift of `shift` to the first
+    /// alarm: 1,000 quiet residuals (mean 0.5, ±0.2 noise), then the
+    /// shifted stream. `None` if the monitor fires before the shift or
+    /// not within 4,000 samples after it.
+    fn delay(monitor: &mut dyn DriftMonitor, shift: f64) -> Option<u64> {
+        const QUIET: u64 = 1_000;
+        const BUDGET: u64 = 4_000;
+        let residual = |i| 0.5 + 0.4 * noise(i) + if i >= QUIET { shift } else { 0.0 };
+        let alarm = (0..QUIET + BUDGET).find(|&i| monitor.observe(residual(i)).is_some())?;
+        alarm.checked_sub(QUIET).map(|d| d + 1)
+    }
+
+    #[test]
+    fn default_monitors_detect_mean_shifts_after_pinned_delays() {
+        // (shift, Page–Hinkley delay, ADWIN delay), both at their defaults.
+        for (shift, page_hinkley, adwin) in [(1.0, 22, 16), (2.0, 11, 8), (4.0, 6, 8)] {
+            let mut ph = PageHinkley::default();
+            assert_eq!(delay(&mut ph, shift), Some(page_hinkley), "PH, {shift}");
+            let mut aw = AdwinWindow::default();
+            assert_eq!(delay(&mut aw, shift), Some(adwin), "ADWIN, {shift}");
+        }
+    }
+
     #[test]
     fn page_hinkley_detects_downward_shift() {
         let mut ph = PageHinkley::default();
