@@ -25,6 +25,13 @@
 //! environment lanes of one machine whose handles the wire-lane table
 //! already holds; the plant is rebuilt untimed every 256 runs, so its
 //! memory stays bounded.
+//!
+//! Last, the drift-monitor wrapper's price: one printing phase of 2,048
+//! ticks on four bed lanes, ingested and closed through an
+//! `AdaptiveStream` that passes through, and through one whose every
+//! scorer is wrapped in a Page–Hinkley monitor that observes each score
+//! and never alarms (no refit runs). The two rows differ by the wrapper
+//! alone; each is keyed by its sample count.
 
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -32,9 +39,12 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use hierod_adapt::{AdaptiveStream, MonitorSpec, RefitPolicy};
 use hierod_core::pipeline::build_report;
 use hierod_core::{detect_all_levels, AlgorithmPolicy};
-use hierod_hierarchy::Level;
+use hierod_hierarchy::{
+    CaqResult, JobConfig, Level, PhaseKind, RedundancyGroup, Sensor, SensorKind,
+};
 use hierod_store::store::StoreOptions;
 use hierod_store::tenants::MemFactory;
 use hierod_store::MemStorage;
@@ -318,5 +328,83 @@ fn bench_durable(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tick, bench_phase_close, bench_durable);
+/// Ticks of the `adapt` group's printing phase, and its bed lanes.
+const ADAPT_TICKS: u64 = 2_048;
+const ADAPT_LANES: usize = 4;
+
+/// A durable stream with one machine's bed lanes in an open printing
+/// phase, passing through or wrapped in monitors that never alarm.
+fn adapt_stream(adaptive: bool) -> AdaptiveStream<MemStorage> {
+    let (policy, config) = (AlgorithmPolicy::default(), StreamConfig::default());
+    let (inner, _) =
+        DurableStream::open(policy, config, MemStorage::new(), StoreOptions::default())
+            .expect("fresh store");
+    let mut stream = if adaptive {
+        let silent = MonitorSpec::PageHinkley {
+            delta: 0.05,
+            lambda: 1e12,
+            min_samples: 32,
+        };
+        AdaptiveStream::attach(inner, silent, RefitPolicy::default())
+    } else {
+        AdaptiveStream::passthrough(inner)
+    };
+    let beds: Vec<String> = (0..ADAPT_LANES).map(|k| format!("m0.bed.{k}")).collect();
+    let sensors = beds
+        .iter()
+        .map(|b| Sensor::new(b, SensorKind::BedTemperature))
+        .collect();
+    let group = RedundancyGroup::new(SensorKind::BedTemperature, beds.clone());
+    let config = JobConfig::new(vec!["speed".into()], vec![1.0]);
+    for control in [
+        ControlEvent::machine_up("m0", sensors, vec![group], &[]),
+        ControlEvent::job_start("m0", "j0", 0, config),
+        ControlEvent::phase_start("m0", PhaseKind::Printing, &beds),
+    ] {
+        stream.control(&control).expect("control");
+    }
+    stream
+}
+
+fn bench_drift_wrapper(c: &mut Criterion) {
+    let mut group = c.benchmark_group("adapt");
+    let lanes: Vec<LaneId> = (0..ADAPT_LANES)
+        .map(|k| LaneId {
+            machine: "m0".into(),
+            sensor: format!("m0.bed.{k}"),
+            kind: LaneKind::Phase,
+        })
+        .collect();
+    let samples = ADAPT_TICKS * ADAPT_LANES as u64;
+    for (row, adaptive) in [("passthrough", false), ("adaptive", true)] {
+        group.bench_function(BenchmarkId::new(row, samples), |b| {
+            b.iter_batched(
+                || adapt_stream(adaptive),
+                |mut stream| {
+                    for timestamp in 0..ADAPT_TICKS {
+                        for (k, lane) in (0..).zip(&lanes) {
+                            let value = 24.0 + (timestamp as f64 * 0.37 + k as f64).sin();
+                            let sample = Sample { timestamp, value };
+                            stream.ingest(lane, sample).expect("ingest");
+                        }
+                    }
+                    let caq = CaqResult::new(vec!["q".into()], vec![0.9], true);
+                    let complete = ControlEvent::job_complete("m0", caq);
+                    stream.control(&complete).expect("job complete");
+                    stream
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_tick,
+    bench_phase_close,
+    bench_durable,
+    bench_drift_wrapper
+);
 criterion_main!(benches);

@@ -107,8 +107,10 @@ impl RecoverySummary {
 pub struct PlantHealth {
     /// Plant id.
     pub id: String,
-    /// What recovery rebuilt when this plant was opened (all zeros for
-    /// plants created fresh in this process).
+    /// What recovery rebuilt when this incarnation of the plant was
+    /// opened — at service open, or on an admission that re-created it
+    /// from its storage (all zeros for a plant with no prior storage, and
+    /// while its open is still running).
     pub recovery: RecoverySummary,
 }
 
@@ -252,10 +254,9 @@ pub trait PlantService {
 
 /// The production [`PlantService`]: a
 /// [`PlantRegistry`](hierod_stream::PlantRegistry) engine plus the
-/// recovery summaries its opening produced, kept for the health
-/// endpoint. `Sync` whenever its storage factory is: share it by
-/// reference and call it from as many threads as there are plants to
-/// keep busy.
+/// recovery summaries its opening produced. `Sync` whenever its storage
+/// factory is: share it by reference and call it from as many threads as
+/// there are plants to keep busy.
 pub struct RegistryService<F: StorageFactory> {
     registry: PlantRegistry<F>,
     recoveries: BTreeMap<String, RecoverySummary>,
@@ -286,7 +287,9 @@ impl<F: StorageFactory> RegistryService<F> {
         &self.registry
     }
 
-    /// Per-plant recovery summaries from this process's opening.
+    /// Per-plant recovery summaries from this process's opening (the
+    /// plants [`open`](Self::open) found on storage; a later re-admission
+    /// shows in [`health`](PlantService::health) only).
     pub fn recoveries(&self) -> &BTreeMap<String, RecoverySummary> {
         &self.recoveries
     }
@@ -397,10 +400,10 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
     fn health(&self) -> Health {
         let live = self
             .registry
-            .tenant_ids()
+            .tenant_recoveries()
             .into_iter()
-            .map(|id| PlantHealth {
-                recovery: self.recoveries.get(&id).copied().unwrap_or_default(),
+            .map(|(id, rec)| PlantHealth {
+                recovery: RecoverySummary::from_recovery(&rec),
                 id,
             })
             .collect();
@@ -520,6 +523,25 @@ mod tests {
             RegistryService::open(factory, AlgorithmPolicy::default(), TenantConfig::default())
                 .unwrap();
         assert!(!svc.health().ready());
+    }
+
+    #[test]
+    fn health_reports_what_a_re_admitted_plant_recovered() {
+        let mut svc = service();
+        svc.admit("p", true).unwrap();
+        assert_eq!(svc.health().live[0].recovery, RecoverySummary::default());
+        drive(&mut svc, "p");
+        svc.finish("p").unwrap();
+
+        // Re-created in the same process, the plant replays its journal:
+        // four controls and 32 samples come back, and health says so.
+        assert_eq!(svc.admit("p", true).unwrap(), Admission::Created);
+        let health = svc.health();
+        assert_eq!(health.live.len(), 1);
+        let recovery = health.live[0].recovery;
+        assert_eq!(recovery.controls_applied, 4);
+        assert_eq!(recovery.restored_samples + recovery.replayed_samples, 32);
+        assert!(svc.recoveries().is_empty(), "the opening recovered nothing");
     }
 
     #[test]

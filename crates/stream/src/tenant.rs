@@ -206,13 +206,21 @@ fn seated<S: hierod_store::Storage>(slot: &mut Slot<S>) -> Option<&mut Tenant<S>
     exclusive(Arc::get_mut(slot)?).as_mut()
 }
 
+/// One live (or just-being-opened) plant in the registry's map.
+struct Entry<S: hierod_store::Storage> {
+    slot: Slot<S>,
+    /// What the open that seated this incarnation recovered: zeros for a
+    /// plant with no prior storage, and while its open is still running.
+    recovery: DurableRecovery,
+}
+
 /// What the registry-wide lock guards.
 struct Plants<S: hierod_store::Storage> {
     /// Incarnations handed out so far (the first is 1: a fresh
     /// [`LaneTable`] belongs to none).
     incarnations: u64,
     /// Live (or just-being-opened) plants.
-    live: BTreeMap<String, Slot<S>>,
+    live: BTreeMap<String, Entry<S>>,
     /// Ids detached by a `finish` still running: their storage has a
     /// writer, so they must not be re-created yet.
     closing: BTreeSet<String>,
@@ -295,7 +303,11 @@ impl<F: StorageFactory> PlantRegistry<F> {
             };
             match opened {
                 Ok((tenant, recovery)) => {
-                    live.insert(id.clone(), Arc::new(Mutex::new(Some(tenant))));
+                    let entry = Entry {
+                        slot: Arc::new(Mutex::new(Some(tenant))),
+                        recovery: recovery.clone(),
+                    };
+                    live.insert(id.clone(), entry);
                     recoveries.insert(id, recovery);
                 }
                 Err(e) => {
@@ -336,18 +348,19 @@ impl<F: StorageFactory> PlantRegistry<F> {
         }
         plants.incarnations += 1;
         let incarnation = plants.incarnations;
-        let (tenant, _) = open_tenant(&self.factory, &self.policy, &self.config, id, incarnation)?;
-        let slot = plants
-            .live
-            .entry(id.to_string())
-            .or_insert(Arc::new(Mutex::new(Some(tenant))));
-        seated(slot).ok_or_else(|| no_live_tenant(id))
+        let (tenant, recovery) =
+            open_tenant(&self.factory, &self.policy, &self.config, id, incarnation)?;
+        let entry = plants.live.entry(id.to_string()).or_insert(Entry {
+            slot: Arc::new(Mutex::new(Some(tenant))),
+            recovery,
+        });
+        seated(&mut entry.slot).ok_or_else(|| no_live_tenant(id))
     }
 
     /// Mutable access to a live tenant (ingest, controls, tick).
     /// Exclusive access: no lock is taken.
     pub fn tenant_mut(&mut self, id: &str) -> Option<&mut Tenant<F::Storage>> {
-        seated(exclusive(&mut self.plants).live.get_mut(id)?)
+        seated(&mut exclusive(&mut self.plants).live.get_mut(id)?.slot)
     }
 
     /// Runs `f` on one live tenant under that tenant's own lock — the
@@ -361,7 +374,10 @@ impl<F: StorageFactory> PlantRegistry<F> {
         id: &str,
         f: impl FnOnce(&mut Tenant<F::Storage>) -> R,
     ) -> Option<R> {
-        let slot = lock(&self.plants).live.get(id).cloned()?;
+        let slot = lock(&self.plants)
+            .live
+            .get(id)
+            .map(|e| Arc::clone(&e.slot))?;
         let mut seat = lock(&slot);
         seat.as_mut().map(f)
     }
@@ -379,7 +395,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
     pub fn admit_tenant(&self, id: &str, create: bool) -> Result<bool> {
         loop {
             let mut plants = lock(&self.plants);
-            let Some(existing) = plants.live.get(id).cloned() else {
+            let Some(existing) = plants.live.get(id).map(|e| Arc::clone(&e.slot)) else {
                 if let Some(err) = self.failed.get(id) {
                     return Err(DetectError::Substrate(format!(
                         "plant {id:?} failed recovery: {err}"
@@ -404,7 +420,11 @@ impl<F: StorageFactory> PlantRegistry<F> {
                 // the slot, queue on *it*, and the storage open below
                 // runs with the map free.
                 let slot: Slot<F::Storage> = Arc::new(Mutex::new(None));
-                plants.live.insert(id.to_string(), Arc::clone(&slot));
+                let entry = Entry {
+                    slot: Arc::clone(&slot),
+                    recovery: DurableRecovery::default(),
+                };
+                plants.live.insert(id.to_string(), entry);
                 plants.incarnations += 1;
                 let incarnation = plants.incarnations;
                 let mut seat = lock(&slot);
@@ -412,8 +432,18 @@ impl<F: StorageFactory> PlantRegistry<F> {
                 let opened =
                     open_tenant(&self.factory, &self.policy, &self.config, id, incarnation);
                 return match opened {
-                    Ok((tenant, _)) => {
+                    Ok((tenant, recovery)) => {
                         *seat = Some(tenant);
+                        drop(seat);
+                        // The map only after the slot is let go (lock
+                        // order), and only if a finish has not detached
+                        // this incarnation meanwhile.
+                        let mut plants = lock(&self.plants);
+                        if let Some(entry) = plants.live.get_mut(id) {
+                            if Arc::ptr_eq(&entry.slot, &slot) {
+                                entry.recovery = recovery;
+                            }
+                        }
                         Ok(true)
                     }
                     Err(e) => {
@@ -436,7 +466,11 @@ impl<F: StorageFactory> PlantRegistry<F> {
     /// Unmaps `id` if it still maps to `slot`.
     fn forget(&self, id: &str, slot: &Slot<F::Storage>) {
         let mut plants = lock(&self.plants);
-        if plants.live.get(id).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+        if plants
+            .live
+            .get(id)
+            .is_some_and(|e| Arc::ptr_eq(&e.slot, slot))
+        {
             plants.live.remove(id);
         }
     }
@@ -446,6 +480,18 @@ impl<F: StorageFactory> PlantRegistry<F> {
     /// whose `finish` is running does not).
     pub fn tenant_ids(&self) -> Vec<String> {
         lock(&self.plants).live.keys().cloned().collect()
+    }
+
+    /// [`tenant_ids`](Self::tenant_ids), each with what the open that
+    /// seated its current incarnation recovered — at registry open, on
+    /// create or on a re-admission after a finish. Zeros for a plant with
+    /// no prior storage and for one whose open is still running. Takes
+    /// the map lock only, so a plant parked in storage delays no caller.
+    pub fn tenant_recoveries(&self) -> Vec<(String, DurableRecovery)> {
+        let plants = lock(&self.plants);
+        let live = plants.live.iter();
+        live.map(|(id, e)| (id.clone(), e.recovery.clone()))
+            .collect()
     }
 
     /// Tenants that failed hard to recover, with their errors. Their
@@ -468,7 +514,11 @@ impl<F: StorageFactory> PlantRegistry<F> {
     pub fn finish_tenant(&self, id: &str) -> Result<StreamReport> {
         let slot = {
             let mut plants = lock(&self.plants);
-            let slot = plants.live.remove(id).ok_or_else(|| no_live_tenant(id))?;
+            let slot = plants
+                .live
+                .remove(id)
+                .ok_or_else(|| no_live_tenant(id))?
+                .slot;
             plants.closing.insert(id.to_string());
             slot
         };
