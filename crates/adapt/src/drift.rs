@@ -3,7 +3,7 @@
 //! A drift monitor watches the stream of *scores* an online detector
 //! emits. A well-fitted model produces scores whose distribution is
 //! stationary; when the process (or the gauge — see
-//! [`hierod_synth::faults`]) drifts away from the training regime, the
+//! `hierod_synth::faults`) drifts away from the training regime, the
 //! score stream's mean shifts, and the monitor raises a typed
 //! [`DriftEvent`]. The refit layer ([`crate::refit`]) turns events into
 //! store-driven model rebuilds.
@@ -36,16 +36,7 @@ pub enum DriftKind {
     WindowCut,
 }
 
-impl DriftKind {
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DriftKind::MeanIncrease => "mean-increase",
-            DriftKind::MeanDecrease => "mean-decrease",
-            DriftKind::WindowCut => "window-cut",
-        }
-    }
-}
+impl DriftKind {}
 
 /// One detected drift, typed and located in the residual stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,16 +203,6 @@ impl AdwinWindow {
             since_check: 0,
             n_seen: 0,
         }
-    }
-
-    /// Current window occupancy.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// `true` before the first observation.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
     }
 
     /// Scans cut points; returns the prefix length to drop, if any.
@@ -442,7 +423,7 @@ mod tests {
         assert_eq!(event.kind, DriftKind::WindowCut);
         // The stale prefix was dropped: the window is now dominated by
         // post-shift samples.
-        let mean: f64 = aw.window.iter().sum::<f64>() / aw.len() as f64;
+        let mean: f64 = aw.window.iter().sum::<f64>() / aw.window.len() as f64;
         assert!(mean > 2.0, "window mean {mean}");
     }
 
@@ -483,6 +464,6 @@ mod tests {
         assert!(ph.observe(f64::NAN).is_none());
         assert!(ph.observe(f64::INFINITY).is_none());
         assert!(aw.observe(f64::NAN).is_none());
-        assert_eq!(aw.len(), 0);
+        assert!(aw.window.is_empty());
     }
 }

@@ -12,7 +12,7 @@
 use hierod_detect::online::OnlineScorer;
 use hierod_detect::Result;
 
-use crate::drift::{DriftEvent, DriftMonitor};
+use crate::drift::DriftMonitor;
 
 /// Scores are clamped to this before the monitor sees them. Near-noise-free
 /// series drive robust-z denominators towards zero and produce astronomic
@@ -37,7 +37,6 @@ pub struct DriftingScorer {
     drift_events: u64,
     refits: u64,
     pending: bool,
-    last_event: Option<DriftEvent>,
     observed: u64,
     scratch: Vec<f64>,
 }
@@ -51,7 +50,6 @@ impl DriftingScorer {
             drift_events: 0,
             refits: 0,
             pending: false,
-            last_event: None,
             observed: 0,
             scratch: Vec::new(),
         }
@@ -61,11 +59,6 @@ impl DriftingScorer {
     /// construction) — the refit layer's poll.
     pub fn drift_pending(&self) -> bool {
         self.pending
-    }
-
-    /// The most recent drift event, if any.
-    pub fn last_event(&self) -> Option<DriftEvent> {
-        self.last_event
     }
 
     /// Swaps in a freshly trained scorer (the refit commit point):
@@ -92,10 +85,9 @@ impl OnlineScorer for DriftingScorer {
             if self.observed <= MONITOR_WARMUP {
                 continue;
             }
-            if let Some(e) = self.monitor.observe(score.min(SCORE_CLIP)) {
+            if self.monitor.observe(score.min(SCORE_CLIP)).is_some() {
                 self.drift_events += 1;
                 self.pending = true;
-                self.last_event = Some(e);
             }
         }
         out.extend_from_slice(&self.scratch);
@@ -209,7 +201,6 @@ mod tests {
         }
         assert!(adaptive.drift_events() > baseline);
         assert!(adaptive.drift_pending());
-        assert!(adaptive.last_event().is_some());
     }
 
     #[test]

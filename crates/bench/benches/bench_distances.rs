@@ -1,9 +1,10 @@
-//! B1 — distance-kernel microbenchmarks: the similarity functions behind
-//! every DA-class detector, across series lengths (the paper's "calculation
-//! speed" requirement).
+//! B1 — distance-kernel microbenchmarks: the sequence measures of
+//! `hierod_timeseries::distance` (DTW, and the LCS and match-count
+//! similarities behind the symbolic DA detectors), across series lengths
+//! (the paper's "calculation speed" requirement).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hierod_timeseries::distance::{dtw, euclidean, lcs_len, match_count_similarity};
+use hierod_timeseries::distance::{dtw, lcs_len, match_count_similarity};
 use std::hint::black_box;
 
 fn series(n: usize, phase: f64) -> Vec<f64> {
@@ -19,9 +20,6 @@ fn bench_distances(c: &mut Criterion) {
     for n in [64_usize, 256, 1024] {
         let a = series(n, 0.0);
         let b = series(n, 1.0);
-        group.bench_with_input(BenchmarkId::new("euclidean", n), &n, |bench, _| {
-            bench.iter(|| euclidean(black_box(&a), black_box(&b)).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("dtw_unconstrained", n), &n, |bench, _| {
             bench.iter(|| dtw(black_box(&a), black_box(&b), None).unwrap())
         });

@@ -1,4 +1,4 @@
-//! B3 — SAX pipeline microbenchmarks: PAA, encoding, MINDIST, and FFT
+//! B3 — SAX pipeline microbenchmarks: PAA, encoding, and FFT
 //! spectral signatures (the symbolic/spectral substrates of the OS and DA
 //! vibration rows).
 
@@ -21,13 +21,6 @@ fn bench_sax(c: &mut Criterion) {
         let enc = SaxEncoder::new(8, 6).unwrap();
         group.bench_with_input(BenchmarkId::new("encode_w8_a6", n), &n, |b, _| {
             b.iter(|| enc.encode(black_box(&xs)).unwrap())
-        });
-        let wa = enc.encode(&xs).unwrap();
-        let wb = enc
-            .encode(&series(n).iter().map(|v| v * -1.0).collect::<Vec<_>>())
-            .unwrap();
-        group.bench_with_input(BenchmarkId::new("mindist", n), &n, |b, _| {
-            b.iter(|| enc.mindist(black_box(&wa), black_box(&wb)).unwrap())
         });
     }
     group.finish();

@@ -65,16 +65,6 @@ impl FusionRule {
             }
         }
     }
-
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FusionRule::OutliernessOnly => "outlierness-only",
-            FusionRule::WeightedProduct { .. } => "weighted-product",
-            FusionRule::SupportGated { .. } => "support-gated",
-            FusionRule::Lexicographic => "lexicographic",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -137,11 +127,5 @@ mod tests {
         let c = r.score(&outlier(5.0, 0.5, 3));
         let d = r.score(&outlier(1.0, 0.5, 3));
         assert!(c > d);
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(FusionRule::OutliernessOnly.label(), "outlierness-only");
-        assert_eq!(FusionRule::default_weighted().label(), "weighted-product");
     }
 }

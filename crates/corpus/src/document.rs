@@ -30,18 +30,6 @@ impl Category {
         Category::LifeSciences,
         Category::Environment,
     ];
-
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Category::AutomationControlSystems => "Automation & Control Systems",
-            Category::ComputerScience => "Computer Science",
-            Category::Engineering => "Engineering",
-            Category::Statistics => "Statistics",
-            Category::LifeSciences => "Life Sciences",
-            Category::Environment => "Environment",
-        }
-    }
 }
 
 /// A bibliographic record: title, abstract, keywords, publication year, and
@@ -74,11 +62,6 @@ impl Document {
             s.push_str(k);
         }
         s
-    }
-
-    /// `true` if the document is tagged with `cat`.
-    pub fn has_category(&self, cat: Category) -> bool {
-        self.categories.contains(&cat)
     }
 }
 
@@ -141,14 +124,7 @@ mod tests {
             year: 2018,
             categories: vec![Category::AutomationControlSystems, Category::Engineering],
         };
-        assert!(d.has_category(Category::AutomationControlSystems));
-        assert!(!d.has_category(Category::Statistics));
-    }
-
-    #[test]
-    fn category_labels_are_distinct() {
-        let labels: std::collections::BTreeSet<&str> =
-            Category::ALL.iter().map(|c| c.label()).collect();
-        assert_eq!(labels.len(), Category::ALL.len());
+        assert!(d.categories.contains(&Category::AutomationControlSystems));
+        assert!(!d.categories.contains(&Category::Statistics));
     }
 }

@@ -108,6 +108,9 @@ fn pick<'a>(rng: &mut StdRng, options: &[&'a str]) -> &'a str {
         .unwrap_or("")
 }
 
+/// Distractors per matching document.
+const DISTRACTOR_RATIO: f64 = 0.5;
+
 /// Deterministic corpus generator.
 #[derive(Debug, Clone)]
 pub struct CorpusGenerator {
@@ -115,29 +118,17 @@ pub struct CorpusGenerator {
     /// Multiplier applied to every field target (and distractor volume);
     /// use < 1.0 for fast tests, 1.0 for the full figure.
     scale: f64,
-    /// Distractors per matching document.
-    distractor_ratio: f64,
 }
 
 impl CorpusGenerator {
     /// Creates a generator with the given RNG seed at full scale.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            scale: 1.0,
-            distractor_ratio: 0.5,
-        }
+        Self { seed, scale: 1.0 }
     }
 
     /// Sets the scale multiplier (clamped to be ≥ 0).
     pub fn with_scale(mut self, scale: f64) -> Self {
         self.scale = scale.max(0.0);
-        self
-    }
-
-    /// Sets the distractor ratio (distractors per matching document).
-    pub fn with_distractor_ratio(mut self, ratio: f64) -> Self {
-        self.distractor_ratio = ratio.max(0.0);
         self
     }
 
@@ -157,7 +148,7 @@ impl CorpusGenerator {
             for _ in 0..n {
                 docs.push(self.matching_doc(field.term, &mut rng));
             }
-            let d = (n as f64 * self.distractor_ratio).round() as usize;
+            let d = (n as f64 * DISTRACTOR_RATIO).round() as usize;
             for i in 0..d {
                 docs.push(self.distractor_doc(field.term, i % 3, &mut rng));
             }
@@ -268,18 +259,12 @@ mod tests {
 
     #[test]
     fn distractors_inflate_corpus_but_not_counts() {
-        let lean = CorpusGenerator::new(1)
-            .with_scale(0.05)
-            .with_distractor_ratio(0.0);
-        let fat = CorpusGenerator::new(1)
-            .with_scale(0.05)
-            .with_distractor_ratio(2.0);
-        let lean_docs = lean.generate().len();
-        let fat_docs = fat.generate().len();
-        assert!(fat_docs > lean_docs * 2);
-        let eng_idx = fat.build_index();
+        let g = CorpusGenerator::new(1).with_scale(0.05);
+        let matching: usize = FIG3_FIELDS.iter().map(|f| g.expected_count(f)).sum();
+        assert!(g.generate().len() > matching);
+        let eng_idx = g.build_index();
         let eng = QueryEngine::new(&eng_idx);
-        let g_expected = fat.expected_count(&FIG3_FIELDS[0]);
+        let g_expected = g.expected_count(&FIG3_FIELDS[0]);
         assert_eq!(
             eng.count(&QueryEngine::fig3_query(FIG3_FIELDS[0].term)),
             g_expected

@@ -79,11 +79,6 @@ impl InvertedIndex {
         self.postings.len()
     }
 
-    /// The document with id `id`, if present.
-    pub fn doc(&self, id: DocId) -> Option<&Document> {
-        self.docs.get(id as usize)
-    }
-
     /// Document ids containing `term` (case-insensitive; single token).
     pub fn term_docs(&self, term: &str) -> Vec<DocId> {
         let key = term.to_lowercase();
@@ -240,8 +235,6 @@ mod tests {
         assert_eq!(idx.len(), 4);
         assert!(!idx.is_empty());
         assert!(idx.vocabulary_size() >= 10);
-        assert!(idx.doc(0).unwrap().title.contains("Anomaly"));
-        assert!(idx.doc(99).is_none());
         assert!(InvertedIndex::new().is_empty());
     }
 

@@ -118,7 +118,7 @@ proptest! {
         let expected: Vec<u32> = docs
             .iter()
             .enumerate()
-            .filter(|(_, d)| d.has_category(cat))
+            .filter(|(_, d)| d.categories.contains(&cat))
             .map(|(i, _)| i as u32)
             .collect();
         prop_assert_eq!(got, expected);

@@ -243,7 +243,7 @@ const ONLINE_FORMS: [(&str, OnlineForm); 4] = [
 ];
 
 /// Resolves a spec into its incremental (bounded-memory, score-as-you-go)
-/// online form: the native incremental of [`ONLINE_FORMS`] when the entry
+/// online form: the native incremental of `ONLINE_FORMS` when the entry
 /// has one, otherwise the entry's batch scorer re-run over the last 256
 /// samples every 64. The table is keyed by the *resolved* registry key,
 /// since a spec may also name its entry by Table-1 row name. The

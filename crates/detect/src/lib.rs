@@ -23,7 +23,7 @@
 //! | [`stat`]| —   | baselines (not in Table 1) |
 //! | [`related`] | — | related-work detectors from the paper's §5 (LOF, kNN, reverse-kNN) and the §3-mentioned profile-similarity (PS) class |
 //!
-//! [`registry`] enumerates all rows with their {points, sub-sequences,
+//! [`registry`](mod@registry) enumerates all rows with their {points, sub-sequences,
 //! time-series} capability flags; the Table-1 reproduction derives the table
 //! from that registry so the taxonomy is executable, and a registry test
 //! pins it against the paper.
@@ -32,8 +32,9 @@
 //!
 //! Every scorer returns **non-negative outlierness scores where larger
 //! means more anomalous** (the paper's "degree of outlierness" — a ranking,
-//! not a binary decision). Scales differ per detector; fuse across
-//! detectors only after `hierod_eval::rank_normalize`.
+//! not a binary decision). Scales differ per detector; compare across
+//! detectors only after an [`engine::Standardizer`] maps them onto one
+//! scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

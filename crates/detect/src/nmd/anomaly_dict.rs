@@ -53,11 +53,6 @@ impl AnomalyDictionary {
         Ok(dict)
     }
 
-    /// Number of dictionary entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// `true` when the dictionary holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -150,9 +145,8 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_and_len() {
+    fn score_batch() {
         let d = dict();
-        assert_eq!(d.len(), 2);
         assert!(!d.is_empty());
         let a: Vec<u16> = vec![7, 7, 7];
         let b: Vec<u16> = vec![0, 0, 0];

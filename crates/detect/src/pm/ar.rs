@@ -2,7 +2,7 @@
 //!
 //! Table-1 row **Autoregressive Model** (Hill & Minsker, *Anomaly detection
 //! in streaming environmental sensor data: A data-driven modeling
-//! approach*, 2010 — citation [15]): an AR(p) model fitted to the sensor
+//! approach*, 2010 — citation \[15\]): an AR(p) model fitted to the sensor
 //! stream predicts each next value; the anomaly score of a point is its
 //! standardized one-step prediction error. AR coefficients come from the
 //! Yule-Walker equations solved by Levinson-Durbin recursion (implemented

@@ -23,9 +23,8 @@ use crate::stat::nan_last_cmp;
 
 /// Squared Euclidean distance over the common prefix — the crate's one
 /// statement of it. Every caller dimension-checks its rows first
-/// (`check_rows`, or centroids built from checked rows), so — unlike the
-/// fallible `sq_euclidean` — no length mismatch can reach this and no
-/// `expect` is needed.
+/// (`check_rows`, or centroids built from checked rows), so no length
+/// mismatch can reach this and no `expect` is needed.
 pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }

@@ -78,16 +78,6 @@ impl ProfileSimilarity {
         Ok(Self { mean, std })
     }
 
-    /// Profile length.
-    pub fn len(&self) -> usize {
-        self.mean.len()
-    }
-
-    /// `true` when the profile is empty (cannot happen after `fit`).
-    pub fn is_empty(&self) -> bool {
-        self.mean.is_empty()
-    }
-
     /// Scores one new execution per point: `|x_t − profile_mean_t| /
     /// profile_std_t`.
     ///
@@ -196,8 +186,8 @@ mod tests {
         let refs: Vec<Vec<f64>> = (1..=8).map(ramp).collect();
         let slices: Vec<&[f64]> = refs.iter().map(Vec::as_slice).collect();
         let profile = ProfileSimilarity::fit(&slices).unwrap();
-        assert_eq!(profile.len(), 50);
         let clean = ramp(99);
+        assert_eq!(profile.score_points(&clean).unwrap().len(), 50);
         let score = profile.score_execution(&clean).unwrap();
         assert!(score < 3.0, "clean execution score {score}");
     }
@@ -247,7 +237,6 @@ mod tests {
         assert!(ProfileSimilarity::fit(&[&a, &b]).is_err());
         let profile = ProfileSimilarity::fit(&[&a]).unwrap();
         assert!(profile.score_points(&b).is_err());
-        assert!(!profile.is_empty());
     }
 
     #[test]

@@ -44,11 +44,6 @@ pub fn sort_total(xs: &mut [f64]) {
     xs.sort_unstable_by(|a, b| nan_last_cmp(*a, *b));
 }
 
-/// Sorts by an `f64` key, ascending, NaN keys last.
-pub fn sort_by_key_total<T>(xs: &mut [T], key: impl Fn(&T) -> f64) {
-    xs.sort_by(|a, b| nan_last_cmp(key(a), key(b)));
-}
-
 /// Midpoint median of a scratch buffer (which it permutes): the middle
 /// order statistic, or `(a + b) / 2` of the two middle ones; 0 when empty.
 /// The ranks come from the workspace's selection kernel; the midpoint stays
@@ -86,15 +81,6 @@ mod tests {
         assert_eq!(min, Some(1.0));
         let max = xs.iter().copied().max_by(|a, b| nan_first_cmp(*a, *b));
         assert_eq!(max, Some(3.0));
-    }
-
-    #[test]
-    fn sort_by_key_orders_payloads() {
-        let mut xs = vec![("a", 2.0), ("b", f64::NAN), ("c", 1.0)];
-        sort_by_key_total(&mut xs, |p| p.1);
-        assert_eq!(xs[0].0, "c");
-        assert_eq!(xs[1].0, "a");
-        assert_eq!(xs[2].0, "b");
     }
 
     #[test]

@@ -5,15 +5,12 @@
 //! data*, VLDB 2007 — citation [20]): multidimensional data is aggregated
 //! into a cube and each cell is treated as a measure; cells deviating from
 //! their peer groups are anomalies. The cube machinery lives in
-//! `hierod-olap`; this detector adds two entry points:
-//!
-//! * [`OlapCubeDetector::score_cube`] — score an existing cube's cells.
-//! * The [`VectorScorer`] impl — quantize each feature column into
-//!   equi-width buckets, treat bucket ids as dimensions, build a cube with
-//!   the row count as measure, and score each row by the *rarity* of its
-//!   cell combined with the cell's peer-group residual.
+//! `hierod-olap`; this detector's [`VectorScorer`] impl quantizes each
+//! feature column into equi-width buckets, treats bucket ids as dimensions,
+//! builds a cube with the row count as measure, and scores each row by the
+//! *rarity* of its cell combined with the cell's peer-group residual.
 
-use hierod_olap::{cell_outlierness, CellScore, Cube, CubeSchema, Dimension};
+use hierod_olap::{cell_outlierness, Cube, CubeSchema, Dimension};
 
 use crate::api::{
     check_rows, Capabilities, DetectError, Detector, DetectorInfo, Result, TechniqueClass,
@@ -51,11 +48,6 @@ impl OlapCubeDetector {
             buckets,
             ..Self::default()
         })
-    }
-
-    /// Scores the cells of an existing cube (peer-group residuals).
-    pub fn score_cube(&self, cube: &Cube) -> Vec<CellScore> {
-        cell_outlierness(cube, self.min_peers)
     }
 
     /// Quantizes rows of width `d` into per-column equi-width bucket
@@ -181,29 +173,6 @@ mod tests {
         let spread = scores.iter().cloned().fold(f64::MIN, f64::max)
             - scores.iter().cloned().fold(f64::MAX, f64::min);
         assert!(spread < 1e-9, "{scores:?}");
-    }
-
-    #[test]
-    fn score_cube_delegates_to_olap_analysis() {
-        let schema = CubeSchema::new(vec![
-            Dimension::indexed("a", 3).unwrap(),
-            Dimension::indexed("b", 3).unwrap(),
-        ])
-        .unwrap();
-        let mut cube = Cube::new(schema);
-        for i in 0..3 {
-            for j in 0..3 {
-                let v = if (i, j) == (2, 2) { 100.0 } else { 1.0 };
-                cube.insert(&[i, j], v).unwrap();
-            }
-        }
-        let det = OlapCubeDetector::default();
-        let scores = det.score_cube(&cube);
-        let top = scores
-            .iter()
-            .max_by(|a, b| a.score.total_cmp(&b.score))
-            .unwrap();
-        assert_eq!(top.coords, vec![2, 2]);
     }
 
     #[test]

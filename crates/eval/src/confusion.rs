@@ -57,11 +57,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.tp + self.fp + self.tn + self.fn_
-    }
-
     /// Precision `tp / (tp + fp)`; 0 when no positive predictions.
     pub fn precision(&self) -> f64 {
         if self.tp + self.fp == 0 {
@@ -90,68 +85,6 @@ impl ConfusionMatrix {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// F-beta score; beta > 1 weights recall higher.
-    pub fn f_beta(&self, beta: f64) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        let b2 = beta * beta;
-        if b2 * p + r == 0.0 {
-            0.0
-        } else {
-            (1.0 + b2) * p * r / (b2 * p + r)
-        }
-    }
-
-    /// Accuracy; 0 for an empty matrix.
-    pub fn accuracy(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            (self.tp + self.tn) as f64 / t as f64
-        }
-    }
-
-    /// False-positive rate `fp / (fp + tn)`; 0 when no actual negatives.
-    pub fn fpr(&self) -> f64 {
-        if self.fp + self.tn == 0 {
-            0.0
-        } else {
-            self.fp as f64 / (self.fp + self.tn) as f64
-        }
-    }
-
-    /// Matthews correlation coefficient; 0 when any marginal is empty.
-    pub fn mcc(&self) -> f64 {
-        let tp = self.tp as f64;
-        let fp = self.fp as f64;
-        let tn = self.tn as f64;
-        let fn_ = self.fn_ as f64;
-        let denom = ((tp + fp) * (tp + fn_) * (tn + fp) * (tn + fn_)).sqrt();
-        if denom == 0.0 {
-            0.0
-        } else {
-            (tp * tn - fp * fn_) / denom
-        }
-    }
-
-    /// Summarizes precision/recall/F1.
-    pub fn summary(&self) -> PrfSummary {
-        PrfSummary {
-            precision: self.precision(),
-            recall: self.recall(),
-            f1: self.f1(),
-        }
-    }
-
-    /// Merges another matrix into this one.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        self.tp += other.tp;
-        self.fp += other.fp;
-        self.tn += other.tn;
-        self.fn_ += other.fn_;
-    }
 }
 
 impl fmt::Display for ConfusionMatrix {
@@ -168,17 +101,6 @@ impl fmt::Display for ConfusionMatrix {
             self.f1()
         )
     }
-}
-
-/// Precision / recall / F1 triple.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrfSummary {
-    /// Precision.
-    pub precision: f64,
-    /// Recall.
-    pub recall: f64,
-    /// F1.
-    pub f1: f64,
 }
 
 /// Sweeps thresholds over the distinct score values and returns the
@@ -236,8 +158,6 @@ mod tests {
         assert!((m.precision() - 2.0 / 3.0).abs() < EPS);
         assert!((m.recall() - 2.0 / 3.0).abs() < EPS);
         assert!((m.f1() - 2.0 / 3.0).abs() < EPS);
-        assert!((m.accuracy() - 0.6).abs() < EPS);
-        assert_eq!(m.total(), 5);
     }
 
     #[test]
@@ -246,9 +166,6 @@ mod tests {
         assert_eq!(m.precision(), 0.0);
         assert_eq!(m.recall(), 0.0);
         assert_eq!(m.f1(), 0.0);
-        assert_eq!(m.accuracy(), 0.0);
-        assert_eq!(m.fpr(), 0.0);
-        assert_eq!(m.mcc(), 0.0);
     }
 
     #[test]
@@ -256,50 +173,6 @@ mod tests {
         let m = ConfusionMatrix::from_scores(&[0.1, 0.5, 0.9], &[false, true, true], 0.5);
         assert_eq!((m.tp, m.fp, m.tn, m.fn_), (2, 0, 1, 0));
         assert_eq!(m.f1(), 1.0);
-    }
-
-    #[test]
-    fn perfect_classifier_mcc_is_one() {
-        let m = ConfusionMatrix::from_labels(&[true, false], &[true, false]);
-        assert!((m.mcc() - 1.0).abs() < EPS);
-        let inv = ConfusionMatrix::from_labels(&[false, true], &[true, false]);
-        assert!((inv.mcc() + 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn f_beta_weights_recall() {
-        let m = ConfusionMatrix {
-            tp: 1,
-            fp: 0,
-            tn: 10,
-            fn_: 9,
-        }; // P=1, R=0.1
-        assert!(m.f_beta(2.0) < m.f_beta(0.5));
-        assert!((m.f_beta(1.0) - m.f1()).abs() < EPS);
-        assert_eq!(ConfusionMatrix::default().f_beta(2.0), 0.0);
-    }
-
-    #[test]
-    fn fpr_hand_checked() {
-        let m = ConfusionMatrix {
-            tp: 0,
-            fp: 1,
-            tn: 3,
-            fn_: 0,
-        };
-        assert!((m.fpr() - 0.25).abs() < EPS);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = ConfusionMatrix {
-            tp: 1,
-            fp: 2,
-            tn: 3,
-            fn_: 4,
-        };
-        a.merge(&a.clone());
-        assert_eq!((a.tp, a.fp, a.tn, a.fn_), (2, 4, 6, 8));
     }
 
     #[test]

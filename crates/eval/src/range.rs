@@ -71,24 +71,6 @@ pub fn point_adjusted_confusion(
     ConfusionMatrix::from_labels(&adjusted, actual)
 }
 
-/// Segment-level recall: fraction of ground-truth segments containing at
-/// least one prediction. `None` when there are no segments.
-pub fn segment_recall(predicted: &[bool], actual: &[bool]) -> Option<f64> {
-    let segments = true_segments(actual);
-    if segments.is_empty() {
-        return None;
-    }
-    let hit = segments
-        .iter()
-        .filter(|&&(s, e)| {
-            predicted
-                .get(s..e)
-                .is_some_and(|seg| seg.iter().any(|&p| p))
-        })
-        .count();
-    Some(hit as f64 / segments.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +119,6 @@ mod tests {
         assert!(adjusted.recall() > plain.recall());
         assert_eq!(adjusted.recall(), 1.0);
         assert_eq!(adjusted.fp, plain.fp);
-    }
-
-    #[test]
-    fn segment_recall_counts_hit_segments() {
-        let actual = [true, false, true, true, false, true];
-        let predicted = [true, false, false, false, false, true];
-        assert_eq!(segment_recall(&predicted, &actual), Some(2.0 / 3.0));
-        assert_eq!(segment_recall(&[false], &[false]), None);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Ranking metrics over continuous outlierness scores.
 //!
-//! ROC-AUC is computed by the Mann-Whitney U statistic (tie-aware); PR-AUC
-//! by the step-wise interpolation of the precision-recall curve; and
-//! precision@k over the top-k scored items.
+//! ROC-AUC is computed by the Mann-Whitney U statistic (tie-aware), and
+//! PR-AUC by the step-wise interpolation of the precision-recall curve.
 
 /// Area under the ROC curve via the Mann-Whitney U statistic: the
 /// probability that a random positive outranks a random negative (ties count
@@ -33,18 +32,11 @@ pub fn roc_auc(scores: &[f64], actual: &[bool]) -> Option<f64> {
     Some(u / (pos * neg) as f64)
 }
 
-/// Area under the precision-recall curve (average-precision style: sums
-/// precision at each positive hit, scanning by descending score; ties are
-/// processed as one block using the block's final precision). Returns
+/// Area under the precision-recall curve, as average precision: the mean
+/// of the precision at the rank of each true positive, scanning by
+/// descending score (tie blocks share the block-end precision). Returns
 /// `None` when there are no positives or lengths mismatch.
 pub fn pr_auc(scores: &[f64], actual: &[bool]) -> Option<f64> {
-    average_precision(scores, actual)
-}
-
-/// Average precision: mean of precision values at the rank of each true
-/// positive (descending score order, tie blocks share the block-end
-/// precision). `None` when there are no positives or lengths mismatch.
-pub fn average_precision(scores: &[f64], actual: &[bool]) -> Option<f64> {
     if scores.len() != actual.len() || scores.is_empty() {
         return None;
     }
@@ -67,26 +59,6 @@ pub fn average_precision(scores: &[f64], actual: &[bool]) -> Option<f64> {
         }
     }
     Some(ap / total_pos as f64)
-}
-
-/// Precision among the `k` highest-scored items (ties at the boundary are
-/// resolved by index order for determinism). Returns `None` for `k == 0`,
-/// empty input, or length mismatch.
-pub fn precision_at_k(scores: &[f64], actual: &[bool], k: usize) -> Option<f64> {
-    if scores.len() != actual.len() || scores.is_empty() || k == 0 {
-        return None;
-    }
-    let k = k.min(scores.len());
-    let mut order: Vec<(f64, usize, bool)> = scores
-        .iter()
-        .copied()
-        .zip(0..)
-        .zip(actual.iter().copied())
-        .map(|((s, i), a)| (s, i, a))
-        .collect();
-    order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    let hits = order.iter().take(k).filter(|&&(_, _, a)| a).count();
-    Some(hits as f64 / k as f64)
 }
 
 #[cfg(test)]
@@ -134,36 +106,24 @@ mod tests {
     }
 
     #[test]
-    fn average_precision_hand_checked() {
+    fn pr_auc_hand_checked() {
         // Descending: 0.9(+), 0.8(-), 0.7(+). AP = (1/1 + 2/3)/2 = 5/6.
         let scores = [0.7, 0.9, 0.8];
         let actual = [true, true, false];
-        assert!((average_precision(&scores, &actual).unwrap() - 5.0 / 6.0).abs() < EPS);
+        assert!((pr_auc(&scores, &actual).unwrap() - 5.0 / 6.0).abs() < EPS);
     }
 
     #[test]
-    fn average_precision_none_without_positives() {
-        assert!(average_precision(&[1.0], &[false]).is_none());
-        assert!(average_precision(&[], &[]).is_none());
+    fn pr_auc_none_without_positives() {
+        assert!(pr_auc(&[1.0], &[false]).is_none());
+        assert!(pr_auc(&[], &[]).is_none());
     }
 
     #[test]
-    fn precision_at_k_hand_checked() {
-        let scores = [0.9, 0.1, 0.8, 0.2];
-        let actual = [true, true, false, false];
-        assert!((precision_at_k(&scores, &actual, 2).unwrap() - 0.5).abs() < EPS);
-        assert!((precision_at_k(&scores, &actual, 1).unwrap() - 1.0).abs() < EPS);
-        // k larger than n clamps.
-        assert!((precision_at_k(&scores, &actual, 10).unwrap() - 0.5).abs() < EPS);
-        assert!(precision_at_k(&scores, &actual, 0).is_none());
-        assert!(precision_at_k(&[], &[], 1).is_none());
-    }
-
-    #[test]
-    fn tie_blocks_in_average_precision() {
+    fn tie_blocks_in_pr_auc() {
         // All tied: AP equals the base rate.
         let scores = [0.5, 0.5, 0.5, 0.5];
         let actual = [true, false, true, false];
-        assert!((average_precision(&scores, &actual).unwrap() - 0.5).abs() < EPS);
+        assert!((pr_auc(&scores, &actual).unwrap() - 0.5).abs() < EPS);
     }
 }

@@ -26,11 +26,6 @@ impl Environment {
         self.series.iter().find(|s| s.name() == sensor)
     }
 
-    /// Mutable lookup (used by injectors).
-    pub fn sensor_series_mut(&mut self, sensor: &str) -> Option<&mut TimeSeries> {
-        self.series.iter_mut().find(|s| s.name() == sensor)
-    }
-
     /// Names of all environment sensors.
     pub fn sensor_names(&self) -> Vec<&str> {
         self.series.iter().map(|s| s.name()).collect()
@@ -52,12 +47,5 @@ mod tests {
         assert_eq!(env.sensor_names(), vec!["room_temp", "humidity"]);
         let empty = Environment::default();
         assert!(empty.series.is_empty());
-    }
-
-    #[test]
-    fn mutable_lookup() {
-        let mut env = Environment::new(vec![TimeSeries::from_values("h", vec![1.0])]);
-        env.sensor_series_mut("h").unwrap().values_mut()[0] = 9.0;
-        assert_eq!(env.sensor_series("h").unwrap().values()[0], 9.0);
     }
 }

@@ -72,11 +72,6 @@ impl Job {
         self.phases.iter().find(|p| p.kind == kind)
     }
 
-    /// Mutable phase lookup (used by injectors).
-    pub fn phase_mut(&mut self, kind: PhaseKind) -> Option<&mut Phase> {
-        self.phases.iter_mut().find(|p| p.kind == kind)
-    }
-
     /// The job-level feature vector the paper's level ② exposes: setup
     /// parameters followed by CAQ measurements. This is the
     /// "high-dimensional data" the job-level detectors consume.
@@ -166,10 +161,9 @@ mod tests {
 
     #[test]
     fn phase_lookup_and_volume() {
-        let mut j = job();
+        let j = job();
         assert!(j.phase(PhaseKind::WarmUp).is_some());
         assert!(j.phase(PhaseKind::Cooling).is_none());
-        assert!(j.phase_mut(PhaseKind::WarmUp).is_some());
         assert_eq!(j.sample_count(), 2);
         assert_eq!(j.span(), Some((100, 101)));
     }

@@ -68,16 +68,6 @@ impl Level {
         }
     }
 
-    /// Levels strictly above this one, ascending.
-    pub fn above(self) -> impl Iterator<Item = Level> {
-        Level::ALL.into_iter().filter(move |l| *l > self)
-    }
-
-    /// Levels strictly below this one, descending.
-    pub fn below(self) -> impl Iterator<Item = Level> {
-        Level::ALL.into_iter().rev().filter(move |l| *l < self)
-    }
-
     /// Short label used in reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -129,19 +119,6 @@ mod tests {
                 assert_eq!(u.down(), Some(l));
             }
         }
-    }
-
-    #[test]
-    fn above_and_below() {
-        let above: Vec<Level> = Level::Job.above().collect();
-        assert_eq!(
-            above,
-            vec![Level::Environment, Level::ProductionLine, Level::Production]
-        );
-        let below: Vec<Level> = Level::Environment.below().collect();
-        assert_eq!(below, vec![Level::Job, Level::Phase]);
-        assert_eq!(Level::Production.above().count(), 0);
-        assert_eq!(Level::Phase.below().count(), 0);
     }
 
     #[test]

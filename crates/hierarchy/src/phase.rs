@@ -77,11 +77,6 @@ impl Phase {
         self.series.iter_mut().find(|s| s.name() == sensor)
     }
 
-    /// Names of all sensors recorded in this phase.
-    pub fn sensor_names(&self) -> Vec<&str> {
-        self.series.iter().map(|s| s.name()).collect()
-    }
-
     /// Time span covered by the phase (union over sensors), if any data.
     pub fn span(&self) -> Option<(u64, u64)> {
         let mut lo = u64::MAX;
@@ -131,7 +126,6 @@ mod tests {
         let p = phase();
         assert!(p.sensor_series("m0.bed_temp.1").is_some());
         assert!(p.sensor_series("nope").is_none());
-        assert_eq!(p.sensor_names(), vec!["m0.bed_temp.0", "m0.bed_temp.1"]);
     }
 
     #[test]

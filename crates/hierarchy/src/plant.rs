@@ -28,11 +28,6 @@ impl Plant {
         self.lines.iter().find(|l| l.machine_id == machine_id)
     }
 
-    /// Mutable line lookup (used by injectors).
-    pub fn line_mut(&mut self, machine_id: &str) -> Option<&mut ProductionLine> {
-        self.lines.iter_mut().find(|l| l.machine_id == machine_id)
-    }
-
     /// Number of machines.
     pub fn machine_count(&self) -> usize {
         self.lines.len()
@@ -67,11 +62,10 @@ mod tests {
 
     #[test]
     fn lookups() {
-        let mut p = plant();
+        let p = plant();
         assert_eq!(p.machine_count(), 2);
         assert!(p.line("m1").is_some());
         assert!(p.line("m9").is_none());
-        assert!(p.line_mut("m0").is_some());
         assert_eq!(p.job_count(), 0);
         assert_eq!(p.sample_count(), 0);
     }

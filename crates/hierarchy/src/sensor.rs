@@ -40,24 +40,6 @@ impl SensorKind {
             SensorKind::Humidity => "humidity",
         }
     }
-
-    /// Measurement unit.
-    pub fn unit(self) -> &'static str {
-        match self {
-            SensorKind::BedTemperature | SensorKind::ChamberTemperature => "degC",
-            SensorKind::LaserPower => "W",
-            SensorKind::Vibration => "mm/s^2",
-            SensorKind::OxygenLevel => "ppm",
-            SensorKind::RoomTemperature => "degC",
-            SensorKind::Humidity => "%RH",
-        }
-    }
-
-    /// `true` for quantities measured at the environment level (③) rather
-    /// than inside the process.
-    pub fn is_environmental(self) -> bool {
-        matches!(self, SensorKind::RoomTemperature | SensorKind::Humidity)
-    }
 }
 
 /// A physical sensor: a unique name plus the quantity it measures.
@@ -128,9 +110,6 @@ mod tests {
     #[test]
     fn kind_metadata() {
         assert_eq!(SensorKind::BedTemperature.label(), "bed_temp");
-        assert_eq!(SensorKind::LaserPower.unit(), "W");
-        assert!(SensorKind::RoomTemperature.is_environmental());
-        assert!(!SensorKind::Vibration.is_environmental());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ~21 bytes per sample. This crate adds the cold path on top, without
 //! changing a single byte the hot path writes:
 //!
-//! * [`compact`] — tiered compaction. Sealed rotation segments
+//! * [`compact`](mod@compact) — tiered compaction. Sealed rotation segments
 //!   (`seg-N.seg`) merge into per-level history files
 //!   (`hist-LO-HI.seg`) whose chunk columns are re-encoded with the
 //!   Gorilla-style codecs ([`hierod_store::gorilla`]). The merge is
@@ -22,7 +22,7 @@
 //!   columns; decoded columns are adopted into
 //!   [`TimeSeries`](hierod_timeseries::TimeSeries) zero-copy where the
 //!   range allows.
-//! * [`backfill`] — re-detection over stored ranges: replay a plant's
+//! * [`backfill`](mod@backfill) — re-detection over stored ranges: replay a plant's
 //!   stored stream through a fresh detector, optionally with a
 //!   different phase-level algorithm, and diff the outlier report
 //!   against what the original policy produces. "What would last

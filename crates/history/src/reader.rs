@@ -18,7 +18,7 @@
 //! Scans cover **sealed** data only — history files and rotation
 //! segments. The active WAL tail is raw journal bytes (it may contain
 //! samples the detector later rejected as duplicates): it is replay
-//! territory ([`crate::backfill`]), never spliced into scan results.
+//! territory ([`crate::backfill`](mod@crate::backfill)), never spliced into scan results.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -165,16 +165,6 @@ impl HistoryReader {
             }
         }
         Ok(Self { snapshot, lanes })
-    }
-
-    /// The snapshot this reader serves from.
-    pub fn snapshot(&self) -> &StoreSnapshot {
-        &self.snapshot
-    }
-
-    /// The lanes declared across the snapshot.
-    pub fn lanes(&self) -> &BTreeMap<u32, LaneId> {
-        &self.lanes
     }
 
     /// Scans the sealed history for samples in `query`'s time range,

@@ -76,19 +76,6 @@ pub fn cell_outlierness(cube: &Cube, min_peers: usize) -> Vec<CellScore> {
     out
 }
 
-/// Returns the top-`k` scored cells, highest score first (ties broken by
-/// coordinate order for determinism).
-pub fn top_k(scores: &[CellScore], k: usize) -> Vec<CellScore> {
-    let mut sorted = scores.to_vec();
-    sorted.sort_by(|a, b| {
-        b.score
-            .total_cmp(&a.score)
-            .then_with(|| a.coords.cmp(&b.coords))
-    });
-    sorted.truncate(k);
-    sorted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,9 +107,12 @@ mod tests {
         let cube = anomalous_cube();
         let scores = cell_outlierness(&cube, 2);
         assert_eq!(scores.len(), 12);
-        let top = top_k(&scores, 1);
-        assert_eq!(top[0].coords, vec![1, 2]);
-        assert!(top[0].score > 1.0);
+        let top = scores
+            .iter()
+            .max_by(|a, b| a.score.total_cmp(&b.score))
+            .unwrap();
+        assert_eq!(top.coords, vec![1, 2]);
+        assert!(top.score > 1.0);
     }
 
     #[test]
@@ -168,18 +158,6 @@ mod tests {
         let scores = cell_outlierness(&cube, 2);
         let spike = scores.iter().find(|s| s.coords == vec![3]).unwrap();
         assert!((spike.score - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn top_k_orders_and_truncates() {
-        let cube = anomalous_cube();
-        let scores = cell_outlierness(&cube, 2);
-        let top3 = top_k(&scores, 3);
-        assert_eq!(top3.len(), 3);
-        assert!(top3[0].score >= top3[1].score);
-        assert!(top3[1].score >= top3[2].score);
-        let all = top_k(&scores, 100);
-        assert_eq!(all.len(), scores.len());
     }
 
     #[test]

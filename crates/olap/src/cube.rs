@@ -4,8 +4,7 @@ use std::collections::BTreeMap;
 
 use crate::schema::{CubeSchema, OlapError};
 
-/// Per-cell accumulator: count, sum, and sum of squares, from which count /
-/// sum / mean / variance measures derive.
+/// Per-cell accumulator: count, sum, and sum of squares of the measure.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cell {
     /// Number of facts aggregated into the cell.
@@ -38,15 +37,6 @@ impl Cell {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Population variance of the measure (0 for cells with < 2 facts).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        (self.sum_sq / n - (self.sum / n) * (self.sum / n)).max(0.0)
     }
 }
 
@@ -81,16 +71,6 @@ impl Cube {
         self.schema.validate(coords)?;
         self.cells.entry(coords.to_vec()).or_default().add(value);
         Ok(())
-    }
-
-    /// Number of populated (non-empty) cells.
-    pub fn populated_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Total number of facts.
-    pub fn fact_count(&self) -> u64 {
-        self.cells.values().map(|c| c.count).sum()
     }
 
     /// Reads a cell, if populated.
@@ -168,34 +148,6 @@ impl Cube {
         }
         Ok(Cube { schema, cells })
     }
-
-    /// Dice: keeps only cells whose member on `dim_name` is in `members`.
-    /// The dimension is retained.
-    ///
-    /// # Errors
-    /// Returns an error for an unknown dimension.
-    pub fn dice(&self, dim_name: &str, members: &[usize]) -> Result<Cube, OlapError> {
-        let di = self.schema.dim_index(dim_name)?;
-        let cells = self
-            .cells
-            .iter()
-            .filter(|(coords, _)| coords.get(di).is_some_and(|m| members.contains(m)))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        Ok(Cube {
-            schema: self.schema.clone(),
-            cells,
-        })
-    }
-
-    /// Grand-total cell (all facts merged).
-    pub fn grand_total(&self) -> Cell {
-        let mut total = Cell::default();
-        for c in self.cells.values() {
-            total.merge(c);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -227,21 +179,14 @@ mod tests {
         c.add(4.0);
         assert_eq!(c.count, 2);
         assert_eq!(c.mean(), 3.0);
-        assert_eq!(c.variance(), 1.0);
-        let single = {
-            let mut s = Cell::default();
-            s.add(5.0);
-            s
-        };
-        assert_eq!(single.variance(), 0.0);
+        assert_eq!(c.sum_sq, 20.0);
         assert_eq!(Cell::default().mean(), 0.0);
     }
 
     #[test]
     fn insert_and_read() {
         let cube = cube_2x3();
-        assert_eq!(cube.populated_cells(), 6);
-        assert_eq!(cube.fact_count(), 6);
+        assert_eq!(cube.iter().count(), 6);
         assert_eq!(cube.cell(&[1, 2]).unwrap().sum, 30.0);
         assert!(cube.cell(&[0, 9]).is_none());
     }
@@ -271,28 +216,10 @@ mod tests {
     fn slice_fixes_member() {
         let cube = cube_2x3();
         let m1 = cube.slice("machine", 1).unwrap();
-        assert_eq!(m1.populated_cells(), 3);
+        assert_eq!(m1.iter().count(), 3);
         assert_eq!(m1.cell(&[0]).unwrap().sum, 10.0);
         assert!(cube.slice("machine", 7).is_err());
         assert!(cube.slice("ghost", 0).is_err());
-    }
-
-    #[test]
-    fn dice_filters_but_keeps_dimension() {
-        let cube = cube_2x3();
-        let d = cube.dice("job", &[0, 2]).unwrap();
-        assert_eq!(d.schema().arity(), 2);
-        assert_eq!(d.populated_cells(), 4);
-        assert!(d.cell(&[0, 1]).is_none());
-        assert!(cube.dice("ghost", &[0]).is_err());
-    }
-
-    #[test]
-    fn grand_total_sums_everything() {
-        let cube = cube_2x3();
-        let t = cube.grand_total();
-        assert_eq!(t.count, 6);
-        assert_eq!(t.sum, 66.0);
     }
 
     #[test]

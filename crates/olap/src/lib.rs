@@ -9,9 +9,10 @@
 //! * [`schema::Dimension`] / [`schema::CubeSchema`] — named categorical
 //!   dimensions with fixed cardinalities.
 //! * [`cube::Cube`] — sparse cell storage keyed by coordinates, accumulating
-//!   count/sum/sum-of-squares per cell so mean and variance come for free.
-//! * [`cube::Cube::roll_up`] — aggregation that drops dimensions.
-//! * [`cube::Cube::slice`] — fixing one dimension to one member.
+//!   count/sum/sum-of-squares per cell.
+//! * [`cube::Cube::roll_up`] (drop a dimension) and [`cube::Cube::slice`]
+//!   (fix one dimension to one member). The UOA detector scores the full
+//!   cube and calls neither.
 //! * [`analysis`] — per-cell outlierness: studentized residual of each
 //!   cell's mean against its peer group (all cells sharing coordinates on
 //!   every other dimension).

@@ -96,16 +96,6 @@ impl Dimension {
     pub fn cardinality(&self) -> usize {
         self.members.len()
     }
-
-    /// Label of member `idx`, if in range.
-    pub fn member(&self, idx: usize) -> Option<&str> {
-        self.members.get(idx).map(String::as_str)
-    }
-
-    /// Index of a member label.
-    pub fn index_of(&self, label: &str) -> Option<usize> {
-        self.members.iter().position(|m| m == label)
-    }
 }
 
 /// An ordered set of dimensions defining a cube's coordinate space.
@@ -178,11 +168,6 @@ impl CubeSchema {
         }
         Ok(())
     }
-
-    /// Total number of possible cells (product of cardinalities).
-    pub fn cell_space(&self) -> usize {
-        self.dimensions.iter().map(Dimension::cardinality).product()
-    }
 }
 
 #[cfg(test)]
@@ -202,10 +187,6 @@ mod tests {
         let d = Dimension::new("phase", vec!["warmup".into(), "print".into()]).unwrap();
         assert_eq!(d.name(), "phase");
         assert_eq!(d.cardinality(), 2);
-        assert_eq!(d.member(1), Some("print"));
-        assert_eq!(d.member(2), None);
-        assert_eq!(d.index_of("warmup"), Some(0));
-        assert_eq!(d.index_of("zzz"), None);
         assert!(Dimension::new("x", vec![]).is_err());
         assert!(Dimension::indexed("x", 0).is_err());
     }
@@ -214,7 +195,6 @@ mod tests {
     fn schema_validation() {
         let s = schema();
         assert_eq!(s.arity(), 2);
-        assert_eq!(s.cell_space(), 6);
         assert!(s.validate(&[1, 2]).is_ok());
         assert!(matches!(
             s.validate(&[1]),

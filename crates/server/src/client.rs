@@ -23,10 +23,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use hierod_core::HierOutlier;
 use hierod_hierarchy::Level;
 use hierod_history::ScanStats;
-use hierod_service::Health;
 use hierod_store::wal::WalRecord;
 use hierod_stream::codec::{encode_control, encode_lane};
-use hierod_stream::{ControlEvent, LaneId, LaneStats, StreamStats};
+use hierod_stream::{ControlEvent, Health, LaneId, LaneStats, StreamStats};
 use hierod_wire::{ErrorCode, Frame, FrameReader, LaneColumns, LevelSeries, Poll};
 
 /// A server-reported failure, preserved with its wire error class.

@@ -735,8 +735,8 @@ mod tests {
     use hierod_detect::Result;
     use hierod_hierarchy::{Level, PhaseKind};
     use hierod_history::{BackfillOutcome, CompactionOptions, CompactionStats, LaneSeries};
-    use hierod_service::{Admission, Health};
-    use hierod_stream::{ControlEvent, LaneId, LaneStats, StreamStats};
+    use hierod_service::Admission;
+    use hierod_stream::{ControlEvent, Health, LaneId, LaneStats, StreamStats};
 
     /// The quadratic delta the keyed one replaced, kept as the oracle.
     fn quadratic_delta(

@@ -4,7 +4,7 @@
 //! [`PlantService`] is the one plant-driving entry point shared by the
 //! embedded-library path (call it directly) and the network path
 //! (`hierod-server` maps wire frames onto it). The engine behind it —
-//! [`Tenant`]/[`PlantRegistry`](hierod_stream::PlantRegistry) with
+//! [`Tenant`]/[`PlantRegistry`] with
 //! their durable control/ingest/tick/finish and isolated recovery —
 //! is no longer the public surface: anything a
 //! consumer can do, it does through this trait, so the two paths cannot
@@ -17,10 +17,11 @@
 //! [`PlantService::control`].
 //!
 //! [`RegistryService`] is the production implementation over a
-//! [`PlantRegistry`](hierod_stream::PlantRegistry); its
-//! [`health`](PlantService::health) maps the registry's
+//! [`PlantRegistry`]; its
+//! [`health`](PlantService::health) is the registry's
+//! [`health`](hierod_stream::PlantRegistry::health): the
 //! [`failed`](hierod_stream::PlantRegistry::failed) set and per-tenant
-//! recovery summaries directly onto a readiness answer.
+//! recovery summaries, mapped directly onto a readiness answer.
 //!
 //! ## Concurrency
 //!
@@ -52,8 +53,8 @@ use hierod_history::{
 use hierod_store::tenants::StorageFactory;
 use hierod_stream::tenant::{PlantRegistry, Tenant, TenantConfig};
 use hierod_stream::{
-    ControlEvent, DurableRecovery, LaneId, LaneStats, LaneTable, RunError, Sample, StreamReport,
-    StreamStats,
+    ControlEvent, Health, LaneId, LaneStats, LaneTable, RecoverySummary, RunError, Sample,
+    StreamReport, StreamStats,
 };
 
 /// Maps a storage failure into the detection error domain.
@@ -74,64 +75,6 @@ pub enum Admission {
     Existing,
     /// The plant was created fresh.
     Created,
-}
-
-/// Recovery accounting of one plant, suitable for a health endpoint (the
-/// store-level repair detail stays on [`DurableRecovery`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoverySummary {
-    /// Highest control sequence found durable.
-    pub controls_applied: u64,
-    /// Samples restored from sealed segments.
-    pub restored_samples: u64,
-    /// WAL samples replayed through live ingest.
-    pub replayed_samples: u64,
-    /// Corruption events survived.
-    pub corrupt_records: u64,
-}
-
-impl RecoverySummary {
-    /// Projects a [`DurableRecovery`] into endpoint form.
-    pub fn from_recovery(rec: &DurableRecovery) -> Self {
-        RecoverySummary {
-            controls_applied: rec.controls_applied,
-            restored_samples: rec.restored_samples,
-            replayed_samples: rec.replayed_samples,
-            corrupt_records: rec.corrupt_records,
-        }
-    }
-}
-
-/// One live plant in a [`Health`] snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlantHealth {
-    /// Plant id.
-    pub id: String,
-    /// What recovery rebuilt when this incarnation of the plant was
-    /// opened — at service open, or on an admission that re-created it
-    /// from its storage (all zeros for a plant with no prior storage, and
-    /// while its open is still running).
-    pub recovery: RecoverySummary,
-}
-
-/// A point-in-time health snapshot of the whole service: the readiness
-/// answer is `failed` mapped straight onto "not ready" — a plant whose
-/// storage could not be recovered parks the deployment in a degraded
-/// state until an operator repairs or removes it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Health {
-    /// Live plants with their recovery summaries, sorted by id.
-    pub live: Vec<PlantHealth>,
-    /// Plants that failed hard to recover, with their errors, sorted.
-    pub failed: Vec<(String, String)>,
-}
-
-impl Health {
-    /// Ready means every discovered plant recovered: nothing is parked
-    /// in the failed set.
-    pub fn ready(&self) -> bool {
-        self.failed.is_empty()
-    }
 }
 
 /// The plant-driving entry point shared by the embedded-library path
@@ -253,7 +196,7 @@ pub trait PlantService {
 }
 
 /// The production [`PlantService`]: a
-/// [`PlantRegistry`](hierod_stream::PlantRegistry) engine plus the
+/// [`PlantRegistry`] engine plus the
 /// recovery summaries its opening produced. `Sync` whenever its storage
 /// factory is: share it by reference and call it from as many threads as
 /// there are plants to keep busy.
@@ -398,22 +341,7 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
     }
 
     fn health(&self) -> Health {
-        let live = self
-            .registry
-            .tenant_recoveries()
-            .into_iter()
-            .map(|(id, rec)| PlantHealth {
-                recovery: RecoverySummary::from_recovery(&rec),
-                id,
-            })
-            .collect();
-        let failed = self
-            .registry
-            .failed()
-            .iter()
-            .map(|(id, err)| (id.clone(), err.clone()))
-            .collect();
-        Health { live, failed }
+        self.registry.health()
     }
 }
 

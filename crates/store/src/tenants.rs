@@ -115,11 +115,6 @@ impl DiskFactory {
         std::fs::create_dir_all(&root)?;
         Ok(DiskFactory { root })
     }
-
-    /// The root directory all tenants live under.
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
-    }
 }
 
 impl StorageFactory for DiskFactory {

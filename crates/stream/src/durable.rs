@@ -117,6 +117,32 @@ pub struct DurableRecovery {
     pub store: RecoveryStats,
 }
 
+/// Recovery accounting of one plant, suitable for a health endpoint (the
+/// store-level repair detail stays on [`DurableRecovery`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoverySummary {
+    /// Highest control sequence found durable.
+    pub controls_applied: u64,
+    /// Samples restored from sealed segments.
+    pub restored_samples: u64,
+    /// WAL samples replayed through live ingest.
+    pub replayed_samples: u64,
+    /// Corruption events survived.
+    pub corrupt_records: u64,
+}
+
+impl RecoverySummary {
+    /// Projects a [`DurableRecovery`] into endpoint form.
+    pub fn from_recovery(rec: &DurableRecovery) -> Self {
+        RecoverySummary {
+            controls_applied: rec.controls_applied,
+            restored_samples: rec.restored_samples,
+            replayed_samples: rec.replayed_samples,
+            corrupt_records: rec.corrupt_records,
+        }
+    }
+}
+
 /// A [`StreamDetector`] whose inputs are crash-durable: WAL + columnar
 /// segments underneath, identical detection semantics on top. See the
 /// module docs for the journaling and recovery contract.

@@ -48,7 +48,9 @@ pub use detector::{
     ControlEvent, LaneStats, ScorerMode, ScorerVisitor, StreamConfig, StreamDetector, StreamEvent,
     StreamReport, StreamStats,
 };
-pub use durable::{replay_journal, DurableRecovery, DurableStream, Replayed, Stored};
+pub use durable::{
+    replay_journal, DurableRecovery, DurableStream, RecoverySummary, Replayed, Stored,
+};
 pub use lane::{LaneHandle, LaneId, LaneKind, LaneTable, RunError, Sample, MAX_LANES};
-pub use tenant::{PlantRegistry, Tenant, TenantConfig};
+pub use tenant::{Health, PlantHealth, PlantRegistry, Tenant, TenantConfig};
 pub use watermark::{LatenessStats, Watermark};

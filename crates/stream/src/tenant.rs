@@ -69,7 +69,7 @@ use hierod_store::tenants::{valid_tenant_id, StorageFactory};
 use crate::detector::{
     ControlEvent, LaneStats, StreamConfig, StreamDetector, StreamReport, StreamStats,
 };
-use crate::durable::{DurableRecovery, DurableStream};
+use crate::durable::{DurableRecovery, DurableStream, RecoverySummary};
 use crate::lane::{LaneId, LaneTable, RunError, Sample};
 
 /// Maps a storage failure into the detection error domain.
@@ -101,7 +101,6 @@ pub struct TenantConfig {
 /// One plant: a [`DurableStream`] under a tenant-scoped storage root.
 /// Every operation forwards to it.
 pub struct Tenant<S: hierod_store::Storage> {
-    id: String,
     /// Which opening of a plant, among all its registry ever made, this
     /// is: what a [`LaneTable`]'s handles are checked against.
     incarnation: u64,
@@ -109,11 +108,6 @@ pub struct Tenant<S: hierod_store::Storage> {
 }
 
 impl<S: hierod_store::Storage> Tenant<S> {
-    /// The tenant id (a valid storage directory name).
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
     /// Read-only access to the plant's durable stream (the history tier
     /// reaches its sealed storage through this).
     pub fn stream(&self) -> &DurableStream<S> {
@@ -211,7 +205,7 @@ struct Entry<S: hierod_store::Storage> {
     slot: Slot<S>,
     /// What the open that seated this incarnation recovered: zeros for a
     /// plant with no prior storage, and while its open is still running.
-    recovery: DurableRecovery,
+    recovery: RecoverySummary,
 }
 
 /// What the registry-wide lock guards.
@@ -224,6 +218,38 @@ struct Plants<S: hierod_store::Storage> {
     /// Ids detached by a `finish` still running: their storage has a
     /// writer, so they must not be re-created yet.
     closing: BTreeSet<String>,
+}
+
+/// One live plant in a [`Health`] snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlantHealth {
+    /// Plant id.
+    pub id: String,
+    /// What recovery rebuilt when this incarnation of the plant was
+    /// opened — at registry open, or on an admission that re-created it
+    /// from its storage (all zeros for a plant with no prior storage, and
+    /// while its open is still running).
+    pub recovery: RecoverySummary,
+}
+
+/// A point-in-time health snapshot of every plant a registry hosts: the
+/// readiness answer is `failed` mapped straight onto "not ready" — a
+/// plant whose storage could not be recovered parks the deployment in a
+/// degraded state until an operator repairs or removes it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Health {
+    /// Live plants with their recovery summaries, sorted by id.
+    pub live: Vec<PlantHealth>,
+    /// Plants that failed hard to recover, with their errors, sorted.
+    pub failed: Vec<(String, String)>,
+}
+
+impl Health {
+    /// Ready means every discovered plant recovered: nothing is parked
+    /// in the failed set.
+    pub fn ready(&self) -> bool {
+        self.failed.is_empty()
+    }
 }
 
 /// Hosts N independent plants in one process, each with its own
@@ -250,7 +276,6 @@ fn open_tenant<F: StorageFactory>(
     let (stream, recovery) =
         DurableStream::open(policy.clone(), config.stream, storage, config.store)?;
     let tenant = Tenant {
-        id: id.to_string(),
         incarnation,
         stream,
     };
@@ -305,7 +330,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
                 Ok((tenant, recovery)) => {
                     let entry = Entry {
                         slot: Arc::new(Mutex::new(Some(tenant))),
-                        recovery: recovery.clone(),
+                        recovery: RecoverySummary::from_recovery(&recovery),
                     };
                     live.insert(id.clone(), entry);
                     recoveries.insert(id, recovery);
@@ -352,7 +377,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
             open_tenant(&self.factory, &self.policy, &self.config, id, incarnation)?;
         let entry = plants.live.entry(id.to_string()).or_insert(Entry {
             slot: Arc::new(Mutex::new(Some(tenant))),
-            recovery,
+            recovery: RecoverySummary::from_recovery(&recovery),
         });
         seated(&mut entry.slot).ok_or_else(|| no_live_tenant(id))
     }
@@ -422,7 +447,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
                 let slot: Slot<F::Storage> = Arc::new(Mutex::new(None));
                 let entry = Entry {
                     slot: Arc::clone(&slot),
-                    recovery: DurableRecovery::default(),
+                    recovery: RecoverySummary::default(),
                 };
                 plants.live.insert(id.to_string(), entry);
                 plants.incarnations += 1;
@@ -441,7 +466,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
                         let mut plants = lock(&self.plants);
                         if let Some(entry) = plants.live.get_mut(id) {
                             if Arc::ptr_eq(&entry.slot, &slot) {
-                                entry.recovery = recovery;
+                                entry.recovery = RecoverySummary::from_recovery(&recovery);
                             }
                         }
                         Ok(true)
@@ -482,16 +507,27 @@ impl<F: StorageFactory> PlantRegistry<F> {
         lock(&self.plants).live.keys().cloned().collect()
     }
 
-    /// [`tenant_ids`](Self::tenant_ids), each with what the open that
-    /// seated its current incarnation recovered — at registry open, on
-    /// create or on a re-admission after a finish. Zeros for a plant with
-    /// no prior storage and for one whose open is still running. Takes
+    /// A health snapshot: every live plant (as [`tenant_ids`](Self::tenant_ids)
+    /// lists them) with what the open that seated its current incarnation
+    /// recovered — at registry open, on create or on a re-admission after
+    /// a finish; zeros for a plant with no prior storage and for one whose
+    /// open is still running — and the [`failed`](Self::failed) set. Takes
     /// the map lock only, so a plant parked in storage delays no caller.
-    pub fn tenant_recoveries(&self) -> Vec<(String, DurableRecovery)> {
-        let plants = lock(&self.plants);
-        let live = plants.live.iter();
-        live.map(|(id, e)| (id.clone(), e.recovery.clone()))
-            .collect()
+    pub fn health(&self) -> Health {
+        let live = lock(&self.plants)
+            .live
+            .iter()
+            .map(|(id, e)| PlantHealth {
+                id: id.clone(),
+                recovery: e.recovery,
+            })
+            .collect();
+        let failed = self
+            .failed
+            .iter()
+            .map(|(id, err)| (id.clone(), err.clone()))
+            .collect();
+        Health { live, failed }
     }
 
     /// Tenants that failed hard to recover, with their errors. Their

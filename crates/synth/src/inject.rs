@@ -145,23 +145,6 @@ impl Injection {
         }
         effective
     }
-
-    /// The effective number of labeled anomalous samples when injected into
-    /// a window of `remaining` samples (what [`Self::apply`] would return).
-    pub fn effective_len(&self, remaining: usize) -> usize {
-        match self.outlier {
-            OutlierType::Additive => remaining.min(1),
-            OutlierType::LevelShift => remaining,
-            OutlierType::Innovative => {
-                let n = (0.05_f64.ln() / self.phi.ln()).ceil() as usize;
-                n.min(remaining)
-            }
-            OutlierType::TemporaryChange => {
-                let n = (0.05_f64.ln() / self.delta.ln()).ceil() as usize;
-                n.min(remaining)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +179,6 @@ mod tests {
         assert!(v[1] > v[2]);
         // Decays below 5% of magnitude eventually; not the whole array.
         assert!(n < 60);
-        assert_eq!(n, inj.effective_len(60));
         assert!(v[n..].iter().all(|&x| x == 0.0));
     }
 
@@ -207,7 +189,7 @@ mod tests {
         let n = inj.apply(&mut v, 0);
         assert!((v[0] - 10.0).abs() < 1e-12);
         assert!((v[1] - 8.0).abs() < 1e-12);
-        assert_eq!(n, inj.effective_len(40));
+        assert!(v[n..].iter().all(|&x| x == 0.0));
         // phi = 0.8 decays slower than... check effect ordering only.
         assert!(v[2] > v[3]);
     }

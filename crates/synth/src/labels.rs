@@ -148,19 +148,6 @@ impl GroundTruth {
         })
     }
 
-    /// Point-level boolean labels for one sensor series of length `n`
-    /// (all injection scopes).
-    pub fn point_labels(
-        &self,
-        machine: &str,
-        job: &str,
-        phase: PhaseKind,
-        sensor: &str,
-        n: usize,
-    ) -> Vec<bool> {
-        self.point_labels_scoped(machine, job, phase, sensor, n, None)
-    }
-
     /// Point-level boolean labels restricted to one injection scope
     /// (`None` = all scopes). The process-anomaly restriction is what the
     /// detection-quality experiment uses as ground truth: a sensor glitch
@@ -200,28 +187,6 @@ impl GroundTruth {
             .map(|r| (r.machine.clone(), r.job.clone()))
             .collect()
     }
-
-    /// Machines containing at least one process anomaly.
-    pub fn anomalous_machines(&self) -> BTreeSet<String> {
-        self.injections
-            .iter()
-            .filter(|r| r.is_process_anomaly())
-            .map(|r| r.machine.clone())
-            .collect()
-    }
-
-    /// Count of injections with the given scope.
-    pub fn count_scope(&self, scope: Scope) -> usize {
-        self.injections.iter().filter(|r| r.scope == scope).count()
-    }
-
-    /// Count of injections with the given outlier type.
-    pub fn count_type(&self, outlier: OutlierType) -> usize {
-        self.injections
-            .iter()
-            .filter(|r| r.outlier == outlier)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -250,16 +215,16 @@ mod tests {
             environment_injections: vec![],
             channel_faults: vec![],
         };
-        let labels = gt.point_labels("m0", "j0", PhaseKind::Printing, "s0", 8);
+        let labels = gt.point_labels_scoped("m0", "j0", PhaseKind::Printing, "s0", 8, None);
         assert_eq!(
             labels,
             vec![false, false, true, true, true, false, false, false]
         );
         // Other sensor: no labels.
-        let other = gt.point_labels("m0", "j0", PhaseKind::Printing, "s1", 8);
+        let other = gt.point_labels_scoped("m0", "j0", PhaseKind::Printing, "s1", 8, None);
         assert!(other.iter().all(|&l| !l));
         // Other phase: no labels.
-        let other = gt.point_labels("m0", "j0", PhaseKind::WarmUp, "s0", 8);
+        let other = gt.point_labels_scoped("m0", "j0", PhaseKind::WarmUp, "s0", 8, None);
         assert!(other.iter().all(|&l| !l));
     }
 
@@ -270,7 +235,7 @@ mod tests {
             environment_injections: vec![],
             channel_faults: vec![],
         };
-        let labels = gt.point_labels("m0", "j0", PhaseKind::Printing, "s0", 8);
+        let labels = gt.point_labels_scoped("m0", "j0", PhaseKind::Printing, "s0", 8, None);
         assert!(labels[6]);
         assert!(labels[7]);
         assert_eq!(labels.len(), 8);
@@ -305,9 +270,6 @@ mod tests {
         let jobs = gt.anomalous_jobs();
         assert_eq!(jobs.len(), 1);
         assert!(jobs.contains(&("m0".to_string(), "j1".to_string())));
-        assert_eq!(gt.anomalous_machines().len(), 1);
-        assert_eq!(gt.count_scope(Scope::MeasurementError), 1);
-        assert_eq!(gt.count_type(OutlierType::Additive), 2);
     }
 
     #[test]

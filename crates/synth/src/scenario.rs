@@ -40,12 +40,12 @@ const ENV_STEP: u64 = 10;
 /// Gap between consecutive jobs on one machine, in ticks.
 const JOB_GAP: u64 = 100;
 
-/// Decorrelates per-plant RNG streams: SplitMix64 finalizer over the
-/// base seed offset by the plant index times the golden-ratio
-/// increment. Adjacent plant indices land in statistically unrelated
-/// streams, and the mapping is stable across plant counts.
-pub(crate) fn mix_seed(seed: u64, plant: u64) -> u64 {
-    let mut z = seed ^ plant.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+/// Derives a decorrelated RNG stream from a base seed: SplitMix64
+/// finalizer over the base seed offset by the stream index times the
+/// golden-ratio increment. Adjacent indices land in statistically
+/// unrelated streams.
+pub(crate) fn mix_seed(seed: u64, stream: u64) -> u64 {
+    let mut z = seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -211,27 +211,6 @@ impl ScenarioBuilder {
             drifting_machines,
             config: self.clone(),
         }
-    }
-
-    /// Generates `plants` independent scenarios for a multi-tenant
-    /// deployment, named `plant-0` … `plant-{n-1}`.
-    ///
-    /// Each plant draws from its own decorrelated RNG stream
-    /// (SplitMix64-style seed mixing), so plant 0 of a two-plant run is
-    /// bit-identical to plant 0 of a ten-plant run — per-tenant results
-    /// never depend on how many tenants share the process.
-    pub fn multi_plant(&self, plants: usize) -> Vec<Scenario> {
-        (0..plants)
-            .map(|p| {
-                let mixed = Self {
-                    seed: mix_seed(self.seed, p as u64),
-                    ..self.clone()
-                };
-                let mut scenario = mixed.build();
-                scenario.plant.name = format!("plant-{p}");
-                scenario
-            })
-            .collect()
     }
 
     fn sensor_names(&self, machine: &str, kind: SensorKind) -> Vec<String> {
@@ -706,8 +685,15 @@ mod tests {
             .build();
         // anomaly_rate 1.0 -> one injection per job.
         assert_eq!(s.truth.len(), 30);
-        let me = s.truth.count_scope(Scope::MeasurementError);
-        let pa = s.truth.count_scope(Scope::ProcessAnomaly);
+        let count = |scope| {
+            s.truth
+                .injections
+                .iter()
+                .filter(|r| r.scope == scope)
+                .count()
+        };
+        let me = count(Scope::MeasurementError);
+        let pa = count(Scope::ProcessAnomaly);
         assert_eq!(me + pa, 30);
         assert!(
             me > 5 && pa > 5,
@@ -824,12 +810,13 @@ mod tests {
         let job = line.job(&rec.job).unwrap();
         let phase = job.phase(rec.phase).unwrap();
         let series = phase.sensor_series(&rec.affected_sensors[0]).unwrap();
-        let labels = s.truth.point_labels(
+        let labels = s.truth.point_labels_scoped(
             &rec.machine,
             &rec.job,
             rec.phase,
             &rec.affected_sensors[0],
             series.len(),
+            None,
         );
         assert_eq!(labels.len(), series.len());
         assert!(labels[rec.start_idx]);
@@ -925,31 +912,5 @@ mod tests {
             .phase_samples(40)
             .build();
         assert!(clean.truth.environment_injections.is_empty());
-    }
-
-    #[test]
-    fn multi_plant_is_decorrelated_and_stable_across_counts() {
-        let builder = ScenarioBuilder::new(7)
-            .machines(2)
-            .jobs_per_machine(2)
-            .phase_samples(40);
-        let two = builder.multi_plant(2);
-        assert_eq!(two.len(), 2);
-        assert_eq!(two[0].plant.name, "plant-0");
-        assert_eq!(two[1].plant.name, "plant-1");
-        // Distinct RNG streams: the plants differ beyond their names.
-        let series = |s: &Scenario| {
-            let line = &s.plant.lines[0];
-            line.jobs[0].phases[0].series[0].values().to_vec()
-        };
-        assert_ne!(series(&two[0]), series(&two[1]));
-
-        // Plant p is independent of how many siblings were generated.
-        let ten = builder.multi_plant(10);
-        for (a, b) in two.iter().zip(&ten) {
-            assert_eq!(a.config.seed, b.config.seed);
-            assert_eq!(series(a), series(b));
-            assert_eq!(a.truth.injections.len(), b.truth.injections.len());
-        }
     }
 }

@@ -207,30 +207,6 @@ proptest! {
     }
 
     #[test]
-    fn channel_faults_stable_across_plant_counts(
-        seed in 0_u64..200,
-        extra in 1_usize..4,
-    ) {
-        // Plant 0's faults must be identical no matter how many tenants
-        // share the process — the fault RNG derives from the per-plant
-        // mixed seed, preserving the SplitMix64 decorrelation contract.
-        let builder = ScenarioBuilder::new(seed)
-            .machines(1)
-            .jobs_per_machine(3)
-            .redundancy(2)
-            .phase_samples(24)
-            .anomaly_rate(0.0);
-        let cfg = ChannelFaults::with_rate(0.8);
-        let mut solo = builder.multi_plant(1);
-        let mut many = builder.multi_plant(1 + extra);
-        for s in solo.iter_mut().chain(many.iter_mut()) {
-            apply_channel_faults(s, &cfg);
-        }
-        prop_assert_eq!(&solo[0].truth.channel_faults, &many[0].truth.channel_faults);
-        prop_assert_eq!(&solo[0].plant, &many[0].plant);
-    }
-
-    #[test]
     fn channel_faults_deterministic_and_decorrelated(seed in 0_u64..200) {
         let builder = ScenarioBuilder::new(seed)
             .machines(2)

@@ -1,74 +1,14 @@
-//! Distance and similarity measures.
+//! Distance and similarity measures on sequences.
 //!
-//! The discriminative (DA) detectors of Table 1 are all built on "a
-//! similarity function \[that\] compares sequences and clusters"; the ones
-//! implemented here are the measures their original papers use: Euclidean
-//! (k-means, SOM, PCA space), DTW (shape-tolerant clustering), LCS (Budalakoti
-//! et al., row "Longest Common Subsequence"), Hamming / match-count (Lane &
-//! Brodley), and cosine (vibration signatures).
+//! The discriminative (DA) detectors of Table 1 are built on "a similarity
+//! function \[that\] compares sequences and clusters". The symbolic ones
+//! use the measures of their original papers: LCS similarity (Budalakoti et
+//! al., row "Longest Common Subsequence") and match-count similarity (Lane &
+//! Brodley). DTW is the shape-tolerant distance; no detector calls it yet.
+//! The vector detectors' Euclidean distance is `hierod_detect`'s own kernel,
+//! and the vibration detector compares [`crate::fft::spectral_signature`]s.
 
 use crate::error::{Error, Result};
-
-/// Squared Euclidean distance between equal-length slices.
-///
-/// # Errors
-/// Returns an error on length mismatch.
-pub fn sq_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(Error::LengthMismatch {
-            what: "sq_euclidean",
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    Ok(a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>())
-}
-
-/// Euclidean distance between equal-length slices.
-///
-/// # Errors
-/// Returns an error on length mismatch.
-pub fn euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
-    Ok(sq_euclidean(a, b)?.sqrt())
-}
-
-/// Length-normalized Euclidean distance (`euclidean / sqrt(n)`), comparable
-/// across window lengths. Empty inputs give 0.
-///
-/// # Errors
-/// Returns an error on length mismatch.
-pub fn norm_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.is_empty() {
-        return Ok(0.0);
-    }
-    Ok(euclidean(a, b)? / (a.len() as f64).sqrt())
-}
-
-/// Cosine distance `1 - cos(a, b)`. If either vector has zero norm the
-/// distance is defined as 1 (maximally dissimilar), except two zero vectors
-/// which are identical (0).
-///
-/// # Errors
-/// Returns an error on length mismatch.
-pub fn cosine(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(Error::LengthMismatch {
-            what: "cosine",
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na == 0.0 && nb == 0.0 {
-        return Ok(0.0);
-    }
-    if na == 0.0 || nb == 0.0 {
-        return Ok(1.0);
-    }
-    Ok((1.0 - dot / (na * nb)).max(0.0))
-}
 
 /// Dynamic Time Warping distance with an optional Sakoe-Chiba band.
 ///
@@ -199,32 +139,12 @@ mod tests {
 
     const EPS: f64 = 1e-9;
 
-    #[test]
-    fn euclidean_hand_checked() {
-        assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]).unwrap() - 5.0).abs() < EPS);
-        assert_eq!(sq_euclidean(&[1.0], &[4.0]).unwrap(), 9.0);
-        assert!(euclidean(&[1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn norm_euclidean_is_length_invariant_for_constant_offset() {
-        let a4 = vec![0.0; 4];
-        let b4 = vec![1.0; 4];
-        let a16 = vec![0.0; 16];
-        let b16 = vec![1.0; 16];
-        let d4 = norm_euclidean(&a4, &b4).unwrap();
-        let d16 = norm_euclidean(&a16, &b16).unwrap();
-        assert!((d4 - d16).abs() < EPS);
-        assert_eq!(norm_euclidean(&[], &[]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn cosine_basics() {
-        assert!((cosine(&[1.0, 0.0], &[0.0, 1.0]).unwrap() - 1.0).abs() < EPS);
-        assert!(cosine(&[1.0, 1.0], &[2.0, 2.0]).unwrap().abs() < EPS);
-        assert_eq!(cosine(&[0.0], &[0.0]).unwrap(), 0.0);
-        assert_eq!(cosine(&[0.0], &[1.0]).unwrap(), 1.0);
-        assert!(cosine(&[1.0], &[1.0, 2.0]).is_err());
+    fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt()
     }
 
     #[test]
@@ -242,7 +162,7 @@ mod tests {
         // Same pulse, shifted by 2 samples.
         let a = [0.0, 0.0, 1.0, 5.0, 1.0, 0.0, 0.0, 0.0];
         let b = [0.0, 0.0, 0.0, 0.0, 1.0, 5.0, 1.0, 0.0];
-        let de = euclidean(&a, &b).unwrap();
+        let de = euclidean(&a, &b);
         let dw = dtw(&a, &b, None).unwrap();
         assert!(dw < de * 0.5, "dtw {dw} should be far below euclid {de}");
     }
@@ -265,7 +185,7 @@ mod tests {
     fn dtw_unconstrained_never_exceeds_euclidean() {
         let a = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
         let b = [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0, 8.0];
-        assert!(dtw(&a, &b, None).unwrap() <= euclidean(&a, &b).unwrap() + EPS);
+        assert!(dtw(&a, &b, None).unwrap() <= euclidean(&a, &b) + EPS);
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Magnitude.
-    pub fn abs(self) -> f64 {
-        self.norm_sq().sqrt()
-    }
-
     fn mul(self, other: Complex) -> Complex {
         Complex::new(
             self.re * other.re - self.im * other.im,
@@ -187,27 +182,6 @@ pub fn spectral_signature(signal: &[f64], bands: usize) -> Result<Vec<f64>> {
     Ok(sig)
 }
 
-/// Index of the strongest non-DC frequency bin of a real signal (the
-/// dominant oscillation), or `None` for signals shorter than 2 samples.
-///
-/// # Errors
-/// Returns an error on FFT failure (after internal padding this cannot
-/// happen for non-empty input).
-pub fn dominant_frequency_bin(signal: &[f64]) -> Result<Option<usize>> {
-    if signal.len() < 2 {
-        return Ok(None);
-    }
-    let padded = pad_to_pow2(signal);
-    let ps = power_spectrum(&padded)?;
-    let best = ps
-        .iter()
-        .enumerate()
-        .skip(1)
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i);
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,22 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn dominant_frequency_finds_the_tone() {
-        let n = 64;
-        let signal: Vec<f64> = (0..n)
-            .map(|i| (2.0 * std::f64::consts::PI * 7.0 * i as f64 / n as f64).cos())
-            .collect();
-        assert_eq!(dominant_frequency_bin(&signal).unwrap(), Some(7));
-        assert_eq!(dominant_frequency_bin(&[1.0]).unwrap(), None);
-        assert_eq!(dominant_frequency_bin(&[]).unwrap(), None);
-    }
-
-    #[test]
     fn complex_arithmetic() {
         let a = Complex::new(1.0, 2.0);
         let b = Complex::new(3.0, -1.0);
         let p = a.mul(b);
         assert_eq!((p.re, p.im), (5.0, 5.0));
-        assert!((Complex::new(3.0, 4.0).abs() - 5.0).abs() < EPS);
     }
 }

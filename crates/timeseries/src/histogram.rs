@@ -1,4 +1,4 @@
-//! Equi-width and V-optimal histograms.
+//! V-optimal histograms.
 //!
 //! Muthukrishnan et al.'s deviant-mining detector (Table 1 row *Histogram
 //! Representation*, class ITM) scores points by how much the error of an
@@ -8,97 +8,6 @@
 
 use crate::dense::Dense;
 use crate::error::{Error, Result};
-
-/// A fixed-bin equi-width histogram over a value range.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EquiWidthHistogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-}
-
-impl EquiWidthHistogram {
-    /// Builds a histogram of `bins` equal-width bins over `[lo, hi]`.
-    /// Values outside the range are clamped into the edge bins.
-    ///
-    /// # Errors
-    /// Returns an error if `bins == 0` or `lo >= hi`.
-    pub fn build(values: &[f64], lo: f64, hi: f64, bins: usize) -> Result<Self> {
-        if bins == 0 {
-            return Err(Error::invalid("bins", "must be > 0"));
-        }
-        if lo >= hi {
-            return Err(Error::invalid("lo/hi", "must satisfy lo < hi"));
-        }
-        let mut counts = vec![0_u64; bins];
-        for &v in values {
-            if let Some(c) = counts.get_mut(bin_of(v, lo, hi, bins)) {
-                *c += 1;
-            }
-        }
-        Ok(Self { lo, hi, counts })
-    }
-
-    /// Builds over the data's own min/max range (degenerate constant data
-    /// uses a unit-width range around the value).
-    ///
-    /// # Errors
-    /// Returns an error on empty input or `bins == 0`.
-    pub fn auto(values: &[f64], bins: usize) -> Result<Self> {
-        if values.is_empty() {
-            return Err(Error::Empty {
-                what: "EquiWidthHistogram::auto",
-            });
-        }
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if lo == hi {
-            return Self::build(values, lo - 0.5, hi + 0.5, bins);
-        }
-        Self::build(values, lo, hi, bins)
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total number of counted values.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Empirical probability of the bin containing `v` (Laplace-smoothed,
-    /// so unseen bins get small non-zero mass). Used as a density-based
-    /// rarity score.
-    pub fn probability(&self, v: f64) -> f64 {
-        let bins = self.bins();
-        let count = self
-            .counts
-            .get(bin_of(v, self.lo, self.hi, bins))
-            .copied()
-            .unwrap_or(0);
-        (count as f64 + 1.0) / (self.total() as f64 + bins as f64)
-    }
-}
-
-/// The bin of `v` among `bins` equal-width bins over `[lo, hi]`, values
-/// outside the range clamped into the edge bins.
-fn bin_of(v: f64, lo: f64, hi: f64, bins: usize) -> usize {
-    let width = (hi - lo) / bins as f64;
-    if v <= lo {
-        0
-    } else if v >= hi {
-        bins - 1
-    } else {
-        (((v - lo) / width) as usize).min(bins - 1)
-    }
-}
 
 /// One bucket of a V-optimal histogram: the index range `[start, end)`, the
 /// represented mean, and the bucket's sum of squared errors.
@@ -252,17 +161,6 @@ impl VOptimalHistogram {
     pub fn total_sse(&self) -> f64 {
         self.total_sse
     }
-
-    /// Reconstructs the represented (piecewise-constant) sequence.
-    pub fn reconstruct(&self, n: usize) -> Vec<f64> {
-        let mut out = vec![0.0; n];
-        for bk in &self.buckets {
-            if let Some(span) = out.get_mut(bk.start..bk.end.min(n)) {
-                span.fill(bk.mean);
-            }
-        }
-        out
-    }
 }
 
 /// Exact minimum SSE of partitioning `xs` into at most `buckets` contiguous
@@ -279,46 +177,6 @@ mod tests {
     use super::*;
 
     const EPS: f64 = 1e-9;
-
-    #[test]
-    fn equi_width_counts() {
-        let h = EquiWidthHistogram::build(&[0.1, 0.2, 0.6, 0.9], 0.0, 1.0, 2).unwrap();
-        assert_eq!(h.counts(), &[2, 2]);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.bins(), 2);
-    }
-
-    #[test]
-    fn equi_width_clamps_out_of_range() {
-        let h = EquiWidthHistogram::build(&[-5.0, 0.5, 99.0], 0.0, 1.0, 4).unwrap();
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[3], 1);
-        assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn equi_width_validates() {
-        assert!(EquiWidthHistogram::build(&[1.0], 0.0, 1.0, 0).is_err());
-        assert!(EquiWidthHistogram::build(&[1.0], 1.0, 1.0, 2).is_err());
-        assert!(EquiWidthHistogram::auto(&[], 2).is_err());
-    }
-
-    #[test]
-    fn auto_handles_constant_data() {
-        let h = EquiWidthHistogram::auto(&[2.0, 2.0, 2.0], 3).unwrap();
-        assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn probability_is_laplace_smoothed() {
-        let h = EquiWidthHistogram::build(&[0.1, 0.1, 0.1], 0.0, 1.0, 2).unwrap();
-        let p_dense = h.probability(0.1);
-        let p_empty = h.probability(0.9);
-        assert!(p_dense > p_empty);
-        assert!(p_empty > 0.0);
-        assert!((p_dense - 4.0 / 5.0).abs() < EPS);
-        assert!((p_empty - 1.0 / 5.0).abs() < EPS);
-    }
 
     #[test]
     fn v_optimal_two_level_signal_needs_two_buckets() {
@@ -360,13 +218,6 @@ mod tests {
         }
         let dp = v_optimal_sse(&xs, 2).unwrap();
         assert!((dp - best).abs() < EPS);
-    }
-
-    #[test]
-    fn reconstruct_is_piecewise_constant() {
-        let xs = [1.0, 1.0, 5.0, 5.0];
-        let h = VOptimalHistogram::fit(&xs, 2).unwrap();
-        assert_eq!(h.reconstruct(4), vec![1.0, 1.0, 5.0, 5.0]);
     }
 
     #[test]

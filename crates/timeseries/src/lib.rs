@@ -15,17 +15,19 @@
 //!   [`MultiSeries`].
 //! * [`dense`] — [`Dense`], the checked row-major table the matrix and
 //!   dynamic-programming detectors keep their state in.
-//! * [`stats`] — descriptive statistics, robust estimators, autocorrelation.
+//! * [`stats`] — descriptive statistics, order statistics by selection,
+//!   robust estimators, autocovariances.
 //! * [`window`] — fixed-size overlapping/sliding window extraction.
 //! * [`resample`] — aggregation between hierarchy resolutions.
-//! * [`normalize`] — z-/min-max/robust normalization.
-//! * [`distance`] — Euclidean, DTW, LCS, Hamming, cosine distances.
+//! * [`normalize`] — z-normalization and the fitted per-column scaler.
+//! * [`distance`] — DTW, LCS, Hamming and match-count measures on
+//!   sequences.
 //! * [`sax`] — Symbolic Aggregate approXimation (Lin et al., Table 1 row
 //!   "Symbolic Representation").
-//! * [`fft`] — radix-2 FFT and power spectra (Table 1 row "Vibration
-//!   Signature").
-//! * [`histogram`] — equi-width and V-optimal histograms (Table 1 row
-//!   "Histogram Representation").
+//! * [`fft`] — radix-2 FFT, power spectra and banded spectral signatures
+//!   (Table 1 row "Vibration Signature").
+//! * [`histogram`] — V-optimal histograms (Table 1 row "Histogram
+//!   Representation").
 //!
 //! Everything is implemented from scratch; the crate has no runtime
 //! dependencies.

@@ -1,9 +1,9 @@
 //! Normalization / scaling transforms.
 //!
-//! Sub-sequence detectors (phased k-means, SAX, SOM, …) operate on
-//! z-normalized windows so that shape rather than offset drives similarity;
-//! the job-level feature detectors use min-max or robust scaling so that
-//! heterogeneous setup parameters become comparable.
+//! Sub-sequence detectors (phased k-means, SAX, …) operate on z-normalized
+//! windows so that shape rather than offset drives similarity; the
+//! supervised and one-class detectors scale feature columns with a fitted
+//! [`ColumnScaler`] so that heterogeneous parameters become comparable.
 
 use crate::error::{Error, Result};
 use crate::stats;
@@ -34,40 +34,11 @@ pub fn z_normalize(xs: &[f64]) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// Min-max scaling into `[0, 1]`. Constant slices map to all `0.5`.
-///
-/// # Errors
-/// Returns [`Error::Empty`] for an empty slice.
-pub fn min_max(xs: &[f64]) -> Result<Vec<f64>> {
-    let lo = stats::min(xs)?;
-    let hi = stats::max(xs)?;
-    if hi == lo {
-        return Ok(vec![0.5; xs.len()]);
-    }
-    Ok(xs.iter().map(|x| (x - lo) / (hi - lo)).collect())
-}
-
-/// Robust scaling: `(x - median) / IQR`. Zero-IQR slices map to all zeros.
-///
-/// # Errors
-/// Returns [`Error::Empty`] for an empty slice.
-pub fn robust_scale(xs: &[f64]) -> Result<Vec<f64>> {
-    let mut scratch = xs.to_vec();
-    let med = stats::quantile_in(&mut scratch, 0.5)?;
-    let q1 = stats::quantile_in(&mut scratch, 0.25)?;
-    let q3 = stats::quantile_in(&mut scratch, 0.75)?;
-    let iqr = q3 - q1;
-    if iqr == 0.0 {
-        return Ok(vec![0.0; xs.len()]);
-    }
-    Ok(xs.iter().map(|x| (x - med) / iqr).collect())
-}
-
 /// A fitted per-column scaler for feature matrices (rows = samples).
 ///
 /// Fit on training rows, then apply to new rows; columns with zero spread
-/// pass through as zeros. Used by the supervised (SA) detectors and the
-/// job-level PCA pipeline.
+/// pass through as zeros. Used by the one-class SVM and the neural-network
+/// detector.
 #[derive(Debug, Clone)]
 pub struct ColumnScaler {
     means: Vec<f64>,
@@ -105,11 +76,6 @@ impl ColumnScaler {
         }
         stds.iter_mut().for_each(|s| *s = (*s / n).sqrt());
         Ok(Self { means, stds })
-    }
-
-    /// Number of columns this scaler was fitted on.
-    pub fn dims(&self) -> usize {
-        self.means.len()
     }
 
     /// Scales one row: `(x - mean) / std` per column (zero-std columns → 0).
@@ -161,24 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn min_max_bounds() {
-        let out = min_max(&[10.0, 20.0, 15.0]).unwrap();
-        assert_eq!(out, vec![0.0, 1.0, 0.5]);
-        assert_eq!(min_max(&[3.0, 3.0]).unwrap(), vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn robust_scale_centers_on_median() {
-        let out = robust_scale(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert!(out[2].abs() < EPS); // median maps to 0
-        assert_eq!(robust_scale(&[2.0, 2.0, 2.0]).unwrap(), vec![0.0; 3]);
-    }
-
-    #[test]
     fn column_scaler_roundtrip() {
         let rows = vec![vec![0.0, 10.0], vec![2.0, 10.0], vec![4.0, 10.0]];
         let sc = ColumnScaler::fit(&rows).unwrap();
-        assert_eq!(sc.dims(), 2);
         let t = sc.transform(&[2.0, 10.0]).unwrap();
         assert!(t[0].abs() < EPS); // column mean
         assert_eq!(t[1], 0.0); // zero-variance column

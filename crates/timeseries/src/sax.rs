@@ -4,8 +4,7 @@
 //! implications for streaming algorithms" — Table 1 row *Symbolic
 //! Representation* (class OS). A window is z-normalized, reduced by
 //! Piecewise Aggregate Approximation (PAA), and each PAA segment is mapped to
-//! a symbol by equiprobable Gaussian breakpoints. The companion `MINDIST`
-//! lower-bounds the true Euclidean distance, which the property tests verify.
+//! a symbol by equiprobable Gaussian breakpoints.
 
 use crate::error::{Error, Result};
 use crate::normalize;
@@ -135,60 +134,17 @@ impl SaxQuantizer {
         Ok(Self { breakpoints })
     }
 
-    /// Alphabet size.
-    pub fn alphabet_size(&self) -> usize {
-        self.breakpoints.len() + 1
-    }
-
-    /// The (sorted) breakpoints dividing the standard normal into
-    /// equiprobable regions.
-    pub fn breakpoints(&self) -> &[f64] {
-        &self.breakpoints
-    }
-
     /// Maps one (z-normalized) value to its symbol.
     pub fn symbol(&self, x: f64) -> u16 {
         self.breakpoints.partition_point(|&b| b <= x) as u16
     }
-
-    /// Distance between two symbols under the SAX `dist` lookup table:
-    /// adjacent or equal symbols have distance 0; otherwise the gap between
-    /// the enclosing breakpoints.
-    pub fn symbol_dist(&self, r: u16, c: u16) -> f64 {
-        let (lo, hi) = if r < c { (r, c) } else { (c, r) };
-        // The breakpoints strictly between the two symbols' regions; a
-        // symbol past the alphabet has none.
-        match self.breakpoints.get(usize::from(lo)..usize::from(hi)) {
-            Some([lower, .., upper]) => upper - lower,
-            _ => 0.0,
-        }
-    }
 }
 
-/// A SAX word: the symbol string for one window, plus the parameters needed
-/// for MINDIST.
+/// A SAX word: the symbol string for one window.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SaxWord {
     /// Symbols, one per PAA segment.
     pub symbols: Vec<u16>,
-    /// Original window length the word was derived from.
-    pub source_len: usize,
-}
-
-impl SaxWord {
-    /// Renders the word with letters `a`, `b`, `c`, … (alphabet ≤ 26), or
-    /// numeric ids joined by `.` otherwise.
-    pub fn pretty(&self) -> String {
-        if self.symbols.iter().all(|&s| s < 26) {
-            self.symbols
-                .iter()
-                .map(|&s| (b'a' + s as u8) as char)
-                .collect()
-        } else {
-            let parts: Vec<String> = self.symbols.iter().map(|s| s.to_string()).collect();
-            parts.join(".")
-        }
-    }
 }
 
 /// Full SAX encoder: z-normalize → PAA → quantize.
@@ -214,11 +170,6 @@ impl SaxEncoder {
         })
     }
 
-    /// Number of symbols per word.
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
     /// The underlying quantizer.
     pub fn quantizer(&self) -> &SaxQuantizer {
         &self.quantizer
@@ -234,66 +185,13 @@ impl SaxEncoder {
         let reduced = paa(&z, self.segments)?;
         Ok(SaxWord {
             symbols: reduced.iter().map(|&v| self.quantizer.symbol(v)).collect(),
-            source_len: window.len(),
         })
     }
-
-    /// The SAX `MINDIST` between two words of equal segment count derived
-    /// from windows of equal length: a lower bound on the Euclidean distance
-    /// of the z-normalized windows.
-    ///
-    /// # Errors
-    /// Returns an error on mismatched segment counts or source lengths.
-    pub fn mindist(&self, a: &SaxWord, b: &SaxWord) -> Result<f64> {
-        if a.symbols.len() != b.symbols.len() {
-            return Err(Error::LengthMismatch {
-                what: "mindist(symbols)",
-                left: a.symbols.len(),
-                right: b.symbols.len(),
-            });
-        }
-        if a.source_len != b.source_len {
-            return Err(Error::LengthMismatch {
-                what: "mindist(source_len)",
-                left: a.source_len,
-                right: b.source_len,
-            });
-        }
-        let w = a.symbols.len() as f64;
-        let n = a.source_len as f64;
-        let sum: f64 = a
-            .symbols
-            .iter()
-            .zip(&b.symbols)
-            .map(|(&r, &c)| {
-                let d = self.quantizer.symbol_dist(r, c);
-                d * d
-            })
-            .sum();
-        Ok((n / w).sqrt() * sum.sqrt())
-    }
-}
-
-/// Numerosity reduction (Lin et al. §4.2): collapses consecutive identical
-/// SAX words from a sliding-window encoding into one occurrence, returning
-/// `(word, first_window_index)` pairs. Trivially-matching neighbors carry
-/// no extra information for streaming pattern counting, and dropping them
-/// is what keeps SAX-based discord search sub-quadratic in practice.
-pub fn numerosity_reduce(words: &[SaxWord]) -> Vec<(SaxWord, usize)> {
-    let mut out: Vec<(SaxWord, usize)> = Vec::new();
-    for (i, w) in words.iter().enumerate() {
-        match out.last() {
-            Some((prev, _)) if prev.symbols == w.symbols => {}
-            _ => out.push((w.clone(), i)),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::euclidean;
 
     const EPS: f64 = 1e-6;
 
@@ -335,15 +233,20 @@ mod tests {
     }
 
     #[test]
-    fn quantizer_breakpoints_are_sorted_and_symmetric() {
-        let q = SaxQuantizer::new(4).unwrap();
-        let bp = q.breakpoints();
-        assert_eq!(bp.len(), 3);
-        assert!(bp.windows(2).all(|w| w[0] < w[1]));
+    fn quantizer_breakpoints_are_the_classic_table() {
         // Classic SAX table for a=4: [-0.6745, 0, 0.6745].
-        assert!((bp[0] + 0.6745).abs() < 1e-3);
-        assert!(bp[1].abs() < 1e-9);
-        assert!((bp[2] - 0.6745).abs() < 1e-3);
+        let q = SaxQuantizer::new(4).unwrap();
+        let cuts = [
+            (-0.6755, 0),
+            (-0.6735, 1),
+            (-1e-9, 1),
+            (0.0, 2),
+            (0.6735, 2),
+            (0.6755, 3),
+        ];
+        for (x, sym) in cuts {
+            assert_eq!(q.symbol(x), sym, "symbol({x})");
+        }
         assert!(SaxQuantizer::new(1).is_err());
         assert!(SaxQuantizer::new(65).is_err());
     }
@@ -355,20 +258,6 @@ mod tests {
         assert_eq!(q.symbol(-0.3), 1);
         assert_eq!(q.symbol(0.3), 2);
         assert_eq!(q.symbol(2.0), 3);
-        assert_eq!(q.alphabet_size(), 4);
-    }
-
-    #[test]
-    fn symbol_dist_adjacent_is_zero() {
-        let q = SaxQuantizer::new(5).unwrap();
-        for r in 0..5_u16 {
-            assert_eq!(q.symbol_dist(r, r), 0.0);
-            if r + 1 < 5 {
-                assert_eq!(q.symbol_dist(r, r + 1), 0.0);
-                assert_eq!(q.symbol_dist(r + 1, r), 0.0);
-            }
-        }
-        assert!(q.symbol_dist(0, 4) > q.symbol_dist(0, 2));
     }
 
     #[test]
@@ -381,80 +270,5 @@ mod tests {
         assert!(w.symbols.windows(2).all(|p| p[0] <= p[1]));
         assert_eq!(w.symbols.first(), Some(&0));
         assert_eq!(w.symbols.last(), Some(&3));
-        assert_eq!(w.pretty().len(), 4);
-        assert_eq!(w.pretty().chars().next(), Some('a'));
-    }
-
-    #[test]
-    fn mindist_lower_bounds_euclidean_on_fixed_cases() {
-        let enc = SaxEncoder::new(4, 6).unwrap();
-        let a: Vec<f64> = (0..32).map(|i| ((i as f64) * 0.3).sin()).collect();
-        let b: Vec<f64> = (0..32)
-            .map(|i| ((i as f64) * 0.3 + 1.0).cos() * 2.0)
-            .collect();
-        let wa = enc.encode(&a).unwrap();
-        let wb = enc.encode(&b).unwrap();
-        let za = normalize::z_normalize(&a).unwrap();
-        let zb = normalize::z_normalize(&b).unwrap();
-        let true_d = euclidean(&za, &zb).unwrap();
-        let lb = enc.mindist(&wa, &wb).unwrap();
-        assert!(
-            lb <= true_d + EPS,
-            "MINDIST {lb} must lower-bound Euclidean {true_d}"
-        );
-    }
-
-    #[test]
-    fn mindist_rejects_mismatched_words() {
-        let enc = SaxEncoder::new(2, 4).unwrap();
-        let w1 = enc.encode(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let w2 = enc.encode(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        assert!(enc.mindist(&w1, &w2).is_err());
-        let mut w3 = w1.clone();
-        w3.symbols.push(0);
-        assert!(enc.mindist(&w1, &w3).is_err());
-    }
-
-    #[test]
-    fn identical_windows_have_zero_mindist() {
-        let enc = SaxEncoder::new(4, 8).unwrap();
-        let xs: Vec<f64> = (0..16).map(|i| (i as f64).sqrt()).collect();
-        let w = enc.encode(&xs).unwrap();
-        assert_eq!(enc.mindist(&w, &w).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn numerosity_reduction_collapses_runs() {
-        let w = |syms: &[u16]| SaxWord {
-            symbols: syms.to_vec(),
-            source_len: 8,
-        };
-        let words = vec![w(&[0, 1]), w(&[0, 1]), w(&[2, 2]), w(&[2, 2]), w(&[0, 1])];
-        let reduced = numerosity_reduce(&words);
-        assert_eq!(reduced.len(), 3);
-        assert_eq!(reduced[0].1, 0);
-        assert_eq!(reduced[1].1, 2);
-        assert_eq!(reduced[2].1, 4);
-        assert_eq!(reduced[2].0.symbols, vec![0, 1]);
-        assert!(numerosity_reduce(&[]).is_empty());
-    }
-
-    #[test]
-    fn numerosity_reduction_keeps_all_distinct_words() {
-        let w = |s: u16| SaxWord {
-            symbols: vec![s],
-            source_len: 4,
-        };
-        let words: Vec<SaxWord> = (0..5).map(w).collect();
-        assert_eq!(numerosity_reduce(&words).len(), 5);
-    }
-
-    #[test]
-    fn pretty_uses_numeric_form_for_large_alphabets() {
-        let w = SaxWord {
-            symbols: vec![30, 31],
-            source_len: 8,
-        };
-        assert_eq!(w.pretty(), "30.31");
     }
 }

@@ -8,9 +8,8 @@
 //! ## Zero-copy storage
 //!
 //! [`TimeSeries`] is backed by shared storage — `Arc<[u64]>` timestamps and
-//! `Arc<[f64]>` values plus an `(offset, len)` window — so `clone()`,
-//! [`TimeSeries::view`], [`TimeSeries::slice`] and
-//! [`TimeSeries::between`] are O(1): they bump two reference counts instead
+//! `Arc<[f64]>` values plus an `(offset, len)` window — so `clone()` and
+//! [`TimeSeries::view`] are O(1): they bump two reference counts instead
 //! of copying samples. Hierarchy-level view materialization
 //! (`hierod-hierarchy`) and per-window detectors lean on this; a plant-wide
 //! detection run no longer deep-copies the plant. Mutation stays safe via
@@ -227,11 +226,6 @@ impl TimeSeries {
         Arc::ptr_eq(&self.values, &other.values)
     }
 
-    /// Returns `(timestamp, value)` at `idx`, if in bounds.
-    pub fn get(&self, idx: usize) -> Option<(u64, f64)> {
-        Some((*self.timestamps().get(idx)?, *self.values().get(idx)?))
-    }
-
     /// Time span `(first, last)` covered by the series, if non-empty.
     pub fn span(&self) -> Option<(u64, u64)> {
         Some((*self.timestamps().first()?, *self.timestamps().last()?))
@@ -256,47 +250,6 @@ impl TimeSeries {
             values: Arc::clone(&self.values),
             offset: self.offset + range.start,
             len: range.end - range.start,
-        }
-    }
-
-    /// Extracts the sub-series with indices in `range`. Since the Arc
-    /// storage refactor this is an O(1) view (alias of [`Self::view`]), not
-    /// a copy.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds (mirrors slice semantics).
-    pub fn slice(&self, range: std::ops::Range<usize>) -> TimeSeries {
-        self.view(range)
-    }
-
-    /// Extracts the sub-series whose timestamps fall in `[t0, t1)` (an O(1)
-    /// view sharing storage with `self`).
-    pub fn between(&self, t0: u64, t1: u64) -> TimeSeries {
-        let ts = self.timestamps();
-        let start = ts.partition_point(|&t| t < t0);
-        let end = ts.partition_point(|&t| t < t1);
-        self.view(start..end)
-    }
-
-    /// Applies `f` to every value, producing a new series with the same
-    /// timestamps (shared with `self` when `self` covers its whole backing
-    /// buffer).
-    pub fn map(&self, f: impl FnMut(f64) -> f64) -> TimeSeries {
-        let values: Arc<[f64]> = self.values().iter().copied().map(f).collect();
-        TimeSeries {
-            name: Arc::clone(&self.name),
-            timestamps: self.timestamps_shared(),
-            values,
-            offset: 0,
-            len: self.len,
-        }
-    }
-
-    /// Returns a renamed handle to this series (shares storage).
-    pub fn renamed(&self, name: impl Into<String>) -> TimeSeries {
-        TimeSeries {
-            name: name.into().into(),
-            ..self.clone()
         }
     }
 
@@ -332,48 +285,20 @@ impl TimeSeries {
 /// phase level, e.g. machine state codes or CAQ event labels).
 ///
 /// Symbols are small integers; the producer maintains the mapping from
-/// domain labels to symbol ids via [`DiscreteSequence::with_alphabet`].
+/// domain labels to symbol ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiscreteSequence {
     name: String,
     symbols: Vec<u16>,
-    /// Optional human-readable alphabet: `alphabet[sym as usize]` is the label.
-    alphabet: Vec<String>,
 }
 
 impl DiscreteSequence {
-    /// Creates a sequence from raw symbol ids with an empty alphabet.
+    /// Creates a sequence from raw symbol ids.
     pub fn new(name: impl Into<String>, symbols: Vec<u16>) -> Self {
         Self {
             name: name.into(),
             symbols,
-            alphabet: Vec::new(),
         }
-    }
-
-    /// Creates a sequence with an explicit alphabet.
-    ///
-    /// # Errors
-    /// Returns an error if any symbol id is out of range for the alphabet.
-    pub fn with_alphabet(
-        name: impl Into<String>,
-        symbols: Vec<u16>,
-        alphabet: Vec<String>,
-    ) -> Result<Self> {
-        if let Some(&bad) = symbols.iter().find(|&&s| (s as usize) >= alphabet.len()) {
-            return Err(Error::invalid(
-                "symbols",
-                format!(
-                    "symbol {bad} out of range for alphabet of size {}",
-                    alphabet.len()
-                ),
-            ));
-        }
-        Ok(Self {
-            name: name.into(),
-            symbols,
-            alphabet,
-        })
     }
 
     /// The sequence name.
@@ -394,24 +319,6 @@ impl DiscreteSequence {
     /// The raw symbol ids.
     pub fn symbols(&self) -> &[u16] {
         &self.symbols
-    }
-
-    /// Label for a symbol id, if an alphabet was attached.
-    pub fn label(&self, sym: u16) -> Option<&str> {
-        self.alphabet.get(sym as usize).map(String::as_str)
-    }
-
-    /// Number of distinct symbols actually used.
-    pub fn distinct(&self) -> usize {
-        let mut seen: Vec<u16> = self.symbols.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
-    }
-
-    /// Size of the declared alphabet (0 when none was attached).
-    pub fn alphabet_size(&self) -> usize {
-        self.alphabet.len()
     }
 }
 
@@ -484,11 +391,6 @@ impl MultiSeries {
     pub fn rows(&self) -> Vec<Vec<f64>> {
         (0..self.len()).map(|i| self.row(i)).collect()
     }
-
-    /// Looks up a member series by name.
-    pub fn by_name(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.iter().find(|s| s.name() == name)
-    }
 }
 
 #[cfg(test)]
@@ -529,26 +431,7 @@ mod tests {
     fn from_values_uses_unit_timestamps() {
         let s = ts(&[4.0, 5.0]);
         assert_eq!(s.timestamps(), &[0, 1]);
-        assert_eq!(s.get(1), Some((1, 5.0)));
-        assert_eq!(s.get(2), None);
-    }
-
-    #[test]
-    fn between_selects_half_open_interval() {
-        let s = TimeSeries::regular("x", 0, 10, vec![0.0, 1.0, 2.0, 3.0]).unwrap();
-        let sub = s.between(10, 30);
-        assert_eq!(sub.values(), &[1.0, 2.0]);
-        assert_eq!(sub.timestamps(), &[10, 20]);
-        // Empty window.
-        assert!(s.between(100, 200).is_empty());
-    }
-
-    #[test]
-    fn slice_preserves_name() {
-        let s = ts(&[1.0, 2.0, 3.0]);
-        let sub = s.slice(1..3);
-        assert_eq!(sub.name(), "t");
-        assert_eq!(sub.values(), &[2.0, 3.0]);
+        assert_eq!(s.values(), &[4.0, 5.0]);
     }
 
     #[test]
@@ -641,45 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn map_transforms_values_only() {
-        let s = ts(&[1.0, 2.0]);
-        let m = s.map(|v| v * 2.0);
-        assert_eq!(m.values(), &[2.0, 4.0]);
-        assert_eq!(m.timestamps(), s.timestamps());
-        // Timestamps stay shared; values are fresh.
-        let mv = s.view(0..1).map(|v| v + 1.0);
-        assert_eq!(mv.values(), &[2.0]);
-        assert_eq!(mv.timestamps(), &[0]);
-    }
-
-    #[test]
-    fn renamed_shares_storage() {
-        let s = ts(&[1.0, 2.0]);
-        let r = s.renamed("other");
-        assert_eq!(r.name(), "other");
-        assert!(r.shares_storage_with(&s));
-    }
-
-    #[test]
-    fn discrete_sequence_alphabet_roundtrip() {
-        let seq = DiscreteSequence::with_alphabet(
-            "states",
-            vec![0, 1, 1, 2],
-            vec!["idle".into(), "warm".into(), "print".into()],
-        )
-        .unwrap();
-        assert_eq!(seq.label(2), Some("print"));
-        assert_eq!(seq.distinct(), 3);
-        assert_eq!(seq.alphabet_size(), 3);
-    }
-
-    #[test]
-    fn discrete_sequence_rejects_out_of_range_symbol() {
-        let err = DiscreteSequence::with_alphabet("s", vec![0, 7], vec!["a".into()]).unwrap_err();
-        assert!(matches!(err, Error::InvalidParameter { .. }));
-    }
-
-    #[test]
     fn multiseries_requires_alignment() {
         let a = TimeSeries::regular("a", 0, 1, vec![1.0, 2.0]).unwrap();
         let b = TimeSeries::regular("b", 0, 2, vec![1.0, 2.0]).unwrap();
@@ -688,8 +532,6 @@ mod tests {
         let m = MultiSeries::new(vec![a, b2]).unwrap();
         assert_eq!(m.dims(), 2);
         assert_eq!(m.row(1), vec![2.0, 4.0]);
-        assert_eq!(m.by_name("b").unwrap().values(), &[3.0, 4.0]);
-        assert!(m.by_name("zzz").is_none());
     }
 
     #[test]

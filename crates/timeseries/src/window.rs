@@ -7,7 +7,6 @@
 //! windows produced here.
 
 use crate::error::{Error, Result};
-use crate::series::TimeSeries;
 
 /// Parameters for sliding-window extraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,22 +34,6 @@ impl WindowSpec {
         Ok(Self { len, stride })
     }
 
-    /// Sliding windows with stride 1.
-    ///
-    /// # Errors
-    /// Returns an error if `len == 0`.
-    pub fn sliding(len: usize) -> Result<Self> {
-        Self::new(len, 1)
-    }
-
-    /// Non-overlapping tumbling windows.
-    ///
-    /// # Errors
-    /// Returns an error if `len == 0`.
-    pub fn tumbling(len: usize) -> Result<Self> {
-        Self::new(len, len)
-    }
-
     /// Number of complete windows a sequence of length `n` yields.
     pub fn count(&self, n: usize) -> usize {
         if n < self.len {
@@ -68,18 +51,6 @@ pub struct Window<'a> {
     pub start: usize,
     /// The window's values.
     pub values: &'a [f64],
-}
-
-impl Window<'_> {
-    /// Index one past the last sample of this window in the source.
-    pub fn end(&self) -> usize {
-        self.start + self.values.len()
-    }
-
-    /// `true` if source index `idx` falls inside this window.
-    pub fn contains(&self, idx: usize) -> bool {
-        idx >= self.start && idx < self.end()
-    }
 }
 
 /// Iterator over the complete windows of a slice.
@@ -124,11 +95,6 @@ pub fn windows(data: &[f64], spec: WindowSpec) -> WindowIter<'_> {
         spec,
         next_start: 0,
     }
-}
-
-/// Extracts complete windows from a [`TimeSeries`].
-pub fn series_windows(series: &TimeSeries, spec: WindowSpec) -> WindowIter<'_> {
-    windows(series.values(), spec)
 }
 
 /// Extracts complete windows of a discrete symbol sequence.
@@ -190,7 +156,7 @@ mod tests {
         assert_eq!(s.count(5), 3);
         assert_eq!(s.count(3), 1);
         assert_eq!(s.count(2), 0);
-        let t = WindowSpec::tumbling(2).unwrap();
+        let t = WindowSpec::new(2, 2).unwrap();
         assert_eq!(t.count(7), 3);
         let h = WindowSpec::new(4, 3).unwrap();
         assert_eq!(h.count(10), 3); // starts 0,3,6
@@ -199,20 +165,17 @@ mod tests {
     #[test]
     fn sliding_windows_cover_all_positions() {
         let data = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let ws: Vec<_> = windows(&data, WindowSpec::sliding(2).unwrap()).collect();
+        let ws: Vec<_> = windows(&data, WindowSpec::new(2, 1).unwrap()).collect();
         assert_eq!(ws.len(), 4);
         assert_eq!(ws[0].values, &[0.0, 1.0]);
         assert_eq!(ws[3].values, &[3.0, 4.0]);
         assert_eq!(ws[3].start, 3);
-        assert_eq!(ws[3].end(), 5);
-        assert!(ws[3].contains(4));
-        assert!(!ws[3].contains(2));
     }
 
     #[test]
     fn tumbling_windows_do_not_overlap() {
         let data = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let ws: Vec<_> = windows(&data, WindowSpec::tumbling(2).unwrap()).collect();
+        let ws: Vec<_> = windows(&data, WindowSpec::new(2, 2).unwrap()).collect();
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].values, &[0.0, 1.0]);
         assert_eq!(ws[1].values, &[2.0, 3.0]);
@@ -241,7 +204,7 @@ mod tests {
     #[test]
     fn window_to_point_scores_takes_max_over_covering_windows() {
         // n=5, len=3, stride=1 -> 3 windows starting at 0,1,2.
-        let spec = WindowSpec::sliding(3).unwrap();
+        let spec = WindowSpec::new(3, 1).unwrap();
         let pts = window_scores_to_point_scores(5, spec, &[1.0, 5.0, 2.0]);
         // point 0: only window 0 -> 1. point 1: windows 0,1 -> 5.
         // point 3: windows 1,2 -> 5. point 4: window 2 -> 2.
@@ -250,15 +213,8 @@ mod tests {
 
     #[test]
     fn window_to_point_scores_uncovered_tail_is_zero() {
-        let spec = WindowSpec::tumbling(2).unwrap();
+        let spec = WindowSpec::new(2, 2).unwrap();
         let pts = window_scores_to_point_scores(5, spec, &[3.0, 4.0]);
         assert_eq!(pts, vec![3.0, 3.0, 4.0, 4.0, 0.0]);
-    }
-
-    #[test]
-    fn series_windows_delegate() {
-        let s = TimeSeries::from_values("x", vec![1.0, 2.0, 3.0]);
-        let ws: Vec<_> = series_windows(&s, WindowSpec::sliding(2).unwrap()).collect();
-        assert_eq!(ws.len(), 2);
     }
 }

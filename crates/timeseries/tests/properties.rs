@@ -1,10 +1,10 @@
 //! Property-based tests for the time-series substrate invariants.
 
-use hierod_timeseries::distance::{cosine, dtw, euclidean, lcs_len, lcs_similarity};
+use hierod_timeseries::distance::{dtw, lcs_len, lcs_similarity};
 use hierod_timeseries::fft::{fft_in_place, Complex};
 use hierod_timeseries::histogram::{v_optimal_sse, VOptimalHistogram};
 use hierod_timeseries::normalize::z_normalize;
-use hierod_timeseries::sax::{paa, SaxEncoder};
+use hierod_timeseries::sax::paa;
 use hierod_timeseries::stats;
 use hierod_timeseries::window::{window_scores_to_point_scores, windows, WindowSpec};
 use proptest::prelude::*;
@@ -17,8 +17,8 @@ proptest! {
     #[test]
     fn mean_lies_between_min_and_max(xs in finite_vec(1..64)) {
         let m = stats::mean(&xs).unwrap();
-        let lo = stats::min(&xs).unwrap();
-        let hi = stats::max(&xs).unwrap();
+        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
     }
 
@@ -36,45 +36,13 @@ proptest! {
     }
 
     #[test]
-    fn autocorrelation_bounded(xs in finite_vec(2..64), lag in 0_usize..8) {
-        prop_assume!(lag < xs.len());
-        let r = stats::autocorrelation(&xs, lag).unwrap();
-        prop_assert!((-1.0 - 1e-6..=1.0 + 1e-6).contains(&r));
-    }
-
-    #[test]
-    fn euclidean_is_symmetric_and_nonneg(
-        (a, b) in (1_usize..32).prop_flat_map(|n| (
-            prop::collection::vec(-1e3_f64..1e3, n),
-            prop::collection::vec(-1e3_f64..1e3, n),
-        )),
-    ) {
-        let d1 = euclidean(&a, &b).unwrap();
-        let d2 = euclidean(&b, &a).unwrap();
-        prop_assert!((d1 - d2).abs() < 1e-9);
-        prop_assert!(d1 >= 0.0);
-    }
-
-    #[test]
-    fn euclidean_triangle_inequality(
-        a in prop::collection::vec(-100.0_f64..100.0, 8),
-        b in prop::collection::vec(-100.0_f64..100.0, 8),
-        c in prop::collection::vec(-100.0_f64..100.0, 8),
-    ) {
-        let ab = euclidean(&a, &b).unwrap();
-        let bc = euclidean(&b, &c).unwrap();
-        let ac = euclidean(&a, &c).unwrap();
-        prop_assert!(ac <= ab + bc + 1e-9);
-    }
-
-    #[test]
     fn dtw_identity_and_bound(a in prop::collection::vec(-50.0_f64..50.0, 2..24)) {
         prop_assert!(dtw(&a, &a, None).unwrap() < 1e-9);
-        // Unconstrained DTW never exceeds Euclidean on equal lengths.
+        // Unconstrained DTW never exceeds Euclidean on equal lengths: a unit
+        // shift is sqrt(n) apart.
         let shifted: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
         let d = dtw(&a, &shifted, None).unwrap();
-        let e = euclidean(&a, &shifted).unwrap();
-        prop_assert!(d <= e + 1e-9);
+        prop_assert!(d <= (a.len() as f64).sqrt() + 1e-9);
     }
 
     #[test]
@@ -85,17 +53,6 @@ proptest! {
         let d1 = dtw(&a, &b, None).unwrap();
         let d2 = dtw(&b, &a, None).unwrap();
         prop_assert!((d1 - d2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cosine_in_unit_range(
-        (a, b) in (1_usize..16).prop_flat_map(|n| (
-            prop::collection::vec(-1e3_f64..1e3, n),
-            prop::collection::vec(-1e3_f64..1e3, n),
-        )),
-    ) {
-        let d = cosine(&a, &b).unwrap();
-        prop_assert!((-1e-9..=2.0 + 1e-9).contains(&d));
     }
 
     #[test]
@@ -131,21 +88,6 @@ proptest! {
         let mean_in = stats::mean(&xs).unwrap();
         let mean_out = stats::mean(&p).unwrap();
         prop_assert!((mean_in - mean_out).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sax_mindist_lower_bounds_euclidean(
-        a in prop::collection::vec(-10.0_f64..10.0, 16),
-        b in prop::collection::vec(-10.0_f64..10.0, 16),
-    ) {
-        let enc = SaxEncoder::new(4, 5).unwrap();
-        let wa = enc.encode(&a).unwrap();
-        let wb = enc.encode(&b).unwrap();
-        let za = z_normalize(&a).unwrap();
-        let zb = z_normalize(&b).unwrap();
-        let true_d = euclidean(&za, &zb).unwrap();
-        let lb = enc.mindist(&wa, &wb).unwrap();
-        prop_assert!(lb <= true_d + 1e-6, "MINDIST {} > Euclid {}", lb, true_d);
     }
 
     #[test]
@@ -227,10 +169,6 @@ proptest! {
         prop_assert_eq!(v.timestamps(), &s.timestamps()[lo..hi]);
         prop_assert_eq!(v.name(), s.name());
         prop_assert!(v.shares_storage_with(&s));
-        // slice() is an alias of view().
-        let sl = s.slice(lo..hi);
-        prop_assert_eq!(sl.values(), v.values());
-        prop_assert!(sl.shares_storage_with(&s));
     }
 
     #[test]
@@ -299,12 +237,6 @@ mod view_boundaries {
         #[allow(clippy::reversed_empty_ranges)]
         let inverted = 3..2;
         series(4).view(inverted);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn slice_out_of_bounds_panics() {
-        series(4).slice(2..9);
     }
 }
 

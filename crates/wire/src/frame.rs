@@ -6,12 +6,11 @@ use std::sync::Arc;
 use hierod_core::HierOutlier;
 use hierod_hierarchy::Level;
 use hierod_history::ScanStats;
-use hierod_service::{Health, PlantHealth, RecoverySummary};
 use hierod_store::codec;
 use hierod_store::crc::crc32;
 use hierod_store::wal::{put_framed, WalRecord};
 use hierod_stream::codec::{decode_lane, encode_lane};
-use hierod_stream::{LaneId, LaneStats, Sample, StreamStats};
+use hierod_stream::{Health, LaneId, LaneStats, PlantHealth, RecoverySummary, Sample, StreamStats};
 
 use crate::report::{self, LevelSeries};
 
@@ -867,7 +866,7 @@ impl FrameReader {
     /// Reads until one complete frame, a would-block, or EOF.
     ///
     /// # Errors
-    /// `InvalidData` for protocol damage (see [`FrameReader::try_decode`]),
+    /// `InvalidData` for protocol damage (a frame that does not decode),
     /// `UnexpectedEof` for a connection cut mid-frame, and any other
     /// underlying I/O error.
     pub fn poll<R: Read>(&mut self, r: &mut R) -> io::Result<Poll> {

@@ -14,9 +14,10 @@ use hierod_core::detect_level::{LevelDetections, LevelOutlier, SeriesScores, Vec
 use hierod_core::{HierOutlier, HierReport, Warning};
 use hierod_hierarchy::{Level, PhaseKind};
 use hierod_history::ScanStats;
-use hierod_service::{Health, PlantHealth, RecoverySummary};
 use hierod_store::wal::{self, WalRecord, WAL_MAGIC};
-use hierod_stream::{LaneId, LaneKind, LaneStats, StreamReport, StreamStats};
+use hierod_stream::{
+    Health, LaneId, LaneKind, LaneStats, PlantHealth, RecoverySummary, StreamReport, StreamStats,
+};
 use hierod_wire::{
     decode_report, encode_report, without_columns, write_frame, ErrorCode, Frame, FrameReader,
     LaneColumns, LevelSeries, Poll, SeriesQuery,

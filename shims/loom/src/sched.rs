@@ -1,7 +1,7 @@
 //! The cooperative scheduler and its DFS explorer.
 //!
 //! One logical thread runs at a time. Every decision point calls
-//! [`Scheduler::decide`], which consults the replayed schedule prefix (or
+//! `Scheduler::decide`, which consults the replayed schedule prefix (or
 //! extends it with the default choice), switches `active` to the chosen
 //! thread, and blocks the caller until it is scheduled again. The
 //! controller in [`model`] advances the schedule odometer between runs.

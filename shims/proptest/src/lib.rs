@@ -300,7 +300,7 @@ pub mod prop {
     pub mod collection {
         use crate::{Strategy, TestRng};
 
-        /// Admissible length specifications for [`vec`].
+        /// Admissible length specifications for [`vec()`].
         pub trait SizeRange {
             /// Draws a length.
             fn pick(&self, rng: &mut TestRng) -> usize;
