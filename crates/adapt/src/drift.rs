@@ -36,8 +36,6 @@ pub enum DriftKind {
     WindowCut,
 }
 
-impl DriftKind {}
-
 /// One detected drift, typed and located in the residual stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftEvent {
