@@ -361,6 +361,12 @@ mod tests {
             phase.series[0].series.shares_storage_with(source),
             "phase view must alias the plant's series storage"
         );
+        let event = &plant.lines[0].jobs[0].phases[0].events[0];
+        assert_eq!(
+            phase.sequences[0].symbols().as_ptr(),
+            event.symbols().as_ptr(),
+            "phase view must alias the plant's event storage"
+        );
         let env = LevelView::extract(&plant, Level::Environment);
         assert!(env.series[0]
             .series

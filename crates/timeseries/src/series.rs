@@ -7,15 +7,14 @@
 //!
 //! ## Zero-copy storage
 //!
-//! [`TimeSeries`] is backed by shared storage — `Arc<[u64]>` timestamps and
-//! `Arc<[f64]>` values plus an `(offset, len)` window — so `clone()` and
-//! [`TimeSeries::view`] are O(1): they bump two reference counts instead
-//! of copying samples. Hierarchy-level view materialization
-//! (`hierod-hierarchy`) and per-window detectors lean on this; a plant-wide
-//! detection run no longer deep-copies the plant. Mutation stays safe via
-//! copy-on-write: [`TimeSeries::values_mut`] detaches the series onto its
-//! own uniquely-owned buffers first (see `DESIGN.md` §4.11 for the exact
-//! rules of when a copy still happens).
+//! Both sequence containers are exactly their shared buffers: a
+//! [`TimeSeries`] is an `Arc<[u64]>` of timestamps and an `Arc<[f64]>` of
+//! values, a [`DiscreteSequence`] an `Arc<[u16]>` of symbols, each with an
+//! `Arc<str>` name. `clone()` bumps reference counts and copies no samples,
+//! so hierarchy-level view materialization (`hierod-hierarchy`) shares the
+//! plant's storage instead of deep-copying it. Mutation stays safe via
+//! copy-on-write: [`TimeSeries::values_mut`] copies the values only while
+//! another handle shares them (see `DESIGN.md` §4.11).
 
 use std::sync::Arc;
 
@@ -36,17 +35,13 @@ fn strictly_increasing(timestamps: &[u64]) -> bool {
 /// Timestamps must be strictly increasing; constructors enforce this.
 ///
 /// Cloning is O(1) (shared storage); equality is *logical* — two series are
-/// equal when their names, timestamps and values match, regardless of
-/// whether they share storage or where their windows sit in it.
+/// equal when their names, timestamps and values match, whether or not they
+/// share storage.
 #[derive(Clone)]
 pub struct TimeSeries {
     name: Arc<str>,
     timestamps: Arc<[u64]>,
     values: Arc<[f64]>,
-    /// First sample of this series' window within the shared storage.
-    offset: usize,
-    /// Window length in samples.
-    len: usize,
 }
 
 impl std::fmt::Debug for TimeSeries {
@@ -59,7 +54,7 @@ impl std::fmt::Debug for TimeSeries {
     }
 }
 
-/// Logical equality: name + window contents, independent of storage layout.
+/// Logical equality: name + contents, independent of storage identity.
 impl PartialEq for TimeSeries {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -96,7 +91,7 @@ impl TimeSeries {
     /// sampling period (`step` ticks per sample).
     ///
     /// # Errors
-    /// Returns an error if `step == 0`.
+    /// Returns an error if `step == 0` or a timestamp overflows `u64`.
     pub fn regular(
         name: impl Into<String>,
         start: u64,
@@ -106,7 +101,10 @@ impl TimeSeries {
         if step == 0 {
             return Err(Error::invalid("step", "must be > 0"));
         }
-        let timestamps: Vec<u64> = (0..values.len() as u64).map(|i| start + i * step).collect();
+        let timestamps = (0..values.len() as u64)
+            .map(|i| i.checked_mul(step).and_then(|off| start.checked_add(off)))
+            .collect::<Option<Vec<u64>>>()
+            .ok_or_else(|| Error::invalid("start", "timestamps overflow u64"))?;
         Ok(Self::from_parts(
             name.into().into(),
             timestamps.into(),
@@ -121,8 +119,7 @@ impl TimeSeries {
     }
 
     /// Adopts already-shared column storage without copying: the series
-    /// becomes a full window over `timestamps`/`values`, bumping two
-    /// reference counts. This is how columns decoded from a `hierod-store`
+    /// *is* `timestamps`/`values`, bumping two reference counts. This is how columns decoded from a `hierod-store`
     /// segment become live series — a recovered plant shares storage with
     /// the decoded segment instead of duplicating it.
     ///
@@ -148,17 +145,14 @@ impl TimeSeries {
         Ok(Self::from_parts(name.into().into(), timestamps, values))
     }
 
-    /// Assembles a full-window series over already-shared storage. The
-    /// invariants (equal lengths, strictly increasing timestamps) must hold.
+    /// Assembles a series over already-shared storage. The invariants
+    /// (equal lengths, strictly increasing timestamps) must hold.
     fn from_parts(name: Arc<str>, timestamps: Arc<[u64]>, values: Arc<[f64]>) -> Self {
         debug_assert_eq!(timestamps.len(), values.len());
-        let len = values.len();
         Self {
             name,
             timestamps,
             values,
-            offset: 0,
-            len,
         }
     }
 
@@ -169,47 +163,32 @@ impl TimeSeries {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     /// `true` if the series holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
     }
 
     /// The sample values.
     pub fn values(&self) -> &[f64] {
-        self.values
-            .get(self.offset..self.offset + self.len)
-            .unwrap_or_default()
+        &self.values
     }
 
     /// The sample timestamps (strictly increasing).
     pub fn timestamps(&self) -> &[u64] {
-        self.timestamps
-            .get(self.offset..self.offset + self.len)
-            .unwrap_or_default()
+        &self.timestamps
     }
 
-    /// The values as shared storage: O(1) when this series covers its whole
-    /// backing buffer (the common case for sensor series), one copy when it
-    /// is a proper sub-window.
+    /// The values' shared storage: a reference-count bump, never a copy.
     pub fn values_shared(&self) -> Arc<[f64]> {
-        if self.offset == 0 && self.len == self.values.len() {
-            Arc::clone(&self.values)
-        } else {
-            self.values().into()
-        }
+        Arc::clone(&self.values)
     }
 
-    /// The timestamps as shared storage (same cost contract as
-    /// [`Self::values_shared`]).
+    /// The timestamps' shared storage: a reference-count bump, never a copy.
     pub fn timestamps_shared(&self) -> Arc<[u64]> {
-        if self.offset == 0 && self.len == self.timestamps.len() {
-            Arc::clone(&self.timestamps)
-        } else {
-            self.timestamps().into()
-        }
+        Arc::clone(&self.timestamps)
     }
 
     /// An O(1) handle to the same series: bumps the storage reference
@@ -220,8 +199,8 @@ impl TimeSeries {
         self.clone()
     }
 
-    /// `true` if `self` and `other` are windows over the *same* value
-    /// storage (zero-copy sharing, not just equal contents).
+    /// `true` if `self` and `other` hold the *same* value storage
+    /// (zero-copy sharing, not just equal contents).
     pub fn shares_storage_with(&self, other: &TimeSeries) -> bool {
         Arc::ptr_eq(&self.values, &other.values)
     }
@@ -231,44 +210,13 @@ impl TimeSeries {
         Some((*self.timestamps().first()?, *self.timestamps().last()?))
     }
 
-    /// An O(1) zero-copy view of the sub-series with indices in `range`:
-    /// shares storage with `self` (same name, narrowed window).
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds (mirrors slice semantics).
-    pub fn view(&self, range: std::ops::Range<usize>) -> TimeSeries {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "TimeSeries::view: range {}..{} out of bounds for length {}",
-            range.start,
-            range.end,
-            self.len
-        );
-        TimeSeries {
-            name: Arc::clone(&self.name),
-            timestamps: Arc::clone(&self.timestamps),
-            values: Arc::clone(&self.values),
-            offset: self.offset + range.start,
-            len: range.end - range.start,
-        }
-    }
-
     /// Mutable access to values (for in-place injection by the simulator).
     ///
-    /// Copy-on-write: if the storage is shared with other handles — or this
-    /// series is a proper window into a larger buffer — the window is first
-    /// detached onto its own uniquely-owned buffers, so mutation never leaks
-    /// into views or clones taken earlier.
+    /// Copy-on-write: while another handle shares the values, they are first
+    /// copied into a buffer this series owns alone, so mutation never leaks
+    /// into clones taken earlier; a unique owner mutates in place. The
+    /// timestamps stay shared.
     pub fn values_mut(&mut self) -> &mut [f64] {
-        // A proper window must detach: `Arc::make_mut` would clone (and
-        // mutate) the *entire* backing buffer, aliasing the samples outside
-        // our window with other views of the same storage.
-        if self.offset != 0 || self.len != self.values.len() {
-            self.values = self.values().into();
-            self.timestamps = self.timestamps().into();
-            self.offset = 0;
-        }
-        // Full-window: clone-if-shared, in place if uniquely owned.
         Arc::make_mut(&mut self.values)
     }
 
@@ -285,19 +233,20 @@ impl TimeSeries {
 /// phase level, e.g. machine state codes or CAQ event labels).
 ///
 /// Symbols are small integers; the producer maintains the mapping from
-/// domain labels to symbol ids.
+/// domain labels to symbol ids. Like [`TimeSeries`], the sequence is its
+/// shared buffers: cloning bumps two reference counts and copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiscreteSequence {
-    name: String,
-    symbols: Vec<u16>,
+    name: Arc<str>,
+    symbols: Arc<[u16]>,
 }
 
 impl DiscreteSequence {
     /// Creates a sequence from raw symbol ids.
     pub fn new(name: impl Into<String>, symbols: Vec<u16>) -> Self {
         Self {
-            name: name.into(),
-            symbols,
+            name: name.into().into(),
+            symbols: symbols.into(),
         }
     }
 
@@ -428,6 +377,16 @@ mod tests {
     }
 
     #[test]
+    fn regular_rejects_timestamp_overflow() {
+        let err = TimeSeries::regular("x", u64::MAX - 1, 1, vec![0.0; 3]).unwrap_err();
+        assert!(matches!(err, Error::InvalidParameter { .. }));
+        assert!(TimeSeries::regular("x", 0, u64::MAX, vec![0.0; 3]).is_err());
+        // The last representable timestamp is still fine.
+        let s = TimeSeries::regular("x", u64::MAX - 2, 1, vec![0.0; 3]).unwrap();
+        assert_eq!(s.span(), Some((u64::MAX - 2, u64::MAX)));
+    }
+
+    #[test]
     fn from_values_uses_unit_timestamps() {
         let s = ts(&[4.0, 5.0]);
         assert_eq!(s.timestamps(), &[0, 1]);
@@ -435,31 +394,24 @@ mod tests {
     }
 
     #[test]
-    fn clone_and_view_share_storage() {
+    fn clone_and_share_share_storage() {
         let s = ts(&[1.0, 2.0, 3.0, 4.0]);
         let c = s.clone();
         let sh = s.share();
-        let v = s.view(1..3);
         assert!(s.shares_storage_with(&c));
         assert!(s.shares_storage_with(&sh));
-        assert!(s.shares_storage_with(&v));
-        assert_eq!(v.values(), &[2.0, 3.0]);
-        assert_eq!(v.timestamps(), &[1, 2]);
-        // Views of views still share.
-        let vv = v.view(1..2);
-        assert!(vv.shares_storage_with(&s));
-        assert_eq!(vv.values(), &[3.0]);
-        assert_eq!(vv.timestamps(), &[2]);
+        assert_eq!(c, s);
+        assert_eq!(sh.values(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(sh.timestamps(), &[0, 1, 2, 3]);
     }
 
     #[test]
     fn equality_is_logical_not_structural() {
-        let owner = ts(&[9.0, 1.0, 2.0, 9.0]);
-        let view = owner.view(1..3);
-        let fresh = TimeSeries::new("t", vec![1, 2], vec![1.0, 2.0]).unwrap();
-        // Same contents, different storage layout (offset 1 vs offset 0).
-        assert_eq!(view, fresh);
-        assert!(!view.shares_storage_with(&fresh));
+        let a = TimeSeries::from_shared("t", vec![1_u64, 2].into(), vec![1.0, 2.0].into()).unwrap();
+        let b = TimeSeries::from_shared("t", vec![1_u64, 2].into(), vec![1.0, 2.0].into()).unwrap();
+        // Same contents, different `Arc`s.
+        assert_eq!(a, b);
+        assert!(!a.shares_storage_with(&b));
     }
 
     #[test]
@@ -470,19 +422,6 @@ mod tests {
         assert_eq!(a.values(), &[99.0, 2.0, 3.0]);
         assert_eq!(b.values(), &[1.0, 2.0, 3.0], "clone must be unaffected");
         assert!(!a.shares_storage_with(&b));
-    }
-
-    #[test]
-    fn values_mut_detaches_views_without_touching_neighbors() {
-        let base = ts(&[0.0, 1.0, 2.0, 3.0, 4.0]);
-        let mut v = base.view(1..4);
-        v.values_mut()[1] = 77.0;
-        assert_eq!(v.values(), &[1.0, 77.0, 3.0]);
-        assert_eq!(v.timestamps(), &[1, 2, 3]);
-        assert_eq!(base.values(), &[0.0, 1.0, 2.0, 3.0, 4.0]);
-        // After detaching, further mutation stays in place (unique owner).
-        v.values_mut()[0] = -1.0;
-        assert_eq!(v.values(), &[-1.0, 77.0, 3.0]);
     }
 
     #[test]
@@ -512,15 +451,27 @@ mod tests {
     }
 
     #[test]
-    fn shared_accessors_are_zero_copy_for_full_windows() {
+    fn shared_accessors_are_zero_copy() {
         let s = ts(&[1.0, 2.0, 3.0]);
         let v = s.values_shared();
         assert_eq!(&v[..], s.values());
+        assert_eq!(v.as_ptr(), s.values().as_ptr());
         let t = s.timestamps_shared();
         assert_eq!(&t[..], s.timestamps());
-        // A proper window must copy (an Arc window cannot be expressed).
-        let w = s.view(0..2);
-        assert_eq!(&w.values_shared()[..], &[1.0, 2.0]);
+        assert_eq!(t.as_ptr(), s.timestamps().as_ptr());
+    }
+
+    #[test]
+    fn discrete_sequence_clone_shares_symbols() {
+        let a = DiscreteSequence::new("events", vec![3, 1, 4]);
+        let b = a.clone();
+        assert_eq!(b.symbols().as_ptr(), a.symbols().as_ptr());
+        assert_eq!(
+            (b.name(), b.symbols(), b.len()),
+            ("events", &[3, 1, 4][..], 3)
+        );
+        assert_eq!(a, DiscreteSequence::new("events", vec![3, 1, 4]));
+        assert!(DiscreteSequence::new("e", vec![]).is_empty());
     }
 
     #[test]

@@ -150,96 +150,6 @@ proptest! {
     }
 }
 
-// Zero-copy view invariants: a view over any in-bounds range must read
-// back exactly the parent's data in that range while sharing storage.
-proptest! {
-
-    #[test]
-    fn view_values_equal_parent_range(
-        vals in prop::collection::vec(-1e3_f64..1e3, 0..64),
-        a in 0_usize..65,
-        b in 0_usize..65,
-    ) {
-        let n = vals.len();
-        let (lo, hi) = (a.min(b).min(n), a.max(b).min(n));
-        let ts: Vec<u64> = (0..n as u64).collect();
-        let s = hierod_timeseries::TimeSeries::new("p", ts, vals).unwrap();
-        let v = s.view(lo..hi);
-        prop_assert_eq!(v.values(), &s.values()[lo..hi]);
-        prop_assert_eq!(v.timestamps(), &s.timestamps()[lo..hi]);
-        prop_assert_eq!(v.name(), s.name());
-        prop_assert!(v.shares_storage_with(&s));
-    }
-
-    #[test]
-    fn nested_views_compose(
-        vals in prop::collection::vec(-1e3_f64..1e3, 8..64),
-        cut in 1_usize..4,
-    ) {
-        let n = vals.len();
-        let ts: Vec<u64> = (0..n as u64).collect();
-        let s = hierod_timeseries::TimeSeries::new("p", ts, vals).unwrap();
-        let outer = s.view(cut..n);
-        let inner = outer.view(1..outer.len() - 1);
-        prop_assert_eq!(inner.values(), &s.values()[cut + 1..n - 1]);
-        prop_assert!(inner.shares_storage_with(&s));
-    }
-}
-
-mod view_boundaries {
-    use hierod_timeseries::TimeSeries;
-
-    fn series(n: usize) -> TimeSeries {
-        let ts: Vec<u64> = (10..10 + n as u64).collect();
-        let vals: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-        TimeSeries::new("boundary", ts, vals).unwrap()
-    }
-
-    #[test]
-    fn empty_range_yields_empty_series() {
-        let s = series(8);
-        for start in [0, 4, 8] {
-            let v = s.view(start..start);
-            assert_eq!(v.len(), 0);
-            assert!(v.is_empty());
-            assert_eq!(v.values(), &[] as &[f64]);
-            assert_eq!(v.name(), "boundary");
-        }
-    }
-
-    #[test]
-    fn full_range_view_is_logically_equal_and_shared() {
-        let s = series(8);
-        let v = s.view(0..8);
-        assert_eq!(v, s);
-        assert!(v.shares_storage_with(&s));
-        assert_eq!(v.timestamps().first(), Some(&10));
-    }
-
-    #[test]
-    fn view_preserves_name_and_timestamps() {
-        let s = series(6);
-        let v = s.view(2..5);
-        assert_eq!(v.name(), "boundary");
-        assert_eq!(v.timestamps(), &[12, 13, 14]);
-        assert_eq!(v.values(), &[1.0, 1.5, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn view_end_past_len_panics() {
-        series(4).view(0..5);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn view_inverted_range_panics() {
-        #[allow(clippy::reversed_empty_ranges)]
-        let inverted = 3..2;
-        series(4).view(inverted);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Order statistics by selection: `stats::{quantile, median, mad}` against
 // the copy-and-sort definitions they replaced, kept here as the oracle.

@@ -12,7 +12,10 @@ use hierod_store::wal::{put_framed, WalRecord};
 use hierod_stream::codec::{decode_lane, encode_lane};
 use hierod_stream::{Health, LaneId, LaneStats, PlantHealth, RecoverySummary, Sample, StreamStats};
 
-use crate::report::{self, LevelSeries};
+use crate::report::{
+    self, put_lane_stats, put_outliers, put_stream_stats, take_lane_stats, take_outliers,
+    take_stream_stats, LevelSeries,
+};
 
 /// Cap on one frame's payload (64 MiB). A length field above it is
 /// corruption, not an allocation request; a server whose reply would be
@@ -344,77 +347,6 @@ pub(crate) fn take_bool(buf: &mut &[u8]) -> Option<bool> {
     }
 }
 
-fn put_outliers(out: &mut Vec<u8>, outliers: &[HierOutlier]) {
-    codec::put_varint(out, outliers.len() as u64);
-    for o in outliers {
-        report::put_hier_outlier(out, o);
-    }
-}
-
-fn take_outliers(buf: &mut &[u8]) -> Option<Vec<HierOutlier>> {
-    let n = codec::take_varint(buf)?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push(report::take_hier_outlier(buf)?);
-    }
-    Some(out)
-}
-
-fn put_stream_stats(out: &mut Vec<u8>, s: &StreamStats) {
-    codec::put_varint(out, s.samples_ingested);
-    codec::put_varint(out, s.samples_released);
-    codec::put_varint(out, s.late_dropped);
-    codec::put_varint(out, s.duplicates_dropped);
-    codec::put_varint(out, s.series_failed);
-    codec::put_varint(out, s.corrupt_records);
-    codec::put_varint(out, s.drift_events);
-    codec::put_varint(out, s.refits);
-}
-
-fn take_stream_stats(buf: &mut &[u8]) -> Option<StreamStats> {
-    Some(StreamStats {
-        samples_ingested: codec::take_varint(buf)?,
-        samples_released: codec::take_varint(buf)?,
-        late_dropped: codec::take_varint(buf)?,
-        duplicates_dropped: codec::take_varint(buf)?,
-        series_failed: codec::take_varint(buf)?,
-        corrupt_records: codec::take_varint(buf)?,
-        drift_events: codec::take_varint(buf)?,
-        refits: codec::take_varint(buf)?,
-    })
-}
-
-fn put_lane_stats(out: &mut Vec<u8>, lanes: &[(LaneId, LaneStats)]) {
-    codec::put_varint(out, lanes.len() as u64);
-    for (lane, l) in lanes {
-        codec::put_bytes(out, &encode_lane(lane));
-        codec::put_varint(out, l.released);
-        codec::put_varint(out, l.late_dropped);
-        codec::put_varint(out, l.duplicates_dropped);
-        codec::put_varint(out, l.corrupt_records);
-        codec::put_varint(out, l.drift_events);
-        codec::put_varint(out, l.refits);
-    }
-}
-
-fn take_lane_stats(buf: &mut &[u8]) -> Option<Vec<(LaneId, LaneStats)>> {
-    let n = codec::take_varint(buf)?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        let lane = decode_lane(codec::take_bytes(buf)?)?;
-        let stats = LaneStats {
-            released: codec::take_varint(buf)?,
-            late_dropped: codec::take_varint(buf)?,
-            duplicates_dropped: codec::take_varint(buf)?,
-            corrupt_records: codec::take_varint(buf)?,
-            drift_events: codec::take_varint(buf)?,
-            refits: codec::take_varint(buf)?,
-        };
-        out.push((lane, stats));
-    }
-    Some(out)
-}
-
 fn put_series(out: &mut Vec<u8>, lanes: &[LaneColumns], stats: &ScanStats) {
     // One reservation: a lane's record at most, plus its columns.
     let size = lanes
@@ -576,7 +508,7 @@ impl Frame {
             Frame::LaneStatsReply { stats, lanes } => {
                 out.push(TAG_LANE_STATS);
                 put_stream_stats(out, stats);
-                put_lane_stats(out, lanes);
+                put_lane_stats(out, lanes.iter().map(|(lane, l)| (lane, l)));
             }
             Frame::Deltas {
                 from,

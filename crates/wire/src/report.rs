@@ -78,7 +78,7 @@ fn take_opt_name(buf: &mut &[u8]) -> Option<Option<Arc<str>>> {
     }
 }
 
-pub(crate) fn put_hier_outlier(out: &mut Vec<u8>, o: &HierOutlier) {
+fn put_hier_outlier(out: &mut Vec<u8>, o: &HierOutlier) {
     out.push(o.level.number());
     codec::put_str(out, &o.machine);
     put_opt_str(out, o.job.as_deref());
@@ -91,7 +91,7 @@ pub(crate) fn put_hier_outlier(out: &mut Vec<u8>, o: &HierOutlier) {
     out.push(o.global_score);
 }
 
-pub(crate) fn take_hier_outlier(buf: &mut &[u8]) -> Option<HierOutlier> {
+fn take_hier_outlier(buf: &mut &[u8]) -> Option<HierOutlier> {
     Some(HierOutlier {
         level: Level::from_number(codec::take_u8(buf)?)?,
         machine: take_name(buf)?,
@@ -104,6 +104,81 @@ pub(crate) fn take_hier_outlier(buf: &mut &[u8]) -> Option<HierOutlier> {
         support: codec::take_f64(buf)?,
         global_score: codec::take_u8(buf)?,
     })
+}
+
+pub(crate) fn put_outliers(out: &mut Vec<u8>, outliers: &[HierOutlier]) {
+    codec::put_varint(out, outliers.len() as u64);
+    for o in outliers {
+        put_hier_outlier(out, o);
+    }
+}
+
+pub(crate) fn take_outliers(buf: &mut &[u8]) -> Option<Vec<HierOutlier>> {
+    let n = codec::take_varint(buf)?;
+    let mut out = Vec::new();
+    for _ in 0..n {
+        out.push(take_hier_outlier(buf)?);
+    }
+    Some(out)
+}
+
+pub(crate) fn put_stream_stats(out: &mut Vec<u8>, s: &StreamStats) {
+    codec::put_varint(out, s.samples_ingested);
+    codec::put_varint(out, s.samples_released);
+    codec::put_varint(out, s.late_dropped);
+    codec::put_varint(out, s.duplicates_dropped);
+    codec::put_varint(out, s.series_failed);
+    codec::put_varint(out, s.corrupt_records);
+    codec::put_varint(out, s.drift_events);
+    codec::put_varint(out, s.refits);
+}
+
+pub(crate) fn take_stream_stats(buf: &mut &[u8]) -> Option<StreamStats> {
+    Some(StreamStats {
+        samples_ingested: codec::take_varint(buf)?,
+        samples_released: codec::take_varint(buf)?,
+        late_dropped: codec::take_varint(buf)?,
+        duplicates_dropped: codec::take_varint(buf)?,
+        series_failed: codec::take_varint(buf)?,
+        corrupt_records: codec::take_varint(buf)?,
+        drift_events: codec::take_varint(buf)?,
+        refits: codec::take_varint(buf)?,
+    })
+}
+
+/// The lane-stats records, from a reply frame's list or a report's map.
+pub(crate) fn put_lane_stats<'a>(
+    out: &mut Vec<u8>,
+    lanes: impl ExactSizeIterator<Item = (&'a LaneId, &'a LaneStats)>,
+) {
+    codec::put_varint(out, lanes.len() as u64);
+    for (lane, l) in lanes {
+        codec::put_bytes(out, &encode_lane(lane));
+        codec::put_varint(out, l.released);
+        codec::put_varint(out, l.late_dropped);
+        codec::put_varint(out, l.duplicates_dropped);
+        codec::put_varint(out, l.corrupt_records);
+        codec::put_varint(out, l.drift_events);
+        codec::put_varint(out, l.refits);
+    }
+}
+
+pub(crate) fn take_lane_stats(buf: &mut &[u8]) -> Option<Vec<(LaneId, LaneStats)>> {
+    let n = codec::take_varint(buf)?;
+    let mut out = Vec::new();
+    for _ in 0..n {
+        let lane = decode_lane(codec::take_bytes(buf)?)?;
+        let stats = LaneStats {
+            released: codec::take_varint(buf)?,
+            late_dropped: codec::take_varint(buf)?,
+            duplicates_dropped: codec::take_varint(buf)?,
+            corrupt_records: codec::take_varint(buf)?,
+            drift_events: codec::take_varint(buf)?,
+            refits: codec::take_varint(buf)?,
+        };
+        out.push((lane, stats));
+    }
+    Some(out)
 }
 
 fn put_level_outlier(out: &mut Vec<u8>, o: &LevelOutlier) {
@@ -408,10 +483,7 @@ pub fn encode_report(report: &StreamReport) -> Vec<u8> {
     for d in report.detections.values() {
         put_detections(&mut out, d);
     }
-    codec::put_varint(&mut out, report.report.outliers.len() as u64);
-    for o in &report.report.outliers {
-        put_hier_outlier(&mut out, o);
-    }
+    put_outliers(&mut out, &report.report.outliers);
     codec::put_varint(&mut out, report.report.warnings.len() as u64);
     for w in &report.report.warnings {
         let Warning::SuspectedMeasurementError {
@@ -421,24 +493,8 @@ pub fn encode_report(report: &StreamReport) -> Vec<u8> {
         codec::put_varint(&mut out, *outlier_idx as u64);
         out.push(missing_level.number());
     }
-    codec::put_varint(&mut out, report.stats.samples_ingested);
-    codec::put_varint(&mut out, report.stats.samples_released);
-    codec::put_varint(&mut out, report.stats.late_dropped);
-    codec::put_varint(&mut out, report.stats.duplicates_dropped);
-    codec::put_varint(&mut out, report.stats.series_failed);
-    codec::put_varint(&mut out, report.stats.corrupt_records);
-    codec::put_varint(&mut out, report.stats.drift_events);
-    codec::put_varint(&mut out, report.stats.refits);
-    codec::put_varint(&mut out, report.lane_stats.len() as u64);
-    for (lane, l) in &report.lane_stats {
-        codec::put_bytes(&mut out, &encode_lane(lane));
-        codec::put_varint(&mut out, l.released);
-        codec::put_varint(&mut out, l.late_dropped);
-        codec::put_varint(&mut out, l.duplicates_dropped);
-        codec::put_varint(&mut out, l.corrupt_records);
-        codec::put_varint(&mut out, l.drift_events);
-        codec::put_varint(&mut out, l.refits);
-    }
+    put_stream_stats(&mut out, &report.stats);
+    put_lane_stats(&mut out, report.lane_stats.iter());
     out
 }
 
@@ -458,11 +514,7 @@ pub fn decode_report(bytes: &[u8]) -> Option<StreamReport> {
         let d = take_detections(buf)?;
         detections.insert(d.level, d);
     }
-    let n = codec::take_varint(buf)?;
-    let mut outliers = Vec::new();
-    for _ in 0..n {
-        outliers.push(take_hier_outlier(buf)?);
-    }
+    let outliers = take_outliers(buf)?;
     let n = codec::take_varint(buf)?;
     let mut warnings = Vec::new();
     for _ in 0..n {
@@ -473,30 +525,10 @@ pub fn decode_report(bytes: &[u8]) -> Option<StreamReport> {
             missing_level,
         });
     }
-    let stats = StreamStats {
-        samples_ingested: codec::take_varint(buf)?,
-        samples_released: codec::take_varint(buf)?,
-        late_dropped: codec::take_varint(buf)?,
-        duplicates_dropped: codec::take_varint(buf)?,
-        series_failed: codec::take_varint(buf)?,
-        corrupt_records: codec::take_varint(buf)?,
-        drift_events: codec::take_varint(buf)?,
-        refits: codec::take_varint(buf)?,
-    };
-    let n = codec::take_varint(buf)?;
-    let mut lane_stats: BTreeMap<LaneId, LaneStats> = BTreeMap::new();
-    for _ in 0..n {
-        let lane = decode_lane(codec::take_bytes(buf)?)?;
-        let l = LaneStats {
-            released: codec::take_varint(buf)?,
-            late_dropped: codec::take_varint(buf)?,
-            duplicates_dropped: codec::take_varint(buf)?,
-            corrupt_records: codec::take_varint(buf)?,
-            drift_events: codec::take_varint(buf)?,
-            refits: codec::take_varint(buf)?,
-        };
-        lane_stats.insert(lane, l);
-    }
+    let stats = take_stream_stats(buf)?;
+    // `extend` inserts in order, so a repeated lane keeps its later record.
+    let mut lane_stats = BTreeMap::new();
+    lane_stats.extend(take_lane_stats(buf)?);
     buf.is_empty().then_some(StreamReport {
         detections,
         report: HierReport { outliers, warnings },
