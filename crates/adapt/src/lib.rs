@@ -8,10 +8,9 @@
 //!
 //! 1. **Drift detection** ([`drift`], [`scorer`]) — [`DriftingScorer`]
 //!    wraps any registry scorer and watches its *emitted scores* with a
-//!    [`DriftMonitor`] ([`PageHinkley`] or the ADWIN-style
-//!    [`AdwinWindow`]). Scores pass through bit-identical; sustained
-//!    score inflation (model mismatch) raises typed [`DriftEvent`]s and
-//!    per-lane `drift_events` counters surfaced through
+//!    two-sided [`PageHinkley`] test. Scores pass through bit-identical;
+//!    sustained score inflation (model mismatch) raises typed
+//!    [`DriftEvent`]s and per-lane `drift_events` counters surfaced through
 //!    [`StreamStats`](hierod_stream::StreamStats) and the wire protocol.
 //! 2. **Store-driven refit** ([`refit`]) — [`AdaptiveStream`] polls the
 //!    drift flags at tick boundaries and, per [`RefitPolicy`], rebuilds
@@ -41,7 +40,7 @@ pub mod fusion;
 pub mod refit;
 pub mod scorer;
 
-pub use drift::{AdwinWindow, DriftEvent, DriftKind, DriftMonitor, MonitorSpec, PageHinkley};
+pub use drift::{DriftEvent, DriftKind, MonitorSpec, PageHinkley};
 pub use fusion::{fuse_support, FusionOutcome, FusionPolicy};
 pub use refit::{AdaptiveStream, RefitCause, RefitPolicy, RefitRecord};
 pub use scorer::DriftingScorer;

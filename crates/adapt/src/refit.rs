@@ -147,7 +147,7 @@ impl<S: Storage> AdaptiveStream<S> {
     pub fn attach(mut inner: DurableStream<S>, monitor: MonitorSpec, refit: RefitPolicy) -> Self {
         let det = inner.detector_mut();
         let spec = monitor.clone();
-        det.set_scorer_wrapper(Arc::new(move |_kind, scorer| {
+        det.set_scorer_wrapper(Arc::new(move |scorer| {
             Box::new(DriftingScorer::new(scorer, spec.build()))
         }));
         det.visit_scorers(&mut |_m, _s, _k, slot| {

@@ -4,7 +4,7 @@
 //! [`set_scorer_wrapper`](hierod_stream::StreamDetector::set_scorer_wrapper),
 //! it forwards every push to the wrapped scorer unchanged — emitted
 //! scores are bit-identical to the unwrapped pipeline — while feeding
-//! each emitted score to a [`DriftMonitor`]. Detected drifts raise the
+//! each emitted score to a [`PageHinkley`] monitor. Detected drifts raise the
 //! `drift_events` counter (surfaced through
 //! [`StreamStats`](hierod_stream::StreamStats)) and latch a pending
 //! flag the refit layer polls at tick boundaries.
@@ -12,7 +12,7 @@
 use hierod_detect::online::OnlineScorer;
 use hierod_detect::Result;
 
-use crate::drift::DriftMonitor;
+use crate::drift::PageHinkley;
 
 /// Scores are clamped to this before the monitor sees them. Near-noise-free
 /// series drive robust-z denominators towards zero and produce astronomic
@@ -33,7 +33,7 @@ const MONITOR_WARMUP: u64 = 64;
 /// An online scorer that watches its own output for drift.
 pub struct DriftingScorer {
     inner: Box<dyn OnlineScorer>,
-    monitor: Box<dyn DriftMonitor>,
+    monitor: PageHinkley,
     drift_events: u64,
     refits: u64,
     pending: bool,
@@ -43,7 +43,7 @@ pub struct DriftingScorer {
 
 impl DriftingScorer {
     /// Wraps `inner`, monitoring its emitted scores with `monitor`.
-    pub fn new(inner: Box<dyn OnlineScorer>, monitor: Box<dyn DriftMonitor>) -> Self {
+    pub fn new(inner: Box<dyn OnlineScorer>, monitor: PageHinkley) -> Self {
         Self {
             inner,
             monitor,

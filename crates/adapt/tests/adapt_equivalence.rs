@@ -371,7 +371,7 @@ fn scheduled_refits_fire_without_drift() {
         config,
         MemStorage::new(),
         StoreOptions { group_commit: 1 },
-        MonitorSpec::adwin(),
+        MonitorSpec::page_hinkley(),
         RefitPolicy {
             on_drift: false,
             every_ticks: Some(4),

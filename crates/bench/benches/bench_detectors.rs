@@ -7,7 +7,7 @@ use hierod_detect::da::{
     DynamicClustering, GaussianMixture, LcsCluster, OneClassSvm, PrincipalComponentSpace,
     SelfOrganizingMap, SingleLinkage,
 };
-use hierod_detect::engine::{RobustZ, Standardizer};
+use hierod_detect::engine::robust_z;
 use hierod_detect::itm::HistogramDeviants;
 use hierod_detect::npd::WindowSequenceDb;
 use hierod_detect::os::SaxDiscord;
@@ -150,7 +150,7 @@ fn bench_order_statistics(c: &mut Criterion) {
         });
         group.bench_function("mad", |b| b.iter(|| stats::mad(black_box(&raw)).unwrap()));
         group.bench_function("robust_z_standardize", |b| {
-            b.iter(|| RobustZ.standardize(black_box(&raw)))
+            b.iter(|| robust_z(black_box(&raw)))
         });
         group.finish();
     }

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hierod_detect::engine::{self, AlgoSpec, BoxedScorer, RobustZ, Standardizer, Task};
+use hierod_detect::engine::{self, robust_z, AlgoSpec, BoxedScorer, Task};
 use hierod_detect::related::ProfileSimilarity;
 use hierod_detect::{PointScorer, Result, VectorScorer};
 use hierod_hierarchy::{Level, LevelView, PhaseKind, Plant, SeriesAt};
@@ -151,7 +151,7 @@ pub fn emit_series(
     let z: Arc<[f64]> = if already_standardized {
         raw.into()
     } else {
-        RobustZ.standardize(raw)
+        robust_z(raw)
     };
     // One shared string per name; every outlier of the series clones it.
     let machine: Arc<str> = at.machine.as_str().into();
@@ -322,7 +322,7 @@ fn level_tasks<'env>(
                     let rows: Vec<&[f64]> =
                         view.vectors.iter().map(|v| v.features.as_ref()).collect();
                     let raw = scorer.score_rows(&rows)?;
-                    let z = RobustZ.standardize(&raw);
+                    let z = robust_z(&raw);
                     for (v, &zs) in view.vectors.iter().zip(z.iter()) {
                         frag.vector_scores.push(VectorScore {
                             machine: v.machine.as_str().into(),
@@ -357,7 +357,7 @@ fn level_tasks<'env>(
                     let collection: Vec<&[f64]> =
                         view.series.iter().map(|s| s.series.values()).collect();
                     if let Ok(raw) = scorer.score_collection(&collection, *segments) {
-                        let z = RobustZ.standardize(&raw);
+                        let z = robust_z(&raw);
                         for ((at, &zs), &rs) in view.series.iter().zip(z.iter()).zip(&raw) {
                             if zs >= threshold {
                                 frag.outliers.push(LevelOutlier {

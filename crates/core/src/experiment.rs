@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use hierod_detect::engine::{RobustZ, Standardizer};
+use hierod_detect::engine::robust_z;
 use hierod_detect::Result;
 use hierod_eval::range::point_adjusted_confusion;
 use hierod_eval::{pr_auc, roc_auc};
@@ -375,7 +375,7 @@ pub fn drift_eval(scenario: &Scenario, policy: &AlgorithmPolicy) -> Result<Drift
         let raw = build_production_scorer(&policy.production)
             .and_then(|(scorer, segments)| scorer.score_collection(&collection, segments));
         if let Ok(raw) = raw {
-            let z = RobustZ.standardize(&raw);
+            let z = robust_z(&raw);
             production_ranking = view
                 .series
                 .iter()

@@ -15,9 +15,9 @@
 //! 3. [`BoxedScorer`] — one runnable handle over every scorer trait, with
 //!    drivers that bridge granularities (windows, PAA, SAX) where the
 //!    underlying trait differs from the data at hand.
-//! 4. [`Standardizer`] — turns raw, detector-specific score scales into
-//!    comparable robust z-scores ([`RobustZ`]) so one threshold works
-//!    across all 21+ detectors.
+//! 4. [`robust_z`] — turns raw, detector-specific score scales into
+//!    comparable robust z-scores so one threshold works across all 21+
+//!    detectors.
 //! 5. [`run_tasks`] — the batch task runner: scoped threads claiming the
 //!    per-(level × machine × sensor/job-group) scoring tasks that the
 //!    hierarchy layer (`hierod-core`) decomposes a plant into from one
@@ -36,4 +36,4 @@ pub use boxed::{BoxedScorer, ScorerKind};
 pub use catalog::{all_entries, build, build_online, find, supplemental};
 pub use scheduler::{run_tasks, Task};
 pub use spec::{AlgoSpec, ParamValue};
-pub use standardize::{Identity, RobustZ, Standardizer};
+pub use standardize::robust_z;

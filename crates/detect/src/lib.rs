@@ -33,8 +33,7 @@
 //! Every scorer returns **non-negative outlierness scores where larger
 //! means more anomalous** (the paper's "degree of outlierness" — a ranking,
 //! not a binary decision). Scales differ per detector; compare across
-//! detectors only after an [`engine::Standardizer`] maps them onto one
-//! scale.
+//! detectors only after [`engine::robust_z`] maps them onto one scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

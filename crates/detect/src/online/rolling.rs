@@ -87,7 +87,7 @@ impl SortedWindow {
 /// MAD of the last `window` samples (itself included) the moment it
 /// arrives — O(window) per sample, no deferred emission.
 ///
-/// Mirrors the batch [`RobustZ`](crate::engine::RobustZ) convention,
+/// Mirrors the batch [`robust_z`](crate::engine::robust_z) convention,
 /// including the standard-deviation fallback when the MAD collapses, but
 /// over a *moving* window rather than the whole series: scores converge to
 /// batch on stationary streams and adapt faster on drifting ones.
@@ -201,7 +201,7 @@ impl OnlineScorer for RollingRobustZ {
             mad
         } else {
             // MAD collapsed (mostly-identical window): std-dev fallback,
-            // matching the batch RobustZ standardizer.
+            // matching the batch `robust_z`.
             let mean = self.window.sorted().iter().sum::<f64>() / n.max(1) as f64;
             let var = self
                 .window

@@ -6,7 +6,7 @@
 //! online forms of every point-kind entry keep the [`OnlineScorer`]
 //! contract: one score per pushed sample, in push order.
 
-use hierod_detect::engine::{self, AlgoSpec, RobustZ, ScorerKind, Standardizer};
+use hierod_detect::engine::{self, robust_z, AlgoSpec, ScorerKind};
 use hierod_detect::online::{OnlineScorer, SlidingKnn, SlidingLof, WindowedBatch};
 use hierod_detect::registry::registry;
 use hierod_detect::DetectError;
@@ -135,7 +135,7 @@ fn every_entry_scores_synthetic_data_to_finite_standardized_scores() {
             }
         };
         assert!(!raw.is_empty(), "{} returned no scores", e.key);
-        let z = RobustZ.standardize(&raw);
+        let z = robust_z(&raw);
         assert_eq!(z.len(), raw.len());
         for v in z.iter() {
             assert!(v.is_finite(), "{}: non-finite standardized score", e.key);
@@ -276,7 +276,7 @@ proptest! {
                 _ => continue,
             };
             prop_assert_eq!(raw.len(), values.len(), "{}", e.key);
-            for z in RobustZ.standardize(&raw).iter() {
+            for z in robust_z(&raw).iter() {
                 prop_assert!(z.is_finite(), "{}: {}", e.key, z);
             }
         }

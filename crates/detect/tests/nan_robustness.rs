@@ -92,7 +92,7 @@ fn all_nan_series_never_panics() {
 /// standardized score turns NaN because of it.
 #[test]
 fn infinite_raw_scores_standardize_without_nan() {
-    use hierod_detect::engine::{RobustZ, Standardizer};
+    use hierod_detect::engine::robust_z;
     use hierod_timeseries::stats;
 
     let inf = f64::INFINITY;
@@ -111,7 +111,7 @@ fn infinite_raw_scores_standardize_without_nan() {
                 }
             })
             .collect();
-        let z = RobustZ.standardize(&raw);
+        let z = robust_z(&raw);
         assert_eq!(z.len(), raw.len());
         assert!(
             z.iter().all(|x| !x.is_nan()),

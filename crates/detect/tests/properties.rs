@@ -230,7 +230,7 @@ proptest! {
 // Order statistics by selection: every median that moved off a sort,
 // against the sort-based form it replaced, kept here as the oracle.
 
-use hierod_detect::engine::{RobustZ, Standardizer};
+use hierod_detect::engine::robust_z;
 use hierod_detect::related::{PairDifference, ProfileSimilarity};
 use hierod_detect::stat::midpoint_median;
 use hierod_timeseries::stats;
@@ -264,7 +264,7 @@ fn sorted_type7_median(xs: &[f64]) -> f64 {
     lo + (hi - lo) * (h - h.floor())
 }
 
-/// `RobustZ` as it was: a sorted median, a sorted median inside the MAD,
+/// `robust_z` as it was: a sorted median, a sorted median inside the MAD,
 /// a third around a fresh deviation vector.
 fn three_sort_robust_z(raw: &[f64]) -> Vec<f64> {
     if raw.is_empty() {
@@ -290,7 +290,7 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Raw score vectors of every kind `RobustZ` branches on: spread out,
+/// Raw score vectors of every kind `robust_z` branches on: spread out,
 /// mostly one value with a few spikes (MAD collapses, `std_dev` takes
 /// over), all equal (zeros), and arbitrary bit patterns.
 fn raw_scores() -> impl Strategy<Value = Vec<f64>> {
@@ -318,7 +318,7 @@ fn raw_scores() -> impl Strategy<Value = Vec<f64>> {
 proptest! {
     #[test]
     fn robust_z_is_its_three_sort_definition(raw in raw_scores()) {
-        prop_assert_eq!(bits(&RobustZ.standardize(&raw)), bits(&three_sort_robust_z(&raw)));
+        prop_assert_eq!(bits(&robust_z(&raw)), bits(&three_sort_robust_z(&raw)));
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     reader_stream: TcpStream,
     reader: FrameReader,
-    control_seq: u64,
     /// The frame being sent, encoded; kept for its capacity, so an ingest
     /// frame costs no allocation.
     frame: Vec<u8>,
@@ -130,7 +129,6 @@ impl Client {
             writer: BufWriter::new(stream),
             reader_stream,
             reader: FrameReader::new(),
-            control_seq: 0,
             frame: Vec::new(),
         })
     }
@@ -201,14 +199,14 @@ impl Client {
         }))
     }
 
-    /// Buffers a control-event ingest frame (client-assigned sequence).
+    /// Buffers a control-event ingest frame. Its `seq` is 0: the server
+    /// ignores it, and the plant's journal numbers the control itself.
     ///
     /// # Errors
     /// Transport failures (on buffer spill only).
     pub fn control(&mut self, event: &ControlEvent) -> io::Result<()> {
-        self.control_seq += 1;
         self.send(&Frame::Ingest(WalRecord::Control {
-            seq: self.control_seq,
+            seq: 0,
             payload: encode_control(event),
         }))
     }

@@ -426,7 +426,15 @@ fn handle_request<S: PlantService>(
                     },
                 }
             }
-            Err(e) => error_frame(classify(&e), e.to_string()),
+            Err(e) => {
+                let parked = service.health().failed.iter().any(|(id, _)| *id == plant);
+                let code = if parked {
+                    ErrorCode::Failed
+                } else {
+                    classify(&e)
+                };
+                error_frame(code, e.to_string())
+            }
         },
         Frame::Tick => {
             let plant = match addressed(conn) {

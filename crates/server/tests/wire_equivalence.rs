@@ -716,6 +716,55 @@ fn health_endpoint_maps_registry_state_onto_readiness() {
     join.join().unwrap();
 }
 
+/// A plant whose sealed segment is damaged fails recovery and is parked
+/// in the registry's failed set; admitting it over the wire is answered
+/// with the failed-plant code, not a generic substrate error, and its
+/// sibling is admitted as usual.
+#[test]
+fn admitting_a_plant_parked_in_the_failed_set_answers_failed() {
+    use hierod_store::storage::Storage;
+
+    let mut svc = RegistryService::open(
+        MemFactory::new(),
+        AlgorithmPolicy::default(),
+        TenantConfig::default(),
+    )
+    .unwrap();
+    for plant in ["plant-a", "plant-b"] {
+        svc.admit(plant, true).unwrap();
+        drive_embedded(&mut svc, plant, 32);
+        svc.rotate(plant).unwrap();
+    }
+    let image = svc.registry().factory().crash_image(false);
+    let storage = image.storage("plant-a", 0).unwrap();
+    let segment = storage
+        .list()
+        .unwrap()
+        .into_iter()
+        .find(|name| name.starts_with("seg-"))
+        .expect("a sealed segment");
+    let len = storage.file_len(&segment).unwrap();
+    assert!(storage.flip_bit(&segment, len - 2, 3));
+
+    let reopened =
+        RegistryService::open(image, AlgorithmPolicy::default(), TenantConfig::default()).unwrap();
+    let (handle, join) = spawn_server_with(reopened);
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let health = client.query_health().unwrap();
+    assert_eq!(health.failed.len(), 1);
+    assert_eq!(health.failed[0].0, "plant-a");
+    for create in [false, true] {
+        match client.admit("plant-a", create) {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Failed, "{e}"),
+            other => panic!("admitting a failed plant: {other:?}"),
+        }
+    }
+    // The connection serves on, and the sibling recovered.
+    assert!(!client.admit("plant-b", false).unwrap());
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn admission_rejects_traversal_ids_over_the_wire() {
     let (handle, join) = spawn_server();

@@ -693,11 +693,8 @@ pub struct StreamDetector {
     scorer_wrapper: Option<Arc<ScorerWrapper>>,
 }
 
-/// A hook turning a freshly built incremental scorer into its adaptive
-/// wrapper. Receives the lane kind so environment and phase lanes can be
-/// wrapped differently.
-pub type ScorerWrapper =
-    dyn Fn(LaneKind, Box<dyn OnlineScorer>) -> Box<dyn OnlineScorer> + Send + Sync;
+/// A hook turning a freshly built scorer into its adaptive wrapper.
+pub type ScorerWrapper = dyn Fn(Box<dyn OnlineScorer>) -> Box<dyn OnlineScorer> + Send + Sync;
 
 /// The visitor for [`StreamDetector::visit_scorers`]: machine, sensor,
 /// lane kind, and the replaceable scorer slot.
@@ -1365,7 +1362,7 @@ impl StreamDetector {
     fn build_scorer(&self, kind: LaneKind) -> Result<Box<dyn OnlineScorer>> {
         let scorer = self.build_bare_scorer(self.lane_spec(kind))?;
         Ok(match &self.scorer_wrapper {
-            Some(wrap) => wrap(kind, scorer),
+            Some(wrap) => wrap(scorer),
             None => scorer,
         })
     }

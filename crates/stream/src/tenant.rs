@@ -14,8 +14,8 @@
 //!
 //! * [`PlantRegistry::open`] recovers every discovered tenant
 //!   **independently**. A tenant whose storage is too damaged to open
-//!   is parked in [`PlantRegistry::failed`] with its error — its
-//!   siblings recover exactly as if it did not exist.
+//!   is parked in the failed set ([`Health::failed`]) with its error —
+//!   its siblings recover exactly as if it did not exist.
 //! * Soft corruption (torn WAL tails, flipped bits) surfaces per
 //!   tenant in that tenant's [`DurableRecovery`] counters, never in
 //!   another's.
@@ -293,8 +293,8 @@ fn no_live_tenant(id: &str) -> DetectError {
 impl<F: StorageFactory> PlantRegistry<F> {
     /// Opens a registry over `factory`, recovering every tenant that
     /// already has storage — **each in isolation**. Tenants that fail
-    /// hard to open (e.g. damaged segments) are recorded in
-    /// [`PlantRegistry::failed`] and skipped; their siblings recover
+    /// hard to open (e.g. damaged segments) are recorded in the failed set
+    /// ([`health`](Self::health)) and skipped; their siblings recover
     /// normally. So is a tenant directory holding more than one shard
     /// root (laid out by an older build that hash-partitioned lanes over
     /// several journals): opening `shard-0` alone would silently drop
@@ -414,8 +414,8 @@ impl<F: StorageFactory> PlantRegistry<F> {
     ///
     /// # Errors
     /// [`DetectError::Missing`] for an unknown id without `create`;
-    /// [`DetectError::Substrate`] for a plant parked in
-    /// [`failed`](Self::failed); an invalid id; an id whose `finish` is
+    /// [`DetectError::Substrate`] for a plant parked in the failed set
+    /// ([`health`](Self::health)); an invalid id; an id whose `finish` is
     /// still running; storage / policy errors opening its stream.
     pub fn admit_tenant(&self, id: &str, create: bool) -> Result<bool> {
         loop {
@@ -511,7 +511,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
     /// lists them) with what the open that seated its current incarnation
     /// recovered — at registry open, on create or on a re-admission after
     /// a finish; zeros for a plant with no prior storage and for one whose
-    /// open is still running — and the [`failed`](Self::failed) set. Takes
+    /// open is still running — and the failed set. Takes
     /// the map lock only, so a plant parked in storage delays no caller.
     pub fn health(&self) -> Health {
         let live = lock(&self.plants)
@@ -528,12 +528,6 @@ impl<F: StorageFactory> PlantRegistry<F> {
             .map(|(id, err)| (id.clone(), err.clone()))
             .collect();
         Health { live, failed }
-    }
-
-    /// Tenants that failed hard to recover, with their errors. Their
-    /// storage is left untouched for offline repair.
-    pub fn failed(&self) -> &BTreeMap<String, String> {
-        &self.failed
     }
 
     /// Detaches a tenant from the registry, then finalizes its report
@@ -695,7 +689,7 @@ mod tests {
             PlantRegistry::open(image, AlgorithmPolicy::default(), TenantConfig::default())
                 .unwrap();
         assert_eq!(reopened.tenant_ids(), ["plant-a"]);
-        assert!(reopened.failed().is_empty());
+        assert!(reopened.health().failed.is_empty());
         let rec = &recovered["plant-a"];
         assert_eq!(rec.restored_samples + rec.replayed_samples, 80);
         let recovered_report = {

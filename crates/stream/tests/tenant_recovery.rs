@@ -9,8 +9,9 @@
 //!   was corrupted, or failed recovery outright.
 //! * Hard damage (a corrupt sealed segment, or a directory an older
 //!   build laid out over several shard journals) parks only the damaged
-//!   tenant in [`PlantRegistry::failed`]; soft damage (a flipped WAL
-//!   bit) is truncated and counted only on the damaged tenant.
+//!   tenant in the failed set of [`PlantRegistry::health`]; soft damage
+//!   (a flipped WAL bit) is truncated and counted only on the damaged
+//!   tenant.
 //! * A tenant whose storage dies mid-phase fails its own `finish` with
 //!   a typed error; the sibling tenant still finishes byte-identical.
 
@@ -124,7 +125,8 @@ fn crashed_tenant_recovers_equivalent_and_sibling_is_untouched() {
         config(),
     )
     .expect("reopen");
-    assert!(recovered.failed().is_empty(), "{:?}", recovered.failed());
+    let failed = recovered.health().failed;
+    assert!(failed.is_empty(), "{failed:?}");
     assert_eq!(recovered.tenant_ids(), ["plant-a", "plant-b"]);
     for id in ["plant-a", "plant-b"] {
         let rec = &recoveries[id];
@@ -177,7 +179,7 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
     damage(&soft, "plant-a", "wal-");
     let (recovered, recoveries) =
         PlantRegistry::open(soft, AlgorithmPolicy::default(), config()).expect("reopen soft");
-    assert!(recovered.failed().is_empty());
+    assert!(recovered.health().failed.is_empty());
     assert!(recoveries["plant-a"].corrupt_records > 0, "damage detected");
     assert_eq!(recoveries["plant-b"].corrupt_records, 0, "sibling clean");
     let b = recovered.finish_tenant("plant-b").expect("finish b");
@@ -189,12 +191,16 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
 
     // Hard damage: flip a bit in a sealed segment. Segments are fully
     // checksummed and fail recovery outright — plant-a is parked in
-    // `failed()`, plant-b recovers as if nothing happened.
+    // the failed set, plant-b recovers as if nothing happened.
     let hard = reg.factory().crash_image(false);
     damage(&hard, "plant-a", "seg-");
     let (recovered, recoveries) =
         PlantRegistry::open(hard, AlgorithmPolicy::default(), config()).expect("reopen hard");
-    assert!(recovered.failed().contains_key("plant-a"), "plant-a parked");
+    let parked = recovered.health().failed;
+    assert!(
+        parked.iter().any(|(id, _)| id == "plant-a"),
+        "plant-a parked"
+    );
     assert!(!recoveries.contains_key("plant-a"));
     assert_eq!(recovered.tenant_ids(), ["plant-b"]);
     let b = recovered.finish_tenant("plant-b").expect("finish b");
@@ -218,7 +224,12 @@ fn corrupt_tenant_storage_cannot_poison_sibling_recovery() {
     let before = files(&old);
     let (recovered, recoveries) =
         PlantRegistry::open(old, AlgorithmPolicy::default(), config()).expect("reopen old");
-    let parked = recovered.failed().get("plant-a").expect("plant-a parked");
+    let health = recovered.health();
+    let (_, parked) = health
+        .failed
+        .iter()
+        .find(|(id, _)| id == "plant-a")
+        .expect("plant-a parked");
     assert!(
         parked.contains("plant \"plant-a\" has 2 shard directories; this build reads exactly one"),
         "{parked}"

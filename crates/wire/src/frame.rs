@@ -116,7 +116,8 @@ pub enum Frame {
     /// An ingest frame: a WAL record, byte-for-byte ([`WalRecord`]
     /// tags 1–3 — lane definition, control event, sample). Not
     /// individually acknowledged; errors surface at the next
-    /// synchronous request.
+    /// synchronous request. A control's `seq` is ignored: the plant's
+    /// journal numbers the controls it applies.
     Ingest(WalRecord),
     /// Selects (or creates) the plant this connection drives.
     Admit {

@@ -12,10 +12,14 @@
 //! atomics/`UnsafeCell` maps to a named loom model test).
 //! Findings are machine-readable ([`Finding`]), and every rule is a hard
 //! gate: the tree is clean iff a run reports no finding at all.
+//!
+//! [`reach`] is the other gate, `cargo xtask reach`: the library functions
+//! that only tests call must be exactly a checked-in keep-list.
 
 #![forbid(unsafe_code)]
 
 pub mod findings;
+pub mod reach;
 pub mod rules;
 pub mod scan;
 
@@ -81,7 +85,8 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Appends every `.rs` file under `dir` to `out`, in directory order.
+pub(crate) fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {

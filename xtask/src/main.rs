@@ -1,28 +1,78 @@
-//! `cargo xtask` — workspace automation. Currently one subcommand:
+//! `cargo xtask` — workspace automation:
 //!
 //! ```text
 //! cargo xtask lint [--format json] [--root PATH]
+//! cargo xtask reach [--root PATH]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 lint findings, 2 usage or I/O error.
+//! `lint` runs the rule suite; `reach` lists the library functions only
+//! tests call and compares them with `xtask/reach.keep`.
+//!
+//! Exit codes: 0 clean, 1 lint findings or a keep-list mismatch, 2 usage
+//! or I/O error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use xtask::reach::{run_reach, KEEP_LIST};
 use xtask::{run_lint, workspace_root, Rule};
 
 fn usage() -> ExitCode {
     eprintln!("usage: cargo xtask lint [--format json] [--root PATH]");
+    eprintln!("       cargo xtask reach [--root PATH]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(("lint", rest)) = args.split_first().map(|(c, r)| (c.as_str(), r)) else {
-        return usage();
+    match args.split_first().map(|(c, r)| (c.as_str(), r)) {
+        Some(("lint", rest)) => lint(rest),
+        Some(("reach", rest)) => reach(rest),
+        _ => usage(),
+    }
+}
+
+/// Prints every function only tests reach, one per line with its
+/// keep-list reason, then what differs from the keep-list.
+fn reach(args: &[String]) -> ExitCode {
+    let root = match args {
+        [] => workspace_root(),
+        [flag, path] if flag == "--root" => PathBuf::from(path),
+        _ => return usage(),
     };
+    let report = match run_reach(&root) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("xtask reach: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    for item in &report.unreached {
+        let reason = report.keep.get(item).map_or("", String::as_str);
+        println!("{item}\t{reason}");
+    }
+    for item in report.unlisted() {
+        eprintln!("{item}: only tests reach it and {KEEP_LIST} does not list it");
+    }
+    for item in report.stale() {
+        eprintln!("{item}: listed in {KEEP_LIST}, but reached or gone");
+    }
+    eprintln!(
+        "xtask reach: {} functions reached only by tests, {} kept — {}",
+        report.unreached.len(),
+        report.keep.len(),
+        if report.clean() { "clean" } else { "failed" }
+    );
+    if report.clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+fn lint(rest: &[String]) -> ExitCode {
     let mut json = false;
     let mut root = workspace_root();
     let mut it = rest.iter();
