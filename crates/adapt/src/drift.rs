@@ -4,40 +4,17 @@
 //! emits. A well-fitted model produces scores whose distribution is
 //! stationary; when the process (or the gauge — see
 //! `hierod_synth::faults`) drifts away from the training regime, the
-//! score stream's mean shifts, and the monitor raises a typed
-//! [`DriftEvent`]. The refit layer ([`crate::refit`]) turns events into
-//! store-driven model rebuilds.
+//! score stream's mean shifts, and the monitor raises an alarm. The
+//! refit layer ([`crate::refit`]) turns alarms into store-driven model
+//! rebuilds.
 //!
 //! [`PageHinkley`] is the CUSUM-family sequential test: O(1) state, a
 //! handful of FLOPs per sample, parameterized by a drift allowance
 //! `delta` and an alarm threshold `lambda`. It is a deterministic
 //! function of the residual sequence — replaying the same stream
-//! reproduces the same events at the same positions, which is what lets
+//! reproduces the same alarms at the same positions, which is what lets
 //! the refit layer keep the durable stream's recovery deterministic
 //! (DESIGN.md §4.19).
-
-/// Direction of a detected drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftKind {
-    /// The residual mean shifted up (model under-fits: scores inflate).
-    MeanIncrease,
-    /// The residual mean shifted down.
-    MeanDecrease,
-}
-
-/// One detected drift, typed and located in the residual stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftEvent {
-    /// Number of residuals observed by the monitor when the event fired
-    /// (1-based; monitor-local, reset on [`PageHinkley::reset`]).
-    pub at: u64,
-    /// What kind of shift was detected.
-    pub kind: DriftKind,
-    /// The test statistic at the moment of the alarm.
-    pub statistic: f64,
-    /// The threshold the statistic exceeded.
-    pub threshold: f64,
-}
 
 /// The Page–Hinkley test, two-sided.
 ///
@@ -77,13 +54,14 @@ impl PageHinkley {
         }
     }
 
-    /// Feeds one residual; returns an event when a change is detected.
-    /// After an event the monitor has re-armed itself (internal state
-    /// reset), so a persistent shift fires again only after the test
-    /// statistic rebuilds. Non-finite residuals are ignored.
-    pub fn observe(&mut self, residual: f64) -> Option<DriftEvent> {
+    /// Feeds one residual; `true` when a change — a mean increase or a
+    /// decrease — is detected. After an alarm the monitor has re-armed
+    /// itself (internal state reset), so a persistent shift fires again
+    /// only after the test statistic rebuilds. Non-finite residuals are
+    /// ignored.
+    pub fn observe(&mut self, residual: f64) -> bool {
         if !residual.is_finite() {
-            return None;
+            return false;
         }
         self.n += 1;
         self.mean += (residual - self.mean) / self.n as f64;
@@ -92,25 +70,15 @@ impl PageHinkley {
         self.m_neg += residual - self.mean + self.delta;
         self.max_neg = self.max_neg.max(self.m_neg);
         if self.n < self.min_samples {
-            return None;
+            return false;
         }
         let up = self.m_pos - self.min_pos;
         let down = self.max_neg - self.m_neg;
-        let (kind, statistic) = if up > self.lambda {
-            (DriftKind::MeanIncrease, up)
-        } else if down > self.lambda {
-            (DriftKind::MeanDecrease, down)
-        } else {
-            return None;
-        };
-        let event = DriftEvent {
-            at: self.n,
-            kind,
-            statistic,
-            threshold: self.lambda,
-        };
-        self.reset();
-        Some(event)
+        let alarm = up > self.lambda || down > self.lambda;
+        if alarm {
+            self.reset();
+        }
+        alarm
     }
 
     /// Discards all state (used after a refit: the new model's residuals
@@ -185,7 +153,7 @@ mod tests {
     fn page_hinkley_stays_quiet_on_stationary_noise() {
         let mut ph = PageHinkley::default();
         for i in 0..5000 {
-            assert!(ph.observe(1.0 + noise(i)).is_none(), "false alarm at {i}");
+            assert!(!ph.observe(1.0 + noise(i)), "false alarm at {i}");
         }
     }
 
@@ -193,19 +161,10 @@ mod tests {
     fn page_hinkley_detects_upward_shift() {
         let mut ph = PageHinkley::default();
         for i in 0..500 {
-            assert!(ph.observe(1.0 + noise(i)).is_none());
+            assert!(!ph.observe(1.0 + noise(i)));
         }
-        let mut fired = None;
-        for i in 0..500 {
-            if let Some(e) = ph.observe(3.0 + noise(1000 + i)) {
-                fired = Some((i, e));
-                break;
-            }
-        }
-        let (latency, event) = fired.expect("shift detected");
-        assert_eq!(event.kind, DriftKind::MeanIncrease);
-        assert!(latency < 64, "latency {latency}");
-        assert!(event.statistic > event.threshold);
+        let latency = (0..500).find(|&i| ph.observe(3.0 + noise(1000 + i)));
+        assert_eq!(latency, Some(9), "shift detected at its pinned position");
     }
 
     /// Samples from the onset of a mean shift of `shift` to the first
@@ -216,7 +175,7 @@ mod tests {
         const QUIET: u64 = 1_000;
         const BUDGET: u64 = 4_000;
         let residual = |i| 0.5 + 0.4 * noise(i) + if i >= QUIET { shift } else { 0.0 };
-        let alarm = (0..QUIET + BUDGET).find(|&i| monitor.observe(residual(i)).is_some())?;
+        let alarm = (0..QUIET + BUDGET).find(|&i| monitor.observe(residual(i)))?;
         alarm.checked_sub(QUIET).map(|d| d + 1)
     }
 
@@ -233,24 +192,24 @@ mod tests {
     fn page_hinkley_detects_downward_shift() {
         let mut ph = PageHinkley::default();
         for i in 0..500 {
-            assert!(ph.observe(3.0 + noise(i)).is_none());
+            assert!(!ph.observe(3.0 + noise(i)));
         }
-        let fired = (0..500).find_map(|i| ph.observe(0.5 + noise(1000 + i)));
-        assert_eq!(fired.expect("detected").kind, DriftKind::MeanDecrease);
+        let latency = (0..500).find(|&i| ph.observe(0.5 + noise(1000 + i)));
+        assert_eq!(latency, Some(8), "shift detected at its pinned position");
     }
 
     #[test]
     fn monitors_are_deterministic() {
         let run = || {
             let mut m = MonitorSpec::page_hinkley().build();
-            let mut events = Vec::new();
+            let mut alarms = Vec::new();
             for i in 0..3000 {
                 let v = if i > 1500 { 3.0 } else { 1.0 } + noise(i);
-                if let Some(e) = m.observe(v) {
-                    events.push((i, e));
+                if m.observe(v) {
+                    alarms.push(i);
                 }
             }
-            events
+            alarms
         };
         assert_eq!(run(), run());
     }
@@ -263,15 +222,15 @@ mod tests {
         }
         ph.reset();
         for i in 0..5000 {
-            assert!(ph.observe(1.0 + noise(i)).is_none());
+            assert!(!ph.observe(1.0 + noise(i)));
         }
     }
 
     #[test]
     fn non_finite_residuals_are_ignored() {
         let mut ph = PageHinkley::default();
-        assert!(ph.observe(f64::NAN).is_none());
-        assert!(ph.observe(f64::INFINITY).is_none());
+        assert!(!ph.observe(f64::NAN));
+        assert!(!ph.observe(f64::INFINITY));
         assert_eq!(ph.n, 0);
     }
 }

@@ -9,8 +9,8 @@
 //! 1. **Drift detection** ([`drift`], [`scorer`]) — [`DriftingScorer`]
 //!    wraps any registry scorer and watches its *emitted scores* with a
 //!    two-sided [`PageHinkley`] test. Scores pass through bit-identical;
-//!    sustained score inflation (model mismatch) raises typed
-//!    [`DriftEvent`]s and per-lane `drift_events` counters surfaced through
+//!    sustained score inflation (model mismatch) raises alarms, counted
+//!    per lane as `drift_events` and surfaced through
 //!    [`StreamStats`](hierod_stream::StreamStats) and the wire protocol.
 //! 2. **Store-driven refit** ([`refit`]) — [`AdaptiveStream`] polls the
 //!    drift flags at tick boundaries and, per [`RefitPolicy`], rebuilds
@@ -40,7 +40,7 @@ pub mod fusion;
 pub mod refit;
 pub mod scorer;
 
-pub use drift::{DriftEvent, DriftKind, MonitorSpec, PageHinkley};
+pub use drift::{MonitorSpec, PageHinkley};
 pub use fusion::{fuse_support, FusionOutcome, FusionPolicy};
 pub use refit::{AdaptiveStream, RefitCause, RefitPolicy, RefitRecord};
 pub use scorer::DriftingScorer;

@@ -85,7 +85,7 @@ impl OnlineScorer for DriftingScorer {
             if self.observed <= MONITOR_WARMUP {
                 continue;
             }
-            if self.monitor.observe(score.min(SCORE_CLIP)).is_some() {
+            if self.monitor.observe(score.min(SCORE_CLIP)) {
                 self.drift_events += 1;
                 self.pending = true;
             }

@@ -6,7 +6,10 @@
 //! [`Client::sample`]) only buffer bytes; nothing hits the socket until
 //! [`Client::flush`] or the next synchronous request. That mirrors the
 //! protocol's design: ingest is an unacknowledged firehose, and errors
-//! surface at the next request/response exchange.
+//! surface at the next request/response exchange. Consecutive samples
+//! travel as one run frame (one header, one checksum, delta-coded
+//! timestamps; [`hierod_wire::frame`]), closed by any other frame, a
+//! flush, or [`MAX_RUN`](hierod_store::wal::MAX_RUN) samples.
 //!
 //! The reports [`Client::finish`], [`Client::backfill`] and a
 //! [`DeltaReply::Resync`] return carry the Algorithm-1 triples and name
@@ -23,7 +26,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use hierod_core::HierOutlier;
 use hierod_hierarchy::Level;
 use hierod_history::ScanStats;
-use hierod_store::wal::WalRecord;
+use hierod_store::wal::{RunWriter, WalRecord};
 use hierod_stream::codec::{encode_control, encode_lane};
 use hierod_stream::{ControlEvent, Health, LaneId, LaneStats, StreamStats};
 use hierod_wire::{ErrorCode, Frame, FrameReader, LaneColumns, LevelSeries, Poll};
@@ -111,9 +114,11 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     reader_stream: TcpStream,
     reader: FrameReader,
-    /// The frame being sent, encoded; kept for its capacity, so an ingest
-    /// frame costs no allocation.
+    /// The frame being sent, encoded — or the open sample run; kept for
+    /// its capacity, so an ingest frame costs no allocation.
     frame: Vec<u8>,
+    /// The sample run open in `frame`.
+    run: RunWriter,
 }
 
 impl Client {
@@ -130,13 +135,31 @@ impl Client {
             reader_stream,
             reader: FrameReader::new(),
             frame: Vec::new(),
+            run: RunWriter::default(),
         })
     }
 
-    fn send(&mut self, frame: &Frame) -> io::Result<()> {
+    /// Buffers what `frame` holds — the closed sample run, or a closed
+    /// run and the frame behind it — and empties it.
+    fn spill(&mut self) -> io::Result<()> {
+        let written = self.writer.write_all(&self.frame);
         self.frame.clear();
+        written
+    }
+
+    /// Closes the open sample run, if any, and buffers it.
+    fn close_run(&mut self) -> io::Result<()> {
+        if !self.run.is_open() {
+            return Ok(());
+        }
+        self.run.close(&mut self.frame);
+        self.spill()
+    }
+
+    fn send(&mut self, frame: &Frame) -> io::Result<()> {
+        self.close_run()?;
         frame.encode(&mut self.frame);
-        self.writer.write_all(&self.frame)
+        self.spill()
     }
 
     fn recv(&mut self) -> Result<Frame> {
@@ -165,11 +188,13 @@ impl Client {
         }
     }
 
-    /// Flushes buffered ingest frames to the socket.
+    /// Closes the open sample run and flushes buffered ingest frames to
+    /// the socket.
     ///
     /// # Errors
     /// Transport failures.
     pub fn flush(&mut self) -> io::Result<()> {
+        self.close_run()?;
         self.writer.flush()
     }
 
@@ -211,16 +236,18 @@ impl Client {
         }))
     }
 
-    /// Buffers one sample ingest frame on a previously defined lane.
+    /// Adds one sample on a previously defined lane to the open run
+    /// frame, which is buffered once it closes.
     ///
     /// # Errors
     /// Transport failures (on buffer spill only).
     pub fn sample(&mut self, lane: u32, timestamp: u64, value: f64) -> io::Result<()> {
-        self.send(&Frame::Ingest(WalRecord::Sample {
-            lane,
-            timestamp,
-            value,
-        }))
+        self.run
+            .push_sample(&mut self.frame, lane, timestamp, value);
+        if self.run.is_open() {
+            return Ok(());
+        }
+        self.spill()
     }
 
     /// Ticks the plant: assembles an interim durable report server-side.
@@ -390,5 +417,13 @@ impl Client {
             )),
             _ => Err(ClientError::Unexpected("backfill expects BackfillDone")),
         }
+    }
+}
+
+impl Drop for Client {
+    /// Buffers the open sample run, so dropping a client sends what its
+    /// buffered writer sends when dropped: everything.
+    fn drop(&mut self) {
+        let _ = self.close_run();
     }
 }

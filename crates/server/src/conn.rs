@@ -3,8 +3,8 @@
 //!
 //! ## Runs
 //!
-//! Sample frames are applied in runs — a sample and every sample frame
-//! the reader already holds behind it — through one
+//! Sample frames are applied in runs — a sample run frame and every
+//! sample frame the reader already holds behind it — through one
 //! [`PlantService::ingest_run`]: one plant lookup, one acquisition of the
 //! plant, per run instead of per frame (see the crate docs for what
 //! bounds a run). Lane definitions, control frames and requests end a run

@@ -14,17 +14,19 @@
 //! ## Runs
 //!
 //! Ingest is applied a socket read at a time, not a frame at a time: a
-//! sample frame takes with it every sample frame already buffered behind
-//! it, and the run goes through one `PlantService::ingest_run` — one
-//! plant lookup, one acquisition of that plant, one hand-off to its WAL
-//! file — with the frame counter bumped once by the run's length and the
-//! drain flag checked once. A run ends at a lane definition, a control
-//! frame, a request, or the end of what `read` has delivered, so it holds
-//! at most one read's worth of samples (8 KiB, ≈ 390 frames, plus the
-//! frame the previous read left incomplete): that, and no more, is how
-//! long a same-plant `tick` waits for ingest. The wire format and the
-//! client know nothing of it, and every record of a run is attempted and
-//! answered for exactly as if it had been its own call. Between runs the
+//! sample frame — itself a run of up to 512 samples, as the client
+//! coalesces them ([`hierod_wire::frame`]) — takes with it every sample
+//! frame already buffered behind it, and the run goes through one
+//! `PlantService::ingest_run` — one plant lookup, one acquisition of that
+//! plant, one hand-off to its WAL file, where it is journalled as runs
+//! again — with the frame counter bumped once by the run's length (in
+//! samples) and the drain flag checked once. A run ends at a lane
+//! definition, a control frame, a request, or the end of what `read` has
+//! delivered, so it holds at most one read's worth of samples (8 KiB,
+//! ≈ 800 samples at ≈ 10 B each, plus the frame the previous read left
+//! incomplete, at most 512 samples): that, and no more, is how long a
+//! same-plant `tick` waits for ingest. Every sample of a run is attempted
+//! and answered for exactly as if it had been its own call. Between runs the
 //! worker yields its core, so on a box with more busy threads than cores
 //! another connection's worker waits for one run, not for the kernel to
 //! preempt a worker whose socket never runs dry (`conn.rs`, "Runs").

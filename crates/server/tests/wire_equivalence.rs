@@ -979,7 +979,7 @@ mod runs {
 
     use hierod_detect::DetectError;
     use hierod_store::storage::{Storage, StorageFile};
-    use hierod_store::wal::WalRecord;
+    use hierod_store::wal::{self, WalRecord};
     use hierod_stream::codec::{encode_control, encode_lane};
     use hierod_stream::{DurableStream, MAX_LANES};
     use hierod_wire::{Frame, FrameReader, Poll};
@@ -1035,7 +1035,10 @@ mod runs {
         parked: (ErrorCode, String),
         /// The barrier's reply frame, encoded.
         barrier: Vec<u8>,
-        wal: Vec<u8>,
+        /// The journal, decoded: a served run is journalled as one record
+        /// of many samples, the per-record reference as runs of one, and
+        /// both scan to one `WalRecord` per sample.
+        wal: Vec<WalRecord>,
         delivered: BTreeMap<LaneId, u64>,
         finish: Vec<u8>,
     }
@@ -1099,7 +1102,7 @@ mod runs {
         Outcome {
             parked: parked.expect("the op stream strays"),
             barrier,
-            wal: storage.read("wal-0.log").unwrap(),
+            wal: wal::scan(&storage.read("wal-0.log").unwrap()).records,
             delivered,
             finish: encode_report(&svc.finish("p").unwrap()),
         }
@@ -1181,7 +1184,7 @@ mod runs {
         };
         let mut barrier = Vec::new();
         client.request(&Frame::QueryLaneStats).encode(&mut barrier);
-        let wal = storage.read("wal-0.log").unwrap();
+        let wal = wal::scan(&storage.read("wal-0.log").unwrap()).records;
         let config = TenantConfig::default();
         let (recovered, _) = DurableStream::open(
             AlgorithmPolicy::default(),
@@ -1225,7 +1228,7 @@ mod runs {
                 assert!(
                     served == reference,
                     "writes of {chunk} bytes, undefined first {undefined_first}: \
-                     {:?} / {:?}, wal {} / {} bytes",
+                     {:?} / {:?}, wal {} / {} records",
                     served.parked,
                     reference.parked,
                     served.wal.len(),

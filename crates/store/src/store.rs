@@ -69,7 +69,7 @@ use crate::codec;
 use crate::crc::crc32;
 use crate::segment::{self, SegmentData, SegmentDraft};
 use crate::storage::{Storage, StorageFile};
-use crate::wal::{self, WalCorruption, WalRecord};
+use crate::wal::{self, RunWriter, WalCorruption, WalRecord};
 
 /// Tuning knobs for a [`Store`].
 #[derive(Debug, Clone, Copy)]
@@ -407,6 +407,8 @@ pub struct Store<S: Storage> {
     unsynced: usize,
     /// Encoded records not yet handed to `writer` (see [`Store::append`]).
     staged: Vec<u8>,
+    /// The run of samples open at the end of `staged`.
+    runs: RunWriter,
     /// Why the journal stopped taking writes, once a hand-off or sync of
     /// the active WAL has failed.
     failed: Option<(io::ErrorKind, String)>,
@@ -455,6 +457,7 @@ impl<S: Storage> Store<S> {
                 group_commit: options.group_commit.max(1),
                 unsynced: 0,
                 staged: Vec::new(),
+                runs: RunWriter::default(),
                 failed: None,
             },
             recovered,
@@ -484,9 +487,16 @@ impl<S: Storage> Store<S> {
     /// allocation per record), and the file is handed the staged bytes
     /// once per batch, not once per record: at every `group_commit`-th
     /// record, which also syncs, at a [`Store::flush`], and at a
-    /// [`Store::commit`], the hard barrier. The file therefore sees the
-    /// same bytes and the same sync points as if each record had been
-    /// written alone, and a crash loses nothing a sync covered.
+    /// [`Store::commit`], the hard barrier.
+    ///
+    /// Consecutive samples are staged as one run (the WAL's tag-3
+    /// record, [`wal::RunWriter`]): one frame and one checksum, each
+    /// sample's timestamp a delta from the one before. A run closes at
+    /// every hand-off, in front of any other record, and at
+    /// [`wal::MAX_RUN`] samples. Group commit still counts one per
+    /// sample, so the sync points are those of one record per sample,
+    /// in fewer bytes; a crash loses nothing a sync covered, and a run
+    /// torn by a crash is dropped whole.
     ///
     /// Readers of the live WAL ([`Storage::read`]) see handed-over bytes
     /// only: a caller whose own callers may read it flushes before it
@@ -497,7 +507,7 @@ impl<S: Storage> Store<S> {
     /// commit; every call after a failed write of this WAL.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
         self.check()?;
-        record.encode(&mut self.staged);
+        self.runs.push(&mut self.staged, record);
         self.unsynced += 1;
         if self.unsynced >= self.group_commit {
             self.commit()?;
@@ -505,12 +515,14 @@ impl<S: Storage> Store<S> {
         Ok(())
     }
 
-    /// Hands every staged record to the active WAL file (no sync).
+    /// Closes the open run and hands every staged record to the active
+    /// WAL file (no sync).
     ///
     /// # Errors
     /// Storage I/O failures (including an injected crash).
     pub fn flush(&mut self) -> io::Result<()> {
         self.check()?;
+        self.runs.close(&mut self.staged);
         if self.staged.is_empty() {
             return Ok(());
         }

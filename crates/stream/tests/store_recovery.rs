@@ -22,11 +22,14 @@ use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
 use hierod_store::segment::{SegmentChunk, SegmentDraft};
 use hierod_store::storage::Storage;
-use hierod_store::store::{Store, StoreOptions};
+use hierod_store::store::{read_layout, Store, StoreOptions};
+use hierod_store::tenants::MemFactory;
+use hierod_store::wal::{self, WalRecord, WAL_MAGIC};
 use hierod_store::MemStorage;
 use hierod_stream::codec::decode_lane;
 use hierod_stream::{
-    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
+    ControlEvent, DurableStream, LaneId, LaneKind, LaneTable, PlantRegistry, Sample, ScorerMode,
+    StreamConfig, StreamReport, Tenant, TenantConfig,
 };
 use hierod_wire::encode_report;
 use proptest::prelude::*;
@@ -525,6 +528,306 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
     assert_eq!(recovery.restored_samples, clean_recovery.restored_samples);
     assert_reports_equal(&got, &want, "a refused chunk");
     assert_reports_equal(&got, &uninterrupted(&ops), "a refused chunk");
+}
+
+// ---------------------------------------------------------------------
+// Runs longer than one. The sweeps above ingest one sample per call, so
+// every sample is its own WAL record; a server ingests what one socket
+// read delivered through `Tenant::ingest_run`, which the store journals
+// as runs — one record of many samples, one checksum — cut by the group
+// commit, lane definitions and controls.
+
+const PLANT: &str = "plant";
+
+fn registry(factory: MemFactory) -> (PlantRegistry<MemFactory>, u64) {
+    let (policy, stream) = policy_and_config();
+    let config = TenantConfig {
+        stream,
+        store: StoreOptions { group_commit: 8 },
+    };
+    let (registry, recoveries) = PlantRegistry::open(factory, policy, config).expect("open");
+    let replayed = recoveries.get(PLANT).map_or(0, |r| r.replayed_samples);
+    (registry, replayed)
+}
+
+/// [`run_ops`] as a server drives a plant: consecutive samples in runs
+/// of at most `run_len` through [`Tenant::ingest_run`], each lane on a
+/// wire number of its own, with the same resume contract.
+fn run_ops_in_runs(
+    tenant: &mut Tenant<MemStorage>,
+    ops: &[Op],
+    run_len: usize,
+    skip_controls: u64,
+    delivered: &BTreeMap<LaneId, u64>,
+) -> bool {
+    let mut table = LaneTable::default();
+    let mut wire: BTreeMap<LaneId, u32> = BTreeMap::new();
+    let mut run = Vec::new();
+    let mut control_no = 0_u64;
+    let mut lane_counts: BTreeMap<LaneId, u64> = BTreeMap::new();
+    let apply = |tenant: &mut Tenant<MemStorage>, table: &mut LaneTable, run: &mut Vec<_>| {
+        let failed = tenant.ingest_run(table, run);
+        run.clear();
+        if let Some(e) = failed {
+            let killed = tenant.stream().store().storage().killed();
+            assert!(killed, "only the injected crash may fail a run: {e:?}");
+            return false;
+        }
+        true
+    };
+    for op in ops {
+        if let Op::MachineUp(..) | Op::JobStart(..) | Op::PhaseStart(..) | Op::JobComplete(..) = op
+        {
+            control_no += 1;
+            if control_no <= skip_controls {
+                continue;
+            }
+        }
+        if let Op::Sample(id, ts, v) = op {
+            let count = lane_counts.entry(id.clone()).or_insert(0);
+            *count += 1;
+            if *count <= delivered.get(id).copied().unwrap_or(0) {
+                continue;
+            }
+            let next = wire.len() as u32 + 1;
+            let lane = *wire.entry(id.clone()).or_insert_with(|| {
+                assert!(table.bind(next, id.clone()));
+                next
+            });
+            run.push((
+                lane,
+                Sample {
+                    timestamp: *ts,
+                    value: *v,
+                },
+            ));
+            if run.len() == run_len && !apply(tenant, &mut table, &mut run) {
+                return false;
+            }
+            continue;
+        }
+        if !run.is_empty() && !apply(tenant, &mut table, &mut run) {
+            return false;
+        }
+        let result = match op {
+            Op::MachineUp(m, sensors, groups, env) => tenant.control(&ControlEvent::machine_up(
+                m,
+                sensors.clone(),
+                groups.clone(),
+                env,
+            )),
+            Op::JobStart(m, j, start, config) => {
+                tenant.control(&ControlEvent::job_start(m, j, *start, config.clone()))
+            }
+            Op::PhaseStart(m, kind, sensors) => {
+                tenant.control(&ControlEvent::phase_start(m, *kind, sensors))
+            }
+            Op::JobComplete(m, caq) => tenant.control(&ControlEvent::job_complete(m, caq.clone())),
+            Op::Rotate => tenant.rotate(),
+            Op::Tick => tenant.tick().map(|_| ()),
+            Op::Sample(..) => unreachable!("samples join the run"),
+        };
+        if let Err(e) = result {
+            let killed = tenant.stream().store().storage().killed();
+            assert!(
+                killed,
+                "only the injected crash may fail the scenario: {e:?}"
+            );
+            return false;
+        }
+    }
+    run.is_empty() || apply(tenant, &mut table, &mut run)
+}
+
+/// The samples in the whole records of a WAL image: its record headers
+/// walked up to the first record the image does not hold whole, each
+/// whole one's samples counted. A torn record counts none.
+fn samples_in_whole_records(image: &[u8]) -> u64 {
+    let mut offset = WAL_MAGIC.len();
+    let mut samples = 0;
+    while let Some(header) = image.get(offset..offset + 8) {
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        let Some(record) = image.get(offset..offset + 8 + len) else {
+            break;
+        };
+        let mut alone = WAL_MAGIC.to_vec();
+        alone.extend_from_slice(record);
+        let records = wal::scan(&alone).records;
+        samples += records
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Sample { .. }))
+            .count() as u64;
+        offset += 8 + len;
+    }
+    samples
+}
+
+/// What the active WAL of a crash image holds: samples in whole records,
+/// and whether its tail is a torn run of more than one sample.
+fn active_wal(image: &MemStorage) -> (u64, bool) {
+    let layout = read_layout(image).expect("layout");
+    if !layout.wal_present {
+        return (0, false);
+    }
+    let bytes = image
+        .read(&format!("wal-{}.log", layout.wal_index))
+        .expect("read the active WAL");
+    let valid = wal::scan(&bytes).valid_len;
+    let tail = bytes.get(valid..).unwrap_or_default();
+    // Header, tag 3, and more payload than one sample can be.
+    let torn_run = tail.len() > 8
+        && tail[8] == 3
+        && u32::from_le_bytes(tail[..4].try_into().unwrap()) as usize > 1 + 5 + 10 + 8;
+    (samples_in_whole_records(&bytes), torn_run)
+}
+
+/// Crashes the scenario, driven in runs of `run_len`, at `budget`
+/// written bytes; recovers; checks that recovery replayed exactly the
+/// samples of the active WAL's whole records (a torn run restores none);
+/// resumes from the recovered cursors and finishes. Returns the report
+/// and whether the crash tore a run of more than one sample.
+fn crash_recover_resume_in_runs(
+    ops: &[Op],
+    run_len: usize,
+    budget: u64,
+    keep_unsynced: bool,
+) -> (StreamReport, bool) {
+    let (mut plants, _) = registry(MemFactory::new());
+    let tenant = plants.create_tenant(PLANT).expect("create");
+    tenant
+        .stream()
+        .store()
+        .storage()
+        .set_write_budget(Some(budget));
+    run_ops_in_runs(tenant, ops, run_len, 0, &BTreeMap::new());
+    let image = plants.factory().crash_image(keep_unsynced);
+    let storage = image.storage(PLANT, 0).expect("the plant's storage");
+    let (whole, torn_run) = active_wal(&storage);
+
+    let (mut recovered, replayed) = registry(image);
+    assert_eq!(replayed, whole, "recovery replays whole records only");
+    let tenant = recovered.tenant_mut(PLANT).expect("recovered");
+    let skip = tenant.stream().controls_applied();
+    let delivered = tenant.stream().delivered();
+    assert!(
+        run_ops_in_runs(tenant, ops, run_len, skip, &delivered),
+        "resume runs on healthy storage"
+    );
+    let mut report = recovered.finish_tenant(PLANT).expect("finish");
+    // As in `crash_recover_resume`: the torn write is a survived
+    // corruption the baseline never saw.
+    report.stats.corrupt_records = 0;
+    for stats in report.lane_stats.values_mut() {
+        stats.corrupt_records = 0;
+    }
+    (report, torn_run)
+}
+
+/// Both scenarios through `Tenant::ingest_run` in runs of `run_len`,
+/// crashed at every byte either scenario writes, with and without the
+/// unsynced bytes: the recovered report equals the one-sample-per-call,
+/// uncrashed one.
+fn sweep_every_byte_in_runs_of(run_len: usize) {
+    for ops in [scenario(1), scenario_rotating_inside_jobs()] {
+        let baseline = uninterrupted(&ops);
+        let (mut probe, _) = registry(MemFactory::new());
+        let tenant = probe.create_tenant(PLANT).expect("create");
+        let storage = tenant.stream().store().storage().clone();
+        let before = storage.bytes_written();
+        assert!(run_ops_in_runs(tenant, &ops, run_len, 0, &BTreeMap::new()));
+        let total = storage.bytes_written() - before;
+        assert_reports_equal(
+            &probe.finish_tenant(PLANT).expect("finish"),
+            &baseline,
+            &format!("runs of {run_len}, uncrashed"),
+        );
+        let mut torn_runs = 0;
+        for budget in 0..=total {
+            for keep_unsynced in [false, true] {
+                let (report, torn_run) =
+                    crash_recover_resume_in_runs(&ops, run_len, budget, keep_unsynced);
+                assert_reports_equal(
+                    &report,
+                    &baseline,
+                    &format!("runs of {run_len}, budget={budget} keep_unsynced={keep_unsynced}"),
+                );
+                torn_runs += u64::from(torn_run);
+            }
+        }
+        if run_len > 1 {
+            assert!(torn_runs > 0, "runs of {run_len}: no crash tore a run");
+        }
+    }
+}
+
+#[test]
+fn crash_at_every_byte_of_runs_of_1_recovers_equivalently() {
+    sweep_every_byte_in_runs_of(1);
+}
+
+#[test]
+fn crash_at_every_byte_of_runs_of_7_recovers_equivalently() {
+    sweep_every_byte_in_runs_of(7);
+}
+
+#[test]
+fn crash_at_every_byte_of_runs_of_64_recovers_equivalently() {
+    sweep_every_byte_in_runs_of(64);
+}
+
+#[test]
+fn crash_at_every_byte_of_runs_of_200_recovers_equivalently() {
+    sweep_every_byte_in_runs_of(200);
+}
+
+/// A journal written one sample per record — each `WalRecord::Sample`
+/// framed alone by `WalRecord::encode`, the form every journal took
+/// before runs — recovers to the same report bytes as the same input
+/// journalled in runs.
+#[test]
+fn a_journal_of_one_sample_per_record_recovers_like_one_of_runs() {
+    let ops: Vec<Op> = scenario(1)
+        .into_iter()
+        .filter(|op| !matches!(op, Op::Rotate | Op::Tick))
+        .collect();
+    let (mut plants, _) = registry(MemFactory::new());
+    let tenant = plants.create_tenant(PLANT).expect("create");
+    assert!(run_ops_in_runs(tenant, &ops, 64, 0, &BTreeMap::new()));
+    let in_runs = plants.factory().crash_image(false);
+    let runs_storage = in_runs.storage(PLANT, 0).expect("storage");
+    let runs_wal = runs_storage.read("wal-0.log").expect("wal");
+    let records = wal::scan(&runs_wal).records;
+
+    let one_per_record = in_runs.crash_image(false);
+    let storage = one_per_record.storage(PLANT, 0).expect("storage");
+    let mut image = WAL_MAGIC.to_vec();
+    for record in &records {
+        record.encode(&mut image);
+    }
+    storage.remove("wal-0.log").expect("remove");
+    let mut file = storage.create("wal-0.log").expect("create");
+    file.append(&image).expect("append");
+    file.sync().expect("sync");
+    drop(file);
+    assert_eq!(wal::scan(&image).records, records);
+    assert!(
+        runs_wal.len() < image.len(),
+        "runs: {} B, one sample per record: {} B",
+        runs_wal.len(),
+        image.len()
+    );
+
+    let finish = |factory| {
+        let (plants, replayed) = registry(factory);
+        let samples = records
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Sample { .. }));
+        assert_eq!(replayed, samples.count() as u64);
+        encode_report(&plants.finish_tenant(PLANT).expect("finish"))
+    };
+    let (from_runs, from_records) = (finish(in_runs), finish(one_per_record));
+    assert_eq!(from_runs, from_records);
+    assert_eq!(from_runs, encode_report(&uninterrupted(&ops)));
 }
 
 /// FNV-1a over `bytes`.

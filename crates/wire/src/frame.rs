@@ -1,4 +1,21 @@
 //! Frame types, payload codecs, and the incremental frame reader.
+//!
+//! Ingest frames are the WAL's records (tags 1–3, [`hierod_store::wal`]).
+//! A sample frame (tag 3) is a *run*: one to [`wal::MAX_RUN`] samples
+//! under one frame and one checksum, the first with its timestamp, each
+//! later one with a zigzag-varint delta from the sample before it. A run
+//! of one is the single-sample frame, byte for byte, so a sender that
+//! frames every sample alone is still understood.
+//! `hierod_server`'s `Client` coalesces consecutive samples into one run;
+//! any other frame, a flush or the cap closes it.
+//!
+//! [`FrameReader::take_samples`] decodes run frames straight into the
+//! connection's run of `(wire lane, sample)`; [`FrameReader::poll`]
+//! hands a run out as one [`Frame::Ingest`] of a
+//! [`WalRecord::Sample`] per sample, as [`wal::scan`] does for the
+//! journal. A run that is torn, fails its checksum or does not parse —
+//! a field cut short, trailing bytes, a timestamp delta that leaves
+//! `u64`, more than [`wal::MAX_RUN`] samples — is rejected whole.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -8,7 +25,7 @@ use hierod_hierarchy::Level;
 use hierod_history::ScanStats;
 use hierod_store::codec;
 use hierod_store::crc::crc32;
-use hierod_store::wal::{put_framed, WalRecord};
+use hierod_store::wal::{self, put_framed, WalRecord, MAX_RUN_PAYLOAD};
 use hierod_stream::codec::{decode_lane, encode_lane};
 use hierod_stream::{Health, LaneId, LaneStats, PlantHealth, RecoverySummary, Sample, StreamStats};
 
@@ -114,10 +131,12 @@ impl ErrorCode {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// An ingest frame: a WAL record, byte-for-byte ([`WalRecord`]
-    /// tags 1–3 — lane definition, control event, sample). Not
-    /// individually acknowledged; errors surface at the next
-    /// synchronous request. A control's `seq` is ignored: the plant's
-    /// journal numbers the controls it applies.
+    /// tags 1–3 — lane definition, control event, sample). A sample is
+    /// encoded as a run of one; a received run of many decodes as one
+    /// such frame per sample (module docs). Not individually
+    /// acknowledged; errors surface at the next synchronous request. A
+    /// control's `seq` is ignored: the plant's journal numbers the
+    /// controls it applies.
     Ingest(WalRecord),
     /// Selects (or creates) the plant this connection drives.
     Admit {
@@ -575,7 +594,9 @@ impl Frame {
     }
 
     /// Decodes one payload (tag + body); total — `None` on any
-    /// malformation, trailing bytes included.
+    /// malformation, trailing bytes included. A sample run decodes only
+    /// if it is a run of one: [`FrameReader`] hands a longer one out a
+    /// sample at a time.
     pub fn decode_payload(bytes: &[u8]) -> Option<Frame> {
         let mut buf = bytes;
         let buf = &mut buf;
@@ -697,20 +718,27 @@ pub enum Poll {
     Eof,
 }
 
-/// The sample frame at the front of `bytes`, complete and verified, and
-/// the bytes behind it; `None` if what is there is anything else.
-fn front_sample(mut bytes: &[u8]) -> Option<((u32, Sample), &[u8])> {
+/// The payload of the sample-run frame at the front of `bytes`, complete
+/// and checksum-verified, and the bytes behind it; `None` if what is
+/// there is anything else.
+fn front_run(mut bytes: &[u8]) -> Option<(&[u8], &[u8])> {
     let (len, crc) = (codec::take_u32(&mut bytes)?, codec::take_u32(&mut bytes)?);
-    // Tag, lane, timestamp, value: no sample payload is longer.
-    let len = Some(len as usize).filter(|&len| len <= 1 + 5 + 10 + 8)?;
+    let len = Some(len as usize).filter(|&len| len <= MAX_RUN_PAYLOAD)?;
     let payload = codec::take(&mut bytes, len)?;
-    // The tag first: only a frame that says it is a sample is worth
+    // The tag first: only a frame that says it is a sample run is worth
     // checksumming here.
     if payload.first() != Some(&TAG_SAMPLE) || crc32(payload) != crc {
         return None;
     }
-    let (lane, timestamp, value) = WalRecord::decode_sample(payload)?;
-    Some(((lane, Sample { timestamp, value }), bytes))
+    Some((payload, bytes))
+}
+
+/// Decodes a run payload onto the end of `run`; `false` (and `run`
+/// untouched) if it is malformed.
+fn decode_run(payload: &[u8], run: &mut Vec<(u32, Sample)>) -> bool {
+    wal::decode_run(payload, run, |lane, timestamp, value| {
+        (lane, Sample { timestamp, value })
+    })
 }
 
 /// Incremental frame decoder over any [`Read`].
@@ -723,6 +751,10 @@ fn front_sample(mut bytes: &[u8]) -> Option<((u32, Sample), &[u8])> {
 pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
+    /// The samples of the last run frame [`poll`](FrameReader::poll)
+    /// decoded, from `next` on not yet handed out.
+    pending: Vec<(u32, Sample)>,
+    next: usize,
 }
 
 impl FrameReader {
@@ -744,7 +776,20 @@ impl FrameReader {
         }
     }
 
-    /// Attempts to decode one frame from the buffered bytes.
+    /// The next sample of the last decoded run, as its own ingest frame.
+    fn next_pending(&mut self) -> Option<Frame> {
+        let &(lane, sample) = self.pending.get(self.next)?;
+        self.next += 1;
+        Some(Frame::Ingest(WalRecord::Sample {
+            lane,
+            timestamp: sample.timestamp,
+            value: sample.value,
+        }))
+    }
+
+    /// Attempts to decode one frame from the buffered bytes; a sample
+    /// run is decoded whole into `pending` and handed out a sample at a
+    /// time.
     ///
     /// # Errors
     /// `InvalidData` on oversized lengths, checksum mismatches, or
@@ -772,25 +817,41 @@ impl FrameReader {
                 "frame checksum mismatch",
             ));
         }
-        let frame = Frame::decode_payload(payload)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed frame payload"))?;
+        let malformed = || io::Error::new(io::ErrorKind::InvalidData, "malformed frame payload");
+        let frame = if payload.first() == Some(&TAG_SAMPLE) {
+            self.pending.clear();
+            self.next = 0;
+            if !decode_run(payload, &mut self.pending) {
+                return Err(malformed());
+            }
+            None
+        } else {
+            Some(Frame::decode_payload(payload).ok_or_else(malformed)?)
+        };
         self.consume(8 + len as usize);
-        Ok(Some(frame))
+        Ok(frame.or_else(|| self.next_pending()))
     }
 
-    /// Moves every complete, checksum-verified sample frame at the front
-    /// of the buffered bytes into `run`, as `(wire lane, sample)`, in
-    /// stream order, and stops in front of the first frame that is
-    /// anything else — another kind of frame, an incomplete one, a damaged
-    /// one — which is left for [`poll`](FrameReader::poll) to decode or
-    /// report. Reads nothing: what it takes is what earlier reads already
-    /// delivered, so a run is never longer than one read's worth of
-    /// frames (plus the frame the read before it left incomplete).
+    /// Moves the samples [`poll`](FrameReader::poll) has decoded but not
+    /// yet handed out, then every sample of each complete,
+    /// checksum-verified, well-formed run frame at the front of the
+    /// buffered bytes, into `run`, as `(wire lane, sample)`, in stream
+    /// order — a frame decoded straight into `run`. Stops in front of the
+    /// first frame that is anything else — another kind of frame, an
+    /// incomplete one, a damaged one — which is left for `poll` to decode
+    /// or report. Reads nothing: what it takes is what earlier reads
+    /// already delivered, so a run is never longer than one read's worth
+    /// of frames (plus the frame the read before it left incomplete).
     pub fn take_samples(&mut self, run: &mut Vec<(u32, Sample)>) {
+        run.extend(self.pending.drain(self.next..));
+        self.pending.clear();
+        self.next = 0;
         let avail = self.buf.get(self.start..).unwrap_or_default();
         let mut rest = avail;
-        while let Some((sample, behind)) = front_sample(rest) {
-            run.push(sample);
+        while let Some((payload, behind)) = front_run(rest) {
+            if !decode_run(payload, run) {
+                break;
+            }
             rest = behind;
         }
         self.consume(avail.len() - rest.len());
@@ -803,6 +864,9 @@ impl FrameReader {
     /// `UnexpectedEof` for a connection cut mid-frame, and any other
     /// underlying I/O error.
     pub fn poll<R: Read>(&mut self, r: &mut R) -> io::Result<Poll> {
+        if let Some(frame) = self.next_pending() {
+            return Ok(Poll::Frame(frame));
+        }
         loop {
             if let Some(frame) = self.try_decode()? {
                 return Ok(Poll::Frame(frame));

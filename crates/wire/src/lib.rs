@@ -11,10 +11,11 @@
 //! ```
 //!
 //! The payload starts with a one-byte tag. Tags 1–3 are **the WAL
-//! record tags, verbatim**: a [`Frame::Ingest`] frame's bytes are
-//! byte-for-byte a [`WalRecord`](hierod_store::wal::WalRecord) —
-//! prepend the WAL magic to a captured ingest stream and it scans and
-//! replays through the store unchanged (pinned in
+//! record tags, verbatim**: an ingest frame's bytes are byte-for-byte a
+//! WAL record, a sample frame a run of one to
+//! [`MAX_RUN`](hierod_store::wal::MAX_RUN) samples under one checksum
+//! (see [`frame`]) — prepend the WAL magic to a captured ingest stream
+//! and it scans and replays through the store unchanged (pinned in
 //! `tests/wire_props.rs`). Lane metadata and control payloads carry the
 //! shared [`hierod_stream::codec`] encodings, so the wire and the
 //! durability journal agree on every byte.

@@ -16,7 +16,8 @@ use hierod_hierarchy::{Level, PhaseKind};
 use hierod_history::ScanStats;
 use hierod_store::wal::{self, WalRecord, WAL_MAGIC};
 use hierod_stream::{
-    Health, LaneId, LaneKind, LaneStats, PlantHealth, RecoverySummary, StreamReport, StreamStats,
+    Health, LaneId, LaneKind, LaneStats, PlantHealth, RecoverySummary, Sample, StreamReport,
+    StreamStats,
 };
 use hierod_wire::{
     decode_report, encode_report, without_columns, write_frame, ErrorCode, Frame, FrameReader,
@@ -598,20 +599,31 @@ proptest! {
     fn ingest_frames_are_wal_verbatim_and_replayable(
         records in prop::collection::vec(arb_wal_record(), 0..6)
     ) {
-        // Capture the ingest stream exactly as it crosses the wire.
+        // Capture the ingest stream exactly as it crosses the wire, one
+        // frame per record.
         let mut captured = Vec::new();
         for record in &records {
             Frame::Ingest(record.clone()).encode(&mut captured);
         }
-        // Byte-for-byte the WAL image, minus the magic.
-        let image = wal::encode_image(&records);
-        prop_assert_eq!(&image[WAL_MAGIC.len()..], &captured[..]);
+        // Byte-for-byte the WAL image of each record alone, minus the
+        // magic: a sample frame is a run of one.
+        let mut alone = Vec::new();
+        for record in &records {
+            alone.extend_from_slice(&wal::encode_image(std::slice::from_ref(record))[WAL_MAGIC.len()..]);
+        }
+        prop_assert_eq!(&alone, &captured);
         // And therefore replayable through the store's scanner.
         let mut replay = WAL_MAGIC.to_vec();
         replay.extend_from_slice(&captured);
         let scan = wal::scan(&replay);
         prop_assert!(scan.corruption.is_none());
         prop_assert!(same(&scan.records, &records));
+        // The other way round, the WAL image — consecutive samples as one
+        // run — is an ingest stream that polls as the same records.
+        let image = wal::encode_image(&records);
+        let (polled, broke) = drain(&image[WAL_MAGIC.len()..], usize::MAX, false);
+        let as_frames: Vec<Frame> = records.iter().cloned().map(Frame::Ingest).collect();
+        prop_assert!(same(&polled, &as_frames) && !broke);
     }
 
     #[test]
@@ -657,11 +669,16 @@ fn arb_ingest_stream() -> impl Strategy<Value = Vec<Frame>> {
 /// whether it broke. With `runs`, a sample frame is followed by
 /// `take_samples`, as the server does it.
 fn drain(bytes: &[u8], chunk: usize, runs: bool) -> (Vec<Frame>, bool) {
-    let mut trickle = Trickle {
+    let trickle = Trickle {
         data: bytes,
         pos: 0,
         chunk,
     };
+    drain_from(trickle, runs)
+}
+
+/// [`drain`] over any reader.
+fn drain_from(mut trickle: impl Read, runs: bool) -> (Vec<Frame>, bool) {
     let mut reader = FrameReader::new();
     let mut frames = Vec::new();
     let mut run = Vec::new();
@@ -734,6 +751,276 @@ proptest! {
             prop_assert!(same(&drain(&flipped, chunk, true), &drain(&flipped, chunk, false)));
             let cut = &bytes[..at];
             prop_assert!(same(&drain(cut, chunk, true), &drain(cut, chunk, false)));
+        }
+    }
+}
+
+// -----------------------------------------------------------------
+// Sample runs: many samples under one frame, as the client sends them.
+
+/// `frames` as the client sends them: consecutive samples as one run.
+fn encode_coalesced(frames: &[Frame]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut runs = wal::RunWriter::default();
+    for frame in frames {
+        match frame {
+            &Frame::Ingest(WalRecord::Sample {
+                lane,
+                timestamp,
+                value,
+            }) => runs.push_sample(&mut bytes, lane, timestamp, value),
+            other => {
+                runs.close(&mut bytes);
+                other.encode(&mut bytes);
+            }
+        }
+    }
+    runs.close(&mut bytes);
+    bytes
+}
+
+/// Mostly samples close in time — long runs — now and then one far
+/// away (its delta may leave `i64`, which opens a new run) or any other
+/// frame.
+fn arb_run_stream() -> impl Strategy<Value = Vec<Frame>> {
+    let step = (
+        0_u8..16,
+        0_u32..5,
+        0_u64..2_000,
+        any::<u64>(),
+        arb_f64(),
+        arb_frame(),
+    );
+    let step = step.prop_map(|(pick, lane, near, far, value, other)| match pick {
+        0 => other,
+        1 => Frame::Ingest(WalRecord::Sample {
+            lane,
+            timestamp: far,
+            value,
+        }),
+        _ => Frame::Ingest(WalRecord::Sample {
+            lane,
+            timestamp: near,
+            value,
+        }),
+    });
+    prop::collection::vec(step, 0..120)
+}
+
+/// A reader that delivers `data[..first]` in one read, then the rest.
+struct SplitOnce<'a> {
+    data: &'a [u8],
+    first: usize,
+    pos: usize,
+}
+
+impl Read for SplitOnce<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let end = if self.pos < self.first {
+            self.first
+        } else {
+            self.data.len()
+        };
+        let n = (end - self.pos).min(buf.len());
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// A checksum-valid frame around `payload`.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    wal::put_framed(&mut out, |out| out.extend_from_slice(payload));
+    out
+}
+
+/// A run payload written field by field: `(lane, timestamp or zigzag
+/// delta, value)` per sample.
+fn run_payload(samples: &[(u64, u64, f64)]) -> Vec<u8> {
+    let mut out = vec![3];
+    for &(lane, ts, value) in samples {
+        hierod_store::codec::put_varint(&mut out, lane);
+        hierod_store::codec::put_varint(&mut out, ts);
+        hierod_store::codec::put_f64(&mut out, value);
+    }
+    out
+}
+
+/// What a reader makes of a good run followed by `bad`: the samples
+/// `take_samples` moved, and whether the poll behind them failed as
+/// `InvalidData` having handed out nothing more.
+fn behind_a_good_run(bad: &[u8]) -> (Vec<(u32, Sample)>, bool) {
+    let mut bytes = framed(&run_payload(&[(1, 100, 1.0), (1, 2, 2.0)]));
+    bytes.extend_from_slice(bad);
+    let mut reader = FrameReader::new();
+    let mut cursor = Cursor::new(&bytes);
+    let Ok(Poll::Frame(first)) = reader.poll(&mut cursor) else {
+        panic!("the good run polls");
+    };
+    let mut run = Vec::new();
+    reader.take_samples(&mut run);
+    let sample = Sample {
+        timestamp: 101,
+        value: 2.0,
+    };
+    assert!(same(
+        &first,
+        &Frame::Ingest(WalRecord::Sample {
+            lane: 1,
+            timestamp: 100,
+            value: 1.0
+        })
+    ));
+    assert!(same(&run.first(), &Some(&(1, sample))));
+    let refused =
+        matches!(reader.poll(&mut cursor), Err(e) if e.kind() == std::io::ErrorKind::InvalidData);
+    (run.split_off(1), refused)
+}
+
+fn zigzag(delta: i64) -> u64 {
+    ((delta << 1) ^ (delta >> 63)) as u64
+}
+
+#[test]
+fn a_run_frame_cut_inside_any_field_is_refused_whole() {
+    let samples = [
+        (300, 1 << 40, 1.5),
+        (70_000, zigzag(-7), -3.0),
+        (2, zigzag(1 << 20), 0.25),
+    ];
+    let payload = run_payload(&samples);
+    let ends: Vec<usize> = (1..=3).map(|k| run_payload(&samples[..k]).len()).collect();
+    for cut in 1..payload.len() {
+        if ends.contains(&cut) {
+            continue;
+        }
+        let (taken, refused) = behind_a_good_run(&framed(&payload[..cut]));
+        assert!(taken.is_empty() && refused, "cut at {cut}");
+    }
+}
+
+#[test]
+fn hostile_run_frames_are_refused_whole() {
+    let over = run_payload(&[(0, u64::MAX - 1, 0.0), (0, zigzag(5), 0.0)]);
+    let under = run_payload(&[(0, 3, 0.0), (0, zigzag(-5), 0.0)]);
+    let mut trailing = run_payload(&[(0, 3, 0.0), (0, zigzag(5), 0.0)]);
+    trailing.push(0);
+    let step = |t: u64| (0, if t == 0 { 0 } else { zigzag(1) }, 0.5);
+    let too_long = run_payload(&(0..=wal::MAX_RUN as u64).map(step).collect::<Vec<_>>());
+    for (what, payload) in [
+        ("delta past u64::MAX", over),
+        ("delta below 0", under),
+        ("trailing byte", trailing),
+        ("one sample past the cap", too_long),
+        ("a tag and nothing", vec![3]),
+    ] {
+        let (taken, refused) = behind_a_good_run(&framed(&payload));
+        assert!(taken.is_empty() && refused, "{what}");
+    }
+    // A run's frame is the one that may be long: never longer than a
+    // full run can be.
+    let at_cap = run_payload(&(0..wal::MAX_RUN as u64).map(step).collect::<Vec<_>>());
+    assert!(at_cap.len() <= wal::MAX_RUN_PAYLOAD);
+    let (taken, refused) = behind_a_good_run(&framed(&at_cap));
+    assert_eq!(taken.len(), wal::MAX_RUN);
+    assert!(!refused, "nothing behind it");
+}
+
+#[test]
+fn a_later_sample_past_the_lane_cap_decodes_as_a_run_of_one_naming_it_does() {
+    for lane in [hierod_stream::MAX_LANES, u32::MAX] {
+        let alone = framed(&run_payload(&[(u64::from(lane), 9, 1.0)]));
+        let later = framed(&run_payload(&[
+            (0, 8, 0.0),
+            (u64::from(lane), zigzag(1), 1.0),
+        ]));
+        let (alone, _) = drain(&alone, usize::MAX, true);
+        let (later, _) = drain(&later, usize::MAX, true);
+        assert!(same(&alone.last(), &later.last()), "lane {lane}");
+        assert!(same(
+            &later.last(),
+            &Some(Frame::Ingest(WalRecord::Sample {
+                lane,
+                timestamp: 9,
+                value: 1.0
+            }))
+        ));
+    }
+}
+
+#[test]
+fn a_run_split_across_two_reads_at_every_byte_is_taken_whole() {
+    let sample = |lane, timestamp| {
+        Frame::Ingest(WalRecord::Sample {
+            lane,
+            timestamp,
+            value: timestamp as f64 * 0.5,
+        })
+    };
+    let mut frames: Vec<Frame> = (0..300).map(|t| sample(t as u32 % 3, 1_000 + t)).collect();
+    frames.push(Frame::Tick);
+    frames.extend((0..5).map(|t| sample(1, 2_000 - t)));
+    let bytes = encode_coalesced(&frames);
+    let mut per_record = Vec::new();
+    for frame in &frames {
+        frame.encode(&mut per_record);
+    }
+    assert!(
+        bytes.len() * 10 < per_record.len() * 6,
+        "{} vs {}",
+        bytes.len(),
+        per_record.len()
+    );
+    for first in 0..=bytes.len() {
+        for runs in [false, true] {
+            let got = drain_from(
+                SplitOnce {
+                    data: &bytes,
+                    first,
+                    pos: 0,
+                },
+                runs,
+            );
+            assert!(
+                same(&got, &(frames.clone(), false)),
+                "split at {first}, runs {runs}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn taking_runs_of_many_is_polling_them_one_by_one(
+        (frames, chunk, damage) in (arb_run_stream(), 1_usize..64, any::<u64>())
+    ) {
+        let bytes = encode_coalesced(&frames);
+        let (one_by_one, broke) = drain(&bytes, chunk, false);
+        prop_assert!(same(&one_by_one, &frames) && !broke);
+        prop_assert!(same(&drain(&bytes, chunk, true), &(one_by_one, false)));
+        // Damage: a run stops in front of it and the poll behind it
+        // reports what polling alone reports.
+        if !bytes.is_empty() {
+            let at = (damage % bytes.len() as u64) as usize;
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << ((damage >> 32) % 8);
+            prop_assert!(same(&drain(&flipped, chunk, true), &drain(&flipped, chunk, false)));
+            let cut = &bytes[..at];
+            prop_assert!(same(&drain(cut, chunk, true), &drain(cut, chunk, false)));
+        }
+        // And the journal reads the same bytes as the same samples.
+        let mut image = WAL_MAGIC.to_vec();
+        image.extend_from_slice(&bytes);
+        let ingest: Vec<&WalRecord> = frames.iter().filter_map(|f| match f {
+            Frame::Ingest(record) => Some(record),
+            _ => None,
+        }).collect();
+        let only_ingest = frames.iter().all(|f| matches!(f, Frame::Ingest(_)));
+        if only_ingest {
+            prop_assert!(same(&wal::scan(&image).records.iter().collect::<Vec<_>>(), &ingest));
         }
     }
 }

@@ -29,6 +29,9 @@ pub enum Rule {
     /// A library file using atomics or `UnsafeCell` that is not mapped to a
     /// named loom model test (unmodeled lock-free code).
     LoomCoverage,
+    /// A plain (unquoted) scalar in a CI workflow holding `: ` or ` #`,
+    /// which YAML reads as a mapping value or a comment, not as text.
+    WorkflowYaml,
 }
 
 impl Rule {
@@ -43,11 +46,12 @@ impl Rule {
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::LockOrder => "lock-order",
             Rule::LoomCoverage => "loom-coverage",
+            Rule::WorkflowYaml => "workflow-yaml",
         }
     }
 
     /// All rules, in report order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 9] = [
         Rule::NanCmp,
         Rule::PanicSite,
         Rule::Taxonomy,
@@ -56,6 +60,7 @@ impl Rule {
         Rule::AtomicOrdering,
         Rule::LockOrder,
         Rule::LoomCoverage,
+        Rule::WorkflowYaml,
     ];
 }
 

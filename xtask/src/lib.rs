@@ -1,6 +1,6 @@
 //! `cargo xtask lint` — repo-specific static analysis.
 //!
-//! Eight rule families keep the reproduction faithful and production-safe
+//! Nine rule families keep the reproduction faithful and production-safe
 //! (DESIGN.md §4.12, §4.17): `nan-cmp` (no force-unwrapped `partial_cmp`),
 //! `panic-site` (no panic surface in library code), `taxonomy`
 //! (Table 1 ↔ registry ↔ engine catalog ↔ tests ↔ docs cross-check),
@@ -8,8 +8,10 @@
 //! `unsafe-audit` (every `unsafe` carries a `// SAFETY:` invariant),
 //! `atomic-ordering` (an inventory of every atomic op; `SeqCst` needs an
 //! `// ORDERING:` justification), `lock-order` (whole-repo lock graph,
-//! ABBA cycles are hard failures), and `loom-coverage` (every file owning
-//! atomics/`UnsafeCell` maps to a named loom model test).
+//! ABBA cycles are hard failures), `loom-coverage` (every file owning
+//! atomics/`UnsafeCell` maps to a named loom model test), and
+//! `workflow-yaml` (no plain scalar in `.github/workflows/*` holds `: ` or
+//! ` #`, which would stop the workflow from parsing).
 //! Findings are machine-readable ([`Finding`]), and every rule is a hard
 //! gate: the tree is clean iff a run reports no finding at all.
 //!
@@ -98,6 +100,24 @@ pub(crate) fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// The CI workflow files, `.github/workflows/*.yml` and `*.yaml`, in
+/// name order; none when the directory is absent.
+fn workflow_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let dir = root.join(".github/workflows");
+    if !dir.is_dir() {
+        return Ok(Vec::new());
+    }
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "yml" || e == "yaml") {
+            out.push(path);
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
 fn rel(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
@@ -183,6 +203,13 @@ pub fn run_lint(root: &Path) -> std::io::Result<Report> {
     let exists = |p: &str| root.join(p).is_file();
     let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_default();
     findings.extend(rules::loom_cov::check(&loom_triggers, &exists, &read));
+    for path in workflow_files(root)? {
+        let relpath = rel(root, &path);
+        findings.extend(rules::workflow_yaml::check(
+            &relpath,
+            &fs::read_to_string(&path)?,
+        ));
+    }
     let (registry, catalog, coverage, design) =
         (read(REGISTRY), read(CATALOG), read(COVERAGE), read(DESIGN));
     findings.extend(rules::taxonomy::check(&TaxonomyInputs {

@@ -8,4 +8,5 @@ pub mod nan;
 pub mod panic;
 pub mod taxonomy;
 pub mod unsafe_audit;
+pub mod workflow_yaml;
 pub mod zerocopy;

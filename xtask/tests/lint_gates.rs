@@ -332,6 +332,38 @@ fn loom_coverage_requires_the_named_model_test() {
     );
 }
 
+/// The step of `.github/workflows/ci.yml` (as of commit 7bce747) whose
+/// unquoted name holds `locks: ingest`: a YAML parser stops there, so the
+/// workflow did not run until the name was quoted.
+const UNQUOTED_STEP: &str = "\
+      - name: Loom model checks (registry map + per-plant locks: ingest × finish × admit)
+        run: cargo test -q -p hierod-service --features loom --test loom_registry
+";
+
+#[test]
+fn an_unquoted_workflow_scalar_holding_a_colon_fails_the_lint() {
+    let fx = Fixture::new("workflow");
+    let today = fs::read_to_string(workspace_root().join(".github/workflows/ci.yml"))
+        .expect("the repository's workflow");
+    fx.write(".github/workflows/ci.yml", &today);
+    assert!(run_lint(&fx.root).expect("lint").clean());
+
+    let broken = format!("{today}{UNQUOTED_STEP}");
+    fx.write(".github/workflows/ci.yml", &broken);
+    let out = run_lint(&fx.root).expect("lint");
+    assert_eq!(rules_of(&out), [Rule::WorkflowYaml]);
+    assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
+    assert_eq!(out.findings[0].file, ".github/workflows/ci.yml");
+    assert_eq!(out.findings[0].line, today.lines().count() + 1);
+
+    // Quoted, it is the step name it reads as.
+    let quoted = UNQUOTED_STEP
+        .replacen("name: Loom", "name: \"Loom", 1)
+        .replacen("admit)\n", "admit)\"\n", 1);
+    fx.write(".github/workflows/ci.yml", &format!("{today}{quoted}"));
+    assert!(run_lint(&fx.root).expect("lint").clean());
+}
+
 /// The real repository has zero findings of every rule — the same check
 /// CI runs via `cargo xtask lint`.
 #[test]
