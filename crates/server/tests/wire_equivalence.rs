@@ -979,7 +979,7 @@ mod runs {
 
     use hierod_detect::DetectError;
     use hierod_store::storage::{Storage, StorageFile};
-    use hierod_store::wal::{self, WalRecord};
+    use hierod_store::wal::{self, WalRecord, WAL_MAGIC};
     use hierod_stream::codec::{encode_control, encode_lane};
     use hierod_stream::{DurableStream, MAX_LANES};
     use hierod_wire::{Frame, FrameReader, Poll};
@@ -1043,6 +1043,15 @@ mod runs {
         finish: Vec<u8>,
     }
 
+    /// The records of a journal that must scan whole: no damaged record,
+    /// and no byte past the last whole one.
+    fn whole_journal(bytes: &[u8]) -> Vec<WalRecord> {
+        let scan = wal::scan(bytes);
+        assert_eq!(scan.corruption, None, "the journal is damaged");
+        assert_eq!(scan.valid_len, bytes.len(), "the journal has a torn tail");
+        scan.records
+    }
+
     /// A service that recovers an empty plant `p` on storage the test
     /// keeps a handle to.
     fn plant_and_its_storage() -> (RegistryService<MemFactory>, MemStorage) {
@@ -1099,10 +1108,19 @@ mod runs {
             .registry()
             .with_tenant("p", |tenant| tenant.stream().delivered())
             .unwrap();
+        // One call per sample journals one record per sample: each
+        // framed alone by `WalRecord::encode`, as before runs existed.
+        let bytes = storage.read("wal-0.log").unwrap();
+        let wal = whole_journal(&bytes);
+        let mut one_per_record = WAL_MAGIC.to_vec();
+        for record in &wal {
+            record.encode(&mut one_per_record);
+        }
+        assert!(bytes == one_per_record, "the per-record journal's bytes");
         Outcome {
             parked: parked.expect("the op stream strays"),
             barrier,
-            wal: wal::scan(&storage.read("wal-0.log").unwrap()).records,
+            wal,
             delivered,
             finish: encode_report(&svc.finish("p").unwrap()),
         }
@@ -1184,7 +1202,7 @@ mod runs {
         };
         let mut barrier = Vec::new();
         client.request(&Frame::QueryLaneStats).encode(&mut barrier);
-        let wal = wal::scan(&storage.read("wal-0.log").unwrap()).records;
+        let wal = whole_journal(&storage.read("wal-0.log").unwrap());
         let config = TenantConfig::default();
         let (recovered, _) = DurableStream::open(
             AlgorithmPolicy::default(),

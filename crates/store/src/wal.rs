@@ -102,6 +102,22 @@ fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
+/// Appends one sample of a run: lane varint, `stamp` varint (the
+/// timestamp for the first sample, the zigzagged delta for a later one),
+/// value f64.
+fn put_sample(out: &mut Vec<u8>, lane: u32, stamp: u64, value: f64) {
+    codec::put_varint(out, u64::from(lane));
+    codec::put_varint(out, stamp);
+    codec::put_f64(out, value);
+}
+
+/// Appends the payload of a run of one — the tag, then the sample with
+/// its timestamp whole. A longer run goes on with [`put_sample`].
+fn put_first_sample(out: &mut Vec<u8>, lane: u32, timestamp: u64, value: f64) {
+    out.push(TAG_SAMPLE);
+    put_sample(out, lane, timestamp, value);
+}
+
 /// The run open at the end of a [`RunWriter`]'s buffer.
 #[derive(Debug)]
 struct OpenRun {
@@ -115,7 +131,8 @@ struct OpenRun {
 /// The one encoder of runs: appends samples to a run left open at the
 /// end of the caller's buffer and frames it once, when it closes. The
 /// store stages its journal through one, the client its ingest frames,
-/// and [`encode_image`] its images.
+/// and [`encode_image`] its images; a lone sample's record
+/// ([`WalRecord::encode_payload`]) is the same run of one.
 ///
 /// While a run is open nothing but this writer may append to the
 /// buffer: [`RunWriter::push`] closes it in front of any other record,
@@ -132,9 +149,7 @@ impl RunWriter {
         if let Some(run) = self.open.as_mut() {
             let delta = i128::from(timestamp) - i128::from(run.last);
             if let Ok(delta) = i64::try_from(delta) {
-                codec::put_varint(out, u64::from(lane));
-                codec::put_varint(out, zigzag(delta));
-                codec::put_f64(out, value);
+                put_sample(out, lane, zigzag(delta), value);
                 run.samples += 1;
                 run.last = timestamp;
                 if run.samples >= MAX_RUN {
@@ -145,10 +160,7 @@ impl RunWriter {
         }
         self.close(out);
         let header = open_frame(out);
-        out.push(TAG_SAMPLE);
-        codec::put_varint(out, u64::from(lane));
-        codec::put_varint(out, timestamp);
-        codec::put_f64(out, value);
+        put_first_sample(out, lane, timestamp, value);
         self.open = Some(OpenRun {
             header,
             samples: 1,
@@ -216,8 +228,8 @@ fn walk_run(mut buf: &[u8], mut each: impl FnMut(u32, u64, f64)) -> Option<()> {
 /// Decodes a run payload (tag 3) onto the end of `out`, one
 /// `make(lane, timestamp, value)` per sample in order. All or nothing: a
 /// malformed run leaves `out` as it was and returns `false`. The one
-/// decoder of runs — [`scan`], and the wire's frame reader straight into
-/// a connection's run.
+/// decoder of runs — [`scan`], [`WalRecord::decode_payload`] (a run of
+/// one), and the wire's frame reader straight into a connection's run.
 pub fn decode_run<T>(payload: &[u8], out: &mut Vec<T>, make: impl Fn(u32, u64, f64) -> T) -> bool {
     let before = out.len();
     let parsed = walk_run(payload, |lane, timestamp, value| {
@@ -260,6 +272,14 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    fn sample(lane: u32, timestamp: u64, value: f64) -> WalRecord {
+        WalRecord::Sample {
+            lane,
+            timestamp,
+            value,
+        }
+    }
+
     /// Appends the record's payload (tag + body), unframed; a sample as
     /// a run of one.
     pub fn encode_payload(&self, out: &mut Vec<u8>) {
@@ -278,12 +298,7 @@ impl WalRecord {
                 lane,
                 timestamp,
                 value,
-            } => {
-                out.push(TAG_SAMPLE);
-                codec::put_varint(out, u64::from(*lane));
-                codec::put_varint(out, *timestamp);
-                codec::put_f64(out, *value);
-            }
+            } => put_first_sample(out, *lane, *timestamp, *value),
         }
     }
 
@@ -308,16 +323,10 @@ impl WalRecord {
                 WalRecord::Control { seq, payload }
             }
             TAG_SAMPLE => {
-                let (mut record, mut samples) = (None, 0);
-                walk_run(bytes, |lane, timestamp, value| {
-                    samples += 1;
-                    record = Some(WalRecord::Sample {
-                        lane,
-                        timestamp,
-                        value,
-                    });
-                })?;
-                return record.filter(|_| samples == 1);
+                let mut run = Vec::new();
+                decode_run(bytes, &mut run, WalRecord::sample).then_some(())?;
+                let record = run.pop();
+                return record.filter(|_| run.is_empty());
             }
             _ => return None,
         };
@@ -429,13 +438,7 @@ pub fn scan(bytes: &[u8]) -> WalScan {
             return out;
         }
         let decoded = if payload.first() == Some(&TAG_SAMPLE) {
-            decode_run(payload, &mut out.records, |lane, timestamp, value| {
-                WalRecord::Sample {
-                    lane,
-                    timestamp,
-                    value,
-                }
-            })
+            decode_run(payload, &mut out.records, WalRecord::sample)
         } else {
             let record = WalRecord::decode_payload(payload);
             record.map(|record| out.records.push(record)).is_some()

@@ -578,6 +578,7 @@ mod tests {
     use crate::detector::ScorerMode;
     use crate::lane::LaneKind;
     use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
+    use hierod_store::wal::{self, WAL_MAGIC};
     use hierod_store::MemStorage;
 
     fn lane(machine: &str, sensor: &str, kind: LaneKind) -> LaneId {
@@ -586,6 +587,15 @@ mod tests {
             sensor: sensor.into(),
             kind,
         }
+    }
+
+    /// The records of a journal that must scan whole: no damaged record,
+    /// and no byte past the last whole one.
+    fn whole_journal(bytes: &[u8]) -> Vec<WalRecord> {
+        let scan = wal::scan(bytes);
+        assert_eq!(scan.corruption, None, "the journal is damaged");
+        assert_eq!(scan.valid_len, bytes.len(), "the journal has a torn tail");
+        scan.records
     }
 
     fn policy_and_config() -> (AlgorithmPolicy, StreamConfig) {
@@ -787,10 +797,18 @@ mod tests {
         let (policy, config) = policy_and_config();
         let (mut r, _) =
             DurableStream::open(policy, config, in_runs.clone(), StoreOptions::default()).unwrap();
-        let wal = hierod_store::wal::scan(&by_id.read("wal-0.log").unwrap());
+        // One call per sample journals one record per sample, each framed
+        // alone: the bytes a journal had before runs.
+        let by_id_wal = by_id.read("wal-0.log").unwrap();
+        let wal = whole_journal(&by_id_wal);
+        let mut one_per_record = WAL_MAGIC.to_vec();
+        for record in &wal {
+            record.encode(&mut one_per_record);
+        }
+        assert!(by_id_wal == one_per_record, "the per-call journal's bytes");
         let mut table = LaneTable::default();
         let mut run = Vec::new();
-        for record in wal.records.iter().chain([&WalRecord::Control {
+        for record in wal.iter().chain([&WalRecord::Control {
             seq: 0,
             payload: Vec::new(),
         }]) {
@@ -820,12 +838,9 @@ mod tests {
             }
         }
         // The same records, the runs of five in fewer bytes.
-        let (runs_wal, by_id_wal) = (in_runs.read("wal-0.log").unwrap(), wal);
-        assert_eq!(
-            hierod_store::wal::scan(&runs_wal).records,
-            by_id_wal.records
-        );
-        assert!(runs_wal.len() < by_id_wal.valid_len);
+        let runs_wal = in_runs.read("wal-0.log").unwrap();
+        assert_eq!(whole_journal(&runs_wal), wal);
+        assert!(runs_wal.len() < by_id_wal.len());
         assert_eq!(r.delivered(), d.delivered());
         assert_eq!(r.lane_stats(), d.lane_stats());
         assert_eq!(r.stats(), d.stats());
@@ -866,7 +881,7 @@ mod tests {
             timestamp: 7,
             value: 1.0,
         };
-        let image = hierod_store::wal::encode_image(&[
+        let image = wal::encode_image(&[
             WalRecord::LaneDef {
                 lane: u32::MAX,
                 meta: encode_lane(&hostile),
@@ -910,7 +925,7 @@ mod tests {
         // A hole: number 0's def does not decode, number 1's does. The
         // samples on 1 stay 1's, and the next lane the plant sees is 2.
         let storage = MemStorage::new();
-        let image = hierod_store::wal::encode_image(&[
+        let image = wal::encode_image(&[
             WalRecord::LaneDef {
                 lane: 0,
                 meta: vec![0xff],

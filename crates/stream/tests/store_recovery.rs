@@ -20,6 +20,7 @@ use std::fmt::Write as _;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
+use hierod_store::codec;
 use hierod_store::segment::{SegmentChunk, SegmentDraft};
 use hierod_store::storage::Storage;
 use hierod_store::store::{read_layout, Store, StoreOptions};
@@ -534,16 +535,16 @@ fn a_chunk_for_a_closed_pipeline_is_refused() {
 // Runs longer than one. The sweeps above ingest one sample per call, so
 // every sample is its own WAL record; a server ingests what one socket
 // read delivered through `Tenant::ingest_run`, which the store journals
-// as runs — one record of many samples, one checksum — cut by the group
-// commit, lane definitions and controls.
+// as runs — one record of many samples, one checksum — cut at the end of
+// each `ingest_run`, by the group commit, lane definitions and controls.
 
 const PLANT: &str = "plant";
 
-fn registry(factory: MemFactory) -> (PlantRegistry<MemFactory>, u64) {
+fn registry(factory: MemFactory, group_commit: usize) -> (PlantRegistry<MemFactory>, u64) {
     let (policy, stream) = policy_and_config();
     let config = TenantConfig {
         stream,
-        store: StoreOptions { group_commit: 8 },
+        store: StoreOptions { group_commit },
     };
     let (registry, recoveries) = PlantRegistry::open(factory, policy, config).expect("open");
     let replayed = recoveries.get(PLANT).map_or(0, |r| r.replayed_samples);
@@ -662,37 +663,57 @@ fn samples_in_whole_records(image: &[u8]) -> u64 {
     samples
 }
 
+/// The samples of a torn run that reached the image whole: the tail's
+/// header, tag 3, then every sample whose lane, timestamp and value all
+/// landed. A lower bound on the run's length; 0 if the tail is no run.
+fn samples_landed_of_torn_run(tail: &[u8]) -> usize {
+    let Some(mut payload) = tail.get(8..) else {
+        return 0;
+    };
+    if codec::take_u8(&mut payload) != Some(3) {
+        return 0;
+    }
+    let mut samples = 0;
+    while codec::take_varint(&mut payload).is_some()
+        && codec::take_varint(&mut payload).is_some()
+        && codec::take_f64(&mut payload).is_some()
+    {
+        samples += 1;
+    }
+    samples
+}
+
 /// What the active WAL of a crash image holds: samples in whole records,
-/// and whether its tail is a torn run of more than one sample.
-fn active_wal(image: &MemStorage) -> (u64, bool) {
+/// and how many samples of a torn run at its tail landed.
+fn active_wal(image: &MemStorage) -> (u64, usize) {
     let layout = read_layout(image).expect("layout");
     if !layout.wal_present {
-        return (0, false);
+        return (0, 0);
     }
     let bytes = image
         .read(&format!("wal-{}.log", layout.wal_index))
         .expect("read the active WAL");
     let valid = wal::scan(&bytes).valid_len;
     let tail = bytes.get(valid..).unwrap_or_default();
-    // Header, tag 3, and more payload than one sample can be.
-    let torn_run = tail.len() > 8
-        && tail[8] == 3
-        && u32::from_le_bytes(tail[..4].try_into().unwrap()) as usize > 1 + 5 + 10 + 8;
-    (samples_in_whole_records(&bytes), torn_run)
+    (
+        samples_in_whole_records(&bytes),
+        samples_landed_of_torn_run(tail),
+    )
 }
 
-/// Crashes the scenario, driven in runs of `run_len`, at `budget`
-/// written bytes; recovers; checks that recovery replayed exactly the
-/// samples of the active WAL's whole records (a torn run restores none);
-/// resumes from the recovered cursors and finishes. Returns the report
-/// and whether the crash tore a run of more than one sample.
+/// Crashes the scenario, driven in runs of `run_len` on a store that
+/// group-commits every `group_commit` samples, at `budget` written
+/// bytes; recovers; checks that recovery replayed exactly the samples of
+/// the active WAL's whole records (a torn run restores none); resumes
+/// from the recovered cursors and finishes. Returns the report and how
+/// many samples of a torn run had landed.
 fn crash_recover_resume_in_runs(
     ops: &[Op],
-    run_len: usize,
+    (run_len, group_commit): (usize, usize),
     budget: u64,
     keep_unsynced: bool,
-) -> (StreamReport, bool) {
-    let (mut plants, _) = registry(MemFactory::new());
+) -> (StreamReport, usize) {
+    let (mut plants, _) = registry(MemFactory::new(), group_commit);
     let tenant = plants.create_tenant(PLANT).expect("create");
     tenant
         .stream()
@@ -704,7 +725,7 @@ fn crash_recover_resume_in_runs(
     let storage = image.storage(PLANT, 0).expect("the plant's storage");
     let (whole, torn_run) = active_wal(&storage);
 
-    let (mut recovered, replayed) = registry(image);
+    let (mut recovered, replayed) = registry(image, group_commit);
     assert_eq!(replayed, whole, "recovery replays whole records only");
     let tenant = recovered.tenant_mut(PLANT).expect("recovered");
     let skip = tenant.stream().controls_applied();
@@ -723,61 +744,130 @@ fn crash_recover_resume_in_runs(
     (report, torn_run)
 }
 
-/// Both scenarios through `Tenant::ingest_run` in runs of `run_len`,
-/// crashed at every byte either scenario writes, with and without the
-/// unsynced bytes: the recovered report equals the one-sample-per-call,
-/// uncrashed one.
-fn sweep_every_byte_in_runs_of(run_len: usize) {
-    for ops in [scenario(1), scenario_rotating_inside_jobs()] {
-        let baseline = uninterrupted(&ops);
-        let (mut probe, _) = registry(MemFactory::new());
+/// One job whose warm-up is 600 samples of one lane in a row: the only
+/// stretch long enough for a journal run to reach [`wal::MAX_RUN`] (the
+/// scenarios above have at most 52 samples between two other records).
+fn scenario_long_phase() -> Vec<Op> {
+    let bed = "m0.bed.0";
+    let mut ops = vec![
+        Op::MachineUp(
+            "m0".into(),
+            vec![Sensor::new(bed, SensorKind::BedTemperature)],
+            vec![RedundancyGroup::new(
+                SensorKind::BedTemperature,
+                vec![bed.into()],
+            )],
+            vec![],
+        ),
+        Op::JobStart(
+            "m0".into(),
+            "j0".into(),
+            0,
+            JobConfig::new(vec!["speed".into()], vec![1.0]),
+        ),
+        Op::PhaseStart("m0".into(), PhaseKind::WarmUp, vec![bed.into()]),
+    ];
+    for i in 0..600_u64 {
+        let t = i ^ 1;
+        let v = if i == 300 {
+            80.0
+        } else {
+            (t as f64 * 0.37).sin()
+        };
+        ops.push(Op::Sample(lane("m0", bed, LaneKind::Phase), t, v));
+    }
+    ops.push(Op::JobComplete(
+        "m0".into(),
+        CaqResult::new(vec!["q".into()], vec![0.9], true),
+    ));
+    ops.push(Op::Rotate);
+    ops
+}
+
+/// `scenarios` through `Tenant::ingest_run` in runs of `run_len`, on a
+/// store that group-commits every `run_len` samples (every 8 at least,
+/// as in the sweeps above), so journal runs grow to `run_len` samples
+/// wherever a scenario has that many in a row: crashed at every byte
+/// each scenario writes, with and without the unsynced bytes, the
+/// recovered report equals the one-sample-per-call, uncrashed one.
+/// Returns the most samples of one torn run that landed in a crash
+/// image.
+fn sweep_every_byte_in_runs_of(run_len: usize, scenarios: &[Vec<Op>]) -> usize {
+    let group_commit = run_len.max(8);
+    let mut longest_torn = 0;
+    for ops in scenarios {
+        let baseline = uninterrupted(ops);
+        let (mut probe, _) = registry(MemFactory::new(), group_commit);
         let tenant = probe.create_tenant(PLANT).expect("create");
         let storage = tenant.stream().store().storage().clone();
         let before = storage.bytes_written();
-        assert!(run_ops_in_runs(tenant, &ops, run_len, 0, &BTreeMap::new()));
+        assert!(run_ops_in_runs(tenant, ops, run_len, 0, &BTreeMap::new()));
         let total = storage.bytes_written() - before;
         assert_reports_equal(
             &probe.finish_tenant(PLANT).expect("finish"),
             &baseline,
             &format!("runs of {run_len}, uncrashed"),
         );
-        let mut torn_runs = 0;
         for budget in 0..=total {
             for keep_unsynced in [false, true] {
-                let (report, torn_run) =
-                    crash_recover_resume_in_runs(&ops, run_len, budget, keep_unsynced);
+                let (report, torn) = crash_recover_resume_in_runs(
+                    ops,
+                    (run_len, group_commit),
+                    budget,
+                    keep_unsynced,
+                );
                 assert_reports_equal(
                     &report,
                     &baseline,
                     &format!("runs of {run_len}, budget={budget} keep_unsynced={keep_unsynced}"),
                 );
-                torn_runs += u64::from(torn_run);
+                longest_torn = longest_torn.max(torn);
             }
         }
-        if run_len > 1 {
-            assert!(torn_runs > 0, "runs of {run_len}: no crash tore a run");
-        }
     }
+    longest_torn
 }
 
 #[test]
 fn crash_at_every_byte_of_runs_of_1_recovers_equivalently() {
-    sweep_every_byte_in_runs_of(1);
+    sweep_every_byte_in_runs_of(1, &[scenario(1), scenario_rotating_inside_jobs()]);
 }
 
 #[test]
 fn crash_at_every_byte_of_runs_of_7_recovers_equivalently() {
-    sweep_every_byte_in_runs_of(7);
+    let torn = sweep_every_byte_in_runs_of(7, &[scenario(1), scenario_rotating_inside_jobs()]);
+    assert_eq!(torn, 6, "a run of 7 torn in its last sample");
 }
 
+/// Runs of 64 on the default group commit of 64: the journal's runs are
+/// the scenarios' stretches of samples between two other records, up to
+/// 52 samples.
 #[test]
 fn crash_at_every_byte_of_runs_of_64_recovers_equivalently() {
-    sweep_every_byte_in_runs_of(64);
+    assert_eq!(StoreOptions::default().group_commit, 64);
+    let torn = sweep_every_byte_in_runs_of(64, &[scenario(1), scenario_rotating_inside_jobs()]);
+    assert_eq!(torn, 51, "a run of 52 torn in its last sample");
 }
 
+/// The group commit counts the lane definition in front of the first
+/// sample, so each commit falls one sample short of a run's end: the
+/// journal's runs are of 199 samples and one.
 #[test]
 fn crash_at_every_byte_of_runs_of_200_recovers_equivalently() {
-    sweep_every_byte_in_runs_of(200);
+    let torn = sweep_every_byte_in_runs_of(200, &[scenario_long_phase()]);
+    assert_eq!(torn, 198, "a run of 199 torn in its last sample");
+}
+
+/// Runs of 600 on a group commit of 600: the store closes each journal
+/// run at the cap.
+#[test]
+fn crash_at_every_byte_of_runs_past_the_cap_recovers_equivalently() {
+    let torn = sweep_every_byte_in_runs_of(600, &[scenario_long_phase()]);
+    assert_eq!(
+        torn,
+        wal::MAX_RUN - 1,
+        "a run of MAX_RUN torn in its last sample"
+    );
 }
 
 /// A journal written one sample per record — each `WalRecord::Sample`
@@ -790,13 +880,18 @@ fn a_journal_of_one_sample_per_record_recovers_like_one_of_runs() {
         .into_iter()
         .filter(|op| !matches!(op, Op::Rotate | Op::Tick))
         .collect();
-    let (mut plants, _) = registry(MemFactory::new());
+    let (mut plants, _) = registry(MemFactory::new(), 64);
     let tenant = plants.create_tenant(PLANT).expect("create");
     assert!(run_ops_in_runs(tenant, &ops, 64, 0, &BTreeMap::new()));
     let in_runs = plants.factory().crash_image(false);
     let runs_storage = in_runs.storage(PLANT, 0).expect("storage");
     let runs_wal = runs_storage.read("wal-0.log").expect("wal");
-    let records = wal::scan(&runs_wal).records;
+    let scanned = wal::scan(&runs_wal);
+    assert_eq!(
+        (scanned.corruption, scanned.valid_len),
+        (None, runs_wal.len())
+    );
+    let records = scanned.records;
 
     let one_per_record = in_runs.crash_image(false);
     let storage = one_per_record.storage(PLANT, 0).expect("storage");
@@ -818,7 +913,7 @@ fn a_journal_of_one_sample_per_record_recovers_like_one_of_runs() {
     );
 
     let finish = |factory| {
-        let (plants, replayed) = registry(factory);
+        let (plants, replayed) = registry(factory, 64);
         let samples = records
             .iter()
             .filter(|r| matches!(r, WalRecord::Sample { .. }));
