@@ -8,7 +8,7 @@
 //! refit layer ([`crate::refit`]) turns alarms into store-driven model
 //! rebuilds.
 //!
-//! [`PageHinkley`] is the CUSUM-family sequential test: O(1) state, a
+//! `PageHinkley` is the CUSUM-family sequential test: O(1) state, a
 //! handful of FLOPs per sample, parameterized by a drift allowance
 //! `delta` and an alarm threshold `lambda`. It is a deterministic
 //! function of the residual sequence — replaying the same stream
@@ -24,7 +24,7 @@
 /// decreased). `δ` absorbs tolerated wander, `λ` trades detection delay
 /// against false alarms.
 #[derive(Debug, Clone)]
-pub struct PageHinkley {
+pub(crate) struct PageHinkley {
     delta: f64,
     lambda: f64,
     min_samples: u64,
@@ -40,7 +40,7 @@ impl PageHinkley {
     /// Creates a monitor with drift allowance `delta`, alarm threshold
     /// `lambda`, and a warm-up of `min_samples` residuals before alarms
     /// are armed (the running mean needs a footing).
-    pub fn new(delta: f64, lambda: f64, min_samples: u64) -> Self {
+    pub(crate) fn new(delta: f64, lambda: f64, min_samples: u64) -> Self {
         Self {
             delta: delta.max(0.0),
             lambda: lambda.max(f64::EPSILON),
@@ -59,7 +59,7 @@ impl PageHinkley {
     /// itself (internal state reset), so a persistent shift fires again
     /// only after the test statistic rebuilds. Non-finite residuals are
     /// ignored.
-    pub fn observe(&mut self, residual: f64) -> bool {
+    pub(crate) fn observe(&mut self, residual: f64) -> bool {
         if !residual.is_finite() {
             return false;
         }
@@ -83,7 +83,7 @@ impl PageHinkley {
 
     /// Discards all state (used after a refit: the new model's residuals
     /// are a fresh stream).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.n = 0;
         self.mean = 0.0;
         self.m_pos = 0.0;
@@ -105,7 +105,7 @@ impl Default for PageHinkley {
 /// stores one spec and stamps out a fresh monitor for every pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MonitorSpec {
-    /// Build [`PageHinkley`] monitors.
+    /// Build `PageHinkley` monitors.
     PageHinkley {
         /// Tolerated per-sample wander.
         delta: f64,
@@ -117,7 +117,7 @@ pub enum MonitorSpec {
 }
 
 impl MonitorSpec {
-    /// The default Page–Hinkley recipe (see [`PageHinkley::default`]).
+    /// The default Page–Hinkley recipe (see `PageHinkley::default`).
     pub fn page_hinkley() -> Self {
         MonitorSpec::PageHinkley {
             delta: 0.05,
@@ -127,7 +127,7 @@ impl MonitorSpec {
     }
 
     /// Builds one monitor instance.
-    pub fn build(&self) -> PageHinkley {
+    pub(crate) fn build(&self) -> PageHinkley {
         let MonitorSpec::PageHinkley {
             delta,
             lambda,

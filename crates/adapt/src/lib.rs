@@ -8,7 +8,7 @@
 //!
 //! 1. **Drift detection** ([`drift`], [`scorer`]) — [`DriftingScorer`]
 //!    wraps any registry scorer and watches its *emitted scores* with a
-//!    two-sided [`PageHinkley`] test. Scores pass through bit-identical;
+//!    two-sided `PageHinkley` test. Scores pass through bit-identical;
 //!    sustained score inflation (model mismatch) raises alarms, counted
 //!    per lane as `drift_events` and surfaced through
 //!    [`StreamStats`](hierod_stream::StreamStats) and the wire protocol.
@@ -40,7 +40,7 @@ pub mod fusion;
 pub mod refit;
 pub mod scorer;
 
-pub use drift::{MonitorSpec, PageHinkley};
+pub use drift::MonitorSpec;
 pub use fusion::{fuse_support, FusionOutcome, FusionPolicy};
 pub use refit::{AdaptiveStream, RefitCause, RefitPolicy, RefitRecord};
 pub use scorer::DriftingScorer;

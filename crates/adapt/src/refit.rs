@@ -217,14 +217,6 @@ impl<S: Storage> AdaptiveStream<S> {
         self.inner.ingest(lane, sample)
     }
 
-    /// Delegates to [`DurableStream::rotate`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn rotate(&mut self) -> Result<()> {
-        self.inner.rotate()
-    }
-
     /// Ticks the inner stream, then — with adaptation enabled — runs the
     /// refit pass: polls every lane's drift flag and the schedule, and
     /// commits any due swaps. The returned report reflects the state

@@ -4,7 +4,7 @@
 //! [`set_scorer_wrapper`](hierod_stream::StreamDetector::set_scorer_wrapper),
 //! it forwards every push to the wrapped scorer unchanged — emitted
 //! scores are bit-identical to the unwrapped pipeline — while feeding
-//! each emitted score to a [`PageHinkley`] monitor. Detected drifts raise the
+//! each emitted score to a `PageHinkley` monitor. Detected drifts raise the
 //! `drift_events` counter (surfaced through
 //! [`StreamStats`](hierod_stream::StreamStats)) and latch a pending
 //! flag the refit layer polls at tick boundaries.
@@ -43,7 +43,7 @@ pub struct DriftingScorer {
 
 impl DriftingScorer {
     /// Wraps `inner`, monitoring its emitted scores with `monitor`.
-    pub fn new(inner: Box<dyn OnlineScorer>, monitor: PageHinkley) -> Self {
+    pub(crate) fn new(inner: Box<dyn OnlineScorer>, monitor: PageHinkley) -> Self {
         Self {
             inner,
             monitor,
@@ -57,7 +57,7 @@ impl DriftingScorer {
 
     /// `true` when a drift was detected since the last refit (or since
     /// construction) — the refit layer's poll.
-    pub fn drift_pending(&self) -> bool {
+    pub(crate) fn drift_pending(&self) -> bool {
         self.pending
     }
 
@@ -66,7 +66,7 @@ impl DriftingScorer {
     /// monitor — the new model's residuals are a fresh stream. Counters
     /// survive the swap (they count the *lane*, not the model
     /// incarnation). Returns the retired scorer.
-    pub fn swap_inner(&mut self, fresh: Box<dyn OnlineScorer>) -> Box<dyn OnlineScorer> {
+    pub(crate) fn swap_inner(&mut self, fresh: Box<dyn OnlineScorer>) -> Box<dyn OnlineScorer> {
         let old = std::mem::replace(&mut self.inner, fresh);
         self.refits += 1;
         self.pending = false;

@@ -11,7 +11,7 @@ use hierod_detect::engine::robust_z;
 use hierod_detect::itm::HistogramDeviants;
 use hierod_detect::npd::WindowSequenceDb;
 use hierod_detect::os::SaxDiscord;
-use hierod_detect::pm::{AutoregressiveModel, VectorAutoregressive};
+use hierod_detect::pm::AutoregressiveModel;
 use hierod_detect::related::{LocalOutlierFactor, ProfileSimilarity, ReverseKnn};
 use hierod_detect::sa::NeuralNetwork;
 use hierod_detect::uoa::OlapCubeDetector;
@@ -101,29 +101,6 @@ fn bench_vector(c: &mut Criterion) {
     group.finish();
 }
 
-/// The multivariate PM over a time-aligned bundle (one row per time point).
-fn bench_multivariate(c: &mut Criterion) {
-    let channels: Vec<Vec<f64>> = (0..4).map(|_| noisy_series(2048)).collect();
-    let data: Vec<Vec<f64>> = (0..2048)
-        .map(|t| {
-            channels
-                .iter()
-                .enumerate()
-                .map(|(c, s)| s[t] * (c + 1) as f64)
-                .collect()
-        })
-        .collect();
-    let mut group = c.benchmark_group("multivariate_2048x4");
-    group.bench_function("var1 (PM)", |b| {
-        b.iter(|| {
-            VectorAutoregressive
-                .score_rows_over_time(black_box(&data))
-                .unwrap()
-        })
-    });
-    group.finish();
-}
-
 fn bench_profile(c: &mut Criterion) {
     let refs: Vec<Vec<f64>> = (0..20).map(|_| noisy_series(512)).collect();
     let slices: Vec<&[f64]> = refs.iter().map(Vec::as_slice).collect();
@@ -208,7 +185,6 @@ fn bench_supervised(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_point,
-    bench_multivariate,
     bench_vector,
     bench_discrete,
     bench_subsequence,

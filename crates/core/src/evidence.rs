@@ -3,7 +3,7 @@
 //! For every outlier, [`build_report`](crate::pipeline::build_report) asks
 //! which sensors correspond to its sensor and whether they fire near it
 //! (support), and whether each level above and below holds an associated
-//! outlier (global score). [`Evidence`] answers each of those questions
+//! outlier (global score). `Evidence` answers each of those questions
 //! with an ordered lookup and a slice: it is built once per report from
 //! the plant and the level detections it borrows, so the per-outlier work
 //! no longer grows with the number of series or outliers in the plant.
@@ -104,7 +104,7 @@ impl<'a> LevelEntry<'a> {
 /// The lookups Algorithm 1 makes per outlier, indexed once over one plant
 /// and one set of level detections (see the module docs).
 #[derive(Debug)]
-pub struct Evidence<'a> {
+pub(crate) struct Evidence<'a> {
     /// The phase level's series.
     phase_series: &'a [SeriesScores],
     /// Runs of consecutive `phase_series` sharing one execution key,
@@ -129,7 +129,7 @@ pub struct Evidence<'a> {
 impl<'a> Evidence<'a> {
     /// Indexes `detections` (any subset of the five levels) over `plant`
     /// under `policy`'s thresholds and support window.
-    pub fn new(
+    pub(crate) fn new(
         plant: &'a Plant,
         detections: &'a BTreeMap<Level, LevelDetections>,
         policy: &AlgorithmPolicy,

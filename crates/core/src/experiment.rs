@@ -48,7 +48,7 @@ pub struct Metrics {
 }
 
 /// Computes [`Metrics`] for scores vs labels.
-pub fn metrics(scores: &[f64], labels: &[bool]) -> Metrics {
+pub(crate) fn metrics(scores: &[f64], labels: &[bool]) -> Metrics {
     let best = hierod_eval::confusion::best_f1_threshold(scores, labels);
     let best_f1 = best.as_ref().map(|(_, m)| m.f1()).unwrap_or(0.0);
     let point_adjusted_f1 = best

@@ -20,7 +20,7 @@
 //! downward walk stops at the phase level (nothing below ①); "outlier
 //! detected in level" means an outlier at that level *associated* with the
 //! one being scored — same machine, and same job / overlapping time span
-//! where the level carries that information (see [`associated`]).
+//! where the level carries that information (see `associated`).
 
 use hierod_hierarchy::Level;
 
@@ -43,7 +43,11 @@ const ENV_FALLBACK_TICKS: u64 = 512;
 ///   structure of its own), or within `ENV_FALLBACK_TICKS` of the
 ///   outlier's own timestamp when the job's span is unknown.
 /// * **production** — same machine.
-pub fn associated(evidence: &Evidence<'_>, outlier: &LevelOutlier, level: Level) -> Option<bool> {
+pub(crate) fn associated(
+    evidence: &Evidence<'_>,
+    outlier: &LevelOutlier,
+    level: Level,
+) -> Option<bool> {
     let at = evidence.level(level)?;
     let machine = &*outlier.machine;
     Some(match at.level() {
@@ -72,7 +76,7 @@ pub fn associated(evidence: &Evidence<'_>, outlier: &LevelOutlier, level: Level)
 /// The upward pass: starting from the outlier's own level (score 1), +1 for
 /// each consecutive higher level with an associated detection; stops at the
 /// first level without one (or not evaluated).
-pub fn upward_global_score(evidence: &Evidence<'_>, outlier: &LevelOutlier) -> u8 {
+pub(crate) fn upward_global_score(evidence: &Evidence<'_>, outlier: &LevelOutlier) -> u8 {
     let mut score = 1_u8;
     let mut level = outlier.level;
     while let Some(up) = level.up() {
@@ -89,7 +93,10 @@ pub fn upward_global_score(evidence: &Evidence<'_>, outlier: &LevelOutlier) -> u
 /// lower level with **no** associated detection (the paper's measurement-
 /// error warning), or `None` when every lower level confirms or a level on
 /// the way was not evaluated (no verdict).
-pub fn downward_missing_level(evidence: &Evidence<'_>, outlier: &LevelOutlier) -> Option<Level> {
+pub(crate) fn downward_missing_level(
+    evidence: &Evidence<'_>,
+    outlier: &LevelOutlier,
+) -> Option<Level> {
     let mut level = outlier.level;
     while let Some(down) = level.down() {
         if !associated(evidence, outlier, down)? {

@@ -15,7 +15,7 @@
 //!   outlier visible at a high level but absent below it raises a
 //!   *measurement-error warning*.
 //!
-//! Both read their evidence through [`evidence::Evidence`], which indexes
+//! Both read their evidence through `evidence::Evidence`, which indexes
 //! the plant's series, correspondents, job spans and per-level outliers
 //! once per report.
 //!

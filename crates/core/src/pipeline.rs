@@ -57,7 +57,7 @@ pub fn find_hierarchical_outliers(
 /// Builds the report from precomputed level detections (shared with the
 /// experiment harness, which reuses detections across configurations).
 /// The support and global-score lookups are indexed once per call
-/// ([`Evidence`]), so an outlier's triple costs ordered lookups, not scans
+/// (`Evidence`), so an outlier's triple costs ordered lookups, not scans
 /// of every series and outlier.
 ///
 /// # Errors

@@ -46,7 +46,8 @@ pub fn corresponding_sensors(plant: &Plant, machine: &str, sensor: &str) -> Vec<
     out
 }
 
-/// Computes the support of one phase-level outlier, following the paper's
+/// Computes the support of one phase-level outlier, given its
+/// correspondents (`Evidence::correspondents_of`), following the paper's
 /// normalization: `confirmations / |corresponding sensors|`. Outliers whose
 /// sensor has no correspondents get support 0 (no evidence either way).
 ///
@@ -56,11 +57,6 @@ pub fn corresponding_sensors(plant: &Plant, machine: &str, sensor: &str) -> Vec<
 /// *timestamp* (the environment clock is coarser than the phase clock)
 /// against the environment level's scores, and confirms nothing when that
 /// level was not evaluated.
-pub fn support_for(evidence: &Evidence<'_>, outlier: &LevelOutlier) -> f64 {
-    support_among(evidence, evidence.correspondents_of(outlier), outlier)
-}
-
-/// [`support_for`] with the outlier's correspondents already looked up.
 pub(crate) fn support_among(
     evidence: &Evidence<'_>,
     correspondents: &[String],
@@ -151,7 +147,7 @@ mod tests {
                 .map(|s| s.contains("bed_temp") || s.contains("laser"))
                 .unwrap_or(false)
         }) {
-            let sup = support_for(&evidence, o);
+            let sup = support_among(&evidence, evidence.correspondents_of(o), o);
             assert_eq!(sup, 0.0, "outlier {o:?}");
         }
     }
@@ -184,7 +180,7 @@ mod tests {
         assert!(!temp_outliers.is_empty());
         let mean_support: f64 = temp_outliers
             .iter()
-            .map(|o| support_for(&evidence, o))
+            .map(|o| support_among(&evidence, evidence.correspondents_of(o), o))
             .sum::<f64>()
             / temp_outliers.len() as f64;
         assert!(
@@ -224,7 +220,7 @@ mod tests {
         if !me_outliers.is_empty() {
             let mean_me: f64 = me_outliers
                 .iter()
-                .map(|o| support_for(&evidence_me, o))
+                .map(|o| support_among(&evidence_me, evidence_me.correspondents_of(o), o))
                 .sum::<f64>()
                 / me_outliers.len() as f64;
             assert!(
@@ -248,7 +244,7 @@ mod tests {
         let dets = detections(&s.plant, &[Level::Phase, Level::Environment], &policy);
         let evidence = Evidence::new(&s.plant, &dets, &policy);
         for o in &dets[&Level::Phase].outliers {
-            let sup = support_for(&evidence, o);
+            let sup = support_among(&evidence, evidence.correspondents_of(o), o);
             assert!((0.0..=1.0).contains(&sup), "support {sup} for {o:?}");
         }
     }

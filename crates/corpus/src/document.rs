@@ -1,7 +1,7 @@
 //! Documents, categories, and tokenization.
 
 /// Identifier of a document within a corpus (dense, 0-based).
-pub type DocId = u32;
+pub(crate) type DocId = u32;
 
 /// A Web-of-Science-style subject category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,7 +50,7 @@ pub struct Document {
 
 impl Document {
     /// Concatenated searchable text (title + abstract + keywords).
-    pub fn full_text(&self) -> String {
+    pub(crate) fn full_text(&self) -> String {
         let mut s = String::with_capacity(
             self.title.len() + self.abstract_text.len() + self.keywords.len() * 16 + 2,
         );
@@ -68,7 +68,7 @@ impl Document {
 /// Lower-cases and splits text into alphanumeric tokens (anything else is a
 /// separator). Hyphenated compounds split into their parts, matching how
 /// bibliographic engines index "change-point" as `change`, `point`.
-pub fn tokenize(text: &str) -> Vec<String> {
+pub(crate) fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
     for ch in text.chars() {

@@ -9,7 +9,7 @@ use crate::document::{tokenize, Category, DocId, Document};
 
 /// A posting: document id plus the token positions of the term.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Posting {
+pub(crate) struct Posting {
     /// Document id.
     pub doc: DocId,
     /// Sorted token positions at which the term occurs.
@@ -26,7 +26,7 @@ pub struct InvertedIndex {
 
 impl InvertedIndex {
     /// Creates an empty index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -40,7 +40,7 @@ impl InvertedIndex {
     }
 
     /// Adds one document, returning its id.
-    pub fn add(&mut self, doc: Document) -> DocId {
+    pub(crate) fn add(&mut self, doc: Document) -> DocId {
         let id = self.docs.len() as DocId;
         let tokens = tokenize(&doc.full_text());
         let mut term_positions: HashMap<&str, Vec<u32>> = HashMap::new();
@@ -80,7 +80,7 @@ impl InvertedIndex {
     }
 
     /// Document ids containing `term` (case-insensitive; single token).
-    pub fn term_docs(&self, term: &str) -> Vec<DocId> {
+    pub(crate) fn term_docs(&self, term: &str) -> Vec<DocId> {
         let key = term.to_lowercase();
         self.postings
             .get(&key)
@@ -91,7 +91,7 @@ impl InvertedIndex {
     /// Document ids containing the exact phrase (consecutive tokens).
     /// A single-token phrase degenerates to [`Self::term_docs`]; an empty
     /// phrase matches nothing.
-    pub fn phrase_docs(&self, phrase: &str) -> Vec<DocId> {
+    pub(crate) fn phrase_docs(&self, phrase: &str) -> Vec<DocId> {
         let terms = tokenize(phrase);
         let Some(head) = terms.first() else {
             return Vec::new();
@@ -133,13 +133,13 @@ impl InvertedIndex {
     }
 
     /// Document ids tagged with `cat`.
-    pub fn category_docs(&self, cat: Category) -> &[DocId] {
+    pub(crate) fn category_docs(&self, cat: Category) -> &[DocId] {
         self.by_category.get(&cat).map(Vec::as_slice).unwrap_or(&[])
     }
 }
 
 /// Sorted intersection of two ascending id lists.
-pub fn intersect(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+pub(crate) fn intersect(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
     while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {

@@ -23,7 +23,7 @@ pub mod generator;
 pub mod index;
 pub mod query;
 
-pub use document::{Category, DocId, Document};
+pub use document::{Category, Document};
 pub use generator::{CorpusGenerator, FieldSpec, FIG3_FIELDS};
 pub use index::InvertedIndex;
 pub use query::{Query, QueryEngine};

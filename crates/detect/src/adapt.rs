@@ -14,7 +14,6 @@
 use hierod_timeseries::normalize::z_normalize;
 use hierod_timeseries::sax::{paa, SaxEncoder};
 use hierod_timeseries::window::{window_scores_to_point_scores, windows, WindowSpec};
-use hierod_timeseries::MultiSeries;
 
 use crate::api::{DetectError, DiscreteScorer, Result, VectorScorer};
 
@@ -22,7 +21,7 @@ use crate::api::{DetectError, DiscreteScorer, Result, VectorScorer};
 ///
 /// # Errors
 /// Returns an error when the series is shorter than one window.
-pub fn embed_windows(values: &[f64], spec: WindowSpec) -> Result<Vec<Vec<f64>>> {
+pub(crate) fn embed_windows(values: &[f64], spec: WindowSpec) -> Result<Vec<Vec<f64>>> {
     if values.len() < spec.len {
         return Err(DetectError::NotEnoughData {
             what: "embed_windows",
@@ -76,7 +75,7 @@ pub fn score_windows_with(
 ///
 /// # Errors
 /// Returns an error when a series is shorter than `segments` or empty.
-pub fn embed_series(collection: &[&[f64]], segments: usize) -> Result<Vec<Vec<f64>>> {
+pub(crate) fn embed_series(collection: &[&[f64]], segments: usize) -> Result<Vec<Vec<f64>>> {
     if collection.is_empty() {
         return Err(DetectError::NotEnoughData {
             what: "embed_series",
@@ -103,7 +102,7 @@ pub fn embed_series(collection: &[&[f64]], segments: usize) -> Result<Vec<Vec<f6
         })
 }
 
-/// Scores whole series with a [`VectorScorer`] via [`embed_series`].
+/// Scores whole series with a [`VectorScorer`] via `embed_series`.
 ///
 /// # Errors
 /// Propagates embedding and scorer errors.
@@ -123,7 +122,7 @@ pub fn score_series_with(
 ///
 /// # Errors
 /// Returns an error for invalid SAX parameters or a too-short series.
-pub fn symbolize(values: &[f64], block: usize, alphabet: usize) -> Result<Vec<u16>> {
+pub(crate) fn symbolize(values: &[f64], block: usize, alphabet: usize) -> Result<Vec<u16>> {
     if block == 0 {
         return Err(DetectError::invalid("block", "must be > 0"));
     }
@@ -183,17 +182,6 @@ pub fn score_points_via_symbols(
         sample_spec,
         &w_scores,
     ))
-}
-
-/// Scores a time-aligned multivariate bundle point-by-point with the VAR(1)
-/// predictive model (the multivariate PM of the paper's §3): one score per
-/// time point, covering every channel jointly.
-///
-/// # Errors
-/// Propagates VAR fitting errors (too few points for the dimensionality).
-pub fn score_multiseries(ms: &MultiSeries) -> Result<Vec<f64>> {
-    let rows = ms.rows();
-    crate::pm::VectorAutoregressive.score_rows_over_time(&rows)
 }
 
 #[cfg(test)]
@@ -341,29 +329,5 @@ mod tests {
         assert_eq!(p.len(), 60);
         assert!(p.iter().all(|&s| (0.0..=1.0).contains(&s)));
         assert!(score_points_via_symbols(&NonZeroFrac, &vals[..10], 5, 4, 3).is_err());
-    }
-
-    #[test]
-    fn score_multiseries_flags_cross_channel_events() {
-        use hierod_timeseries::TimeSeries;
-        // Channel b mirrors channel a, except at t = 60..64.
-        let n = 120;
-        let a_vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut b_vals: Vec<f64> = a_vals.iter().map(|v| v * 2.0 + 1.0).collect();
-        for v in b_vals.iter_mut().skip(60).take(4) {
-            *v += 5.0;
-        }
-        let a = TimeSeries::from_values("a", a_vals);
-        let b = TimeSeries::from_values("b", b_vals);
-        let ms = MultiSeries::new(vec![a, b]).unwrap();
-        let scores = score_multiseries(&ms).unwrap();
-        assert_eq!(scores.len(), n);
-        let best = scores
-            .iter()
-            .enumerate()
-            .max_by(|x, y| x.1.total_cmp(y.1))
-            .unwrap()
-            .0;
-        assert!((59..=65).contains(&best), "best {best}");
     }
 }

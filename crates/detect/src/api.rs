@@ -178,14 +178,14 @@ pub struct Capabilities {
 
 impl Capabilities {
     /// All three granularities.
-    pub const ALL: Capabilities = Capabilities {
+    pub(crate) const ALL: Capabilities = Capabilities {
         points: true,
         subsequences: true,
         series: true,
     };
 
     /// Builds from the three flags in table order.
-    pub const fn new(points: bool, subsequences: bool, series: bool) -> Self {
+    pub(crate) const fn new(points: bool, subsequences: bool, series: bool) -> Self {
         Self {
             points,
             subsequences,
@@ -199,7 +199,7 @@ impl Capabilities {
     }
 
     /// Render as the table's check-mark triple.
-    pub fn checkmarks(self) -> [&'static str; 3] {
+    pub(crate) fn checkmarks(self) -> [&'static str; 3] {
         let mark = |b: bool| if b { "x" } else { " " };
         [
             mark(self.points),
@@ -290,7 +290,7 @@ pub trait SupervisedScorer: Detector {
 /// of non-finite values, returning its width. Generic over the row type so
 /// both borrowed (`&[&[f64]]`) and owned (`&[Vec<f64>]`) collections check
 /// without conversion.
-pub fn check_rows<R: AsRef<[f64]>>(what: &'static str, rows: &[R]) -> Result<usize> {
+pub(crate) fn check_rows<R: AsRef<[f64]>>(what: &'static str, rows: &[R]) -> Result<usize> {
     let first = rows.first().ok_or(DetectError::NotEnoughData {
         what,
         needed: 1,
@@ -325,7 +325,7 @@ pub fn row_refs<R: AsRef<[f64]>>(rows: &[R]) -> Vec<&[f64]> {
 }
 
 /// Validates that a value slice contains only finite numbers.
-pub fn check_finite(what: &'static str, values: &[f64]) -> Result<()> {
+pub(crate) fn check_finite(what: &'static str, values: &[f64]) -> Result<()> {
     if values.iter().any(|v| !v.is_finite()) {
         return Err(DetectError::Numeric {
             message: format!("{what}: input contains NaN or infinity"),
@@ -337,7 +337,7 @@ pub fn check_finite(what: &'static str, values: &[f64]) -> Result<()> {
 /// Passes scores through when every one is finite. Scorers call it on
 /// input already checked finite, so a non-finite score means the arithmetic
 /// overflowed (magnitudes near `f64::MAX`): a typed error, not a ranking.
-pub fn finite_scores(what: &'static str, scores: Vec<f64>) -> Result<Vec<f64>> {
+pub(crate) fn finite_scores(what: &'static str, scores: Vec<f64>) -> Result<Vec<f64>> {
     if scores.iter().any(|s| !s.is_finite()) {
         return Err(DetectError::Numeric {
             message: format!("{what}: scores overflow f64 at this input magnitude"),

@@ -38,7 +38,7 @@ impl DynamicClustering {
     ///
     /// # Errors
     /// Rejects non-positive factors.
-    pub fn new(radius_factor: f64) -> Result<Self> {
+    pub(crate) fn new(radius_factor: f64) -> Result<Self> {
         if radius_factor <= 0.0 {
             return Err(DetectError::invalid("radius_factor", "must be > 0"));
         }

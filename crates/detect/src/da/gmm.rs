@@ -40,7 +40,7 @@ impl Default for GaussianMixture {
 
 /// A fitted mixture (exposed for inspection/tests).
 #[derive(Debug, Clone)]
-pub struct FittedMixture {
+pub(crate) struct FittedMixture {
     /// Mixture weights, summing to 1.
     pub weights: Vec<f64>,
     /// Component means (k × d).
@@ -52,7 +52,7 @@ pub struct FittedMixture {
 impl FittedMixture {
     /// Log-density of one row under the mixture (log-sum-exp over
     /// components).
-    pub fn log_density(&self, row: &[f64]) -> f64 {
+    pub(crate) fn log_density(&self, row: &[f64]) -> f64 {
         let logs: Vec<f64> = self.component_logs(row).collect();
         let max = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         if !max.is_finite() {
@@ -98,7 +98,7 @@ impl GaussianMixture {
     ///
     /// # Errors
     /// Rejects empty/ragged collections.
-    pub fn fit(&self, rows: &[&[f64]]) -> Result<FittedMixture> {
+    pub(crate) fn fit(&self, rows: &[&[f64]]) -> Result<FittedMixture> {
         let d = check_rows("GaussianMixture", rows)?;
         let n = rows.len();
         let k = self.components.min(n);

@@ -72,7 +72,7 @@ impl KMeans {
     ///
     /// # Errors
     /// Rejects empty/ragged collections.
-    pub fn fit_centroids(&self, rows: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
+    pub(crate) fn fit_centroids(&self, rows: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
         check_rows("KMeans", rows)?;
         let inertia = |centroids: &[Vec<f64>]| -> f64 {
             rows.iter()
@@ -182,7 +182,7 @@ impl KMeans {
     ///
     /// # Errors
     /// Rejects empty/ragged collections.
-    pub fn fit_filtered_centroids(
+    pub(crate) fn fit_filtered_centroids(
         &self,
         rows: &[&[f64]],
         min_size: usize,
@@ -224,7 +224,7 @@ impl KMeans {
     }
 
     /// Distance of each row to its nearest centroid.
-    pub fn distances(centroids: &[Vec<f64>], rows: &[&[f64]]) -> Vec<f64> {
+    pub(crate) fn distances(centroids: &[Vec<f64>], rows: &[&[f64]]) -> Vec<f64> {
         rows.iter()
             .map(|r| nearest_centroid(centroids, r).map_or(f64::INFINITY, |(_, d)| d.sqrt()))
             .collect()

@@ -33,7 +33,7 @@ impl LcsCluster {
     ///
     /// # Errors
     /// Rejects `k == 0`.
-    pub fn new(k: usize) -> Result<Self> {
+    pub(crate) fn new(k: usize) -> Result<Self> {
         if k == 0 {
             return Err(DetectError::invalid("k", "must be > 0"));
         }

@@ -32,7 +32,7 @@ impl MatchCount {
     ///
     /// # Errors
     /// Rejects `smooth_k == 0`.
-    pub fn new(smooth_k: usize) -> Result<Self> {
+    pub(crate) fn new(smooth_k: usize) -> Result<Self> {
         if smooth_k == 0 {
             return Err(DetectError::invalid("smooth_k", "must be >= 1"));
         }

@@ -50,7 +50,7 @@ impl OneClassSvm {
     ///
     /// # Errors
     /// Rejects `nu` outside `(0, 1)`.
-    pub fn new(nu: f64) -> Result<Self> {
+    pub(crate) fn new(nu: f64) -> Result<Self> {
         if !(nu > 0.0 && nu < 1.0) {
             return Err(DetectError::invalid("nu", "must be in (0, 1)"));
         }

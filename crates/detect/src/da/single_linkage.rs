@@ -73,7 +73,7 @@ impl SingleLinkage {
     ///
     /// # Errors
     /// Rejects quantiles outside `(0, 1)`.
-    pub fn new(cut_quantile: f64) -> Result<Self> {
+    pub(crate) fn new(cut_quantile: f64) -> Result<Self> {
         if !(cut_quantile > 0.0 && cut_quantile < 1.0) {
             return Err(DetectError::invalid("cut_quantile", "must be in (0, 1)"));
         }

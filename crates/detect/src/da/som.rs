@@ -60,7 +60,7 @@ impl SelfOrganizingMap {
     ///
     /// # Errors
     /// Rejects empty/ragged collections.
-    pub fn fit(&self, rows: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
+    pub(crate) fn fit(&self, rows: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
         check_rows("SelfOrganizingMap", rows)?;
         let units = self.width * self.height;
         // Initialize codebook by cycling through the data (deterministic,

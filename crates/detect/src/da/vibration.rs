@@ -41,7 +41,7 @@ impl VibrationSignature {
     ///
     /// # Errors
     /// Rejects zero bands or clusters.
-    pub fn new(bands: usize, clusters: usize) -> Result<Self> {
+    pub(crate) fn new(bands: usize, clusters: usize) -> Result<Self> {
         if bands == 0 {
             return Err(DetectError::invalid("bands", "must be > 0"));
         }

@@ -31,7 +31,7 @@ pub enum ScorerKind {
 
 impl ScorerKind {
     /// Short label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ScorerKind::Point => "point",
             ScorerKind::Vector => "vector",

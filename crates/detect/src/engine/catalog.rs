@@ -182,7 +182,7 @@ fn entries_cached() -> &'static [RegistryEntry] {
 ///
 /// # Errors
 /// [`DetectError::InvalidParameter`] on an unknown name.
-pub fn find(name: &str) -> Result<RegistryEntry> {
+pub(crate) fn find(name: &str) -> Result<RegistryEntry> {
     let wanted = name.trim().to_lowercase();
     entries_cached()
         .iter()

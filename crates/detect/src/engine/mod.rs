@@ -33,7 +33,7 @@ mod spec;
 mod standardize;
 
 pub use boxed::{BoxedScorer, ScorerKind};
-pub use catalog::{all_entries, build, build_online, find, supplemental};
+pub use catalog::{all_entries, build, build_online, supplemental};
 pub use scheduler::{run_tasks, Task};
 pub use spec::{AlgoSpec, ParamValue};
 pub use standardize::robust_z;

@@ -29,7 +29,7 @@ impl ParamValue {
     ///
     /// # Errors
     /// Rejects negative integers and non-integral floats.
-    pub fn as_usize(&self, param: &'static str) -> Result<usize> {
+    pub(crate) fn as_usize(&self, param: &'static str) -> Result<usize> {
         match *self {
             ParamValue::Int(i) => usize::try_from(i)
                 .map_err(|_| DetectError::invalid(param, format!("must be >= 0, got {i}"))),
@@ -50,7 +50,7 @@ impl ParamValue {
     ///
     /// # Errors
     /// Rejects NaN and infinities.
-    pub fn as_f64(&self, param: &'static str) -> Result<f64> {
+    pub(crate) fn as_f64(&self, param: &'static str) -> Result<f64> {
         let f = match *self {
             ParamValue::Int(i) => i as f64,
             ParamValue::Float(f) => f,
@@ -140,7 +140,7 @@ impl AlgoSpec {
     ///
     /// # Errors
     /// Rejects non-finite values.
-    pub fn get_f64(&self, key: &'static str, default: f64) -> Result<f64> {
+    pub(crate) fn get_f64(&self, key: &'static str, default: f64) -> Result<f64> {
         match self.params.get(key) {
             Some(v) => v.as_f64(key),
             None => Ok(default),

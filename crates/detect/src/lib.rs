@@ -57,7 +57,7 @@ pub mod uoa;
 pub mod upa;
 
 pub use api::{
-    row_refs, Capabilities, DetectError, DetectorInfo, DiscreteScorer, PointScorer, Result,
-    SeriesScorer, SupervisedScorer, TechniqueClass, VectorScorer,
+    row_refs, DetectError, DetectorInfo, DiscreteScorer, PointScorer, Result, SeriesScorer,
+    SupervisedScorer, TechniqueClass, VectorScorer,
 };
 pub use registry::{registry, RegistryEntry};

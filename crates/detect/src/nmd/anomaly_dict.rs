@@ -18,7 +18,7 @@ pub struct AnomalyDictionary {
 
 impl AnomalyDictionary {
     /// Creates an empty dictionary.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -26,7 +26,7 @@ impl AnomalyDictionary {
     ///
     /// # Errors
     /// Rejects empty patterns.
-    pub fn add(&mut self, pattern: Vec<u16>) -> Result<()> {
+    pub(crate) fn add(&mut self, pattern: Vec<u16>) -> Result<()> {
         if pattern.is_empty() {
             return Err(DetectError::invalid("pattern", "must be non-empty"));
         }
@@ -63,7 +63,7 @@ impl AnomalyDictionary {
     ///
     /// # Errors
     /// Returns [`DetectError::NotFitted`] for an empty dictionary.
-    pub fn match_score(&self, seq: &[u16]) -> Result<f64> {
+    pub(crate) fn match_score(&self, seq: &[u16]) -> Result<f64> {
         if self.entries.is_empty() {
             return Err(DetectError::NotFitted);
         }

@@ -37,7 +37,7 @@ impl WindowSequenceDb {
     ///
     /// # Errors
     /// Rejects `window_len == 0`.
-    pub fn new(window_len: usize) -> Result<Self> {
+    pub(crate) fn new(window_len: usize) -> Result<Self> {
         if window_len == 0 {
             return Err(DetectError::invalid("window_len", "must be > 0"));
         }
@@ -53,7 +53,7 @@ impl WindowSequenceDb {
     ///
     /// # Errors
     /// Rejects training data containing no full window.
-    pub fn train(&mut self, normal: &[&[u16]]) -> Result<()> {
+    pub(crate) fn train(&mut self, normal: &[&[u16]]) -> Result<()> {
         let mut db: HashMap<Vec<u16>, usize> = HashMap::new();
         let mut total = 0;
         for seq in normal {
@@ -84,7 +84,7 @@ impl WindowSequenceDb {
     /// # Errors
     /// Returns [`DetectError::NotFitted`] before training, or a shape error
     /// for wrong window lengths.
-    pub fn window_score(&self, window: &[u16]) -> Result<f64> {
+    pub(crate) fn window_score(&self, window: &[u16]) -> Result<f64> {
         let db = self.db.as_ref().ok_or(DetectError::NotFitted)?;
         if window.len() != self.window_len {
             return Err(DetectError::ShapeMismatch {
@@ -119,7 +119,7 @@ impl WindowSequenceDb {
     ///
     /// # Errors
     /// Returns [`DetectError::NotFitted`] before training.
-    pub fn score_sequence_windows(&self, seq: &[u16]) -> Result<Vec<f64>> {
+    pub(crate) fn score_sequence_windows(&self, seq: &[u16]) -> Result<Vec<f64>> {
         if self.db.is_none() {
             return Err(DetectError::NotFitted);
         }

@@ -34,7 +34,7 @@ impl Default for AutoregressiveModel {
 /// # Errors
 /// Rejects `order == 0` or an autocovariance sequence shorter than
 /// `order + 1`.
-pub fn levinson_durbin(autocov: &[f64], order: usize) -> Result<(Vec<f64>, f64)> {
+pub(crate) fn levinson_durbin(autocov: &[f64], order: usize) -> Result<(Vec<f64>, f64)> {
     if order == 0 {
         return Err(DetectError::invalid("order", "must be > 0"));
     }
@@ -102,7 +102,7 @@ impl AutoregressiveModel {
     ///
     /// # Errors
     /// Rejects series shorter than `3 × order`.
-    pub fn fit(&self, values: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn fit(&self, values: &[f64]) -> Result<Vec<f64>> {
         if values.len() < self.order * 3 {
             return Err(DetectError::NotEnoughData {
                 what: "AutoregressiveModel",

@@ -4,7 +4,5 @@
 //! the predicted value."
 
 pub mod ar;
-mod var;
 
-pub use ar::{levinson_durbin, AutoregressiveModel};
-pub use var::{FittedVar, VectorAutoregressive};
+pub use ar::AutoregressiveModel;

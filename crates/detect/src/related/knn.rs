@@ -15,7 +15,7 @@ use crate::related::{distance_matrix_into, knn_with_kdist};
 
 /// Distance-to-kth-neighbor scorer.
 #[derive(Debug, Clone, Copy)]
-pub struct KnnDistance {
+pub(crate) struct KnnDistance {
     /// Neighborhood size.
     pub k: usize,
 }
@@ -31,7 +31,7 @@ impl KnnDistance {
     ///
     /// # Errors
     /// Rejects `k == 0`.
-    pub fn new(k: usize) -> Result<Self> {
+    pub(crate) fn new(k: usize) -> Result<Self> {
         if k == 0 {
             return Err(DetectError::invalid("k", "must be > 0"));
         }
@@ -88,7 +88,7 @@ impl ReverseKnn {
     ///
     /// # Errors
     /// Rejects `k == 0`.
-    pub fn new(k: usize) -> Result<Self> {
+    pub(crate) fn new(k: usize) -> Result<Self> {
         if k == 0 {
             return Err(DetectError::invalid("k", "must be > 0"));
         }

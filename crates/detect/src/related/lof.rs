@@ -31,7 +31,7 @@ impl LocalOutlierFactor {
     ///
     /// # Errors
     /// Rejects `k == 0`.
-    pub fn new(k: usize) -> Result<Self> {
+    pub(crate) fn new(k: usize) -> Result<Self> {
         if k == 0 {
             return Err(DetectError::invalid("k", "must be > 0"));
         }

@@ -14,10 +14,13 @@ mod lof;
 mod pair;
 mod profile;
 
-pub use knn::{KnnDistance, ReverseKnn};
+pub(crate) use knn::KnnDistance;
+pub use knn::ReverseKnn;
 pub use lof::LocalOutlierFactor;
-pub use pair::{PairDifference, PairRegression};
-pub use profile::{CrossMachineProfile, ProfileSimilarity};
+pub use pair::PairDifference;
+pub(crate) use pair::PairRegression;
+pub(crate) use profile::CrossMachineProfile;
+pub use profile::ProfileSimilarity;
 
 use crate::stat::nan_last_cmp;
 

@@ -24,13 +24,13 @@ use crate::stat::midpoint_median;
 /// samples where the pair genuinely disagrees. Degenerate primaries
 /// (zero variance) fall back to the mean-difference model (β = 0).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PairRegression {
+pub(crate) struct PairRegression {
     signed: bool,
 }
 
 /// Robust difference model: scores each row by the absolute deviation of
 /// its pairwise difference `b_i − a_i` from the median difference, scaled
-/// by the MAD. Heavier-tailed than [`PairRegression`] (no least-squares
+/// by the MAD. Heavier-tailed than `PairRegression` (no least-squares
 /// fit for an outlying pair to drag), cheaper, but blind to gain
 /// mismatches between the gauges.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,14 +43,14 @@ impl PairRegression {
     /// `signed=1`): consumers probing the residual's *dynamics* — like
     /// the fusion layer's jump test — need the sign, because folding
     /// cancels an event that pushes the pair across its fitted line.
-    pub fn new(signed: bool) -> Self {
+    pub(crate) fn new(signed: bool) -> Self {
         Self { signed }
     }
 }
 
 impl PairDifference {
     /// `signed = true` keeps the standardized difference's sign
-    /// (registry param `signed=1`); see [`PairRegression::new`].
+    /// (registry param `signed=1`); see `PairRegression::new`.
     pub fn new(signed: bool) -> Self {
         Self { signed }
     }

@@ -106,7 +106,7 @@ impl ProfileSimilarity {
     ///
     /// # Errors
     /// Rejects mismatched lengths.
-    pub fn score_execution(&self, execution: &[f64]) -> Result<f64> {
+    pub(crate) fn score_execution(&self, execution: &[f64]) -> Result<f64> {
         let scores = self.score_points(execution)?;
         Ok(scores.iter().sum::<f64>() / scores.len() as f64)
     }
@@ -132,7 +132,7 @@ impl Detector for ProfileSimilarity {
 /// drift (experiment E8). Collections of fewer than two series (no fleet
 /// to compare against) score zero.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CrossMachineProfile;
+pub(crate) struct CrossMachineProfile;
 
 impl Detector for CrossMachineProfile {
     fn info(&self) -> DetectorInfo {

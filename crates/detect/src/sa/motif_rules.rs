@@ -39,7 +39,7 @@ impl MotifRuleClassifier {
     ///
     /// # Errors
     /// Rejects `motif_len == 0`.
-    pub fn new(motif_len: usize) -> Result<Self> {
+    pub(crate) fn new(motif_len: usize) -> Result<Self> {
         if motif_len == 0 {
             return Err(DetectError::invalid("motif_len", "must be > 0"));
         }

@@ -17,7 +17,7 @@ use crate::api::{
 
 /// One literal: a threshold test on one feature.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Literal {
+pub(crate) struct Literal {
     /// Feature index.
     pub feature: usize,
     /// Threshold.
@@ -43,7 +43,7 @@ impl Literal {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Conjoined literals (all must hold).
-    pub literals: Vec<Literal>,
+    pub(crate) literals: Vec<Literal>,
     /// Laplace-corrected precision on the training data.
     pub confidence: f64,
 }
@@ -83,7 +83,7 @@ impl RuleLearner {
     ///
     /// # Errors
     /// Rejects zero limits.
-    pub fn new(max_rules: usize, max_literals: usize) -> Result<Self> {
+    pub(crate) fn new(max_rules: usize, max_literals: usize) -> Result<Self> {
         if max_rules == 0 || max_literals == 0 {
             return Err(DetectError::invalid(
                 "max_rules/max_literals",

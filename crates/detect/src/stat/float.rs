@@ -28,17 +28,6 @@ pub fn nan_last_cmp(a: f64, b: f64) -> Ordering {
     }
 }
 
-/// Total order with NaN (either sign) strictly smallest: safe for
-/// "largest wins" selections, where NaN must lose to every real number.
-pub fn nan_first_cmp(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Less,
-        (false, true) => Ordering::Greater,
-        (false, false) => a.total_cmp(&b),
-    }
-}
-
 /// Sorts ascending with NaNs (of either sign) at the end.
 pub fn sort_total(xs: &mut [f64]) {
     xs.sort_unstable_by(|a, b| nan_last_cmp(*a, *b));
@@ -75,17 +64,14 @@ mod tests {
     }
 
     #[test]
-    fn nan_never_wins_a_min_or_max() {
+    fn nan_never_wins_a_min() {
         let xs = [3.0, f64::NAN, 1.0, 2.0];
         let min = xs.iter().copied().min_by(|a, b| nan_last_cmp(*a, *b));
         assert_eq!(min, Some(1.0));
-        let max = xs.iter().copied().max_by(|a, b| nan_first_cmp(*a, *b));
-        assert_eq!(max, Some(3.0));
     }
 
     #[test]
     fn comparators_are_deterministic_on_signed_zero() {
         assert_eq!(nan_last_cmp(-0.0, 0.0), Ordering::Less);
-        assert_eq!(nan_first_cmp(0.0, -0.0), Ordering::Greater);
     }
 }

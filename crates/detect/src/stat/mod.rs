@@ -6,5 +6,5 @@
 pub mod float;
 mod zscore;
 
-pub use float::{midpoint_median, nan_first_cmp, nan_last_cmp, sort_total};
+pub use float::{midpoint_median, nan_last_cmp, sort_total};
 pub use zscore::{GlobalZScore, IqrFence, RobustZScore, SlidingZScore};

@@ -40,7 +40,7 @@ impl OlapCubeDetector {
     ///
     /// # Errors
     /// Rejects `buckets < 2`.
-    pub fn new(buckets: usize) -> Result<Self> {
+    pub(crate) fn new(buckets: usize) -> Result<Self> {
         if buckets < 2 {
             return Err(DetectError::invalid("buckets", "must be >= 2"));
         }

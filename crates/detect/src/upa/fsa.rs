@@ -36,7 +36,7 @@ impl FiniteStateAutomaton {
     ///
     /// # Errors
     /// Rejects an empty order list or an order of 0.
-    pub fn new(orders: Vec<usize>) -> Result<Self> {
+    pub(crate) fn new(orders: Vec<usize>) -> Result<Self> {
         if orders.is_empty() || orders.contains(&0) {
             return Err(DetectError::invalid(
                 "orders",

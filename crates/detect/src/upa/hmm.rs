@@ -36,7 +36,7 @@ impl Default for HiddenMarkov {
 
 /// A trained HMM (row-stochastic matrices).
 #[derive(Debug, Clone)]
-pub struct FittedHmm {
+pub(crate) struct FittedHmm {
     /// Initial state distribution (length `s`).
     pub pi: Vec<f64>,
     /// Transition matrix (`s × s`).
@@ -47,7 +47,7 @@ pub struct FittedHmm {
 
 impl FittedHmm {
     /// Scaled-forward log-likelihood of a sequence.
-    pub fn log_likelihood(&self, seq: &[u16]) -> f64 {
+    pub(crate) fn log_likelihood(&self, seq: &[u16]) -> f64 {
         let mut alpha = Dense::filled(0, self.pi.len(), 0.0);
         let mut scale = Vec::with_capacity(seq.len());
         self.forward(seq, &mut alpha, &mut scale);
@@ -159,7 +159,7 @@ impl HiddenMarkov {
     ///
     /// # Errors
     /// Rejects an empty collection or all-empty sequences.
-    pub fn fit(&self, seqs: &[&[u16]]) -> Result<FittedHmm> {
+    pub(crate) fn fit(&self, seqs: &[&[u16]]) -> Result<FittedHmm> {
         if seqs.is_empty() {
             return Err(DetectError::NotEnoughData {
                 what: "HiddenMarkov",

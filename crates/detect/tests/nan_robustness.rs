@@ -56,18 +56,16 @@ fn nan_input_never_panics_fixed_detectors() {
 
 #[test]
 fn sort_helpers_order_nan_last_deterministically() {
-    use hierod_detect::stat::{nan_first_cmp, nan_last_cmp, sort_total};
+    use hierod_detect::stat::{nan_last_cmp, sort_total};
 
     let mut xs = vec![2.0, f64::NAN, -1.0, f64::NAN, 0.0];
     sort_total(&mut xs);
     assert_eq!(&xs[..3], &[-1.0, 0.0, 2.0]);
     assert!(xs[3].is_nan() && xs[4].is_nan());
 
-    // Selections never let NaN beat data.
+    // A "smallest wins" selection never lets NaN beat data.
     let min = xs.iter().copied().min_by(|a, b| nan_last_cmp(*a, *b));
     assert_eq!(min, Some(-1.0));
-    let max = xs.iter().copied().max_by(|a, b| nan_first_cmp(*a, *b));
-    assert_eq!(max, Some(2.0));
 }
 
 /// All-NaN input is the worst case: every distance, mean, and threshold

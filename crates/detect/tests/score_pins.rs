@@ -10,11 +10,9 @@
 
 use std::fmt::Write as _;
 
-use hierod_detect::adapt::score_multiseries;
 use hierod_detect::engine::{self, AlgoSpec, ScorerKind};
 use hierod_detect::online::OnlineScorer;
 use hierod_detect::{row_refs, DetectError};
-use hierod_timeseries::{MultiSeries, TimeSeries};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/score_pins.golden");
 
@@ -179,11 +177,6 @@ fn render() -> String {
         );
     }
 
-    let channels: Vec<TimeSeries> = (0..3)
-        .map(|c| TimeSeries::from_values(format!("c{c}"), synth_series(c + 300, 96)))
-        .collect();
-    let bundle = MultiSeries::new(channels).expect("aligned channels");
-    line(&mut out, "var", "multiseries3", score_multiseries(&bundle));
     out
 }
 

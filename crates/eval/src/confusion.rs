@@ -48,7 +48,7 @@ impl ConfusionMatrix {
     }
 
     /// Records one observation.
-    pub fn record(&mut self, predicted: bool, actual: bool) {
+    pub(crate) fn record(&mut self, predicted: bool, actual: bool) {
         match (predicted, actual) {
             (true, true) => self.tp += 1,
             (true, false) => self.fp += 1,

@@ -21,5 +21,5 @@ pub mod range;
 pub mod ranking;
 
 pub use confusion::ConfusionMatrix;
-pub use range::{point_adjust, point_adjusted_confusion};
+pub use range::point_adjusted_confusion;
 pub use ranking::{pr_auc, roc_auc};

@@ -11,7 +11,7 @@
 use crate::confusion::ConfusionMatrix;
 
 /// A maximal run of consecutive `true` labels: `[start, end)`.
-pub fn true_segments(labels: &[bool]) -> Vec<(usize, usize)> {
+pub(crate) fn true_segments(labels: &[bool]) -> Vec<(usize, usize)> {
     let mut segments = Vec::new();
     let mut start = None;
     for (i, &l) in labels.iter().enumerate() {
@@ -36,7 +36,7 @@ pub fn true_segments(labels: &[bool]) -> Vec<(usize, usize)> {
 ///
 /// # Panics
 /// Panics if the slices differ in length.
-pub fn point_adjust(predicted: &[bool], actual: &[bool]) -> Vec<bool> {
+pub(crate) fn point_adjust(predicted: &[bool], actual: &[bool]) -> Vec<bool> {
     assert_eq!(
         predicted.len(),
         actual.len(),

@@ -86,12 +86,12 @@ impl Job {
     /// derive each job's row once and alias it (`Arc`) across the job,
     /// production-line and production views instead of re-deriving it per
     /// level.
-    pub fn feature_vector_shared(&self) -> Arc<[f64]> {
+    pub(crate) fn feature_vector_shared(&self) -> Arc<[f64]> {
         self.feature_vector().into()
     }
 
     /// Names for [`Self::feature_vector`] components.
-    pub fn feature_names(&self) -> Vec<String> {
+    pub(crate) fn feature_names(&self) -> Vec<String> {
         let mut v = Vec::with_capacity(self.config.dims() + self.caq.dims());
         v.extend(self.config.names.iter().map(|n| format!("setup.{n}")));
         v.extend(self.caq.names.iter().map(|n| format!("caq.{n}")));
@@ -99,7 +99,7 @@ impl Job {
     }
 
     /// Total phase-level sample volume of the job.
-    pub fn sample_count(&self) -> usize {
+    pub(crate) fn sample_count(&self) -> usize {
         self.phases.iter().map(Phase::sample_count).sum()
     }
 

@@ -70,7 +70,7 @@ impl ProductionLine {
     }
 
     /// Total phase-level sample volume across jobs.
-    pub fn sample_count(&self) -> usize {
+    pub(crate) fn sample_count(&self) -> usize {
         self.jobs.iter().map(Job::sample_count).sum()
     }
 }

@@ -93,7 +93,7 @@ impl Phase {
     }
 
     /// Total number of samples across all sensors (the phase's data volume).
-    pub fn sample_count(&self) -> usize {
+    pub(crate) fn sample_count(&self) -> usize {
         self.series.iter().map(TimeSeries::len).sum()
     }
 }

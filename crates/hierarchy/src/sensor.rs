@@ -87,7 +87,7 @@ impl RedundancyGroup {
     }
 
     /// `true` if `sensor` belongs to this group.
-    pub fn contains(&self, sensor: &str) -> bool {
+    pub(crate) fn contains(&self, sensor: &str) -> bool {
         self.sensors.iter().any(|s| s == sensor)
     }
 

@@ -51,7 +51,7 @@ use hierod_store::{SegmentData, SegmentDraft, Storage};
 const LEVEL_TAG: u8 = 1;
 
 /// Encodes a history level as the segment's `extra` metadata.
-pub fn level_extra(level: u8) -> Vec<u8> {
+pub(crate) fn level_extra(level: u8) -> Vec<u8> {
     vec![LEVEL_TAG, level]
 }
 

@@ -17,7 +17,7 @@ pub struct Cell {
 
 impl Cell {
     /// Folds one fact into the cell.
-    pub fn add(&mut self, value: f64) {
+    pub(crate) fn add(&mut self, value: f64) {
         self.count += 1;
         self.sum += value;
         self.sum_sq += value * value;
@@ -31,7 +31,7 @@ impl Cell {
     }
 
     /// Mean of the measure (0 for empty cells).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -59,7 +59,7 @@ impl Cube {
     }
 
     /// The cube's schema.
-    pub fn schema(&self) -> &CubeSchema {
+    pub(crate) fn schema(&self) -> &CubeSchema {
         &self.schema
     }
 

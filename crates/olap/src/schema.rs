@@ -67,7 +67,7 @@ impl Dimension {
     ///
     /// # Errors
     /// Returns an error if no members are given.
-    pub fn new(name: impl Into<String>, members: Vec<String>) -> Result<Self, OlapError> {
+    pub(crate) fn new(name: impl Into<String>, members: Vec<String>) -> Result<Self, OlapError> {
         if members.is_empty() {
             return Err(OlapError::InvalidSchema {
                 message: "dimension must have at least one member".into(),
@@ -88,12 +88,12 @@ impl Dimension {
     }
 
     /// Dimension name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Number of members.
-    pub fn cardinality(&self) -> usize {
+    pub(crate) fn cardinality(&self) -> usize {
         self.members.len()
     }
 }
@@ -126,12 +126,12 @@ impl CubeSchema {
     }
 
     /// The dimensions, in coordinate order.
-    pub fn dimensions(&self) -> &[Dimension] {
+    pub(crate) fn dimensions(&self) -> &[Dimension] {
         &self.dimensions
     }
 
     /// Number of dimensions.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.dimensions.len()
     }
 
@@ -139,7 +139,7 @@ impl CubeSchema {
     ///
     /// # Errors
     /// Returns [`OlapError::UnknownDimension`] if absent.
-    pub fn dim_index(&self, name: &str) -> Result<usize, OlapError> {
+    pub(crate) fn dim_index(&self, name: &str) -> Result<usize, OlapError> {
         self.dimensions
             .iter()
             .position(|d| d.name() == name)
@@ -150,7 +150,7 @@ impl CubeSchema {
     ///
     /// # Errors
     /// Returns an error on arity mismatch or out-of-range member.
-    pub fn validate(&self, coords: &[usize]) -> Result<(), OlapError> {
+    pub(crate) fn validate(&self, coords: &[usize]) -> Result<(), OlapError> {
         if coords.len() != self.arity() {
             return Err(OlapError::ArityMismatch {
                 expected: self.arity(),

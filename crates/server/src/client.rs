@@ -78,7 +78,7 @@ impl From<io::Error> for ClientError {
 }
 
 /// Result alias for client calls.
-pub type Result<T> = std::result::Result<T, ClientError>;
+pub(crate) type Result<T> = std::result::Result<T, ClientError>;
 
 /// What [`Client::query_deltas`] observed.
 #[derive(Debug, Clone, PartialEq)]

@@ -274,6 +274,23 @@ impl<S: PlantService> ServiceState<S> {
         lock(&self.caches).get(plant).cloned()
     }
 
+    /// [`Self::slot`], or the reply for a plant that is not live.
+    fn live_slot(&self, plant: &str) -> Result<SharedSlot, Frame> {
+        self.slot(plant).ok_or_else(|| plant_gone(plant))
+    }
+
+    /// `f` of `plant`'s cached report, under its slot lock; the reply
+    /// for a plant that was never ticked or is not live otherwise.
+    fn cached<T>(&self, plant: &str, f: impl FnOnce(&mut ReportCache) -> T) -> Result<T, Frame> {
+        let slot = self.live_slot(plant)?;
+        let mut cache = lock(&slot);
+        match &mut *cache {
+            CacheSlot::Filled(cache) => Ok(f(cache)),
+            CacheSlot::Empty => Err(not_ticked()),
+            CacheSlot::Closed => Err(plant_gone(plant)),
+        }
+    }
+
     /// The cache slot of a plant the service has just admitted.
     fn admitted_slot(&self, plant: &str) -> SharedSlot {
         Arc::clone(
@@ -337,6 +354,11 @@ fn classify(e: &DetectError) -> ErrorCode {
     }
 }
 
+/// The error reply for a request the service refused.
+fn refused(e: DetectError) -> Frame {
+    error_frame(classify(&e), e.to_string())
+}
+
 fn error_frame(code: ErrorCode, message: impl Into<String>) -> Frame {
     Frame::Error {
         code,
@@ -385,13 +407,6 @@ fn apply_ingest<S: PlantService>(service: &S, conn: &mut ConnState, record: WalR
     }
 }
 
-/// The plant a synchronous request addresses, or a protocol error.
-fn addressed(conn: &ConnState) -> Result<String, Frame> {
-    conn.plant
-        .clone()
-        .ok_or_else(|| error_frame(ErrorCode::Protocol, "request before admit"))
-}
-
 /// Handles one synchronous request frame, returning the reply frame.
 fn handle_request<S: PlantService>(
     state: &ServiceState<S>,
@@ -403,8 +418,24 @@ fn handle_request<S: PlantService>(
     if let Some((code, message)) = conn.pending.take() {
         return error_frame(code, message);
     }
+    reply(state, conn, frame).unwrap_or_else(|reply| reply)
+}
+
+/// The plant a synchronous request addresses, or a protocol error.
+fn admitted(conn: &ConnState) -> Result<String, Frame> {
+    conn.plant
+        .clone()
+        .ok_or_else(|| error_frame(ErrorCode::Protocol, "request before admit"))
+}
+
+/// The reply to one synchronous request; `Err` is an error reply.
+fn reply<S: PlantService>(
+    state: &ServiceState<S>,
+    conn: &mut ConnState,
+    frame: Frame,
+) -> Result<Frame, Frame> {
     let service = &state.service;
-    match frame {
+    Ok(match frame {
         Frame::Admit { plant, create } => match service.admit(&plant, create) {
             Ok(outcome) => {
                 // A slot some `Finish` has closed but not yet unmapped:
@@ -412,10 +443,10 @@ fn handle_request<S: PlantService>(
                 // server cannot cache for it until that finish is over.
                 let slot = state.admitted_slot(&plant);
                 if matches!(*lock(&slot), CacheSlot::Closed) {
-                    return error_frame(
+                    return Err(error_frame(
                         ErrorCode::Invalid,
                         format!("plant {plant:?} is finishing"),
-                    );
+                    ));
                 }
                 conn.plant = Some(plant);
                 conn.lanes.clear();
@@ -428,49 +459,36 @@ fn handle_request<S: PlantService>(
             }
             Err(e) => {
                 let parked = service.health().failed.iter().any(|(id, _)| *id == plant);
-                let code = if parked {
-                    ErrorCode::Failed
+                if parked {
+                    error_frame(ErrorCode::Failed, e.to_string())
                 } else {
-                    classify(&e)
-                };
-                error_frame(code, e.to_string())
+                    refused(e)
+                }
             }
         },
         Frame::Tick => {
-            let plant = match addressed(conn) {
-                Ok(p) => p,
-                Err(f) => return f,
-            };
-            let Some(slot) = state.slot(&plant) else {
-                return plant_gone(&plant);
-            };
+            let plant = admitted(conn)?;
+            let slot = state.live_slot(&plant)?;
             // Held across the tick and the store, so that version order
             // is assembly order when two connections tick one plant.
             let mut cache = lock(&slot);
             if matches!(*cache, CacheSlot::Closed) {
-                return plant_gone(&plant);
+                return Err(plant_gone(&plant));
             }
             // LOCKS: crates/stream::plants, crates/stream::slot
-            match service.tick(&plant) {
-                Ok(report) => {
-                    let outliers = report.report.outliers.len() as u64;
-                    let version = match &mut *cache {
-                        CacheSlot::Filled(cache) => cache.advance(report),
-                        vacant => {
-                            *vacant = CacheSlot::Filled(Box::new(ReportCache::new(report)));
-                            1
-                        }
-                    };
-                    Frame::TickDone { version, outliers }
+            let report = service.tick(&plant).map_err(refused)?;
+            let outliers = report.report.outliers.len() as u64;
+            let version = match &mut *cache {
+                CacheSlot::Filled(cache) => cache.advance(report),
+                vacant => {
+                    *vacant = CacheSlot::Filled(Box::new(ReportCache::new(report)));
+                    1
                 }
-                Err(e) => error_frame(classify(&e), e.to_string()),
-            }
+            };
+            Frame::TickDone { version, outliers }
         }
         Frame::Finish => {
-            let plant = match addressed(conn) {
-                Ok(p) => p,
-                Err(f) => return f,
-            };
+            let plant = admitted(conn)?;
             // Close the slot, then finish with nothing held: the service
             // detaches the plant before it finalises it, and whatever it
             // returns the plant is gone — so its slot goes too, and a
@@ -483,72 +501,41 @@ fn handle_request<S: PlantService>(
             if let Some(slot) = &slot {
                 state.unmap(&plant, slot);
             }
-            match finished {
-                Ok(report) => {
-                    let version = match last {
-                        Some(CacheSlot::Filled(cache)) => cache.version + 1,
-                        _ => 1,
-                    };
-                    conn.plant = None;
-                    conn.lanes.clear();
-                    let report = encode_report(conn.finished.insert(report));
-                    Frame::Report { version, report }
-                }
-                Err(e) => error_frame(classify(&e), e.to_string()),
-            }
+            let report = finished.map_err(refused)?;
+            let version = match last {
+                Some(CacheSlot::Filled(cache)) => cache.version + 1,
+                _ => 1,
+            };
+            conn.plant = None;
+            conn.lanes.clear();
+            let report = encode_report(conn.finished.insert(report));
+            Frame::Report { version, report }
         }
         Frame::QueryScores { level } => {
-            let plant = match addressed(conn) {
-                Ok(p) => p,
-                Err(f) => return f,
-            };
-            let Some(slot) = state.slot(&plant) else {
-                return plant_gone(&plant);
-            };
-            let cache = lock(&slot);
-            match &*cache {
-                CacheSlot::Filled(cache) => Frame::Scores {
-                    version: cache.version,
-                    outliers: cache
-                        .outliers()
-                        .iter()
-                        .filter(|o| level.is_none_or(|l| o.level == l))
-                        .cloned()
-                        .collect(),
-                },
-                CacheSlot::Empty => not_ticked(),
-                CacheSlot::Closed => plant_gone(&plant),
-            }
+            let plant = admitted(conn)?;
+            state.cached(&plant, |cache| Frame::Scores {
+                version: cache.version,
+                outliers: cache
+                    .outliers()
+                    .iter()
+                    .filter(|o| level.is_none_or(|l| o.level == l))
+                    .cloned()
+                    .collect(),
+            })?
         }
         Frame::QueryLaneStats => {
-            let plant = match addressed(conn) {
-                Ok(p) => p,
-                Err(f) => return f,
-            };
+            let plant = admitted(conn)?;
             // One call, one acquisition of the plant: no other
             // connection's ingest lands between the totals and the lanes.
-            match service.lane_snapshot(&plant) {
-                Ok((stats, lanes)) => Frame::LaneStatsReply {
-                    stats,
-                    lanes: lanes.into_iter().collect(),
-                },
-                Err(e) => error_frame(classify(&e), e.to_string()),
+            let (stats, lanes) = service.lane_snapshot(&plant).map_err(refused)?;
+            Frame::LaneStatsReply {
+                stats,
+                lanes: lanes.into_iter().collect(),
             }
         }
         Frame::QueryDeltas { since } => {
-            let plant = match addressed(conn) {
-                Ok(p) => p,
-                Err(f) => return f,
-            };
-            let Some(slot) = state.slot(&plant) else {
-                return plant_gone(&plant);
-            };
-            let mut cache = lock(&slot);
-            match &mut *cache {
-                CacheSlot::Filled(cache) => cache.deltas_since(since),
-                CacheSlot::Empty => not_ticked(),
-                CacheSlot::Closed => plant_gone(&plant),
-            }
+            let plant = admitted(conn)?;
+            state.cached(&plant, |cache| cache.deltas_since(since))?
         }
         Frame::QuerySeries {
             level,
@@ -557,13 +544,7 @@ fn handle_request<S: PlantService>(
             start,
             end,
         } => {
-            let plant = match addressed(conn) {
-                Ok(p) => p,
-                Err(f) => return f,
-            };
-            let Some(slot) = state.slot(&plant) else {
-                return plant_gone(&plant);
-            };
+            let plant = admitted(conn)?;
             let query = SeriesQuery {
                 level,
                 machine,
@@ -573,11 +554,8 @@ fn handle_request<S: PlantService>(
             };
             // Under the lock: reference counts. The cut copies samples, so
             // it waits until the slot is free again.
-            let (version, picked) = match &*lock(&slot) {
-                CacheSlot::Filled(cache) => (cache.version, query.pick(&cache.current)),
-                CacheSlot::Empty => return not_ticked(),
-                CacheSlot::Closed => return plant_gone(&plant),
-            };
+            let (version, picked) =
+                state.cached(&plant, |cache| (cache.version, query.pick(&cache.current)))?;
             Frame::SeriesScores {
                 version,
                 series: query.cut(picked),
@@ -589,51 +567,44 @@ fn handle_request<S: PlantService>(
             machine,
             sensor,
         } => {
-            let plant = match addressed(conn) {
-                Ok(p) => p,
-                Err(f) => return f,
-            };
+            let plant = admitted(conn)?;
             let query = RangeQuery {
                 start,
                 end,
                 machine,
                 sensor,
             };
-            match service.range_scan(&plant, &query) {
-                Ok((lanes, stats)) => Frame::Series {
-                    lanes: lanes
-                        .into_iter()
-                        .map(|l| (l.id, l.series.timestamps_shared(), l.series.values_shared()))
-                        .collect(),
-                    stats,
-                },
-                Err(e) => error_frame(classify(&e), e.to_string()),
+            let (lanes, stats) = service.range_scan(&plant, &query).map_err(refused)?;
+            Frame::Series {
+                lanes: lanes
+                    .into_iter()
+                    .map(|l| (l.id, l.series.timestamps_shared(), l.series.values_shared()))
+                    .collect(),
+                stats,
             }
         }
         Frame::Backfill { start, end, spec } => {
-            let plant = match addressed(conn) {
-                Ok(p) => p,
-                Err(f) => return f,
-            };
-            let spec = match spec.as_deref().map(str::parse::<AlgoSpec>).transpose() {
-                Ok(s) => s,
-                Err(e) => return error_frame(classify(&e), e.to_string()),
-            };
-            match service.backfill(&plant, start, end, spec.as_ref()) {
-                Ok(outcome) => Frame::BackfillDone {
-                    report: encode_report(&outcome.report),
-                    controls_replayed: outcome.controls_replayed,
-                    samples_replayed: outcome.samples_replayed,
-                    samples_skipped: outcome.samples_skipped,
-                },
-                Err(e) => error_frame(classify(&e), e.to_string()),
+            let plant = admitted(conn)?;
+            let spec = spec
+                .as_deref()
+                .map(str::parse::<AlgoSpec>)
+                .transpose()
+                .map_err(refused)?;
+            let outcome = service
+                .backfill(&plant, start, end, spec.as_ref())
+                .map_err(refused)?;
+            Frame::BackfillDone {
+                report: encode_report(&outcome.report),
+                controls_replayed: outcome.controls_replayed,
+                samples_replayed: outcome.samples_replayed,
+                samples_skipped: outcome.samples_skipped,
             }
         }
         Frame::QueryHealth => Frame::HealthReply(service.health()),
         Frame::Ingest(_) => error_frame(ErrorCode::Protocol, "unreachable: ingest is async"),
         // A client sending response-tagged frames is off-protocol.
         _ => error_frame(ErrorCode::Protocol, "unexpected response-tagged frame"),
-    }
+    })
 }
 
 /// `reply`, framed — or, when its payload would exceed [`MAX_FRAME_LEN`],

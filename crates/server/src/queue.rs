@@ -98,7 +98,7 @@ impl<T> HandoffQueue<T> {
 
     /// Whether [`close`](HandoffQueue::close) has been called. Lock-free:
     /// the per-frame drain check on every connection goes through this.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
 }

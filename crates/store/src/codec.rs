@@ -8,7 +8,7 @@
 //! recovery layer can count and skip.
 
 /// Appends a `u32` little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 

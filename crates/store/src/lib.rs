@@ -54,4 +54,4 @@ pub use segment::{
 pub use storage::{DiskStorage, Storage, StorageFile};
 pub use store::{Recovered, RecoveryStats, Store, StoreOptions};
 pub use tenants::{valid_tenant_id, DiskFactory, MemFactory, StorageFactory, MAX_TENANT_ID_LEN};
-pub use wal::{CorruptionKind, WalCorruption, WalRecord, WalScan};
+pub use wal::{WalCorruption, WalRecord, WalScan};

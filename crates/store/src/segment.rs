@@ -39,9 +39,9 @@ use crate::crc::crc32;
 use crate::gorilla;
 
 /// File magic for segment files.
-pub const SEG_MAGIC: &[u8; 6] = b"HSEG1\n";
+pub(crate) const SEG_MAGIC: &[u8; 6] = b"HSEG1\n";
 /// Trailing magic; its presence proves the file was written to the end.
-pub const SEG_TAIL: &[u8; 6] = b"HSEGF\n";
+pub(crate) const SEG_TAIL: &[u8; 6] = b"HSEGF\n";
 
 /// Why a segment failed to decode. Segments are immutable and fsynced
 /// before their WAL is dropped, so every variant is unrecoverable

@@ -58,7 +58,7 @@ impl DiskStorage {
     ///
     /// # Errors
     /// Propagates directory-creation failures.
-    pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
+    pub(crate) fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
         Ok(Self { root })

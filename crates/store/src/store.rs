@@ -402,7 +402,6 @@ pub struct Store<S: Storage> {
     storage: S,
     writer: Box<dyn StorageFile>,
     wal_index: u64,
-    floor: u64,
     group_commit: usize,
     unsynced: usize,
     /// Encoded records not yet handed to `writer` (see [`Store::append`]).
@@ -453,7 +452,6 @@ impl<S: Storage> Store<S> {
                 storage,
                 writer,
                 wal_index: layout.wal_index,
-                floor: layout.floor,
                 group_commit: options.group_commit.max(1),
                 unsynced: 0,
                 staged: Vec::new(),
@@ -582,17 +580,6 @@ impl<S: Storage> Store<S> {
         self.wal_index
     }
 
-    /// The compaction floor at open time: rotation segments below this
-    /// index were replaced by compacted history files.
-    pub fn floor(&self) -> u64 {
-        self.floor
-    }
-
-    /// Records appended since the last sync.
-    pub fn unsynced(&self) -> usize {
-        self.unsynced
-    }
-
     /// The underlying storage.
     pub fn storage(&self) -> &S {
         &self.storage
@@ -648,13 +635,13 @@ mod tests {
             store.append(&sample(0, i, 0.0)).expect("append");
         }
         // Not yet synced: a crash that drops unsynced bytes loses them.
-        assert_eq!(store.unsynced(), 3);
+        assert_eq!(store.unsynced, 3);
         let image = mem.crash_image(false);
         let (_s, recovered) = Store::open(image, opts(4)).expect("recover");
         assert_eq!(recovered.wal.len(), 0);
         // The fourth append crosses the group-commit threshold.
         store.append(&sample(0, 3, 0.0)).expect("append");
-        assert_eq!(store.unsynced(), 0);
+        assert_eq!(store.unsynced, 0);
         let image = mem.crash_image(false);
         let (_s, recovered) = Store::open(image, opts(4)).expect("recover");
         assert_eq!(recovered.wal.len(), 4);
@@ -824,7 +811,7 @@ mod tests {
     fn recovery_replays_history_files_below_the_floor() {
         let mem = compacted_store();
         let (store, recovered) = Store::open(mem, opts(8)).expect("recover");
-        assert_eq!(store.floor(), 2);
+        assert_eq!(read_floor(store.storage()).expect("floor"), 2);
         assert_eq!(store.wal_index(), 2);
         assert_eq!(recovered.stats.hist_loaded, 1);
         assert_eq!(recovered.stats.segments_loaded, 0);

@@ -39,7 +39,7 @@ pub const WAL_MAGIC: &[u8; 6] = b"HWAL1\n";
 
 /// Sanity cap on a single record payload (16 MiB). A length field above
 /// this is treated as corruption rather than an allocation request.
-pub const MAX_RECORD_LEN: u32 = 1 << 24;
+pub(crate) const MAX_RECORD_LEN: u32 = 1 << 24;
 
 /// Cap on lane numbers: a lane number is below this wherever it indexes
 /// a table — a connection's wire-lane table, a plant's lane table, the
@@ -135,7 +135,7 @@ struct OpenRun {
 /// ([`WalRecord::encode_payload`]) is the same run of one.
 ///
 /// While a run is open nothing but this writer may append to the
-/// buffer: [`RunWriter::push`] closes it in front of any other record,
+/// buffer: `RunWriter::push` closes it in front of any other record,
 /// and the owner calls [`RunWriter::close`] before it hands the bytes on.
 #[derive(Debug, Default)]
 pub struct RunWriter {
@@ -170,7 +170,7 @@ impl RunWriter {
 
     /// Appends `record`: a sample joins the open run, anything else
     /// closes it and follows it as its own framed record.
-    pub fn push(&mut self, out: &mut Vec<u8>, record: &WalRecord) {
+    pub(crate) fn push(&mut self, out: &mut Vec<u8>, record: &WalRecord) {
         match *record {
             WalRecord::Sample {
                 lane,
@@ -351,7 +351,7 @@ impl WalRecord {
 
 /// Why a WAL scan stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorruptionKind {
+pub(crate) enum CorruptionKind {
     /// Fewer than 8 bytes remained: the record header itself was torn.
     TornHeader,
     /// The header promised more payload bytes than the file holds.
@@ -369,7 +369,7 @@ pub struct WalCorruption {
     /// Byte offset of the bad record's header within the file.
     pub offset: usize,
     /// Classification of the damage.
-    pub kind: CorruptionKind,
+    pub(crate) kind: CorruptionKind,
     /// Lane attribution when the payload structure was still readable.
     pub lane: Option<u32>,
 }

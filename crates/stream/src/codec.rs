@@ -56,7 +56,7 @@ pub fn decode_lane(bytes: &[u8]) -> Option<LaneId> {
 }
 
 /// Stable one-byte code of a [`SensorKind`] (storage + wire).
-pub fn sensor_kind_code(kind: SensorKind) -> u8 {
+pub(crate) fn sensor_kind_code(kind: SensorKind) -> u8 {
     match kind {
         SensorKind::BedTemperature => 0,
         SensorKind::ChamberTemperature => 1,
@@ -69,7 +69,7 @@ pub fn sensor_kind_code(kind: SensorKind) -> u8 {
 }
 
 /// Inverse of [`sensor_kind_code`].
-pub fn sensor_kind_from(code: u8) -> Option<SensorKind> {
+pub(crate) fn sensor_kind_from(code: u8) -> Option<SensorKind> {
     match code {
         0 => Some(SensorKind::BedTemperature),
         1 => Some(SensorKind::ChamberTemperature),

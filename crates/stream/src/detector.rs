@@ -7,7 +7,7 @@
 //!   mirror the production process structure of the paper's Fig. 2.
 //! * **Samples** — per-sensor readings, one [`StreamDetector::ingest`]
 //!   call each; a driver that names the same lanes again and again
-//!   resolves each once ([`StreamDetector::lane`]) and applies samples by
+//!   resolves each once (`StreamDetector::lane`) and applies samples by
 //!   handle ([`StreamDetector::ingest_resolved`]), which is the same path
 //!   with the lookup cached.
 //!
@@ -694,11 +694,13 @@ pub struct StreamDetector {
 }
 
 /// A hook turning a freshly built scorer into its adaptive wrapper.
-pub type ScorerWrapper = dyn Fn(Box<dyn OnlineScorer>) -> Box<dyn OnlineScorer> + Send + Sync;
+pub(crate) type ScorerWrapper =
+    dyn Fn(Box<dyn OnlineScorer>) -> Box<dyn OnlineScorer> + Send + Sync;
 
 /// The visitor for [`StreamDetector::visit_scorers`]: machine, sensor,
 /// lane kind, and the replaceable scorer slot.
-pub type ScorerVisitor<'a> = dyn FnMut(&str, &str, LaneKind, &mut Box<dyn OnlineScorer>) + 'a;
+pub(crate) type ScorerVisitor<'a> =
+    dyn FnMut(&str, &str, LaneKind, &mut Box<dyn OnlineScorer>) + 'a;
 
 impl StreamDetector {
     /// Creates a detector for the given policy.
@@ -1023,7 +1025,7 @@ impl StreamDetector {
     /// The handle of `lane`, the next lane number on first use. Resolving
     /// never fails and touches no pipeline: whether the lane has anywhere
     /// to go is decided per sample, as for [`ingest`](Self::ingest).
-    pub fn lane(&mut self, lane: &LaneId) -> LaneHandle {
+    pub(crate) fn lane(&mut self, lane: &LaneId) -> LaneHandle {
         self.lanes.issue(lane)
     }
 
@@ -1089,7 +1091,7 @@ impl StreamDetector {
     }
 
     /// [`ingest`](Self::ingest) for a lane resolved by
-    /// [`lane`](Self::lane): the route found for the lane's previous
+    /// `lane`: the route found for the lane's previous
     /// sample is reused until a control event is applied, so a sample
     /// costs index arithmetic, not name comparisons. The lane counts the
     /// offer whether or not a pipeline takes it.
@@ -1233,7 +1235,7 @@ impl StreamDetector {
     /// Per-lane release/drop counters, aggregated over every pipeline
     /// (open or closed) the lane ever fed, with the WAL corruption
     /// recovery attributed to a lane.
-    pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
+    pub(crate) fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
         let mut out = BTreeMap::new();
         for (machine, m) in &self.machines {
             for (sensor, lane) in &m.closed_lanes {

@@ -45,8 +45,8 @@ pub mod tenant;
 pub mod watermark;
 
 pub use detector::{
-    ControlEvent, LaneStats, ScorerMode, ScorerVisitor, StreamConfig, StreamDetector, StreamEvent,
-    StreamReport, StreamStats,
+    ControlEvent, LaneStats, ScorerMode, StreamConfig, StreamDetector, StreamEvent, StreamReport,
+    StreamStats,
 };
 pub use durable::{
     replay_journal, DurableRecovery, DurableStream, RecoverySummary, Replayed, Stored,

@@ -182,7 +182,7 @@ impl<S: hierod_store::Storage> Tenant<S> {
     ///
     /// # Errors
     /// As [`DurableStream::finish`].
-    pub fn finish(self) -> Result<StreamReport> {
+    pub(crate) fn finish(self) -> Result<StreamReport> {
         self.stream.finish()
     }
 }
@@ -531,7 +531,7 @@ impl<F: StorageFactory> PlantRegistry<F> {
     }
 
     /// Detaches a tenant from the registry, then finalizes its report
-    /// (see [`Tenant::finish`]) with **no lock held**: the map lock
+    /// (see `Tenant::finish`) with **no lock held**: the map lock
     /// covers the remove, the tenant's own lock covers taking it out of
     /// its slot, and a concurrent caller that already holds the slot
     /// either ran before the take or finds the slot empty. Whatever

@@ -140,7 +140,7 @@ impl Watermark {
     /// The buffered (offered but unreleased) samples in timestamp order —
     /// the durability layer journals these as carry-over when it rotates
     /// a WAL into a segment, so a restart can re-offer them.
-    pub fn pending_samples(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+    pub(crate) fn pending_samples(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.pending.iter().map(|(&t, &v)| (t, v))
     }
 

@@ -50,7 +50,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every fault shape, in a stable order.
-    pub const ALL: [FaultKind; 5] = [
+    pub(crate) const ALL: [FaultKind; 5] = [
         FaultKind::LinearDrift,
         FaultKind::StepDrift,
         FaultKind::StuckAt,
@@ -71,7 +71,7 @@ impl FaultKind {
 
     /// `true` for the shapes whose effect persists to the end of the
     /// series (drifts and rate changes); `false` for windowed faults.
-    pub fn runs_to_end(self) -> bool {
+    pub(crate) fn runs_to_end(self) -> bool {
         matches!(
             self,
             FaultKind::LinearDrift | FaultKind::StepDrift | FaultKind::MixedRate

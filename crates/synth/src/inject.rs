@@ -68,9 +68,6 @@ pub enum Scope {
 }
 
 impl Scope {
-    /// Both scopes.
-    pub const ALL: [Scope; 2] = [Scope::MeasurementError, Scope::ProcessAnomaly];
-
     /// Short label.
     pub fn label(self) -> &'static str {
         match self {
@@ -110,7 +107,7 @@ impl Injection {
     }
 
     /// The injected effect at offset `k ≥ 0` samples after the event start.
-    pub fn effect_at(&self, k: usize) -> f64 {
+    pub(crate) fn effect_at(&self, k: usize) -> f64 {
         match self.outlier {
             OutlierType::Additive => {
                 if k == 0 {
@@ -221,7 +218,6 @@ mod tests {
         assert_eq!(OutlierType::ALL.len(), 4);
         assert_eq!(OutlierType::Additive.to_string(), "additive outlier");
         assert_eq!(Scope::MeasurementError.label(), "measurement-error");
-        assert_eq!(Scope::ALL.len(), 2);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct InjectionRecord {
 
 impl InjectionRecord {
     /// `true` if this injection is a genuine process anomaly.
-    pub fn is_process_anomaly(&self) -> bool {
+    pub(crate) fn is_process_anomaly(&self) -> bool {
         self.scope == Scope::ProcessAnomaly
     }
 }
@@ -133,7 +133,7 @@ impl GroundTruth {
 
     /// Injections affecting the given sensor series (machine + job + phase +
     /// sensor).
-    pub fn for_series<'a>(
+    pub(crate) fn for_series<'a>(
         &'a self,
         machine: &'a str,
         job: &'a str,

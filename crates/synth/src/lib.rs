@@ -34,5 +34,5 @@ pub mod scenario;
 pub use faults::{apply_channel_faults, ChannelFaults, FaultKind};
 pub use inject::{Injection, OutlierType, Scope};
 pub use labels::{ChannelFaultRecord, EnvInjectionRecord, GroundTruth, InjectionRecord};
-pub use replay::{replay_plant, ReplayEvent};
+pub use replay::ReplayEvent;
 pub use scenario::{Scenario, ScenarioBuilder};

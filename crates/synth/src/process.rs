@@ -13,7 +13,7 @@ use rand::Rng;
 
 /// AR(1) noise parameters for one sensor kind.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseModel {
+pub(crate) struct NoiseModel {
     /// AR(1) coefficient in `[0, 1)`.
     pub phi: f64,
     /// Innovation standard deviation.
@@ -22,21 +22,21 @@ pub struct NoiseModel {
 
 /// Nominal trajectory + noise parameters for a sensor kind in a phase.
 #[derive(Debug, Clone, Copy)]
-pub struct SignalModel {
+pub(crate) struct SignalModel {
     kind: SensorKind,
     phase: PhaseKind,
 }
 
 impl SignalModel {
     /// The model of `kind` during `phase`.
-    pub fn new(kind: SensorKind, phase: PhaseKind) -> Self {
+    pub(crate) fn new(kind: SensorKind, phase: PhaseKind) -> Self {
         Self { kind, phase }
     }
 
     /// The AR(1) noise model for this sensor kind. Temperatures drift
     /// smoothly (high phi), vibration is nearly white, laser power is tightly
     /// regulated.
-    pub fn noise(&self) -> NoiseModel {
+    pub(crate) fn noise(&self) -> NoiseModel {
         match self.kind {
             SensorKind::BedTemperature | SensorKind::ChamberTemperature => NoiseModel {
                 phi: 0.9,
@@ -69,7 +69,7 @@ impl SignalModel {
     ///
     /// `setpoint` scales the process targets (bed temperature setpoint,
     /// laser power setpoint, …) and comes from the job configuration.
-    pub fn nominal(&self, i: usize, n: usize, setpoint: f64) -> f64 {
+    pub(crate) fn nominal(&self, i: usize, n: usize, setpoint: f64) -> f64 {
         let t = if n <= 1 {
             0.0
         } else {
@@ -149,7 +149,7 @@ impl SignalModel {
     /// the signal's structure — a 15-noise-sigma glitch on a 160 °C cooling
     /// ramp would otherwise be invisible under the model-misfit floor of
     /// any realistic detector.
-    pub fn event_scale(&self, setpoint: f64) -> f64 {
+    pub(crate) fn event_scale(&self, setpoint: f64) -> f64 {
         let n = 64;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
@@ -163,7 +163,7 @@ impl SignalModel {
 
     /// Generates the latent (shared) trajectory for this phase: nominal
     /// plus AR(1) *process* wander at one tenth of the measurement noise.
-    pub fn latent(&self, n: usize, setpoint: f64, rng: &mut StdRng) -> Vec<f64> {
+    pub(crate) fn latent(&self, n: usize, setpoint: f64, rng: &mut StdRng) -> Vec<f64> {
         let noise = self.noise();
         let mut wander = 0.0_f64;
         (0..n)
@@ -177,7 +177,7 @@ impl SignalModel {
 
     /// Observes a latent trajectory through one physical sensor: adds the
     /// sensor's constant bias and independent AR(1) measurement noise.
-    pub fn observe(&self, latent: &[f64], bias: f64, rng: &mut StdRng) -> Vec<f64> {
+    pub(crate) fn observe(&self, latent: &[f64], bias: f64, rng: &mut StdRng) -> Vec<f64> {
         let noise = self.noise();
         let mut ar = 0.0_f64;
         latent
@@ -193,7 +193,7 @@ impl SignalModel {
 
 /// Standard-normal sample via Box-Muller (rand's `StandardNormal` lives in
 /// `rand_distr`, which is outside the sanctioned dependency set).
-pub fn sample_gaussian(rng: &mut StdRng) -> f64 {
+pub(crate) fn sample_gaussian(rng: &mut StdRng) -> f64 {
     loop {
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);

@@ -3,7 +3,7 @@
 //! The batch pipeline sees a finished [`Plant`]; the streaming detector
 //! (`hierod-stream`) sees the same data as it would have *arrived*:
 //! machine bring-up, job/phase control events, and per-sensor samples in
-//! timestamp order. [`replay_plant`] performs that flattening, and the
+//! timestamp order. `replay_plant` performs that flattening, and the
 //! `stream_batch_equivalence` integration test pins that feeding the
 //! replay through the streaming detector reproduces the batch verdicts.
 //!
@@ -96,7 +96,7 @@ impl Scenario {
 /// Flattens a plant into the event stream that would have produced it.
 /// Machines are emitted sequentially; within a machine, events follow the
 /// ordering contract in the module docs.
-pub fn replay_plant(plant: &Plant) -> Vec<ReplayEvent> {
+pub(crate) fn replay_plant(plant: &Plant) -> Vec<ReplayEvent> {
     let mut events = Vec::new();
     for line in &plant.lines {
         let machine = line.machine_id.clone();

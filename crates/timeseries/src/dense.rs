@@ -44,11 +44,6 @@ impl<T: Clone> Dense<T> {
 }
 
 impl<T> Dense<T> {
-    /// Elements per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Number of rows.
     pub fn height(&self) -> usize {
         self.data.len().checked_div(self.width).unwrap_or(0)
@@ -70,21 +65,14 @@ impl<T> Dense<T> {
     }
 
     /// The rows above `at` and the rows from `at` down, both mutable.
-    pub fn split_rows_mut(&mut self, at: usize) -> (ChunksExactMut<'_, T>, ChunksExactMut<'_, T>) {
+    pub(crate) fn split_rows_mut(
+        &mut self,
+        at: usize,
+    ) -> (ChunksExactMut<'_, T>, ChunksExactMut<'_, T>) {
         let width = self.width.max(1);
         let mid = at.saturating_mul(width).min(self.data.len());
         let (above, below) = self.data.split_at_mut(mid);
         (above.chunks_exact_mut(width), below.chunks_exact_mut(width))
-    }
-
-    /// Swaps rows `a` and `b` (nothing happens when either is missing).
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        let (lo, hi) = (a.min(b), a.max(b));
-        let (mut above, mut below) = self.split_rows_mut(hi);
-        // Equal rows never pair up: `above` holds only the rows before `hi`.
-        if let (Some(x), Some(y)) = (above.nth(lo), below.next()) {
-            x.swap_with_slice(y);
-        }
     }
 }
 
@@ -125,7 +113,7 @@ mod tests {
     #[test]
     fn shape_and_rows() {
         let mut m = Dense::filled(3, 2, 0.0);
-        assert_eq!((m.height(), m.width()), (3, 2));
+        assert_eq!(m.height(), 3);
         for (i, row) in m.rows_mut().enumerate() {
             row.iter_mut().for_each(|x| *x = i as f64);
         }
@@ -154,18 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_mirror() {
+    fn mirror_upper_copies_above_the_diagonal() {
         let mut m = Dense::try_from(vec![vec![1, 2, 3], vec![0, 4, 5], vec![0, 0, 6]]).unwrap();
         m.mirror_upper();
         assert_eq!(
             m.into_rows(),
             vec![vec![1, 2, 3], vec![2, 4, 5], vec![3, 5, 6]]
         );
-        let mut m = Dense::try_from(vec![vec![1], vec![2], vec![3]]).unwrap();
-        m.swap_rows(2, 0);
-        m.swap_rows(1, 1);
-        m.swap_rows(1, 9);
-        assert_eq!(m.into_rows(), vec![vec![3], vec![2], vec![1]]);
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn lcs_similarity(a: &[u16], b: &[u16]) -> f64 {
 ///
 /// # Errors
 /// Returns an error on length mismatch.
-pub fn hamming(a: &[u16], b: &[u16]) -> Result<usize> {
+pub(crate) fn hamming(a: &[u16], b: &[u16]) -> Result<usize> {
     if a.len() != b.len() {
         return Err(Error::LengthMismatch {
             what: "hamming",

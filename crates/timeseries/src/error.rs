@@ -35,7 +35,7 @@ pub enum Error {
 
 impl Error {
     /// Convenience constructor for [`Error::InvalidParameter`].
-    pub fn invalid(param: &'static str, message: impl Into<String>) -> Self {
+    pub(crate) fn invalid(param: &'static str, message: impl Into<String>) -> Self {
         Error::InvalidParameter {
             param,
             message: message.into(),
@@ -61,7 +61,7 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Result alias for substrate operations.
-pub type Result<T> = std::result::Result<T, Error>;
+pub(crate) type Result<T> = std::result::Result<T, Error>;
 
 #[cfg(test)]
 mod tests {

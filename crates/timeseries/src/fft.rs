@@ -24,7 +24,7 @@ impl Complex {
     }
 
     /// Squared magnitude.
-    pub fn norm_sq(self) -> f64 {
+    pub(crate) fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -107,7 +107,7 @@ pub fn fft_in_place(data: &mut [Complex], inverse: bool) -> Result<()> {
 ///
 /// # Errors
 /// Returns an error on non-power-of-two lengths.
-pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>> {
+pub(crate) fn fft_real(signal: &[f64]) -> Result<Vec<Complex>> {
     let mut buf: Vec<Complex> = signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
     fft_in_place(&mut buf, false)?;
     Ok(buf)
@@ -129,7 +129,7 @@ pub fn power_spectrum(signal: &[f64]) -> Result<Vec<f64>> {
 }
 
 /// Zero-pads a signal to the next power of two (identity when already one).
-pub fn pad_to_pow2(signal: &[f64]) -> Vec<f64> {
+pub(crate) fn pad_to_pow2(signal: &[f64]) -> Vec<f64> {
     let n = signal.len().max(1);
     let target = n.next_power_of_two();
     let mut out = signal.to_vec();

@@ -158,7 +158,7 @@ impl VOptimalHistogram {
     }
 
     /// Total SSE of the representation.
-    pub fn total_sse(&self) -> f64 {
+    pub(crate) fn total_sse(&self) -> f64 {
         self.total_sse
     }
 }

@@ -11,8 +11,7 @@
 //! consume. This crate provides the shared machinery all of those detectors
 //! are built on:
 //!
-//! * [`series`] — containers: [`TimeSeries`], [`DiscreteSequence`],
-//!   [`MultiSeries`].
+//! * [`series`] — containers: [`TimeSeries`] and [`DiscreteSequence`].
 //! * [`dense`] — [`Dense`], the checked row-major table the matrix and
 //!   dynamic-programming detectors keep their state in.
 //! * [`stats`] — descriptive statistics, order statistics by selection,
@@ -49,6 +48,6 @@ pub mod stats;
 pub mod window;
 
 pub use dense::Dense;
-pub use error::{Error, Result};
-pub use series::{DiscreteSequence, MultiSeries, TimeSeries};
+pub use error::Error;
+pub use series::{DiscreteSequence, TimeSeries};
 pub use window::{Window, WindowIter, WindowSpec};

@@ -13,7 +13,7 @@ use crate::stats;
 ///
 /// # Errors
 /// Returns [`Error::Empty`] for an empty slice.
-pub fn z_normalize_in_place(xs: &mut [f64]) -> Result<()> {
+pub(crate) fn z_normalize_in_place(xs: &mut [f64]) -> Result<()> {
     let m = stats::mean(xs)?;
     let s = stats::std_dev(xs)?;
     if s == 0.0 {

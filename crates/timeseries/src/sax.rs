@@ -14,7 +14,7 @@ use crate::normalize;
 ///
 /// # Errors
 /// Returns an error unless `p` lies strictly inside `(0, 1)`.
-pub fn inv_norm_cdf(p: f64) -> Result<f64> {
+pub(crate) fn inv_norm_cdf(p: f64) -> Result<f64> {
     if !(p > 0.0 && p < 1.0) {
         return Err(Error::invalid("p", "must be in (0, 1)"));
     }
@@ -123,7 +123,7 @@ impl SaxQuantizer {
     ///
     /// # Errors
     /// Returns an error for alphabet sizes outside `2..=64`.
-    pub fn new(alphabet_size: usize) -> Result<Self> {
+    pub(crate) fn new(alphabet_size: usize) -> Result<Self> {
         if !(2..=64).contains(&alphabet_size) {
             return Err(Error::invalid("alphabet_size", "must be in 2..=64"));
         }

@@ -1,4 +1,4 @@
-//! Core containers: [`TimeSeries`], [`DiscreteSequence`], [`MultiSeries`].
+//! Core containers: [`TimeSeries`] and [`DiscreteSequence`].
 //!
 //! The paper's phase level (its Fig. 2, level ①) delivers "either time series
 //! data or discrete value sequences": numeric samples over time, or label
@@ -221,7 +221,7 @@ impl TimeSeries {
     }
 
     /// Iterator over `(timestamp, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.timestamps()
             .iter()
             .copied()
@@ -250,11 +250,6 @@ impl DiscreteSequence {
         }
     }
 
-    /// The sequence name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of symbols.
     pub fn len(&self) -> usize {
         self.symbols.len()
@@ -268,77 +263,6 @@ impl DiscreteSequence {
     /// The raw symbol ids.
     pub fn symbols(&self) -> &[u16] {
         &self.symbols
-    }
-}
-
-/// A bundle of time-aligned univariate series (multivariate view).
-///
-/// All members must have identical timestamps; this is the form the
-/// phase-level detectors consume when a phase carries several sensors of the
-/// same physical quantity (the redundancy groups of the paper's support
-/// mechanism).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiSeries {
-    series: Vec<TimeSeries>,
-}
-
-impl MultiSeries {
-    /// Builds a bundle, verifying time alignment. Member series are moved,
-    /// not copied (their storage stays shared with any other handles).
-    ///
-    /// # Errors
-    /// Returns an error on an empty bundle or mismatched timestamps.
-    pub fn new(series: Vec<TimeSeries>) -> Result<Self> {
-        let first = series.first().ok_or(Error::Empty {
-            what: "MultiSeries::new",
-        })?;
-        for s in series.iter().skip(1) {
-            if s.timestamps() != first.timestamps() {
-                return Err(Error::invalid(
-                    "series",
-                    format!(
-                        "series `{}` is not time-aligned with `{}`",
-                        s.name(),
-                        first.name()
-                    ),
-                ));
-            }
-        }
-        Ok(Self { series })
-    }
-
-    /// Number of member series (dimensionality).
-    pub fn dims(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Number of time points.
-    pub fn len(&self) -> usize {
-        self.series.first().map_or(0, TimeSeries::len)
-    }
-
-    /// `true` if there are no time points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Member series.
-    pub fn series(&self) -> &[TimeSeries] {
-        &self.series
-    }
-
-    /// The sample at time index `idx` as a vector across dimensions (empty
-    /// past the last time point).
-    pub fn row(&self, idx: usize) -> Vec<f64> {
-        self.series
-            .iter()
-            .filter_map(|s| s.values().get(idx).copied())
-            .collect()
-    }
-
-    /// All samples as row vectors (n × d).
-    pub fn rows(&self) -> Vec<Vec<f64>> {
-        (0..self.len()).map(|i| self.row(i)).collect()
     }
 }
 
@@ -467,34 +391,10 @@ mod tests {
         let b = a.clone();
         assert_eq!(b.symbols().as_ptr(), a.symbols().as_ptr());
         assert_eq!(
-            (b.name(), b.symbols(), b.len()),
+            (&*b.name, b.symbols(), b.len()),
             ("events", &[3, 1, 4][..], 3)
         );
         assert_eq!(a, DiscreteSequence::new("events", vec![3, 1, 4]));
         assert!(DiscreteSequence::new("e", vec![]).is_empty());
-    }
-
-    #[test]
-    fn multiseries_requires_alignment() {
-        let a = TimeSeries::regular("a", 0, 1, vec![1.0, 2.0]).unwrap();
-        let b = TimeSeries::regular("b", 0, 2, vec![1.0, 2.0]).unwrap();
-        assert!(MultiSeries::new(vec![a.clone(), b]).is_err());
-        let b2 = TimeSeries::regular("b", 0, 1, vec![3.0, 4.0]).unwrap();
-        let m = MultiSeries::new(vec![a, b2]).unwrap();
-        assert_eq!(m.dims(), 2);
-        assert_eq!(m.row(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn multiseries_rejects_empty() {
-        assert!(MultiSeries::new(vec![]).is_err());
-    }
-
-    #[test]
-    fn rows_materializes_matrix() {
-        let a = TimeSeries::from_values("a", vec![1.0, 2.0]);
-        let b = TimeSeries::from_values("b", vec![3.0, 4.0]);
-        let m = MultiSeries::new(vec![a, b]).unwrap();
-        assert_eq!(m.rows(), vec![vec![1.0, 3.0], vec![2.0, 4.0]]);
     }
 }

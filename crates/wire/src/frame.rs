@@ -99,7 +99,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Stable one-byte wire code.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             ErrorCode::Protocol => 1,
             ErrorCode::Missing => 2,
@@ -111,7 +111,7 @@ impl ErrorCode {
         }
     }
 
-    /// Inverse of [`ErrorCode::code`].
+    /// Inverse of `ErrorCode::code`.
     pub fn from_code(code: u8) -> Option<ErrorCode> {
         match code {
             1 => Some(ErrorCode::Protocol),

@@ -15,8 +15,9 @@
 //! Findings are machine-readable ([`Finding`]), and every rule is a hard
 //! gate: the tree is clean iff a run reports no finding at all.
 //!
-//! [`reach`] is the other gate, `cargo xtask reach`: the library functions
-//! that only tests call must be exactly a checked-in keep-list.
+//! [`reach`] is the other gate, `cargo xtask reach`: the library `pub`
+//! items that only tests reach, or that only their own crate names, must
+//! be exactly a checked-in keep-list.
 
 #![forbid(unsafe_code)]
 

@@ -5,8 +5,9 @@
 //! cargo xtask reach [--root PATH]
 //! ```
 //!
-//! `lint` runs the rule suite; `reach` lists the library functions only
-//! tests call and compares them with `xtask/reach.keep`.
+//! `lint` runs the rule suite; `reach` lists the `pub` items that only
+//! tests reach or only their own crate names, and compares them with
+//! `xtask/reach.keep`.
 //!
 //! Exit codes: 0 clean, 1 lint findings or a keep-list mismatch, 2 usage
 //! or I/O error.
@@ -34,7 +35,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// Prints every function only tests reach, one per line with its
+/// Prints every flagged item, one per line with its verdict and its
 /// keep-list reason, then what differs from the keep-list.
 fn reach(args: &[String]) -> ExitCode {
     let root = match args {
@@ -49,19 +50,27 @@ fn reach(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    for item in &report.unreached {
+    for (item, flag) in &report.flagged {
         let reason = report.keep.get(item).map_or("", String::as_str);
-        println!("{item}\t{reason}");
+        println!("{item}\t{}\t{reason}", flag.verdict());
     }
     for item in report.unlisted() {
-        eprintln!("{item}: only tests reach it and {KEEP_LIST} does not list it");
+        let flag = &report.flagged[item];
+        eprintln!(
+            "{}: {item}: {}, and {KEEP_LIST} does not list it",
+            flag.location,
+            flag.verdict()
+        );
     }
     for item in report.stale() {
-        eprintln!("{item}: listed in {KEEP_LIST}, but reached or gone");
+        eprintln!(
+            "{item}: listed in {KEEP_LIST}, but named outside its crate by code that runs, or gone"
+        );
     }
     eprintln!(
-        "xtask reach: {} functions reached only by tests, {} kept — {}",
-        report.unreached.len(),
+        "xtask reach: {} pub items, {} flagged, {} kept — {}",
+        report.marked,
+        report.flagged.len(),
         report.keep.len(),
         if report.clean() { "clean" } else { "failed" }
     );
