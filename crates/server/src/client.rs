@@ -7,8 +7,9 @@
 //! [`Client::flush`] or the next synchronous request. That mirrors the
 //! protocol's design: ingest is an unacknowledged firehose, and errors
 //! surface at the next request/response exchange. Consecutive samples
-//! travel as one run frame (one header, one checksum, delta-coded
-//! timestamps; [`hierod_wire::frame`]), closed by any other frame, a
+//! travel as one run frame (one header, one checksum, lanes and
+//! timestamps implied where the run predicts them, values XOR-trimmed;
+//! [`hierod_wire::frame`]), closed by any other frame, a
 //! flush, or [`MAX_RUN`](hierod_store::wal::MAX_RUN) samples.
 //!
 //! The reports [`Client::finish`], [`Client::backfill`] and a

@@ -103,14 +103,19 @@ pub fn take_f64s(buf: &mut &[u8], n: usize) -> Option<Vec<f64>> {
     Some(values)
 }
 
-/// Reads a LEB128 varint; rejects encodings longer than 10 bytes.
+/// Reads a LEB128 varint; rejects encodings longer than 10 bytes, a
+/// tenth byte above 1 and overlong zero tails, so each `u64` has one
+/// encoding.
 pub fn take_varint(buf: &mut &[u8]) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0_u32;
     loop {
         let byte = take_u8(buf)?;
         let bits = (byte & 0x7F) as u64;
-        v |= bits.checked_shl(shift).filter(|_| shift < 64)?;
+        // A tenth byte may carry one bit: none may fall off the top.
+        v |= bits
+            .checked_shl(shift)
+            .filter(|&shifted| shifted >> shift == bits)?;
         if byte & 0x80 == 0 {
             // Reject non-canonical overlong zero-continuation tails.
             if shift > 0 && bits == 0 {
@@ -187,6 +192,14 @@ mod tests {
         let bytes = [0x80_u8; 11];
         let mut slice = &bytes[..];
         assert_eq!(take_varint(&mut slice), None);
+        // u64::MAX is nine 0xFF and a 1; a tenth byte above 1 names bits
+        // past u64, and a zero tail is a shorter number written long.
+        for (tail, want) in [(1, Some(u64::MAX)), (2, None), (0x7F, None)] {
+            let mut bytes = vec![0xFF_u8; 9];
+            bytes.push(tail);
+            assert_eq!(take_varint(&mut &bytes[..]), want, "tenth byte {tail}");
+        }
+        assert_eq!(take_varint(&mut &[0x85_u8, 0][..]), None);
     }
 
     #[test]

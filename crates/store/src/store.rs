@@ -487,9 +487,10 @@ impl<S: Storage> Store<S> {
     /// record, which also syncs, at a [`Store::flush`], and at a
     /// [`Store::commit`], the hard barrier.
     ///
-    /// Consecutive samples are staged as one run (the WAL's tag-3
+    /// Consecutive samples are staged as one run (the WAL's tag-4
     /// record, [`wal::RunWriter`]): one frame and one checksum, each
-    /// sample's timestamp a delta from the one before. A run closes at
+    /// later sample a head byte, its lane and timestamp implied where the
+    /// run predicts them and its value XOR-trimmed. A run closes at
     /// every hand-off, in front of any other record, and at
     /// [`wal::MAX_RUN`] samples. Group commit still counts one per
     /// sample, so the sync points are those of one record per sample,

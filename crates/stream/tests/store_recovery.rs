@@ -32,7 +32,7 @@ use hierod_stream::{
     ControlEvent, DurableStream, LaneId, LaneKind, LaneTable, PlantRegistry, Sample, ScorerMode,
     StreamConfig, StreamReport, Tenant, TenantConfig,
 };
-use hierod_wire::encode_report;
+use hierod_wire::{encode_report, Frame, FrameReader, Poll};
 use proptest::prelude::*;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/store_recovery.golden");
@@ -664,20 +664,31 @@ fn samples_in_whole_records(image: &[u8]) -> u64 {
 }
 
 /// The samples of a torn run that reached the image whole: the tail's
-/// header, tag 3, then every sample whose lane, timestamp and value all
-/// landed. A lower bound on the run's length; 0 if the tail is no run.
+/// header, tag 4, the first sample's lane, timestamp and value, then
+/// every later sample whose head byte and the fields it announces all
+/// landed (`hierod_store::wal`'s module docs). A lower bound on the
+/// run's length; 0 if the tail is no run.
 fn samples_landed_of_torn_run(tail: &[u8]) -> usize {
     let Some(mut payload) = tail.get(8..) else {
         return 0;
     };
-    if codec::take_u8(&mut payload) != Some(3) {
+    let first = codec::take_u8(&mut payload) == Some(4)
+        && codec::take_varint(&mut payload).is_some()
+        && codec::take_varint(&mut payload).is_some()
+        && codec::take_f64(&mut payload).is_some();
+    if !first {
         return 0;
     }
-    let mut samples = 0;
-    while codec::take_varint(&mut payload).is_some()
-        && codec::take_varint(&mut payload).is_some()
-        && codec::take_f64(&mut payload).is_some()
-    {
+    let mut samples = 1;
+    while let Some(head) = codec::take_u8(&mut payload) {
+        let (lead, trail) = (usize::from(head >> 3 & 7), usize::from(head & 7));
+        let width = 8_usize.saturating_sub(lead + trail);
+        let landed = (head & 0x80 == 0 || codec::take_varint(&mut payload).is_some())
+            && (head & 0x40 == 0 || codec::take_varint(&mut payload).is_some())
+            && codec::take(&mut payload, width).is_some();
+        if !landed {
+            break;
+        }
         samples += 1;
     }
     samples
@@ -923,6 +934,142 @@ fn a_journal_of_one_sample_per_record_recovers_like_one_of_runs() {
     let (from_runs, from_records) = (finish(in_runs), finish(one_per_record));
     assert_eq!(from_runs, from_records);
     assert_eq!(from_runs, encode_report(&uninterrupted(&ops)));
+}
+
+/// A journal image written the way writers wrote runs before tag 4:
+/// consecutive samples as tag-3 runs — the first sample's lane,
+/// timestamp and value, then per later sample its lane, its zigzag
+/// delta from the sample before and its value — closed in front of any
+/// other record, at [`wal::MAX_RUN`] samples and where a delta leaves
+/// `i64`.
+fn tag_3_image(records: &[WalRecord]) -> Vec<u8> {
+    fn close(image: &mut Vec<u8>, run: &mut Vec<u8>) {
+        if !run.is_empty() {
+            wal::put_framed(image, |out| out.extend_from_slice(run));
+            run.clear();
+        }
+    }
+    let mut image = WAL_MAGIC.to_vec();
+    let (mut run, mut samples, mut last) = (Vec::new(), 0, 0_u64);
+    for record in records {
+        let &WalRecord::Sample {
+            lane,
+            timestamp,
+            value,
+        } = record
+        else {
+            close(&mut image, &mut run);
+            record.encode(&mut image);
+            continue;
+        };
+        let delta = i64::try_from(i128::from(timestamp) - i128::from(last)).ok();
+        match delta.filter(|_| !run.is_empty() && samples < wal::MAX_RUN) {
+            Some(delta) => {
+                codec::put_varint(&mut run, u64::from(lane));
+                codec::put_varint(&mut run, ((delta << 1) ^ (delta >> 63)) as u64);
+                samples += 1;
+            }
+            None => {
+                close(&mut image, &mut run);
+                run.push(3);
+                codec::put_varint(&mut run, u64::from(lane));
+                codec::put_varint(&mut run, timestamp);
+                samples = 1;
+            }
+        }
+        codec::put_f64(&mut run, value);
+        last = timestamp;
+    }
+    close(&mut image, &mut run);
+    image
+}
+
+/// The ingest records of a frame stream as [`FrameReader::poll`] hands
+/// them out — or, with `take`, with [`FrameReader::take_samples`]
+/// moving what it can behind each polled sample.
+fn read_frames(mut bytes: &[u8], take: bool) -> Vec<WalRecord> {
+    let mut reader = FrameReader::new();
+    let (mut records, mut run) = (Vec::new(), Vec::new());
+    loop {
+        match reader.poll(&mut bytes).expect("a well-formed stream") {
+            Poll::Frame(Frame::Ingest(record)) => {
+                let sample = matches!(record, WalRecord::Sample { .. });
+                records.push(record);
+                if take && sample {
+                    run.clear();
+                    reader.take_samples(&mut run);
+                    records.extend(run.iter().map(|&(lane, s)| WalRecord::Sample {
+                        lane,
+                        timestamp: s.timestamp,
+                        value: s.value,
+                    }));
+                }
+            }
+            Poll::Frame(other) => panic!("not an ingest frame: {other:?}"),
+            Poll::Eof => return records,
+            Poll::Idle => panic!("a byte slice never blocks"),
+        }
+    }
+}
+
+/// A journal written before tag 4 still reads: the tag-3 image of a
+/// scenario — runs of many samples and of one, deltas back in time —
+/// scans to the records its tag-4 journal scans to, recovers to the
+/// same report bytes, and as a frame stream is taken by `take_samples`
+/// as `poll` hands it out.
+#[test]
+fn a_tag_3_journal_reads_like_the_tag_4_one() {
+    let ops: Vec<Op> = scenario(1)
+        .into_iter()
+        .filter(|op| !matches!(op, Op::Rotate | Op::Tick))
+        .collect();
+    let (mut plants, _) = registry(MemFactory::new(), 64);
+    let tenant = plants.create_tenant(PLANT).expect("create");
+    assert!(run_ops_in_runs(tenant, &ops, 64, 0, &BTreeMap::new()));
+    let tag_4 = plants.factory().crash_image(false);
+    let tag_4_storage = tag_4.storage(PLANT, 0).expect("storage");
+    let records = wal::scan(&tag_4_storage.read("wal-0.log").expect("wal")).records;
+    let image = tag_3_image(&records);
+
+    // What the image holds: runs of one and of many, deltas back.
+    let mut runs = Vec::new();
+    let mut rest = &image[WAL_MAGIC.len()..];
+    while let Some(len) = codec::take_u32(&mut rest) {
+        let payload = &rest[4..4 + len as usize];
+        rest = &rest[4 + len as usize..];
+        let mut samples = Vec::new();
+        if payload[0] == 3 && wal::decode_run(payload, &mut samples, |_, t, _| t) {
+            runs.push(samples);
+        }
+    }
+    assert!(runs.iter().any(|run| run.len() == 1), "a run of one");
+    assert!(runs.iter().any(|run| run.len() > 1), "a run of many");
+    assert!(
+        runs.iter().any(|run| run.windows(2).any(|w| w[1] < w[0])),
+        "a delta back in time"
+    );
+
+    let scanned = wal::scan(&image);
+    assert_eq!((scanned.corruption, scanned.valid_len), (None, image.len()));
+    assert_eq!(scanned.records, records);
+
+    let tag_3 = tag_4.crash_image(false);
+    let storage = tag_3.storage(PLANT, 0).expect("storage");
+    storage.remove("wal-0.log").expect("remove");
+    let mut file = storage.create("wal-0.log").expect("create");
+    file.append(&image).expect("append");
+    file.sync().expect("sync");
+    drop(file);
+    let finish = |factory| {
+        let (plants, _) = registry(factory, 64);
+        encode_report(&plants.finish_tenant(PLANT).expect("finish"))
+    };
+    assert_eq!(finish(tag_3), finish(tag_4));
+
+    // A WAL's records are ingest frames, byte for byte.
+    let stream = &image[WAL_MAGIC.len()..];
+    assert_eq!(read_frames(stream, false), records);
+    assert_eq!(read_frames(stream, true), records);
 }
 
 /// FNV-1a over `bytes`.

@@ -1,21 +1,26 @@
 //! Frame types, payload codecs, and the incremental frame reader.
 //!
-//! Ingest frames are the WAL's records (tags 1–3, [`hierod_store::wal`]).
-//! A sample frame (tag 3) is a *run*: one to [`wal::MAX_RUN`] samples
-//! under one frame and one checksum, the first with its timestamp, each
-//! later one with a zigzag-varint delta from the sample before it. A run
-//! of one is the single-sample frame, byte for byte, so a sender that
-//! frames every sample alone is still understood.
+//! Ingest frames are the WAL's records ([`hierod_store::wal`], whose
+//! module docs lay out every byte). A sample frame is a *run*: one to
+//! [`wal::MAX_RUN`] samples under one frame and one checksum. Senders
+//! write tag 4: the first sample whole, each later one a head byte that
+//! says whether its lane and timestamp delta follow or are implied by
+//! the run so far, then its value's XOR with the lane's last value,
+//! trimmed of leading and trailing zero bytes. A run of one is the first
+//! sample alone. The tag-3 run older senders write — lane, timestamp
+//! delta and whole value per later sample — is still read.
 //! `hierod_server`'s `Client` coalesces consecutive samples into one run;
-//! any other frame, a flush or the cap closes it.
+//! any other frame, a flush or the cap closes it. Which tags are runs is
+//! [`wal::is_run`]'s to say, not this module's.
 //!
 //! [`FrameReader::take_samples`] decodes run frames straight into the
 //! connection's run of `(wire lane, sample)`; [`FrameReader::poll`]
 //! hands a run out as one [`Frame::Ingest`] of a
 //! [`WalRecord::Sample`] per sample, as [`wal::scan`] does for the
 //! journal. A run that is torn, fails its checksum or does not parse —
-//! a field cut short, trailing bytes, a timestamp delta that leaves
-//! `u64`, more than [`wal::MAX_RUN`] samples — is rejected whole.
+//! a field cut short, trailing bytes, a timestamp that leaves `u64`,
+//! more than [`wal::MAX_RUN`] samples, anything a writer cannot produce
+//! — is rejected whole.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -42,10 +47,8 @@ use crate::report::{
 /// series queries — are narrowed by their range.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
 
-// Tags 1–3 are the WAL record tags, verbatim (hierod_store::wal).
-const TAG_LANE_DEF: u8 = 1;
-const TAG_CONTROL: u8 = 2;
-const TAG_SAMPLE: u8 = 3;
+// Tags below 16 are the WAL's record tags, verbatim: `hierod_store::wal`
+// knows them, and `Frame::decode_payload` hands it any tag not here.
 // Request frames.
 const TAG_ADMIT: u8 = 16;
 const TAG_TICK: u8 = 17;
@@ -131,7 +134,7 @@ impl ErrorCode {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// An ingest frame: a WAL record, byte-for-byte ([`WalRecord`]
-    /// tags 1–3 — lane definition, control event, sample). A sample is
+    /// tags 1–4 — lane definition, control event, sample run). A sample is
     /// encoded as a run of one; a received run of many decodes as one
     /// such frame per sample (module docs). Not individually
     /// acknowledged; errors surface at the next synchronous request. A
@@ -601,9 +604,6 @@ impl Frame {
         let mut buf = bytes;
         let buf = &mut buf;
         let frame = match codec::take_u8(buf)? {
-            TAG_LANE_DEF | TAG_CONTROL | TAG_SAMPLE => {
-                return WalRecord::decode_payload(bytes).map(Frame::Ingest);
-            }
             TAG_ADMIT => Frame::Admit {
                 plant: codec::take_str(buf)?,
                 create: take_bool(buf)?,
@@ -688,7 +688,7 @@ impl Frame {
                 }
                 Frame::SeriesScores { version, series }
             }
-            _ => return None,
+            _ => return WalRecord::decode_payload(bytes).map(Frame::Ingest),
         };
         buf.is_empty().then_some(frame)
     }
@@ -727,7 +727,7 @@ fn front_run(mut bytes: &[u8]) -> Option<(&[u8], &[u8])> {
     let payload = codec::take(&mut bytes, len)?;
     // The tag first: only a frame that says it is a sample run is worth
     // checksumming here.
-    if payload.first() != Some(&TAG_SAMPLE) || crc32(payload) != crc {
+    if !wal::is_run(payload) || crc32(payload) != crc {
         return None;
     }
     Some((payload, bytes))
@@ -818,7 +818,7 @@ impl FrameReader {
             ));
         }
         let malformed = || io::Error::new(io::ErrorKind::InvalidData, "malformed frame payload");
-        let frame = if payload.first() == Some(&TAG_SAMPLE) {
+        let frame = if wal::is_run(payload) {
             self.pending.clear();
             self.next = 0;
             if !decode_run(payload, &mut self.pending) {

@@ -10,11 +10,12 @@
 //! [u32 LE payload_len][u32 LE crc32(payload)][payload]
 //! ```
 //!
-//! The payload starts with a one-byte tag. Tags 1–3 are **the WAL
+//! The payload starts with a one-byte tag. Tags 1–4 are **the WAL
 //! record tags, verbatim**: an ingest frame's bytes are byte-for-byte a
 //! WAL record, a sample frame a run of one to
-//! [`MAX_RUN`](hierod_store::wal::MAX_RUN) samples under one checksum
-//! (see [`frame`]) — prepend the WAL magic to a captured ingest stream
+//! [`MAX_RUN`](hierod_store::wal::MAX_RUN) samples under one checksum,
+//! each later sample's lane and timestamp implied where the run predicts
+//! them (see [`frame`]) — prepend the WAL magic to a captured ingest stream
 //! and it scans and replays through the store unchanged (pinned in
 //! `tests/wire_props.rs`). Lane metadata and control payloads carry the
 //! shared [`hierod_stream::codec`] encodings, so the wire and the

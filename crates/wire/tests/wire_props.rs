@@ -785,24 +785,28 @@ fn encode_coalesced(frames: &[Frame]) -> Vec<u8> {
 fn arb_run_stream() -> impl Strategy<Value = Vec<Frame>> {
     let step = (
         0_u8..16,
-        0_u32..5,
+        0_usize..8,
         0_u64..2_000,
         any::<u64>(),
         arb_f64(),
         arb_frame(),
     );
-    let step = step.prop_map(|(pick, lane, near, far, value, other)| match pick {
-        0 => other,
-        1 => Frame::Ingest(WalRecord::Sample {
-            lane,
-            timestamp: far,
-            value,
-        }),
-        _ => Frame::Ingest(WalRecord::Sample {
-            lane,
-            timestamp: near,
-            value,
-        }),
+    let step = step.prop_map(|(pick, lane, near, far, value, other)| {
+        // Lanes 1, 33 and 65 share a slot of a run's lane table.
+        let lane = [0, 1, 2, 3, 4, 33, 65, 1 << 20][lane];
+        match pick {
+            0 => other,
+            1 => Frame::Ingest(WalRecord::Sample {
+                lane,
+                timestamp: far,
+                value,
+            }),
+            _ => Frame::Ingest(WalRecord::Sample {
+                lane,
+                timestamp: near,
+                value,
+            }),
+        }
     });
     prop::collection::vec(step, 0..120)
 }
@@ -835,8 +839,9 @@ fn framed(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A run payload written field by field: `(lane, timestamp or zigzag
-/// delta, value)` per sample.
+/// A tag-3 run payload written field by field: `(lane, timestamp or
+/// zigzag delta, value)` per sample. Senders no longer write it; the
+/// reader still reads it.
 fn run_payload(samples: &[(u64, u64, f64)]) -> Vec<u8> {
     let mut out = vec![3];
     for &(lane, ts, value) in samples {
@@ -945,6 +950,114 @@ fn a_later_sample_past_the_lane_cap_decodes_as_a_run_of_one_naming_it_does() {
                 timestamp: 9,
                 value: 1.0
             }))
+        ));
+    }
+}
+
+/// A tag-4 run payload written field by field (`hierod_store::wal`'s
+/// module docs): the first sample's lane, timestamp and value, then per
+/// later sample its head byte and the bytes it says follow.
+fn predicted_run(first: (u64, u64, f64), later: &[(u8, &[u8])]) -> Vec<u8> {
+    let mut out = vec![4];
+    hierod_store::codec::put_varint(&mut out, first.0);
+    hierod_store::codec::put_varint(&mut out, first.1);
+    hierod_store::codec::put_f64(&mut out, first.2);
+    for &(head, rest) in later {
+        out.push(head);
+        out.extend_from_slice(rest);
+    }
+    out
+}
+
+fn ingest_sample(lane: u32, timestamp: u64, value: f64) -> Frame {
+    Frame::Ingest(WalRecord::Sample {
+        lane,
+        timestamp,
+        value,
+    })
+}
+
+#[test]
+fn a_tag_4_run_frame_cut_anywhere_but_between_samples_is_refused_whole() {
+    // Multi-byte lanes and deltas, a lane sharing another's slot
+    // (70_000 and 70_032), an implied lane and timestamp.
+    let frames = [
+        ingest_sample(300, 1 << 40, 1.5),
+        ingest_sample(70_000, (1 << 40) - 7, -3.0),
+        ingest_sample(300, (1 << 40) + 20, 1.25),
+        ingest_sample(70_032, (1 << 40) + 13, -3.0),
+        ingest_sample(300, (1 << 40) + 40, 1.25),
+    ];
+    let payload = |n: usize| encode_coalesced(&frames[..n])[8..].to_vec();
+    let whole = payload(frames.len());
+    let ends: Vec<usize> = (1..=frames.len()).map(|n| payload(n).len()).collect();
+    for cut in 1..whole.len() {
+        if ends.contains(&cut) {
+            continue;
+        }
+        let (taken, refused) = behind_a_good_run(&framed(&whole[..cut]));
+        assert!(taken.is_empty() && refused, "cut at {cut}");
+    }
+}
+
+#[test]
+fn hostile_tag_4_run_frames_are_refused_whole() {
+    let first = (5, 1_000, 20.0);
+    let lane_past_u32 = [0x80, 0x80, 0x80, 0x80, 0x10, 20];
+    let implied =
+        std::iter::once((0xFF, &[5_u8, 20][..])).chain(std::iter::repeat((0x3F, &[][..])));
+    let too_long: Vec<(u8, &[u8])> = implied.take(wal::MAX_RUN).collect();
+    for (what, payload) in [
+        (
+            "L clear with no lane to follow",
+            predicted_run(first, &[(0x3F, &[])]),
+        ),
+        (
+            "T clear on a lane new to the run",
+            predicted_run(first, &[(0x86, &[6, 0x3E, 0x40])]),
+        ),
+        (
+            "lll + ttt past 7",
+            predicted_run(first, &[(0xE4, &[5, 20])]),
+        ),
+        (
+            "a delta past u64::MAX",
+            predicted_run((5, u64::MAX - 1, 0.0), &[(0xFF, &[5, 10])]),
+        ),
+        (
+            "a lane past u32",
+            predicted_run(first, &[(0xFF, &lane_past_u32)]),
+        ),
+        ("one sample past the cap", predicted_run(first, &too_long)),
+        (
+            "half a sample behind",
+            predicted_run(first, &[(0xFF, &[5, 20]), (0xC7, &[5])]),
+        ),
+    ] {
+        let (taken, refused) = behind_a_good_run(&framed(&payload));
+        assert!(taken.is_empty() && refused, "{what}");
+    }
+}
+
+/// The longest run a sender can write — every lane new and past 2^28,
+/// every delta past 2^62, no value byte zero — is `MAX_RUN_PAYLOAD`
+/// long and is read whole. It is longer than one 8 KiB read, so `poll`
+/// decodes it and `take_samples` moves its other samples.
+#[test]
+fn the_longest_run_is_max_run_payload_long_and_read_whole() {
+    let frames: Vec<Frame> = (0..wal::MAX_RUN as u64)
+        .map(|i| {
+            let timestamp = u64::MAX - (i % 2) * ((1 << 62) + 1);
+            let value = f64::from_bits(0x4111_1111_1111_0001 + (i << 8));
+            ingest_sample((1 << 28) + i as u32, timestamp, value)
+        })
+        .collect();
+    let bytes = encode_coalesced(&frames);
+    assert_eq!(bytes.len(), 8 + wal::MAX_RUN_PAYLOAD);
+    for runs in [false, true] {
+        assert!(same(
+            &drain(&bytes, usize::MAX, runs),
+            &(frames.clone(), false)
         ));
     }
 }
